@@ -145,7 +145,8 @@ fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
         victim_union.extend(devices_of(&service, "victim_kvs"));
     }
     // …the victim either serves from its new placement or is parked typed
-    if let Some(numeric_id) = service.controller().numeric_id_of("victim_kvs") {
+    let victim_id = service.controller().numeric_id_of("victim_kvs");
+    if let Some(numeric_id) = victim_id {
         let mut wl = victim_workload(numeric_id, 13);
         engine.run_workload(&mut wl, usize::MAX, 16);
         service.flush();

@@ -1,5 +1,5 @@
 //! runtime_throughput — packets/sec through the sharded traffic engine,
-//! plus plans/sec through the service's parallel planner.
+//! plus the placement memo's warm-vs-cold solve latency.
 //!
 //! **Serving section.**  Eight co-resident MLAgg tenants share one ToR
 //! device.  With one shard, every packet walks all eight tenants' guarded
@@ -33,16 +33,6 @@
 //! recovers.  A static control run (loop off) prices the no-adaptation
 //! baseline the recovery is compared against.
 //!
-//! **Planner section.**  A mixed batch of KVS/MLAgg/CMS requests is solved
-//! by `Planner::plan_all` with 1 vs N worker threads (each run against a
-//! fresh service, so the plan cache cannot shortcut the measurement), and
-//! the per-thread-count plan fingerprints are asserted bit-identical —
-//! parallel planning is an optimization, never a semantics change.  Each
-//! row also records the per-plan *placement* solve latency (p50/p99 ms),
-//! and a second pass over the same batch on a live service prices the plan
-//! cache: every member of the re-plan must answer from cache, bit-identical
-//! to the first pass.
-//!
 //! **Warm-start / churn section.**  The incremental-placement showcase:
 //! dry-run plans over the churn scenario's shape pool price the segment
 //! memo (warm, the default) against the unmemoized cold DP (memo disabled)
@@ -73,12 +63,12 @@
 //!   pre-fault baseline (backpressure admission makes both phases exact).
 //!   The co-resident blast-radius invariant — bystander stats and store
 //!   fingerprints bit-identical to a fault-free control — is asserted
-//!   unconditionally, like the planner's determinism;
+//!   unconditionally;
 //! * `RUNTIME_BENCH_MIN_PLANNER_SPEEDUP=<x>` — exit non-zero if the warm
 //!   (memoized) placement solve falls below `x`× the cold unmemoized DP at
 //!   the median over the churn shape pool.
 
-use clickinc::{BatchStats, ClickIncService, ServiceRequest};
+use clickinc::{ClickIncService, ServiceRequest};
 use clickinc_apps::churn::{run_churn_scenario, ChurnConfig};
 use clickinc_apps::failover::{serve_failover_scenario, FailoverServingConfig};
 use clickinc_device::DeviceModel;
@@ -120,19 +110,6 @@ struct ExecResult {
     packets_per_sec: f64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct PlannerResult {
-    threads: usize,
-    elapsed_ms: f64,
-    plans_per_sec: f64,
-    /// Per-plan placement solve latency over the batch (absent in
-    /// pre-warm-start history rows).
-    #[serde(default)]
-    solve_p50_ms: f64,
-    #[serde(default)]
-    solve_p99_ms: f64,
-}
-
 /// One bench invocation: a row of the accumulated history.
 #[derive(Serialize, Deserialize)]
 struct RunEntry {
@@ -144,11 +121,6 @@ struct RunEntry {
     packets: usize,
     results: Vec<ShardResult>,
     speedup_best_vs_one_shard: f64,
-    /// Planner-throughput section (absent in pre-planner history rows).
-    #[serde(default)]
-    planner: Vec<PlannerResult>,
-    #[serde(default)]
-    planner_speedup_best_vs_one_thread: f64,
     /// Flow-sharded hot-tenant section (absent in pre-flow-sharding rows).
     #[serde(default)]
     flow: Vec<ShardResult>,
@@ -186,10 +158,6 @@ struct RunEntry {
     /// `Degraded` until the restore).
     #[serde(default)]
     failover_recovered_immediately: bool,
-    /// Plan-cache counters from re-planning the planner batch on a live
-    /// service (second pass over the same epoch: every member must hit).
-    #[serde(default)]
-    planner_batch: BatchStats,
     /// Warm-start section (absent in pre-warm-start history rows): median
     /// per-plan placement solve with the segment memo on vs off, and their
     /// quotient — the gated incremental-placement speedup.
@@ -438,56 +406,6 @@ fn run_adapt_probe(shards: usize, requests: usize, adapt: bool) -> (f64, f64) {
     engine.finish();
     let ratio = |r: &WorkloadReport| r.admitted as f64 / r.generated.max(1) as f64;
     (ratio(&surge), ratio(&adapted))
-}
-
-/// The mixed request batch the planner section solves: KVS, MLAgg and CMS
-/// tenants with distinct sources, like a provider's arrival queue.
-fn planner_requests(count: usize) -> Vec<ServiceRequest> {
-    (0..count)
-        .map(|i| {
-            let user = format!("plan{i}");
-            let builder = ServiceRequest::builder(&user);
-            let builder = match i % 3 {
-                0 => builder
-                    .template(kvs_template(
-                        &user,
-                        KvsParams { cache_depth: 1000 + 100 * i as u32, ..Default::default() },
-                    ))
-                    .from_("pod0a"),
-                1 => builder
-                    .template(mlagg_template(
-                        &user,
-                        MlAggParams { dims: DIMS, num_aggregators: 512, ..Default::default() },
-                    ))
-                    .from_("pod1a"),
-                _ => builder.template(count_min_sketch(&user, 3, 512)).from_("pod0b"),
-            };
-            builder.to("pod2b").build().expect("well-formed request")
-        })
-        .collect()
-}
-
-/// Solve the batch with `threads` planner workers against a fresh service
-/// (a fresh service per run keeps the plan cache from shortcutting the
-/// measurement).  Returns the elapsed seconds, the plan fingerprints in
-/// request order (for the cross-thread-count bit-identity assertion), and
-/// each plan's placement solve latency in milliseconds.
-fn plan_once(requests: &[ServiceRequest], threads: usize) -> (f64, Vec<u64>, Vec<f64>) {
-    let service = ClickIncService::new(Topology::emulation_topology_all_tofino())
-        .expect("default engine config is valid");
-    let planner = service.planner().with_threads(threads);
-    let start = Instant::now();
-    let plans = planner.plan_all(requests);
-    let elapsed = start.elapsed().as_secs_f64();
-    let mut fingerprints = Vec::with_capacity(plans.len());
-    let mut solve_ms = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let plan = plan.expect("every request solves");
-        fingerprints.push(plan.fingerprint());
-        solve_ms.push(plan.placement().solve_time.as_secs_f64() * 1e3);
-    }
-    service.finish();
-    (elapsed, fingerprints, solve_ms)
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -762,84 +680,6 @@ fn main() {
         if failover_recovery >= 1.0 { "service restored" } else { "REGRESSION" }
     );
 
-    // ---- planner-throughput section -------------------------------------
-    let (batch, thread_counts): (usize, &[usize]) =
-        if smoke { (8, &[1, 4]) } else { (16, &[1, 2, 4, 8]) };
-    let requests = planner_requests(batch);
-    println!(
-        "\n== planner_throughput: {batch} mixed KVS/MLAgg/CMS requests, 1 vs N solver threads =="
-    );
-    println!(
-        "{:>8} {:>12} {:>16} {:>12} {:>12}",
-        "threads", "elapsed", "plans/sec", "solve p50", "solve p99"
-    );
-    let mut planner_results = Vec::new();
-    let mut baseline_fingerprints: Option<Vec<u64>> = None;
-    for &threads in thread_counts {
-        // best of two runs to shave scheduler noise
-        let (mut elapsed, fingerprints, mut solve_ms) = plan_once(&requests, threads);
-        let (e2, f2, s2) = plan_once(&requests, threads);
-        assert_eq!(fingerprints, f2, "planning is deterministic");
-        if e2 < elapsed {
-            elapsed = e2;
-            solve_ms = s2;
-        }
-        match &baseline_fingerprints {
-            None => baseline_fingerprints = Some(fingerprints),
-            Some(baseline) => assert_eq!(
-                baseline, &fingerprints,
-                "parallel solves are bit-identical to the 1-thread path"
-            ),
-        }
-        solve_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let solve_p50_ms = percentile(&solve_ms, 0.50);
-        let solve_p99_ms = percentile(&solve_ms, 0.99);
-        let pps = batch as f64 / elapsed.max(1e-9);
-        println!(
-            "{threads:>8} {:>10.1}ms {pps:>16.1} {:>10.3}ms {:>10.3}ms",
-            elapsed * 1e3,
-            solve_p50_ms,
-            solve_p99_ms
-        );
-        planner_results.push(PlannerResult {
-            threads,
-            elapsed_ms: elapsed * 1e3,
-            plans_per_sec: pps,
-            solve_p50_ms,
-            solve_p99_ms,
-        });
-    }
-    let planner_one = planner_results[0].plans_per_sec;
-    let planner_best = planner_results.iter().map(|r| r.plans_per_sec).fold(0.0f64, f64::max);
-    let planner_speedup = planner_best / planner_one.max(1e-9);
-    println!(
-        "best N-thread solve throughput is {planner_speedup:.2}x the 1-thread baseline \
-         (bit-identical plans at every thread count)"
-    );
-
-    // plan-cache counters: the same batch twice on one live service — the
-    // first pass runs placement for every member (fresh cache), the second
-    // pass must answer every member from the plan cache, bit-identical
-    let cache_service = ClickIncService::new(Topology::emulation_topology_all_tofino())
-        .expect("default engine config is valid");
-    let cache_planner = cache_service.planner();
-    let (first_plans, first_stats) = cache_planner.plan_all_with_stats(&requests);
-    let (second_plans, planner_batch) = cache_planner.plan_all_with_stats(&requests);
-    let fp = |plans: Vec<Result<clickinc::DeploymentPlan, _>>| -> Vec<u64> {
-        plans.into_iter().map(|p| p.expect("every request solves").fingerprint()).collect()
-    };
-    assert_eq!(fp(first_plans), fp(second_plans), "a cached re-plan is bit-identical");
-    assert_eq!(first_stats.cache_misses as usize, batch, "a fresh cache misses on every member");
-    assert_eq!(
-        planner_batch.cache_hits as usize, batch,
-        "a same-epoch re-plan hits on every member"
-    );
-    cache_service.finish();
-    println!(
-        "plan cache: first pass {} misses, re-plan {} hits / {} misses (bit-identical)",
-        first_stats.cache_misses, planner_batch.cache_hits, planner_batch.cache_misses
-    );
-
     // ---- warm-start / churn section --------------------------------------
     // dry-run plans over the churn shape pool: segment memo on (the deploy
     // default) vs off (the unmemoized DP every solve paid before the memo)
@@ -902,8 +742,6 @@ fn main() {
         packets: TENANTS * rounds * WORKERS,
         results,
         speedup_best_vs_one_shard: speedup,
-        planner: planner_results,
-        planner_speedup_best_vs_one_thread: planner_speedup,
         flow: flow_results,
         flow_speedup_best_vs_one_shard: flow_speedup,
         flow_shards_utilized,
@@ -916,7 +754,6 @@ fn main() {
         failover_recovery,
         failover_fault_lost,
         failover_recovered_immediately,
-        planner_batch,
         placement_warm_p50_ms,
         placement_cold_p50_ms,
         placement_warm_speedup,

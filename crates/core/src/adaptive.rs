@@ -8,13 +8,9 @@
 //! * **Eligibility** comes from the same state-profile analysis
 //!   ([`crate::sharding::sharding_mode_for`]) that gates every deploy, so the
 //!   loop can never flow-shard a tenant the verifier classified as pinned;
-//! * **Reshards** applied on the engine are published through
-//!   [`Controller::notify_resharded`], so reconfiguration hooks (and any
-//!   attached ablation engines) observe the move;
 //! * **Replans** are routed through [`ClickIncService::replace_tenant`] —
-//!   the full plan → verify → admission → commit chain — and a refused
-//!   re-placement restores the original deployment instead of dropping the
-//!   tenant.
+//!   the service's one admission pipeline — and a refused re-placement
+//!   restores the original deployment instead of dropping the tenant.
 //!
 //! ```
 //! use clickinc::{AdaptiveRuntime, ClickIncService, InitialSharding, ServiceRequest};
@@ -41,7 +37,7 @@
 
 use crate::service::ClickIncService;
 use crate::sharding::sharding_mode_for;
-use clickinc_runtime::adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy, AdaptiveTick};
+use clickinc_runtime::adaptive::{AdaptiveController, AdaptivePolicy, AdaptiveTick};
 use clickinc_runtime::ShardingMode;
 
 /// What one [`AdaptiveRuntime::step`] observed and did, service-wide.
@@ -104,19 +100,14 @@ impl AdaptiveRuntime {
     }
 
     /// One control-loop turn: snapshot the engine's telemetry, decide and
-    /// apply engine-level actions, publish applied reshards through the
-    /// controller's reconfiguration hooks, and route every `Replan` through
-    /// [`ClickIncService::replace_tenant`] — the verifier and admission
-    /// chain gate each re-placement, and a refusal restores the original
-    /// deployment.
+    /// apply engine-level actions (reshards and budget resizes happen on the
+    /// engine alone — the controller's ledger and planes do not move), and
+    /// route every `Replan` through [`ClickIncService::replace_tenant`] —
+    /// the verifier and admission chain gate each re-placement, and a
+    /// refusal restores the original deployment.
     pub fn step(&mut self, service: &ClickIncService) -> AdaptiveOutcome {
         let engine = service.engine_handle();
         let tick = self.controller.step(&engine);
-        for action in &tick.applied {
-            if let AdaptAction::Reshard { user, to, .. } = action {
-                service.controller().notify_resharded(user, to.clone());
-            }
-        }
         let mut replaced = Vec::new();
         let mut refused = Vec::new();
         for action in &tick.replans {
@@ -146,6 +137,7 @@ mod tests {
     use crate::request::ServiceRequest;
     use crate::service::InitialSharding;
     use clickinc_lang::templates::{kvs_template, KvsParams};
+    use clickinc_runtime::adaptive::AdaptAction;
     use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
     use clickinc_runtime::{EngineConfig, OverloadPolicy};
     use clickinc_topology::Topology;

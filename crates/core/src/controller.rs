@@ -9,10 +9,8 @@
 //! the first mutation, so a rejected commit leaves the ledger, the active
 //! user set and every plane's store bit-identical to before the call.
 
-use crate::error::{ClickIncError, ControllerError};
-use crate::reconfigure::{ReconfigureEvent, ReconfigureHook, TenantHop};
+use crate::error::ClickIncError;
 use crate::request::ServiceRequest;
-use crate::sharding::sharding_mode_for;
 use clickinc_backend::DeviceProgram;
 use clickinc_blockdag::{build_block_dag, BlockConfig, BlockDag};
 use clickinc_emulator::DevicePlane;
@@ -25,7 +23,7 @@ use clickinc_placement::{
     place_with_cache, PlacementConfig, PlacementNetwork, PlacementPlan, ResourceLedger, SolveCache,
     SolveCacheStats, Weights,
 };
-use clickinc_runtime::EngineHandle;
+use clickinc_runtime::TenantHop;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
     add_user_program, assign_steps, base_program, isolate_user_program, remove_user_program,
@@ -92,26 +90,13 @@ pub struct DeploymentPlan {
     physical_devices: Vec<String>,
     /// Everything the static verifier pipeline reported while solving.  A
     /// plan only exists if the set carries no error-severity finding —
-    /// [`PlanContext::solve`] turns those into [`ClickIncError::Verification`]
+    /// [`Controller::plan`] turns those into [`ClickIncError::Verification`]
     /// — so what rides here is warnings and classification infos.
     diagnostics: DiagnosticSet,
     /// Wall-clock cost of the solve itself (compile + isolate + place), a
-    /// `Duration` rather than a start `Instant` so a plan served from the
-    /// cache does not smuggle quote-to-commit idle time into
-    /// [`Deployment::elapsed`].
+    /// `Duration` rather than a start `Instant` so quote-to-commit idle time
+    /// stays out of [`Deployment::elapsed`].
     solved_in: Duration,
-    /// Ledger version stamps of every physical device the solve *considered*
-    /// (all members of every candidate EC node, not just the devices the plan
-    /// uses) — if they all still hold, the residual capacities the solve saw
-    /// are bit-identical today.
-    ledger_stamps: Vec<(NodeId, u64)>,
-    /// [`Topology::health_version`] at solve time: equal values guarantee the
-    /// reduced topology the solve routed over is unchanged.
-    health_version: u64,
-    /// Bits of the network-wide remaining ratio the adaptive weights were
-    /// derived from (the ratio is global, so it can move even when every
-    /// candidate device's ledger held still).
-    weights_ratio_bits: u64,
 }
 
 impl DeploymentPlan {
@@ -167,21 +152,6 @@ impl DeploymentPlan {
         &self.physical_devices
     }
 
-    /// Whether the plan occupies the named physical device.  The device list
-    /// is sorted, so this is a binary search — the structural-invalidation
-    /// probe the plan cache runs for every cached plan on every ledger move.
-    pub fn touches_physical(&self, device: &str) -> bool {
-        self.physical_devices.binary_search_by(|d| d.as_str().cmp(device)).is_ok()
-    }
-
-    /// Ledger version stamps of every physical device the solve considered
-    /// (candidate devices — a superset of the occupied ones).  All stamps
-    /// still holding is the warm re-pin precondition
-    /// [`Controller::revalidate`] checks against the live ledger.
-    pub fn ledger_stamps(&self) -> &[(NodeId, u64)] {
-        &self.ledger_stamps
-    }
-
     /// Total resource demand across every physical device the plan touches.
     pub fn resource_demand(&self) -> ResourceVector {
         let mut total = ResourceVector::default();
@@ -218,9 +188,9 @@ impl DeploymentPlan {
     /// request ([`ServiceRequest::fingerprint`]), the epoch and numeric id it
     /// is pinned to, the solved placement
     /// ([`PlacementPlan::fingerprint`](clickinc_placement::PlacementPlan::fingerprint))
-    /// and the predicted ratio.  Two planner runs that solved the same
-    /// request against the same controller state fingerprint equal — the
-    /// bit-identity the parallel-planning tests assert.
+    /// and the predicted ratio.  Two solves of the same request against the
+    /// same controller state fingerprint equal — the bit-identity the
+    /// warm-vs-cold memo tests assert.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.request.fingerprint());
@@ -288,7 +258,6 @@ pub struct Controller {
     frontend: Frontend,
     block_config: BlockConfig,
     use_adaptive_weights: bool,
-    hooks: Vec<ReconfigureHook>,
     /// Cross-solve segment memo shared by every plan this controller runs:
     /// keys carry the exact bits of their inputs, so entries survive epoch
     /// moves and warm solves stay bit-identical to cold ones.
@@ -319,7 +288,6 @@ impl Controller {
             frontend: Frontend::new(),
             block_config: BlockConfig::default(),
             use_adaptive_weights: true,
-            hooks: Vec::new(),
             solve_cache: SolveCache::new(),
             use_solve_memo: true,
         }
@@ -343,55 +311,6 @@ impl Controller {
     /// solve's result — only its latency.
     pub fn set_solve_memo(&mut self, enabled: bool) {
         self.use_solve_memo = enabled;
-    }
-
-    /// Register a live-reconfiguration hook, called after every successful
-    /// [`deploy`](Controller::deploy) and [`remove`](Controller::remove) with
-    /// the corresponding [`ReconfigureEvent`].  Hooks run in registration
-    /// order; a serving runtime uses this to mirror tenant changes onto its
-    /// sharded data planes while traffic keeps flowing.
-    pub fn add_reconfigure_hook(&mut self, hook: ReconfigureHook) {
-        self.hooks.push(hook);
-    }
-
-    /// Mirror every future deploy/remove onto a running traffic engine.
-    ///
-    /// This is the low-level hook wiring for ablation experiments that drive
-    /// the controller directly; [`crate::ClickIncService`] performs the same
-    /// mirroring (plus all-or-nothing batch semantics) automatically.
-    /// Tenants already deployed before this call are *not* replayed — attach
-    /// first, then deploy, so the engine sees every tenant exactly once.
-    pub fn attach_engine(&mut self, handle: EngineHandle) {
-        self.add_reconfigure_hook(Box::new(move |event| match event {
-            ReconfigureEvent::TenantAdded { user, hops, mode, .. } => {
-                handle.add_tenant_sharded(user, hops.clone(), mode.clone());
-            }
-            ReconfigureEvent::TenantRemoved { user } => {
-                handle.remove_tenant(user);
-            }
-            ReconfigureEvent::TenantResharded { user, mode } => {
-                handle.reshard_tenant(user, mode.clone());
-            }
-        }));
-    }
-
-    /// Publish that a live tenant's traffic partitioning changed (the
-    /// adaptive runtime applied a reshard on the serving engine).  Fires the
-    /// reconfiguration hooks with [`ReconfigureEvent::TenantResharded`] so
-    /// every attached engine mirrors the move; a no-op for unknown users.
-    pub fn notify_resharded(&mut self, user: &str, mode: crate::reconfigure::ShardingMode) {
-        if self.deployments.contains_key(user) {
-            self.fire(ReconfigureEvent::TenantResharded { user: user.to_string(), mode });
-        }
-    }
-
-    fn fire(&mut self, event: ReconfigureEvent) {
-        // take the hooks out so they may re-enter accessors on `self`
-        let mut hooks = std::mem::take(&mut self.hooks);
-        for hook in &mut hooks {
-            hook(&event);
-        }
-        self.hooks = hooks;
     }
 
     /// The programmable hops of a user's deployment in traffic order, with
@@ -486,7 +405,7 @@ impl Controller {
 
     /// Compile a request's source without deploying it (step ii of the
     /// workflow); exposed for the productivity experiments.
-    pub fn compile(&self, request: &ServiceRequest) -> Result<IrProgram, ControllerError> {
+    pub fn compile(&self, request: &ServiceRequest) -> Result<IrProgram, ClickIncError> {
         let ir = self.frontend.compile_source(
             &request.user,
             &request.source,
@@ -500,116 +419,168 @@ impl Controller {
     /// resource demand, and the predicted post-commit remaining ratio — and
     /// touches neither the ledger nor any data plane.  Feed the result to
     /// [`Controller::commit`] to make it real.
-    ///
-    /// Equivalent to `self.plan_context().solve(request)`; grab the
-    /// [`PlanContext`] directly to run many solves concurrently.
-    pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ControllerError> {
-        self.plan_context().solve(request)
+    pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
+        let started = Instant::now();
+        self.check_request(request)?;
+        let ir = self.frontend.compile_source(
+            &request.user,
+            &request.source,
+            &CompileOptions::default(),
+        )?;
+        let isolated = isolate_user_program(&ir, &request.user, self.next_user_id);
+        self.solve_prepared(request, isolated, started)
     }
 
     /// Expert variant of [`plan`](Controller::plan): place an
     /// **already-isolated** IR program verbatim, skipping compile and
-    /// isolation renaming (see [`PlanContext::solve_isolated`]).  The static
-    /// verifier pipeline still runs — it is the only gate on this path, and
-    /// a program that reads or writes outside its tenant's namespace is
-    /// refused as [`ClickIncError::Verification`] before a plan exists.
+    /// isolation renaming (the request's `source` is ignored).  Nothing here
+    /// re-establishes the namespace discipline the normal path guarantees —
+    /// the static verifier pipeline is the only gate on this path, which is
+    /// exactly why it still runs: a program that reads or writes outside its
+    /// tenant's namespace is refused as [`ClickIncError::Verification`]
+    /// before a plan exists.
     pub fn plan_isolated(
         &self,
         request: &ServiceRequest,
         program: IrProgram,
-    ) -> Result<DeploymentPlan, ControllerError> {
-        self.plan_context().solve_isolated(request, program)
+    ) -> Result<DeploymentPlan, ClickIncError> {
+        let started = Instant::now();
+        self.check_request(request)?;
+        self.solve_prepared(request, program, started)
     }
 
-    /// [`plan_isolated`](Controller::plan_isolated) followed by
-    /// [`commit`](Controller::commit).
-    pub fn deploy_isolated(
-        &mut self,
+    /// The checks every solve starts with: structural validity and a free
+    /// user id.
+    fn check_request(&self, request: &ServiceRequest) -> Result<(), ClickIncError> {
+        request.validate()?;
+        if self.deployments.contains_key(&request.user) {
+            return Err(ClickIncError::DuplicateUser(request.user.clone()));
+        }
+        Ok(())
+    }
+
+    /// Everything after compile + isolate: endpoint resolution, block DAG,
+    /// placement, static verification, and the ledger preview.
+    fn solve_prepared(
+        &self,
         request: &ServiceRequest,
-        program: IrProgram,
-    ) -> Result<&Deployment, ControllerError> {
-        let planned = self.plan_isolated(request, program)?;
-        self.commit(planned)
-    }
+        isolated: IrProgram,
+        started: Instant,
+    ) -> Result<DeploymentPlan, ClickIncError> {
+        // resolve endpoints
+        let sources: Result<Vec<NodeId>, ClickIncError> = request
+            .sources
+            .iter()
+            .map(|s| self.topology.find(s).ok_or_else(|| ClickIncError::UnknownHost(s.clone())))
+            .collect();
+        let sources = sources?;
+        let dst = self
+            .topology
+            .find(&request.destination)
+            .ok_or_else(|| ClickIncError::UnknownHost(request.destination.clone()))?;
 
-    /// The `Sync` snapshot-view of everything [`plan`](Controller::plan)
-    /// reads.  Planning is pure, so any number of threads may solve against
-    /// one context concurrently — the service's `Planner` fans its batch
-    /// solves out exactly this way.  The borrow pins the controller: no
-    /// commit or removal can slide under a live context.
-    pub fn plan_context(&self) -> PlanContext<'_> {
-        PlanContext {
-            topology: &self.topology,
-            ledger: &self.ledger,
-            deployments: &self.deployments,
-            frontend: &self.frontend,
-            block_config: &self.block_config,
-            use_adaptive_weights: self.use_adaptive_weights,
-            next_user_id: self.next_user_id,
-            epoch: self.epoch,
-            solve_cache: &self.solve_cache,
-            use_solve_memo: self.use_solve_memo,
-        }
-    }
+        // the numeric id this plan will own if committed at the current epoch
+        let numeric_id = self.next_user_id;
 
-    /// Warm re-pin: promote a plan solved at an older epoch to the current
-    /// one **iff** re-solving its request today would provably reproduce it
-    /// bit-for-bit.  The preconditions mirror everything a solve reads:
-    ///
-    /// * the user is still absent and would receive the same numeric id
-    ///   (the isolation guard is baked into the solved program);
-    /// * no node's health changed ([`Topology::health_version`]), so the
-    ///   reduced topology is identical;
-    /// * every candidate device's ledger stamp still holds, so the residual
-    ///   capacities the DP saw are identical;
-    /// * under adaptive weights, the global remaining ratio's bits are
-    ///   unchanged (it feeds the objective and can move on far-away commits).
-    ///
-    /// On success the returned plan carries the current epoch and a freshly
-    /// recomputed post-commit ratio — exactly what a cold re-solve would
-    /// produce, at the cost of a few integer compares.  `None` means the
-    /// caller must re-solve (which the segment memo still accelerates).
-    pub fn revalidate(&self, plan: &DeploymentPlan) -> Option<DeploymentPlan> {
-        if self.deployments.contains_key(&plan.request.user) {
-            return None;
+        // install-time optimization over the whole isolated program, before
+        // placement slices it: constant folding, dead-value elimination, and
+        // hoisting the per-instruction isolation guard into the program
+        // precondition (an O(1) skip for co-resident tenants' traffic).  The
+        // optimizer re-verifies its own output and returns the original
+        // program on any regression, so this can only narrow, never widen,
+        // what the verifier below accepts.  Both execution tiers run the
+        // optimized IR, keeping their telemetry bit-identical.
+        let mut opt_diags = DiagnosticSet::new();
+        let isolated = Optimizer::with_default_passes().optimize(
+            &request.user,
+            true,
+            &isolated,
+            &mut opt_diags,
+        );
+
+        // block DAG + reduced topology + placement (memo-accelerated: the
+        // segment feasibility questions repeat across tenants and epochs)
+        let dag = build_block_dag(&isolated, &self.block_config);
+        let reduced = reduce_for_traffic(&self.topology, &sources, dst, &request.traffic_weights);
+        let net = PlacementNetwork::from_reduced(&self.topology, &reduced, &self.ledger);
+        let weights = if self.use_adaptive_weights {
+            Weights::adaptive(self.ledger.remaining_ratio(&self.topology))
+        } else {
+            Weights::fixed()
+        };
+        let plan = place_with_cache(
+            &isolated,
+            &dag,
+            &net,
+            &PlacementConfig { weights, enable_pruning: true },
+            if self.use_solve_memo { Some(&self.solve_cache) } else { None },
+        )?;
+
+        // static verification: the whole pass pipeline runs over the
+        // isolated program and its per-device slices here, before a plan
+        // even exists — so no deploy path can mutate a ledger or a plane
+        // with an unverified program.  Error-severity findings abort the solve; the
+        // rest ride on the plan for inspection and CI export.
+        let mut placements = Vec::new();
+        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
+            let snippet = slice_snippet(&request.user, &isolated, &assignment.instrs);
+            for member in &assignment.members {
+                let node = self.topology.node(*member);
+                let model = node.kind.model();
+                placements.push(PlacedSnippet {
+                    device: node.name.clone(),
+                    target: DeviceTarget {
+                        device: node.name.clone(),
+                        kind: node.kind.to_string(),
+                        supported: model.supported_classes().clone(),
+                        storage_capacity_bits: model.storage_capacity_bits(),
+                    },
+                    program: snippet.clone(),
+                });
+            }
         }
-        if plan.numeric_id != self.next_user_id {
-            return None;
+        let mut diagnostics = PassManager::with_default_passes().run(&PassContext {
+            tenant: request.user.clone(),
+            isolated: true,
+            programs: std::slice::from_ref(&isolated),
+            placements: &placements,
+        });
+        diagnostics.merge(opt_diags);
+        if diagnostics.has_errors() {
+            return Err(ClickIncError::Verification { user: request.user.clone(), diagnostics });
         }
-        if plan.health_version != self.topology.health_version() {
-            return None;
-        }
-        if plan.ledger_stamps.iter().any(|(node, v)| self.ledger.version_of(*node) != *v) {
-            return None;
-        }
-        if self.use_adaptive_weights
-            && self.ledger.remaining_ratio(&self.topology).to_bits() != plan.weights_ratio_bits
-        {
-            return None;
-        }
-        let mut repinned = plan.clone();
-        repinned.epoch = self.epoch;
-        // the global post-commit ratio may have drifted on devices outside
-        // the candidate set; recompute it the way a cold solve would
+
+        // predict the post-commit ratio on a scratch copy of the ledger
         let mut preview = self.ledger.clone();
-        for assignment in repinned.plan.assignments.iter().filter(|a| !a.is_empty()) {
+        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
             for member in &assignment.members {
                 preview.consume(*member, assignment.demand);
             }
         }
-        repinned.predicted_remaining_ratio = preview.remaining_ratio(&self.topology);
-        repinned.weights_ratio_bits = self.ledger.remaining_ratio(&self.topology).to_bits();
-        Some(repinned)
+        let predicted_remaining_ratio = preview.remaining_ratio(&self.topology);
+
+        let physical: BTreeSet<String> = placements.iter().map(|p| p.device.clone()).collect();
+        Ok(DeploymentPlan {
+            request: request.clone(),
+            numeric_id,
+            program: isolated,
+            dag,
+            plan,
+            predicted_remaining_ratio,
+            epoch: self.epoch,
+            physical_devices: physical.into_iter().collect(),
+            diagnostics,
+            solved_in: started.elapsed(),
+        })
     }
 
     /// Commit a [`DeploymentPlan`]: book the ledger resources, synthesize
-    /// with the base program, install the snippets on the data planes, and
-    /// fire the reconfiguration hooks.
+    /// with the base program, and install the snippets on the data planes.
     ///
     /// Atomicity: every fallible check (stale epoch, duplicate user) runs
     /// *before* the first mutation, so an `Err` return leaves the ledger,
     /// the active-user set and every plane bit-identical to before the call.
-    pub fn commit(&mut self, planned: DeploymentPlan) -> Result<&Deployment, ControllerError> {
+    pub fn commit(&mut self, planned: DeploymentPlan) -> Result<&Deployment, ClickIncError> {
         if planned.epoch != self.epoch {
             return Err(ClickIncError::StalePlan {
                 user: planned.request.user,
@@ -620,8 +591,8 @@ impl Controller {
         if self.deployments.contains_key(&planned.request.user) {
             return Err(ClickIncError::DuplicateUser(planned.request.user));
         }
-        // a DeploymentPlan can only be built by PlanContext::solve, which
-        // already refuses error-severity diagnostics; this re-check keeps the
+        // a DeploymentPlan can only be built by a solve, which already
+        // refuses error-severity diagnostics; this re-check keeps the
         // invariant local so no future construction path can bypass the gate
         if planned.diagnostics.has_errors() {
             return Err(ClickIncError::Verification {
@@ -667,9 +638,10 @@ impl Controller {
 
         self.next_user_id += 1;
         self.epoch += 1;
+        let user = request.user.clone();
         let deployment = Deployment {
-            user: request.user.clone(),
-            request: request.clone(),
+            user: user.clone(),
+            request,
             numeric_id,
             program: isolated,
             dag,
@@ -679,30 +651,21 @@ impl Controller {
             device_programs,
             snippets: installed,
             // solve cost + synthesis/install cost: pure pipeline latency,
-            // with no quote-to-commit idle time even for cached plans
+            // with no quote-to-commit idle time
             elapsed: solved_in + commit_started.elapsed(),
         };
-        self.deployments.insert(request.user.clone(), deployment);
-        let hops = self.tenant_hops(&request.user);
-        let mode = sharding_mode_for(&hops);
-        self.fire(ReconfigureEvent::TenantAdded {
-            user: request.user.clone(),
-            numeric_id,
-            hops,
-            mode,
-        });
-        Ok(self.deployments.get(&request.user).expect("just inserted"))
+        Ok(self.deployments.entry(user).or_insert(deployment))
     }
 
     /// Deploy a program in one step: [`plan`](Controller::plan) followed by
     /// [`commit`](Controller::commit).
-    pub fn deploy(&mut self, request: ServiceRequest) -> Result<&Deployment, ControllerError> {
+    pub fn deploy(&mut self, request: ServiceRequest) -> Result<&Deployment, ClickIncError> {
         let planned = self.plan(&request)?;
         self.commit(planned)
     }
 
     /// Remove a previously deployed program (lazy removal + resource release).
-    pub fn remove(&mut self, user: &str) -> Result<DeploymentDelta, ControllerError> {
+    pub fn remove(&mut self, user: &str) -> Result<DeploymentDelta, ClickIncError> {
         let deployment = self
             .deployments
             .remove(user)
@@ -723,7 +686,6 @@ impl Controller {
             self.topology.nodes().iter().map(|n| (n.id, n.pod)).collect();
         let delta = remove_user_program(&mut self.images, user, &pod_of);
         self.epoch += 1;
-        self.fire(ReconfigureEvent::TenantRemoved { user: user.to_string() });
         Ok(delta)
     }
 
@@ -731,8 +693,8 @@ impl Controller {
     /// placement solved from now on routes around it — and quiesce every
     /// tenant whose placement occupies it through the normal
     /// [`remove`](Controller::remove) path, so their ledger bookings are
-    /// released, their snippets uninstalled, the epoch bumped and the
-    /// reconfiguration hooks fired exactly as for a voluntary removal.
+    /// released, their snippets uninstalled and the epoch bumped exactly as
+    /// for a voluntary removal.
     ///
     /// Returns the displaced tenants' original requests (in user order) so
     /// the caller can re-place them against the degraded topology; the
@@ -740,7 +702,7 @@ impl Controller {
     /// drives that re-placement through the full plan → verify → admission →
     /// commit chain.  Unknown devices are [`ClickIncError::UnknownHost`];
     /// failing an already-down device is idempotent.
-    pub fn fail_device(&mut self, device: &str) -> Result<Vec<ServiceRequest>, ControllerError> {
+    pub fn fail_device(&mut self, device: &str) -> Result<Vec<ServiceRequest>, ClickIncError> {
         let id = self
             .topology
             .find(device)
@@ -772,7 +734,7 @@ impl Controller {
     /// Restore a failed device to [`NodeHealth::Up`]: placements may use it
     /// again.  The caller re-places tenants parked by the failure
     /// ([`crate::ClickIncService::restore_device`] does so automatically).
-    pub fn restore_device(&mut self, device: &str) -> Result<(), ControllerError> {
+    pub fn restore_device(&mut self, device: &str) -> Result<(), ClickIncError> {
         let id = self
             .topology
             .find(device)
@@ -809,202 +771,9 @@ impl Controller {
     }
 }
 
-/// A `Sync` view of everything [`Controller::plan`] reads — topology,
-/// ledger, active deployments, the compiler frontend, and the epoch pins —
-/// detached from the controller's non-`Sync` machinery (the reconfiguration
-/// hooks).  Obtained from [`Controller::plan_context`]; the borrow keeps the
-/// controller locked in place, so every concurrent [`solve`](PlanContext::solve)
-/// sees one frozen state and produces plans pinned to one epoch.
-#[derive(Clone, Copy)]
-pub struct PlanContext<'a> {
-    topology: &'a Topology,
-    ledger: &'a ResourceLedger,
-    deployments: &'a BTreeMap<String, Deployment>,
-    frontend: &'a Frontend,
-    block_config: &'a BlockConfig,
-    use_adaptive_weights: bool,
-    next_user_id: i64,
-    epoch: u64,
-    solve_cache: &'a SolveCache,
-    use_solve_memo: bool,
-}
-
-impl PlanContext<'_> {
-    /// The controller epoch every plan solved by this context is pinned to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Compile, isolate and place `request` as a pure dry-run — the body of
-    /// [`Controller::plan`], safe to call from any number of threads at once.
-    pub fn solve(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ControllerError> {
-        let started = Instant::now();
-        request.validate()?;
-        if self.deployments.contains_key(&request.user) {
-            return Err(ClickIncError::DuplicateUser(request.user.clone()));
-        }
-        // compile + isolate
-        let ir = self.frontend.compile_source(
-            &request.user,
-            &request.source,
-            &CompileOptions::default(),
-        )?;
-        let isolated = isolate_user_program(&ir, &request.user, self.next_user_id);
-        self.solve_prepared(request, isolated, started)
-    }
-
-    /// Expert path: place an **already-isolated** IR program verbatim,
-    /// skipping the compile and isolation-renaming steps of
-    /// [`solve`](PlanContext::solve) (the request's `source` is ignored).
-    /// Nothing here re-establishes the namespace discipline the normal path
-    /// guarantees — the verifier pipeline is the only thing standing between
-    /// a mis-isolated program and the planes, which is exactly why it runs
-    /// on this path too and refuses error-severity findings as
-    /// [`ClickIncError::Verification`].
-    pub fn solve_isolated(
-        &self,
-        request: &ServiceRequest,
-        program: IrProgram,
-    ) -> Result<DeploymentPlan, ControllerError> {
-        let started = Instant::now();
-        request.validate()?;
-        if self.deployments.contains_key(&request.user) {
-            return Err(ClickIncError::DuplicateUser(request.user.clone()));
-        }
-        self.solve_prepared(request, program, started)
-    }
-
-    /// Everything after compile + isolate: endpoint resolution, block DAG,
-    /// placement, static verification, and the ledger preview.
-    fn solve_prepared(
-        &self,
-        request: &ServiceRequest,
-        isolated: IrProgram,
-        started: Instant,
-    ) -> Result<DeploymentPlan, ControllerError> {
-        // resolve endpoints
-        let sources: Result<Vec<NodeId>, ControllerError> = request
-            .sources
-            .iter()
-            .map(|s| self.topology.find(s).ok_or_else(|| ClickIncError::UnknownHost(s.clone())))
-            .collect();
-        let sources = sources?;
-        let dst = self
-            .topology
-            .find(&request.destination)
-            .ok_or_else(|| ClickIncError::UnknownHost(request.destination.clone()))?;
-
-        // the numeric id this plan will own if committed at the current epoch
-        let numeric_id = self.next_user_id;
-
-        // install-time optimization over the whole isolated program, before
-        // placement slices it: constant folding, dead-value elimination, and
-        // hoisting the per-instruction isolation guard into the program
-        // precondition (an O(1) skip for co-resident tenants' traffic).  The
-        // optimizer re-verifies its own output and returns the original
-        // program on any regression, so this can only narrow, never widen,
-        // what the verifier below accepts.  Both execution tiers run the
-        // optimized IR, keeping their telemetry bit-identical.
-        let mut opt_diags = DiagnosticSet::new();
-        let isolated = Optimizer::with_default_passes().optimize(
-            &request.user,
-            true,
-            &isolated,
-            &mut opt_diags,
-        );
-
-        // block DAG + reduced topology + placement (memo-accelerated: the
-        // segment feasibility questions repeat across tenants and epochs)
-        let dag = build_block_dag(&isolated, self.block_config);
-        let reduced = reduce_for_traffic(self.topology, &sources, dst, &request.traffic_weights);
-        let net = PlacementNetwork::from_reduced(self.topology, &reduced, self.ledger);
-        let solve_ratio = self.ledger.remaining_ratio(self.topology);
-        let weights = if self.use_adaptive_weights {
-            Weights::adaptive(solve_ratio)
-        } else {
-            Weights::fixed()
-        };
-        let plan = place_with_cache(
-            &isolated,
-            &dag,
-            &net,
-            &PlacementConfig { weights, enable_pruning: true },
-            if self.use_solve_memo { Some(self.solve_cache) } else { None },
-        )?;
-
-        // ledger stamps over every candidate device, so a later warm re-pin
-        // can prove the residual capacities this solve saw are still current
-        let candidate_nodes: BTreeSet<NodeId> =
-            net.all_devices().flat_map(|d| d.members.iter().copied()).collect();
-        let ledger_stamps: Vec<(NodeId, u64)> =
-            candidate_nodes.into_iter().map(|n| (n, self.ledger.version_of(n))).collect();
-
-        // static verification: the whole pass pipeline runs over the
-        // isolated program and its per-device slices here, before a plan
-        // even exists — so no deploy path (plan/commit/deploy, the service
-        // facade, the batch planner) can mutate a ledger or a plane with an
-        // unverified program.  Error-severity findings abort the solve; the
-        // rest ride on the plan for inspection and CI export.
-        let mut placements = Vec::new();
-        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
-            let snippet = slice_snippet(&request.user, &isolated, &assignment.instrs);
-            for member in &assignment.members {
-                let node = self.topology.node(*member);
-                let model = node.kind.model();
-                placements.push(PlacedSnippet {
-                    device: node.name.clone(),
-                    target: DeviceTarget {
-                        device: node.name.clone(),
-                        kind: node.kind.to_string(),
-                        supported: model.supported_classes().clone(),
-                        storage_capacity_bits: model.storage_capacity_bits(),
-                    },
-                    program: snippet.clone(),
-                });
-            }
-        }
-        let mut diagnostics = PassManager::with_default_passes().run(&PassContext {
-            tenant: request.user.clone(),
-            isolated: true,
-            programs: std::slice::from_ref(&isolated),
-            placements: &placements,
-        });
-        diagnostics.merge(opt_diags);
-        if diagnostics.has_errors() {
-            return Err(ClickIncError::Verification { user: request.user.clone(), diagnostics });
-        }
-
-        // predict the post-commit ratio on a scratch copy of the ledger
-        let mut preview = self.ledger.clone();
-        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
-            for member in &assignment.members {
-                preview.consume(*member, assignment.demand);
-            }
-        }
-        let predicted_remaining_ratio = preview.remaining_ratio(self.topology);
-
-        let physical: BTreeSet<String> = placements.iter().map(|p| p.device.clone()).collect();
-        Ok(DeploymentPlan {
-            request: request.clone(),
-            numeric_id,
-            program: isolated,
-            dag,
-            plan,
-            predicted_remaining_ratio,
-            epoch: self.epoch,
-            physical_devices: physical.into_iter().collect(),
-            diagnostics,
-            solved_in: started.elapsed(),
-            ledger_stamps,
-            health_version: self.topology.health_version(),
-            weights_ratio_bits: solve_ratio.to_bits(),
-        })
-    }
-}
-
 /// The per-device slice of an isolated program: an assignment's instructions
 /// plus exactly the headers and objects they reference.  Shared by
-/// [`PlanContext::solve`] (which verifies every slice against its device
+/// [`Controller::plan`] (which verifies every slice against its device
 /// model) and [`Controller::commit`] (which installs the same slices on the
 /// planes), so the program the verifier approved is the program that runs.
 fn slice_snippet(user: &str, isolated: &IrProgram, instrs: &[usize]) -> IrProgram {
@@ -1064,18 +833,18 @@ mod tests {
         let t = count_min_sketch("cms0", 3, 512);
         c.deploy(ServiceRequest::from_template(t.clone(), &["pod0a"], "pod2b")).unwrap();
         let dup = c.deploy(ServiceRequest::from_template(t, &["pod0a"], "pod2b"));
-        assert!(matches!(dup.unwrap_err(), ControllerError::DuplicateUser(_)));
+        assert!(matches!(dup.unwrap_err(), ClickIncError::DuplicateUser(_)));
         let bad = c.deploy(ServiceRequest::new("x", "forward()\n", &["nowhere"], "pod2b"));
-        assert!(matches!(bad.unwrap_err(), ControllerError::UnknownHost(_)));
+        assert!(matches!(bad.unwrap_err(), ClickIncError::UnknownHost(_)));
         let bad_dst = c.deploy(ServiceRequest::new("y", "forward()\n", &["pod0a"], "mars"));
-        assert!(matches!(bad_dst.unwrap_err(), ControllerError::UnknownHost(_)));
+        assert!(matches!(bad_dst.unwrap_err(), ClickIncError::UnknownHost(_)));
     }
 
     #[test]
     fn compile_errors_are_reported() {
         let mut c = controller();
         let r = ServiceRequest::new("bad", "x = undefined_thing(1)\n", &["pod0a"], "pod2b");
-        assert!(matches!(c.deploy(r).unwrap_err(), ControllerError::Compile(_)));
+        assert!(matches!(c.deploy(r).unwrap_err(), ClickIncError::Compile(_)));
     }
 
     #[test]
@@ -1112,7 +881,7 @@ mod tests {
         assert!(delta.device_count() > 0);
         assert_eq!(c.active_users().len(), 2);
         assert!(c.remaining_resource_ratio() >= after_three);
-        assert!(matches!(c.remove("dq0").unwrap_err(), ControllerError::UnknownUser(_)));
+        assert!(matches!(c.remove("dq0").unwrap_err(), ClickIncError::UnknownUser(_)));
         // the emulated planes dropped the tenant's snippets and state…
         for device in &dq_devices {
             if let Some(plane) = c.plane(*device) {
@@ -1155,8 +924,8 @@ mod tests {
         }
         c.restore_device(&device).expect("restores");
         assert!(c.down_devices().is_empty());
-        assert!(matches!(c.fail_device("mars").unwrap_err(), ControllerError::UnknownHost(_)));
-        assert!(matches!(c.restore_device("mars").unwrap_err(), ControllerError::UnknownHost(_)));
+        assert!(matches!(c.fail_device("mars").unwrap_err(), ClickIncError::UnknownHost(_)));
+        assert!(matches!(c.restore_device("mars").unwrap_err(), ClickIncError::UnknownHost(_)));
     }
 
     #[test]
@@ -1205,35 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_hooks_see_adds_and_removals_with_hops() {
-        use std::sync::{Arc, Mutex};
-        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&log);
-        let mut c = controller();
-        c.add_reconfigure_hook(Box::new(move |event| {
-            let line = match event {
-                ReconfigureEvent::TenantAdded { user, numeric_id, hops, .. } => {
-                    assert!(!hops.is_empty(), "a deployment always has hops");
-                    assert!(
-                        hops.iter().any(|h| !h.snippets.is_empty()),
-                        "at least one hop carries snippets"
-                    );
-                    format!("+{user}:{numeric_id}")
-                }
-                ReconfigureEvent::TenantRemoved { user } => format!("-{user}"),
-                ReconfigureEvent::TenantResharded { user, mode } => {
-                    format!("~{user}:{}", mode.label())
-                }
-            };
-            sink.lock().unwrap().push(line);
-        }));
-        let t = kvs_template("kvs0", KvsParams { cache_depth: 1000, ..Default::default() });
-        c.deploy(ServiceRequest::from_template(t, &["pod0a"], "pod2b")).unwrap();
-        c.remove("kvs0").unwrap();
-        assert_eq!(*log.lock().unwrap(), vec!["+kvs0:1".to_string(), "-kvs0".to_string()]);
-    }
-
-    #[test]
     fn tenant_hops_mirror_the_installed_planes() {
         let mut c = controller();
         let t = kvs_template("kvs0", KvsParams { cache_depth: 1000, ..Default::default() });
@@ -1251,23 +991,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_context_is_sync_and_solves_exactly_like_plan() {
-        fn assert_sync<T: Sync>(_: &T) {}
+    fn plan_summary_reports_the_facts_the_accessors_expose() {
         let c = controller();
-        let ctx = c.plan_context();
-        assert_sync(&ctx); // the planner shares one context across threads
         let t = kvs_template("kvs0", KvsParams { cache_depth: 1000, ..Default::default() });
-        let request = ServiceRequest::from_template(t, &["pod0a"], "pod2b");
-        let via_controller = c.plan(&request).expect("plans");
-        let via_context = ctx.solve(&request).expect("solves");
-        assert_eq!(via_controller.fingerprint(), via_context.fingerprint());
-        assert_eq!(via_context.epoch(), c.epoch());
-        // the summary reports the same facts the plan accessors expose
-        let summary = via_context.summary();
+        let plan = c.plan(&ServiceRequest::from_template(t, &["pod0a"], "pod2b")).expect("plans");
+        assert_eq!(plan.epoch(), c.epoch());
+        let summary = plan.summary();
         assert_eq!(summary.user, "kvs0");
-        assert_eq!(summary.devices, via_context.devices());
+        assert_eq!(summary.devices, plan.devices());
         assert!(!summary.demand.is_empty());
-        assert_eq!(summary.predicted_remaining_ratio, via_context.predicted_remaining_ratio());
+        assert_eq!(summary.predicted_remaining_ratio, plan.predicted_remaining_ratio());
     }
 
     #[test]

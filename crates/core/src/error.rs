@@ -169,7 +169,3 @@ impl From<EngineError> for ClickIncError {
         ClickIncError::Engine(e)
     }
 }
-
-/// Historical name of [`ClickIncError`], kept so pre-facade code that matched
-/// on `ControllerError::…` keeps compiling unchanged.
-pub type ControllerError = ClickIncError;

@@ -47,15 +47,34 @@
 //! admission refusals, engine configuration — surfaces as the single
 //! [`ClickIncError`] enum.
 //!
-//! ## The planner: batches, caching, admission control
+//! ## One admission pipeline
 //!
-//! [`ClickIncService::planner`] is the provider-side surface on top of the
-//! transactional core: it solves request batches **in parallel** on worker
-//! threads (plans are pure dry-runs, so fanning the solve out is free of
-//! races and bit-identical to the sequential path), caches solved plans
-//! keyed on `(request fingerprint, controller epoch)` so a retried commit
-//! re-runs placement only when the epoch actually moved, and threads every
-//! commit through composable [`AdmissionPolicy`] rules:
+//! Every way a tenant comes to serve traffic — `commit`, `deploy`,
+//! [`ClickIncService::deploy_or_queue`] and its retry drain, `deploy_all`,
+//! the [`Planner`], [`ClickIncService::replace_tenant`], the re-placements
+//! of [`ClickIncService::fail_device`] / [`ClickIncService::restore_device`]
+//! — drives the same two private stages under the service's one state lock:
+//!
+//! * **admit** solves the request (or takes the plan you quoted), refuses it
+//!   as [`ClickIncError::StalePlan`] if the controller moved since the
+//!   solve, consults the [`AdmissionPolicy`] chain, and only then lets the
+//!   controller book the ledger and install the snippets.  Every check
+//!   precedes the first mutation: a refusal leaves the ledger, the planes
+//!   and the engine bit-identical.
+//! * **mirror** derives the tenant's sharding mode (honouring
+//!   [`InitialSharding`]), registers its hops with the engine and returns
+//!   the [`TenantHandle`].  It cannot fail, and a batch is mirrored only
+//!   once every member is admitted — the engine never sees a member of a
+//!   failed batch.
+//!
+//! There is no plan cache above the placement solver: the controller's exact
+//! segment memo ([`Controller::solve_cache_stats`]) is the only cache, it
+//! keys on the bits of its inputs, and a memoized solve is bit-identical to
+//! a cold one.  Quote-then-deploy is one solve because `commit` takes the
+//! plan `plan` returned.
+//!
+//! The [`Planner`]'s one job is batch-scoped policy: extra rules stacked on
+//! the service-wide chain for one customer's batch.
 //!
 //! ```
 //! use clickinc::{ClickIncService, MaxTenants, PolicyChain, ResourceFloor, ServiceRequest};
@@ -78,24 +97,28 @@
 //!             .unwrap()
 //!     })
 //!     .collect();
-//! // parallel solve → policy gate → all-or-nothing sequential commit
-//! let tenants = service.planner().deploy_all(requests).unwrap();
+//! // sequential solve → gate → commit per member, all-or-nothing, with a
+//! // stricter floor for this batch only
+//! let tenants = service
+//!     .planner()
+//!     .with_policy(ResourceFloor { min_remaining_ratio: 0.50 })
+//!     .deploy_all(requests)
+//!     .unwrap();
 //! assert_eq!(tenants.len(), 2);
-//! assert!(service.planner_stats().cache_misses >= 2, "both solves were fresh");
 //! service.finish();
 //! ```
 //!
 //! A policy refusal is the typed [`ClickIncError::Rejected`] and changes
-//! nothing: the gate runs before the first mutation, so the ledger, the
-//! planes and the engine stay bit-identical.
+//! nothing.
 //!
 //! ## Low-level controller
 //!
 //! The [`Controller`] under the service is still public for the ablation
 //! experiments (Tables 3–6) that measure the control plane in isolation:
 //! [`Controller::deploy`]/[`Controller::remove`] drive compile → place →
-//! synthesize → install directly (and fire [`ReconfigureEvent`]s that
-//! [`Controller::attach_engine`] can mirror onto an engine by hand).
+//! synthesize → install directly.  It knows nothing about the engine; a
+//! driver that wants traffic mirrors [`Controller::tenant_hops`] onto an
+//! engine itself.
 //!
 //! ```
 //! use clickinc::{Controller, ServiceRequest};
@@ -116,22 +139,23 @@ mod controller;
 mod error;
 pub mod planner;
 pub mod policy;
-pub mod reconfigure;
 mod request;
 pub mod service;
 pub mod sharding;
 
 pub use adaptive::{AdaptiveOutcome, AdaptiveRuntime};
-pub use controller::{Controller, Deployment, DeploymentPlan, PlanContext, PlanSummary};
-pub use error::{ClickIncError, ControllerError};
-pub use planner::{BatchStats, Planner, PlannerStats};
+pub use clickinc_runtime::{ShardingMode, TenantHop};
+pub use controller::{Controller, Deployment, DeploymentPlan, PlanSummary};
+pub use error::ClickIncError;
+pub use planner::Planner;
 pub use policy::{
     AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, FairShare, MaxTenants,
     PolicyChain, PriorityAdmission, ResourceFloor,
 };
-pub use reconfigure::{ReconfigureEvent, ReconfigureHook, ShardingMode, TenantHop};
 pub use request::{RequestError, ServiceRequest, ServiceRequestBuilder};
-pub use service::{ClickIncService, FailoverReport, InitialSharding, RetryReport, TenantHandle};
+pub use service::{
+    ClickIncService, ControllerGuard, FailoverReport, InitialSharding, RetryReport, TenantHandle,
+};
 pub use sharding::sharding_mode_for;
 
 // Re-export the subsystem crates under stable names so downstream users need a

@@ -1,246 +1,33 @@
-//! The planner: concurrent solving, plan caching, and policy-gated commits
-//! over the transactional controller core.
+//! Batch-scoped admission policies over the service's one admission
+//! pipeline.
 //!
-//! [`ClickIncService::planner`] returns a [`Planner`] — the batch-oriented
-//! planning surface the provider drives:
-//!
-//! * **concurrent planning** — [`Planner::plan_all`] fans the solves of a
-//!   request batch out over worker threads.  Planning is pure (PR 3 made
-//!   [`Controller::plan`] a dry-run) and every solve runs against one frozen
-//!   [`PlanContext`], so the results are bit-identical to solving the batch
-//!   sequentially, in any thread count, in any completion order;
-//! * **plan caching** — solved plans are cached keyed on
-//!   [`ServiceRequest::fingerprint`] and pinned to the controller epoch.
-//!   While the epoch stands still the cache returns the already-solved plan;
-//!   when it moves, entries are invalidated *structurally*: a plan whose
-//!   solve inputs provably did not change ([`Controller::revalidate`]) is
-//!   warm re-pinned to the new epoch instead of being dropped, and a device
-//!   failure evicts exactly the plans touching that device (the service's
-//!   failure paths call the cache's `invalidate_touching`);
-//! * **admission control** — every commit is threaded through the service's
-//!   installed [`AdmissionPolicy`] chain plus any batch-scoped policies
-//!   added with [`Planner::with_policy`], *before the first mutation*; a
-//!   refusal surfaces as [`ClickIncError::Rejected`] and leaves the ledger,
-//!   the planes and the engine bit-identical to before the call;
-//! * **batch deploys** — [`Planner::deploy_all`] is parallel solve → policy
-//!   gate → all-or-nothing sequential commit (in request order, with the
-//!   exact-rollback semantics of PR 3).  [`ClickIncService::deploy_all`] is
-//!   now a thin delegate to it.
-//!
-//! [`Controller::plan`]: crate::Controller::plan
-//! [`PlanContext`]: crate::PlanContext
+//! [`ClickIncService::planner`] returns a [`Planner`]: the same
+//! [`deploy`](Planner::deploy) / [`deploy_all`](Planner::deploy_all) the
+//! service offers, with extra [`AdmissionPolicy`] rules stacked *after* the
+//! service-wide chain for the lifetime of this planner only — a provider
+//! admitting one customer's batch under a stricter floor, a maintenance
+//! window's device carve-out, and so on.  That is the planner's whole job:
+//! solving, gating, committing, rollback and engine mirroring are the
+//! service's pipeline (see [`crate::service`]), so a refusal here is the same
+//! typed [`ClickIncError::Rejected`], raised before the first mutation, as
+//! anywhere else.
 
-use crate::controller::{Controller, DeploymentPlan};
 use crate::error::ClickIncError;
 use crate::policy::{AdmissionPolicy, PolicyChain};
 use crate::request::ServiceRequest;
-use crate::service::{ClickIncService, TenantHandle};
-use clickinc_runtime::TenantHop;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
+use crate::service::{ClickIncService, Gate, TenantHandle};
 
-/// How many solved plans the service keeps around.  Entries die naturally
-/// when the epoch moves; the cap only bounds memory for providers that plan
-/// very wide batches without committing.
-const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// A solved plan pinned to the epoch it was solved against.
-struct CacheEntry {
-    epoch: u64,
-    plan: DeploymentPlan,
-}
-
-/// The service-wide plan cache: `request fingerprint → (epoch, plan)`,
-/// shared by every [`Planner`] the service hands out.  A lookup hits when
-/// the stored epoch equals the controller's current epoch — the plan is then
-/// committable as-is — **or** when the epoch moved but
-/// [`Controller::revalidate`] proves nothing the solve read actually changed
-/// (no candidate device's ledger moved, no health transition, same numeric
-/// id): the entry is then re-pinned to the current epoch in place instead of
-/// being dropped.  Only plans whose inputs truly moved are evicted — the
-/// structural invalidation that lets a 1000-tenant churn workload keep its
-/// cache across unrelated epoch moves.
-pub(crate) struct PlanCache {
-    entries: BTreeMap<u64, CacheEntry>,
-    order: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
-    warm_repins: u64,
-    structural_evictions: u64,
-}
-
-impl PlanCache {
-    pub(crate) fn new() -> PlanCache {
-        PlanCache {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            warm_repins: 0,
-            structural_evictions: 0,
-        }
-    }
-
-    /// A committable plan for `fingerprint` at the controller's current
-    /// epoch, if one is cached or can be warm re-pinned (see the type docs).
-    /// The user check guards against fingerprint collisions ever handing one
-    /// tenant another tenant's plan.
-    fn lookup(
-        &mut self,
-        controller: &Controller,
-        fingerprint: u64,
-        user: &str,
-    ) -> Option<DeploymentPlan> {
-        let epoch = controller.epoch();
-        match self.entries.get_mut(&fingerprint) {
-            Some(entry) if entry.epoch == epoch && entry.plan.user() == user => {
-                self.hits += 1;
-                Some(entry.plan.clone())
-            }
-            Some(entry) if entry.plan.user() == user => {
-                // the epoch moved under the entry; keep it iff a re-solve
-                // would provably reproduce it
-                match controller.revalidate(&entry.plan) {
-                    Some(repinned) => {
-                        entry.epoch = repinned.epoch();
-                        entry.plan = repinned.clone();
-                        self.hits += 1;
-                        self.warm_repins += 1;
-                        Some(repinned)
-                    }
-                    None => {
-                        self.misses += 1;
-                        self.remove(fingerprint);
-                        None
-                    }
-                }
-            }
-            Some(_) => {
-                // fingerprint collision: can never hit again
-                self.misses += 1;
-                self.remove(fingerprint);
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Structurally invalidate: drop every cached plan that occupies one of
-    /// the named physical devices (a failure or restore made those placements
-    /// unusable regardless of what `revalidate` could prove).  Plans on
-    /// disjoint devices survive.  Returns how many entries were dropped.
-    pub(crate) fn invalidate_touching(&mut self, devices: &[String]) -> usize {
-        let doomed: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| devices.iter().any(|d| entry.plan.touches_physical(d)))
-            .map(|(fp, _)| *fp)
-            .collect();
-        for fp in &doomed {
-            self.remove(*fp);
-        }
-        self.structural_evictions += doomed.len() as u64;
-        doomed.len()
-    }
-
-    /// Cached plans pinned to an epoch older than `epoch`, as
-    /// `(fingerprint, request)` pairs — the speculative re-planning
-    /// work-list.
-    fn stale_requests(&self, epoch: u64, limit: usize) -> Vec<(u64, ServiceRequest)> {
-        self.entries
-            .iter()
-            .filter(|(_, entry)| entry.epoch != epoch)
-            .take(limit)
-            .map(|(fp, entry)| (*fp, entry.plan.request().clone()))
-            .collect()
-    }
-
-    /// Drop an entry, keeping `order` in lockstep with `entries` — the
-    /// invariant the FIFO eviction relies on (a ghost key in `order` would
-    /// make eviction delete the wrong, live entry once the cap is hit).
-    fn remove(&mut self, fingerprint: u64) {
-        if self.entries.remove(&fingerprint).is_some() {
-            self.order.retain(|fp| *fp != fingerprint);
-        }
-    }
-
-    fn insert(&mut self, fingerprint: u64, plan: &DeploymentPlan) {
-        if self
-            .entries
-            .insert(fingerprint, CacheEntry { epoch: plan.epoch(), plan: plan.clone() })
-            .is_none()
-        {
-            self.order.push_back(fingerprint);
-        }
-        while self.entries.len() > PLAN_CACHE_CAPACITY {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.entries.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        debug_assert_eq!(self.entries.len(), self.order.len(), "order mirrors entries");
-    }
-
-    fn stats(&self) -> PlannerStats {
-        PlannerStats {
-            cache_hits: self.hits,
-            cache_misses: self.misses,
-            cached_plans: self.entries.len(),
-            warm_repins: self.warm_repins,
-            structural_evictions: self.structural_evictions,
-        }
-    }
-}
-
-/// Counters of the service-wide plan cache, for observability and the
-/// cache-semantics tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlannerStats {
-    /// Lookups answered from the cache (including warm re-pins).
-    pub cache_hits: u64,
-    /// Lookups that had to (re-)run placement.
-    pub cache_misses: u64,
-    /// Plans currently cached.
-    pub cached_plans: usize,
-    /// Hits that crossed an epoch move via [`Controller::revalidate`]
-    /// instead of a re-solve.
-    pub warm_repins: u64,
-    /// Entries dropped by structural invalidation (device failure/restore).
-    pub structural_evictions: u64,
-}
-
-/// Per-batch planner counters: what one [`Planner::plan_all_with_stats`]
-/// call did, as opposed to the process-lifetime [`PlannerStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub struct BatchStats {
-    /// Requests in the batch.
-    pub requests: usize,
-    /// Batch members answered from the plan cache (incl. warm re-pins).
-    pub cache_hits: u64,
-    /// Batch members that ran placement.
-    pub cache_misses: u64,
-    /// Cache hits that crossed an epoch move via a warm re-pin.
-    pub warm_repins: u64,
-}
-
-/// The batch planning surface of a [`ClickIncService`]; see the
+/// A deploy surface with batch-scoped admission policies; see the
 /// [module docs](self).  Obtained from [`ClickIncService::planner`]; cheap to
-/// create, so make one per batch and stack batch-scoped policies on it.
+/// create, so make one per batch.
 pub struct Planner<'a> {
     service: &'a ClickIncService,
     policies: PolicyChain,
-    threads: Option<usize>,
 }
 
 impl<'a> Planner<'a> {
     pub(crate) fn new(service: &'a ClickIncService) -> Planner<'a> {
-        Planner { service, policies: PolicyChain::new(), threads: None }
+        Planner { service, policies: PolicyChain::new() }
     }
 
     /// Append a batch-scoped admission policy, evaluated *after* the
@@ -251,331 +38,20 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Pin the solver worker-thread count (default: the host's available
-    /// parallelism).  Results are bit-identical in any thread count; the
-    /// knob exists for benchmarks and determinism tests.
-    pub fn with_threads(mut self, threads: usize) -> Planner<'a> {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Solve one request, answering from the plan cache when the controller
-    /// epoch has not moved since it was last solved.
-    pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
-        let controller = self.service.controller();
-        self.plan_locked(&controller, request)
-    }
-
-    /// Solve a whole batch, fanning cache misses out over worker threads.
-    /// Results come back in request order and are bit-identical to solving
-    /// the batch sequentially against the same controller state.
-    pub fn plan_all(
-        &self,
-        requests: &[ServiceRequest],
-    ) -> Vec<Result<DeploymentPlan, ClickIncError>> {
-        let controller = self.service.controller();
-        self.plan_all_locked(&controller, requests)
-    }
-
-    /// Commit an already-solved plan: admission gate, then the strict
-    /// epoch-guarded commit (a stale plan is [`ClickIncError::StalePlan`],
-    /// exactly like [`ClickIncService::commit`] — use
-    /// [`deploy`](Planner::deploy) for the retry-friendly path that re-plans
-    /// through the cache).
-    pub fn commit(&self, plan: DeploymentPlan) -> Result<TenantHandle, ClickIncError> {
-        let mut controller = self.service.controller();
-        self.service.admission_gate(&controller, &plan, Some(&self.policies))?;
-        self.service.commit_locked(&mut controller, plan)
-    }
-
-    /// Plan (through the cache) + gate + commit under one controller lock.
-    /// Retrying after a failure re-runs placement only if the epoch moved in
-    /// between; while it stands still the cached plan commits directly.
+    /// [`ClickIncService::deploy`] with this planner's policies stacked on
+    /// the service chain.
     pub fn deploy(&self, request: ServiceRequest) -> Result<TenantHandle, ClickIncError> {
-        let mut controller = self.service.controller();
-        let plan = self.plan_locked(&controller, &request)?;
-        self.service.admission_gate(&controller, &plan, Some(&self.policies))?;
-        self.service.commit_locked(&mut controller, plan)
+        self.service.deploy_gated(&request, Gate::ServiceAnd(&self.policies))
     }
 
-    /// Deploy a batch: **parallel solve → policy gate → all-or-nothing
-    /// sequential commit** in request order.
-    ///
-    /// The parallel pre-solve is the fail-fast gate: every request must
-    /// compile and place *before* the first commit, so a batch with a bad
-    /// member fails without ever touching the controller (and its solved
-    /// plans stay cached — resubmitting the repaired batch at the same
-    /// epoch answers the good members from the cache).  Commits then run
-    /// strictly in request order; a member whose pre-solved plan went stale
-    /// (every member after the first — committing its predecessor moved the
-    /// epoch) is re-solved against the post-commit state.  That re-solve is
-    /// deliberate, not waste: placement prices the ledger, so bit-identity
-    /// with the sequential plan→commit path *requires* each member to be
-    /// solved against the state its predecessors left behind — fail-fast
-    /// validation costs up to `2n − 1` solves per committed n-member batch.
-    /// Each member passes the admission gate at *its own* commit (the gate
-    /// sees the residents and ratio left by its predecessors).  Any
-    /// failure — solve, policy, commit — unwinds every member this call
-    /// already committed, restoring the pre-call state bit for bit; the
-    /// engine never sees a tenant of a failed batch.
+    /// [`ClickIncService::deploy_all`] with this planner's policies stacked
+    /// on the service chain: each member is gated at *its own* commit (the
+    /// gate sees the residents and ratio left by its predecessors), and any
+    /// refusal unwinds the whole batch.
     pub fn deploy_all(
         &self,
         requests: Vec<ServiceRequest>,
     ) -> Result<Vec<TenantHandle>, ClickIncError> {
-        let mut controller = self.service.controller();
-
-        // phase 1: parallel solve.  Fails fast on the first failing request
-        // in request order, before anything commits.
-        let mut plans: Vec<DeploymentPlan> = Vec::with_capacity(requests.len());
-        for result in self.plan_all_locked(&controller, &requests) {
-            plans.push(result?);
-        }
-
-        // phases 2+3: per-member admission gate + sequential commit
-        let mut committed: Vec<(String, i64, Vec<TenantHop>)> = Vec::new();
-        for (request, plan) in requests.iter().zip(plans) {
-            let outcome = {
-                let fresh = if plan.epoch() == controller.epoch() {
-                    Ok(plan)
-                } else {
-                    // a predecessor's commit moved the epoch: cache miss by
-                    // construction, re-solve against the state that now exists
-                    self.plan_locked(&controller, request)
-                };
-                fresh
-                    .and_then(|plan| {
-                        self.service.admission_gate(&controller, &plan, Some(&self.policies))?;
-                        Ok(plan)
-                    })
-                    .and_then(|plan| {
-                        let deployment = controller.commit(plan)?;
-                        Ok((deployment.user.clone(), deployment.numeric_id))
-                    })
-            };
-            match outcome {
-                Ok((user, numeric_id)) => {
-                    let hops = controller.tenant_hops(&user);
-                    committed.push((user, numeric_id, hops));
-                }
-                Err(e) => {
-                    // unwind in reverse commit order; removal releases exactly
-                    // what commit booked, so the rollback restores the
-                    // pre-call state bit for bit
-                    for (user, _, _) in committed.iter().rev() {
-                        let _ = controller.remove(user);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-
-        // mirror onto the engine only once the whole batch is committed —
-        // still under the controller lock, so concurrent removals cannot
-        // reach the engine ahead of these adds
-        Ok(committed
-            .into_iter()
-            .map(|(user, numeric_id, hops)| {
-                let mode = self.service.initial_mode_for(&hops);
-                self.service.engine_handle().add_tenant_sharded(&user, hops.clone(), mode.clone());
-                self.service.handle_for(user, numeric_id, hops, mode)
-            })
-            .collect())
-    }
-
-    /// Cache-aware single solve with the controller lock held.
-    fn plan_locked(
-        &self,
-        controller: &Controller,
-        request: &ServiceRequest,
-    ) -> Result<DeploymentPlan, ClickIncError> {
-        let fingerprint = request.fingerprint();
-        if let Some(plan) = self.service.plan_cache().lookup(controller, fingerprint, &request.user)
-        {
-            return Ok(plan);
-        }
-        let plan = controller.plan(request)?;
-        self.service.plan_cache().insert(fingerprint, &plan);
-        Ok(plan)
-    }
-
-    /// [`plan_all`](Planner::plan_all) plus the per-batch cache counters —
-    /// how many members were answered from the cache, warm re-pinned, or
-    /// actually solved in *this* call (the process-lifetime counters are
-    /// [`ClickIncService::planner_stats`]).
-    pub fn plan_all_with_stats(
-        &self,
-        requests: &[ServiceRequest],
-    ) -> (Vec<Result<DeploymentPlan, ClickIncError>>, BatchStats) {
-        let controller = self.service.controller();
-        let before = self.service.plan_cache().stats();
-        let results = self.plan_all_locked(&controller, requests);
-        let after = self.service.plan_cache().stats();
-        let stats = BatchStats {
-            requests: requests.len(),
-            cache_hits: after.cache_hits - before.cache_hits,
-            cache_misses: after.cache_misses - before.cache_misses,
-            warm_repins: after.warm_repins - before.warm_repins,
-        };
-        (results, stats)
-    }
-
-    /// Speculatively re-plan up to `limit` cached-but-stale plans against the
-    /// current controller state, so the next `deploy` of those requests
-    /// commits a fresh plan straight from the cache.  Entries the warm
-    /// re-pin can rescue are re-pinned (no solve); the rest re-run placement
-    /// (memo-accelerated) and replace their cache entry; requests that no
-    /// longer solve (their user deployed meanwhile, resources vanished) are
-    /// evicted.  Returns how many entries are fresh afterwards.  Run it from
-    /// idle/background moments — it takes the same locks as `plan`.
-    pub fn replan_stale(&self, limit: usize) -> usize {
-        let controller = self.service.controller();
-        let epoch = controller.epoch();
-        let stale = self.service.plan_cache().stale_requests(epoch, limit);
-        let mut refreshed = 0usize;
-        for (fingerprint, request) in stale {
-            // lookup performs the re-pin when provable; otherwise re-solve
-            if self.service.plan_cache().lookup(&controller, fingerprint, &request.user).is_some() {
-                refreshed += 1;
-                continue;
-            }
-            if let Ok(plan) = controller.plan(&request) {
-                self.service.plan_cache().insert(fingerprint, &plan);
-                refreshed += 1;
-            }
-        }
-        refreshed
-    }
-
-    /// Batch solve with the controller lock held: probe the cache, fan the
-    /// misses out over worker threads against one frozen [`PlanContext`],
-    /// then cache the successes.
-    ///
-    /// [`PlanContext`]: crate::PlanContext
-    fn plan_all_locked(
-        &self,
-        controller: &Controller,
-        requests: &[ServiceRequest],
-    ) -> Vec<Result<DeploymentPlan, ClickIncError>> {
-        let mut results: Vec<Option<Result<DeploymentPlan, ClickIncError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.service.plan_cache();
-            for (i, request) in requests.iter().enumerate() {
-                match cache.lookup(controller, request.fingerprint(), &request.user) {
-                    Some(plan) => results[i] = Some(Ok(plan)),
-                    None => pending.push(i),
-                }
-            }
-        }
-
-        if !pending.is_empty() {
-            let ctx = controller.plan_context();
-            let workers = self
-                .threads
-                .unwrap_or_else(|| {
-                    thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-                })
-                .clamp(1, pending.len());
-            if workers == 1 {
-                for &i in &pending {
-                    results[i] = Some(ctx.solve(&requests[i]));
-                }
-            } else {
-                // work-stealing by atomic cursor: each worker pulls the next
-                // un-solved slot; `ctx` is a `Sync` snapshot so every solve
-                // sees the same frozen controller state
-                let cursor = AtomicUsize::new(0);
-                let pending_ref = &pending;
-                let solved: Vec<(usize, Result<DeploymentPlan, ClickIncError>)> =
-                    thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                scope.spawn(|| {
-                                    let mut out = Vec::new();
-                                    loop {
-                                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                                        let Some(&i) = pending_ref.get(slot) else { break };
-                                        out.push((i, ctx.solve(&requests[i])));
-                                    }
-                                    out
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("planner worker panicked"))
-                            .collect()
-                    });
-                for (i, result) in solved {
-                    results[i] = Some(result);
-                }
-            }
-            let mut cache = self.service.plan_cache();
-            for &i in &pending {
-                if let Some(Ok(plan)) = &results[i] {
-                    cache.insert(requests[i].fingerprint(), plan);
-                }
-            }
-        }
-
-        results.into_iter().map(|slot| slot.expect("every slot solved")).collect()
-    }
-}
-
-impl ClickIncService {
-    /// Counters of the service-wide plan cache (hits, misses, live entries).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.plan_cache().stats()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use clickinc_lang::templates::{kvs_template, KvsParams};
-    use clickinc_runtime::EngineConfig;
-    use clickinc_topology::Topology;
-
-    fn kvs(user: &str) -> ServiceRequest {
-        ServiceRequest::builder(user)
-            .template(kvs_template(user, KvsParams { cache_depth: 1000, ..Default::default() }))
-            .from_("pod0a")
-            .to("pod2b")
-            .build()
-            .expect("well-formed request")
-    }
-
-    /// The stale-remove + re-insert cycle `deploy_all` performs for every
-    /// batch member must keep the FIFO order queue in lockstep with the
-    /// entry map — a ghost or duplicated key would leak memory and, at the
-    /// cap, make eviction delete a live entry instead of the oldest one.
-    #[test]
-    fn stale_cycles_keep_the_eviction_queue_in_lockstep_with_the_entries() {
-        let service = ClickIncService::with_config(
-            Topology::emulation_topology_all_tofino(),
-            EngineConfig { shards: 1, batch_size: 16, ..Default::default() },
-        )
-        .expect("engine config is valid");
-        let request = kvs("cycled");
-        let fp = request.fingerprint();
-        let mut cache = PlanCache::new();
-        for round in 0..4 {
-            let plan = service.plan(&request).expect("plans");
-            assert!(cache.lookup(&service.controller(), fp, "cycled").is_none(), "absent or stale");
-            cache.insert(fp, &plan);
-            assert_eq!(cache.entries.len(), 1);
-            assert_eq!(cache.order.len(), 1, "round {round}: one key, one order slot");
-            assert!(cache.lookup(&service.controller(), fp, "cycled").is_some(), "fresh plan hits");
-            // an unrelated tenant commits: the epoch AND the numeric id the
-            // cached plan was pinned to both move, so no warm re-pin can
-            // rescue the entry — the next lookup must drop it from BOTH
-            // structures
-            service.deploy(kvs(&format!("mover{round}"))).expect("deploys");
-            assert!(cache.lookup(&service.controller(), fp, "cycled").is_none(), "stale misses");
-            assert_eq!(cache.entries.len(), 0);
-            assert_eq!(cache.order.len(), 0, "round {round}: the stale key left the queue too");
-        }
-        service.finish();
+        self.service.deploy_all_gated(requests, Gate::ServiceAnd(&self.policies))
     }
 }

@@ -1,32 +1,43 @@
 //! The unified INC-as-a-service facade: one typed surface for the whole
-//! tenant lifecycle.
+//! tenant lifecycle, and the **one admission pipeline** behind it.
 //!
 //! [`ClickIncService`] owns both halves of the system — a [`Controller`]
-//! (where programs run) and a [`TrafficEngine`] (how traffic reaches them) —
-//! and removes the hand-wired hook plumbing the two-API world needed:
+//! (where programs run) and a [`TrafficEngine`] (how traffic reaches them).
+//! Every way a tenant can come to serve traffic — [`commit`], [`deploy`],
+//! [`deploy_or_queue`] and the retry drain, [`deploy_all`], the [`Planner`],
+//! [`replace_tenant`], the re-placements inside [`fail_device`] and
+//! [`restore_device`] — is a thin driver of the same two private stages,
+//! run under the one service state lock:
 //!
-//! * [`ClickIncService::plan`] — compile + place as a **pure dry-run**:
-//!   reports devices, resource demand and the predicted remaining ratio
-//!   without touching the ledger or any plane;
-//! * [`ClickIncService::commit`] — book resources, install snippets, and
-//!   mirror the tenant's hops onto the running engine atomically.  Every
-//!   fallible check precedes the first mutation, so a rejected commit leaves
-//!   the pre-commit state bit-identical;
-//! * [`ClickIncService::deploy_all`] — batch commit with **all-or-nothing**
-//!   rollback: if any request in the batch fails to plan or commit, every
-//!   tenant already committed by the batch is removed again and the engine
-//!   never sees any of them;
-//! * [`TenantHandle`] — the per-tenant capability returned by a successful
-//!   commit: numeric id, hops, live telemetry, workload injection, cache
-//!   pre-population, and removal;
-//! * [`ClickIncService::planner`] — the batch planning surface
-//!   ([`Planner`]): concurrent solving on worker threads, plan caching
-//!   keyed on `(request fingerprint, controller epoch)`, and composable
-//!   [`AdmissionPolicy`] gates threaded through every commit.
+//! 1. **admit** — solve the request ([`Controller::plan`]; skipped when the
+//!    caller brings an already-solved plan), refuse a stale plan, consult
+//!    the admission chain, then [`Controller::commit`].  Every fallible
+//!    check precedes the first mutation, so a refusal leaves the ledger, the
+//!    planes and the engine bit-identical; the stage never touches the
+//!    engine at all.
+//! 2. **mirror** — derive the tenant's sharding mode (honouring
+//!    [`InitialSharding`]), register its hops with the engine, and build the
+//!    [`TenantHandle`].  Infallible, and always under the same lock as the
+//!    admit it follows, so engine adds and removals arrive in controller
+//!    order.
+//!
+//! The state that pipeline reads and writes — controller, admission chain,
+//! [`InitialSharding`], parked (degraded) tenants, retry queue — lives
+//! behind a single mutex shared by the service and every [`TenantHandle`];
+//! there is no lock order to get wrong.  The only plan cache is the
+//! controller's exact placement segment memo.
+//!
+//! [`commit`]: ClickIncService::commit
+//! [`deploy`]: ClickIncService::deploy
+//! [`deploy_or_queue`]: ClickIncService::deploy_or_queue
+//! [`deploy_all`]: ClickIncService::deploy_all
+//! [`replace_tenant`]: ClickIncService::replace_tenant
+//! [`fail_device`]: ClickIncService::fail_device
+//! [`restore_device`]: ClickIncService::restore_device
 
 use crate::controller::{Controller, DeploymentPlan};
 use crate::error::ClickIncError;
-use crate::planner::{PlanCache, Planner};
+use crate::planner::Planner;
 use crate::policy::{
     AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, PolicyChain,
 };
@@ -41,10 +52,10 @@ use clickinc_runtime::{
 use clickinc_synthesis::DeploymentDelta;
 use clickinc_topology::Topology;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// How [`ClickIncService::commit`] picks a freshly committed tenant's
-/// sharding mode.
+/// How the mirror stage picks a freshly committed tenant's sharding mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitialSharding {
     /// Derive the mode from the deployed program's state profile
@@ -60,28 +71,241 @@ pub enum InitialSharding {
 
 /// The single service surface for INC tenants (paper §3.2, §6): owns the
 /// controller and the sharded traffic engine, exposes transactional deploys
-/// and per-tenant handles.  See the [module docs](self) for the lifecycle.
+/// and per-tenant handles.  See the [module docs](self) for the pipeline
+/// every deploy path drives.
 pub struct ClickIncService {
-    controller: Arc<Mutex<Controller>>,
+    shared: Arc<Shared>,
     engine: TrafficEngine,
-    /// Solved plans keyed on `(request fingerprint, controller epoch)`,
-    /// shared by every [`Planner`] this service hands out.
-    plan_cache: Mutex<PlanCache>,
+}
+
+/// What the service and every [`TenantHandle`] share: the one state lock and
+/// the engine handle the pipeline mirrors onto.
+struct Shared {
+    state: Mutex<ServiceState>,
+    engine: EngineHandle,
+}
+
+/// Everything the admission pipeline reads and writes, behind one lock.
+struct ServiceState {
+    controller: Controller,
     /// The service-wide admission chain; empty (admit everything) by
-    /// default.  Every commit path consults it before the first mutation.
-    policy: Mutex<PolicyChain>,
-    /// How commits choose a new tenant's sharding mode.
-    initial_sharding: Mutex<InitialSharding>,
+    /// default.
+    policy: PolicyChain,
+    initial_sharding: InitialSharding,
     /// Tenants displaced by a device failure that could not be re-placed:
     /// parked with their original requests, retried on every
     /// [`restore_device`](ClickIncService::restore_device).
-    degraded: Mutex<BTreeMap<String, DegradedTenant>>,
+    degraded: BTreeMap<String, DegradedTenant>,
     /// Requests refused by admission ([`ClickIncError::Rejected`]) and
     /// parked by [`deploy_or_queue`](ClickIncService::deploy_or_queue):
     /// re-tried in priority order whenever capacity frees up (tenant
     /// removal, device restore, or an explicit
     /// [`drain_retries`](ClickIncService::drain_retries)).
-    retry: Mutex<RetryQueue>,
+    retry: RetryQueue,
+}
+
+/// What `admit` starts from: a request it solves itself, or a plan the
+/// caller already solved (quote-then-commit is one solve).  Lives on the
+/// stack for the length of one `admit` call, so the plan is not boxed.
+#[allow(clippy::large_enum_variant)]
+enum Source<'a> {
+    Request(&'a ServiceRequest),
+    Plan(DeploymentPlan),
+}
+
+/// Which admission policies `admit` consults between solve and commit.
+/// Staleness and the controller's own commit checks apply under every gate.
+#[derive(Clone, Copy)]
+pub(crate) enum Gate<'a> {
+    /// The service-wide chain.
+    Service,
+    /// The service-wide chain, then request-scoped policies (a planner's
+    /// batch policies, the failover denylist).
+    ServiceAnd(&'a PolicyChain),
+    /// No policy: only for putting a tenant back after a refused
+    /// [`replace_tenant`](ClickIncService::replace_tenant) — it was admitted
+    /// once already, and a failed advisory re-placement must not become an
+    /// outage.
+    Bypass,
+}
+
+/// A tenant the controller committed and the engine has not seen yet: the
+/// output of `admit`, consumed by `mirror`.
+struct Admitted {
+    user: String,
+    numeric_id: i64,
+}
+
+impl ServiceState {
+    /// Pipeline stage 1: solve → staleness check → admission gate →
+    /// [`Controller::commit`].  Nothing is mutated before the last fallible
+    /// check, and the engine is out of reach by construction.
+    ///
+    /// Staleness is checked before policy: a plan priced against a dead
+    /// ledger must surface as [`ClickIncError::StalePlan`] (re-plan and
+    /// retry — the re-solve may well be admissible), never as a policy
+    /// verdict reached on stale numbers.
+    fn admit(&mut self, source: Source<'_>, gate: Gate<'_>) -> Result<Admitted, ClickIncError> {
+        let plan = match source {
+            Source::Request(request) => self.controller.plan(request)?,
+            Source::Plan(plan) => plan,
+        };
+        if plan.epoch() != self.controller.epoch() {
+            return Err(ClickIncError::StalePlan {
+                user: plan.user().to_string(),
+                planned_epoch: plan.epoch(),
+                current_epoch: self.controller.epoch(),
+            });
+        }
+        let chains = match gate {
+            Gate::Service => [Some(&self.policy), None],
+            Gate::ServiceAnd(extra) => [Some(&self.policy), Some(extra)],
+            Gate::Bypass => [None, None],
+        };
+        let ctx = AdmissionContext {
+            plan: &plan,
+            active_tenants: self.controller.active_users().len(),
+            remaining_ratio: self.controller.remaining_resource_ratio(),
+        };
+        let refusal =
+            chains.into_iter().flatten().map(|chain| chain.evaluate(&ctx)).find(|d| !d.is_admit());
+        if let Some(AdmissionDecision::Reject { policy, reason }) = refusal {
+            return Err(ClickIncError::Rejected { user: plan.user().to_string(), policy, reason });
+        }
+        let deployment = self.controller.commit(plan)?;
+        Ok(Admitted { user: deployment.user.clone(), numeric_id: deployment.numeric_id })
+    }
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ServiceState> {
+        self.state.lock().expect("a thread panicked while holding the service state lock")
+    }
+
+    /// Pipeline stage 2: derive the sharding mode from the committed
+    /// deployment's state profile (stateless and flow-keyed-state programs
+    /// spread across every engine shard, anything else pins to one; the
+    /// [`InitialSharding`] knob overrides), register the tenant with the
+    /// engine, and build its handle around the mode the engine was actually
+    /// given — derived once, so handle and engine cannot disagree.
+    fn mirror(self: &Arc<Self>, state: &ServiceState, admitted: Admitted) -> TenantHandle {
+        let Admitted { user, numeric_id } = admitted;
+        let hops = state.controller.tenant_hops(&user);
+        let mode = match state.initial_sharding {
+            InitialSharding::Derived => sharding_mode_for(&hops),
+            InitialSharding::Pinned => ShardingMode::ByTenant,
+        };
+        self.engine.add_tenant_sharded(&user, hops.clone(), mode.clone());
+        TenantHandle { user, numeric_id, hops, mode, shared: Arc::clone(self) }
+    }
+
+    /// Both stages back to back, for every driver that serves one tenant at
+    /// a time.
+    fn deploy(
+        self: &Arc<Self>,
+        state: &mut ServiceState,
+        source: Source<'_>,
+        gate: Gate<'_>,
+    ) -> Result<TenantHandle, ClickIncError> {
+        let admitted = state.admit(source, gate)?;
+        Ok(self.mirror(state, admitted))
+    }
+
+    /// Take a live tenant off the controller and the engine, in that order
+    /// and under one lock — a removal can never overtake the add it revokes.
+    fn quiesce(
+        &self,
+        state: &mut ServiceState,
+        user: &str,
+    ) -> Result<DeploymentDelta, ClickIncError> {
+        let delta = state.controller.remove(user)?;
+        self.engine.remove_tenant(user);
+        Ok(delta)
+    }
+
+    /// The one voluntary-departure driver, shared by
+    /// [`ClickIncService::remove`] and [`TenantHandle::remove`]: un-park,
+    /// quiesce, then hand the freed capacity to the retry queue — one
+    /// critical section, so no arrival can slip between the departure and
+    /// the waiters it admits.
+    fn remove(self: &Arc<Self>, user: &str) -> Result<DeploymentDelta, ClickIncError> {
+        let mut state = self.lock();
+        state.degraded.remove(user);
+        let delta = self.quiesce(&mut state, user)?;
+        self.drain_retries(&mut state);
+        Ok(delta)
+    }
+
+    /// Retry every queued request once, highest priority first.
+    fn drain_retries(self: &Arc<Self>, state: &mut ServiceState) -> RetryReport {
+        let mut report = RetryReport { admitted: Vec::new(), requeued: 0, dropped: Vec::new() };
+        for entry in state.retry.take_ordered() {
+            match self.deploy(state, Source::Request(&entry.request), Gate::Service) {
+                Ok(handle) => report.admitted.push(handle),
+                Err(ClickIncError::Rejected { .. }) => {
+                    report.requeued += 1;
+                    // keep the original arrival slot so FIFO order survives
+                    state.retry.entries.push(entry);
+                }
+                Err(err) => report.dropped.push((entry.request.user, err)),
+            }
+        }
+        report
+    }
+
+    /// Re-place tenants a device failure displaced, against the current
+    /// topology: the service chain *plus* a [`DeviceDenylist`] of every
+    /// currently-down device gates each one.  Tenants that cannot be
+    /// re-placed are parked under the typed error the report carries.
+    fn replace_displaced(
+        self: &Arc<Self>,
+        state: &mut ServiceState,
+        device: &str,
+        displaced: Vec<DegradedTenant>,
+    ) -> FailoverReport {
+        let denylist =
+            PolicyChain::new().with(DeviceDenylist::new(state.controller.down_devices()));
+        let mut report = FailoverReport {
+            device: device.to_string(),
+            recovered: Vec::new(),
+            degraded: Vec::new(),
+        };
+        let gate = Gate::ServiceAnd(&denylist);
+        for tenant in displaced {
+            let user = tenant.request.user.clone();
+            match self.deploy(state, Source::Request(&tenant.request), gate) {
+                Ok(_) => report.recovered.push(user),
+                Err(err) => {
+                    report.degraded.push(ClickIncError::Degraded {
+                        user: user.clone(),
+                        device: tenant.device.clone(),
+                        reason: err.to_string(),
+                    });
+                    state.degraded.insert(user, tenant);
+                }
+            }
+        }
+        report
+    }
+}
+
+/// Read/write access to the service's [`Controller`], holding the service
+/// state lock for as long as it lives; returned by
+/// [`ClickIncService::controller`].
+pub struct ControllerGuard<'a>(MutexGuard<'a, ServiceState>);
+
+impl Deref for ControllerGuard<'_> {
+    type Target = Controller;
+
+    fn deref(&self) -> &Controller {
+        &self.0.controller
+    }
+}
+
+impl DerefMut for ControllerGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Controller {
+        &mut self.0.controller
+    }
 }
 
 /// The admission waiting room: requests refused by policy, ordered for
@@ -184,15 +408,15 @@ impl ClickIncService {
         config: EngineConfig,
     ) -> Result<ClickIncService, ClickIncError> {
         let engine = TrafficEngine::try_new(config)?;
-        Ok(ClickIncService {
-            controller: Arc::new(Mutex::new(controller)),
-            engine,
-            plan_cache: Mutex::new(PlanCache::new()),
-            policy: Mutex::new(PolicyChain::new()),
-            initial_sharding: Mutex::new(InitialSharding::default()),
-            degraded: Mutex::new(BTreeMap::new()),
-            retry: Mutex::new(RetryQueue::default()),
-        })
+        let state = ServiceState {
+            controller,
+            policy: PolicyChain::new(),
+            initial_sharding: InitialSharding::default(),
+            degraded: BTreeMap::new(),
+            retry: RetryQueue::default(),
+        };
+        let shared = Arc::new(Shared { state: Mutex::new(state), engine: engine.handle() });
+        Ok(ClickIncService { shared, engine })
     }
 
     /// Choose how future commits pick a tenant's sharding mode (existing
@@ -200,86 +424,37 @@ impl ClickIncService {
     /// tenant on one shard so the adaptive runtime
     /// ([`crate::AdaptiveRuntime`]) spreads it only under observed load.
     pub fn set_initial_sharding(&self, initial: InitialSharding) {
-        *self.initial_sharding.lock().expect("sharding mutex") = initial;
+        self.shared.lock().initial_sharding = initial;
     }
 
-    /// The batch planning surface: concurrent solves, plan caching, and
-    /// policy-gated commits — see [`Planner`].  Cheap to create; make one
-    /// per batch and stack batch-scoped policies on it with
-    /// [`Planner::with_policy`].
+    /// A deploy surface with batch-scoped admission policies stacked on the
+    /// service-wide chain — see [`Planner`].  Cheap to create; make one per
+    /// batch.
     pub fn planner(&self) -> Planner<'_> {
         Planner::new(self)
     }
 
     /// Install the service-wide admission policy, replacing the previous
-    /// one.  Every commit — [`commit`](ClickIncService::commit),
-    /// [`deploy`](ClickIncService::deploy),
-    /// [`deploy_all`](ClickIncService::deploy_all) and every [`Planner`]
-    /// path — consults it before the first mutation; a refusal surfaces as
+    /// one.  Every deploy path consults it before the first mutation (see
+    /// the [module docs](self)); a refusal surfaces as
     /// [`ClickIncError::Rejected`] and changes nothing.  Install a
     /// [`PolicyChain`] to compose several rules; the default (empty chain)
     /// admits everything.
     pub fn set_admission_policy(&self, policy: impl AdmissionPolicy + 'static) {
-        *self.policy.lock().expect("policy mutex") = PolicyChain::new().with(policy);
+        self.shared.lock().policy = PolicyChain::new().with(policy);
     }
 
     /// Remove the service-wide admission policy (back to admit-everything).
     pub fn clear_admission_policy(&self) {
-        *self.policy.lock().expect("policy mutex") = PolicyChain::new();
+        self.shared.lock().policy = PolicyChain::new();
     }
 
-    /// The shared plan cache (crate-internal: the [`Planner`] reads through
-    /// it under the controller lock).
-    pub(crate) fn plan_cache(&self) -> MutexGuard<'_, PlanCache> {
-        self.plan_cache.lock().expect("plan cache mutex")
-    }
-
-    /// Evaluate the service-wide admission chain, then `extra` (a planner's
-    /// batch-scoped policies), against `plan` at the current controller
-    /// state.  Called with the controller lock held, *before* any mutation.
-    ///
-    /// Staleness is checked first: a plan priced against a dead ledger must
-    /// surface as [`ClickIncError::StalePlan`] (re-plan and retry — the
-    /// re-solve may well be admissible), never as a policy verdict reached
-    /// on stale numbers.
-    pub(crate) fn admission_gate(
-        &self,
-        controller: &Controller,
-        plan: &DeploymentPlan,
-        extra: Option<&PolicyChain>,
-    ) -> Result<(), ClickIncError> {
-        if plan.epoch() != controller.epoch() {
-            return Err(ClickIncError::StalePlan {
-                user: plan.user().to_string(),
-                planned_epoch: plan.epoch(),
-                current_epoch: controller.epoch(),
-            });
-        }
-        let ctx = AdmissionContext {
-            plan,
-            active_tenants: controller.active_users().len(),
-            remaining_ratio: controller.remaining_resource_ratio(),
-        };
-        let mut decision = self.policy.lock().expect("policy mutex").evaluate(&ctx);
-        if decision.is_admit() {
-            if let Some(extra) = extra {
-                decision = extra.evaluate(&ctx);
-            }
-        }
-        match decision {
-            AdmissionDecision::Admit => Ok(()),
-            AdmissionDecision::Reject { policy, reason } => {
-                Err(ClickIncError::Rejected { user: plan.user().to_string(), policy, reason })
-            }
-        }
-    }
-
-    /// Low-level access to the owned controller (the ablation escape hatch).
-    /// Deploys made directly through this guard are **not** mirrored onto
-    /// the engine; use it for inspection, or wire
-    /// [`Controller::attach_engine`] yourself.
-    pub fn controller(&self) -> MutexGuard<'_, Controller> {
-        self.controller.lock().expect("controller mutex")
+    /// Low-level access to the owned controller (the ablation escape hatch),
+    /// for inspection and solver knobs.  The guard holds the service state
+    /// lock: drop it before calling back into the service.  Deploys made
+    /// directly through it are **not** mirrored onto the engine.
+    pub fn controller(&self) -> ControllerGuard<'_> {
+        ControllerGuard(self.shared.lock())
     }
 
     /// A clonable handle to the serving engine (for custom drivers).
@@ -296,81 +471,53 @@ impl ClickIncService {
     /// untouched: planning never changes the remaining resource ratio, the
     /// active user set, or any plane.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
-        self.controller().plan(request)
+        self.shared.lock().controller.plan(request)
     }
 
-    /// Commit a plan: admission gate, book resources, install snippets, and
-    /// mirror the tenant onto the engine.  Returns the tenant's handle.
-    ///
-    /// The installed [`AdmissionPolicy`] chain is consulted before the
-    /// first mutation — a policy refusal is [`ClickIncError::Rejected`] and
-    /// changes nothing.  The controller lock is held across the engine
-    /// mirroring, so concurrent commits and removals reach the engine in
-    /// controller order — a removal can never overtake the add it revokes.
+    /// Commit an already-solved plan: admission gate, book resources,
+    /// install snippets, and mirror the tenant onto the engine.  Returns the
+    /// tenant's handle.  A plan solved before any other commit, removal or
+    /// health change is [`ClickIncError::StalePlan`]; a policy refusal is
+    /// [`ClickIncError::Rejected`]; either changes nothing.
     pub fn commit(&self, plan: DeploymentPlan) -> Result<TenantHandle, ClickIncError> {
-        let mut controller = self.controller();
-        self.admission_gate(&controller, &plan, None)?;
-        self.commit_locked(&mut controller, plan)
+        self.shared.deploy(&mut self.shared.lock(), Source::Plan(plan), Gate::Service)
     }
 
-    /// Plan + gate + commit in one step, under a single controller lock — a
-    /// concurrent commit between the phases cannot turn this call into a
-    /// spurious [`ClickIncError::StalePlan`].
+    /// Plan + gate + commit in one step, under a single lock — a concurrent
+    /// commit between the phases cannot turn this call into a spurious
+    /// [`ClickIncError::StalePlan`].
     pub fn deploy(&self, request: ServiceRequest) -> Result<TenantHandle, ClickIncError> {
-        let mut controller = self.controller();
-        let plan = controller.plan(&request)?;
-        self.admission_gate(&controller, &plan, None)?;
-        self.commit_locked(&mut controller, plan)
+        self.deploy_gated(&request, Gate::Service)
     }
 
-    /// Commit + mirror with the controller lock already held.  Admission is
-    /// the caller's concern (every public entry gates first).  The tenant's
-    /// sharding mode is derived from the committed deployment's state
-    /// profile: stateless and flow-keyed-state programs spread their flows
-    /// across every engine shard, anything else pins to one shard.
-    pub(crate) fn commit_locked(
+    /// [`deploy`](ClickIncService::deploy) under an explicit gate (the
+    /// [`Planner`]'s entry).
+    pub(crate) fn deploy_gated(
         &self,
-        controller: &mut Controller,
-        plan: DeploymentPlan,
+        request: &ServiceRequest,
+        gate: Gate<'_>,
     ) -> Result<TenantHandle, ClickIncError> {
-        let deployment = controller.commit(plan)?;
-        let user = deployment.user.clone();
-        let numeric_id = deployment.numeric_id;
-        let hops = controller.tenant_hops(&user);
-        let mode = self.initial_mode_for(&hops);
-        self.engine.handle().add_tenant_sharded(&user, hops.clone(), mode.clone());
-        Ok(self.handle_for(user, numeric_id, hops, mode))
-    }
-
-    /// The sharding mode a fresh commit gives a tenant with these hops,
-    /// honoring the [`InitialSharding`] knob.  Shared by every commit path
-    /// (service and planner), so the knob cannot be bypassed.
-    pub(crate) fn initial_mode_for(&self, hops: &[TenantHop]) -> ShardingMode {
-        match *self.initial_sharding.lock().expect("sharding mutex") {
-            InitialSharding::Derived => sharding_mode_for(hops),
-            InitialSharding::Pinned => ShardingMode::ByTenant,
-        }
+        self.shared.deploy(&mut self.shared.lock(), Source::Request(request), gate)
     }
 
     /// [`deploy`](ClickIncService::deploy), but an admission refusal parks
     /// the request in the retry queue instead of discarding it: the
     /// [`ClickIncError::Rejected`] is still returned (the tenant is *not*
     /// serving), and the request is re-tried — highest priority first —
-    /// whenever capacity frees up: on every service-level
-    /// [`remove`](ClickIncService::remove), every
+    /// whenever capacity frees up: on every [`remove`](ClickIncService::remove)
+    /// (by id or through the tenant's handle), every
     /// [`restore_device`](ClickIncService::restore_device), and every
     /// explicit [`drain_retries`](ClickIncService::drain_retries).
     ///
     /// Non-admission failures (compile, placement, …) are returned without
     /// queueing: waiting cannot fix them.
     pub fn deploy_or_queue(&self, request: ServiceRequest) -> Result<TenantHandle, ClickIncError> {
-        match self.deploy(request.clone()) {
-            Err(err @ ClickIncError::Rejected { .. }) => {
-                self.retry.lock().expect("retry mutex").push(request);
-                Err(err)
-            }
-            other => other,
+        let mut state = self.shared.lock();
+        let outcome = self.shared.deploy(&mut state, Source::Request(&request), Gate::Service);
+        if let Err(ClickIncError::Rejected { .. }) = outcome {
+            state.retry.push(request);
         }
+        outcome
     }
 
     /// Retry every queued request (highest priority first, FIFO within a
@@ -378,35 +525,21 @@ impl ClickIncService {
     /// committed and returned; requests still refused stay queued; requests
     /// failing for any other reason are dropped with their error.
     pub fn drain_retries(&self) -> RetryReport {
-        let entries = self.retry.lock().expect("retry mutex").take_ordered();
-        let mut report = RetryReport { admitted: Vec::new(), requeued: 0, dropped: Vec::new() };
-        for entry in entries {
-            let user = entry.request.user.clone();
-            match self.deploy(entry.request.clone()) {
-                Ok(handle) => report.admitted.push(handle),
-                Err(ClickIncError::Rejected { .. }) => {
-                    report.requeued += 1;
-                    // keep the original arrival slot so FIFO order survives
-                    self.retry.lock().expect("retry mutex").entries.push(entry);
-                }
-                Err(err) => report.dropped.push((user, err)),
-            }
-        }
-        report
+        self.shared.drain_retries(&mut self.shared.lock())
     }
 
     /// Number of requests waiting in the admission retry queue.
     pub fn retry_queue_len(&self) -> usize {
-        self.retry.lock().expect("retry mutex").entries.len()
+        self.shared.lock().retry.entries.len()
     }
 
     /// Users waiting in the admission retry queue, in drain order (highest
     /// priority first).
     pub fn queued_users(&self) -> Vec<String> {
         let mut entries: Vec<(u8, u64, String)> = self
-            .retry
+            .shared
             .lock()
-            .expect("retry mutex")
+            .retry
             .entries
             .iter()
             .map(|e| (e.request.priority, e.seq, e.request.user.clone()))
@@ -415,225 +548,159 @@ impl ClickIncService {
         entries.into_iter().map(|(_, _, user)| user).collect()
     }
 
-    /// Speculatively re-solve up to `limit` cached-but-stale plans in the
-    /// background of a quiet moment so the next lookup hits a fresh entry —
-    /// see [`Planner::replan_stale`].  Returns the number refreshed.
-    pub fn replan_stale(&self, limit: usize) -> usize {
-        self.planner().replan_stale(limit)
-    }
-
-    /// Deploy a batch of requests with **all-or-nothing** semantics: if any
-    /// request fails to plan, is refused by the admission policy, or fails
-    /// to commit, every tenant this call already committed is removed
-    /// again — the ledger ratio, the active user set and every plane's
-    /// store return to their pre-call state bit-identical, and the engine
-    /// never sees any tenant of the batch.
-    ///
-    /// Built on the [`Planner`]: the batch is solved in parallel on worker
-    /// threads (plans are pure), then committed sequentially in request
-    /// order — bit-identical to the sequential path, just faster to
-    /// validate.  Use [`planner`](ClickIncService::planner) directly to add
+    /// Deploy a batch of requests with **all-or-nothing** semantics: members
+    /// are admitted strictly in request order, each solved and gated against
+    /// the state its predecessors left behind (so a successful batch is
+    /// bit-identical to deploying the members one by one); if any member
+    /// fails to plan, is refused by the admission policy, or fails to
+    /// commit, every member this call already committed is removed again —
+    /// the ledger ratio, the active user set and every plane's store return
+    /// to their pre-call state bit-identical.  The engine only sees the
+    /// batch once all of it is committed, so it never sees any tenant of a
+    /// failed batch.  Use [`planner`](ClickIncService::planner) to add
     /// batch-scoped admission policies.
     pub fn deploy_all(
         &self,
         requests: Vec<ServiceRequest>,
     ) -> Result<Vec<TenantHandle>, ClickIncError> {
-        self.planner().deploy_all(requests)
+        self.deploy_all_gated(requests, Gate::Service)
+    }
+
+    /// [`deploy_all`](ClickIncService::deploy_all) under an explicit gate
+    /// (the [`Planner`]'s entry).
+    pub(crate) fn deploy_all_gated(
+        &self,
+        requests: Vec<ServiceRequest>,
+        gate: Gate<'_>,
+    ) -> Result<Vec<TenantHandle>, ClickIncError> {
+        let mut state = self.shared.lock();
+        let mut admitted: Vec<Admitted> = Vec::with_capacity(requests.len());
+        for request in &requests {
+            match state.admit(Source::Request(request), gate) {
+                Ok(member) => admitted.push(member),
+                Err(err) => {
+                    // unwind in reverse commit order; removal releases exactly
+                    // what commit booked, so the rollback restores the
+                    // pre-call state bit for bit
+                    for member in admitted.iter().rev() {
+                        let _ = state.controller.remove(&member.user);
+                    }
+                    return Err(err);
+                }
+            }
+        }
+        Ok(admitted.into_iter().map(|member| self.shared.mirror(&state, member)).collect())
     }
 
     /// Remove a tenant by user id: release its resources, uninstall its
-    /// snippets, quiesce its traffic on the engine.  (Equivalent to
-    /// [`TenantHandle::remove`] when the handle is out of reach.)  A parked
-    /// ([`ClickIncError::Degraded`]) tenant is un-parked too, so it will not
-    /// resurrect on the next restore.
-    /// A successful removal frees capacity, so the admission retry queue is
-    /// drained afterwards: queued requests that now pass admission start
-    /// serving (their handles are obtainable again via the controller;
-    /// callers tracking them should use
-    /// [`drain_retries`](ClickIncService::drain_retries) directly).
+    /// snippets, quiesce its traffic on the engine — exactly what
+    /// [`TenantHandle::remove`] does, for when the handle is out of reach.
+    /// A parked ([`ClickIncError::Degraded`]) tenant is un-parked too, so it
+    /// will not resurrect on the next restore.  A successful removal frees
+    /// capacity, so the admission retry queue is drained before the lock is
+    /// released: queued requests that now pass admission start serving
+    /// (callers that want their handles should call
+    /// [`drain_retries`](ClickIncService::drain_retries) themselves).
     pub fn remove(&self, user: &str) -> Result<DeploymentDelta, ClickIncError> {
-        let delta = {
-            let controller = self.controller();
-            self.degraded.lock().expect("degraded mutex").remove(user);
-            Self::remove_locked(controller, &self.engine.handle(), user)
-        }?;
-        self.drain_retries();
-        Ok(delta)
+        self.shared.remove(user)
     }
 
-    /// Remove + engine quiesce with the controller lock held across both,
-    /// mirroring the ordering guarantee of [`commit`](ClickIncService::commit).
-    fn remove_locked(
-        mut controller: MutexGuard<'_, Controller>,
-        engine: &EngineHandle,
-        user: &str,
-    ) -> Result<DeploymentDelta, ClickIncError> {
-        let delta = controller.remove(user)?;
-        engine.remove_tenant(user);
-        Ok(delta)
-    }
-
-    /// Re-place a live tenant through the full plan → verify → admission →
-    /// commit chain: remove it (releasing its resources and quiescing its
-    /// traffic), re-solve its original request against the *current* ledger
-    /// and co-residents, gate the new plan exactly like a fresh deploy, and
-    /// commit it.  This is the adaptive runtime's escalation path
+    /// Re-place a live tenant through the pipeline: remove it (releasing its
+    /// resources and quiescing its traffic), then re-solve its original
+    /// request against the *current* ledger and co-residents and gate the
+    /// new plan exactly like a fresh deploy.  This is the adaptive runtime's
+    /// escalation path
     /// ([`AdaptAction::Replan`](clickinc_runtime::AdaptAction::Replan)): a
     /// tenant that stays saturated after resharding and budget resizing gets
     /// a fresh placement, but only one the verifier and every admission
     /// policy accept.
     ///
     /// If the re-plan fails — verification, placement, or an admission
-    /// refusal — the original deployment is restored (its own solve,
-    /// *bypassing* the admission gate: it was already admitted once, and a
-    /// failed advisory re-placement must not turn into an outage) and the
-    /// error is returned.  Telemetry counters survive the round-trip; the
-    /// tenant gets a fresh numeric id either way.
+    /// refusal — the original deployment is put back through the same
+    /// pipeline with the policy gate bypassed (it was already admitted once,
+    /// and a failed advisory re-placement must not turn into an outage) and
+    /// the error is returned.  Telemetry counters survive the round-trip;
+    /// the tenant gets a fresh numeric id either way.
     pub fn replace_tenant(&self, user: &str) -> Result<TenantHandle, ClickIncError> {
-        let mut controller = self.controller();
-        let request = controller
+        let mut state = self.shared.lock();
+        let request = state
+            .controller
             .deployment(user)
             .map(|d| d.request.clone())
             .ok_or_else(|| ClickIncError::UnknownUser(user.to_string()))?;
-        controller.remove(user)?;
-        self.engine.handle().remove_tenant(user);
-        match self.plan_gate_commit(&mut controller, &request) {
-            Ok(handle) => Ok(handle),
-            Err(err) => {
-                let plan = controller
-                    .plan(&request)
-                    .expect("restoring a just-removed deployment re-solves");
-                self.commit_locked(&mut controller, plan)
-                    .expect("restoring a just-removed deployment re-commits");
-                Err(err)
-            }
+        self.shared.quiesce(&mut state, user)?;
+        let replaced = self.shared.deploy(&mut state, Source::Request(&request), Gate::Service);
+        if replaced.is_err() {
+            self.shared
+                .deploy(&mut state, Source::Request(&request), Gate::Bypass)
+                .expect("a just-removed deployment re-solves and re-commits");
         }
+        replaced
     }
 
     /// Fail a device: mark it down in both the topology (future placements
     /// route around it) and the serving engine (in-flight packets hitting it
     /// are lost and counted as fault losses), quiesce every tenant whose
-    /// placement occupied it, and re-place each one through the full plan →
-    /// verify → admission → commit chain with a [`DeviceDenylist`] seeded
-    /// from the failed-device set.  Tenants that cannot be re-placed —
-    /// placement is infeasible on the degraded topology, or an admission
-    /// policy refuses the move — park in the typed
+    /// placement occupied it, and re-place each one through the pipeline
+    /// with a [`DeviceDenylist`] seeded from the failed-device set.  Tenants
+    /// that cannot be re-placed — placement is infeasible on the degraded
+    /// topology, or an admission policy refuses the move — park in the typed
     /// [`ClickIncError::Degraded`] state: they hold no resources and serve
     /// no traffic, and every [`restore_device`](ClickIncService::restore_device)
     /// retries them.  Co-resident tenants placed elsewhere are untouched.
     pub fn fail_device(&self, device: &str) -> Result<FailoverReport, ClickIncError> {
-        let mut controller = self.controller();
-        let displaced = controller.fail_device(device)?;
-        // structural cache invalidation: drop every cached plan occupying
-        // the failed device — whatever its epoch bookkeeping says, a plan
-        // touching a Down device must never be served again
-        self.plan_cache().invalidate_touching(&[device.to_string()]);
-        let engine = self.engine.handle();
-        engine.set_device_health(device, DeviceHealth::Down);
+        let mut state = self.shared.lock();
+        let displaced = state.controller.fail_device(device)?;
+        self.shared.engine.set_device_health(device, DeviceHealth::Down);
         for request in &displaced {
-            engine.remove_tenant(&request.user);
+            self.shared.engine.remove_tenant(&request.user);
         }
-        let mut recovered = Vec::new();
-        let mut degraded = Vec::new();
-        for request in displaced {
-            match self.replace_displaced(&mut controller, &request) {
-                Ok(_) => recovered.push(request.user.clone()),
-                Err(err) => degraded.push(self.park(request, device, err)),
-            }
-        }
-        Ok(FailoverReport { device: device.to_string(), recovered, degraded })
+        let displaced = displaced
+            .into_iter()
+            .map(|request| DegradedTenant { request, device: device.to_string() })
+            .collect();
+        Ok(self.shared.replace_displaced(&mut state, device, displaced))
     }
 
     /// Restore a failed device: mark it up in the topology and the engine,
     /// then retry every parked ([`ClickIncError::Degraded`]) tenant through
-    /// the full plan → verify → admission → commit chain.  Tenants that
-    /// still cannot be placed stay parked (and appear in the report again).
-    /// Restored capacity also drains the admission retry queue.
+    /// the pipeline.  Tenants that still cannot be placed stay parked (and
+    /// appear in the report again).  Restored capacity also drains the
+    /// admission retry queue.
     pub fn restore_device(&self, device: &str) -> Result<FailoverReport, ClickIncError> {
-        let mut controller = self.controller();
-        controller.restore_device(device)?;
-        self.engine.handle().set_device_health(device, DeviceHealth::Up);
-        let parked: Vec<DegradedTenant> = {
-            let mut map = self.degraded.lock().expect("degraded mutex");
-            std::mem::take(&mut *map).into_values().collect()
-        };
-        let mut recovered = Vec::new();
-        let mut degraded = Vec::new();
-        for tenant in parked {
-            match self.replace_displaced(&mut controller, &tenant.request) {
-                Ok(_) => recovered.push(tenant.request.user.clone()),
-                Err(err) => {
-                    let device = tenant.device.clone();
-                    degraded.push(self.park(tenant.request, &device, err));
-                }
-            }
-        }
-        drop(controller);
-        self.drain_retries();
-        Ok(FailoverReport { device: device.to_string(), recovered, degraded })
+        let mut state = self.shared.lock();
+        state.controller.restore_device(device)?;
+        self.shared.engine.set_device_health(device, DeviceHealth::Up);
+        let parked = std::mem::take(&mut state.degraded).into_values().collect();
+        let report = self.shared.replace_displaced(&mut state, device, parked);
+        self.shared.drain_retries(&mut state);
+        Ok(report)
     }
 
     /// Tenants currently parked in the [`ClickIncError::Degraded`] state.
     pub fn degraded_tenants(&self) -> Vec<String> {
-        self.degraded.lock().expect("degraded mutex").keys().cloned().collect()
-    }
-
-    /// Re-place one displaced tenant against the current (degraded)
-    /// topology: plan, gate through the service chain *plus* a
-    /// [`DeviceDenylist`] of every currently-down device, and commit.
-    fn replace_displaced(
-        &self,
-        controller: &mut Controller,
-        request: &ServiceRequest,
-    ) -> Result<TenantHandle, ClickIncError> {
-        let denylist = PolicyChain::new().with(DeviceDenylist::new(controller.down_devices()));
-        let plan = controller.plan(request)?;
-        self.admission_gate(controller, &plan, Some(&denylist))?;
-        self.commit_locked(controller, plan)
-    }
-
-    /// Park a tenant that could not be re-placed; returns the typed error
-    /// the report carries.
-    fn park(&self, request: ServiceRequest, device: &str, err: ClickIncError) -> ClickIncError {
-        let user = request.user.clone();
-        let reason = err.to_string();
-        self.degraded
-            .lock()
-            .expect("degraded mutex")
-            .insert(user.clone(), DegradedTenant { request, device: device.to_string() });
-        ClickIncError::Degraded { user, device: device.to_string(), reason }
-    }
-
-    /// Plan + admission gate + commit under an already-held controller lock.
-    fn plan_gate_commit(
-        &self,
-        controller: &mut Controller,
-        request: &ServiceRequest,
-    ) -> Result<TenantHandle, ClickIncError> {
-        let plan = controller.plan(request)?;
-        self.admission_gate(controller, &plan, None)?;
-        self.commit_locked(controller, plan)
+        self.shared.lock().degraded.keys().cloned().collect()
     }
 
     /// Ids of the users with an active deployment.
     pub fn active_users(&self) -> Vec<String> {
-        self.controller().active_users().iter().map(|s| s.to_string()).collect()
+        self.shared.lock().controller.active_users().iter().map(|s| s.to_string()).collect()
     }
 
     /// Fraction of network-wide resources still free.
     pub fn remaining_resource_ratio(&self) -> f64 {
-        self.controller().remaining_resource_ratio()
+        self.shared.lock().controller.remaining_resource_ratio()
     }
 
     /// Merged per-tenant telemetry snapshot (exact after
     /// [`flush`](ClickIncService::flush)).
     pub fn telemetry(&self) -> TelemetryReport {
-        self.engine.handle().telemetry()
+        self.shared.engine.telemetry()
     }
 
     /// Barrier: returns once every engine shard has drained its queues.
     pub fn flush(&self) {
-        self.engine.handle().flush()
+        self.shared.engine.flush()
     }
 
     /// Stop the engine, merge the per-shard stores, and return the final
@@ -641,38 +708,16 @@ impl ClickIncService {
     pub fn finish(self) -> RunOutcome {
         self.engine.finish()
     }
-
-    /// Build a tenant handle around the mode the engine was actually given
-    /// (derived once per commit; never re-derived, so handle and engine
-    /// cannot disagree).
-    pub(crate) fn handle_for(
-        &self,
-        user: String,
-        numeric_id: i64,
-        hops: Vec<TenantHop>,
-        mode: ShardingMode,
-    ) -> TenantHandle {
-        TenantHandle {
-            user,
-            numeric_id,
-            hops,
-            mode,
-            controller: Arc::clone(&self.controller),
-            engine: self.engine.handle(),
-        }
-    }
 }
 
-/// A live tenant on the service: returned by [`ClickIncService::commit`] and
-/// [`ClickIncService::deploy_all`], valid until
-/// [`remove`](TenantHandle::remove)d.
+/// A live tenant on the service: returned by every successful deploy, valid
+/// until [`remove`](TenantHandle::remove)d.
 pub struct TenantHandle {
     user: String,
     numeric_id: i64,
     hops: Vec<TenantHop>,
     mode: ShardingMode,
-    controller: Arc<Mutex<Controller>>,
-    engine: EngineHandle,
+    shared: Arc<Shared>,
 }
 
 impl TenantHandle {
@@ -706,7 +751,7 @@ impl TenantHandle {
     /// `backpressure_waits`, `queue_depth_hwm`, `per_shard_packets` — so
     /// overload is observable per tenant.
     pub fn telemetry(&self) -> Option<TenantStats> {
-        self.engine.telemetry().tenant(&self.user).cloned()
+        self.shared.engine.telemetry().tenant(&self.user).cloned()
     }
 
     /// Drain a workload into the engine on this tenant's behalf against the
@@ -719,7 +764,7 @@ impl TenantHandle {
         max_packets: usize,
         inject_batch: usize,
     ) -> WorkloadReport {
-        self.engine.run_workload(workload, max_packets, inject_batch)
+        self.shared.engine.run_workload(workload, max_packets, inject_batch)
     }
 
     /// Control-plane table write on every hop whose snippets declare
@@ -729,7 +774,7 @@ impl TenantHandle {
         for hop in &self.hops {
             let declares = hop.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == table));
             if declares {
-                self.engine.populate_table(
+                self.shared.engine.populate_table(
                     &self.user,
                     &hop.device,
                     table,
@@ -741,11 +786,12 @@ impl TenantHandle {
     }
 
     /// Revoke the tenant: release its ledger resources, uninstall its
-    /// snippets from the controller planes, and quiesce exactly its traffic
-    /// on the engine (co-resident tenants keep flowing).
+    /// snippets from the controller planes, quiesce exactly its traffic on
+    /// the engine (co-resident tenants keep flowing), and let the retry
+    /// queue claim the freed capacity — the same driver as
+    /// [`ClickIncService::remove`].
     pub fn remove(self) -> Result<DeploymentDelta, ClickIncError> {
-        let controller = self.controller.lock().expect("controller mutex");
-        ClickIncService::remove_locked(controller, &self.engine, &self.user)
+        self.shared.remove(&self.user)
     }
 }
 
@@ -828,6 +874,22 @@ mod tests {
         assert_eq!(service.queued_users(), vec!["t2"]);
         // the next removal admits the remaining waiter
         service.remove("t3").expect("removes");
+        assert_eq!(service.active_users(), vec!["t2".to_string()]);
+        assert_eq!(service.retry_queue_len(), 0);
+        service.finish();
+    }
+
+    #[test]
+    fn a_tenant_leaving_through_its_handle_admits_the_queued_waiter() {
+        use crate::policy::MaxTenants;
+        let service = service();
+        service.set_admission_policy(MaxTenants { max_tenants: 1 });
+        let t1 = service.deploy(kvs_request("t1")).expect("first tenant admitted");
+        must_fail(service.deploy_or_queue(kvs_request("t2"))); // refused by the cap, queued
+        assert_eq!(service.queued_users(), vec!["t2"]);
+        // the handle is the same departure as `service.remove`: the freed
+        // slot goes to the waiter
+        t1.remove().expect("removes");
         assert_eq!(service.active_users(), vec!["t2".to_string()]);
         assert_eq!(service.retry_queue_len(), 0);
         service.finish();

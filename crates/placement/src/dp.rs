@@ -62,8 +62,7 @@ struct Choice {
 /// returned plan is bit-identical (modulo the wall-clock `solve_time`,
 /// which [`PlacementPlan::fingerprint`](crate::PlacementPlan::fingerprint)
 /// deliberately excludes) regardless of how many solves run next to it.
-/// Re-exported as `clickinc_placement::solve` — the name the service-layer
-/// `Planner` fans out over.
+/// Re-exported as `clickinc_placement::solve`.
 pub fn place(
     program: &IrProgram,
     dag: &BlockDag,

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Shards of the memo map; keys are spread by their low bits so concurrent
-/// `plan_all` workers rarely contend on one lock.
+/// solves rarely contend on one lock.
 const SHARDS: usize = 16;
 /// Per-shard entry cap.  A shard that fills up is cleared wholesale (the
 /// entries are pure re-derivable facts, so dropping them only costs time).

@@ -12,10 +12,6 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default)]
 pub struct ResourceLedger {
     used: BTreeMap<NodeId, ResourceVector>,
-    /// Monotone clock of ledger movements; [`versions`](Self::version_of)
-    /// stamp each device with the clock value of its last move.
-    clock: u64,
-    versions: BTreeMap<NodeId, u64>,
 }
 
 impl ResourceLedger {
@@ -33,24 +29,12 @@ impl ResourceLedger {
     pub fn consume(&mut self, node: NodeId, demand: ResourceVector) {
         let entry = self.used.entry(node).or_default();
         *entry += demand;
-        self.clock += 1;
-        self.versions.insert(node, self.clock);
     }
 
     /// Release resources previously consumed on a device (program removal).
     pub fn release(&mut self, node: NodeId, demand: ResourceVector) {
         let entry = self.used.entry(node).or_default();
         *entry = entry.saturating_sub(&demand);
-        self.clock += 1;
-        self.versions.insert(node, self.clock);
-    }
-
-    /// Version stamp of a device: the global move-clock value at its last
-    /// `consume`/`release` (0 if it never moved).  Two equal stamps bracket a
-    /// window in which the device's ledger entry was provably untouched —
-    /// the structural-invalidation primitive the plan cache builds on.
-    pub fn version_of(&self, node: NodeId) -> u64 {
-        self.versions.get(&node).copied().unwrap_or(0)
     }
 
     /// Fraction of total capacity still available across the given devices

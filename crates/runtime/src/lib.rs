@@ -38,8 +38,7 @@
 //!   packets, then drops only its snippets and tables.  The `clickinc`
 //!   crate's `ClickIncService` facade owns both a controller and an engine
 //!   and mirrors every transactional deploy/remove onto the shards
-//!   automatically; `Controller::attach_engine` is the low-level hook-based
-//!   wiring for ablation experiments.
+//!   automatically.
 //!
 //! ```
 //! use clickinc_runtime::{EngineConfig, ShardingMode, TrafficEngine};

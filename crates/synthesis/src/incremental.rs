@@ -148,8 +148,9 @@ pub fn add_user_program_monolithic(
 }
 
 /// Remove a user program from every image (lazy removal): its annotations are
-/// stripped, orphaned instructions become `NoOp`s (cleaned up on the next
-/// deployment), and its objects are released.
+/// stripped, orphaned instructions become `NoOp`s (dropped by the next
+/// deployment onto the device, see [`extend_image`]), and its objects are
+/// released.
 pub fn remove_user_program(
     images: &mut DeviceImages,
     user: &str,
@@ -163,7 +164,9 @@ pub fn remove_user_program(
             instr.owners.retain(|o| o != user);
             if instr.owners.len() != before {
                 touched = true;
-                if instr.owners.is_empty() && !instr.is_base_instruction_marker() {
+                // an instruction that *lost* its last owner was a user
+                // instruction: the operator's own never carried one
+                if instr.owners.is_empty() {
                     instr.op = OpCode::NoOp;
                 }
             }
@@ -190,8 +193,10 @@ pub fn remove_user_program(
 
 /// Extend an existing device image with a new snippet (incremental merge):
 /// the snippet is inserted before the base tail so the forwarding decision
-/// still runs last.
+/// still runs last.  The owner-less `NoOp`s earlier removals left behind are
+/// dropped first, so an image's size tracks its live tenants, not its age.
 fn extend_image(image: &mut IrProgram, snippet: &IrProgram) {
+    image.instructions.retain(|i| !(i.is_base() && matches!(i.op, OpCode::NoOp)));
     for obj in &snippet.objects {
         if image.object(&obj.name).is_none() {
             image.objects.push(obj.clone());
@@ -221,23 +226,6 @@ fn extend_image(image: &mut IrProgram, snippet: &IrProgram) {
         instr.id = clickinc_ir::InstrId(idx as u32);
     }
     image.instructions = all;
-}
-
-/// Helper trait: the operator's own instructions are never removed by user
-/// revocation, even though they carry no owner annotation.
-trait BaseMarker {
-    fn is_base_instruction_marker(&self) -> bool;
-}
-
-impl BaseMarker for clickinc_ir::Instruction {
-    fn is_base_instruction_marker(&self) -> bool {
-        // base instructions never carried an owner in the first place; by the
-        // time removal runs, an instruction that *lost* its last owner is a user
-        // instruction, so this marker is only true for instructions that always
-        // were owner-less — which `remove_user_program` never reaches because it
-        // only touches instructions whose owner set changed.
-        false
-    }
 }
 
 #[cfg(test)]
@@ -372,5 +360,22 @@ mod tests {
         // removing a non-existent user is a no-op
         let empty = remove_user_program(&mut images, "ghost", &s.pod_of);
         assert_eq!(empty.device_count(), 0);
+    }
+
+    #[test]
+    fn deploy_remove_cycles_do_not_grow_the_images() {
+        let s = setup();
+        let base = base_program();
+        let mut images = DeviceImages::default();
+        let (prog, plan) = place_user(&s, "kvs0", 1, &["pod0a", "pod1a"], "pod2b");
+        let mut after_first_cycle: Option<BTreeMap<NodeId, usize>> = None;
+        for cycle in 1..=50 {
+            add_user_program(&mut images, &base, &prog, &plan, &s.pod_of);
+            remove_user_program(&mut images, "kvs0", &s.pod_of);
+            let lengths: BTreeMap<NodeId, usize> =
+                images.images.iter().map(|(d, img)| (*d, img.len())).collect();
+            let expected = after_first_cycle.get_or_insert_with(|| lengths.clone());
+            assert_eq!(&lengths, expected, "cycle {cycle} grew an image");
+        }
     }
 }

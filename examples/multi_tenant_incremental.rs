@@ -1,6 +1,6 @@
-//! Multi-tenant, dynamic INC-as-a-Service through the planner: several
-//! users deploy programs onto the same network (each one planned as a
-//! dry-run first — its JSON summary dumped for inspection — then gated by a
+//! Multi-tenant, dynamic INC-as-a-Service: several users deploy programs
+//! onto the same network (each one planned as a dry-run first — its JSON
+//! summary dumped for inspection — then that very plan is gated by a
 //! provider admission policy and committed), a poisoned batch demonstrates
 //! the all-or-nothing rollback of `deploy_all`, and one tenant later
 //! revokes its service (paper §7.3 Table 3 and §7.5 Table 6 workflows).
@@ -19,12 +19,11 @@ fn main() {
     service
         .set_admission_policy(PolicyChain::new().with(ResourceFloor { min_remaining_ratio: 0.05 }));
 
-    let planner = service.planner();
     for request in table3_requests() {
         let user = request.user.clone();
         // plan: a pure dry-run reporting devices, demand and predicted
         // ratio — dumped as JSON, the provider's audit record of the quote
-        let plan = match planner.plan(&request) {
+        let plan = match service.plan(&request) {
             Ok(plan) => plan,
             Err(e) => {
                 println!("+ {user:<8} FAILED to plan: {e}");
@@ -36,12 +35,9 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&plan.summary()).expect("plan summary serializes")
         );
-        // deploy: admission gate, book resources, install snippets, mirror
-        // onto the engine.  The epoch has not moved since the dry-run, so
-        // the planner's cache answers the re-plan without re-running
-        // placement — watch the hit counter at the end.
-        drop(plan);
-        match planner.deploy(request) {
+        // commit the quoted plan: admission gate, book resources, install
+        // snippets, mirror onto the engine — one solve per tenant
+        match service.commit(plan) {
             Ok(tenant) => println!(
                 "+ {:<8} (id {}) placed on {:<40} predicted remaining {:>5.1}% (exact: {})",
                 user,
@@ -53,11 +49,6 @@ fn main() {
             Err(e) => println!("+ {user:<8} FAILED to commit: {e}"),
         }
     }
-    let stats = service.planner_stats();
-    println!(
-        "\nplanner cache: {} hit(s), {} miss(es), {} plan(s) cached",
-        stats.cache_hits, stats.cache_misses, stats.cached_plans
-    );
     println!("\nactive programs: {:?}", service.active_users());
     println!("remaining resources: {:.1}%", service.remaining_resource_ratio() * 100.0);
 

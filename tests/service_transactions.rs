@@ -11,12 +11,13 @@
 //!    ratio, the active users, the engine tenants and every plane's store
 //!    fingerprint bit-identical to before the call, even when earlier
 //!    requests of the batch had already committed.
-//! 4. **Planner equivalence** — parallel planning + sequential commit of a
-//!    mixed batch is bit-identical (plane fingerprints, ledger ratio,
-//!    tenant hops, numeric ids) to the sequential plan→commit path, in any
-//!    worker-thread count; the plan cache only answers while the epoch
-//!    stands still; admission policies reject with the typed
+//! 4. **Batch equivalence** — `deploy_all` of a mixed batch is bit-identical
+//!    (plane fingerprints, ledger ratio, tenant hops, numeric ids) to the
+//!    sequential plan→commit path; stale plans are `StalePlan`, never a
+//!    policy verdict; admission policies reject with the typed
 //!    `ClickIncError::Rejected` and change nothing.
+//! 5. **No side doors** — every deploy front-end honours the service-wide
+//!    admission chain and the `InitialSharding` knob.
 
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
@@ -24,7 +25,8 @@ use clickinc::lang::templates::{
 };
 use clickinc::topology::Topology;
 use clickinc::{
-    ClickIncError, ClickIncService, Controller, ResourceFloor, ServiceRequest, TenantHop,
+    sharding_mode_for, ClickIncError, ClickIncService, Controller, InitialSharding, MaxTenants,
+    ResourceFloor, ServiceRequest, ShardingMode, TenantHandle, TenantHop,
 };
 use clickinc_emulator::kvs_backend_value;
 use clickinc_ir::Value;
@@ -71,11 +73,11 @@ struct RunFingerprint {
     diagnostics_json: String,
 }
 
-/// The old two-API wiring: a controller bridged onto an engine by hand.
+/// The old two-API wiring: a bare controller mirrored onto an engine by
+/// hand.
 fn run_direct_controller_path() -> RunFingerprint {
     let engine = TrafficEngine::new(engine_config());
     let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    controller.attach_engine(engine.handle());
     let planned = controller.plan(&kvs_request("kvs0")).expect("plans");
     let diagnostics_json = planned.diagnostics().to_json();
     let deployment = controller.commit(planned).expect("deploys");
@@ -83,7 +85,9 @@ fn run_direct_controller_path() -> RunFingerprint {
     let snippets: Vec<_> = deployment.snippets.values().flatten().cloned().collect();
 
     let handle = engine.handle();
-    for hop in controller.tenant_hops("kvs0") {
+    let hops = controller.tenant_hops("kvs0");
+    handle.add_tenant_sharded("kvs0", hops.clone(), sharding_mode_for(&hops));
+    for hop in hops {
         if hop.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == "kvs0_cache")) {
             for key in 0..64 {
                 handle.populate_table(
@@ -297,7 +301,7 @@ fn deployment_observables(service: &ClickIncService) -> DeploymentObservables {
 }
 
 #[test]
-fn parallel_planning_plus_sequential_commit_is_bit_identical_to_the_sequential_path() {
+fn deploy_all_is_bit_identical_to_sequential_plan_commit() {
     let requests = mixed_batch();
     assert!(requests.len() >= 8);
 
@@ -312,39 +316,22 @@ fn parallel_planning_plus_sequential_commit_is_bit_identical_to_the_sequential_p
     let reference = deployment_observables(&sequential);
     sequential.finish();
 
-    // the planner path, at several worker-thread counts
-    for threads in [1usize, 2, 8] {
-        let service = ClickIncService::with_config(
-            Topology::emulation_topology_all_tofino(),
-            engine_config(),
-        )
-        .expect("engine config is valid");
-        let handles = service
-            .planner()
-            .with_threads(threads)
-            .deploy_all(requests.clone())
-            .expect("the batch deploys");
-        assert_eq!(handles.len(), requests.len());
-        // handles come back in request order with the sequential numeric ids
-        for (i, handle) in handles.iter().enumerate() {
-            assert_eq!(handle.user(), format!("mix{i}"));
-            assert_eq!(handle.numeric_id(), i as i64 + 1);
-        }
-        assert_eq!(
-            deployment_observables(&service),
-            reference,
-            "{threads}-thread planner path diverged from the sequential path"
-        );
-        // cache accounting: the pre-solve misses once per member, and every
-        // member after the first misses again at commit time (its
-        // predecessor's commit moved the epoch, forcing the re-solve that
-        // bit-identity requires); the first member commits its still-fresh
-        // pre-solved plan without a lookup
-        let stats = service.planner_stats();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses as usize, 2 * requests.len() - 1);
-        service.finish();
+    let service =
+        ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
+            .expect("engine config is valid");
+    let handles = service.deploy_all(requests.clone()).expect("the batch deploys");
+    assert_eq!(handles.len(), requests.len());
+    // handles come back in request order with the sequential numeric ids
+    for (i, handle) in handles.iter().enumerate() {
+        assert_eq!(handle.user(), format!("mix{i}"));
+        assert_eq!(handle.numeric_id(), i as i64 + 1);
     }
+    assert_eq!(
+        deployment_observables(&service),
+        reference,
+        "the batch path diverged from the sequential path"
+    );
+    service.finish();
 }
 
 #[test]
@@ -392,47 +379,151 @@ fn resource_floor_rejects_the_marginal_tenant_and_admitted_tenants_keep_serving(
 }
 
 #[test]
-fn stale_plans_miss_the_cache_and_re_solve_while_fresh_plans_hit() {
+fn stale_plans_are_stale_plan_never_a_policy_verdict() {
     let service =
         ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
             .expect("engine config is valid");
-    let planner = service.planner();
 
-    // plan `victim` (miss: nothing cached yet), then let an unrelated
-    // tenant move the epoch
-    let stale_plan = planner.plan(&kvs_request("victim")).expect("plans");
+    // plan `victim`, then let an unrelated tenant move the epoch
+    let stale_plan = service.plan(&kvs_request("victim")).expect("plans");
     let epoch_at_solve = stale_plan.epoch();
     service.deploy(kvs_request("unrelated")).expect("unrelated tenant deploys");
     assert_ne!(service.controller().epoch(), epoch_at_solve, "the epoch moved");
 
+    // the strict commit path refuses the stale plan outright
+    let err = service.commit(stale_plan.clone()).map(|_| ()).unwrap_err();
+    assert!(matches!(err, ClickIncError::StalePlan { .. }), "got {err}");
+
     // staleness outranks policy: even with an impossible floor installed,
     // the stale plan surfaces as StalePlan (re-plan and retry), never as a
     // Rejected verdict reached on dead-ledger numbers
-    let floored = service.planner().with_policy(ResourceFloor { min_remaining_ratio: 2.0 });
-    let err = floored.commit(stale_plan.clone()).map(|_| ()).unwrap_err();
+    service.set_admission_policy(ResourceFloor { min_remaining_ratio: 2.0 });
+    let before = snapshot(&service);
+    let err = service.commit(stale_plan).map(|_| ()).unwrap_err();
     assert!(matches!(err, ClickIncError::StalePlan { .. }), "got {err}");
+    assert_eq!(snapshot(&service), before, "a refused commit changes nothing");
 
-    // the strict commit path refuses the stale plan outright
-    let err = planner.commit(stale_plan).map(|_| ()).unwrap_err();
-    assert!(matches!(err, ClickIncError::StalePlan { .. }), "got {err}");
-
-    // the retry-friendly path must MISS the cache (epoch moved) and
-    // re-solve at the current epoch
-    let before = service.planner_stats();
-    let tenant = planner.deploy(kvs_request("victim")).expect("re-solve and commit");
-    let after = service.planner_stats();
-    assert_eq!(after.cache_hits, before.cache_hits, "no cache hit for the stale plan");
-    assert_eq!(after.cache_misses, before.cache_misses + 1, "the retry re-ran placement");
+    // a fresh solve of the same request is judged on live numbers
+    let fresh = service.plan(&kvs_request("victim")).expect("re-plans");
+    let err = service.commit(fresh).map(|_| ()).unwrap_err();
+    assert!(matches!(err, ClickIncError::Rejected { .. }), "got {err}");
+    service.clear_admission_policy();
+    let tenant = service.deploy(kvs_request("victim")).expect("re-solve and commit");
     assert_eq!(tenant.user(), "victim");
+    service.finish();
+}
 
-    // while the epoch stands still, plan → deploy answers from the cache
-    let before = service.planner_stats();
-    let quoted = planner.plan(&kvs_request("fresh")).expect("plans");
-    let tenant = planner.deploy(kvs_request("fresh")).expect("commits the cached plan");
-    let after = service.planner_stats();
-    assert_eq!(after.cache_hits, before.cache_hits + 1, "the deploy reused the quote's plan");
-    assert_eq!(after.cache_misses, before.cache_misses + 1, "only the quote ran placement");
-    assert_eq!(tenant.numeric_id(), quoted.numeric_id(), "same plan, same id");
+/// The first physical device `user` occupies.
+fn first_device_of(service: &ClickIncService, user: &str) -> String {
+    let controller = service.controller();
+    let id = *controller.devices_of(user).first().expect("placed somewhere");
+    controller.topology().node(id).name.clone()
+}
+
+/// One way of asking the service to start serving `user`.
+type FrontEnd = fn(&ClickIncService, &str) -> Result<Vec<TenantHandle>, ClickIncError>;
+
+/// Every deploy front-end that takes a request, by name.
+const FRONT_ENDS: &[(&str, FrontEnd)] = &[
+    ("deploy", |s, u| s.deploy(kvs_request(u)).map(|h| vec![h])),
+    ("plan + commit", |s, u| s.commit(s.plan(&kvs_request(u))?).map(|h| vec![h])),
+    ("deploy_or_queue", |s, u| s.deploy_or_queue(kvs_request(u)).map(|h| vec![h])),
+    ("deploy_all", |s, u| s.deploy_all(vec![kvs_request(u)])),
+    ("planner.deploy", |s, u| {
+        s.planner()
+            .with_policy(ResourceFloor { min_remaining_ratio: 0.0 })
+            .deploy(kvs_request(u))
+            .map(|h| vec![h])
+    }),
+    ("planner.deploy_all", |s, u| {
+        s.planner()
+            .with_policy(ResourceFloor { min_remaining_ratio: 0.0 })
+            .deploy_all(vec![kvs_request(u)])
+    }),
+];
+
+#[test]
+fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
+    let fresh = || {
+        let service = ClickIncService::with_config(
+            Topology::emulation_topology_all_tofino(),
+            engine_config(),
+        )
+        .expect("engine config is valid");
+        service.set_initial_sharding(InitialSharding::Pinned);
+        service
+    };
+    let refused = |result: Result<Vec<TenantHandle>, ClickIncError>, who: &str| match result {
+        Err(ClickIncError::Rejected { policy, .. }) => assert_eq!(policy, "max_tenants", "{who}"),
+        Err(other) => panic!("{who}: expected the chain's refusal, got {other}"),
+        Ok(_) => panic!("{who} walked around the service chain"),
+    };
+    let pinned = |service: &ClickIncService, user: &str, who: &str| {
+        assert_eq!(
+            service.engine_handle().sharding_mode(user),
+            Some(ShardingMode::ByTenant),
+            "{who} ignored InitialSharding::Pinned"
+        );
+    };
+
+    for (name, front_end) in FRONT_ENDS {
+        let service = fresh();
+        // the knob: a KVS tenant would flow-shard if the mode were derived
+        let handles = front_end(&service, "t0").unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(handles[0].sharding_mode(), &ShardingMode::ByTenant, "{name}");
+        pinned(&service, "t0", name);
+        // the chain: a full house refuses the next arrival, mutating nothing
+        service.set_admission_policy(MaxTenants { max_tenants: 1 });
+        let before = snapshot(&service);
+        refused(front_end(&service, "t1"), name);
+        assert_eq!(snapshot(&service), before, "{name}: a refusal changes nothing");
+        service.finish();
+    }
+
+    // the retry drain: a parked request is admitted only once the chain
+    // lets it in, and then under the knob
+    let service = fresh();
+    service.set_admission_policy(MaxTenants { max_tenants: 1 });
+    let resident = service.deploy(kvs_request("t0")).expect("first tenant admitted");
+    refused(service.deploy_or_queue(kvs_request("t1")).map(|h| vec![h]), "deploy_or_queue");
+    let report = service.drain_retries();
+    assert!(report.admitted.is_empty(), "the drain walked around the chain");
+    assert_eq!(report.requeued, 1);
+    resident.remove().expect("removes");
+    assert_eq!(service.active_users(), vec!["t1".to_string()], "the departure's drain admitted t1");
+    pinned(&service, "t1", "drain");
+
+    // replace_tenant: the chain refuses the advisory re-placement (the
+    // original is restored past the gate, by design) and both the
+    // re-placement and the restore honour the knob
+    service.set_admission_policy(MaxTenants { max_tenants: 0 });
+    refused(service.replace_tenant("t1").map(|h| vec![h]), "replace_tenant");
+    assert_eq!(service.active_users(), vec!["t1".to_string()], "a refusal must not drop t1");
+    pinned(&service, "t1", "replace_tenant's restore");
+    service.clear_admission_policy();
+    let replaced = service.replace_tenant("t1").expect("re-places");
+    assert_eq!(replaced.sharding_mode(), &ShardingMode::ByTenant);
+    pinned(&service, "t1", "replace_tenant");
+
+    // fail → re-place: refused by the chain, the tenant parks
+    let device = first_device_of(&service, "t1");
+    service.set_admission_policy(MaxTenants { max_tenants: 0 });
+    let report = service.fail_device(&device).expect("known device");
+    assert!(report.recovered.is_empty(), "fail_device walked around the chain");
+    assert_eq!(service.degraded_tenants(), vec!["t1".to_string()]);
+    // restore → un-park: still refused, then admitted under the knob
+    let report = service.restore_device(&device).expect("restores");
+    assert!(report.recovered.is_empty(), "restore_device walked around the chain");
+    service.clear_admission_policy();
+    let report = service.restore_device(&device).expect("restores again");
+    assert_eq!(report.recovered, vec!["t1".to_string()]);
+    pinned(&service, "t1", "restore_device");
+    // fail → re-place with the chain open: recovered, under the knob
+    let device = first_device_of(&service, "t1");
+    let report = service.fail_device(&device).expect("known device");
+    if report.fully_recovered() {
+        pinned(&service, "t1", "fail_device");
+    }
     service.finish();
 }
 
@@ -528,9 +619,7 @@ proptest! {
             prop_assert_eq!(snapshot(&service), before);
         }
 
-        // the poisoned batch fails and rolls back everything (deploy_all is
-        // planner-backed now: parallel solve, sequential commit, same
-        // rollback)
+        // the poisoned batch fails and rolls back everything
         prop_assert!(service.deploy_all(requests).map(|_| ()).is_err());
         prop_assert_eq!(snapshot(&service), before);
         service.finish();

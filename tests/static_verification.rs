@@ -241,7 +241,7 @@ fn isolation_violating_program_is_rejected_before_any_mutation() {
     let evil = b.build().expect("fixture builds");
 
     let err = controller
-        .deploy_isolated(&request("alice", "forward()\n"), evil)
+        .plan_isolated(&request("alice", "forward()\n"), evil)
         .expect_err("the verifier must refuse the deploy");
     match err {
         ClickIncError::Verification { user, diagnostics } => {

@@ -1,8 +1,8 @@
 //! Property tests for the incremental-placement pipeline: the segment memo
 //! is a pure accelerator (a warm service plans bit-identically to a cold
 //! one solving every subproblem from scratch, whatever the arrival and
-//! departure sequence), and the plan cache's structural invalidation never
-//! serves a plan touching a device whose health moved.
+//! departure sequence), and no plan solved after a device failure touches
+//! the failed device, while a restore converges placements back.
 
 use clickinc::{ClickIncService, ServiceRequest};
 use clickinc_lang::templates::{
@@ -57,9 +57,8 @@ proptest! {
     /// Whatever epoch-move sequence (arrivals committing demand, departures
     /// releasing it), a memoized service plans bit-identically to a cold
     /// one with the memo disabled: same plan fingerprint, same placement
-    /// fingerprint, same per-device instruction counts and ledger demand,
-    /// same ledger stamps — and when one side cannot place, the other
-    /// fails the same way.
+    /// fingerprint, same per-device instruction counts and ledger demand —
+    /// and when one side cannot place, the other fails the same way.
     #[test]
     fn warm_solves_are_bit_identical_to_cold(
         ops in proptest::collection::vec(0u8..60, 4..20),
@@ -94,7 +93,6 @@ proptest! {
                         "placement fingerprints diverged"
                     );
                     prop_assert_eq!(solution_of(wp.placement()), solution_of(cp.placement()));
-                    prop_assert_eq!(wp.ledger_stamps(), cp.ledger_stamps(), "ledger stamps diverged");
                     // commit on both sides: the next arrival solves against
                     // a moved epoch and a depleted ledger
                     warm.deploy(pooled_request(&user, *slot)).expect("warm deploy after a clean plan");
@@ -126,13 +124,11 @@ proptest! {
         cold.finish();
     }
 
-    /// Populate the plan cache, down a device some cached plan uses, and
-    /// re-plan: structural invalidation must have evicted every plan
-    /// touching the moved device, so no served plan — cached or re-solved —
-    /// touches it.  Restoring the device converges the solutions back to
-    /// the originals.
+    /// Plan a batch, down a device some plan uses, and re-plan: no plan
+    /// solved against the degraded topology touches the failed device.
+    /// Restoring the device converges the solutions back to the originals.
     #[test]
-    fn structural_invalidation_never_serves_plans_touching_a_downed_device(
+    fn no_plan_touches_a_downed_device_and_restore_converges(
         victim_pick in 0usize..16,
         slots in proptest::collection::vec(0u8..6, 4..10),
     ) {
@@ -141,18 +137,16 @@ proptest! {
         let requests: Vec<ServiceRequest> = slots
             .iter()
             .enumerate()
-            .map(|(i, slot)| pooled_request(&format!("cached{i}"), *slot))
+            .map(|(i, slot)| pooled_request(&format!("planned{i}"), *slot))
             .collect();
-        let planner = service.planner();
+        let plan_each = || -> Vec<_> { requests.iter().map(|r| service.plan(r)).collect() };
 
-        let (first, first_stats) = planner.plan_all_with_stats(&requests);
-        let first: Vec<_> = first
+        let first: Vec<_> = plan_each()
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
             .expect("every pooled request solves on the empty network");
-        prop_assert_eq!(first_stats.cache_misses as usize, requests.len());
 
-        // the victim is a physical device some cached plan actually touches
+        // the victim is a physical device some plan actually touches
         let mut devices: Vec<String> = first
             .iter()
             .flat_map(|p| p.physical_devices().iter().cloned())
@@ -162,14 +156,9 @@ proptest! {
         let victim = devices[victim_pick % devices.len()].clone();
 
         service.fail_device(&victim).expect("downing an idle device succeeds");
-        prop_assert!(
-            service.planner_stats().structural_evictions > 0,
-            "downing a placed-on device must evict cached plans"
-        );
-        let (replans, _) = planner.plan_all_with_stats(&requests);
-        for plan in replans.into_iter().flatten() {
+        for plan in plan_each().into_iter().flatten() {
             prop_assert!(
-                !plan.touches_physical(&victim),
+                !plan.physical_devices().contains(&victim),
                 "a served plan touches the downed device {}", &victim
             );
             // the placement labels carry the physical name in brackets
@@ -183,8 +172,7 @@ proptest! {
         // the restore brings the capacity back: re-planning converges to
         // the original placement solutions
         service.restore_device(&victim).expect("restore succeeds");
-        let (restored, _) = planner.plan_all_with_stats(&requests);
-        let restored: Vec<_> = restored
+        let restored: Vec<_> = plan_each()
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
             .expect("every pooled request solves again after the restore");
