@@ -169,6 +169,15 @@ impl AdaptiveServingReport {
 pub fn serve_adaptive_scenario(
     config: &AdaptiveServingConfig,
 ) -> Result<AdaptiveServingReport, ClickIncError> {
+    serve(config, |_| {})
+}
+
+/// The scenario, with `before_finish` run against the live service after the
+/// last phase — where tests append one more control-plane step.
+fn serve(
+    config: &AdaptiveServingConfig,
+    before_finish: impl FnOnce(&ClickIncService),
+) -> Result<AdaptiveServingReport, ClickIncError> {
     let service = ClickIncService::with_config(
         Topology::emulation_topology_all_tofino(),
         EngineConfig {
@@ -176,7 +185,6 @@ pub fn serve_adaptive_scenario(
             batch_size: config.batch_size,
             queue_capacity: config.queue_capacity,
             overload: config.overload.clone(),
-            ..Default::default()
         },
     )?;
     // conservative placement: everyone starts on one shard, and only the
@@ -271,6 +279,7 @@ pub fn serve_adaptive_scenario(
 
     let hot_mode_after =
         service.engine_handle().sharding_mode("hot_kvs").expect("hot tenant is live");
+    before_finish(&service);
     service.flush();
     let outcome = service.finish();
     let stats = |user: &str| {
@@ -378,6 +387,21 @@ mod tests {
         assert_eq!(
             adaptive.store_fingerprints, static_run.store_fingerprints,
             "store fingerprints diverged under adaptation"
+        );
+        // one more input: the hot tenant is re-placed (removed and re-added
+        // under the same name) after the loop resharded it — the reshard's
+        // replica baseline must leave with the old deployment
+        let replaced = |adapt: bool| {
+            serve(&AdaptiveServingConfig { adapt, ..config.clone() }, |service| {
+                service.replace_tenant("hot_kvs").expect("the hot tenant re-places");
+            })
+            .expect("scenario serves")
+        };
+        let (adaptive, static_run) = (replaced(true), replaced(false));
+        assert!(adaptive.hot_mode_after.is_by_flow() && !static_run.hot_mode_after.is_by_flow());
+        assert_eq!(
+            adaptive.store_fingerprints, static_run.store_fingerprints,
+            "the resharded deployment's state leaked into its replacement"
         );
     }
 }

@@ -172,7 +172,6 @@ pub fn serve_failover_scenario(
             batch_size: config.batch_size,
             queue_capacity: config.queue_capacity,
             overload: config.overload.clone(),
-            ..Default::default()
         },
     )?;
     let handles = service.deploy_all(vec![

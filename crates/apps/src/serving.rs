@@ -265,7 +265,6 @@ pub fn serve_overload_scenario(config: &OverloadConfig) -> Result<OverloadReport
             batch_size: config.batch_size,
             queue_capacity: config.queue_capacity,
             overload: config.overload.clone(),
-            ..Default::default()
         },
     )?;
     let handles = service.deploy_all(vec![

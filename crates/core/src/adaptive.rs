@@ -150,7 +150,6 @@ mod tests {
                 batch_size: 16,
                 queue_capacity: 64,
                 overload: OverloadPolicy::DropTail,
-                ..Default::default()
             },
         )
         .expect("valid config")

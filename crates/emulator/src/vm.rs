@@ -32,24 +32,15 @@ use clickinc_ir::{eval, AluOp, CmpOp, IrProgram, ObjectKind, OpCode, Operand, Va
 use std::collections::BTreeMap;
 
 /// Which execution tier a device plane runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The register VM over install-time-compiled programs (the default).
+    /// The register VM over install-time-compiled programs — what every
+    /// deploy runs.
+    #[default]
     Compiled,
-    /// The reference interpreter walking the IR directly.  Kept as the
-    /// differential oracle and as an escape hatch (`--features interp-only`
-    /// flips the default).
+    /// The reference interpreter walking the IR directly: the differential
+    /// oracle, selectable per plane via `DevicePlane::set_exec_mode`.
     Interpreted,
-}
-
-impl Default for ExecMode {
-    fn default() -> ExecMode {
-        if cfg!(feature = "interp-only") {
-            ExecMode::Interpreted
-        } else {
-            ExecMode::Compiled
-        }
-    }
 }
 
 /// Slot sentinel for objects that are referenced but not declared on this

@@ -21,19 +21,30 @@
 //! shard, merges the per-shard object stores back into the network-wide view
 //! (additively for flow-partitioned state), and returns the final telemetry
 //! report.
+//!
+//! Everything the engine knows about a tenant — sharding mode, home shard,
+//! hop list, counter blocks, ingress budget and the replica baseline a live
+//! reshard seeded — lives in one `TenantRoute` record, and every record
+//! lives in one map behind the engine's one lock.  Removing the map entry
+//! therefore forgets the tenant completely: a later tenant reusing the name
+//! starts from nothing, and no second structure can disagree with the map.
+//! The shard workers always run the compiled register VM, the tier a deploy
+//! ships; the interpreter is the emulator's differential oracle, not an
+//! engine setting.
 
 use crate::faults::{DeviceHealth, FaultInjector};
 use crate::shard::{ShardFinal, ShardMsg, ShardWorker};
-use crate::telemetry::{TelemetryRegistry, TelemetryReport, TenantCounters};
+use crate::telemetry::{recover, TelemetryRegistry, TelemetryReport, TenantCounters};
 use crate::tenant::{ShardingMode, TenantHop};
 use crate::workload::Workload;
-use clickinc_emulator::{ExecMode, Fnv, ObjectStore, Packet};
+use clickinc_emulator::{Fnv, ObjectStore, Packet};
 use clickinc_ir::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Runtime-side failures: today these are all configuration errors caught
@@ -94,11 +105,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// What happens when a shard's ingress queue is full.
     pub overload: OverloadPolicy,
-    /// Which execution tier the shard workers' device planes run — the
-    /// compiled register VM by default, the reference interpreter as the
-    /// fallback (`--features interp-only` flips the default; both tiers are
-    /// bit-identical, so this is a performance knob, not a semantic one).
-    pub exec_mode: ExecMode,
 }
 
 impl Default for EngineConfig {
@@ -108,7 +114,6 @@ impl Default for EngineConfig {
             batch_size: 256,
             queue_capacity: 65_536,
             overload: OverloadPolicy::DropTail,
-            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -231,10 +236,10 @@ pub struct WorkloadReport {
     pub shed: usize,
 }
 
-/// How a registered tenant's packets are routed: its sharding mode plus the
-/// per-shard counter blocks (one for `ByTenant`, one per shard for
-/// `ByFlow`).
-#[derive(Clone)]
+/// The one record of a registered tenant: everything the engine knows about
+/// it.  Published in [`EngineState::tenants`] behind an `Arc`, so the inject
+/// path shares it instead of copying the tenant's IR, and dropped with its
+/// map entry, so nothing about a removed tenant outlives the removal.
 struct TenantRoute {
     mode: ShardingMode,
     /// Home shard for `ByTenant`; unused for `ByFlow`.
@@ -248,12 +253,28 @@ struct TenantRoute {
     /// Per-tenant ingress credit budget: the max packets the tenant may have
     /// in flight across all shards.  Defaults to `shards × queue_capacity`
     /// (the engine-wide aggregate bound, i.e. non-binding); the adaptive
-    /// runtime tightens it to a weighted fair share under contention.
-    /// Shared across route generations so a reshard preserves the budget.
-    budget: Arc<AtomicU64>,
+    /// runtime tightens it to a weighted fair share under contention.  A
+    /// reshard carries the value over into the new record.
+    budget: AtomicU64,
+    /// Per-device replica baseline seeded by a live reshard to `ByFlow`
+    /// (empty otherwise): every shard received a full copy of the tenant's
+    /// pre-reshard state (so flow-keyed *reads* still see history), which the
+    /// final additive cross-shard merge counts once per shard.
+    /// [`TrafficEngine::finish`] (and the next reshard's extraction) deducts
+    /// `shards - 1` copies to restore the exact unsharded state.
+    baseline: BTreeMap<String, ObjectStore>,
 }
 
 impl TenantRoute {
+    /// The shards hosting this tenant's program: its home shard, or all of
+    /// them for a flow-sharded tenant.
+    fn hosting(&self, shards: usize) -> Range<usize> {
+        match self.mode {
+            ShardingMode::ByTenant => self.home..self.home + 1,
+            ShardingMode::ByFlow { .. } => 0..shards,
+        }
+    }
+
     fn counters_for(&self, shard: usize) -> Option<&Arc<TenantCounters>> {
         match self.mode {
             ShardingMode::ByTenant => self.counters.first(),
@@ -266,6 +287,28 @@ impl TenantRoute {
     fn in_flight(&self) -> u64 {
         self.counters.iter().map(|c| c.in_flight.load(Ordering::Relaxed)).sum()
     }
+
+    /// Names of the tenant's stateful objects (isolation-renamed, hence
+    /// unique to it).
+    fn object_names(&self) -> impl Iterator<Item = &str> {
+        self.hops
+            .iter()
+            .flat_map(|hop| hop.snippets.iter())
+            .flat_map(|snippet| snippet.objects.iter())
+            .map(|object| object.name.as_str())
+    }
+}
+
+/// The engine's mutable control state, behind [`EngineShared::state`].
+#[derive(Default)]
+struct EngineState {
+    /// Tenant → its one record.  Locked per inject *batch*, never per packet.
+    tenants: BTreeMap<String, Arc<TenantRoute>>,
+    /// Injected device faults currently in effect (sparse: healthy devices
+    /// are absent).  The authoritative copy lives in the shard workers; this
+    /// mirror lets control loops ask which devices are down without a
+    /// shard round-trip.
+    device_health: BTreeMap<String, DeviceHealth>,
 }
 
 /// State shared by every [`EngineHandle`] clone.
@@ -277,27 +320,7 @@ struct EngineShared {
     depths: Vec<Arc<AtomicU64>>,
     queue_capacity: usize,
     overload: OverloadPolicy,
-    /// Tenant → routing decision.  Locked per inject *batch*, never per
-    /// packet.
-    routes: Mutex<BTreeMap<String, TenantRoute>>,
-    /// Names of stateful objects belonging to *live* flow-sharded tenants:
-    /// their per-shard partitions are merged additively at
-    /// [`TrafficEngine::finish`] instead of first-copy-wins.  Keyed by
-    /// tenant so removal prunes exactly that tenant's (isolation-renamed,
-    /// hence unique) names.
-    flow_objects: Mutex<BTreeMap<String, Vec<String>>>,
-    /// Per-tenant, per-device replica baselines seeded by a live reshard to
-    /// `ByFlow`: every shard received a full copy of the tenant's
-    /// pre-reshard state (so flow-keyed *reads* still see history), which
-    /// the final additive cross-shard merge counts once per shard.
-    /// [`TrafficEngine::finish`] (and the next reshard's extraction) deducts
-    /// `shards - 1` copies to restore the exact unsharded state.
-    reshard_baselines: Mutex<BTreeMap<String, BTreeMap<String, ObjectStore>>>,
-    /// Injected device faults currently in effect (sparse: healthy devices
-    /// are absent).  The authoritative copy lives in the shard workers; this
-    /// mirror lets control loops ask which devices are down without a
-    /// shard round-trip.
-    device_health: Mutex<BTreeMap<String, DeviceHealth>>,
+    state: Mutex<EngineState>,
 }
 
 /// Clonable, `Send` front door to a running engine.  Everything the control
@@ -329,19 +352,24 @@ impl EngineHandle {
     /// derives the mode from a conservative state-profile analysis instead
     /// of trusting the caller.
     pub fn add_tenant_sharded(&self, user: &str, hops: Vec<TenantHop>, mode: ShardingMode) {
-        let shards = self.shared.senders.len();
-        let budget =
-            Arc::new(AtomicU64::new((self.shared.queue_capacity.saturating_mul(shards)) as u64));
+        let budget = self.shared.queue_capacity.saturating_mul(self.shards()) as u64;
         let route = self.install_route(user, hops, mode, budget);
-        self.shared.routes.lock().expect("routes").insert(user.to_string(), route);
+        self.state().tenants.insert(user.to_string(), Arc::new(route));
+    }
+
+    /// The engine's one lock.  A holder that panicked does not cascade:
+    /// every mutation of the state is a single map insert/remove published
+    /// at the end of its protocol, so the data behind a poisoned guard is
+    /// consistent and is recovered like the telemetry registry's.
+    fn state(&self) -> MutexGuard<'_, EngineState> {
+        recover(&self.shared.state)
     }
 
     /// The single tenant-install path shared by [`add_tenant_sharded`] and
-    /// the live-reshard path: register counter blocks, install the program
-    /// on the hosting shard(s), maintain the flow-object registry, and stamp
-    /// the telemetry metadata.  Does *not* touch the route table — callers
-    /// insert the returned route under whatever locking discipline they
-    /// need.
+    /// the live-reshard path: register a counter block and install the
+    /// program on each hosting shard, and stamp the telemetry metadata.
+    /// Does *not* publish the record — callers insert it into the tenant
+    /// map under whatever locking discipline they need.
     ///
     /// [`add_tenant_sharded`]: EngineHandle::add_tenant_sharded
     fn install_route(
@@ -349,52 +377,28 @@ impl EngineHandle {
         user: &str,
         hops: Vec<TenantHop>,
         mode: ShardingMode,
-        budget: Arc<AtomicU64>,
+        budget: u64,
     ) -> TenantRoute {
-        let shards = self.shared.senders.len();
-        let route = match &mode {
-            ShardingMode::ByTenant => {
-                self.shared.flow_objects.lock().expect("flow objects").remove(user);
-                let counters = Arc::new(TenantCounters::new(hops.len()));
-                self.shared.registry.register(user, Arc::clone(&counters));
-                let home = shard_of(user, shards);
-                let _ = self.shared.senders[home].send(ShardMsg::AddTenant {
-                    user: user.to_string(),
-                    hops: hops.clone(),
-                    counters: Arc::clone(&counters),
-                });
-                TenantRoute { mode, home, hops, counters: vec![counters], budget }
-            }
-            ShardingMode::ByFlow { .. } => {
-                {
-                    let names: Vec<String> = hops
-                        .iter()
-                        .flat_map(|hop| hop.snippets.iter())
-                        .flat_map(|snippet| snippet.objects.iter())
-                        .map(|object| object.name.clone())
-                        .collect();
-                    let mut flow_objects = self.shared.flow_objects.lock().expect("flow objects");
-                    flow_objects.insert(user.to_string(), names);
-                }
-                let mut counters = Vec::with_capacity(shards);
-                for sender in &self.shared.senders {
-                    let block = Arc::new(TenantCounters::new(hops.len()));
-                    self.shared.registry.register(user, Arc::clone(&block));
-                    let _ = sender.send(ShardMsg::AddTenant {
-                        user: user.to_string(),
-                        hops: hops.clone(),
-                        counters: Arc::clone(&block),
-                    });
-                    counters.push(block);
-                }
-                TenantRoute { mode, home: 0, hops, counters, budget }
-            }
+        let shards = self.shards();
+        let mut route = TenantRoute {
+            home: if mode.is_by_flow() { 0 } else { shard_of(user, shards) },
+            mode,
+            hops,
+            counters: Vec::new(),
+            budget: AtomicU64::new(budget),
+            baseline: BTreeMap::new(),
         };
-        self.shared.registry.set_meta(
-            user,
-            route.mode.label(),
-            route.budget.load(Ordering::Relaxed),
-        );
+        for shard in route.hosting(shards) {
+            let block = Arc::new(TenantCounters::new(route.hops.len()));
+            self.shared.registry.register(user, Arc::clone(&block));
+            let _ = self.shared.senders[shard].send(ShardMsg::AddTenant {
+                user: user.to_string(),
+                hops: route.hops.clone(),
+                counters: Arc::clone(&block),
+            });
+            route.counters.push(block);
+        }
+        self.shared.registry.set_meta(user, route.mode.label(), budget);
         route
     }
 
@@ -419,88 +423,54 @@ impl EngineHandle {
     ///    continuous).
     /// 4. **Seed** — the merged state is sent to every new hosting shard.
     ///    For `ByFlow` that is a *full replica* per shard — flow-keyed reads
-    ///    must see pre-reshard history — and the replica baseline is
-    ///    recorded so the final merge can deduct the duplication again.
+    ///    must see pre-reshard history — and the replica baseline is kept in
+    ///    the new record so the final merge can deduct the duplication again.
     ///
-    /// The route lock is held for the whole protocol: injections for *this*
-    /// tenant that race the reshard wait at the lock and then route under
-    /// the new mode.  Like [`add_tenant_sharded`], this trusts the caller
-    /// that `ByFlow` is sound for the program; the `clickinc` service layer
-    /// derives eligibility from its state-profile analysis
-    /// (`sharding_mode_for`) and never flow-shards an ineligible tenant.
+    /// The engine lock is held for the whole protocol and the new record
+    /// replaces the old one only at its end: injections that race the
+    /// reshard wait at the lock and then route under the new mode.  Like
+    /// [`add_tenant_sharded`], this trusts the caller that `ByFlow` is sound
+    /// for the program; the `clickinc` service layer derives eligibility
+    /// from its state-profile analysis (`sharding_mode_for`) and never
+    /// flow-shards an ineligible tenant.
     ///
     /// [`add_tenant_sharded`]: EngineHandle::add_tenant_sharded
     pub fn reshard_tenant(&self, user: &str, mode: ShardingMode) -> bool {
-        let mut routes = self.shared.routes.lock().expect("routes");
-        let Some(old) = routes.get(user) else { return false };
+        let mut state = self.state();
+        let Some(old) = state.tenants.get(user) else { return false };
         if old.mode == mode {
             return false;
         }
-        let shards = self.shared.senders.len();
-        let hops = old.hops.clone();
-        let budget = Arc::clone(&old.budget);
-        let hosting: Vec<usize> = match old.mode {
-            ShardingMode::ByTenant => vec![old.home],
-            ShardingMode::ByFlow { .. } => (0..shards).collect(),
-        };
+        let shards = self.shards();
         // 1. quiesce + extract on every hosting shard
-        let acks: Vec<_> = hosting
-            .iter()
-            .map(|&shard| {
-                let (tx, rx) = channel();
-                let _ = self.shared.senders[shard]
-                    .send(ShardMsg::ExtractTenant { user: user.to_string(), ack: tx });
-                rx
-            })
-            .collect();
+        let extracted = self.ask(old.hosting(shards), |ack| ShardMsg::ExtractTenant {
+            user: user.to_string(),
+            ack,
+        });
         let mut merged: BTreeMap<String, ObjectStore> = BTreeMap::new();
-        for rx in acks {
-            let Ok(per_device) = rx.recv() else { continue };
-            for (device, store) in per_device {
-                merged.entry(device).or_default().merge_shard_from(&store, |_| true);
-            }
+        for (device, store) in extracted.into_iter().flatten() {
+            merged.entry(device).or_default().merge_shard_from(&store, |_| true);
         }
         // 2. deduct the replica baseline a previous reshard seeded
-        {
-            let mut baselines = self.shared.reshard_baselines.lock().expect("baselines");
-            if let Some(prior) = baselines.remove(user) {
-                for (device, store) in merged.iter_mut() {
-                    if let Some(base) = prior.get(device) {
-                        store.subtract_replica_baseline(base, (shards - 1) as u64);
-                    }
-                }
+        for (device, base) in &old.baseline {
+            if let Some(store) = merged.get_mut(device) {
+                store.subtract_replica_baseline(base, (shards - 1) as u64);
             }
         }
-        // 3. re-install under the new mode (flow-object registry and
-        //    telemetry metadata update inside)
-        let route = self.install_route(user, hops, mode, budget);
+        // 3. re-install under the new mode
+        let budget = old.budget.load(Ordering::Relaxed);
+        let mut route = self.install_route(user, old.hops.clone(), mode, budget);
         // 4. seed the reconciled state onto the new hosting shard(s)
-        match &route.mode {
-            ShardingMode::ByFlow { .. } => {
-                for sender in &self.shared.senders {
-                    for (device, store) in &merged {
-                        let _ = sender.send(ShardMsg::SeedState {
-                            device: device.clone(),
-                            store: store.clone(),
-                        });
-                    }
-                }
-                if shards > 1 && !merged.is_empty() {
-                    self.shared
-                        .reshard_baselines
-                        .lock()
-                        .expect("baselines")
-                        .insert(user.to_string(), merged);
-                }
-            }
-            ShardingMode::ByTenant => {
-                let home = route.home;
-                for (device, store) in merged {
-                    let _ = self.shared.senders[home].send(ShardMsg::SeedState { device, store });
-                }
+        for shard in route.hosting(shards) {
+            for (device, store) in &merged {
+                let _ = self.shared.senders[shard]
+                    .send(ShardMsg::SeedState { device: device.clone(), store: store.clone() });
             }
         }
-        routes.insert(user.to_string(), route);
+        if route.mode.is_by_flow() {
+            route.baseline = merged;
+        }
+        state.tenants.insert(user.to_string(), Arc::new(route));
         true
     }
 
@@ -509,8 +479,8 @@ impl EngineHandle {
     /// telemetry metadata is updated so snapshots export the new budget.
     /// Returns `false` for unknown tenants.
     pub fn set_tenant_budget(&self, user: &str, budget: u64) -> bool {
-        let routes = self.shared.routes.lock().expect("routes");
-        let Some(route) = routes.get(user) else { return false };
+        let state = self.state();
+        let Some(route) = state.tenants.get(user) else { return false };
         route.budget.store(budget.max(1), Ordering::Relaxed);
         self.shared.registry.set_meta(user, route.mode.label(), budget.max(1));
         true
@@ -518,14 +488,12 @@ impl EngineHandle {
 
     /// A tenant's current ingress credit budget, if registered.
     pub fn tenant_budget(&self, user: &str) -> Option<u64> {
-        let routes = self.shared.routes.lock().expect("routes");
-        routes.get(user).map(|r| r.budget.load(Ordering::Relaxed))
+        self.state().tenants.get(user).map(|r| r.budget.load(Ordering::Relaxed))
     }
 
     /// A tenant's active sharding mode, if registered.
     pub fn sharding_mode(&self, user: &str) -> Option<ShardingMode> {
-        let routes = self.shared.routes.lock().expect("routes");
-        routes.get(user).map(|r| r.mode.clone())
+        self.state().tenants.get(user).map(|r| r.mode.clone())
     }
 
     /// Number of shard worker threads.
@@ -543,21 +511,10 @@ impl EngineHandle {
     /// exclusively-owned tables; co-resident tenants keep flowing untouched.
     /// A flow-sharded tenant is quiesced on every shard.
     pub fn remove_tenant(&self, user: &str) {
-        let route = self.shared.routes.lock().expect("routes").remove(user);
-        match route.map(|r| r.mode) {
-            Some(ShardingMode::ByFlow { .. }) => {
-                // the tenant's planes (and objects) are uninstalled on every
-                // shard, so its names must stop counting as flow-partitioned
-                self.shared.flow_objects.lock().expect("flow objects").remove(user);
-                for sender in self.shared.senders.iter() {
-                    let _ = sender.send(ShardMsg::RemoveTenant { user: user.to_string() });
-                }
-            }
-            _ => {
-                let shard = shard_of(user, self.shared.senders.len());
-                let _ = self.shared.senders[shard]
-                    .send(ShardMsg::RemoveTenant { user: user.to_string() });
-            }
+        let Some(route) = self.state().tenants.remove(user) else { return };
+        for shard in route.hosting(self.shards()) {
+            let _ =
+                self.shared.senders[shard].send(ShardMsg::RemoveTenant { user: user.to_string() });
         }
     }
 
@@ -571,52 +528,34 @@ impl EngineHandle {
         if jobs.is_empty() {
             return InjectOutcome::default();
         }
-        let route = self.shared.routes.lock().expect("routes").get(tenant.as_ref()).cloned();
-        let mut outcome = InjectOutcome::default();
-        match route {
-            Some(ref route @ TenantRoute { mode: ShardingMode::ByTenant, .. }) => {
-                outcome.absorb(self.admit(
-                    route.home,
-                    tenant,
-                    jobs,
-                    route.counters_for(route.home),
-                    Some(route),
-                ));
-            }
-            Some(ref route) => {
-                let key_fields = match &route.mode {
-                    ShardingMode::ByFlow { key_fields } => key_fields.clone(),
-                    ShardingMode::ByTenant => unreachable!("matched above"),
-                };
-                let shards = self.shared.senders.len();
-                let mut partitions: Vec<Vec<(u64, Packet)>> = vec![Vec::new(); shards];
-                for (vtime, packet) in jobs {
-                    let shard = flow_shard_of(tenant, &packet, &key_fields, shards);
-                    partitions[shard].push((vtime, packet));
-                }
-                for (shard, part) in partitions.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
+        // an `Arc` clone of the record: the lock is released before admission
+        // (which may stall on backpressure) and the tenant's IR is not copied
+        let route = self.state().tenants.get(tenant.as_ref()).cloned();
+        let shards = self.shards();
+        match route.as_deref() {
+            Some(route) => match &route.mode {
+                ShardingMode::ByTenant => self.admit(route.home, tenant, jobs, Some(route)),
+                ShardingMode::ByFlow { key_fields } => {
+                    let mut partitions: Vec<Vec<(u64, Packet)>> = vec![Vec::new(); shards];
+                    for (vtime, packet) in jobs {
+                        let shard = flow_shard_of(tenant, &packet, key_fields, shards);
+                        partitions[shard].push((vtime, packet));
                     }
-                    outcome.absorb(self.admit(
-                        shard,
-                        tenant,
-                        part,
-                        route.counters_for(shard),
-                        Some(route),
-                    ));
+                    let mut outcome = InjectOutcome::default();
+                    for (shard, part) in partitions.into_iter().enumerate() {
+                        if !part.is_empty() {
+                            outcome.absorb(self.admit(shard, tenant, part, Some(route)));
+                        }
+                    }
+                    outcome
                 }
-            }
-            None => {
-                // unknown tenant (never added, or already removed): keep the
-                // legacy behaviour — route by tenant hash, let the shard drop
-                // silently.  Still admitted against the queue bound so a
-                // misdirected firehose cannot grow the channel unboundedly.
-                let shard = shard_of(tenant, self.shared.senders.len());
-                outcome.absorb(self.admit(shard, tenant, jobs, None, None));
-            }
+            },
+            // unknown tenant (never added, or already removed): route by
+            // tenant hash, let the shard drop silently.  Still admitted
+            // against the queue bound so a misdirected firehose cannot grow
+            // the channel unboundedly.
+            None => self.admit(shard_of(tenant, shards), tenant, jobs, None),
         }
-        outcome
     }
 
     /// Admit as much of `jobs` as the shard's bounded queue *and* the
@@ -627,9 +566,9 @@ impl EngineHandle {
         shard: usize,
         tenant: &Arc<str>,
         mut jobs: Vec<(u64, Packet)>,
-        counters: Option<&Arc<TenantCounters>>,
         route: Option<&TenantRoute>,
     ) -> InjectOutcome {
+        let counters = route.and_then(|r| r.counters_for(shard));
         let depth = &self.shared.depths[shard];
         let capacity = self.shared.queue_capacity;
         let mut outcome = InjectOutcome::default();
@@ -706,15 +645,10 @@ impl EngineHandle {
         key: Vec<Value>,
         value: Vec<Value>,
     ) {
-        let by_flow = {
-            let routes = self.shared.routes.lock().expect("routes");
-            routes.get(tenant).map(|r| r.mode.is_by_flow()).unwrap_or(false)
-        };
-        let targets: Vec<usize> = if by_flow {
-            (0..self.shared.senders.len()).collect()
-        } else {
-            vec![shard_of(tenant, self.shared.senders.len())]
-        };
+        let shards = self.shards();
+        let home = shard_of(tenant, shards);
+        let targets =
+            self.state().tenants.get(tenant).map_or(home..home + 1, |r| r.hosting(shards));
         for shard in targets {
             let _ = self.shared.senders[shard].send(ShardMsg::TableWrite {
                 device: device.to_string(),
@@ -739,27 +673,7 @@ impl EngineHandle {
         max_packets: usize,
         inject_batch: usize,
     ) -> WorkloadReport {
-        let inject_batch = inject_batch.max(1);
-        let mut buffers: BTreeMap<Arc<str>, Vec<(u64, Packet)>> = BTreeMap::new();
-        let mut report = WorkloadReport::default();
-        while report.generated < max_packets {
-            let Some(generated) = workload.next_packet() else { break };
-            report.generated += 1;
-            let buffer = buffers.entry(Arc::clone(&generated.tenant)).or_default();
-            buffer.push((generated.vtime_ns, generated.packet));
-            if buffer.len() >= inject_batch {
-                let jobs = std::mem::take(buffer);
-                let outcome = self.inject(&generated.tenant, jobs);
-                report.admitted += outcome.admitted;
-                report.shed += outcome.shed;
-            }
-        }
-        for (tenant, jobs) in buffers {
-            let outcome = self.inject(&tenant, jobs);
-            report.admitted += outcome.admitted;
-            report.shed += outcome.shed;
-        }
-        report
+        self.drive(workload, max_packets, inject_batch, None)
     }
 
     /// Apply a device fault (or restore) on every shard: `Down` devices lose
@@ -769,11 +683,11 @@ impl EngineHandle {
     /// processed under the old health, traffic after under the new.
     pub fn set_device_health(&self, device: &str, health: DeviceHealth) {
         {
-            let mut map = self.shared.device_health.lock().expect("device health");
+            let mut state = self.state();
             if health == DeviceHealth::Up {
-                map.remove(device);
+                state.device_health.remove(device);
             } else {
-                map.insert(device.to_string(), health);
+                state.device_health.insert(device.to_string(), health);
             }
         }
         for sender in &self.shared.senders {
@@ -781,24 +695,10 @@ impl EngineHandle {
         }
     }
 
-    /// A device's currently injected health ([`DeviceHealth::Up`] when no
-    /// fault is in effect).
-    pub fn device_health(&self, device: &str) -> DeviceHealth {
-        self.shared
-            .device_health
-            .lock()
-            .expect("device health")
-            .get(device)
-            .copied()
-            .unwrap_or_default()
-    }
-
     /// Names of all devices currently taken fully down by a fault.
     pub fn down_devices(&self) -> Vec<String> {
-        self.shared
+        self.state()
             .device_health
-            .lock()
-            .expect("device health")
             .iter()
             .filter(|(_, h)| !h.is_serving())
             .map(|(d, _)| d.clone())
@@ -820,59 +720,73 @@ impl EngineHandle {
         inject_batch: usize,
         injector: &mut FaultInjector,
     ) -> WorkloadReport {
+        self.drive(workload, max_packets, inject_batch, Some(injector))
+    }
+
+    /// The one generate → buffer → inject loop behind both workload drivers.
+    fn drive(
+        &self,
+        workload: &mut dyn Workload,
+        max_packets: usize,
+        inject_batch: usize,
+        mut injector: Option<&mut FaultInjector>,
+    ) -> WorkloadReport {
         let inject_batch = inject_batch.max(1);
         let mut buffers: BTreeMap<Arc<str>, Vec<(u64, Packet)>> = BTreeMap::new();
-        let mut report = WorkloadReport::default();
-        while report.generated < max_packets {
+        let mut generated_packets = 0usize;
+        let mut outcome = InjectOutcome::default();
+        while generated_packets < max_packets {
             let Some(generated) = workload.next_packet() else { break };
-            let fault_due = injector
-                .pending()
-                .first()
-                .is_some_and(|event| event.at_vtime_ns <= generated.vtime_ns);
-            if fault_due {
-                for (tenant, jobs) in std::mem::take(&mut buffers) {
-                    let outcome = self.inject(&tenant, jobs);
-                    report.admitted += outcome.admitted;
-                    report.shed += outcome.shed;
-                }
-                self.flush();
-                for event in injector.due(generated.vtime_ns) {
-                    self.set_device_health(&event.device, event.kind.health());
+            if let Some(injector) = injector.as_deref_mut() {
+                let fault_due = injector
+                    .pending()
+                    .first()
+                    .is_some_and(|event| event.at_vtime_ns <= generated.vtime_ns);
+                if fault_due {
+                    for (tenant, jobs) in std::mem::take(&mut buffers) {
+                        outcome.absorb(self.inject(&tenant, jobs));
+                    }
+                    self.flush();
+                    for event in injector.due(generated.vtime_ns) {
+                        self.set_device_health(&event.device, event.kind.health());
+                    }
                 }
             }
-            report.generated += 1;
+            generated_packets += 1;
             let buffer = buffers.entry(Arc::clone(&generated.tenant)).or_default();
             buffer.push((generated.vtime_ns, generated.packet));
             if buffer.len() >= inject_batch {
                 let jobs = std::mem::take(buffer);
-                let outcome = self.inject(&generated.tenant, jobs);
-                report.admitted += outcome.admitted;
-                report.shed += outcome.shed;
+                outcome.absorb(self.inject(&generated.tenant, jobs));
             }
         }
         for (tenant, jobs) in buffers {
-            let outcome = self.inject(&tenant, jobs);
-            report.admitted += outcome.admitted;
-            report.shed += outcome.shed;
+            outcome.absorb(self.inject(&tenant, jobs));
         }
-        report
+        WorkloadReport {
+            generated: generated_packets,
+            admitted: outcome.admitted,
+            shed: outcome.shed,
+        }
     }
 
     /// Barrier: returns once every shard has drained its queues.
     pub fn flush(&self) {
-        let acks: Vec<_> = self
-            .shared
-            .senders
-            .iter()
-            .map(|s| {
+        self.ask(0..self.shards(), ShardMsg::Flush);
+    }
+
+    /// Send each of `shards` a message carrying a reply channel, then wait
+    /// for every reply (all requests are queued before the first wait; a
+    /// shard that already stopped replies nothing).
+    fn ask<T>(&self, shards: Range<usize>, msg: impl Fn(Sender<T>) -> ShardMsg) -> Vec<T> {
+        let replies: Vec<_> = shards
+            .map(|shard| {
                 let (tx, rx) = channel();
-                let _ = s.send(ShardMsg::Flush(tx));
+                let _ = self.shared.senders[shard].send(msg(tx));
                 rx
             })
             .collect();
-        for rx in acks {
-            let _ = rx.recv();
-        }
+        replies.into_iter().filter_map(|rx| rx.recv().ok()).collect()
     }
 
     /// Merge the per-shard counters into a per-tenant telemetry report.
@@ -923,10 +837,9 @@ impl TrafficEngine {
             let (tx, rx) = channel::<ShardMsg>();
             let batch = config.batch_size;
             let depth = Arc::new(AtomicU64::new(0));
-            let exec_mode = config.exec_mode;
             senders.push(tx);
             depths.push(Arc::clone(&depth));
-            workers.push(std::thread::spawn(move || ShardWorker::run(rx, batch, depth, exec_mode)));
+            workers.push(std::thread::spawn(move || ShardWorker::run(rx, batch, depth)));
         }
         let overload = match config.overload {
             OverloadPolicy::Backpressure { credits } => {
@@ -942,10 +855,7 @@ impl TrafficEngine {
                     depths,
                     queue_capacity: config.queue_capacity.max(1),
                     overload,
-                    routes: Mutex::new(BTreeMap::new()),
-                    flow_objects: Mutex::new(BTreeMap::new()),
-                    reshard_baselines: Mutex::new(BTreeMap::new()),
-                    device_health: Mutex::new(BTreeMap::new()),
+                    state: Mutex::new(EngineState::default()),
                 }),
             },
             workers,
@@ -964,32 +874,18 @@ impl TrafficEngine {
 
     /// Stop every shard, merge their final stores, and return the outcome.
     pub fn finish(self) -> RunOutcome {
-        let finals: Vec<ShardFinal> = self
-            .handle
-            .shared
-            .senders
-            .iter()
-            .map(|s| {
-                let (tx, rx) = channel();
-                let _ = s.send(ShardMsg::Stop(tx));
-                rx
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter_map(|rx| rx.recv().ok())
-            .collect();
+        let finals: Vec<ShardFinal> = self.handle.ask(0..self.shards(), ShardMsg::Stop);
         for worker in self.workers {
             let _ = worker.join();
         }
-        let flow_objects: BTreeSet<String> = self
-            .handle
-            .shared
-            .flow_objects
-            .lock()
-            .expect("flow objects")
+        // the live flow-sharded tenants' objects were partitioned across the
+        // shards and merge additively; everything else is first-copy-wins
+        let state = self.handle.state();
+        let partitioned: BTreeSet<&str> = state
+            .tenants
             .values()
-            .flatten()
-            .cloned()
+            .filter(|route| route.mode.is_by_flow())
+            .flat_map(|route| route.object_names())
             .collect();
         let mut stores: BTreeMap<String, ObjectStore> = BTreeMap::new();
         for shard_final in finals {
@@ -997,20 +893,18 @@ impl TrafficEngine {
                 stores
                     .entry(device)
                     .or_default()
-                    .merge_shard_from(plane.store(), |name| flow_objects.contains(name));
+                    .merge_shard_from(plane.store(), |name| partitioned.contains(name));
             }
         }
         // a live reshard to ByFlow seeded every shard with a full copy of
         // the tenant's pre-reshard state; the additive merge above counted
         // that baseline once per shard, so deduct the extra copies to
         // restore the exact unsharded state
-        let shards = self.handle.shared.senders.len();
-        let baselines =
-            std::mem::take(&mut *self.handle.shared.reshard_baselines.lock().expect("baselines"));
-        for devices in baselines.into_values() {
-            for (device, base) in devices {
-                if let Some(store) = stores.get_mut(&device) {
-                    store.subtract_replica_baseline(&base, (shards - 1) as u64);
+        let shards = self.handle.shards();
+        for route in state.tenants.values() {
+            for (device, base) in &route.baseline {
+                if let Some(store) = stores.get_mut(device) {
+                    store.subtract_replica_baseline(base, (shards - 1) as u64);
                 }
             }
         }
@@ -1051,6 +945,39 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    /// Serve one burst for a pass-through resident, optionally after a thread
+    /// died holding the engine lock.
+    fn serve_resident(poison: bool) -> crate::TenantStats {
+        let engine = TrafficEngine::new(EngineConfig { shards: 2, ..Default::default() });
+        let handle = engine.handle();
+        handle.add_tenant("resident", Vec::new());
+        if poison {
+            let poisoner = handle.clone();
+            let died = std::thread::spawn(move || {
+                let _state = poisoner.shared.state.lock().unwrap();
+                panic!("a holder of the engine lock dies");
+            })
+            .join();
+            assert!(died.is_err());
+            assert!(handle.shared.state.lock().is_err(), "lock really is poisoned");
+        }
+        assert!(handle.telemetry().tenant("resident").is_some());
+        let jobs = (0..50u64)
+            .map(|i| (i * 10, Packet::new("client", "server", 64, BTreeMap::new())))
+            .collect();
+        let outcome = handle.inject(&Arc::from("resident"), jobs);
+        assert_eq!(outcome, InjectOutcome { admitted: 50, shed: 0 });
+        handle.flush();
+        engine.finish().telemetry.tenant("resident").cloned().expect("resident was served")
+    }
+
+    #[test]
+    fn a_poisoned_engine_lock_does_not_cascade() {
+        let stats = serve_resident(true);
+        assert_eq!(stats.to_server, 50);
+        assert_eq!(stats, serve_resident(false), "the poisoned run served differently");
     }
 
     #[test]

@@ -35,10 +35,17 @@
 //! * **Live reconfiguration** — tenants are added and removed *while other
 //!   tenants' traffic flows*.  Control messages share the FIFO channel with
 //!   traffic, so a removal quiesces exactly the affected tenant's queued
-//!   packets, then drops only its snippets and tables.  The `clickinc`
-//!   crate's `ClickIncService` facade owns both a controller and an engine
-//!   and mirrors every transactional deploy/remove onto the shards
-//!   automatically.
+//!   packets, then drops only its snippets and tables.  The engine keeps
+//!   one record per tenant (mode, hops, counters, budget, reshard baseline)
+//!   in one map behind one lock, so a removal forgets the tenant in one
+//!   step and a successor under the same name inherits nothing.  The
+//!   `clickinc` crate's `ClickIncService` facade owns both a controller and
+//!   an engine and mirrors every transactional deploy/remove onto the
+//!   shards automatically.
+//! * **One execution tier** — shard workers run the compiled register VM,
+//!   the configuration a deploy ships.  The reference interpreter is the
+//!   emulator's differential oracle, selectable per `DevicePlane` only —
+//!   not an engine setting.
 //!
 //! ```
 //! use clickinc_runtime::{EngineConfig, ShardingMode, TrafficEngine};
@@ -69,7 +76,6 @@ pub mod tenant;
 pub mod workload;
 
 pub use adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy, AdaptiveTick};
-pub use clickinc_emulator::ExecMode;
 pub use engine::{
     EngineConfig, EngineError, EngineHandle, InjectOutcome, OverloadPolicy, RunOutcome,
     TrafficEngine, WorkloadReport,

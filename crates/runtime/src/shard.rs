@@ -20,7 +20,11 @@
 //! same FIFO channel as traffic batches, so a reconfiguration is naturally
 //! quiesced: by the time a `RemoveTenant` is handled, every batch injected
 //! before it has fully drained, and the removal touches only the departing
-//! tenant's snippets and tables ([`DevicePlane::uninstall`]).
+//! tenant's snippets and tables ([`DevicePlane::uninstall`]).  A worker
+//! holds only what it needs to run a resident (its route and counter block);
+//! the tenant's one authoritative record lives in the engine, which tells
+//! every hosting shard when it is removed.  Planes run the emulator's
+//! default tier, the compiled register VM.
 //!
 //! [`ShardingMode::ByTenant`]: crate::tenant::ShardingMode::ByTenant
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
@@ -28,7 +32,7 @@
 use crate::faults::DeviceHealth;
 use crate::telemetry::TenantCounters;
 use crate::tenant::TenantHop;
-use clickinc_emulator::{DevicePlane, ExecMode, Fnv, ObjectStore, Packet, PacketAction};
+use clickinc_emulator::{DevicePlane, Fnv, ObjectStore, Packet, PacketAction};
 use clickinc_ir::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,21 +110,13 @@ pub(crate) struct ShardWorker {
     /// the injector increments it per admitted packet, this worker
     /// decrements it as packets reach a terminal outcome.
     depth: Arc<AtomicU64>,
-    /// Execution tier applied to every device-plane replica this shard owns
-    /// (from [`crate::EngineConfig::exec_mode`]).
-    exec_mode: ExecMode,
     /// Injected device faults in effect (sparse: healthy devices are
     /// absent).  Applied in `pump` before the device processes a batch.
     device_health: BTreeMap<String, DeviceHealth>,
 }
 
 impl ShardWorker {
-    pub(crate) fn run(
-        rx: Receiver<ShardMsg>,
-        batch_size: usize,
-        depth: Arc<AtomicU64>,
-        exec_mode: ExecMode,
-    ) {
+    pub(crate) fn run(rx: Receiver<ShardMsg>, batch_size: usize, depth: Arc<AtomicU64>) {
         let mut worker = ShardWorker {
             batch_size: batch_size.max(1),
             planes: BTreeMap::new(),
@@ -128,7 +124,6 @@ impl ShardWorker {
             queues: BTreeMap::new(),
             active: VecDeque::new(),
             depth,
-            exec_mode,
             device_health: BTreeMap::new(),
         };
         while let Ok(msg) = rx.recv() {
@@ -177,12 +172,10 @@ impl ShardWorker {
     fn add_tenant(&mut self, user: String, hops: Vec<TenantHop>, counters: Arc<TenantCounters>) {
         let route: Vec<String> = hops.iter().map(|h| h.device.clone()).collect();
         for hop in hops {
-            let exec_mode = self.exec_mode;
-            let plane = self.planes.entry(hop.device.clone()).or_insert_with(|| {
-                let mut p = DevicePlane::new(&hop.device, hop.model.clone());
-                p.set_exec_mode(exec_mode);
-                p
-            });
+            let plane = self
+                .planes
+                .entry(hop.device.clone())
+                .or_insert_with(|| DevicePlane::new(&hop.device, hop.model.clone()));
             for snippet in hop.snippets {
                 plane.install(snippet);
             }

@@ -427,11 +427,12 @@ pub struct TelemetryRegistry {
     seq: AtomicU64,
 }
 
-/// Recover a registry guard even if a holder panicked: the maps only ever
-/// hold `Arc`s and small metadata, every mutation is a single insert/remove
-/// (no multi-step invariants to tear), so the inner data is always
-/// consistent and a panicked shard must not cascade into every observer.
-fn recover<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Recover a guard even if a holder panicked.  For locks whose every
+/// mutation is a single map insert/remove (no multi-step invariants to
+/// tear) — this registry's maps of `Arc`s and small metadata, and the
+/// engine's state — the inner data is always consistent, and a panicked
+/// holder must not cascade into every observer.
+pub(crate) fn recover<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -62,6 +62,18 @@ fn run_kvs(
     seed: u64,
 ) -> (TenantStats, BTreeMap<String, u64>) {
     let engine = TrafficEngine::new(EngineConfig { shards, batch_size: 32, ..Default::default() });
+    serve_kvs(engine, mode, keys, requests, hot_keys, seed)
+}
+
+/// [`run_kvs`] on an engine that may already have a history.
+fn serve_kvs(
+    engine: TrafficEngine,
+    mode: ShardingMode,
+    keys: usize,
+    requests: usize,
+    hot_keys: i64,
+    seed: u64,
+) -> (TenantStats, BTreeMap<String, u64>) {
     let handle = engine.handle();
     handle.add_tenant_sharded("hot", kvs_tenant("hot", 1, 4096), mode);
     populate_cache(&handle, "hot", hot_keys);
@@ -251,6 +263,34 @@ fn live_resharding_leaves_co_resident_telemetry_undisturbed() {
     assert_eq!(a, b, "resharding changed the neighbour's own results");
 }
 
+/// A tenant's reshard replica baseline dies with the tenant: a successor
+/// reusing the name (hence the isolation-prefixed object names) must not have
+/// its predecessor's pre-reshard state deducted from its own at `finish`.
+#[test]
+fn a_removed_tenants_reshard_baseline_does_not_leak_into_its_successor() {
+    let engine =
+        TrafficEngine::new(EngineConfig { shards: 4, batch_size: 32, ..Default::default() });
+    let handle = engine.handle();
+    // life 1: serve pinned, live-reshard to ByFlow (seeding a baseline), leave
+    handle.add_tenant("hot", kvs_tenant("hot", 1, 4096));
+    let mut wl = KvsWorkload::new(KvsWorkloadConfig {
+        tenant: "hot".to_string(),
+        user_id: 1,
+        keys: 512,
+        skew: 1.1,
+        requests: 300,
+        rate_pps: 10_000_000.0,
+        seed: 5,
+    });
+    assert_eq!(handle.run_workload(&mut wl, usize::MAX, 48).admitted, 300);
+    assert!(handle.reshard_tenant("hot", by_key()), "reshard applies live");
+    handle.remove_tenant("hot");
+    // life 2 under the same name, against a run that never had a life 1
+    let (_, after_first_life) = serve_kvs(engine, by_key(), 512, 300, 32, 6);
+    let (_, second_life_only) = run_kvs(4, by_key(), 512, 300, 32, 6);
+    assert_eq!(after_first_life, second_life_only, "the first life's state leaked");
+}
+
 #[test]
 fn a_flow_sharded_hot_tenant_actually_uses_multiple_shards() {
     let (stats, _) = run_kvs(8, by_key(), 600, 400, 64, 11);
@@ -346,7 +386,6 @@ fn droptail_sheds_exactly_the_overrun_at_the_injection_boundary() {
         batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::DropTail,
-        ..Default::default()
     });
     let handle = engine.handle();
     // pass-through tenant: no hops, packets complete at the server
@@ -377,7 +416,6 @@ fn backpressure_spends_credits_then_sheds_the_rest() {
         batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::Backpressure { credits: 3 },
-        ..Default::default()
     });
     let handle = engine.handle();
     handle.add_tenant("t", Vec::new());
@@ -403,7 +441,6 @@ fn backpressure_spends_credits_then_sheds_the_rest() {
         batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::Backpressure { credits: 16 },
-        ..Default::default()
     });
     let handle = engine.handle();
     handle.add_tenant("t", Vec::new());
