@@ -302,9 +302,8 @@ impl DevicePlane {
 
     /// Process a batch of packets back to back, returning one outcome per
     /// packet (identical to calling [`DevicePlane::process`] on each in
-    /// order).  This is the drain primitive of the runtime's shard workers —
-    /// one call per device-queue batch, keeping the batch boundary explicit
-    /// for future per-batch optimizations (e.g. hoisting snippet dispatch).
+    /// order) — a convenience for callers that hold a burst as a slice, such
+    /// as the benchmark's engine-free replay.
     pub fn process_batch(&mut self, pkts: &mut [Packet]) -> Vec<ExecOutcome> {
         pkts.iter_mut().map(|p| self.process(p)).collect()
     }
@@ -392,6 +391,10 @@ fn execute(
             for (field, value) in updates {
                 let v = eval_operand(value, env, pkt);
                 pkt.inc.set(field, v);
+            }
+            // a packet already on its way back keeps heading to the sender
+            if *action != PacketAction::Back {
+                pkt.bounce();
             }
             *action = PacketAction::Back;
         }
@@ -604,10 +607,12 @@ mod tests {
         assert_eq!(outcome.action, PacketAction::Back, "cache hit replies from the switch");
         assert_eq!(hit.inc.get("vals"), Value::Int(4242));
         assert_eq!(hit.inc.get("op"), Value::Int(2), "op rewritten to REPLY");
+        assert_eq!((&*hit.src, &*hit.dst), ("s", "c"), "the reply heads back to the client");
 
         let mut miss = kvs_request("c", "s", 0, 7);
         let outcome = plane.process(&mut miss);
         assert_eq!(outcome.action, PacketAction::Forward, "miss goes to the server");
+        assert_eq!((&*miss.src, &*miss.dst), ("c", "s"));
         assert!(plane.store().sketch_estimate("cms", &Value::Int(7)) >= 1);
     }
 

@@ -10,7 +10,7 @@
 //! skewed request stream.
 
 use crate::interp::{DevicePlane, PacketAction};
-use crate::packet::{gradient_packet, kvs_request};
+use crate::packet::{GradientShape, KvsShape};
 use crate::zipf::ZipfSampler;
 use clickinc_ir::Value;
 use rand::prelude::*;
@@ -108,6 +108,7 @@ pub fn run_aggregation_scenario(
     let mut packets_sent: u64 = 0;
     let mut total_inc_latency = 0.0;
     let mut inc_latency_samples = 0u64;
+    let gradients = GradientShape::new("worker", "ps", config.user, config.dims);
 
     for round in 0..config.rounds {
         for worker in 0..config.workers {
@@ -124,15 +125,7 @@ pub fn run_aggregation_scenario(
             for (d, v) in values.iter().enumerate() {
                 *truth.entry((round, d)).or_insert(0) += v;
             }
-            let mut pkt = gradient_packet(
-                "worker",
-                "ps",
-                config.user,
-                round as i64,
-                worker,
-                config.dims,
-                &values,
-            );
+            let mut pkt = gradients.packet(round as i64, worker, &values);
             packets_sent += 1;
 
             let mut delivered = true;
@@ -350,10 +343,11 @@ pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsRepo
     let mut server_requests = 0u64;
     let mut total_latency = 0.0;
     let mut replies_correct = true;
+    let requests = KvsShape::new("client", "server", config.user);
 
     for _ in 0..config.requests {
         let key = zipf.sample(&mut rng);
-        let mut pkt = kvs_request("client", "server", config.user, key as i64);
+        let mut pkt = requests.request(key as i64);
         let mut latency = 0.0;
         let mut answered_in_network = false;
         for hop in setup.hops.iter_mut() {

@@ -25,11 +25,19 @@
 //! whose stamp is stale falls back to the packet's Param field (the
 //! interpreter's `env → param → None` chain) without any per-packet reset
 //! cost.
+//!
+//! Header fields are slots too.  A packet's header is a value vector laid out
+//! by a [`HeaderLayout`] its whole packet family shares, and the register
+//! file remembers, per layout, which slot each of the image's header ids
+//! lands in — so a header operand is a `Vec` index into the packet itself,
+//! the packet stays the single source of truth, and nothing is resolved per
+//! packet while the traffic keeps one shape.
 
-use crate::packet::Packet;
+use crate::packet::{HeaderLayout, Packet};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
 use clickinc_ir::{eval, AluOp, CmpOp, IrProgram, ObjectKind, OpCode, Operand, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which execution tier a device plane runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,8 +58,8 @@ pub enum ExecMode {
 const NO_SLOT: usize = usize::MAX;
 
 /// A compiled operand: constants and metadata are immediates, variables are
-/// register indices, header fields keep their name (the packet's header map
-/// is the interface contract with the rest of the system).
+/// register indices, header fields are indices into the image's header-name
+/// table (names stay the interface contract with the rest of the system).
 #[derive(Debug, Clone, PartialEq)]
 pub enum VmOperand {
     /// An immediate value.
@@ -59,9 +67,9 @@ pub enum VmOperand {
     /// A register (a lowered variable).
     Reg(u32),
     /// A packet header field, as a dense index into the image's header-name
-    /// table.  Reads go through a generation-stamped per-packet cache, so a
-    /// field consulted by many guards costs one map probe per packet, not
-    /// one per instruction.
+    /// table.  The register file maps it to the packet's slot once per
+    /// header layout, so a read is an index into the packet's slot vector;
+    /// a field the layout does not carry reads `None`.
     Header(u32),
     /// `meta.inc_user`.
     MetaUser,
@@ -207,8 +215,8 @@ pub struct CompiledImage {
     reg_names: Vec<String>,
     /// Variable name → register, for the Param export epilogue.
     var_regs: BTreeMap<String, u32>,
-    /// Header index → field name (cache misses and header writes resolve
-    /// the name here).
+    /// Header index → field name (resolved to a packet slot once per
+    /// header layout).
     header_names: Vec<String>,
 }
 
@@ -714,16 +722,26 @@ fn pred(lw: &mut Lowerer<'_>, p: &clickinc_ir::Predicate) -> VmPred {
 }
 
 /// The plane-owned register file, generation-stamped so it never needs a
-/// per-packet reset.
+/// per-packet reset, plus the per-layout header slot cache: where in the
+/// current packet's slot vector each header id of the image lives.
 #[derive(Debug, Clone, Default)]
 pub struct RegFile {
     regs: Vec<Value>,
     gen: Vec<u64>,
-    /// Per-packet header-field cache (same generation discipline as the
-    /// registers; writes go through both the packet and the cache).
-    hdr_vals: Vec<Value>,
-    hdr_gen: Vec<u64>,
     cur: u64,
+    /// The header layout of the packet being executed.  Holding the `Arc`
+    /// keeps the layout alive, so pointer identity with the next packet's
+    /// layout means "same layout" and never a reused address.
+    layout: Option<Arc<HeaderLayout>>,
+    /// Bumped whenever `layout` changes; stamps `hdr_slot`.
+    layout_gen: u64,
+    /// Image header id → slot in `layout` (`None`: the layout does not carry
+    /// the field), valid where `hdr_gen` equals `layout_gen` and resolved by
+    /// name on first use otherwise.
+    hdr_slot: Vec<Option<usize>>,
+    hdr_gen: Vec<u64>,
+    /// Reusable buffer for the evaluated key operands of table and hash ops.
+    keys: Vec<Value>,
 }
 
 impl RegFile {
@@ -734,15 +752,38 @@ impl RegFile {
         self.regs.resize(num_regs, Value::None);
         self.gen.clear();
         self.gen.resize(num_regs, 0);
-        self.hdr_vals.clear();
-        self.hdr_vals.resize(num_headers, Value::None);
+        self.hdr_slot.clear();
+        self.hdr_slot.resize(num_headers, None);
         self.hdr_gen.clear();
         self.hdr_gen.resize(num_headers, 0);
         self.cur = 0;
+        self.layout = None;
+        self.layout_gen = 0;
     }
 
-    fn begin_packet(&mut self) {
+    fn begin_packet(&mut self, pkt: &Packet) {
         self.cur += 1;
+        self.sync_layout(pkt);
+    }
+
+    /// Follow the packet's header layout: a layout other than the one the
+    /// slot cache was resolved against invalidates the cache wholesale.
+    fn sync_layout(&mut self, pkt: &Packet) {
+        let layout = pkt.inc.layout();
+        if !self.layout.as_ref().is_some_and(|seen| Arc::ptr_eq(seen, layout)) {
+            self.layout = Some(Arc::clone(layout));
+            self.layout_gen += 1;
+        }
+    }
+
+    /// The packet slot of image header `h` (named `name`) under the current
+    /// layout.
+    fn header_slot(&mut self, h: usize, name: &str, pkt: &Packet) -> Option<usize> {
+        if self.hdr_gen[h] != self.layout_gen {
+            self.hdr_slot[h] = pkt.inc.layout().slot_of(name);
+            self.hdr_gen[h] = self.layout_gen;
+        }
+        self.hdr_slot[h]
     }
 
     fn set(&mut self, reg: u32, value: Value) {
@@ -783,23 +824,33 @@ fn load(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet
             }
         },
         VmOperand::Header(field) => {
-            // first touch per packet probes the header map; every later read
-            // of the same field (typically a guard consulted by dozens of
-            // instructions) hits the generation-stamped cache
             let h = *field as usize;
-            if ctx.regs.hdr_gen[h] == ctx.regs.cur {
-                ctx.regs.hdr_vals[h].clone()
-            } else {
-                let v = pkt.inc.get(&image.header_names[h]);
-                ctx.regs.hdr_vals[h] = v.clone();
-                ctx.regs.hdr_gen[h] = ctx.regs.cur;
-                v
+            match ctx.regs.header_slot(h, &image.header_names[h], pkt) {
+                Some(slot) => pkt.inc.slot(slot).clone(),
+                None => Value::None,
             }
         }
         VmOperand::MetaUser => Value::Int(pkt.inc.user),
         VmOperand::MetaStep => Value::Int(pkt.inc.step),
         VmOperand::MetaNone => Value::None,
     }
+}
+
+/// Evaluate `ops` into the register file's reusable key buffer and hand the
+/// values to `f` — no `Vec` per table or hash op.
+fn with_keys<R>(
+    ops: &[VmOperand],
+    ctx: &mut VmCtx<'_>,
+    image: &CompiledImage,
+    pkt: &Packet,
+    f: impl FnOnce(&mut VmCtx<'_>, &[Value]) -> R,
+) -> R {
+    let mut keys = std::mem::take(&mut ctx.regs.keys);
+    keys.extend(ops.iter().map(|k| load(k, ctx, image, pkt)));
+    let result = f(ctx, &keys);
+    keys.clear();
+    ctx.regs.keys = keys;
+    result
 }
 
 fn pred_holds(p: &VmPred, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> bool {
@@ -860,7 +911,7 @@ pub struct VmRun {
 /// Run one packet through every compiled snippet of an image.
 pub fn exec(image: &CompiledImage, ctx: &mut VmCtx<'_>, pkt: &mut Packet) -> VmRun {
     use crate::interp::PacketAction;
-    ctx.regs.begin_packet();
+    ctx.regs.begin_packet(pkt);
     let mut run = VmRun { action: PacketAction::Forward, mirrored: Vec::new(), executed: 0 };
     for prog in &image.programs {
         if !prog.precondition.iter().all(|p| pred_holds(p, ctx, image, pkt)) {
@@ -902,12 +953,11 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, Value::Bool(eval::compare(&a, *op, &b)));
         }
         VmOp::Hash { dest, seed, modulus, keys } => {
-            let key_values: Vec<Value> = keys.iter().map(|k| load(k, ctx, image, pkt)).collect();
-            ctx.regs.set(*dest, Value::Int(hash_with_seed(*seed, *modulus, &key_values)));
+            let h = with_keys(keys, ctx, image, pkt, |_, k| hash_with_seed(*seed, *modulus, k));
+            ctx.regs.set(*dest, Value::Int(h));
         }
         VmOp::TableGet { dest, slot, key } => {
-            let key_values: Vec<Value> = key.iter().map(|k| load(k, ctx, image, pkt)).collect();
-            let v = ctx.store.table_get_slot(*slot, &key_values);
+            let v = with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_get_slot(*slot, k));
             ctx.regs.set(*dest, v);
         }
         VmOp::SketchEstimate { dest, slot, key } => {
@@ -921,9 +971,9 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, v);
         }
         VmOp::TableWrite { slot, key, values } => {
-            let key_values: Vec<Value> = key.iter().map(|k| load(k, ctx, image, pkt)).collect();
+            // the entry's values are stored, so they are a `Vec` of their own
             let vals: Vec<Value> = values.iter().map(|v| load(v, ctx, image, pkt)).collect();
-            ctx.store.table_write_slot(*slot, &key_values, vals);
+            with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_write_slot(*slot, k, vals));
         }
         VmOp::SketchWrite { slot, key, value } => {
             let k = load(key, ctx, image, pkt);
@@ -953,8 +1003,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Clear { slot } => ctx.store.clear_slot(*slot),
         VmOp::TableDelete { slot, key } => {
-            let key_values: Vec<Value> = key.iter().map(|k| load(k, ctx, image, pkt)).collect();
-            ctx.store.table_remove_slot(*slot, &key_values);
+            with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_remove_slot(*slot, k));
         }
         VmOp::ArrayDelete { slot, index } => {
             let (row, cell) = delete_cell(index, ctx, image, pkt);
@@ -971,11 +1020,15 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
                 let v = load(value, ctx, image, pkt);
                 set_header(*field, v, ctx, image, pkt);
             }
+            // a packet already on its way back keeps heading to the sender
+            if run.action != PacketAction::Back {
+                pkt.bounce();
+            }
             run.action = PacketAction::Back;
         }
         VmOp::Mirror { updates } => {
-            // updates apply to the copy only — the live packet (and therefore
-            // the header cache) is untouched
+            // updates apply to the copy only, by name — the live packet (and
+            // with it the slot cache's layout) is untouched
             let mut copy = pkt.clone();
             for (field, value) in updates {
                 let v = load(value, ctx, image, pkt);
@@ -1012,8 +1065,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
     }
 }
 
-/// Header write-through: the packet is the source of truth, the cache just
-/// mirrors it so subsequent reads skip the map probe.
+/// Write a header field straight into the packet's slot.
 fn set_header(
     field: u32,
     value: Value,
@@ -1022,9 +1074,16 @@ fn set_header(
     pkt: &mut Packet,
 ) {
     let h = field as usize;
-    pkt.inc.set(&image.header_names[h], value.clone());
-    ctx.regs.hdr_vals[h] = value;
-    ctx.regs.hdr_gen[h] = ctx.regs.cur;
+    let name = &image.header_names[h];
+    match ctx.regs.header_slot(h, name, pkt) {
+        Some(slot) => pkt.inc.set_slot(slot, value),
+        None => {
+            // the packet does not carry the field: a live value grows a
+            // layout private to this packet, which the slot cache follows
+            pkt.inc.set(name, value);
+            ctx.regs.sync_layout(pkt);
+        }
+    }
 }
 
 /// Export the configured Param temporaries out of the register file into the
@@ -1069,7 +1128,62 @@ mod tests {
             let ob = interp.process(&mut b);
             assert_eq!(oa, ob, "outcomes diverge on key {key}");
             assert_eq!(a, b, "packets diverge on key {key}");
+            // a cache hit is answered by the switch: the reply travels back
+            let endpoints = if oa.action == PacketAction::Back { ("s", "c") } else { ("c", "s") };
+            assert_eq!((&*a.src, &*a.dst), endpoints, "key {key} ended {:?}", oa.action);
         }
+        assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
+        assert_eq!(compiled.instructions_executed, interp.instructions_executed);
+    }
+
+    /// The slot cache is per layout, and layouts come and go: two packet
+    /// families, one-off packets with a layout of their own, and packets whose
+    /// layout grows mid-program all cross one plane, interleaved.
+    #[test]
+    fn interleaved_header_layouts_never_read_a_stale_slot() {
+        use crate::packet::{GradientShape, KvsShape, Packet};
+        let t = kvs_template("kvs", KvsParams { cache_depth: 64, ..Default::default() });
+        let kvs = compile_source("kvs", &t.source).unwrap();
+        // reads `key` (slot 0 of a KVS request, absent from a gradient) and
+        // writes `seen` and `tag`, which neither family carries
+        let mut b = ProgramBuilder::new("tagger");
+        b.set_header("seen", Operand::Header("key".into()));
+        b.set_header("tag", Operand::Header("seen".into()));
+        b.set_header("op", Operand::Header("tag".into()));
+        let tagger = b.build().unwrap();
+
+        let requests = KvsShape::new("c", "s", 0);
+        let gradients = GradientShape::new("w", "ps", 0, 4);
+        let mut trace = Vec::new();
+        for i in 0..6i64 {
+            trace.push(requests.request(i % 3));
+            trace.push(gradients.packet(i, 0, &[i, 2, 3, 4]));
+            // same names as a shaped request, but a layout `Arc` of its own
+            trace.push(kvs_request("c", "s", 0, i % 3));
+            // already carries `seen`, so only `tag` grows its layout
+            let mut fields = BTreeMap::new();
+            fields.insert("key".to_string(), Value::Int(40 + i));
+            fields.insert("seen".to_string(), Value::Int(-1));
+            trace.push(Packet::new("c", "s", 0, fields));
+        }
+
+        let mut planes = [ExecMode::Compiled, ExecMode::Interpreted].map(|mode| {
+            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+            plane.install(kvs.clone());
+            plane.install(tagger.clone());
+            plane.set_exec_mode(mode);
+            plane.store_mut().table_write("cache", &[Value::Int(1)], vec![Value::Int(11)]);
+            plane
+        });
+        for (i, pkt) in trace.into_iter().enumerate() {
+            let (mut a, mut b) = (pkt.clone(), pkt);
+            let [compiled, interp] = &mut planes;
+            assert_eq!(compiled.process(&mut a), interp.process(&mut b), "outcome of packet {i}");
+            assert_eq!(a, b, "packet {i}");
+            assert_eq!(a.inc.get("tag"), a.inc.get("key"), "packet {i} tagged with its own key");
+            assert_eq!(a.inc.get("op"), a.inc.get("key"), "packet {i} read back what it wrote");
+        }
+        let [compiled, interp] = &planes;
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
         assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }

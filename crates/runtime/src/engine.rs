@@ -193,7 +193,7 @@ fn flow_shard_of(tenant: &str, packet: &Packet, key_fields: &[String], shards: u
     if key_fields.is_empty() {
         h.write_str(&packet.src);
         h.write_str(&packet.dst);
-        for (name, value) in &packet.inc.fields {
+        for (name, value) in packet.inc.fields() {
             h.write_str(name);
             write_value(&mut h, value);
         }
@@ -1004,5 +1004,46 @@ mod tests {
             shards_hit.insert(flow_shard_of("t", &p, &key_fields, 8));
         }
         assert!(shards_hit.len() > 1, "keys spread across shards");
+    }
+
+    /// `ByFlow` placement is part of a run's result (which shard's store a
+    /// cell lands in, which counter block a packet bumps), so the hash is
+    /// pinned on literal packets: the values are those of the string-keyed
+    /// header map, computed before the slot-vector header replaced it.
+    #[test]
+    fn flow_hash_placement_is_pinned() {
+        use clickinc_emulator::packet::{gradient_packet, kvs_request};
+        let mut fields = BTreeMap::new();
+        fields.insert("value".to_string(), Value::Bytes(vec![1, 2, 3]));
+        fields.insert("ratio".to_string(), Value::Float(0.5));
+        fields.insert("flag".to_string(), Value::Bool(true));
+        fields.insert("gone".to_string(), Value::None);
+        let mixed = Packet::new("h0", "h1", 3, fields);
+        let k7 = kvs_request("client", "server", 1, 7);
+        let k8 = kvs_request("client", "server", 1, 8);
+        let gradient = gradient_packet("worker", "ps", 2, 5, 1, 12, &[1, 0, 3]);
+        let full: [String; 0] = [];
+        let key = ["key".to_string()];
+        let seq = ["seq".to_string(), "bitmap".to_string()];
+        // (packet, full identity @8 / @1024 for another tenant, keyed by
+        // `key` @8 / @1024, keyed by `seq, bitmap` @8 / @1024)
+        let pins = [
+            (&k7, (0, 214), (4, 452), (2, 514)),
+            (&k8, (3, 21), (3, 171), (2, 514)),
+            (&gradient, (6, 360), (7, 455), (5, 901)),
+            (&mixed, (3, 121), (7, 455), (2, 514)),
+        ];
+        for (packet, by_identity, by_key, by_seq) in pins {
+            let identity =
+                (flow_shard_of("t", packet, &full, 8), flow_shard_of("other", packet, &full, 1024));
+            assert_eq!(identity, by_identity, "{packet:?}");
+            for (fields, pinned) in [(&key[..], by_key), (&seq[..], by_seq)] {
+                let keyed = (
+                    flow_shard_of("t", packet, fields, 8),
+                    flow_shard_of("t", packet, fields, 1024),
+                );
+                assert_eq!(keyed, pinned, "{fields:?} of {packet:?}");
+            }
+        }
     }
 }

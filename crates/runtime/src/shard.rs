@@ -26,6 +26,13 @@
 //! every hosting shard when it is removed.  Planes run the emulator's
 //! default tier, the compiled register VM.
 //!
+//! Device names stop at the message boundary.  A control message that names
+//! a device (`AddTenant`, `SetDeviceHealth`) interns it to a dense
+//! [`DeviceId`]; planes, ingress queues and health live in vectors indexed by
+//! it, a tenant's route is an `Arc<[DeviceId]>`, and the drain cursor holds
+//! ids — so moving a packet to its next hop compares and clones no string,
+//! and each packet is processed in place in its [`Job`].
+//!
 //! [`ShardingMode::ByTenant`]: crate::tenant::ShardingMode::ByTenant
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
 
@@ -39,10 +46,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
+/// Dense per-shard index of a device, assigned the first time a control
+/// message names it.
+type DeviceId = usize;
+
 /// A packet in flight inside a shard, with its route and accumulated clock.
 struct Job {
     counters: Arc<TenantCounters>,
-    route: Arc<Vec<String>>,
+    route: Arc<[DeviceId]>,
     hop: usize,
     vtime_ns: u64,
     latency_ns: f64,
@@ -51,7 +62,7 @@ struct Job {
 
 /// A tenant resident on a shard.
 struct TenantState {
-    route: Arc<Vec<String>>,
+    route: Arc<[DeviceId]>,
     counters: Arc<TenantCounters>,
 }
 
@@ -99,32 +110,40 @@ pub(crate) struct ShardFinal {
 /// The worker loop: owned by one OS thread per shard.
 pub(crate) struct ShardWorker {
     batch_size: usize,
-    planes: BTreeMap<String, DevicePlane>,
     tenants: BTreeMap<String, TenantState>,
-    queues: BTreeMap<String, VecDeque<Job>>,
+    /// Device name → id; `device_names`, `planes`, `queues` and
+    /// `device_health` are indexed by the id and grow together in `intern`.
+    device_ids: BTreeMap<String, DeviceId>,
+    device_names: Vec<String>,
+    /// The shard's replica of each device (`None` until a tenant routes
+    /// through it).
+    planes: Vec<Option<DevicePlane>>,
+    queues: Vec<VecDeque<Job>>,
+    /// Injected device faults in effect.  Applied in `pump` before the
+    /// device processes a packet.
+    device_health: Vec<DeviceHealth>,
     /// Devices with queued jobs, drained round-robin.  May transiently hold
     /// a duplicate entry (skipped on pop when its queue is already empty);
     /// batch selection stays O(1) amortized either way.
-    active: VecDeque<String>,
+    active: VecDeque<DeviceId>,
     /// In-flight packet count shared with the engine's admission control:
     /// the injector increments it per admitted packet, this worker
     /// decrements it as packets reach a terminal outcome.
     depth: Arc<AtomicU64>,
-    /// Injected device faults in effect (sparse: healthy devices are
-    /// absent).  Applied in `pump` before the device processes a batch.
-    device_health: BTreeMap<String, DeviceHealth>,
 }
 
 impl ShardWorker {
     pub(crate) fn run(rx: Receiver<ShardMsg>, batch_size: usize, depth: Arc<AtomicU64>) {
         let mut worker = ShardWorker {
             batch_size: batch_size.max(1),
-            planes: BTreeMap::new(),
             tenants: BTreeMap::new(),
-            queues: BTreeMap::new(),
+            device_ids: BTreeMap::new(),
+            device_names: Vec::new(),
+            planes: Vec::new(),
+            queues: Vec::new(),
+            device_health: Vec::new(),
             active: VecDeque::new(),
             depth,
-            device_health: BTreeMap::new(),
         };
         while let Ok(msg) = rx.recv() {
             match msg {
@@ -136,7 +155,7 @@ impl ShardWorker {
                     let _ = ack.send(worker.extract_tenant(&user));
                 }
                 ShardMsg::SeedState { device, store } => {
-                    if let Some(plane) = worker.planes.get_mut(&device) {
+                    if let Some(plane) = worker.plane_mut(&device) {
                         plane.store_mut().merge_shard_from(&store, |_| true);
                     }
                 }
@@ -145,16 +164,15 @@ impl ShardWorker {
                     worker.pump();
                 }
                 ShardMsg::TableWrite { device, table, key, value } => {
-                    if let Some(plane) = worker.planes.get_mut(&device) {
+                    if let Some(plane) = worker.plane_mut(&device) {
                         plane.store_mut().table_write(&table, &key, value);
                     }
                 }
                 ShardMsg::SetDeviceHealth { device, health } => {
-                    if health == DeviceHealth::Up {
-                        worker.device_health.remove(&device);
-                    } else {
-                        worker.device_health.insert(device, health);
-                    }
+                    // interned even before any tenant routes through the
+                    // device, so the fault is in effect when one does
+                    let id = worker.intern(&device);
+                    worker.device_health[id] = health;
                 }
                 ShardMsg::Flush(ack) => {
                     worker.pump();
@@ -162,25 +180,51 @@ impl ShardWorker {
                 }
                 ShardMsg::Stop(ack) => {
                     worker.pump();
-                    let _ = ack.send(ShardFinal { planes: std::mem::take(&mut worker.planes) });
+                    let planes = std::mem::take(&mut worker.planes)
+                        .into_iter()
+                        .flatten()
+                        .map(|plane| (plane.name.clone(), plane))
+                        .collect();
+                    let _ = ack.send(ShardFinal { planes });
                     break;
                 }
             }
         }
     }
 
+    /// The id of `device`, assigned on first sight.
+    fn intern(&mut self, device: &str) -> DeviceId {
+        if let Some(&id) = self.device_ids.get(device) {
+            return id;
+        }
+        let id = self.device_names.len();
+        self.device_ids.insert(device.to_string(), id);
+        self.device_names.push(device.to_string());
+        self.planes.push(None);
+        self.queues.push(VecDeque::new());
+        self.device_health.push(DeviceHealth::Up);
+        id
+    }
+
+    /// The shard's replica of a device named by a control message, if a
+    /// tenant ever routed through it.
+    fn plane_mut(&mut self, device: &str) -> Option<&mut DevicePlane> {
+        let id = *self.device_ids.get(device)?;
+        self.planes[id].as_mut()
+    }
+
     fn add_tenant(&mut self, user: String, hops: Vec<TenantHop>, counters: Arc<TenantCounters>) {
-        let route: Vec<String> = hops.iter().map(|h| h.device.clone()).collect();
+        let mut route = Vec::with_capacity(hops.len());
         for hop in hops {
-            let plane = self
-                .planes
-                .entry(hop.device.clone())
-                .or_insert_with(|| DevicePlane::new(&hop.device, hop.model.clone()));
+            let id = self.intern(&hop.device);
+            let plane = self.planes[id]
+                .get_or_insert_with(|| DevicePlane::new(&hop.device, hop.model.clone()));
             for snippet in hop.snippets {
                 plane.install(snippet);
             }
+            route.push(id);
         }
-        self.tenants.insert(user, TenantState { route: Arc::new(route), counters });
+        self.tenants.insert(user, TenantState { route: route.into(), counters });
     }
 
     fn remove_tenant(&mut self, user: &str) {
@@ -188,8 +232,8 @@ impl ShardWorker {
         // snippets and exclusively-owned state, leaving co-resident tenants'
         // tables untouched
         let Some(state) = self.tenants.remove(user) else { return };
-        for device in state.route.iter() {
-            if let Some(plane) = self.planes.get_mut(device) {
+        for &device in state.route.iter() {
+            if let Some(plane) = &mut self.planes[device] {
                 plane.uninstall(user);
             }
         }
@@ -200,10 +244,10 @@ impl ShardWorker {
     fn extract_tenant(&mut self, user: &str) -> BTreeMap<String, ObjectStore> {
         let mut extracted = BTreeMap::new();
         let Some(state) = self.tenants.remove(user) else { return extracted };
-        for device in state.route.iter() {
-            if let Some(plane) = self.planes.get_mut(device) {
+        for &device in state.route.iter() {
+            if let Some(plane) = &mut self.planes[device] {
                 if let Some(store) = plane.uninstall_extract(user) {
-                    extracted.insert(device.clone(), store);
+                    extracted.insert(self.device_names[device].clone(), store);
                 }
             }
         }
@@ -236,10 +280,10 @@ impl ShardWorker {
 
     fn enqueue(&mut self, job: Job) {
         match job.route.get(job.hop) {
-            Some(device) => {
-                let queue = self.queues.entry(device.clone()).or_default();
+            Some(&device) => {
+                let queue = &mut self.queues[device];
                 if queue.is_empty() {
-                    self.active.push_back(device.clone());
+                    self.active.push_back(device);
                 }
                 queue.push_back(job);
             }
@@ -250,74 +294,45 @@ impl ShardWorker {
     /// Drain the ingress queues round-robin, `batch_size` packets per device
     /// per turn, until the shard is idle.  The rotating cursor (`active`)
     /// makes batch selection O(1) amortized — no per-round scan over every
-    /// device the shard has ever hosted.
+    /// device the shard has ever hosted.  Each packet runs through the device
+    /// where it sits, in its job.
     fn pump(&mut self) {
         while let Some(device) = self.active.pop_front() {
-            let mut batch: Vec<Job> = {
-                let Some(queue) = self.queues.get_mut(&device) else { continue };
-                if queue.is_empty() {
-                    // stale cursor entry (duplicate); nothing to do
-                    continue;
-                }
-                let take = queue.len().min(self.batch_size);
-                queue.drain(..take).collect()
-            };
-            // injected faults intercept the batch before the device runs:
-            // a dead device swallows everything reaching it, a flaky one
-            // drops a deterministic (hash-keyed, not wall-clock) fraction
-            let health = self.device_health.get(&device).copied().unwrap_or_default();
-            match health {
-                DeviceHealth::Down => {
-                    for job in batch {
-                        self.fault_lose(job);
-                    }
-                    self.requeue_if_backlogged(device);
-                    continue;
-                }
-                DeviceHealth::Flaky { drop_prob } => {
-                    let mut kept = Vec::with_capacity(batch.len());
-                    for job in batch {
-                        if Self::flaky_drops(&device, &job, drop_prob) {
-                            self.fault_lose(job);
-                        } else {
-                            kept.push(job);
-                        }
-                    }
-                    batch = kept;
-                    if batch.is_empty() {
-                        self.requeue_if_backlogged(device);
-                        continue;
-                    }
-                }
-                DeviceHealth::Up | DeviceHealth::Degraded { .. } => {}
-            }
+            // zero for a stale cursor entry (duplicate); jobs a packet of
+            // this turn re-queues here wait behind the cut for the next one
+            let turn = self.queues[device].len().min(self.batch_size);
+            let health = self.device_health[device];
             let latency_scale = match health {
                 DeviceHealth::Degraded { factor } => factor.max(1.0),
                 _ => 1.0,
             };
-            let Some(plane) = self.planes.get_mut(&device) else {
-                // no replica for this device (snippet-less hop): traverse free
-                for mut job in batch {
+            for _ in 0..turn {
+                let mut job = self.queues[device].pop_front().expect("the turn fits the queue");
+                // injected faults intercept the packet before the device
+                // runs: a dead device swallows everything reaching it, a
+                // flaky one drops a deterministic (hash-keyed, not
+                // wall-clock) fraction
+                let lost = match health {
+                    DeviceHealth::Down => true,
+                    DeviceHealth::Flaky { drop_prob } => {
+                        Self::flaky_drops(&self.device_names[device], &job, drop_prob)
+                    }
+                    DeviceHealth::Up | DeviceHealth::Degraded { .. } => false,
+                };
+                if lost {
+                    self.fault_lose(job);
+                    continue;
+                }
+                let Some(plane) = &mut self.planes[device] else {
+                    // no replica for this device: traverse free
                     job.hop += 1;
                     self.enqueue(job);
+                    continue;
+                };
+                if let Some(link) = job.counters.link_bytes.get(job.hop) {
+                    link.fetch_add(job.packet.wire_bytes() as u64, Ordering::Relaxed);
                 }
-                self.requeue_if_backlogged(device);
-                continue;
-            };
-            // account ingress bytes, lift the packets out, run the whole
-            // batch through the device in one call, then re-attach outcomes
-            let mut packets: Vec<Packet> = batch
-                .iter_mut()
-                .map(|job| {
-                    if let Some(link) = job.counters.link_bytes.get(job.hop) {
-                        link.fetch_add(job.packet.wire_bytes() as u64, Ordering::Relaxed);
-                    }
-                    std::mem::replace(&mut job.packet, Packet::new("", "", 0, BTreeMap::new()))
-                })
-                .collect();
-            let outcomes = plane.process_batch(&mut packets);
-            for ((mut job, packet), outcome) in batch.into_iter().zip(packets).zip(outcomes) {
-                job.packet = packet;
+                let outcome = plane.process(&mut job.packet);
                 job.latency_ns += outcome.latency_ns * latency_scale;
                 match outcome.action {
                     PacketAction::Forward => {
@@ -334,14 +349,10 @@ impl ShardWorker {
                     }
                 }
             }
-            self.requeue_if_backlogged(device);
-        }
-    }
-
-    /// Rotate a device with remaining backlog to the back of the cursor.
-    fn requeue_if_backlogged(&mut self, device: String) {
-        if self.queues.get(&device).is_some_and(|q| !q.is_empty()) {
-            self.active.push_back(device);
+            // a device with remaining backlog rotates to the back of the cursor
+            if !self.queues[device].is_empty() {
+                self.active.push_back(device);
+            }
         }
     }
 
@@ -391,5 +402,54 @@ impl ShardWorker {
             link.fetch_add(wire, Ordering::Relaxed);
         }
         self.finish(job);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clickinc_device::DeviceModel;
+    use clickinc_emulator::packet::kvs_request;
+    use std::sync::mpsc::channel;
+
+    /// A fault can precede the first tenant that routes through the device:
+    /// the device is interned when the fault names it, and the tenant's hop
+    /// resolves to the same id.
+    #[test]
+    fn a_device_taken_down_before_its_first_tenant_is_down_when_traffic_arrives() {
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicU64::new(0));
+        let worker = {
+            let depth = Arc::clone(&depth);
+            std::thread::spawn(move || ShardWorker::run(rx, 4, depth))
+        };
+        let send = |msg| tx.send(msg).expect("the worker is running");
+        send(ShardMsg::SetDeviceHealth { device: "sw1".into(), health: DeviceHealth::Down });
+        let hop = |device: &str| TenantHop {
+            device: device.to_string(),
+            model: DeviceModel::tofino(),
+            snippets: Vec::new(),
+        };
+        let counters = Arc::new(TenantCounters::new(2));
+        send(ShardMsg::AddTenant {
+            user: "t".into(),
+            hops: vec![hop("sw0"), hop("sw1")],
+            counters: Arc::clone(&counters),
+        });
+        let burst = |n: u64| (0..n).map(|i| (i, kvs_request("c", "s", 0, i as i64))).collect();
+        depth.fetch_add(5, Ordering::Relaxed);
+        send(ShardMsg::Inject { user: "t".into(), jobs: burst(5) });
+        send(ShardMsg::SetDeviceHealth { device: "sw1".into(), health: DeviceHealth::Up });
+        depth.fetch_add(3, Ordering::Relaxed);
+        send(ShardMsg::Inject { user: "t".into(), jobs: burst(3) });
+        let (ack, stopped) = channel();
+        send(ShardMsg::Stop(ack));
+        let finals = stopped.recv().expect("the worker answers the stop");
+        worker.join().expect("the worker exits cleanly");
+
+        assert_eq!(counters.fault_lost.load(Ordering::Relaxed), 5, "lost at the down device");
+        assert_eq!(counters.to_server.load(Ordering::Relaxed), 3, "served once it is restored");
+        assert_eq!(depth.load(Ordering::Relaxed), 0, "every packet returned its credit");
+        assert_eq!(finals.planes.keys().collect::<Vec<_>>(), ["sw0", "sw1"]);
     }
 }

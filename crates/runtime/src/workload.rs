@@ -7,9 +7,11 @@
 //! loaded (and what makes goodput well-defined without wall clocks).  Every
 //! generator is seeded, so a fixed seed produces a byte-identical packet
 //! stream — the foundation of the shard-count invariance and
-//! zero-disruption tests.
+//! zero-disruption tests.  Each generator builds its packet family's shape
+//! once and stamps every packet from it, so a stream shares one header
+//! layout and one pair of endpoint names.
 
-use clickinc_emulator::packet::{gradient_packet, kvs_request, Packet};
+use clickinc_emulator::packet::{GradientShape, KvsShape, Packet};
 use clickinc_emulator::ZipfSampler;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -72,7 +74,7 @@ impl Default for KvsWorkloadConfig {
 /// Zipf-skewed KVS GET stream (the NetCache-style workload of §7.2).
 pub struct KvsWorkload {
     tenant: Arc<str>,
-    user_id: i64,
+    shape: KvsShape,
     zipf: ZipfSampler,
     rng: StdRng,
     rate_pps: f64,
@@ -85,7 +87,7 @@ impl KvsWorkload {
     pub fn new(config: KvsWorkloadConfig) -> KvsWorkload {
         KvsWorkload {
             tenant: config.tenant.into(),
-            user_id: config.user_id,
+            shape: KvsShape::new("client", "server", config.user_id),
             zipf: ZipfSampler::new(config.keys, config.skew),
             rng: StdRng::seed_from_u64(config.seed),
             rate_pps: config.rate_pps,
@@ -102,7 +104,7 @@ impl Workload for KvsWorkload {
         }
         self.remaining -= 1;
         let key = self.zipf.sample(&mut self.rng) as i64;
-        let packet = kvs_request("client", "server", self.user_id, key);
+        let packet = self.shape.request(key);
         let generated = GeneratedPacket {
             tenant: Arc::clone(&self.tenant),
             vtime_ns: vtime(self.emitted, self.rate_pps),
@@ -156,8 +158,11 @@ impl Default for MlAggWorkloadConfig {
 /// with seeded zero blocks (the Fig. 13 workload).
 pub struct MlAggWorkload {
     tenant: Arc<str>,
+    shape: GradientShape,
     config: MlAggWorkloadConfig,
     rng: StdRng,
+    /// The gradient being drawn, reused from packet to packet.
+    values: Vec<i64>,
     round: usize,
     worker: usize,
     emitted: u64,
@@ -168,7 +173,9 @@ impl MlAggWorkload {
     pub fn new(config: MlAggWorkloadConfig) -> MlAggWorkload {
         MlAggWorkload {
             tenant: config.tenant.clone().into(),
+            shape: GradientShape::new("worker", "ps", config.user_id, config.dims),
             rng: StdRng::seed_from_u64(config.seed),
+            values: vec![0; config.dims],
             config,
             round: 0,
             worker: 0,
@@ -183,7 +190,7 @@ impl Workload for MlAggWorkload {
             return None;
         }
         let c = &self.config;
-        let mut values = vec![0i64; c.dims];
+        let values = &mut self.values;
         let blocks = c.dims.div_ceil(c.block_size.max(1));
         for b in 0..blocks {
             let zero_block = self.rng.gen_bool(c.sparsity.clamp(0.0, 1.0));
@@ -192,15 +199,7 @@ impl Workload for MlAggWorkload {
                 *value = if zero_block { 0 } else { self.rng.gen_range(1..100) };
             }
         }
-        let packet = gradient_packet(
-            "worker",
-            "ps",
-            c.user_id,
-            self.round as i64,
-            self.worker,
-            c.dims,
-            &values,
-        );
+        let packet = self.shape.packet(self.round as i64, self.worker, values);
         let generated = GeneratedPacket {
             tenant: Arc::clone(&self.tenant),
             vtime_ns: vtime(self.emitted, c.rate_pps),

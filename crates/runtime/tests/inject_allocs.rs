@@ -1,10 +1,17 @@
+//! Allocation pins of the packet path, on counts that repeat exactly.
+//!
 //! `EngineHandle::inject` shares the tenant's record instead of copying it:
 //! what the call allocates on the injecting thread is a small constant,
-//! whatever the size of the tenant's program.
+//! whatever the size of the tenant's program.  Serving a burst — `inject`
+//! until `flush` returns, every thread counted — allocates per burst, not per
+//! packet: a packet is one heap block made by its generator, and neither the
+//! shard pump nor the VM adds to it.
 
 use clickinc_device::DeviceModel;
+use clickinc_emulator::packet::GradientShape;
 use clickinc_emulator::Packet;
 use clickinc_frontend::compile_source;
+use clickinc_ir::Value;
 use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
 use clickinc_runtime::workload::{
     KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig, Workload,
@@ -13,7 +20,8 @@ use clickinc_runtime::{EngineConfig, EngineHandle, TenantHop, TrafficEngine};
 use clickinc_synthesis::isolate_user_program;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
     // const-initialised and without a destructor, so touching it from inside
@@ -21,18 +29,29 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator plus a per-thread call counter.
+/// Allocations of every thread of the process.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The tests of this binary run one at a time: the process-wide counter would
+/// otherwise see a neighbour's allocations.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The system allocator plus a per-thread and a process-wide call counter.
 struct Counting;
 
 // SAFETY: both methods forward to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's guarantees; the
-// counter is a plain thread-local statistic and bumping it never allocates.
+// counters are plain statistics and bumping them never allocates.
 // (`alloc_zeroed` and `realloc` default to `alloc`, so they are counted too.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // a thread being torn down has no counter any more; nothing measured
         // runs there
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -61,12 +80,12 @@ fn one_hop(name: &str, id: i64, source: &str) -> (Vec<TenantHop>, usize) {
     (vec![hop], instructions)
 }
 
-fn burst(workload: &mut dyn Workload) -> Vec<(u64, Packet)> {
+fn burst_of(workload: &mut dyn Workload, packets: usize) -> Vec<(u64, Packet)> {
     let jobs: Vec<_> = std::iter::from_fn(|| workload.next_packet())
-        .take(BURST)
+        .take(packets)
         .map(|generated| (generated.vtime_ns, generated.packet))
         .collect();
-    assert_eq!(jobs.len(), BURST, "the workload covers every round");
+    assert_eq!(jobs.len(), packets, "the workload covers every burst");
     jobs
 }
 
@@ -80,8 +99,110 @@ fn allocs_in_inject(handle: &EngineHandle, tenant: &Arc<str>, jobs: Vec<(u64, Pa
     allocs
 }
 
+/// Allocations of every thread while one pre-built burst is served: from
+/// `inject` until `flush` has seen the shard drain it.
+fn allocs_serving(handle: &EngineHandle, tenant: &Arc<str>, jobs: Vec<(u64, Packet)>) -> u64 {
+    let packets = jobs.len();
+    let before = ALL_ALLOCS.load(Ordering::Relaxed);
+    let outcome = handle.inject(tenant, jobs);
+    handle.flush();
+    let allocs = ALL_ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!((outcome.admitted, outcome.shed), (packets, 0), "ample queues admit the burst");
+    allocs
+}
+
+/// The least of `rounds` servings of `packets`-packet bursts (the channels
+/// allocate a block of slots every few dozen messages, on whichever burst
+/// crosses the boundary).
+fn least_allocs_serving(
+    handle: &EngineHandle,
+    tenant: &Arc<str>,
+    workload: &mut dyn Workload,
+    packets: usize,
+    rounds: usize,
+) -> u64 {
+    (0..rounds)
+        .map(|_| allocs_serving(handle, tenant, burst_of(workload, packets)))
+        .min()
+        .expect("at least one round")
+}
+
+#[test]
+fn serving_a_burst_allocates_per_burst_not_per_packet() {
+    let _alone = alone();
+    const ROUNDS: usize = 4;
+    let kvs = kvs_template("kvs", KvsParams::default());
+    // a pool of 16 aggregator slots: the first burst's 32 rounds touch every
+    // array cell the program will ever write, so later bursts grow no state
+    let mlagg = mlagg_template(
+        "mlagg",
+        MlAggParams { dims: 32, num_workers: 4, num_aggregators: 16, ..Default::default() },
+    );
+    let engine = TrafficEngine::new(EngineConfig { shards: 1, ..Default::default() });
+    let handle = engine.handle();
+    handle.add_tenant("kvs", one_hop("kvs", 1, &kvs.source).0);
+    handle.add_tenant("mlagg", one_hop("mlagg", 2, &mlagg.source).0);
+    // a few cached keys, so both the bounce and the forward path are served
+    for key in 0..8 {
+        handle.populate_table(
+            "kvs",
+            "tor0",
+            "kvs_cache",
+            vec![Value::Int(key)],
+            vec![Value::Int(key + 100)],
+        );
+    }
+    let (kvs_name, mlagg_name): (Arc<str>, Arc<str>) = ("kvs".into(), "mlagg".into());
+    let mut kvs_wl = KvsWorkload::new(KvsWorkloadConfig {
+        tenant: "kvs".to_string(),
+        user_id: 1,
+        requests: (1 + 2 * ROUNDS) * 1024,
+        ..Default::default()
+    });
+    let mut mlagg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
+        tenant: "mlagg".to_string(),
+        user_id: 2,
+        workers: 4,
+        rounds: (128 + ROUNDS * (32 + 128)) / 4,
+        dims: 32,
+        ..Default::default()
+    });
+
+    // the first burst sizes the shard's queues
+    allocs_serving(&handle, &kvs_name, burst_of(&mut kvs_wl, 1024));
+    let small = least_allocs_serving(&handle, &kvs_name, &mut kvs_wl, 256, ROUNDS);
+    let large = least_allocs_serving(&handle, &kvs_name, &mut kvs_wl, 1024, ROUNDS);
+    assert_eq!(small, large, "a burst four times the size allocates the same");
+    assert!(large as f64 <= 0.05 * 1024.0, "{large} allocations serving 1024 KVS requests");
+
+    allocs_serving(&handle, &mlagg_name, burst_of(&mut mlagg_wl, 128));
+    let small = least_allocs_serving(&handle, &mlagg_name, &mut mlagg_wl, 32, ROUNDS);
+    let large = least_allocs_serving(&handle, &mlagg_name, &mut mlagg_wl, 128, ROUNDS);
+    assert_eq!(small, large, "a burst four times the size allocates the same");
+    assert!(large as f64 <= 0.5 * 128.0, "{large} allocations serving 128 gradients");
+
+    let stats = engine.finish().telemetry;
+    let kvs_stats = stats.tenant("kvs").expect("kvs served");
+    assert!(kvs_stats.hits > 0 && kvs_stats.to_server > 0, "both KVS paths ran: {kvs_stats:?}");
+    assert!(stats.tenant("mlagg").expect("mlagg served").hits > 0, "rounds completed");
+}
+
+#[test]
+fn cloning_a_shaped_packet_is_one_allocation() {
+    let _alone = alone();
+    // 32 dimensions + op, seq, bitmap, overflow
+    let packet = GradientShape::new("worker", "ps", 1, 32).packet(7, 2, &[5; 32]);
+    assert_eq!(packet.inc.fields().count(), 36);
+    let before = ALLOCS.with(Cell::get);
+    let copy = packet.clone();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(copy, packet);
+    assert_eq!(allocs, 1, "the slot vector, and nothing else");
+}
+
 #[test]
 fn inject_cost_is_independent_of_program_size() {
+    let _alone = alone();
     let kvs = kvs_template("kvs", KvsParams::default());
     let mlagg = mlagg_template(
         "mlagg",
@@ -117,7 +238,7 @@ fn inject_cost_is_independent_of_program_size() {
 
     let (mut kvs_allocs, mut mlagg_allocs) = (Vec::new(), Vec::new());
     for _ in 0..ROUNDS {
-        let (kvs_jobs, mlagg_jobs) = (burst(&mut kvs_wl), burst(&mut mlagg_wl));
+        let (kvs_jobs, mlagg_jobs) = (burst_of(&mut kvs_wl, BURST), burst_of(&mut mlagg_wl, BURST));
         kvs_allocs.push(allocs_in_inject(&handle, &kvs_name, kvs_jobs));
         mlagg_allocs.push(allocs_in_inject(&handle, &mlagg_name, mlagg_jobs));
     }
