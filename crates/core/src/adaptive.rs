@@ -101,7 +101,7 @@ impl AdaptiveRuntime {
 
     /// One control-loop turn: snapshot the engine's telemetry, decide and
     /// apply engine-level actions (reshards and budget resizes happen on the
-    /// engine alone — the controller's ledger and planes do not move), and
+    /// engine alone — the controller's ledger and images do not move), and
     /// route every `Replan` through [`ClickIncService::replace_tenant`] —
     /// the verifier and admission chain gate each re-placement, and a
     /// refusal restores the original deployment.

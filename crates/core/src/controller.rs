@@ -3,35 +3,41 @@
 //!
 //! Deployment is transactional and split in two phases (paper §3.2 as a
 //! service): [`Controller::plan`] is a pure dry-run — it compiles, isolates
-//! and places a request and predicts the post-commit resource ratio without
-//! touching the ledger or the data planes — and [`Controller::commit`]
-//! applies a plan atomically.  Every fallible check in `commit` runs before
-//! the first mutation, so a rejected commit leaves the ledger, the active
-//! user set and every plane's store bit-identical to before the call.
+//! and places a request, cuts and verifies the per-device slices, and
+//! predicts the post-commit resource ratio without touching the ledger or
+//! the device images — and [`Controller::commit`] applies a plan atomically.
+//! Every fallible check in `commit` runs before the first mutation, so a
+//! rejected commit leaves the ledger, the active user set and every device
+//! image bit-identical to before the call.
+//!
+//! The controller runs no packets.  What a device runs for a tenant is one
+//! `Arc<IrProgram>` slice, cut by `plan`, merged into the device image by
+//! `commit` and handed out by [`Controller::tenant_hops`]; the traffic engine
+//! (or a test's hop-built [`TenantHop::plane`]) is the data plane.
 
 use crate::error::ClickIncError;
 use crate::request::ServiceRequest;
 use clickinc_backend::DeviceProgram;
 use clickinc_blockdag::{build_block_dag, BlockConfig, BlockDag};
-use clickinc_emulator::DevicePlane;
 use clickinc_frontend::{CompileOptions, Frontend};
 use clickinc_ir::analysis::{DeviceTarget, PlacedSnippet};
 use clickinc_ir::{
     DiagnosticSet, Fnv, IrProgram, Optimizer, PassContext, PassManager, ResourceVector,
 };
 use clickinc_placement::{
-    place_with_cache, PlacementConfig, PlacementNetwork, PlacementPlan, ResourceLedger, SolveCache,
-    SolveCacheStats, Weights,
+    place_with_cache, Assignment, PlacementConfig, PlacementNetwork, PlacementPlan, ResourceLedger,
+    SolveCache, SolveCacheStats, Weights,
 };
 use clickinc_runtime::TenantHop;
+use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
-    add_user_program, assign_steps, base_program, isolate_user_program, remove_user_program,
-    DeploymentDelta, StepAssignment,
+    add_slices, base_program, isolate_user_program, remove_user_program, DeploymentDelta,
 };
 use clickinc_topology::{reduce_for_traffic, NodeHealth, NodeId, Topology};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything produced by one successful deployment.
@@ -52,23 +58,21 @@ pub struct Deployment {
     pub dag: BlockDag,
     /// The placement plan.
     pub plan: PlacementPlan,
-    /// Step numbers assigned to the blocks.
-    pub steps: StepAssignment,
     /// What the deployment touched (devices / co-resident programs / pods).
     pub delta: DeploymentDelta,
-    /// Generated device-language programs, one per physical device touched.
+    /// Generated device-language programs, one per physical device touched:
+    /// the device's whole merged image **as of this tenant's commit**.
     pub device_programs: BTreeMap<NodeId, DeviceProgram>,
-    /// The IR snippets installed on each device's data plane, in install
-    /// order — the material a serving runtime needs to mirror this deployment
-    /// onto its own sharded planes.
-    pub snippets: BTreeMap<NodeId, Vec<IrProgram>>,
+    /// The IR slices each device runs for this tenant, in install order — the
+    /// allocations the verifier saw, and what a serving runtime installs.
+    pub snippets: BTreeMap<NodeId, Vec<Arc<IrProgram>>>,
     /// End-to-end compile + place + synthesize latency.
     pub elapsed: Duration,
 }
 
-/// A fully solved deployment that has **not** touched the ledger or the data
-/// planes: the output of [`Controller::plan`] (a pure dry-run), consumed by
-/// [`Controller::commit`].
+/// A fully solved deployment that has **not** touched the ledger or the
+/// device images: the output of [`Controller::plan`] (a pure dry-run),
+/// consumed by [`Controller::commit`].
 ///
 /// The plan records the controller epoch it was solved against; committing
 /// after any other commit or removal returns [`ClickIncError::StalePlan`]
@@ -80,6 +84,8 @@ pub struct DeploymentPlan {
     program: IrProgram,
     dag: BlockDag,
     plan: PlacementPlan,
+    /// The slice cut for each non-empty assignment of `plan`, in order.
+    snippets: Vec<Arc<IrProgram>>,
     predicted_remaining_ratio: f64,
     epoch: u64,
     /// Physical device names the plan occupies (deduped, sorted) — the
@@ -128,6 +134,13 @@ impl DeploymentPlan {
     /// The solved placement (devices, per-device snippets, gain, solve time).
     pub fn placement(&self) -> &PlacementPlan {
         &self.plan
+    }
+
+    /// The per-device slices the plan would install, one per non-empty
+    /// assignment of [`placement`](DeploymentPlan::placement) in traffic
+    /// order: the allocations the verifier approved and a commit installs.
+    pub fn snippets(&self) -> &[Arc<IrProgram>] {
+        &self.snippets
     }
 
     /// The verifier findings for this plan: warnings and classification
@@ -244,12 +257,15 @@ pub struct PlanSummary {
 }
 
 /// The ClickINC controller (paper Fig. 2): owns the topology, the per-device
-/// resource ledger, the running device images, and the emulated data planes.
+/// resource ledger and the running device images.
 pub struct Controller {
     topology: Topology,
     ledger: ResourceLedger,
     images: DeviceImages,
-    planes: BTreeMap<NodeId, DevicePlane>,
+    /// The operator's base program every device image starts from.
+    base: BaseProgram,
+    /// Device → pod, for the affected-traffic metric of every delta.
+    pod_of: BTreeMap<NodeId, Option<usize>>,
     deployments: BTreeMap<String, Deployment>,
     next_user_id: i64,
     /// Bumped on every commit and removal; plans solved against an older
@@ -271,17 +287,12 @@ pub struct Controller {
 impl Controller {
     /// Create a controller managing the given topology.
     pub fn new(topology: Topology) -> Controller {
-        let mut planes = BTreeMap::new();
-        for node in topology.nodes() {
-            if node.tier.is_network_device() && node.kind != clickinc_device::DeviceKind::Server {
-                planes.insert(node.id, DevicePlane::new(&node.name, node.kind.model()));
-            }
-        }
         Controller {
+            pod_of: topology.nodes().iter().map(|n| (n.id, n.pod)).collect(),
             topology,
             ledger: ResourceLedger::new(),
             images: DeviceImages::default(),
-            planes,
+            base: base_program(),
             deployments: BTreeMap::new(),
             next_user_id: 1,
             epoch: 0,
@@ -313,32 +324,26 @@ impl Controller {
         self.use_solve_memo = enabled;
     }
 
-    /// The programmable hops of a user's deployment in traffic order, with
-    /// the installed snippets — what a serving runtime replays onto its own
-    /// planes.  Empty if the user has no deployment.
+    /// The programmable hops of a user's deployment in traffic order, each
+    /// sharing the deployment's slices — what a serving runtime installs on
+    /// its planes.  Empty if the user has no deployment.
     pub fn tenant_hops(&self, user: &str) -> Vec<TenantHop> {
         let Some(deployment) = self.deployments.get(user) else {
             return Vec::new();
         };
-        // order-preserving dedup: the set guards membership, the vec keeps
-        // traffic order (assignments are already path-ordered)
+        // each member at its first sight: assignments are path-ordered, and
+        // a member may host several of them
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        let mut order: Vec<NodeId> = Vec::new();
-        for assignment in deployment.plan.assignments.iter().filter(|a| !a.is_empty()) {
-            for member in &assignment.members {
-                if seen.insert(*member) {
-                    order.push(*member);
-                }
-            }
-        }
-        order
-            .into_iter()
+        let placed = deployment.plan.assignments.iter().filter(|a| !a.is_empty());
+        placed
+            .flat_map(|a| &a.members)
+            .filter(|id| seen.insert(**id))
             .map(|id| {
-                let node = self.topology.node(id);
+                let node = self.topology.node(*id);
                 TenantHop {
                     device: node.name.clone(),
                     model: node.kind.model(),
-                    snippets: deployment.snippets.get(&id).cloned().unwrap_or_default(),
+                    snippets: deployment.snippets[id].clone(),
                 }
             })
             .collect()
@@ -370,17 +375,6 @@ impl Controller {
         self.deployments.get(user)
     }
 
-    /// The emulated data plane of one device (to drive traffic through it).
-    pub fn plane(&self, node: NodeId) -> Option<&DevicePlane> {
-        self.planes.get(&node)
-    }
-
-    /// Mutable access to a device plane (e.g. for control-plane table setup or
-    /// to run traffic).
-    pub fn plane_mut(&mut self, node: NodeId) -> Option<&mut DevicePlane> {
-        self.planes.get_mut(&node)
-    }
-
     /// Fraction of network-wide resources still free.
     pub fn remaining_resource_ratio(&self) -> f64 {
         self.ledger.remaining_ratio(&self.topology)
@@ -393,13 +387,32 @@ impl Controller {
         self.epoch
     }
 
-    /// Fingerprints of every emulated plane's object store, keyed by device
-    /// name — the observable data-plane state.  Rollback tests compare these
-    /// before and after a failed transaction.
-    pub fn plane_fingerprints(&self) -> BTreeMap<String, u64> {
-        self.planes
-            .iter()
-            .map(|(id, plane)| (self.topology.node(*id).name.clone(), plane.store().fingerprint()))
+    /// The running device images: per device, the base program with every
+    /// resident tenant's slices merged in — what the backends emit from.
+    pub fn images(&self) -> &DeviceImages {
+        &self.images
+    }
+
+    /// Fingerprints of what tenants own in each running device image, by
+    /// device name: their instructions (operation, guard, owners — not the
+    /// id, which any merge may renumber) and objects.  The operator's base
+    /// and the `NoOp`s of lazy removal are excluded and devices with nothing
+    /// tenant-owned omitted, so a rolled-back deploy fingerprints like one
+    /// that never happened — what the rollback tests compare.
+    pub fn image_fingerprints(&self) -> BTreeMap<String, u64> {
+        let tenant_owned =
+            self.images.images.iter().filter(|(_, image)| !image.owners().is_empty());
+        tenant_owned
+            .map(|(id, image)| {
+                let mut h = Fnv::new();
+                for instr in image.instructions.iter().filter(|i| !i.is_base()) {
+                    h.write_str(&format!("{:?} {:?} {:?}", instr.op, instr.guard, instr.owners));
+                }
+                for object in image.objects.iter().filter(|o| o.owner.is_some()) {
+                    h.write_str(&format!("{object:?}"));
+                }
+                (self.topology.node(*id).name.clone(), h.finish())
+            })
             .collect()
     }
 
@@ -417,7 +430,7 @@ impl Controller {
     /// Solve a request without deploying it: compile, isolate and place as a
     /// pure dry-run.  Reports the devices the program would occupy, the
     /// resource demand, and the predicted post-commit remaining ratio — and
-    /// touches neither the ledger nor any data plane.  Feed the result to
+    /// touches neither the ledger nor any device image.  Feed the result to
     /// [`Controller::commit`] to make it real.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
@@ -446,6 +459,9 @@ impl Controller {
     ) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
         self.check_request(request)?;
+        // slices are named after the program, and planes quiesce a tenant by
+        // that name
+        let program = IrProgram { name: request.user.clone(), ..program };
         self.solve_prepared(request, program, started)
     }
 
@@ -518,12 +534,19 @@ impl Controller {
 
         // static verification: the whole pass pipeline runs over the
         // isolated program and its per-device slices here, before a plan
-        // even exists — so no deploy path can mutate a ledger or a plane
-        // with an unverified program.  Error-severity findings abort the solve; the
-        // rest ride on the plan for inspection and CI export.
+        // even exists — so no deploy path can mutate a ledger or an image
+        // with an unverified program.  Each slice is cut once, here, and the
+        // plan carries these allocations to `commit` and the data plane.
+        // Error-severity findings abort the solve; the rest ride on the plan
+        // for inspection and CI export.
+        let snippets: Vec<Arc<IrProgram>> = plan
+            .assignments
+            .iter()
+            .filter(|a| !a.is_empty())
+            .map(|a| Arc::new(isolated.slice(&a.instrs)))
+            .collect();
         let mut placements = Vec::new();
-        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
-            let snippet = slice_snippet(&request.user, &isolated, &assignment.instrs);
+        for (assignment, snippet) in placed(&plan, &snippets) {
             for member in &assignment.members {
                 let node = self.topology.node(*member);
                 let model = node.kind.model();
@@ -535,7 +558,7 @@ impl Controller {
                         supported: model.supported_classes().clone(),
                         storage_capacity_bits: model.storage_capacity_bits(),
                     },
-                    program: snippet.clone(),
+                    program: Arc::clone(snippet),
                 });
             }
         }
@@ -566,6 +589,7 @@ impl Controller {
             program: isolated,
             dag,
             plan,
+            snippets,
             predicted_remaining_ratio,
             epoch: self.epoch,
             physical_devices: physical.into_iter().collect(),
@@ -574,12 +598,14 @@ impl Controller {
         })
     }
 
-    /// Commit a [`DeploymentPlan`]: book the ledger resources, synthesize
-    /// with the base program, and install the snippets on the data planes.
+    /// Commit a [`DeploymentPlan`]: book the ledger resources, merge the
+    /// plan's slices into their devices' images and emit each touched
+    /// device's code.  The caller's data plane installs
+    /// [`Controller::tenant_hops`].
     ///
     /// Atomicity: every fallible check (stale epoch, duplicate user) runs
     /// *before* the first mutation, so an `Err` return leaves the ledger,
-    /// the active-user set and every plane bit-identical to before the call.
+    /// the active-user set and every image bit-identical to before the call.
     pub fn commit(&mut self, planned: DeploymentPlan) -> Result<&Deployment, ClickIncError> {
         if planned.epoch != self.epoch {
             return Err(ClickIncError::StalePlan {
@@ -602,39 +628,36 @@ impl Controller {
         }
         debug_assert_eq!(planned.numeric_id, self.next_user_id, "epoch pins the numeric id");
         let commit_started = Instant::now();
-        let DeploymentPlan { request, numeric_id, program: isolated, dag, plan, solved_in, .. } =
+        let DeploymentPlan { request, numeric_id, program, dag, plan, snippets, solved_in, .. } =
             planned;
 
         // ---- no fallible step below this line: the commit is atomic ----
 
-        // book resources
-        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
+        // book resources and record which slices each device runs
+        let mut installed: BTreeMap<NodeId, Vec<Arc<IrProgram>>> = BTreeMap::new();
+        for (assignment, snippet) in placed(&plan, &snippets) {
             for member in &assignment.members {
                 self.ledger.consume(*member, assignment.demand);
+                installed.entry(*member).or_default().push(Arc::clone(snippet));
             }
         }
 
-        // synthesize with the base program and install on the data planes
-        let base = base_program();
-        let pod_of: BTreeMap<NodeId, Option<usize>> =
-            self.topology.nodes().iter().map(|n| (n.id, n.pod)).collect();
-        let delta = add_user_program(&mut self.images, &base, &isolated, &plan, &pod_of);
-        let steps = assign_steps(&dag, &plan);
-        let mut device_programs = BTreeMap::new();
-        let mut installed: BTreeMap<NodeId, Vec<IrProgram>> = BTreeMap::new();
-        for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
-            let snippet = slice_snippet(&request.user, &isolated, &assignment.instrs);
-            for member in &assignment.members {
-                if let Some(plane) = self.planes.get_mut(member) {
-                    plane.install(snippet.clone());
-                }
-                installed.entry(*member).or_default().push(snippet.clone());
-                if let Some(image) = self.images.images.get(member) {
-                    let kind = self.topology.node(*member).kind;
-                    device_programs.insert(*member, clickinc_backend::generate(kind, image));
-                }
-            }
-        }
+        // synthesize with the base program, then emit every touched device
+        // once, from its merged image
+        let delta = add_slices(
+            &mut self.images,
+            &self.base,
+            placed(&plan, &snippets).map(|(a, snippet)| (a.members.as_slice(), &**snippet)),
+            &self.pod_of,
+        );
+        let device_programs = delta
+            .affected_devices
+            .iter()
+            .map(|device| {
+                let kind = self.topology.node(*device).kind;
+                (*device, clickinc_backend::generate(kind, &self.images.images[device]))
+            })
+            .collect();
 
         self.next_user_id += 1;
         self.epoch += 1;
@@ -643,10 +666,9 @@ impl Controller {
             user: user.clone(),
             request,
             numeric_id,
-            program: isolated,
+            program,
             dag,
             plan,
-            steps,
             delta,
             device_programs,
             snippets: installed,
@@ -675,16 +697,7 @@ impl Controller {
                 self.ledger.release(*member, assignment.demand);
             }
         }
-        // quiesce the emulated planes too: drop the tenant's snippets and
-        // exclusively-owned state so a later re-deploy starts clean
-        for device in deployment.snippets.keys() {
-            if let Some(plane) = self.planes.get_mut(device) {
-                plane.uninstall(user);
-            }
-        }
-        let pod_of: BTreeMap<NodeId, Option<usize>> =
-            self.topology.nodes().iter().map(|n| (n.id, n.pod)).collect();
-        let delta = remove_user_program(&mut self.images, user, &pod_of);
+        let delta = remove_user_program(&mut self.images, user, &self.pod_of);
         self.epoch += 1;
         Ok(delta)
     }
@@ -693,8 +706,8 @@ impl Controller {
     /// placement solved from now on routes around it — and quiesce every
     /// tenant whose placement occupies it through the normal
     /// [`remove`](Controller::remove) path, so their ledger bookings are
-    /// released, their snippets uninstalled and the epoch bumped exactly as
-    /// for a voluntary removal.
+    /// released, their instructions struck from the images and the epoch
+    /// bumped exactly as for a voluntary removal.
     ///
     /// Returns the displaced tenants' original requests (in user order) so
     /// the caller can re-place them against the degraded topology; the
@@ -771,27 +784,12 @@ impl Controller {
     }
 }
 
-/// The per-device slice of an isolated program: an assignment's instructions
-/// plus exactly the headers and objects they reference.  Shared by
-/// [`Controller::plan`] (which verifies every slice against its device
-/// model) and [`Controller::commit`] (which installs the same slices on the
-/// planes), so the program the verifier approved is the program that runs.
-fn slice_snippet(user: &str, isolated: &IrProgram, instrs: &[usize]) -> IrProgram {
-    let mut snippet = IrProgram::new(user.to_string());
-    snippet.headers = isolated.headers.clone();
-    // the hoisted isolation guard must travel with every slice — without it
-    // a slice would run on co-resident tenants' packets
-    snippet.precondition = isolated.precondition.clone();
-    snippet.objects = isolated
-        .objects
-        .iter()
-        .filter(|o| {
-            instrs.iter().any(|&i| isolated.instructions[i].object() == Some(o.name.as_str()))
-        })
-        .cloned()
-        .collect();
-    snippet.instructions = instrs.iter().map(|&i| isolated.instructions[i].clone()).collect();
-    snippet
+/// A plan's non-empty assignments, each with the slice cut for it.
+fn placed<'a>(
+    plan: &'a PlacementPlan,
+    snippets: &'a [Arc<IrProgram>],
+) -> impl Iterator<Item = (&'a Assignment, &'a Arc<IrProgram>)> {
+    plan.assignments.iter().filter(|a| !a.is_empty()).zip(snippets)
 }
 
 #[cfg(test)]
@@ -818,10 +816,9 @@ mod tests {
         assert!(!deployment.device_programs.is_empty());
         assert!(deployment.delta.device_count() > 0);
         assert!(deployment.elapsed < Duration::from_secs(30));
-        let devices = c.devices_of("kvs0");
-        assert!(!devices.is_empty());
-        // the snippets are installed on the emulated planes
-        assert!(devices.iter().any(|d| c.plane(*d).map(|p| p.has_program()).unwrap_or(false)));
+        assert!(!c.devices_of("kvs0").is_empty());
+        // a data plane built from the hops runs the program
+        assert!(c.tenant_hops("kvs0").iter().any(|hop| hop.plane().has_program()));
         // resources were booked
         assert!(c.remaining_resource_ratio() <= ratio_before);
         assert_eq!(c.active_users(), vec!["kvs0"]);
@@ -877,20 +874,18 @@ mod tests {
         assert!(after_three <= after_first);
 
         let dq_devices = c.devices_of("dq0");
+        assert!(dq_devices.iter().all(|d| c.images().images[d].owners().contains("dq0")));
         let delta = c.remove("dq0").expect("removal succeeds");
         assert!(delta.device_count() > 0);
         assert_eq!(c.active_users().len(), 2);
         assert!(c.remaining_resource_ratio() >= after_three);
         assert!(matches!(c.remove("dq0").unwrap_err(), ClickIncError::UnknownUser(_)));
-        // the emulated planes dropped the tenant's snippets and state…
+        // the device images dropped the tenant's instructions and objects…
+        assert!(c.tenant_hops("dq0").is_empty());
         for device in &dq_devices {
-            if let Some(plane) = c.plane(*device) {
-                assert!(!plane.installed_programs().contains(&"dq0"), "snippets quiesced");
-                assert!(
-                    plane.store().table_names().iter().all(|n| !n.starts_with("dq0_")),
-                    "tenant tables dropped"
-                );
-            }
+            let image = &c.images().images[device];
+            assert!(!image.owners().contains("dq0"), "instructions struck");
+            assert!(image.objects.iter().all(|o| !o.name.starts_with("dq0_")), "objects released");
         }
         // …so the same user id can deploy again from a clean slate
         c.deploy(ServiceRequest::from_template(
@@ -950,16 +945,14 @@ mod tests {
         ))
         .unwrap();
         // find a device that hosts the aggregation state
-        let devices = c.devices_of("agg0");
         let user_id = 1; // first deployment gets numeric id 1
         let mut completed = false;
-        'outer: for device in devices {
-            // replay the workload against a clone of that plane
-            let Some(plane) = c.plane(device) else { continue };
+        'outer: for hop in c.tenant_hops("agg0") {
+            // replay the workload against that hop's plane
+            let mut plane = hop.plane();
             if !plane.has_program() {
                 continue;
             }
-            let mut plane = plane.clone();
             for w in 0..workers {
                 let mut pkt = gradient_packet("w", "ps", user_id, 1, w, dims, &[1, 2, 3, 4]);
                 let outcome = plane.process(&mut pkt);
@@ -974,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_hops_mirror_the_installed_planes() {
+    fn tenant_hops_carry_the_tenants_slices() {
         let mut c = controller();
         let t = kvs_template("kvs0", KvsParams { cache_depth: 1000, ..Default::default() });
         c.deploy(ServiceRequest::from_template(t, &["pod0a", "pod1a"], "pod2b")).unwrap();

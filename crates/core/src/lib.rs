@@ -10,10 +10,11 @@
 //! 2. **plan** — [`ClickIncService::plan`] compiles and places the request
 //!    as a *pure dry-run*: it reports devices, resource demand and the
 //!    predicted remaining resource ratio without touching the ledger or any
-//!    data plane;
-//! 3. **commit** — [`ClickIncService::commit`] books the resources,
-//!    installs the isolated snippets, and mirrors the tenant onto the
-//!    sharded serving engine atomically; [`ClickIncService::deploy_all`]
+//!    device image;
+//! 3. **commit** — [`ClickIncService::commit`] books the resources, merges
+//!    the isolated per-device slices into the device images, and mirrors the
+//!    tenant onto the sharded serving engine — the data plane, which
+//!    installs those same slices — atomically; [`ClickIncService::deploy_all`]
 //!    commits a batch with all-or-nothing rollback;
 //! 4. **serve** — the returned [`TenantHandle`] carries the tenant's
 //!    numeric id, its hops, live telemetry, workload injection and removal.
@@ -35,7 +36,7 @@
 //! assert!(!plan.devices().is_empty());
 //! assert!(plan.predicted_remaining_ratio() <= 1.0);
 //!
-//! // commit: book resources, install snippets, mirror onto the engine
+//! // commit: book resources, merge the slices, mirror onto the engine
 //! let tenant = service.commit(plan).unwrap();
 //! assert_eq!(tenant.user(), "cms_demo");
 //! let stats = tenant.telemetry().expect("tenant is registered");
@@ -58,9 +59,9 @@
 //! * **admit** solves the request (or takes the plan you quoted), refuses it
 //!   as [`ClickIncError::StalePlan`] if the controller moved since the
 //!   solve, consults the [`AdmissionPolicy`] chain, and only then lets the
-//!   controller book the ledger and install the snippets.  Every check
-//!   precedes the first mutation: a refusal leaves the ledger, the planes
-//!   and the engine bit-identical.
+//!   controller book the ledger and merge the slices into the device
+//!   images.  Every check precedes the first mutation: a refusal leaves the
+//!   ledger, the images and the engine bit-identical.
 //! * **mirror** derives the tenant's sharding mode (honouring
 //!   [`InitialSharding`]), registers its hops with the engine and returns
 //!   the [`TenantHandle`].  It cannot fail, and a batch is mirrored only
@@ -116,9 +117,10 @@
 //! The [`Controller`] under the service is still public for the ablation
 //! experiments (Tables 3–6) that measure the control plane in isolation:
 //! [`Controller::deploy`]/[`Controller::remove`] drive compile → place →
-//! synthesize → install directly.  It knows nothing about the engine; a
-//! driver that wants traffic mirrors [`Controller::tenant_hops`] onto an
-//! engine itself.
+//! verify → synthesize directly.  It holds no data plane and knows nothing
+//! about the engine; a driver that wants traffic installs
+//! [`Controller::tenant_hops`] on an engine — or, for a handful of packets,
+//! on the planes [`TenantHop::plane`] builds — itself.
 //!
 //! ```
 //! use clickinc::{Controller, ServiceRequest};

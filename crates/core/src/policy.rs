@@ -11,8 +11,8 @@
 //! returns an [`AdmissionDecision`].  Policies compose with [`PolicyChain`]
 //! (first rejection wins).  Every commit path of the service threads through
 //! the installed chain **before the first mutation**, so a rejection leaves
-//! the ledger, the planes and the engine bit-identical to before the call
-//! and surfaces as [`ClickIncError::Rejected`].
+//! the ledger, the device images and the engine bit-identical to before the
+//! call and surfaces as [`ClickIncError::Rejected`].
 //!
 //! [`ClickIncError::Rejected`]: crate::ClickIncError::Rejected
 

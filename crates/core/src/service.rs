@@ -13,13 +13,14 @@
 //!    caller brings an already-solved plan), refuse a stale plan, consult
 //!    the admission chain, then [`Controller::commit`].  Every fallible
 //!    check precedes the first mutation, so a refusal leaves the ledger, the
-//!    planes and the engine bit-identical; the stage never touches the
-//!    engine at all.
+//!    device images and the engine bit-identical; the stage never touches
+//!    the engine at all.
 //! 2. **mirror** — derive the tenant's sharding mode (honouring
-//!    [`InitialSharding`]), register its hops with the engine, and build the
-//!    [`TenantHandle`].  Infallible, and always under the same lock as the
-//!    admit it follows, so engine adds and removals arrive in controller
-//!    order.
+//!    [`InitialSharding`]), register its hops with the engine — the data
+//!    plane, which installs the slices the plan carried past the verifier —
+//!    and build the [`TenantHandle`].  Infallible, and always under the same
+//!    lock as the admit it follows, so engine adds and removals arrive in
+//!    controller order.
 //!
 //! The state that pipeline reads and writes — controller, admission chain,
 //! [`InitialSharding`], parked (degraded) tenants, retry queue — lives
@@ -451,8 +452,9 @@ impl ClickIncService {
 
     /// Low-level access to the owned controller (the ablation escape hatch),
     /// for inspection and solver knobs.  The guard holds the service state
-    /// lock: drop it before calling back into the service.  Deploys made
-    /// directly through it are **not** mirrored onto the engine.
+    /// lock: drop it before calling back into the service.  The controller
+    /// holds no data plane: a deploy made directly through it books
+    /// resources but is **not** mirrored onto the engine and serves nothing.
     pub fn controller(&self) -> ControllerGuard<'_> {
         ControllerGuard(self.shared.lock())
     }
@@ -469,13 +471,14 @@ impl ClickIncService {
 
     /// Compile + place `request` as a pure dry-run.  The controller state is
     /// untouched: planning never changes the remaining resource ratio, the
-    /// active user set, or any plane.
+    /// active user set, or any device image.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
         self.shared.lock().controller.plan(request)
     }
 
     /// Commit an already-solved plan: admission gate, book resources,
-    /// install snippets, and mirror the tenant onto the engine.  Returns the
+    /// merge the plan's slices into the device images, and mirror the tenant
+    /// onto the engine, which installs those slices.  Returns the
     /// tenant's handle.  A plan solved before any other commit, removal or
     /// health change is [`ClickIncError::StalePlan`]; a policy refusal is
     /// [`ClickIncError::Rejected`]; either changes nothing.
@@ -554,8 +557,8 @@ impl ClickIncService {
     /// bit-identical to deploying the members one by one); if any member
     /// fails to plan, is refused by the admission policy, or fails to
     /// commit, every member this call already committed is removed again —
-    /// the ledger ratio, the active user set and every plane's store return
-    /// to their pre-call state bit-identical.  The engine only sees the
+    /// the ledger ratio, the active user set and what tenants own in every
+    /// device image return to their pre-call state bit-identical.  The engine only sees the
     /// batch once all of it is committed, so it never sees any tenant of a
     /// failed batch.  Use [`planner`](ClickIncService::planner) to add
     /// batch-scoped admission policies.
@@ -592,8 +595,8 @@ impl ClickIncService {
         Ok(admitted.into_iter().map(|member| self.shared.mirror(&state, member)).collect())
     }
 
-    /// Remove a tenant by user id: release its resources, uninstall its
-    /// snippets, quiesce its traffic on the engine — exactly what
+    /// Remove a tenant by user id: release its resources, strike it from the
+    /// device images, quiesce and uninstall it on the engine — exactly what
     /// [`TenantHandle::remove`] does, for when the handle is out of reach.
     /// A parked ([`ClickIncError::Degraded`]) tenant is un-parked too, so it
     /// will not resurrect on the next restore.  A successful removal frees
@@ -785,9 +788,9 @@ impl TenantHandle {
         }
     }
 
-    /// Revoke the tenant: release its ledger resources, uninstall its
-    /// snippets from the controller planes, quiesce exactly its traffic on
-    /// the engine (co-resident tenants keep flowing), and let the retry
+    /// Revoke the tenant: release its ledger resources, strike it from the
+    /// device images, quiesce and uninstall exactly it on the engine
+    /// (co-resident tenants keep flowing), and let the retry
     /// queue claim the freed capacity — the same driver as
     /// [`ClickIncService::remove`].
     pub fn remove(self) -> Result<DeploymentDelta, ClickIncError> {
@@ -821,13 +824,13 @@ mod tests {
     fn plan_is_a_pure_dry_run() {
         let service = service();
         let ratio = service.remaining_resource_ratio();
-        let fingerprints = service.controller().plane_fingerprints();
+        let fingerprints = service.controller().image_fingerprints();
         let plan = service.plan(&kvs_request("kvs0")).expect("plans");
         assert!(!plan.devices().is_empty());
         assert!(plan.predicted_remaining_ratio() <= ratio);
         assert_eq!(service.remaining_resource_ratio(), ratio, "plan books nothing");
         assert!(service.active_users().is_empty());
-        assert_eq!(service.controller().plane_fingerprints(), fingerprints);
+        assert_eq!(service.controller().image_fingerprints(), fingerprints);
         service.finish();
     }
 
@@ -952,7 +955,7 @@ mod tests {
     fn deploy_all_is_atomic() {
         let service = service();
         let ratio = service.remaining_resource_ratio();
-        let fingerprints = service.controller().plane_fingerprints();
+        let fingerprints = service.controller().image_fingerprints();
         let telemetry = service.telemetry();
         let err = service
             .deploy_all(vec![
@@ -969,7 +972,7 @@ mod tests {
         assert!(matches!(err, ClickIncError::UnknownHost(_)));
         assert_eq!(service.remaining_resource_ratio(), ratio);
         assert!(service.active_users().is_empty());
-        assert_eq!(service.controller().plane_fingerprints(), fingerprints);
+        assert_eq!(service.controller().image_fingerprints(), fingerprints);
         assert_eq!(service.telemetry(), telemetry, "the engine never saw the batch");
 
         // the same batch without the poison pill commits both tenants

@@ -39,7 +39,8 @@ use clickinc_runtime::{ShardingMode, TenantHop};
 /// Derive the sharding mode for a deployment's hop list; see the
 /// [module docs](self) for the analysis.
 pub fn sharding_mode_for(hops: &[TenantHop]) -> ShardingMode {
-    let snippets: Vec<&IrProgram> = hops.iter().flat_map(|hop| hop.snippets.iter()).collect();
+    let snippets: Vec<&IrProgram> =
+        hops.iter().flat_map(|hop| &hop.snippets).map(AsRef::as_ref).collect();
     match state_profile(&snippets).sharding_decision() {
         ShardingDecision::Stateless => ShardingMode::ByFlow { key_fields: Vec::new() },
         ShardingDecision::ByKey(key_fields) => ShardingMode::ByFlow { key_fields },
@@ -60,7 +61,7 @@ mod tests {
         vec![TenantHop {
             device: "tor0".to_string(),
             model: DeviceModel::tofino(),
-            snippets: vec![isolate_user_program(&ir, user, 1)],
+            snippets: vec![isolate_user_program(&ir, user, 1).into()],
         }]
     }
 

@@ -7,6 +7,7 @@ use clickinc_device::DeviceModel;
 use clickinc_ir::eval::{alu, compare};
 use clickinc_ir::{Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// What happens to the packet after the device processed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +42,9 @@ pub struct DevicePlane {
     pub name: String,
     /// The device model (for latency and line-rate accounting).
     pub model: DeviceModel,
-    /// Installed program snippets, executed in installation order.
-    snippets: Vec<IrProgram>,
+    /// Installed program snippets, executed in installation order (shared
+    /// with whoever installed them, not copied).
+    snippets: Vec<Arc<IrProgram>>,
     /// Stateful object storage shared by all snippets on this device.
     store: ObjectStore,
     /// Object name → declared kind, maintained across install/uninstall so the
@@ -134,7 +136,8 @@ impl DevicePlane {
     }
 
     /// Install a program snippet (declares its objects).
-    pub fn install(&mut self, snippet: IrProgram) {
+    pub fn install(&mut self, snippet: impl Into<Arc<IrProgram>>) {
+        let snippet = snippet.into();
         for obj in &snippet.objects {
             self.store.declare(obj);
             // the first declaration of a name wins, matching install order
@@ -151,7 +154,7 @@ impl DevicePlane {
     ///
     /// Returns `true` if at least one snippet was removed.
     pub fn uninstall(&mut self, owner: &str) -> bool {
-        let (removed, kept): (Vec<IrProgram>, Vec<IrProgram>) =
+        let (removed, kept): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.snippets).into_iter().partition(|s| s.name == owner);
         self.snippets = kept;
         if removed.is_empty() {

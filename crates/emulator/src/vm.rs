@@ -599,7 +599,7 @@ impl<'a> Lowerer<'a> {
 /// store slots.  Called at install time (and re-called on uninstall), never
 /// per packet.
 pub fn compile(
-    snippets: &[IrProgram],
+    snippets: &[Arc<IrProgram>],
     kinds: &BTreeMap<String, ObjectKind>,
     store: &ObjectStore,
 ) -> CompiledImage {

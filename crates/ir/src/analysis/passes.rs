@@ -19,6 +19,7 @@ use crate::instr::{OpCode, Operand};
 use crate::object::ObjectKind;
 use crate::program::IrProgram;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A device the verifier checks placements against, as plain data.
 ///
@@ -43,8 +44,8 @@ pub struct PlacedSnippet {
     pub device: String,
     /// The device's verifier-visible model.
     pub target: DeviceTarget,
-    /// The instructions placed there.
-    pub program: IrProgram,
+    /// The slice placed there (the allocation the data plane installs).
+    pub program: Arc<IrProgram>,
 }
 
 /// Everything a pass may inspect for one tenant.
@@ -565,8 +566,11 @@ mod tests {
             supported: BTreeSet::from([CapabilityClass::Bin]), // no BSO
             storage_capacity_bits: 1024,                       // < 32768 demanded
         };
-        let placements =
-            [PlacedSnippet { device: "tor0".into(), target: starved, program: program.clone() }];
+        let placements = [PlacedSnippet {
+            device: "tor0".into(),
+            target: starved,
+            program: program.clone().into(),
+        }];
         let p = [program];
         let set = PassManager::with_default_passes().run(&ctx(&p, &placements));
         let res: Vec<_> = set.iter().filter(|d| d.pass == "resource-bound").collect();

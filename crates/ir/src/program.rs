@@ -212,8 +212,31 @@ impl IrProgram {
         out
     }
 
+    /// The per-device slice of this program: the instructions at `instrs` (in
+    /// the given order, ids kept) plus the headers, the precondition — a
+    /// hoisted isolation guard must travel with every slice, or the slice
+    /// would run on co-resident tenants' packets — and exactly the objects
+    /// those instructions reference.  The workspace's only slicer.
+    pub fn slice(&self, instrs: &[usize]) -> IrProgram {
+        let instructions: Vec<Instruction> =
+            instrs.iter().map(|&i| self.instructions[i].clone()).collect();
+        let objects = self
+            .objects
+            .iter()
+            .filter(|o| instructions.iter().any(|i| i.object() == Some(o.name.as_str())))
+            .cloned()
+            .collect();
+        IrProgram {
+            name: self.name.clone(),
+            objects,
+            headers: self.headers.clone(),
+            instructions,
+            precondition: self.precondition.clone(),
+        }
+    }
+
     /// Remove instructions turned into [`OpCode::NoOp`] and renumber ids.
-    /// Used by the incremental-removal path of the synthesizer.
+    /// Run by the synthesizer's merge step over what lazy removal left.
     pub fn compact(&mut self) {
         self.instructions.retain(|i| !matches!(i.op, OpCode::NoOp));
         for (idx, i) in self.instructions.iter_mut().enumerate() {

@@ -8,7 +8,9 @@
 //! engine-invariance tests do) work just as well.
 
 use clickinc_device::DeviceModel;
+use clickinc_emulator::DevicePlane;
 use clickinc_ir::IrProgram;
+use std::sync::Arc;
 
 /// One programmable hop of a tenant's deployment: the physical device, its
 /// model (for latency accounting on replicas of the plane), and the isolated
@@ -19,8 +21,22 @@ pub struct TenantHop {
     pub device: String,
     /// The device model.
     pub model: DeviceModel,
-    /// The snippets installed on this device for the tenant, in install order.
-    pub snippets: Vec<IrProgram>,
+    /// The snippets installed on this device for the tenant, in install
+    /// order (shared: cloning or installing a hop copies no IR).
+    pub snippets: Vec<Arc<IrProgram>>,
+}
+
+impl TenantHop {
+    /// A fresh plane of this hop's device running only this tenant's
+    /// snippets: how tests and examples drive packets through a deployment
+    /// without an engine.
+    pub fn plane(&self) -> DevicePlane {
+        let mut plane = DevicePlane::new(&self.device, self.model.clone());
+        for snippet in &self.snippets {
+            plane.install(Arc::clone(snippet));
+        }
+        plane
+    }
 }
 
 /// How a tenant's traffic (and therefore its data-plane state) is

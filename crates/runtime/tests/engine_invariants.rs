@@ -29,7 +29,7 @@ fn kvs_tenant(name: &str, id: i64) -> Vec<TenantHop> {
     vec![TenantHop {
         device: "tor0".to_string(),
         model: DeviceModel::tofino(),
-        snippets: vec![isolate_user_program(&ir, name, id)],
+        snippets: vec![isolate_user_program(&ir, name, id).into()],
     }]
 }
 
@@ -46,7 +46,7 @@ fn mlagg_tenant(name: &str, id: i64, dims: u32, workers: u32) -> Vec<TenantHop> 
         TenantHop {
             device: "agg0".to_string(),
             model: DeviceModel::tofino(),
-            snippets: vec![isolate_user_program(&ir, name, id)],
+            snippets: vec![isolate_user_program(&ir, name, id).into()],
         },
     ]
 }
@@ -162,7 +162,7 @@ fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
             vec![TenantHop {
                 device: "tor0".to_string(),
                 model: DeviceModel::tofino(),
-                snippets: vec![isolate_user_program(&ir, "gamma", 3)],
+                snippets: vec![isolate_user_program(&ir, "gamma", 3).into()],
             }],
         );
         let mut gamma = MlAggWorkload::new(MlAggWorkloadConfig {

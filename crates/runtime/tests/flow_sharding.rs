@@ -31,7 +31,7 @@ fn kvs_tenant(name: &str, id: i64, cache_depth: u32) -> Vec<TenantHop> {
     vec![TenantHop {
         device: "tor0".to_string(),
         model: DeviceModel::tofino(),
-        snippets: vec![isolate_user_program(&ir, name, id)],
+        snippets: vec![isolate_user_program(&ir, name, id).into()],
     }]
 }
 

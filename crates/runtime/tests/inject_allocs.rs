@@ -75,7 +75,7 @@ fn one_hop(name: &str, id: i64, source: &str) -> (Vec<TenantHop>, usize) {
     let hop = TenantHop {
         device: "tor0".to_string(),
         model: DeviceModel::tofino(),
-        snippets: vec![snippet],
+        snippets: vec![snippet.into()],
     };
     (vec![hop], instructions)
 }

@@ -10,7 +10,7 @@
 //! affected, which is exactly what Table 6 reports.
 
 use crate::base::BaseProgram;
-use crate::merge::merge_programs;
+use crate::merge::{extend_image, merge_programs};
 use clickinc_ir::{IrProgram, OpCode};
 use clickinc_placement::PlacementPlan;
 use clickinc_topology::NodeId;
@@ -50,9 +50,19 @@ impl DeploymentDelta {
     pub fn pod_count(&self) -> usize {
         self.affected_pods.len()
     }
+
+    /// Record that `device`'s image changed (and with it its pod's traffic).
+    fn touch(&mut self, device: NodeId, pod_of: &BTreeMap<NodeId, Option<usize>>) {
+        self.affected_devices.insert(device);
+        if let Some(Some(pod)) = pod_of.get(&device) {
+            self.affected_pods.insert(*pod);
+        }
+    }
 }
 
-/// Incrementally add a placed, isolated user program to the running images.
+/// Incrementally add a placed, isolated user program to the running images:
+/// cut each non-empty assignment's slice ([`IrProgram::slice`]) and hand them
+/// to [`add_slices`].
 ///
 /// `pod_of` maps physical devices to their pod (for the affected-traffic
 /// metric).  Only devices that received a snippet are rebuilt.
@@ -63,37 +73,29 @@ pub fn add_user_program(
     plan: &PlacementPlan,
     pod_of: &BTreeMap<NodeId, Option<usize>>,
 ) -> DeploymentDelta {
-    let mut delta = DeploymentDelta::default();
-    for assignment in plan.assignments.iter().filter(|a| !a.is_empty()) {
-        // the snippet: the subset of the user program assigned to this device
-        let mut snippet = IrProgram::new(user_program.name.clone());
-        snippet.headers = user_program.headers.clone();
-        let needed_objects: BTreeSet<&str> = assignment
-            .instrs
-            .iter()
-            .filter_map(|&i| user_program.instructions[i].object())
-            .collect();
-        snippet.objects = user_program
-            .objects
-            .iter()
-            .filter(|o| needed_objects.contains(o.name.as_str()))
-            .cloned()
-            .collect();
-        snippet.instructions =
-            assignment.instrs.iter().map(|&i| user_program.instructions[i].clone()).collect();
+    let placed = plan.assignments.iter().filter(|a| !a.is_empty());
+    let slices: Vec<_> = placed.map(|a| (&a.members[..], user_program.slice(&a.instrs))).collect();
+    add_slices(images, base, slices.iter().map(|(members, slice)| (*members, slice)), pod_of)
+}
 
-        for &member in &assignment.members {
-            delta.affected_devices.insert(member);
-            if let Some(Some(pod)) = pod_of.get(&member) {
-                delta.affected_pods.insert(*pod);
-            }
-            // existing tenants on this device are affected only in the sense of
-            // sharing the device; incremental merge does not recompile them, but
-            // Table 6 counts co-residents whose *image* is rebuilt.  With
-            // incremental merge the image is extended in place, so co-residents
-            // are NOT counted here (that is the difference from monolithic).
-            let entry = images.images.entry(member).or_insert_with(|| merge_programs(base, &[]));
-            extend_image(entry, &snippet);
+/// Merge already-cut slices into the images of the devices they were placed
+/// on — one `(member devices, slice)` pair per assignment, in traffic order.
+/// A device's image starts as the bare base program and is extended in place
+/// ([`extend_image`]); co-resident tenants are not recompiled, which is why
+/// they are not counted as affected (the difference from
+/// [`add_user_program_monolithic`] that Table 6 reports).
+pub fn add_slices<'a>(
+    images: &mut DeviceImages,
+    base: &BaseProgram,
+    placed: impl IntoIterator<Item = (&'a [NodeId], &'a IrProgram)>,
+    pod_of: &BTreeMap<NodeId, Option<usize>>,
+) -> DeploymentDelta {
+    let mut delta = DeploymentDelta::default();
+    for (members, slice) in placed {
+        for &member in members {
+            delta.touch(member, pod_of);
+            let image = images.images.entry(member).or_insert_with(|| merge_programs(base, &[]));
+            extend_image(image, slice, base.tail.len());
         }
     }
     delta
@@ -112,14 +114,9 @@ pub fn add_user_program_monolithic(
 ) -> DeploymentDelta {
     // first do the same placement-driven extension...
     let mut delta = add_user_program(images, base, user_program, plan, pod_of);
+    let target_devices = delta.affected_devices.clone();
     // ...but a monolithic rebuild additionally recompiles every device that
     // already hosts any user program, affecting those programs and their pods.
-    let target_devices: BTreeSet<NodeId> = plan
-        .assignments
-        .iter()
-        .filter(|a| !a.is_empty())
-        .flat_map(|a| a.members.iter().copied())
-        .collect();
     for (device, image) in &images.images {
         let owners = image.owners();
         if owners.is_empty() {
@@ -133,10 +130,7 @@ pub fn add_user_program_monolithic(
                 .filter(|(d, _)| target_devices.contains(d))
                 .any(|(_, img)| !img.owners().is_disjoint(&owners));
         if shares_program_with_target {
-            delta.affected_devices.insert(*device);
-            if let Some(Some(pod)) = pod_of.get(device) {
-                delta.affected_pods.insert(*pod);
-            }
+            delta.touch(*device, pod_of);
             for o in owners {
                 if o != user_program.name {
                     delta.affected_programs.insert(o);
@@ -177,10 +171,7 @@ pub fn remove_user_program(
             touched = true;
         }
         if touched {
-            delta.affected_devices.insert(*device);
-            if let Some(Some(pod)) = pod_of.get(device) {
-                delta.affected_pods.insert(*pod);
-            }
+            delta.touch(*device, pod_of);
             for other in image.owners() {
                 if other != user {
                     delta.affected_programs.insert(other);
@@ -189,43 +180,6 @@ pub fn remove_user_program(
         }
     }
     delta
-}
-
-/// Extend an existing device image with a new snippet (incremental merge):
-/// the snippet is inserted before the base tail so the forwarding decision
-/// still runs last.  The owner-less `NoOp`s earlier removals left behind are
-/// dropped first, so an image's size tracks its live tenants, not its age.
-fn extend_image(image: &mut IrProgram, snippet: &IrProgram) {
-    image.instructions.retain(|i| !(i.is_base() && matches!(i.op, OpCode::NoOp)));
-    for obj in &snippet.objects {
-        if image.object(&obj.name).is_none() {
-            image.objects.push(obj.clone());
-        }
-    }
-    for hdr in &snippet.headers {
-        if !image.headers.iter().any(|h| h.name == hdr.name) {
-            image.headers.push(hdr.clone());
-        }
-    }
-    // find the start of the base tail: the last run of base-owned instructions
-    let tail_start =
-        image.instructions.iter().rposition(|i| !i.is_base()).map(|p| p + 1).unwrap_or_else(|| {
-            // no user instructions yet: insert before the trailing forward/count
-            image
-                .instructions
-                .iter()
-                .position(|i| matches!(i.op, OpCode::ReadState { .. } | OpCode::Forward))
-                .unwrap_or(image.instructions.len())
-        });
-    let mut new_instrs = snippet.instructions.clone();
-    let mut all = Vec::with_capacity(image.instructions.len() + new_instrs.len());
-    all.extend_from_slice(&image.instructions[..tail_start]);
-    all.append(&mut new_instrs);
-    all.extend_from_slice(&image.instructions[tail_start..]);
-    for (idx, instr) in all.iter_mut().enumerate() {
-        instr.id = clickinc_ir::InstrId(idx as u32);
-    }
-    image.instructions = all;
 }
 
 #[cfg(test)]

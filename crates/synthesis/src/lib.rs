@@ -15,15 +15,18 @@
 //!   snippets, e.g. the forwarding decision);
 //! * [`merge`] — header-parse-tree merging and pipeline/RTC program merging
 //!   (Fig. 10 / Algorithm 4): user snippets are spliced between the base head
-//!   and tail, as early as possible;
+//!   and tail, as early as possible, by the one merge routine
+//!   [`extend_image`] — [`merge_programs`] is a fold of it and the incremental
+//!   path calls it once per placed device;
 //! * [`refine`] — the runtime data-plane refinement: step numbers for (possibly
 //!   replicated) blocks and the `Param` field carrying shared temporaries
 //!   between devices;
 //! * [`incremental`] — the annotation-based incremental compilation: adding a
-//!   user program annotates the instructions it contributes; removing one
-//!   strips its annotation and lazily deletes instructions that no longer have
-//!   any owner, without touching the other tenants (Table 6's comparison
-//!   against monolithic redeployment).
+//!   user program merges its per-device slices (cut by [`add_user_program`],
+//!   or brought ready-cut to [`add_slices`]) into the running images;
+//!   removing one strips its annotation and lazily deletes instructions that
+//!   no longer have any owner, without touching the other tenants (Table 6's
+//!   comparison against monolithic redeployment).
 
 pub mod base;
 pub mod incremental;
@@ -32,7 +35,7 @@ pub mod merge;
 pub mod refine;
 
 pub use base::base_program;
-pub use incremental::{add_user_program, remove_user_program, DeploymentDelta};
+pub use incremental::{add_slices, add_user_program, remove_user_program, DeploymentDelta};
 pub use isolation::isolate_user_program;
-pub use merge::{merge_parse_trees, merge_programs, ParseTree};
+pub use merge::{extend_image, merge_parse_trees, merge_programs, ParseTree};
 pub use refine::{assign_steps, param_field_bits, StepAssignment};

@@ -1,7 +1,7 @@
 //! Header-parse-tree and program merging (paper Fig. 10, Algorithm 4).
 
 use crate::base::BaseProgram;
-use clickinc_ir::{InstrId, IrProgram};
+use clickinc_ir::{Guard, Instruction, IrProgram};
 use std::collections::BTreeMap;
 
 /// A header parse tree: states (header names) with parent → child transitions.
@@ -92,35 +92,57 @@ pub fn merge_parse_trees(tree: &mut ParseTree, user_program: &IrProgram, user: &
 /// (Fig. 10(b)): `base.head` first, then the user snippets (as early as their
 /// dependencies allow — here: in the given order), then `base.tail`.
 ///
-/// The returned program is the device's executable image in IR form; backends
-/// translate it to the device language.
+/// A fold of [`extend_image`], so an image built here in one go equals the
+/// one the incremental path grows a tenant at a time.  The returned program
+/// is the device's executable image in IR form; backends translate it to the
+/// device language.
 pub fn merge_programs(base: &BaseProgram, user_snippets: &[IrProgram]) -> IrProgram {
-    let mut merged = IrProgram::new("device_image");
-    let mut next_id: u32 = 0;
-    let mut push_all = |merged: &mut IrProgram, src: &IrProgram| {
-        for obj in &src.objects {
-            if merged.object(&obj.name).is_none() {
-                merged.objects.push(obj.clone());
-            }
-        }
-        for hdr in &src.headers {
-            if !merged.headers.iter().any(|h| h.name == hdr.name) {
-                merged.headers.push(hdr.clone());
-            }
-        }
-        for instr in &src.instructions {
-            let mut instr = instr.clone();
-            instr.id = InstrId(next_id);
-            next_id += 1;
-            merged.instructions.push(instr);
-        }
-    };
-    push_all(&mut merged, &base.head);
+    let mut image = IrProgram::new("device_image");
+    extend_image(&mut image, &base.head, 0);
+    extend_image(&mut image, &base.tail, 0);
     for snippet in user_snippets {
-        push_all(&mut merged, snippet);
+        extend_image(&mut image, snippet, base.tail.len());
     }
-    push_all(&mut merged, &base.tail);
-    merged
+    image
+}
+
+/// The one merge step: splice `slice` into `image` ahead of the image's last
+/// `tail_len` instructions (the base tail: the forwarding decision still runs
+/// last), declaring no object or header twice and renumbering the ids.  The
+/// slice's `precondition` — the hoisted `meta.inc_user == id` guard — has no
+/// program to gate in a merged image, so it is conjoined back onto every
+/// inserted instruction (predicates a guard already carries are not
+/// repeated): the emitted code tests the tenant id where the emulator does.
+/// The `NoOp`s earlier removals left behind are dropped on the way, so an
+/// image's size tracks its live tenants, not its age.
+pub fn extend_image(image: &mut IrProgram, slice: &IrProgram, tail_len: usize) {
+    for obj in &slice.objects {
+        if image.object(&obj.name).is_none() {
+            image.objects.push(obj.clone());
+        }
+    }
+    for hdr in &slice.headers {
+        if !image.headers.iter().any(|h| h.name == hdr.name) {
+            image.headers.push(hdr.clone());
+        }
+    }
+    let at = image.instructions.len() - tail_len;
+    let pre = slice.precondition.as_ref();
+    image.instructions.splice(at..at, slice.instructions.iter().map(|i| guarded_by(i, pre)));
+    // only removal writes `NoOp`s, and never into the base tail
+    image.compact();
+}
+
+/// A copy of `instr` whose guard additionally requires `pre`.
+fn guarded_by(instr: &Instruction, pre: Option<&Guard>) -> Instruction {
+    let mut instr = instr.clone();
+    if let Some(pre) = pre {
+        let own = instr.guard.take().unwrap_or_default().all;
+        let mut all: Vec<_> = pre.all.iter().filter(|p| !own.contains(p)).cloned().collect();
+        all.extend(own);
+        instr.guard = (!all.is_empty()).then_some(Guard { all });
+    }
+    instr
 }
 
 #[cfg(test)]

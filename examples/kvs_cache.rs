@@ -23,8 +23,7 @@ fn main() {
 
     // Build an emulation path containing one of the devices that hosts the
     // cache, then compare against a path with no INC program.
-    let device = controller.devices_of("kvs_0")[0];
-    let cached_plane = controller.plane(device).expect("plane exists").clone();
+    let cached_plane = controller.tenant_hops("kvs_0")[0].plane();
     let mut with_cache = NetworkSetup::new(vec![cached_plane]);
     let mut without_cache =
         NetworkSetup::new(vec![DevicePlane::new("ToR", clickinc::device::DeviceModel::tofino())]);

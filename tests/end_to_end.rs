@@ -65,17 +65,10 @@ fn deployed_kvs_serves_cache_hits_from_the_network() {
         ))
         .unwrap();
     let user_numeric = d.numeric_id;
-    let devices: Vec<_> = d
-        .plan
-        .assignments
-        .iter()
-        .filter(|a| !a.is_empty())
-        .flat_map(|a| a.members.iter().copied())
-        .collect();
     // populate the (isolated) cache on the hosting device and issue a request
     let mut served = false;
-    for device in devices {
-        let Some(plane) = controller.plane_mut(device) else { continue };
+    for hop in controller.tenant_hops("kvs_0") {
+        let mut plane = hop.plane();
         if !plane.store().contains("kvs_0_cache") {
             continue;
         }
@@ -108,11 +101,9 @@ fn sparse_mlagg_user_program_deploys_and_aggregates_end_to_end() {
 
     // drive the workload through the devices hosting the aggregation state, in
     // path order, and check the released aggregate
-    let devices = controller.devices_of("sparse_0");
     let mut completed = false;
-    for device in devices {
-        let Some(plane) = controller.plane(device) else { continue };
-        let mut plane = plane.clone();
+    for hop in controller.tenant_hops("sparse_0") {
+        let mut plane = hop.plane();
         let mut sums = vec![0i64; dims as usize];
         for w in 0..workers {
             let values: Vec<i64> =

@@ -2,17 +2,17 @@
 //!
 //! 1. **Round-trip equivalence** — `plan` → `commit` produces a deployment
 //!    bit-identical to the direct `Controller::deploy` path (numeric id,
-//!    snippets, plane fingerprints, telemetry after a fixed seeded
+//!    snippets, device-image fingerprints, telemetry after a fixed seeded
 //!    workload).
 //! 2. **Plan purity** — planning never changes the remaining resource
-//!    ratio, the active user set, or any plane's store fingerprint.
+//!    ratio, the active user set, or any device image's fingerprint.
 //! 3. **All-or-nothing batches** — a failed `deploy_all` (unknown host,
 //!    compile error, stale plan, admission refusal) leaves the ledger
-//!    ratio, the active users, the engine tenants and every plane's store
+//!    ratio, the active users, the engine tenants and every device image's
 //!    fingerprint bit-identical to before the call, even when earlier
 //!    requests of the batch had already committed.
 //! 4. **Batch equivalence** — `deploy_all` of a mixed batch is bit-identical
-//!    (plane fingerprints, ledger ratio, tenant hops, numeric ids) to the
+//!    (image fingerprints, ledger ratio, tenant hops, numeric ids) to the
 //!    sequential plan→commit path; stale plans are `StalePlan`, never a
 //!    policy verdict; admission policies reject with the typed
 //!    `ClickIncError::Rejected` and change nothing.
@@ -34,6 +34,7 @@ use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
 use clickinc_runtime::{EngineConfig, TrafficEngine};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn engine_config() -> EngineConfig {
     EngineConfig { shards: 2, batch_size: 32, ..Default::default() }
@@ -66,8 +67,8 @@ fn seeded_workload(user: &str, id: i64) -> KvsWorkload {
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
     numeric_id: i64,
-    snippets: Vec<clickinc::ir::IrProgram>,
-    controller_planes: BTreeMap<String, u64>,
+    snippets: Vec<Arc<clickinc::ir::IrProgram>>,
+    controller_images: BTreeMap<String, u64>,
     engine_stores: BTreeMap<String, u64>,
     telemetry: clickinc_runtime::TelemetryReport,
     diagnostics_json: String,
@@ -107,7 +108,7 @@ fn run_direct_controller_path() -> RunFingerprint {
     RunFingerprint {
         numeric_id,
         snippets,
-        controller_planes: controller.plane_fingerprints(),
+        controller_images: controller.image_fingerprints(),
         engine_stores: outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect(),
         telemetry: outcome.telemetry,
         diagnostics_json,
@@ -123,11 +124,11 @@ fn run_service_path() -> RunFingerprint {
     let diagnostics_json = plan.diagnostics().to_json();
     let tenant = service.commit(plan).expect("commits");
     let numeric_id = tenant.numeric_id();
-    let (snippets, controller_planes) = {
+    let (snippets, controller_images) = {
         let controller = service.controller();
         let deployment = controller.deployment("kvs0").expect("active");
         let snippets: Vec<_> = deployment.snippets.values().flatten().cloned().collect();
-        (snippets, controller.plane_fingerprints())
+        (snippets, controller.image_fingerprints())
     };
     for key in 0..64 {
         tenant.populate_table(
@@ -143,7 +144,7 @@ fn run_service_path() -> RunFingerprint {
     RunFingerprint {
         numeric_id,
         snippets,
-        controller_planes,
+        controller_images,
         engine_stores: outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect(),
         telemetry: outcome.telemetry,
         diagnostics_json,
@@ -156,7 +157,7 @@ fn plan_commit_round_trip_equals_the_direct_deploy_path() {
     let service = run_service_path();
     assert_eq!(direct.numeric_id, service.numeric_id, "same numeric id");
     assert_eq!(direct.snippets, service.snippets, "same installed snippets");
-    assert_eq!(direct.controller_planes, service.controller_planes, "same plane fingerprints");
+    assert_eq!(direct.controller_images, service.controller_images, "same image fingerprints");
     assert_eq!(direct.engine_stores, service.engine_stores, "same engine store fingerprints");
     assert_eq!(direct.telemetry, service.telemetry, "same telemetry for the seeded workload");
     // the verifier ran on both paths, found the same things, and its JSON
@@ -169,6 +170,32 @@ fn plan_commit_round_trip_equals_the_direct_deploy_path() {
     let stats = direct.telemetry.tenant("kvs0").expect("served");
     assert_eq!(stats.completed, 800);
     assert!(stats.hit_ratio > 0.3);
+}
+
+#[test]
+fn the_slices_the_verifier_saw_are_the_allocations_every_holder_shares() {
+    let service =
+        ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
+            .expect("engine config is valid");
+    let plan = service.plan(&kvs_request("kvs0")).expect("plans");
+    let planned = plan.snippets().to_vec();
+    assert!(!planned.is_empty());
+    let tenant = service.commit(plan).expect("commits");
+    let is_planned = |held: &Arc<_>| planned.iter().any(|p| Arc::ptr_eq(p, held));
+    {
+        let controller = service.controller();
+        let deployment = controller.deployment("kvs0").expect("active");
+        assert!(deployment.snippets.values().flatten().all(is_planned));
+        assert!(controller.tenant_hops("kvs0").iter().flat_map(|h| &h.snippets).all(is_planned));
+        // and nothing the plan carried was dropped on the way
+        for slice in &planned {
+            assert!(deployment.snippets.values().flatten().any(|s| Arc::ptr_eq(s, slice)));
+        }
+    }
+    let held: Vec<_> = tenant.hops().iter().flat_map(|h| &h.snippets).collect();
+    assert!(!held.is_empty());
+    assert!(held.into_iter().all(is_planned));
+    service.finish();
 }
 
 /// A snapshot of every piece of observable controller/engine state the
@@ -186,7 +213,7 @@ fn snapshot(service: &ClickIncService) -> (u64, Vec<String>, BTreeMap<String, u6
     (
         service.remaining_resource_ratio().to_bits(),
         service.active_users(),
-        service.controller().plane_fingerprints(),
+        service.controller().image_fingerprints(),
         telemetry,
     )
 }
@@ -283,7 +310,7 @@ fn mixed_batch() -> Vec<ServiceRequest> {
         .collect()
 }
 
-/// Everything the acceptance criterion compares: plane fingerprints, ledger
+/// Everything the acceptance criterion compares: image fingerprints, ledger
 /// ratio (as bits), and per-tenant numeric ids + hops.
 type DeploymentObservables = (BTreeMap<String, u64>, u64, BTreeMap<String, (i64, Vec<TenantHop>)>);
 
@@ -297,7 +324,7 @@ fn deployment_observables(service: &ClickIncService) -> DeploymentObservables {
             (user.to_string(), (numeric_id, controller.tenant_hops(user)))
         })
         .collect();
-    (controller.plane_fingerprints(), controller.remaining_resource_ratio().to_bits(), tenants)
+    (controller.image_fingerprints(), controller.remaining_resource_ratio().to_bits(), tenants)
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! 2. **Per-pass trip fixtures** — six mutated programs, each constructed to
 //!    trip exactly one verifier pass exactly once.
 //! 3. **The service gate** — a deliberately isolation-violating program is
-//!    refused as `ClickIncError::Verification` before any ledger or plane
+//!    refused as `ClickIncError::Verification` before any ledger or image
 //!    mutation, and the diagnostics JSON export round-trips.
 //! 4. **Verification ⇒ runs clean** — proptest: any generated program the
 //!    pipeline passes executes on the emulator with every constant-indexed
@@ -186,7 +186,7 @@ fn resource_bound_fixture_trips_the_resource_pass_once() {
             supported: Default::default(),
             storage_capacity_bits: u64::MAX,
         },
-        program: program.clone(),
+        program: program.clone().into(),
     }];
     let diags = PassManager::with_default_passes().run(&PassContext {
         tenant: "t".to_string(),
@@ -227,7 +227,7 @@ fn commutativity_fixture_trips_the_commutativity_pass_once() {
 #[test]
 fn isolation_violating_program_is_rejected_before_any_mutation() {
     let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    let planes_before = controller.plane_fingerprints();
+    let images_before = controller.image_fingerprints();
     let ratio_before = controller.remaining_resource_ratio();
 
     // a pre-isolated deploy that claims tenant `alice` but counts into an
@@ -259,7 +259,7 @@ fn isolation_violating_program_is_rejected_before_any_mutation() {
     }
 
     // nothing was booked or installed
-    assert_eq!(controller.plane_fingerprints(), planes_before);
+    assert_eq!(controller.image_fingerprints(), images_before);
     assert_eq!(controller.remaining_resource_ratio(), ratio_before);
     assert!(controller.active_users().is_empty());
 

@@ -36,12 +36,9 @@ fn kvs_template_deploys_end_to_end_on_the_emulation_topology() {
     assert_eq!(controller.active_users(), vec!["kvs_smoke"]);
     assert_eq!(controller.numeric_id_of("kvs_smoke"), Some(deployment.numeric_id));
 
-    // The hosting planes actually hold the installed program.
-    let devices = controller.devices_of("kvs_smoke");
-    assert!(!devices.is_empty());
-    assert!(devices
-        .iter()
-        .any(|d| controller.plane(*d).is_some_and(clickinc::emulator::DevicePlane::has_program)));
+    // A data plane built from the deployment's hops holds the program.
+    assert!(!controller.devices_of("kvs_smoke").is_empty());
+    assert!(controller.tenant_hops("kvs_smoke").iter().any(|hop| hop.plane().has_program()));
 
     // And removal releases the resources again.
     controller.remove("kvs_smoke").expect("removal succeeds");
