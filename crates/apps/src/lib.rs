@@ -28,8 +28,7 @@
 //!   capped resident set, sustained against the serving engine — the
 //!   placement memo's and the reactive admission pipeline's showcase;
 //! * [`multiuser`] — the six program instances and traffic endpoints of
-//!   Table 3, the seven-instance sequence of Table 5, and the
-//!   add/remove sequence of Table 6.
+//!   Table 3 and the add/remove sequence of Table 6.
 
 pub mod adaptive;
 pub mod churn;
@@ -44,7 +43,7 @@ pub use adaptive::{
 pub use churn::{run_churn_scenario, ChurnConfig, ChurnReport};
 pub use failover::{serve_failover_scenario, FailoverServingConfig, FailoverServingReport};
 pub use fig13::{fig13_configurations, Fig13Case};
-pub use multiuser::{table3_requests, table5_requests, table6_steps, Table6Step};
+pub use multiuser::{table3_requests, table6_steps, Table6Step};
 pub use serving::{
     serve_fig13_workloads, serve_overload_scenario, OverloadConfig, OverloadReport, ServingConfig,
     ServingReport,

@@ -1,4 +1,4 @@
-//! Multi-user program sets: the instances of Tables 3, 5 and 6.
+//! Multi-user program sets: the instances of Tables 3 and 6.
 
 use clickinc::ServiceRequest;
 use clickinc_lang::templates::{
@@ -30,20 +30,6 @@ pub fn table3_requests() -> Vec<ServiceRequest> {
         ServiceRequest::from_template(dqacc("DQAcc1", 5000), &["pod0b", "pod1a"], "pod2b"),
         ServiceRequest::from_template(mlagg("MLAgg1", 24, false), &["pod1a", "pod1b"], "pod2b"),
         ServiceRequest::from_template(kvs("KVS1", 5000), &["pod0b", "pod1b"], "pod2b"),
-    ]
-}
-
-/// The seven-instance sequence of Table 5 (all traffic from pod0(a) to
-/// pod2(b)), used for the fixed-vs-adaptive weight comparison.
-pub fn table5_requests() -> Vec<ServiceRequest> {
-    vec![
-        ServiceRequest::from_template(mlagg("MLAgg0", 16, false), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(kvs("KVS0", 5000), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(dqacc("DQAcc0", 4000), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(mlagg("MLAgg1", 16, false), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(kvs("KVS1", 5000), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(dqacc("DQAcc1", 4000), &["pod0a"], "pod2b"),
-        ServiceRequest::from_template(mlagg("MLAgg2", 16, false), &["pod0a"], "pod2b"),
     ]
 }
 
@@ -142,13 +128,5 @@ mod tests {
         }
         // MLAgg1 was removed again; the other three remain
         assert_eq!(controller.active_users().len(), 3);
-    }
-
-    #[test]
-    fn table5_sequence_has_seven_instances_from_one_pod() {
-        let reqs = table5_requests();
-        assert_eq!(reqs.len(), 7);
-        assert!(reqs.iter().all(|r| r.sources == vec!["pod0a".to_string()]));
-        assert!(reqs.iter().all(|r| r.destination == "pod2b"));
     }
 }

@@ -41,12 +41,6 @@ impl Block {
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
-
-    /// The dominant capability class used for "same type" merging decisions:
-    /// the most specialised class in the block (stateful > tables > arithmetic).
-    pub fn dominant_class(&self) -> Option<CapabilityClass> {
-        self.classes.iter().max().copied()
-    }
 }
 
 /// The DAG of blocks.

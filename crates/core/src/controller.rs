@@ -273,7 +273,6 @@ pub struct Controller {
     epoch: u64,
     frontend: Frontend,
     block_config: BlockConfig,
-    use_adaptive_weights: bool,
     /// Cross-solve segment memo shared by every plan this controller runs:
     /// keys carry the exact bits of their inputs, so entries survive epoch
     /// moves and warm solves stay bit-identical to cold ones.
@@ -298,7 +297,6 @@ impl Controller {
             epoch: 0,
             frontend: Frontend::new(),
             block_config: BlockConfig::default(),
-            use_adaptive_weights: true,
             solve_cache: SolveCache::new(),
             use_solve_memo: true,
         }
@@ -307,13 +305,6 @@ impl Controller {
     /// Hit/miss/occupancy counters of the cross-solve segment memo.
     pub fn solve_cache_stats(&self) -> SolveCacheStats {
         self.solve_cache.stats()
-    }
-
-    /// Drop every memoized segment allocation (the hit/miss counters
-    /// survive).  The benches use this to price a genuinely cold solve; it
-    /// never changes what a solve returns, only how fast it returns it.
-    pub fn clear_solve_cache(&self) {
-        self.solve_cache.clear();
     }
 
     /// Enable or disable the segment memo for future solves.  Off prices
@@ -347,12 +338,6 @@ impl Controller {
                 }
             })
             .collect()
-    }
-
-    /// Use fixed instead of adaptive objective weights (the Table 5 ablation).
-    pub fn with_fixed_weights(mut self) -> Controller {
-        self.use_adaptive_weights = false;
-        self
     }
 
     /// The managed topology.
@@ -519,11 +504,7 @@ impl Controller {
         let dag = build_block_dag(&isolated, &self.block_config);
         let reduced = reduce_for_traffic(&self.topology, &sources, dst, &request.traffic_weights);
         let net = PlacementNetwork::from_reduced(&self.topology, &reduced, &self.ledger);
-        let weights = if self.use_adaptive_weights {
-            Weights::adaptive(self.ledger.remaining_ratio(&self.topology))
-        } else {
-            Weights::fixed()
-        };
+        let weights = Weights::adaptive(self.ledger.remaining_ratio(&self.topology));
         let plan = place_with_cache(
             &isolated,
             &dag,

@@ -400,8 +400,8 @@ impl ClickIncService {
         ClickIncService::with_controller(Controller::new(topology), config)
     }
 
-    /// Wrap an already configured controller (e.g. one built with
-    /// [`Controller::with_fixed_weights`] for the ablation experiments).
+    /// Wrap an already configured controller (e.g. one with the segment memo
+    /// off, [`Controller::set_solve_memo`]).
     /// The controller must not have live deployments yet: the engine only
     /// sees tenants committed through the service.
     pub fn with_controller(

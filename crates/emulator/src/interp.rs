@@ -58,10 +58,6 @@ pub struct DevicePlane {
     /// so one tenant's random stream is independent of co-resident traffic —
     /// a requirement for the runtime's shard-count invariance.
     rand_streams: BTreeMap<i64, u64>,
-    /// Temporaries exported into the packet's Param field for downstream
-    /// devices (set from the synthesizer's Param analysis; empty = nothing is
-    /// carried).
-    pub param_exports: Vec<String>,
     /// The install-time-compiled form of `snippets` (see [`crate::vm`]);
     /// rebuilt on every install/uninstall, `None` while nothing is installed.
     compiled: Option<CompiledImage>,
@@ -91,7 +87,6 @@ impl DevicePlane {
             packets_processed: 0,
             instructions_executed: 0,
             rand_streams: BTreeMap::new(),
-            param_exports: Vec::new(),
             compiled: None,
             regs: RegFile::default(),
             exec_mode: ExecMode::default(),
@@ -127,12 +122,6 @@ impl DevicePlane {
         let image = vm::compile(&self.snippets, &self.object_kinds, &self.store);
         self.regs.reset(image.num_regs(), image.num_headers());
         self.compiled = Some(image);
-    }
-
-    /// Configure which temporaries are exported into the Param field after
-    /// processing (from [`clickinc-synthesis`]'s `param_field_bits`).
-    pub fn set_param_exports(&mut self, vars: Vec<String>) {
-        self.param_exports = vars;
     }
 
     /// Install a program snippet (declares its objects).
@@ -244,9 +233,6 @@ impl DevicePlane {
                     rand_streams: &mut self.rand_streams,
                 };
                 let run = vm::exec(image, &mut ctx, pkt);
-                if run.action == PacketAction::Forward {
-                    vm::export_params(image, &self.regs, &self.param_exports, pkt);
-                }
                 (run.action, run.mirrored, run.executed)
             }
             None => (PacketAction::Forward, Vec::new(), 0),
@@ -288,15 +274,6 @@ impl DevicePlane {
                 execute(&instr.op, &mut ctx, &mut env, pkt, &mut action, &mut mirrored);
             }
         }
-        // export the configured temporaries into the Param field so downstream
-        // devices can continue the computation (paper §6, Param field)
-        if action == PacketAction::Forward {
-            for var in &self.param_exports {
-                if let Some(value) = env.get(var) {
-                    pkt.inc.param.insert(var.clone(), value.clone());
-                }
-            }
-        }
         self.instructions_executed += executed as u64;
         let latency_ns =
             self.model.base_latency_ns + self.model.per_instr_latency_ns * executed as f64;
@@ -315,11 +292,7 @@ impl DevicePlane {
 fn eval_operand(op: &Operand, env: &BTreeMap<String, Value>, pkt: &Packet) -> Value {
     match op {
         Operand::Const(v) => v.clone(),
-        Operand::Var(name) => env
-            .get(name)
-            .cloned()
-            .or_else(|| pkt.inc.param.get(name).cloned())
-            .unwrap_or(Value::None),
+        Operand::Var(name) => env.get(name).cloned().unwrap_or(Value::None),
         Operand::Header(field) => pkt.inc.get(field),
         Operand::Meta(field) => match field.as_str() {
             "inc_user" => Value::Int(pkt.inc.user),

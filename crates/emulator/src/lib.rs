@@ -8,8 +8,8 @@
 //! * interprets the *exact IR snippets* the compiler produced, with faithful
 //!   stateful objects (register arrays, exact/ternary tables, count-min
 //!   sketches, Bloom filters, rolling sequences) — [`state`] and [`interp`];
-//! * carries packets with the ClickINC INC header (user id, step number, Param
-//!   field, application fields) — [`packet`];
+//! * carries packets with the ClickINC INC header (user id, step number,
+//!   application fields) — [`packet`];
 //! * pushes application workloads (ML gradient aggregation with optional
 //!   sparsity, KVS request streams, SQL DISTINCT streams) along the device
 //!   paths of a deployment and reports goodput, in-network latency and

@@ -41,8 +41,9 @@ impl HeaderLayout {
 
 /// The generic internal INC header maintained by the INC layer on end hosts
 /// (paper §4.1 "Transparent Network"): the user id used for traffic isolation,
-/// the step number used to coordinate replicated blocks, the Param field
-/// carrying cross-device temporaries, and the application fields.
+/// the step number used to coordinate replicated blocks, and the application
+/// fields — the slot vector is the only state a packet carries between
+/// devices.
 ///
 /// Headers compare by content: two layouts with equal names are the same
 /// layout, whichever `Arc` holds them.
@@ -52,8 +53,6 @@ pub struct IncHeader {
     pub user: i64,
     /// Current step number (advanced by devices as blocks execute).
     pub step: i64,
-    /// Cross-device temporaries (variable name → value).
-    pub param: BTreeMap<String, Value>,
     /// Names of the application fields (e.g. `key`, `seq`, `data_0` …),
     /// shared by every packet of the family.
     layout: Arc<HeaderLayout>,
@@ -129,7 +128,7 @@ pub struct Packet {
 
 impl Packet {
     /// Standard encapsulation overhead: 14 (Ethernet) + 20 (IPv4) + 8 (UDP) +
-    /// 8 (INC header: user, step, param length).
+    /// 8 (INC header: user id, step number).
     pub const BASE_BYTES: usize = 14 + 20 + 8 + 8;
 
     /// Create a packet for a user program with the given application fields
@@ -151,21 +150,15 @@ impl Packet {
         Packet {
             src: src.into(),
             dst: dst.into(),
-            inc: IncHeader {
-                user,
-                step: 0,
-                param: BTreeMap::new(),
-                layout: Arc::new(HeaderLayout { names }),
-                slots,
-            },
+            inc: IncHeader { user, step: 0, layout: Arc::new(HeaderLayout { names }), slots },
             base_bytes: Packet::BASE_BYTES,
             bytes_per_field: 4,
         }
     }
 
-    /// Current wire size in bytes: encapsulation + live fields + Param field.
+    /// Current wire size in bytes: encapsulation + live fields.
     pub fn wire_bytes(&self) -> usize {
-        self.base_bytes + self.inc.live_fields() * self.bytes_per_field + self.inc.param.len() * 4
+        self.base_bytes + self.inc.live_fields() * self.bytes_per_field
     }
 
     /// Swap source and destination (the `back()` primitive).

@@ -22,9 +22,8 @@
 //!
 //! Registers are *generation-stamped*: instead of clearing the register file
 //! per packet, each write records the current packet generation, and a read
-//! whose stamp is stale falls back to the packet's Param field (the
-//! interpreter's `env → param → None` chain) without any per-packet reset
-//! cost.
+//! whose stamp is stale reads [`Value::None`] (an unset variable of the
+//! interpreter's `env`) without any per-packet reset cost.
 //!
 //! Header fields are slots too.  A packet's header is a value vector laid out
 //! by a [`HeaderLayout`] its whole packet family shares, and the register
@@ -210,11 +209,8 @@ impl CompiledProgram {
 #[derive(Debug, Clone, Default)]
 pub struct CompiledImage {
     programs: Vec<CompiledProgram>,
-    /// Register index → variable name, for the Param-field fallback of reads
-    /// from never-written registers.
+    /// Register index → variable name (what [`CompiledImage::dump`] prints).
     reg_names: Vec<String>,
-    /// Variable name → register, for the Param export epilogue.
-    var_regs: BTreeMap<String, u32>,
     /// Header index → field name (resolved to a packet slot once per
     /// header layout).
     header_names: Vec<String>,
@@ -234,11 +230,6 @@ impl CompiledImage {
     /// The compiled snippets, in installation order.
     pub fn programs(&self) -> &[CompiledProgram] {
         &self.programs
-    }
-
-    /// The register assigned to a variable, if any instruction mentions it.
-    pub fn register_of(&self, var: &str) -> Option<u32> {
-        self.var_regs.get(var).copied()
     }
 
     /// Render the whole compiled stream in a stable textual form — the golden
@@ -633,12 +624,7 @@ pub fn compile(
         let blocks = form_blocks(ops);
         programs.push(CompiledProgram { name: snippet.name.clone(), precondition, blocks });
     }
-    CompiledImage {
-        programs,
-        reg_names: lw.reg_names,
-        var_regs: lw.var_regs,
-        header_names: lw.header_names,
-    }
+    CompiledImage { programs, reg_names: lw.reg_names, header_names: lw.header_names }
 }
 
 /// Group the straight-line instruction stream into guard blocks.
@@ -817,12 +803,7 @@ pub struct VmCtx<'a> {
 fn load(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Value {
     match op {
         VmOperand::Const(v) => v.clone(),
-        VmOperand::Reg(r) => match ctx.regs.get(*r) {
-            Some(v) => v.clone(),
-            None => {
-                pkt.inc.param.get(&image.reg_names[*r as usize]).cloned().unwrap_or(Value::None)
-            }
-        },
+        VmOperand::Reg(r) => ctx.regs.get(*r).cloned().unwrap_or(Value::None),
         VmOperand::Header(field) => {
             let h = *field as usize;
             match ctx.regs.header_slot(h, &image.header_names[h], pkt) {
@@ -1086,18 +1067,6 @@ fn set_header(
     }
 }
 
-/// Export the configured Param temporaries out of the register file into the
-/// packet (the interpreter's forward-path epilogue).
-pub fn export_params(image: &CompiledImage, regs: &RegFile, exports: &[String], pkt: &mut Packet) {
-    for var in exports {
-        if let Some(&reg) = image.var_regs.get(var) {
-            if let Some(value) = regs.get(reg) {
-                pkt.inc.param.insert(var.clone(), value.clone());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,20 +1158,19 @@ mod tests {
     }
 
     #[test]
-    fn unset_registers_fall_back_to_the_param_field() {
+    fn an_unset_temporary_reads_none_in_both_tiers() {
         let mut b = ProgramBuilder::new("p");
         b.set_header("out", Operand::Var("x".into()));
-        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
-        plane.install(b.build().unwrap());
-        plane.set_exec_mode(ExecMode::Compiled);
-        let mut pkt = kvs_request("c", "s", 0, 1);
-        pkt.inc.param.insert("x".into(), Value::Int(42));
-        plane.process(&mut pkt);
-        assert_eq!(pkt.inc.get("out"), Value::Int(42));
-        // and without the param, the register reads None
-        let mut bare = kvs_request("c", "s", 0, 1);
-        plane.process(&mut bare);
-        assert_eq!(bare.inc.get("out"), Value::None);
+        let prog = b.build().unwrap();
+        for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+            plane.install(prog.clone());
+            plane.set_exec_mode(mode);
+            let mut pkt = kvs_request("c", "s", 0, 1);
+            pkt.inc.set("out", Value::Int(42));
+            plane.process(&mut pkt);
+            assert_eq!(pkt.inc.get("out"), Value::None, "{mode:?}");
+        }
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Frontend {
         Frontend { library: ModuleLibrary::new() }
     }
 
-    /// Create a frontend with a custom module library (extra templates).
-    pub fn with_library(library: ModuleLibrary) -> Frontend {
-        Frontend { library }
-    }
-
     /// Compile source text.
     pub fn compile_source(
         &self,

@@ -29,7 +29,8 @@ pub use opt::{
 };
 pub use passes::{
     BoundsPass, CommutativityPass, DeadSnippetPass, DeviceTarget, IsolationPass, PassContext,
-    PassManager, PlacedSnippet, ResourceBoundPass, UninitHeaderPass, VerifierPass,
+    PassManager, PlacedSnippet, ResourceBoundPass, SplitExecutionPass, UninitHeaderPass,
+    VerifierPass,
 };
 pub use taint::{
     state_profile, MutationKind, MutationRecord, PinReason, ShardingDecision, StateProfile, Taint,

@@ -45,8 +45,7 @@ pub struct TransformContext<'a> {
     /// recorded on every diagnostic.
     pub tenant: &'a str,
     /// Variables that must stay live even though no instruction in *this*
-    /// program reads them (e.g. temporaries a later pipeline stage exports
-    /// into the packet's Param field).
+    /// program reads them (e.g. temporaries another device's slice reads).
     pub live_outs: &'a BTreeSet<String>,
 }
 

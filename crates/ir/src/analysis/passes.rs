@@ -91,6 +91,7 @@ impl PassManager {
         pm.register(Box::new(ResourceBoundPass));
         pm.register(Box::new(DeadSnippetPass));
         pm.register(Box::new(CommutativityPass));
+        pm.register(Box::new(SplitExecutionPass));
         pm
     }
 
@@ -451,6 +452,57 @@ impl VerifierPass for CommutativityPass {
     }
 }
 
+/// Split execution: a plan that cuts a program into several slices runs
+/// each on its own device, and nothing carries a temporary from one device
+/// to the next — a slice that reads a temporary only another slice defines
+/// ([`IrProgram::free_vars`]) reads it unset, so the split plan does not
+/// compute what the unsplit program does.  One finding per such slice.
+///
+/// `Info` for now: at `Warning` the template library's own MLAgg plan fails
+/// CI's deny-warnings step.  It graduates when the cross-device carrier
+/// lands (ROADMAP, "split plans must mean what unsplit plans mean").
+pub struct SplitExecutionPass;
+
+impl VerifierPass for SplitExecutionPass {
+    fn name(&self) -> &'static str {
+        "split-execution"
+    }
+
+    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+        // replicas of one slice share its allocation; the common deploy has
+        // one distinct slice and returns here, before any set is built
+        let same_slice = |a: &PlacedSnippet, b: &PlacedSnippet| Arc::ptr_eq(&a.program, &b.program);
+        let Some(first) = ctx.placements.first() else { return };
+        if ctx.placements.iter().all(|p| same_slice(p, first)) {
+            return;
+        }
+        // an assignment's members are adjacent in `placements`
+        for replicas in ctx.placements.chunk_by(same_slice) {
+            let slice = &replicas[0].program;
+            let free = slice.free_vars();
+            if free.is_empty() {
+                continue;
+            }
+            let devices: Vec<&str> = replicas.iter().map(|p| p.device.as_str()).collect();
+            let shown: Vec<&str> = free.iter().take(3).map(String::as_str).collect();
+            let more = if free.len() > shown.len() { ", …" } else { "" };
+            out.push(diag(
+                Severity::Info,
+                self.name(),
+                ctx,
+                &slice.name,
+                format!(
+                    "the slice on `{}` reads {} temporaries no instruction of the slice defines \
+                     (`{}`{more}); nothing carries them between devices, so they read unset there",
+                    devices.join("`, `"),
+                    free.len(),
+                    shown.join("`, `")
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +524,8 @@ mod tests {
                 "bounds",
                 "resource-bound",
                 "dead-snippet",
-                "commutativity"
+                "commutativity",
+                "split-execution"
             ]
         );
     }

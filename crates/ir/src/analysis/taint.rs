@@ -28,9 +28,9 @@ pub enum Taint {
     /// Derivable from the given packet header fields (possibly none — a
     /// constant) and partition-local state.
     Fields(BTreeSet<String>),
-    /// Not derivable from the inject-time packet alone (e.g. imported from
-    /// an upstream device's Param export, or read from a header field the
-    /// program rewrote).
+    /// Not derivable from the inject-time packet alone (e.g. a temporary
+    /// only an upstream device's slice defines, or read from a header field
+    /// the program rewrote).
     Tainted,
 }
 

@@ -235,6 +235,19 @@ impl IrProgram {
         }
     }
 
+    /// The temporaries this program reads — in an operand, a guard or the
+    /// precondition — that none of its instructions defines.  For a
+    /// per-device [`IrProgram::slice`] these are the values another device's
+    /// slice computed: what a cross-device carrier would have to deliver.
+    pub fn free_vars(&self) -> BTreeSet<String> {
+        let sets = self.read_write_sets();
+        let defined: BTreeSet<&str> = sets.iter().filter_map(|s| s.writes_var.as_deref()).collect();
+        let guard_reads = self.precondition.iter().flat_map(|g| &g.all);
+        let pre = guard_reads.flat_map(|p| [&p.lhs, &p.rhs]).filter_map(Operand::as_var);
+        let read = sets.iter().flat_map(|s| &s.reads_vars).map(String::as_str).chain(pre);
+        read.filter(|v| !defined.contains(v)).map(str::to_string).collect()
+    }
+
     /// Remove instructions turned into [`OpCode::NoOp`] and renumber ids.
     /// Run by the synthesizer's merge step over what lazy removal left.
     pub fn compact(&mut self) {

@@ -175,7 +175,7 @@ pub fn place_with_cache(
                     match &tables[c][j] {
                         Some(choice) => {
                             child_sum += choice.gain;
-                            // charge the child → parent Param transfer
+                            // charge the child → parent cut (`cut_costs`)
                             child_sum -= w.comm * cuts[j];
                         }
                         None => {

@@ -42,9 +42,11 @@ impl Default for Weights {
 
 /// Cross-device communication cost of cutting the block sequence after the
 /// first `j` blocks: the number of bits of SSA temporaries defined in blocks
-/// `< j` and read by blocks `>= j`, which must be carried in the packet's
-/// `Param` field across the device boundary (paper §6 "Refine Runtime Data
-/// Plane").
+/// `< j` and read by blocks `>= j` — what the paper's §6 "Refine Runtime Data
+/// Plane" carries across the device boundary in the packet.  The objective
+/// still prices the cut, but nothing here carries it: a slice reads those
+/// temporaries unset, which the verifier's `split-execution` pass reports
+/// (ROADMAP, "split plans must mean what unsplit plans mean").
 ///
 /// Returns a vector `cut[j]` for `j in 0..=n_blocks`, normalized by the total
 /// number of temporary bits so the h_p term of Eq. 1 stays in `[0, 1]` per cut.

@@ -8,6 +8,7 @@
 //! e.g. the final forwarding decision, which must observe address rewrites made
 //! by programs like NetCache).
 
+use crate::merge::extend_image;
 use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate, ProgramBuilder, ValueType};
 
 /// A base program split into its head and tail parts.
@@ -28,6 +29,16 @@ impl BaseProgram {
     /// Whether the base program is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The image a device runs before any tenant lands on it (Fig. 10(b)):
+    /// `head`, then `tail`.  Tenant slices go in between, ahead of the last
+    /// `tail.len()` instructions, through [`extend_image`].
+    pub fn image(&self) -> IrProgram {
+        let mut image = IrProgram::new("device_image");
+        extend_image(&mut image, &self.head, 0);
+        extend_image(&mut image, &self.tail, 0);
+        image
     }
 }
 

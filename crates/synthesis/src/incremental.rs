@@ -10,7 +10,7 @@
 //! affected, which is exactly what Table 6 reports.
 
 use crate::base::BaseProgram;
-use crate::merge::{extend_image, merge_programs};
+use crate::merge::extend_image;
 use clickinc_ir::{IrProgram, OpCode};
 use clickinc_placement::PlacementPlan;
 use clickinc_topology::NodeId;
@@ -94,7 +94,7 @@ pub fn add_slices<'a>(
     for (members, slice) in placed {
         for &member in members {
             delta.touch(member, pod_of);
-            let image = images.images.entry(member).or_insert_with(|| merge_programs(base, &[]));
+            let image = images.images.entry(member).or_insert_with(|| base.image());
             extend_image(image, slice, base.tail.len());
         }
     }

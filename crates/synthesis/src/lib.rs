@@ -13,14 +13,11 @@
 //!   forward) split into the *head* (functions the user snippets depend on,
 //!   e.g. integrity checks) and the *tail* (functions that depend on the user
 //!   snippets, e.g. the forwarding decision);
-//! * [`merge`] — header-parse-tree merging and pipeline/RTC program merging
-//!   (Fig. 10 / Algorithm 4): user snippets are spliced between the base head
-//!   and tail, as early as possible, by the one merge routine
-//!   [`extend_image`] — [`merge_programs`] is a fold of it and the incremental
-//!   path calls it once per placed device;
-//! * [`refine`] — the runtime data-plane refinement: step numbers for (possibly
-//!   replicated) blocks and the `Param` field carrying shared temporaries
-//!   between devices;
+//! * [`merge`] — pipeline/RTC program merging (Fig. 10(b) / Algorithm 4):
+//!   user snippets are spliced between the base head and tail by the one
+//!   merge routine [`extend_image`], which the incremental path calls once
+//!   per placed device on an image that starts as
+//!   [`base::BaseProgram::image`];
 //! * [`incremental`] — the annotation-based incremental compilation: adding a
 //!   user program merges its per-device slices (cut by [`add_user_program`],
 //!   or brought ready-cut to [`add_slices`]) into the running images;
@@ -32,10 +29,8 @@ pub mod base;
 pub mod incremental;
 pub mod isolation;
 pub mod merge;
-pub mod refine;
 
 pub use base::base_program;
 pub use incremental::{add_slices, add_user_program, remove_user_program, DeploymentDelta};
 pub use isolation::isolate_user_program;
-pub use merge::{extend_image, merge_parse_trees, merge_programs, ParseTree};
-pub use refine::{assign_steps, param_field_bits, StepAssignment};
+pub use merge::extend_image;

@@ -1,110 +1,8 @@
-//! Header-parse-tree and program merging (paper Fig. 10, Algorithm 4).
+//! Program merging (paper Fig. 10(b), Algorithm 4): a device image is the
+//! base program ([`crate::base::BaseProgram::image`]) with every tenant slice
+//! spliced in ahead of the base tail by [`extend_image`].
 
-use crate::base::BaseProgram;
 use clickinc_ir::{Guard, Instruction, IrProgram};
-use std::collections::BTreeMap;
-
-/// A header parse tree: states (header names) with parent → child transitions.
-/// The base program parses `ethernet → ipv4 → udp`; each user program adds its
-/// application header under the transport layer.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParseTree {
-    /// Parent state of each state (`None` for the root).
-    parents: BTreeMap<String, Option<String>>,
-    /// Owners annotated on each state (empty = operator).
-    owners: BTreeMap<String, Vec<String>>,
-}
-
-impl ParseTree {
-    /// The operator's standard `ethernet/ipv4/udp` parse tree.
-    pub fn standard() -> ParseTree {
-        let mut t = ParseTree::default();
-        t.add_state("ethernet", None, None);
-        t.add_state("ipv4", Some("ethernet"), None);
-        t.add_state("udp", Some("ipv4"), None);
-        t
-    }
-
-    /// Add a state; no-op if it already exists (the owner annotation is added).
-    pub fn add_state(&mut self, name: &str, parent: Option<&str>, owner: Option<&str>) {
-        self.parents.entry(name.to_string()).or_insert_with(|| parent.map(str::to_string));
-        let owners = self.owners.entry(name.to_string()).or_default();
-        if let Some(o) = owner {
-            if !owners.contains(&o.to_string()) {
-                owners.push(o.to_string());
-            }
-        }
-    }
-
-    /// All states.
-    pub fn states(&self) -> Vec<&str> {
-        self.parents.keys().map(String::as_str).collect()
-    }
-
-    /// The owners of a state.
-    pub fn owners_of(&self, state: &str) -> &[String] {
-        self.owners.get(state).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of states.
-    pub fn len(&self) -> usize {
-        self.parents.len()
-    }
-
-    /// Whether the tree has no states.
-    pub fn is_empty(&self) -> bool {
-        self.parents.is_empty()
-    }
-
-    /// Remove every state owned solely by `user`; shared states only lose the
-    /// annotation (the incremental-removal path).
-    pub fn remove_user(&mut self, user: &str) {
-        let mut to_remove = Vec::new();
-        for (state, owners) in &mut self.owners {
-            owners.retain(|o| o != user);
-            if owners.is_empty() && self.parents.get(state).map(|p| p.is_some()).unwrap_or(false) {
-                // only user-added states (non-root chain) that now have no owner
-                // and were not part of the standard stack get removed
-                if !matches!(state.as_str(), "ethernet" | "ipv4" | "udp") {
-                    to_remove.push(state.clone());
-                }
-            }
-        }
-        for state in to_remove {
-            self.parents.remove(&state);
-            self.owners.remove(&state);
-        }
-    }
-}
-
-/// Merge a user program's parse needs into the running parse tree: one state
-/// per application header group, hung under UDP.
-pub fn merge_parse_trees(tree: &mut ParseTree, user_program: &IrProgram, user: &str) {
-    let state = format!("inc_{user}");
-    tree.add_state(&state, Some("udp"), Some(user));
-    // every application header field becomes part of the user's header state
-    for field in &user_program.headers {
-        tree.add_state(&format!("{state}.{}", field.name), Some(&state), Some(user));
-    }
-}
-
-/// Merge the base program with the user snippets assigned to one device
-/// (Fig. 10(b)): `base.head` first, then the user snippets (as early as their
-/// dependencies allow — here: in the given order), then `base.tail`.
-///
-/// A fold of [`extend_image`], so an image built here in one go equals the
-/// one the incremental path grows a tenant at a time.  The returned program
-/// is the device's executable image in IR form; backends translate it to the
-/// device language.
-pub fn merge_programs(base: &BaseProgram, user_snippets: &[IrProgram]) -> IrProgram {
-    let mut image = IrProgram::new("device_image");
-    extend_image(&mut image, &base.head, 0);
-    extend_image(&mut image, &base.tail, 0);
-    for snippet in user_snippets {
-        extend_image(&mut image, snippet, base.tail.len());
-    }
-    image
-}
 
 /// The one merge step: splice `slice` into `image` ahead of the image's last
 /// `tail_len` instructions (the base tail: the forwarding decision still runs
@@ -148,7 +46,7 @@ fn guarded_by(instr: &Instruction, pre: Option<&Guard>) -> Instruction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::base_program;
+    use crate::base::{base_program, BaseProgram};
     use crate::isolation::isolate_user_program;
     use clickinc_frontend::compile_source;
     use clickinc_lang::templates::{count_min_sketch, kvs_template, KvsParams};
@@ -159,42 +57,20 @@ mod tests {
         isolate_user_program(&ir, name, id)
     }
 
-    #[test]
-    fn standard_parse_tree_and_user_merge() {
-        let mut tree = ParseTree::standard();
-        assert_eq!(tree.len(), 3);
-        let user = user_ir("cms_0", 1);
-        merge_parse_trees(&mut tree, &user, "cms_0");
-        assert!(tree.len() > 3);
-        assert!(tree.states().contains(&"inc_cms_0"));
-        assert_eq!(tree.owners_of("inc_cms_0"), &["cms_0".to_string()]);
-        // base states stay operator-owned
-        assert!(tree.owners_of("ipv4").is_empty());
-    }
-
-    #[test]
-    fn removing_a_user_strips_only_its_states() {
-        let mut tree = ParseTree::standard();
-        let a = user_ir("a", 1);
-        let b = user_ir("b", 2);
-        merge_parse_trees(&mut tree, &a, "a");
-        merge_parse_trees(&mut tree, &b, "b");
-        let with_both = tree.len();
-        tree.remove_user("a");
-        assert!(tree.len() < with_both);
-        assert!(tree.states().contains(&"inc_b"));
-        assert!(!tree.states().contains(&"inc_a"));
-        // the standard stack survives even repeated removals
-        tree.remove_user("b");
-        assert_eq!(tree.len(), 3);
-        assert!(!tree.is_empty());
+    /// The base image with `slices` merged in, in order.
+    fn merged(base: &BaseProgram, slices: &[&IrProgram]) -> IrProgram {
+        let mut image = base.image();
+        for slice in slices {
+            extend_image(&mut image, slice, base.tail.len());
+        }
+        image
     }
 
     #[test]
     fn merged_image_keeps_base_head_first_and_tail_last() {
         let base = base_program();
         let user = user_ir("cms_0", 1);
-        let image = merge_programs(&base, std::slice::from_ref(&user));
+        let image = merged(&base, &[&user]);
         assert!(image.validate().is_ok(), "{}", image.dump());
         assert_eq!(image.len(), base.len() + user.len());
         // head validation comes before any user instruction, tail forward after
@@ -217,7 +93,7 @@ mod tests {
         let base = base_program();
         let a = user_ir("user_a", 1);
         let b = user_ir("user_b", 2);
-        let image = merge_programs(&base, &[a.clone(), b.clone()]);
+        let image = merged(&base, &[&a, &b]);
         assert!(image.validate().is_ok());
         assert_eq!(
             image.objects.len(),
@@ -232,7 +108,7 @@ mod tests {
         let t = kvs_template("kvs_0", KvsParams::default());
         let ir = compile_source("kvs_0", &t.source).unwrap();
         let isolated = isolate_user_program(&ir, "kvs_0", 5);
-        let image = merge_programs(&base_program(), std::slice::from_ref(&isolated));
+        let image = merged(&base_program(), &[&isolated]);
         assert!(image.validate().is_ok(), "{}", image.dump());
         assert!(image.object("kvs_0_cache").is_some());
     }

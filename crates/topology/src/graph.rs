@@ -179,12 +179,6 @@ impl Topology {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (used by scenario builders to change device
-    /// kinds, e.g. the "all Tofino" variant of Table 3).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links

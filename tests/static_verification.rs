@@ -88,6 +88,7 @@ fn fig13_template_programs_verify_clean_through_the_service() {
         ("kvs_srv/guard-hoist", 1),
         ("mlagg/commutativity", 70),
         ("mlagg/guard-hoist", 1),
+        ("mlagg/split-execution", 2),
     ]
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
