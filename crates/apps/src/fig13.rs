@@ -2,7 +2,8 @@
 //! aggregation workload of Fig. 7.
 
 use clickinc_device::DeviceModel;
-use clickinc_emulator::{AggregationConfig, DevicePlane, NetworkSetup};
+use clickinc_emulator::workload::MlAggWorkloadConfig;
+use clickinc_emulator::{DevicePlane, NetworkSetup};
 use clickinc_frontend::compile_source;
 use clickinc_lang::templates::{mlagg_sparse_user, mlagg_template, MlAggParams};
 
@@ -15,7 +16,7 @@ pub struct Fig13Case {
     /// The path of programmable hops (with their programs installed).
     pub setup: NetworkSetup,
     /// The workload to run over it.
-    pub workload: AggregationConfig,
+    pub workload: MlAggWorkloadConfig,
 }
 
 fn mlagg_params(dims: u32, workers: u32) -> MlAggParams {
@@ -53,7 +54,7 @@ fn compression_nic(name: &str, dims: u32, workers: u32, block_size: u32) -> Devi
 /// size for the single-switch cases (the two-switch case doubles it, which is
 /// the paper's "the packet size can be larger in case (4)").
 pub fn fig13_configurations(workers: usize, rounds: usize, dims: usize) -> Vec<Fig13Case> {
-    let base_workload = AggregationConfig {
+    let base_workload = MlAggWorkloadConfig {
         workers,
         rounds,
         dims,
@@ -89,7 +90,7 @@ pub fn fig13_configurations(workers: usize, rounds: usize, dims: usize) -> Vec<F
                 aggregation_switch("SW0", 2 * d, w),
                 DevicePlane::new("SW1", DeviceModel::tofino()),
             ]),
-            workload: AggregationConfig { dims: 2 * dims, ..base_workload.clone() },
+            workload: MlAggWorkloadConfig { dims: 2 * dims, ..base_workload.clone() },
         },
         Fig13Case {
             label: "1 Switch+SmartNIC",

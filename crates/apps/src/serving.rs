@@ -5,8 +5,8 @@
 //! The single-threaded scenario loop in `clickinc-emulator` remains as the
 //! path-shape ablation (it is what sweeps the five Fig. 13 device chains);
 //! *this* module is the default serving path: programs are solved by the
-//! service's planner (the batch fans out over worker threads), admitted
-//! under a provider resource-floor policy, committed transactionally,
+//! service's one admission pipeline, admitted under a batch-scoped provider
+//! resource-floor policy, committed transactionally,
 //! mirrored onto the engine's shards, and loaded with the open-loop seeded
 //! workload generators — no manual hook wiring anywhere.
 
@@ -98,8 +98,8 @@ pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, Cl
     )?;
 
     // both applications land (or neither does): one all-or-nothing batch
-    // through the planner — the two solves fan out over worker threads, and
-    // every commit passes the provider's resource-floor admission policy
+    // through the planner, whose every commit passes the provider's
+    // resource-floor admission policy
     let planner = service
         .planner()
         .with_policy(ResourceFloor { min_remaining_ratio: config.admission_floor });

@@ -14,7 +14,6 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "struct inc_packet_t {{");
     let _ = writeln!(out, "    ap_uint<8> inc_user;");
     let _ = writeln!(out, "    ap_uint<16> step;");
-    let _ = writeln!(out, "    ap_uint<32> param;");
     for field in &image.headers {
         let _ = writeln!(
             out,

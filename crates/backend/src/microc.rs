@@ -14,7 +14,6 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "struct inc_header {{");
     let _ = writeln!(out, "    uint8_t inc_user;");
     let _ = writeln!(out, "    uint16_t step;");
-    let _ = writeln!(out, "    uint32_t param;");
     for field in &image.headers {
         let bits = field.ty.width_bits().max(1);
         let ctype = if bits <= 8 {

@@ -16,7 +16,6 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "    fields {{");
     let _ = writeln!(out, "        inc_user : 8;");
     let _ = writeln!(out, "        step : 16;");
-    let _ = writeln!(out, "        param : 32;");
     for field in &image.headers {
         let _ =
             writeln!(out, "        {} : {};", sanitize(&field.name), field.ty.width_bits().max(1));

@@ -22,7 +22,6 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "header inc_h {{");
     let _ = writeln!(out, "    bit<8> inc_user;");
     let _ = writeln!(out, "    bit<16> step;");
-    let _ = writeln!(out, "    bit<32> param;");
     for field in &image.headers {
         let _ =
             writeln!(out, "    bit<{}> {};", field.ty.width_bits().max(1), sanitize(&field.name));

@@ -1,7 +1,7 @@
 //! Block DAG construction (paper §5.2, Algorithm 3).
 
 use crate::dag::{Block, BlockDag, BlockId};
-use clickinc_ir::{classify_instruction, CapabilityClass, DependencyKind, IrProgram, ReadWriteSet};
+use clickinc_ir::{classify_instruction, state_key, CapabilityClass, DependencyKind, IrProgram};
 use std::collections::BTreeSet;
 
 /// Configuration of the block construction.
@@ -92,13 +92,12 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
     let mut merged_members = members;
     let mut merged_edges: Vec<(usize, usize)> = edges.into_iter().collect();
 
-    // the per-instruction facts every merge decision and block needs, computed
+    // the per-instruction fact every merge decision and block needs, computed
     // exactly once — the merge loop below used to recompute the whole
-    // program's read/write sets and capability classes for every block of
-    // every round, which dominated the solve pipeline on large programs
+    // program's capability classes for every block of every round, which
+    // dominated the solve pipeline on large programs
     let class_of: Vec<CapabilityClass> =
         program.instructions.iter().map(|i| classify_instruction(i, &program.objects)).collect();
-    let sets = program.read_write_sets();
 
     // --- step 3: Kahn partitioning + same-type merging -----------------------
     if config.enable_merging {
@@ -114,7 +113,7 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
     let blocks: Vec<Block> = merged_members
         .iter()
         .enumerate()
-        .map(|(id, instrs)| make_block(&class_of, &sets, id, instrs.clone()))
+        .map(|(id, instrs)| make_block(&class_of, program, id, instrs.clone()))
         .collect();
     let mut dag = BlockDag::new(blocks, merged_edges);
     // stamp step numbers = topological levels
@@ -134,12 +133,13 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
 
 fn make_block(
     class_of: &[CapabilityClass],
-    sets: &[ReadWriteSet],
+    program: &IrProgram,
     id: usize,
     instrs: Vec<usize>,
 ) -> Block {
     let classes: BTreeSet<CapabilityClass> = instrs.iter().map(|&i| class_of[i]).collect();
-    let stateful = instrs.iter().any(|&i| !sets[i].state_objects.is_empty());
+    let stateful =
+        instrs.iter().any(|&i| state_key(&program.instructions[i], &program.objects).is_some());
     Block { id: BlockId(id), instrs, classes, step: 0, stateful }
 }
 

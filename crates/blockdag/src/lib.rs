@@ -114,14 +114,14 @@ mod proptests {
         ) {
             let program = arb_program(n, seed);
             let dag = build_block_dag(&program, &BlockConfig::default());
-            let mut owner_of_state: std::collections::BTreeMap<String, usize> = Default::default();
-            let sets = program.read_write_sets();
+            let mut owner_of_state = std::collections::BTreeMap::new();
             for (b_idx, block) in dag.blocks().iter().enumerate() {
                 for &i in &block.instrs {
-                    for obj in &sets[i].state_objects {
-                        if let Some(prev) = owner_of_state.insert(obj.clone(), b_idx) {
+                    let instr = &program.instructions[i];
+                    if let Some(state) = clickinc_ir::state_key(instr, &program.objects) {
+                        if let Some(prev) = owner_of_state.insert(state, b_idx) {
                             prop_assert_eq!(prev, b_idx,
-                                "state object {} split across blocks {} and {}", obj, prev, b_idx);
+                                "state {:?} split across blocks {} and {}", state, prev, b_idx);
                         }
                     }
                 }

@@ -7,7 +7,6 @@
 
 use clickinc_ir::Fnv;
 use clickinc_lang::templates::Template;
-use clickinc_lang::Profile;
 use std::fmt;
 
 /// A structural problem with a [`ServiceRequest`], caught at build time.
@@ -66,9 +65,6 @@ pub struct ServiceRequest {
     pub destination: String,
     /// Optional per-source traffic weights (packets per second).
     pub traffic_weights: Vec<f64>,
-    /// Optional configuration profile (used for reporting; the template
-    /// parameters are already baked into `source`).
-    pub profile: Option<Profile>,
     /// Admission priority (higher = more important; default 0).  Consulted
     /// by priority-aware admission policies and by the service retry queue's
     /// drain order; it does not influence planning and is therefore excluded
@@ -99,7 +95,6 @@ impl ServiceRequest {
             sources: Vec::new(),
             destination: String::new(),
             traffic_weights: Vec::new(),
-            profile: None,
             priority: 0,
         }
     }
@@ -118,7 +113,6 @@ impl ServiceRequest {
             sources: sources.iter().map(|s| s.to_string()).collect(),
             destination: destination.to_string(),
             traffic_weights: Vec::new(),
-            profile: None,
             priority: 0,
         }
     }
@@ -130,12 +124,6 @@ impl ServiceRequest {
         destination: &str,
     ) -> ServiceRequest {
         ServiceRequest::new(template.name.clone(), template.source, sources, destination)
-    }
-
-    /// Attach the originating profile (builder style).
-    pub fn with_profile(mut self, profile: Profile) -> ServiceRequest {
-        self.profile = Some(profile);
-        self
     }
 
     /// Set the admission priority (builder style; higher wins).
@@ -150,9 +138,7 @@ impl ServiceRequest {
     /// the same plan at the same controller epoch, which is exactly why the
     /// planner keys its plan cache on `(fingerprint, epoch)`.
     ///
-    /// `profile` and `priority` are deliberately excluded: the former is
-    /// reporting metadata — the template parameters it describes are already
-    /// baked into `source` — and the latter only orders *admission*, never
+    /// `priority` is deliberately excluded: it only orders *admission*, never
     /// the solved plan.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
@@ -207,7 +193,6 @@ pub struct ServiceRequestBuilder {
     sources: Vec<String>,
     destination: String,
     traffic_weights: Vec<f64>,
-    profile: Option<Profile>,
     priority: u8,
 }
 
@@ -250,12 +235,6 @@ impl ServiceRequestBuilder {
         self
     }
 
-    /// Attach the originating configuration profile.
-    pub fn profile(mut self, profile: Profile) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
     /// Set the admission priority (higher wins; the default is 0).
     pub fn priority(mut self, priority: u8) -> Self {
         self.priority = priority;
@@ -270,7 +249,6 @@ impl ServiceRequestBuilder {
             sources: self.sources,
             destination: self.destination,
             traffic_weights: self.traffic_weights,
-            profile: self.profile,
             priority: self.priority,
         };
         request.validate()?;
@@ -297,19 +275,16 @@ mod tests {
         assert_eq!(r.user, "u1");
         assert_eq!(r.sources, vec!["a", "b"]);
         assert_eq!(r.traffic_weights, vec![1.0, 2.0]);
-        assert!(r.profile.is_none());
 
         let t = kvs_template("kvs_0", KvsParams::default());
         let r = ServiceRequest::builder("kvs_0")
             .template(t)
             .from_("pod0a")
             .to("pod2b")
-            .profile(clickinc_lang::profile::example_kvs_profile())
             .build()
             .expect("template request");
         assert_eq!(r.user, "kvs_0");
         assert!(r.source.contains("cache"));
-        assert!(r.profile.is_some());
     }
 
     #[test]
@@ -360,10 +335,7 @@ mod tests {
         let mut reweighted = base();
         reweighted.traffic_weights = vec![1.0, 2.0];
         assert_ne!(base().fingerprint(), reweighted.fingerprint());
-        // …while the reporting-only profile does not
-        let profiled = base().with_profile(clickinc_lang::profile::example_kvs_profile());
-        assert_eq!(base().fingerprint(), profiled.fingerprint());
-        // …and neither does admission priority (it orders commits, not plans)
+        // …while admission priority does not (it orders commits, not plans)
         let prioritized = base().with_priority(9);
         assert_eq!(base().fingerprint(), prioritized.fingerprint());
         // host-list splits don't collide (length-delimited hashing)

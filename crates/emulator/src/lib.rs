@@ -13,7 +13,8 @@
 //! * pushes application workloads (ML gradient aggregation with optional
 //!   sparsity, KVS request streams, SQL DISTINCT streams) along the device
 //!   paths of a deployment and reports goodput, in-network latency and
-//!   per-link byte counts — [`scenario`].
+//!   per-link byte counts — [`scenario`], fed by the seeded open-loop packet
+//!   generators in [`workload`] (which the traffic engine drives too).
 //!
 //! The absolute numbers are those of a simulator, but the *mechanisms* that
 //! produce the paper's Fig. 13 shape — traffic reduction from in-network
@@ -25,13 +26,14 @@ pub mod packet;
 pub mod scenario;
 pub mod state;
 pub mod vm;
+pub mod workload;
 pub mod zipf;
 
 pub use interp::{DevicePlane, ExecOutcome, PacketAction};
 pub use packet::{IncHeader, Packet};
 pub use scenario::{
-    kvs_backend_value, run_aggregation_scenario, run_kvs_scenario, AggregationConfig,
-    AggregationReport, KvsConfig, KvsReport, NetworkSetup,
+    kvs_backend_value, run_aggregation_scenario, run_kvs_scenario, AggregationReport, KvsConfig,
+    KvsReport, NetworkSetup,
 };
 pub use state::{Fnv, ObjectStore};
 pub use vm::{CompiledImage, CompiledProgram, ExecMode};

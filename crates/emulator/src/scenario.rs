@@ -10,11 +10,10 @@
 //! skewed request stream.
 
 use crate::interp::{DevicePlane, PacketAction};
-use crate::packet::{GradientShape, KvsShape};
-use crate::zipf::ZipfSampler;
+use crate::workload::{
+    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig, Workload,
+};
 use clickinc_ir::Value;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -39,42 +38,6 @@ impl NetworkSetup {
     }
 }
 
-/// Configuration of the gradient-aggregation workload.
-#[derive(Debug, Clone)]
-pub struct AggregationConfig {
-    /// Number of workers.
-    pub workers: usize,
-    /// Number of aggregation rounds (distinct sequence numbers).
-    pub rounds: usize,
-    /// Parameter-vector dimensions carried per packet.
-    pub dims: usize,
-    /// Fraction of `block_size`-aligned blocks that are entirely zero.
-    pub sparsity: f64,
-    /// Sparse block size (dimensions per block).
-    pub block_size: usize,
-    /// RNG seed (deterministic workloads for reproducibility).
-    pub seed: u64,
-    /// Numeric user id carried in the INC header. Programs installed directly
-    /// on a plane accept any id (0); controller deployments are guarded and
-    /// only process traffic carrying their assigned id
-    /// (`Controller::numeric_id_of`).
-    pub user: i64,
-}
-
-impl Default for AggregationConfig {
-    fn default() -> Self {
-        AggregationConfig {
-            workers: 4,
-            rounds: 200,
-            dims: 32,
-            sparsity: 0.5,
-            block_size: 8,
-            seed: 7,
-            user: 0,
-        }
-    }
-}
-
 /// Results of the gradient-aggregation scenario.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AggregationReport {
@@ -94,11 +57,15 @@ pub struct AggregationReport {
 }
 
 /// Run the sparse-gradient aggregation workload over the given path.
+/// Programs installed directly on a plane accept any `user_id` (0);
+/// controller deployments are guarded and only process traffic carrying
+/// their assigned id (`Controller::numeric_id_of`).  The scenario keeps its
+/// own clock: `tenant` and `rate_pps` are not consulted.
 pub fn run_aggregation_scenario(
     setup: &mut NetworkSetup,
-    config: &AggregationConfig,
+    config: &MlAggWorkloadConfig,
 ) -> AggregationReport {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut workload = MlAggWorkload::new(config.clone());
     let mut truth: BTreeMap<(usize, usize), i64> = BTreeMap::new(); // (round, dim) -> sum
     let mut aggregated: BTreeMap<(usize, usize), i64> = BTreeMap::new();
     let mut host_partial: BTreeMap<(usize, usize), i64> = BTreeMap::new();
@@ -108,67 +75,55 @@ pub fn run_aggregation_scenario(
     let mut packets_sent: u64 = 0;
     let mut total_inc_latency = 0.0;
     let mut inc_latency_samples = 0u64;
-    let gradients = GradientShape::new("worker", "ps", config.user, config.dims);
+    let data_fields: Vec<String> = (0..config.dims).map(|d| format!("data_{d}")).collect();
 
-    for round in 0..config.rounds {
-        for worker in 0..config.workers {
-            // build the (possibly sparse) gradient vector
-            let mut values = vec![0i64; config.dims];
-            let blocks = config.dims.div_ceil(config.block_size.max(1));
-            for b in 0..blocks {
-                let zero_block = rng.gen_bool(config.sparsity.clamp(0.0, 1.0));
-                let end = ((b + 1) * config.block_size).min(config.dims);
-                for value in &mut values[b * config.block_size..end] {
-                    *value = if zero_block { 0 } else { rng.gen_range(1..100) };
-                }
-            }
-            for (d, v) in values.iter().enumerate() {
-                *truth.entry((round, d)).or_insert(0) += v;
-            }
-            let mut pkt = gradients.packet(round as i64, worker, &values);
-            packets_sent += 1;
+    while let Some(generated) = workload.next_packet() {
+        let mut pkt = generated.packet;
+        let round = pkt.inc.get("seq").as_int().unwrap_or(0) as usize;
+        for (d, field) in data_fields.iter().enumerate() {
+            *truth.entry((round, d)).or_insert(0) += pkt.inc.get(field).as_int().unwrap_or(0);
+        }
+        packets_sent += 1;
 
-            let mut delivered = true;
-            let mut pkt_latency = 0.0;
-            for (hop_idx, hop) in setup.hops.iter_mut().enumerate() {
-                bytes_per_link[hop_idx] += pkt.wire_bytes() as u64;
-                if !hop.has_program() {
-                    continue;
+        let mut delivered = true;
+        let mut pkt_latency = 0.0;
+        for (hop_idx, hop) in setup.hops.iter_mut().enumerate() {
+            bytes_per_link[hop_idx] += pkt.wire_bytes() as u64;
+            if !hop.has_program() {
+                continue;
+            }
+            let outcome = hop.process(&mut pkt);
+            pkt_latency += outcome.latency_ns;
+            match outcome.action {
+                PacketAction::Drop => {
+                    delivered = false;
+                    break;
                 }
-                let outcome = hop.process(&mut pkt);
-                pkt_latency += outcome.latency_ns;
-                match outcome.action {
-                    PacketAction::Drop => {
-                        delivered = false;
-                        break;
-                    }
-                    PacketAction::Back => {
-                        // completed aggregate released by the network
-                        for d in 0..config.dims {
-                            if let Value::Int(v) = pkt.inc.get(&format!("data_{d}")) {
-                                aggregated.insert((round, d), v);
-                            }
+                PacketAction::Back => {
+                    // completed aggregate released by the network
+                    for (d, field) in data_fields.iter().enumerate() {
+                        if let Value::Int(v) = pkt.inc.get(field) {
+                            aggregated.insert((round, d), v);
                         }
-                        delivered = false;
-                        break;
                     }
-                    PacketAction::Forward => {}
+                    delivered = false;
+                    break;
                 }
+                PacketAction::Forward => {}
             }
-            if pkt_latency > 0.0 {
-                total_inc_latency += pkt_latency;
-                inc_latency_samples += 1;
-            }
-            if delivered {
-                // last link into the server
-                bytes_per_link[setup.hops.len()] += pkt.wire_bytes() as u64;
-                packets_at_server += 1;
-                // the parameter server aggregates in software
-                for d in 0..config.dims {
-                    let v = pkt.inc.get(&format!("data_{d}")).as_int().unwrap_or(0);
-                    let slot = host_partial.entry((round, d)).or_insert(0);
-                    *slot += v;
-                }
+        }
+        if pkt_latency > 0.0 {
+            total_inc_latency += pkt_latency;
+            inc_latency_samples += 1;
+        }
+        if delivered {
+            // last link into the server
+            bytes_per_link[setup.hops.len()] += pkt.wire_bytes() as u64;
+            packets_at_server += 1;
+            // the parameter server aggregates in software
+            for (d, field) in data_fields.iter().enumerate() {
+                let slot = host_partial.entry((round, d)).or_insert(0);
+                *slot += pkt.inc.get(field).as_int().unwrap_or(0);
             }
         }
     }
@@ -244,22 +199,16 @@ pub fn run_aggregation_scenario(
     }
 }
 
-/// Configuration of the KVS workload.
+/// Configuration of the KVS scenario: the request stream, and how the
+/// in-network cache is warmed before it starts.
 #[derive(Debug, Clone)]
 pub struct KvsConfig {
-    /// Number of requests.
-    pub requests: usize,
-    /// Key universe size.
-    pub keys: usize,
+    /// The request stream.  Its `user_id` follows the rule of
+    /// [`run_aggregation_scenario`]; `tenant` and `rate_pps` are not
+    /// consulted.
+    pub workload: KvsWorkloadConfig,
     /// Number of hot keys pre-installed in the in-network cache.
     pub cached_keys: usize,
-    /// Zipf-like skew exponent (0 = uniform).
-    pub skew: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Numeric user id carried in the INC header (see
-    /// [`AggregationConfig::user`]).
-    pub user: i64,
     /// Exact name of the cache table to pre-populate. `None` targets every
     /// table named `cache` or `*_cache` on the path — fine for single-tenant
     /// setups, but when tenants share a hop name the table explicitly
@@ -270,15 +219,7 @@ pub struct KvsConfig {
 
 impl Default for KvsConfig {
     fn default() -> Self {
-        KvsConfig {
-            requests: 2000,
-            keys: 1000,
-            cached_keys: 64,
-            skew: 1.1,
-            seed: 11,
-            user: 0,
-            cache_table: None,
-        }
+        KvsConfig { workload: KvsWorkloadConfig::default(), cached_keys: 64, cache_table: None }
     }
 }
 
@@ -307,7 +248,6 @@ pub fn kvs_backend_value(key: i64) -> i64 {
 /// the KVS program) is pre-populated with the `cached_keys` hottest keys, and
 /// the backend server holds every key with value [`kvs_backend_value`].
 pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsReport {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let value_of = kvs_backend_value;
     // Populate the in-network cache on whichever hop hosts the KVS table.
     for hop in setup.hops.iter_mut() {
@@ -334,20 +274,18 @@ pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsRepo
         }
     }
 
-    // Zipf sampling (popularity ∝ 1/(rank+1)^skew) over a precomputed CDF:
-    // one uniform variate + binary search per request, deterministic for a
-    // fixed seed.
-    let zipf = ZipfSampler::new(config.keys, config.skew);
+    // Zipf-skewed GETs, deterministic for a fixed seed
+    let mut workload = KvsWorkload::new(config.workload.clone());
+    let requests = config.workload.requests;
 
     let mut hits = 0u64;
     let mut server_requests = 0u64;
     let mut total_latency = 0.0;
     let mut replies_correct = true;
-    let requests = KvsShape::new("client", "server", config.user);
 
-    for _ in 0..config.requests {
-        let key = zipf.sample(&mut rng);
-        let mut pkt = requests.request(key as i64);
+    while let Some(generated) = workload.next_packet() {
+        let mut pkt = generated.packet;
+        let key = pkt.inc.get("key").as_int().unwrap_or(0);
         let mut latency = 0.0;
         let mut answered_in_network = false;
         for hop in setup.hops.iter_mut() {
@@ -360,7 +298,7 @@ pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsRepo
             match outcome.action {
                 PacketAction::Back => {
                     answered_in_network = true;
-                    if pkt.inc.get("vals") != Value::Int(value_of(key as i64)) {
+                    if pkt.inc.get("vals") != Value::Int(value_of(key)) {
                         replies_correct = false;
                     }
                     break;
@@ -382,9 +320,9 @@ pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsRepo
     }
 
     KvsReport {
-        hit_ratio: hits as f64 / config.requests.max(1) as f64,
+        hit_ratio: hits as f64 / requests.max(1) as f64,
         server_requests,
-        mean_latency_ns: total_latency / config.requests.max(1) as f64,
+        mean_latency_ns: total_latency / requests.max(1) as f64,
         replies_correct,
     }
 }
@@ -430,8 +368,8 @@ mod tests {
         p
     }
 
-    fn cfg(dims: usize, workers: usize) -> AggregationConfig {
-        AggregationConfig {
+    fn cfg(dims: usize, workers: usize) -> MlAggWorkloadConfig {
+        MlAggWorkloadConfig {
             workers,
             rounds: 50,
             dims,
@@ -476,7 +414,7 @@ mod tests {
 
     #[test]
     fn sparse_compression_alone_reduces_bytes_but_not_packets() {
-        let config = AggregationConfig { sparsity: 0.75, ..cfg(32, 4) };
+        let config = MlAggWorkloadConfig { sparsity: 0.75, ..cfg(32, 4) };
         let mut baseline = NetworkSetup::new(vec![DevicePlane::new("SW0", DeviceModel::tofino())]);
         let base = run_aggregation_scenario(&mut baseline, &config);
         let mut nic = NetworkSetup::new(vec![sparse_plane(32, 4)]);
@@ -489,7 +427,7 @@ mod tests {
 
     #[test]
     fn nic_plus_switch_beats_either_alone() {
-        let config = AggregationConfig { sparsity: 0.5, ..cfg(32, 4) };
+        let config = MlAggWorkloadConfig { sparsity: 0.5, ..cfg(32, 4) };
         let mut nic_only = NetworkSetup::new(vec![sparse_plane(32, 4)]);
         let nic = run_aggregation_scenario(&mut nic_only, &config);
         let mut switch_only = NetworkSetup::new(vec![mlagg_plane(32, 4)]);

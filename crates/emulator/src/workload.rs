@@ -6,13 +6,14 @@
 //! fast the engine drains it, which is how serving systems are actually
 //! loaded (and what makes goodput well-defined without wall clocks).  Every
 //! generator is seeded, so a fixed seed produces a byte-identical packet
-//! stream — the foundation of the shard-count invariance and
-//! zero-disruption tests.  Each generator builds its packet family's shape
+//! stream — the foundation of the runtime's shard-count invariance and
+//! zero-disruption tests, and of the [`crate::scenario`] loops' repeatable
+//! reports.  Each generator builds its packet family's shape
 //! once and stamps every packet from it, so a stream shares one header
 //! layout and one pair of endpoint names.
 
-use clickinc_emulator::packet::{GradientShape, KvsShape, Packet};
-use clickinc_emulator::ZipfSampler;
+use crate::packet::{GradientShape, KvsShape, Packet};
+use crate::zipf::ZipfSampler;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::Arc;

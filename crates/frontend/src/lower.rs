@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 /// Options controlling compilation.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Known widths of application header fields (from the profile's packet
-    /// format).  Fields not listed default to [`CompileOptions::default_field_bits`].
+    /// Known widths of application header fields.  Fields not listed default
+    /// to [`CompileOptions::default_field_bits`].
     pub header_widths: BTreeMap<String, u16>,
     /// Default width for unknown header fields.
     pub default_field_bits: u16,

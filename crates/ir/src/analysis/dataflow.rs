@@ -6,43 +6,40 @@
 //! *guarded* definition behaves like one arm of a φ-merge (it may or may not
 //! execute), so it never kills earlier definitions, while an unguarded
 //! definition does.
+//!
+//! Reads, definitions and header writes are iterated straight off the operand
+//! walk in [`crate::instr`]; every name here is borrowed from the program.
 
-use crate::deps::ReadWriteSet;
-use crate::instr::{OpCode, Operand};
+use crate::instr::{Instruction, OpCode, Operand};
 use crate::program::IrProgram;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Def-use chains of one program.
+/// Def-use chains of one program, borrowing every name from it.
 #[derive(Debug, Clone)]
-pub struct DefUse {
-    sets: Vec<ReadWriteSet>,
-    guarded: Vec<bool>,
-    var_defs: BTreeMap<String, Vec<usize>>,
-    var_uses: BTreeMap<String, Vec<usize>>,
+pub struct DefUse<'p> {
+    program: &'p IrProgram,
+    var_defs: BTreeMap<&'p str, Vec<usize>>,
+    var_uses: BTreeMap<&'p str, Vec<usize>>,
 }
 
-impl DefUse {
+impl<'p> DefUse<'p> {
     /// Build the def-use chains of `program`.
-    pub fn of(program: &IrProgram) -> DefUse {
-        let sets: Vec<ReadWriteSet> =
-            program.instructions.iter().map(|i| ReadWriteSet::of(i, &program.objects)).collect();
-        let guarded = program.instructions.iter().map(|i| i.guard.is_some()).collect();
-        let mut var_defs: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut var_uses: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (idx, set) in sets.iter().enumerate() {
-            if let Some(v) = &set.writes_var {
-                var_defs.entry(v.clone()).or_default().push(idx);
+    pub fn of(program: &'p IrProgram) -> DefUse<'p> {
+        let mut var_defs: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut var_uses: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (idx, instr) in program.instructions.iter().enumerate() {
+            if let Some(v) = instr.dest() {
+                var_defs.entry(v).or_default().push(idx);
             }
-            for v in &set.reads_vars {
-                var_uses.entry(v.clone()).or_default().push(idx);
+            for v in instr.read_vars() {
+                let uses = var_uses.entry(v).or_default();
+                // an instruction reading `v` twice uses it once
+                if uses.last() != Some(&idx) {
+                    uses.push(idx);
+                }
             }
         }
-        DefUse { sets, guarded, var_defs, var_uses }
-    }
-
-    /// The read/write set of instruction `idx`.
-    pub fn set(&self, idx: usize) -> &ReadWriteSet {
-        &self.sets[idx]
+        DefUse { program, var_defs, var_uses }
     }
 
     /// All instructions defining `var`, in program order.
@@ -60,7 +57,8 @@ impl DefUse {
     /// before `at`.  Guarded definitions are φ-arms and kill nothing.
     pub fn reaching_defs(&self, var: &str, at: usize) -> Vec<usize> {
         let defs = self.defs_of(var);
-        let last_kill = defs.iter().copied().filter(|&d| d < at && !self.guarded[d]).max();
+        let guarded = |d: usize| self.program.instructions[d].guard.is_some();
+        let last_kill = defs.iter().copied().filter(|&d| d < at && !guarded(d)).max();
         defs.iter()
             .copied()
             .filter(|&d| d < at && last_kill.map(|k| d >= k).unwrap_or(true))
@@ -70,40 +68,36 @@ impl DefUse {
     /// Whether the value defined by instruction `def` is read by any later
     /// instruction.
     pub fn def_is_used(&self, def: usize) -> bool {
-        match &self.sets[def].writes_var {
+        match self.program.instructions[def].dest() {
             Some(v) => self.uses_of(v).iter().any(|&u| u > def),
             None => false,
         }
     }
+}
 
-    /// Liveness over the value graph: an instruction is live when it is
-    /// effectful ([`is_effectful`]), an explicit packet action, or its defined
-    /// value flows (transitively) into a live instruction's operands or guard.
-    /// Dead instructions are pure computations nothing observes.
-    pub fn live_instructions(&self, program: &IrProgram) -> Vec<bool> {
-        let n = program.instructions.len();
-        let mut live = vec![false; n];
-        let mut needed: BTreeSet<String> = BTreeSet::new();
-        for idx in (0..n).rev() {
-            let instr = &program.instructions[idx];
-            let set = &self.sets[idx];
-            let is_root = is_effectful(instr)
-                || instr.op.is_packet_action()
-                || matches!(instr.op, OpCode::NoOp);
-            let feeds_live = set.writes_var.as_ref().map(|v| needed.contains(v)).unwrap_or(false);
-            if is_root || feeds_live {
-                live[idx] = true;
-                needed.extend(set.reads_vars.iter().cloned());
-            }
+/// Liveness over the value graph: an instruction is live when it is effectful
+/// ([`is_effectful`]), an explicit packet action, or its defined value flows
+/// (transitively) into a live instruction's operands or guard, or into one of
+/// `live_outs` — variables observed outside the program.  Dead instructions
+/// are pure computations nothing observes.
+pub fn live_instructions(program: &IrProgram, live_outs: &BTreeSet<String>) -> Vec<bool> {
+    let mut needed: BTreeSet<&str> = live_outs.iter().map(String::as_str).collect();
+    let mut live = vec![false; program.instructions.len()];
+    for (idx, instr) in program.instructions.iter().enumerate().rev() {
+        let is_root =
+            is_effectful(instr) || instr.op.is_packet_action() || matches!(instr.op, OpCode::NoOp);
+        if is_root || instr.dest().is_some_and(|v| needed.contains(v)) {
+            live[idx] = true;
+            needed.extend(instr.read_vars());
         }
-        live
     }
+    live
 }
 
 /// Whether an instruction has an effect observable outside the device: it
 /// mutates a state object, rewrites a header field, draws from the tenant's
 /// random stream, or takes a packet action other than the default `forward`.
-pub fn is_effectful(instr: &crate::instr::Instruction) -> bool {
+pub fn is_effectful(instr: &Instruction) -> bool {
     match &instr.op {
         OpCode::WriteState { .. }
         | OpCode::CountState { .. }
@@ -129,62 +123,15 @@ pub fn is_effectful(instr: &crate::instr::Instruction) -> bool {
 }
 
 /// Header fields (strictly `hdr.*`, not metadata) read by an instruction's
-/// operands and guard, in no particular order.
-pub fn header_reads(instr: &crate::instr::Instruction) -> BTreeSet<String> {
-    let mut fields = BTreeSet::new();
-    let mut read = |op: &Operand| {
-        if let Operand::Header(f) = op {
-            fields.insert(f.clone());
-        }
-    };
-    if let Some(guard) = &instr.guard {
-        for p in &guard.all {
-            read(&p.lhs);
-            read(&p.rhs);
-        }
-    }
-    match &instr.op {
-        OpCode::Assign { src, .. } => read(src),
-        OpCode::Alu { lhs, rhs, .. } | OpCode::Cmp { lhs, rhs, .. } => {
-            read(lhs);
-            read(rhs);
-        }
-        OpCode::Hash { keys, .. } => keys.iter().for_each(&mut read),
-        OpCode::ReadState { index, .. } | OpCode::DeleteState { index, .. } => {
-            index.iter().for_each(&mut read)
-        }
-        OpCode::WriteState { index, value, .. } => {
-            index.iter().for_each(&mut read);
-            value.iter().for_each(&mut read);
-        }
-        OpCode::CountState { index, delta, .. } => {
-            index.iter().for_each(&mut read);
-            read(delta);
-        }
-        OpCode::Back { updates } | OpCode::Mirror { updates } => {
-            updates.iter().for_each(|(_, v)| read(v))
-        }
-        OpCode::Multicast { group } => read(group),
-        OpCode::CopyTo { values, .. } => values.iter().for_each(&mut read),
-        OpCode::SetHeader { value, .. } => read(value),
-        OpCode::Crypto { input, .. } => read(input),
-        OpCode::RandInt { bound, .. } => read(bound),
-        OpCode::Checksum { inputs, .. } => inputs.iter().for_each(&mut read),
-        OpCode::ClearState { .. } | OpCode::Drop | OpCode::Forward | OpCode::NoOp => {}
-    }
-    fields
-}
-
-/// Header fields an instruction writes (`hdr.field = v`, `back`/`mirror`
-/// update dictionaries).
-pub fn header_writes(instr: &crate::instr::Instruction) -> BTreeSet<String> {
-    match &instr.op {
-        OpCode::SetHeader { field, .. } => std::iter::once(field.clone()).collect(),
-        OpCode::Back { updates } | OpCode::Mirror { updates } => {
-            updates.iter().map(|(f, _)| f.clone()).collect()
-        }
-        _ => BTreeSet::new(),
-    }
+/// operands and guard, each once, ordered by name.
+pub fn header_reads(instr: &Instruction) -> BTreeSet<&str> {
+    instr
+        .reads()
+        .filter_map(|operand| match operand {
+            Operand::Header(field) => Some(field.as_str()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -233,7 +180,7 @@ mod tests {
     fn liveness_flows_backwards_from_effects() {
         let p = sample();
         let du = DefUse::of(&p);
-        let live = du.live_instructions(&p);
+        let live = live_instructions(&p, &BTreeSet::new());
         // x feeds y feeds the count; the count and the forward are roots
         assert!(live[0] && live[1] && live[2] && live[3] && live[5]);
         assert!(!live[4], "`unused` feeds nothing observable");
@@ -253,7 +200,7 @@ mod tests {
         );
         let p = b.build().unwrap();
         assert_eq!(header_reads(&p.instructions[0]).into_iter().collect::<Vec<_>>(), vec!["key"]);
-        assert!(header_writes(&p.instructions[0]).is_empty());
-        assert_eq!(header_writes(&p.instructions[1]).into_iter().collect::<Vec<_>>(), vec!["op"]);
+        assert_eq!(p.instructions[0].op.header_writes().count(), 0);
+        assert_eq!(p.instructions[1].op.header_writes().collect::<Vec<_>>(), vec!["op"]);
     }
 }

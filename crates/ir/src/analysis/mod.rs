@@ -22,7 +22,7 @@ pub mod opt;
 pub mod passes;
 pub mod taint;
 
-pub use dataflow::{header_reads, header_writes, is_effectful, DefUse};
+pub use dataflow::{header_reads, is_effectful, live_instructions, DefUse};
 pub use diagnostics::{Diagnostic, DiagnosticSet, Severity};
 pub use opt::{
     ConstFoldPass, DeadValueElimPass, GuardHoistPass, Optimizer, TransformContext, TransformPass,

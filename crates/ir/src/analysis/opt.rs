@@ -30,7 +30,7 @@
 //! the service's diagnostics JSON shows detection and elimination side by
 //! side.
 
-use crate::analysis::dataflow::{header_writes, is_effectful, DefUse};
+use crate::analysis::dataflow::{is_effectful, live_instructions};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticSet, Severity};
 use crate::analysis::passes::{PassContext, PassManager};
 use crate::eval;
@@ -167,25 +167,15 @@ fn info(pass: &str, ctx: &TransformContext<'_>, snippet: &str, message: String) 
 pub struct ConstFoldPass;
 
 impl ConstFoldPass {
-    fn subst(op: &mut Operand, consts: &BTreeMap<String, crate::types::Value>) -> bool {
-        if let Operand::Var(v) = op {
-            if let Some(value) = consts.get(v.as_str()) {
+    fn subst<'a>(
+        operands: impl Iterator<Item = &'a mut Operand>,
+        consts: &BTreeMap<String, crate::types::Value>,
+    ) {
+        for op in operands {
+            if let Some(value) = op.as_var().and_then(|v| consts.get(v)) {
                 *op = Operand::Const(value.clone());
-                return true;
             }
         }
-        false
-    }
-
-    fn subst_all<'a>(
-        ops: impl IntoIterator<Item = &'a mut Operand>,
-        consts: &BTreeMap<String, crate::types::Value>,
-    ) -> bool {
-        let mut changed = false;
-        for op in ops {
-            changed |= Self::subst(op, consts);
-        }
-        changed
     }
 }
 
@@ -204,10 +194,7 @@ impl TransformPass for ConstFoldPass {
             // constant-vs-constant predicates
             let mut never_executes = false;
             if let Some(guard) = &mut instr.guard {
-                for p in &mut guard.all {
-                    Self::subst(&mut p.lhs, &consts);
-                    Self::subst(&mut p.rhs, &consts);
-                }
+                Self::subst(guard.operands_mut(), &consts);
                 guard.all.retain(|p| match (&p.lhs, &p.rhs) {
                     (Operand::Const(a), Operand::Const(b)) => {
                         if eval::compare(a, p.op, b) {
@@ -230,50 +217,7 @@ impl TransformPass for ConstFoldPass {
                 removed.push(instr.id.to_string());
                 continue;
             }
-            // substitute into the operation's operands
-            match &mut instr.op {
-                OpCode::Assign { src, .. } => {
-                    Self::subst(src, &consts);
-                }
-                OpCode::Alu { lhs, rhs, .. } | OpCode::Cmp { lhs, rhs, .. } => {
-                    Self::subst(lhs, &consts);
-                    Self::subst(rhs, &consts);
-                }
-                OpCode::Hash { keys, .. } => {
-                    Self::subst_all(keys, &consts);
-                }
-                OpCode::ReadState { index, .. } | OpCode::DeleteState { index, .. } => {
-                    Self::subst_all(index, &consts);
-                }
-                OpCode::WriteState { index, value, .. } => {
-                    Self::subst_all(index.iter_mut().chain(value), &consts);
-                }
-                OpCode::CountState { index, delta, .. } => {
-                    Self::subst_all(index.iter_mut().chain(std::iter::once(delta)), &consts);
-                }
-                OpCode::Back { updates } | OpCode::Mirror { updates } => {
-                    Self::subst_all(updates.iter_mut().map(|(_, v)| v), &consts);
-                }
-                OpCode::Multicast { group } => {
-                    Self::subst(group, &consts);
-                }
-                OpCode::CopyTo { values, .. } => {
-                    Self::subst_all(values, &consts);
-                }
-                OpCode::SetHeader { value, .. } => {
-                    Self::subst(value, &consts);
-                }
-                OpCode::Crypto { input, .. } => {
-                    Self::subst(input, &consts);
-                }
-                OpCode::RandInt { bound, .. } => {
-                    Self::subst(bound, &consts);
-                }
-                OpCode::Checksum { inputs, .. } => {
-                    Self::subst_all(inputs, &consts);
-                }
-                OpCode::ClearState { .. } | OpCode::Drop | OpCode::Forward | OpCode::NoOp => {}
-            }
+            Self::subst(instr.op.operands_mut(), &consts);
             // fold all-constant pure computations into constant assignments,
             // using the same evaluation the interpreter and VM apply at
             // packet time
@@ -336,22 +280,7 @@ impl TransformPass for DeadValueElimPass {
         if !program.instructions.iter().any(is_effectful) {
             return;
         }
-        let du = DefUse::of(program);
-        let n = program.instructions.len();
-        let mut live = vec![false; n];
-        let mut needed: BTreeSet<String> = ctx.live_outs.clone();
-        for idx in (0..n).rev() {
-            let instr = &program.instructions[idx];
-            let set = du.set(idx);
-            let is_root = is_effectful(instr)
-                || instr.op.is_packet_action()
-                || matches!(instr.op, OpCode::NoOp);
-            let feeds_live = set.writes_var.as_ref().map(|v| needed.contains(v)).unwrap_or(false);
-            if is_root || feeds_live {
-                live[idx] = true;
-                needed.extend(set.reads_vars.iter().cloned());
-            }
-        }
+        let live = live_instructions(program, ctx.live_outs);
         let removed: Vec<String> = program
             .instructions
             .iter()
@@ -391,10 +320,10 @@ impl TransformPass for DeadValueElimPass {
 pub struct GuardHoistPass;
 
 impl GuardHoistPass {
-    fn hoistable(p: &Predicate, written_headers: &BTreeSet<String>) -> bool {
+    fn hoistable(p: &Predicate, written_headers: &BTreeSet<&str>) -> bool {
         [&p.lhs, &p.rhs].iter().all(|op| match op {
             Operand::Const(_) | Operand::Meta(_) => true,
-            Operand::Header(f) => !written_headers.contains(f),
+            Operand::Header(f) => !written_headers.contains(f.as_str()),
             Operand::Var(_) => false,
         })
     }
@@ -409,8 +338,8 @@ impl TransformPass for GuardHoistPass {
         if program.instructions.is_empty() {
             return;
         }
-        let written: BTreeSet<String> =
-            program.instructions.iter().flat_map(header_writes).collect();
+        let written: BTreeSet<&str> =
+            program.instructions.iter().flat_map(|i| i.op.header_writes()).collect();
         // candidates: hoistable predicates of the first guard, narrowed to
         // those every other instruction's guard also carries
         let Some(first) = &program.instructions[0].guard else { return };

@@ -11,7 +11,7 @@
 //! cross-tenant table merging) can mount on the same pipeline later without a
 //! new driver.
 
-use crate::analysis::dataflow::{header_reads, header_writes, is_effectful, DefUse};
+use crate::analysis::dataflow::{header_reads, is_effectful, live_instructions};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticSet, Severity};
 use crate::analysis::taint::state_profile;
 use crate::capability::CapabilityClass;
@@ -196,11 +196,11 @@ impl VerifierPass for UninitHeaderPass {
 
     fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
         for program in ctx.programs {
-            let mut known: BTreeSet<String> =
-                program.headers.iter().map(|h| h.name.clone()).collect();
+            let mut known: BTreeSet<&str> =
+                program.headers.iter().map(|h| h.name.as_str()).collect();
             for instr in &program.instructions {
                 for field in header_reads(instr) {
-                    if !known.contains(&field) {
+                    if !known.contains(field) {
                         out.push(diag(
                             Severity::Error,
                             self.name(),
@@ -214,7 +214,7 @@ impl VerifierPass for UninitHeaderPass {
                         ));
                     }
                 }
-                known.extend(header_writes(instr));
+                known.extend(instr.op.header_writes());
             }
         }
     }
@@ -398,8 +398,7 @@ impl VerifierPass for DeadSnippetPass {
                 ));
                 continue;
             }
-            let du = DefUse::of(program);
-            let live = du.live_instructions(program);
+            let live = live_instructions(program, &BTreeSet::new());
             for (idx, instr) in program.instructions.iter().enumerate() {
                 if !live[idx] {
                     out.push(diag(
@@ -484,7 +483,7 @@ impl VerifierPass for SplitExecutionPass {
                 continue;
             }
             let devices: Vec<&str> = replicas.iter().map(|p| p.device.as_str()).collect();
-            let shown: Vec<&str> = free.iter().take(3).map(String::as_str).collect();
+            let shown: Vec<&str> = free.iter().take(3).copied().collect();
             let more = if free.len() > shown.len() { ", …" } else { "" };
             out.push(diag(
                 Severity::Info,

@@ -1,183 +1,54 @@
-//! Read/write-set extraction and dependency-edge computation.
+//! Dependency-edge computation.
 //!
 //! Paper §5.2, Step 1: "If an instruction *i* reads a variable whose value is
 //! written by a previous instruction *j*, *i* depends on *j*. [...] All
 //! instructions that write or read the same state are mutually dependent."
 //! This module computes both flavours of edges over an instruction slice.
+//! What an instruction reads and writes comes straight from the operand walk
+//! in [`crate::instr`] ([`Instruction::reads`], [`Instruction::dest`],
+//! [`OpCode::header_writes`]); the one fact the walk cannot know — which
+//! state an access shares, given the object declarations — is [`state_key`].
 
-use crate::instr::{Guard, Instruction, OpCode, Operand};
-use crate::object::ObjectDecl;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::instr::{Instruction, OpCode, Operand};
+use crate::object::{ObjectDecl, ObjectKind};
+use crate::types::Value;
+use std::collections::BTreeMap;
 
-/// The variables/fields read and written by an instruction, plus the stateful
-/// objects it touches.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReadWriteSet {
-    /// Temporary variables read.
-    pub reads_vars: BTreeSet<String>,
-    /// Header / metadata fields read.
-    pub reads_fields: BTreeSet<String>,
-    /// Temporary variable written (SSA: at most one).
-    pub writes_var: Option<String>,
-    /// Header / metadata fields written.
-    pub writes_fields: BTreeSet<String>,
-    /// Stateful objects accessed (read or write).
-    pub state_objects: BTreeSet<String>,
-}
-
-impl ReadWriteSet {
-    /// Extract the read/write set of a single instruction.
-    ///
-    /// Objects that are *not* stateful (Hash, Crypto, stateless tables) are not
-    /// recorded in `state_objects`; `objects` supplies that distinction.  If the
-    /// referenced object cannot be found it is conservatively treated as stateful.
-    pub fn of(instr: &Instruction, objects: &[ObjectDecl]) -> ReadWriteSet {
-        let mut set = ReadWriteSet::default();
-        if let Some(guard) = &instr.guard {
-            set.collect_guard(guard);
-        }
-        set.collect_op(&instr.op);
-        // Filter out stateless function objects from the state set.
-        set.state_objects.retain(|name| {
-            objects.iter().find(|o| &o.name == name).map(|o| o.kind.is_stateful()).unwrap_or(true)
-        });
-        // Multi-row register arrays addressed with a *constant* row index are a
-        // collection of independent register arrays: accesses to different rows
-        // carry no mutual state dependency, which is what lets the placement
-        // engine split e.g. the MLAgg parameter vector across devices.  The
-        // state key is refined to `object#row<k>` in that case.
-        set.refine_array_rows(instr, objects);
-        set
+/// The state an instruction shares with others: the stateful object it
+/// accesses, and the row when the access can be narrowed to one.
+///
+/// Objects that are *not* stateful (Hash, Crypto, stateless tables) share
+/// nothing and yield `None`; `objects` supplies that distinction.  If the
+/// referenced object cannot be found it is conservatively treated as stateful.
+///
+/// Multi-row register arrays addressed with a *constant* row index are a
+/// collection of independent register arrays: accesses to different rows
+/// carry no mutual state dependency, which is what lets the placement engine
+/// split e.g. the MLAgg parameter vector across devices.  The key is refined
+/// to `(object, Some(row))` in that case.
+pub fn state_key<'a>(
+    instr: &'a Instruction,
+    objects: &[ObjectDecl],
+) -> Option<(&'a str, Option<i64>)> {
+    let name = instr.object()?;
+    let Some(decl) = objects.iter().find(|o| o.name == name) else {
+        return Some((name, None));
+    };
+    if !decl.kind.is_stateful() {
+        return None;
     }
-
-    fn refine_array_rows(&mut self, instr: &Instruction, objects: &[ObjectDecl]) {
-        use crate::object::ObjectKind;
-        let obj_name = match instr.op.object() {
-            Some(o) => o.to_string(),
-            None => return,
-        };
-        let is_multirow_array = objects
-            .iter()
-            .find(|o| o.name == obj_name)
-            .map(|o| matches!(o.kind, ObjectKind::Array { rows, .. } if rows > 1))
-            .unwrap_or(false);
-        if !is_multirow_array || !self.state_objects.contains(&obj_name) {
-            return;
+    let first_index = match &instr.op {
+        OpCode::ReadState { index, .. }
+        | OpCode::WriteState { index, .. }
+        | OpCode::CountState { index, .. }
+        | OpCode::DeleteState { index, .. } => index.first(),
+        _ => None,
+    };
+    match (&decl.kind, first_index) {
+        (ObjectKind::Array { rows, .. }, Some(Operand::Const(Value::Int(row)))) if *rows > 1 => {
+            Some((name, Some(*row)))
         }
-        let first_index = match &instr.op {
-            OpCode::ReadState { index, .. }
-            | OpCode::WriteState { index, .. }
-            | OpCode::CountState { index, .. }
-            | OpCode::DeleteState { index, .. } => index.first(),
-            _ => None,
-        };
-        if let Some(Operand::Const(crate::types::Value::Int(row))) = first_index {
-            self.state_objects.remove(&obj_name);
-            self.state_objects.insert(format!("{obj_name}#row{row}"));
-        }
-    }
-
-    fn collect_guard(&mut self, guard: &Guard) {
-        for p in &guard.all {
-            self.read_operand(&p.lhs);
-            self.read_operand(&p.rhs);
-        }
-    }
-
-    fn read_operand(&mut self, op: &Operand) {
-        match op {
-            Operand::Var(v) => {
-                self.reads_vars.insert(v.clone());
-            }
-            Operand::Header(h) | Operand::Meta(h) => {
-                self.reads_fields.insert(h.clone());
-            }
-            Operand::Const(_) => {}
-        }
-    }
-
-    fn read_operands(&mut self, ops: &[Operand]) {
-        for op in ops {
-            self.read_operand(op);
-        }
-    }
-
-    fn collect_op(&mut self, op: &OpCode) {
-        match op {
-            OpCode::Assign { dest, src } => {
-                self.read_operand(src);
-                self.writes_var = Some(dest.clone());
-            }
-            OpCode::Alu { dest, lhs, rhs, .. } => {
-                self.read_operand(lhs);
-                self.read_operand(rhs);
-                self.writes_var = Some(dest.clone());
-            }
-            OpCode::Cmp { dest, lhs, rhs, .. } => {
-                self.read_operand(lhs);
-                self.read_operand(rhs);
-                self.writes_var = Some(dest.clone());
-            }
-            OpCode::Hash { dest, object, keys } => {
-                self.read_operands(keys);
-                self.writes_var = Some(dest.clone());
-                // hash objects are pure functions; recorded then filtered by `of`
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::ReadState { dest, object, index } => {
-                self.read_operands(index);
-                self.writes_var = Some(dest.clone());
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::WriteState { object, index, value } => {
-                self.read_operands(index);
-                self.read_operands(value);
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::CountState { dest, object, index, delta } => {
-                self.read_operands(index);
-                self.read_operand(delta);
-                self.writes_var = dest.clone();
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::ClearState { object } => {
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::DeleteState { object, index } => {
-                self.read_operands(index);
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::Drop | OpCode::Forward | OpCode::NoOp => {}
-            OpCode::Back { updates } | OpCode::Mirror { updates } => {
-                for (field, value) in updates {
-                    self.read_operand(value);
-                    self.writes_fields.insert(field.clone());
-                }
-            }
-            OpCode::Multicast { group } => {
-                self.read_operand(group);
-            }
-            OpCode::CopyTo { values, .. } => {
-                self.read_operands(values);
-            }
-            OpCode::SetHeader { field, value } => {
-                self.read_operand(value);
-                self.writes_fields.insert(field.clone());
-            }
-            OpCode::Crypto { dest, object, input, .. } => {
-                self.read_operand(input);
-                self.writes_var = Some(dest.clone());
-                self.state_objects.insert(object.clone());
-            }
-            OpCode::RandInt { dest, bound } => {
-                self.read_operand(bound);
-                self.writes_var = Some(dest.clone());
-            }
-            OpCode::Checksum { dest, inputs } => {
-                self.read_operands(inputs);
-                self.writes_var = Some(dest.clone());
-            }
-        }
+        _ => Some((name, None)),
     }
 }
 
@@ -206,48 +77,43 @@ pub fn dependency_edges(
     instructions: &[Instruction],
     objects: &[ObjectDecl],
 ) -> Vec<(usize, usize, DependencyKind)> {
-    let sets: Vec<ReadWriteSet> =
-        instructions.iter().map(|i| ReadWriteSet::of(i, objects)).collect();
     let mut edges = Vec::new();
 
-    // variable/field definition sites
+    // variable/field definition sites; `Header` and `Meta` reads share the one
+    // field namespace header writes define
     let mut var_defs: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut field_defs: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (idx, set) in sets.iter().enumerate() {
-        if let Some(v) = &set.writes_var {
-            var_defs.entry(v.as_str()).or_default().push(idx);
+    for (idx, instr) in instructions.iter().enumerate() {
+        if let Some(v) = instr.dest() {
+            var_defs.entry(v).or_default().push(idx);
         }
-        for fld in &set.writes_fields {
-            field_defs.entry(fld.as_str()).or_default().push(idx);
+        for fld in instr.op.header_writes() {
+            field_defs.entry(fld).or_default().push(idx);
         }
     }
 
-    for (idx, set) in sets.iter().enumerate() {
-        for v in &set.reads_vars {
-            if let Some(defs) = var_defs.get(v.as_str()) {
-                // last definition strictly before this instruction
-                if let Some(&def) = defs.iter().rfind(|d| **d < idx) {
-                    edges.push((def, idx, DependencyKind::Data));
-                }
-            }
-        }
-        for fld in &set.reads_fields {
-            if let Some(defs) = field_defs.get(fld.as_str()) {
-                if let Some(&def) = defs.iter().rfind(|d| **d < idx) {
-                    edges.push((def, idx, DependencyKind::Data));
-                }
+    for (idx, instr) in instructions.iter().enumerate() {
+        for operand in instr.reads() {
+            let defs = match operand {
+                Operand::Var(v) => var_defs.get(v.as_str()),
+                Operand::Header(fld) | Operand::Meta(fld) => field_defs.get(fld.as_str()),
+                Operand::Const(_) => None,
+            };
+            // last definition strictly before this instruction
+            if let Some(&def) = defs.and_then(|defs| defs.iter().rfind(|d| **d < idx)) {
+                edges.push((def, idx, DependencyKind::Data));
             }
         }
     }
 
     // state-sharing (mutual) dependencies
-    let mut by_object: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (idx, set) in sets.iter().enumerate() {
-        for obj in &set.state_objects {
-            by_object.entry(obj.as_str()).or_default().push(idx);
+    let mut by_state: BTreeMap<(&str, Option<i64>), Vec<usize>> = BTreeMap::new();
+    for (idx, instr) in instructions.iter().enumerate() {
+        if let Some(key) = state_key(instr, objects) {
+            by_state.entry(key).or_default().push(idx);
         }
     }
-    for idxs in by_object.values() {
+    for idxs in by_state.values() {
         for i in 0..idxs.len() {
             for j in (i + 1)..idxs.len() {
                 edges.push((idxs[i], idxs[j], DependencyKind::State));
@@ -264,8 +130,8 @@ pub fn dependency_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{AluOp, CmpOp, Predicate};
-    use crate::object::{HashAlgo, ObjectKind};
+    use crate::instr::{AluOp, CmpOp, Guard, Predicate};
+    use crate::object::HashAlgo;
 
     fn objs() -> Vec<ObjectDecl> {
         vec![
@@ -327,22 +193,78 @@ mod tests {
     fn read_write_sets() {
         let p = prog();
         let o = objs();
-        let s0 = ReadWriteSet::of(&p[0], &o);
-        assert_eq!(s0.writes_var.as_deref(), Some("idx"));
-        assert!(s0.reads_fields.contains("seq"));
-        assert!(s0.state_objects.is_empty(), "hash objects are pure functions");
+        assert_eq!(p[0].dest(), Some("idx"));
+        assert!(p[0].reads().any(|r| *r == Operand::hdr("seq")));
+        assert_eq!(state_key(&p[0], &o), None, "hash objects are pure functions");
 
-        let s1 = ReadWriteSet::of(&p[1], &o);
-        assert!(s1.reads_vars.contains("idx"));
-        assert!(s1.state_objects.contains("agg"));
+        assert!(p[1].read_vars().any(|v| v == "idx"));
+        assert_eq!(state_key(&p[1], &o), Some(("agg", None)));
 
-        let s3 = ReadWriteSet::of(&p[3], &o);
-        assert!(s3.writes_var.is_none());
-        assert!(s3.reads_vars.contains("new"));
-        assert!(s3.state_objects.contains("agg"));
+        assert!(p[3].dest().is_none());
+        assert!(p[3].read_vars().any(|v| v == "new"));
+        assert_eq!(state_key(&p[3], &o), Some(("agg", None)));
 
-        let s4 = ReadWriteSet::of(&p[4], &o);
-        assert!(s4.reads_vars.contains("new"), "guard operands are reads");
+        assert!(p[4].read_vars().any(|v| v == "new"), "guard operands are reads");
+    }
+
+    /// What every analysis sees of one instruction per opcode: rendered reads
+    /// (guard first), destination, shared state, written header fields.
+    #[test]
+    fn every_opcode_reads_defines_and_touches_what_is_written_here() {
+        use crate::object::{CryptoAlgo, MatchKind, SketchKind};
+        let objects = vec![
+            ObjectDecl::new("hash", ObjectKind::Hash { algo: HashAlgo::Crc16, modulus: None }),
+            ObjectDecl::new("rows", ObjectKind::Array { rows: 4, size: 16, width: 32 }),
+            ObjectDecl::new(
+                "sketch",
+                ObjectKind::Sketch { kind: SketchKind::CountMin, rows: 3, cols: 64, width: 32 },
+            ),
+            ObjectDecl::new(
+                "lookup",
+                ObjectKind::Table {
+                    match_kind: MatchKind::Exact,
+                    key_width: 32,
+                    value_width: 32,
+                    depth: 8,
+                    stateful: false,
+                },
+            ),
+            ObjectDecl::new("aes", ObjectKind::Crypto { algo: CryptoAlgo::Aes }),
+        ];
+        type Seen<'a> = (&'a str, Option<&'a str>, Option<(&'a str, Option<i64>)>, &'a str);
+        let expected: [Seen<'_>; 20] = [
+            ("a", Some("d"), None, ""),
+            ("p hdr.q a hdr.b", Some("d"), None, ""),
+            ("meta.a 7", Some("d"), None, ""),
+            ("p hdr.q hdr.a b", Some("d"), None, ""), // the hash object is a pure function
+            ("2 a", Some("d"), Some(("rows", Some(2))), ""), // constant row of a 4-row array
+            ("p hdr.q a b hdr.c", None, Some(("rows", None)), ""), // row only known at run time
+            ("a b", Some("d"), Some(("sketch", None)), ""),
+            ("p hdr.q", None, Some(("rows", None)), ""),
+            ("hdr.a", None, None, ""), // a stateless table
+            ("p hdr.q", None, None, ""),
+            ("", None, None, ""),
+            ("p hdr.q a hdr.b", None, None, "f g"),
+            ("a", None, None, "f"),
+            ("p hdr.q a", None, None, ""),
+            ("a b", None, None, ""),
+            ("p hdr.q a", None, None, "f"),
+            ("a", Some("d"), None, ""), // so is the cipher
+            ("p hdr.q a", Some("d"), None, ""),
+            ("a hdr.b", Some("d"), None, ""),
+            ("p hdr.q", None, None, ""),
+        ];
+        let fixture = crate::instr::tests::one_of_each_opcode();
+        assert_eq!(fixture.len(), expected.len());
+        for (instr, (reads, dest, state, writes)) in fixture.iter().zip(expected) {
+            let seen: Vec<String> = instr.reads().map(Operand::to_string).collect();
+            assert_eq!(seen.join(" "), reads, "{instr:?}");
+            assert_eq!(instr.dest(), dest, "{instr:?}");
+            assert_eq!(state_key(instr, &objects), state, "{instr:?}");
+            assert_eq!(instr.op.header_writes().collect::<Vec<_>>().join(" "), writes, "{instr:?}");
+        }
+        // an undeclared object is conservatively stateful
+        assert_eq!(state_key(&fixture[3], &[]), Some(("hash", None)));
     }
 
     #[test]

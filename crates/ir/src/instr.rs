@@ -5,6 +5,13 @@
 //! (`condition ? instr`, paper §4.2 pass 3), so there is no control-flow transfer
 //! in the IR — a property required by pipeline devices where a packet traverses
 //! the stages exactly once.
+//!
+//! What an operation reads, defines and touches is enumerated here and only
+//! here: [`OpCode::operands`] / [`OpCode::operands_mut`] (one exhaustive match
+//! behind both), [`OpCode::dest`], [`OpCode::object`] and
+//! [`OpCode::header_writes`].  The dependency rule, the dataflow analyses, the
+//! optimizer's substitution and the isolation renaming all iterate these
+//! instead of matching on the variants themselves.
 
 use crate::types::Value;
 use std::fmt;
@@ -266,6 +273,16 @@ impl Guard {
     pub fn operand_count(&self) -> usize {
         self.all.len() * 2
     }
+
+    /// Both operands of every predicate, in order.
+    pub fn operands(&self) -> impl Iterator<Item = &Operand> {
+        self.all.iter().flat_map(|p| [&p.lhs, &p.rhs])
+    }
+
+    /// Mutable form of [`Guard::operands`].
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        self.all.iter_mut().flat_map(|p| [&mut p.lhs, &mut p.rhs])
+    }
 }
 
 impl fmt::Display for Guard {
@@ -431,7 +448,56 @@ pub enum OpCode {
     NoOp,
 }
 
+/// The one exhaustive enumeration of the operands each operation reads, as
+/// `(run, run, updates)`: a variant's operand fields are at most two runs of
+/// operands (a lone operand is a run of one) or the value column of a
+/// `back`/`mirror` update dictionary.  Expanded for `&OpCode` and for
+/// `&mut OpCode`, so the shared and the mutable walk cannot drift apart.
+macro_rules! operand_runs {
+    ($op:expr, $one:path $(, $mutable:tt)?) => {
+        match $op {
+            OpCode::Assign { src: a, .. }
+            | OpCode::Multicast { group: a }
+            | OpCode::SetHeader { value: a, .. }
+            | OpCode::Crypto { input: a, .. }
+            | OpCode::RandInt { bound: a, .. } => ($one(a), &$($mutable)? [], &$($mutable)? []),
+            OpCode::Alu { lhs, rhs, .. } | OpCode::Cmp { lhs, rhs, .. } => {
+                ($one(lhs), $one(rhs), &$($mutable)? [])
+            }
+            OpCode::Hash { keys: run, .. }
+            | OpCode::ReadState { index: run, .. }
+            | OpCode::DeleteState { index: run, .. }
+            | OpCode::CopyTo { values: run, .. }
+            | OpCode::Checksum { inputs: run, .. } => (run, &$($mutable)? [], &$($mutable)? []),
+            OpCode::WriteState { index, value, .. } => (index, value, &$($mutable)? []),
+            OpCode::CountState { index, delta, .. } => (index, $one(delta), &$($mutable)? []),
+            OpCode::Back { updates } | OpCode::Mirror { updates } => {
+                (&$($mutable)? [], &$($mutable)? [], updates)
+            }
+            OpCode::ClearState { .. } | OpCode::Drop | OpCode::Forward | OpCode::NoOp => {
+                (&$($mutable)? [], &$($mutable)? [], &$($mutable)? [])
+            }
+        }
+    };
+}
+
 impl OpCode {
+    /// Every operand this operation reads, each exactly once, in field order.
+    /// The guard is the instruction's: see [`Instruction::reads`].
+    pub fn operands(&self) -> impl Iterator<Item = &Operand> {
+        let (a, b, updates): (&[Operand], &[Operand], &[(String, Operand)]) =
+            operand_runs!(self, std::slice::from_ref);
+        a.iter().chain(b).chain(updates.iter().map(|(_, value)| value))
+    }
+
+    /// Mutable form of [`OpCode::operands`]: the same operands in the same
+    /// order, for passes that substitute or rename them in place.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        let (a, b, updates): (&mut [Operand], &mut [Operand], &mut [(String, Operand)]) =
+            operand_runs!(self, std::slice::from_mut, mut);
+        a.iter_mut().chain(b).chain(updates.iter_mut().map(|(_, value)| value))
+    }
+
     /// The variable written by this operation, if any.
     pub fn dest(&self) -> Option<&str> {
         match self {
@@ -448,6 +514,22 @@ impl OpCode {
         }
     }
 
+    /// Mutable form of [`OpCode::dest`].
+    pub fn dest_mut(&mut self) -> Option<&mut String> {
+        match self {
+            OpCode::Assign { dest, .. }
+            | OpCode::Alu { dest, .. }
+            | OpCode::Cmp { dest, .. }
+            | OpCode::Hash { dest, .. }
+            | OpCode::ReadState { dest, .. }
+            | OpCode::Crypto { dest, .. }
+            | OpCode::RandInt { dest, .. }
+            | OpCode::Checksum { dest, .. } => Some(dest),
+            OpCode::CountState { dest, .. } => dest.as_mut(),
+            _ => None,
+        }
+    }
+
     /// The stateful/functional object referenced by this operation, if any.
     pub fn object(&self) -> Option<&str> {
         match self {
@@ -460,6 +542,31 @@ impl OpCode {
             | OpCode::Crypto { object, .. } => Some(object),
             _ => None,
         }
+    }
+
+    /// Mutable form of [`OpCode::object`].
+    pub fn object_mut(&mut self) -> Option<&mut String> {
+        match self {
+            OpCode::Hash { object, .. }
+            | OpCode::ReadState { object, .. }
+            | OpCode::WriteState { object, .. }
+            | OpCode::CountState { object, .. }
+            | OpCode::ClearState { object }
+            | OpCode::DeleteState { object, .. }
+            | OpCode::Crypto { object, .. } => Some(object),
+            _ => None,
+        }
+    }
+
+    /// The header fields this operation writes: `hdr.field = v`, and the keys
+    /// of a `back`/`mirror` update dictionary.
+    pub fn header_writes(&self) -> impl Iterator<Item = &str> {
+        let (field, updates): (Option<&String>, &[(String, Operand)]) = match self {
+            OpCode::SetHeader { field, .. } => (Some(field), &[]),
+            OpCode::Back { updates } | OpCode::Mirror { updates } => (None, updates),
+            _ => (None, &[]),
+        };
+        field.into_iter().chain(updates.iter().map(|(field, _)| field)).map(String::as_str)
     }
 
     /// Whether the operation has packet-level side effects (drop/forward/etc.).
@@ -550,6 +657,22 @@ impl Instruction {
     pub fn object(&self) -> Option<&str> {
         self.op.object()
     }
+
+    /// Every operand the instruction reads: its guard's, then its
+    /// operation's ([`OpCode::operands`]).
+    pub fn reads(&self) -> impl Iterator<Item = &Operand> {
+        self.guard.iter().flat_map(Guard::operands).chain(self.op.operands())
+    }
+
+    /// Mutable form of [`Instruction::reads`].
+    pub fn reads_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        self.guard.iter_mut().flat_map(Guard::operands_mut).chain(self.op.operands_mut())
+    }
+
+    /// The temporaries among [`Instruction::reads`].
+    pub fn read_vars(&self) -> impl Iterator<Item = &str> {
+        self.reads().filter_map(Operand::as_var)
+    }
 }
 
 impl fmt::Display for Instruction {
@@ -563,8 +686,165 @@ impl fmt::Display for Instruction {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One instruction per [`OpCode`] variant, in declaration order, the odd
+    /// ones guarded.  Every name is unique within its instruction (`d` the
+    /// destination, `a`/`b`/`c` operands, `f`/`g` written header fields, `p`/`q`
+    /// the guard's), so a sorted list of visited names shows both coverage
+    /// and multiplicity.  A new variant does not compile until it is numbered
+    /// in [`variant_of`], and fails `fixture_covers_every_variant` until it
+    /// is added here.
+    pub(crate) fn one_of_each_opcode() -> Vec<Instruction> {
+        let (v, h) = (Operand::var, Operand::hdr);
+        let m = |name: &str| Operand::Meta(name.into());
+        let d = || "d".to_string();
+        let ops = vec![
+            OpCode::Assign { dest: d(), src: v("a") },
+            OpCode::Alu { dest: d(), op: AluOp::Add, lhs: v("a"), rhs: h("b"), float: false },
+            OpCode::Cmp { dest: d(), op: CmpOp::Lt, lhs: m("a"), rhs: Operand::int(7) },
+            OpCode::Hash { dest: d(), object: "hash".into(), keys: vec![h("a"), v("b")] },
+            OpCode::ReadState {
+                dest: d(),
+                object: "rows".into(),
+                index: vec![Operand::int(2), v("a")],
+            },
+            OpCode::WriteState {
+                object: "rows".into(),
+                index: vec![v("a")],
+                value: vec![v("b"), h("c")],
+            },
+            OpCode::CountState {
+                dest: Some(d()),
+                object: "sketch".into(),
+                index: vec![v("a")],
+                delta: v("b"),
+            },
+            OpCode::ClearState { object: "rows".into() },
+            OpCode::DeleteState { object: "lookup".into(), index: vec![h("a")] },
+            OpCode::Drop,
+            OpCode::Forward,
+            OpCode::Back { updates: vec![("f".into(), v("a")), ("g".into(), h("b"))] },
+            OpCode::Mirror { updates: vec![("f".into(), v("a"))] },
+            OpCode::Multicast { group: v("a") },
+            OpCode::CopyTo { target: "CPU".into(), values: vec![v("a"), v("b")] },
+            OpCode::SetHeader { field: "f".into(), value: v("a") },
+            OpCode::Crypto { dest: d(), object: "aes".into(), input: v("a"), encrypt: true },
+            OpCode::RandInt { dest: d(), bound: v("a") },
+            OpCode::Checksum { dest: d(), inputs: vec![v("a"), h("b")] },
+            OpCode::NoOp,
+        ];
+        let guard = |id| match id % 2 {
+            1 => Guard::single(Predicate::new(v("p"), CmpOp::Eq, h("q"))),
+            _ => Guard::always(),
+        };
+        ops.into_iter()
+            .enumerate()
+            .map(|(id, op)| Instruction::guarded(id as u32, op, guard(id)))
+            .collect()
+    }
+
+    /// Position of the variant in the fixture; exhaustive on purpose.
+    fn variant_of(op: &OpCode) -> usize {
+        match op {
+            OpCode::Assign { .. } => 0,
+            OpCode::Alu { .. } => 1,
+            OpCode::Cmp { .. } => 2,
+            OpCode::Hash { .. } => 3,
+            OpCode::ReadState { .. } => 4,
+            OpCode::WriteState { .. } => 5,
+            OpCode::CountState { .. } => 6,
+            OpCode::ClearState { .. } => 7,
+            OpCode::DeleteState { .. } => 8,
+            OpCode::Drop => 9,
+            OpCode::Forward => 10,
+            OpCode::Back { .. } => 11,
+            OpCode::Mirror { .. } => 12,
+            OpCode::Multicast { .. } => 13,
+            OpCode::CopyTo { .. } => 14,
+            OpCode::SetHeader { .. } => 15,
+            OpCode::Crypto { .. } => 16,
+            OpCode::RandInt { .. } => 17,
+            OpCode::Checksum { .. } => 18,
+            OpCode::NoOp => 19,
+        }
+    }
+
+    fn operand_name(operand: &Operand) -> Option<&str> {
+        match operand {
+            Operand::Var(n) | Operand::Header(n) | Operand::Meta(n) => Some(n),
+            Operand::Const(_) => None,
+        }
+    }
+
+    #[test]
+    fn fixture_covers_every_variant() {
+        let seen: Vec<usize> = one_of_each_opcode().iter().map(|i| variant_of(&i.op)).collect();
+        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_walk_visits_every_field_exactly_once() {
+        for instr in one_of_each_opcode() {
+            // the derived `Debug` prints every field of the variant, whatever
+            // the walk does: its quoted strings are all the names there are
+            // (`copyto`'s out-of-band target is no operand, variable, object
+            // or header field)
+            let printed = format!("{:?}", instr.op);
+            let mut named: Vec<&str> =
+                printed.split('"').skip(1).step_by(2).filter(|n| *n != "CPU").collect();
+            let operands: usize = ["Var(", "Const(", "Header(", "Meta("]
+                .iter()
+                .map(|t| printed.matches(t).count())
+                .sum();
+
+            assert_eq!(instr.op.operands().count(), operands, "{printed}");
+            let mut visited: Vec<&str> = instr
+                .op
+                .operands()
+                .filter_map(operand_name)
+                .chain(instr.op.dest())
+                .chain(instr.op.object())
+                .chain(instr.op.header_writes())
+                .collect();
+            named.sort_unstable();
+            visited.sort_unstable();
+            assert_eq!(visited, named, "{printed}");
+
+            // the instruction-level walk is the guard's operands, then those
+            let guard: Vec<&Operand> = instr.guard.iter().flat_map(Guard::operands).collect();
+            assert_eq!(guard.len(), if instr.guard.is_some() { 2 } else { 0 });
+            assert!(instr.reads().eq(guard.into_iter().chain(instr.op.operands())));
+        }
+    }
+
+    #[test]
+    fn renaming_through_the_mutable_walk_is_seen_by_the_shared_walk() {
+        let rename = |name: &mut String| name.insert_str(0, "t_");
+        for original in one_of_each_opcode() {
+            let mut instr = original.clone();
+            for operand in instr.reads_mut() {
+                if let Operand::Var(v) = operand {
+                    rename(v);
+                }
+            }
+            instr.op.dest_mut().into_iter().for_each(rename);
+            instr.op.object_mut().into_iter().for_each(rename);
+
+            let renamed = |name: &str| name.starts_with("t_");
+            assert!(instr.read_vars().all(renamed), "{instr:?}");
+            assert!(instr.dest().into_iter().chain(instr.object()).all(renamed), "{instr:?}");
+            // the same operands in the same order, nothing else touched
+            let strip = |o: &Operand| match o {
+                Operand::Var(v) => Operand::var(v.trim_start_matches("t_")),
+                other => other.clone(),
+            };
+            assert!(instr.reads().map(strip).eq(original.reads().cloned()));
+            assert_eq!(instr.dest().is_some(), original.dest().is_some());
+            assert!(instr.op.header_writes().eq(original.op.header_writes()));
+        }
+    }
 
     fn alu(dest: &str) -> OpCode {
         OpCode::Alu {

@@ -12,7 +12,11 @@
 //! * [`object`] — declarations of the stateful INC objects (Array, Table, Sketch,
 //!   Seq, Hash, Crypto) that instructions operate on (paper Fig. 5 "Object").
 //! * [`instr`] — the instruction set itself (paper Fig. 17) including guards
-//!   (predicated execution, the result of the frontend's if-conversion).
+//!   (predicated execution, the result of the frontend's if-conversion), and
+//!   the one walk over an instruction's operands: what it reads
+//!   ([`Instruction::reads`], shared and mutable), defines, which object it
+//!   touches and which header fields it writes.  Every analysis below and
+//!   the isolation renaming iterate that walk instead of matching on opcodes.
 //! * [`capability`] — the 13 device-capability classes of Table 9 and the
 //!   functional-unit list of Table 8, plus the classifier that assigns a class to
 //!   every instruction.
@@ -20,15 +24,16 @@
 //! * [`fnv`] — the stable FNV-1a digest every fingerprint in the system
 //!   (object stores, placement plans, service requests, shard hashing) shares.
 //! * [`program`] — the [`IrProgram`] container with validation and queries.
-//! * [`deps`] — read/write-set extraction and dependency-edge computation
-//!   (including the mutual dependency of all instructions sharing a stateful
-//!   object, paper §5.2 step 1).
+//! * [`deps`] — dependency-edge computation over the walk (including the
+//!   mutual dependency of all instructions sharing a stateful object, paper
+//!   §5.2 step 1, whose sharing rule is [`state_key`]).
 //! * [`builder`] — an ergonomic builder used by the templates, tests and examples.
 //! * [`eval`] — the reference ALU/compare semantics shared by the emulator's
 //!   interpreter, the register VM and the optimizer's constant folder.
-//! * [`analysis`] — dataflow (def-use, reaching definitions, liveness), the
-//!   shared forward taint lattice behind the runtime's sharding decision, and
-//!   the verifier pass pipeline with structured diagnostics.
+//! * [`analysis`] — dataflow (def-use, reaching definitions, liveness, all
+//!   borrowing their names from the program through the walk), the shared
+//!   forward taint lattice behind the runtime's sharding decision, and the
+//!   verifier pass pipeline with structured diagnostics.
 
 pub mod analysis;
 pub mod builder;
@@ -49,7 +54,7 @@ pub use analysis::{
 };
 pub use builder::ProgramBuilder;
 pub use capability::{classify_instruction, CapabilityClass, FunctionalUnit};
-pub use deps::{dependency_edges, DependencyKind, ReadWriteSet};
+pub use deps::{dependency_edges, state_key, DependencyKind};
 pub use error::IrError;
 pub use fnv::Fnv;
 pub use instr::{AluOp, CmpOp, Guard, InstrId, Instruction, OpCode, Operand, Predicate};

@@ -1,7 +1,7 @@
 //! The [`IrProgram`] container.
 
 use crate::capability::{classify_instruction, CapabilityClass};
-use crate::deps::{dependency_edges, DependencyKind, ReadWriteSet};
+use crate::deps::{dependency_edges, DependencyKind};
 use crate::error::IrError;
 use crate::instr::{Guard, Instruction, OpCode, Operand};
 use crate::object::ObjectDecl;
@@ -10,8 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Declaration of a packet header field used by a program (the application
-/// protocol header described in the profile's `packet_format`, e.g.
-/// `"khdr": {"key": "bit_128"}`).
+/// protocol header, e.g. a 128-bit `key`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeaderFieldDecl {
     /// Field name (without the `hdr.` prefix).
@@ -87,11 +86,6 @@ impl IrProgram {
         dependency_edges(&self.instructions, &self.objects)
     }
 
-    /// Read/write set of every instruction, in program order.
-    pub fn read_write_sets(&self) -> Vec<ReadWriteSet> {
-        self.instructions.iter().map(|i| ReadWriteSet::of(i, &self.objects)).collect()
-    }
-
     /// The longest chain length in the data-dependency DAG (the "dependency"
     /// column of paper Table 4).  State (mutual) edges are ignored because they
     /// merge into single blocks rather than forming a chain.
@@ -150,35 +144,27 @@ impl IrProgram {
                 return Err(IrError::DuplicateObject { object: o.name.clone() });
             }
         }
-        if let Some(pre) = &self.precondition {
-            for p in &pre.all {
-                for op in [&p.lhs, &p.rhs] {
-                    if let Operand::Var(v) = op {
-                        // the precondition runs before instruction 0, so no
-                        // variable can possibly be defined yet
-                        return Err(IrError::UndefinedVariable { var: v.clone(), instr: 0 });
-                    }
-                }
-            }
+        // the precondition runs before instruction 0, so no variable can
+        // possibly be defined yet
+        if let Some(v) = self.precondition_vars().next() {
+            return Err(IrError::UndefinedVariable { var: v.to_string(), instr: 0 });
         }
         let mut defined: BTreeSet<&str> = BTreeSet::new();
         let mut def_counts: BTreeMap<&str, usize> = BTreeMap::new();
-        let sets = self.read_write_sets();
-        for (idx, (instr, set)) in self.instructions.iter().zip(sets.iter()).enumerate() {
+        for (idx, instr) in self.instructions.iter().enumerate() {
             if let Some(obj) = instr.object() {
                 if self.object(obj).is_none() {
                     return Err(IrError::UnknownObject { object: obj.to_string(), instr: idx });
                 }
             }
-            for v in &set.reads_vars {
-                if !defined.contains(v.as_str()) {
-                    return Err(IrError::UndefinedVariable { var: v.clone(), instr: idx });
-                }
+            // of several undefined reads, report the first by name
+            if let Some(v) = instr.read_vars().filter(|v| !defined.contains(v)).min() {
+                return Err(IrError::UndefinedVariable { var: v.to_string(), instr: idx });
             }
-            if let Some(w) = &set.writes_var {
-                defined.insert(w.as_str());
+            if let Some(w) = instr.dest() {
+                defined.insert(w);
                 if instr.guard.is_none() {
-                    *def_counts.entry(w.as_str()).or_insert(0) += 1;
+                    *def_counts.entry(w).or_insert(0) += 1;
                 }
             }
         }
@@ -239,13 +225,15 @@ impl IrProgram {
     /// precondition — that none of its instructions defines.  For a
     /// per-device [`IrProgram::slice`] these are the values another device's
     /// slice computed: what a cross-device carrier would have to deliver.
-    pub fn free_vars(&self) -> BTreeSet<String> {
-        let sets = self.read_write_sets();
-        let defined: BTreeSet<&str> = sets.iter().filter_map(|s| s.writes_var.as_deref()).collect();
-        let guard_reads = self.precondition.iter().flat_map(|g| &g.all);
-        let pre = guard_reads.flat_map(|p| [&p.lhs, &p.rhs]).filter_map(Operand::as_var);
-        let read = sets.iter().flat_map(|s| &s.reads_vars).map(String::as_str).chain(pre);
-        read.filter(|v| !defined.contains(v)).map(str::to_string).collect()
+    pub fn free_vars(&self) -> BTreeSet<&str> {
+        let defined: BTreeSet<&str> = self.instructions.iter().filter_map(|i| i.dest()).collect();
+        let read = self.instructions.iter().flat_map(|i| i.read_vars());
+        read.chain(self.precondition_vars()).filter(|v| !defined.contains(v)).collect()
+    }
+
+    /// The temporaries the precondition reads (a valid program has none).
+    fn precondition_vars(&self) -> impl Iterator<Item = &str> {
+        self.precondition.iter().flat_map(Guard::operands).filter_map(Operand::as_var)
     }
 
     /// Remove instructions turned into [`OpCode::NoOp`] and renumber ids.

@@ -58,8 +58,6 @@ pub enum LangError {
         /// What was expected.
         expected: String,
     },
-    /// A profile document is malformed.
-    BadProfile(String),
     /// Generic semantic error raised while resolving modules.
     Semantic(String),
 }
@@ -80,7 +78,6 @@ impl fmt::Display for LangError {
             LangError::UnexpectedEof { expected } => {
                 write!(f, "unexpected end of input, expected {expected}")
             }
-            LangError::BadProfile(msg) => write!(f, "bad configuration profile: {msg}"),
             LangError::Semantic(msg) => write!(f, "semantic error: {msg}"),
         }
     }

@@ -15,19 +15,15 @@
 //! * [`parser`] — recursive-descent parser producing the AST;
 //! * [`modules`] — the built-in module library (object constructors, primitives,
 //!   Python built-ins of Table 7) that the frontend links against;
-//! * [`profile`] — configuration profiles (Fig. 6 / Table 10), parsed from JSON;
 //! * [`templates`] — the provider-supplied templates: KVS (Fig. 15), MLAgg
 //!   (Fig. 16), DQAcc, the count-min-sketch example of Fig. 1, and the
-//!   sparse-gradient user program of Fig. 7;
-//! * [`params`] — the learning-based template parameter setter of Appendix A.3.
+//!   sparse-gradient user program of Fig. 7.
 
 pub mod ast;
 pub mod error;
 pub mod lexer;
 pub mod modules;
-pub mod params;
 pub mod parser;
-pub mod profile;
 pub mod templates;
 pub mod token;
 
@@ -36,7 +32,6 @@ pub use error::LangError;
 pub use lexer::Lexer;
 pub use modules::{BuiltinFn, ModuleLibrary, ObjectCtor, PrimitiveKind};
 pub use parser::parse_program;
-pub use profile::{PacketFormat, PerformanceSpec, Profile, TrafficSpec};
 pub use templates::{Template, TemplateKind};
 pub use token::{Token, TokenKind};
 

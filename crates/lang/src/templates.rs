@@ -6,13 +6,11 @@
 //! as the running example in Fig. 1 and the sparse-gradient aggregation *user*
 //! program of Fig. 7 that extends the MLAgg template.
 //!
-//! Each generator takes the template parameters that a configuration profile
-//! would set (depths, dimensions, worker counts, ...) and returns ClickINC
-//! source text that the frontend compiles like any user program.  Because the
-//! sources are ordinary strings they are also what the Table 1 lines-of-code
-//! benchmark measures.
+//! Each generator takes the template parameters (depths, dimensions, worker
+//! counts, ...) and returns ClickINC source text that the frontend compiles
+//! like any user program.  Because the sources are ordinary strings they are
+//! also what the Table 1 lines-of-code benchmark measures.
 
-use crate::profile::Profile;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -32,7 +30,7 @@ pub enum TemplateKind {
 }
 
 impl TemplateKind {
-    /// The template id used in profiles (`app` field).
+    /// The template's short id (`KVS`, `MLAgg`, ...).
     pub fn app_id(&self) -> &'static str {
         match self {
             TemplateKind::Kvs => "KVS",
@@ -68,36 +66,6 @@ impl Template {
     /// Lines of code of the instance source, counted as in Table 1.
     pub fn lines_of_code(&self) -> usize {
         crate::lines_of_code(&self.source)
-    }
-
-    /// Instantiate a template from a profile, using the profile's constraints to
-    /// pick parameters and falling back to the defaults of Appendix A / §7.3.
-    pub fn from_profile(name: &str, profile: &Profile) -> Option<Template> {
-        match profile.app.as_str() {
-            "KVS" => {
-                let depth = profile.performance.min_of("content").unwrap_or(5000.0) as u32;
-                Some(kvs_template(name, KvsParams { cache_depth: depth, ..KvsParams::default() }))
-            }
-            "MLAgg" => {
-                let depth = profile.performance.min_of("depth").unwrap_or(5000.0) as u32;
-                let dims = profile.performance.min_of("dims").unwrap_or(24.0) as u32;
-                Some(mlagg_template(
-                    name,
-                    MlAggParams {
-                        num_aggregators: depth,
-                        dims,
-                        is_float: profile.performance.flag("is_float"),
-                        ..MlAggParams::default()
-                    },
-                ))
-            }
-            "DQAcc" => {
-                let depth = profile.performance.min_of("c_depth").unwrap_or(5000.0) as u32;
-                let len = profile.performance.min_of("c_len").unwrap_or(8.0) as u32;
-                Some(dqacc_template(name, DqAccParams { depth, ways: len }))
-            }
-            _ => None,
-        }
     }
 }
 
@@ -403,7 +371,6 @@ pub fn mlagg_sparse_user(
 mod tests {
     use super::*;
     use crate::parse;
-    use crate::profile::example_kvs_profile;
 
     #[test]
     fn all_templates_parse() {
@@ -450,15 +417,6 @@ mod tests {
     #[should_panic(expected = "sparse blocks must tile")]
     fn sparse_blocks_must_tile_the_vector() {
         mlagg_sparse_user("bad", MlAggParams { dims: 10, ..Default::default() }, 3, 4);
-    }
-
-    #[test]
-    fn from_profile_selects_and_sizes_the_template() {
-        let t = Template::from_profile("kvs_0", &example_kvs_profile()).unwrap();
-        assert_eq!(t.kind, TemplateKind::Kvs);
-        assert_eq!(t.params["cache_depth"], 1000);
-        let unknown = Profile::for_app("NotATemplate").build();
-        assert!(Template::from_profile("x", &unknown).is_none());
     }
 
     #[test]

@@ -37,12 +37,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Shards of the memo map; keys are spread by their low bits so concurrent
-/// solves rarely contend on one lock.
-const SHARDS: usize = 16;
-/// Per-shard entry cap.  A shard that fills up is cleared wholesale (the
-/// entries are pure re-derivable facts, so dropping them only costs time).
-const SHARD_CAPACITY: usize = 1 << 16;
+/// Entry cap.  A memo that fills up is cleared wholesale (the entries are
+/// pure re-derivable facts, so dropping them only costs time).
+const CAPACITY: usize = 1 << 20;
 
 /// Memo key: the exact inputs `seg_eval` consumes.  Two 64-bit digests of
 /// the canonical program/DAG stream plus the device digest and the segment
@@ -80,12 +77,13 @@ impl SolveCacheStats {
 }
 
 /// The cross-solve segment memo; see the [module docs](self).  Shareable
-/// across threads (`&SolveCache` is all a solve needs) and across epochs —
-/// entries never go stale because their keys pin the exact residual
-/// capacities they were computed against.
+/// across threads (`&SolveCache` is all a solve needs; the service runs
+/// every solve under its one lock, so the map's own lock is uncontended)
+/// and across epochs — entries never go stale because their keys pin the
+/// exact residual capacities they were computed against.
 #[derive(Debug, Default)]
 pub struct SolveCache {
-    shards: Vec<Mutex<HashMap<MemoKey, Option<StageAllocation>>>>,
+    entries: Mutex<HashMap<MemoKey, Option<StageAllocation>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -93,15 +91,7 @@ pub struct SolveCache {
 impl SolveCache {
     /// An empty memo.
     pub fn new() -> SolveCache {
-        SolveCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &MemoKey) -> &Mutex<HashMap<MemoKey, Option<StageAllocation>>> {
-        &self.shards[(key.shape as usize ^ key.device as usize) % SHARDS]
+        SolveCache::default()
     }
 
     /// Answer `seg_eval`'s allocation question from the memo, or compute and
@@ -115,18 +105,16 @@ impl SolveCache {
         compute: impl FnOnce() -> Option<StageAllocation>,
     ) -> Option<StageAllocation> {
         let key = MemoKey { shape, device, j: j as u32, k: k as u32 };
-        let shard = self.shard(&key);
-        if let Some(cached) = shard.lock().expect("memo shard lock").get(&key) {
+        if let Some(cached) = self.entries.lock().expect("memo lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
-        // compute outside the lock so a slow allocation never serializes the
-        // other workers' lookups; a racing duplicate compute is harmless
+        // compute outside the lock; a racing duplicate compute is harmless
         // (both produce the identical pure result)
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute();
-        let mut map = shard.lock().expect("memo shard lock");
-        if map.len() >= SHARD_CAPACITY {
+        let mut map = self.entries.lock().expect("memo lock");
+        if map.len() >= CAPACITY {
             map.clear();
         }
         map.insert(key, value.clone());
@@ -138,16 +126,14 @@ impl SolveCache {
         SolveCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().expect("memo shard lock").len()).sum(),
+            entries: self.entries.lock().expect("memo lock").len(),
         }
     }
 
     /// Drop every entry (counters survive).  Benchmarks use this to measure
     /// a true cold solve without rebuilding the surrounding service.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("memo shard lock").clear();
-        }
+        self.entries.lock().expect("memo lock").clear();
     }
 }
 

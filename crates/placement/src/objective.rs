@@ -51,7 +51,6 @@ impl Default for Weights {
 /// Returns a vector `cut[j]` for `j in 0..=n_blocks`, normalized by the total
 /// number of temporary bits so the h_p term of Eq. 1 stays in `[0, 1]` per cut.
 pub fn cut_costs(program: &IrProgram, dag: &BlockDag, order: &[usize]) -> Vec<f64> {
-    let sets = program.read_write_sets();
     let n = order.len();
     // variables defined by each block (by position in `order`)
     let mut defs: Vec<BTreeSet<&str>> = Vec::with_capacity(n);
@@ -61,12 +60,9 @@ pub fn cut_costs(program: &IrProgram, dag: &BlockDag, order: &[usize]) -> Vec<f6
         let mut d = BTreeSet::new();
         let mut u = BTreeSet::new();
         for &instr in &block.instrs {
-            if let Some(w) = &sets[instr].writes_var {
-                d.insert(w.as_str());
-            }
-            for r in &sets[instr].reads_vars {
-                u.insert(r.as_str());
-            }
+            let instr = &program.instructions[instr];
+            d.extend(instr.dest());
+            u.extend(instr.read_vars());
         }
         defs.push(d);
         uses.push(u);

@@ -24,10 +24,10 @@
 //!   admitted/shed counts, and per-tenant sheds, backpressure waits and
 //!   queue-depth high-water marks surface in the telemetry — overload is
 //!   modeled and observable, never an invisible unbounded buffer.
-//! * **Workload generation** — [`workload`] provides seeded, open-loop
-//!   generators: a Zipf-skewed KVS stream (precomputed-CDF sampler shared
-//!   with the emulator's scenario driver), sparse gradient aggregation, and
-//!   a mixed multi-tenant profile.
+//! * **Workload generation** — [`workload`] re-exports the emulator's
+//!   seeded, open-loop generators (the ones its scenario loops pull from):
+//!   a Zipf-skewed KVS stream, sparse gradient aggregation, and a mixed
+//!   multi-tenant profile.
 //! * **Telemetry** — [`telemetry`] keeps lock-free per-shard counters merged
 //!   into per-tenant stats: goodput against the workload's virtual clock,
 //!   in-network hit ratio, p50/p99 latency from log₂ histograms, per-link
@@ -73,7 +73,7 @@ pub mod faults;
 pub mod shard;
 pub mod telemetry;
 pub mod tenant;
-pub mod workload;
+pub use clickinc_emulator::workload;
 
 pub use adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy, AdaptiveTick};
 pub use engine::{

@@ -5,7 +5,7 @@
 //! programs access isolated memory regions [...] Then it adds a user ID match to
 //! filter out the user's traffic for its own program."
 
-use clickinc_ir::{CmpOp, Guard, IrProgram, OpCode, Operand, Predicate};
+use clickinc_ir::{CmpOp, Guard, IrProgram, Operand, Predicate};
 
 /// Rewrite a user program so every object, temporary variable and owner
 /// annotation is prefixed with the user id, and every instruction is guarded by
@@ -14,14 +14,12 @@ use clickinc_ir::{CmpOp, Guard, IrProgram, OpCode, Operand, Predicate};
 /// Returns the isolated program; the original is not modified.
 pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i64) -> IrProgram {
     let prefix = format!("{user}_");
-    let rename_var = |v: &str| -> String {
-        if v.starts_with(&prefix) {
-            v.to_string()
-        } else {
-            format!("{prefix}{v}")
+    // temporaries and objects share the one prefix; an owned name is left alone
+    let rename = |name: &mut String| {
+        if !name.starts_with(&prefix) {
+            name.insert_str(0, &prefix);
         }
     };
-    let rename_obj = rename_var;
 
     let mut out = IrProgram::new(user);
     out.headers = program.headers.clone();
@@ -30,7 +28,7 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
         .iter()
         .map(|o| {
             let mut o = o.clone();
-            o.name = rename_obj(&o.name);
+            rename(&mut o.name);
             o.owner = Some(user.to_string());
             o
         })
@@ -44,12 +42,16 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
         .iter()
         .map(|instr| {
             let mut instr = instr.clone();
-            rewrite_opcode(&mut instr.op, &rename_var);
-            if let Some(guard) = &mut instr.guard {
-                for p in &mut guard.all {
-                    rewrite_operand(&mut p.lhs, &rename_var);
-                    rewrite_operand(&mut p.rhs, &rename_var);
+            for operand in instr.reads_mut() {
+                if let Operand::Var(v) = operand {
+                    rename(v);
                 }
+            }
+            if let Some(dest) = instr.op.dest_mut() {
+                rename(dest);
+            }
+            if let Some(object) = instr.op.object_mut() {
+                rename(object);
             }
             // prepend the user-ID match so only this user's traffic triggers the
             // snippet
@@ -61,87 +63,6 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
         })
         .collect();
     out
-}
-
-fn rewrite_operand(op: &mut Operand, rename: &impl Fn(&str) -> String) {
-    if let Operand::Var(v) = op {
-        *v = rename(v);
-    }
-}
-
-fn rewrite_operands(ops: &mut [Operand], rename: &impl Fn(&str) -> String) {
-    for op in ops {
-        rewrite_operand(op, rename);
-    }
-}
-
-fn rewrite_opcode(op: &mut OpCode, rename: &impl Fn(&str) -> String) {
-    match op {
-        OpCode::Assign { dest, src } => {
-            *dest = rename(dest);
-            rewrite_operand(src, rename);
-        }
-        OpCode::Alu { dest, lhs, rhs, .. } => {
-            *dest = rename(dest);
-            rewrite_operand(lhs, rename);
-            rewrite_operand(rhs, rename);
-        }
-        OpCode::Cmp { dest, lhs, rhs, .. } => {
-            *dest = rename(dest);
-            rewrite_operand(lhs, rename);
-            rewrite_operand(rhs, rename);
-        }
-        OpCode::Hash { dest, object, keys } => {
-            *dest = rename(dest);
-            *object = rename(object);
-            rewrite_operands(keys, rename);
-        }
-        OpCode::ReadState { dest, object, index } => {
-            *dest = rename(dest);
-            *object = rename(object);
-            rewrite_operands(index, rename);
-        }
-        OpCode::WriteState { object, index, value } => {
-            *object = rename(object);
-            rewrite_operands(index, rename);
-            rewrite_operands(value, rename);
-        }
-        OpCode::CountState { dest, object, index, delta } => {
-            if let Some(d) = dest {
-                *d = rename(d);
-            }
-            *object = rename(object);
-            rewrite_operands(index, rename);
-            rewrite_operand(delta, rename);
-        }
-        OpCode::ClearState { object } => *object = rename(object),
-        OpCode::DeleteState { object, index } => {
-            *object = rename(object);
-            rewrite_operands(index, rename);
-        }
-        OpCode::Crypto { dest, object, input, .. } => {
-            *dest = rename(dest);
-            *object = rename(object);
-            rewrite_operand(input, rename);
-        }
-        OpCode::RandInt { dest, bound } => {
-            *dest = rename(dest);
-            rewrite_operand(bound, rename);
-        }
-        OpCode::Checksum { dest, inputs } => {
-            *dest = rename(dest);
-            rewrite_operands(inputs, rename);
-        }
-        OpCode::Back { updates } | OpCode::Mirror { updates } => {
-            for (_, v) in updates {
-                rewrite_operand(v, rename);
-            }
-        }
-        OpCode::Multicast { group } => rewrite_operand(group, rename),
-        OpCode::CopyTo { values, .. } => rewrite_operands(values, rename),
-        OpCode::SetHeader { value, .. } => rewrite_operand(value, rename),
-        OpCode::Drop | OpCode::Forward | OpCode::NoOp => {}
-    }
 }
 
 /// Convenience: the user-ID guard alone (used by the backends when emitting the
@@ -184,9 +105,9 @@ mod tests {
         }
         // variables are disjoint too
         let a_vars: std::collections::BTreeSet<_> =
-            a.read_write_sets().iter().filter_map(|s| s.writes_var.clone()).collect();
+            a.instructions.iter().filter_map(|i| i.dest()).collect();
         let b_vars: std::collections::BTreeSet<_> =
-            b.read_write_sets().iter().filter_map(|s| s.writes_var.clone()).collect();
+            b.instructions.iter().filter_map(|i| i.dest()).collect();
         assert!(a_vars.is_disjoint(&b_vars));
     }
 

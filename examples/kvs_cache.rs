@@ -6,6 +6,7 @@
 
 use clickinc::topology::Topology;
 use clickinc::{Controller, ServiceRequest};
+use clickinc_emulator::workload::KvsWorkloadConfig;
 use clickinc_emulator::{run_kvs_scenario, DevicePlane, KvsConfig, NetworkSetup};
 use clickinc_lang::templates::{kvs_template, KvsParams};
 
@@ -29,14 +30,17 @@ fn main() {
         NetworkSetup::new(vec![DevicePlane::new("ToR", clickinc::device::DeviceModel::tofino())]);
 
     // Deployed programs only process traffic carrying their tenant id.
-    let user = controller.numeric_id_of("kvs_0").expect("kvs_0 is deployed");
+    let user_id = controller.numeric_id_of("kvs_0").expect("kvs_0 is deployed");
     let config = KvsConfig {
-        requests: 5000,
-        keys: 2000,
+        workload: KvsWorkloadConfig {
+            requests: 5000,
+            keys: 2000,
+            skew: 1.1,
+            seed: 3,
+            user_id,
+            ..Default::default()
+        },
         cached_keys: 128,
-        skew: 1.1,
-        seed: 3,
-        user,
         cache_table: Some("kvs_0_cache".to_string()),
     };
     let cached = run_kvs_scenario(&mut with_cache, &config);

@@ -81,3 +81,81 @@ proptest! {
         }
     }
 }
+
+/// The four fig13 template programs, planned as `tests/static_verification.rs`
+/// plans them: the dependency edges, block membership and placement the
+/// deploy path derives from them, pinned to the values recorded at the commit
+/// before the analyses moved onto the one operand walk in `ir/src/instr.rs`.
+#[test]
+fn fig13_template_plans_are_pinned() {
+    use clickinc::{ClickIncService, ServiceRequest};
+    use clickinc_ir::{dependency_edges, DependencyKind, Fnv};
+    use clickinc_lang::templates::count_min_sketch;
+
+    let mlagg = MlAggParams { dims: 32, num_workers: 4, num_aggregators: 4096, is_float: false };
+    let kvs = KvsParams { cache_depth: 2000, ..Default::default() };
+    // (template, edges, edge digest, blocks, membership digest, placement fingerprint)
+    let cases = [
+        (
+            kvs_template("kvs_srv", kvs),
+            37,
+            0xcdc5d8381a83c9e9,
+            9,
+            0x104d22cd7b28e701,
+            0xa4348845565bd4b6,
+        ),
+        (
+            mlagg_template("mlagg", mlagg),
+            927,
+            0xca92c3b17d9ac790,
+            14,
+            0xf55f2e99ec177d56,
+            0x7e1daa6187e2ba8c,
+        ),
+        (
+            dqacc_template("dqacc", DqAccParams::default()),
+            102,
+            0x95c5d902df929ee4,
+            4,
+            0xa3e80b23c69d9865,
+            0x1a7bf19f23cd7591,
+        ),
+        (
+            count_min_sketch("cms", 3, 512),
+            6,
+            0x934c5e47324d61c5,
+            2,
+            0x445cc6ad2f34cec6,
+            0x206fd28515a72206,
+        ),
+    ];
+    let service = ClickIncService::new(Topology::emulation_topology_all_tofino()).unwrap();
+    for (template, n_edges, edge_digest, n_blocks, block_digest, placement) in cases {
+        let user = template.name.as_str();
+        let request = ServiceRequest::new(user, &template.source, &["pod0a"], "pod2b");
+        let plan = service.plan(&request).expect("fig13 template plans");
+        let program = plan.program();
+        let edges = dependency_edges(&program.instructions, &program.objects);
+        let mut h = Fnv::new();
+        for (from, to, kind) in &edges {
+            h.write_u64(*from as u64);
+            h.write_u64(*to as u64);
+            h.write_u64((*kind == DependencyKind::State) as u64);
+        }
+        assert_eq!((edges.len(), h.finish()), (n_edges, edge_digest), "{user}: dependency edges");
+        let mut h = Fnv::new();
+        for block in plan.dag().blocks() {
+            h.write_u64(block.instrs.len() as u64);
+            for &i in &block.instrs {
+                h.write_u64(i as u64);
+            }
+            h.write_u64(block.stateful as u64);
+        }
+        assert_eq!(
+            (plan.dag().blocks().len(), h.finish()),
+            (n_blocks, block_digest),
+            "{user}: blocks"
+        );
+        assert_eq!(plan.placement().fingerprint(), placement, "{user}: placement fingerprint");
+    }
+}

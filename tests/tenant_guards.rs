@@ -4,6 +4,7 @@
 //! statement the backends emit from it — must test that id too, or the
 //! emitted programs run tenant instructions on everyone's packets.
 
+use clickinc::device::DeviceKind;
 use clickinc::ir::{CmpOp, Operand, Predicate};
 use clickinc::lang::templates::{kvs_template, KvsParams};
 use clickinc::topology::{NodeId, Topology};
@@ -12,6 +13,24 @@ use std::collections::BTreeSet;
 
 fn tenant_match(id: i64) -> Predicate {
     Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(id))
+}
+
+/// The field names an emitted program declares in its INC header: the block
+/// every backend opens with `inc_h` / `inc_header_t` / `inc_header` /
+/// `inc_packet_t` and closes with a brace in column 0.
+fn inc_header_fields(source: &str) -> Vec<&str> {
+    let opens = |l: &str| {
+        ["header inc_h {", "struct inc_header", "struct inc_packet_t"]
+            .iter()
+            .any(|o| l.starts_with(o))
+    };
+    // `name : bits;` in NPL, `type name;` everywhere else
+    fn field(line: &str) -> Option<&str> {
+        let decl = line.trim().strip_suffix(';')?;
+        decl.split_once(" : ").map(|(name, _)| name).or_else(|| decl.rsplit(' ').next())
+    }
+    let block = source.lines().skip_while(|l| !opens(l)).skip(1);
+    block.take_while(|l| !l.starts_with('}')).filter_map(field).collect()
 }
 
 fn two_kvs_tenants_on_a_shared_device(topology: Topology) {
@@ -63,9 +82,22 @@ fn two_kvs_tenants_on_a_shared_device(topology: Topology) {
             }
             // every backend, annotated or not: one tenant-id test per
             // tenant-owned instruction of the image the code was emitted from
-            // (kvs_b committed last, so its programs are the current images)
+            // (kvs_b committed last, so its programs are the current images),
+            // and an INC header of exactly the fields the data plane has
+            // (`inc_user`, `step`, the image's declared headers)
             if user == "kvs_b" {
                 let image = &controller.images().images[device];
+                let mut declared = vec!["inc_user", "step"];
+                declared.extend(image.headers.iter().map(|h| h.name.as_str()));
+                for kind in DeviceKind::PROGRAMMABLE {
+                    // only P4 devices host these tenants: emit the image for
+                    // every target (the HLS packet record also carries the
+                    // kernel's `drop` verdict)
+                    let emitted = clickinc::backend::generate(kind, image);
+                    let verdict = emitted.language.ends_with("HLS").then_some("drop");
+                    let expected: Vec<&str> = declared.iter().copied().chain(verdict).collect();
+                    assert_eq!(inc_header_fields(&emitted.source), expected, "{kind}");
+                }
                 for owner in image.owners() {
                     let instrs =
                         image.instructions.iter().filter(|i| i.owners.contains(&owner)).count();
