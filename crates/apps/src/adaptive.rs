@@ -23,18 +23,21 @@
 //! to a static run that never adapts — adaptation changes goodput, never
 //! results.
 
-use clickinc::{AdaptiveRuntime, ClickIncError, ClickIncService, InitialSharding, ServiceRequest};
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc_runtime::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig,
-};
+use crate::house;
+use clickinc::{AdaptiveRuntime, ClickIncError, ClickIncService, InitialSharding};
 use clickinc_runtime::{
     AdaptivePolicy, EngineConfig, OverloadPolicy, ShardingMode, TenantStats, WorkloadReport,
 };
-use clickinc_topology::Topology;
 use std::collections::BTreeMap;
+
+/// Hot-tenant requests in the warm phase (below
+/// `policy.min_epoch_packets`, so the loop never acts on warm noise).
+const WARM_REQUESTS: usize = 512;
+/// Hot-tenant requests in each of the surge and adapted phases.
+const SURGE_REQUESTS: usize = 4096;
+/// Inject batch during the surge phases — far beyond `queue_capacity`, so a
+/// single-shard tenant must shed (or stall) most of every batch.
+const SURGE_BATCH: usize = 1024;
 
 /// Sizing of the adaptive-serving scenario.
 #[derive(Debug, Clone)]
@@ -47,14 +50,6 @@ pub struct AdaptiveServingConfig {
     pub queue_capacity: usize,
     /// What the engine does at the bound.
     pub overload: OverloadPolicy,
-    /// Hot-tenant requests in the warm phase (below
-    /// `policy.min_epoch_packets`, so the loop never acts on warm noise).
-    pub warm_requests: usize,
-    /// Hot-tenant requests in each of the surge and adapted phases.
-    pub surge_requests: usize,
-    /// Inject batch during the surge phases — far beyond `queue_capacity`,
-    /// so a single-shard tenant must shed (or stall) most of every batch.
-    pub surge_batch: usize,
     /// Hot tenant's key universe.
     pub hot_keys: usize,
     /// Hot keys pre-installed in the in-network cache.
@@ -80,9 +75,6 @@ impl Default for AdaptiveServingConfig {
             batch_size: 64,
             queue_capacity: 96,
             overload: OverloadPolicy::DropTail,
-            warm_requests: 512,
-            surge_requests: 4096,
-            surge_batch: 1024,
             hot_keys: 2000,
             cached_keys: 128,
             rate_pps: 50_000_000.0,
@@ -117,7 +109,7 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn from_report(report: &WorkloadReport) -> PhaseStats {
+    pub(crate) fn from_report(report: &WorkloadReport) -> PhaseStats {
         PhaseStats { offered: report.generated, admitted: report.admitted, shed: report.shed }
     }
 
@@ -178,46 +170,18 @@ fn serve(
     config: &AdaptiveServingConfig,
     before_finish: impl FnOnce(&ClickIncService),
 ) -> Result<AdaptiveServingReport, ClickIncError> {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig {
-            shards: config.shards,
-            batch_size: config.batch_size,
-            queue_capacity: config.queue_capacity,
-            overload: config.overload.clone(),
-        },
-    )?;
+    let service = house::service(EngineConfig {
+        shards: config.shards,
+        batch_size: config.batch_size,
+        queue_capacity: config.queue_capacity,
+        overload: config.overload.clone(),
+    })?;
     // conservative placement: everyone starts on one shard, and only the
     // control loop — under observed saturation — spreads a tenant out
     service.set_initial_sharding(InitialSharding::Pinned);
-    let handles = service.deploy_all(vec![
-        ServiceRequest::builder("hot_kvs")
-            .template(kvs_template(
-                "hot_kvs",
-                KvsParams { cache_depth: 2000, ..Default::default() },
-            ))
-            .from_("pod0a")
-            .from_("pod1a")
-            .to("pod2b")
-            .build()?,
-        ServiceRequest::builder("bg_agg")
-            .template(mlagg_template(
-                "bg_agg",
-                MlAggParams { dims: 16, num_workers: 4, num_aggregators: 1024, is_float: false },
-            ))
-            .from_("pod0b")
-            .from_("pod1b")
-            .to("pod2a")
-            .build()?,
-    ])?;
+    let handles = service.deploy_all(house::requests("hot_kvs", "bg_agg"))?;
     let (hot, background) = (&handles[0], &handles[1]);
-    for key in 0..config.cached_keys {
-        hot.populate_table(
-            "hot_kvs_cache",
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
+    house::warm_cache(hot, config.cached_keys);
 
     let mut adaptive = AdaptiveRuntime::new(config.policy.clone());
     if config.adapt {
@@ -235,56 +199,41 @@ fn serve(
         actions.extend(outcome.tick.actions.iter().map(|a| a.to_string()));
     };
 
-    let mut hot_wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: hot.user().to_string(),
-        user_id: hot.numeric_id(),
-        keys: config.hot_keys,
-        skew: 1.1,
-        requests: config.warm_requests + 2 * config.surge_requests,
-        rate_pps: config.rate_pps,
-        seed: config.seed,
-    });
-    let mut bg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
-        tenant: background.user().to_string(),
-        user_id: background.numeric_id(),
-        workers: 4,
-        rounds: config.background_rounds,
-        dims: 16,
-        sparsity: 0.5,
-        block_size: 8,
-        rate_pps: config.rate_pps / 10.0,
-        seed: config.seed + 1,
-    });
-    let bg_chunk = (config.background_rounds * 4).div_ceil(3);
+    let requests = WARM_REQUESTS + 2 * SURGE_REQUESTS;
+    let mut hot_wl =
+        house::kvs_stream(hot, config.hot_keys, requests, config.rate_pps, config.seed);
+    let mut bg_wl = house::agg_stream(
+        background,
+        config.background_rounds,
+        config.rate_pps / 10.0,
+        config.seed + 1,
+    );
+    let bg_chunk = (config.background_rounds * house::AGG_WORKERS).div_ceil(3);
 
     // baseline epoch: the loop observes the deployed-but-idle system
     step(&mut adaptive);
 
     // phase 1: warm — below the policy's per-epoch packet floor
-    let warm = hot.run_workload(&mut hot_wl, config.warm_requests, 32);
+    let warm = hot.run_workload(&mut hot_wl, WARM_REQUESTS, 32);
     background.run_workload(&mut bg_wl, bg_chunk, 32);
     step(&mut adaptive);
 
     // phase 2: surge — the flood hits a single home shard
     let hot_mode_before =
         service.engine_handle().sharding_mode("hot_kvs").expect("hot tenant is live");
-    let surge = hot.run_workload(&mut hot_wl, config.surge_requests, config.surge_batch);
+    let surge = hot.run_workload(&mut hot_wl, SURGE_REQUESTS, SURGE_BATCH);
     background.run_workload(&mut bg_wl, bg_chunk, 32);
     step(&mut adaptive); // <- the loop sees the saturation and acts here
 
     // phase 3: the identical surge against the adapted configuration
-    let adapted = hot.run_workload(&mut hot_wl, usize::MAX, config.surge_batch);
+    let adapted = hot.run_workload(&mut hot_wl, usize::MAX, SURGE_BATCH);
     background.run_workload(&mut bg_wl, usize::MAX, 32);
     step(&mut adaptive);
 
     let hot_mode_after =
         service.engine_handle().sharding_mode("hot_kvs").expect("hot tenant is live");
     before_finish(&service);
-    service.flush();
-    let outcome = service.finish();
-    let stats = |user: &str| {
-        outcome.telemetry.tenant(user).cloned().unwrap_or_else(|| panic!("{user} was served"))
-    };
+    let closed = house::finish(service, "hot_kvs", "bg_agg");
     Ok(AdaptiveServingReport {
         warm: PhaseStats::from_report(&warm),
         surge: PhaseStats::from_report(&surge),
@@ -292,19 +241,16 @@ fn serve(
         actions,
         hot_mode_before,
         hot_mode_after,
-        hot: stats("hot_kvs"),
-        background: stats("bg_agg"),
-        store_fingerprints: outcome
-            .stores
-            .iter()
-            .map(|(device, store)| (device.clone(), store.fingerprint()))
-            .collect(),
+        hot: closed.kvs,
+        background: closed.agg,
+        store_fingerprints: closed.store_fingerprints,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::house::tests::{counters, fingerprints};
 
     fn normalized(mut stats: TenantStats) -> TenantStats {
         stats.per_shard_packets.clear();
@@ -387,6 +333,19 @@ mod tests {
         assert_eq!(
             adaptive.store_fingerprints, static_run.store_fingerprints,
             "store fingerprints diverged under adaptation"
+        );
+        // with nothing shed both runs are timing-independent, so their
+        // shared result is pinned (under the default drop-tail policy the
+        // sheds, and so every counter, vary run to run — nothing to pin)
+        assert_eq!(counters(&adaptive.hot), [8704, 8704, 6529, 0, 2175, 0, 0]);
+        assert_eq!(counters(&adaptive.background), [240, 240, 60, 180, 0, 0, 0]);
+        assert_eq!(
+            adaptive.store_fingerprints,
+            fingerprints(&[
+                ("ToR5", 0x098f48e1acdc09ed),
+                ("nic_pod0b", 0xce071023738cfcb2),
+                ("nic_pod1b", 0x77321396bc7ec6ad),
+            ])
         );
         // one more input: the hot tenant is re-placed (removed and re-added
         // under the same name) after the loop resharded it — the reshard's

@@ -15,23 +15,31 @@
 //! the oldest residents departs, and each removal's auto-drain admits the
 //! highest-priority waiter into the freed slot.  Every direct admission's
 //! end-to-end latency (plan + gate + commit + engine mirror) is recorded;
-//! the report carries the p50/p99 and the solve-cache counters, and the
-//! runtime bench gates the warm-over-cold speedup on top.
+//! the report carries the p50/p99 and the solve-cache counters;
+//! `benchmark/`'s `churn_warm` workload times the same arrival pattern, and
+//! `tests/warm_start.rs` holds warm solves bit-identical to memo-less ones.
 //!
 //! Periodically, a freshly admitted KVS tenant also serves a burst of
 //! requests through the sharded engine — churn is measured *while traffic
 //! flows*, not against an idle control plane.
 
-use clickinc::{ClickIncError, ClickIncService, MaxTenants, ServiceRequest};
-use clickinc_ir::Value;
+use crate::house;
+use clickinc::{ClickIncError, MaxTenants, ServiceRequest};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
-use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
 use clickinc_runtime::EngineConfig;
-use clickinc_topology::Topology;
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
+
+/// After this many consecutive refusals, a departure batch frees slots (and
+/// the auto-drain admits waiters into them).
+const PURGE_AFTER_REJECTIONS: usize = 3;
+/// Oldest residents departing per purge.
+const PURGE_BATCH: usize = 4;
+/// Arrival priorities cycle `0..PRIORITY_LEVELS`; the retry queue drains the
+/// highest first.
+const PRIORITY_LEVELS: usize = 4;
 
 /// Sizing of the churn scenario.
 #[derive(Debug, Clone)]
@@ -42,17 +50,9 @@ pub struct ChurnConfig {
     /// population fills to the cap, hovers there, and churns through it for
     /// the rest of the run.
     pub resident_cap: usize,
-    /// After this many consecutive refusals, a departure batch frees slots
-    /// (and the auto-drain admits waiters into them).
-    pub purge_after_rejections: usize,
-    /// Oldest residents departing per purge.
-    pub purge_batch: usize,
     /// Number of distinct program shapes the arrivals cycle through.
     /// Smaller pools mean more shape reuse and a hotter placement memo.
     pub shape_pool: usize,
-    /// Arrival priorities cycle `0..priority_levels`; the retry queue
-    /// drains the highest first.
-    pub priority_levels: u8,
     /// Engine shard worker threads.
     pub shards: usize,
     /// Serve a KVS burst through the engine every this many admissions
@@ -61,11 +61,6 @@ pub struct ChurnConfig {
     pub serve_every: usize,
     /// Requests per serving burst.
     pub burst_requests: usize,
-    /// When set, the segment memo is disabled for the whole run — every
-    /// solve pays the full dynamic program, like the pre-memo solver.  The
-    /// runtime bench runs the scenario warm and cold and gates the
-    /// quotient.
-    pub cold_solves: bool,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -75,14 +70,10 @@ impl Default for ChurnConfig {
         ChurnConfig {
             tenants: 1000,
             resident_cap: 10,
-            purge_after_rejections: 3,
-            purge_batch: 4,
             shape_pool: 6,
-            priority_levels: 4,
             shards: 2,
             serve_every: 50,
             burst_requests: 512,
-            cold_solves: false,
             seed: 23,
         }
     }
@@ -159,21 +150,19 @@ fn churn_request(i: usize, config: &ChurnConfig) -> ServiceRequest {
     };
     builder
         .to("pod2b")
-        .priority((i % config.priority_levels.max(1) as usize) as u8)
+        .priority((i % PRIORITY_LEVELS) as u8)
         .build()
         .expect("churn request is well-formed")
 }
 
 /// Run the churn scenario; see the [module docs](self).
 pub fn run_churn_scenario(config: &ChurnConfig) -> Result<ChurnReport, ClickIncError> {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig { shards: config.shards.max(1), batch_size: 128, ..Default::default() },
-    )?;
+    let service = house::service(EngineConfig {
+        shards: config.shards.max(1),
+        batch_size: 128,
+        ..Default::default()
+    })?;
     service.set_admission_policy(MaxTenants { max_tenants: config.resident_cap });
-    if config.cold_solves {
-        service.controller().set_solve_memo(false);
-    }
 
     // residents in arrival order (oldest first = next to depart)
     let mut residents: VecDeque<String> = VecDeque::new();
@@ -208,9 +197,9 @@ pub fn run_churn_scenario(config: &ChurnConfig) -> Result<ChurnReport, ClickIncE
             Err(ClickIncError::Rejected { .. }) => {
                 // parked in the retry queue; a purge's departures drain it
                 rejections_since_purge += 1;
-                if rejections_since_purge >= config.purge_after_rejections.max(1) {
+                if rejections_since_purge >= PURGE_AFTER_REJECTIONS {
                     rejections_since_purge = 0;
-                    for _ in 0..config.purge_batch.min(residents.len()).max(1) {
+                    for _ in 0..PURGE_BATCH.min(residents.len()).max(1) {
                         let Some(oldest) = residents.pop_front() else { break };
                         known_active.remove(&oldest);
                         service.remove(&oldest)?;
@@ -261,22 +250,9 @@ pub fn run_churn_scenario(config: &ChurnConfig) -> Result<ChurnReport, ClickIncE
 /// churn is sustained *while serving*, not against an idle engine.
 fn serve_burst(handle: &clickinc::TenantHandle, config: &ChurnConfig, seed_offset: u64) -> u64 {
     // pre-populate a few cache lines so some requests hit in-network
-    for key in 0..16i64 {
-        handle.populate_table(
-            &format!("{}_cache", handle.user()),
-            vec![Value::Int(key)],
-            vec![Value::Int(key * 31 + 7)],
-        );
-    }
-    let mut wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: handle.user().to_string(),
-        user_id: handle.numeric_id(),
-        keys: 256,
-        skew: 1.1,
-        requests: config.burst_requests,
-        rate_pps: 10_000_000.0,
-        seed: config.seed + seed_offset,
-    });
+    house::warm_cache(handle, 16);
+    let seed = config.seed + seed_offset;
+    let mut wl = house::kvs_stream(handle, 256, config.burst_requests, 10_000_000.0, seed);
     let report = handle.run_workload(&mut wl, usize::MAX, 128);
     report.admitted as u64
 }
@@ -308,23 +284,5 @@ mod tests {
         assert!(report.admit_p99_ms >= report.admit_p50_ms);
         assert!(report.solve_cache_hits > 0, "shape reuse must hit the memo");
         assert!(report.packets_served > 0, "the engine served traffic during the churn");
-    }
-
-    #[test]
-    fn cold_churn_never_touches_the_memo() {
-        let report = run_churn_scenario(&ChurnConfig {
-            tenants: 10,
-            resident_cap: 4,
-            shape_pool: 4,
-            serve_every: 0,
-            cold_solves: true,
-            ..Default::default()
-        })
-        .expect("cold churn runs");
-        assert_eq!(report.arrivals, 10);
-        assert_eq!(report.failed, 0);
-        assert!(report.departures > 0);
-        assert_eq!(report.solve_cache_hits, 0, "cold mode must bypass the memo entirely");
-        assert_eq!(report.solve_cache_misses, 0, "cold mode must bypass the memo entirely");
     }
 }

@@ -26,18 +26,17 @@
 //! assert over *generated* fault schedules.
 
 use crate::adaptive::PhaseStats;
-use clickinc::{ClickIncError, ClickIncService, ServiceRequest};
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc_runtime::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig, Workload,
-};
+use crate::house::{self, physical_devices_of};
+use clickinc::ClickIncError;
 use clickinc_runtime::{
-    EngineConfig, FaultInjector, FaultKind, FaultPlan, OverloadPolicy, TenantStats, WorkloadReport,
+    EngineConfig, FaultInjector, FaultKind, FaultPlan, OverloadPolicy, TenantStats,
 };
-use clickinc_topology::Topology;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Victim requests per phase.
+const REQUESTS_PER_PHASE: usize = 1024;
+/// Packets handed to the engine per victim injection round.
+const INJECT_BATCH: usize = 64;
 
 /// Sizing of the failover-serving scenario.
 #[derive(Debug, Clone)]
@@ -50,10 +49,6 @@ pub struct FailoverServingConfig {
     pub queue_capacity: usize,
     /// What the engine does at the bound.
     pub overload: OverloadPolicy,
-    /// Victim requests per phase.
-    pub requests_per_phase: usize,
-    /// Packets handed to the engine per injection round.
-    pub inject_batch: usize,
     /// Victim key universe.
     pub keys: usize,
     /// Keys pre-installed in the victim's in-network cache.
@@ -79,8 +74,6 @@ impl Default for FailoverServingConfig {
             // backpressure makes admission (and the recovery ratio) exact:
             // a fault costs the victim lost packets, never shed ones
             overload: OverloadPolicy::Backpressure { credits: 256 },
-            requests_per_phase: 1024,
-            inject_batch: 64,
             keys: 2000,
             cached_keys: 128,
             rate_pps: 50_000_000.0,
@@ -147,61 +140,19 @@ impl FailoverServingReport {
     }
 }
 
-fn phase(report: &WorkloadReport) -> PhaseStats {
-    PhaseStats { offered: report.generated, admitted: report.admitted, shed: report.shed }
-}
-
-fn physical_devices_of(service: &ClickIncService, user: &str) -> BTreeSet<String> {
-    let controller = service.controller();
-    controller
-        .devices_of(user)
-        .into_iter()
-        .map(|id| controller.topology().node(id).name.clone())
-        .collect()
-}
-
 /// Run the device-failure scenario; see the [module docs](self) for the
 /// phases.
 pub fn serve_failover_scenario(
     config: &FailoverServingConfig,
 ) -> Result<FailoverServingReport, ClickIncError> {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig {
-            shards: config.shards,
-            batch_size: config.batch_size,
-            queue_capacity: config.queue_capacity,
-            overload: config.overload.clone(),
-        },
-    )?;
-    let handles = service.deploy_all(vec![
-        ServiceRequest::builder("victim_kvs")
-            .template(kvs_template(
-                "victim_kvs",
-                KvsParams { cache_depth: 2000, ..Default::default() },
-            ))
-            .from_("pod0a")
-            .from_("pod1a")
-            .to("pod2b")
-            .build()?,
-        ServiceRequest::builder("bg_agg")
-            .template(mlagg_template(
-                "bg_agg",
-                MlAggParams { dims: 16, num_workers: 4, num_aggregators: 1024, is_float: false },
-            ))
-            .from_("pod0b")
-            .from_("pod1b")
-            .to("pod2a")
-            .build()?,
-    ])?;
-    let victim = &handles[0];
-    for key in 0..config.cached_keys {
-        victim.populate_table(
-            "victim_kvs_cache",
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
+    let service = house::service(EngineConfig {
+        shards: config.shards,
+        batch_size: config.batch_size,
+        queue_capacity: config.queue_capacity,
+        overload: config.overload.clone(),
+    })?;
+    let handles = service.deploy_all(house::requests("victim_kvs", "bg_agg"))?;
+    house::warm_cache(&handles[0], config.cached_keys);
     let mut victim_devices = physical_devices_of(&service, "victim_kvs");
     let bystander_devices = physical_devices_of(&service, "bg_agg");
 
@@ -209,39 +160,30 @@ pub fn serve_failover_scenario(
     // numeric id, so each phase stamps the id the isolation guard currently
     // matches.  A parked victim has no id and the phase is skipped.
     let engine = service.engine_handle();
-    let run_victim = |seed_offset: u64, injector: Option<&mut FaultInjector>| {
+    let run_victim = |seed_offset: u64, faults: FaultPlan| {
         let numeric_id = service.controller().numeric_id_of("victim_kvs")?;
-        let mut wl = KvsWorkload::new(KvsWorkloadConfig {
-            tenant: "victim_kvs".to_string(),
-            user_id: numeric_id,
-            keys: config.keys,
-            skew: 1.1,
-            requests: config.requests_per_phase,
-            rate_pps: config.rate_pps,
-            seed: config.seed + seed_offset,
-        });
-        let wl: &mut dyn Workload = &mut wl;
-        let report = match injector {
-            Some(injector) => {
-                engine.run_workload_with_faults(wl, usize::MAX, config.inject_batch, injector)
-            }
-            None => engine.run_workload(wl, usize::MAX, config.inject_batch),
-        };
+        let mut wl = house::kvs_stream_as(
+            "victim_kvs",
+            numeric_id,
+            config.keys,
+            REQUESTS_PER_PHASE,
+            config.rate_pps,
+            config.seed + seed_offset,
+        );
+        // an empty plan never fires: the fault-free phases take the same path
+        let mut injector = FaultInjector::new(faults);
+        let report =
+            engine.run_workload_with_faults(&mut wl, usize::MAX, INJECT_BATCH, &mut injector);
         service.flush();
-        Some(report)
+        Some(PhaseStats::from_report(&report))
     };
-    let mut bg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
-        tenant: "bg_agg".to_string(),
-        user_id: handles[1].numeric_id(),
-        workers: 4,
-        rounds: config.background_rounds,
-        dims: 16,
-        sparsity: 0.5,
-        block_size: 8,
-        rate_pps: config.rate_pps / 10.0,
-        seed: config.seed + 1,
-    });
-    let bg_chunk = (config.background_rounds * 4).div_ceil(4);
+    let mut bg_wl = house::agg_stream(
+        &handles[1],
+        config.background_rounds,
+        config.rate_pps / 10.0,
+        config.seed + 1,
+    );
+    let bg_chunk = (config.background_rounds * house::AGG_WORKERS).div_ceil(4);
     let mut run_bystander = |limit: usize| {
         engine.run_workload(&mut bg_wl, limit, 32);
         service.flush();
@@ -256,20 +198,17 @@ pub fn serve_failover_scenario(
         .expect("the disjoint-route tenants share no device");
 
     // phase 1: pre-fault baseline
-    let pre = run_victim(0, None).expect("victim serves");
+    let pre = run_victim(0, FaultPlan::new()).expect("victim serves");
     run_bystander(bg_chunk);
 
     // phase 2: the fault window — the device dies mid-injection on the
     // virtual clock; every later packet crossing it is lost
-    let fault_vtime_ns = (config.requests_per_phase as f64 / config.rate_pps * 1e9 / 4.0) as u64;
-    let faulted = if config.fail {
-        let plan = FaultPlan::new().at(fault_vtime_ns, fault_device.clone(), FaultKind::DeviceDown);
-        let mut injector = FaultInjector::new(plan);
-        let report = run_victim(2, Some(&mut injector)).expect("victim still deployed");
-        phase(&report)
-    } else {
-        phase(&run_victim(2, None).expect("victim serves"))
-    };
+    let fault_vtime_ns = (REQUESTS_PER_PHASE as f64 / config.rate_pps * 1e9 / 4.0) as u64;
+    let mut faults = FaultPlan::new();
+    if config.fail {
+        faults = faults.at(fault_vtime_ns, fault_device.clone(), FaultKind::DeviceDown);
+    }
+    let faulted = run_victim(2, faults).expect("victim still deployed");
     run_bystander(bg_chunk);
 
     // phase 3: controller failover — quiesce, re-place (or park Degraded)
@@ -281,7 +220,7 @@ pub fn serve_failover_scenario(
         victim_devices.extend(physical_devices_of(&service, "victim_kvs"));
         failed_device = Some(fault_device.clone());
     }
-    let recovered = run_victim(3, None).map(|r| phase(&r));
+    let recovered = run_victim(3, FaultPlan::new());
     run_bystander(bg_chunk);
 
     // phase 4: restore — parked tenants retry; service is whole again
@@ -294,35 +233,29 @@ pub fn serve_failover_scenario(
         }
         victim_devices.extend(physical_devices_of(&service, "victim_kvs"));
     }
-    let post = run_victim(4, None).expect("victim serves after restore");
+    let post = run_victim(4, FaultPlan::new()).expect("victim serves after restore");
     run_bystander(usize::MAX);
 
-    let outcome = service.finish();
-    let stats = |user: &str| {
-        outcome.telemetry.tenant(user).cloned().unwrap_or_else(|| panic!("{user} was served"))
-    };
+    let closed = house::finish(service, "victim_kvs", "bg_agg");
     Ok(FailoverServingReport {
-        pre: phase(&pre),
+        pre,
         faulted,
         recovered,
-        post: phase(&post),
+        post,
         failed_device,
         recovered_immediately,
-        victim: stats("victim_kvs"),
-        bystander: stats("bg_agg"),
+        victim: closed.kvs,
+        bystander: closed.agg,
         victim_devices,
         bystander_devices,
-        store_fingerprints: outcome
-            .stores
-            .iter()
-            .map(|(device, store)| (device.clone(), store.fingerprint()))
-            .collect(),
+        store_fingerprints: closed.store_fingerprints,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::house::tests::{counters, fingerprints};
 
     #[test]
     fn the_failover_restores_the_victims_service() {
@@ -364,6 +297,29 @@ mod tests {
         );
         assert!(faulted.victim.fault_lost_packets > 0);
         assert_eq!(clean.victim.fault_lost_packets, 0);
+        // backpressure sheds nothing and the fault rides the virtual clock,
+        // so both runs are pure functions of the config: pinned
+        assert_eq!(counters(&faulted.victim), [3072, 2304, 964, 0, 1340, 0, 768]);
+        assert_eq!(counters(&clean.victim), [4096, 4096, 3096, 0, 1000, 0, 0]);
+        assert_eq!(counters(&clean.bystander), [240, 240, 60, 180, 0, 0, 0]);
+        assert_eq!(faulted.failed_device.as_deref(), Some("ToR5"));
+        assert_eq!(faulted.recovered, None, "the victim parked until the restore");
+        assert_eq!(
+            faulted.store_fingerprints,
+            fingerprints(&[
+                ("ToR5", 0x43d9c00c9f7ee2c3),
+                ("nic_pod0b", 0x3bbeb42cab3be7f3),
+                ("nic_pod1b", 0x77321396bc7ec6ad),
+            ])
+        );
+        assert_eq!(
+            clean.store_fingerprints,
+            fingerprints(&[
+                ("ToR5", 0x0fc37ee33d8e7313),
+                ("nic_pod0b", 0x3bbeb42cab3be7f3),
+                ("nic_pod1b", 0x77321396bc7ec6ad),
+            ])
+        );
     }
 
     fn physical_intersects(devices: &BTreeSet<String>, device: &str) -> bool {

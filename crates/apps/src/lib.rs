@@ -10,6 +10,9 @@
 //!   smartNIC only, one switch, two switches, switch + smartNIC) with the
 //!   sparse-gradient workload, swept by the single-threaded scenario loop
 //!   (the path-shape ablation);
+//! * [`house`] — what every served scenario below stands up: the service,
+//!   the KVS + MLAgg tenant pair on disjoint routes, the cache fill, the
+//!   seeded generators and the results on the way out;
 //! * [`serving`] — the same KVS/MLAgg workloads deployed through the
 //!   `ClickIncService` facade and served by the sharded traffic engine —
 //!   the default serving path — plus the overload scenario that drives a
@@ -34,6 +37,7 @@ pub mod adaptive;
 pub mod churn;
 pub mod failover;
 pub mod fig13;
+pub mod house;
 pub mod multiuser;
 pub mod serving;
 

@@ -10,15 +10,9 @@
 //! mirrored onto the engine's shards, and loaded with the open-loop seeded
 //! workload generators — no manual hook wiring anywhere.
 
-use clickinc::{ClickIncError, ClickIncService, ResourceFloor, ServiceRequest};
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc_runtime::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig,
-};
+use crate::house;
+use clickinc::{ClickIncError, ResourceFloor};
 use clickinc_runtime::{EngineConfig, OverloadPolicy, ShardingMode, TenantStats};
-use clickinc_topology::Topology;
 use std::collections::BTreeMap;
 
 /// Sizing of the engine-served KVS + MLAgg scenario pair.
@@ -30,18 +24,10 @@ pub struct ServingConfig {
     pub batch_size: usize,
     /// KVS requests to serve.
     pub kvs_requests: usize,
-    /// KVS key universe size.
-    pub kvs_keys: usize,
-    /// KVS Zipf skew exponent.
-    pub kvs_skew: f64,
     /// Hot keys pre-installed in the in-network cache.
-    pub hot_keys: i64,
+    pub cached_keys: i64,
     /// Gradient-aggregation rounds.
     pub agg_rounds: usize,
-    /// Workers contributing per aggregation round.
-    pub agg_workers: usize,
-    /// Parameter-vector dimensions per gradient packet.
-    pub dims: u32,
     /// Offered load per tenant in packets per second (virtual clock).
     pub rate_pps: f64,
     /// Workload RNG seed.
@@ -58,12 +44,8 @@ impl Default for ServingConfig {
             shards: 4,
             batch_size: 128,
             kvs_requests: 2000,
-            kvs_keys: 1000,
-            kvs_skew: 1.1,
-            hot_keys: 64,
+            cached_keys: 64,
             agg_rounds: 200,
-            agg_workers: 4,
-            dims: 16,
             rate_pps: 5_000_000.0,
             seed: 17,
             admission_floor: 0.05,
@@ -92,92 +74,38 @@ pub struct ServingReport {
 /// Returns per-tenant telemetry and the final store fingerprints; a fixed
 /// config produces bit-identical reports regardless of the shard count.
 pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, ClickIncError> {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig { shards: config.shards, batch_size: config.batch_size, ..Default::default() },
-    )?;
+    /// KVS key universe of the Fig. 13 pair.
+    const KVS_KEYS: usize = 1000;
+    let service = house::service(EngineConfig {
+        shards: config.shards,
+        batch_size: config.batch_size,
+        ..Default::default()
+    })?;
 
     // both applications land (or neither does): one all-or-nothing batch
     // through the planner, whose every commit passes the provider's
     // resource-floor admission policy
-    let planner = service
+    let handles = service
         .planner()
-        .with_policy(ResourceFloor { min_remaining_ratio: config.admission_floor });
-    let handles = planner.deploy_all(vec![
-        ServiceRequest::builder("kvs_srv")
-            .template(kvs_template(
-                "kvs_srv",
-                KvsParams { cache_depth: 2000, ..Default::default() },
-            ))
-            .from_("pod0a")
-            .from_("pod1a")
-            .to("pod2b")
-            .build()?,
-        ServiceRequest::builder("mlagg_srv")
-            .template(mlagg_template(
-                "mlagg_srv",
-                MlAggParams {
-                    dims: config.dims,
-                    num_workers: config.agg_workers as u32,
-                    num_aggregators: 1024,
-                    is_float: false,
-                },
-            ))
-            .from_("pod0b")
-            .from_("pod1b")
-            .to("pod2a")
-            .build()?,
-    ])?;
+        .with_policy(ResourceFloor { min_remaining_ratio: config.admission_floor })
+        .deploy_all(house::requests("kvs_srv", "mlagg_srv"))?;
     let (kvs, mlagg) = (&handles[0], &handles[1]);
+    house::warm_cache(kvs, config.cached_keys);
 
-    // pre-populate the isolation-renamed cache wherever it was placed
-    for key in 0..config.hot_keys {
-        kvs.populate_table(
-            "kvs_srv_cache",
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
-
-    let mut kvs_wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: kvs.user().to_string(),
-        user_id: kvs.numeric_id(),
-        keys: config.kvs_keys,
-        skew: config.kvs_skew,
-        requests: config.kvs_requests,
-        rate_pps: config.rate_pps,
-        seed: config.seed,
-    });
-    let mut agg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
-        tenant: mlagg.user().to_string(),
-        user_id: mlagg.numeric_id(),
-        workers: config.agg_workers,
-        rounds: config.agg_rounds,
-        dims: config.dims as usize,
-        sparsity: 0.5,
-        block_size: 8,
-        rate_pps: config.rate_pps,
-        seed: config.seed + 1,
-    });
+    let mut kvs_wl =
+        house::kvs_stream(kvs, KVS_KEYS, config.kvs_requests, config.rate_pps, config.seed);
+    let mut agg_wl = house::agg_stream(mlagg, config.agg_rounds, config.rate_pps, config.seed + 1);
     kvs.run_workload(&mut kvs_wl, usize::MAX, config.batch_size);
     mlagg.run_workload(&mut agg_wl, usize::MAX, config.batch_size);
-    service.flush();
 
     let modes: BTreeMap<String, ShardingMode> =
         handles.iter().map(|h| (h.user().to_string(), h.sharding_mode().clone())).collect();
-    let outcome = service.finish();
-    let stats = |user: &str| {
-        outcome.telemetry.tenant(user).cloned().unwrap_or_else(|| panic!("{user} was served"))
-    };
+    let closed = house::finish(service, "kvs_srv", "mlagg_srv");
     Ok(ServingReport {
-        kvs: stats("kvs_srv"),
-        mlagg: stats("mlagg_srv"),
+        kvs: closed.kvs,
+        mlagg: closed.agg,
         modes,
-        store_fingerprints: outcome
-            .stores
-            .iter()
-            .map(|(device, store)| (device.clone(), store.fingerprint()))
-            .collect(),
+        store_fingerprints: closed.store_fingerprints,
     })
 }
 
@@ -202,8 +130,6 @@ pub struct OverloadConfig {
     pub hot_keys: usize,
     /// Hot keys pre-installed in the in-network cache.
     pub cached_keys: i64,
-    /// Offered hot-tenant load in packets per second (virtual clock).
-    pub hot_rate_pps: f64,
     /// Background gradient-aggregation rounds.
     pub background_rounds: usize,
     /// Workload RNG seed.
@@ -220,7 +146,6 @@ impl Default for OverloadConfig {
             hot_requests: 4000,
             hot_keys: 2000,
             cached_keys: 128,
-            hot_rate_pps: 50_000_000.0,
             background_rounds: 100,
             seed: 23,
         }
@@ -258,81 +183,38 @@ pub struct OverloadReport {
 /// `shed_packets` / `backpressure_waits` / `queue_depth_hwm` appear in the
 /// telemetry.
 pub fn serve_overload_scenario(config: &OverloadConfig) -> Result<OverloadReport, ClickIncError> {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig {
-            shards: config.shards,
-            batch_size: config.batch_size,
-            queue_capacity: config.queue_capacity,
-            overload: config.overload.clone(),
-        },
-    )?;
-    let handles = service.deploy_all(vec![
-        ServiceRequest::builder("hot_kvs")
-            .template(kvs_template(
-                "hot_kvs",
-                KvsParams { cache_depth: 2000, ..Default::default() },
-            ))
-            .from_("pod0a")
-            .from_("pod1a")
-            .to("pod2b")
-            .build()?,
-        ServiceRequest::builder("bg_agg")
-            .template(mlagg_template(
-                "bg_agg",
-                MlAggParams { dims: 16, num_workers: 4, num_aggregators: 1024, is_float: false },
-            ))
-            .from_("pod0b")
-            .from_("pod1b")
-            .to("pod2a")
-            .build()?,
-    ])?;
+    /// Offered hot-tenant load in packets per second (virtual clock); the
+    /// background tenant offers a tenth of it.
+    const HOT_RATE_PPS: f64 = 50_000_000.0;
+    let service = house::service(EngineConfig {
+        shards: config.shards,
+        batch_size: config.batch_size,
+        queue_capacity: config.queue_capacity,
+        overload: config.overload.clone(),
+    })?;
+    let handles = service.deploy_all(house::requests("hot_kvs", "bg_agg"))?;
     let (hot, background) = (&handles[0], &handles[1]);
+    house::warm_cache(hot, config.cached_keys);
 
-    for key in 0..config.cached_keys {
-        hot.populate_table(
-            "hot_kvs_cache",
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
-
-    let mut hot_wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: hot.user().to_string(),
-        user_id: hot.numeric_id(),
-        keys: config.hot_keys,
-        skew: 1.1,
-        requests: config.hot_requests,
-        rate_pps: config.hot_rate_pps,
-        seed: config.seed,
-    });
-    let mut bg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
-        tenant: background.user().to_string(),
-        user_id: background.numeric_id(),
-        workers: 4,
-        rounds: config.background_rounds,
-        dims: 16,
-        sparsity: 0.5,
-        block_size: 8,
-        rate_pps: config.hot_rate_pps / 10.0,
-        seed: config.seed + 1,
-    });
+    let mut hot_wl =
+        house::kvs_stream(hot, config.hot_keys, config.hot_requests, HOT_RATE_PPS, config.seed);
+    let mut bg_wl = house::agg_stream(
+        background,
+        config.background_rounds,
+        HOT_RATE_PPS / 10.0,
+        config.seed + 1,
+    );
     // the hot tenant floods the bounded queues; the background tenant rides
     // along in the same saturated engine
     let hot_report = hot.run_workload(&mut hot_wl, usize::MAX, config.batch_size);
     let bg_report = background.run_workload(&mut bg_wl, usize::MAX, config.batch_size);
-    service.flush();
 
     let hot_mode = hot.sharding_mode().clone();
-    let outcome = service.finish();
-    let stats = |user: &str| {
-        outcome.telemetry.tenant(user).cloned().unwrap_or_else(|| panic!("{user} was served"))
-    };
-    let hot_stats = stats("hot_kvs");
-    let shards_utilized = hot_stats.per_shard_packets.iter().filter(|&&p| p > 0).count();
+    let closed = house::finish(service, "hot_kvs", "bg_agg");
+    let shards_utilized = closed.kvs.per_shard_packets.iter().filter(|&&p| p > 0).count();
     Ok(OverloadReport {
-        hot: hot_stats,
-        background: stats("bg_agg"),
+        hot: closed.kvs,
+        background: closed.agg,
         hot_mode,
         offered: hot_report.generated + bg_report.generated,
         admitted: hot_report.admitted + bg_report.admitted,
@@ -344,6 +226,7 @@ pub fn serve_overload_scenario(config: &OverloadConfig) -> Result<OverloadReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::house::tests::{counters, fingerprints};
 
     fn small(shards: usize) -> ServingConfig {
         ServingConfig {
@@ -380,6 +263,23 @@ mod tests {
         assert!(report.kvs.goodput_gbps > 0.0 && report.mlagg.goodput_gbps > 0.0);
         assert_eq!(report.kvs.shed_packets, 0, "ample queues shed nothing");
         assert!(!report.store_fingerprints.is_empty());
+    }
+
+    /// Nothing is shed, so the run is a pure function of the config: a
+    /// changed counter or stored bit is a behaviour change.
+    #[test]
+    fn the_fig13_pair_serves_the_pinned_counters_and_stores() {
+        let report = serve_fig13_workloads(&small(2)).expect("scenario serves");
+        assert_eq!(counters(&report.kvs), [600, 600, 427, 0, 173, 0, 0]);
+        assert_eq!(counters(&report.mlagg), [240, 240, 60, 180, 0, 0, 0]);
+        assert_eq!(
+            report.store_fingerprints,
+            fingerprints(&[
+                ("ToR5", 0xd1050e2bc799652b),
+                ("nic_pod0b", 0x23f2aa4c61d912c1),
+                ("nic_pod1b", 0x08e663c2e7bd4c67),
+            ])
+        );
     }
 
     #[test]
@@ -450,5 +350,10 @@ mod tests {
         );
         assert_eq!(report.hot.completed, report.hot.packets);
         assert_eq!(report.hot.shed_packets, 0);
+        // with nothing shed the run is timing-independent, so its counters
+        // are pinned (drop-tail sheds vary run to run: that policy pins only
+        // its accounting, in the test above)
+        assert_eq!(counters(&report.hot), [2000, 2000, 1518, 0, 482, 0, 0]);
+        assert_eq!(counters(&report.background), [160, 160, 40, 120, 0, 0, 0]);
     }
 }

@@ -13,14 +13,11 @@
 //!    re-place round-trip releases exactly what it booked: removing every
 //!    tenant afterwards returns the ledger to a full network.
 
-use clickinc::ClickIncService;
 use clickinc::ServiceRequest;
+use clickinc_apps::house::{self, physical_devices_of as devices_of};
 use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc_runtime::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig,
-};
+use clickinc_runtime::workload::{KvsWorkload, MlAggWorkload, MlAggWorkloadConfig};
 use clickinc_runtime::{EngineConfig, FaultInjector, FaultPlan, TenantStats};
-use clickinc_topology::Topology;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -52,25 +49,8 @@ impl RunResult {
     }
 }
 
-fn devices_of(service: &ClickIncService, user: &str) -> BTreeSet<String> {
-    let controller = service.controller();
-    controller
-        .devices_of(user)
-        .into_iter()
-        .map(|id| controller.topology().node(id).name.clone())
-        .collect()
-}
-
 fn victim_workload(numeric_id: i64, seed: u64) -> KvsWorkload {
-    KvsWorkload::new(KvsWorkloadConfig {
-        tenant: "victim_kvs".to_string(),
-        user_id: numeric_id,
-        keys: 500,
-        skew: 1.1,
-        requests: REQUESTS,
-        rate_pps: RATE_PPS,
-        seed,
-    })
+    house::kvs_stream_as("victim_kvs", numeric_id, 500, REQUESTS, RATE_PPS, seed)
 }
 
 /// Drive the two-tenant system through a fault schedule (or none), the
@@ -78,11 +58,8 @@ fn victim_workload(numeric_id: i64, seed: u64) -> KvsWorkload {
 /// recovery invariants along the way.  `remove_and_balance` trades the final
 /// stores (wiped by removal) for the ledger-balance assertion.
 fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig { shards: 2, batch_size: 32, ..Default::default() },
-    )
-    .expect("valid config");
+    let service = house::service(EngineConfig { shards: 2, batch_size: 32, ..Default::default() })
+        .expect("valid config");
     let handles = service
         .deploy_all(vec![
             ServiceRequest::builder("victim_kvs")
@@ -187,11 +164,7 @@ fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
     let outcome = service.finish();
     RunResult {
         bystander: outcome.telemetry.tenant("bg_agg").cloned().expect("bystander served"),
-        fingerprints: outcome
-            .stores
-            .iter()
-            .map(|(device, store)| (device.clone(), store.fingerprint()))
-            .collect(),
+        fingerprints: outcome.store_fingerprints(),
         victim_union,
         bystander_devices,
     }

@@ -109,26 +109,14 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
         }
     }
 
-    // --- materialize blocks ---------------------------------------------------
+    // --- materialize blocks, stamped with their step = topological level -----
+    let levels = levels_of(merged_members.len(), &merged_edges);
     let blocks: Vec<Block> = merged_members
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(id, instrs)| make_block(&class_of, program, id, instrs.clone()))
+        .map(|(id, instrs)| make_block(&class_of, program, id, instrs, levels[id]))
         .collect();
-    let mut dag = BlockDag::new(blocks, merged_edges);
-    // stamp step numbers = topological levels
-    let levels = dag.levels();
-    let blocks: Vec<Block> = dag
-        .blocks()
-        .iter()
-        .cloned()
-        .map(|mut b| {
-            b.step = levels[b.id.0];
-            b
-        })
-        .collect();
-    dag = BlockDag::new(blocks, dag.edges().to_vec());
-    dag
+    BlockDag::new(blocks, merged_edges)
 }
 
 fn make_block(
@@ -136,17 +124,18 @@ fn make_block(
     program: &IrProgram,
     id: usize,
     instrs: Vec<usize>,
+    step: usize,
 ) -> Block {
     let classes: BTreeSet<CapabilityClass> = instrs.iter().map(|&i| class_of[i]).collect();
     let stateful =
         instrs.iter().any(|&i| state_key(&program.instructions[i], &program.objects).is_some());
-    Block { id: BlockId(id), instrs, classes, step: 0, stateful }
+    Block { id: BlockId(id), instrs, classes, step, stateful }
 }
 
-/// Longest-path topological levels of the membership graph (leaves at 0), the
-/// same levels [`BlockDag::levels`] computes — including its degenerate
-/// all-zeros answer when the graph has a cycle.
-fn levels_of(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+/// Longest-path topological levels over a raw edge list: a node's level is
+/// 1 + the maximum level of its predecessors, sources at 0 — all zeros when
+/// the graph has a cycle.  [`BlockDag::levels`] answers through this.
+pub(crate) fn levels_of(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
     let Some(order) = topo_order(n, edges) else { return vec![0; n] };
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(a, b) in edges {
@@ -162,7 +151,8 @@ fn levels_of(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
 }
 
 /// Kahn topological order over a raw edge list; `None` on a cycle.
-fn topo_order(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
+/// [`BlockDag::topological_order`] answers through this.
+pub(crate) fn topo_order(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut deg = vec![0usize; n];
     for &(a, b) in edges {
@@ -253,7 +243,6 @@ fn apply_merge(
     let mut remap = vec![0usize; members.len()];
     for (idx, m) in members.iter().enumerate() {
         if idx == gone {
-            remap[idx] = keep.min(new_members.len().saturating_sub(0));
             continue;
         }
         remap[idx] = new_members.len();

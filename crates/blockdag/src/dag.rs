@@ -1,5 +1,6 @@
 //! Block and block-DAG data structures.
 
+use crate::build::{levels_of, topo_order};
 use clickinc_ir::{CapabilityClass, IrProgram};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -81,50 +82,19 @@ impl BlockDag {
         &self.edges
     }
 
-    /// Direct predecessors of a block.
-    pub fn predecessors(&self, block: usize) -> Vec<usize> {
-        self.edges.iter().filter(|(_, b)| *b == block).map(|(a, _)| *a).collect()
-    }
-
-    /// Direct successors of a block.
-    pub fn successors(&self, block: usize) -> Vec<usize> {
-        self.edges.iter().filter(|(a, _)| *a == block).map(|(_, b)| *b).collect()
-    }
-
-    /// In-degree of every block.
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.blocks.len()];
-        for (_, b) in &self.edges {
-            deg[*b] += 1;
-        }
-        deg
-    }
-
     /// Kahn topological order; `None` if the graph has a cycle.
     pub fn topological_order(&self) -> Option<Vec<usize>> {
-        let mut deg = self.in_degrees();
-        let mut queue: Vec<usize> = (0..self.blocks.len()).filter(|b| deg[*b] == 0).collect();
-        let mut order = Vec::with_capacity(self.blocks.len());
-        while let Some(b) = queue.pop() {
-            order.push(b);
-            for succ in self.successors(b) {
-                deg[succ] -= 1;
-                if deg[succ] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        if order.len() == self.blocks.len() {
-            Some(order)
-        } else {
-            None
-        }
+        topo_order(self.blocks.len(), &self.edges)
     }
 
     /// Whether block `a` can reach block `b` through dependency edges.
     pub fn reaches(&self, a: usize, b: usize) -> bool {
         if a == b {
             return true;
+        }
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); self.blocks.len()];
+        for &(x, y) in &self.edges {
+            succ[x].push(y);
         }
         let mut stack = vec![a];
         let mut seen = vec![false; self.blocks.len()];
@@ -136,7 +106,7 @@ impl BlockDag {
                 continue;
             }
             seen[x] = true;
-            stack.extend(self.successors(x));
+            stack.extend(&succ[x]);
         }
         false
     }
@@ -144,14 +114,7 @@ impl BlockDag {
     /// Topological levels (the step numbers): level of a block = 1 + max level
     /// of its predecessors, leaves at level 0.
     pub fn levels(&self) -> Vec<usize> {
-        let order = self.topological_order().unwrap_or_default();
-        let mut level = vec![0usize; self.blocks.len()];
-        for &b in &order {
-            for pred in self.predecessors(b) {
-                level[b] = level[b].max(level[pred] + 1);
-            }
-        }
-        level
+        levels_of(self.blocks.len(), &self.edges)
     }
 
     /// Total number of instructions across all blocks.
@@ -243,6 +206,8 @@ mod tests {
         assert!(!dag.reaches(3, 0));
         assert!(!dag.reaches(1, 2));
         assert!(dag.reaches(2, 2));
+        assert_eq!(dag.total_instructions(), 4);
+        assert!(dag.is_partition_legal());
     }
 
     #[test]
@@ -250,16 +215,6 @@ mod tests {
         let dag = BlockDag::new(vec![block(0, vec![0]), block(1, vec![1])], vec![(0, 1), (1, 0)]);
         assert!(dag.topological_order().is_none());
         assert!(!dag.is_partition_legal());
-    }
-
-    #[test]
-    fn predecessors_successors_and_degrees() {
-        let dag = diamond();
-        assert_eq!(dag.predecessors(3), vec![1, 2]);
-        assert_eq!(dag.successors(0), vec![1, 2]);
-        assert_eq!(dag.in_degrees(), vec![0, 1, 1, 2]);
-        assert_eq!(dag.total_instructions(), 4);
-        assert!(dag.is_partition_legal());
     }
 
     #[test]

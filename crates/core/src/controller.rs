@@ -183,9 +183,9 @@ impl DeploymentPlan {
 
     /// Wall-clock cost of the solve that produced this plan (compile +
     /// isolate + place).  For the placement stage alone, read
-    /// `placement().solve_time` — the runtime bench gates the warm-start
-    /// speedup on that, keeping the frontend's compile cost out of the
-    /// quotient.
+    /// `placement().solve_time` — `benchmark/` reports that as
+    /// `placement.solve_cold_us` / `placement.solve_memo_us`, keeping the
+    /// frontend's compile cost out of the warm-over-cold comparison.
     pub fn solved_in(&self) -> Duration {
         self.solved_in
     }
@@ -278,7 +278,7 @@ pub struct Controller {
     /// moves and warm solves stay bit-identical to cold ones.
     solve_cache: SolveCache,
     /// Whether solves consult the segment memo at all.  On by default;
-    /// turned off only to price the unmemoized baseline in the churn bench
+    /// turned off only for the memo-less side of `tests/warm_start.rs`
     /// (the memo is exact, so the flag never changes a solve's result).
     use_solve_memo: bool,
 }
@@ -307,10 +307,11 @@ impl Controller {
         self.solve_cache.stats()
     }
 
-    /// Enable or disable the segment memo for future solves.  Off prices
-    /// the fully unmemoized dynamic program (the churn bench's cold
-    /// baseline); the memo is exact, so flipping the flag never changes a
-    /// solve's result — only its latency.
+    /// Enable or disable the segment memo for future solves.  Off runs the
+    /// fully unmemoized dynamic program — the cold side `tests/warm_start.rs`
+    /// holds warm solves bit-identical to (`benchmark/` prices cold solves
+    /// with never-seen shapes instead); the memo is exact, so flipping the
+    /// flag never changes a solve's result — only its latency.
     pub fn set_solve_memo(&mut self, enabled: bool) {
         self.use_solve_memo = enabled;
     }

@@ -1,79 +1,15 @@
-//! Def-use, reaching definitions and liveness over the straight-line IR.
+//! Liveness and header-read extraction over the straight-line IR.
 //!
 //! The frontend if-converts every branch into predicated (guarded)
-//! instructions, so the CFG of an [`IrProgram`] is a single basic block and the
-//! classic dataflow problems collapse into list walks — with one twist: a
-//! *guarded* definition behaves like one arm of a φ-merge (it may or may not
-//! execute), so it never kills earlier definitions, while an unguarded
-//! definition does.
+//! instructions, so the CFG of an [`IrProgram`] is a single basic block and
+//! liveness collapses into one backward list walk.
 //!
 //! Reads, definitions and header writes are iterated straight off the operand
 //! walk in [`crate::instr`]; every name here is borrowed from the program.
 
 use crate::instr::{Instruction, OpCode, Operand};
 use crate::program::IrProgram;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Def-use chains of one program, borrowing every name from it.
-#[derive(Debug, Clone)]
-pub struct DefUse<'p> {
-    program: &'p IrProgram,
-    var_defs: BTreeMap<&'p str, Vec<usize>>,
-    var_uses: BTreeMap<&'p str, Vec<usize>>,
-}
-
-impl<'p> DefUse<'p> {
-    /// Build the def-use chains of `program`.
-    pub fn of(program: &'p IrProgram) -> DefUse<'p> {
-        let mut var_defs: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut var_uses: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (idx, instr) in program.instructions.iter().enumerate() {
-            if let Some(v) = instr.dest() {
-                var_defs.entry(v).or_default().push(idx);
-            }
-            for v in instr.read_vars() {
-                let uses = var_uses.entry(v).or_default();
-                // an instruction reading `v` twice uses it once
-                if uses.last() != Some(&idx) {
-                    uses.push(idx);
-                }
-            }
-        }
-        DefUse { program, var_defs, var_uses }
-    }
-
-    /// All instructions defining `var`, in program order.
-    pub fn defs_of(&self, var: &str) -> &[usize] {
-        self.var_defs.get(var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All instructions reading `var` (operands or guards), in program order.
-    pub fn uses_of(&self, var: &str) -> &[usize] {
-        self.var_uses.get(var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The definitions of `var` that reach instruction `at`: every definition
-    /// before `at` that is not killed by a later *unguarded* definition still
-    /// before `at`.  Guarded definitions are φ-arms and kill nothing.
-    pub fn reaching_defs(&self, var: &str, at: usize) -> Vec<usize> {
-        let defs = self.defs_of(var);
-        let guarded = |d: usize| self.program.instructions[d].guard.is_some();
-        let last_kill = defs.iter().copied().filter(|&d| d < at && !guarded(d)).max();
-        defs.iter()
-            .copied()
-            .filter(|&d| d < at && last_kill.map(|k| d >= k).unwrap_or(true))
-            .collect()
-    }
-
-    /// Whether the value defined by instruction `def` is read by any later
-    /// instruction.
-    pub fn def_is_used(&self, def: usize) -> bool {
-        match self.program.instructions[def].dest() {
-            Some(v) => self.uses_of(v).iter().any(|&u| u > def),
-            None => false,
-        }
-    }
-}
+use std::collections::BTreeSet;
 
 /// Liveness over the value graph: an instruction is live when it is effectful
 /// ([`is_effectful`]), an explicit packet action, or its defined value flows
@@ -157,35 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn guarded_defs_merge_like_phi_arms() {
-        let p = sample();
-        let du = DefUse::of(&p);
-        assert_eq!(du.reaching_defs("y", 3), vec![1, 2], "both guarded arms reach the use");
-        assert_eq!(du.defs_of("y"), &[1, 2]);
-        assert_eq!(du.uses_of("y"), &[3]);
-    }
-
-    #[test]
-    fn unguarded_defs_kill_earlier_ones() {
-        let mut b = ProgramBuilder::new("p");
-        b.assign("a", Operand::int(1)); // 0
-        b.assign("a", Operand::int(2)); // 1 (kills 0; not SSA, but analyzable)
-        b.assign("b", Operand::var("a")); // 2
-        let p = b.build().unwrap();
-        let du = DefUse::of(&p);
-        assert_eq!(du.reaching_defs("a", 2), vec![1]);
-    }
-
-    #[test]
     fn liveness_flows_backwards_from_effects() {
         let p = sample();
-        let du = DefUse::of(&p);
         let live = live_instructions(&p, &BTreeSet::new());
         // x feeds y feeds the count; the count and the forward are roots
         assert!(live[0] && live[1] && live[2] && live[3] && live[5]);
         assert!(!live[4], "`unused` feeds nothing observable");
-        assert!(du.def_is_used(0));
-        assert!(!du.def_is_used(4));
     }
 
     #[test]

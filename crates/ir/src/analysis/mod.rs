@@ -2,8 +2,8 @@
 //!
 //! Three layers, each reusable on its own:
 //!
-//! * [`dataflow`] — def-use chains, reaching definitions and value-graph
-//!   liveness over the straight-line (if-converted) instruction stream.
+//! * [`dataflow`] — value-graph liveness and header reads over the
+//!   straight-line (if-converted) instruction stream.
 //! * [`taint`] — the forward taint lattice tracking which header fields every
 //!   value derives from, plus [`taint::state_profile`]: the single analysis
 //!   behind both the runtime's flow-sharding decision
@@ -22,7 +22,7 @@ pub mod opt;
 pub mod passes;
 pub mod taint;
 
-pub use dataflow::{header_reads, is_effectful, live_instructions, DefUse};
+pub use dataflow::{header_reads, is_effectful, live_instructions};
 pub use diagnostics::{Diagnostic, DiagnosticSet, Severity};
 pub use opt::{
     ConstFoldPass, DeadValueElimPass, GuardHoistPass, Optimizer, TransformContext, TransformPass,

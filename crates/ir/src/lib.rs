@@ -30,7 +30,7 @@
 //! * [`builder`] — an ergonomic builder used by the templates, tests and examples.
 //! * [`eval`] — the reference ALU/compare semantics shared by the emulator's
 //!   interpreter, the register VM and the optimizer's constant folder.
-//! * [`analysis`] — dataflow (def-use, reaching definitions, liveness, all
+//! * [`analysis`] — dataflow (value-graph liveness and header reads,
 //!   borrowing their names from the program through the walk), the shared
 //!   forward taint lattice behind the runtime's sharding decision, and the
 //!   verifier pass pipeline with structured diagnostics.

@@ -810,6 +810,14 @@ pub struct RunOutcome {
     pub stores: BTreeMap<String, ObjectStore>,
 }
 
+impl RunOutcome {
+    /// [`ObjectStore::fingerprint`] of every device's final store — what the
+    /// bit-identity oracles compare across runs.
+    pub fn store_fingerprints(&self) -> BTreeMap<String, u64> {
+        self.stores.iter().map(|(device, store)| (device.clone(), store.fingerprint())).collect()
+    }
+}
+
 /// The sharded, batched traffic engine.
 pub struct TrafficEngine {
     handle: EngineHandle,

@@ -102,7 +102,7 @@ fn run_mixed(shards: usize) -> (TelemetryReport, BTreeMap<String, u64>) {
     handle.run_workload(&mut mixed, usize::MAX, 32);
     handle.flush();
     let outcome = engine.finish();
-    let fingerprints = outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect();
+    let fingerprints = outcome.store_fingerprints();
     (outcome.telemetry, fingerprints)
 }
 

@@ -90,7 +90,7 @@ fn serve_kvs(
     assert_eq!(report.shed, 0, "ample default queues shed nothing");
     handle.flush();
     let outcome = engine.finish();
-    let fingerprints = outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect();
+    let fingerprints = outcome.store_fingerprints();
     (outcome.telemetry.tenant("hot").expect("served").clone(), fingerprints)
 }
 
@@ -162,7 +162,7 @@ fn run_kvs_resharding(
     assert_eq!(report.shed, 0, "ample default queues shed nothing");
     handle.flush();
     let outcome = engine.finish();
-    let fingerprints = outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect();
+    let fingerprints = outcome.store_fingerprints();
     (outcome.telemetry.tenant("hot").expect("served").clone(), fingerprints)
 }
 

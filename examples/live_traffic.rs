@@ -11,64 +11,31 @@
 //!
 //! Run with: `cargo run --release --example live_traffic`
 
-use clickinc::lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc::topology::Topology;
-use clickinc::{ClickIncService, ServiceRequest, TenantHandle};
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_runtime::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig,
-};
+use clickinc::lang::templates::{mlagg_template, MlAggParams};
+use clickinc::{ServiceRequest, TenantHandle};
+use clickinc_apps::house;
+use clickinc_runtime::workload::{KvsWorkload, MlAggWorkload, MlAggWorkloadConfig};
 use clickinc_runtime::{EngineConfig, TelemetryReport};
 
 const SHARDS: usize = 4;
 const REQUESTS: usize = 3000;
 
-fn populate_cache(tenant: &TenantHandle, hot_keys: i64) {
-    let table = format!("{}_cache", tenant.user());
-    for key in 0..hot_keys {
-        tenant.populate_table(
-            &table,
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
-}
-
 fn kvs_stream(tenant: &TenantHandle, seed: u64) -> KvsWorkload {
-    KvsWorkload::new(KvsWorkloadConfig {
-        tenant: tenant.user().to_string(),
-        user_id: tenant.numeric_id(),
-        keys: 1000,
-        skew: 1.1,
-        requests: REQUESTS,
-        rate_pps: 5_000_000.0,
-        seed,
-    })
+    house::kvs_stream(tenant, 1000, REQUESTS, 5_000_000.0, seed)
 }
 
 /// Three traffic phases for the resident tenants; in the middle phase a
 /// third tenant optionally arrives, aggregates 400 gradient packets
 /// in-network, and leaves — all through the service facade.
 fn run(reconfigure: bool) -> TelemetryReport {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig { shards: SHARDS, batch_size: 128, ..Default::default() },
-    )
-    .expect("engine config is valid");
+    let service =
+        house::service(EngineConfig { shards: SHARDS, batch_size: 128, ..Default::default() })
+            .expect("engine config is valid");
 
     let mut residents = Vec::new();
     for (user, srcs) in [("kvs_a", ["pod0a", "pod1a"]), ("kvs_b", ["pod0b", "pod1b"])] {
-        let t = kvs_template(user, KvsParams { cache_depth: 2000, ..Default::default() });
-        let request = ServiceRequest::builder(user)
-            .template(t)
-            .from_(srcs[0])
-            .from_(srcs[1])
-            .to("pod2b")
-            .build()
-            .expect("well-formed request");
-        let tenant = service.deploy(request).expect("resident deploys");
-        populate_cache(&tenant, 64);
+        let tenant = service.deploy(house::kvs_request(user, srcs)).expect("resident deploys");
+        house::warm_cache(&tenant, 64);
         residents.push(tenant);
     }
     let mut wl_a = kvs_stream(&residents[0], 5);

@@ -2,62 +2,28 @@
 //! are served by the sharded engine, survive live reconfiguration, and need
 //! no manual hook or bridge wiring anywhere.
 
-use clickinc::lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
-use clickinc::topology::Topology;
-use clickinc::{ClickIncService, ServiceRequest, TenantHandle};
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
+use clickinc::lang::templates::{mlagg_template, MlAggParams};
+use clickinc::{ServiceRequest, TenantHandle};
+use clickinc_apps::house;
 use clickinc_runtime::EngineConfig;
-
-/// Pre-populate a deployed tenant's (isolation-renamed) cache through its
-/// handle — the handle knows which hop hosts the table.
-fn populate_cache(tenant: &TenantHandle, hot_keys: i64) {
-    let table = format!("{}_cache", tenant.user());
-    for key in 0..hot_keys {
-        tenant.populate_table(
-            &table,
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
-}
 
 #[test]
 fn the_service_serves_deployed_tenants_and_survives_live_reconfiguration() {
-    let service = ClickIncService::with_config(
-        Topology::emulation_topology_all_tofino(),
-        EngineConfig { shards: 2, batch_size: 32, ..Default::default() },
-    )
-    .expect("engine config is valid");
+    let service = house::service(EngineConfig { shards: 2, batch_size: 32, ..Default::default() })
+        .expect("engine config is valid");
 
     // two KVS tenants deploy through the facade; the commit mirrors them
     // onto the engine automatically
     let mut residents = Vec::new();
     for (user, srcs) in [("kvs_a", ["pod0a", "pod1a"]), ("kvs_b", ["pod0b", "pod1b"])] {
-        let t = kvs_template(user, KvsParams { cache_depth: 2000, ..Default::default() });
-        let request = ServiceRequest::builder(user)
-            .template(t)
-            .from_(srcs[0])
-            .from_(srcs[1])
-            .to("pod2b")
-            .build()
-            .expect("well-formed request");
-        let tenant = service.deploy(request).expect("resident deploys");
-        populate_cache(&tenant, 64);
+        let tenant = service.deploy(house::kvs_request(user, srcs)).expect("resident deploys");
+        // the handle knows which hop hosts the (isolation-renamed) cache
+        house::warm_cache(&tenant, 64);
         residents.push(tenant);
     }
 
     let workload = |tenant: &TenantHandle, requests, seed| {
-        KvsWorkload::new(KvsWorkloadConfig {
-            tenant: tenant.user().to_string(),
-            user_id: tenant.numeric_id(),
-            keys: 500,
-            skew: 1.2,
-            requests,
-            rate_pps: 1_000_000.0,
-            seed,
-        })
+        house::kvs_stream(tenant, 500, requests, 1_000_000.0, seed)
     };
     let mut wl_a = workload(&residents[0], 1000, 5);
     let mut wl_b = workload(&residents[1], 1000, 6);

@@ -28,9 +28,8 @@ use clickinc::{
     sharding_mode_for, ClickIncError, ClickIncService, Controller, InitialSharding, MaxTenants,
     ResourceFloor, ServiceRequest, ShardingMode, TenantHandle, TenantHop,
 };
-use clickinc_emulator::kvs_backend_value;
-use clickinc_ir::Value;
-use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
+use clickinc_apps::house;
+use clickinc_runtime::workload::KvsWorkload;
 use clickinc_runtime::{EngineConfig, TrafficEngine};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,25 +40,11 @@ fn engine_config() -> EngineConfig {
 }
 
 fn kvs_request(user: &str) -> ServiceRequest {
-    ServiceRequest::builder(user)
-        .template(kvs_template(user, KvsParams { cache_depth: 2000, ..Default::default() }))
-        .from_("pod0a")
-        .from_("pod1a")
-        .to("pod2b")
-        .build()
-        .expect("well-formed request")
+    house::kvs_request(user, ["pod0a", "pod1a"])
 }
 
 fn seeded_workload(user: &str, id: i64) -> KvsWorkload {
-    KvsWorkload::new(KvsWorkloadConfig {
-        tenant: user.to_string(),
-        user_id: id,
-        keys: 500,
-        skew: 1.2,
-        requests: 800,
-        rate_pps: 1_000_000.0,
-        seed: 9,
-    })
+    house::kvs_stream_as(user, id, 500, 800, 1_000_000.0, 9)
 }
 
 /// Everything observable a serving run leaves behind, for equivalence
@@ -90,14 +75,8 @@ fn run_direct_controller_path() -> RunFingerprint {
     handle.add_tenant_sharded("kvs0", hops.clone(), sharding_mode_for(&hops));
     for hop in hops {
         if hop.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == "kvs0_cache")) {
-            for key in 0..64 {
-                handle.populate_table(
-                    "kvs0",
-                    &hop.device,
-                    "kvs0_cache",
-                    vec![Value::Int(key)],
-                    vec![Value::Int(kvs_backend_value(key))],
-                );
+            for (key, value) in house::cache_lines(64) {
+                handle.populate_table("kvs0", &hop.device, "kvs0_cache", key, value);
             }
         }
     }
@@ -109,7 +88,7 @@ fn run_direct_controller_path() -> RunFingerprint {
         numeric_id,
         snippets,
         controller_images: controller.image_fingerprints(),
-        engine_stores: outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect(),
+        engine_stores: outcome.store_fingerprints(),
         telemetry: outcome.telemetry,
         diagnostics_json,
     }
@@ -130,13 +109,7 @@ fn run_service_path() -> RunFingerprint {
         let snippets: Vec<_> = deployment.snippets.values().flatten().cloned().collect();
         (snippets, controller.image_fingerprints())
     };
-    for key in 0..64 {
-        tenant.populate_table(
-            "kvs0_cache",
-            vec![Value::Int(key)],
-            vec![Value::Int(kvs_backend_value(key))],
-        );
-    }
+    house::warm_cache(&tenant, 64);
     let mut wl = seeded_workload("kvs0", numeric_id);
     tenant.run_workload(&mut wl, usize::MAX, 64);
     service.flush();
@@ -145,7 +118,7 @@ fn run_service_path() -> RunFingerprint {
         numeric_id,
         snippets,
         controller_images,
-        engine_stores: outcome.stores.iter().map(|(d, s)| (d.clone(), s.fingerprint())).collect(),
+        engine_stores: outcome.store_fingerprints(),
         telemetry: outcome.telemetry,
         diagnostics_json,
     }

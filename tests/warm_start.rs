@@ -120,6 +120,7 @@ proptest! {
         let cold_stats = cold.controller().solve_cache_stats();
         prop_assert!(warm_stats.hits + warm_stats.misses > 0, "the warm side must use the memo");
         prop_assert_eq!(cold_stats.hits + cold_stats.misses, 0, "the cold side must bypass it");
+        prop_assert_eq!(cold_stats.entries, 0, "a memo-less service caches nothing");
         warm.finish();
         cold.finish();
     }
