@@ -44,8 +44,6 @@ const SURGE_BATCH: usize = 1024;
 pub struct AdaptiveServingConfig {
     /// Engine shard worker threads.
     pub shards: usize,
-    /// Packets per device-queue drain batch.
-    pub batch_size: usize,
     /// Per-shard bound on in-flight packets.
     pub queue_capacity: usize,
     /// What the engine does at the bound.
@@ -72,7 +70,6 @@ impl Default for AdaptiveServingConfig {
     fn default() -> Self {
         AdaptiveServingConfig {
             shards: 4,
-            batch_size: 64,
             queue_capacity: 96,
             overload: OverloadPolicy::DropTail,
             hot_keys: 2000,
@@ -172,7 +169,6 @@ fn serve(
 ) -> Result<AdaptiveServingReport, ClickIncError> {
     let service = house::service(EngineConfig {
         shards: config.shards,
-        batch_size: config.batch_size,
         queue_capacity: config.queue_capacity,
         overload: config.overload.clone(),
     })?;

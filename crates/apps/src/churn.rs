@@ -157,11 +157,8 @@ fn churn_request(i: usize, config: &ChurnConfig) -> ServiceRequest {
 
 /// Run the churn scenario; see the [module docs](self).
 pub fn run_churn_scenario(config: &ChurnConfig) -> Result<ChurnReport, ClickIncError> {
-    let service = house::service(EngineConfig {
-        shards: config.shards.max(1),
-        batch_size: 128,
-        ..Default::default()
-    })?;
+    let service =
+        house::service(EngineConfig { shards: config.shards.max(1), ..Default::default() })?;
     service.set_admission_policy(MaxTenants { max_tenants: config.resident_cap });
 
     // residents in arrival order (oldest first = next to depart)

@@ -43,8 +43,6 @@ const INJECT_BATCH: usize = 64;
 pub struct FailoverServingConfig {
     /// Engine shard worker threads.
     pub shards: usize,
-    /// Packets per device-queue drain batch.
-    pub batch_size: usize,
     /// Per-shard bound on in-flight packets.
     pub queue_capacity: usize,
     /// What the engine does at the bound.
@@ -69,7 +67,6 @@ impl Default for FailoverServingConfig {
     fn default() -> Self {
         FailoverServingConfig {
             shards: 4,
-            batch_size: 64,
             queue_capacity: 96,
             // backpressure makes admission (and the recovery ratio) exact:
             // a fault costs the victim lost packets, never shed ones
@@ -147,7 +144,6 @@ pub fn serve_failover_scenario(
 ) -> Result<FailoverServingReport, ClickIncError> {
     let service = house::service(EngineConfig {
         shards: config.shards,
-        batch_size: config.batch_size,
         queue_capacity: config.queue_capacity,
         overload: config.overload.clone(),
     })?;

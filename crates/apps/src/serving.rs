@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 pub struct ServingConfig {
     /// Engine shard worker threads.
     pub shards: usize,
-    /// Packets per device-queue batch.
-    pub batch_size: usize,
+    /// Packets the generator side hands the engine per inject.
+    pub inject_batch: usize,
     /// KVS requests to serve.
     pub kvs_requests: usize,
     /// Hot keys pre-installed in the in-network cache.
@@ -42,7 +42,7 @@ impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
             shards: 4,
-            batch_size: 128,
+            inject_batch: 128,
             kvs_requests: 2000,
             cached_keys: 64,
             agg_rounds: 200,
@@ -76,11 +76,7 @@ pub struct ServingReport {
 pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, ClickIncError> {
     /// KVS key universe of the Fig. 13 pair.
     const KVS_KEYS: usize = 1000;
-    let service = house::service(EngineConfig {
-        shards: config.shards,
-        batch_size: config.batch_size,
-        ..Default::default()
-    })?;
+    let service = house::service(EngineConfig { shards: config.shards, ..Default::default() })?;
 
     // both applications land (or neither does): one all-or-nothing batch
     // through the planner, whose every commit passes the provider's
@@ -95,8 +91,8 @@ pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, Cl
     let mut kvs_wl =
         house::kvs_stream(kvs, KVS_KEYS, config.kvs_requests, config.rate_pps, config.seed);
     let mut agg_wl = house::agg_stream(mlagg, config.agg_rounds, config.rate_pps, config.seed + 1);
-    kvs.run_workload(&mut kvs_wl, usize::MAX, config.batch_size);
-    mlagg.run_workload(&mut agg_wl, usize::MAX, config.batch_size);
+    kvs.run_workload(&mut kvs_wl, usize::MAX, config.inject_batch);
+    mlagg.run_workload(&mut agg_wl, usize::MAX, config.inject_batch);
 
     let modes: BTreeMap<String, ShardingMode> =
         handles.iter().map(|h| (h.user().to_string(), h.sharding_mode().clone())).collect();
@@ -116,10 +112,10 @@ pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, Cl
 pub struct OverloadConfig {
     /// Engine shard worker threads.
     pub shards: usize,
-    /// Packets per inject batch and per device-queue drain batch.  Larger
-    /// than `queue_capacity` by design, so every full-size inject overruns
-    /// the bound and the overload policy has to act.
-    pub batch_size: usize,
+    /// Packets the generator side hands the engine per inject.  Larger than
+    /// `queue_capacity` by design, so every full-size inject overruns the
+    /// bound and the overload policy has to act.
+    pub inject_batch: usize,
     /// Per-shard bound on in-flight packets.
     pub queue_capacity: usize,
     /// What the engine does at the bound.
@@ -140,7 +136,7 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
             shards: 2,
-            batch_size: 256,
+            inject_batch: 256,
             queue_capacity: 96,
             overload: OverloadPolicy::DropTail,
             hot_requests: 4000,
@@ -188,7 +184,6 @@ pub fn serve_overload_scenario(config: &OverloadConfig) -> Result<OverloadReport
     const HOT_RATE_PPS: f64 = 50_000_000.0;
     let service = house::service(EngineConfig {
         shards: config.shards,
-        batch_size: config.batch_size,
         queue_capacity: config.queue_capacity,
         overload: config.overload.clone(),
     })?;
@@ -206,8 +201,8 @@ pub fn serve_overload_scenario(config: &OverloadConfig) -> Result<OverloadReport
     );
     // the hot tenant floods the bounded queues; the background tenant rides
     // along in the same saturated engine
-    let hot_report = hot.run_workload(&mut hot_wl, usize::MAX, config.batch_size);
-    let bg_report = background.run_workload(&mut bg_wl, usize::MAX, config.batch_size);
+    let hot_report = hot.run_workload(&mut hot_wl, usize::MAX, config.inject_batch);
+    let bg_report = background.run_workload(&mut bg_wl, usize::MAX, config.inject_batch);
 
     let hot_mode = hot.sharding_mode().clone();
     let closed = house::finish(service, "hot_kvs", "bg_agg");
@@ -231,7 +226,7 @@ mod tests {
     fn small(shards: usize) -> ServingConfig {
         ServingConfig {
             shards,
-            batch_size: 32,
+            inject_batch: 32,
             kvs_requests: 600,
             agg_rounds: 60,
             ..Default::default()

@@ -58,8 +58,8 @@ fn victim_workload(numeric_id: i64, seed: u64) -> KvsWorkload {
 /// recovery invariants along the way.  `remove_and_balance` trades the final
 /// stores (wiped by removal) for the ledger-balance assertion.
 fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
-    let service = house::service(EngineConfig { shards: 2, batch_size: 32, ..Default::default() })
-        .expect("valid config");
+    let service =
+        house::service(EngineConfig { shards: 2, ..Default::default() }).expect("valid config");
     let handles = service
         .deploy_all(vec![
             ServiceRequest::builder("victim_kvs")

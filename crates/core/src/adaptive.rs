@@ -145,12 +145,7 @@ mod tests {
     fn service() -> ClickIncService {
         ClickIncService::with_config(
             Topology::emulation_topology_all_tofino(),
-            EngineConfig {
-                shards: 4,
-                batch_size: 16,
-                queue_capacity: 64,
-                overload: OverloadPolicy::DropTail,
-            },
+            EngineConfig { shards: 4, queue_capacity: 64, overload: OverloadPolicy::DropTail },
         )
         .expect("valid config")
     }

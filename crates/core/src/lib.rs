@@ -151,8 +151,8 @@ pub use controller::{Controller, Deployment, DeploymentPlan, PlanSummary};
 pub use error::ClickIncError;
 pub use planner::Planner;
 pub use policy::{
-    AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, FairShare, MaxTenants,
-    PolicyChain, PriorityAdmission, ResourceFloor,
+    AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, MaxTenants, PolicyChain,
+    ResourceFloor,
 };
 pub use request::{RequestError, ServiceRequest, ServiceRequestBuilder};
 pub use service::{

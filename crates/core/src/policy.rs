@@ -22,16 +22,14 @@ use std::fmt;
 
 /// What a policy sees when a plan asks to commit: the plan itself plus the
 /// controller-wide facts of the moment.  For a batch, each member is gated
-/// at *its own* commit — `active_tenants` and `remaining_ratio` already
-/// include the batch members committed before it.
+/// at *its own* commit — `active_tenants` already includes the batch
+/// members committed before it.
 #[derive(Clone, Copy)]
 pub struct AdmissionContext<'a> {
     /// The solved plan asking to commit.
     pub plan: &'a DeploymentPlan,
     /// Number of tenants currently deployed (not counting this plan).
     pub active_tenants: usize,
-    /// Network-wide remaining resource ratio *before* this plan commits.
-    pub remaining_ratio: f64,
 }
 
 /// The structured outcome of an admission check.
@@ -134,77 +132,6 @@ impl AdmissionPolicy for MaxTenants {
                 format!(
                     "{} tenant(s) already deployed, the cap is {}",
                     ctx.active_tenants, self.max_tenants
-                ),
-            )
-        } else {
-            AdmissionDecision::Admit
-        }
-    }
-}
-
-/// Cap the share of the network's *remaining* capacity a single commit may
-/// consume — the fair-share rule of a multi-tenant provider: no arrival,
-/// however legitimate, may swallow more than `max_fraction` of what is
-/// currently left for everyone.  The consumed share is measured as the drop
-/// from the pre-commit remaining ratio to the plan's predicted post-commit
-/// ratio.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FairShare {
-    /// Largest tolerated drop in the network-wide remaining resource ratio
-    /// for one commit, in `[0, 1]`.
-    pub max_fraction: f64,
-}
-
-impl AdmissionPolicy for FairShare {
-    fn name(&self) -> &str {
-        "fair_share"
-    }
-
-    fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let consumed = ctx.remaining_ratio - ctx.plan.predicted_remaining_ratio();
-        if consumed > self.max_fraction {
-            AdmissionDecision::reject(
-                self,
-                format!(
-                    "plan would consume {consumed:.4} of remaining capacity, above the \
-                     {:.4} fair-share cap",
-                    self.max_fraction
-                ),
-            )
-        } else {
-            AdmissionDecision::Admit
-        }
-    }
-}
-
-/// Under resource pressure, admit only high-priority tenants.  While the
-/// network-wide remaining ratio stays at or above `pressure_threshold` every
-/// priority is welcome; once it drops below, requests whose
-/// [`priority`](crate::ServiceRequest::priority) is under `min_priority` are
-/// turned away (and, through the service retry queue, re-tried when capacity
-/// frees up).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityAdmission {
-    /// Remaining-ratio level below which the priority gate engages.
-    pub pressure_threshold: f64,
-    /// Minimum request priority admitted while the gate is engaged.
-    pub min_priority: u8,
-}
-
-impl AdmissionPolicy for PriorityAdmission {
-    fn name(&self) -> &str {
-        "priority_admission"
-    }
-
-    fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let priority = ctx.plan.request().priority;
-        if ctx.remaining_ratio < self.pressure_threshold && priority < self.min_priority {
-            AdmissionDecision::reject(
-                self,
-                format!(
-                    "remaining ratio {:.4} is under the {:.4} pressure threshold and \
-                     priority {priority} is below the {} minimum",
-                    ctx.remaining_ratio, self.pressure_threshold, self.min_priority
                 ),
             )
         } else {
@@ -334,8 +261,8 @@ mod tests {
         (c, plan)
     }
 
-    fn ctx_of(plan: &DeploymentPlan, active: usize, remaining: f64) -> AdmissionContext<'_> {
-        AdmissionContext { plan, active_tenants: active, remaining_ratio: remaining }
+    fn ctx_of(plan: &DeploymentPlan, active: usize) -> AdmissionContext<'_> {
+        AdmissionContext { plan, active_tenants: active }
     }
 
     #[test]
@@ -343,9 +270,9 @@ mod tests {
         let (_c, plan) = planned();
         let predicted = plan.predicted_remaining_ratio();
         let lenient = ResourceFloor { min_remaining_ratio: predicted - 0.01 };
-        assert!(lenient.evaluate(&ctx_of(&plan, 0, 1.0)).is_admit());
+        assert!(lenient.evaluate(&ctx_of(&plan, 0)).is_admit());
         let strict = ResourceFloor { min_remaining_ratio: predicted + 0.01 };
-        match strict.evaluate(&ctx_of(&plan, 0, 1.0)) {
+        match strict.evaluate(&ctx_of(&plan, 0)) {
             AdmissionDecision::Reject { policy, reason } => {
                 assert_eq!(policy, "resource_floor");
                 assert!(reason.contains("floor"), "got: {reason}");
@@ -358,58 +285,18 @@ mod tests {
     fn max_tenants_counts_the_residents() {
         let (_c, plan) = planned();
         let cap = MaxTenants { max_tenants: 2 };
-        assert!(cap.evaluate(&ctx_of(&plan, 1, 1.0)).is_admit());
-        assert!(!cap.evaluate(&ctx_of(&plan, 2, 1.0)).is_admit());
-    }
-
-    #[test]
-    fn fair_share_caps_the_per_commit_capacity_drop() {
-        let (_c, plan) = planned();
-        let consumed = 1.0 - plan.predicted_remaining_ratio();
-        assert!(consumed > 0.0, "a real plan consumes something");
-        let lenient = FairShare { max_fraction: consumed + 0.01 };
-        assert!(lenient.evaluate(&ctx_of(&plan, 0, 1.0)).is_admit());
-        let strict = FairShare { max_fraction: consumed / 2.0 };
-        match strict.evaluate(&ctx_of(&plan, 0, 1.0)) {
-            AdmissionDecision::Reject { policy, reason } => {
-                assert_eq!(policy, "fair_share");
-                assert!(reason.contains("fair-share"), "got: {reason}");
-            }
-            AdmissionDecision::Admit => panic!("the strict cap must reject"),
-        }
-    }
-
-    #[test]
-    fn priority_admission_gates_only_under_pressure() {
-        let (_c, plan) = planned(); // priority 0 request
-        let gate = PriorityAdmission { pressure_threshold: 0.5, min_priority: 3 };
-        // no pressure: every priority admitted
-        assert!(gate.evaluate(&ctx_of(&plan, 0, 0.9)).is_admit());
-        // under pressure: priority 0 < 3 rejected
-        match gate.evaluate(&ctx_of(&plan, 0, 0.2)) {
-            AdmissionDecision::Reject { policy, reason } => {
-                assert_eq!(policy, "priority_admission");
-                assert!(reason.contains("pressure"), "got: {reason}");
-            }
-            AdmissionDecision::Admit => panic!("low priority under pressure must reject"),
-        }
-        // under pressure but important enough: admitted
-        let (c, _old) = planned();
-        let t = kvs_template("vip", KvsParams { cache_depth: 1000, ..Default::default() });
-        let vip = c
-            .plan(&ServiceRequest::from_template(t, &["pod0a"], "pod2b").with_priority(5))
-            .expect("plans");
-        assert!(gate.evaluate(&ctx_of(&vip, 0, 0.2)).is_admit());
+        assert!(cap.evaluate(&ctx_of(&plan, 1)).is_admit());
+        assert!(!cap.evaluate(&ctx_of(&plan, 2)).is_admit());
     }
 
     #[test]
     fn device_denylist_matches_plan_devices() {
         let (_c, plan) = planned();
         let free = DeviceDenylist::new(["not-a-device"]);
-        assert!(free.evaluate(&ctx_of(&plan, 0, 1.0)).is_admit());
+        assert!(free.evaluate(&ctx_of(&plan, 0)).is_admit());
         let first_device = plan.devices().first().cloned().expect("plan occupies devices");
         let carved = DeviceDenylist::new([first_device.clone()]);
-        match carved.evaluate(&ctx_of(&plan, 0, 1.0)) {
+        match carved.evaluate(&ctx_of(&plan, 0)) {
             AdmissionDecision::Reject { policy, reason } => {
                 assert_eq!(policy, "device_denylist");
                 assert!(reason.contains(&first_device));
@@ -421,7 +308,7 @@ mod tests {
         let physical =
             plan.physical_devices().first().cloned().expect("plan occupies physical devices");
         let failed = DeviceDenylist::new([physical.clone()]);
-        match failed.evaluate(&ctx_of(&plan, 0, 1.0)) {
+        match failed.evaluate(&ctx_of(&plan, 0)) {
             AdmissionDecision::Reject { policy, reason } => {
                 assert_eq!(policy, "device_denylist");
                 assert!(reason.contains(&physical), "got: {reason}");
@@ -433,12 +320,12 @@ mod tests {
     #[test]
     fn chains_admit_all_or_surface_the_first_rejection() {
         let (_c, plan) = planned();
-        assert!(PolicyChain::new().evaluate(&ctx_of(&plan, 5, 0.1)).is_admit(), "empty = open");
+        assert!(PolicyChain::new().evaluate(&ctx_of(&plan, 5)).is_admit(), "empty = open");
         let chain = PolicyChain::new()
             .with(MaxTenants { max_tenants: 10 })
             .with(ResourceFloor { min_remaining_ratio: 2.0 }) // impossible: always rejects
             .with(MaxTenants { max_tenants: 0 }); // would also reject, but never runs
-        match chain.evaluate(&ctx_of(&plan, 0, 1.0)) {
+        match chain.evaluate(&ctx_of(&plan, 0)) {
             AdmissionDecision::Reject { policy, .. } => {
                 assert_eq!(policy, "resource_floor", "first rejection wins");
             }

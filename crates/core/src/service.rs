@@ -163,11 +163,8 @@ impl ServiceState {
             Gate::ServiceAnd(extra) => [Some(&self.policy), Some(extra)],
             Gate::Bypass => [None, None],
         };
-        let ctx = AdmissionContext {
-            plan: &plan,
-            active_tenants: self.controller.active_users().len(),
-            remaining_ratio: self.controller.remaining_resource_ratio(),
-        };
+        let ctx =
+            AdmissionContext { plan: &plan, active_tenants: self.controller.active_users().len() };
         let refusal =
             chains.into_iter().flatten().map(|chain| chain.evaluate(&ctx)).find(|d| !d.is_admit());
         if let Some(AdmissionDecision::Reject { policy, reason }) = refusal {
@@ -806,7 +803,7 @@ mod tests {
     fn service() -> ClickIncService {
         ClickIncService::with_config(
             Topology::emulation_topology_all_tofino(),
-            EngineConfig { shards: 2, batch_size: 32, ..Default::default() },
+            EngineConfig { shards: 2, ..Default::default() },
         )
         .expect("valid config")
     }

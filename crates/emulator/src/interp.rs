@@ -6,7 +6,7 @@ use crate::vm::{self, CompiledImage, ExecMode, RegFile, VmCtx};
 use clickinc_device::DeviceModel;
 use clickinc_ir::eval::{alu, compare};
 use clickinc_ir::{Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What happens to the packet after the device processed it.
@@ -137,59 +137,31 @@ impl DevicePlane {
     }
 
     /// Remove every snippet owned by `owner` (matched against the snippet's
-    /// program name) and drop the stateful objects no remaining snippet
-    /// declares.  Other tenants' snippets and state are untouched — this is
-    /// the per-tenant quiesce primitive behind live reconfiguration.
+    /// program name) and move out the stateful objects no remaining snippet
+    /// declares (declarations and contents).  Other tenants' snippets and
+    /// state are untouched — this is the per-tenant quiesce primitive behind
+    /// live reconfiguration: a removal drops the returned store, a live
+    /// reshard re-seeds it wherever the new sharding mode hosts the tenant.
     ///
-    /// Returns `true` if at least one snippet was removed.
-    pub fn uninstall(&mut self, owner: &str) -> bool {
+    /// Returns `None` if `owner` had no snippet installed.
+    pub fn uninstall(&mut self, owner: &str) -> Option<ObjectStore> {
         let (removed, kept): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.snippets).into_iter().partition(|s| s.name == owner);
         self.snippets = kept;
         if removed.is_empty() {
-            return false;
+            return None;
         }
+        let mut moved = ObjectStore::new();
         for obj in removed.iter().flat_map(|s| s.objects.iter()) {
             let still_declared =
                 self.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == obj.name));
             if !still_declared {
-                self.store.remove_object(&obj.name);
+                self.store.remove_object(&obj.name, &mut moved);
                 self.object_kinds.remove(&obj.name);
             }
         }
         self.recompile();
-        true
-    }
-
-    /// [`DevicePlane::uninstall`], but hand back the departing tenant's
-    /// exclusively-declared stateful objects (declarations and contents)
-    /// instead of dropping them.  This is the extraction half of a live
-    /// reshard: the runtime quiesces the tenant on this shard, pulls its
-    /// state out here, and re-seeds it wherever the new sharding mode hosts
-    /// the tenant.  Objects another resident still declares are left in
-    /// place (and not extracted), exactly like plain `uninstall`.
-    ///
-    /// Returns `None` if `owner` had no snippet installed.
-    pub fn uninstall_extract(&mut self, owner: &str) -> Option<ObjectStore> {
-        let mut owned = false;
-        let mut exclusive: BTreeSet<&str> = BTreeSet::new();
-        for snippet in &self.snippets {
-            if snippet.name == owner {
-                owned = true;
-                exclusive.extend(snippet.objects.iter().map(|o| o.name.as_str()));
-            }
-        }
-        if !owned {
-            return None;
-        }
-        for snippet in self.snippets.iter().filter(|s| s.name != owner) {
-            for obj in &snippet.objects {
-                exclusive.remove(obj.name.as_str());
-            }
-        }
-        let extracted = self.store.clone_subset(|name| exclusive.contains(name));
-        self.uninstall(owner);
-        Some(extracted)
+        Some(moved)
     }
 
     /// Whether any snippet is installed.
@@ -722,39 +694,19 @@ mod tests {
         plane.process(&mut pkt);
         assert!(plane.store().sketch_estimate("mem", &Value::Int(9)) >= 1, "cms counted");
 
-        assert!(plane.uninstall("kvs"));
-        assert!(!plane.uninstall("kvs"), "second removal is a no-op");
+        assert!(plane.uninstall("nobody").is_none());
+        let moved = plane.uninstall("kvs").expect("kvs was installed");
+        assert!(plane.uninstall("kvs").is_none(), "second removal is a no-op");
         assert_eq!(plane.installed_programs(), vec!["mon"]);
-        assert!(!plane.store().contains("cache"), "kvs state dropped");
+        assert!(!plane.store().contains("cache"), "kvs state left the plane");
         assert!(plane.store().contains("mem"), "other tenant's state survives");
+        // the returned store carries the kvs objects with their contents
+        assert_eq!(moved.table_get("cache", &[Value::Int(4)]), Value::Int(44));
+        assert!(!moved.contains("mem"), "co-resident state is not moved out");
         // the surviving snippet still executes
         let mut pkt = kvs_request("c", "s", 0, 9);
         let outcome = plane.process(&mut pkt);
         assert_eq!(outcome.action, PacketAction::Forward);
         assert!(plane.store().sketch_estimate("mem", &Value::Int(9)) >= 2);
-    }
-
-    #[test]
-    fn uninstall_extract_hands_back_exactly_the_owners_state() {
-        let kvs = kvs_template("kvs", KvsParams { cache_depth: 64, ..Default::default() });
-        let cms = count_min_sketch("mon", 3, 128);
-        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
-        plane.install(compile_source("kvs", &kvs.source).unwrap());
-        plane.install(compile_source("mon", &cms.source).unwrap());
-        plane.store_mut().table_write("cache", &[Value::Int(4)], vec![Value::Int(44)]);
-        let mut pkt = kvs_request("c", "s", 0, 9);
-        plane.process(&mut pkt);
-
-        assert!(plane.uninstall_extract("nobody").is_none());
-        let extracted = plane.uninstall_extract("kvs").expect("kvs was installed");
-        assert_eq!(plane.installed_programs(), vec!["mon"]);
-        assert!(!plane.store().contains("cache"), "kvs state left the plane");
-        assert!(plane.store().contains("mem"), "co-resident state survives");
-        // the extracted store carries the kvs objects with their contents
-        assert!(extracted.contains("cache"));
-        assert_eq!(extracted.table_get("cache", &[Value::Int(4)]), Value::Int(44));
-        assert!(!extracted.contains("mem"), "co-resident state is not extracted");
-        // second extraction is a no-op
-        assert!(plane.uninstall_extract("kvs").is_none());
     }
 }

@@ -330,41 +330,29 @@ impl ObjectStore {
         }
     }
 
-    /// Remove an object and its contents entirely (tenant teardown).  Returns
-    /// whether the object existed.  The slot is tombstoned, never reused, so
-    /// surviving objects keep their compiled slot indices.
-    pub fn remove_object(&mut self, name: &str) -> bool {
-        match self.names.remove(name) {
-            Some(slot) => {
-                self.slots[slot] = None;
-                true
-            }
-            None => false,
+    /// Remove an object from this store (tenant teardown), moving its
+    /// declaration and contents into `into` — the extraction half of a live
+    /// reshard; a plain removal drops `into`.  Returns whether the object
+    /// existed.  The slot is tombstoned, never reused, so surviving objects
+    /// keep their compiled slot indices.
+    pub fn remove_object(&mut self, name: &str, into: &mut ObjectStore) -> bool {
+        let Some((name, slot)) = self.names.remove_entry(name) else { return false };
+        if let Some(state) = self.slots[slot].take() {
+            into.names.insert(name, into.slots.len());
+            into.slots.push(Some(state));
         }
-    }
-
-    /// Merge another store into this one.  Objects only present in `other`
-    /// are copied over; objects present in both keep this store's contents.
-    /// Tenant isolation renames every object with the owner's prefix, so
-    /// stores partitioned by tenant have disjoint object names and this union
-    /// reconstructs exactly the state a single shared store would hold.
-    pub fn merge_from(&mut self, other: &ObjectStore) {
-        for (name, &slot) in &other.names {
-            let Some(state) = &other.slots[slot] else { continue };
-            if !self.names.contains_key(name) {
-                self.names.insert(name.clone(), self.slots.len());
-                self.slots.push(Some(state.clone()));
-            }
-        }
+        true
     }
 
     /// Merge another *shard's* store into this one, distinguishing
     /// tenant-partitioned from flow-partitioned objects.
     ///
-    /// Objects for which `flow_partitioned` returns `false` behave like
-    /// [`merge_from`](ObjectStore::merge_from): tenant isolation makes them
-    /// disjoint across shards, so first-copy-wins reconstructs the shared
-    /// store.  Objects reported as flow-partitioned exist on *every* shard
+    /// Objects for which `flow_partitioned` returns `false` are copied over
+    /// when only `other` holds them and keep this store's contents otherwise:
+    /// tenant isolation renames every object with the owner's prefix, so
+    /// stores partitioned by tenant have disjoint object names and
+    /// first-copy-wins reconstructs exactly the state a single shared store
+    /// would hold.  Objects reported as flow-partitioned exist on *every* shard
     /// (the runtime replicates a flow-sharded tenant's program) and hold a
     /// flow partition of the same logical state, so they are recombined
     /// structurally:
@@ -402,22 +390,6 @@ impl ObjectStore {
                 Some(_) => {}
             }
         }
-    }
-
-    /// Clone the objects selected by `keep` (declarations *and* contents)
-    /// into a fresh store.  Tenant isolation renames every object with its
-    /// owner's prefix, so a per-tenant predicate extracts exactly one
-    /// tenant's state — the extraction half of a live reshard.
-    pub fn clone_subset(&self, keep: impl Fn(&str) -> bool) -> ObjectStore {
-        let mut subset = ObjectStore::new();
-        for (name, &slot) in &self.names {
-            let Some(state) = &self.slots[slot] else { continue };
-            if keep(name) {
-                subset.names.insert(name.clone(), subset.slots.len());
-                subset.slots.push(Some(state.clone()));
-            }
-        }
-        subset
     }
 
     /// Deduct `copies` replicas of a baseline store from this one, for the
@@ -697,8 +669,8 @@ mod tests {
         shared.array_write("t2_a", 0, 5, 9);
 
         let mut merged = ObjectStore::new();
-        merged.merge_from(&a);
-        merged.merge_from(&b);
+        merged.merge_shard_from(&a, |_| false);
+        merged.merge_shard_from(&b, |_| false);
         assert_eq!(merged.fingerprint(), shared.fingerprint());
         assert_ne!(a.fingerprint(), b.fingerprint());
         // fingerprints react to content changes
@@ -780,10 +752,10 @@ mod tests {
         baseline.sketch_count("t_cms", &Value::Int(1), 3);
         baseline.sketch_count("t_bf", &Value::Int(1), 1);
 
-        // each shard replica starts from the full baseline (clone_subset of
-        // everything), then accumulates its own flow partition
-        let mut shard0 = baseline.clone_subset(|_| true);
-        let mut shard1 = baseline.clone_subset(|_| true);
+        // each shard replica starts from the full baseline, then accumulates
+        // its own flow partition
+        let mut shard0 = baseline.clone();
+        let mut shard1 = baseline.clone();
         shard0.array_add("t_hits", 0, 1, 2); // same cell as the baseline
         shard1.array_add("t_hits", 0, 7, 4); // fresh cell
         shard0.sketch_count("t_cms", &Value::Int(1), 1);
@@ -791,7 +763,7 @@ mod tests {
         shard1.sketch_count("t_bf", &Value::Int(2), 1);
 
         // the unsharded reference: baseline plus both shards' deltas once
-        let mut shared = baseline.clone_subset(|_| true);
+        let mut shared = baseline.clone();
         shared.array_add("t_hits", 0, 1, 2);
         shared.array_add("t_hits", 0, 7, 4);
         shared.sketch_count("t_cms", &Value::Int(1), 1);
@@ -811,32 +783,27 @@ mod tests {
     }
 
     #[test]
-    fn clone_subset_extracts_declarations_and_contents() {
+    fn remove_object_drops_state() {
         let array = ObjectKind::Array { rows: 1, size: 8, width: 32 };
         let mut s = ObjectStore::new();
         s.declare(&ObjectDecl::new("t1_a", array.clone()));
         s.declare(&ObjectDecl::new("t2_a", array.clone()));
         s.array_write("t1_a", 0, 2, 9);
         s.array_write("t2_a", 0, 2, 4);
-        let subset = s.clone_subset(|name| name.starts_with("t1_"));
-        assert!(subset.contains("t1_a"));
-        assert!(!subset.contains("t2_a"));
-        assert_eq!(subset.array_read("t1_a", 0, 2), 9);
-        // equal to a store that only ever held t1's object
+        let mut moved = ObjectStore::new();
+        assert!(s.remove_object("t1_a", &mut moved));
+        assert!(!s.remove_object("t1_a", &mut moved));
+        assert!(!s.contains("t1_a"));
+        assert_eq!(s.array_read("t1_a", 0, 2), 0);
+        assert_eq!(s.array_read("t2_a", 0, 2), 4, "the other object stays");
+        // the declaration and contents moved: equal to a store that only
+        // ever held t1's object
+        assert!(moved.contains("t1_a") && !moved.contains("t2_a"));
+        assert_eq!(moved.array_read("t1_a", 0, 2), 9);
         let mut reference = ObjectStore::new();
         reference.declare(&ObjectDecl::new("t1_a", array));
         reference.array_write("t1_a", 0, 2, 9);
-        assert_eq!(subset.fingerprint(), reference.fingerprint());
-    }
-
-    #[test]
-    fn remove_object_drops_state() {
-        let mut s = store_with("a", ObjectKind::Array { rows: 1, size: 4, width: 32 });
-        s.array_write("a", 0, 1, 5);
-        assert!(s.remove_object("a"));
-        assert!(!s.remove_object("a"));
-        assert!(!s.contains("a"));
-        assert_eq!(s.array_read("a", 0, 1), 0);
+        assert_eq!(moved.fingerprint(), reference.fingerprint());
     }
 
     #[test]
@@ -859,7 +826,7 @@ mod tests {
         s.declare(&ObjectDecl::new("b", array.clone()));
         let slot_b = s.slot_of("b").unwrap();
         s.array_write_slot(slot_b, 0, 2, 11);
-        s.remove_object("a");
+        s.remove_object("a", &mut ObjectStore::new());
         assert_eq!(s.slot_of("b"), Some(slot_b), "tombstoning `a` must not move `b`");
         assert_eq!(s.array_read_slot(slot_b, 0, 2), 11);
         assert_eq!(s.slot_of("a"), None);

@@ -98,8 +98,6 @@ pub enum OverloadPolicy {
 pub struct EngineConfig {
     /// Number of shard worker threads (≥ 1).
     pub shards: usize,
-    /// Packets processed per device-queue batch (≥ 1).
-    pub batch_size: usize,
     /// Per-shard bound on in-flight packets (≥ 1).  Injections beyond it are
     /// governed by `overload`.
     pub queue_capacity: usize,
@@ -109,26 +107,17 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            shards: 4,
-            batch_size: 256,
-            queue_capacity: 65_536,
-            overload: OverloadPolicy::DropTail,
-        }
+        EngineConfig { shards: 4, queue_capacity: 65_536, overload: OverloadPolicy::DropTail }
     }
 }
 
 impl EngineConfig {
-    /// Check the sizing knobs: `shards`, `batch_size`, `queue_capacity` and
-    /// the backpressure credit budget must all be at least 1, otherwise the
-    /// worker-spawn, queue-drain and admission paths would be handed
-    /// degenerate values.
+    /// Check the sizing knobs: `shards`, `queue_capacity` and the
+    /// backpressure credit budget must all be at least 1, otherwise the
+    /// worker-spawn and admission paths would be handed degenerate values.
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.shards == 0 {
             return Err(EngineError::InvalidConfig { field: "shards", value: 0, minimum: 1 });
-        }
-        if self.batch_size == 0 {
-            return Err(EngineError::InvalidConfig { field: "batch_size", value: 0, minimum: 1 });
         }
         if self.queue_capacity == 0 {
             return Err(EngineError::InvalidConfig {
@@ -410,9 +399,9 @@ impl EngineHandle {
     /// The protocol rides the FIFO control/traffic channels, so no explicit
     /// barrier is needed:
     ///
-    /// 1. **Quiesce + extract** — every hosting shard drains the tenant's
+    /// 1. **Quiesce + extract** — every hosting shard serves the tenant's
     ///    queued traffic, uninstalls its snippets and ships back its
-    ///    exclusively-owned state ([`ShardMsg::ExtractTenant`]).
+    ///    exclusively-owned state ([`ShardMsg::RemoveTenant`] with a reply).
     /// 2. **Reconcile** — the per-shard partials merge additively
     ///    (`merge_shard_from`); if a previous reshard had replicated a
     ///    baseline onto every shard, `shards − 1` copies are deducted so the
@@ -443,9 +432,9 @@ impl EngineHandle {
         }
         let shards = self.shards();
         // 1. quiesce + extract on every hosting shard
-        let extracted = self.ask(old.hosting(shards), |ack| ShardMsg::ExtractTenant {
+        let extracted = self.ask(old.hosting(shards), |ack| ShardMsg::RemoveTenant {
             user: user.to_string(),
-            ack,
+            ack: Some(ack),
         });
         let mut merged: BTreeMap<String, ObjectStore> = BTreeMap::new();
         for (device, store) in extracted.into_iter().flatten() {
@@ -513,8 +502,8 @@ impl EngineHandle {
     pub fn remove_tenant(&self, user: &str) {
         let Some(route) = self.state().tenants.remove(user) else { return };
         for shard in route.hosting(self.shards()) {
-            let _ =
-                self.shared.senders[shard].send(ShardMsg::RemoveTenant { user: user.to_string() });
+            let _ = self.shared.senders[shard]
+                .send(ShardMsg::RemoveTenant { user: user.to_string(), ack: None });
         }
     }
 
@@ -770,7 +759,8 @@ impl EngineHandle {
         }
     }
 
-    /// Barrier: returns once every shard has drained its queues.
+    /// Barrier: returns once every shard has served everything injected
+    /// before the call.
     pub fn flush(&self) {
         self.ask(0..self.shards(), ShardMsg::Flush);
     }
@@ -818,7 +808,7 @@ impl RunOutcome {
     }
 }
 
-/// The sharded, batched traffic engine.
+/// The sharded traffic engine.
 pub struct TrafficEngine {
     handle: EngineHandle,
     workers: Vec<JoinHandle<()>>,
@@ -832,10 +822,9 @@ impl TrafficEngine {
         Ok(TrafficEngine::new(config))
     }
 
-    /// Spawn `config.shards` worker threads.  `shards`, `batch_size`,
-    /// `queue_capacity` and the backpressure credits are clamped to their
-    /// documented minimum of 1; use [`TrafficEngine::try_new`] to reject
-    /// such configs instead.
+    /// Spawn `config.shards` worker threads.  `shards`, `queue_capacity` and
+    /// the backpressure credits are clamped to their documented minimum of
+    /// 1; use [`TrafficEngine::try_new`] to reject such configs instead.
     pub fn new(config: EngineConfig) -> TrafficEngine {
         let shards = config.shards.max(1);
         let mut senders = Vec::with_capacity(shards);
@@ -843,11 +832,10 @@ impl TrafficEngine {
         let mut depths = Vec::with_capacity(shards);
         for _ in 0..shards {
             let (tx, rx) = channel::<ShardMsg>();
-            let batch = config.batch_size;
             let depth = Arc::new(AtomicU64::new(0));
             senders.push(tx);
             depths.push(Arc::clone(&depth));
-            workers.push(std::thread::spawn(move || ShardWorker::run(rx, batch, depth)));
+            workers.push(std::thread::spawn(move || ShardWorker::run(rx, depth)));
         }
         let overload = match config.overload {
             OverloadPolicy::Backpressure { credits } => {
@@ -937,7 +925,6 @@ mod tests {
             };
         };
         reject(EngineConfig { shards: 0, ..Default::default() }, "shards");
-        reject(EngineConfig { batch_size: 0, ..Default::default() }, "batch_size");
         reject(EngineConfig { queue_capacity: 0, ..Default::default() }, "queue_capacity");
         reject(
             EngineConfig {

@@ -2,7 +2,7 @@
 //!
 //! The controller (`clickinc`) answers *where programs run*; this crate
 //! answers *how traffic reaches them at scale*.  It replaces the
-//! single-threaded scenario loop with a sharded, batched traffic engine:
+//! single-threaded scenario loop with a sharded traffic engine:
 //!
 //! * **Sharded execution** — [`engine::TrafficEngine`] partitions traffic
 //!   across worker threads by a stable hash: of the tenant id
@@ -10,8 +10,8 @@
 //!   tenants, of the per-packet flow key ([`ShardingMode::ByFlow`] — the
 //!   tenant's program is replicated on every shard and a single hot tenant
 //!   scales past one core).  Each shard owns private replicas of the device
-//!   planes its residents traverse and drains per-device ingress queues
-//!   round-robin in configurable batches ([`shard`]).  Tenant isolation
+//!   planes its residents traverse and runs every admitted packet to
+//!   completion along its tenant's route ([`shard`]).  Tenant isolation
 //!   (renamed objects + user-id guards) makes the partition semantically
 //!   equivalent to one shared store: the union of shard stores equals the
 //!   unsharded store, and per-tenant results are invariant in the shard
@@ -51,7 +51,7 @@
 //! use clickinc_runtime::{EngineConfig, ShardingMode, TrafficEngine};
 //! use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
 //!
-//! let engine = TrafficEngine::new(EngineConfig { shards: 2, batch_size: 64, ..Default::default() });
+//! let engine = TrafficEngine::new(EngineConfig { shards: 2, ..Default::default() });
 //! let handle = engine.handle();
 //! // no hops: pure pass-through; flow-sharded across both workers
 //! handle.add_tenant_sharded("t1", Vec::new(), ShardingMode::ByFlow { key_fields: Vec::new() });

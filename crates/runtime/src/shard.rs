@@ -1,5 +1,5 @@
-//! Shard workers: each owns a partition of the data-plane state and drains
-//! per-device ingress queues in batches.
+//! Shard workers: each owns a partition of the data-plane state and runs
+//! every admitted packet to completion along its tenant's route.
 //!
 //! The engine partitions traffic across shards by a stable hash — of the
 //! tenant id for [`ShardingMode::ByTenant`] tenants, of the per-packet flow
@@ -16,22 +16,31 @@
 //! given state cell carries the same flow key and therefore lands on the
 //! same shard.
 //!
+//! A shard is a loop, not a scheduler: an `Inject` is one tenant's burst in
+//! stream order, and each of its packets walks the tenant's route hop by hop
+//! — fault check, link bytes, the device's program — until a device bounces
+//! or drops it, a fault loses it, or it reaches the server.  Nothing is
+//! parked between hops: every device sees the packets in stream order, which
+//! is all a per-device store or a (sum / min / max) counter can observe, so
+//! results do not depend on how a stream is cut into bursts.
+//!
 //! Control messages (tenant add/remove, table writes, flush) travel on the
-//! same FIFO channel as traffic batches, so a reconfiguration is naturally
-//! quiesced: by the time a `RemoveTenant` is handled, every batch injected
-//! before it has fully drained, and the removal touches only the departing
-//! tenant's snippets and tables ([`DevicePlane::uninstall`]).  A worker
-//! holds only what it needs to run a resident (its route and counter block);
-//! the tenant's one authoritative record lives in the engine, which tells
-//! every hosting shard when it is removed.  Planes run the emulator's
+//! same FIFO channel as traffic bursts, so a reconfiguration is naturally
+//! quiesced: by the time a `RemoveTenant` is handled, every burst injected
+//! before it has run to completion, and the removal touches only the
+//! departing tenant's snippets and tables ([`DevicePlane::uninstall`]).  A
+//! worker holds only what it needs to run a resident (its route and counter
+//! block); the tenant's one authoritative record lives in the engine, which
+//! tells every hosting shard when it is removed.  Planes run the emulator's
 //! default tier, the compiled register VM.
 //!
 //! Device names stop at the message boundary.  A control message that names
 //! a device (`AddTenant`, `SetDeviceHealth`) interns it to a dense
-//! [`DeviceId`]; planes, ingress queues and health live in vectors indexed by
-//! it, a tenant's route is an `Arc<[DeviceId]>`, and the drain cursor holds
-//! ids — so moving a packet to its next hop compares and clones no string,
-//! and each packet is processed in place in its [`Job`].
+//! [`DeviceId`]; planes and health live in vectors indexed by it and a
+//! tenant's route is a list of ids — so moving a packet to its next hop
+//! compares and clones no string, and a burst borrows its tenant's route and
+//! counter block instead of handing every packet a reference-counted copy.
+//! The only buffer is the worker's own, reused from burst to burst.
 //!
 //! [`ShardingMode::ByTenant`]: crate::tenant::ShardingMode::ByTenant
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
@@ -41,7 +50,7 @@ use crate::telemetry::TenantCounters;
 use crate::tenant::TenantHop;
 use clickinc_emulator::{DevicePlane, Fnv, ObjectStore, Packet, PacketAction};
 use clickinc_ir::Value;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -50,19 +59,9 @@ use std::sync::Arc;
 /// message names it.
 type DeviceId = usize;
 
-/// A packet in flight inside a shard, with its route and accumulated clock.
-struct Job {
-    counters: Arc<TenantCounters>,
-    route: Arc<[DeviceId]>,
-    hop: usize,
-    vtime_ns: u64,
-    latency_ns: f64,
-    packet: Packet,
-}
-
 /// A tenant resident on a shard.
 struct TenantState {
-    route: Arc<[DeviceId]>,
+    route: Vec<DeviceId>,
     counters: Arc<TenantCounters>,
 }
 
@@ -73,19 +72,18 @@ pub(crate) enum ShardMsg {
     /// Flow-sharded tenants are installed on every shard, each with its own
     /// counter block.
     AddTenant { user: String, hops: Vec<TenantHop>, counters: Arc<TenantCounters> },
-    /// Quiesce and remove a tenant's snippets and state.
-    RemoveTenant { user: String },
-    /// Quiesce a tenant, remove its snippets, and ship back its
-    /// exclusively-owned state per device — the extraction half of a live
-    /// reshard.  The FIFO channel guarantees every batch injected before
-    /// this message has fully drained first.
-    ExtractTenant { user: String, ack: Sender<BTreeMap<String, ObjectStore>> },
+    /// Quiesce a tenant and remove its snippets and exclusively-owned state,
+    /// per device.  With an `ack` the state is shipped back instead of
+    /// dropped — the extraction half of a live reshard.  The FIFO channel
+    /// guarantees every burst injected before this message has run to
+    /// completion first.
+    RemoveTenant { user: String, ack: Option<Sender<BTreeMap<String, ObjectStore>>> },
     /// Merge extracted state into one device replica's store — the seeding
     /// half of a live reshard.  Ordered after the `AddTenant` that
     /// re-installed the tenant (same FIFO channel), so the objects are
     /// already declared; the merge is additive/idempotent per object kind.
     SeedState { device: String, store: ObjectStore },
-    /// A batch of packets for one tenant, in stream order, already admitted
+    /// A burst of packets for one tenant, in stream order, already admitted
     /// against the shard's bounded ingress queue.
     Inject { user: Arc<str>, jobs: Vec<(u64, Packet)> },
     /// Control-plane table write (e.g. pre-populating a KVS cache).
@@ -95,9 +93,9 @@ pub(crate) enum ShardMsg {
     /// fraction, `Degraded` ones scale their latency.  Ordered on the FIFO
     /// channel like every other control message.
     SetDeviceHealth { device: String, health: DeviceHealth },
-    /// Barrier: acknowledge once every queued packet has drained.
+    /// Barrier: acknowledged once every burst ahead of it has been served.
     Flush(Sender<()>),
-    /// Drain, ship the final planes back, and exit.
+    /// Ship the final planes back and exit.
     Stop(Sender<ShardFinal>),
 }
 
@@ -109,60 +107,59 @@ pub(crate) struct ShardFinal {
 
 /// The worker loop: owned by one OS thread per shard.
 pub(crate) struct ShardWorker {
-    batch_size: usize,
     tenants: BTreeMap<String, TenantState>,
-    /// Device name → id; `device_names`, `planes`, `queues` and
-    /// `device_health` are indexed by the id and grow together in `intern`.
+    /// Device name → id; `device_names`, `planes` and `device_health` are
+    /// indexed by the id and grow together in `intern`.
     device_ids: BTreeMap<String, DeviceId>,
     device_names: Vec<String>,
     /// The shard's replica of each device (`None` until a tenant routes
     /// through it).
     planes: Vec<Option<DevicePlane>>,
-    queues: Vec<VecDeque<Job>>,
-    /// Injected device faults in effect.  Applied in `pump` before the
+    /// Injected device faults in effect.  Applied in `inject` before the
     /// device processes a packet.
     device_health: Vec<DeviceHealth>,
-    /// Devices with queued jobs, drained round-robin.  May transiently hold
-    /// a duplicate entry (skipped on pop when its queue is already empty);
-    /// batch selection stays O(1) amortized either way.
-    active: VecDeque<DeviceId>,
     /// In-flight packet count shared with the engine's admission control:
     /// the injector increments it per admitted packet, this worker
     /// decrements it as packets reach a terminal outcome.
     depth: Arc<AtomicU64>,
+    /// The burst being served, in a buffer the worker reuses.  `inject` moves
+    /// the packets here so the message's own buffer goes back to the
+    /// allocator before the first packet runs, not after the last: a large
+    /// free is where the allocator consolidates and trims its heap, and with
+    /// the burst's packets still live the pages stay mapped for whoever
+    /// generates the next burst (freed last, the benchmark's `kvs_serve`
+    /// takes 8× the page faults and 26 % longer to set a block up).
+    burst: Vec<(u64, Packet)>,
 }
 
 impl ShardWorker {
-    pub(crate) fn run(rx: Receiver<ShardMsg>, batch_size: usize, depth: Arc<AtomicU64>) {
+    pub(crate) fn run(rx: Receiver<ShardMsg>, depth: Arc<AtomicU64>) {
         let mut worker = ShardWorker {
-            batch_size: batch_size.max(1),
             tenants: BTreeMap::new(),
             device_ids: BTreeMap::new(),
             device_names: Vec::new(),
             planes: Vec::new(),
-            queues: Vec::new(),
             device_health: Vec::new(),
-            active: VecDeque::new(),
             depth,
+            burst: Vec::new(),
         };
         while let Ok(msg) = rx.recv() {
             match msg {
                 ShardMsg::AddTenant { user, hops, counters } => {
                     worker.add_tenant(user, hops, counters)
                 }
-                ShardMsg::RemoveTenant { user } => worker.remove_tenant(&user),
-                ShardMsg::ExtractTenant { user, ack } => {
-                    let _ = ack.send(worker.extract_tenant(&user));
+                ShardMsg::RemoveTenant { user, ack } => {
+                    let extracted = worker.remove_tenant(&user);
+                    if let Some(ack) = ack {
+                        let _ = ack.send(extracted);
+                    }
                 }
                 ShardMsg::SeedState { device, store } => {
                     if let Some(plane) = worker.plane_mut(&device) {
                         plane.store_mut().merge_shard_from(&store, |_| true);
                     }
                 }
-                ShardMsg::Inject { user, jobs } => {
-                    worker.inject(&user, jobs);
-                    worker.pump();
-                }
+                ShardMsg::Inject { user, jobs } => worker.inject(&user, jobs),
                 ShardMsg::TableWrite { device, table, key, value } => {
                     if let Some(plane) = worker.plane_mut(&device) {
                         plane.store_mut().table_write(&table, &key, value);
@@ -175,11 +172,9 @@ impl ShardWorker {
                     worker.device_health[id] = health;
                 }
                 ShardMsg::Flush(ack) => {
-                    worker.pump();
                     let _ = ack.send(());
                 }
                 ShardMsg::Stop(ack) => {
-                    worker.pump();
                     let planes = std::mem::take(&mut worker.planes)
                         .into_iter()
                         .flatten()
@@ -201,7 +196,6 @@ impl ShardWorker {
         self.device_ids.insert(device.to_string(), id);
         self.device_names.push(device.to_string());
         self.planes.push(None);
-        self.queues.push(VecDeque::new());
         self.device_health.push(DeviceHealth::Up);
         id
     }
@@ -224,185 +218,117 @@ impl ShardWorker {
             }
             route.push(id);
         }
-        self.tenants.insert(user, TenantState { route: route.into(), counters });
+        self.tenants.insert(user, TenantState { route, counters });
     }
 
-    fn remove_tenant(&mut self, user: &str) {
-        // the FIFO channel already quiesced this tenant's traffic; drop its
-        // snippets and exclusively-owned state, leaving co-resident tenants'
-        // tables untouched
-        let Some(state) = self.tenants.remove(user) else { return };
-        for &device in state.route.iter() {
-            if let Some(plane) = &mut self.planes[device] {
-                plane.uninstall(user);
-            }
-        }
-    }
-
-    /// Remove a tenant like [`ShardWorker::remove_tenant`], but extract its
-    /// exclusively-owned per-device state instead of dropping it.
-    fn extract_tenant(&mut self, user: &str) -> BTreeMap<String, ObjectStore> {
+    /// Drop a tenant's snippets and hand back its exclusively-owned state
+    /// per device, leaving co-resident tenants' tables untouched.  The FIFO
+    /// channel already quiesced this tenant's traffic.
+    fn remove_tenant(&mut self, user: &str) -> BTreeMap<String, ObjectStore> {
         let mut extracted = BTreeMap::new();
         let Some(state) = self.tenants.remove(user) else { return extracted };
-        for &device in state.route.iter() {
-            if let Some(plane) = &mut self.planes[device] {
-                if let Some(store) = plane.uninstall_extract(user) {
-                    extracted.insert(self.device_names[device].clone(), store);
-                }
+        for &device in &state.route {
+            if let Some(store) = self.planes[device].as_mut().and_then(|p| p.uninstall(user)) {
+                extracted.insert(self.device_names[device].clone(), store);
             }
         }
         extracted
     }
 
-    fn inject(&mut self, user: &str, jobs: Vec<(u64, Packet)>) {
-        let Some(state) = self.tenants.get(user) else {
+    /// Serve one burst: each packet runs to completion along the tenant's
+    /// route, in stream order, before the next one starts.
+    fn inject(&mut self, user: &str, mut jobs: Vec<(u64, Packet)>) {
+        let Some(TenantState { route, counters }) = self.tenants.get(user) else {
             // tenant unknown (never added, or already removed): drop silently —
             // the engine only routes here between add and remove.  The packets
             // were admitted against the depth gauge, so give the credit back.
             self.depth.fetch_sub(jobs.len() as u64, Ordering::Relaxed);
             return;
         };
-        let route = Arc::clone(&state.route);
-        let counters = Arc::clone(&state.counters);
         counters.packets.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        for (vtime_ns, packet) in jobs {
-            let job = Job {
-                counters: Arc::clone(&counters),
-                route: Arc::clone(&route),
-                hop: 0,
-                vtime_ns,
-                latency_ns: 0.0,
-                packet,
-            };
-            self.enqueue(job);
-        }
-    }
-
-    fn enqueue(&mut self, job: Job) {
-        match job.route.get(job.hop) {
-            Some(&device) => {
-                let queue = &mut self.queues[device];
-                if queue.is_empty() {
-                    self.active.push_back(device);
-                }
-                queue.push_back(job);
-            }
-            None => self.complete_at_server(job),
-        }
-    }
-
-    /// Drain the ingress queues round-robin, `batch_size` packets per device
-    /// per turn, until the shard is idle.  The rotating cursor (`active`)
-    /// makes batch selection O(1) amortized — no per-round scan over every
-    /// device the shard has ever hosted.  Each packet runs through the device
-    /// where it sits, in its job.
-    fn pump(&mut self) {
-        while let Some(device) = self.active.pop_front() {
-            // zero for a stale cursor entry (duplicate); jobs a packet of
-            // this turn re-queues here wait behind the cut for the next one
-            let turn = self.queues[device].len().min(self.batch_size);
-            let health = self.device_health[device];
-            let latency_scale = match health {
-                DeviceHealth::Degraded { factor } => factor.max(1.0),
-                _ => 1.0,
-            };
-            for _ in 0..turn {
-                let mut job = self.queues[device].pop_front().expect("the turn fits the queue");
-                // injected faults intercept the packet before the device
-                // runs: a dead device swallows everything reaching it, a
-                // flaky one drops a deterministic (hash-keyed, not
-                // wall-clock) fraction
-                let lost = match health {
-                    DeviceHealth::Down => true,
-                    DeviceHealth::Flaky { drop_prob } => {
-                        Self::flaky_drops(&self.device_names[device], &job, drop_prob)
-                    }
-                    DeviceHealth::Up | DeviceHealth::Degraded { .. } => false,
-                };
-                if lost {
-                    self.fault_lose(job);
-                    continue;
-                }
-                let Some(plane) = &mut self.planes[device] else {
+        self.burst.append(&mut jobs);
+        drop(jobs);
+        for (vtime_ns, mut packet) in self.burst.drain(..) {
+            let mut latency_ns = 0.0;
+            let served = 'route: {
+                for (hop, &device) in route.iter().enumerate() {
+                    // injected faults intercept the packet before the device
+                    // runs: a dead device swallows everything reaching it, a
+                    // flaky one drops a deterministic (hash-keyed, not
+                    // wall-clock) fraction, a degraded one serves slower
+                    let latency_scale = match self.device_health[device] {
+                        DeviceHealth::Up => 1.0,
+                        DeviceHealth::Degraded { factor } => factor.max(1.0),
+                        DeviceHealth::Down => break 'route false,
+                        DeviceHealth::Flaky { drop_prob } => {
+                            let name = &self.device_names[device];
+                            if flaky_drops(name, vtime_ns, &packet, drop_prob) {
+                                break 'route false;
+                            }
+                            1.0
+                        }
+                    };
                     // no replica for this device: traverse free
-                    job.hop += 1;
-                    self.enqueue(job);
-                    continue;
-                };
-                if let Some(link) = job.counters.link_bytes.get(job.hop) {
-                    link.fetch_add(job.packet.wire_bytes() as u64, Ordering::Relaxed);
-                }
-                let outcome = plane.process(&mut job.packet);
-                job.latency_ns += outcome.latency_ns * latency_scale;
-                match outcome.action {
-                    PacketAction::Forward => {
-                        job.hop += 1;
-                        self.enqueue(job);
+                    let Some(plane) = &mut self.planes[device] else { continue };
+                    if let Some(link) = counters.link_bytes.get(hop) {
+                        link.fetch_add(packet.wire_bytes() as u64, Ordering::Relaxed);
                     }
-                    PacketAction::Back => {
-                        job.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        self.finish(job);
-                    }
-                    PacketAction::Drop => {
-                        job.counters.drops.fetch_add(1, Ordering::Relaxed);
-                        self.finish(job);
+                    let outcome = plane.process(&mut packet);
+                    latency_ns += outcome.latency_ns * latency_scale;
+                    match outcome.action {
+                        PacketAction::Forward => {}
+                        PacketAction::Back => {
+                            counters.hits.fetch_add(1, Ordering::Relaxed);
+                            break 'route true;
+                        }
+                        PacketAction::Drop => {
+                            counters.drops.fetch_add(1, Ordering::Relaxed);
+                            break 'route true;
+                        }
                     }
                 }
+                // the packet traversed every hop: it crosses the final link
+                // into the server
+                let wire = packet.wire_bytes() as u64;
+                counters.to_server.fetch_add(1, Ordering::Relaxed);
+                counters.server_bytes.fetch_add(wire, Ordering::Relaxed);
+                if let Some(link) = counters.link_bytes.get(route.len()) {
+                    link.fetch_add(wire, Ordering::Relaxed);
+                }
+                true
+            };
+            if served {
+                let payload = packet.wire_bytes().saturating_sub(packet.base_bytes) as u64;
+                counters.payload_bytes.fetch_add(payload, Ordering::Relaxed);
+                counters.record_completion(latency_ns, vtime_ns);
+            } else {
+                // lost to an injected fault: counted as `fault_lost`, never
+                // as an in-network drop
+                counters.note_fault_loss(vtime_ns);
             }
-            // a device with remaining backlog rotates to the back of the cursor
-            if !self.queues[device].is_empty() {
-                self.active.push_back(device);
-            }
+            // every terminal outcome returns the tenant's ingress credit, and
+            // before the shard's depth so the budget admission never observes
+            // the gauges crossed
+            let _ = counters
+                .in_flight
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+            self.depth.fetch_sub(1, Ordering::Relaxed);
         }
     }
+}
 
-    /// A packet lost to an injected fault: counted as `fault_lost` (never as
-    /// an in-network drop), with the gauges returned like any terminal
-    /// outcome so admission control keeps an accurate in-flight view.
-    fn fault_lose(&self, job: Job) {
-        job.counters.note_fault_loss(job.vtime_ns);
-        let inflight = &job.counters.in_flight;
-        let _ = inflight.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Terminal accounting shared by every outcome.
-    fn finish(&self, job: Job) {
-        let payload = job.packet.wire_bytes().saturating_sub(job.packet.base_bytes) as u64;
-        job.counters.payload_bytes.fetch_add(payload, Ordering::Relaxed);
-        job.counters.record_completion(job.latency_ns, job.vtime_ns);
-        // return the tenant's ingress credit before the shard's depth so the
-        // budget admission never observes the gauges crossed
-        let inflight = &job.counters.in_flight;
-        let _ = inflight.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Deterministic flaky-device drop decision: a stable hash of the device
-    /// and the packet's identity mapped to the unit interval, so the same
-    /// stream through the same fault plan loses the same packets on every
-    /// run and any shard layout.
-    fn flaky_drops(device: &str, job: &Job, drop_prob: f64) -> bool {
-        let mut h = Fnv::new();
-        h.write_str(device);
-        h.write_u64(job.vtime_ns);
-        h.write_str(&job.packet.src);
-        h.write_str(&job.packet.dst);
-        let unit = (h.finish() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < drop_prob
-    }
-
-    /// The packet traversed every hop: it crosses the final link into the
-    /// server.
-    fn complete_at_server(&self, job: Job) {
-        let wire = job.packet.wire_bytes() as u64;
-        job.counters.to_server.fetch_add(1, Ordering::Relaxed);
-        job.counters.server_bytes.fetch_add(wire, Ordering::Relaxed);
-        if let Some(link) = job.counters.link_bytes.get(job.route.len()) {
-            link.fetch_add(wire, Ordering::Relaxed);
-        }
-        self.finish(job);
-    }
+/// Deterministic flaky-device drop decision: a stable hash of the device and
+/// the packet's identity mapped to the unit interval, so the same stream
+/// through the same fault plan loses the same packets on every run and any
+/// shard layout.
+fn flaky_drops(device: &str, vtime_ns: u64, packet: &Packet, drop_prob: f64) -> bool {
+    let mut h = Fnv::new();
+    h.write_str(device);
+    h.write_u64(vtime_ns);
+    h.write_str(&packet.src);
+    h.write_str(&packet.dst);
+    let unit = (h.finish() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    unit < drop_prob
 }
 
 #[cfg(test)]
@@ -421,7 +347,7 @@ mod tests {
         let depth = Arc::new(AtomicU64::new(0));
         let worker = {
             let depth = Arc::clone(&depth);
-            std::thread::spawn(move || ShardWorker::run(rx, 4, depth))
+            std::thread::spawn(move || ShardWorker::run(rx, depth))
         };
         let send = |msg| tx.send(msg).expect("the worker is running");
         send(ShardMsg::SetDeviceHealth { device: "sw1".into(), health: DeviceHealth::Down });

@@ -11,15 +11,19 @@
 use clickinc_device::DeviceModel;
 use clickinc_frontend::compile_source;
 use clickinc_ir::Value;
-use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
+use clickinc_lang::templates::{
+    count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
+};
 use clickinc_runtime::workload::{
     KvsWorkload, KvsWorkloadConfig, MixedWorkload, MlAggWorkload, MlAggWorkloadConfig, Workload,
 };
 use clickinc_runtime::{
-    EngineConfig, EngineError, OverloadPolicy, TelemetryReport, TenantHop, TrafficEngine,
+    DeviceHealth, EngineConfig, EngineError, OverloadPolicy, TelemetryReport, TenantHop,
+    TrafficEngine,
 };
 use clickinc_synthesis::isolate_user_program;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A KVS tenant on the shared ToR: isolated program (renamed tables, user-id
 /// guards) on device `tor0`.
@@ -76,7 +80,7 @@ fn populate_cache(handle: &clickinc_runtime::EngineHandle, name: &str, hot_keys:
 }
 
 fn run_mixed(shards: usize) -> (TelemetryReport, BTreeMap<String, u64>) {
-    let engine = TrafficEngine::new(EngineConfig { shards, batch_size: 16, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("alpha", kvs_tenant("alpha", 1));
     handle.add_tenant("beta", kvs_tenant("beta", 2));
@@ -136,7 +140,7 @@ fn per_tenant_results_are_invariant_in_the_shard_count() {
 /// a third tenant (co-resident on the same shared device), run its traffic,
 /// and remove it again.
 fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
-    let engine = TrafficEngine::new(EngineConfig { shards, batch_size: 16, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("alpha", kvs_tenant("alpha", 1));
     handle.add_tenant("beta", kvs_tenant("beta", 2));
@@ -194,17 +198,10 @@ fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
 #[test]
 fn degenerate_engine_configs_are_rejected_or_clamped() {
     // `try_new` returns a typed error for sizing knobs below the minimum…
-    let zero_shards =
-        TrafficEngine::try_new(EngineConfig { shards: 0, batch_size: 64, ..Default::default() });
+    let zero_shards = TrafficEngine::try_new(EngineConfig { shards: 0, ..Default::default() });
     assert!(matches!(
         zero_shards.map(|_| ()).unwrap_err(),
         EngineError::InvalidConfig { field: "shards", value: 0, minimum: 1 }
-    ));
-    let zero_batch =
-        TrafficEngine::try_new(EngineConfig { shards: 2, batch_size: 0, ..Default::default() });
-    assert!(matches!(
-        zero_batch.map(|_| ()).unwrap_err(),
-        EngineError::InvalidConfig { field: "batch_size", value: 0, minimum: 1 }
     ));
     let zero_queue =
         TrafficEngine::try_new(EngineConfig { queue_capacity: 0, ..Default::default() });
@@ -223,8 +220,7 @@ fn degenerate_engine_configs_are_rejected_or_clamped() {
     assert!(EngineConfig::default().validate().is_ok());
 
     // …while `new` documents clamping to 1 and still serves traffic.
-    let engine =
-        TrafficEngine::new(EngineConfig { shards: 0, batch_size: 0, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards: 0, ..Default::default() });
     assert_eq!(engine.shards(), 1);
     let handle = engine.handle();
     handle.add_tenant("alpha", kvs_tenant("alpha", 1));
@@ -257,5 +253,94 @@ fn live_add_and_remove_cause_zero_cross_tenant_disruption() {
             );
         }
         assert!(disrupted.tenant("alpha").unwrap().hit_ratio > 0.3);
+    }
+}
+
+/// Serve one seeded stream to a two-hop tenant — `delta` counts every key in
+/// a sketch on `tor0` and forwards, its cache on `agg0` bounces the hits and
+/// lets the misses through to the server — beside the one-hop `alpha`, whose
+/// cache sits on the shared `tor0`.  Each tenant's stream enters as bursts of
+/// `cut` packets: the first half while `tor0` is flaky, the second while
+/// `agg0` is degraded.
+fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>) {
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
+    let handle = engine.handle();
+    let cache = kvs_template("delta", KvsParams { cache_depth: 1024, ..Default::default() });
+    let hop = |device: &str, source: &str| TenantHop {
+        device: device.to_string(),
+        model: DeviceModel::tofino(),
+        snippets: vec![
+            isolate_user_program(&compile_source("delta", source).unwrap(), "delta", 4).into()
+        ],
+    };
+    handle.add_tenant(
+        "delta",
+        vec![hop("tor0", &count_min_sketch("delta", 2, 64).source), hop("agg0", &cache.source)],
+    );
+    handle.add_tenant("alpha", kvs_tenant("alpha", 1));
+    populate_cache(&handle, "alpha", 64);
+    for key in 0..64 {
+        let (key, value) = (vec![Value::Int(key)], vec![Value::Int(key * 1000 + 7)]);
+        handle.populate_table("delta", "agg0", "delta_cache", key, value);
+    }
+
+    let streams = [("delta", 4, 44), ("alpha", 1, 11)].map(|(tenant, id, seed)| {
+        let mut workload = kvs_workload(tenant, id, 600, seed);
+        let stream: Vec<_> = std::iter::from_fn(|| workload.next_packet())
+            .map(|generated| (generated.vtime_ns, generated.packet))
+            .collect();
+        (Arc::<str>::from(tenant), stream)
+    });
+    let faults = [
+        ("tor0", DeviceHealth::Flaky { drop_prob: 0.25 }),
+        ("agg0", DeviceHealth::Degraded { factor: 3.0 }),
+    ];
+    for (phase, (device, health)) in faults.into_iter().enumerate() {
+        handle.set_device_health(device, health);
+        for (tenant, stream) in &streams {
+            for burst in stream[phase * 300..(phase + 1) * 300].chunks(cut) {
+                let outcome = handle.inject(tenant, burst.to_vec());
+                assert_eq!((outcome.admitted, outcome.shed), (burst.len(), 0));
+            }
+        }
+        handle.set_device_health(device, DeviceHealth::Up);
+    }
+    handle.flush();
+    let outcome = engine.finish();
+    let fingerprints = outcome.store_fingerprints();
+    (outcome.telemetry, fingerprints)
+}
+
+/// A shard runs every packet to completion in stream order, so how a stream
+/// is cut into injects is invisible: one burst per phase, bursts of 7 and
+/// single packets leave the same per-tenant stats, link bytes and stores, at
+/// any shard count.
+#[test]
+fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
+    let (whole, whole_stores) = run_cut(1, usize::MAX);
+    let delta = whole.tenant("delta").expect("delta served");
+    assert_eq!(delta.packets, 600);
+    assert_eq!(delta.link_bytes.len(), 3, "two hops + server link");
+    assert!(delta.fault_lost_packets > 0, "the flaky first hop lost some");
+    assert!(delta.hits > 0, "the second hop bounces cached keys");
+    assert!(delta.to_server > 0, "misses cross both hops");
+    assert_eq!(delta.hits + delta.to_server + delta.fault_lost_packets, 600);
+    assert!(delta.link_bytes[2] < delta.link_bytes[1], "bounced packets never reach the server");
+    assert!(whole.tenant("alpha").expect("alpha served").fault_lost_packets > 0);
+
+    for shards in [1usize, 4] {
+        for cut in [usize::MAX, 7, 1] {
+            let (stats, stores) = run_cut(shards, cut);
+            for tenant in ["delta", "alpha"] {
+                // `TenantStats` equality covers every counter, `link_bytes`
+                // included, and skips only the wall-clock fields
+                assert_eq!(
+                    stats.tenant(tenant),
+                    whole.tenant(tenant),
+                    "{tenant} at {shards} shard(s), bursts of {cut}"
+                );
+            }
+            assert_eq!(stores, whole_stores, "{shards} shard(s), bursts of {cut}");
+        }
     }
 }

@@ -61,7 +61,7 @@ fn run_kvs(
     hot_keys: i64,
     seed: u64,
 ) -> (TenantStats, BTreeMap<String, u64>) {
-    let engine = TrafficEngine::new(EngineConfig { shards, batch_size: 32, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     serve_kvs(engine, mode, keys, requests, hot_keys, seed)
 }
 
@@ -139,7 +139,7 @@ fn run_kvs_resharding(
     hot_keys: i64,
     seed: u64,
 ) -> (TenantStats, BTreeMap<String, u64>) {
-    let engine = TrafficEngine::new(EngineConfig { shards, batch_size: 32, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("hot", kvs_tenant("hot", 1, 4096));
     populate_cache(&handle, "hot", hot_keys);
@@ -206,8 +206,7 @@ proptest! {
 /// Run a `ByTenant` resident alongside a second tenant; in the disrupted
 /// variant the neighbour is live-resharded twice mid-run.
 fn run_resident_beside_resharding_neighbour(disrupt: bool) -> clickinc_runtime::TelemetryReport {
-    let engine =
-        TrafficEngine::new(EngineConfig { shards: 4, batch_size: 16, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards: 4, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("resident", kvs_tenant("resident", 1, 2048));
     populate_cache(&handle, "resident", 64);
@@ -268,8 +267,7 @@ fn live_resharding_leaves_co_resident_telemetry_undisturbed() {
 /// its predecessor's pre-reshard state deducted from its own at `finish`.
 #[test]
 fn a_removed_tenants_reshard_baseline_does_not_leak_into_its_successor() {
-    let engine =
-        TrafficEngine::new(EngineConfig { shards: 4, batch_size: 32, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards: 4, ..Default::default() });
     let handle = engine.handle();
     // life 1: serve pinned, live-reshard to ByFlow (seeding a baseline), leave
     handle.add_tenant("hot", kvs_tenant("hot", 1, 4096));
@@ -304,8 +302,7 @@ fn a_flow_sharded_hot_tenant_actually_uses_multiple_shards() {
 /// optionally add a flow-sharded tenant on the same device, run its traffic,
 /// and remove it again.
 fn run_phased(disrupt: bool) -> clickinc_runtime::TelemetryReport {
-    let engine =
-        TrafficEngine::new(EngineConfig { shards: 4, batch_size: 16, ..Default::default() });
+    let engine = TrafficEngine::new(EngineConfig { shards: 4, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("resident", kvs_tenant("resident", 1, 2048));
     populate_cache(&handle, "resident", 64);
@@ -383,7 +380,6 @@ fn flow_sharded_tenants_quiesce_on_every_shard_without_disturbing_residents() {
 fn droptail_sheds_exactly_the_overrun_at_the_injection_boundary() {
     let engine = TrafficEngine::new(EngineConfig {
         shards: 1,
-        batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::DropTail,
     });
@@ -413,7 +409,6 @@ fn droptail_sheds_exactly_the_overrun_at_the_injection_boundary() {
 fn backpressure_spends_credits_then_sheds_the_rest() {
     let engine = TrafficEngine::new(EngineConfig {
         shards: 1,
-        batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::Backpressure { credits: 3 },
     });
@@ -438,7 +433,6 @@ fn backpressure_spends_credits_then_sheds_the_rest() {
     // a generous credit budget admits everything
     let engine = TrafficEngine::new(EngineConfig {
         shards: 1,
-        batch_size: 16,
         queue_capacity: 10,
         overload: OverloadPolicy::Backpressure { credits: 16 },
     });

@@ -28,9 +28,8 @@ fn kvs_stream(tenant: &TenantHandle, seed: u64) -> KvsWorkload {
 /// third tenant optionally arrives, aggregates 400 gradient packets
 /// in-network, and leaves — all through the service facade.
 fn run(reconfigure: bool) -> TelemetryReport {
-    let service =
-        house::service(EngineConfig { shards: SHARDS, batch_size: 128, ..Default::default() })
-            .expect("engine config is valid");
+    let service = house::service(EngineConfig { shards: SHARDS, ..Default::default() })
+        .expect("engine config is valid");
 
     let mut residents = Vec::new();
     for (user, srcs) in [("kvs_a", ["pod0a", "pod1a"]), ("kvs_b", ["pod0b", "pod1b"])] {

@@ -9,7 +9,7 @@ use clickinc_runtime::EngineConfig;
 
 #[test]
 fn the_service_serves_deployed_tenants_and_survives_live_reconfiguration() {
-    let service = house::service(EngineConfig { shards: 2, batch_size: 32, ..Default::default() })
+    let service = house::service(EngineConfig { shards: 2, ..Default::default() })
         .expect("engine config is valid");
 
     // two KVS tenants deploy through the facade; the commit mirrors them

@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn engine_config() -> EngineConfig {
-    EngineConfig { shards: 2, batch_size: 32, ..Default::default() }
+    EngineConfig { shards: 2, ..Default::default() }
 }
 
 fn kvs_request(user: &str) -> ServiceRequest {
@@ -598,7 +598,7 @@ proptest! {
     ) {
         let service = ClickIncService::with_config(
             Topology::emulation_topology_all_tofino(),
-            EngineConfig { shards: 1, batch_size: 16, ..Default::default() },
+            EngineConfig { shards: 1, ..Default::default() },
         )
         .expect("engine config is valid");
         let mut requests: Vec<ServiceRequest> =
@@ -635,7 +635,7 @@ proptest! {
     ) {
         let service = ClickIncService::with_config(
             Topology::emulation_topology_all_tofino(),
-            EngineConfig { shards: 1, batch_size: 16, ..Default::default() },
+            EngineConfig { shards: 1, ..Default::default() },
         )
         .expect("engine config is valid");
         let requests: Vec<ServiceRequest> =
