@@ -339,7 +339,7 @@ mod tests {
             adaptive.store_fingerprints,
             fingerprints(&[
                 ("ToR5", 0x098f48e1acdc09ed),
-                ("nic_pod0b", 0xce071023738cfcb2),
+                ("nic_pod0b", 0xfb542ebf3593a89c),
                 ("nic_pod1b", 0x77321396bc7ec6ad),
             ])
         );

@@ -304,7 +304,7 @@ mod tests {
             faulted.store_fingerprints,
             fingerprints(&[
                 ("ToR5", 0x43d9c00c9f7ee2c3),
-                ("nic_pod0b", 0x3bbeb42cab3be7f3),
+                ("nic_pod0b", 0x2e772b5a024b79e1),
                 ("nic_pod1b", 0x77321396bc7ec6ad),
             ])
         );
@@ -312,7 +312,7 @@ mod tests {
             clean.store_fingerprints,
             fingerprints(&[
                 ("ToR5", 0x0fc37ee33d8e7313),
-                ("nic_pod0b", 0x3bbeb42cab3be7f3),
+                ("nic_pod0b", 0x2e772b5a024b79e1),
                 ("nic_pod1b", 0x77321396bc7ec6ad),
             ])
         );

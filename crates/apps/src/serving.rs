@@ -271,7 +271,7 @@ mod tests {
             report.store_fingerprints,
             fingerprints(&[
                 ("ToR5", 0xd1050e2bc799652b),
-                ("nic_pod0b", 0x23f2aa4c61d912c1),
+                ("nic_pod0b", 0x227b90c0a2df6ca1),
                 ("nic_pod1b", 0x08e663c2e7bd4c67),
             ])
         );

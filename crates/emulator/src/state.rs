@@ -443,7 +443,9 @@ impl ObjectStore {
     /// shapes, and every live cell/entry/counter).  Two stores with equal
     /// contents produce equal fingerprints in any process — the walk follows
     /// the name map's lexicographic order, so the digest is independent of
-    /// slot layout.  Used by the runtime's shard-count invariance tests and
+    /// slot layout.  `Array`/`Seq` cells are registers: a cell holding 0 is
+    /// the same state whether it was written 0 or never written, so only
+    /// non-zero cells are hashed, in `(row, cell)` order.  Used by the runtime's shard-count invariance tests and
     /// the interpreter/VM differential oracle.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
@@ -455,7 +457,7 @@ impl ObjectStore {
                     h.write_u64(1);
                     h.write_u64(u64::from(*rows));
                     h.write_u64(u64::from(*size));
-                    for ((r, c), v) in cells {
+                    for ((r, c), v) in cells.iter().filter(|(_, v)| **v != 0) {
                         h.write_u64(u64::from(*r));
                         h.write_u64(u64::from(*c));
                         h.write_u64(*v as u64);
@@ -464,7 +466,7 @@ impl ObjectStore {
                 ObjectState::Seq { size, cells } => {
                     h.write_u64(2);
                     h.write_u64(u64::from(*size));
-                    for (c, v) in cells {
+                    for (c, v) in cells.iter().filter(|(_, v)| **v != 0) {
                         h.write_u64(u64::from(*c));
                         h.write_u64(*v as u64);
                     }
