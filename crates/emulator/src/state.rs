@@ -7,6 +7,16 @@
 //! an object: removal tombstones the slot, and every iteration-order-sensitive
 //! operation (merging, fingerprints) walks the name map in lexicographic
 //! order, so the digest of a store is independent of its slot layout.
+//!
+//! `Array` and `Seq` objects are register arrays, and are stored as one: a
+//! single `Vec<i64>` indexed `row × size + cell` ([`Cells`]), so a cell access
+//! is an index, not a tree probe.  The vector is *materialised lazily*, with
+//! one zeroed allocation on the first write (a 0 written over cells that all
+//! read 0 is not one) — a deploy that never serves allocates nothing, and the
+//! pages of a large array nobody touches stay unmapped.  An unmaterialised array reads 0 everywhere, exactly like a
+//! materialised one that was never written, and the two fingerprint alike:
+//! the digest hashes non-zero cells only, because a register holding 0 is the
+//! same state whether it was written 0 or never written.
 
 use clickinc_ir::{ObjectDecl, ObjectKind, SketchKind, Value};
 use std::collections::BTreeMap;
@@ -58,11 +68,82 @@ pub fn hash_with_seed(seed: u64, modulus: Option<u32>, keys: &[Value]) -> i64 {
     }
 }
 
+/// The cells of an `Array` (`rows × size`) or a `Seq` (one row), row-major in
+/// one vector that is empty until the first write.
+#[derive(Debug, Clone)]
+struct Cells {
+    /// Declared rows and cells per row (a `Seq` declares one row).
+    rows: u32,
+    size: u32,
+    /// Either empty (every cell reads 0) or `rows.max(1) × size.max(1)` long.
+    data: Vec<i64>,
+}
+
+impl Cells {
+    fn new(rows: u32, size: u32) -> Cells {
+        Cells { rows, size, data: Vec::new() }
+    }
+
+    /// Row and cell wrap at the declared bounds, mirroring the hardware's
+    /// address masking; a dimension declared 0 counts as 1.
+    fn index(&self, row: u32, cell: u32) -> usize {
+        let size = self.size.max(1);
+        (row % self.rows.max(1)) as usize * size as usize + (cell % size) as usize
+    }
+
+    fn read(&self, row: u32, cell: u32) -> i64 {
+        self.data.get(self.index(row, cell)).copied().unwrap_or(0)
+    }
+
+    /// The cell to write through, materialising the vector on first use.
+    fn cell_mut(&mut self, row: u32, cell: u32) -> &mut i64 {
+        if self.data.is_empty() {
+            self.data = vec![0; self.rows.max(1) as usize * self.size.max(1) as usize];
+        }
+        let index = self.index(row, cell);
+        &mut self.data[index]
+    }
+
+    fn write(&mut self, row: u32, cell: u32, value: i64) {
+        // writing 0 over cells that all read 0 changes nothing
+        if value != 0 || !self.data.is_empty() {
+            *self.cell_mut(row, cell) = value;
+        }
+    }
+
+    /// `mine[i] += factor × other[i]` for every cell — the flow-partition
+    /// merge (`factor` 1) and the replica-baseline deduction (`-copies`).
+    /// Shapes that differ (which replicas of one declaration never do) and
+    /// an unmaterialised `other` leave `self` untouched.
+    fn add_scaled(&mut self, other: &Cells, factor: i64) {
+        if other.data.is_empty() || (self.rows, self.size) != (other.rows, other.size) {
+            return;
+        }
+        if self.data.is_empty() {
+            self.data = other.data.iter().map(|v| factor * v).collect();
+        } else {
+            for (mine, theirs) in self.data.iter_mut().zip(&other.data) {
+                *mine += factor * theirs;
+            }
+        }
+    }
+
+    /// The non-zero cells as `(row, cell, value)`, in `(row, cell)` order.
+    fn non_zero(&self) -> impl Iterator<Item = (u64, u64, i64)> + '_ {
+        let size = self.size.max(1) as usize;
+        self.data
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != 0)
+            .map(move |(i, v)| ((i / size) as u64, (i % size) as u64, *v))
+    }
+}
+
 /// Runtime instance of one object.
 #[derive(Debug, Clone)]
 enum ObjectState {
-    Array { rows: u32, size: u32, cells: BTreeMap<(u32, u32), i64> },
-    Seq { size: u32, cells: BTreeMap<u32, i64> },
+    Array(Cells),
+    Seq(Cells),
     Sketch { kind: SketchKind, rows: u32, cols: u32, counters: Vec<Vec<i64>> },
     Table { entries: BTreeMap<u64, Vec<Value>> },
     Hash { modulus: Option<u32> },
@@ -103,12 +184,8 @@ impl ObjectStore {
             return;
         }
         let state = match &decl.kind {
-            ObjectKind::Array { rows, size, .. } => {
-                ObjectState::Array { rows: *rows, size: *size, cells: BTreeMap::new() }
-            }
-            ObjectKind::Seq { size, .. } => {
-                ObjectState::Seq { size: *size, cells: BTreeMap::new() }
-            }
+            ObjectKind::Array { rows, size, .. } => ObjectState::Array(Cells::new(*rows, *size)),
+            ObjectKind::Seq { size, .. } => ObjectState::Seq(Cells::new(1, *size)),
             ObjectKind::Sketch { kind, rows, cols, .. } => ObjectState::Sketch {
                 kind: *kind,
                 rows: *rows,
@@ -162,12 +239,7 @@ impl ObjectStore {
     /// [`ObjectStore::array_read`] by slot index.
     pub fn array_read_slot(&self, slot: usize, row: u32, index: u32) -> i64 {
         match self.slots.get(slot).and_then(Option::as_ref) {
-            Some(ObjectState::Array { cells, rows, size }) => {
-                cells.get(&(row % (*rows).max(1), index % (*size).max(1))).copied().unwrap_or(0)
-            }
-            Some(ObjectState::Seq { cells, size }) => {
-                cells.get(&(index % (*size).max(1))).copied().unwrap_or(0)
-            }
+            Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) => cells.read(row, index),
             _ => 0,
         }
     }
@@ -181,14 +253,10 @@ impl ObjectStore {
 
     /// [`ObjectStore::array_write`] by slot index.
     pub fn array_write_slot(&mut self, slot: usize, row: u32, index: u32, value: i64) {
-        match self.slots.get_mut(slot).and_then(Option::as_mut) {
-            Some(ObjectState::Array { cells, rows, size }) => {
-                cells.insert((row % (*rows).max(1), index % (*size).max(1)), value);
-            }
-            Some(ObjectState::Seq { cells, size }) => {
-                cells.insert(index % (*size).max(1), value);
-            }
-            _ => {}
+        if let Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) =
+            self.slots.get_mut(slot).and_then(Option::as_mut)
+        {
+            cells.write(row, index, value);
         }
     }
 
@@ -202,9 +270,15 @@ impl ObjectStore {
 
     /// [`ObjectStore::array_add`] by slot index.
     pub fn array_add_slot(&mut self, slot: usize, row: u32, index: u32, delta: i64) -> i64 {
-        let new = self.array_read_slot(slot, row, index) + delta;
-        self.array_write_slot(slot, row, index, new);
-        new
+        match self.slots.get_mut(slot).and_then(Option::as_mut) {
+            Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) => {
+                let cell = cells.cell_mut(row, index);
+                *cell += delta;
+                *cell
+            }
+            // a missing object reads 0 and ignores the write
+            _ => delta,
+        }
     }
 
     /// Hash a key with a declared hash object.
@@ -317,7 +391,7 @@ impl ObjectStore {
             Some(ObjectState::Table { entries }) => {
                 entries.remove(&table_key(key));
             }
-            Some(ObjectState::Array { .. }) | Some(ObjectState::Seq { .. }) => {
+            Some(ObjectState::Array(_) | ObjectState::Seq(_)) => {
                 let row = key.first().and_then(Value::as_int).unwrap_or(0) as u32;
                 let idx = key.get(1).and_then(Value::as_int).unwrap_or(0) as u32;
                 if key.len() >= 2 {
@@ -414,16 +488,8 @@ impl ObjectStore {
             let Some(base) = &baseline.slots[slot] else { continue };
             let Some(mine) = self.state_mut(name) else { continue };
             match (mine, base) {
-                (ObjectState::Array { cells: a, .. }, ObjectState::Array { cells: b, .. }) => {
-                    for (key, value) in b {
-                        *a.entry(*key).or_insert(0) -= copies * value;
-                    }
-                }
-                (ObjectState::Seq { cells: a, .. }, ObjectState::Seq { cells: b, .. }) => {
-                    for (key, value) in b {
-                        *a.entry(*key).or_insert(0) -= copies * value;
-                    }
-                }
+                (ObjectState::Array(a), ObjectState::Array(b))
+                | (ObjectState::Seq(a), ObjectState::Seq(b)) => a.add_scaled(b, -copies),
                 (
                     ObjectState::Sketch { kind: SketchKind::CountMin, counters: a, .. },
                     ObjectState::Sketch { kind: SketchKind::CountMin, counters: b, .. },
@@ -453,22 +519,22 @@ impl ObjectStore {
             let Some(state) = &self.slots[slot] else { continue };
             h.write_str(name);
             match state {
-                ObjectState::Array { rows, size, cells } => {
+                ObjectState::Array(cells) => {
                     h.write_u64(1);
-                    h.write_u64(u64::from(*rows));
-                    h.write_u64(u64::from(*size));
-                    for ((r, c), v) in cells.iter().filter(|(_, v)| **v != 0) {
-                        h.write_u64(u64::from(*r));
-                        h.write_u64(u64::from(*c));
-                        h.write_u64(*v as u64);
+                    h.write_u64(u64::from(cells.rows));
+                    h.write_u64(u64::from(cells.size));
+                    for (r, c, v) in cells.non_zero() {
+                        h.write_u64(r);
+                        h.write_u64(c);
+                        h.write_u64(v as u64);
                     }
                 }
-                ObjectState::Seq { size, cells } => {
+                ObjectState::Seq(cells) => {
                     h.write_u64(2);
-                    h.write_u64(u64::from(*size));
-                    for (c, v) in cells.iter().filter(|(_, v)| **v != 0) {
-                        h.write_u64(u64::from(*c));
-                        h.write_u64(*v as u64);
+                    h.write_u64(u64::from(cells.size));
+                    for (_, c, v) in cells.non_zero() {
+                        h.write_u64(c);
+                        h.write_u64(v as u64);
                     }
                 }
                 ObjectState::Sketch { kind, rows, cols, counters } => {
@@ -515,8 +581,7 @@ impl ObjectStore {
     pub fn clear_slot(&mut self, slot: usize) {
         if let Some(state) = self.slots.get_mut(slot).and_then(Option::as_mut) {
             match state {
-                ObjectState::Array { cells, .. } => cells.clear(),
-                ObjectState::Seq { cells, .. } => cells.clear(),
+                ObjectState::Array(cells) | ObjectState::Seq(cells) => cells.data.fill(0),
                 ObjectState::Sketch { counters, .. } => {
                     for row in counters {
                         row.iter_mut().for_each(|c| *c = 0);
@@ -535,16 +600,8 @@ impl ObjectStore {
 /// accumulated state untouched.
 fn merge_flow_partition(mine: &mut ObjectState, other: &ObjectState) {
     match (mine, other) {
-        (ObjectState::Array { cells: a, .. }, ObjectState::Array { cells: b, .. }) => {
-            for (key, value) in b {
-                *a.entry(*key).or_insert(0) += value;
-            }
-        }
-        (ObjectState::Seq { cells: a, .. }, ObjectState::Seq { cells: b, .. }) => {
-            for (key, value) in b {
-                *a.entry(*key).or_insert(0) += value;
-            }
-        }
+        (ObjectState::Array(a), ObjectState::Array(b))
+        | (ObjectState::Seq(a), ObjectState::Seq(b)) => a.add_scaled(b, 1),
         (
             ObjectState::Sketch { kind, counters: a, .. },
             ObjectState::Sketch { counters: b, .. },
@@ -594,6 +651,156 @@ mod tests {
         assert_eq!(s.array_read("a", 0, 11), 50);
         s.clear("a");
         assert_eq!(s.array_read("a", 0, 3), 0);
+    }
+
+    /// Whether the object's cell vector exists (it holds its full size from
+    /// the first write on, and no heap block before).
+    fn materialised(s: &ObjectStore, name: &str) -> bool {
+        match s.state(name) {
+            Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) => cells.data.capacity() > 0,
+            _ => panic!("{name} is not an array or sequence"),
+        }
+    }
+
+    #[test]
+    fn a_cell_written_zero_fingerprints_like_one_never_written() {
+        let array = ObjectKind::Array { rows: 2, size: 8, width: 32 };
+        let untouched = store_with("a", array.clone());
+        // zero over nothing, zero over a value, a delete, a counter back at 0
+        let mut zeroed = store_with("a", array.clone());
+        zeroed.array_write("a", 1, 3, 0);
+        assert!(!materialised(&zeroed, "a"), "a zero over zeros stores nothing");
+        zeroed.array_write("a", 0, 5, 9);
+        zeroed.array_write("a", 0, 5, 0);
+        zeroed.array_write("a", 1, 2, 4);
+        zeroed.delete("a", &[Value::Int(1), Value::Int(2)]);
+        zeroed.array_add("a", 1, 7, 6);
+        zeroed.array_add("a", 1, 7, -6);
+        assert!(materialised(&zeroed, "a"));
+        assert_eq!(zeroed.fingerprint(), untouched.fingerprint());
+        // and a non-zero cell still tells them apart, by position
+        let mut one = store_with("a", array.clone());
+        one.array_write("a", 1, 3, 1);
+        let mut other = store_with("a", array);
+        other.array_write("a", 0, 3, 1);
+        assert_ne!(one.fingerprint(), untouched.fingerprint());
+        assert_ne!(one.fingerprint(), other.fingerprint());
+
+        let mut seq = store_with("s", ObjectKind::Seq { size: 4, width: 32 });
+        let fresh = seq.fingerprint();
+        seq.array_write("s", 0, 2, 5);
+        assert_ne!(seq.fingerprint(), fresh);
+        seq.array_write("s", 0, 2, 0);
+        assert_eq!(seq.fingerprint(), fresh);
+    }
+
+    #[test]
+    fn an_unmaterialised_object_stays_so_until_it_is_written() {
+        let array = ObjectKind::Array { rows: 4, size: 1 << 10, width: 32 };
+        let mut s = store_with("a", array.clone());
+        s.declare(&ObjectDecl::new("q", ObjectKind::Seq { size: 1 << 10, width: 32 }));
+        let untouched = s.clone();
+        let fresh = s.fingerprint();
+        for name in ["a", "q"] {
+            assert_eq!(s.array_read(name, 3, 77), 0);
+            s.clear(name);
+        }
+        // merging and deducting unmaterialised replicas of the same objects
+        s.merge_shard_from(&untouched, |_| true);
+        s.subtract_replica_baseline(&untouched, 3);
+        // a first copy of an unmaterialised object is unmaterialised too
+        let mut merged = ObjectStore::new();
+        merged.merge_shard_from(&s, |_| false);
+        for store in [&s, &merged] {
+            assert!(!materialised(store, "a") && !materialised(store, "q"));
+            assert_eq!(store.fingerprint(), fresh);
+        }
+
+        // the first write brings the whole object, and only it
+        s.array_add("a", 1, 5, 2);
+        assert!(materialised(&s, "a") && !materialised(&s, "q"));
+        assert_eq!(s.array_read("a", 1, 5), 2);
+        // an unmaterialised partition adds nothing; a materialised one lands
+        // in an unmaterialised accumulator whole
+        s.merge_shard_from(&untouched, |_| true);
+        assert_eq!(s.array_read("a", 1, 5), 2);
+        let mut accumulated = untouched.clone();
+        accumulated.merge_shard_from(&s, |_| true);
+        accumulated.subtract_replica_baseline(&untouched, 1);
+        assert_eq!(accumulated.fingerprint(), s.fingerprint());
+        // deducting from an accumulator that never saw the cells goes negative
+        let mut owed = untouched.clone();
+        owed.subtract_replica_baseline(&s, 2);
+        assert_eq!(owed.array_read("a", 1, 5), -4);
+        // clearing keeps the allocation and reads 0 everywhere again
+        s.clear("a");
+        assert_eq!(s.array_read("a", 1, 5), 0);
+        assert_eq!(s.fingerprint(), fresh);
+    }
+
+    #[test]
+    fn rows_and_cells_wrap_in_bounds_whatever_the_declaration() {
+        let mut s = store_with("a", ObjectKind::Array { rows: 3, size: 5, width: 32 });
+        s.array_write("a", 2, 4, 7); // the last cell
+        assert_eq!(s.array_read("a", 5, 9), 7, "row 5 is row 2, cell 9 is cell 4");
+        assert_eq!(s.array_read("a", u32::MAX, u32::MAX), s.array_read("a", 0, 0));
+        s.array_write("a", u32::MAX, u32::MAX, 1);
+        assert_eq!(s.array_read("a", u32::MAX % 3, u32::MAX % 5), 1);
+        // every (row, cell) is a cell of its own
+        for row in 0..3 {
+            for cell in 0..5 {
+                s.array_write("a", row, cell, i64::from(row * 5 + cell) + 100);
+            }
+        }
+        for row in 0..3 {
+            for cell in 0..5 {
+                assert_eq!(s.array_read("a", row, cell), i64::from(row * 5 + cell) + 100);
+            }
+        }
+
+        // a dimension declared 0 holds one row / one cell, and indexes in bounds
+        for (name, kind) in [
+            ("no_rows", ObjectKind::Array { rows: 0, size: 4, width: 32 }),
+            ("no_size", ObjectKind::Array { rows: 4, size: 0, width: 32 }),
+            ("nothing", ObjectKind::Array { rows: 0, size: 0, width: 32 }),
+            ("empty_seq", ObjectKind::Seq { size: 0, width: 32 }),
+        ] {
+            let mut s = store_with(name, kind);
+            assert_eq!(s.array_read(name, 7, 9), 0);
+            assert_eq!(s.array_add(name, 7, 9, 3), 3);
+            assert_eq!(s.array_add(name, 7, 9, 1), 4);
+            assert_eq!(s.array_read(name, 7, 9), 4);
+            s.array_add(name, u32::MAX, u32::MAX, 1);
+            s.array_write(name, 0, 1, 6);
+            s.delete(name, &[Value::Int(-1), Value::Int(3)]);
+            s.fingerprint();
+        }
+    }
+
+    /// The interpreter addresses objects by name, the VM by slot: one cell.
+    #[test]
+    fn by_name_and_by_slot_accessors_address_the_same_cells() {
+        let mut s = store_with("a", ObjectKind::Array { rows: 2, size: 4, width: 32 });
+        s.declare(&ObjectDecl::new("q", ObjectKind::Seq { size: 4, width: 32 }));
+        for name in ["a", "q"] {
+            let slot = s.slot_of(name).unwrap();
+            s.array_write(name, 1, 6, 5);
+            assert_eq!(s.array_read_slot(slot, 1, 2), 5);
+            assert_eq!(s.array_add_slot(slot, 1, 2, 3), 8);
+            assert_eq!(s.array_add(name, 1, 2, 1), 9);
+            s.array_write_slot(slot, 0, 3, -2);
+            assert_eq!(s.array_read(name, 0, 3), -2);
+            s.clear_slot(slot);
+            assert_eq!(s.array_read(name, 1, 2), 0);
+        }
+        // a sequence has one row: the row operand is ignored
+        s.array_write("q", 0, 1, 4);
+        assert_eq!(s.array_read("q", 9, 1), 4);
+        // missing objects read 0, ignore writes, and count from 0
+        assert_eq!(s.array_read("gone", 0, 0), 0);
+        assert_eq!(s.array_add("gone", 0, 0, 5), 5);
+        assert_eq!(s.array_add_slot(usize::MAX, 0, 0, 5), 5);
+        s.array_write_slot(usize::MAX, 0, 0, 1);
     }
 
     #[test]

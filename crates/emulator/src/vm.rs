@@ -11,8 +11,20 @@
 //! the optimizer hoists into [`IrProgram::precondition`] gates each snippet
 //! once per packet.
 //!
+//! The image has the structure the source had.  If-conversion flattens a
+//! nested `if`/`elif`/`else` into a straight-line stream in which every
+//! instruction repeats the whole conjunction of the branches around it; the
+//! lowering pass folds that stream back into a **guard tree**
+//! ([`VmNode`]): an operation whose guard is fully discharged, or a
+//! [`VmBlock`] keyed on the *next* predicate of the instructions under it.
+//! Each predicate of the source is present once, a false predicate skips its
+//! whole subtree in one test, and a block closes — at whatever depth — right
+//! after an operation that writes something its predicate reads, so testing
+//! at block entry observes exactly the values the interpreter's
+//! per-instruction test would.
+//!
 //! The VM is bit-identical to the interpreter by construction: one IR
-//! instruction compiles to exactly one [`VmInstr`] (so executed-instruction
+//! instruction compiles to exactly one [`VmNode::Op`] (so executed-instruction
 //! telemetry matches), every operation evaluates through the same
 //! [`clickinc_ir::eval`] reference semantics and the same [`ObjectStore`]
 //! cell arithmetic, and `RandInt` advances the same per-tenant splitmix
@@ -34,7 +46,9 @@
 
 use crate::packet::{HeaderLayout, Packet};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
-use clickinc_ir::{eval, AluOp, CmpOp, IrProgram, ObjectKind, OpCode, Operand, Value};
+use clickinc_ir::{
+    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectKind, OpCode, Operand, Predicate, Value,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -158,48 +172,53 @@ pub enum VmOp {
     NoOp,
 }
 
-/// One compiled instruction: the (possibly empty) guard plus the operation.
-/// Exactly one IR instruction compiles to one `VmInstr`, keeping the
-/// executed-instruction counters bit-identical across tiers.
+/// One node of a guard tree.  Exactly one IR instruction compiles to one
+/// `Op`, keeping the executed-instruction counters bit-identical across
+/// tiers.
 #[derive(Debug, Clone)]
-pub struct VmInstr {
-    guard: Vec<VmPred>,
-    op: VmOp,
+pub enum VmNode {
+    /// An operation whose guard the enclosing blocks have fully discharged.
+    Op(VmOp),
+    /// The instructions whose guards continue with one more shared predicate.
+    Block(VmBlock),
 }
 
-/// A guard block: consecutive instructions sharing a leading guard
-/// conjunction, evaluated once per packet at block entry.  The grouping is a
-/// pure compile-time transform of the straight-line stream — a block is only
-/// formed when no instruction in its body writes a register or header field
-/// the shared predicates read, so block-entry evaluation observes exactly the
-/// values per-instruction evaluation would.  A failing shared guard skips the
-/// whole body, which is telemetry-identical to the interpreter failing each
-/// instruction's full conjunction individually.
+/// A guard block: the run of consecutive instructions whose guards share the
+/// enclosing blocks' predicates *and* this one, which is tested once per
+/// packet at block entry — a failure skips the whole subtree, which is
+/// telemetry-identical to the interpreter failing each instruction's full
+/// conjunction individually.  The grouping is a pure compile-time transform
+/// of the straight-line stream: a block ends right after a body operation
+/// (at any depth below it) that writes a register or header field its
+/// predicate reads, so block-entry evaluation observes exactly the values
+/// per-instruction evaluation would.
 #[derive(Debug, Clone)]
 pub struct VmBlock {
-    guard: Vec<VmPred>,
-    body: Vec<VmInstr>,
+    guard: VmPred,
+    body: Vec<VmNode>,
 }
 
 /// One compiled snippet: the hoisted program precondition plus the guard
-/// blocks covering the instruction stream in order.
+/// tree covering the instruction stream in order.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// Snippet name (the tenant program id).
     pub name: String,
     precondition: Vec<VmPred>,
-    blocks: Vec<VmBlock>,
+    body: Vec<VmNode>,
+    /// Operations in `body`, at every depth.
+    ops: usize,
 }
 
 impl CompiledProgram {
     /// Number of compiled instructions.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.body.len()).sum()
+        self.ops
     }
 
     /// Whether the snippet compiled to no instructions.
     pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|b| b.body.is_empty())
+        self.ops == 0
     }
 }
 
@@ -232,9 +251,10 @@ impl CompiledImage {
         &self.programs
     }
 
-    /// Render the whole compiled stream in a stable textual form — the golden
-    /// snapshots of the fig13 programs pin this down, so it must only change
-    /// when the compiler's output actually changes.
+    /// Render the whole compiled image in a stable textual form, nested
+    /// blocks by indentation and each predicate once — the golden snapshots
+    /// of the fig13 programs pin this down, so it must only change when the
+    /// compiler's output actually changes.
     pub fn dump(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -243,27 +263,25 @@ impl CompiledImage {
             if !prog.precondition.is_empty() {
                 let _ = writeln!(out, "  precondition: {}", self.preds(&prog.precondition));
             }
-            for blk in &prog.blocks {
-                if blk.guard.is_empty() {
-                    let _ = writeln!(out, "  block:");
-                } else {
-                    let _ = writeln!(out, "  block if {}:", self.preds(&blk.guard));
+            self.dump_nodes(&prog.body, 1, &mut out);
+        }
+        out
+    }
+
+    fn dump_nodes(&self, nodes: &[VmNode], depth: usize, out: &mut String) {
+        use std::fmt::Write;
+        let indent = "  ".repeat(depth);
+        for node in nodes {
+            match node {
+                VmNode::Op(op) => {
+                    let _ = writeln!(out, "{indent}{}", self.op_str(op));
                 }
-                for vi in &blk.body {
-                    if vi.guard.is_empty() {
-                        let _ = writeln!(out, "    {}", self.op_str(&vi.op));
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "    if {} -> {}",
-                            self.preds(&vi.guard),
-                            self.op_str(&vi.op)
-                        );
-                    }
+                VmNode::Block(blk) => {
+                    let _ = writeln!(out, "{indent}if {}:", self.pred(&blk.guard));
+                    self.dump_nodes(&blk.body, depth + 1, out);
                 }
             }
         }
-        out
     }
 
     fn opnd(&self, o: &VmOperand) -> String {
@@ -277,11 +295,12 @@ impl CompiledImage {
         }
     }
 
+    fn pred(&self, p: &VmPred) -> String {
+        format!("{} {:?} {}", self.opnd(&p.lhs), p.op, self.opnd(&p.rhs))
+    }
+
     fn preds(&self, ps: &[VmPred]) -> String {
-        ps.iter()
-            .map(|p| format!("{} {:?} {}", self.opnd(&p.lhs), p.op, self.opnd(&p.rhs)))
-            .collect::<Vec<_>>()
-            .join(" && ")
+        ps.iter().map(|p| self.pred(p)).collect::<Vec<_>>().join(" && ")
     }
 
     fn list(&self, os: &[VmOperand]) -> String {
@@ -409,6 +428,9 @@ struct Lowerer<'a> {
     var_regs: BTreeMap<String, u32>,
     header_names: Vec<String>,
     header_ids: BTreeMap<String, u32>,
+    /// The predicates of the blocks open around the instruction being
+    /// lowered, outermost first; a closing block takes its own back.
+    path: Vec<VmPred>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -584,6 +606,69 @@ impl<'a> Lowerer<'a> {
     fn updates(&mut self, updates: &[(String, Operand)]) -> Vec<(u32, VmOperand)> {
         updates.iter().map(|(f, v)| (self.hdr(f), self.operand(v))).collect()
     }
+
+    fn pred(&mut self, p: &Predicate) -> VmPred {
+        VmPred { lhs: self.operand(&p.lhs), op: p.op, rhs: self.operand(&p.rhs) }
+    }
+
+    /// Lower the run of `instrs[*pos..]` whose guards start with `prefix` —
+    /// the predicates of the blocks already open, which `self.path` holds
+    /// lowered — into the nodes of the innermost open block, advancing `pos`
+    /// past what was consumed.
+    ///
+    /// A lowered `if`-tree repeats the branch conjunction on every
+    /// instruction of the branch; an instruction whose guard is exactly
+    /// `prefix` becomes an op, one whose guard goes on opens a block keyed on
+    /// its next predicate and the walk descends, comparing the following
+    /// guards against that instruction's own in place.  Soundness: an
+    /// instruction may ride in a block only while no *earlier* body
+    /// instruction could have changed what the block's predicate reads — so
+    /// after an op that writes an operand of an open block's predicate, that
+    /// block and everything nested in it closes (the op itself is safe: its
+    /// guard was checked before it ran, exactly as the interpreter does).
+    /// The second value returned is how many of the open blocks stay open:
+    /// `prefix.len()` when the run simply ended, fewer when an op forced
+    /// enclosing blocks shut, and then every level above it returns too.
+    fn nodes(
+        &mut self,
+        instrs: &[Instruction],
+        pos: &mut usize,
+        prefix: &[Predicate],
+    ) -> (Vec<VmNode>, usize) {
+        let depth = prefix.len();
+        let mut body = Vec::new();
+        while let Some(instr) = instrs.get(*pos) {
+            let guard = instr.guard.as_ref().map_or(&[][..], |g| &g.all);
+            if !guard.starts_with(prefix) {
+                break;
+            }
+            let open = match guard.get(depth) {
+                None => {
+                    *pos += 1;
+                    let op = self.op(&instr.op);
+                    let open = self
+                        .path
+                        .iter()
+                        .position(|p| writes_guard_operand(&op, p))
+                        .unwrap_or(depth);
+                    body.push(VmNode::Op(op));
+                    open
+                }
+                Some(next) => {
+                    let lowered = self.pred(next);
+                    self.path.push(lowered);
+                    let (inner, open) = self.nodes(instrs, pos, &guard[..=depth]);
+                    let guard = self.path.pop().expect("pushed above");
+                    body.push(VmNode::Block(VmBlock { guard, body: inner }));
+                    open
+                }
+            };
+            if open < depth {
+                return (body, open);
+            }
+        }
+        (body, depth)
+    }
 }
 
 /// Compile every installed snippet against the plane's object-kind index and
@@ -601,81 +686,30 @@ pub fn compile(
         var_regs: BTreeMap::new(),
         header_names: Vec::new(),
         header_ids: BTreeMap::new(),
+        path: Vec::new(),
     };
     let mut programs = Vec::with_capacity(snippets.len());
     for snippet in snippets {
         let precondition = snippet
             .precondition
             .as_ref()
-            .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
+            .map(|g| g.all.iter().map(|p| lw.pred(p)).collect())
             .unwrap_or_default();
-        let ops: Vec<VmInstr> = snippet
-            .instructions
-            .iter()
-            .map(|instr| VmInstr {
-                guard: instr
-                    .guard
-                    .as_ref()
-                    .map(|g| g.all.iter().map(|p| pred(&mut lw, p)).collect())
-                    .unwrap_or_default(),
-                op: lw.op(&instr.op),
-            })
-            .collect();
-        let blocks = form_blocks(ops);
-        programs.push(CompiledProgram { name: snippet.name.clone(), precondition, blocks });
+        let (body, _) = lw.nodes(&snippet.instructions, &mut 0, &[]);
+        programs.push(CompiledProgram {
+            name: snippet.name.clone(),
+            precondition,
+            body,
+            ops: snippet.instructions.len(),
+        });
     }
     CompiledImage { programs, reg_names: lw.reg_names, header_names: lw.header_names }
 }
 
-/// Group the straight-line instruction stream into guard blocks.
-///
-/// A lowered `if`-tree repeats the branch conjunction on every instruction of
-/// the branch; hoisting the shared prefix to block level evaluates it once
-/// per packet instead of once per instruction.  Soundness: an instruction may
-/// ride in a block only while no *earlier or same* body instruction could
-/// have changed what the shared predicates read — so a block is closed
-/// immediately after any body instruction that writes a register or header
-/// field mentioned by the shared guard (that instruction itself is safe:
-/// its guard was checked before it ran, exactly as the interpreter does).
-fn form_blocks(instrs: Vec<VmInstr>) -> Vec<VmBlock> {
-    let mut blocks: Vec<VmBlock> = Vec::new();
-    let mut open = false;
-    for instr in instrs {
-        if open {
-            let blk = blocks.last_mut().expect("open implies a block exists");
-            let extends = instr.guard.len() >= blk.guard.len()
-                && instr.guard[..blk.guard.len()] == blk.guard[..]
-                // an unguarded block would swallow everything; only group
-                // instructions under a real shared conjunction (or runs of
-                // fully unguarded instructions)
-                && (blk.guard.is_empty() == instr.guard.is_empty() || !blk.guard.is_empty());
-            if extends {
-                let residual = instr.guard[blk.guard.len()..].to_vec();
-                let closes = writes_guard_operand(&instr.op, &blk.guard);
-                blk.body.push(VmInstr { guard: residual, op: instr.op });
-                if closes {
-                    open = false;
-                }
-                continue;
-            }
-        }
-        let closes = writes_guard_operand(&instr.op, &instr.guard);
-        blocks.push(VmBlock {
-            guard: instr.guard,
-            body: vec![VmInstr { guard: Vec::new(), op: instr.op }],
-        });
-        open = !closes;
-    }
-    blocks
-}
-
-/// Whether executing `op` writes a register or header field any of `preds`
-/// reads.  (Mirror updates touch only the mirrored copy; store writes never
-/// feed predicates, which read registers, headers and metadata only.)
-fn writes_guard_operand(op: &VmOp, preds: &[VmPred]) -> bool {
-    if preds.is_empty() {
-        return false;
-    }
+/// Whether executing `op` writes a register or header field `pred` reads.
+/// (Mirror updates touch only the mirrored copy; store writes never feed
+/// predicates, which read registers, headers and metadata only.)
+fn writes_guard_operand(op: &VmOp, pred: &VmPred) -> bool {
     let mut reg_w: Option<u32> = None;
     let mut hdr_w: &[(u32, VmOperand)] = &[];
     let mut hdr_one: Option<u32> = None;
@@ -700,11 +734,7 @@ fn writes_guard_operand(op: &VmOp, preds: &[VmPred]) -> bool {
         VmOperand::Header(h) => hdr_one == Some(*h) || hdr_w.iter().any(|(f, _)| f == h),
         _ => false,
     };
-    preds.iter().any(|p| touches(&p.lhs) || touches(&p.rhs))
-}
-
-fn pred(lw: &mut Lowerer<'_>, p: &clickinc_ir::Predicate) -> VmPred {
-    VmPred { lhs: lw.operand(&p.lhs), op: p.op, rhs: lw.operand(&p.rhs) }
+    touches(&pred.lhs) || touches(&pred.rhs)
 }
 
 /// The plane-owned register file, generation-stamped so it never needs a
@@ -898,22 +928,33 @@ pub fn exec(image: &CompiledImage, ctx: &mut VmCtx<'_>, pkt: &mut Packet) -> VmR
         if !prog.precondition.iter().all(|p| pred_holds(p, ctx, image, pkt)) {
             continue;
         }
-        for blk in &prog.blocks {
-            // shared conjunction, checked once for the whole body (a failure
-            // here fails every body instruction's full guard)
-            if !blk.guard.iter().all(|p| pred_holds(p, ctx, image, pkt)) {
-                continue;
-            }
-            for vi in &blk.body {
-                if !vi.guard.iter().all(|p| pred_holds(p, ctx, image, pkt)) {
-                    continue;
-                }
+        run_nodes(&prog.body, ctx, image, pkt, &mut run);
+    }
+    run
+}
+
+/// Walk one level of a guard tree: a false block predicate skips the whole
+/// subtree (it fails every instruction's full guard below it).
+fn run_nodes(
+    nodes: &[VmNode],
+    ctx: &mut VmCtx<'_>,
+    image: &CompiledImage,
+    pkt: &mut Packet,
+    run: &mut VmRun,
+) {
+    for node in nodes {
+        match node {
+            VmNode::Op(op) => {
                 run.executed += 1;
-                step(&vi.op, ctx, image, pkt, &mut run);
+                step(op, ctx, image, pkt, run);
+            }
+            VmNode::Block(blk) => {
+                if pred_holds(&blk.guard, ctx, image, pkt) {
+                    run_nodes(&blk.body, ctx, image, pkt, run);
+                }
             }
         }
     }
-    run
 }
 
 fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet, run: &mut VmRun) {
@@ -1074,7 +1115,7 @@ mod tests {
     use crate::packet::kvs_request;
     use clickinc_device::DeviceModel;
     use clickinc_frontend::compile_source;
-    use clickinc_ir::{Guard, Operand, Predicate, ProgramBuilder};
+    use clickinc_ir::{Guard, ProgramBuilder};
     use clickinc_lang::templates::{kvs_template, KvsParams};
 
     #[test]
@@ -1155,6 +1196,81 @@ mod tests {
         let [compiled, interp] = &planes;
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
         assert_eq!(compiled.instructions_executed, interp.instructions_executed);
+    }
+
+    fn compiled_dump(prog: IrProgram) -> String {
+        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+        plane.install(prog);
+        plane.compiled_image().expect("an installed program compiles").dump()
+    }
+
+    fn is_one(field: &str) -> Predicate {
+        Predicate::new(Operand::Header(field.into()), CmpOp::Eq, Operand::int(1))
+    }
+
+    /// The shape of the MLAgg Core slice — `[A] x; [A,B] y; [A,B,C] z;
+    /// [A,B,D] w; [A,E] v` — is one tree, each predicate present once.
+    #[test]
+    fn a_flattened_if_tree_lowers_back_to_one_tree() {
+        let mut b = ProgramBuilder::new("p");
+        b.guarded(is_one("a"), |b| {
+            b.set_header("x", Operand::int(1));
+            b.guarded(is_one("b"), |b| {
+                b.set_header("y", Operand::int(1));
+                b.guarded(is_one("c"), |b| {
+                    b.set_header("z", Operand::int(1));
+                });
+                b.guarded(is_one("d"), |b| {
+                    b.set_header("w", Operand::int(1));
+                });
+            });
+            b.guarded(is_one("e"), |b| {
+                b.set_header("v", Operand::int(1));
+            });
+        });
+        let dump = compiled_dump(b.build().unwrap());
+        assert_eq!(
+            dump,
+            "program p (5 instr):\n\
+             \x20 if hdr.a Eq 1:\n\
+             \x20   hdr.x = 1\n\
+             \x20   if hdr.b Eq 1:\n\
+             \x20     hdr.y = 1\n\
+             \x20     if hdr.c Eq 1:\n\
+             \x20       hdr.z = 1\n\
+             \x20     if hdr.d Eq 1:\n\
+             \x20       hdr.w = 1\n\
+             \x20   if hdr.e Eq 1:\n\
+             \x20     hdr.v = 1\n"
+        );
+    }
+
+    /// An op that writes what an *enclosing* block's predicate reads closes
+    /// that block and everything nested in it; what follows re-tests both.
+    #[test]
+    fn a_write_to_an_enclosing_guard_operand_closes_every_block_down_to_it() {
+        let mut b = ProgramBuilder::new("p");
+        b.guarded(is_one("a"), |b| {
+            b.set_header("x", Operand::int(1));
+            b.guarded(is_one("b"), |b| {
+                b.set_header("a", Operand::int(1));
+                b.set_header("y", Operand::int(1));
+            });
+            b.set_header("v", Operand::int(1));
+        });
+        let dump = compiled_dump(b.build().unwrap());
+        assert_eq!(
+            dump,
+            "program p (4 instr):\n\
+             \x20 if hdr.a Eq 1:\n\
+             \x20   hdr.x = 1\n\
+             \x20   if hdr.b Eq 1:\n\
+             \x20     hdr.a = 1\n\
+             \x20 if hdr.a Eq 1:\n\
+             \x20   if hdr.b Eq 1:\n\
+             \x20     hdr.y = 1\n\
+             \x20   hdr.v = 1\n"
+        );
     }
 
     #[test]

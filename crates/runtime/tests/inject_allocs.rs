@@ -132,11 +132,12 @@ fn serving_a_burst_allocates_per_burst_not_per_packet() {
     let _alone = alone();
     const ROUNDS: usize = 4;
     let kvs = kvs_template("kvs", KvsParams::default());
-    // a pool of 16 aggregator slots: the first burst's 32 rounds touch every
-    // array cell the program will ever write, so later bursts grow no state
+    // 1 024 aggregator slots and fresh sequence numbers every burst: each
+    // burst writes array cells no earlier one touched, and the dense store
+    // grows nothing for them
     let mlagg = mlagg_template(
         "mlagg",
-        MlAggParams { dims: 32, num_workers: 4, num_aggregators: 16, ..Default::default() },
+        MlAggParams { dims: 32, num_workers: 4, num_aggregators: 1024, ..Default::default() },
     );
     let engine = TrafficEngine::new(EngineConfig { shards: 1, ..Default::default() });
     let handle = engine.handle();
@@ -175,11 +176,12 @@ fn serving_a_burst_allocates_per_burst_not_per_packet() {
     assert_eq!(small, large, "a burst four times the size allocates the same");
     assert!(large as f64 <= 0.05 * 1024.0, "{large} allocations serving 1024 KVS requests");
 
+    // the first burst materialises the arrays the program writes
     allocs_serving(&handle, &mlagg_name, burst_of(&mut mlagg_wl, 128));
     let small = least_allocs_serving(&handle, &mlagg_name, &mut mlagg_wl, 32, ROUNDS);
     let large = least_allocs_serving(&handle, &mlagg_name, &mut mlagg_wl, 128, ROUNDS);
     assert_eq!(small, large, "a burst four times the size allocates the same");
-    assert!(large as f64 <= 0.5 * 128.0, "{large} allocations serving 128 gradients");
+    assert!(large as f64 <= 0.05 * 128.0, "{large} allocations serving 128 gradients");
 
     let stats = engine.finish().telemetry;
     let kvs_stats = stats.tenant("kvs").expect("kvs served");

@@ -9,17 +9,24 @@
 //!    co-resident on one device, run over representative traces through both
 //!    tiers: per-packet outcomes, rewritten packets, store fingerprints and
 //!    telemetry counters must be bit-identical.
-//! 2. **Golden compiled streams** — the optimizer+compiler output for each
-//!    fig13 program is pinned in `tests/golden/<name>.vm`; any codegen drift
+//! 2. **Golden compiled images** — the optimizer+compiler output for each
+//!    fig13 program, and for the MLAgg the benchmark serves as the controller
+//!    places it, is pinned in `tests/golden/<name>.vm`; any codegen drift
 //!    diffs here.  Regenerate with `UPDATE_GOLDEN=1 cargo test`.
 //! 3. **Random programs** — proptest: generated verified counter/table
 //!    programs over sampled packet traces agree across tiers.
+//! 4. **Random branch trees** — proptest: generated nested `if`/`elif`/`else`
+//!    programs whose branch bodies overwrite what enclosing guards read; the
+//!    guard tree must close its blocks wherever the interpreter's
+//!    per-instruction test would see a new value.
 
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
     MlAggParams,
 };
 use clickinc::synthesis::isolate_user_program;
+use clickinc::topology::Topology;
+use clickinc::{Controller, ServiceRequest};
 use clickinc_device::DeviceModel;
 use clickinc_emulator::packet::{gradient_packet, kvs_request};
 use clickinc_emulator::{DevicePlane, ExecMode, Packet};
@@ -170,33 +177,137 @@ fn fig13_programs_agree_across_tiers_when_co_resident() {
     assert_tiers_agree(&mut compiled, &mut interp, trace);
 }
 
+/// Compare `dump` with `tests/golden/<name>.vm`, or rewrite the file under
+/// `UPDATE_GOLDEN=1`.
+fn assert_matches_golden(name: &str, dump: &str) {
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let path = golden_dir.join(format!("{name}.vm"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(&golden_dir).expect("golden dir");
+        std::fs::write(&path, dump).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden snapshot {} ({e}); run UPDATE_GOLDEN=1 cargo test", path.display())
+    });
+    assert_eq!(
+        dump,
+        want,
+        "compiled image for {name} drifted from {} — review the codegen change and \
+         regenerate with UPDATE_GOLDEN=1",
+        path.display()
+    );
+}
+
 #[test]
 fn fig13_compiled_streams_match_their_golden_snapshots() {
-    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for (name, _, program) in fig13_programs() {
         let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
         plane.set_exec_mode(ExecMode::Compiled);
         plane.install(program);
         let dump = plane.compiled_image().expect("installed programs compile").dump();
-        let path = golden_dir.join(format!("{name}.vm"));
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::create_dir_all(&golden_dir).expect("golden dir");
-            std::fs::write(&path, &dump).expect("write golden");
-            continue;
+        assert_matches_golden(name, &dump);
+    }
+}
+
+/// The image that is measured is the image that is pinned: the 32-dimension
+/// MLAgg of the benchmark's `mlagg_serve` workload (`benchmark/src/workloads/
+/// serve.rs`), placed by the controller on the benchmark's topology, one
+/// compiled image per hop.
+#[test]
+fn the_served_mlagg_images_match_their_golden_snapshot() {
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    let params = MlAggParams { dims: 32, num_workers: 4, num_aggregators: 1024, is_float: false };
+    let request = ServiceRequest::builder("mlagg_srv")
+        .template(mlagg_template("mlagg_srv", params))
+        .from_("pod0b")
+        .from_("pod1b")
+        .to("pod2a")
+        .build()
+        .expect("the benchmark's request is well-formed");
+    controller.deploy(request).expect("the benchmark's MLAgg deploys");
+    let mut dump = String::new();
+    for hop in controller.tenant_hops("mlagg_srv") {
+        let plane = hop.plane();
+        dump.push_str(&format!("device {}:\n", hop.device));
+        dump.push_str(&plane.compiled_image().expect("a hop carries a program").dump());
+    }
+    assert_matches_golden("mlagg32_served", &dump);
+}
+
+/// Decodes a vector of raw draws into a nested `if`/`elif`/`else` program in
+/// its if-converted form (each instruction carries the conjunction of the
+/// branches around it, siblings test one operand with `Eq` and `Ne`).
+///
+/// Guards read the header fields `h0..h3` and the registers `v0..v2`; branch
+/// bodies overwrite the same fields and registers, so a body routinely
+/// changes what its own, a sibling's or an *enclosing* guard reads.  Every
+/// emitted statement also bumps a counter cell of its own, so the store
+/// fingerprint records exactly which instructions ran.
+struct BranchTreeGen<'a> {
+    draws: &'a [u32],
+    cursor: usize,
+    /// Statements left to emit; an exhausted budget stops opening branches.
+    budget: usize,
+    next_cell: i64,
+}
+
+impl BranchTreeGen<'_> {
+    const CELLS: u32 = 128;
+
+    fn draw(&mut self, bound: u32) -> u32 {
+        let v = self.draws[self.cursor % self.draws.len()];
+        self.cursor += 1;
+        v % bound
+    }
+
+    /// A header field or register a guard may read and a body may write.
+    fn place(&mut self) -> Operand {
+        match self.draw(7) {
+            n @ 0..=3 => Operand::hdr(format!("h{n}")),
+            n => Operand::var(format!("v{}", n - 4)),
         }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {} ({e}); run UPDATE_GOLDEN=1 cargo test",
-                path.display()
-            )
+    }
+
+    fn statement(&mut self, b: &mut ProgramBuilder) {
+        self.budget = self.budget.saturating_sub(1);
+        let cell = self.next_cell % i64::from(Self::CELLS);
+        self.next_cell += 1;
+        b.count(None, "ran", vec![Operand::int(cell)], Operand::int(1));
+        let value = match self.draw(3) {
+            0 => self.place(),
+            _ => Operand::int(i64::from(self.draw(3))),
+        };
+        match self.place() {
+            Operand::Header(field) => b.set_header(&field, value),
+            Operand::Var(var) => b.assign(&var, value),
+            _ => unreachable!("places are header fields and registers"),
+        };
+    }
+
+    fn block(&mut self, b: &mut ProgramBuilder, depth: u32) {
+        for _ in 0..1 + self.draw(3) {
+            if depth < 3 && self.budget > 0 && self.draw(2) == 0 {
+                self.branch(b, depth);
+            } else {
+                self.statement(b);
+            }
+        }
+    }
+
+    /// `if p {..} [elif q {..}] else {..}`, if-converted: `[p]`, `[!p, q]`,
+    /// `[!p, !q]`.
+    fn branch(&mut self, b: &mut ProgramBuilder, depth: u32) {
+        let (operand, constant) = (self.place(), Operand::int(i64::from(self.draw(3))));
+        let test = |op| Predicate::new(operand.clone(), op, constant.clone());
+        b.guarded(test(CmpOp::Eq), |b| self.block(b, depth + 1));
+        b.guarded(test(CmpOp::Ne), |b| {
+            if depth < 3 && self.budget > 0 && self.draw(2) == 0 {
+                self.branch(b, depth + 1);
+            } else {
+                self.block(b, depth + 1);
+            }
         });
-        assert_eq!(
-            dump,
-            want,
-            "compiled stream for {name} drifted from {} — review the codegen change and \
-             regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        );
     }
 }
 
@@ -272,5 +383,47 @@ proptest! {
         }
         prop_assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
         prop_assert_eq!(compiled.instructions_executed, interp.instructions_executed);
+    }
+
+    /// Nested branches whose bodies overwrite what enclosing guards read run
+    /// bit-identically on both tiers, raw and optimized: the guard tree
+    /// closes a block — at any depth — where the interpreter would re-test.
+    #[test]
+    fn nested_branches_that_overwrite_their_guards_agree_across_tiers(
+        draws in proptest::collection::vec(0u32..1 << 16, 24..96),
+        raw_trace in proptest::collection::vec(0u32..81, 1..10),
+    ) {
+        let mut b = ProgramBuilder::new("t");
+        for h in 0..4 {
+            b.header(&format!("h{h}"), ValueType::Bit(8));
+        }
+        b.array("ran", 1, BranchTreeGen::CELLS, 32);
+        // the registers start from packet fields, so a guard on one is live
+        for v in 0..3 {
+            b.assign(&format!("v{v}"), Operand::hdr(format!("h{}", v + 1)));
+        }
+        let mut gen = BranchTreeGen { draws: &draws, cursor: 0, budget: 48, next_cell: 0 };
+        gen.block(&mut b, 0);
+        gen.branch(&mut b, 0);
+        b.forward();
+        let program = b.build().expect("generated program is well-formed");
+        let mut opt_diags = DiagnosticSet::new();
+        let optimized =
+            Optimizer::with_default_passes().optimize("t", false, &program, &mut opt_diags);
+
+        // four fields in 0..3, the range the guards compare against
+        let trace: Vec<Packet> = raw_trace
+            .iter()
+            .map(|raw| {
+                let fields = (0..4)
+                    .map(|h| (format!("h{h}"), Value::Int(i64::from(raw / 3u32.pow(h) % 3))))
+                    .collect();
+                Packet::new("src", "dst", 1, fields)
+            })
+            .collect();
+        for program in [program, optimized] {
+            let (mut compiled, mut interp) = plane_pair(std::slice::from_ref(&program));
+            assert_tiers_agree(&mut compiled, &mut interp, trace.clone());
+        }
     }
 }
