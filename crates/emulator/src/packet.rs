@@ -60,6 +60,9 @@ pub struct IncHeader {
     /// as removed from the wire format (the sparse-block deletion of Fig. 7)
     /// and does not count towards the packet size.
     slots: Vec<Value>,
+    /// How many of `slots` are live (not [`Value::None`]), kept in step by
+    /// every write so that the wire size is a field read, not a scan.
+    live: usize,
 }
 
 impl IncHeader {
@@ -73,20 +76,21 @@ impl IncHeader {
     /// no-op, since it already reads as [`Value::None`].
     pub fn set(&mut self, field: &str, value: Value) {
         match self.layout.position(field) {
-            Ok(slot) => self.slots[slot] = value,
+            Ok(slot) => self.set_slot(slot, value),
             Err(_) if value.is_none() => {}
             Err(at) => {
                 let mut names = self.layout.names.clone();
                 names.insert(at, field.into());
                 self.layout = Arc::new(HeaderLayout { names });
                 self.slots.insert(at, value);
+                self.live += 1;
             }
         }
     }
 
     /// Number of live (non-removed) application fields.
     pub fn live_fields(&self) -> usize {
-        self.slots.iter().filter(|v| !v.is_none()).count()
+        self.live
     }
 
     /// Every field the layout carries with its value, in name order (removed
@@ -107,6 +111,8 @@ impl IncHeader {
 
     /// Overwrite the value in `slot` of the layout.
     pub(crate) fn set_slot(&mut self, slot: usize, value: Value) {
+        let was_live = !self.slots[slot].is_none();
+        self.live = self.live + usize::from(!value.is_none()) - usize::from(was_live);
         self.slots[slot] = value;
     }
 }
@@ -150,7 +156,13 @@ impl Packet {
         Packet {
             src: src.into(),
             dst: dst.into(),
-            inc: IncHeader { user, step: 0, layout: Arc::new(HeaderLayout { names }), slots },
+            inc: IncHeader {
+                user,
+                step: 0,
+                layout: Arc::new(HeaderLayout { names }),
+                live: slots.iter().filter(|v| !v.is_none()).count(),
+                slots,
+            },
             base_bytes: Packet::BASE_BYTES,
             bytes_per_field: 4,
         }
@@ -210,7 +222,7 @@ impl PacketShape {
     fn stamp_with(&self, values: impl IntoIterator<Item = (usize, Value)>) -> Packet {
         let mut packet = self.stamp();
         for (slot, value) in values {
-            packet.inc.slots[slot] = value;
+            packet.inc.set_slot(slot, value);
         }
         packet
     }
@@ -309,6 +321,15 @@ mod tests {
         p.inc.set("data_3", Value::None);
         assert_eq!(p.wire_bytes(), before - 2 * p.bytes_per_field);
         assert!(p.wire_bytes() >= Packet::BASE_BYTES);
+        // stamping counts too: a request's `vals` defaults to removed, and a
+        // stamp may fill it or remove a default
+        let requests = KvsShape::new("c", "s", 1);
+        assert_eq!(requests.request(9).inc.live_fields(), 2);
+        let (op, vals) = (requests.shape.slot_of("op"), requests.shape.slot_of("vals"));
+        let reply = requests.shape.stamp_with([(vals, Value::Int(7))]);
+        assert_eq!(reply.inc.live_fields(), 3);
+        let bare = requests.shape.stamp_with([(op, Value::None), (op, Value::None)]);
+        assert_eq!(bare.wire_bytes(), Packet::BASE_BYTES + bare.bytes_per_field);
     }
 
     #[test]
@@ -377,6 +398,9 @@ mod tests {
             let model_fields: Vec<(&str, &Value)> = self.0.iter().map(|(k, v)| (*k, v)).collect();
             prop_assert_eq!(packet.inc.fields().collect::<Vec<_>>(), model_fields);
             prop_assert_eq!(packet.inc.live_fields(), self.live());
+            // the carried count is the recount
+            let recount = packet.inc.fields().filter(|(_, v)| !v.is_none()).count();
+            prop_assert_eq!(packet.inc.live_fields(), recount);
             prop_assert_eq!(packet.wire_bytes(), Packet::BASE_BYTES + 4 * self.live());
             for name in NAMES {
                 let expected = self.0.get(name).cloned().unwrap_or(Value::None);

@@ -85,10 +85,13 @@ impl Cells {
     }
 
     /// Row and cell wrap at the declared bounds, mirroring the hardware's
-    /// address masking; a dimension declared 0 counts as 1.
+    /// address masking; a dimension declared 0 counts as 1.  An in-range
+    /// coordinate — every access of a verified program — costs a compare;
+    /// only one past its bound pays for the division.
     fn index(&self, row: u32, cell: u32) -> usize {
+        let wrap = |at: u32, bound: u32| if at < bound { at } else { at % bound };
         let size = self.size.max(1);
-        (row % self.rows.max(1)) as usize * size as usize + (cell % size) as usize
+        wrap(row, self.rows.max(1)) as usize * size as usize + wrap(cell, size) as usize
     }
 
     fn read(&self, row: u32, cell: u32) -> i64 {
@@ -651,6 +654,30 @@ mod tests {
         assert_eq!(s.array_read("a", 0, 11), 50);
         s.clear("a");
         assert_eq!(s.array_read("a", 0, 3), 0);
+    }
+
+    proptest::proptest! {
+        /// Wrap-by-compare addresses the cell the two divisions did, for
+        /// coordinates in range, past the bound and at `u32::MAX`, over
+        /// dimensions that include 0 (which counts as 1) and 1.
+        #[test]
+        fn cell_addressing_wraps_like_the_modulo_it_replaced(
+            rows in 0u32..6,
+            size in 0u32..6,
+            near in 0u32..12 * 12,
+            far in 0u32..3 * 3,
+        ) {
+            // around the bounds, counted down from `u32::MAX`, or anywhere
+            let coordinate = |near: u32, far: u32| match far {
+                0 => near,
+                1 => u32::MAX - near,
+                _ => near.wrapping_mul(0x9e37_79b9),
+            };
+            let (row, cell) = (coordinate(near / 12, far / 3), coordinate(near % 12, far % 3));
+            let expected = (row % rows.max(1)) as usize * size.max(1) as usize
+                + (cell % size.max(1)) as usize;
+            proptest::prop_assert_eq!(Cells::new(rows, size).index(row, cell), expected);
+        }
     }
 
     /// Whether the object's cell vector exists (it holds its full size from

@@ -21,7 +21,9 @@
 //! whole subtree in one test, and a block closes — at whatever depth — right
 //! after an operation that writes something its predicate reads, so testing
 //! at block entry observes exactly the values the interpreter's
-//! per-instruction test would.
+//! per-instruction test would.  The `else` of the source comes back too: the
+//! sibling run under the `Eq`/`Ne` complement of a block's predicate becomes
+//! the block's `otherwise` body, one test for both branches.
 //!
 //! The VM is bit-identical to the interpreter by construction: one IR
 //! instruction compiles to exactly one [`VmNode::Op`] (so executed-instruction
@@ -43,6 +45,14 @@
 //! lands in — so a header operand is a `Vec` index into the packet itself,
 //! the packet stays the single source of truth, and nothing is resolved per
 //! packet while the traffic keeps one shape.
+//!
+//! Operands are read where they live.  `Alu`, `Cmp` and block predicates hand
+//! [`clickinc_ir::eval`] two `&Value`s borrowed from the register file, the
+//! packet's slot vector or the op's own immediate; indices, deltas and
+//! array-write values go through the borrowed value's integer view, each site
+//! with the interpreter's default for a value that has none.  Only an op that
+//! *stores* a value — `Assign`, a table entry, a header write, the key buffer
+//! — copies one.
 
 use crate::packet::{HeaderLayout, Packet};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
@@ -192,10 +202,19 @@ pub enum VmNode {
 /// (at any depth below it) that writes a register or header field its
 /// predicate reads, so block-entry evaluation observes exactly the values
 /// per-instruction evaluation would.
+///
+/// A sibling run guarded by the exact complement (`Eq` against `Ne` over one
+/// operand pair — the `else` of the source) rides along as `otherwise`, so an
+/// `if`/`else` costs one test.  Only `Eq`/`Ne` fold: [`eval::compare`] makes
+/// them complements for every pair of values, `None` included, which the
+/// orderings are not.  And only when no operation of `body` writes an operand
+/// of the predicate, so a packet that took `body` would still have failed the
+/// complement where the interpreter tests it.
 #[derive(Debug, Clone)]
 pub struct VmBlock {
     guard: VmPred,
     body: Vec<VmNode>,
+    otherwise: Vec<VmNode>,
 }
 
 /// One compiled snippet: the hoisted program precondition plus the guard
@@ -279,6 +298,10 @@ impl CompiledImage {
                 VmNode::Block(blk) => {
                     let _ = writeln!(out, "{indent}if {}:", self.pred(&blk.guard));
                     self.dump_nodes(&blk.body, depth + 1, out);
+                    if !blk.otherwise.is_empty() {
+                        let _ = writeln!(out, "{indent}else:");
+                        self.dump_nodes(&blk.otherwise, depth + 1, out);
+                    }
                 }
             }
         }
@@ -629,6 +652,8 @@ impl<'a> Lowerer<'a> {
     /// The second value returned is how many of the open blocks stay open:
     /// `prefix.len()` when the run simply ended, fewer when an op forced
     /// enclosing blocks shut, and then every level above it returns too.
+    /// A block whose body ran to its end takes the run that follows under
+    /// the complement of its predicate ([`is_else_of`]) as its `otherwise`.
     fn nodes(
         &mut self,
         instrs: &[Instruction],
@@ -655,11 +680,19 @@ impl<'a> Lowerer<'a> {
                     open
                 }
                 Some(next) => {
-                    let lowered = self.pred(next);
-                    self.path.push(lowered);
-                    let (inner, open) = self.nodes(instrs, pos, &guard[..=depth]);
-                    let guard = self.path.pop().expect("pushed above");
-                    body.push(VmNode::Block(VmBlock { guard, body: inner }));
+                    let (guard, inner, mut open) = self.block(instrs, pos, &guard[..=depth]);
+                    // a body that ran to its end wrote no operand of `next`
+                    // (the block would have closed there), so the run under
+                    // the exact complement is this block's `else`
+                    let mut otherwise = Vec::new();
+                    let sibling =
+                        instrs.get(*pos).and_then(|i| i.guard.as_ref()).map(|g| &g.all[..]);
+                    if let Some(sibling) = sibling.filter(|g| {
+                        open > depth && g.starts_with(prefix) && is_else_of(next, g.get(depth))
+                    }) {
+                        (_, otherwise, open) = self.block(instrs, pos, &sibling[..=depth]);
+                    }
+                    body.push(VmNode::Block(VmBlock { guard, body: inner, otherwise }));
                     open
                 }
             };
@@ -668,6 +701,20 @@ impl<'a> Lowerer<'a> {
             }
         }
         (body, depth)
+    }
+
+    /// Lower the block keyed on the last predicate of `guard`: the predicate,
+    /// the nodes under it and how many blocks stay open (see [`Self::nodes`]).
+    fn block(
+        &mut self,
+        instrs: &[Instruction],
+        pos: &mut usize,
+        guard: &[Predicate],
+    ) -> (VmPred, Vec<VmNode>, usize) {
+        let lowered = self.pred(guard.last().expect("a block is keyed on a predicate"));
+        self.path.push(lowered);
+        let (body, open) = self.nodes(instrs, pos, guard);
+        (self.path.pop().expect("pushed above"), body, open)
     }
 }
 
@@ -704,6 +751,17 @@ pub fn compile(
         });
     }
     CompiledImage { programs, reg_names: lw.reg_names, header_names: lw.header_names }
+}
+
+/// Whether `other` is the `else` of `pred`: the same operand pair under the
+/// opposite one of `Eq`/`Ne`.
+fn is_else_of(pred: &Predicate, other: Option<&Predicate>) -> bool {
+    other.is_some_and(|other| {
+        matches!(pred.op, CmpOp::Eq | CmpOp::Ne)
+            && other.op == pred.op.negated()
+            && other.lhs == pred.lhs
+            && other.rhs == pred.rhs
+    })
 }
 
 /// Whether executing `op` writes a register or header field `pred` reads.
@@ -792,14 +850,20 @@ impl RegFile {
         }
     }
 
-    /// The packet slot of image header `h` (named `name`) under the current
-    /// layout.
-    fn header_slot(&mut self, h: usize, name: &str, pkt: &Packet) -> Option<usize> {
+    /// The packet slot of image header `h` under the current layout.
+    #[inline]
+    fn header_slot(&mut self, h: usize, image: &CompiledImage, pkt: &Packet) -> Option<usize> {
         if self.hdr_gen[h] != self.layout_gen {
-            self.hdr_slot[h] = pkt.inc.layout().slot_of(name);
-            self.hdr_gen[h] = self.layout_gen;
+            self.lookup_header_slot(h, &image.header_names[h], pkt);
         }
         self.hdr_slot[h]
+    }
+
+    /// First use of header `h` since the layout changed: resolve it by name.
+    #[cold]
+    fn lookup_header_slot(&mut self, h: usize, name: &str, pkt: &Packet) {
+        self.hdr_slot[h] = pkt.inc.layout().slot_of(name);
+        self.hdr_gen[h] = self.layout_gen;
     }
 
     fn set(&mut self, reg: u32, value: Value) {
@@ -808,12 +872,50 @@ impl RegFile {
         self.gen[r] = self.cur;
     }
 
-    fn get(&self, reg: u32) -> Option<&Value> {
-        let r = reg as usize;
-        if self.gen[r] == self.cur {
-            Some(&self.regs[r])
-        } else {
-            None
+    /// Resolve the packet slot of a header operand under the current layout —
+    /// the one part of a read that needs the file mutably, done first so
+    /// that [`RegFile::value`] can borrow.
+    #[inline]
+    fn resolve(&mut self, op: &VmOperand, image: &CompiledImage, pkt: &Packet) {
+        if let VmOperand::Header(field) = op {
+            self.header_slot(*field as usize, image, pkt);
+        }
+    }
+
+    /// Borrow a [resolved](RegFile::resolve) operand's value where it lives:
+    /// the op's own immediate, the register file or the packet's slot vector.
+    /// Metadata is not stored as a `Value` anywhere, so it goes through
+    /// `meta`, a temporary of the caller's.  A register no instruction wrote
+    /// for this packet, a header field the layout lacks and unknown metadata
+    /// read [`Value::None`].
+    // inlined at every site on purpose: out of line, every read in the image
+    // shares one operand-kind dispatch, which the branch predictor cannot
+    // learn (measured: 718 → 558 ns per MLAgg packet)
+    #[inline(always)]
+    fn value<'a>(&'a self, op: &'a VmOperand, pkt: &'a Packet, meta: &'a mut Value) -> &'a Value {
+        match op {
+            VmOperand::Const(v) => v,
+            VmOperand::Reg(reg) => {
+                let r = *reg as usize;
+                if self.gen[r] == self.cur {
+                    &self.regs[r]
+                } else {
+                    &Value::None
+                }
+            }
+            VmOperand::Header(field) => match self.hdr_slot[*field as usize] {
+                Some(slot) => pkt.inc.slot(slot),
+                None => &Value::None,
+            },
+            VmOperand::MetaUser => {
+                *meta = Value::Int(pkt.inc.user);
+                meta
+            }
+            VmOperand::MetaStep => {
+                *meta = Value::Int(pkt.inc.step);
+                meta
+            }
+            VmOperand::MetaNone => &Value::None,
         }
     }
 }
@@ -830,21 +932,46 @@ pub struct VmCtx<'a> {
     pub rand_streams: &'a mut BTreeMap<i64, u64>,
 }
 
-fn load(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Value {
-    match op {
-        VmOperand::Const(v) => v.clone(),
-        VmOperand::Reg(r) => ctx.regs.get(*r).cloned().unwrap_or(Value::None),
-        VmOperand::Header(field) => {
-            let h = *field as usize;
-            match ctx.regs.header_slot(h, &image.header_names[h], pkt) {
-                Some(slot) => pkt.inc.slot(slot).clone(),
-                None => Value::None,
-            }
-        }
-        VmOperand::MetaUser => Value::Int(pkt.inc.user),
-        VmOperand::MetaStep => Value::Int(pkt.inc.step),
-        VmOperand::MetaNone => Value::None,
-    }
+/// Hand `f` both operands of a binary op, borrowed in place.
+#[inline]
+fn binary<R>(
+    lhs: &VmOperand,
+    rhs: &VmOperand,
+    ctx: &mut VmCtx<'_>,
+    image: &CompiledImage,
+    pkt: &Packet,
+    f: impl FnOnce(&Value, &Value) -> R,
+) -> R {
+    ctx.regs.resolve(lhs, image, pkt);
+    ctx.regs.resolve(rhs, image, pkt);
+    let (mut a, mut b) = (Value::None, Value::None);
+    f(ctx.regs.value(lhs, pkt, &mut a), ctx.regs.value(rhs, pkt, &mut b))
+}
+
+/// Hand `f` the store and a sketch's key operand, borrowed in place.
+fn with_key<R>(
+    key: &VmOperand,
+    ctx: &mut VmCtx<'_>,
+    image: &CompiledImage,
+    pkt: &Packet,
+    f: impl FnOnce(&mut ObjectStore, &Value) -> R,
+) -> R {
+    ctx.regs.resolve(key, image, pkt);
+    f(ctx.store, ctx.regs.value(key, pkt, &mut Value::None))
+}
+
+/// The integer view of an operand read in place ([`Value::as_int`]); every
+/// call site applies its own default, as the interpreter's does.
+#[inline(always)] // as `RegFile::value`: most reads come through here
+fn int(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Option<i64> {
+    ctx.regs.resolve(op, image, pkt);
+    ctx.regs.value(op, pkt, &mut Value::None).as_int()
+}
+
+/// A copy of an operand's value, for the ops that store one.
+fn cloned(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Value {
+    ctx.regs.resolve(op, image, pkt);
+    ctx.regs.value(op, pkt, &mut Value::None).clone()
 }
 
 /// Evaluate `ops` into the register file's reusable key buffer and hand the
@@ -857,7 +984,7 @@ fn with_keys<R>(
     f: impl FnOnce(&mut VmCtx<'_>, &[Value]) -> R,
 ) -> R {
     let mut keys = std::mem::take(&mut ctx.regs.keys);
-    keys.extend(ops.iter().map(|k| load(k, ctx, image, pkt)));
+    keys.extend(ops.iter().map(|k| cloned(k, ctx, image, pkt)));
     let result = f(ctx, &keys);
     keys.clear();
     ctx.regs.keys = keys;
@@ -865,9 +992,27 @@ fn with_keys<R>(
 }
 
 fn pred_holds(p: &VmPred, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> bool {
-    let lhs = load(&p.lhs, ctx, image, pkt);
-    let rhs = load(&p.rhs, ctx, image, pkt);
-    eval::compare(&lhs, p.op, &rhs)
+    binary(&p.lhs, &p.rhs, ctx, image, pkt, |lhs, rhs| eval::compare(lhs, p.op, rhs))
+}
+
+/// Row and cell of an array access from up to two index operands, each
+/// decoded from its integer view by `decode`.
+fn index_with(
+    index: &VmIndex,
+    ctx: &mut VmCtx<'_>,
+    image: &CompiledImage,
+    pkt: &Packet,
+    decode: impl Fn(i64) -> u32,
+) -> (u32, u32) {
+    let mut at = |op: &VmOperand| decode(int(op, ctx, image, pkt).unwrap_or(0));
+    match index {
+        VmIndex::None => (0, 0),
+        VmIndex::One(c) => (0, at(c)),
+        VmIndex::Two(r, c) => {
+            let row = at(r);
+            (row, at(c))
+        }
+    }
 }
 
 /// The interpreter's index-arity decode: row/cell from up to two operands,
@@ -878,14 +1023,7 @@ fn row_cell(
     image: &CompiledImage,
     pkt: &Packet,
 ) -> (u32, u32) {
-    let cell = |op: &VmOperand, ctx: &mut VmCtx<'_>| {
-        load(op, ctx, image, pkt).as_int().unwrap_or(0).unsigned_abs() as u32
-    };
-    match index {
-        VmIndex::None => (0, 0),
-        VmIndex::One(c) => (0, cell(c, ctx)),
-        VmIndex::Two(r, c) => (cell(r, ctx), cell(c, ctx)),
-    }
+    index_with(index, ctx, image, pkt, |i| i.unsigned_abs() as u32)
 }
 
 /// The interpreter's *delete* decode, which truncates with an `as u32` cast
@@ -896,17 +1034,7 @@ fn delete_cell(
     image: &CompiledImage,
     pkt: &Packet,
 ) -> (u32, u32) {
-    let cell = |op: &VmOperand, ctx: &mut VmCtx<'_>| {
-        load(op, ctx, image, pkt).as_int().unwrap_or(0) as u32
-    };
-    match index {
-        VmIndex::None => (0, 0),
-        VmIndex::One(c) => (0, cell(c, ctx)),
-        VmIndex::Two(r, c) => {
-            let row = cell(r, ctx);
-            (row, cell(c, ctx))
-        }
-    }
+    index_with(index, ctx, image, pkt, |i| i as u32)
 }
 
 /// Outcome accumulator threaded through one packet's execution.
@@ -934,7 +1062,8 @@ pub fn exec(image: &CompiledImage, ctx: &mut VmCtx<'_>, pkt: &mut Packet) -> VmR
 }
 
 /// Walk one level of a guard tree: a false block predicate skips the whole
-/// subtree (it fails every instruction's full guard below it).
+/// subtree (it fails every instruction's full guard below it) and takes the
+/// block's `else`, which is empty unless a complement sibling folded in.
 fn run_nodes(
     nodes: &[VmNode],
     ctx: &mut VmCtx<'_>,
@@ -949,9 +1078,12 @@ fn run_nodes(
                 step(op, ctx, image, pkt, run);
             }
             VmNode::Block(blk) => {
-                if pred_holds(&blk.guard, ctx, image, pkt) {
-                    run_nodes(&blk.body, ctx, image, pkt, run);
-                }
+                let taken = if pred_holds(&blk.guard, ctx, image, pkt) {
+                    &blk.body
+                } else {
+                    &blk.otherwise
+                };
+                run_nodes(taken, ctx, image, pkt, run);
             }
         }
     }
@@ -961,18 +1093,16 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
     use crate::interp::PacketAction;
     match op {
         VmOp::Assign { dest, src } => {
-            let v = load(src, ctx, image, pkt);
+            let v = cloned(src, ctx, image, pkt);
             ctx.regs.set(*dest, v);
         }
         VmOp::Alu { dest, op, lhs, rhs, float } => {
-            let a = load(lhs, ctx, image, pkt);
-            let b = load(rhs, ctx, image, pkt);
-            ctx.regs.set(*dest, eval::alu(*op, &a, &b, *float));
+            let v = binary(lhs, rhs, ctx, image, pkt, |a, b| eval::alu(*op, a, b, *float));
+            ctx.regs.set(*dest, v);
         }
         VmOp::Cmp { dest, op, lhs, rhs } => {
-            let a = load(lhs, ctx, image, pkt);
-            let b = load(rhs, ctx, image, pkt);
-            ctx.regs.set(*dest, Value::Bool(eval::compare(&a, *op, &b)));
+            let holds = binary(lhs, rhs, ctx, image, pkt, |a, b| eval::compare(a, *op, b));
+            ctx.regs.set(*dest, Value::Bool(holds));
         }
         VmOp::Hash { dest, seed, modulus, keys } => {
             let h = with_keys(keys, ctx, image, pkt, |_, k| hash_with_seed(*seed, *modulus, k));
@@ -983,9 +1113,9 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, v);
         }
         VmOp::SketchEstimate { dest, slot, key } => {
-            let k = load(key, ctx, image, pkt);
-            let v = Value::Int(ctx.store.sketch_estimate_slot(*slot, &k));
-            ctx.regs.set(*dest, v);
+            let est =
+                with_key(key, ctx, image, pkt, |store, k| store.sketch_estimate_slot(*slot, k));
+            ctx.regs.set(*dest, Value::Int(est));
         }
         VmOp::ArrayRead { dest, slot, index } => {
             let (row, cell) = row_cell(index, ctx, image, pkt);
@@ -994,30 +1124,29 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::TableWrite { slot, key, values } => {
             // the entry's values are stored, so they are a `Vec` of their own
-            let vals: Vec<Value> = values.iter().map(|v| load(v, ctx, image, pkt)).collect();
+            let vals: Vec<Value> = values.iter().map(|v| cloned(v, ctx, image, pkt)).collect();
             with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_write_slot(*slot, k, vals));
         }
         VmOp::SketchWrite { slot, key, value } => {
-            let k = load(key, ctx, image, pkt);
-            let delta = load(value, ctx, image, pkt).as_int().unwrap_or(1);
-            ctx.store.sketch_count_slot(*slot, &k, delta);
+            let delta = int(value, ctx, image, pkt).unwrap_or(1);
+            with_key(key, ctx, image, pkt, |store, k| store.sketch_count_slot(*slot, k, delta));
         }
         VmOp::ArrayWrite { slot, index, value } => {
             let (row, cell) = row_cell(index, ctx, image, pkt);
-            let v = load(value, ctx, image, pkt).as_int().unwrap_or(0);
+            let v = int(value, ctx, image, pkt).unwrap_or(0);
             ctx.store.array_write_slot(*slot, row, cell, v);
         }
         VmOp::SketchCount { dest, slot, key, delta } => {
-            let k = load(key, ctx, image, pkt);
-            let d = load(delta, ctx, image, pkt).as_int().unwrap_or(1);
-            let result = ctx.store.sketch_count_slot(*slot, &k, d);
+            let d = int(delta, ctx, image, pkt).unwrap_or(1);
+            let result =
+                with_key(key, ctx, image, pkt, |store, k| store.sketch_count_slot(*slot, k, d));
             if let Some(dest) = dest {
                 ctx.regs.set(*dest, Value::Int(result));
             }
         }
         VmOp::ArrayCount { dest, slot, index, delta } => {
             let (row, cell) = row_cell(index, ctx, image, pkt);
-            let d = load(delta, ctx, image, pkt).as_int().unwrap_or(1);
+            let d = int(delta, ctx, image, pkt).unwrap_or(1);
             let result = ctx.store.array_add_slot(*slot, row, cell, d);
             if let Some(dest) = dest {
                 ctx.regs.set(*dest, Value::Int(result));
@@ -1039,7 +1168,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Back { updates } => {
             for (field, value) in updates {
-                let v = load(value, ctx, image, pkt);
+                let v = cloned(value, ctx, image, pkt);
                 set_header(*field, v, ctx, image, pkt);
             }
             // a packet already on its way back keeps heading to the sender
@@ -1053,22 +1182,22 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             // with it the slot cache's layout) is untouched
             let mut copy = pkt.clone();
             for (field, value) in updates {
-                let v = load(value, ctx, image, pkt);
+                let v = cloned(value, ctx, image, pkt);
                 copy.inc.set(&image.header_names[*field as usize], v);
             }
             run.mirrored.push(copy);
         }
         VmOp::MirrorPlain => run.mirrored.push(pkt.clone()),
         VmOp::SetHeader { field, value } => {
-            let v = load(value, ctx, image, pkt);
+            let v = cloned(value, ctx, image, pkt);
             set_header(*field, v, ctx, image, pkt);
         }
         VmOp::Crypto { dest, input } => {
-            let v = load(input, ctx, image, pkt).as_int().unwrap_or(0);
+            let v = int(input, ctx, image, pkt).unwrap_or(0);
             ctx.regs.set(*dest, Value::Int(v ^ 0x5a5a_5a5a));
         }
         VmOp::RandInt { dest, bound } => {
-            let b = load(bound, ctx, image, pkt).as_int().unwrap_or(i64::MAX).max(1);
+            let b = int(bound, ctx, image, pkt).unwrap_or(i64::MAX).max(1);
             // the same splitmix64 per-tenant stream the interpreter draws from
             let draw = ctx.rand_streams.entry(pkt.inc.user).or_insert(0);
             *draw += 1;
@@ -1079,8 +1208,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, Value::Int((z % b as u64) as i64));
         }
         VmOp::Checksum { dest, inputs } => {
-            let sum: i64 =
-                inputs.iter().map(|i| load(i, ctx, image, pkt).as_int().unwrap_or(0)).sum();
+            let sum: i64 = inputs.iter().map(|i| int(i, ctx, image, pkt).unwrap_or(0)).sum();
             ctx.regs.set(*dest, Value::Int(sum & 0xffff));
         }
         VmOp::NoOp => {}
@@ -1096,13 +1224,12 @@ fn set_header(
     pkt: &mut Packet,
 ) {
     let h = field as usize;
-    let name = &image.header_names[h];
-    match ctx.regs.header_slot(h, name, pkt) {
+    match ctx.regs.header_slot(h, image, pkt) {
         Some(slot) => pkt.inc.set_slot(slot, value),
         None => {
             // the packet does not carry the field: a live value grows a
             // layout private to this packet, which the slot cache follows
-            pkt.inc.set(name, value);
+            pkt.inc.set(&image.header_names[h], value);
             ctx.regs.sync_layout(pkt);
         }
     }
@@ -1270,6 +1397,94 @@ mod tests {
              \x20   if hdr.b Eq 1:\n\
              \x20     hdr.y = 1\n\
              \x20   hdr.v = 1\n"
+        );
+    }
+
+    fn is_not_one(field: &str) -> Predicate {
+        is_one(field).negated()
+    }
+
+    /// `if`/`elif`/`else`, if-converted to `[p]`, `[!p, q]`, `[!p, !q]`,
+    /// lowers to one test per branch point; `Lt`/`Ge` siblings, which
+    /// disagree on `None`, stay two blocks.
+    #[test]
+    fn complement_siblings_fold_into_an_else() {
+        let mut b = ProgramBuilder::new("p");
+        b.guarded(is_one("a"), |b| {
+            b.set_header("x", Operand::int(1));
+        });
+        b.guarded(is_not_one("a"), |b| {
+            b.guarded(is_not_one("b"), |b| {
+                b.set_header("y", Operand::int(1));
+            });
+            b.guarded(is_one("b"), |b| {
+                b.set_header("z", Operand::int(1));
+            });
+        });
+        let below = Predicate::new(Operand::hdr("c"), CmpOp::Lt, Operand::int(1));
+        b.guarded(below.clone(), |b| {
+            b.set_header("v", Operand::int(1));
+        });
+        b.guarded(below.negated(), |b| {
+            b.set_header("w", Operand::int(1));
+        });
+        let dump = compiled_dump(b.build().unwrap());
+        assert_eq!(
+            dump,
+            "program p (5 instr):\n\
+             \x20 if hdr.a Eq 1:\n\
+             \x20   hdr.x = 1\n\
+             \x20 else:\n\
+             \x20   if hdr.b Ne 1:\n\
+             \x20     hdr.y = 1\n\
+             \x20   else:\n\
+             \x20     hdr.z = 1\n\
+             \x20 if hdr.c Lt 1:\n\
+             \x20   hdr.v = 1\n\
+             \x20 if hdr.c Ge 1:\n\
+             \x20   hdr.w = 1\n"
+        );
+    }
+
+    /// A first body that writes the tested operand — directly or from a
+    /// nested block — may have flipped the predicate, so its complement
+    /// sibling keeps a test of its own; an `else` body that writes it closes
+    /// like any block.
+    #[test]
+    fn a_body_that_writes_the_tested_operand_keeps_its_sibling_a_block() {
+        let mut b = ProgramBuilder::new("p");
+        b.guarded(is_one("a"), |b| {
+            b.set_header("x", Operand::int(1));
+            b.guarded(is_one("b"), |b| {
+                b.set_header("a", Operand::int(2));
+            });
+        });
+        b.guarded(is_not_one("a"), |b| {
+            b.set_header("y", Operand::int(1));
+        });
+        b.guarded(is_one("c"), |b| {
+            b.set_header("z", Operand::int(1));
+        });
+        b.guarded(is_not_one("c"), |b| {
+            b.set_header("c", Operand::int(1));
+            b.set_header("w", Operand::int(1));
+        });
+        let dump = compiled_dump(b.build().unwrap());
+        assert_eq!(
+            dump,
+            "program p (6 instr):\n\
+             \x20 if hdr.a Eq 1:\n\
+             \x20   hdr.x = 1\n\
+             \x20   if hdr.b Eq 1:\n\
+             \x20     hdr.a = 2\n\
+             \x20 if hdr.a Ne 1:\n\
+             \x20   hdr.y = 1\n\
+             \x20 if hdr.c Eq 1:\n\
+             \x20   hdr.z = 1\n\
+             \x20 else:\n\
+             \x20   hdr.c = 1\n\
+             \x20 if hdr.c Ne 1:\n\
+             \x20   hdr.w = 1\n"
         );
     }
 

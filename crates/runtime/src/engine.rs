@@ -588,6 +588,11 @@ impl EngineHandle {
                 }
             });
             if let Ok(current) = reserved {
+                // a copy on purpose, even when the whole burst is admitted:
+                // sending the caller's buffer itself saves 0.008 allocations a
+                // packet but has the shard free 13-106 KB that another thread
+                // allocated inside every op, which measured 2.5-3 % slower on
+                // both serve workloads (PR 23)
                 let admitted: Vec<(u64, Packet)> = jobs.drain(..take).collect();
                 if let Some(counters) = counters {
                     counters.queue_depth_hwm.fetch_max(current + take as u64, Ordering::Relaxed);

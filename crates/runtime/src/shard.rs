@@ -6,9 +6,11 @@
 //! key for [`ShardingMode::ByFlow`] tenants (see `crate::tenant`).  A shard
 //! owns private replicas of the device planes its residents traverse, so the
 //! packet hot path touches no shared mutable state at all — the only
-//! cross-thread traffic is the inbound message channel, the relaxed atomic
-//! telemetry counters, and the shard's in-flight depth gauge the engine's
-//! admission control reads.  Tenant isolation renames every stateful object
+//! cross-thread traffic is the inbound message channel, the two gauges the
+//! engine's admission control reads (the tenant's `in_flight` and the shard's
+//! depth, decremented per packet) and the relaxed atomic telemetry counters,
+//! which a burst's tally is added to once, behind its last packet.  Tenant
+//! isolation renames every stateful object
 //! with the owner's prefix and guards every instruction with a user-id
 //! match, so partitioning state *by tenant* is semantically identical to the
 //! single shared store a real device would hold; partitioning *by flow* is
@@ -21,8 +23,10 @@
 //! — fault check, link bytes, the device's program — until a device bounces
 //! or drops it, a fault loses it, or it reaches the server.  Nothing is
 //! parked between hops: every device sees the packets in stream order, which
-//! is all a per-device store or a (sum / min / max) counter can observe, so
-//! results do not depend on how a stream is cut into bursts.
+//! is all a per-device store can observe, and a burst's tally reaches the
+//! counters as sums, a maximum and minima, so results do not depend on how a
+//! stream is cut into bursts.  The channel being FIFO, everything a burst did
+//! is in the counters by the time a `Flush` sent after it is acknowledged.
 //!
 //! Control messages (tenant add/remove, table writes, flush) travel on the
 //! same FIFO channel as traffic bursts, so a reconfiguration is naturally
@@ -46,7 +50,7 @@
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
 
 use crate::faults::DeviceHealth;
-use crate::telemetry::TenantCounters;
+use crate::telemetry::{BurstTally, TenantCounters};
 use crate::tenant::TenantHop;
 use clickinc_emulator::{DevicePlane, Fnv, ObjectStore, Packet, PacketAction};
 use clickinc_ir::Value;
@@ -130,6 +134,9 @@ pub(crate) struct ShardWorker {
     /// generates the next burst (freed last, the benchmark's `kvs_serve`
     /// takes 8× the page faults and 26 % longer to set a block up).
     burst: Vec<(u64, Packet)>,
+    /// What the burst being served has done to its tenant's counters so far;
+    /// published when the burst ends.
+    tally: BurstTally,
 }
 
 impl ShardWorker {
@@ -142,6 +149,7 @@ impl ShardWorker {
             device_health: Vec::new(),
             depth,
             burst: Vec::new(),
+            tally: BurstTally::default(),
         };
         while let Ok(msg) = rx.recv() {
             match msg {
@@ -245,7 +253,9 @@ impl ShardWorker {
             self.depth.fetch_sub(jobs.len() as u64, Ordering::Relaxed);
             return;
         };
-        counters.packets.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        let tally = &mut self.tally;
+        tally.restart(counters.link_bytes.len());
+        tally.packets = jobs.len() as u64;
         self.burst.append(&mut jobs);
         drop(jobs);
         for (vtime_ns, mut packet) in self.burst.drain(..) {
@@ -270,19 +280,19 @@ impl ShardWorker {
                     };
                     // no replica for this device: traverse free
                     let Some(plane) = &mut self.planes[device] else { continue };
-                    if let Some(link) = counters.link_bytes.get(hop) {
-                        link.fetch_add(packet.wire_bytes() as u64, Ordering::Relaxed);
+                    if let Some(link) = tally.link_bytes.get_mut(hop) {
+                        *link += packet.wire_bytes() as u64;
                     }
                     let outcome = plane.process(&mut packet);
                     latency_ns += outcome.latency_ns * latency_scale;
                     match outcome.action {
                         PacketAction::Forward => {}
                         PacketAction::Back => {
-                            counters.hits.fetch_add(1, Ordering::Relaxed);
+                            tally.hits += 1;
                             break 'route true;
                         }
                         PacketAction::Drop => {
-                            counters.drops.fetch_add(1, Ordering::Relaxed);
+                            tally.drops += 1;
                             break 'route true;
                         }
                     }
@@ -290,30 +300,31 @@ impl ShardWorker {
                 // the packet traversed every hop: it crosses the final link
                 // into the server
                 let wire = packet.wire_bytes() as u64;
-                counters.to_server.fetch_add(1, Ordering::Relaxed);
-                counters.server_bytes.fetch_add(wire, Ordering::Relaxed);
-                if let Some(link) = counters.link_bytes.get(route.len()) {
-                    link.fetch_add(wire, Ordering::Relaxed);
+                tally.to_server += 1;
+                tally.server_bytes += wire;
+                if let Some(link) = tally.link_bytes.get_mut(route.len()) {
+                    *link += wire;
                 }
                 true
             };
             if served {
-                let payload = packet.wire_bytes().saturating_sub(packet.base_bytes) as u64;
-                counters.payload_bytes.fetch_add(payload, Ordering::Relaxed);
-                counters.record_completion(latency_ns, vtime_ns);
+                tally.payload_bytes += packet.wire_bytes().saturating_sub(packet.base_bytes) as u64;
+                tally.complete(latency_ns, vtime_ns);
             } else {
                 // lost to an injected fault: counted as `fault_lost`, never
                 // as an in-network drop
-                counters.note_fault_loss(vtime_ns);
+                tally.fault_loss(vtime_ns);
             }
-            // every terminal outcome returns the tenant's ingress credit, and
-            // before the shard's depth so the budget admission never observes
-            // the gauges crossed
+            // the two gauges admission reads while the burst runs move per
+            // packet: every terminal outcome returns the tenant's ingress
+            // credit, and before the shard's depth so the budget admission
+            // never observes the gauges crossed
             let _ = counters
                 .in_flight
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
             self.depth.fetch_sub(1, Ordering::Relaxed);
         }
+        counters.publish(tally);
     }
 }
 

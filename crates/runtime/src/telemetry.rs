@@ -1,11 +1,18 @@
 //! Per-tenant telemetry: lock-free shard-side counters, merged snapshots.
 //!
-//! Every shard worker owns an [`TenantCounters`] per resident tenant and
-//! updates it with relaxed atomic adds on the packet hot path — no locks, no
-//! cross-shard cache-line sharing.  The engine's snapshot path walks a small
-//! registry (one mutex acquisition per snapshot, never per packet) and merges
-//! the per-shard counters into immutable [`TenantStats`] values that derive
-//! `serde::Serialize` for JSON export.
+//! Every shard worker owns a [`TenantCounters`] per resident tenant.  The
+//! traffic counters move **per burst**, not per packet: the worker tallies a
+//! burst in plain integers and publishes the tally behind its last packet
+//! with one relaxed atomic read-modify-write per counter the burst moved
+//! (`TenantCounters::publish`) — no locks, no cross-shard cache-line sharing,
+//! and no atomic at all on the packet path but the two gauges admission
+//! control reads while a burst runs (`in_flight` and the shard depth, which
+//! do move per packet).  The visibility rule: a reader racing with traffic
+//! lags by at most the burst in progress, and everything a burst did is
+//! visible by the time the `flush` behind it is acknowledged.  The engine's
+//! snapshot path walks a small registry (one mutex acquisition per snapshot,
+//! never per packet) and merges the per-shard counters into immutable
+//! [`TenantStats`] values that derive `serde::Serialize` for JSON export.
 //!
 //! Latency percentiles come from a 64-bucket log₂ histogram: deterministic,
 //! constant-size, and mergeable by addition.  Goodput is computed against the
@@ -22,8 +29,9 @@ use std::sync::{Arc, Mutex};
 pub const HIST_BUCKETS: usize = 64;
 
 /// Lock-free counters for one tenant on one shard.  All updates are relaxed
-/// atomics; reads may race with traffic and observe a consistent-enough
-/// snapshot (exact once the engine is flushed).
+/// atomics, the traffic counters' once per burst; reads may race with traffic
+/// and observe a consistent-enough snapshot (exact once the engine is
+/// flushed).
 #[derive(Debug)]
 pub struct TenantCounters {
     /// Packets injected for the tenant.
@@ -105,19 +113,120 @@ impl TenantCounters {
     /// Record a terminal outcome: end-to-end latency and virtual completion
     /// time.
     pub fn record_completion(&self, latency_ns: f64, vtime_ns: u64) {
-        let lat = latency_ns.round().max(0.0) as u64;
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_ns.fetch_add(lat, Ordering::Relaxed);
-        self.hist[bucket_of(lat)].fetch_add(1, Ordering::Relaxed);
-        self.vtime_max_ns.fetch_max(vtime_ns.saturating_add(lat), Ordering::Relaxed);
-        self.vtime_first_ns.fetch_min(vtime_ns, Ordering::Relaxed);
+        let mut one = BurstTally::default();
+        one.complete(latency_ns, vtime_ns);
+        self.publish(&one);
     }
 
     /// Record a packet lost to an injected fault at its virtual arrival
     /// time.
     pub fn note_fault_loss(&self, vtime_ns: u64) {
-        self.fault_lost.fetch_add(1, Ordering::Relaxed);
-        self.fault_first_vtime_ns.fetch_min(vtime_ns, Ordering::Relaxed);
+        let mut one = BurstTally::default();
+        one.fault_loss(vtime_ns);
+        self.publish(&one);
+    }
+
+    /// Add what a burst did: one relaxed read-modify-write per counter the
+    /// burst moved, however many packets it held.  Sums, a maximum and two
+    /// minima, so the totals do not depend on where a stream was cut.
+    pub(crate) fn publish(&self, tally: &BurstTally) {
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        add(&self.packets, tally.packets);
+        add(&self.completed, tally.completed);
+        add(&self.hits, tally.hits);
+        add(&self.drops, tally.drops);
+        add(&self.to_server, tally.to_server);
+        add(&self.server_bytes, tally.server_bytes);
+        add(&self.payload_bytes, tally.payload_bytes);
+        add(&self.latency_sum_ns, tally.latency_sum_ns);
+        add(&self.fault_lost, tally.fault_lost);
+        for (bucket, n) in self.hist.iter().zip(tally.hist) {
+            add(bucket, n);
+        }
+        for (link, n) in self.link_bytes.iter().zip(&tally.link_bytes) {
+            add(link, *n);
+        }
+        self.vtime_max_ns.fetch_max(tally.vtime_max_ns, Ordering::Relaxed);
+        self.vtime_first_ns.fetch_min(tally.vtime_first_ns, Ordering::Relaxed);
+        self.fault_first_vtime_ns.fetch_min(tally.fault_first_vtime_ns, Ordering::Relaxed);
+    }
+}
+
+/// What one burst did to its tenant's counters, tallied by the shard in plain
+/// integers while the burst runs and [published](TenantCounters::publish)
+/// once behind it.  Field for field the traffic counters of
+/// [`TenantCounters`]; the gauges admission reads mid-burst (`in_flight`,
+/// the shard depth) are not here — those move per packet.
+#[derive(Debug)]
+pub(crate) struct BurstTally {
+    pub packets: u64,
+    completed: u64,
+    pub hits: u64,
+    pub drops: u64,
+    pub to_server: u64,
+    pub server_bytes: u64,
+    pub payload_bytes: u64,
+    latency_sum_ns: u64,
+    vtime_max_ns: u64,
+    hist: [u64; HIST_BUCKETS],
+    /// Indexed like [`TenantCounters::link_bytes`]; a hop past its end is not
+    /// counted.
+    pub link_bytes: Vec<u64>,
+    fault_lost: u64,
+    fault_first_vtime_ns: u64,
+    vtime_first_ns: u64,
+}
+
+impl Default for BurstTally {
+    fn default() -> BurstTally {
+        BurstTally {
+            packets: 0,
+            completed: 0,
+            hits: 0,
+            drops: 0,
+            to_server: 0,
+            server_bytes: 0,
+            payload_bytes: 0,
+            latency_sum_ns: 0,
+            vtime_max_ns: 0,
+            hist: [0; HIST_BUCKETS],
+            link_bytes: Vec::new(),
+            fault_lost: 0,
+            fault_first_vtime_ns: u64::MAX,
+            vtime_first_ns: u64::MAX,
+        }
+    }
+}
+
+impl BurstTally {
+    /// Start the tally of a burst whose tenant counts `links` links, keeping
+    /// the link buffer.
+    pub fn restart(&mut self, links: usize) {
+        let mut link_bytes = std::mem::take(&mut self.link_bytes);
+        link_bytes.clear();
+        link_bytes.resize(links, 0);
+        *self = BurstTally { link_bytes, ..BurstTally::default() };
+    }
+
+    /// A terminal outcome: end-to-end latency and virtual arrival time.
+    pub fn complete(&mut self, latency_ns: f64, vtime_ns: u64) {
+        let lat = latency_ns.round().max(0.0) as u64;
+        self.completed += 1;
+        // wraps like the atomic it is added to
+        self.latency_sum_ns = self.latency_sum_ns.wrapping_add(lat);
+        self.hist[bucket_of(lat)] += 1;
+        self.vtime_max_ns = self.vtime_max_ns.max(vtime_ns.saturating_add(lat));
+        self.vtime_first_ns = self.vtime_first_ns.min(vtime_ns);
+    }
+
+    /// A packet lost to an injected fault at its virtual arrival time.
+    pub fn fault_loss(&mut self, vtime_ns: u64) {
+        self.fault_lost += 1;
+        self.fault_first_vtime_ns = self.fault_first_vtime_ns.min(vtime_ns);
     }
 }
 
@@ -513,6 +622,71 @@ mod tests {
         assert_eq!(stats.latency_mean_ns, 500.0);
         assert!(stats.latency_p50_ns >= 256 && stats.latency_p50_ns <= 1024);
         assert!(stats.goodput_gbps > 0.0);
+    }
+
+    /// Every counter of a block, as plain integers.
+    fn raw(c: &TenantCounters) -> Vec<u64> {
+        let scalars = [
+            &c.packets,
+            &c.completed,
+            &c.hits,
+            &c.drops,
+            &c.to_server,
+            &c.server_bytes,
+            &c.payload_bytes,
+            &c.latency_sum_ns,
+            &c.vtime_max_ns,
+            &c.fault_lost,
+            &c.fault_first_vtime_ns,
+            &c.vtime_first_ns,
+        ];
+        let counters = scalars.into_iter().chain(&c.hist).chain(&c.link_bytes);
+        counters.map(|counter| counter.load(Ordering::Relaxed)).collect()
+    }
+
+    proptest::proptest! {
+        /// A stream's events published as one tally, as a tally per burst
+        /// wherever it is cut, or event by event leave the same counters:
+        /// histogram, both ends of the virtual clock and the fault window
+        /// included.
+        #[test]
+        fn publishing_per_burst_equals_publishing_per_event(
+            draws in proptest::collection::vec(0u64..4 * 5_000 * 100_000, 1..60),
+            cut in 1usize..70,
+        ) {
+            // one draw, three digits: outcome, latency, virtual arrival time
+            let events: Vec<(u64, u64, u64)> =
+                draws.iter().map(|d| (d % 4, d / 4 % 5_000, d / 20_000)).collect();
+            let (whole, cut_up, each) =
+                (TenantCounters::new(2), TenantCounters::new(2), TenantCounters::new(2));
+            let tally_of = |burst: &[(u64, u64, u64)]| {
+                let mut tally = BurstTally::default();
+                tally.restart(3);
+                for &(kind, latency_ns, vtime_ns) in burst {
+                    tally.packets += 1;
+                    tally.link_bytes[kind as usize % 3] += latency_ns;
+                    match kind {
+                        0 => tally.fault_loss(vtime_ns),
+                        _ => tally.complete(latency_ns as f64, vtime_ns),
+                    }
+                }
+                tally
+            };
+            whole.publish(&tally_of(&events));
+            for burst in events.chunks(cut) {
+                cut_up.publish(&tally_of(burst));
+            }
+            for &(kind, latency_ns, vtime_ns) in &events {
+                each.packets.fetch_add(1, Ordering::Relaxed);
+                each.link_bytes[kind as usize % 3].fetch_add(latency_ns, Ordering::Relaxed);
+                match kind {
+                    0 => each.note_fault_loss(vtime_ns),
+                    _ => each.record_completion(latency_ns as f64, vtime_ns),
+                }
+            }
+            proptest::prop_assert_eq!(raw(&whole), raw(&each));
+            proptest::prop_assert_eq!(raw(&cut_up), raw(&each));
+        }
     }
 
     #[test]

@@ -261,7 +261,8 @@ fn live_add_and_remove_cause_zero_cross_tenant_disruption() {
 /// lets the misses through to the server — beside the one-hop `alpha`, whose
 /// cache sits on the shared `tor0`.  Each tenant's stream enters as bursts of
 /// `cut` packets: the first half while `tor0` is flaky, the second while
-/// `agg0` is degraded.
+/// `agg0` is degraded — and `delta` is re-placed between the two, so its
+/// second half lands in a counter block of its own and dates its recovery.
 fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>) {
     let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
@@ -273,16 +274,17 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
             isolate_user_program(&compile_source("delta", source).unwrap(), "delta", 4).into()
         ],
     };
-    handle.add_tenant(
-        "delta",
-        vec![hop("tor0", &count_min_sketch("delta", 2, 64).source), hop("agg0", &cache.source)],
-    );
+    let place_delta = || {
+        let sketch = count_min_sketch("delta", 2, 64).source;
+        handle.add_tenant("delta", vec![hop("tor0", &sketch), hop("agg0", &cache.source)]);
+        for key in 0..64 {
+            let (key, value) = (vec![Value::Int(key)], vec![Value::Int(key * 1000 + 7)]);
+            handle.populate_table("delta", "agg0", "delta_cache", key, value);
+        }
+    };
+    place_delta();
     handle.add_tenant("alpha", kvs_tenant("alpha", 1));
     populate_cache(&handle, "alpha", 64);
-    for key in 0..64 {
-        let (key, value) = (vec![Value::Int(key)], vec![Value::Int(key * 1000 + 7)]);
-        handle.populate_table("delta", "agg0", "delta_cache", key, value);
-    }
 
     let streams = [("delta", 4, 44), ("alpha", 1, 11)].map(|(tenant, id, seed)| {
         let mut workload = kvs_workload(tenant, id, 600, seed);
@@ -304,6 +306,10 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
             }
         }
         handle.set_device_health(device, DeviceHealth::Up);
+        if phase == 0 {
+            handle.remove_tenant("delta");
+            place_delta();
+        }
     }
     handle.flush();
     let outcome = engine.finish();
@@ -311,10 +317,12 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
     (outcome.telemetry, fingerprints)
 }
 
-/// A shard runs every packet to completion in stream order, so how a stream
-/// is cut into injects is invisible: one burst per phase, bursts of 7 and
-/// single packets leave the same per-tenant stats, link bytes and stores, at
-/// any shard count.
+/// A shard runs every packet to completion in stream order and publishes a
+/// burst's counters as sums, a maximum and minima, so how a stream is cut
+/// into injects is invisible: one burst per phase, bursts of 32, of 7 and
+/// single packets leave the same per-tenant stats — latency percentiles off
+/// the histogram, goodput off the virtual clock's end, the fault window and
+/// the recovery off its start, link bytes — and stores, at any shard count.
 #[test]
 fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
     let (whole, whole_stores) = run_cut(1, usize::MAX);
@@ -326,10 +334,12 @@ fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
     assert!(delta.to_server > 0, "misses cross both hops");
     assert_eq!(delta.hits + delta.to_server + delta.fault_lost_packets, 600);
     assert!(delta.link_bytes[2] < delta.link_bytes[1], "bounced packets never reach the server");
+    assert!(delta.fault_vtime_ns > 0 && delta.recovery_vtime_ns > delta.fault_vtime_ns);
+    assert_eq!(delta.time_to_recovery_ns, delta.recovery_vtime_ns - delta.fault_vtime_ns);
     assert!(whole.tenant("alpha").expect("alpha served").fault_lost_packets > 0);
 
     for shards in [1usize, 4] {
-        for cut in [usize::MAX, 7, 1] {
+        for cut in [usize::MAX, 32, 7, 1] {
             let (stats, stores) = run_cut(shards, cut);
             for tenant in ["delta", "alpha"] {
                 // `TenantStats` equality covers every counter, `link_bytes`
@@ -343,4 +353,74 @@ fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
             assert_eq!(stores, whole_stores, "{shards} shard(s), bursts of {cut}");
         }
     }
+}
+
+/// Fig. 7's sparse-block deletion, end to end: the first hop removes two
+/// gradient fields (`hdr.x = None`), the second re-adds one, removes another
+/// and adds one the packets never carried.  The wire size a packet carries is
+/// a recount of its live fields after every hop on both execution tiers, and
+/// the shard's link and payload bytes are those sizes summed.
+#[test]
+fn deleted_and_re_added_header_fields_are_priced_at_their_recount() {
+    use clickinc_emulator::packet::gradient_packet;
+    use clickinc_emulator::{DevicePlane, ExecMode, Packet};
+    use clickinc_ir::{Operand, ProgramBuilder};
+
+    let mut prune = ProgramBuilder::new("sparse");
+    prune.set_header("data_1", Operand::Const(Value::None));
+    prune.set_header("data_2", Operand::Const(Value::None));
+    prune.set_header("data_2", Operand::hdr("data_3"));
+    prune.set_header("data_2", Operand::Const(Value::None));
+    let mut refill = ProgramBuilder::new("sparse");
+    refill.set_header("data_1", Operand::int(5));
+    refill.set_header("seq", Operand::Const(Value::None));
+    refill.set_header("extra", Operand::hdr("bitmap"));
+    let programs = [prune.build().unwrap(), refill.build().unwrap()].map(Arc::new);
+
+    let recount = |p: &Packet| {
+        p.base_bytes + p.inc.fields().filter(|(_, v)| !v.is_none()).count() * p.bytes_per_field
+    };
+    let stream: Vec<(u64, Packet)> = (0..40u64)
+        .map(|i| (i * 100, gradient_packet("w", "ps", 0, i as i64, 0, 4, &[1, 2, 3, 4])))
+        .collect();
+    // op, seq, bitmap, overflow and four data fields enter; six cross the
+    // middle link; data_1 and extra come back and seq goes: seven reach the
+    // server
+    let sizes = [8usize, 6, 7].map(|live| Packet::BASE_BYTES + 4 * live);
+    for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
+        let mut planes = programs.clone().map(|program| {
+            let mut plane = DevicePlane::new("sw", DeviceModel::tofino());
+            plane.install(program);
+            plane.set_exec_mode(mode);
+            plane
+        });
+        for (_, packet) in &stream {
+            let mut packet = packet.clone();
+            assert_eq!((packet.wire_bytes(), recount(&packet)), (sizes[0], sizes[0]));
+            for (plane, size) in planes.iter_mut().zip(&sizes[1..]) {
+                plane.process(&mut packet);
+                assert_eq!((packet.wire_bytes(), recount(&packet)), (*size, *size), "{mode:?}");
+            }
+        }
+    }
+
+    let engine = TrafficEngine::new(EngineConfig { shards: 1, ..Default::default() });
+    let handle = engine.handle();
+    let [prune, refill] = programs;
+    let hop = |device: &str, program| TenantHop {
+        device: device.to_string(),
+        model: DeviceModel::tofino(),
+        snippets: vec![program],
+    };
+    handle.add_tenant("sparse", vec![hop("tor0", prune), hop("agg0", refill)]);
+    for burst in stream.chunks(16) {
+        handle.inject(&Arc::from("sparse"), burst.to_vec());
+    }
+    handle.flush();
+    let telemetry = engine.finish().telemetry;
+    let stats = telemetry.tenant("sparse").expect("sparse served");
+    assert_eq!(stats.to_server, 40);
+    assert_eq!(stats.link_bytes, sizes.map(|size| 40 * size as u64));
+    assert_eq!(stats.server_bytes, 40 * sizes[2] as u64);
+    assert_eq!(stats.payload_bytes, 40 * 4 * 7);
 }

@@ -17,8 +17,12 @@
 //!    programs over sampled packet traces agree across tiers.
 //! 4. **Random branch trees** — proptest: generated nested `if`/`elif`/`else`
 //!    programs whose branch bodies overwrite what enclosing guards read; the
-//!    guard tree must close its blocks wherever the interpreter's
-//!    per-instruction test would see a new value.
+//!    guard tree must close its blocks, and fold a complement sibling into an
+//!    `else` only, where the interpreter's per-instruction test would agree.
+//! 5. **Operand kinds** — proptest: every kind of value a read can meet
+//!    (`Int`, `Bool`, `Float`, `Bytes`, `None`, a register nothing wrote, a
+//!    header the packet lacks, metadata) fed into every site that reads one,
+//!    each of which applies a default of its own.
 
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
@@ -32,8 +36,8 @@ use clickinc_emulator::packet::{gradient_packet, kvs_request};
 use clickinc_emulator::{DevicePlane, ExecMode, Packet};
 use clickinc_frontend::compile_source;
 use clickinc_ir::{
-    CmpOp, DiagnosticSet, IrProgram, MatchKind, Operand, Optimizer, PassContext, PassManager,
-    Predicate, ProgramBuilder, Value, ValueType,
+    AluOp, CmpOp, DiagnosticSet, IrProgram, MatchKind, Operand, Optimizer, PassContext,
+    PassManager, Predicate, ProgramBuilder, SketchKind, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -237,7 +241,10 @@ fn the_served_mlagg_images_match_their_golden_snapshot() {
 
 /// Decodes a vector of raw draws into a nested `if`/`elif`/`else` program in
 /// its if-converted form (each instruction carries the conjunction of the
-/// branches around it, siblings test one operand with `Eq` and `Ne`).
+/// branches around it; siblings test one operand pair with a comparison and
+/// its negation — `Eq`/`Ne` in either order, which the VM may fold into an
+/// `else`, or `Lt`/`Ge`, which it may not: a register nothing wrote fails
+/// both).
 ///
 /// Guards read the header fields `h0..h3` and the registers `v0..v2`; branch
 /// bodies overwrite the same fields and registers, so a body routinely
@@ -261,9 +268,11 @@ impl BranchTreeGen<'_> {
         v % bound
     }
 
-    /// A header field or register a guard may read and a body may write.
+    /// A header field or register a guard may read and a body may write;
+    /// `v3` starts unset, so a guard on it compares `None` until a body
+    /// assigns it.
     fn place(&mut self) -> Operand {
-        match self.draw(7) {
+        match self.draw(8) {
             n @ 0..=3 => Operand::hdr(format!("h{n}")),
             n => Operand::var(format!("v{}", n - 4)),
         }
@@ -299,9 +308,10 @@ impl BranchTreeGen<'_> {
     /// `[!p, !q]`.
     fn branch(&mut self, b: &mut ProgramBuilder, depth: u32) {
         let (operand, constant) = (self.place(), Operand::int(i64::from(self.draw(3))));
+        let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Eq, CmpOp::Lt][self.draw(4) as usize];
         let test = |op| Predicate::new(operand.clone(), op, constant.clone());
-        b.guarded(test(CmpOp::Eq), |b| self.block(b, depth + 1));
-        b.guarded(test(CmpOp::Ne), |b| {
+        b.guarded(test(op), |b| self.block(b, depth + 1));
+        b.guarded(test(op.negated()), |b| {
             if depth < 3 && self.budget > 0 && self.draw(2) == 0 {
                 self.branch(b, depth + 1);
             } else {
@@ -311,8 +321,178 @@ impl BranchTreeGen<'_> {
     }
 }
 
+/// Decodes raw draws into a straight-line program that feeds every kind of
+/// operand into every site of the VM that reads one.  Results land in the
+/// registers `v0..v2` (read back by later operands and copied into `out*`
+/// header fields at the end) and in the store, so the packet and the store
+/// fingerprint together record what each site read.
+struct OperandKindGen<'a> {
+    draws: &'a [u32],
+    cursor: usize,
+}
+
+impl OperandKindGen<'_> {
+    /// Declared bounds of `arr`; `flat` declares 0 × 0, which counts as 1 × 1.
+    const ROWS: u32 = 3;
+    const SIZE: u32 = 5;
+
+    fn draw(&mut self, bound: u32) -> u32 {
+        let v = self.draws[self.cursor % self.draws.len()];
+        self.cursor += 1;
+        v % bound
+    }
+
+    /// Any operand: immediates of every `Value` kind (negative and
+    /// past-the-bounds integers among them), a written and a never-written
+    /// register, header fields of every kind, one the packet carries as
+    /// `None` and one its layout lacks, and the three metadata reads.
+    fn operand(&mut self) -> Operand {
+        match self.draw(20) {
+            0 => Operand::int(i64::from(self.draw(4))),
+            1 => Operand::int(-i64::from(self.draw(7)) - 1),
+            2 => Operand::int((1 << 33) + i64::from(self.draw(9))),
+            3 => Operand::Const(Value::Bool(self.draw(2) == 1)),
+            4 => Operand::Const(Value::Float(2.75)),
+            5 => Operand::Const(Value::Float(-3.5)),
+            6 => Operand::Const(Value::Bytes(vec![1, 2, 3])),
+            7 => Operand::Const(Value::None),
+            8 => Operand::var("ghost"),
+            n @ 9..=11 => Operand::var(format!("v{}", n - 9)),
+            12 => Operand::hdr("h_int"),
+            13 => Operand::hdr("h_neg"),
+            14 => Operand::hdr("h_bool"),
+            15 => Operand::hdr("h_float"),
+            16 => Operand::hdr("h_bytes"),
+            17 => Operand::hdr("h_none"),
+            18 => Operand::hdr("h_missing"),
+            _ => Operand::Meta(["inc_user", "step", "bogus"][self.draw(3) as usize].into()),
+        }
+    }
+
+    /// No, one or two index operands (a third is ignored by both tiers).
+    fn index(&mut self) -> Vec<Operand> {
+        (0..[2, 2, 1, 0, 3][self.draw(5) as usize]).map(|_| self.operand()).collect()
+    }
+
+    fn statement(&mut self, b: &mut ProgramBuilder, nth: i64) {
+        const ALU: [AluOp; 11] = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Div,
+            AluOp::Mod,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Shr,
+            AluOp::Min,
+            AluOp::Max,
+            AluOp::Slice,
+        ];
+        const CMP: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let dest = format!("v{}", self.draw(3));
+        let array = ["arr", "arr", "flat", "sq"][self.draw(4) as usize];
+        match self.draw(10) {
+            0 => {
+                let (op, lhs, rhs) = (ALU[self.draw(11) as usize], self.operand(), self.operand());
+                match self.draw(4) {
+                    0 => b.falu(&dest, op, lhs, rhs),
+                    _ => b.alu(&dest, op, lhs, rhs),
+                };
+            }
+            1 => {
+                b.cmp(&dest, CMP[self.draw(6) as usize], self.operand(), self.operand());
+            }
+            2 => {
+                // a block predicate: the counter cell records whether it held
+                let test =
+                    Predicate::new(self.operand(), CMP[self.draw(6) as usize], self.operand());
+                b.guarded(test, |b| {
+                    b.count(None, "held", vec![Operand::int(nth)], Operand::int(1));
+                });
+            }
+            3 => {
+                b.get(&dest, array, self.index());
+            }
+            4 => {
+                let (index, value) = (self.index(), self.operand());
+                b.write(array, index, vec![value]);
+            }
+            5 => {
+                let (index, delta) = (self.index(), self.operand());
+                b.count(Some(&dest), array, index, delta);
+            }
+            6 => {
+                b.del(array, self.index());
+            }
+            7 => {
+                // a sketch `write` adds its first value, defaulting to 1
+                let (key, value) = (self.operand(), self.operand());
+                b.write("cms", vec![key], vec![value]);
+            }
+            8 => {
+                let (key, delta) = (self.operand(), self.operand());
+                b.count(Some(&dest), "cms", vec![key], delta);
+            }
+            _ => {
+                b.get(&dest, "cms", vec![self.operand()]);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every operand kind through every reading site: `Alu`, `Cmp`, block
+    /// predicates, array row/cell indices, `ArrayWrite` values, `ArrayCount`
+    /// and sketch deltas, `ArrayDelete` — each with its own default for a
+    /// value that is not an integer, which both tiers must apply alike.
+    #[test]
+    fn every_operand_kind_reads_alike_at_every_site(
+        draws in proptest::collection::vec(0u32..1 << 16, 32..160),
+        raw_trace in proptest::collection::vec(0u32..1 << 12, 1..6),
+    ) {
+        let mut b = ProgramBuilder::new("t");
+        b.array("arr", OperandKindGen::ROWS, OperandKindGen::SIZE, 32);
+        b.array("flat", 0, 0, 32);
+        b.seq("sq", 4, 32);
+        b.array("held", 1, 64, 32);
+        b.sketch("cms", SketchKind::CountMin, 2, 16, 32);
+        let mut gen = OperandKindGen { draws: &draws, cursor: 0 };
+        for nth in 0..8 + i64::from(gen.draw(24)) {
+            gen.statement(&mut b, nth);
+        }
+        for v in 0..3 {
+            b.set_header(&format!("out{v}"), Operand::var(format!("v{v}")));
+        }
+        b.set_header("out_ghost", Operand::var("ghost"));
+        let program = b.build().expect("generated program is well-formed");
+        let mut opt_diags = DiagnosticSet::new();
+        let optimized =
+            Optimizer::with_default_passes().optimize("t", false, &program, &mut opt_diags);
+
+        let trace: Vec<Packet> = raw_trace
+            .iter()
+            .map(|raw| {
+                let fields = [
+                    ("h_int", Value::Int(i64::from(raw % 7))),
+                    ("h_neg", Value::Int(-i64::from(raw / 7 % 9) - 1)),
+                    ("h_bool", Value::Bool(raw / 64 % 2 == 1)),
+                    ("h_float", Value::Float(f64::from(raw / 128 % 8) - 2.5)),
+                    ("h_bytes", Value::Bytes(vec![(raw % 251) as u8; 3])),
+                    ("h_none", Value::None),
+                ];
+                let fields = fields.into_iter().map(|(name, v)| (name.to_string(), v)).collect();
+                let mut packet = Packet::new("src", "dst", i64::from(raw % 3), fields);
+                packet.inc.step = i64::from(raw / 3 % 5);
+                packet
+            })
+            .collect();
+        for program in [program, optimized] {
+            let (mut compiled, mut interp) = plane_pair(std::slice::from_ref(&program));
+            assert_tiers_agree(&mut compiled, &mut interp, trace.clone());
+        }
+    }
 
     /// Any generated counter/table program the verifier passes behaves
     /// bit-identically on both execution tiers over sampled traces.
