@@ -89,24 +89,17 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
         }
     }
 
-    let mut merged_members = members;
-    let mut merged_edges: Vec<(usize, usize)> = edges.into_iter().collect();
-
     // the per-instruction fact every merge decision and block needs, computed
-    // exactly once — the merge loop below used to recompute the whole
-    // program's capability classes for every block of every round, which
-    // dominated the solve pipeline on large programs
+    // exactly once
     let class_of: Vec<CapabilityClass> =
         program.instructions.iter().map(|i| classify_instruction(i, &program.objects)).collect();
 
     // --- step 3: Kahn partitioning + same-type merging -----------------------
+    let mut merged_members = members;
+    let mut merged_edges: Vec<(usize, usize)> = edges.into_iter().collect();
     if config.enable_merging {
-        while let Some((new_members, new_edges)) =
-            merge_round(&class_of, &merged_members, &merged_edges, config)
-        {
-            merged_members = new_members;
-            merged_edges = new_edges;
-        }
+        (merged_members, merged_edges) =
+            merge_blocks(&class_of, merged_members, merged_edges, config.max_block_instrs);
     }
 
     // --- materialize blocks, stamped with their step = topological level -----
@@ -173,92 +166,163 @@ pub(crate) fn topo_order(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize
     (order.len() == n).then_some(order)
 }
 
-/// A merge round's output: the new per-block membership and block edges.
-type MergedLayout = (Vec<Vec<usize>>, Vec<(usize, usize)>);
-
-/// One round of merging: try to merge same-type blocks within a Kahn layer and
-/// across adjacent layers, without exceeding the size budget or creating a
-/// cycle.  Returns the new membership and edges, or `None` once no candidate
-/// merge is possible.
-fn merge_round(
-    class_of: &[CapabilityClass],
-    members: &[Vec<usize>],
-    edges: &[(usize, usize)],
-    config: &BlockConfig,
-) -> Option<MergedLayout> {
-    let n = members.len();
-    if n <= 1 {
-        return None;
-    }
-    let levels = levels_of(n, edges);
-    let block_classes: Vec<BTreeSet<CapabilityClass>> =
-        members.iter().map(|instrs| instrs.iter().map(|&i| class_of[i]).collect()).collect();
-
-    // candidate pairs: same layer first, then adjacent layers
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let same_layer = levels[a] == levels[b];
-            let adjacent = levels[a].abs_diff(levels[b]) == 1;
-            if !(same_layer || adjacent) {
-                continue;
-            }
-            if members[a].len() + members[b].len() > config.max_block_instrs {
-                continue;
-            }
-            if !classes_compatible(&block_classes[a], &block_classes[b]) {
-                continue;
-            }
-            candidates.push((a, b));
-        }
-    }
-    // prefer same-layer merges, then smaller combined size
-    candidates
-        .sort_by_key(|&(a, b)| (levels[a] != levels[b], members[a].len() + members[b].len(), a, b));
-
-    for (a, b) in candidates {
-        // try the merge and keep it if the DAG stays acyclic
-        let (new_members, new_edges) = apply_merge(members, edges, a, b);
-        if topo_order(new_members.len(), &new_edges).is_some() {
-            return Some((new_members, new_edges));
-        }
-    }
-    None
+/// One bit per [`CapabilityClass`] (13 variants), so a block's class set is a
+/// `u16` and the subset test two ANDs.
+fn class_bit(class: CapabilityClass) -> u16 {
+    1 << class as u16
 }
 
 /// Two class sets are "non-exclusive" (mergeable) when one is a subset of the
 /// other — merging never widens the set of devices that must support the block.
-fn classes_compatible(a: &BTreeSet<CapabilityClass>, b: &BTreeSet<CapabilityClass>) -> bool {
-    a.is_subset(b) || b.is_subset(a)
+fn masks_compatible(a: u16, b: u16) -> bool {
+    a & b == a || a & b == b
 }
 
-fn apply_merge(
-    members: &[Vec<usize>],
-    edges: &[(usize, usize)],
-    a: usize,
-    b: usize,
-) -> (Vec<Vec<usize>>, Vec<(usize, usize)>) {
-    let (keep, gone) = if a < b { (a, b) } else { (b, a) };
-    let mut new_members: Vec<Vec<usize>> = Vec::with_capacity(members.len() - 1);
-    let mut remap = vec![0usize; members.len()];
-    for (idx, m) in members.iter().enumerate() {
-        if idx == gone {
-            continue;
+/// Hand `gone`'s neighbours in one direction (`fwd`, with `back` its mirror)
+/// over to `keep`; an edge between the two disappears.
+fn absorb(fwd: &mut [Vec<usize>], back: &mut [Vec<usize>], keep: usize, gone: usize) {
+    for s in std::mem::take(&mut fwd[gone]) {
+        back[s].retain(|&x| x != gone);
+        if s != keep && !fwd[keep].contains(&s) {
+            fwd[keep].push(s);
+            back[s].push(keep);
         }
-        remap[idx] = new_members.len();
-        new_members.push(m.clone());
     }
-    // the removed block maps to wherever `keep` landed
-    remap[gone] = remap[keep];
-    let mut merged = members[keep].clone();
-    merged.extend(members[gone].iter().copied());
-    merged.sort_unstable();
-    new_members[remap[keep]] = merged;
-    let mut new_edges: Vec<(usize, usize)> =
-        edges.iter().map(|&(x, y)| (remap[x], remap[y])).filter(|(x, y)| x != y).collect();
-    new_edges.sort_unstable();
-    new_edges.dedup();
-    (new_members, new_edges)
+}
+
+/// Step 3 of Algorithm 3, in place: while some pair of blocks in one Kahn
+/// layer — or, failing that, in adjacent layers — has compatible classes and
+/// fits the size budget, merge the pair with the smallest `(combined size, a,
+/// b)`.  Blocks keep their ids while merging (the merged block lives on under
+/// the smaller id, so id order is the order a renumbering after every merge
+/// would give) and are compacted once at the end; returns the surviving
+/// member lists, each sorted, and the edges over the compacted ids.
+///
+/// **No merge taken here can close a cycle**, so none is tried and undone.
+/// Levels are longest-path levels: a path `a → x → b` through a third block
+/// forces `level[b] ≥ level[a] + 2`.  Merging `a` and `b` closes a cycle only
+/// if such a path exists (a direct edge `a → b` just disappears into the merged
+/// block), and every candidate has `|level[a] − level[b]| ≤ 1`.  The
+/// `debug_assert!` on the Kahn pass below is the trial the proof replaces.  A
+/// graph that is cyclic on entry has no levels to merge by and is left alone.
+fn merge_blocks(
+    class_of: &[CapabilityClass],
+    mut members: Vec<Vec<usize>>,
+    mut edges: Vec<(usize, usize)>,
+    max_block_instrs: usize,
+) -> (Vec<Vec<usize>>, Vec<(usize, usize)>) {
+    let n = members.len();
+    let mut mask: Vec<u16> =
+        members.iter().map(|m| m.iter().fold(0, |acc, &i| acc | class_bit(class_of[i]))).collect();
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(a, b) in &edges {
+        if a != b && !succ[a].contains(&b) {
+            succ[a].push(b);
+            pred[b].push(a);
+        }
+    }
+    // a merged-away block is the one with no members left
+    let mut live = n;
+    // buffers of the per-merge Kahn pass, reused
+    let mut deg = vec![0usize; n];
+    let mut level = vec![0usize; n];
+    let mut queue: Vec<usize> = Vec::with_capacity(n);
+    let mut layers: Vec<Vec<usize>> = Vec::new();
+
+    while live > 1 {
+        // longest-path levels: a block's level is final when Kahn pops it
+        queue.clear();
+        for b in 0..n {
+            deg[b] = pred[b].len();
+            level[b] = 0;
+            if deg[b] == 0 && !members[b].is_empty() {
+                queue.push(b);
+            }
+        }
+        let mut visited = 0;
+        while let Some(b) = queue.pop() {
+            visited += 1;
+            for &s in &succ[b] {
+                level[s] = level[s].max(level[b] + 1);
+                deg[s] -= 1;
+                if deg[s] == 0 {
+                    queue.push(s);
+                }
+            }
+        }
+        if visited != live {
+            debug_assert_eq!(live, n, "a same- or adjacent-level merge closed a cycle");
+            break;
+        }
+        // live blocks by level, each layer in ascending id order
+        layers.iter_mut().for_each(Vec::clear);
+        for b in (0..n).filter(|&b| !members[b].is_empty()) {
+            if layers.len() <= level[b] {
+                layers.resize_with(level[b] + 1, Vec::new);
+            }
+            layers[level[b]].push(b);
+        }
+
+        // the candidate the by-definition sort puts first: same-layer pairs
+        // before adjacent-layer ones, then the smallest (size sum, a, b)
+        const NO_PAIR: (usize, usize, usize) = (usize::MAX, 0, 0);
+        let candidate = |x: usize, y: usize| {
+            let sum = members[x].len() + members[y].len();
+            if sum <= max_block_instrs && masks_compatible(mask[x], mask[y]) {
+                (sum, x.min(y), x.max(y))
+            } else {
+                NO_PAIR
+            }
+        };
+        let mut best = NO_PAIR;
+        for layer in &layers {
+            for (i, &x) in layer.iter().enumerate() {
+                for &y in &layer[i + 1..] {
+                    best = best.min(candidate(x, y));
+                }
+            }
+        }
+        if best == NO_PAIR {
+            for pair in layers.windows(2) {
+                for &x in &pair[0] {
+                    for &y in &pair[1] {
+                        best = best.min(candidate(x, y));
+                    }
+                }
+            }
+        }
+        if best == NO_PAIR {
+            break;
+        }
+        let (_, keep, gone) = best;
+
+        // merge `gone` into `keep` and rewire both adjacency directions
+        let moved = std::mem::take(&mut members[gone]);
+        members[keep].extend(moved);
+        mask[keep] |= mask[gone];
+        live -= 1;
+        absorb(&mut succ, &mut pred, keep, gone);
+        absorb(&mut pred, &mut succ, keep, gone);
+    }
+
+    // compact the surviving ids, once
+    let mut new_id = vec![usize::MAX; n];
+    let mut next = 0;
+    for b in 0..n {
+        if !members[b].is_empty() {
+            new_id[b] = next;
+            next += 1;
+        }
+    }
+    edges.clear();
+    for (a, succ) in succ.iter().enumerate() {
+        edges.extend(succ.iter().map(|&b| (new_id[a], new_id[b])));
+    }
+    edges.sort_unstable();
+    members.retain(|m| !m.is_empty());
+    members.iter_mut().for_each(|m| m.sort_unstable());
+    (members, edges)
 }
 
 /// Iterative Tarjan strongly-connected-components; returns the SCC index of
@@ -450,11 +514,126 @@ mod tests {
     #[test]
     fn class_compatibility_is_subset_based() {
         use CapabilityClass::*;
-        let a: BTreeSet<_> = [Bin].into_iter().collect();
-        let b: BTreeSet<_> = [Bin, Baf].into_iter().collect();
-        let c: BTreeSet<_> = [Bso].into_iter().collect();
-        assert!(classes_compatible(&a, &b));
-        assert!(classes_compatible(&b, &a));
-        assert!(!classes_compatible(&b, &c));
+        let a = class_bit(Bin);
+        let b = class_bit(Bin) | class_bit(Baf);
+        let c = class_bit(Bso);
+        assert!(masks_compatible(a, b));
+        assert!(masks_compatible(b, a));
+        assert!(!masks_compatible(b, c));
+        // every class has its own bit
+        let all = CapabilityClass::ALL.iter().fold(0u16, |acc, &c| acc | class_bit(c));
+        assert_eq!(all.count_ones() as usize, CapabilityClass::ALL.len());
+    }
+
+    /// Step 3 by definition, the loop [`merge_blocks`] replaced: levels; every
+    /// compatible same- or adjacent-level pair within the size budget, sorted
+    /// by `(levels differ, size sum, a, b)`; merge the first and renumber.
+    fn reference_merge(
+        class_of: &[CapabilityClass],
+        mut members: Vec<Vec<usize>>,
+        mut edges: Vec<(usize, usize)>,
+        max_block_instrs: usize,
+    ) -> (Vec<Vec<usize>>, Vec<(usize, usize)>) {
+        loop {
+            let n = members.len();
+            let levels = levels_of(n, &edges);
+            let classes: Vec<BTreeSet<CapabilityClass>> =
+                members.iter().map(|m| m.iter().map(|&i| class_of[i]).collect()).collect();
+            let size = |a: usize, b: usize| members[a].len() + members[b].len();
+            let mut candidates: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .filter(|&(a, b)| levels[a].abs_diff(levels[b]) <= 1)
+                .filter(|&(a, b)| size(a, b) <= max_block_instrs)
+                .filter(|&(a, b)| {
+                    classes[a].is_subset(&classes[b]) || classes[b].is_subset(&classes[a])
+                })
+                .collect();
+            candidates.sort_by_key(|&(a, b)| (levels[a] != levels[b], size(a, b), a, b));
+            let Some(&(a, b)) = candidates.first() else { return (members, edges) };
+            let gone = members.remove(b);
+            members[a].extend(gone);
+            members[a].sort_unstable();
+            let renumber = |x: usize| if x == b { a } else { x - usize::from(x > b) };
+            edges = edges.iter().map(|&(x, y)| (renumber(x), renumber(y))).collect();
+            edges.retain(|(x, y)| x != y);
+            edges.sort_unstable();
+            edges.dedup();
+            // the trial the old loop ran per candidate: the first never fails
+            assert!(
+                topo_order(members.len(), &edges).is_some(),
+                "the first candidate closed a cycle"
+            );
+        }
+    }
+
+    /// `build_block_dag` at `max_block_instrs`, held to [`reference_merge`]
+    /// over the unmerged groups of the same program.
+    fn assert_merge_matches_reference(program: &IrProgram, max_block_instrs: usize) {
+        let groups =
+            build_block_dag(program, &BlockConfig { max_block_instrs, enable_merging: false });
+        let class_of: Vec<CapabilityClass> = program
+            .instructions
+            .iter()
+            .map(|i| classify_instruction(i, &program.objects))
+            .collect();
+        let (members, edges) = reference_merge(
+            &class_of,
+            groups.blocks().iter().map(|b| b.instrs.clone()).collect(),
+            groups.edges().to_vec(),
+            max_block_instrs,
+        );
+        let dag = build_block_dag(program, &BlockConfig { max_block_instrs, enable_merging: true });
+        let built: Vec<Vec<usize>> = dag.blocks().iter().map(|b| b.instrs.clone()).collect();
+        assert_eq!(built, members, "{}: members at block size {max_block_instrs}", program.name);
+        assert_eq!(dag.edges(), edges, "{}: edges at block size {max_block_instrs}", program.name);
+    }
+
+    #[test]
+    fn merging_matches_the_by_definition_loop_on_the_fig13_templates() {
+        use clickinc_lang::templates::*;
+        let mut templates = vec![
+            kvs_template("kvs", KvsParams::default()),
+            count_min_sketch("cms", 3, 512),
+            dqacc_template("dqacc", DqAccParams::default()),
+        ];
+        for dims in [4, 8, 16, 24, 32] {
+            templates.push(mlagg_template("mlagg", MlAggParams { dims, ..Default::default() }));
+        }
+        for t in templates {
+            let ir = clickinc_frontend::compile_source(&t.name, &t.source).unwrap();
+            for max_block_instrs in [1, 4, 16, 64] {
+                assert_merge_matches_reference(&ir, max_block_instrs);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn merging_matches_the_by_definition_loop_on_random_programs(
+            n in 1usize..40,
+            seed in proptest::collection::vec(proptest::prelude::any::<u8>(), 40),
+        ) {
+            let program = crate::proptests::arb_program(n, seed);
+            for max_block_instrs in [1, 4, 16, 64] {
+                assert_merge_matches_reference(&program, max_block_instrs);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cyclic_group_graph_is_left_unmerged() {
+        // three single-instruction groups of one class, 0 → 1 → 2 → 0: without
+        // levels there is nothing to merge by, and nothing panics
+        let class_of = vec![CapabilityClass::Bin; 3];
+        let members = vec![vec![0], vec![1], vec![2]];
+        let edges = vec![(0, 1), (1, 2), (2, 0)];
+        let (merged, merged_edges) = merge_blocks(&class_of, members.clone(), edges.clone(), 16);
+        assert_eq!(merged, members);
+        assert_eq!(merged_edges, edges);
+        // the same groups without the back edge do merge
+        let (merged, _) = merge_blocks(&class_of, members, vec![(0, 1), (1, 2)], 16);
+        assert_eq!(merged, vec![vec![0, 1, 2]]);
     }
 }

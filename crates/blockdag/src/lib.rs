@@ -35,7 +35,7 @@ mod proptests {
 
     /// Generate a random but well-formed straight-line IR program mixing pure
     /// arithmetic with stateful accesses to a couple of register arrays.
-    fn arb_program(n_instrs: usize, seed: Vec<u8>) -> clickinc_ir::IrProgram {
+    pub(crate) fn arb_program(n_instrs: usize, seed: Vec<u8>) -> clickinc_ir::IrProgram {
         let mut b = ProgramBuilder::new("prop");
         b.array("s0", 1, 64, 32);
         b.array("s1", 1, 64, 32);

@@ -106,9 +106,12 @@ pub struct ResourceVector {
 }
 
 impl ResourceVector {
+    /// The zero vector, as a constant.
+    pub const ZERO: ResourceVector = ResourceVector { values: [0.0; Resource::COUNT] };
+
     /// The zero vector.
     pub fn zero() -> ResourceVector {
-        ResourceVector::default()
+        ResourceVector::ZERO
     }
 
     /// Build from `(resource, amount)` pairs.

@@ -21,13 +21,14 @@
 //! loop stops at the first infeasible extension.  Disabling pruning (the
 //! Fig. 14(b) ablation) evaluates every combination.
 
-use crate::intra::{allocate_stages_with, SegContext, StageAllocation};
+use crate::intra::{fit_segment, SegContext, SegFit};
 use crate::memo::{device_fingerprint, shape_fingerprint, SolveCache};
 use crate::network::{PlacementDevice, PlacementNetwork};
 use crate::objective::{cut_costs, Weights};
 use crate::plan::{Assignment, PlacementError, PlacementPlan};
-use clickinc_blockdag::{BlockDag, BlockId};
+use clickinc_blockdag::BlockDag;
 use clickinc_ir::IrProgram;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Configuration of the DP placement.
@@ -46,11 +47,11 @@ impl Default for PlacementConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Choice {
     gain: f64,
     split: usize,
-    alloc: StageAllocation,
+    fit: SegFit,
 }
 
 /// Place `program` (already grouped into `dag`) onto `net`.
@@ -110,7 +111,7 @@ pub fn place_with_cache(
 
     let seg_instrs = |j: usize, k: usize| -> Vec<usize> {
         let mut v: Vec<usize> =
-            order[j..k].iter().flat_map(|b| dag.blocks()[*b].instrs.clone()).collect();
+            order[j..k].iter().flat_map(|b| dag.blocks()[*b].instrs.iter().copied()).collect();
         v.sort_unstable();
         v
     };
@@ -119,7 +120,7 @@ pub fn place_with_cache(
     // exactly the union of its instructions' classes, so pruning on it returns
     // None precisely when the allocator would — cache entries are identical
     // with pruning on or off
-    let seg_alloc = |dev: &PlacementDevice, dev_key: u64, j: usize, k: usize| {
+    let seg_fit = |dev: &PlacementDevice, dev_key: u64, j: usize, k: usize| {
         let compute = || {
             if config.enable_pruning {
                 // capability pre-check: −∞ without running the stage allocator
@@ -129,27 +130,42 @@ pub fn place_with_cache(
                     }
                 }
             }
-            let instrs = seg_instrs(j, k);
-            allocate_stages_with(dev, &ctx, &instrs)
+            fit_segment(dev, &ctx, &seg_instrs(j, k), None)
         };
         match (cache, shape) {
-            (Some(memo), Some(shape)) => memo.alloc_or_compute(shape, dev_key, j, k, compute),
+            (Some(memo), Some(shape)) => memo.fit_or_compute(shape, dev_key, j, k, compute),
             _ => compute(),
         }
     };
-    // objective terms stay outside the memo: weights and cap_norm vary per
-    // solve while the allocation does not
-    let seg_eval = |dev: &PlacementDevice,
-                    dev_key: u64,
-                    j: usize,
-                    k: usize|
-     -> Option<(f64, StageAllocation)> {
-        if j == k {
-            return Some((0.0, StageAllocation::empty()));
+    // objective terms stay outside the memo: weights, cap_norm and the
+    // device's replication vary per solve while the fit does not
+    let seg_eval =
+        |dev: &PlacementDevice, dev_key: u64, j: usize, k: usize| -> Option<(f64, SegFit)> {
+            if j == k {
+                return Some((0.0, SegFit::EMPTY));
+            }
+            let fit = seg_fit(dev, dev_key, j, k)?;
+            let rnorm = fit.demand.scaled(dev.replication() as f64).total() / cap_norm;
+            Some((-w.resource * rnorm, fit))
+        };
+    // the stage map of a segment the plan uses, from the allocator that
+    // judged it feasible
+    let assignment = |dev: &PlacementDevice, j: usize, k: usize, fit: SegFit| {
+        let instrs = seg_instrs(j, k);
+        let mut stage_of = BTreeMap::new();
+        let refit = fit_segment(dev, &ctx, &instrs, Some(&mut stage_of));
+        debug_assert_eq!(refit, Some(fit), "the allocator is a pure function of the segment");
+        Assignment {
+            device: dev.name.clone(),
+            members: dev.members.clone(),
+            kind: dev.kind,
+            blocks: order[j..k].iter().map(|b| dag.blocks()[*b].id).collect(),
+            instrs,
+            stage_of,
+            stages_used: fit.stages_used,
+            demand: fit.demand,
+            step_range: (j, k),
         }
-        let alloc = seg_alloc(dev, dev_key, j, k)?;
-        let rnorm = alloc.demand.scaled(dev.replication() as f64).total() / cap_norm;
-        Some((-w.resource * rnorm, alloc))
     };
 
     // ---- client-side sub-tree DP (bottom-up) ---------------------------------
@@ -188,10 +204,10 @@ pub fn place_with_cache(
                     continue;
                 }
                 match seg_eval(device, client_keys[u], j, k) {
-                    Some((seg_gain, alloc)) => {
+                    Some((seg_gain, fit)) => {
                         let gain = child_sum + seg_gain;
                         if best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
-                            best = Some(Choice { gain, split: j, alloc });
+                            best = Some(Choice { gain, split: j, fit });
                         }
                     }
                     None => {
@@ -212,7 +228,7 @@ pub fn place_with_cache(
     // server_tables[i][k]: best gain for blocks [k..n) on devices i.., plus the
     // chosen end of device i's segment.
     let mut server_tables: Vec<Vec<Option<Choice>>> = vec![vec![None; n + 1]; m + 1];
-    server_tables[m][n] = Some(Choice { gain: 0.0, split: n, alloc: StageAllocation::empty() });
+    server_tables[m][n] = Some(Choice { gain: 0.0, split: n, fit: SegFit::EMPTY });
     for i in (0..m).rev() {
         for k in 0..=n {
             let mut best: Option<Choice> = None;
@@ -222,12 +238,12 @@ pub fn place_with_cache(
                     None => continue,
                 };
                 match seg_eval(&net.server[i], server_keys[i], k, mid) {
-                    Some((seg_gain, alloc)) => {
+                    Some((seg_gain, fit)) => {
                         // boundary between device i and i+1 sits at `mid`
                         let boundary = if mid < n { w.comm * cuts[mid] } else { 0.0 };
                         let gain = seg_gain + tail - boundary;
                         if best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
-                            best = Some(Choice { gain, split: mid, alloc });
+                            best = Some(Choice { gain, split: mid, fit });
                         }
                     }
                     None => {
@@ -277,7 +293,7 @@ pub fn place_with_cache(
     while let Some((u, k)) = stack.pop() {
         let choice = tables[u][k].as_ref().expect("reconstruction follows feasible choices");
         let j = choice.split;
-        assignments.push(make_assignment(&net.client[u], dag, &order, j, k, &choice.alloc));
+        assignments.push(assignment(&net.client[u], j, k, choice.fit));
         for &c in &net.client_children[u] {
             if j > 0 && j < n {
                 comm_cost += cuts[j];
@@ -298,7 +314,7 @@ pub fn place_with_cache(
     {
         let choice = server_table[k].as_ref().expect("feasible server choice");
         let mid = choice.split;
-        assignments.push(make_assignment(server_node, dag, &order, k, mid, &choice.alloc));
+        assignments.push(assignment(server_node, k, mid, choice.fit));
         if mid < n && i + 1 < m {
             comm_cost += cuts[mid];
         }
@@ -321,31 +337,6 @@ pub fn place_with_cache(
         weights: w,
         solve_time: start.elapsed(),
     })
-}
-
-fn make_assignment(
-    device: &PlacementDevice,
-    dag: &BlockDag,
-    order: &[usize],
-    j: usize,
-    k: usize,
-    alloc: &StageAllocation,
-) -> Assignment {
-    let blocks: Vec<BlockId> = order[j..k].iter().map(|b| dag.blocks()[*b].id).collect();
-    let mut instrs: Vec<usize> =
-        order[j..k].iter().flat_map(|b| dag.blocks()[*b].instrs.clone()).collect();
-    instrs.sort_unstable();
-    Assignment {
-        device: device.name.clone(),
-        members: device.members.clone(),
-        kind: device.kind,
-        blocks,
-        instrs,
-        stage_of: alloc.stage_of.clone(),
-        stages_used: alloc.stages_used,
-        demand: alloc.demand,
-        step_range: (j, k),
-    }
 }
 
 fn postorder_of(net: &PlacementNetwork) -> Vec<usize> {

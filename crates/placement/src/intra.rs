@@ -20,9 +20,10 @@
 //! implement here.
 
 use crate::network::PlacementDevice;
-use clickinc_device::{instruction_demand, Architecture};
+use clickinc_device::{instruction_demand, object_demand, Architecture, DeviceKind, DeviceModel};
 use clickinc_ir::{classify_instruction, DependencyKind, IrProgram, ResourceVector};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// The result of allocating a set of instructions onto one device.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,20 +58,54 @@ impl StageAllocation {
     }
 }
 
-/// Per-program facts [`allocate_stages`] re-derives on every call, hoisted so
-/// the placement DP (which evaluates thousands of segments per solve) computes
-/// them exactly once.  The answers are identical — the context is a cache of
-/// pure derivations, not a different algorithm.
+/// What the placement DP keeps of an allocation — a [`StageAllocation`]
+/// without the per-instruction stage map: 104 bytes, `Copy`, no heap.  The
+/// DP tables and the [`SolveCache`](crate::SolveCache) carry this; the stage
+/// map is built only for the segments a plan ends up using.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SegFit {
+    /// Number of stages actually used.
+    pub(crate) stages_used: usize,
+    /// Total resource demand of the segment (per physical device).
+    pub(crate) demand: ResourceVector,
+}
+
+impl SegFit {
+    /// The fit of no instructions.
+    pub(crate) const EMPTY: SegFit = SegFit { stages_used: 0, demand: ResourceVector::ZERO };
+}
+
+/// One slot per [`DeviceKind`] variant (`Server`, the last, included).
+const DEVICE_KINDS: usize = DeviceKind::Server as usize + 1;
+
+/// What a program demands of one device kind: `instruction_demand` per
+/// instruction and `object_demand` per declared object.  Both read only the
+/// model's kind and the architecture the kind fixes.
+struct KindDemand {
+    arch: Architecture,
+    instr: Vec<ResourceVector>,
+    object: Vec<ResourceVector>,
+}
+
+/// Per-solve facts the stage allocator needs about a program, derived once so
+/// the placement DP (which evaluates thousands of segments per solve) reads
+/// them by index.  The answers are identical — the context is a cache of pure
+/// derivations, not a different algorithm.
 pub struct SegContext<'a> {
     program: &'a IrProgram,
     /// Capability class per instruction index.
     class_of: Vec<clickinc_ir::CapabilityClass>,
     /// Data-dependency predecessors per instruction index (program order).
     data_preds: Vec<Vec<usize>>,
+    /// Index into `program.objects` of the object each instruction names
+    /// (the first declaration of that name, as `IrProgram::object` finds it).
+    object_of: Vec<Option<usize>>,
+    /// Demand vectors per device kind met, filled on first use.
+    demand: [OnceLock<KindDemand>; DEVICE_KINDS],
 }
 
 impl<'a> SegContext<'a> {
-    /// Precompute classes and data dependencies for `program`.
+    /// Precompute classes, data dependencies and object indices for `program`.
     pub fn new(program: &'a IrProgram) -> SegContext<'a> {
         let class_of = program
             .instructions
@@ -83,12 +118,31 @@ impl<'a> SegContext<'a> {
                 data_preds[*b].push(*a);
             }
         }
-        SegContext { program, class_of, data_preds }
+        let object_of = program
+            .instructions
+            .iter()
+            .map(|i| {
+                i.object().and_then(|name| program.objects.iter().position(|o| o.name == name))
+            })
+            .collect();
+        SegContext { program, class_of, data_preds, object_of, demand: Default::default() }
     }
 
     /// The program the context was built from.
     pub fn program(&self) -> &'a IrProgram {
         self.program
+    }
+
+    fn demand_on(&self, model: &DeviceModel) -> &KindDemand {
+        let demand = self.demand[model.kind as usize].get_or_init(|| KindDemand {
+            arch: model.arch,
+            instr: (self.program.instructions.iter())
+                .map(|i| instruction_demand(model, self.program, i))
+                .collect(),
+            object: self.program.objects.iter().map(|o| object_demand(model, &o.kind)).collect(),
+        });
+        debug_assert_eq!(demand.arch, model.arch, "a device kind fixes its architecture");
+        demand
     }
 }
 
@@ -105,40 +159,51 @@ pub fn allocate_stages(
 }
 
 /// [`allocate_stages`] with the per-program derivations supplied by a
-/// pre-built [`SegContext`] — the form the placement DP calls in its inner
-/// loop.
+/// pre-built [`SegContext`].
 pub fn allocate_stages_with(
     device: &PlacementDevice,
     ctx: &SegContext<'_>,
     instrs: &[usize],
 ) -> Option<StageAllocation> {
-    if instrs.is_empty() {
-        return Some(StageAllocation::empty());
-    }
-    let program = ctx.program;
-    // capability check (constraint 3 of §5.4)
-    for &i in instrs {
-        if !device.supports(ctx.class_of[i]) {
-            return None;
-        }
-    }
+    let mut stage_of = BTreeMap::new();
+    let SegFit { stages_used, demand } = fit_segment(device, ctx, instrs, Some(&mut stage_of))?;
+    Some(StageAllocation { stage_of, stages_used, demand })
+}
 
-    let model = &device.model;
-    let assigned: BTreeSet<usize> = instrs.iter().copied().collect();
-    // dependencies restricted to the assigned set
-    let mut preds: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &b in instrs {
-        for &a in &ctx.data_preds[b] {
-            if assigned.contains(&a) {
-                preds.entry(b).or_default().push(a);
-            }
-        }
+/// The stage allocator.  Decides whether `instrs` fit `device` and in how
+/// many stages; with `stage_out` it also records the stage of every
+/// instruction — the form the placement DP's inner loop calls leaves it out
+/// and gets the same [`SegFit`] without building a map.
+pub(crate) fn fit_segment(
+    device: &PlacementDevice,
+    ctx: &SegContext<'_>,
+    instrs: &[usize],
+    mut stage_out: Option<&mut BTreeMap<usize, usize>>,
+) -> Option<SegFit> {
+    if instrs.is_empty() {
+        return Some(SegFit::EMPTY);
+    }
+    // capability check (constraint 3 of §5.4)
+    if !instrs.iter().all(|&i| device.supports(ctx.class_of[i])) {
+        return None;
     }
 
     // aggregate resource feasibility first (cheap reject, also the only check
-    // for RTC devices)
-    let total_demand = clickinc_device::block_demand(model, program, instrs);
-    if !total_demand.fits_within(&device.available) {
+    // for RTC devices).  Summed in `block_demand`'s order — each instruction,
+    // then its object on first sight — so every `f64` is bit-equal to it.
+    let model = &device.model;
+    let kind_demand = ctx.demand_on(model);
+    let mut object_seen = vec![false; kind_demand.object.len()];
+    let mut demand = ResourceVector::ZERO;
+    for &i in instrs {
+        demand += kind_demand.instr[i];
+        if let Some(object) = ctx.object_of[i] {
+            if !std::mem::replace(&mut object_seen[object], true) {
+                demand += kind_demand.object[object];
+            }
+        }
+    }
+    if !demand.fits_within(&device.available) {
         return None;
     }
 
@@ -147,8 +212,10 @@ pub fn allocate_stages_with(
         _ => model.stages(),
     };
     if stages == 1 {
-        let stage_of = instrs.iter().map(|&i| (i, 0usize)).collect();
-        return Some(StageAllocation { stage_of, stages_used: 1, demand: total_demand });
+        if let Some(stage_of) = stage_out {
+            stage_of.extend(instrs.iter().map(|&i| (i, 0)));
+        }
+        return Some(SegFit { stages_used: 1, demand });
     }
 
     // per-stage budget: total availability spread evenly over the stages (the
@@ -163,36 +230,26 @@ pub fn allocate_stages_with(
     // therefore checked once at device level by the aggregate test above.
     let mut order: Vec<usize> = instrs.to_vec();
     order.sort_unstable();
-    let mut stage_of: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut stage_use: Vec<ResourceVector> = vec![ResourceVector::zero(); stages];
+    // per instruction index, the first stage open to what depends on it: one
+    // past its own once placed, 0 while it is not (and only members of
+    // `instrs` ever are, so a dependency outside the segment constrains nothing)
+    let mut open_after = vec![0usize; ctx.class_of.len()];
+    let mut stage_use: Vec<ResourceVector> = vec![ResourceVector::ZERO; stages];
+    let mut stages_used = 0;
 
     for &i in &order {
-        let instr = &program.instructions[i];
-        let demand = instruction_demand(model, program, instr);
-        let min_stage = preds
-            .get(&i)
-            .map(|ps| {
-                ps.iter().map(|p| stage_of.get(p).map(|s| s + 1).unwrap_or(0)).max().unwrap_or(0)
-            })
-            .unwrap_or(0);
-        let mut placed = false;
-        for (s, use_slot) in stage_use.iter_mut().enumerate().take(stages).skip(min_stage) {
-            let mut candidate = *use_slot;
-            candidate += demand;
-            if candidate.fits_within(&per_stage_budget) {
-                *use_slot = candidate;
-                stage_of.insert(i, s);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
+        let need = kind_demand.instr[i];
+        let min_stage = ctx.data_preds[i].iter().map(|&p| open_after[p]).max().unwrap_or(0);
+        let stage =
+            (min_stage..stages).find(|&s| (stage_use[s] + need).fits_within(&per_stage_budget))?;
+        stage_use[stage] += need;
+        open_after[i] = stage + 1;
+        stages_used = stages_used.max(stage + 1);
+        if let Some(stage_of) = stage_out.as_deref_mut() {
+            stage_of.insert(i, stage);
         }
     }
-
-    let stages_used = stage_of.values().copied().max().map(|s| s + 1).unwrap_or(0);
-    Some(StageAllocation { stage_of, stages_used, demand: total_demand })
+    Some(SegFit { stages_used, demand })
 }
 
 #[cfg(test)]
@@ -311,5 +368,110 @@ mod tests {
         b.falu("f", AluOp::Add, Operand::hdr("a"), Operand::hdr("b"));
         let program = b.build().expect("test program is well-formed");
         assert!(allocate_stages(agg, &program, &[0]).is_some());
+    }
+
+    /// Algorithm 2 as its module doc states it, from the crates' public
+    /// building blocks and nothing precomputed: `block_demand` for the
+    /// aggregate test, then the earliest stage after every dependency placed
+    /// so far that still has room.
+    fn reference_allocation(
+        device: &PlacementDevice,
+        program: &IrProgram,
+        instrs: &[usize],
+    ) -> Option<StageAllocation> {
+        use clickinc_ir::DependencyKind::Data;
+        let class = |i: usize| classify_instruction(&program.instructions[i], &program.objects);
+        if !instrs.iter().all(|&i| device.supports(class(i))) {
+            return None;
+        }
+        let demand = clickinc_device::block_demand(&device.model, program, instrs);
+        if !demand.fits_within(&device.available) {
+            return None;
+        }
+        let stages = match device.model.arch {
+            Architecture::Rtc => 1,
+            _ => device.model.stages(),
+        };
+        if stages == 1 {
+            let stage_of = instrs.iter().map(|&i| (i, 0)).collect();
+            return Some(StageAllocation { stage_of, stages_used: 1, demand });
+        }
+        let budget = device.available.scaled(1.0 / stages as f64);
+        let deps = program.dependencies();
+        let mut order = instrs.to_vec();
+        order.sort_unstable();
+        let mut stage_of: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut used = vec![ResourceVector::zero(); stages];
+        for &i in &order {
+            let after = deps
+                .iter()
+                .filter(|(_, b, kind)| *b == i && *kind == Data)
+                .filter_map(|(a, _, _)| stage_of.get(a).map(|s| s + 1))
+                .max()
+                .unwrap_or(0);
+            let need = instruction_demand(&device.model, program, &program.instructions[i]);
+            let stage = (after..stages).find(|&s| (used[s] + need).fits_within(&budget))?;
+            used[stage] += need;
+            stage_of.insert(i, stage);
+        }
+        let stages_used = stage_of.values().max().map_or(0, |s| s + 1);
+        Some(StageAllocation { stage_of, stages_used, demand })
+    }
+
+    /// Every programmable kind alone, plus the bypass-equipped Trident4 of
+    /// the emulation topology (Agg4/Agg5).
+    fn device_menu() -> Vec<PlacementDevice> {
+        let mut devices: Vec<PlacementDevice> =
+            DeviceKind::PROGRAMMABLE.iter().map(|&kind| single_device(kind)).collect();
+        let topo = Topology::emulation_topology();
+        let (src, dst) = (topo.find("pod0a").unwrap(), topo.find("pod2b").unwrap());
+        let reduced = reduce_for_traffic(&topo, &[src], dst, &[]);
+        let net = PlacementNetwork::from_reduced(&topo, &reduced, &ResourceLedger::new());
+        devices.push(net.server.iter().find(|d| d.bypass.is_some()).expect("bypass agg").clone());
+        devices
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The flat allocator against the reference on random contiguous
+        /// block segments of the fig13 programs, on every device model, with
+        /// random residual capacities.
+        #[test]
+        fn the_allocator_matches_the_reference_on_fig13_segments(
+            program in 0usize..4,
+            device in 0usize..7,
+            first in proptest::prelude::any::<u16>(),
+            len in proptest::prelude::any::<u16>(),
+            tightness in 0u8..4,
+            used in proptest::collection::vec(proptest::prelude::any::<u8>(), 12),
+        ) {
+            let program = &crate::fig13_programs()[program];
+            let dag = clickinc_blockdag::build_block_dag(program, &Default::default());
+            let order = dag.blocks_by_step();
+            let j = usize::from(first) % order.len();
+            let k = j + 1 + usize::from(len) % (order.len() - j);
+            let mut instrs: Vec<usize> =
+                order[j..k].iter().flat_map(|&b| dag.blocks()[b].instrs.iter().copied()).collect();
+            instrs.sort_unstable();
+
+            let mut device = device_menu().swap_remove(device);
+            for (r, byte) in clickinc_ir::Resource::ALL.into_iter().zip(used) {
+                let used = f64::from(byte) / 255.0 * f64::from(tightness) / 3.0;
+                device.available[r] *= 1.0 - used;
+            }
+
+            let ctx = SegContext::new(program);
+            let reference = reference_allocation(&device, program, &instrs);
+            let allocation = allocate_stages_with(&device, &ctx, &instrs);
+            proptest::prop_assert_eq!(&allocation, &reference);
+            if let (Some(a), Some(r)) = (&allocation, &reference) {
+                for res in clickinc_ir::Resource::ALL {
+                    proptest::prop_assert_eq!(a.demand[res].to_bits(), r.demand[res].to_bits());
+                }
+            }
+            let fit = allocation.map(|a| SegFit { stages_used: a.stages_used, demand: a.demand });
+            proptest::prop_assert_eq!(fit_segment(&device, &ctx, &instrs, None), fit);
+        }
     }
 }

@@ -47,6 +47,28 @@ pub use objective::{cut_costs, Weights};
 pub use plan::{Assignment, PlacementError, PlacementPlan};
 pub use smt::{place_smt, SmtConfig};
 
+/// The four fig13 provider templates (KVS, MLAgg-32, DQAcc, CMS) as
+/// `tests/placement_invariants.rs` pins them, compiled once for the in-crate
+/// equivalence tests.
+#[cfg(test)]
+pub(crate) fn fig13_programs() -> &'static [clickinc_ir::IrProgram] {
+    use clickinc_lang::templates::*;
+    static PROGRAMS: std::sync::OnceLock<Vec<clickinc_ir::IrProgram>> = std::sync::OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        let mlagg =
+            MlAggParams { dims: 32, num_workers: 4, num_aggregators: 4096, is_float: false };
+        [
+            kvs_template("kvs", KvsParams { cache_depth: 2000, ..Default::default() }),
+            mlagg_template("mlagg", mlagg),
+            dqacc_template("dqacc", DqAccParams::default()),
+            count_min_sketch("cms", 3, 512),
+        ]
+        .iter()
+        .map(|t| clickinc_frontend::compile_source(&t.name, &t.source).expect("template compiles"))
+        .collect()
+    })
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;

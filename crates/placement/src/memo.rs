@@ -2,8 +2,8 @@
 //! inner call).
 //!
 //! [`place`](crate::place) spends almost all of its time in `seg_eval`:
-//! "can device `d` host blocks `[j..k)` of this program, and in which
-//! stages?".  The answer is a pure function of
+//! "can device `d` host blocks `[j..k)` of this program, in how many stages
+//! and at what demand?".  The answer is a pure function of
 //!
 //! * the **shape** of the program and its block DAG — instruction structure,
 //!   capability classes, data dependencies, object geometries and the block
@@ -11,7 +11,9 @@
 //!   them (two tenants instantiated from one template ask byte-identical
 //!   segment questions under different names);
 //! * the **device** — kind, bypass accelerator, and the exact residual
-//!   capacity vector after netting the ledger;
+//!   capacity vector after netting the ledger (not how many switches the
+//!   equivalence class stands for: classes with equal residuals share
+//!   entries);
 //! * the segment bounds `(j, k)`.
 //!
 //! [`SolveCache`] memoizes that function across solves.  The key carries the
@@ -25,11 +27,14 @@
 //! re-solve the paper's incremental-synthesis idea asks for, applied to
 //! placement.
 //!
-//! Objective terms (weights, capacity normalization) deliberately stay
-//! *outside* the memo: they vary per solve and are cheap to recompute from
-//! the memoized [`StageAllocation`].
+//! An entry is the allocator's verdict without the per-instruction stage map
+//! (`Option<SegFit>`: stages used and the demand vector, 104 bytes, no heap);
+//! the DP rebuilds the stage map for the handful of segments a plan uses.
+//! Objective terms (weights, capacity normalization, the replication factor
+//! scaling the demand) deliberately stay *outside* the memo: they vary per
+//! solve and are cheap to recompute from the memoized fit.
 
-use crate::intra::StageAllocation;
+use crate::intra::SegFit;
 use crate::network::PlacementDevice;
 use clickinc_blockdag::BlockDag;
 use clickinc_ir::{Fnv, Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
@@ -83,7 +88,7 @@ impl SolveCacheStats {
 /// exact residual capacities they were computed against.
 #[derive(Debug, Default)]
 pub struct SolveCache {
-    entries: Mutex<HashMap<MemoKey, Option<StageAllocation>>>,
+    entries: Mutex<HashMap<MemoKey, Option<SegFit>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -96,18 +101,18 @@ impl SolveCache {
 
     /// Answer `seg_eval`'s allocation question from the memo, or compute and
     /// remember it.  `compute` runs at most once per distinct key.
-    pub(crate) fn alloc_or_compute(
+    pub(crate) fn fit_or_compute(
         &self,
         shape: u128,
         device: u64,
         j: usize,
         k: usize,
-        compute: impl FnOnce() -> Option<StageAllocation>,
-    ) -> Option<StageAllocation> {
+        compute: impl FnOnce() -> Option<SegFit>,
+    ) -> Option<SegFit> {
         let key = MemoKey { shape, device, j: j as u32, k: k as u32 };
         if let Some(cached) = self.entries.lock().expect("memo lock").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
+            return *cached;
         }
         // compute outside the lock; a racing duplicate compute is harmless
         // (both produce the identical pure result)
@@ -117,7 +122,7 @@ impl SolveCache {
         if map.len() >= CAPACITY {
             map.clear();
         }
-        map.insert(key, value.clone());
+        map.insert(key, value);
         value
     }
 
@@ -211,9 +216,10 @@ pub fn shape_fingerprint(program: &IrProgram, dag: &BlockDag, order: &[usize]) -
     h.finish()
 }
 
-/// Digest of the device facts `seg_eval` consumes: kind, bypass model, and
-/// the exact bits of the residual capacity vector.  Replication (member
-/// count) rides along because the objective scales demand by it.
+/// Digest of the device facts the memoised answer reads: kind, bypass model,
+/// and the exact bits of the residual capacity vector.  Not the member count:
+/// equivalence classes of different sizes with equal residuals (a fresh
+/// network's ToR, Agg and Core layers) share entries.
 pub fn device_fingerprint(device: &PlacementDevice) -> u64 {
     let mut h = Fnv::new();
     h.write_str(&device.kind.to_string());
@@ -224,7 +230,6 @@ pub fn device_fingerprint(device: &PlacementDevice) -> u64 {
             h.write_str(&b.kind.to_string());
         }
     }
-    h.write_u64(device.members.len() as u64);
     for r in clickinc_ir::Resource::ALL {
         h.write_u64(device.available[r].to_bits());
     }
@@ -507,17 +512,61 @@ mod tests {
     #[test]
     fn memo_returns_the_computed_value_and_counts() {
         let cache = SolveCache::new();
-        let alloc = StageAllocation::empty();
-        let first = cache.alloc_or_compute(1, 2, 0, 3, || Some(alloc.clone()));
-        assert_eq!(first, Some(alloc.clone()));
-        let second = cache.alloc_or_compute(1, 2, 0, 3, || panic!("must hit the memo"));
-        assert_eq!(second, Some(alloc));
-        let miss = cache.alloc_or_compute(1, 3, 0, 3, || None);
+        let fit = SegFit { stages_used: 2, ..SegFit::EMPTY };
+        let first = cache.fit_or_compute(1, 2, 0, 3, || Some(fit));
+        assert_eq!(first, Some(fit));
+        let second = cache.fit_or_compute(1, 2, 0, 3, || panic!("must hit the memo"));
+        assert_eq!(second, Some(fit));
+        let miss = cache.fit_or_compute(1, 3, 0, 3, || None);
         assert_eq!(miss, None);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
         assert!((stats.hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn equivalence_classes_of_different_sizes_share_entries() {
+        use crate::{place_with_cache, PlacementConfig};
+        let topo = Topology::emulation_topology_all_tofino();
+        let (src, dst) = (topo.find("pod0a").unwrap(), topo.find("pod2b").unwrap());
+        let reduced = reduce_for_traffic(&topo, &[src], dst, &[]);
+        let single = PlacementNetwork::from_reduced(&topo, &reduced, &ResourceLedger::new());
+        // the same network with the first client device standing for one more switch
+        let mut double = single.clone();
+        double.client[0].members.push(src);
+        assert_eq!(double.client[0].replication(), single.client[0].replication() + 1);
+        assert_eq!(
+            device_fingerprint(&single.client[0]),
+            device_fingerprint(&double.client[0]),
+            "the member count is not part of the key"
+        );
+
+        let config = PlacementConfig::default();
+        for program in crate::fig13_programs() {
+            let dag = build_block_dag(program, &BlockConfig::default());
+            let solve = |net: &PlacementNetwork, cache: Option<&SolveCache>| {
+                place_with_cache(program, &dag, net, &config, cache).expect("places").fingerprint()
+            };
+            let cache = SolveCache::new();
+            solve(&single, Some(&cache));
+            let warmed = cache.stats();
+            let prewarmed = solve(&double, Some(&cache));
+            let after = cache.stats();
+            assert_eq!(
+                (after.misses, after.entries),
+                (warmed.misses, warmed.entries),
+                "{}: the other device's entries answer every question",
+                program.name
+            );
+            assert_eq!(prewarmed, solve(&double, None), "{}: memo off", program.name);
+            assert_eq!(
+                prewarmed,
+                solve(&double, Some(&SolveCache::new())),
+                "{}: memo on",
+                program.name
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use clickinc_blockdag::BlockDag;
 use clickinc_ir::IrProgram;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// The weights ω_t, ω_r, ω_p balancing traffic served, resource consumption and
 /// cross-device communication in Eq. 1.
@@ -51,42 +51,48 @@ impl Default for Weights {
 /// Returns a vector `cut[j]` for `j in 0..=n_blocks`, normalized by the total
 /// number of temporary bits so the h_p term of Eq. 1 stays in `[0, 1]` per cut.
 pub fn cut_costs(program: &IrProgram, dag: &BlockDag, order: &[usize]) -> Vec<f64> {
-    let n = order.len();
-    // variables defined by each block (by position in `order`)
-    let mut defs: Vec<BTreeSet<&str>> = Vec::with_capacity(n);
-    let mut uses: Vec<BTreeSet<&str>> = Vec::with_capacity(n);
-    for &block_idx in order {
-        let block = &dag.blocks()[block_idx];
-        let mut d = BTreeSet::new();
-        let mut u = BTreeSet::new();
-        for &instr in &block.instrs {
-            let instr = &program.instructions[instr];
-            d.extend(instr.dest());
-            u.extend(instr.read_vars());
-        }
-        defs.push(d);
-        uses.push(u);
+    /// Where a variable lives along `order`, by block position.
+    struct Span {
+        first_def: usize,
+        last_def: usize,
+        last_use: usize,
     }
-    let total_vars: usize = defs.iter().map(|d| d.len()).sum::<usize>().max(1);
-    let bits_per_var = 32.0;
-    let total_bits = total_vars as f64 * bits_per_var;
-
-    let mut cuts = vec![0.0; n + 1];
-    for (j, cut) in cuts.iter_mut().enumerate().take(n).skip(1) {
-        let mut live = BTreeSet::new();
-        for d in defs.iter().take(j) {
-            live.extend(d.iter().copied());
-        }
-        let mut crossing = 0usize;
-        let mut counted = BTreeSet::new();
-        for u in uses.iter().skip(j) {
-            for var in u {
-                if live.contains(var) && counted.insert(*var) {
-                    crossing += 1;
+    const UNSEEN: Span = Span { first_def: usize::MAX, last_def: usize::MAX, last_use: 0 };
+    let n = order.len();
+    let mut spans: HashMap<&str, Span> = HashMap::new();
+    // a variable counts once per block defining it
+    let mut total_vars = 0usize;
+    for (pos, &block_idx) in order.iter().enumerate() {
+        for &instr in &dag.blocks()[block_idx].instrs {
+            let instr = &program.instructions[instr];
+            if let Some(var) = instr.dest() {
+                let span = spans.entry(var).or_insert(UNSEEN);
+                if span.last_def != pos {
+                    total_vars += 1;
+                    span.last_def = pos;
+                    span.first_def = span.first_def.min(pos);
                 }
             }
+            for var in instr.read_vars() {
+                spans.entry(var).or_insert(UNSEEN).last_use = pos;
+            }
         }
-        *cut = crossing as f64 * bits_per_var / total_bits;
+    }
+    let bits_per_var = 32.0;
+    let total_bits = total_vars.max(1) as f64 * bits_per_var;
+
+    // a variable crosses cut `j` when it is defined before it and read at or
+    // after it: every `j` in `(first_def, last_use]` — a difference array
+    let mut delta = vec![0isize; n + 2];
+    for span in spans.values().filter(|s| s.first_def < s.last_use) {
+        delta[span.first_def + 1] += 1;
+        delta[span.last_use + 1] -= 1;
+    }
+    let mut cuts = vec![0.0; n + 1];
+    let mut crossing = 0isize;
+    for j in 1..n {
+        crossing += delta[j];
+        cuts[j] = crossing as f64 * bits_per_var / total_bits;
     }
     cuts
 }
@@ -155,5 +161,46 @@ mod tests {
         let order = dag.blocks_by_step();
         let cuts = cut_costs(&program, &dag, &order);
         assert!(cuts.iter().all(|c| *c == 0.0));
+    }
+
+    /// `cut_costs` by definition: for every cut, the variables defined on its
+    /// left that something on its right reads.
+    fn cut_costs_by_definition(program: &IrProgram, dag: &BlockDag, order: &[usize]) -> Vec<f64> {
+        use std::collections::BTreeSet;
+        let instrs_at =
+            |pos: usize| dag.blocks()[order[pos]].instrs.iter().map(|&i| &program.instructions[i]);
+        let n = order.len();
+        let defs: Vec<BTreeSet<&str>> =
+            (0..n).map(|pos| instrs_at(pos).filter_map(|i| i.dest()).collect()).collect();
+        let uses: Vec<BTreeSet<&str>> =
+            (0..n).map(|pos| instrs_at(pos).flat_map(|i| i.read_vars()).collect()).collect();
+        let total_bits = defs.iter().map(BTreeSet::len).sum::<usize>().max(1) as f64 * 32.0;
+        let mut cuts = vec![0.0; n + 1];
+        for j in 1..n {
+            let live: BTreeSet<&str> = defs[..j].iter().flatten().copied().collect();
+            let read: BTreeSet<&str> = uses[j..].iter().flatten().copied().collect();
+            cuts[j] = live.intersection(&read).count() as f64 * 32.0 / total_bits;
+        }
+        cuts
+    }
+
+    #[test]
+    fn the_sweep_matches_the_definition_bit_for_bit_on_the_fig13_templates() {
+        for program in crate::fig13_programs() {
+            for max_block_instrs in [1, 4, 16, 64] {
+                let dag = build_block_dag(
+                    program,
+                    &BlockConfig { max_block_instrs, ..Default::default() },
+                );
+                let order = dag.blocks_by_step();
+                let bits = |cuts: Vec<f64>| cuts.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(cut_costs(program, &dag, &order)),
+                    bits(cut_costs_by_definition(program, &dag, &order)),
+                    "{} at block size {max_block_instrs}",
+                    program.name
+                );
+            }
+        }
     }
 }
