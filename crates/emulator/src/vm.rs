@@ -53,6 +53,15 @@
 //! with the interpreter's default for a value that has none.  Only an op that
 //! *stores* a value — `Assign`, a table entry, a header write, the key buffer
 //! — copies one.
+//!
+//! Integers take the integer path.  Nearly every operand a served packet
+//! reads is a [`Value::Int`], so `Alu` (outside the float unit), `Cmp`, block
+//! and precondition predicates and every integer view test for two `Int`s
+//! inline and call [`eval::alu_int`] / [`CmpOp::eval_int`] directly — the
+//! very functions [`eval::alu`] and [`eval::compare`] apply to two `Int`s —
+//! and hand any other pair to `eval::alu` / `eval::compare`.  One definition
+//! still serves both tiers; the VM only skips re-dispatching on the operand
+//! kinds it has just matched.
 
 use crate::packet::{HeaderLayout, Packet};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
@@ -965,7 +974,10 @@ fn with_key<R>(
 #[inline(always)] // as `RegFile::value`: most reads come through here
 fn int(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Option<i64> {
     ctx.regs.resolve(op, image, pkt);
-    ctx.regs.value(op, pkt, &mut Value::None).as_int()
+    match ctx.regs.value(op, pkt, &mut Value::None) {
+        Value::Int(x) => Some(*x),
+        other => other.as_int(),
+    }
 }
 
 /// A copy of an operand's value, for the ops that store one.
@@ -991,8 +1003,28 @@ fn with_keys<R>(
     result
 }
 
+/// [`eval::compare`], with the two-`Int` case (the common one: header fields,
+/// hashes and array cells are integers) tested inline and handed straight to [`CmpOp::eval_int`].
+#[inline(always)]
+fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => op.eval_int(*x, *y),
+        _ => eval::compare(a, op, b),
+    }
+}
+
+/// [`eval::alu`], with the integer unit on two `Int`s tested inline and
+/// handed straight to [`eval::alu_int`].
+#[inline(always)]
+fn alu(op: AluOp, a: &Value, b: &Value, float: bool) -> Value {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) if !float => Value::Int(eval::alu_int(op, *x, *y)),
+        _ => eval::alu(op, a, b, float),
+    }
+}
+
 fn pred_holds(p: &VmPred, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> bool {
-    binary(&p.lhs, &p.rhs, ctx, image, pkt, |lhs, rhs| eval::compare(lhs, p.op, rhs))
+    binary(&p.lhs, &p.rhs, ctx, image, pkt, |lhs, rhs| compare(lhs, p.op, rhs))
 }
 
 /// Row and cell of an array access from up to two index operands, each
@@ -1097,11 +1129,11 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, v);
         }
         VmOp::Alu { dest, op, lhs, rhs, float } => {
-            let v = binary(lhs, rhs, ctx, image, pkt, |a, b| eval::alu(*op, a, b, *float));
+            let v = binary(lhs, rhs, ctx, image, pkt, |a, b| alu(*op, a, b, *float));
             ctx.regs.set(*dest, v);
         }
         VmOp::Cmp { dest, op, lhs, rhs } => {
-            let holds = binary(lhs, rhs, ctx, image, pkt, |a, b| eval::compare(a, *op, b));
+            let holds = binary(lhs, rhs, ctx, image, pkt, |a, b| compare(a, *op, b));
             ctx.regs.set(*dest, Value::Bool(holds));
         }
         VmOp::Hash { dest, seed, modulus, keys } => {

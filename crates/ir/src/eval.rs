@@ -47,8 +47,18 @@ pub fn alu(op: AluOp, a: &Value, b: &Value, float: bool) -> Value {
         };
         return Value::Float(r);
     }
-    let (x, y) = (a.as_int().unwrap_or(0), b.as_int().unwrap_or(0));
-    let r = match op {
+    Value::Int(alu_int(op, a.as_int().unwrap_or(0), b.as_int().unwrap_or(0)))
+}
+
+/// The integer unit of [`alu`]: what `alu(op, &Int(x), &Int(y), false)`
+/// computes, without the `Value` round trip — the register VM calls it
+/// directly when both operands are already integers.  Nothing here panics,
+/// whatever the build profile: `i64::MIN / -1` wraps like the other
+/// arithmetic, and shift amounts (including `Slice`'s low bit) are taken
+/// modulo 64.
+#[inline]
+pub fn alu_int(op: AluOp, x: i64, y: i64) -> i64 {
+    match op {
         AluOp::Add => x.wrapping_add(y),
         AluOp::Sub => x.wrapping_sub(y),
         AluOp::Mul => x.wrapping_mul(y),
@@ -56,14 +66,14 @@ pub fn alu(op: AluOp, a: &Value, b: &Value, float: bool) -> Value {
             if y == 0 {
                 0
             } else {
-                x / y
+                x.wrapping_div(y)
             }
         }
         AluOp::Mod => {
             if y == 0 {
                 0
             } else {
-                x % y
+                x.wrapping_rem(y)
             }
         }
         AluOp::And => x & y,
@@ -76,15 +86,95 @@ pub fn alu(op: AluOp, a: &Value, b: &Value, float: bool) -> Value {
         AluOp::Slice => {
             let hi = (y >> 8) & 0xff;
             let lo = y & 0xff;
-            (x >> lo) & ((1 << (hi - lo + 1).clamp(1, 63)) - 1)
+            let width = (hi - lo + 1).clamp(1, 63);
+            // a 63-bit range wraps `i64::MIN - 1` to the 63-bit mask
+            x.wrapping_shr(lo as u32) & (1i64 << width).wrapping_sub(1)
         }
-    };
-    Value::Int(r)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const ALU_OPS: [AluOp; 13] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Mod,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Min,
+        AluOp::Max,
+        AluOp::Slice,
+    ];
+    const CMP_OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    const EDGES: [i64; 5] = [0, 1, -1, i64::MIN, i64::MAX];
+
+    /// An operand drawn from the edge values, shift amounts 0–255, packed
+    /// `Slice` ranges or the whole `i64` range, by `pick`.
+    fn operand(pick: u8, raw: i64) -> i64 {
+        match pick % 4 {
+            0 => EDGES[(raw as u64 % EDGES.len() as u64) as usize],
+            1 => raw & 0xff,
+            2 => raw & 0xffff,
+            _ => raw,
+        }
+    }
+
+    /// The integer entry points agree with the `Value` ones on `Int` pairs.
+    fn assert_int_paths_agree(x: i64, y: i64) {
+        for op in ALU_OPS {
+            let expected = alu(op, &Value::Int(x), &Value::Int(y), false);
+            assert_eq!(Value::Int(alu_int(op, x, y)), expected, "{x} {op} {y}");
+        }
+        for op in CMP_OPS {
+            let expected = compare(&Value::Int(x), op, &Value::Int(y));
+            assert_eq!(op.eval_int(x, y), expected, "{x} {op:?} {y}");
+        }
+    }
+
+    #[test]
+    fn int_paths_agree_on_every_edge_pair() {
+        for x in EDGES {
+            for y in EDGES.into_iter().chain(0..=255) {
+                assert_int_paths_agree(x, y);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn alu_int_and_eval_int_match_alu_and_compare(
+            px in any::<u8>(), x in any::<i64>(), py in any::<u8>(), y in any::<i64>(),
+        ) {
+            assert_int_paths_agree(operand(px, x), operand(py, y));
+        }
+    }
+
+    #[test]
+    fn min_over_minus_one_wraps_instead_of_panicking() {
+        let (min, minus_one) = (Value::Int(i64::MIN), Value::Int(-1));
+        assert_eq!(alu(AluOp::Div, &min, &minus_one, false), Value::Int(i64::MIN));
+        assert_eq!(alu(AluOp::Mod, &min, &minus_one, false), Value::Int(0));
+    }
+
+    #[test]
+    fn slice_low_bit_past_63_wraps_like_a_shift() {
+        // lo = 64 + 4 shifts by 4, as `Shr` does, and hi = lo + 2 keeps three bits
+        let range = Value::Int((70 << 8) | 68);
+        assert_eq!(alu(AluOp::Slice, &Value::Int(0x30), &range, false), Value::Int(3));
+        assert_eq!(alu_int(AluOp::Slice, 0x30, (255 << 8) | 255), 0);
+        // the widest range keeps the low 63 bits
+        assert_eq!(alu_int(AluOp::Slice, -1, 62 << 8), i64::MAX);
+    }
 
     #[test]
     fn none_compares_like_the_interpreter() {

@@ -159,6 +159,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluate the comparison on two integers.
+    #[inline]
     pub fn eval_int(&self, a: i64, b: i64) -> bool {
         match self {
             CmpOp::Eq => a == b,

@@ -33,7 +33,7 @@
 //! engine setting.
 
 use crate::faults::{DeviceHealth, FaultInjector};
-use crate::shard::{ShardFinal, ShardMsg, ShardWorker};
+use crate::shard::{FlushLatch, ShardFinal, ShardMsg, ShardWorker};
 use crate::telemetry::{recover, TelemetryRegistry, TelemetryReport, TenantCounters};
 use crate::tenant::{ShardingMode, TenantHop};
 use crate::workload::Workload;
@@ -621,9 +621,7 @@ impl EngineHandle {
             if let Some(counters) = counters {
                 counters.backpressure_waits.fetch_add(1, Ordering::Relaxed);
             }
-            let (tx, rx) = channel();
-            let _ = self.shared.senders[shard].send(ShardMsg::Flush(tx));
-            let _ = rx.recv();
+            self.flush_shards(shard..shard + 1);
         }
         outcome
     }
@@ -767,7 +765,16 @@ impl EngineHandle {
     /// Barrier: returns once every shard has served everything injected
     /// before the call.
     pub fn flush(&self) {
-        self.ask(0..self.shards(), ShardMsg::Flush);
+        self.flush_shards(0..self.shards());
+    }
+
+    /// Barrier on `shards` alone (a stopped shard counts as flushed).
+    fn flush_shards(&self, shards: Range<usize>) {
+        let latch = FlushLatch::new();
+        for shard in shards {
+            let _ = self.shared.senders[shard].send(ShardMsg::Flush(latch.token()));
+        }
+        latch.wait();
     }
 
     /// Send each of `shards` a message carrying a reply channel, then wait

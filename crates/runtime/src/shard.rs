@@ -44,20 +44,23 @@
 //! tenant's route is a list of ids — so moving a packet to its next hop
 //! compares and clones no string, and a burst borrows its tenant's route and
 //! counter block instead of handing every packet a reference-counted copy.
-//! The only buffer is the worker's own, reused from burst to burst.
+//! The only buffer is the worker's own, reused from burst to burst.  A
+//! served burst's packets stay in it until the shard is idle — its channel
+//! empty — or the next burst arrives, so freeing them is never on a busy
+//! shard's critical path and at most one served burst is ever held.
 //!
 //! [`ShardingMode::ByTenant`]: crate::tenant::ShardingMode::ByTenant
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
 
 use crate::faults::DeviceHealth;
-use crate::telemetry::{BurstTally, TenantCounters};
+use crate::telemetry::{recover, BurstTally, TenantCounters};
 use crate::tenant::TenantHop;
 use clickinc_emulator::{DevicePlane, Fnv, ObjectStore, Packet, PacketAction};
 use clickinc_ir::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvError, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Dense per-shard index of a device, assigned the first time a control
 /// message names it.
@@ -97,10 +100,61 @@ pub(crate) enum ShardMsg {
     /// fraction, `Degraded` ones scale their latency.  Ordered on the FIFO
     /// channel like every other control message.
     SetDeviceHealth { device: String, health: DeviceHealth },
-    /// Barrier: acknowledged once every burst ahead of it has been served.
-    Flush(Sender<()>),
+    /// Barrier: acknowledged — the token dropped — once every burst ahead of
+    /// it has been served.
+    Flush(FlushToken),
     /// Ship the final planes back and exit.
     Stop(Sender<ShardFinal>),
+}
+
+/// The countdown a flush waits on: one [`FlushToken`] per shard asked, each
+/// counting it down when dropped — by the shard once everything ahead of it
+/// in the channel is served, or unserved if the shard has already stopped.
+///
+/// One allocation whatever the timing.  A reply channel also allocates the
+/// waiter's registration whenever the caller reaches `recv` before the
+/// shard has answered, so a burst served faster than the caller got there
+/// cost one allocation fewer than a slower one.
+pub(crate) struct FlushLatch {
+    pending: Mutex<usize>,
+    served: Condvar,
+}
+
+/// One shard's share of a [`FlushLatch`].
+pub(crate) struct FlushToken(Arc<FlushLatch>);
+
+impl FlushLatch {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(FlushLatch { pending: Mutex::new(0), served: Condvar::new() })
+    }
+
+    /// A token the latch waits for.
+    pub(crate) fn token(self: &Arc<Self>) -> FlushToken {
+        *recover(&self.pending) += 1;
+        FlushToken(Arc::clone(self))
+    }
+
+    /// Block until every token handed out has been dropped.
+    pub(crate) fn wait(&self) {
+        let mut pending = recover(&self.pending);
+        while *pending > 0 {
+            pending = self.served.wait(pending).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
+impl Drop for FlushToken {
+    fn drop(&mut self) {
+        let mut pending = recover(&self.0.pending);
+        *pending -= 1;
+        let served = *pending == 0;
+        // unlocked before the wake-up, or the woken caller blocks again on
+        // the mutex this thread still holds (≈ 5 % of `mlagg_serve`)
+        drop(pending);
+        if served {
+            self.0.served.notify_all();
+        }
+    }
 }
 
 /// What a shard hands back when it stops: its device-plane replicas, whose
@@ -133,6 +187,17 @@ pub(crate) struct ShardWorker {
     /// the burst's packets still live the pages stay mapped for whoever
     /// generates the next burst (freed last, the benchmark's `kvs_serve`
     /// takes 8× the page faults and 26 % longer to set a block up).
+    ///
+    /// The packets run in place and outlive the loop: they are released when
+    /// the receive loop finds the channel empty, just before it blocks, or
+    /// when the next `inject` clears the buffer before appending — whichever
+    /// comes first.  A packet's slot vector (≈ 1.2 KB for an MLAgg gradient)
+    /// was allocated on the generating thread, so freeing it here is a
+    /// cross-arena free too large for the allocator's thread cache — freed
+    /// inside the loop it was ≈ 20 % of `mlagg_serve`'s time.  A busy shard
+    /// frees what it freed before, only at the next burst's start; an idle
+    /// one frees while it would otherwise wait; and the buffer never holds
+    /// more than one served burst.
     burst: Vec<(u64, Packet)>,
     /// What the burst being served has done to its tenant's counters so far;
     /// published when the burst ends.
@@ -151,7 +216,20 @@ impl ShardWorker {
             burst: Vec::new(),
             tally: BurstTally::default(),
         };
-        while let Ok(msg) = rx.recv() {
+        loop {
+            // a served burst is released only while the shard has nothing
+            // else to do, so freeing it is off every burst's critical path
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Empty) => {
+                    worker.burst.clear();
+                    match rx.recv() {
+                        Ok(msg) => msg,
+                        Err(RecvError) => break,
+                    }
+                }
+                Err(TryRecvError::Disconnected) => break,
+            };
             match msg {
                 ShardMsg::AddTenant { user, hops, counters } => {
                     worker.add_tenant(user, hops, counters)
@@ -179,9 +257,7 @@ impl ShardWorker {
                     let id = worker.intern(&device);
                     worker.device_health[id] = health;
                 }
-                ShardMsg::Flush(ack) => {
-                    let _ = ack.send(());
-                }
+                ShardMsg::Flush(ack) => drop(ack),
                 ShardMsg::Stop(ack) => {
                     let planes = std::mem::take(&mut worker.planes)
                         .into_iter()
@@ -256,9 +332,12 @@ impl ShardWorker {
         let tally = &mut self.tally;
         tally.restart(counters.link_bytes.len());
         tally.packets = jobs.len() as u64;
+        // the previous burst, if the shard was never idle since, goes now
+        self.burst.clear();
         self.burst.append(&mut jobs);
         drop(jobs);
-        for (vtime_ns, mut packet) in self.burst.drain(..) {
+        for (vtime_ns, packet) in self.burst.iter_mut() {
+            let vtime_ns = *vtime_ns;
             let mut latency_ns = 0.0;
             let served = 'route: {
                 for (hop, &device) in route.iter().enumerate() {
@@ -272,7 +351,7 @@ impl ShardWorker {
                         DeviceHealth::Down => break 'route false,
                         DeviceHealth::Flaky { drop_prob } => {
                             let name = &self.device_names[device];
-                            if flaky_drops(name, vtime_ns, &packet, drop_prob) {
+                            if flaky_drops(name, vtime_ns, packet, drop_prob) {
                                 break 'route false;
                             }
                             1.0
@@ -283,7 +362,7 @@ impl ShardWorker {
                     if let Some(link) = tally.link_bytes.get_mut(hop) {
                         *link += packet.wire_bytes() as u64;
                     }
-                    let outcome = plane.process(&mut packet);
+                    let outcome = plane.process(packet);
                     latency_ns += outcome.latency_ns * latency_scale;
                     match outcome.action {
                         PacketAction::Forward => {}
@@ -348,25 +427,60 @@ mod tests {
     use clickinc_device::DeviceModel;
     use clickinc_emulator::packet::kvs_request;
     use std::sync::mpsc::channel;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
-    /// A fault can precede the first tenant that routes through the device:
-    /// the device is interned when the fault names it, and the tenant's hop
-    /// resolves to the same id.
-    #[test]
-    fn a_device_taken_down_before_its_first_tenant_is_down_when_traffic_arrives() {
+    /// A worker on its own thread, the sender feeding it and its depth gauge.
+    fn spawn_worker() -> (Sender<ShardMsg>, Arc<AtomicU64>, JoinHandle<()>) {
         let (tx, rx) = channel();
         let depth = Arc::new(AtomicU64::new(0));
         let worker = {
             let depth = Arc::clone(&depth);
             std::thread::spawn(move || ShardWorker::run(rx, depth))
         };
+        (tx, depth, worker)
+    }
+
+    fn hop(device: &str) -> TenantHop {
+        TenantHop { device: device.to_string(), model: DeviceModel::tofino(), snippets: Vec::new() }
+    }
+
+    /// `n` KVS requests from `src`, admitted against both gauges the way the
+    /// engine admits them.
+    fn admitted_burst(
+        n: u64,
+        src: &Arc<str>,
+        depth: &AtomicU64,
+        counters: &TenantCounters,
+    ) -> Vec<(u64, Packet)> {
+        depth.fetch_add(n, Ordering::Relaxed);
+        counters.in_flight.fetch_add(n, Ordering::Relaxed);
+        (0..n)
+            .map(|i| {
+                let mut packet = kvs_request("c", "s", 0, i as i64);
+                packet.src = Arc::clone(src);
+                (i, packet)
+            })
+            .collect()
+    }
+
+    /// Stop the worker and wait for it to exit.
+    fn stop(tx: &Sender<ShardMsg>, worker: JoinHandle<()>) -> ShardFinal {
+        let (ack, stopped) = channel();
+        tx.send(ShardMsg::Stop(ack)).expect("the worker is running");
+        let finals = stopped.recv().expect("the worker answers the stop");
+        worker.join().expect("the worker exits cleanly");
+        finals
+    }
+
+    /// A fault can precede the first tenant that routes through the device:
+    /// the device is interned when the fault names it, and the tenant's hop
+    /// resolves to the same id.
+    #[test]
+    fn a_device_taken_down_before_its_first_tenant_is_down_when_traffic_arrives() {
+        let (tx, depth, worker) = spawn_worker();
         let send = |msg| tx.send(msg).expect("the worker is running");
         send(ShardMsg::SetDeviceHealth { device: "sw1".into(), health: DeviceHealth::Down });
-        let hop = |device: &str| TenantHop {
-            device: device.to_string(),
-            model: DeviceModel::tofino(),
-            snippets: Vec::new(),
-        };
         let counters = Arc::new(TenantCounters::new(2));
         send(ShardMsg::AddTenant {
             user: "t".into(),
@@ -379,14 +493,81 @@ mod tests {
         send(ShardMsg::SetDeviceHealth { device: "sw1".into(), health: DeviceHealth::Up });
         depth.fetch_add(3, Ordering::Relaxed);
         send(ShardMsg::Inject { user: "t".into(), jobs: burst(3) });
-        let (ack, stopped) = channel();
-        send(ShardMsg::Stop(ack));
-        let finals = stopped.recv().expect("the worker answers the stop");
-        worker.join().expect("the worker exits cleanly");
+        let finals = stop(&tx, worker);
 
         assert_eq!(counters.fault_lost.load(Ordering::Relaxed), 5, "lost at the down device");
         assert_eq!(counters.to_server.load(Ordering::Relaxed), 3, "served once it is restored");
         assert_eq!(depth.load(Ordering::Relaxed), 0, "every packet returned its credit");
         assert_eq!(finals.planes.keys().collect::<Vec<_>>(), ["sw0", "sw1"]);
+    }
+
+    /// A served burst is held at most until the next one is injected, and
+    /// released anyway once the shard goes idle: the packets of burst N are
+    /// gone by the time burst N + 1 is flushed, whatever the timing.
+    #[test]
+    fn the_shard_holds_at_most_one_served_burst() {
+        let (tx, depth, worker) = spawn_worker();
+        let send = |msg| tx.send(msg).expect("the worker is running");
+        let flush = || {
+            let latch = FlushLatch::new();
+            send(ShardMsg::Flush(latch.token()));
+            latch.wait();
+        };
+        let counters = Arc::new(TenantCounters::new(1));
+        send(ShardMsg::AddTenant {
+            user: "t".into(),
+            hops: vec![hop("sw0")],
+            counters: Arc::clone(&counters),
+        });
+        let srcs: Vec<Arc<str>> = (0..3).map(|n| Arc::from(format!("c{n}"))).collect();
+        for (n, src) in srcs.iter().enumerate() {
+            let jobs = admitted_burst(16, src, &depth, &counters);
+            send(ShardMsg::Inject { user: "t".into(), jobs });
+            flush();
+            if let Some(previous) = n.checked_sub(1) {
+                assert_eq!(Arc::strong_count(&srcs[previous]), 1, "burst {previous} is released");
+            }
+        }
+        // nothing follows the last burst, so the idle shard releases it
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&srcs[2]) > 1 {
+            assert!(Instant::now() < deadline, "an idle shard keeps its served burst");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop(&tx, worker);
+        assert_eq!(counters.to_server.load(Ordering::Relaxed), 48, "every packet was served");
+        assert_eq!(depth.load(Ordering::Relaxed), 0, "every packet returned its credit");
+    }
+
+    /// Credits return per packet as the burst runs, not when its buffer is
+    /// released: a removal or a stop right behind a burst finds both gauges
+    /// at zero.
+    #[test]
+    fn a_removal_or_stop_right_after_a_burst_finds_every_credit_returned() {
+        let src: Arc<str> = "c".into();
+        for remove_first in [true, false] {
+            let (tx, depth, worker) = spawn_worker();
+            let send = |msg| tx.send(msg).expect("the worker is running");
+            let counters = Arc::new(TenantCounters::new(1));
+            send(ShardMsg::AddTenant {
+                user: "t".into(),
+                hops: vec![hop("sw0")],
+                counters: Arc::clone(&counters),
+            });
+            let jobs = admitted_burst(32, &src, &depth, &counters);
+            send(ShardMsg::Inject { user: "t".into(), jobs });
+            if remove_first {
+                let (ack, extracted) = channel();
+                send(ShardMsg::RemoveTenant { user: "t".into(), ack: Some(ack) });
+                extracted.recv().expect("the worker answers the removal");
+                assert_eq!(depth.load(Ordering::Relaxed), 0, "shard credits after the removal");
+                assert_eq!(counters.in_flight.load(Ordering::Relaxed), 0, "tenant credits");
+            }
+            stop(&tx, worker);
+            assert_eq!(depth.load(Ordering::Relaxed), 0, "shard credits after the stop");
+            assert_eq!(counters.in_flight.load(Ordering::Relaxed), 0, "tenant credits");
+            assert_eq!(counters.to_server.load(Ordering::Relaxed), 32, "the burst was served");
+            assert_eq!(Arc::strong_count(&src), 1, "a stopped worker holds no packet");
+        }
     }
 }
