@@ -20,9 +20,10 @@ use crate::request::ServiceRequest;
 use clickinc_backend::DeviceProgram;
 use clickinc_blockdag::{build_block_dag, BlockConfig, BlockDag};
 use clickinc_frontend::{CompileOptions, Frontend};
-use clickinc_ir::analysis::{DeviceTarget, PlacedSnippet};
+use clickinc_ir::analysis::{owned_by, DeviceTarget, PlacedSnippet};
 use clickinc_ir::{
-    DiagnosticSet, Fnv, IrProgram, Optimizer, PassContext, PassManager, ResourceVector,
+    Diagnostic, DiagnosticSet, Fnv, IrProgram, Optimizer, PassContext, PassManager, ResourceVector,
+    Severity,
 };
 use clickinc_placement::{
     place_with_cache, Assignment, PlacementConfig, PlacementNetwork, PlacementPlan, ResourceLedger,
@@ -402,17 +403,6 @@ impl Controller {
             .collect()
     }
 
-    /// Compile a request's source without deploying it (step ii of the
-    /// workflow); exposed for the productivity experiments.
-    pub fn compile(&self, request: &ServiceRequest) -> Result<IrProgram, ClickIncError> {
-        let ir = self.frontend.compile_source(
-            &request.user,
-            &request.source,
-            &CompileOptions::default(),
-        )?;
-        Ok(ir)
-    }
-
     /// Solve a request without deploying it: compile, isolate and place as a
     /// pure dry-run.  Reports the devices the program would occupy, the
     /// resource demand, and the predicted post-commit remaining ratio — and
@@ -488,10 +478,9 @@ impl Controller {
         // placement slices it: constant folding, dead-value elimination, and
         // hoisting the per-instruction isolation guard into the program
         // precondition (an O(1) skip for co-resident tenants' traffic).  The
-        // optimizer re-verifies its own output and returns the original
-        // program on any regression, so this can only narrow, never widen,
-        // what the verifier below accepts.  Both execution tiers run the
-        // optimized IR, keeping their telemetry bit-identical.
+        // optimizer verifies nothing: the verifier below sees exactly the
+        // program that deploys.  Both execution tiers run the optimized IR,
+        // keeping their telemetry bit-identical.
         let mut opt_diags = DiagnosticSet::new();
         let isolated = Optimizer::with_default_passes().optimize(
             &request.user,
@@ -514,13 +503,13 @@ impl Controller {
             if self.use_solve_memo { Some(&self.solve_cache) } else { None },
         )?;
 
-        // static verification: the whole pass pipeline runs over the
-        // isolated program and its per-device slices here, before a plan
-        // even exists — so no deploy path can mutate a ledger or an image
-        // with an unverified program.  Each slice is cut once, here, and the
-        // plan carries these allocations to `commit` and the data plane.
-        // Error-severity findings abort the solve; the rest ride on the plan
-        // for inspection and CI export.
+        // static verification, the deploy path's only one: the whole pass
+        // pipeline runs over the optimized program and its per-device slices
+        // here, before a plan even exists — so no deploy path can mutate a
+        // ledger or an image with an unverified program.  Each slice is cut
+        // once, here, and the plan carries these allocations to `commit` and
+        // the data plane.  Error-severity findings abort the solve; the rest
+        // ride on the plan for inspection and CI export.
         let snippets: Vec<Arc<IrProgram>> = plan
             .assignments
             .iter()
@@ -550,6 +539,7 @@ impl Controller {
             programs: std::slice::from_ref(&isolated),
             placements: &placements,
         });
+        self.check_object_names(&request.user, &isolated, &mut diagnostics);
         diagnostics.merge(opt_diags);
         if diagnostics.has_errors() {
             return Err(ClickIncError::Verification { user: request.user.clone(), diagnostics });
@@ -578,6 +568,33 @@ impl Controller {
             diagnostics,
             solved_in: started.elapsed(),
         })
+    }
+
+    /// Cross-tenant isolation the per-tenant `isolation` pass cannot see:
+    /// isolation prefixes names with `{user}_`, which is not prefix-free, so
+    /// tenant `a`'s `b_cache` and tenant `a_b`'s `cache` both become
+    /// `a_b_cache` — and a device's object store would hand both tenants the
+    /// one object.  An object name of `program` another resident tenant
+    /// already declares is an `isolation` error.  The verifier holds every
+    /// resident's objects to its own namespace, so only a resident whose
+    /// namespace holds one of the new names can collide.
+    fn check_object_names(&self, user: &str, program: &IrProgram, out: &mut DiagnosticSet) {
+        for (owner, deployment) in &self.deployments {
+            if !program.objects.iter().any(|o| owned_by(&o.name, owner)) {
+                continue;
+            }
+            for decl in &program.objects {
+                if deployment.program.object(&decl.name).is_some() {
+                    out.push(Diagnostic::new(
+                        Severity::Error,
+                        "isolation",
+                        user,
+                        &program.name,
+                        format!("object `{}` is already declared by tenant `{owner}`", decl.name),
+                    ));
+                }
+            }
+        }
     }
 
     /// Commit a [`DeploymentPlan`]: book the ledger resources, merge the

@@ -8,6 +8,7 @@
 //! stream is straight-line, predicated and in SSA form.
 
 use crate::error::FrontendError;
+use clickinc_ir::analysis::{constant_indices, ConstIndex};
 use clickinc_ir::{
     AluOp, CmpOp, Guard, HashAlgo, Instruction, IrProgram, MatchKind, ObjectDecl, ObjectKind,
     OpCode, Operand, Predicate, SketchKind, Value, ValueType,
@@ -78,50 +79,19 @@ impl Frontend {
     }
 }
 
-/// Lower-time mirror of the verifier's `bounds` pass: a *constant* index that
+/// Lower-time mirror of the verifier's `bounds` pass, judging the same
+/// [`constant_indices`]: a *constant* index that
 /// falls outside its object's declared geometry can never be right, so the
 /// frontend rejects the program outright instead of letting the wrap-around
 /// surface as a verifier diagnostic (or, pre-verifier, an emulator surprise).
 /// Runtime (variable) indices are left to the emulator's modulo semantics.
 fn check_constant_indices(program: &IrProgram) -> Result<(), FrontendError> {
-    let const_int = |op: &Operand| match op {
-        Operand::Const(v) => v.as_int(),
-        _ => None,
-    };
     for instr in &program.instructions {
-        let (object, index) = match &instr.op {
-            OpCode::ReadState { object, index, .. }
-            | OpCode::WriteState { object, index, .. }
-            | OpCode::CountState { object, index, .. }
-            | OpCode::DeleteState { object, index } => (object, index),
-            _ => continue,
-        };
-        let Some(decl) = program.object(object) else { continue };
-        let mut checks: Vec<(i64, u64, &str)> = Vec::new();
-        match &decl.kind {
-            ObjectKind::Array { rows, size, .. } => {
-                if index.len() >= 2 {
-                    if let Some(row) = const_int(&index[0]) {
-                        checks.push((row, u64::from(*rows), "row"));
-                    }
-                    if let Some(cell) = const_int(&index[1]) {
-                        checks.push((cell, u64::from(*size), "cell"));
-                    }
-                } else if let Some(cell) = index.first().and_then(const_int) {
-                    checks.push((cell, u64::from(*size), "cell"));
-                }
-            }
-            ObjectKind::Seq { size, .. } => {
-                if let Some(cell) = index.first().and_then(const_int) {
-                    checks.push((cell, u64::from(*size), "cell"));
-                }
-            }
-            _ => continue,
-        }
-        for (value, bound, what) in checks {
+        let Some((object, indices)) = constant_indices(program, instr) else { continue };
+        for ConstIndex { value, bound, what } in indices {
             if value < 0 || value as u64 >= bound {
                 return Err(FrontendError::BadObjectUse {
-                    object: object.clone(),
+                    object: object.to_string(),
                     reason: format!(
                         "constant {what} index {value} is out of bounds for the declared \
                          {what} count {bound}"

@@ -13,11 +13,10 @@ use std::collections::BTreeSet;
 
 /// Liveness over the value graph: an instruction is live when it is effectful
 /// ([`is_effectful`]), an explicit packet action, or its defined value flows
-/// (transitively) into a live instruction's operands or guard, or into one of
-/// `live_outs` — variables observed outside the program.  Dead instructions
-/// are pure computations nothing observes.
-pub fn live_instructions(program: &IrProgram, live_outs: &BTreeSet<String>) -> Vec<bool> {
-    let mut needed: BTreeSet<&str> = live_outs.iter().map(String::as_str).collect();
+/// (transitively) into a live instruction's operands or guard.  Dead
+/// instructions are pure computations nothing observes.
+pub fn live_instructions(program: &IrProgram) -> Vec<bool> {
+    let mut needed: BTreeSet<&str> = BTreeSet::new();
     let mut live = vec![false; program.instructions.len()];
     for (idx, instr) in program.instructions.iter().enumerate().rev() {
         let is_root =
@@ -95,7 +94,7 @@ mod tests {
     #[test]
     fn liveness_flows_backwards_from_effects() {
         let p = sample();
-        let live = live_instructions(&p, &BTreeSet::new());
+        let live = live_instructions(&p);
         // x feeds y feeds the count; the count and the forward are roots
         assert!(live[0] && live[1] && live[2] && live[3] && live[5]);
         assert!(!live[4], "`unused` feeds nothing observable");

@@ -1,6 +1,7 @@
-//! Static analysis over the IR: dataflow, taint, and the verifier pipeline.
+//! Static analysis over the IR: dataflow, taint, the verifier pipeline and
+//! the optimizer.
 //!
-//! Three layers, each reusable on its own:
+//! Four layers, each reusable on its own:
 //!
 //! * [`dataflow`] — value-graph liveness and header reads over the
 //!   straight-line (if-converted) instruction stream.
@@ -9,12 +10,14 @@
 //!   behind both the runtime's flow-sharding decision
 //!   (`clickinc::sharding_mode_for`) and the verifier's mutation
 //!   classification.
-//! * [`passes`] — the [`passes::PassManager`] pipeline of verifier passes
-//!   emitting structured [`diagnostics::Diagnostic`] values; the service runs
-//!   it before the first mutation of every deploy.
-//! * [`opt`] — the transform tier mounted on the same diagnostics machinery:
-//!   constant folding, dead-value elimination and guard hoisting, each run
-//!   re-verified against the verifier pipeline before its output is accepted.
+//! * [`passes`] — the [`passes::PassManager`]: a fixed list of verifier
+//!   passes emitting structured [`diagnostics::Diagnostic`] values.  The
+//!   service runs it once per deploy, before the first mutation; it is the
+//!   deploy path's only verification.
+//! * [`opt`] — the transform tier on the same diagnostics machinery: a fixed
+//!   list of constant folding, dead-value elimination and guard hoisting.  A
+//!   pure transform: it verifies nothing, and the deploy's verifier run sees
+//!   its output.
 
 pub mod dataflow;
 pub mod diagnostics;
@@ -24,13 +27,9 @@ pub mod taint;
 
 pub use dataflow::{header_reads, is_effectful, live_instructions};
 pub use diagnostics::{Diagnostic, DiagnosticSet, Severity};
-pub use opt::{
-    ConstFoldPass, DeadValueElimPass, GuardHoistPass, Optimizer, TransformContext, TransformPass,
-};
+pub use opt::Optimizer;
 pub use passes::{
-    BoundsPass, CommutativityPass, DeadSnippetPass, DeviceTarget, IsolationPass, PassContext,
-    PassManager, PlacedSnippet, ResourceBoundPass, SplitExecutionPass, UninitHeaderPass,
-    VerifierPass,
+    constant_indices, owned_by, ConstIndex, DeviceTarget, PassContext, PassManager, PlacedSnippet,
 };
 pub use taint::{
     state_profile, MutationKind, MutationRecord, PinReason, ShardingDecision, StateProfile, Taint,

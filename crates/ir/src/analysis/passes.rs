@@ -1,21 +1,20 @@
 //! The verifier pass pipeline.
 //!
-//! A [`PassManager`] runs an ordered list of [`VerifierPass`]es over a
+//! A [`PassManager`] runs a fixed, ordered list of verifier passes over a
 //! [`PassContext`] (one tenant's programs plus, when available, their per-device
 //! placements) and collects every finding into a [`DiagnosticSet`].  The service
-//! runs the default pipeline before the first mutation of any deploy, and CI
-//! re-runs it in deny-warnings mode over every example's programs.
+//! runs it once per deploy, over the optimized program and its placed slices,
+//! before the first mutation — the only verification on the deploy path — and
+//! CI re-runs it in deny-warnings mode over every example's programs.
 //!
-//! The manager is deliberately open: passes are trait objects registered in
-//! order, so optimizer passes (dead-snippet *elimination*, guard hoisting,
-//! cross-tenant table merging) can mount on the same pipeline later without a
-//! new driver.
+//! Each pass is one `(name, fn)` entry of that list; adding a pass is adding an
+//! entry.
 
 use crate::analysis::dataflow::{header_reads, is_effectful, live_instructions};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticSet, Severity};
 use crate::analysis::taint::state_profile;
 use crate::capability::CapabilityClass;
-use crate::instr::{OpCode, Operand};
+use crate::instr::{Instruction, OpCode, Operand};
 use crate::object::ObjectKind;
 use crate::program::IrProgram;
 use std::collections::BTreeSet;
@@ -62,54 +61,36 @@ pub struct PassContext<'a> {
     pub placements: &'a [PlacedSnippet],
 }
 
-/// A single verifier pass.
-pub trait VerifierPass {
-    /// Stable pass name, recorded on every diagnostic it emits.
-    fn name(&self) -> &'static str;
-    /// Analyze `ctx`, appending findings to `out`.
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet);
-}
+/// A verifier pass: analyzes the context and appends its findings, each
+/// tagged with the pass name it is given.
+type Pass = fn(&str, &PassContext<'_>, &mut DiagnosticSet);
 
-/// Runs an ordered pipeline of verifier passes.
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn VerifierPass>>,
-}
+/// The verifier pipeline, in severity-first order: each pass's stable name,
+/// recorded on every diagnostic it emits, and the function that runs it.
+const PASSES: [(&str, Pass); 7] = [
+    ("isolation", isolation),
+    ("uninit-header", uninit_header),
+    ("bounds", bounds),
+    ("resource-bound", resource_bound),
+    ("dead-snippet", dead_snippet),
+    ("commutativity", commutativity),
+    ("split-execution", split_execution),
+];
+
+/// Runs the verifier pipeline.
+pub struct PassManager;
 
 impl PassManager {
-    /// An empty manager (register passes yourself).
-    pub fn new() -> PassManager {
-        PassManager::default()
-    }
-
-    /// The default verifier pipeline, in severity-first order.
+    /// The verifier pipeline (the only one there is).
     pub fn with_default_passes() -> PassManager {
-        let mut pm = PassManager::new();
-        pm.register(Box::new(IsolationPass));
-        pm.register(Box::new(UninitHeaderPass));
-        pm.register(Box::new(BoundsPass));
-        pm.register(Box::new(ResourceBoundPass));
-        pm.register(Box::new(DeadSnippetPass));
-        pm.register(Box::new(CommutativityPass));
-        pm.register(Box::new(SplitExecutionPass));
-        pm
-    }
-
-    /// Append a pass to the pipeline.
-    pub fn register(&mut self, pass: Box<dyn VerifierPass>) {
-        self.passes.push(pass);
-    }
-
-    /// The registered pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
+        PassManager
     }
 
     /// Run every pass over `ctx` and collect the findings.
     pub fn run(&self, ctx: &PassContext<'_>) -> DiagnosticSet {
         let mut out = DiagnosticSet::new();
-        for pass in &self.passes {
-            pass.run(ctx, &mut out);
+        for (name, pass) in PASSES {
+            pass(name, ctx, &mut out);
         }
         out
     }
@@ -125,59 +106,50 @@ fn diag(
     Diagnostic::new(severity, pass, ctx.tenant.clone(), snippet, message)
 }
 
-/// Cross-tenant isolation: every object an isolated program declares or
-/// touches must live inside the tenant's isolation-renamed namespace
-/// (`{tenant}_` prefix, the contract `synthesis::isolate_user_program`
-/// establishes).  A reference outside it reads or corrupts another tenant's
-/// state.
-pub struct IsolationPass;
-
-impl IsolationPass {
-    fn is_owned(name: &str, tenant: &str) -> bool {
-        name.len() > tenant.len() + 1
-            && name.as_bytes()[tenant.len()] == b'_'
-            && name.starts_with(tenant)
-    }
+/// Whether `name` lies inside `tenant`'s isolation namespace: the `{tenant}_`
+/// prefix `synthesis::isolate_user_program` establishes, followed by at least
+/// one more byte.
+pub fn owned_by(name: &str, tenant: &str) -> bool {
+    name.len() > tenant.len() + 1
+        && name.as_bytes()[tenant.len()] == b'_'
+        && name.starts_with(tenant)
 }
 
-impl VerifierPass for IsolationPass {
-    fn name(&self) -> &'static str {
-        "isolation"
+/// Cross-tenant isolation: every object an isolated program declares or
+/// touches must be [`owned_by`] the tenant.  A reference outside its namespace
+/// reads or corrupts another tenant's state.
+fn isolation(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    if !ctx.isolated {
+        return;
     }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        if !ctx.isolated {
-            return;
+    for program in ctx.programs {
+        for decl in &program.objects {
+            if !owned_by(&decl.name, &ctx.tenant) {
+                out.push(diag(
+                    Severity::Error,
+                    pass,
+                    ctx,
+                    &program.name,
+                    format!(
+                        "object `{}` is declared outside tenant namespace `{}_*`",
+                        decl.name, ctx.tenant
+                    ),
+                ));
+            }
         }
-        for program in ctx.programs {
-            for decl in &program.objects {
-                if !Self::is_owned(&decl.name, &ctx.tenant) {
+        for instr in &program.instructions {
+            if let Some(object) = instr.object() {
+                if !owned_by(object, &ctx.tenant) {
                     out.push(diag(
                         Severity::Error,
-                        self.name(),
+                        pass,
                         ctx,
                         &program.name,
                         format!(
-                            "object `{}` is declared outside tenant namespace `{}_*`",
-                            decl.name, ctx.tenant
+                            "instruction {} accesses `{object}` outside tenant namespace `{}_*`",
+                            instr.id, ctx.tenant
                         ),
                     ));
-                }
-            }
-            for instr in &program.instructions {
-                if let Some(object) = instr.object() {
-                    if !Self::is_owned(object, &ctx.tenant) {
-                        out.push(diag(
-                            Severity::Error,
-                            self.name(),
-                            ctx,
-                            &program.name,
-                            format!(
-                                "instruction {} accesses `{object}` outside tenant namespace `{}_*`",
-                                instr.id, ctx.tenant
-                            ),
-                        ));
-                    }
                 }
             }
         }
@@ -187,137 +159,104 @@ impl VerifierPass for IsolationPass {
 /// Uninitialized-header-read: a header field read before the program either
 /// declares it (parsed off the wire) or writes it yields whatever bytes the
 /// previous pipeline stage left behind.
-pub struct UninitHeaderPass;
-
-impl VerifierPass for UninitHeaderPass {
-    fn name(&self) -> &'static str {
-        "uninit-header"
-    }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        for program in ctx.programs {
-            let mut known: BTreeSet<&str> =
-                program.headers.iter().map(|h| h.name.as_str()).collect();
-            for instr in &program.instructions {
-                for field in header_reads(instr) {
-                    if !known.contains(field) {
-                        out.push(diag(
-                            Severity::Error,
-                            self.name(),
-                            ctx,
-                            &program.name,
-                            format!(
-                                "instruction {} reads header field `{field}` that is neither \
-                                 declared nor written earlier",
-                                instr.id
-                            ),
-                        ));
-                    }
+fn uninit_header(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    for program in ctx.programs {
+        let mut known: BTreeSet<&str> = program.headers.iter().map(|h| h.name.as_str()).collect();
+        for instr in &program.instructions {
+            for field in header_reads(instr) {
+                if !known.contains(field) {
+                    out.push(diag(
+                        Severity::Error,
+                        pass,
+                        ctx,
+                        &program.name,
+                        format!(
+                            "instruction {} reads header field `{field}` that is neither \
+                             declared nor written earlier",
+                            instr.id
+                        ),
+                    ));
                 }
-                known.extend(instr.op.header_writes());
             }
+            known.extend(instr.op.header_writes());
         }
     }
+}
+
+/// One constant index of a state access, with the bound of the dimension it
+/// indexes (`what` is `"row"` or `"cell"`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConstIndex {
+    /// The constant, as written (possibly negative).
+    pub value: i64,
+    /// The dimension's declared size.
+    pub bound: u64,
+    /// Which dimension it indexes.
+    pub what: &'static str,
+}
+
+/// The constant indices a state access of `program` uses on an `Array` or
+/// `Seq` object, each with its dimension's bound, alongside the object's name
+/// — the dimensions the emulator's row/cell decoding reads them as.  `None`
+/// for every other instruction: sketches hash their index and tables treat it
+/// as a key.  The `bounds` pass and the frontend's lower-time check judge
+/// these same triples.
+pub fn constant_indices<'p>(
+    program: &'p IrProgram,
+    instr: &'p Instruction,
+) -> Option<(&'p str, impl Iterator<Item = ConstIndex>)> {
+    let (OpCode::ReadState { object, index, .. }
+    | OpCode::WriteState { object, index, .. }
+    | OpCode::CountState { object, index, .. }
+    | OpCode::DeleteState { object, index }) = &instr.op
+    else {
+        return None;
+    };
+    let at = |i: usize, bound: u32, what| match index.get(i) {
+        Some(Operand::Const(v)) => {
+            v.as_int().map(|value| ConstIndex { value, bound: u64::from(bound), what })
+        }
+        _ => None,
+    };
+    let (row, cell) = match &program.object(object)?.kind {
+        ObjectKind::Array { rows, size, .. } if index.len() >= 2 => {
+            (at(0, *rows, "row"), at(1, *size, "cell"))
+        }
+        ObjectKind::Array { size, .. } | ObjectKind::Seq { size, .. } => {
+            (None, at(0, *size, "cell"))
+        }
+        _ => return None,
+    };
+    Some((object.as_str(), row.into_iter().chain(cell)))
 }
 
 /// Constant-index bounds: the emulator (and the ASICs' register files) wrap
 /// out-of-range indices modulo the object size, so an out-of-bounds constant
 /// silently aliases another cell instead of faulting.  Negative constants are
-/// folded through `unsigned_abs` and alias too.  Only `Array` and `Seq`
-/// objects have indexed cells; sketches hash their index and tables treat it
-/// as a key.
-pub struct BoundsPass;
-
-impl BoundsPass {
-    fn const_int(op: &Operand) -> Option<i64> {
-        match op {
-            Operand::Const(v) => v.as_int(),
-            _ => None,
-        }
-    }
-
-    fn check(
-        &self,
-        ctx: &PassContext<'_>,
-        out: &mut DiagnosticSet,
-        program: &IrProgram,
-        instr: &crate::instr::Instruction,
-        object: &str,
-        index: &[Operand],
-    ) {
-        let Some(decl) = program.object(object) else { return };
-        // (bound, what) pairs checked against the constants actually used as
-        // that dimension by the emulator's row/cell decoding
-        let mut checks: Vec<(i64, u64, &str)> = Vec::new();
-        match &decl.kind {
-            ObjectKind::Array { rows, size, .. } => {
-                if index.len() >= 2 {
-                    if let Some(row) = Self::const_int(&index[0]) {
-                        checks.push((row, u64::from(*rows), "row"));
-                    }
-                    if let Some(cell) = Self::const_int(&index[1]) {
-                        checks.push((cell, u64::from(*size), "cell"));
-                    }
-                } else if let Some(cell) = index.first().and_then(Self::const_int) {
-                    checks.push((cell, u64::from(*size), "cell"));
-                }
-            }
-            ObjectKind::Seq { size, .. } => {
-                if let Some(cell) = index.first().and_then(Self::const_int) {
-                    checks.push((cell, u64::from(*size), "cell"));
-                }
-            }
-            _ => return,
-        }
-        for (value, bound, what) in checks {
-            if value < 0 {
-                out.push(diag(
-                    Severity::Error,
-                    self.name(),
-                    ctx,
-                    &program.name,
+/// folded through `unsigned_abs` and alias too.
+fn bounds(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    for program in ctx.programs {
+        for instr in &program.instructions {
+            let Some((object, indices)) = constant_indices(program, instr) else { continue };
+            for ConstIndex { value, bound, what } in indices {
+                let message = if value < 0 {
                     format!(
                         "instruction {} indexes `{object}` with negative {what} {value}, which \
                          aliases {what} {} at runtime",
                         instr.id,
                         value.unsigned_abs() % bound.max(1)
-                    ),
-                ));
-            } else if value as u64 >= bound {
-                out.push(diag(
-                    Severity::Error,
-                    self.name(),
-                    ctx,
-                    &program.name,
+                    )
+                } else if value as u64 >= bound {
                     format!(
                         "instruction {} indexes `{object}` at {what} {value}, past its {what} \
                          bound {bound} (wraps to {} at runtime)",
                         instr.id,
                         value as u64 % bound.max(1)
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-impl VerifierPass for BoundsPass {
-    fn name(&self) -> &'static str {
-        "bounds"
-    }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        for program in ctx.programs {
-            for instr in &program.instructions {
-                match &instr.op {
-                    OpCode::ReadState { object, index, .. }
-                    | OpCode::WriteState { object, index, .. }
-                    | OpCode::CountState { object, index, .. }
-                    | OpCode::DeleteState { object, index } => {
-                        self.check(ctx, out, program, instr, object, index);
-                    }
-                    _ => {}
-                }
+                    )
+                } else {
+                    continue;
+                };
+                out.push(diag(Severity::Error, pass, ctx, &program.name, message));
             }
         }
     }
@@ -328,46 +267,38 @@ impl VerifierPass for BoundsPass {
 /// (error), and one whose objects outgrow the device's total storage will be
 /// rejected by the device compiler later (warning — placement may still be
 /// revised).
-pub struct ResourceBoundPass;
-
-impl VerifierPass for ResourceBoundPass {
-    fn name(&self) -> &'static str {
-        "resource-bound"
-    }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        for placed in ctx.placements {
-            let required = placed.program.required_capabilities();
-            let missing: Vec<String> =
-                required.difference(&placed.target.supported).map(|c| c.to_string()).collect();
-            if !missing.is_empty() {
-                out.push(diag(
-                    Severity::Error,
-                    self.name(),
-                    ctx,
-                    &placed.program.name,
-                    format!(
-                        "device `{}` ({}) lacks capability class(es) {} required by the slice",
-                        placed.device,
-                        placed.target.kind,
-                        missing.join(", ")
-                    ),
-                ));
-            }
-            let demand: u64 = placed.program.objects.iter().map(|o| o.kind.storage_bits()).sum();
-            if demand > placed.target.storage_capacity_bits {
-                out.push(diag(
-                    Severity::Warning,
-                    self.name(),
-                    ctx,
-                    &placed.program.name,
-                    format!(
-                        "slice declares {demand} bits of state but device `{}` ({}) offers only \
-                         {} bits in total",
-                        placed.device, placed.target.kind, placed.target.storage_capacity_bits
-                    ),
-                ));
-            }
+fn resource_bound(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    for placed in ctx.placements {
+        let required = placed.program.required_capabilities();
+        let missing: Vec<String> =
+            required.difference(&placed.target.supported).map(|c| c.to_string()).collect();
+        if !missing.is_empty() {
+            out.push(diag(
+                Severity::Error,
+                pass,
+                ctx,
+                &placed.program.name,
+                format!(
+                    "device `{}` ({}) lacks capability class(es) {} required by the slice",
+                    placed.device,
+                    placed.target.kind,
+                    missing.join(", ")
+                ),
+            ));
+        }
+        let demand: u64 = placed.program.objects.iter().map(|o| o.kind.storage_bits()).sum();
+        if demand > placed.target.storage_capacity_bits {
+            out.push(diag(
+                Severity::Warning,
+                pass,
+                ctx,
+                &placed.program.name,
+                format!(
+                    "slice declares {demand} bits of state but device `{}` ({}) offers only {} \
+                     bits in total",
+                    placed.device, placed.target.kind, placed.target.storage_capacity_bits
+                ),
+            ));
         }
     }
 }
@@ -376,43 +307,35 @@ impl VerifierPass for ResourceBoundPass {
 /// mutation, header rewrite, or packet action beyond the default forward)
 /// burns pipeline stages without observable output — warning.  Individual
 /// pure computations whose values never reach an effect are reported as info
-/// (the elimination pass that will remove them mounts on this pipeline next).
-pub struct DeadSnippetPass;
-
-impl VerifierPass for DeadSnippetPass {
-    fn name(&self) -> &'static str {
-        "dead-snippet"
-    }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        for program in ctx.programs {
-            if !program.instructions.iter().any(is_effectful) {
+/// (the optimizer's `dead-value-elim` removes them before deploy).
+fn dead_snippet(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    for program in ctx.programs {
+        if !program.instructions.iter().any(is_effectful) {
+            out.push(diag(
+                Severity::Warning,
+                pass,
+                ctx,
+                &program.name,
+                "snippet has no observable effect: no state mutation, header rewrite, or \
+                 non-default packet action"
+                    .to_string(),
+            ));
+            continue;
+        }
+        let live = live_instructions(program);
+        for (idx, instr) in program.instructions.iter().enumerate() {
+            if !live[idx] {
                 out.push(diag(
-                    Severity::Warning,
-                    self.name(),
+                    Severity::Info,
+                    pass,
                     ctx,
                     &program.name,
-                    "snippet has no observable effect: no state mutation, header rewrite, or \
-                     non-default packet action"
-                        .to_string(),
+                    format!(
+                        "instruction {} ({}) computes a value nothing observes",
+                        instr.id,
+                        instr.op.mnemonic()
+                    ),
                 ));
-                continue;
-            }
-            let live = live_instructions(program, &BTreeSet::new());
-            for (idx, instr) in program.instructions.iter().enumerate() {
-                if !live[idx] {
-                    out.push(diag(
-                        Severity::Info,
-                        self.name(),
-                        ctx,
-                        &program.name,
-                        format!(
-                            "instruction {} ({}) computes a value nothing observes",
-                            instr.id,
-                            instr.op.mnemonic()
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -423,31 +346,23 @@ impl VerifierPass for DeadSnippetPass {
 /// [`state_profile`] — the same analysis the runtime uses to decide the
 /// tenant's sharding mode, so the verifier and the flow-sharder can never
 /// disagree about which mutations pin a tenant.
-pub struct CommutativityPass;
-
-impl VerifierPass for CommutativityPass {
-    fn name(&self) -> &'static str {
-        "commutativity"
-    }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        let programs: Vec<&IrProgram> = ctx.programs.iter().collect();
-        let profile = state_profile(&programs);
-        for m in profile.non_commutative_mutations() {
-            let target = m.object.as_deref().unwrap_or("the tenant random stream");
-            out.push(diag(
-                Severity::Info,
-                self.name(),
-                ctx,
-                &m.snippet,
-                format!(
-                    "instruction i{} performs a non-commutative `{}` mutation of {target}; the \
-                     deployment cannot be flow-sharded",
-                    m.instr,
-                    m.kind.name()
-                ),
-            ));
-        }
+fn commutativity(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    let programs: Vec<&IrProgram> = ctx.programs.iter().collect();
+    let profile = state_profile(&programs);
+    for m in profile.non_commutative_mutations() {
+        let target = m.object.as_deref().unwrap_or("the tenant random stream");
+        out.push(diag(
+            Severity::Info,
+            pass,
+            ctx,
+            &m.snippet,
+            format!(
+                "instruction i{} performs a non-commutative `{}` mutation of {target}; the \
+                 deployment cannot be flow-sharded",
+                m.instr,
+                m.kind.name()
+            ),
+        ));
     }
 }
 
@@ -460,45 +375,37 @@ impl VerifierPass for CommutativityPass {
 /// `Info` for now: at `Warning` the template library's own MLAgg plan fails
 /// CI's deny-warnings step.  It graduates when the cross-device carrier
 /// lands (ROADMAP, "split plans must mean what unsplit plans mean").
-pub struct SplitExecutionPass;
-
-impl VerifierPass for SplitExecutionPass {
-    fn name(&self) -> &'static str {
-        "split-execution"
+fn split_execution(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
+    // replicas of one slice share its allocation; the common deploy has
+    // one distinct slice and returns here, before any set is built
+    let same_slice = |a: &PlacedSnippet, b: &PlacedSnippet| Arc::ptr_eq(&a.program, &b.program);
+    let Some(first) = ctx.placements.first() else { return };
+    if ctx.placements.iter().all(|p| same_slice(p, first)) {
+        return;
     }
-
-    fn run(&self, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-        // replicas of one slice share its allocation; the common deploy has
-        // one distinct slice and returns here, before any set is built
-        let same_slice = |a: &PlacedSnippet, b: &PlacedSnippet| Arc::ptr_eq(&a.program, &b.program);
-        let Some(first) = ctx.placements.first() else { return };
-        if ctx.placements.iter().all(|p| same_slice(p, first)) {
-            return;
+    // an assignment's members are adjacent in `placements`
+    for replicas in ctx.placements.chunk_by(same_slice) {
+        let slice = &replicas[0].program;
+        let free = slice.free_vars();
+        if free.is_empty() {
+            continue;
         }
-        // an assignment's members are adjacent in `placements`
-        for replicas in ctx.placements.chunk_by(same_slice) {
-            let slice = &replicas[0].program;
-            let free = slice.free_vars();
-            if free.is_empty() {
-                continue;
-            }
-            let devices: Vec<&str> = replicas.iter().map(|p| p.device.as_str()).collect();
-            let shown: Vec<&str> = free.iter().take(3).copied().collect();
-            let more = if free.len() > shown.len() { ", …" } else { "" };
-            out.push(diag(
-                Severity::Info,
-                self.name(),
-                ctx,
-                &slice.name,
-                format!(
-                    "the slice on `{}` reads {} temporaries no instruction of the slice defines \
-                     (`{}`{more}); nothing carries them between devices, so they read unset there",
-                    devices.join("`, `"),
-                    free.len(),
-                    shown.join("`, `")
-                ),
-            ));
-        }
+        let devices: Vec<&str> = replicas.iter().map(|p| p.device.as_str()).collect();
+        let shown: Vec<&str> = free.iter().take(3).copied().collect();
+        let more = if free.len() > shown.len() { ", …" } else { "" };
+        out.push(diag(
+            Severity::Info,
+            pass,
+            ctx,
+            &slice.name,
+            format!(
+                "the slice on `{}` reads {} temporaries no instruction of the slice defines \
+                 (`{}`{more}); nothing carries them between devices, so they read unset there",
+                devices.join("`, `"),
+                free.len(),
+                shown.join("`, `")
+            ),
+        ));
     }
 }
 
@@ -514,10 +421,9 @@ mod tests {
 
     #[test]
     fn default_pipeline_order_is_stable() {
-        let pm = PassManager::with_default_passes();
         assert_eq!(
-            pm.pass_names(),
-            vec![
+            PASSES.map(|(name, _)| name),
+            [
                 "isolation",
                 "uninit-header",
                 "bounds",

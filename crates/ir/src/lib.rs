@@ -32,8 +32,9 @@
 //!   interpreter, the register VM and the optimizer's constant folder.
 //! * [`analysis`] — dataflow (value-graph liveness and header reads,
 //!   borrowing their names from the program through the walk), the shared
-//!   forward taint lattice behind the runtime's sharding decision, and the
-//!   verifier pass pipeline with structured diagnostics.
+//!   forward taint lattice behind the runtime's sharding decision, the
+//!   verifier pass pipeline with structured diagnostics, and the optimizer's
+//!   transform pipeline.
 
 pub mod analysis;
 pub mod builder;
@@ -50,7 +51,7 @@ pub mod types;
 
 pub use analysis::{
     Diagnostic, DiagnosticSet, Optimizer, PassContext, PassManager, Severity, ShardingDecision,
-    StateProfile, TransformPass,
+    StateProfile,
 };
 pub use builder::ProgramBuilder;
 pub use capability::{classify_instruction, CapabilityClass, FunctionalUnit};

@@ -5,7 +5,7 @@
 //! programs access isolated memory regions [...] Then it adds a user ID match to
 //! filter out the user's traffic for its own program."
 
-use clickinc_ir::{CmpOp, Guard, IrProgram, Operand, Predicate};
+use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
 
 /// Rewrite a user program so every object, temporary variable and owner
 /// annotation is prefixed with the user id, and every instruction is guarded by
@@ -65,25 +65,11 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
     out
 }
 
-/// Convenience: the user-ID guard alone (used by the backends when emitting the
-/// `if (INC_<n>_hdr.isValid())` style traffic filter).
-pub fn user_guard(user_numeric_id: i64) -> Guard {
-    Guard::single(Predicate::new(
-        Operand::Meta("inc_user".into()),
-        CmpOp::Eq,
-        Operand::int(user_numeric_id),
-    ))
-}
-
-/// Rename helper exposed for tests and the incremental module.
-pub fn is_owned_name(name: &str, user: &str) -> bool {
-    name.starts_with(&format!("{user}_"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use clickinc_frontend::compile_source;
+    use clickinc_ir::analysis::owned_by;
     use clickinc_lang::templates::{count_min_sketch, kvs_template, KvsParams};
 
     fn cms_ir(name: &str) -> IrProgram {
@@ -101,7 +87,7 @@ mod tests {
         let b_objects: Vec<&str> = b.objects.iter().map(|o| o.name.as_str()).collect();
         for obj in &a_objects {
             assert!(!b_objects.contains(obj), "object {obj} shared between users");
-            assert!(is_owned_name(obj, "userA"));
+            assert!(owned_by(obj, "userA"));
         }
         // variables are disjoint too
         let a_vars: std::collections::BTreeSet<_> =
@@ -151,12 +137,5 @@ mod tests {
         let names_once: Vec<_> = once.objects.iter().map(|o| o.name.clone()).collect();
         let names_twice: Vec<_> = twice.objects.iter().map(|o| o.name.clone()).collect();
         assert_eq!(names_once, names_twice, "no double prefixing");
-    }
-
-    #[test]
-    fn user_guard_shape() {
-        let g = user_guard(9);
-        assert_eq!(g.all.len(), 1);
-        assert_eq!(g.all[0].op, CmpOp::Eq);
     }
 }

@@ -23,10 +23,15 @@
 //!    (`Int`, `Bool`, `Float`, `Bytes`, `None`, a register nothing wrote, a
 //!    header the packet lacks, metadata) fed into every site that reads one,
 //!    each of which applies a default of its own.
+//!
+//! The optimizer verifies nothing itself, so the suite holds it to its
+//! contract wherever it runs: on every template isolated as a tenant and on
+//! the generated programs of 3–5, the optimized program adds no verifier
+//! error the raw one lacks, and on 3–5 it also behaves like the raw one.
 
 use clickinc::lang::templates::{
-    count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
-    MlAggParams,
+    count_min_sketch, dqacc_template, kvs_template, mlagg_sparse_user, mlagg_template, DqAccParams,
+    KvsParams, MlAggParams,
 };
 use clickinc::synthesis::isolate_user_program;
 use clickinc::topology::Topology;
@@ -37,20 +42,80 @@ use clickinc_emulator::{DevicePlane, ExecMode, Packet};
 use clickinc_frontend::compile_source;
 use clickinc_ir::{
     AluOp, CmpOp, DiagnosticSet, IrProgram, MatchKind, Operand, Optimizer, PassContext,
-    PassManager, Predicate, ProgramBuilder, SketchKind, Value, ValueType,
+    PassManager, Predicate, ProgramBuilder, Severity, SketchKind, Value, ValueType,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Run the verifier pipeline over one program with no placement slices.
+fn verify(tenant: &str, isolated: bool, program: &IrProgram) -> DiagnosticSet {
+    PassManager::with_default_passes().run(&PassContext {
+        tenant: tenant.to_string(),
+        isolated,
+        programs: std::slice::from_ref(program),
+        placements: &[],
+    })
+}
+
+/// Optimize `raw` and hold the result to the optimizer's contract: it adds
+/// no error-severity verifier finding `raw` lacks.  The deploy path verifies
+/// only the optimized program, so a transform that broke this would turn a
+/// deployable program into a refused one.  One finding may legitimately
+/// appear: constant propagation can hand the `bounds` pass an index that was
+/// a register on `raw` (holding the same out-of-range value at runtime) — but
+/// only on a program that already had errors.
+fn optimize_checked(tenant: &str, isolated: bool, raw: &IrProgram) -> IrProgram {
+    let mut changes = DiagnosticSet::new();
+    let optimized = Optimizer::with_default_passes().optimize(tenant, isolated, raw, &mut changes);
+    assert!(changes.iter().all(|d| d.severity == Severity::Info), "{changes}");
+    let errors = |p: &IrProgram| -> BTreeSet<(String, String)> {
+        let diags = verify(tenant, isolated, p);
+        diags.at(Severity::Error).map(|d| (d.pass.clone(), d.message.clone())).collect()
+    };
+    let before = errors(raw);
+    let after = errors(&optimized);
+    let added: Vec<_> = after
+        .difference(&before)
+        .filter(|(pass, _)| before.is_empty() || pass != "bounds")
+        .collect();
+    assert!(
+        added.is_empty(),
+        "the optimizer added {added:?} to\n{}\noptimized:\n{}",
+        raw.dump(),
+        optimized.dump()
+    );
+    optimized
+}
+
+/// Drive the same trace through `raw` and `optimized` on the interpreter:
+/// every packet leaves with the same action, mirrored copies and fields, and
+/// the stores end equal.  The executed-instruction count is what the
+/// optimizer exists to lower, so it is not compared.
+fn assert_optimization_preserves_behavior(
+    raw: &IrProgram,
+    optimized: &IrProgram,
+    trace: &[Packet],
+) {
+    let plane = |program: &IrProgram| {
+        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+        plane.set_exec_mode(ExecMode::Interpreted);
+        plane.install(program.clone());
+        plane
+    };
+    let (mut before, mut after) = (plane(raw), plane(optimized));
+    for (i, pkt) in trace.iter().enumerate() {
+        let (mut a, mut b) = (pkt.clone(), pkt.clone());
+        let (oa, ob) = (before.process(&mut a), after.process(&mut b));
+        assert_eq!((oa.action, oa.mirrored, a), (ob.action, ob.mirrored, b), "packet {i}");
+    }
+    assert_eq!(before.store().fingerprint(), after.store().fingerprint(), "final stores diverge");
+}
 
 /// Compile, isolate and optimize a tenant program exactly as the controller
 /// does at deploy time (`Controller::solve_prepared`).
 fn prepare(user: &str, numeric_id: i64, source: &str) -> IrProgram {
     let ir = compile_source(user, source).expect("template compiles");
-    let isolated = isolate_user_program(&ir, user, numeric_id);
-    let mut diags = DiagnosticSet::new();
-    let optimized = Optimizer::with_default_passes().optimize(user, true, &isolated, &mut diags);
-    assert!(!diags.has_errors(), "{user} must optimize clean:\n{diags}");
-    optimized
+    optimize_checked(user, true, &isolate_user_program(&ir, user, numeric_id))
 }
 
 /// The four fig13 provider templates with deploy-order numeric ids.
@@ -211,6 +276,25 @@ fn fig13_compiled_streams_match_their_golden_snapshots() {
         plane.install(program);
         let dump = plane.compiled_image().expect("installed programs compile").dump();
         assert_matches_golden(name, &dump);
+    }
+}
+
+/// Every template of the library, isolated as a tenant, optimizes within the
+/// optimizer's contract (checked by `prepare`).
+#[test]
+fn every_template_optimizes_without_new_verifier_errors() {
+    let int = MlAggParams { num_aggregators: 64, num_workers: 4, dims: 8, is_float: false };
+    let float = MlAggParams { is_float: true, ..int };
+    let templates = [
+        kvs_template("kvs", KvsParams::default()),
+        mlagg_template("mlagg", int),
+        mlagg_template("mlagg_f", float),
+        dqacc_template("dqacc", DqAccParams::default()),
+        count_min_sketch("cms", 3, 128),
+        mlagg_sparse_user("sparse", int, 2, 4),
+    ];
+    for (numeric_id, template) in (1..).zip(templates) {
+        prepare(&template.name, numeric_id, &template.source);
     }
 }
 
@@ -467,9 +551,7 @@ proptest! {
         }
         b.set_header("out_ghost", Operand::var("ghost"));
         let program = b.build().expect("generated program is well-formed");
-        let mut opt_diags = DiagnosticSet::new();
-        let optimized =
-            Optimizer::with_default_passes().optimize("t", false, &program, &mut opt_diags);
+        let optimized = optimize_checked("t", false, &program);
 
         let trace: Vec<Packet> = raw_trace
             .iter()
@@ -488,6 +570,7 @@ proptest! {
                 packet
             })
             .collect();
+        assert_optimization_preserves_behavior(&program, &optimized, &trace);
         for program in [program, optimized] {
             let (mut compiled, mut interp) = plane_pair(std::slice::from_ref(&program));
             assert_tiers_agree(&mut compiled, &mut interp, trace.clone());
@@ -537,23 +620,23 @@ proptest! {
         }
         b.forward();
         let program = b.build().expect("generated program is well-formed");
-        let diags = PassManager::with_default_passes().run(&PassContext {
-            tenant: "t".to_string(),
-            isolated: false,
-            programs: std::slice::from_ref(&program),
-            placements: &[],
-        });
+        let diags = verify("t", false, &program);
         prop_assert!(!diags.has_errors(), "in-bounds program must verify clean:\n{}", diags);
-        let mut opt_diags = DiagnosticSet::new();
-        let optimized =
-            Optimizer::with_default_passes().optimize("t", false, &program, &mut opt_diags);
+        let optimized = optimize_checked("t", false, &program);
+
+        let trace: Vec<Packet> = raw_trace
+            .iter()
+            .map(|raw| {
+                let mut fields = BTreeMap::new();
+                fields.insert("key".to_string(), Value::Int(i64::from(raw % 4)));
+                fields.insert("op".to_string(), Value::Int(i64::from(raw / 8)));
+                Packet::new("src", "dst", 1, fields)
+            })
+            .collect();
+        assert_optimization_preserves_behavior(&program, &optimized, &trace);
 
         let (mut compiled, mut interp) = plane_pair(std::slice::from_ref(&optimized));
-        for (i, raw) in raw_trace.iter().enumerate() {
-            let mut fields = BTreeMap::new();
-            fields.insert("key".to_string(), Value::Int(i64::from(raw % 4)));
-            fields.insert("op".to_string(), Value::Int(i64::from(raw / 8)));
-            let pkt = Packet::new("src", "dst", 1, fields);
+        for (i, pkt) in trace.into_iter().enumerate() {
             let mut a = pkt.clone();
             let mut b_pkt = pkt;
             let oa = compiled.process(&mut a);
@@ -587,9 +670,7 @@ proptest! {
         gen.branch(&mut b, 0);
         b.forward();
         let program = b.build().expect("generated program is well-formed");
-        let mut opt_diags = DiagnosticSet::new();
-        let optimized =
-            Optimizer::with_default_passes().optimize("t", false, &program, &mut opt_diags);
+        let optimized = optimize_checked("t", false, &program);
 
         // four fields in 0..3, the range the guards compare against
         let trace: Vec<Packet> = raw_trace
@@ -601,6 +682,7 @@ proptest! {
                 Packet::new("src", "dst", 1, fields)
             })
             .collect();
+        assert_optimization_preserves_behavior(&program, &optimized, &trace);
         for program in [program, optimized] {
             let (mut compiled, mut interp) = plane_pair(std::slice::from_ref(&program));
             assert_tiers_agree(&mut compiled, &mut interp, trace.clone());

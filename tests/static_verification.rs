@@ -7,7 +7,8 @@
 //!    trip exactly one verifier pass exactly once.
 //! 3. **The service gate** — a deliberately isolation-violating program is
 //!    refused as `ClickIncError::Verification` before any ledger or image
-//!    mutation, and the diagnostics JSON export round-trips.
+//!    mutation, and the diagnostics JSON export round-trips; so is a tenant
+//!    whose isolated object name another resident tenant already declares.
 //! 4. **Verification ⇒ runs clean** — proptest: any generated program the
 //!    pipeline passes executes on the emulator with every constant-indexed
 //!    count landing in exactly the addressed cell (no wrap-around aliasing),
@@ -269,6 +270,52 @@ fn isolation_violating_program_is_rejected_before_any_mutation() {
     let source = "ctr = Array(row=1, size=64, w=32)\ncount(ctr, hdr.key, 1)\nforward()\n";
     controller.deploy(request("alice", source)).expect("the isolated path deploys");
     assert_eq!(controller.active_users(), vec!["alice"]);
+}
+
+/// Isolation prefixes names with `{user}_`, which is not prefix-free: tenant
+/// `a`'s `b_cache` and tenant `a_b`'s `cache` both isolate to `a_b_cache`.
+/// Whichever deploys second is refused, in either order, before any mutation.
+#[test]
+fn tenants_whose_isolated_names_collide_are_refused_in_either_order() {
+    let kvs = kvs_template("a_b", KvsParams { cache_depth: 64, ..Default::default() }).source;
+    let leak = "b_cache = Table(type=\"exact\", key_bits=128, val_bits=32, depth=64)\n\
+                hdr.leak = get(b_cache, hdr.key)\n\
+                forward()\n";
+    for [(first, first_source), (second, second_source)] in
+        [[("a_b", kvs.as_str()), ("a", leak)], [("a", leak), ("a_b", kvs.as_str())]]
+    {
+        let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+        controller.deploy(request(first, first_source)).expect("the first tenant deploys");
+        let images_before = controller.image_fingerprints();
+        let ratio_before = controller.remaining_resource_ratio();
+
+        match controller.deploy(request(second, second_source)) {
+            Err(ClickIncError::Verification { user, diagnostics }) => {
+                assert_eq!(user, second);
+                let errors: Vec<_> = diagnostics.at(Severity::Error).collect();
+                assert_eq!(errors.len(), 1, "{diagnostics}");
+                assert_eq!(errors[0].pass, "isolation");
+                assert_eq!(
+                    errors[0].message,
+                    format!("object `a_b_cache` is already declared by tenant `{first}`")
+                );
+            }
+            Err(other) => panic!("expected ClickIncError::Verification, got {other:?}"),
+            Ok(_) => panic!("`{second}` deployed onto `{first}`'s `a_b_cache`"),
+        }
+
+        assert_eq!(controller.image_fingerprints(), images_before);
+        assert_eq!(controller.remaining_resource_ratio(), ratio_before);
+        assert_eq!(controller.active_users(), vec![first]);
+    }
+
+    // a user id extending another's is fine while the names stay apart
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    for user in ["kvs", "kvs_srv"] {
+        let source = kvs_template(user, KvsParams { cache_depth: 64, ..Default::default() }).source;
+        controller.deploy(request(user, &source)).expect("disjoint names deploy");
+    }
+    assert_eq!(controller.active_users(), vec!["kvs", "kvs_srv"]);
 }
 
 // ---- 4. verification ⇒ runs clean ----------------------------------------
