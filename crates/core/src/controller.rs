@@ -352,6 +352,11 @@ impl Controller {
         self.deployments.keys().map(String::as_str).collect()
     }
 
+    /// Number of users with an active deployment.
+    pub fn tenant_count(&self) -> usize {
+        self.deployments.len()
+    }
+
     /// The numeric id the isolation guard of a user's program matches on.
     pub fn numeric_id_of(&self, user: &str) -> Option<i64> {
         self.deployments.get(user).map(|d| d.numeric_id)
@@ -442,8 +447,10 @@ impl Controller {
     }
 
     /// The checks every solve starts with: structural validity and a free
-    /// user id.
-    fn check_request(&self, request: &ServiceRequest) -> Result<(), ClickIncError> {
+    /// user id.  The service runs them ahead of its pre-solve admission
+    /// gate, so a malformed request or a duplicate user is never a policy
+    /// verdict.
+    pub(crate) fn check_request(&self, request: &ServiceRequest) -> Result<(), ClickIncError> {
         request.validate()?;
         if self.deployments.contains_key(&request.user) {
             return Err(ClickIncError::DuplicateUser(request.user.clone()));

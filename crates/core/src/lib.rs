@@ -56,12 +56,14 @@
 //! of [`ClickIncService::fail_device`] / [`ClickIncService::restore_device`]
 //! — drives the same two private stages under the service's one state lock:
 //!
-//! * **admit** solves the request (or takes the plan you quoted), refuses it
-//!   as [`ClickIncError::StalePlan`] if the controller moved since the
-//!   solve, consults the [`AdmissionPolicy`] chain, and only then lets the
-//!   controller book the ledger and merge the slices into the device
-//!   images.  Every check precedes the first mutation: a refusal leaves the
-//!   ledger, the images and the engine bit-identical.
+//! * **admit** checks the request, asks the [`AdmissionPolicy`] chain what
+//!   it can answer without a plan (a full house refuses before any solve),
+//!   solves the request (or takes the plan you quoted, refusing it as
+//!   [`ClickIncError::StalePlan`] if the controller moved since its solve),
+//!   asks the chain again with the plan, and only then lets the controller
+//!   book the ledger and merge the slices into the device images.  Every
+//!   check precedes the first mutation: a refusal leaves the ledger, the
+//!   images and the engine bit-identical.
 //! * **mirror** derives the tenant's sharding mode (honouring
 //!   [`InitialSharding`]), registers its hops with the engine and returns
 //!   the [`TenantHandle`].  It cannot fail, and a batch is mirrored only

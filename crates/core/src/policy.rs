@@ -1,4 +1,4 @@
-//! Admission control: provider policy between a solved plan and its commit.
+//! Admission control: provider policy in front of a commit.
 //!
 //! INC as a service means the provider — not the tenant — decides what runs
 //! on the shared data plane (paper §3.2; cf. NetRPC's shared-INC admission
@@ -6,13 +6,18 @@
 //! admission: a provider also enforces resource headroom for residents,
 //! tenant quotas, and device carve-outs.  This module is that layer.
 //!
-//! An [`AdmissionPolicy`] inspects an [`AdmissionContext`] — the solved
-//! [`DeploymentPlan`] plus the controller facts at the would-be commit — and
-//! returns an [`AdmissionDecision`].  Policies compose with [`PolicyChain`]
-//! (first rejection wins).  Every commit path of the service threads through
-//! the installed chain **before the first mutation**, so a rejection leaves
-//! the ledger, the device images and the engine bit-identical to before the
-//! call and surfaces as [`ClickIncError::Rejected`].
+//! An [`AdmissionPolicy`] inspects an [`AdmissionContext`] — the controller
+//! facts at the would-be commit and, once it exists, the solved
+//! [`DeploymentPlan`] — and returns an [`AdmissionDecision`].  Policies
+//! compose with [`PolicyChain`] (first rejection wins).  The service asks
+//! the installed chain twice per request: once with `plan: None` *before*
+//! the solve, where a verdict that needs no plan ([`MaxTenants`]) refuses
+//! without compiling or placing anything, and once with the solved plan,
+//! where the policies that read it ([`ResourceFloor`], [`DeviceDenylist`])
+//! judge — each admits on `None`.  Both calls precede the first mutation,
+//! so a rejection leaves the ledger, the device images and the engine
+//! bit-identical to before the call and surfaces as
+//! [`ClickIncError::Rejected`].
 //!
 //! [`ClickIncError::Rejected`]: crate::ClickIncError::Rejected
 
@@ -20,14 +25,17 @@ use crate::controller::DeploymentPlan;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// What a policy sees when a plan asks to commit: the plan itself plus the
-/// controller-wide facts of the moment.  For a batch, each member is gated
-/// at *its own* commit — `active_tenants` already includes the batch
-/// members committed before it.
+/// What a policy sees when a request asks to commit: the controller-wide
+/// facts of the moment plus, once solved, the plan.  For a batch, each
+/// member is gated at *its own* commit — `active_tenants` already includes
+/// the batch members committed before it.
 #[derive(Clone, Copy)]
 pub struct AdmissionContext<'a> {
-    /// The solved plan asking to commit.
-    pub plan: &'a DeploymentPlan,
+    /// The solved plan asking to commit, or `None` on the pre-solve call,
+    /// which lets a verdict that needs no plan refuse before the solve runs.
+    /// A policy that needs the plan admits on `None`: it judges on the
+    /// second call, which always carries the plan.
+    pub plan: Option<&'a DeploymentPlan>,
     /// Number of tenants currently deployed (not counting this plan).
     pub active_tenants: usize,
 }
@@ -76,14 +84,16 @@ pub trait AdmissionPolicy: Send + Sync {
     /// [`ClickIncError::Rejected`](crate::ClickIncError::Rejected).
     fn name(&self) -> &str;
 
-    /// Judge one would-be commit.
+    /// Judge one would-be commit, before its solve (`ctx.plan` is `None`)
+    /// or after it.  A rule that needs the plan must admit on `None`.
     fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision;
 }
 
 /// Reject any plan whose *predicted* post-commit remaining resource ratio
 /// falls below a floor — the provider's headroom guarantee for resident
 /// tenants and future arrivals (the ROADMAP's "reject commits that would
-/// push the remaining ratio below a floor" bullet, verbatim).
+/// push the remaining ratio below a floor" bullet, verbatim).  Needs the
+/// plan, so it admits on the pre-solve call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceFloor {
     /// Minimum acceptable network-wide remaining resource ratio after the
@@ -97,7 +107,8 @@ impl AdmissionPolicy for ResourceFloor {
     }
 
     fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let predicted = ctx.plan.predicted_remaining_ratio();
+        let Some(plan) = ctx.plan else { return AdmissionDecision::Admit };
+        let predicted = plan.predicted_remaining_ratio();
         if predicted < self.min_remaining_ratio {
             AdmissionDecision::reject(
                 self,
@@ -113,7 +124,9 @@ impl AdmissionPolicy for ResourceFloor {
     }
 }
 
-/// Cap the number of co-resident tenants (a provider quota).
+/// Cap the number of co-resident tenants (a provider quota).  Reads only
+/// the tenant count, so it decides on the pre-solve call: a full house
+/// refuses without a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaxTenants {
     /// Maximum number of simultaneously deployed tenants.
@@ -145,7 +158,8 @@ impl AdmissionPolicy for MaxTenants {
 /// repair, …).  Matches both the display names reported by
 /// [`DeploymentPlan::devices`] and the physical topology node names of
 /// [`DeploymentPlan::physical_devices`], so the failover path can seed a
-/// denylist directly with the failed-device set it reports.
+/// denylist directly with the failed-device set it reports.  Needs the
+/// plan, so it admits on the pre-solve call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceDenylist {
     denied: BTreeSet<String>,
@@ -173,13 +187,13 @@ impl AdmissionPolicy for DeviceDenylist {
     }
 
     fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let hit: BTreeSet<String> = ctx
-            .plan
-            .devices()
-            .into_iter()
-            .chain(ctx.plan.physical_devices().iter().cloned())
-            .filter(|d| self.denied.contains(d))
-            .collect();
+        let Some(plan) = ctx.plan else { return AdmissionDecision::Admit };
+        let placed = plan.placement().assignments.iter().filter(|a| !a.is_empty());
+        let names = placed
+            .map(|a| a.device.as_str())
+            .chain(plan.physical_devices().iter().map(String::as_str));
+        // borrowed names: collecting no hit allocates nothing
+        let hit: BTreeSet<&str> = names.filter(|d| self.denied.contains(*d)).collect();
         if hit.is_empty() {
             AdmissionDecision::Admit
         } else {
@@ -262,7 +276,11 @@ mod tests {
     }
 
     fn ctx_of(plan: &DeploymentPlan, active: usize) -> AdmissionContext<'_> {
-        AdmissionContext { plan, active_tenants: active }
+        AdmissionContext { plan: Some(plan), active_tenants: active }
+    }
+
+    fn plan_free(active: usize) -> AdmissionContext<'static> {
+        AdmissionContext { plan: None, active_tenants: active }
     }
 
     #[test]
@@ -314,6 +332,46 @@ mod tests {
                 assert!(reason.contains(&physical), "got: {reason}");
             }
             AdmissionDecision::Admit => panic!("the physical device name must reject"),
+        }
+    }
+
+    #[test]
+    fn without_a_plan_only_the_tenant_cap_can_refuse() {
+        // the cap reads the tenant count alone: it decides before the solve
+        let cap = MaxTenants { max_tenants: 2 };
+        assert!(cap.evaluate(&plan_free(1)).is_admit());
+        match cap.evaluate(&plan_free(2)) {
+            AdmissionDecision::Reject { policy, reason } => {
+                assert_eq!(policy, "max_tenants");
+                assert!(reason.contains("the cap is 2"), "got: {reason}");
+            }
+            AdmissionDecision::Admit => panic!("a full house must refuse without a plan"),
+        }
+        // policies that need the plan admit on the pre-solve call, however
+        // strict they are — they judge once the plan exists
+        assert!(ResourceFloor { min_remaining_ratio: 2.0 }.evaluate(&plan_free(0)).is_admit());
+        let (_c, plan) = planned();
+        let every_device = DeviceDenylist::new(plan.devices());
+        assert!(!every_device.evaluate(&ctx_of(&plan, 0)).is_admit());
+        assert!(every_device.evaluate(&plan_free(0)).is_admit());
+    }
+
+    #[test]
+    fn chains_pass_the_plan_free_context_through() {
+        let chain = PolicyChain::new()
+            .with(ResourceFloor { min_remaining_ratio: 2.0 })
+            .with(DeviceDenylist::new(["not-a-device"]))
+            .with(MaxTenants { max_tenants: 3 });
+        assert!(chain.evaluate(&plan_free(2)).is_admit());
+        match chain.evaluate(&plan_free(3)) {
+            AdmissionDecision::Reject { policy, .. } => assert_eq!(policy, "max_tenants"),
+            AdmissionDecision::Admit => panic!("the cap must refuse through the chain"),
+        }
+        // with the plan, the floor ahead of the cap refuses first again
+        let (_c, plan) = planned();
+        match chain.evaluate(&ctx_of(&plan, 3)) {
+            AdmissionDecision::Reject { policy, .. } => assert_eq!(policy, "resource_floor"),
+            AdmissionDecision::Admit => panic!("the chain must reject"),
         }
     }
 

@@ -9,12 +9,14 @@
 //! [`restore_device`] — is a thin driver of the same two private stages,
 //! run under the one service state lock:
 //!
-//! 1. **admit** — solve the request ([`Controller::plan`]; skipped when the
-//!    caller brings an already-solved plan), refuse a stale plan, consult
-//!    the admission chain, then [`Controller::commit`].  Every fallible
-//!    check precedes the first mutation, so a refusal leaves the ledger, the
-//!    device images and the engine bit-identical; the stage never touches
-//!    the engine at all.
+//! 1. **admit** — check the request's shape and user id, ask the admission
+//!    chain the questions that need no plan (a full house refuses here,
+//!    without a solve), solve ([`Controller::plan`]), then ask the chain
+//!    again with the plan and [`Controller::commit`].  A caller that brings
+//!    an already-solved plan skips straight to the staleness check and the
+//!    one gate on its plan.  Every fallible check precedes the first
+//!    mutation, so a refusal leaves the ledger, the device images and the
+//!    engine bit-identical; the stage never touches the engine at all.
 //! 2. **mirror** — derive the tenant's sharding mode (honouring
 //!    [`InitialSharding`]), register its hops with the engine — the data
 //!    plane, which installs the slices the plan carried past the verifier —
@@ -114,8 +116,9 @@ enum Source<'a> {
     Plan(DeploymentPlan),
 }
 
-/// Which admission policies `admit` consults between solve and commit.
-/// Staleness and the controller's own commit checks apply under every gate.
+/// Which admission policies `admit` consults, before the solve and again
+/// with the plan.  Request checks, staleness and the controller's own
+/// commit checks apply under every gate.
 #[derive(Clone, Copy)]
 pub(crate) enum Gate<'a> {
     /// The service-wide chain.
@@ -138,40 +141,72 @@ struct Admitted {
 }
 
 impl ServiceState {
-    /// Pipeline stage 1: solve → staleness check → admission gate →
-    /// [`Controller::commit`].  Nothing is mutated before the last fallible
-    /// check, and the engine is out of reach by construction.
+    /// Pipeline stage 1: request checks → plan-free admission gate → solve
+    /// → admission gate on the plan → [`Controller::commit`].  Nothing is
+    /// mutated before the last fallible check, and the engine is out of
+    /// reach by construction.
     ///
-    /// Staleness is checked before policy: a plan priced against a dead
-    /// ledger must surface as [`ClickIncError::StalePlan`] (re-plan and
-    /// retry — the re-solve may well be admissible), never as a policy
-    /// verdict reached on stale numbers.
+    /// Precedence, first to last:
+    /// 1. A malformed request or a duplicate user
+    ///    ([`Controller::check_request`]) — never a policy verdict, so
+    ///    [`deploy_or_queue`](ClickIncService::deploy_or_queue) never parks
+    ///    it.
+    /// 2. A verdict that needs no plan ([`MaxTenants`](crate::MaxTenants)'s
+    ///    full house): it outranks every error only a solve can find —
+    ///    compile, unknown host, placement, verification — and spares the
+    ///    solve.
+    /// 3. The solve's own errors.
+    /// 4. A verdict on the solved plan.
+    ///
+    /// A caller-solved plan skips 1–3 and is checked for staleness first: a
+    /// plan priced against a dead ledger must surface as
+    /// [`ClickIncError::StalePlan`] (re-plan and retry — the re-solve may
+    /// well be admissible), never as a policy verdict reached on stale
+    /// numbers.
     fn admit(&mut self, source: Source<'_>, gate: Gate<'_>) -> Result<Admitted, ClickIncError> {
         let plan = match source {
-            Source::Request(request) => self.controller.plan(request)?,
-            Source::Plan(plan) => plan,
+            Source::Request(request) => {
+                self.controller.check_request(request)?;
+                self.gate(gate, &request.user, None)?;
+                self.controller.plan(request)?
+            }
+            Source::Plan(plan) => {
+                if plan.epoch() != self.controller.epoch() {
+                    return Err(ClickIncError::StalePlan {
+                        user: plan.user().to_string(),
+                        planned_epoch: plan.epoch(),
+                        current_epoch: self.controller.epoch(),
+                    });
+                }
+                plan
+            }
         };
-        if plan.epoch() != self.controller.epoch() {
-            return Err(ClickIncError::StalePlan {
-                user: plan.user().to_string(),
-                planned_epoch: plan.epoch(),
-                current_epoch: self.controller.epoch(),
-            });
-        }
+        self.gate(gate, plan.user(), Some(&plan))?;
+        let deployment = self.controller.commit(plan)?;
+        Ok(Admitted { user: deployment.user.clone(), numeric_id: deployment.numeric_id })
+    }
+
+    /// Consult the chains `gate` selects, before the solve (`plan: None`)
+    /// or after it; the first refusal is `user`'s
+    /// [`ClickIncError::Rejected`].
+    fn gate(
+        &self,
+        gate: Gate<'_>,
+        user: &str,
+        plan: Option<&DeploymentPlan>,
+    ) -> Result<(), ClickIncError> {
         let chains = match gate {
             Gate::Service => [Some(&self.policy), None],
             Gate::ServiceAnd(extra) => [Some(&self.policy), Some(extra)],
             Gate::Bypass => [None, None],
         };
-        let ctx =
-            AdmissionContext { plan: &plan, active_tenants: self.controller.active_users().len() };
+        let ctx = AdmissionContext { plan, active_tenants: self.controller.tenant_count() };
         let refusal =
             chains.into_iter().flatten().map(|chain| chain.evaluate(&ctx)).find(|d| !d.is_admit());
         if let Some(AdmissionDecision::Reject { policy, reason }) = refusal {
-            return Err(ClickIncError::Rejected { user: plan.user().to_string(), policy, reason });
+            return Err(ClickIncError::Rejected { user: user.to_string(), policy, reason });
         }
-        let deployment = self.controller.commit(plan)?;
-        Ok(Admitted { user: deployment.user.clone(), numeric_id: deployment.numeric_id })
+        Ok(())
     }
 }
 
@@ -348,7 +383,9 @@ pub struct RetryReport {
     pub requeued: usize,
     /// Requests that failed for a non-admission reason (compile, placement,
     /// duplicate user, …), with the error: these are dropped from the queue
-    /// — waiting cannot fix them.
+    /// — waiting cannot fix them.  A request is solved only once the
+    /// plan-free gate lets it through, so a solve error surfaces on that
+    /// drain, not on the one that parked it.
     pub dropped: Vec<(String, ClickIncError)>,
 }
 
@@ -509,8 +546,12 @@ impl ClickIncService {
     /// [`restore_device`](ClickIncService::restore_device), and every
     /// explicit [`drain_retries`](ClickIncService::drain_retries).
     ///
-    /// Non-admission failures (compile, placement, …) are returned without
-    /// queueing: waiting cannot fix them.
+    /// A malformed request or a duplicate user is returned without
+    /// queueing.  So are the solve's own failures (compile, unknown host,
+    /// placement, verification) — but only when no plan-free policy refuses
+    /// first: a full house answers before the solve runs, so such a request
+    /// is parked, and the first drain that gets past the plan-free gate
+    /// solves it and drops it with its error in [`RetryReport::dropped`].
     pub fn deploy_or_queue(&self, request: ServiceRequest) -> Result<TenantHandle, ClickIncError> {
         let mut state = self.shared.lock();
         let outcome = self.shared.deploy(&mut state, Source::Request(&request), Gate::Service);

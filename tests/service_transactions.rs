@@ -18,6 +18,9 @@
 //!    `ClickIncError::Rejected` and change nothing.
 //! 5. **No side doors** — every deploy front-end honours the service-wide
 //!    admission chain and the `InitialSharding` knob.
+//! 6. **Refuse before solving** — a verdict that needs no plan (a full
+//!    house) is reached without a solve, and outranks every error only a
+//!    solve can find, but never a malformed request or a duplicate user.
 
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
@@ -524,6 +527,88 @@ fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
     if report.fully_recovered() {
         pinned(&service, "t1", "fail_device");
     }
+    service.finish();
+}
+
+/// A service capped at one tenant, with that one resident deployed.
+fn full_house() -> ClickIncService {
+    let service =
+        ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
+            .expect("engine config is valid");
+    service.set_admission_policy(MaxTenants { max_tenants: 1 });
+    service.deploy(kvs_request("resident")).expect("the resident fits under the cap");
+    service
+}
+
+fn refused_by_the_cap(result: Result<TenantHandle, ClickIncError>, who: &str) {
+    match result {
+        Err(ClickIncError::Rejected { user, policy, .. }) => {
+            assert_eq!((user.as_str(), policy.as_str()), (who, "max_tenants"));
+        }
+        Err(other) => panic!("{who}: expected the cap's refusal, got {other}"),
+        Ok(_) => panic!("{who} got past a full house"),
+    }
+}
+
+#[test]
+fn a_full_house_refuses_before_it_solves() {
+    let service = full_house();
+    let before = snapshot(&service);
+    let memo = service.controller().solve_cache_stats();
+    // a shape no solve has seen: solving it would have to touch the memo
+    let newcomer = ServiceRequest::builder("newcomer")
+        .template(count_min_sketch("newcomer", 4, 2048))
+        .from_("pod1b")
+        .to("pod2a")
+        .build()
+        .unwrap();
+    refused_by_the_cap(service.deploy_or_queue(newcomer), "newcomer");
+    assert_eq!(service.queued_users(), vec!["newcomer"]);
+    // the drain re-asks the same plan-free question: still no solve
+    let report = service.drain_retries();
+    assert!(report.admitted.is_empty() && report.dropped.is_empty());
+    assert_eq!(report.requeued, 1);
+    let after = service.controller().solve_cache_stats();
+    assert_eq!((after.hits, after.misses), (memo.hits, memo.misses), "a refusal solved");
+    assert_eq!(snapshot(&service), before, "a refusal changes nothing");
+    service.finish();
+}
+
+#[test]
+fn plan_free_refusals_outrank_solve_errors_not_request_errors() {
+    let service = full_house();
+    // only a solve could find the compile error, and the full house answers
+    // first: the request is refused by policy and parked
+    let broken = ServiceRequest::builder("broken")
+        .source("x = undefined_thing(1)\n")
+        .from_("pod0a")
+        .to("pod2b")
+        .build()
+        .unwrap();
+    refused_by_the_cap(service.deploy_or_queue(broken), "broken");
+    assert_eq!(service.queued_users(), vec!["broken"]);
+
+    // a duplicate user and a malformed request are answered before any
+    // policy, so they are never queued
+    let err = service.deploy_or_queue(kvs_request("resident")).map(|_| ()).unwrap_err();
+    assert!(matches!(&err, ClickIncError::DuplicateUser(u) if u == "resident"), "got {err}");
+    let no_sources = ServiceRequest::new("nowhere", "forward()\n", &[], "pod2b");
+    let err = service.deploy_or_queue(no_sources).map(|_| ()).unwrap_err();
+    assert!(matches!(err, ClickIncError::InvalidRequest(_)), "got {err}");
+    assert_eq!(service.queued_users(), vec!["broken"], "request errors never queue");
+
+    // once the plan-free gate lets it through, the drain solves the parked
+    // request and drops it with the error waiting cannot fix
+    service.clear_admission_policy();
+    let report = service.drain_retries();
+    assert!(report.admitted.is_empty());
+    assert_eq!(report.requeued, 0);
+    match report.dropped.as_slice() {
+        [(user, ClickIncError::Compile(_))] => assert_eq!(user, "broken"),
+        other => panic!("expected `broken` dropped with its compile error, got {other:?}"),
+    }
+    assert_eq!(service.retry_queue_len(), 0);
+    assert_eq!(service.active_users(), vec!["resident".to_string()]);
     service.finish();
 }
 
