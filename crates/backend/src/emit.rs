@@ -1,74 +1,154 @@
-//! Shared emission helpers for all backends.
+//! Shared emission helpers for all backends: `Display` adapters that write
+//! IR names, operands and guards straight into the one output buffer.
 
-use clickinc_ir::{AluOp, Guard, OpCode, Operand, Value};
+use clickinc_ir::{AluOp, Guard, Instruction, OpCode, Operand, Value};
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 
-/// Render an operand in a C-like surface syntax shared by all targets.
-pub fn operand(op: &Operand) -> String {
-    match op {
-        Operand::Var(v) => sanitize(v),
-        Operand::Header(h) => format!("hdr.inc.{}", sanitize(h)),
-        Operand::Meta(m) => format!("meta.{}", sanitize(m)),
-        Operand::Const(Value::Int(v)) => format!("{v}"),
-        Operand::Const(Value::Float(v)) => format!("{v}"),
-        Operand::Const(Value::Bool(b)) => format!("{}", *b as u8),
-        Operand::Const(Value::Bytes(b)) => format!("0x{}", hex(b)),
-        Operand::Const(Value::None) => "INC_NONE".to_string(),
-    }
-}
+/// How P4, NPL and Micro-C spell a header field read (HLS reads `pkt.`).
+pub const HDR: &str = "hdr.inc.";
 
-/// Make an IR name a legal C/P4 identifier (`$t3` → `t3`, `x.5` → `x_5`).
-pub fn sanitize(name: &str) -> String {
-    let mut out: String =
-        name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect();
-    while out.starts_with('_') && out.len() > 1 {
-        out.remove(0);
-    }
-    if out.chars().next().map(|c| c.is_ascii_digit()).unwrap_or(true) {
-        out.insert(0, 'v');
-    }
-    out
-}
+/// An IR name as a legal C/P4 identifier (`$t3` → `t3`, `x.5` → `x_5`,
+/// `3bad` → `v3bad`): every other character becomes `_`, leading ones are
+/// dropped (all but a last), and a leading digit gets a `v`.
+#[derive(Clone, Copy)]
+pub struct Ident<'a>(pub &'a str);
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Render a guard as a C-like boolean expression.
-pub fn guard_expr(guard: &Guard) -> String {
-    if guard.is_always() {
-        return "true".to_string();
-    }
-    guard
-        .all
-        .iter()
-        .map(|p| format!("({} {} {})", operand(&p.lhs), p.op, operand(&p.rhs)))
-        .collect::<Vec<_>>()
-        .join(" && ")
-}
-
-/// Render the right-hand side expression of a compute opcode, if it has one.
-pub fn compute_expr(op: &OpCode) -> Option<(String, String)> {
-    match op {
-        OpCode::Assign { dest, src } => Some((sanitize(dest), operand(src))),
-        OpCode::Alu { dest, op, lhs, rhs, .. } => {
-            let expr = match op {
-                AluOp::Min => format!("min({}, {})", operand(lhs), operand(rhs)),
-                AluOp::Max => format!("max({}, {})", operand(lhs), operand(rhs)),
-                AluOp::Slice => format!("slice({}, {})", operand(lhs), operand(rhs)),
-                _ => format!("{} {} {}", operand(lhs), op, operand(rhs)),
-            };
-            Some((sanitize(dest), expr))
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let legal = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let body = self.0.trim_start_matches(|c: char| !c.is_ascii_alphanumeric());
+        if body.is_empty() {
+            return f.write_char(if self.0.is_empty() { 'v' } else { '_' });
         }
-        OpCode::Cmp { dest, op, lhs, rhs } => {
-            Some((sanitize(dest), format!("{} {} {}", operand(lhs), op, operand(rhs))))
+        if body.starts_with(|c: char| c.is_ascii_digit()) {
+            f.write_char('v')?;
         }
-        _ => None,
+        for (i, run) in body.split(|c| !legal(c)).enumerate() {
+            if i > 0 {
+                f.write_char('_')?;
+            }
+            f.write_str(run)?;
+        }
+        Ok(())
     }
 }
 
-/// Join index operands as a comma-separated argument list.
-pub fn args(ops: &[Operand]) -> String {
-    ops.iter().map(operand).collect::<Vec<_>>().join(", ")
+/// An operand in the C-like surface syntax shared by all targets, header
+/// fields read through the prefix `hdr`.
+#[derive(Clone, Copy)]
+pub struct Opnd<'a>(pub &'a Operand, pub &'static str);
+
+impl fmt::Display for Opnd<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Operand::Var(v) => Ident(v).fmt(f),
+            Operand::Header(h) => write!(f, "{}{}", self.1, Ident(h)),
+            Operand::Meta(m) => write!(f, "meta.{}", Ident(m)),
+            Operand::Const(Value::Int(v)) => write!(f, "{v}"),
+            Operand::Const(Value::Float(v)) => write!(f, "{v}"),
+            Operand::Const(Value::Bool(b)) => write!(f, "{}", *b as u8),
+            Operand::Const(Value::Bytes(b)) => {
+                f.write_str("0x")?;
+                b.iter().try_for_each(|b| write!(f, "{b:02x}"))
+            }
+            Operand::Const(Value::None) => f.write_str("INC_NONE"),
+        }
+    }
+}
+
+/// A guard as a C-like boolean expression: `(a == 1) && (b != 0)`, or `true`.
+pub struct GuardExpr<'a>(pub &'a Guard, pub &'static str);
+
+impl fmt::Display for GuardExpr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_always() {
+            return f.write_str("true");
+        }
+        for (i, p) in self.0.all.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " && " };
+            write!(f, "{sep}({} {} {})", Opnd(&p.lhs, self.1), p.op, Opnd(&p.rhs, self.1))?;
+        }
+        Ok(())
+    }
+}
+
+/// Operands joined by `sep`: an argument list (`", "`) or the subscripts of
+/// a multi-dimensional index (`"]["`).
+pub struct Args<'a>(pub &'a [Operand], pub &'static str, pub &'static str);
+
+impl fmt::Display for Args<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, op) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            Opnd(op, self.2).fmt(f)?;
+        }
+        Ok(())
+    }
+}
+
+/// The statement `dest = expr;` of a compute opcode (assign, ALU, compare).
+pub struct Compute<'a>(pub &'a OpCode, pub &'static str);
+
+impl fmt::Display for Compute<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let o = |op| Opnd(op, self.1);
+        match self.0 {
+            OpCode::Assign { dest, src } => write!(f, "{} = {};", Ident(dest), o(src)),
+            OpCode::Alu {
+                dest,
+                op: op @ (AluOp::Min | AluOp::Max | AluOp::Slice),
+                lhs,
+                rhs,
+                ..
+            } => {
+                write!(f, "{} = {op}({}, {});", Ident(dest), o(lhs), o(rhs))
+            }
+            OpCode::Alu { dest, op, lhs, rhs, .. } => {
+                write!(f, "{} = {} {op} {};", Ident(dest), o(lhs), o(rhs))
+            }
+            OpCode::Cmp { dest, op, lhs, rhs } => {
+                write!(f, "{} = {} {op} {};", Ident(dest), o(lhs), o(rhs))
+            }
+            _ => unreachable!("`Compute` wraps compute opcodes only"),
+        }
+    }
+}
+
+/// One line per instruction, `    {stmt}` or `    if ({guard}) { {stmt} }`:
+/// the bodies of the run-to-completion targets (NPL, Micro-C, HLS), each
+/// statement written by the target's `stmt`.
+pub fn write_lines(
+    out: &mut String,
+    instrs: &[Instruction],
+    hdr: &'static str,
+    stmt: fn(&mut String, &OpCode),
+) {
+    for instr in instrs {
+        let _ = match &instr.guard {
+            Some(g) => write!(out, "    if ({}) {{ ", GuardExpr(g, hdr)),
+            None => write!(out, "    "),
+        };
+        stmt(out, &instr.op);
+        out.push_str(if instr.guard.is_some() { " }\n" } else { "\n" });
+    }
+}
+
+/// Declare every distinct destination of `instrs` once, in first-use order,
+/// as `    {ty} {name}{init};`.
+pub fn declare_temporaries(out: &mut String, instrs: &[Instruction], ty: &str, init: &str) {
+    let mut declared = HashSet::new();
+    let mut name = String::new();
+    for dest in instrs.iter().filter_map(|i| i.dest()) {
+        name.clear();
+        let _ = write!(name, "{}", Ident(dest));
+        if !declared.contains(name.as_str()) {
+            let _ = writeln!(out, "    {ty} {name}{init};");
+            declared.insert(name.clone());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -78,34 +158,46 @@ mod tests {
 
     #[test]
     fn operands_render() {
-        assert_eq!(operand(&Operand::var("$t3")), "t3");
-        assert_eq!(operand(&Operand::var("x.5")), "x_5");
-        assert_eq!(operand(&Operand::hdr("key")), "hdr.inc.key");
-        assert_eq!(operand(&Operand::int(7)), "7");
-        assert_eq!(operand(&Operand::Const(Value::None)), "INC_NONE");
+        let o = |op: Operand| Opnd(&op, HDR).to_string();
+        assert_eq!(o(Operand::var("$t3")), "t3");
+        assert_eq!(o(Operand::var("x.5")), "x_5");
+        assert_eq!(o(Operand::hdr("key")), "hdr.inc.key");
+        assert_eq!(Opnd(&Operand::hdr("key"), "pkt.").to_string(), "pkt.key");
+        assert_eq!(o(Operand::int(7)), "7");
+        assert_eq!(o(Operand::Const(Value::Bytes(vec![0, 0xab]))), "0x00ab");
+        assert_eq!(o(Operand::Const(Value::None)), "INC_NONE");
     }
 
     #[test]
     fn sanitize_produces_identifiers() {
-        assert_eq!(sanitize("$t0"), "t0");
-        assert_eq!(sanitize("kvs_0_cache"), "kvs_0_cache");
-        assert_eq!(sanitize("3bad"), "v3bad");
-        assert!(!sanitize("a.b.c").contains('.'));
+        let ident = |name| Ident(name).to_string();
+        assert_eq!(ident("$t0"), "t0");
+        assert_eq!(ident("kvs_0_cache"), "kvs_0_cache");
+        assert_eq!(ident("3bad"), "v3bad");
+        assert_eq!(ident("_$3"), "v3");
+        assert_eq!(ident("a.b c"), "a_b_c");
+        assert_eq!(ident("a-é"), "a__");
+        assert_eq!(ident("$_"), "_");
+        assert_eq!(ident(""), "v");
     }
 
     #[test]
     fn guards_and_exprs_render() {
         let g = Guard::single(Predicate::new(Operand::var("c"), CmpOp::Ne, Operand::int(0)));
-        assert_eq!(guard_expr(&g), "(c != 0)");
-        assert_eq!(guard_expr(&Guard::always()), "true");
-        let alu = OpCode::Alu {
+        assert_eq!(GuardExpr(&g, HDR).to_string(), "(c != 0)");
+        let g = g.and(Predicate::new(Operand::hdr("k"), CmpOp::Eq, Operand::var("$v")));
+        assert_eq!(GuardExpr(&g, HDR).to_string(), "(c != 0) && (hdr.inc.k == v)");
+        assert_eq!(GuardExpr(&Guard::always(), HDR).to_string(), "true");
+        let alu = |op| OpCode::Alu {
             dest: "x".into(),
-            op: AluOp::Add,
+            op,
             lhs: Operand::var("a"),
             rhs: Operand::int(1),
             float: false,
         };
-        assert_eq!(compute_expr(&alu), Some(("x".into(), "a + 1".into())));
-        assert_eq!(compute_expr(&OpCode::Drop), None);
+        assert_eq!(Compute(&alu(AluOp::Add), HDR).to_string(), "x = a + 1;");
+        assert_eq!(Compute(&alu(AluOp::Max), HDR).to_string(), "x = max(a, 1);");
+        let ops = [Operand::int(1), Operand::var("i")];
+        assert_eq!(Args(&ops, "][", HDR).to_string(), "1][i");
     }
 }

@@ -1,8 +1,11 @@
 //! HLS C++ backend for Xilinx FPGA smartNICs and accelerator cards.
 
-use crate::emit::{args, compute_expr, guard_expr, operand, sanitize};
+use crate::emit::{declare_temporaries, write_lines, Args, Compute, Ident, Opnd};
 use clickinc_ir::{IrProgram, ObjectKind, OpCode};
 use std::fmt::Write as _;
+
+/// HLS reads header fields from the packet record.
+const PKT: &str = "pkt.";
 
 /// Generate an HLS C++ kernel for the merged device image.
 pub fn generate(image: &IrProgram) -> String {
@@ -15,19 +18,15 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "    ap_uint<8> inc_user;");
     let _ = writeln!(out, "    ap_uint<16> step;");
     for field in &image.headers {
-        let _ = writeln!(
-            out,
-            "    ap_uint<{}> {};",
-            field.ty.width_bits().max(1),
-            sanitize(&field.name)
-        );
+        let _ =
+            writeln!(out, "    ap_uint<{}> {};", field.ty.width_bits().max(1), Ident(&field.name));
     }
     let _ = writeln!(out, "    bool drop;");
     let _ = writeln!(out, "}};");
     out.push('\n');
 
     for obj in &image.objects {
-        let name = sanitize(&obj.name);
+        let name = Ident(&obj.name);
         match &obj.kind {
             ObjectKind::Array { rows, size, width } => {
                 let _ = writeln!(out, "static ap_uint<{width}> {name}[{rows}][{size}];");
@@ -68,82 +67,62 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(
         out,
         "void {}(hls::stream<inc_packet_t>& in, hls::stream<inc_packet_t>& out) {{",
-        sanitize(&image.name)
+        Ident(&image.name)
     );
     let _ = writeln!(out, "#pragma HLS INTERFACE axis port=in");
     let _ = writeln!(out, "#pragma HLS INTERFACE axis port=out");
     let _ = writeln!(out, "#pragma HLS PIPELINE II=1");
     let _ = writeln!(out, "    inc_packet_t pkt = in.read();");
-    let mut declared = std::collections::BTreeSet::new();
-    for instr in &image.instructions {
-        if let Some(dest) = instr.dest() {
-            let d = sanitize(dest);
-            if declared.insert(d.clone()) {
-                let _ = writeln!(out, "    ap_uint<32> {d} = 0;");
-            }
-        }
-    }
-    for instr in &image.instructions {
-        let line = instruction_line(instr);
-        match &instr.guard {
-            Some(g) => {
-                let _ = writeln!(
-                    out,
-                    "    if ({}) {{ {line} }}",
-                    guard_expr(g).replace("hdr.inc.", "pkt.")
-                );
-            }
-            None => {
-                let _ = writeln!(out, "    {line}");
-            }
-        }
-    }
+    declare_temporaries(&mut out, &image.instructions, "ap_uint<32>", " = 0");
+    write_lines(&mut out, &image.instructions, PKT, statement);
     let _ = writeln!(out, "    if (!pkt.drop) out.write(pkt);");
     let _ = writeln!(out, "}}");
-    out.replace("hdr.inc.", "pkt.")
+    out
 }
 
-fn instruction_line(instr: &clickinc_ir::Instruction) -> String {
-    if let Some((dest, expr)) = compute_expr(&instr.op) {
-        return format!("{dest} = {expr};");
-    }
-    match &instr.op {
+fn statement(out: &mut String, op: &OpCode) {
+    let o = |op| Opnd(op, PKT);
+    let (args, subscripts) = (|ops| Args(ops, ", ", PKT), |ops| Args(ops, "][", PKT));
+    let _ = match op {
+        OpCode::Assign { .. } | OpCode::Alu { .. } | OpCode::Cmp { .. } => {
+            write!(out, "{}", Compute(op, PKT))
+        }
         OpCode::Hash { dest, object, keys } => {
-            format!("{} = crc16({}); /* {} */", sanitize(dest), args(keys), sanitize(object))
+            write!(out, "{} = crc16({}); /* {} */", Ident(dest), args(keys), Ident(object))
         }
         OpCode::ReadState { dest, object, index } => {
-            format!("{} = {}[{}];", sanitize(dest), sanitize(object), args(index).replace(", ", "]["))
+            write!(out, "{} = {}[{}];", Ident(dest), Ident(object), subscripts(index))
         }
         OpCode::WriteState { object, index, value } => {
-            format!("{}[{}] = {};", sanitize(object), args(index).replace(", ", "]["), args(value))
+            write!(out, "{}[{}] = {};", Ident(object), subscripts(index), args(value))
         }
-        OpCode::CountState { dest, object, index, delta } => {
-            let idx = args(index).replace(", ", "][");
-            match dest {
-                Some(d) => format!(
-                    "{obj}[{idx}] += {dlt}; {d} = {obj}[{idx}];",
-                    obj = sanitize(object),
-                    idx = idx,
-                    dlt = operand(delta),
-                    d = sanitize(d)
-                ),
-                None => format!("{}[{}] += {};", sanitize(object), idx, operand(delta)),
-            }
+        OpCode::CountState { dest: Some(d), object, index, delta } => write!(
+            out,
+            "{obj}[{idx}] += {}; {} = {obj}[{idx}];",
+            o(delta),
+            Ident(d),
+            obj = Ident(object),
+            idx = subscripts(index)
+        ),
+        OpCode::CountState { dest: None, object, index, delta } => {
+            write!(out, "{}[{}] += {};", Ident(object), subscripts(index), o(delta))
         }
-        OpCode::ClearState { object } => format!("clear_loop: for (int i = 0; i < (int)(sizeof({obj})/sizeof({obj}[0])); i++) {obj}[i] = 0;", obj = sanitize(object)),
+        OpCode::ClearState { object } => write!(out, "clear_loop: for (int i = 0; i < (int)(sizeof({obj})/sizeof({obj}[0])); i++) {obj}[i] = 0;", obj = Ident(object)),
         OpCode::DeleteState { object, index } => {
-            format!("{}[{}] = 0;", sanitize(object), args(index).replace(", ", "]["))
+            write!(out, "{}[{}] = 0;", Ident(object), subscripts(index))
         }
-        OpCode::Drop => "pkt.drop = true;".to_string(),
-        OpCode::Forward => "/* pass through */".to_string(),
-        OpCode::Back { .. } => "pkt.step = 0xffff; /* bounce to sender */".to_string(),
-        OpCode::Mirror { .. } => "/* mirror to host DMA */".to_string(),
-        OpCode::Multicast { group } => format!("/* multicast group {} */", operand(group)),
-        OpCode::CopyTo { target, values } => format!("/* copy to {}: {} */", sanitize(target), args(values)),
-        OpCode::SetHeader { field, value } => format!("pkt.{} = {};", sanitize(field), operand(value)),
-        OpCode::NoOp => "/* removed */".to_string(),
-        other => format!("/* {} */", other.mnemonic()),
-    }
+        OpCode::Drop => write!(out, "pkt.drop = true;"),
+        OpCode::Forward => write!(out, "/* pass through */"),
+        OpCode::Back { .. } => write!(out, "pkt.step = 0xffff; /* bounce to sender */"),
+        OpCode::Mirror { .. } => write!(out, "/* mirror to host DMA */"),
+        OpCode::Multicast { group } => write!(out, "/* multicast group {} */", o(group)),
+        OpCode::CopyTo { target, values } => {
+            write!(out, "/* copy to {}: {} */", Ident(target), args(values))
+        }
+        OpCode::SetHeader { field, value } => write!(out, "pkt.{} = {};", Ident(field), o(value)),
+        OpCode::NoOp => write!(out, "/* removed */"),
+        other => write!(out, "/* {} */", other.mnemonic()),
+    };
 }
 
 #[cfg(test)]

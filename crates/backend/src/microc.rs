@@ -1,6 +1,6 @@
 //! Micro-C backend for the Netronome NFP smartNICs (run-to-completion).
 
-use crate::emit::{args, compute_expr, guard_expr, operand, sanitize};
+use crate::emit::{declare_temporaries, write_lines, Args, Compute, Ident, Opnd, HDR};
 use clickinc_ir::{IrProgram, ObjectKind, OpCode};
 use std::fmt::Write as _;
 
@@ -25,14 +25,14 @@ pub fn generate(image: &IrProgram) -> String {
         } else {
             "uint64_t"
         };
-        let _ = writeln!(out, "    {ctype} {};", sanitize(&field.name));
+        let _ = writeln!(out, "    {ctype} {};", Ident(&field.name));
     }
     let _ = writeln!(out, "}};");
     out.push('\n');
 
     // state in the hierarchical memory (IMEM for big tables, CLS for counters)
     for obj in &image.objects {
-        let name = sanitize(&obj.name);
+        let name = Ident(&obj.name);
         match &obj.kind {
             ObjectKind::Array { rows, size, width } => {
                 let _ = writeln!(
@@ -71,88 +71,61 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(
         out,
         "int pif_plugin_{}(EXTRACTED_HEADERS_T *headers, MATCH_DATA_T *match) {{",
-        sanitize(&image.name)
+        Ident(&image.name)
     );
     let _ = writeln!(out, "    struct inc_header *hdr = pif_plugin_hdr_get_inc(headers);");
-    let mut declared = std::collections::BTreeSet::new();
-    for instr in &image.instructions {
-        if let Some(dest) = instr.dest() {
-            let d = sanitize(dest);
-            if declared.insert(d.clone()) {
-                let _ = writeln!(out, "    uint32_t {d} = 0;");
-            }
-        }
-    }
-    for instr in &image.instructions {
-        let line = instruction_line(instr);
-        match &instr.guard {
-            Some(g) => {
-                let _ = writeln!(out, "    if ({}) {{ {line} }}", guard_expr(g));
-            }
-            None => {
-                let _ = writeln!(out, "    {line}");
-            }
-        }
-    }
+    declare_temporaries(&mut out, &image.instructions, "uint32_t", " = 0");
+    write_lines(&mut out, &image.instructions, HDR, statement);
     let _ = writeln!(out, "    return PIF_PLUGIN_RETURN_FORWARD;");
     let _ = writeln!(out, "}}");
     out
 }
 
-fn instruction_line(instr: &clickinc_ir::Instruction) -> String {
-    if let Some((dest, expr)) = compute_expr(&instr.op) {
-        return format!("{dest} = {expr};");
-    }
-    match &instr.op {
+fn statement(out: &mut String, op: &OpCode) {
+    let o = |op| Opnd(op, HDR);
+    let (args, subscripts) = (|ops| Args(ops, ", ", HDR), |ops| Args(ops, "][", HDR));
+    let _ = match op {
+        OpCode::Assign { .. } | OpCode::Alu { .. } | OpCode::Cmp { .. } => {
+            write!(out, "{}", Compute(op, HDR))
+        }
         OpCode::Hash { dest, object, keys } => {
-            format!("{} = crc_32({}); /* {} */", sanitize(dest), args(keys), sanitize(object))
+            write!(out, "{} = crc_32({}); /* {} */", Ident(dest), args(keys), Ident(object))
         }
         OpCode::ReadState { dest, object, index } => {
-            format!(
-                "{} = {}[{}];",
-                sanitize(dest),
-                sanitize(object),
-                args(index).replace(", ", "][")
-            )
+            write!(out, "{} = {}[{}];", Ident(dest), Ident(object), subscripts(index))
         }
         OpCode::WriteState { object, index, value } => {
-            format!("{}[{}] = {};", sanitize(object), args(index).replace(", ", "]["), args(value))
+            write!(out, "{}[{}] = {};", Ident(object), subscripts(index), args(value))
         }
-        OpCode::CountState { dest, object, index, delta } => {
-            let idx = args(index).replace(", ", "][");
-            match dest {
-                Some(d) => format!(
-                    "{}[{}] += {}; {} = {}[{}];",
-                    sanitize(object),
-                    idx,
-                    operand(delta),
-                    sanitize(d),
-                    sanitize(object),
-                    idx
-                ),
-                None => format!("{}[{}] += {};", sanitize(object), idx, operand(delta)),
-            }
+        OpCode::CountState { dest: Some(d), object, index, delta } => write!(
+            out,
+            "{obj}[{idx}] += {}; {} = {obj}[{idx}];",
+            o(delta),
+            Ident(d),
+            obj = Ident(object),
+            idx = subscripts(index)
+        ),
+        OpCode::CountState { dest: None, object, index, delta } => {
+            write!(out, "{}[{}] += {};", Ident(object), subscripts(index), o(delta))
         }
         OpCode::ClearState { object } => {
-            format!("memset({}, 0, sizeof({}));", sanitize(object), sanitize(object))
+            write!(out, "memset({obj}, 0, sizeof({obj}));", obj = Ident(object))
         }
         OpCode::DeleteState { object, index } => {
-            format!("{}[{}] = 0;", sanitize(object), args(index).replace(", ", "]["))
+            write!(out, "{}[{}] = 0;", Ident(object), subscripts(index))
         }
-        OpCode::Drop => "return PIF_PLUGIN_RETURN_DROP;".to_string(),
-        OpCode::Forward => "/* forward via normal path */".to_string(),
-        OpCode::Back { .. } => "swap_and_return(headers);".to_string(),
-        OpCode::Mirror { .. } => "mirror_to_host(headers);".to_string(),
-        OpCode::Multicast { group } => format!("multicast(headers, {});", operand(group)),
+        OpCode::Drop => write!(out, "return PIF_PLUGIN_RETURN_DROP;"),
+        OpCode::Forward => write!(out, "/* forward via normal path */"),
+        OpCode::Back { .. } => write!(out, "swap_and_return(headers);"),
+        OpCode::Mirror { .. } => write!(out, "mirror_to_host(headers);"),
+        OpCode::Multicast { group } => write!(out, "multicast(headers, {});", o(group)),
         OpCode::CopyTo { target, values } => {
-            format!("copy_to_{}({});", sanitize(target), args(values))
+            write!(out, "copy_to_{}({});", Ident(target), args(values))
         }
-        OpCode::SetHeader { field, value } => {
-            format!("hdr->{} = {};", sanitize(field), operand(value))
-        }
-        OpCode::NoOp => "/* removed */".to_string(),
-        other => format!("/* {} */", other.mnemonic()),
-    }
+        OpCode::SetHeader { field, value } => write!(out, "hdr->{} = {};", Ident(field), o(value)),
+        OpCode::NoOp => write!(out, "/* removed */"),
+        other => write!(out, "/* {} */", other.mnemonic()),
+    };
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! NPL backend for Broadcom Trident4.
 
-use crate::emit::{args, compute_expr, guard_expr, operand, sanitize};
+use crate::emit::{declare_temporaries, write_lines, Args, Compute, Ident, Opnd, HDR};
 use clickinc_ir::{IrProgram, ObjectKind, OpCode};
 use std::fmt::Write as _;
 
@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 pub fn generate(image: &IrProgram) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "// Auto-generated NPL for program `{}` (Trident4)", image.name);
-    let _ = writeln!(out, "package clickinc_{};", sanitize(&image.name));
+    let _ = writeln!(out, "package clickinc_{};", Ident(&image.name));
     out.push('\n');
 
     // headers / bus declarations
@@ -17,8 +17,7 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "        inc_user : 8;");
     let _ = writeln!(out, "        step : 16;");
     for field in &image.headers {
-        let _ =
-            writeln!(out, "        {} : {};", sanitize(&field.name), field.ty.width_bits().max(1));
+        let _ = writeln!(out, "        {} : {};", Ident(&field.name), field.ty.width_bits().max(1));
     }
     let _ = writeln!(out, "    }}");
     let _ = writeln!(out, "}}");
@@ -27,7 +26,7 @@ pub fn generate(image: &IrProgram) -> String {
 
     // tables / flex state
     for obj in &image.objects {
-        let name = sanitize(&obj.name);
+        let name = Ident(&obj.name);
         match &obj.kind {
             ObjectKind::Table { key_width, value_width, depth, .. } => {
                 let _ = writeln!(out, "logical_table {name} {{");
@@ -68,72 +67,57 @@ pub fn generate(image: &IrProgram) -> String {
 
     // processing function
     let _ = writeln!(out, "program ingress_flow {{");
-    let mut declared = std::collections::BTreeSet::new();
-    for instr in &image.instructions {
-        if let Some(dest) = instr.dest() {
-            let d = sanitize(dest);
-            if declared.insert(d.clone()) {
-                let _ = writeln!(out, "    bit[32] {d};");
-            }
-        }
-    }
-    for instr in &image.instructions {
-        let line = instruction_line(instr);
-        match &instr.guard {
-            Some(g) => {
-                let _ = writeln!(out, "    if ({}) {{ {line} }}", guard_expr(g));
-            }
-            None => {
-                let _ = writeln!(out, "    {line}");
-            }
-        }
-    }
+    declare_temporaries(&mut out, &image.instructions, "bit[32]", "");
+    write_lines(&mut out, &image.instructions, HDR, statement);
     let _ = writeln!(out, "}}");
     out
 }
 
-fn instruction_line(instr: &clickinc_ir::Instruction) -> String {
-    if let Some((dest, expr)) = compute_expr(&instr.op) {
-        return format!("{dest} = {expr};");
-    }
-    match &instr.op {
+fn statement(out: &mut String, op: &OpCode) {
+    let o = |op| Opnd(op, HDR);
+    let args = |ops| Args(ops, ", ", HDR);
+    let _ = match op {
+        OpCode::Assign { .. } | OpCode::Alu { .. } | OpCode::Cmp { .. } => {
+            write!(out, "{}", Compute(op, HDR))
+        }
         OpCode::Hash { dest, object, keys } => {
-            format!("{} = {}.compute({});", sanitize(dest), sanitize(object), args(keys))
+            write!(out, "{} = {}.compute({});", Ident(dest), Ident(object), args(keys))
         }
         OpCode::ReadState { dest, object, index } => {
-            format!("{} = {}.lookup({});", sanitize(dest), sanitize(object), args(index))
+            write!(out, "{} = {}.lookup({});", Ident(dest), Ident(object), args(index))
         }
         OpCode::WriteState { object, index, value } => {
-            format!("{}.update({}, {});", sanitize(object), args(index), args(value))
+            write!(out, "{}.update({}, {});", Ident(object), args(index), args(value))
         }
-        OpCode::CountState { dest, object, index, delta } => match dest {
-            Some(d) => format!(
-                "{} = {}.increment({}, {});",
-                sanitize(d),
-                sanitize(object),
-                args(index),
-                operand(delta)
-            ),
-            None => format!("{}.increment({}, {});", sanitize(object), args(index), operand(delta)),
-        },
-        OpCode::ClearState { object } => format!("{}.reset();", sanitize(object)),
+        OpCode::CountState { dest: Some(d), object, index, delta } => write!(
+            out,
+            "{} = {}.increment({}, {});",
+            Ident(d),
+            Ident(object),
+            args(index),
+            o(delta)
+        ),
+        OpCode::CountState { dest: None, object, index, delta } => {
+            write!(out, "{}.increment({}, {});", Ident(object), args(index), o(delta))
+        }
+        OpCode::ClearState { object } => write!(out, "{}.reset();", Ident(object)),
         OpCode::DeleteState { object, index } => {
-            format!("{}.delete({});", sanitize(object), args(index))
+            write!(out, "{}.delete({});", Ident(object), args(index))
         }
-        OpCode::Drop => "drop_packet();".to_string(),
-        OpCode::Forward => "forward_packet(obj_bus);".to_string(),
-        OpCode::Back { .. } => "return_to_sender(obj_bus);".to_string(),
-        OpCode::Mirror { .. } => "mirror_packet(1);".to_string(),
-        OpCode::Multicast { group } => format!("multicast_packet({});", operand(group)),
+        OpCode::Drop => write!(out, "drop_packet();"),
+        OpCode::Forward => write!(out, "forward_packet(obj_bus);"),
+        OpCode::Back { .. } => write!(out, "return_to_sender(obj_bus);"),
+        OpCode::Mirror { .. } => write!(out, "mirror_packet(1);"),
+        OpCode::Multicast { group } => write!(out, "multicast_packet({});", o(group)),
         OpCode::CopyTo { target, values } => {
-            format!("copy_to_{}({});", sanitize(target), args(values))
+            write!(out, "copy_to_{}({});", Ident(target), args(values))
         }
         OpCode::SetHeader { field, value } => {
-            format!("obj_bus.inc.{} = {};", sanitize(field), operand(value))
+            write!(out, "obj_bus.inc.{} = {};", Ident(field), o(value))
         }
-        OpCode::NoOp => "// removed".to_string(),
-        other => format!("// {}", other.mnemonic()),
-    }
+        OpCode::NoOp => write!(out, "// removed"),
+        other => write!(out, "// {}", other.mnemonic()),
+    };
 }
 
 #[cfg(test)]

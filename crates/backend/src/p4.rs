@@ -1,6 +1,6 @@
 //! P4-16 (TNA) backend for Tofino-class switches.
 
-use crate::emit::{args, compute_expr, guard_expr, operand, sanitize};
+use crate::emit::{declare_temporaries, Args, Compute, GuardExpr, Ident, Opnd, HDR};
 use clickinc_ir::{IrProgram, MatchKind, ObjectKind, OpCode};
 use std::fmt::Write as _;
 
@@ -23,8 +23,7 @@ pub fn generate(image: &IrProgram) -> String {
     let _ = writeln!(out, "    bit<8> inc_user;");
     let _ = writeln!(out, "    bit<16> step;");
     for field in &image.headers {
-        let _ =
-            writeln!(out, "    bit<{}> {};", field.ty.width_bits().max(1), sanitize(&field.name));
+        let _ = writeln!(out, "    bit<{}> {};", field.ty.width_bits().max(1), Ident(&field.name));
     }
     let _ = writeln!(out, "}}");
     let _ = writeln!(
@@ -47,7 +46,7 @@ pub fn generate(image: &IrProgram) -> String {
 
     // ---- state objects ------------------------------------------------------
     for obj in &image.objects {
-        let name = sanitize(&obj.name);
+        let name = Ident(&obj.name);
         match &obj.kind {
             ObjectKind::Array { rows, size, width } => {
                 for row in 0..*rows {
@@ -111,37 +110,17 @@ pub fn generate(image: &IrProgram) -> String {
 
     // ---- ingress control ------------------------------------------------------
     let _ = writeln!(out, "control Ingress(inout headers_t hdr, inout metadata_t meta, in ingress_intrinsic_metadata_t ig_intr_md, inout ingress_intrinsic_metadata_for_deparser_t ig_dprsr_md, inout ingress_intrinsic_metadata_for_tm_t ig_tm_md) {{");
-    // temporaries
-    let mut declared = std::collections::BTreeSet::new();
-    for instr in &image.instructions {
-        if let Some(dest) = instr.dest() {
-            let d = sanitize(dest);
-            if declared.insert(d.clone()) {
-                let _ = writeln!(out, "    bit<32> {d} = 0;");
-            }
-        }
-    }
+    declare_temporaries(&mut out, &image.instructions, "bit<32>", " = 0");
     let _ = writeln!(out, "    apply {{");
     for instr in &image.instructions {
-        let body = instruction_body(instr);
-        let owner_note = if instr.owners.is_empty() {
-            String::new()
-        } else {
-            format!(" // @owner: {}", instr.owners.join(","))
-        };
         match &instr.guard {
             Some(g) => {
-                let _ = writeln!(out, "        if ({}) {{{owner_note}", guard_expr(g));
-                for line in body {
-                    let _ = writeln!(out, "            {line}");
-                }
+                let _ = write!(out, "        if ({}) {{", GuardExpr(g, HDR));
+                owner_note(&mut out, &instr.owners);
+                write_body(&mut out, &instr.op, "            ", &[]);
                 let _ = writeln!(out, "        }}");
             }
-            None => {
-                for line in body {
-                    let _ = writeln!(out, "        {line}{owner_note}");
-                }
-            }
+            None => write_body(&mut out, &instr.op, "        ", &instr.owners),
         }
     }
     let _ = writeln!(out, "    }}");
@@ -155,77 +134,81 @@ pub fn generate(image: &IrProgram) -> String {
     out
 }
 
-fn instruction_body(instr: &clickinc_ir::Instruction) -> Vec<String> {
-    if let Some((dest, expr)) = compute_expr(&instr.op) {
-        return vec![format!("{dest} = {expr};")];
+/// End the line with ` // @owner: a,b` when the instruction has owners.
+fn owner_note(out: &mut String, owners: &[String]) {
+    for (i, owner) in owners.iter().enumerate() {
+        out.push_str(if i == 0 { " // @owner: " } else { "," });
+        out.push_str(owner);
     }
-    match &instr.op {
+    out.push('\n');
+}
+
+/// Write the statements of `op`, one a line, each indented by `indent` and
+/// ended by the owner note of `owners`.
+fn write_body(out: &mut String, op: &OpCode, indent: &str, owners: &[String]) {
+    macro_rules! line {
+        ($($fmt:tt)*) => {{
+            out.push_str(indent);
+            let _ = write!(out, $($fmt)*);
+            owner_note(out, owners);
+        }};
+    }
+    let o = |op| Opnd(op, HDR);
+    let args = |ops| Args(ops, ", ", HDR);
+    match op {
+        OpCode::Assign { .. } | OpCode::Alu { .. } | OpCode::Cmp { .. } => {
+            line!("{}", Compute(op, HDR))
+        }
         OpCode::Hash { dest, object, keys } => {
-            vec![format!("{} = hash_{}.get({{{}}});", sanitize(dest), sanitize(object), args(keys))]
+            line!("{} = hash_{}.get({{{}}});", Ident(dest), Ident(object), args(keys))
         }
         OpCode::ReadState { dest, object, index } => {
-            vec![format!("{} = ra_{}.execute({});", sanitize(dest), sanitize(object), args(index))]
+            line!("{} = ra_{}.execute({});", Ident(dest), Ident(object), args(index))
         }
         OpCode::WriteState { object, index, value } => {
-            vec![format!("ra_{}.write({}, {});", sanitize(object), args(index), args(value))]
+            line!("ra_{}.write({}, {});", Ident(object), args(index), args(value))
         }
         OpCode::CountState { dest, object, index, delta } => {
-            let mut lines =
-                vec![format!("ra_{}.add({}, {});", sanitize(object), args(index), operand(delta))];
+            line!("ra_{}.add({}, {});", Ident(object), args(index), o(delta));
             if let Some(d) = dest {
-                lines.push(format!(
-                    "{} = ra_{}.read({});",
-                    sanitize(d),
-                    sanitize(object),
-                    args(index)
-                ));
+                line!("{} = ra_{}.read({});", Ident(d), Ident(object), args(index));
             }
-            lines
         }
-        OpCode::ClearState { object } => vec![format!("ra_{}.clear();", sanitize(object))],
+        OpCode::ClearState { object } => line!("ra_{}.clear();", Ident(object)),
         OpCode::DeleteState { object, index } => {
-            vec![format!("ra_{}.invalidate({});", sanitize(object), args(index))]
+            line!("ra_{}.invalidate({});", Ident(object), args(index))
         }
-        OpCode::Drop => vec!["ig_dprsr_md.drop_ctl = 1;".to_string()],
-        OpCode::Forward => vec!["ig_tm_md.ucast_egress_port = meta.egress_port;".to_string()],
+        OpCode::Drop => line!("ig_dprsr_md.drop_ctl = 1;"),
+        OpCode::Forward => line!("ig_tm_md.ucast_egress_port = meta.egress_port;"),
         OpCode::Back { updates } => {
-            let mut lines = vec!["swap_addresses(hdr);".to_string()];
+            line!("swap_addresses(hdr);");
             for (field, value) in updates {
-                lines.push(format!("hdr.inc.{} = {};", sanitize(field), operand(value)));
+                line!("hdr.inc.{} = {};", Ident(field), o(value));
             }
-            lines.push("ig_tm_md.ucast_egress_port = ig_intr_md.ingress_port;".to_string());
-            lines
+            line!("ig_tm_md.ucast_egress_port = ig_intr_md.ingress_port;");
         }
         OpCode::Mirror { updates } => {
-            let mut lines = vec!["ig_dprsr_md.mirror_type = 1;".to_string()];
+            line!("ig_dprsr_md.mirror_type = 1;");
             for (field, value) in updates {
-                lines.push(format!("hdr.inc.{} = {};", sanitize(field), operand(value)));
+                line!("hdr.inc.{} = {};", Ident(field), o(value));
             }
-            lines
         }
-        OpCode::Multicast { group } => {
-            vec![format!("ig_tm_md.mcast_grp_a = (bit<16>){};", operand(group))]
-        }
+        OpCode::Multicast { group } => line!("ig_tm_md.mcast_grp_a = (bit<16>){};", o(group)),
         OpCode::CopyTo { target, values } => {
-            vec![format!("digest_{}.pack({{{}}});", sanitize(target), args(values))]
+            line!("digest_{}.pack({{{}}});", Ident(target), args(values))
         }
-        OpCode::SetHeader { field, value } => {
-            vec![format!("hdr.inc.{} = {};", sanitize(field), operand(value))]
-        }
-        OpCode::Crypto { dest, object, input, .. } => vec![format!(
+        OpCode::SetHeader { field, value } => line!("hdr.inc.{} = {};", Ident(field), o(value)),
+        OpCode::Crypto { dest, object, input, .. } => line!(
             "{} = crypto_{}.run({}); // unsupported on Tofino",
-            sanitize(dest),
-            sanitize(object),
-            operand(input)
-        )],
-        OpCode::RandInt { dest, bound } => {
-            vec![format!("{} = rng.get() % {};", sanitize(dest), operand(bound))]
-        }
+            Ident(dest),
+            Ident(object),
+            o(input)
+        ),
+        OpCode::RandInt { dest, bound } => line!("{} = rng.get() % {};", Ident(dest), o(bound)),
         OpCode::Checksum { dest, inputs } => {
-            vec![format!("{} = csum16.update({{{}}});", sanitize(dest), args(inputs))]
+            line!("{} = csum16.update({{{}}});", Ident(dest), args(inputs))
         }
-        OpCode::NoOp => vec!["// removed user instruction".to_string()],
-        _ => vec![format!("// {}", instr.op.mnemonic())],
+        OpCode::NoOp => line!("// removed user instruction"),
     }
 }
 

@@ -55,6 +55,13 @@ pub struct Deployment {
     pub numeric_id: i64,
     /// The isolated IR program.
     pub program: IrProgram,
+    /// The frontend's output for `request.source`, before isolation — the
+    /// compile cache: a later arrival with the same source text isolates
+    /// this program instead of compiling its own (lowering reads the tenant
+    /// name only for the program name, which isolation overwrites).  Shared
+    /// with the plan and any other resident of the same source; `None` for a
+    /// [`Controller::plan_isolated`] deployment, which compiled nothing.
+    pub compiled: Option<Arc<IrProgram>>,
     /// The block DAG used for placement.
     pub dag: BlockDag,
     /// The placement plan.
@@ -83,6 +90,11 @@ pub struct DeploymentPlan {
     request: ServiceRequest,
     numeric_id: i64,
     program: IrProgram,
+    /// The frontend's pre-isolation output the plan isolated — compiled by
+    /// this solve, or a resident's of the same source text — that the
+    /// committed [`Deployment::compiled`] carries on.  `None` for
+    /// [`Controller::plan_isolated`].
+    compiled: Option<Arc<IrProgram>>,
     dag: BlockDag,
     plan: PlacementPlan,
     /// The slice cut for each non-empty assignment of `plan`, in order.
@@ -125,6 +137,12 @@ impl DeploymentPlan {
     /// The isolated IR program the plan would install.
     pub fn program(&self) -> &IrProgram {
         &self.program
+    }
+
+    /// The pre-isolation program the plan isolated, if it compiled one (see
+    /// [`Deployment::compiled`]).
+    pub fn compiled(&self) -> Option<&Arc<IrProgram>> {
+        self.compiled.as_ref()
     }
 
     /// The block DAG used for placement.
@@ -413,16 +431,27 @@ impl Controller {
     /// resource demand, and the predicted post-commit remaining ratio — and
     /// touches neither the ledger nor any device image.  Feed the result to
     /// [`Controller::commit`] to make it real.
+    ///
+    /// A request whose source text a resident already runs skips the
+    /// frontend: it isolates that resident's compiled program
+    /// ([`Deployment::compiled`]), which is what compiling would produce.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
         self.check_request(request)?;
-        let ir = self.frontend.compile_source(
-            &request.user,
-            &request.source,
-            &CompileOptions::default(),
-        )?;
-        let isolated = isolate_user_program(&ir, &request.user, self.next_user_id);
-        self.solve_prepared(request, isolated, started)
+        let resident = self
+            .deployments
+            .values()
+            .find_map(|d| d.compiled.as_ref().filter(|_| d.request.source == request.source));
+        let compiled = match resident {
+            Some(compiled) => Arc::clone(compiled),
+            None => Arc::new(self.frontend.compile_source(
+                &request.user,
+                &request.source,
+                &CompileOptions::default(),
+            )?),
+        };
+        let isolated = isolate_user_program(&compiled, &request.user, self.next_user_id);
+        self.solve_prepared(request, isolated, Some(compiled), started)
     }
 
     /// Expert variant of [`plan`](Controller::plan): place an
@@ -443,7 +472,7 @@ impl Controller {
         // slices are named after the program, and planes quiesce a tenant by
         // that name
         let program = IrProgram { name: request.user.clone(), ..program };
-        self.solve_prepared(request, program, started)
+        self.solve_prepared(request, program, None, started)
     }
 
     /// The checks every solve starts with: structural validity and a free
@@ -464,6 +493,7 @@ impl Controller {
         &self,
         request: &ServiceRequest,
         isolated: IrProgram,
+        compiled: Option<Arc<IrProgram>>,
         started: Instant,
     ) -> Result<DeploymentPlan, ClickIncError> {
         // resolve endpoints
@@ -566,6 +596,7 @@ impl Controller {
             request: request.clone(),
             numeric_id,
             program: isolated,
+            compiled,
             dag,
             plan,
             snippets,
@@ -634,8 +665,17 @@ impl Controller {
         }
         debug_assert_eq!(planned.numeric_id, self.next_user_id, "epoch pins the numeric id");
         let commit_started = Instant::now();
-        let DeploymentPlan { request, numeric_id, program, dag, plan, snippets, solved_in, .. } =
-            planned;
+        let DeploymentPlan {
+            request,
+            numeric_id,
+            program,
+            compiled,
+            dag,
+            plan,
+            snippets,
+            solved_in,
+            ..
+        } = planned;
 
         // ---- no fallible step below this line: the commit is atomic ----
 
@@ -673,6 +713,7 @@ impl Controller {
             request,
             numeric_id,
             program,
+            compiled,
             dag,
             plan,
             delta,

@@ -15,6 +15,11 @@ use std::fmt;
 pub enum RequestError {
     /// The user id is empty.
     EmptyUser,
+    /// The user id is not an identifier `[A-Za-z][A-Za-z0-9_]*`.  The
+    /// backends emit every tenant name into device code as an identifier,
+    /// so ids that differ only in other characters (`a-b`, `a_b`) would
+    /// declare the same tables.
+    InvalidUser(String),
     /// No program source was provided (or it is empty).
     EmptySource,
     /// No traffic source host was provided.
@@ -37,6 +42,10 @@ impl fmt::Display for RequestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RequestError::EmptyUser => write!(f, "user id must not be empty"),
+            RequestError::InvalidUser(user) => write!(
+                f,
+                "user id `{user}` is not an identifier: a letter, then letters, digits or `_`"
+            ),
             RequestError::EmptySource => write!(f, "program source must not be empty"),
             RequestError::NoSources => write!(f, "at least one traffic source host is required"),
             RequestError::EmptyHost => write!(f, "traffic source host names must not be empty"),
@@ -162,6 +171,11 @@ impl ServiceRequest {
     pub fn validate(&self) -> Result<(), RequestError> {
         if self.user.is_empty() {
             return Err(RequestError::EmptyUser);
+        }
+        let mut chars = self.user.chars();
+        let head = chars.next().is_some_and(|c| c.is_ascii_alphabetic());
+        if !head || !chars.all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return Err(RequestError::InvalidUser(self.user.clone()));
         }
         if self.source.is_empty() {
             return Err(RequestError::EmptySource);
@@ -350,5 +364,17 @@ mod tests {
             Err(RequestError::EmptyUser)
         );
         assert!(ServiceRequest::new("u", "forward()\n", &["a"], "b").validate().is_ok());
+    }
+
+    #[test]
+    fn user_ids_are_identifiers() {
+        let validate =
+            |user: &str| ServiceRequest::new(user, "forward()\n", &["a"], "b").validate();
+        for user in ["a-b", "_a", "0a", "a b", "a.b", "é"] {
+            assert_eq!(validate(user), Err(RequestError::InvalidUser(user.into())), "{user}");
+        }
+        for user in ["a_b", "kvs0", "A", "x_1_"] {
+            assert_eq!(validate(user), Ok(()), "{user}");
+        }
     }
 }

@@ -50,6 +50,27 @@ mod tests {
         assert!(ir.required_capabilities().contains(&CapabilityClass::Bbpf));
     }
 
+    /// The tenant name reaches the IR only as the program name — the fact a
+    /// same-source arrival's reuse of a resident's compiled program rests on.
+    #[test]
+    fn the_compile_name_is_only_the_program_name() {
+        use clickinc_lang::templates::*;
+        let mlagg = MlAggParams { dims: 8, num_workers: 4, num_aggregators: 64, is_float: false };
+        let sources = [
+            kvs_template("t", KvsParams { cache_depth: 64, ..Default::default() }).source,
+            mlagg_template("t", mlagg).source,
+            count_min_sketch("t", 3, 128).source,
+            dqacc_template("t", DqAccParams { depth: 32, ways: 4 }).source,
+            mlagg_sparse_user("t", mlagg, 2, 4).source,
+        ];
+        for source in &sources {
+            let a = compile_source("kvs_a", source).unwrap();
+            let b = compile_source("other7", source).unwrap();
+            assert_eq!((a.name.as_str(), b.name.as_str()), ("kvs_a", "other7"));
+            assert_eq!(IrProgram { name: b.name.clone(), ..a }, b, "{source}");
+        }
+    }
+
     #[test]
     fn reports_parse_errors() {
         assert!(matches!(compile_source("p", "if x\n    y = 1\n"), Err(FrontendError::Lang(_))));

@@ -2,14 +2,21 @@
 //! a tenant's slice on the hoisted `meta.inc_user == id` precondition, so
 //! every tenant-owned instruction of every merged device image — and every
 //! statement the backends emit from it — must test that id too, or the
-//! emitted programs run tenant instructions on everyone's packets.
+//! emitted programs run tenant instructions on everyone's packets.  Nor may
+//! two tenants' names meet in emitted code: user ids are identifiers, so
+//! every table and register a device image declares is declared once.
 
 use clickinc::device::DeviceKind;
 use clickinc::ir::{CmpOp, Operand, Predicate};
-use clickinc::lang::templates::{kvs_template, KvsParams};
+use clickinc::lang::templates::{
+    count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
+    MlAggParams,
+};
 use clickinc::topology::{NodeId, Topology};
-use clickinc::{Controller, ServiceRequest};
-use std::collections::BTreeSet;
+use clickinc::{
+    ClickIncError, ClickIncService, Controller, MaxTenants, RequestError, ServiceRequest,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn tenant_match(id: i64) -> Predicate {
     Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(id))
@@ -119,4 +126,88 @@ fn tenant_instructions_test_their_tenant_id_on_the_all_tofino_topology() {
 #[test]
 fn tenant_instructions_test_their_tenant_id_on_the_heterogeneous_topology() {
     two_kvs_tenants_on_a_shared_device(Topology::emulation_topology());
+}
+
+fn kvs_request(user: &str) -> ServiceRequest {
+    let template = kvs_template(user, KvsParams { cache_depth: 1000, ..Default::default() });
+    ServiceRequest::from_template(template, &["pod0a"], "pod2b")
+}
+
+/// Emitted code spells a tenant's names as identifiers, mapping every other
+/// character to `_`: `a-b` and `a_b` would both declare `table a_b_cache`
+/// on a shared switch.  Such ids are request errors — refused before the
+/// admission gate, so a full house never queues them.
+#[test]
+fn user_ids_that_are_not_identifiers_are_refused_and_never_queued() {
+    let service =
+        ClickIncService::new(Topology::emulation_topology_all_tofino()).expect("service starts");
+    service.set_admission_policy(MaxTenants { max_tenants: 0 });
+    for user in ["a-b", "_a", "0a", "a b"] {
+        let refused = service.deploy_or_queue(kvs_request(user)).map(|_| ()).unwrap_err();
+        let expected = RequestError::InvalidUser(user.to_string());
+        assert!(
+            matches!(&refused, ClickIncError::InvalidRequest(e) if *e == expected),
+            "{user}: {refused}"
+        );
+    }
+    assert_eq!(service.retry_queue_len(), 0, "request errors are never queued");
+    // a valid id at the full house is an admission refusal, and queues
+    assert!(service.deploy_or_queue(kvs_request("a_b")).is_err());
+    assert_eq!(service.queued_users(), ["a_b"]);
+    service.finish();
+
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    for user in ["a_b", "kvs0"] {
+        controller.deploy(kvs_request(user)).unwrap_or_else(|e| panic!("{user}: {e}"));
+    }
+}
+
+/// The `table` and `Register` names a P4 program declares, with counts.
+fn p4_declarations(source: &str) -> BTreeMap<&str, usize> {
+    let mut counts = BTreeMap::new();
+    for line in source.lines() {
+        let name = if let Some(rest) = line.strip_prefix("table ") {
+            rest.split_whitespace().next()
+        } else if line.starts_with("Register<") {
+            line.rsplit(' ').next().and_then(|n| n.strip_suffix(';'))
+        } else {
+            None
+        };
+        if let Some(name) = name {
+            *counts.entry(name).or_default() += 1;
+        }
+    }
+    counts
+}
+
+/// In a KVS / MLAgg / CMS / DQAcc fill of the all-Tofino topology, every
+/// emitted P4 program declares each of its tables and registers once.
+#[test]
+fn a_template_fill_declares_every_table_and_register_once() {
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    let sources = ["pod0a", "pod1a", "pod0b", "pod1b"];
+    for i in 0..16 {
+        let user = format!("u{i}");
+        let template = match i % 4 {
+            0 => kvs_template(&user, KvsParams::default()),
+            1 => mlagg_template(&user, MlAggParams { dims: 8, ..Default::default() }),
+            2 => count_min_sketch(&user, 3, 1024),
+            _ => dqacc_template(&user, DqAccParams::default()),
+        };
+        let request = ServiceRequest::from_template(template, &[sources[i % 4]], "pod2b");
+        controller.deploy(request).unwrap_or_else(|e| panic!("{user}: {e}"));
+    }
+    let mut declared = 0;
+    for (device, image) in &controller.images().images {
+        let kind = controller.topology().node(*device).kind;
+        if !matches!(kind, DeviceKind::Tofino | DeviceKind::Tofino2) {
+            continue;
+        }
+        let program = clickinc::backend::generate(kind, image);
+        for (name, count) in p4_declarations(&program.source) {
+            assert_eq!(count, 1, "{device:?} declares `{name}` {count} times");
+            declared += 1;
+        }
+    }
+    assert!(declared > 16, "the fill declares tables and registers");
 }

@@ -2,15 +2,20 @@
 //! is a pure accelerator (a warm service plans bit-identically to a cold
 //! one solving every subproblem from scratch, whatever the arrival and
 //! departure sequence), and no plan solved after a device failure touches
-//! the failed device, while a restore converges placements back.
+//! the failed device, while a restore converges placements back.  So is the
+//! compile reuse: an arrival isolating a resident's compiled program plans
+//! and installs exactly what compiling its own source would.
 
-use clickinc::{ClickIncService, ServiceRequest};
+use clickinc::frontend::compile_source;
+use clickinc::synthesis::isolate_user_program;
+use clickinc::{ClickIncService, Controller, ServiceRequest};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
 use clickinc_placement::PlacementPlan;
 use clickinc_topology::Topology;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A request from the churn scenario's shape pool: six canonical shapes
 /// (KVS, MLAgg, CMS with two parameterizations each) under a fresh tenant
@@ -184,4 +189,71 @@ proptest! {
         prop_assert_eq!(placement_fp(&first), placement_fp(&restored));
         service.finish();
     }
+}
+
+/// `request` with a comment appended: another text of the same program, so
+/// a resident deployed from it lends nothing to an arrival of `request`.
+fn retexted(mut request: ServiceRequest) -> ServiceRequest {
+    request.source.push_str("# the same program, another text\n");
+    request
+}
+
+/// For every pooled shape: an arrival whose source a resident runs reuses
+/// that resident's compiled program, and plans, fingerprints and installs
+/// exactly as on a controller where that resident left first.  Both
+/// controllers deploy `donor` twice with a removal between — once from the
+/// arrival's text and once from an equivalent one, in opposite orders — so
+/// they reach one ledger, epoch and next numeric id.
+#[test]
+fn a_same_source_arrival_plans_and_installs_as_a_fresh_compile_would() {
+    for slot in 0..6 {
+        let donor = pooled_request("donor", slot);
+        let arrival = pooled_request("arrival", slot);
+        let setup = |first: ServiceRequest, second: ServiceRequest| {
+            let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+            controller.deploy(first).expect("first donor deploys");
+            controller.remove("donor").expect("first donor leaves");
+            controller.deploy(second).expect("second donor deploys");
+            controller
+        };
+        let mut reused = setup(retexted(donor.clone()), donor.clone());
+        let mut fresh = setup(donor.clone(), retexted(donor));
+        assert_eq!(reused.epoch(), fresh.epoch());
+        let lent = |c: &Controller| c.deployment("donor").unwrap().compiled.clone().unwrap();
+
+        let reused_plan = reused.plan(&arrival).expect("plans");
+        let fresh_plan = fresh.plan(&arrival).expect("plans");
+        assert!(Arc::ptr_eq(reused_plan.compiled().unwrap(), &lent(&reused)), "slot {slot}");
+        assert!(!Arc::ptr_eq(fresh_plan.compiled().unwrap(), &lent(&fresh)), "slot {slot}");
+        assert_eq!(reused_plan.program(), fresh_plan.program(), "slot {slot}");
+        assert_eq!(reused_plan.fingerprint(), fresh_plan.fingerprint(), "slot {slot}");
+
+        reused.commit(reused_plan).expect("commits");
+        fresh.commit(fresh_plan).expect("commits");
+        assert_eq!(reused.image_fingerprints(), fresh.image_fingerprints(), "slot {slot}");
+        // the committed arrival carries the shared program on
+        let carried = reused.deployment("arrival").unwrap().compiled.clone().unwrap();
+        assert!(Arc::ptr_eq(&carried, &lent(&reused)));
+    }
+}
+
+/// A `plan_isolated` resident compiled nothing, so it lends nothing — even
+/// when its request names the arrival's source text but it runs another
+/// program.
+#[test]
+fn an_isolated_resident_lends_no_compiled_program() {
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    let expert = pooled_request("expert", 0);
+    let forward = compile_source("expert", "forward()\n").expect("compiles");
+    let planned = controller
+        .plan_isolated(&expert, isolate_user_program(&forward, "expert", 1))
+        .expect("plans");
+    assert!(planned.compiled().is_none());
+    controller.commit(planned).expect("commits");
+    assert!(controller.deployment("expert").unwrap().compiled.is_none());
+
+    let arrival = pooled_request("arrival", 0);
+    let plan = controller.plan(&arrival).expect("plans");
+    let own = compile_source("arrival", &arrival.source).expect("compiles");
+    assert_eq!(plan.compiled().unwrap().instructions, own.instructions);
 }
