@@ -45,7 +45,7 @@ impl Block {
 }
 
 /// The DAG of blocks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockDag {
     blocks: Vec<Block>,
     /// Directed edges `from -> to` over block indices.

@@ -26,20 +26,69 @@ use clickinc_ir::{
     Severity,
 };
 use clickinc_placement::{
-    place_with_cache, Assignment, PlacementConfig, PlacementNetwork, PlacementPlan, ResourceLedger,
-    SolveCache, SolveCacheStats, Weights,
+    place_prepared, Assignment, PlacementConfig, PlacementInputs, PlacementNetwork, PlacementPlan,
+    ResourceLedger, SolveCache, SolveCacheStats, Weights,
 };
 use clickinc_runtime::TenantHop;
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
-    add_slices, base_program, isolate_user_program, remove_user_program, DeploymentDelta,
+    add_slices, base_program, isolate_user_program, remove_user_program, renamed_names,
+    DeploymentDelta,
 };
 use clickinc_topology::{reduce_for_traffic, NodeHealth, NodeId, Topology};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The half of a solve no tenant name reaches, kept once per program text:
+/// the frontend's output, the block DAG and the placement inputs.  A
+/// resident shares its record by `Arc` with every later arrival of the same
+/// source text ([`Controller::plan`]), which isolates `compiled` and places
+/// on `dag` and `inputs` instead of deriving its own.
+#[derive(Debug)]
+pub struct PreparedSource {
+    /// The frontend's output for the request source, before isolation
+    /// (lowering reads the tenant name only for the program name, which
+    /// isolation overwrites).  `None` for a [`Controller::plan_isolated`]
+    /// solve, which compiled nothing and so lends nothing.
+    pub compiled: Option<IrProgram>,
+    /// The block DAG of the isolated, optimized program, used for placement.
+    pub dag: BlockDag,
+    /// What placement derives from that program and `dag` before it looks at
+    /// the network.
+    pub inputs: PlacementInputs,
+}
+
+impl PreparedSource {
+    /// Derive the record of `program`, the isolated, optimized program.
+    fn derive(compiled: Option<IrProgram>, program: &IrProgram, config: &BlockConfig) -> Self {
+        let dag = build_block_dag(program, config);
+        let inputs = PlacementInputs::new(program, &dag);
+        // derive the lazy inputs from the program they describe, so that a
+        // borrower's check below compares against its lender's facts
+        #[cfg(debug_assertions)]
+        inputs.fill(program, &dag);
+        PreparedSource { compiled, dag, inputs }
+    }
+
+    /// Check that a lent record is what the borrower's own `program` derives.
+    #[cfg(debug_assertions)]
+    fn assert_lendable_to(&self, program: &IrProgram, config: &BlockConfig) {
+        let own = PreparedSource::derive(None, program, config);
+        assert_eq!(own.dag, self.dag, "a lent block DAG is the borrower's own");
+        assert_eq!(own.inputs, self.inputs, "lent placement inputs are the borrower's own");
+    }
+}
+
+/// Where a solve takes its [`PreparedSource`] from.
+enum Preparation {
+    /// A resident's record for the same source text.
+    Lent(Arc<PreparedSource>),
+    /// Derived by this solve, with the frontend's output if it compiled one.
+    Own(Option<IrProgram>),
+}
 
 /// Everything produced by one successful deployment.
 #[derive(Debug, Clone)]
@@ -55,15 +104,11 @@ pub struct Deployment {
     pub numeric_id: i64,
     /// The isolated IR program.
     pub program: IrProgram,
-    /// The frontend's output for `request.source`, before isolation — the
-    /// compile cache: a later arrival with the same source text isolates
-    /// this program instead of compiling its own (lowering reads the tenant
-    /// name only for the program name, which isolation overwrites).  Shared
-    /// with the plan and any other resident of the same source; `None` for a
-    /// [`Controller::plan_isolated`] deployment, which compiled nothing.
-    pub compiled: Option<Arc<IrProgram>>,
-    /// The block DAG used for placement.
-    pub dag: BlockDag,
+    /// The name-free half of the solve: the compiled program, the block DAG
+    /// used for placement and the placement inputs.  Derived by this
+    /// deployment's solve or lent by a resident of the same source text, and
+    /// lent on to later arrivals of it.
+    pub prepared: Arc<PreparedSource>,
     /// The placement plan.
     pub plan: PlacementPlan,
     /// What the deployment touched (devices / co-resident programs / pods).
@@ -90,12 +135,10 @@ pub struct DeploymentPlan {
     request: ServiceRequest,
     numeric_id: i64,
     program: IrProgram,
-    /// The frontend's pre-isolation output the plan isolated — compiled by
-    /// this solve, or a resident's of the same source text — that the
-    /// committed [`Deployment::compiled`] carries on.  `None` for
-    /// [`Controller::plan_isolated`].
-    compiled: Option<Arc<IrProgram>>,
-    dag: BlockDag,
+    /// The name-free half of the solve — derived by it, or a resident's of
+    /// the same source text — that the committed [`Deployment::prepared`]
+    /// carries on.
+    prepared: Arc<PreparedSource>,
     plan: PlacementPlan,
     /// The slice cut for each non-empty assignment of `plan`, in order.
     snippets: Vec<Arc<IrProgram>>,
@@ -139,15 +182,19 @@ impl DeploymentPlan {
         &self.program
     }
 
-    /// The pre-isolation program the plan isolated, if it compiled one (see
-    /// [`Deployment::compiled`]).
-    pub fn compiled(&self) -> Option<&Arc<IrProgram>> {
-        self.compiled.as_ref()
+    /// The name-free half of the solve (see [`Deployment::prepared`]).
+    pub fn prepared(&self) -> &Arc<PreparedSource> {
+        &self.prepared
+    }
+
+    /// The pre-isolation program the plan isolated, if it compiled one.
+    pub fn compiled(&self) -> Option<&IrProgram> {
+        self.prepared.compiled.as_ref()
     }
 
     /// The block DAG used for placement.
     pub fn dag(&self) -> &BlockDag {
-        &self.dag
+        &self.prepared.dag
     }
 
     /// The solved placement (devices, per-device snippets, gain, solve time).
@@ -433,25 +480,42 @@ impl Controller {
     /// [`Controller::commit`] to make it real.
     ///
     /// A request whose source text a resident already runs skips the
-    /// frontend: it isolates that resident's compiled program
-    /// ([`Deployment::compiled`]), which is what compiling would produce.
+    /// frontend: it isolates that resident's compiled program, which is what
+    /// compiling would produce.  It also places on the resident's block DAG
+    /// and placement inputs ([`Deployment::prepared`]) — equal to its own,
+    /// because isolation prefixes every name with `{user}_` and the DAG and
+    /// the inputs read which names are shared, never a name itself.  That
+    /// holds when the renaming is uniform: no compiled name may already carry
+    /// the resident's or the arrival's prefix (isolation leaves such a name
+    /// alone).  Otherwise the solve derives its own.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
         self.check_request(request)?;
-        let resident = self
-            .deployments
-            .values()
-            .find_map(|d| d.compiled.as_ref().filter(|_| d.request.source == request.source));
-        let compiled = match resident {
-            Some(compiled) => Arc::clone(compiled),
-            None => Arc::new(self.frontend.compile_source(
-                &request.user,
-                &request.source,
-                &CompileOptions::default(),
-            )?),
+        let user = &request.user;
+        let lender = self.deployments.values().find_map(|d| {
+            let compiled = d.prepared.compiled.as_ref()?;
+            (d.request.source == request.source).then_some((d, compiled))
+        });
+        let (isolated, preparation) = match lender {
+            Some((lender, compiled)) => {
+                let isolated = isolate_user_program(compiled, user, self.next_user_id);
+                let uniform = renamed_names(compiled)
+                    .all(|name| !owned_by(name, &lender.user) && !owned_by(name, user));
+                let preparation = if uniform {
+                    Preparation::Lent(Arc::clone(&lender.prepared))
+                } else {
+                    Preparation::Own(Some(compiled.clone()))
+                };
+                (isolated, preparation)
+            }
+            None => {
+                let options = CompileOptions::default();
+                let compiled = self.frontend.compile_source(user, &request.source, &options)?;
+                let isolated = isolate_user_program(&compiled, user, self.next_user_id);
+                (isolated, Preparation::Own(Some(compiled)))
+            }
         };
-        let isolated = isolate_user_program(&compiled, &request.user, self.next_user_id);
-        self.solve_prepared(request, isolated, Some(compiled), started)
+        self.solve_prepared(request, isolated, preparation, started)
     }
 
     /// Expert variant of [`plan`](Controller::plan): place an
@@ -472,7 +536,7 @@ impl Controller {
         // slices are named after the program, and planes quiesce a tenant by
         // that name
         let program = IrProgram { name: request.user.clone(), ..program };
-        self.solve_prepared(request, program, None, started)
+        self.solve_prepared(request, program, Preparation::Own(None), started)
     }
 
     /// The checks every solve starts with: structural validity and a free
@@ -493,7 +557,7 @@ impl Controller {
         &self,
         request: &ServiceRequest,
         isolated: IrProgram,
-        compiled: Option<Arc<IrProgram>>,
+        preparation: Preparation,
         started: Instant,
     ) -> Result<DeploymentPlan, ClickIncError> {
         // resolve endpoints
@@ -526,15 +590,26 @@ impl Controller {
             &mut opt_diags,
         );
 
-        // block DAG + reduced topology + placement (memo-accelerated: the
-        // segment feasibility questions repeat across tenants and epochs)
-        let dag = build_block_dag(&isolated, &self.block_config);
+        // block DAG and placement inputs, lent or derived here, then the
+        // reduced topology and placement (memo-accelerated: the segment
+        // feasibility questions repeat across tenants and epochs)
+        let prepared = match preparation {
+            Preparation::Lent(prepared) => {
+                #[cfg(debug_assertions)]
+                prepared.assert_lendable_to(&isolated, &self.block_config);
+                prepared
+            }
+            Preparation::Own(compiled) => {
+                Arc::new(PreparedSource::derive(compiled, &isolated, &self.block_config))
+            }
+        };
         let reduced = reduce_for_traffic(&self.topology, &sources, dst, &request.traffic_weights);
         let net = PlacementNetwork::from_reduced(&self.topology, &reduced, &self.ledger);
         let weights = Weights::adaptive(self.ledger.remaining_ratio(&self.topology));
-        let plan = place_with_cache(
+        let plan = place_prepared(
             &isolated,
-            &dag,
+            &prepared.dag,
+            &prepared.inputs,
             &net,
             &PlacementConfig { weights, enable_pruning: true },
             if self.use_solve_memo { Some(&self.solve_cache) } else { None },
@@ -596,8 +671,7 @@ impl Controller {
             request: request.clone(),
             numeric_id,
             program: isolated,
-            compiled,
-            dag,
+            prepared,
             plan,
             snippets,
             predicted_remaining_ratio,
@@ -608,28 +682,36 @@ impl Controller {
         })
     }
 
-    /// Cross-tenant isolation the per-tenant `isolation` pass cannot see:
-    /// isolation prefixes names with `{user}_`, which is not prefix-free, so
-    /// tenant `a`'s `b_cache` and tenant `a_b`'s `cache` both become
-    /// `a_b_cache` — and a device's object store would hand both tenants the
-    /// one object.  An object name of `program` another resident tenant
-    /// already declares is an `isolation` error.  The verifier holds every
-    /// resident's objects to its own namespace, so only a resident whose
-    /// namespace holds one of the new names can collide.
+    /// Object-name isolation the per-tenant `isolation` pass cannot see.
+    /// Isolation prefixes names with `{user}_` and leaves a name that already
+    /// starts so alone, so tenant `u`'s `mem` and `u_mem` both become
+    /// `u_mem`: an object `program` declares twice is an `isolation` error.
+    /// And the prefix is not prefix-free, so tenant `a`'s `b_cache` and
+    /// tenant `a_b`'s `cache` both become `a_b_cache` — and a device's object
+    /// store would hand both tenants the one object.  An object name of
+    /// `program` another resident tenant already declares is an `isolation`
+    /// error too.  The verifier holds every resident's objects to its own
+    /// namespace, so only a resident whose namespace holds one of the new
+    /// names can collide.
     fn check_object_names(&self, user: &str, program: &IrProgram, out: &mut DiagnosticSet) {
+        let isolation_error = |message: String| {
+            Diagnostic::new(Severity::Error, "isolation", user, &program.name, message)
+        };
+        for (i, decl) in program.objects.iter().enumerate() {
+            if program.objects[..i].iter().any(|o| o.name == decl.name) {
+                out.push(isolation_error(format!("object `{}` is declared twice", decl.name)));
+            }
+        }
         for (owner, deployment) in &self.deployments {
             if !program.objects.iter().any(|o| owned_by(&o.name, owner)) {
                 continue;
             }
             for decl in &program.objects {
                 if deployment.program.object(&decl.name).is_some() {
-                    out.push(Diagnostic::new(
-                        Severity::Error,
-                        "isolation",
-                        user,
-                        &program.name,
-                        format!("object `{}` is already declared by tenant `{owner}`", decl.name),
-                    ));
+                    out.push(isolation_error(format!(
+                        "object `{}` is already declared by tenant `{owner}`",
+                        decl.name
+                    )));
                 }
             }
         }
@@ -669,8 +751,7 @@ impl Controller {
             request,
             numeric_id,
             program,
-            compiled,
-            dag,
+            prepared,
             plan,
             snippets,
             solved_in,
@@ -713,8 +794,7 @@ impl Controller {
             request,
             numeric_id,
             program,
-            compiled,
-            dag,
+            prepared,
             plan,
             delta,
             device_programs,

@@ -149,7 +149,7 @@ pub mod sharding;
 
 pub use adaptive::{AdaptiveOutcome, AdaptiveRuntime};
 pub use clickinc_runtime::{ShardingMode, TenantHop};
-pub use controller::{Controller, Deployment, DeploymentPlan, PlanSummary};
+pub use controller::{Controller, Deployment, DeploymentPlan, PlanSummary, PreparedSource};
 pub use error::ClickIncError;
 pub use planner::Planner;
 pub use policy::{

@@ -21,7 +21,7 @@
 //! loop stops at the first infeasible extension.  Disabling pruning (the
 //! Fig. 14(b) ablation) evaluates every combination.
 
-use crate::intra::{fit_segment, SegContext, SegFit};
+use crate::intra::{fit_segment, SegContext, SegFacts, SegFit};
 use crate::memo::{device_fingerprint, shape_fingerprint, SolveCache};
 use crate::network::{PlacementDevice, PlacementNetwork};
 use crate::objective::{cut_costs, Weights};
@@ -29,6 +29,7 @@ use crate::plan::{Assignment, PlacementError, PlacementPlan};
 use clickinc_blockdag::BlockDag;
 use clickinc_ir::IrProgram;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Configuration of the DP placement.
@@ -73,6 +74,63 @@ pub fn place(
     place_with_cache(program, dag, net, config, None)
 }
 
+/// What a solve derives from a program and its block DAG before it looks at
+/// the network: the blocks in step order, the cut cost of every boundary,
+/// the memo's shape key and the stage allocator's [`SegFacts`].
+///
+/// None of it depends on the tenant.  Isolation prefixes every temporary and
+/// object name with `{user}_` and guards every instruction on the tenant's
+/// numeric id; the bundle reads which instructions and objects share a name,
+/// never a name itself or the id.  So one program isolated under two tenants
+/// yields equal bundles — provided neither prefix was already on a name,
+/// which isolation leaves alone and which makes the renaming non-uniform —
+/// and a solve for one may use the other's ([`place_prepared`]).  The shape
+/// key and the per-kind demand are derived on first use.
+#[derive(Debug, PartialEq)]
+pub struct PlacementInputs {
+    order: Vec<usize>,
+    cuts: Vec<f64>,
+    shape: OnceLock<u128>,
+    facts: SegFacts,
+}
+
+impl PlacementInputs {
+    /// Derive the inputs of a solve over `program` grouped into `dag`.
+    pub fn new(program: &IrProgram, dag: &BlockDag) -> PlacementInputs {
+        let order = dag.blocks_by_step();
+        let cuts = cut_costs(program, dag, &order);
+        PlacementInputs { order, cuts, shape: OnceLock::new(), facts: SegFacts::new(program) }
+    }
+
+    /// The blocks in step order ([`BlockDag::blocks_by_step`]).
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// [`cut_costs`] over [`order`](PlacementInputs::order).
+    pub fn cut_costs(&self) -> &[f64] {
+        &self.cuts
+    }
+
+    /// The memo's [`shape_fingerprint`] of `program` and `dag`, the pair the
+    /// inputs were derived from.
+    pub fn shape(&self, program: &IrProgram, dag: &BlockDag) -> u128 {
+        *self.shape.get_or_init(|| shape_fingerprint(program, dag, &self.order))
+    }
+
+    /// The stage allocator's facts.
+    pub fn facts(&self) -> &SegFacts {
+        &self.facts
+    }
+
+    /// Derive everything derived on first use — the shape key and the
+    /// demand of every device kind — so two bundles compare in full.
+    pub fn fill(&self, program: &IrProgram, dag: &BlockDag) {
+        self.shape(program, dag);
+        self.facts.fill(program);
+    }
+}
+
 /// [`place`] with an optional cross-solve segment memo.
 ///
 /// With `cache` supplied, segment feasibility questions are answered from the
@@ -90,22 +148,39 @@ pub fn place_with_cache(
     cache: Option<&SolveCache>,
 ) -> Result<PlacementPlan, PlacementError> {
     let start = Instant::now();
+    let inputs = PlacementInputs::new(program, dag);
+    let plan = place_prepared(program, dag, &inputs, net, config, cache)?;
+    Ok(PlacementPlan { solve_time: start.elapsed(), ..plan })
+}
+
+/// [`place_with_cache`] on inputs derived beforehand — from `program` and
+/// `dag`, or from the same program isolated under another tenant (see
+/// [`PlacementInputs`]).  The plan is bit-identical either way.
+pub fn place_prepared(
+    program: &IrProgram,
+    dag: &BlockDag,
+    inputs: &PlacementInputs,
+    net: &PlacementNetwork,
+    config: &PlacementConfig,
+    cache: Option<&SolveCache>,
+) -> Result<PlacementPlan, PlacementError> {
+    let start = Instant::now();
     if program.is_empty() || dag.is_empty() {
         return Err(PlacementError::EmptyProgram);
     }
     if net.is_empty() {
         return Err(PlacementError::EmptyNetwork);
     }
-    let order = dag.blocks_by_step();
+    let order = &inputs.order;
     let n = order.len();
-    let cuts = cut_costs(program, dag, &order);
+    let cuts = &inputs.cuts;
     let cap_norm = net.total_available().total().max(1.0);
     let w = config.weights;
 
-    // hoisted per-solve facts: capability classes + data deps (SegContext),
-    // the canonical shape key, and one device key per candidate device
-    let ctx = SegContext::new(program);
-    let shape = cache.map(|_| shape_fingerprint(program, dag, &order));
+    // the per-program facts, the canonical shape key, and one device key
+    // per candidate device
+    let ctx = SegContext::new(program, &inputs.facts);
+    let shape = cache.map(|_| inputs.shape(program, dag));
     let client_keys: Vec<u64> = net.client.iter().map(device_fingerprint).collect();
     let server_keys: Vec<u64> = net.server.iter().map(device_fingerprint).collect();
 

@@ -81,18 +81,22 @@ const DEVICE_KINDS: usize = DeviceKind::Server as usize + 1;
 /// What a program demands of one device kind: `instruction_demand` per
 /// instruction and `object_demand` per declared object.  Both read only the
 /// model's kind and the architecture the kind fixes.
+#[derive(Debug, PartialEq)]
 struct KindDemand {
     arch: Architecture,
     instr: Vec<ResourceVector>,
     object: Vec<ResourceVector>,
 }
 
-/// Per-solve facts the stage allocator needs about a program, derived once so
-/// the placement DP (which evaluates thousands of segments per solve) reads
-/// them by index.  The answers are identical — the context is a cache of pure
-/// derivations, not a different algorithm.
-pub struct SegContext<'a> {
-    program: &'a IrProgram,
+/// The facts the stage allocator needs about a program, derived once so the
+/// placement DP (which evaluates thousands of segments per solve) reads them
+/// by index.  The answers are identical — the facts are a cache of pure
+/// derivations, not a different algorithm.  None of them reads a name, only
+/// which instructions and objects share one, so one program isolated under
+/// two tenants has equal facts and a solve for either may use them (see
+/// [`PlacementInputs`](crate::PlacementInputs)).
+#[derive(Debug, PartialEq)]
+pub struct SegFacts {
     /// Capability class per instruction index.
     class_of: Vec<clickinc_ir::CapabilityClass>,
     /// Data-dependency predecessors per instruction index (program order).
@@ -104,9 +108,9 @@ pub struct SegContext<'a> {
     demand: [OnceLock<KindDemand>; DEVICE_KINDS],
 }
 
-impl<'a> SegContext<'a> {
-    /// Precompute classes, data dependencies and object indices for `program`.
-    pub fn new(program: &'a IrProgram) -> SegContext<'a> {
+impl SegFacts {
+    /// Derive classes, data dependencies and object indices for `program`.
+    pub fn new(program: &IrProgram) -> SegFacts {
         let class_of = program
             .instructions
             .iter()
@@ -125,24 +129,46 @@ impl<'a> SegContext<'a> {
                 i.object().and_then(|name| program.objects.iter().position(|o| o.name == name))
             })
             .collect();
-        SegContext { program, class_of, data_preds, object_of, demand: Default::default() }
+        SegFacts { class_of, data_preds, object_of, demand: Default::default() }
     }
 
-    /// The program the context was built from.
-    pub fn program(&self) -> &'a IrProgram {
-        self.program
+    /// Fill the demand of every device kind, not only the kinds a solve met,
+    /// so two sets of facts compare in full.
+    pub(crate) fn fill(&self, program: &IrProgram) {
+        for kind in DeviceKind::PROGRAMMABLE.into_iter().chain([DeviceKind::Server]) {
+            self.demand_on(program, &kind.model());
+        }
     }
 
-    fn demand_on(&self, model: &DeviceModel) -> &KindDemand {
+    fn demand_on(&self, program: &IrProgram, model: &DeviceModel) -> &KindDemand {
         let demand = self.demand[model.kind as usize].get_or_init(|| KindDemand {
             arch: model.arch,
-            instr: (self.program.instructions.iter())
-                .map(|i| instruction_demand(model, self.program, i))
+            instr: (program.instructions.iter())
+                .map(|i| instruction_demand(model, program, i))
                 .collect(),
-            object: self.program.objects.iter().map(|o| object_demand(model, &o.kind)).collect(),
+            object: program.objects.iter().map(|o| object_demand(model, &o.kind)).collect(),
         });
         debug_assert_eq!(demand.arch, model.arch, "a device kind fixes its architecture");
         demand
+    }
+}
+
+/// A program with its [`SegFacts`]: what the stage allocator reads.
+pub struct SegContext<'a> {
+    program: &'a IrProgram,
+    facts: &'a SegFacts,
+}
+
+impl<'a> SegContext<'a> {
+    /// Pair `program` with facts derived from it (or from the same program
+    /// isolated under another tenant).
+    pub fn new(program: &'a IrProgram, facts: &'a SegFacts) -> SegContext<'a> {
+        SegContext { program, facts }
+    }
+
+    /// The program the context reads.
+    pub fn program(&self) -> &'a IrProgram {
+        self.program
     }
 }
 
@@ -155,7 +181,7 @@ pub fn allocate_stages(
     program: &IrProgram,
     instrs: &[usize],
 ) -> Option<StageAllocation> {
-    allocate_stages_with(device, &SegContext::new(program), instrs)
+    allocate_stages_with(device, &SegContext::new(program, &SegFacts::new(program)), instrs)
 }
 
 /// [`allocate_stages`] with the per-program derivations supplied by a
@@ -184,7 +210,8 @@ pub(crate) fn fit_segment(
         return Some(SegFit::EMPTY);
     }
     // capability check (constraint 3 of §5.4)
-    if !instrs.iter().all(|&i| device.supports(ctx.class_of[i])) {
+    let facts = ctx.facts;
+    if !instrs.iter().all(|&i| device.supports(facts.class_of[i])) {
         return None;
     }
 
@@ -192,12 +219,12 @@ pub(crate) fn fit_segment(
     // for RTC devices).  Summed in `block_demand`'s order — each instruction,
     // then its object on first sight — so every `f64` is bit-equal to it.
     let model = &device.model;
-    let kind_demand = ctx.demand_on(model);
+    let kind_demand = facts.demand_on(ctx.program, model);
     let mut object_seen = vec![false; kind_demand.object.len()];
     let mut demand = ResourceVector::ZERO;
     for &i in instrs {
         demand += kind_demand.instr[i];
-        if let Some(object) = ctx.object_of[i] {
+        if let Some(object) = facts.object_of[i] {
             if !std::mem::replace(&mut object_seen[object], true) {
                 demand += kind_demand.object[object];
             }
@@ -233,13 +260,13 @@ pub(crate) fn fit_segment(
     // per instruction index, the first stage open to what depends on it: one
     // past its own once placed, 0 while it is not (and only members of
     // `instrs` ever are, so a dependency outside the segment constrains nothing)
-    let mut open_after = vec![0usize; ctx.class_of.len()];
+    let mut open_after = vec![0usize; facts.class_of.len()];
     let mut stage_use: Vec<ResourceVector> = vec![ResourceVector::ZERO; stages];
     let mut stages_used = 0;
 
     for &i in &order {
         let need = kind_demand.instr[i];
-        let min_stage = ctx.data_preds[i].iter().map(|&p| open_after[p]).max().unwrap_or(0);
+        let min_stage = facts.data_preds[i].iter().map(|&p| open_after[p]).max().unwrap_or(0);
         let stage =
             (min_stage..stages).find(|&s| (stage_use[s] + need).fits_within(&per_stage_budget))?;
         stage_use[stage] += need;
@@ -461,7 +488,8 @@ mod tests {
                 device.available[r] *= 1.0 - used;
             }
 
-            let ctx = SegContext::new(program);
+            let facts = SegFacts::new(program);
+            let ctx = SegContext::new(program, &facts);
             let reference = reference_allocation(&device, program, &instrs);
             let allocation = allocate_stages_with(&device, &ctx, &instrs);
             proptest::prop_assert_eq!(&allocation, &reference);

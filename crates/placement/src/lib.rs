@@ -18,7 +18,9 @@
 //!   (pipeline devices respect stage ordering and per-stage resources; RTC
 //!   devices only check aggregate resources);
 //! * [`dp`] — Algorithm 1: the bottom-up dynamic program over the client-side
-//!   sub-tree plus the server-side chain, with the pruning rules of §5.4;
+//!   sub-tree plus the server-side chain, with the pruning rules of §5.4, and
+//!   the name-free [`PlacementInputs`] it derives from a program before it
+//!   looks at the network;
 //! * [`smt`] — the SMT-style exhaustive baseline used by Table 4 / Fig. 14:
 //!   a backtracking search over per-block device/stage assignments with the
 //!   same constraint set but no structural decomposition (exponential in the
@@ -38,9 +40,9 @@ pub mod plan;
 pub mod smt;
 
 pub use dp::place as solve;
-pub use dp::{place, place_with_cache, PlacementConfig};
+pub use dp::{place, place_prepared, place_with_cache, PlacementConfig, PlacementInputs};
 pub use greedy::place_greedy;
-pub use intra::{allocate_stages, allocate_stages_with, SegContext, StageAllocation};
+pub use intra::{allocate_stages, allocate_stages_with, SegContext, SegFacts, StageAllocation};
 pub use memo::{device_fingerprint, shape_fingerprint, SolveCache, SolveCacheStats};
 pub use network::{PlacementDevice, PlacementNetwork, ResourceLedger};
 pub use objective::{cut_costs, Weights};

@@ -7,6 +7,16 @@
 
 use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
 
+/// The names [`isolate_user_program`] prefixes, with repeats: every declared
+/// object, and every temporary or object an instruction writes, reads or
+/// names.  Headers and metadata keep their names.
+pub fn renamed_names(program: &IrProgram) -> impl Iterator<Item = &str> {
+    let declared = program.objects.iter().map(|o| o.name.as_str());
+    let used = program.instructions.iter();
+    let used = used.flat_map(|i| i.read_vars().chain(i.dest()).chain(i.object()));
+    declared.chain(used)
+}
+
 /// Rewrite a user program so every object, temporary variable and owner
 /// annotation is prefixed with the user id, and every instruction is guarded by
 /// a match on the user's INC header id (`meta.inc_user == user_numeric_id`).

@@ -4,10 +4,11 @@
 //! statement the backends emit from it — must test that id too, or the
 //! emitted programs run tenant instructions on everyone's packets.  Nor may
 //! two tenants' names meet in emitted code: user ids are identifiers, so
-//! every table and register a device image declares is declared once.
+//! every table and register a device image declares is declared once.  Nor
+//! may isolation fold two of one tenant's object names into one.
 
 use clickinc::device::DeviceKind;
-use clickinc::ir::{CmpOp, Operand, Predicate};
+use clickinc::ir::{CmpOp, Operand, Predicate, Severity};
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
     MlAggParams,
@@ -210,4 +211,35 @@ fn a_template_fill_declares_every_table_and_register_once() {
         }
     }
     assert!(declared > 16, "the fill declares tables and registers");
+}
+
+/// Isolation prefixes a tenant's object names with `{user}_` and leaves a
+/// name that already starts so alone: deployed as `u`, sketches `mem` and
+/// `u_mem` would both become `u_mem`, one sketch both counts hit.  The plan
+/// refuses that as an isolation error; under another id the program deploys
+/// with two sketches.
+#[test]
+fn object_names_that_isolation_would_merge_are_refused() {
+    let sketch = "Sketch(type=\"count-min\", rows=1, cols=64, w=32)";
+    let source = format!(
+        "mem = {sketch}\nu_mem = {sketch}\n\
+         first = count(mem, hdr.key, 1)\nsecond = count(u_mem, hdr.key, 1)\nforward()\n"
+    );
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    let refused = controller.deploy(ServiceRequest::new("u", &source, &["pod0a"], "pod2b"));
+    let Err(ClickIncError::Verification { user, diagnostics }) = refused.map(|_| ()) else {
+        panic!("a merged object must be refused at plan time");
+    };
+    assert_eq!(user, "u");
+    let errors: Vec<_> = diagnostics.at(Severity::Error).collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert_eq!(errors[0].pass, "isolation");
+    assert_eq!(errors[0].message, "object `u_mem` is declared twice");
+    assert_eq!(controller.tenant_count(), 0);
+
+    let deployment = controller
+        .deploy(ServiceRequest::new("v", &source, &["pod0a"], "pod2b"))
+        .expect("no name carries the `v_` prefix");
+    let objects: Vec<&str> = deployment.program.objects.iter().map(|o| o.name.as_str()).collect();
+    assert_eq!(objects, ["v_mem", "v_u_mem"]);
 }

@@ -3,16 +3,22 @@
 //! one solving every subproblem from scratch, whatever the arrival and
 //! departure sequence), and no plan solved after a device failure touches
 //! the failed device, while a restore converges placements back.  So is the
-//! compile reuse: an arrival isolating a resident's compiled program plans
-//! and installs exactly what compiling its own source would.
+//! same-source reuse: an arrival isolating a resident's compiled program and
+//! placing on its block DAG and placement inputs plans and installs exactly
+//! what compiling and preparing its own source would.
 
+use clickinc::blockdag::{build_block_dag, BlockConfig};
 use clickinc::frontend::compile_source;
+use clickinc::ir::{
+    AluOp, CmpOp, DiagnosticSet, Guard, HashAlgo, IrProgram, Operand, Optimizer, Predicate,
+    ProgramBuilder, ValueType,
+};
 use clickinc::synthesis::isolate_user_program;
 use clickinc::{ClickIncService, Controller, ServiceRequest};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
-use clickinc_placement::PlacementPlan;
+use clickinc_placement::{PlacementInputs, PlacementPlan};
 use clickinc_topology::Topology;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -199,8 +205,9 @@ fn retexted(mut request: ServiceRequest) -> ServiceRequest {
 }
 
 /// For every pooled shape: an arrival whose source a resident runs reuses
-/// that resident's compiled program, and plans, fingerprints and installs
-/// exactly as on a controller where that resident left first.  Both
+/// that resident's compiled program, block DAG and placement inputs, and
+/// plans, fingerprints and installs exactly as on a controller where that
+/// resident left first.  Both
 /// controllers deploy `donor` twice with a removal between — once from the
 /// arrival's text and once from an equivalent one, in opposite orders — so
 /// they reach one ledger, epoch and next numeric id.
@@ -219,27 +226,33 @@ fn a_same_source_arrival_plans_and_installs_as_a_fresh_compile_would() {
         let mut reused = setup(retexted(donor.clone()), donor.clone());
         let mut fresh = setup(donor.clone(), retexted(donor));
         assert_eq!(reused.epoch(), fresh.epoch());
-        let lent = |c: &Controller| c.deployment("donor").unwrap().compiled.clone().unwrap();
+        let lent = |c: &Controller| Arc::clone(&c.deployment("donor").unwrap().prepared);
 
         let reused_plan = reused.plan(&arrival).expect("plans");
         let fresh_plan = fresh.plan(&arrival).expect("plans");
-        assert!(Arc::ptr_eq(reused_plan.compiled().unwrap(), &lent(&reused)), "slot {slot}");
-        assert!(!Arc::ptr_eq(fresh_plan.compiled().unwrap(), &lent(&fresh)), "slot {slot}");
+        assert!(Arc::ptr_eq(reused_plan.prepared(), &lent(&reused)), "slot {slot}");
+        assert!(!Arc::ptr_eq(fresh_plan.prepared(), &lent(&fresh)), "slot {slot}");
         assert_eq!(reused_plan.program(), fresh_plan.program(), "slot {slot}");
+        assert_eq!(reused_plan.dag(), fresh_plan.dag(), "slot {slot}");
+        let untimed = |plan: &clickinc::DeploymentPlan| PlacementPlan {
+            solve_time: Default::default(),
+            ..plan.placement().clone()
+        };
+        assert_eq!(untimed(&reused_plan), untimed(&fresh_plan), "slot {slot}");
         assert_eq!(reused_plan.fingerprint(), fresh_plan.fingerprint(), "slot {slot}");
 
         reused.commit(reused_plan).expect("commits");
         fresh.commit(fresh_plan).expect("commits");
         assert_eq!(reused.image_fingerprints(), fresh.image_fingerprints(), "slot {slot}");
-        // the committed arrival carries the shared program on
-        let carried = reused.deployment("arrival").unwrap().compiled.clone().unwrap();
-        assert!(Arc::ptr_eq(&carried, &lent(&reused)));
+        // the committed arrival carries the shared record on
+        let carried = &reused.deployment("arrival").unwrap().prepared;
+        assert!(Arc::ptr_eq(carried, &lent(&reused)));
     }
 }
 
-/// A `plan_isolated` resident compiled nothing, so it lends nothing — even
-/// when its request names the arrival's source text but it runs another
-/// program.
+/// A `plan_isolated` resident compiled nothing, so it lends nothing — no
+/// compiled program and no solve inputs — even when its request names the
+/// arrival's source text but it runs another program.
 #[test]
 fn an_isolated_resident_lends_no_compiled_program() {
     let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
@@ -250,10 +263,84 @@ fn an_isolated_resident_lends_no_compiled_program() {
         .expect("plans");
     assert!(planned.compiled().is_none());
     controller.commit(planned).expect("commits");
-    assert!(controller.deployment("expert").unwrap().compiled.is_none());
+    let resident = Arc::clone(&controller.deployment("expert").unwrap().prepared);
+    assert!(resident.compiled.is_none());
 
     let arrival = pooled_request("arrival", 0);
     let plan = controller.plan(&arrival).expect("plans");
     let own = compile_source("arrival", &arrival.source).expect("compiles");
     assert_eq!(plan.compiled().unwrap().instructions, own.instructions);
+    assert!(!Arc::ptr_eq(plan.prepared(), &resident));
+    assert_ne!(plan.dag(), &resident.dag);
+}
+
+/// A well-formed program over three arrays and a hash unit, in the style of
+/// `crates/ir/tests/slice.rs`: each seed byte appends one instruction, and
+/// every third one past the first is guarded on the temporary before it.
+fn arb_program(seed: &[u8]) -> IrProgram {
+    let mut b = ProgramBuilder::new("prop");
+    b.header("x", ValueType::Bit(32));
+    for name in ["s0", "s1", "s2"] {
+        b.array(name, 1, 64, 32);
+    }
+    b.hash_fn("h", HashAlgo::Crc16, Some(64));
+    for (i, byte) in seed.iter().enumerate() {
+        let var = format!("v{i}");
+        let index = vec![Operand::int(i64::from(*byte % 64))];
+        let last = if i == 0 { Operand::hdr("x") } else { Operand::var(format!("v{}", i - 1)) };
+        match byte % 6 {
+            0 => b.alu(&var, AluOp::Add, last, Operand::int(i64::from(*byte))),
+            1 => b.alu(&var, AluOp::Add, Operand::int(1), Operand::int(i64::from(*byte))),
+            2 => b.get(&var, "s0", index),
+            3 => b.count(Some(&var), "s1", index, Operand::int(1)),
+            4 => b.hash(&var, "h", vec![last]),
+            _ => b.write("s2", index, vec![last]).assign(&var, Operand::hdr("x")),
+        };
+    }
+    b.set_header("x", Operand::var(format!("v{}", seed.len() - 1)));
+    b.forward();
+    let mut program = b.build().expect("generated program is well-formed");
+    for i in (3..program.instructions.len()).step_by(3) {
+        let Some(prev) = program.instructions[i - 1].dest().map(str::to_string) else { continue };
+        let guard = Predicate::new(Operand::var(&prev), CmpOp::Ne, Operand::int(0));
+        program.instructions[i].guard = Some(Guard::single(guard));
+    }
+    program
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What a same-source arrival borrows is name-invariant: one program
+    /// isolated under two tenants and numeric ids, then optimized, has equal
+    /// block DAGs, step orders, cut costs, shape keys and allocator facts.
+    #[test]
+    fn the_lent_solve_inputs_are_name_invariant(
+        seed in proptest::collection::vec(any::<u8>(), 1..24),
+        tenant_a in 0usize..4,
+        tenant_b in 0usize..4,
+        id_a in 1i64..1_000,
+        id_b in 1i64..1_000,
+    ) {
+        const NAMES: [&str; 4] = ["a", "tenant7", "c12", "zz_top"];
+        let program = arb_program(&seed);
+        let derive = |user: &str, id: i64| {
+            let isolated = isolate_user_program(&program, user, id);
+            let mut diagnostics = DiagnosticSet::new();
+            let program =
+                Optimizer::with_default_passes().optimize(user, true, &isolated, &mut diagnostics);
+            let dag = build_block_dag(&program, &BlockConfig::default());
+            let inputs = PlacementInputs::new(&program, &dag);
+            inputs.fill(&program, &dag);
+            (program, dag, inputs)
+        };
+        let (program_a, dag_a, a) = derive(NAMES[tenant_a], id_a);
+        let (program_b, dag_b, b) = derive(NAMES[tenant_b], id_b);
+        prop_assert_eq!(&dag_a, &dag_b);
+        prop_assert_eq!(a.order(), b.order());
+        prop_assert_eq!(a.cut_costs(), b.cut_costs());
+        prop_assert_eq!(a.shape(&program_a, &dag_a), b.shape(&program_b, &dag_b));
+        prop_assert_eq!(a.facts(), b.facts());
+        prop_assert_eq!(&a, &b);
+    }
 }
