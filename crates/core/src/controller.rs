@@ -13,12 +13,16 @@
 //! The controller runs no packets.  What a device runs for a tenant is one
 //! `Arc<IrProgram>` slice, cut by `plan`, merged into the device image by
 //! `commit` and handed out by [`Controller::tenant_hops`]; the traffic engine
-//! (or a test's hop-built [`TenantHop::plane`]) is the data plane.
+//! (or a test's hop-built [`TenantHop::plane`]) is the data plane.  Nor does
+//! a commit emit device code: a tenant's own code is emitted on its first
+//! read ([`DevicePrograms`]), a device's whole code on request
+//! ([`Controller::device_program`]).
 
 use crate::error::ClickIncError;
 use crate::request::ServiceRequest;
 use clickinc_backend::DeviceProgram;
 use clickinc_blockdag::{build_block_dag, BlockConfig, BlockDag};
+use clickinc_device::DeviceKind;
 use clickinc_frontend::{CompileOptions, Frontend};
 use clickinc_ir::analysis::{owned_by, DeviceTarget, PlacedSnippet};
 use clickinc_ir::{
@@ -33,13 +37,14 @@ use clickinc_runtime::TenantHop;
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
-    add_slices, base_program, isolate_user_program, remove_user_program, renamed_names,
-    DeploymentDelta,
+    add_slices, base_program, extend_image, isolate_user_program, remove_user_program_from,
+    renamed_names, DeploymentDelta,
 };
 use clickinc_topology::{reduce_for_traffic, NodeHealth, NodeId, Topology};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The half of a solve no tenant name reaches, kept once per program text:
@@ -113,14 +118,70 @@ pub struct Deployment {
     pub plan: PlacementPlan,
     /// What the deployment touched (devices / co-resident programs / pods).
     pub delta: DeploymentDelta,
-    /// Generated device-language programs, one per physical device touched:
-    /// the device's whole merged image **as of this tenant's commit**.
-    pub device_programs: BTreeMap<NodeId, DeviceProgram>,
+    /// This tenant's device-language code, one program per physical device
+    /// it occupies: the operator's base program merged with **only this
+    /// tenant's** slices, emitted on first read.  The device's whole code,
+    /// co-residents included, is [`Controller::device_program`].
+    pub device_programs: DevicePrograms,
     /// The IR slices each device runs for this tenant, in install order — the
     /// allocations the verifier saw, and what a serving runtime installs.
     pub snippets: BTreeMap<NodeId, Vec<Arc<IrProgram>>>,
     /// End-to-end compile + place + synthesize latency.
     pub elapsed: Duration,
+}
+
+/// A tenant's device code, emitted on first read and kept: per device the
+/// tenant occupies, the operator's base program with only this tenant's
+/// slices merged in ([`extend_image`], so every tenant statement tests the
+/// tenant's id), in the device's language.  It holds the slices
+/// [`Deployment::snippets`] holds, so co-residents' commits and removals
+/// never reach it: the text is the same for the tenant's whole lifetime.
+///
+/// Read the programs through [`emitted`](DevicePrograms::emitted).  The type
+/// also dereferences to that map because `benchmark/` reads
+/// `deployment.device_programs.values()` as if it were the map, and changes
+/// only with the benchmark; the `Deref` can go once it reads `emitted`.
+#[derive(Debug, Clone)]
+pub struct DevicePrograms {
+    base: Arc<BaseProgram>,
+    /// Per occupied device: its kind and the tenant's slices, in install
+    /// order.
+    slices: BTreeMap<NodeId, (DeviceKind, Vec<Arc<IrProgram>>)>,
+    emitted: OnceLock<BTreeMap<NodeId, DeviceProgram>>,
+}
+
+impl DevicePrograms {
+    /// The programs by device, emitted on the first call.
+    pub fn emitted(&self) -> &BTreeMap<NodeId, DeviceProgram> {
+        self.emitted.get_or_init(|| {
+            let mut emitted = BTreeMap::new();
+            for (device, (kind, slices)) in &self.slices {
+                let mut image = self.base.image();
+                for slice in slices {
+                    extend_image(&mut image, slice, self.base.tail.len());
+                }
+                emitted.insert(*device, clickinc_backend::generate(*kind, &image));
+            }
+            emitted
+        })
+    }
+}
+
+impl Deref for DevicePrograms {
+    type Target = BTreeMap<NodeId, DeviceProgram>;
+
+    fn deref(&self) -> &Self::Target {
+        self.emitted()
+    }
+}
+
+impl<'a> IntoIterator for &'a DevicePrograms {
+    type Item = (&'a NodeId, &'a DeviceProgram);
+    type IntoIter = btree_map::Iter<'a, NodeId, DeviceProgram>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.emitted().iter()
+    }
 }
 
 /// A fully solved deployment that has **not** touched the ledger or the
@@ -328,8 +389,9 @@ pub struct Controller {
     topology: Topology,
     ledger: ResourceLedger,
     images: DeviceImages,
-    /// The operator's base program every device image starts from.
-    base: BaseProgram,
+    /// The operator's base program every device image starts from, shared
+    /// with every tenant's [`DevicePrograms`].
+    base: Arc<BaseProgram>,
     /// Device → pod, for the affected-traffic metric of every delta.
     pod_of: BTreeMap<NodeId, Option<usize>>,
     deployments: BTreeMap<String, Deployment>,
@@ -357,7 +419,7 @@ impl Controller {
             topology,
             ledger: ResourceLedger::new(),
             images: DeviceImages::default(),
-            base: base_program(),
+            base: Arc::new(base_program()),
             deployments: BTreeMap::new(),
             next_user_id: 1,
             epoch: 0,
@@ -448,6 +510,14 @@ impl Controller {
     /// resident tenant's slices merged in — what the backends emit from.
     pub fn images(&self) -> &DeviceImages {
         &self.images
+    }
+
+    /// The device-language code of `device`'s running image, every resident
+    /// tenant's slices included — what the device is loaded with.  Emitted
+    /// on every call; `None` if no tenant was ever placed on the device.
+    pub fn device_program(&self, device: NodeId) -> Option<DeviceProgram> {
+        let image = self.images.images.get(&device)?;
+        Some(clickinc_backend::generate(self.topology.node(device).kind, image))
     }
 
     /// Fingerprints of what tenants own in each running device image, by
@@ -717,10 +787,10 @@ impl Controller {
         }
     }
 
-    /// Commit a [`DeploymentPlan`]: book the ledger resources, merge the
-    /// plan's slices into their devices' images and emit each touched
-    /// device's code.  The caller's data plane installs
-    /// [`Controller::tenant_hops`].
+    /// Commit a [`DeploymentPlan`]: book the ledger resources and merge the
+    /// plan's slices into their devices' images.  No device code is emitted
+    /// here (see [`Deployment::device_programs`]).  The caller's data plane
+    /// installs [`Controller::tenant_hops`].
     ///
     /// Atomicity: every fallible check (stale epoch, duplicate user) runs
     /// *before* the first mutation, so an `Err` return leaves the ledger,
@@ -769,22 +839,23 @@ impl Controller {
             }
         }
 
-        // synthesize with the base program, then emit every touched device
-        // once, from its merged image
+        // synthesize with the base program
         let delta = add_slices(
             &mut self.images,
             &self.base,
             placed(&plan, &snippets).map(|(a, snippet)| (a.members.as_slice(), &**snippet)),
             &self.pod_of,
         );
-        let device_programs = delta
-            .affected_devices
-            .iter()
-            .map(|device| {
-                let kind = self.topology.node(*device).kind;
-                (*device, clickinc_backend::generate(kind, &self.images.images[device]))
-            })
-            .collect();
+        let device_programs = DevicePrograms {
+            base: Arc::clone(&self.base),
+            slices: installed
+                .iter()
+                .map(|(device, slices)| {
+                    (*device, (self.topology.node(*device).kind, slices.clone()))
+                })
+                .collect(),
+            emitted: OnceLock::new(),
+        };
 
         self.next_user_id += 1;
         self.epoch += 1;
@@ -824,7 +895,9 @@ impl Controller {
                 self.ledger.release(*member, assignment.demand);
             }
         }
-        let delta = remove_user_program(&mut self.images, user, &self.pod_of);
+        // only the tenant's own devices hold anything of it
+        let devices = deployment.snippets.keys().copied();
+        let delta = remove_user_program_from(&mut self.images, user, devices, &self.pod_of);
         self.epoch += 1;
         Ok(delta)
     }

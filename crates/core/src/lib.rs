@@ -149,7 +149,9 @@ pub mod sharding;
 
 pub use adaptive::{AdaptiveOutcome, AdaptiveRuntime};
 pub use clickinc_runtime::{ShardingMode, TenantHop};
-pub use controller::{Controller, Deployment, DeploymentPlan, PlanSummary, PreparedSource};
+pub use controller::{
+    Controller, Deployment, DeploymentPlan, DevicePrograms, PlanSummary, PreparedSource,
+};
 pub use error::ClickIncError;
 pub use planner::Planner;
 pub use policy::{

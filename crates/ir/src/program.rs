@@ -113,14 +113,11 @@ impl IrProgram {
     /// All user ids that own at least one instruction or object.
     pub fn owners(&self) -> BTreeSet<String> {
         let mut set = BTreeSet::new();
-        for i in &self.instructions {
-            for o in &i.owners {
+        // a tenant owns many instructions: copy its id only at first sight
+        let owners = self.instructions.iter().flat_map(|i| &i.owners);
+        for o in owners.chain(self.objects.iter().filter_map(|o| o.owner.as_ref())) {
+            if !set.contains(o) {
                 set.insert(o.clone());
-            }
-        }
-        for o in &self.objects {
-            if let Some(owner) = &o.owner {
-                set.insert(owner.clone());
             }
         }
         set

@@ -144,14 +144,28 @@ pub fn add_user_program_monolithic(
 /// Remove a user program from every image (lazy removal): its annotations are
 /// stripped, orphaned instructions become `NoOp`s (dropped by the next
 /// deployment onto the device, see [`extend_image`]), and its objects are
-/// released.
+/// released.  The all-images case of [`remove_user_program_from`].
 pub fn remove_user_program(
     images: &mut DeviceImages,
     user: &str,
     pod_of: &BTreeMap<NodeId, Option<usize>>,
 ) -> DeploymentDelta {
+    let devices: Vec<NodeId> = images.images.keys().copied().collect();
+    remove_user_program_from(images, user, devices, pod_of)
+}
+
+/// [`remove_user_program`] restricted to the images of `devices` — the
+/// devices the user was placed on, since a device that does not host the
+/// user holds nothing of it.  Devices without an image are skipped.
+pub fn remove_user_program_from(
+    images: &mut DeviceImages,
+    user: &str,
+    devices: impl IntoIterator<Item = NodeId>,
+    pod_of: &BTreeMap<NodeId, Option<usize>>,
+) -> DeploymentDelta {
     let mut delta = DeploymentDelta::default();
-    for (device, image) in images.images.iter_mut() {
+    for device in devices {
+        let Some(image) = images.images.get_mut(&device) else { continue };
         let mut touched = false;
         for instr in &mut image.instructions {
             let before = instr.owners.len();
@@ -171,7 +185,7 @@ pub fn remove_user_program(
             touched = true;
         }
         if touched {
-            delta.touch(*device, pod_of);
+            delta.touch(device, pod_of);
             for other in image.owners() {
                 if other != user {
                     delta.affected_programs.insert(other);

@@ -31,6 +31,8 @@ pub mod isolation;
 pub mod merge;
 
 pub use base::base_program;
-pub use incremental::{add_slices, add_user_program, remove_user_program, DeploymentDelta};
+pub use incremental::{
+    add_slices, add_user_program, remove_user_program, remove_user_program_from, DeploymentDelta,
+};
 pub use isolation::{isolate_user_program, renamed_names};
 pub use merge::extend_image;

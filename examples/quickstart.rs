@@ -62,16 +62,21 @@ forward()
     let tenant = service.commit(plan).expect("commit succeeds");
     println!("\ncommitted as tenant `{}` (numeric id {})", tenant.user(), tenant.numeric_id());
 
-    println!("\ngenerated device programs:");
+    // Device code is emitted on read: the tenant's own code (the base program
+    // with only its slices), and each device's whole code as it is loaded.
+    println!("\ngenerated device programs (tenant's own code / whole device):");
     {
         let controller = service.controller();
         let deployment = controller.deployment("heavyhitter_0").expect("tenant is active");
         for (node, program) in &deployment.device_programs {
+            let device =
+                controller.device_program(*node).expect("the tenant's device has an image");
             println!(
-                "  {} ({}): {} lines of {}",
+                "  {} ({}): {} / {} lines of {}",
                 controller.topology().node(*node).name,
                 controller.topology().node(*node).kind,
                 program.lines_of_code(),
+                device.lines_of_code(),
                 program.language
             );
         }

@@ -7,17 +7,20 @@
 //! every table and register a device image declares is declared once.  Nor
 //! may isolation fold two of one tenant's object names into one.
 
+use clickinc::backend::{generate, DeviceProgram};
 use clickinc::device::DeviceKind;
-use clickinc::ir::{CmpOp, Operand, Predicate, Severity};
+use clickinc::ir::{CmpOp, IrProgram, Operand, Predicate, Severity};
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
     MlAggParams,
 };
+use clickinc::synthesis::{base_program, extend_image, remove_user_program};
 use clickinc::topology::{NodeId, Topology};
 use clickinc::{
     ClickIncError, ClickIncService, Controller, MaxTenants, RequestError, ServiceRequest,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 fn tenant_match(id: i64) -> Predicate {
     Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(id))
@@ -74,47 +77,53 @@ fn two_kvs_tenants_on_a_shared_device(topology: Topology) {
     assert!(owned > 0);
     assert!(shared.iter().all(|d| controller.images().images[d].owners().len() == 2));
 
-    // the emitted code, as of each tenant's commit
+    // every `// @owner:` line of emitted code tests each owner's id
+    let annotated_owners = |device: NodeId, program: &DeviceProgram| {
+        let mut annotated = 0usize;
+        for line in program.source.lines() {
+            let Some((_, owners)) = line.split_once("// @owner: ") else { continue };
+            for owner in owners.trim().split(',') {
+                let test = format!("(meta.inc_user == {})", id_of(owner));
+                assert!(line.contains(&test), "{device:?} {}: `{line}`", program.language);
+                annotated += 1;
+            }
+        }
+        assert!(annotated > 0 || !program.language.starts_with("P4"));
+    };
+
+    // each tenant's own code
     for user in ["kvs_a", "kvs_b"] {
         let deployment = controller.deployment(user).expect("active");
         assert!(!deployment.device_programs.is_empty());
         for (device, program) in &deployment.device_programs {
-            let mut annotated = 0usize;
-            for line in program.source.lines() {
-                let Some((_, owners)) = line.split_once("// @owner: ") else { continue };
-                for owner in owners.trim().split(',') {
-                    let test = format!("(meta.inc_user == {})", id_of(owner));
-                    assert!(line.contains(&test), "{device:?} {}: `{line}`", program.language);
-                    annotated += 1;
-                }
-            }
-            // every backend, annotated or not: one tenant-id test per
-            // tenant-owned instruction of the image the code was emitted from
-            // (kvs_b committed last, so its programs are the current images),
-            // and an INC header of exactly the fields the data plane has
-            // (`inc_user`, `step`, the image's declared headers)
-            if user == "kvs_b" {
-                let image = &controller.images().images[device];
-                let mut declared = vec!["inc_user", "step"];
-                declared.extend(image.headers.iter().map(|h| h.name.as_str()));
-                for kind in DeviceKind::PROGRAMMABLE {
-                    // only P4 devices host these tenants: emit the image for
-                    // every target (the HLS packet record also carries the
-                    // kernel's `drop` verdict)
-                    let emitted = clickinc::backend::generate(kind, image);
-                    let verdict = emitted.language.ends_with("HLS").then_some("drop");
-                    let expected: Vec<&str> = declared.iter().copied().chain(verdict).collect();
-                    assert_eq!(inc_header_fields(&emitted.source), expected, "{kind}");
-                }
-                for owner in image.owners() {
-                    let instrs =
-                        image.instructions.iter().filter(|i| i.owners.contains(&owner)).count();
-                    let test = format!("(meta.inc_user == {})", id_of(&owner));
-                    let tests = program.source.matches(&test).count();
-                    assert_eq!(tests, instrs, "{device:?} {}: {owner}", program.language);
-                }
-                assert!(annotated > 0 || !program.language.starts_with("P4"));
-            }
+            annotated_owners(*device, program);
+        }
+    }
+
+    // the whole code of every device, as it is loaded
+    for (device, image) in &controller.images().images {
+        let program = controller.device_program(*device).expect("the device has an image");
+        annotated_owners(*device, &program);
+        // every backend, annotated or not: one tenant-id test per
+        // tenant-owned instruction of the image, and an INC header of exactly
+        // the fields the data plane has (`inc_user`, `step`, the image's
+        // declared headers)
+        let mut declared = vec!["inc_user", "step"];
+        declared.extend(image.headers.iter().map(|h| h.name.as_str()));
+        for kind in DeviceKind::PROGRAMMABLE {
+            // only P4 devices host these tenants: emit the image for every
+            // target (the HLS packet record also carries the kernel's `drop`
+            // verdict)
+            let emitted = generate(kind, image);
+            let verdict = emitted.language.ends_with("HLS").then_some("drop");
+            let expected: Vec<&str> = declared.iter().copied().chain(verdict).collect();
+            assert_eq!(inc_header_fields(&emitted.source), expected, "{kind}");
+        }
+        for owner in image.owners() {
+            let instrs = image.instructions.iter().filter(|i| i.owners.contains(&owner)).count();
+            let test = format!("(meta.inc_user == {})", id_of(&owner));
+            let tests = program.source.matches(&test).count();
+            assert_eq!(tests, instrs, "{device:?} {}: {owner}", program.language);
         }
     }
 }
@@ -181,36 +190,160 @@ fn p4_declarations(source: &str) -> BTreeMap<&str, usize> {
     counts
 }
 
+/// Deploy up to `tenants` tenants `u0`, `u1`, … cycling KVS / MLAgg / CMS /
+/// DQAcc templates over the four source hosts, until the first that does not
+/// place; returns the deployed users.
+fn template_fill(controller: &mut Controller, tenants: usize, mlagg: MlAggParams) -> Vec<String> {
+    let sources = ["pod0a", "pod1a", "pod0b", "pod1b"];
+    let mut deployed = Vec::new();
+    for i in 0..tenants {
+        let user = format!("u{i}");
+        let template = match i % 4 {
+            0 => kvs_template(&user, KvsParams::default()),
+            1 => mlagg_template(&user, mlagg),
+            2 => count_min_sketch(&user, 3, 1024),
+            _ => dqacc_template(&user, DqAccParams::default()),
+        };
+        let request = ServiceRequest::from_template(template, &[sources[i % 4]], "pod2b");
+        match controller.deploy(request) {
+            Ok(_) => deployed.push(user),
+            Err(ClickIncError::Placement(_)) => break,
+            Err(e) => panic!("{user}: {e}"),
+        }
+    }
+    deployed
+}
+
 /// In a KVS / MLAgg / CMS / DQAcc fill of the all-Tofino topology, every
 /// emitted P4 program declares each of its tables and registers once.
 #[test]
 fn a_template_fill_declares_every_table_and_register_once() {
     let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    let sources = ["pod0a", "pod1a", "pod0b", "pod1b"];
-    for i in 0..16 {
-        let user = format!("u{i}");
-        let template = match i % 4 {
-            0 => kvs_template(&user, KvsParams::default()),
-            1 => mlagg_template(&user, MlAggParams { dims: 8, ..Default::default() }),
-            2 => count_min_sketch(&user, 3, 1024),
-            _ => dqacc_template(&user, DqAccParams::default()),
-        };
-        let request = ServiceRequest::from_template(template, &[sources[i % 4]], "pod2b");
-        controller.deploy(request).unwrap_or_else(|e| panic!("{user}: {e}"));
-    }
+    let mlagg = MlAggParams { dims: 8, ..Default::default() };
+    assert_eq!(template_fill(&mut controller, 16, mlagg).len(), 16);
     let mut declared = 0;
     for (device, image) in &controller.images().images {
         let kind = controller.topology().node(*device).kind;
         if !matches!(kind, DeviceKind::Tofino | DeviceKind::Tofino2) {
             continue;
         }
-        let program = clickinc::backend::generate(kind, image);
+        let program = generate(kind, image);
         for (name, count) in p4_declarations(&program.source) {
             assert_eq!(count, 1, "{device:?} declares `{name}` {count} times");
             declared += 1;
         }
     }
     assert!(declared > 16, "the fill declares tables and registers");
+}
+
+/// A removal strikes the tenant from the images of its own devices only: in
+/// a KVS / MLAgg-32 / CMS / DQAcc fill emptied in a seeded random order,
+/// every removal reports the delta, and leaves the images, that striking it
+/// from every image (`remove_user_program`) does on a shadow copy.
+#[test]
+fn a_removal_strikes_the_tenant_from_its_devices_as_from_every_image() {
+    let mlagg = MlAggParams { dims: 32, num_workers: 4, num_aggregators: 1024, is_float: false };
+    for seed in [1u64, 2, 3] {
+        let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+        let mut users = template_fill(&mut controller, 12, mlagg);
+        assert_eq!(users.len(), 12, "seed {seed}: every tenant of the fill places");
+        let pod_of: BTreeMap<NodeId, Option<usize>> =
+            controller.topology().nodes().iter().map(|n| (n.id, n.pod)).collect();
+        let mut shadow = controller.images().clone();
+        // a seeded Fisher–Yates shuffle (xorshift64)
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for i in (1..users.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            users.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mut co_resident = 0;
+        for user in &users {
+            let delta = controller.remove(user).expect("the tenant is deployed");
+            let expected = remove_user_program(&mut shadow, user, &pod_of);
+            assert_eq!(delta, expected, "seed {seed}: removing {user}");
+            assert_eq!(controller.images().images, shadow.images, "seed {seed}: removing {user}");
+            co_resident += delta.program_count();
+        }
+        assert!(co_resident > 0, "seed {seed}: some removal leaves a co-resident running");
+        assert!(controller.image_fingerprints().is_empty(), "seed {seed}: every tenant is gone");
+    }
+}
+
+/// The expected own code of `user` on each device it occupies: the operator's
+/// base program merged with only the tenant's slices, emitted for the device.
+fn own_code(controller: &Controller, user: &str) -> BTreeMap<NodeId, DeviceProgram> {
+    let base = base_program();
+    let deployment = controller.deployment(user).expect("active");
+    let emit = |(device, slices): (&NodeId, &Vec<Arc<IrProgram>>)| {
+        let mut image = base.image();
+        for slice in slices {
+            extend_image(&mut image, slice, base.tail.len());
+        }
+        (*device, generate(controller.topology().node(*device).kind, &image))
+    };
+    deployment.snippets.iter().map(emit).collect()
+}
+
+/// A tenant's `device_programs` is its own code — the base program with only
+/// its slices — testing its own id and naming no other tenant's id or
+/// objects, and the same bytes whatever its co-residents do.  A device's
+/// whole code, co-residents included, is `Controller::device_program`.
+#[test]
+fn a_tenant_reads_its_own_code_and_the_operator_each_devices_whole_code() {
+    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+    let cms =
+        ServiceRequest::from_template(count_min_sketch("cms_c", 3, 1024), &["pod0a"], "pod2b");
+    let requests = [kvs_request("kvs_a"), kvs_request("kvs_b"), cms];
+    let mut names: BTreeMap<String, (i64, Vec<String>)> = BTreeMap::new();
+    // `users`' own code, and every device's whole code
+    let check = |controller: &Controller,
+                 names: &BTreeMap<String, (i64, Vec<String>)>,
+                 users: &[&str]| {
+        for &user in users {
+            let programs = &controller.deployment(user).expect("active").device_programs;
+            assert!(!programs.is_empty());
+            assert_eq!(*programs.emitted(), own_code(controller, user), "{user}");
+            for (device, program) in programs {
+                let source = &program.source;
+                for (other, (id, objects)) in names {
+                    let test = format!("(meta.inc_user == {id})");
+                    assert_eq!(source.contains(&test), other == user, "{device:?} {user}: {other}");
+                    for object in objects.iter().filter(|_| other != user) {
+                        assert!(!source.contains(object.as_str()), "{device:?} {user}: {object}");
+                    }
+                }
+            }
+        }
+        assert!(!controller.images().images.is_empty());
+        for (device, image) in &controller.images().images {
+            let kind = controller.topology().node(*device).kind;
+            assert_eq!(controller.device_program(*device), Some(generate(kind, image)));
+        }
+    };
+    for request in requests {
+        let deployment = controller.deploy(request).expect("deploys");
+        let objects = deployment.program.objects.iter().map(|o| o.name.clone()).collect();
+        names.insert(deployment.user.clone(), (deployment.numeric_id, objects));
+    }
+    let devices = |user| controller.devices_of(user).into_iter().collect::<BTreeSet<NodeId>>();
+    assert!(!devices("kvs_a").is_disjoint(&devices("cms_c")), "cms_c joins kvs_a's devices");
+    assert!(!devices("kvs_a").is_disjoint(&devices("kvs_b")), "kvs_b shares kvs_a's devices");
+    check(&controller, &names, &["kvs_a", "kvs_b"]);
+    let kvs_a = controller.deployment("kvs_a").expect("active").device_programs.clone();
+
+    // a co-resident commits, then another tenant leaves: `cms_c` reads its
+    // code for the first time only after both
+    let late = kvs_request("kvs_d");
+    let deployment = controller.deploy(late).expect("deploys");
+    let objects = deployment.program.objects.iter().map(|o| o.name.clone()).collect();
+    names.insert(deployment.user.clone(), (deployment.numeric_id, objects));
+    let delta = controller.remove("kvs_b").expect("deployed");
+    assert!(delta.affected_programs.contains("kvs_a"));
+    check(&controller, &names, &["kvs_a", "cms_c", "kvs_d"]);
+    let now = &controller.deployment("kvs_a").expect("active").device_programs;
+    assert_eq!(*now.emitted(), *kvs_a.emitted(), "kvs_a's code is the same bytes");
 }
 
 /// Isolation prefixes a tenant's object names with `{user}_` and leaves a
