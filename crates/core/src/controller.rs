@@ -11,12 +11,13 @@
 //! image bit-identical to before the call.
 //!
 //! The controller runs no packets.  What a device runs for a tenant is one
-//! `Arc<IrProgram>` slice, cut by `plan`, merged into the device image by
-//! `commit` and handed out by [`Controller::tenant_hops`]; the traffic engine
-//! (or a test's hop-built [`TenantHop::plane`]) is the data plane.  Nor does
-//! a commit emit device code: a tenant's own code is emitted on its first
-//! read ([`DevicePrograms`]), a device's whole code on request
-//! ([`Controller::device_program`]).
+//! `Arc<IrProgram>` slice, cut by `plan`, recorded on the device's image log
+//! by `commit` and handed out by [`Controller::tenant_hops`]; the traffic
+//! engine (or a test's hop-built [`TenantHop::plane`]) is the data plane.
+//! Nor does a commit merge IR or emit device code: a device's image is
+//! replayed from its log when read ([`Controller::images`]), a tenant's own
+//! code is emitted on its first read ([`DevicePrograms`]), a device's whole
+//! code on request ([`Controller::device_program`]).
 
 use crate::error::ClickIncError;
 use crate::request::ServiceRequest;
@@ -37,8 +38,7 @@ use clickinc_runtime::TenantHop;
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
-    add_slices, base_program, extend_image, isolate_user_program, remove_user_program_from,
-    renamed_names, DeploymentDelta,
+    base_program, extend_image, isolate_user_program, renamed_names, DeploymentDelta, ImageLogs,
 };
 use clickinc_topology::{reduce_for_traffic, NodeHealth, NodeId, Topology};
 use serde::Serialize;
@@ -388,7 +388,9 @@ pub struct PlanSummary {
 pub struct Controller {
     topology: Topology,
     ledger: ResourceLedger,
-    images: DeviceImages,
+    /// Per device, the record of the slices merged onto it and the tenants
+    /// struck from it: its image, materialized only when read.
+    images: ImageLogs,
     /// The operator's base program every device image starts from, shared
     /// with every tenant's [`DevicePrograms`].
     base: Arc<BaseProgram>,
@@ -418,7 +420,7 @@ impl Controller {
             pod_of: topology.nodes().iter().map(|n| (n.id, n.pod)).collect(),
             topology,
             ledger: ResourceLedger::new(),
-            images: DeviceImages::default(),
+            images: ImageLogs::default(),
             base: Arc::new(base_program()),
             deployments: BTreeMap::new(),
             next_user_id: 1,
@@ -506,18 +508,22 @@ impl Controller {
         self.epoch
     }
 
-    /// The running device images: per device, the base program with every
-    /// resident tenant's slices merged in — what the backends emit from.
-    pub fn images(&self) -> &DeviceImages {
-        &self.images
+    /// The running device images, one per device a tenant was ever placed
+    /// on: the base program with every resident tenant's slices merged in —
+    /// what the backends emit from.  An image also carries what lazy removal
+    /// leaves until the next merge onto its device: the `NoOp`s of departed
+    /// tenants' instructions, and their headers, which no merge drops.
+    /// Materialized from the controller's per-device logs on every call.
+    pub fn images(&self) -> DeviceImages {
+        self.images.materialize(&self.base)
     }
 
     /// The device-language code of `device`'s running image, every resident
     /// tenant's slices included — what the device is loaded with.  Emitted
     /// on every call; `None` if no tenant was ever placed on the device.
     pub fn device_program(&self, device: NodeId) -> Option<DeviceProgram> {
-        let image = self.images.images.get(&device)?;
-        Some(clickinc_backend::generate(self.topology.node(device).kind, image))
+        let image = self.images.log(device)?.materialize(&self.base);
+        Some(clickinc_backend::generate(self.topology.node(device).kind, &image))
     }
 
     /// Fingerprints of what tenants own in each running device image, by
@@ -527,8 +533,8 @@ impl Controller {
     /// tenant-owned omitted, so a rolled-back deploy fingerprints like one
     /// that never happened — what the rollback tests compare.
     pub fn image_fingerprints(&self) -> BTreeMap<String, u64> {
-        let tenant_owned =
-            self.images.images.iter().filter(|(_, image)| !image.owners().is_empty());
+        let images = self.images();
+        let tenant_owned = images.images.iter().filter(|(_, image)| !image.owners().is_empty());
         tenant_owned
             .map(|(id, image)| {
                 let mut h = Fnv::new();
@@ -656,7 +662,7 @@ impl Controller {
         let isolated = Optimizer::with_default_passes().optimize(
             &request.user,
             true,
-            &isolated,
+            isolated,
             &mut opt_diags,
         );
 
@@ -787,10 +793,11 @@ impl Controller {
         }
     }
 
-    /// Commit a [`DeploymentPlan`]: book the ledger resources and merge the
-    /// plan's slices into their devices' images.  No device code is emitted
-    /// here (see [`Deployment::device_programs`]).  The caller's data plane
-    /// installs [`Controller::tenant_hops`].
+    /// Commit a [`DeploymentPlan`]: book the ledger resources and record the
+    /// plan's slices on their devices' image logs — shared, not copied; the
+    /// merge happens when an image is read ([`Controller::images`]).  No
+    /// device code is emitted here (see [`Deployment::device_programs`]).
+    /// The caller's data plane installs [`Controller::tenant_hops`].
     ///
     /// Atomicity: every fallible check (stale epoch, duplicate user) runs
     /// *before* the first mutation, so an `Err` return leaves the ledger,
@@ -839,11 +846,9 @@ impl Controller {
             }
         }
 
-        // synthesize with the base program
-        let delta = add_slices(
-            &mut self.images,
-            &self.base,
-            placed(&plan, &snippets).map(|(a, snippet)| (a.members.as_slice(), &**snippet)),
+        // record the merges onto the devices' image logs
+        let delta = self.images.add_slices(
+            placed(&plan, &snippets).map(|(a, snippet)| (a.members.as_slice(), snippet)),
             &self.pod_of,
         );
         let device_programs = DevicePrograms {
@@ -897,7 +902,7 @@ impl Controller {
         }
         // only the tenant's own devices hold anything of it
         let devices = deployment.snippets.keys().copied();
-        let delta = remove_user_program_from(&mut self.images, user, devices, &self.pod_of);
+        let delta = self.images.remove_user_program_from(user, devices, &self.pod_of);
         self.epoch += 1;
         Ok(delta)
     }

@@ -11,8 +11,8 @@
 //!    as a *pure dry-run*: it reports devices, resource demand and the
 //!    predicted remaining resource ratio without touching the ledger or any
 //!    device image;
-//! 3. **commit** — [`ClickIncService::commit`] books the resources, merges
-//!    the isolated per-device slices into the device images, and mirrors the
+//! 3. **commit** — [`ClickIncService::commit`] books the resources, records
+//!    the isolated per-device slices on the device image logs, and mirrors the
 //!    tenant onto the sharded serving engine — the data plane, which
 //!    installs those same slices — atomically; [`ClickIncService::deploy_all`]
 //!    commits a batch with all-or-nothing rollback;
@@ -36,7 +36,7 @@
 //! assert!(!plan.devices().is_empty());
 //! assert!(plan.predicted_remaining_ratio() <= 1.0);
 //!
-//! // commit: book resources, merge the slices, mirror onto the engine
+//! // commit: book resources, record the slices, mirror onto the engine
 //! let tenant = service.commit(plan).unwrap();
 //! assert_eq!(tenant.user(), "cms_demo");
 //! let stats = tenant.telemetry().expect("tenant is registered");
@@ -61,7 +61,7 @@
 //!   solves the request (or takes the plan you quoted, refusing it as
 //!   [`ClickIncError::StalePlan`] if the controller moved since its solve),
 //!   asks the chain again with the plan, and only then lets the controller
-//!   book the ledger and merge the slices into the device images.  Every
+//!   book the ledger and record the slices on the device image logs.  Every
 //!   check precedes the first mutation: a refusal leaves the ledger, the
 //!   images and the engine bit-identical.
 //! * **mirror** derives the tenant's sharding mode (honouring

@@ -511,8 +511,8 @@ impl ClickIncService {
     }
 
     /// Commit an already-solved plan: admission gate, book resources,
-    /// merge the plan's slices into the device images, and mirror the tenant
-    /// onto the engine, which installs those slices.  Returns the
+    /// record the plan's slices on the device image logs, and mirror the
+    /// tenant onto the engine, which installs those slices.  Returns the
     /// tenant's handle.  A plan solved before any other commit, removal or
     /// health change is [`ClickIncError::StalePlan`]; a policy refusal is
     /// [`ClickIncError::Rejected`]; either changes nothing.

@@ -64,15 +64,17 @@ impl Optimizer {
     }
 
     /// Optimize `tenant`'s `program`, appending each pass's change report to
-    /// `out`.  `isolated` is ignored: no transform depends on it.
+    /// `out`.  `isolated` is ignored: no transform depends on it.  The passes
+    /// rewrite the program they are handed: pass it by value to have it
+    /// rewritten in place, or by reference to have it copied first.
     pub fn optimize(
         &self,
         tenant: &str,
         _isolated: bool,
-        program: &IrProgram,
+        program: impl Into<IrProgram>,
         out: &mut DiagnosticSet,
     ) -> IrProgram {
-        let mut optimized = program.clone();
+        let mut optimized = program.into();
         for (name, pass) in TRANSFORMS {
             pass(name, tenant, &mut optimized, out);
         }

@@ -243,6 +243,14 @@ impl IrProgram {
     }
 }
 
+/// A copy of the program, so that a consumer taking `impl Into<IrProgram>`
+/// ([`crate::Optimizer::optimize`]) accepts a borrowed one.
+impl From<&IrProgram> for IrProgram {
+    fn from(program: &IrProgram) -> IrProgram {
+        program.clone()
+    }
+}
+
 impl fmt::Display for IrProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.dump())

@@ -5,16 +5,26 @@
 //! carry owner annotations.  Adding a user program touches only the devices the
 //! new program was placed on; removing one strips its annotations and deletes
 //! the instructions (and objects) that no longer have an owner — lazily, so the
-//! other tenants' traffic is never interrupted.  [`DeploymentDelta`] records
-//! which devices, co-resident INC programs and traffic (pods) each operation
+//! other tenants' traffic is never interrupted: a removal leaves `NoOp`s that
+//! the next merge onto the device drops.  [`DeploymentDelta`] records which
+//! devices, co-resident INC programs and traffic (pods) each operation
 //! affected, which is exactly what Table 6 reports.
+//!
+//! The images exist in two forms.  [`DeviceImages`] holds them eagerly: every
+//! merge copies the slice into the image ([`add_slices`]) and every removal
+//! rewrites it ([`remove_user_program_from`]).  [`ImageLogs`] holds, per
+//! device, an [`ImageLog`] of what was merged and struck — shared slices and
+//! tenant names, no IR copied — and replays it into the eager image, bit for
+//! bit, when the image is read.  The controller keeps the logs: nothing on its
+//! admission path reads an image.
 
 use crate::base::BaseProgram;
 use crate::merge::extend_image;
-use clickinc_ir::{IrProgram, OpCode};
+use clickinc_ir::{HeaderFieldDecl, IrProgram, OpCode};
 use clickinc_placement::PlacementPlan;
 use clickinc_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The set of running device images, keyed by physical device.
 #[derive(Debug, Clone, Default)]
@@ -141,10 +151,10 @@ pub fn add_user_program_monolithic(
     delta
 }
 
-/// Remove a user program from every image (lazy removal): its annotations are
-/// stripped, orphaned instructions become `NoOp`s (dropped by the next
-/// deployment onto the device, see [`extend_image`]), and its objects are
-/// released.  The all-images case of [`remove_user_program_from`].
+/// Remove a user program from every image (lazy removal):
+/// its annotations are stripped, orphaned instructions become `NoOp`s (dropped
+/// by the next deployment onto the device, see [`extend_image`]), and its
+/// objects are released.  The all-images case of [`remove_user_program_from`].
 pub fn remove_user_program(
     images: &mut DeviceImages,
     user: &str,
@@ -166,34 +176,235 @@ pub fn remove_user_program_from(
     let mut delta = DeploymentDelta::default();
     for device in devices {
         let Some(image) = images.images.get_mut(&device) else { continue };
-        let mut touched = false;
-        for instr in &mut image.instructions {
-            let before = instr.owners.len();
-            instr.owners.retain(|o| o != user);
-            if instr.owners.len() != before {
-                touched = true;
-                // an instruction that *lost* its last owner was a user
-                // instruction: the operator's own never carried one
-                if instr.owners.is_empty() {
-                    instr.op = OpCode::NoOp;
-                }
-            }
-        }
-        let objs_before = image.objects.len();
-        image.objects.retain(|o| o.owner.as_deref() != Some(user));
-        if image.objects.len() != objs_before {
-            touched = true;
-        }
-        if touched {
+        if strike_image(image, user) {
             delta.touch(device, pod_of);
-            for other in image.owners() {
-                if other != user {
-                    delta.affected_programs.insert(other);
-                }
-            }
+            delta.affected_programs.extend(image.owners());
         }
     }
     delta
+}
+
+/// Strike `user` from one image: strip its owner annotations, turn the
+/// instructions that lose their last owner into `NoOp`s (left in place for
+/// the next merge to drop) and release its objects.  Returns whether the
+/// image held anything of the user.
+pub(crate) fn strike_image(image: &mut IrProgram, user: &str) -> bool {
+    let mut touched = false;
+    for instr in &mut image.instructions {
+        let before = instr.owners.len();
+        instr.owners.retain(|o| o != user);
+        if instr.owners.len() != before {
+            touched = true;
+            // an instruction that *lost* its last owner was a user
+            // instruction: the operator's own never carried one
+            if instr.owners.is_empty() {
+                instr.op = OpCode::NoOp;
+            }
+        }
+    }
+    let objs_before = image.objects.len();
+    image.objects.retain(|o| o.owner.as_deref() != Some(user));
+    touched || image.objects.len() != objs_before
+}
+
+/// One device's running image as the record of what reached it: the slices
+/// merged onto it, shared with the deployments that cut them, and the
+/// tenants struck from it.  [`materialize`](ImageLog::materialize) replays
+/// the record into the image [`add_slices`] and [`remove_user_program_from`]
+/// would hold, bit for bit — lazy-removal `NoOp`s and the headers of departed
+/// tenants included — so merging and striking copy no IR.
+///
+/// Each merge also drops what its compaction would erase from the image: a
+/// slice every part of which belongs to tenants struck since it was merged.
+/// So the log holds the slices something still owns, plus the strikes since
+/// the last merge.
+///
+/// The replay runs a slice's strikes before the next slice is merged, which
+/// reaches the same image as long as no object name on the device is
+/// declared under two different owners: [`extend_image`] keeps the first
+/// declaration of a name, so the strike order would decide which one
+/// survives.  The controller refuses such a plan (an `isolation` error).
+#[derive(Debug, Default)]
+pub struct ImageLog {
+    /// The slices merged onto the device, in merge order.
+    merges: Vec<LoggedMerge>,
+    /// The tenants struck since the last merge, in strike order.
+    strikes: Vec<String>,
+    /// Every header a merge declared, in first-merge order: a slice dropped
+    /// from `merges` leaves its headers in the image.
+    headers: Vec<HeaderFieldDecl>,
+}
+
+/// A slice on an [`ImageLog`], with the tenants struck from it before the
+/// log's last merge.
+#[derive(Debug)]
+struct LoggedMerge {
+    slice: Arc<IrProgram>,
+    /// Only tenants that own part of `slice`, each once, in strike order.
+    struck: Vec<String>,
+}
+
+impl LoggedMerge {
+    /// Whether a strike of `user` would reach this slice: the user owns part
+    /// of it and was not struck from it since it was merged.
+    fn held_by(&self, user: &str) -> bool {
+        !self.struck.iter().any(|s| s == user) && owned_by(&self.slice, user)
+    }
+
+    /// Whether the image keeps nothing of this slice once its strikes have
+    /// been compacted: every instruction lost every owner (a `NoOp` in the
+    /// slice itself never survives its own merge) and every object went with
+    /// its owner.  A slice with an operator-owned part is never erased.
+    fn erased(&self) -> bool {
+        let struck = |owner: &String| self.struck.contains(owner);
+        let slice = &self.slice;
+        slice.instructions.iter().all(|i| {
+            matches!(i.op, OpCode::NoOp) || (!i.owners.is_empty() && i.owners.iter().all(struck))
+        }) && slice.objects.iter().all(|o| o.owner.as_ref().is_some_and(struck))
+    }
+}
+
+/// Whether `user` owns an instruction or an object of `program`.
+fn owned_by(program: &IrProgram, user: &str) -> bool {
+    program.instructions.iter().any(|i| i.owners.iter().any(|o| o == user))
+        || program.objects.iter().any(|o| o.owner.as_deref() == Some(user))
+}
+
+impl ImageLog {
+    /// Record `slice` merged onto the device ([`extend_image`]).  The strikes
+    /// since the last merge are first folded into the slices they reach, and
+    /// the slices they left nothing of are dropped, as this merge's
+    /// compaction would drop their `NoOp`s.
+    pub fn merge(&mut self, slice: Arc<IrProgram>) {
+        for user in self.strikes.drain(..) {
+            for merge in self.merges.iter_mut().filter(|m| m.held_by(&user)) {
+                merge.struck.push(user.clone());
+            }
+        }
+        self.merges.retain(|m| m.struck.is_empty() || !m.erased());
+        for hdr in &slice.headers {
+            if !self.headers.iter().any(|h| h.name == hdr.name) {
+                self.headers.push(hdr.clone());
+            }
+        }
+        self.merges.push(LoggedMerge { slice, struck: Vec::new() });
+    }
+
+    /// Record `user` struck from the device.  Returns the other tenants still
+    /// owning part of the image, or `None` — recording nothing — if the image
+    /// held nothing of the user.
+    pub fn strike(&mut self, user: &str) -> Option<BTreeSet<String>> {
+        if self.strikes.iter().any(|s| s == user) || !self.merges.iter().any(|m| m.held_by(user)) {
+            return None;
+        }
+        self.strikes.push(user.to_string());
+        let live = |merge: &LoggedMerge, owner: &String| {
+            !merge.struck.contains(owner) && !self.strikes.contains(owner)
+        };
+        let mut owners = BTreeSet::new();
+        for merge in &self.merges {
+            let slice = &merge.slice;
+            let instr_owners = slice.instructions.iter().flat_map(|i| &i.owners);
+            for owner in instr_owners.chain(slice.objects.iter().filter_map(|o| o.owner.as_ref())) {
+                if !owners.contains(owner) && live(merge, owner) {
+                    owners.insert(owner.clone());
+                }
+            }
+        }
+        Some(owners)
+    }
+
+    /// Entries the log holds: merged slices plus strikes since the last merge.
+    pub fn len(&self) -> usize {
+        self.merges.len() + self.strikes.len()
+    }
+
+    /// Whether the log holds no entry: nothing was merged onto the device.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The device's image: `base`'s image with the logged merges and strikes
+    /// replayed onto it.  Each slice's strikes run right after it: they
+    /// happened before the log's last merge, whose compaction erased the
+    /// `NoOp`s they left either way.
+    pub fn materialize(&self, base: &BaseProgram) -> IrProgram {
+        let mut image = base.image();
+        for hdr in &self.headers {
+            if !image.headers.iter().any(|h| h.name == hdr.name) {
+                image.headers.push(hdr.clone());
+            }
+        }
+        for merge in &self.merges {
+            extend_image(&mut image, &merge.slice, base.tail.len());
+            for user in &merge.struck {
+                strike_image(&mut image, user);
+            }
+        }
+        for user in &self.strikes {
+            strike_image(&mut image, user);
+        }
+        image
+    }
+}
+
+/// The [`ImageLog`] of every device a tenant was ever placed on: the device
+/// images of [`DeviceImages`] kept as records, materialized on read.  Merges
+/// and removals report the same [`DeploymentDelta`] as [`add_slices`] and
+/// [`remove_user_program_from`].
+#[derive(Debug, Default)]
+pub struct ImageLogs {
+    logs: BTreeMap<NodeId, ImageLog>,
+}
+
+impl ImageLogs {
+    /// Record already-cut slices merged onto the devices they were placed
+    /// on, one `(member devices, slice)` pair per assignment in traffic
+    /// order — what [`add_slices`] does to eager images.
+    pub fn add_slices<'a>(
+        &mut self,
+        placed: impl IntoIterator<Item = (&'a [NodeId], &'a Arc<IrProgram>)>,
+        pod_of: &BTreeMap<NodeId, Option<usize>>,
+    ) -> DeploymentDelta {
+        let mut delta = DeploymentDelta::default();
+        for (members, slice) in placed {
+            for &member in members {
+                delta.touch(member, pod_of);
+                self.logs.entry(member).or_default().merge(Arc::clone(slice));
+            }
+        }
+        delta
+    }
+
+    /// Record `user` struck from the images of `devices` — what
+    /// [`remove_user_program_from`] does to eager images.
+    pub fn remove_user_program_from(
+        &mut self,
+        user: &str,
+        devices: impl IntoIterator<Item = NodeId>,
+        pod_of: &BTreeMap<NodeId, Option<usize>>,
+    ) -> DeploymentDelta {
+        let mut delta = DeploymentDelta::default();
+        for device in devices {
+            let Some(log) = self.logs.get_mut(&device) else { continue };
+            if let Some(others) = log.strike(user) {
+                delta.touch(device, pod_of);
+                delta.affected_programs.extend(others);
+            }
+        }
+        delta
+    }
+
+    /// The log of `device`, if a slice was ever merged onto it.
+    pub fn log(&self, device: NodeId) -> Option<&ImageLog> {
+        self.logs.get(&device)
+    }
+
+    /// Every device's image, materialized from its log.
+    pub fn materialize(&self, base: &BaseProgram) -> DeviceImages {
+        let images = self.logs.iter().map(|(d, log)| (*d, log.materialize(base))).collect();
+        DeviceImages { images }
+    }
 }
 
 #[cfg(test)]

@@ -22,8 +22,12 @@
 //!   user program merges its per-device slices (cut by [`add_user_program`],
 //!   or brought ready-cut to [`add_slices`]) into the running images;
 //!   removing one strips its annotation and lazily deletes instructions that
-//!   no longer have any owner, without touching the other tenants (Table 6's
-//!   comparison against monolithic redeployment).
+//!   no longer have any owner — they stay as `NoOp`s until the next merge
+//!   onto the device — without touching the other tenants (Table 6's
+//!   comparison against monolithic redeployment).  The controller keeps each
+//!   device's image as an [`incremental::ImageLog`] of shared slices and
+//!   strikes instead ([`ImageLogs`]), replayed into the same image when it is
+//!   read.
 
 pub mod base;
 pub mod incremental;
@@ -33,6 +37,7 @@ pub mod merge;
 pub use base::base_program;
 pub use incremental::{
     add_slices, add_user_program, remove_user_program, remove_user_program_from, DeploymentDelta,
+    ImageLogs,
 };
 pub use isolation::{isolate_user_program, renamed_names};
 pub use merge::extend_image;
