@@ -157,20 +157,6 @@ impl DeviceModel {
         self.kind != DeviceKind::Server
     }
 
-    /// Clone the model with a different number of stages (used by the Table 4
-    /// experiment which models 8-stage Tofino pipelines).
-    pub fn with_stages(mut self, stages: usize) -> DeviceModel {
-        self.stages = stages.max(1);
-        self
-    }
-
-    /// Clone the model with every per-stage resource scaled by `factor`
-    /// (used to model the bypass FPGA enlarging a switch's effective memory).
-    pub fn with_capacity_scale(mut self, factor: f64) -> DeviceModel {
-        self.per_stage = self.per_stage.scaled(factor);
-        self
-    }
-
     // ---- the concrete families ------------------------------------------------
 
     /// Intel Tofino: RMT pipeline.  Per Appendix E.1 Tofino cannot run integer
@@ -441,19 +427,6 @@ mod tests {
                 > t1.total_capacity()[clickinc_ir::Resource::SramBlocks]
         );
         assert_eq!(t1.supported_classes(), t2.supported_classes());
-    }
-
-    #[test]
-    fn stage_override_and_capacity_scale() {
-        let t = DeviceModel::tofino().with_stages(8);
-        assert_eq!(t.stages(), 8);
-        let zero = DeviceModel::tofino().with_stages(0);
-        assert_eq!(zero.stages(), 1, "stage count is clamped to at least 1");
-        let boosted = DeviceModel::tofino().with_capacity_scale(2.0);
-        assert_eq!(
-            boosted.stage_capacity(0)[clickinc_ir::Resource::SramBlocks],
-            2.0 * DeviceModel::tofino().stage_capacity(0)[clickinc_ir::Resource::SramBlocks]
-        );
     }
 
     #[test]

@@ -269,12 +269,6 @@ impl Guard {
         self.all.is_empty()
     }
 
-    /// Total bit width of the operands referenced by the guard; Tofino limits the
-    /// width a gateway can evaluate in one stage (Appendix E.1).
-    pub fn operand_count(&self) -> usize {
-        self.all.len() * 2
-    }
-
     /// Both operands of every predicate, in order.
     pub fn operands(&self) -> impl Iterator<Item = &Operand> {
         self.all.iter().flat_map(|p| [&p.lhs, &p.rhs])
@@ -897,7 +891,6 @@ pub(crate) mod tests {
             .and(Predicate::new(Operand::var("valid"), CmpOp::Ne, Operand::int(0)));
         assert_eq!(g.all.len(), 2);
         assert!(!g.is_always());
-        assert_eq!(g.operand_count(), 4);
         assert_eq!(g.to_string(), "hdr.op == 1 && valid != 0");
         assert_eq!(Guard::always().to_string(), "true");
         assert!(Guard::always().is_always());

@@ -321,22 +321,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Total number of statements, counting nested bodies.
-    pub fn statement_count(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::If { body, orelse, .. } => 1 + count(body) + count(orelse),
-                    Stmt::For { body, .. } => 1 + count(body),
-                    Stmt::FuncDef { body, .. } => 1 + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.stmts)
-    }
-
     /// All user-defined functions, by name.
     pub fn functions(&self) -> Vec<(&str, &[String], &[Stmt])> {
         self.stmts
@@ -420,26 +404,6 @@ mod tests {
         assert_eq!(pow.const_int(), Some(1024));
         let neg = Expr::Unary { op: UnaryOp::Neg, operand: Box::new(Expr::Int(5)) };
         assert_eq!(neg.const_int(), Some(-5));
-    }
-
-    #[test]
-    fn statement_count_recurses() {
-        let p = Program {
-            stmts: vec![
-                Stmt::Assign { targets: vec![Expr::name("x")], value: Expr::Int(1) },
-                Stmt::If {
-                    cond: Expr::Bool(true),
-                    body: vec![Stmt::ExprStmt(Expr::Int(1))],
-                    orelse: vec![Stmt::ExprStmt(Expr::Int(2))],
-                },
-                Stmt::For {
-                    var: "i".into(),
-                    iter: Expr::Int(0),
-                    body: vec![Stmt::ExprStmt(Expr::Int(3))],
-                },
-            ],
-        };
-        assert_eq!(p.statement_count(), 6);
     }
 
     #[test]

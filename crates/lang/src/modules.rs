@@ -241,11 +241,6 @@ impl ModuleLibrary {
         }
         None
     }
-
-    /// Names of all registered templates.
-    pub fn template_names(&self) -> Vec<&str> {
-        self.templates.keys().map(String::as_str).collect()
-    }
 }
 
 #[cfg(test)]
@@ -300,6 +295,5 @@ mod tests {
         lib.register_template("OPSketch", "opsketch");
         assert_eq!(lib.resolve("OPSketch"), Some(Resolution::Template));
         assert_eq!(lib.template_id("OPSketch"), Some("opsketch"));
-        assert!(lib.template_names().contains(&"OPSketch"));
     }
 }

@@ -64,7 +64,6 @@ struct Choice {
 /// returned plan is bit-identical (modulo the wall-clock `solve_time`,
 /// which [`PlacementPlan::fingerprint`](crate::PlacementPlan::fingerprint)
 /// deliberately excludes) regardless of how many solves run next to it.
-/// Re-exported as `clickinc_placement::solve`.
 pub fn place(
     program: &IrProgram,
     dag: &BlockDag,

@@ -21,17 +21,16 @@
 //!   sub-tree plus the server-side chain, with the pruning rules of §5.4, and
 //!   the name-free [`PlacementInputs`] it derives from a program before it
 //!   looks at the network;
-//! * [`smt`] — the SMT-style exhaustive baseline used by Table 4 / Fig. 14:
-//!   a backtracking search over per-block device/stage assignments with the
-//!   same constraint set but no structural decomposition (exponential in the
-//!   number of devices);
-//! * [`greedy`] — a single-path greedy baseline used in tests as a lower bound
-//!   for DP solution quality;
+//! * [`smt`] — the one placement baseline, a backtracking search over
+//!   per-block device/stage assignments with the same constraint set but no
+//!   structural decomposition (exponential in the number of devices).  It is
+//!   the comparator of Table 4 / Fig. 14 and the DP's optimality oracle: the
+//!   tests hold [`place`] to its gain on every chain small enough to
+//!   enumerate;
 //! * [`plan`] — the resulting [`PlacementPlan`] (per-device snippets, stage
 //!   maps, gain breakdown, solve time).
 
 pub mod dp;
-pub mod greedy;
 pub mod intra;
 pub mod memo;
 pub mod network;
@@ -39,9 +38,7 @@ pub mod objective;
 pub mod plan;
 pub mod smt;
 
-pub use dp::place as solve;
 pub use dp::{place, place_prepared, place_with_cache, PlacementConfig, PlacementInputs};
-pub use greedy::place_greedy;
 pub use intra::{allocate_stages, allocate_stages_with, SegContext, SegFacts, StageAllocation};
 pub use memo::{device_fingerprint, shape_fingerprint, SolveCache, SolveCacheStats};
 pub use network::{PlacementDevice, PlacementNetwork, ResourceLedger};
@@ -76,11 +73,11 @@ mod proptests {
     use super::*;
     use clickinc_blockdag::{build_block_dag, BlockConfig};
     use clickinc_device::DeviceKind;
-    use clickinc_ir::{AluOp, Operand, ProgramBuilder};
-    use clickinc_topology::Topology;
+    use clickinc_ir::{AluOp, IrProgram, Operand, ProgramBuilder};
+    use clickinc_topology::{reduce_for_traffic, Topology};
     use proptest::prelude::*;
 
-    fn random_program(n: usize, seed: &[u8]) -> clickinc_ir::IrProgram {
+    fn random_program(n: usize, seed: &[u8]) -> IrProgram {
         let mut b = ProgramBuilder::new("prop");
         b.array("state", 1, 256, 32);
         b.hash_fn("h", clickinc_ir::HashAlgo::Crc16, Some(256));
@@ -110,20 +107,109 @@ mod proptests {
         b.build().expect("generated program is well-formed")
     }
 
+    /// A client–server chain of `devices` switches of `kind`, its even-numbered
+    /// switches pre-booked with `booked` of their capacity, as the placement
+    /// view of the client-to-server traffic.
+    fn chain_network(devices: usize, kind: DeviceKind, booked: f64) -> PlacementNetwork {
+        let topo = Topology::chain(devices, kind);
+        let mut ledger = ResourceLedger::new();
+        let switches = topo.nodes().iter().filter(|n| n.tier.is_network_device());
+        for node in switches.step_by(2) {
+            ledger.consume(node.id, node.kind.model().total_capacity().scaled(booked));
+        }
+        let servers = topo.servers();
+        let reduced = reduce_for_traffic(&topo, &[servers[0]], servers[1], &[]);
+        PlacementNetwork::from_reduced(&topo, &reduced, &ledger)
+    }
+
+    /// Holds the DP to the exhaustive optimum on one case, pruning on and off,
+    /// with and without the shared segment `memo`: under the same (default)
+    /// weights `place` fails exactly when `place_smt` does, and otherwise the
+    /// search ran to the end, both plans are valid and both gains are equal —
+    /// a DP gain below the optimum is a missed plan, one above it means the
+    /// two score plans differently.  Returns whether the case was feasible.
+    fn assert_dp_is_optimal(
+        program: &IrProgram,
+        blocks: &BlockConfig,
+        net: &PlacementNetwork,
+        memo: &SolveCache,
+        case: &str,
+    ) -> bool {
+        let dag = build_block_dag(program, blocks);
+        let oracle = place_smt(program, &dag, net, &SmtConfig::default());
+        if let Ok((best, _)) = &oracle {
+            best.assert_valid(program, &dag, net);
+        }
+        for enable_pruning in [true, false] {
+            let config = PlacementConfig { enable_pruning, ..Default::default() };
+            for cache in [None, Some(memo)] {
+                let dp = place_with_cache(program, &dag, net, &config, cache);
+                let how = format!("{case}, pruning {enable_pruning}, memo {}", cache.is_some());
+                match (&dp, &oracle) {
+                    (Err(_), Err(_)) => {}
+                    (Ok(dp), Ok((best, stats))) => {
+                        assert!(stats.exhausted, "{how}: the exhaustive search timed out");
+                        dp.assert_valid(program, &dag, net);
+                        assert!(
+                            (dp.gain - best.gain).abs() < 1e-9,
+                            "{how}: DP gain {} vs optimum {}",
+                            dp.gain,
+                            best.gain
+                        );
+                    }
+                    _ => panic!(
+                        "{how}: DP {:?} but exhaustive {:?}",
+                        dp.as_ref().map(|p| p.gain),
+                        oracle.as_ref().map(|(p, _)| p.gain)
+                    ),
+                }
+            }
+        }
+        oracle.is_ok()
+    }
+
+    /// Table 4's claim as a test, on the fig13 templates: every programmable
+    /// device kind, chains of one to three devices, ledger empty or partly
+    /// booked.
+    #[test]
+    fn dp_matches_the_exhaustive_optimum_on_fig13_templates() {
+        let memo = SolveCache::new();
+        let mut feasible = 0;
+        let mut cases = 0;
+        for program in fig13_programs() {
+            for kind in DeviceKind::PROGRAMMABLE {
+                for devices in 1..=3 {
+                    for booked in [0.0, 0.3, 0.6] {
+                        let net = chain_network(devices, kind, booked);
+                        let case =
+                            format!("{} on {devices} × {kind}, booked {booked}", program.name);
+                        feasible += usize::from(assert_dp_is_optimal(
+                            program,
+                            &BlockConfig::default(),
+                            &net,
+                            &memo,
+                            &case,
+                        ));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // most cases place (170 of 216 with today's device models), so the
+        // equality above is not vacuous
+        assert!(2 * feasible > cases, "only {feasible} of {cases} cases place");
+    }
+
     #[test]
     fn concurrent_solves_are_bit_identical_to_a_lone_solve() {
         let program = random_program(12, &[7u8; 18]);
         let dag = build_block_dag(&program, &BlockConfig::default());
-        let topo = Topology::chain(3, DeviceKind::Tofino);
-        let servers = topo.servers();
-        let reduced = clickinc_topology::reduce_for_traffic(&topo, &[servers[0]], servers[1], &[]);
-        let ledger = ResourceLedger::new();
-        let net = PlacementNetwork::from_reduced(&topo, &reduced, &ledger);
+        let net = chain_network(3, DeviceKind::Tofino, 0.0);
         let config = PlacementConfig::default();
-        let lone = solve(&program, &dag, &net, &config).expect("solves").fingerprint();
+        let lone = place(&program, &dag, &net, &config).expect("solves").fingerprint();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| solve(&program, &dag, &net, &config).expect("solves")))
+                .map(|_| s.spawn(|| place(&program, &dag, &net, &config).expect("solves")))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().expect("no panic").fingerprint(), lone);
@@ -145,35 +231,38 @@ mod proptests {
         ) {
             let program = random_program(n, &seed);
             let dag = build_block_dag(&program, &BlockConfig::default());
-            let topo = Topology::chain(devices, DeviceKind::Tofino);
-            let servers = topo.servers();
-            let reduced = clickinc_topology::reduce_for_traffic(&topo, &[servers[0]], servers[1], &[]);
-            let ledger = ResourceLedger::new();
-            let net = PlacementNetwork::from_reduced(&topo, &reduced, &ledger);
+            let net = chain_network(devices, DeviceKind::Tofino, 0.0);
             if let Ok(plan) = place(&program, &dag, &net, &PlacementConfig::default()) {
                 plan.assert_valid(&program, &dag, &net);
             }
         }
+    }
 
-        /// DP gain is never worse than the greedy single-device baseline when
-        /// both succeed.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Table 4's claim as a test, on random programs over chains of one
+        /// to four devices of any programmable kind, ledger empty or partly
+        /// booked.
         #[test]
-        fn dp_at_least_as_good_as_greedy(
+        fn dp_matches_the_exhaustive_optimum_on_random_programs(
             n in 1usize..15,
             seed in proptest::collection::vec(any::<u8>(), 15),
+            devices in 1usize..5,
+            kind in 0usize..DeviceKind::PROGRAMMABLE.len(),
+            booked in 0usize..3,
+            max_block_instrs in 1usize..17,
         ) {
             let program = random_program(n, &seed);
-            let dag = build_block_dag(&program, &BlockConfig::default());
-            let topo = Topology::chain(3, DeviceKind::Tofino);
-            let servers = topo.servers();
-            let reduced = clickinc_topology::reduce_for_traffic(&topo, &[servers[0]], servers[1], &[]);
-            let ledger = ResourceLedger::new();
-            let net = PlacementNetwork::from_reduced(&topo, &reduced, &ledger);
-            let dp = place(&program, &dag, &net, &PlacementConfig::default());
-            let greedy = place_greedy(&program, &dag, &net);
-            if let (Ok(d), Ok(g)) = (dp, greedy) {
-                prop_assert!(d.gain >= g.gain - 1e-9, "dp {} < greedy {}", d.gain, g.gain);
-            }
+            let blocks = BlockConfig { max_block_instrs, ..Default::default() };
+            let kind = DeviceKind::PROGRAMMABLE[kind];
+            let booked = 0.3 * booked as f64;
+            let net = chain_network(devices, kind, booked);
+            let case = format!(
+                "{n}-instruction program in blocks of ≤ {max_block_instrs} on {devices} × {kind}, \
+                 booked {booked}"
+            );
+            assert_dp_is_optimal(&program, &blocks, &net, &SolveCache::new(), &case);
         }
     }
 }

@@ -1,4 +1,5 @@
-//! SMT-style exhaustive placement baseline (the comparator of Table 4 / Fig. 14).
+//! The one placement baseline: an SMT-style exhaustive search, both the
+//! comparator of Table 4 / Fig. 14 and the DP's optimality oracle.
 //!
 //! Prior work (Lyra) encodes placement as an SMT problem over per-instruction
 //! device/stage assignment variables and hands it to Z3.  The defining property
@@ -9,16 +10,17 @@
 //! reproduces that behaviour with a chronological backtracking search over
 //! block-to-device assignments combined with exhaustive per-device stage
 //! allocation, under the identical constraint set (capabilities, per-stage
-//! resources, dependency monotonicity along the chain).  Its runtime grows
-//! exponentially with the device count (Fig. 14c) while its solution quality
-//! matches the DP (Table 4), exactly the two properties the evaluation relies
-//! on.
+//! resources, dependency monotonicity along the chain), and scores every
+//! complete assignment with the DP's Eq. 1.  Its runtime grows exponentially
+//! with the device count (Fig. 14c); when it exhausts the space its plan is
+//! the optimum, which the crate's tests hold the DP to (Table 4's claim that
+//! the DP loses nothing to the exhaustive search).
 //!
 //! The search only supports single-path networks (a chain), mirroring the
 //! paper's observation that "the SMT solver is unable to handle a multi-path
 //! topology in an acceptable time".
 
-use crate::intra::allocate_stages;
+use crate::intra::{allocate_stages_with, SegContext, SegFacts};
 use crate::network::{PlacementDevice, PlacementNetwork};
 use crate::objective::{cut_costs, Weights};
 use crate::plan::{Assignment, PlacementError, PlacementPlan};
@@ -34,18 +36,11 @@ pub struct SmtConfig {
     /// Hard wall-clock limit; the best plan found so far is returned when it
     /// expires (mirrors giving Z3 a timeout).
     pub time_limit: Duration,
-    /// Whether to search for the optimum under Eq. 1 or stop at the first
-    /// feasible assignment (the paper's "SMT without the optimization goal").
-    pub optimize: bool,
 }
 
 impl Default for SmtConfig {
     fn default() -> Self {
-        SmtConfig {
-            weights: Weights::default(),
-            time_limit: Duration::from_secs(120),
-            optimize: true,
-        }
+        SmtConfig { weights: Weights::default(), time_limit: Duration::from_secs(120) }
     }
 }
 
@@ -88,8 +83,11 @@ pub fn place_smt(
     let cuts = cut_costs(program, dag, &order);
     let cap_norm = net.total_available().total().max(1.0);
 
+    // the program's allocator facts, derived once for every node the search visits
+    let facts = SegFacts::new(program);
+    let ctx = SegContext::new(program, &facts);
     let mut search = Search {
-        program,
+        ctx: &ctx,
         dag,
         devices: &devices,
         order: &order,
@@ -119,7 +117,7 @@ pub fn place_smt(
             let mut instrs: Vec<usize> =
                 blocks_here.iter().flat_map(|&p| dag.blocks()[order[p]].instrs.clone()).collect();
             instrs.sort_unstable();
-            let alloc = allocate_stages(device, program, &instrs)
+            let alloc = allocate_stages_with(device, &ctx, &instrs)
                 .expect("feasible assignments re-allocate successfully");
             (blocks, instrs, alloc)
         };
@@ -166,7 +164,7 @@ struct BestAssignment {
 }
 
 struct Search<'a> {
-    program: &'a IrProgram,
+    ctx: &'a SegContext<'a>,
     dag: &'a BlockDag,
     devices: &'a [PlacementDevice],
     order: &'a [usize],
@@ -197,9 +195,6 @@ impl<'a> Search<'a> {
             // feasibility of the partial assignment on this device
             if self.device_feasible(dev, pos + 1) {
                 self.explore(pos + 1, dev);
-                if !self.config.optimize && self.best.is_some() {
-                    return;
-                }
             }
         }
         if min_device == 0 && pos == 0 {
@@ -215,7 +210,7 @@ impl<'a> Search<'a> {
         if instrs.is_empty() {
             return true;
         }
-        allocate_stages(&self.devices[dev], self.program, &instrs).is_some()
+        allocate_stages_with(&self.devices[dev], self.ctx, &instrs).is_some()
     }
 
     fn evaluate_complete(&mut self) {
@@ -231,7 +226,7 @@ impl<'a> Search<'a> {
             if instrs.is_empty() {
                 continue;
             }
-            match allocate_stages(&self.devices[dev], self.program, &instrs) {
+            match allocate_stages_with(&self.devices[dev], self.ctx, &instrs) {
                 Some(alloc) => {
                     resource_cost +=
                         alloc.demand.scaled(self.devices[dev].replication() as f64).total()
@@ -256,7 +251,6 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{place, PlacementConfig};
     use crate::network::ResourceLedger;
     use clickinc_blockdag::{build_block_dag, BlockConfig};
     use clickinc_device::DeviceKind;
@@ -269,21 +263,6 @@ mod tests {
         let servers = topo.servers();
         let reduced = reduce_for_traffic(&topo, &[servers[0]], servers[1], &[]);
         PlacementNetwork::from_reduced(&topo, &reduced, &ResourceLedger::new())
-    }
-
-    #[test]
-    fn smt_matches_dp_quality_on_a_small_chain() {
-        let t = dqacc_template("dqacc", DqAccParams { depth: 1000, ways: 2 });
-        let ir = compile_source("dqacc", &t.source).unwrap();
-        let dag = build_block_dag(&ir, &BlockConfig::default());
-        let net = chain_net(2);
-        let dp = place(&ir, &dag, &net, &PlacementConfig::default()).unwrap();
-        let (smt, stats) = place_smt(&ir, &dag, &net, &SmtConfig::default()).unwrap();
-        assert!(stats.nodes_explored > 0);
-        // same devices involved and comparable gains (the DP is never worse)
-        assert!(dp.gain >= smt.gain - 1e-6, "dp {} vs smt {}", dp.gain, smt.gain);
-        assert_eq!(dp.traffic_served, smt.traffic_served);
-        smt.assert_valid(&ir, &dag, &net);
     }
 
     #[test]
@@ -311,19 +290,5 @@ mod tests {
             place_smt(&ir, &dag, &net, &SmtConfig::default()),
             Err(PlacementError::UnsupportedNetwork(_))
         ));
-    }
-
-    #[test]
-    fn first_feasible_mode_is_faster_but_not_better() {
-        let t = kvs_template("kvs", KvsParams::default());
-        let ir = compile_source("kvs", &t.source).unwrap();
-        let dag = build_block_dag(&ir, &BlockConfig::default());
-        let net = chain_net(3);
-        let (opt, opt_stats) = place_smt(&ir, &dag, &net, &SmtConfig::default()).unwrap();
-        let (first, first_stats) =
-            place_smt(&ir, &dag, &net, &SmtConfig { optimize: false, ..Default::default() })
-                .unwrap();
-        assert!(first_stats.nodes_explored <= opt_stats.nodes_explored);
-        assert!(opt.gain >= first.gain - 1e-9);
     }
 }

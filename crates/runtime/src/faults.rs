@@ -232,11 +232,6 @@ impl FaultInjector {
     pub fn pending(&self) -> &[FaultEvent] {
         &self.plan.events()[self.cursor..]
     }
-
-    /// Whether every scheduled event has been delivered.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.plan.events().len()
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +283,6 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert_eq!(rest[0].device, "B");
         assert_eq!(rest[1].device, "A");
-        assert!(injector.is_exhausted());
         assert!(injector.pending().is_empty());
     }
 

@@ -326,31 +326,6 @@ impl Topology {
         t
     }
 
-    /// Spine-leaf fabric: every leaf connects to every spine; `servers_per_leaf`
-    /// servers hang off each leaf.
-    pub fn spine_leaf(
-        spines: usize,
-        leaves: usize,
-        servers_per_leaf: usize,
-        kind: DeviceKind,
-    ) -> Topology {
-        let mut t = Topology::new();
-        let spine_ids: Vec<NodeId> =
-            (0..spines).map(|i| t.add_node(format!("Spine{i}"), Tier::Core, None, kind)).collect();
-        for l in 0..leaves {
-            let leaf = t.add_node(format!("Leaf{l}"), Tier::ToR, Some(l), kind);
-            for s in &spine_ids {
-                t.add_link(leaf, *s);
-            }
-            for s in 0..servers_per_leaf {
-                let srv =
-                    t.add_node(format!("leaf{l}_s{s}"), Tier::Server, Some(l), DeviceKind::Server);
-                t.add_link(leaf, srv);
-            }
-        }
-        t
-    }
-
     /// The heterogeneous emulation topology of the paper's Fig. 11: three pods,
     /// two ToR (Tofino) and two Agg (Trident4) switches per pod, four Tofino2
     /// core switches, one server group per ToR (named `pod{i}a` / `pod{i}b`),
@@ -483,19 +458,6 @@ mod tests {
     #[should_panic(expected = "even number")]
     fn odd_fat_tree_rejected() {
         Topology::device_equal_fat_tree(3, DeviceKind::Tofino);
-    }
-
-    #[test]
-    fn spine_leaf_counts() {
-        let t = Topology::spine_leaf(4, 6, 8, DeviceKind::Trident4);
-        assert_eq!(t.nodes().iter().filter(|n| n.tier == Tier::Core).count(), 4);
-        assert_eq!(t.nodes().iter().filter(|n| n.tier == Tier::ToR).count(), 6);
-        assert_eq!(t.servers().len(), 48);
-        // each leaf connects to all spines
-        let leaf = t.find("Leaf0").unwrap();
-        let spine_neighbors =
-            t.neighbors(leaf).iter().filter(|n| t.node(**n).tier == Tier::Core).count();
-        assert_eq!(spine_neighbors, 4);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! * [`graph`] — the physical topology graph: nodes (servers, NICs, ToR /
 //!   aggregation / core switches, each with a [`clickinc_device::DeviceKind`]
 //!   and optionally a bypass accelerator) and links, with builders for
-//!   device-equal fat-trees, spine-leaf fabrics, the paper's Fig. 11 emulation
-//!   topology, and simple device chains (used by the Table 4 / Fig. 14
-//!   experiments);
+//!   device-equal fat-trees, the paper's Fig. 11 emulation topology, and
+//!   simple device chains (used by the Table 4 / Fig. 14 experiments);
 //! * [`paths`] — enumeration of the up-down paths between endpoint servers;
 //! * [`reduce`] — the topology simplification of §5.3: devices are grouped into
 //!   *equivalence classes* (ECs) per tier and pod, the fat-tree collapses into a

@@ -91,12 +91,6 @@ pub fn path_peak_tier(topo: &Topology, path: &[NodeId]) -> Option<Tier> {
     path.iter().map(|n| topo.node(*n).tier).max_by_key(|t| t.level())
 }
 
-/// The programmable devices along a path (everything except the endpoint
-/// servers), in path order.
-pub fn programmable_hops(topo: &Topology, path: &[NodeId]) -> Vec<NodeId> {
-    path.iter().copied().filter(|n| topo.node(*n).tier.is_network_device()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +103,6 @@ mod tests {
         let paths = enumerate_paths(&t, servers[0], servers[1]);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 6);
-        assert_eq!(programmable_hops(&t, &paths[0]).len(), 4);
     }
 
     #[test]
