@@ -12,8 +12,8 @@
 //! 3. **failover** — the controller is told
 //!    ([`ClickIncService::fail_device`]): the device is marked down in the
 //!    topology, the victim is quiesced through the uninstall path and
-//!    re-placed through the full plan → verify → admission → commit chain
-//!    with a denylist seeded from the failed-device set.  If no placement
+//!    re-placed through the full plan → verify → admission → commit chain,
+//!    whose path enumeration skips the down device.  If no placement
 //!    avoiding the failure exists, the victim parks in the typed
 //!    [`Degraded`](clickinc::ClickIncError::Degraded) state instead;
 //! 4. **restore** — the device returns, parked tenants are retried, and the

@@ -38,7 +38,7 @@ use clickinc_runtime::TenantHop;
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
-    base_program, extend_image, isolate_user_program, renamed_names, DeploymentDelta, ImageLogs,
+    base_program, extend_image, isolate_user_program, DeploymentDelta, ImageLogs,
 };
 use clickinc_topology::{reduce_for_traffic, NodeHealth, NodeId, Topology};
 use serde::Serialize;
@@ -208,8 +208,8 @@ pub struct DeploymentPlan {
     /// Physical device names the plan occupies (deduped, sorted) — the
     /// topology node names behind the EC labels of
     /// [`devices`](DeploymentPlan::devices), so provider policy (a
-    /// [`DeviceDenylist`](crate::DeviceDenylist) seeded with failed devices)
-    /// can veto plans by the same names a failure reports.
+    /// [`DeviceDenylist`](crate::DeviceDenylist) of carved-out devices) can
+    /// veto plans by the same names the topology and a failure report.
     physical_devices: Vec<String>,
     /// Everything the static verifier pipeline reported while solving.  A
     /// plan only exists if the set carries no error-severity finding —
@@ -388,8 +388,8 @@ pub struct PlanSummary {
 pub struct Controller {
     topology: Topology,
     ledger: ResourceLedger,
-    /// Per device, the record of the slices merged onto it and the tenants
-    /// struck from it: its image, materialized only when read.
+    /// Per device, the record of the slices merged onto it, each flagged
+    /// once its tenant is struck: its image, materialized only when read.
     images: ImageLogs,
     /// The operator's base program every device image starts from, shared
     /// with every tenant's [`DevicePrograms`].
@@ -560,29 +560,19 @@ impl Controller {
     /// compiling would produce.  It also places on the resident's block DAG
     /// and placement inputs ([`Deployment::prepared`]) — equal to its own,
     /// because isolation prefixes every name with `{user}_` and the DAG and
-    /// the inputs read which names are shared, never a name itself.  That
-    /// holds when the renaming is uniform: no compiled name may already carry
-    /// the resident's or the arrival's prefix (isolation leaves such a name
-    /// alone).  Otherwise the solve derives its own.
+    /// the inputs read which names are shared, never a name itself.
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
         self.check_request(request)?;
         let user = &request.user;
         let lender = self.deployments.values().find_map(|d| {
             let compiled = d.prepared.compiled.as_ref()?;
-            (d.request.source == request.source).then_some((d, compiled))
+            (d.request.source == request.source).then_some((&d.prepared, compiled))
         });
         let (isolated, preparation) = match lender {
-            Some((lender, compiled)) => {
+            Some((prepared, compiled)) => {
                 let isolated = isolate_user_program(compiled, user, self.next_user_id);
-                let uniform = renamed_names(compiled)
-                    .all(|name| !owned_by(name, &lender.user) && !owned_by(name, user));
-                let preparation = if uniform {
-                    Preparation::Lent(Arc::clone(&lender.prepared))
-                } else {
-                    Preparation::Own(Some(compiled.clone()))
-                };
-                (isolated, preparation)
+                (isolated, Preparation::Lent(Arc::clone(prepared)))
             }
             None => {
                 let options = CompileOptions::default();
@@ -595,8 +585,11 @@ impl Controller {
     }
 
     /// Expert variant of [`plan`](Controller::plan): place an
-    /// **already-isolated** IR program verbatim, skipping compile and
-    /// isolation renaming (the request's `source` is ignored).  Nothing here
+    /// **already-isolated** IR program, skipping compile and isolation
+    /// renaming (the request's `source` is ignored).  Only the owners are
+    /// set here, as isolation sets them: every instruction and object is the
+    /// request's tenant's alone, whatever the program carried, so no expert
+    /// code outlives its tenant's removal or leaves with another's.  Nothing
     /// re-establishes the namespace discipline the normal path guarantees —
     /// the static verifier pipeline is the only gate on this path, which is
     /// exactly why it still runs: a program that reads or writes outside its
@@ -605,13 +598,20 @@ impl Controller {
     pub fn plan_isolated(
         &self,
         request: &ServiceRequest,
-        program: IrProgram,
+        mut program: IrProgram,
     ) -> Result<DeploymentPlan, ClickIncError> {
         let started = Instant::now();
         self.check_request(request)?;
+        let user = &request.user;
+        for instr in &mut program.instructions {
+            instr.owners = vec![user.clone()];
+        }
+        for object in &mut program.objects {
+            object.owner = Some(user.clone());
+        }
         // slices are named after the program, and planes quiesce a tenant by
         // that name
-        let program = IrProgram { name: request.user.clone(), ..program };
+        program.name = user.clone();
         self.solve_prepared(request, program, Preparation::Own(None), started)
     }
 
@@ -759,16 +759,16 @@ impl Controller {
     }
 
     /// Object-name isolation the per-tenant `isolation` pass cannot see.
-    /// Isolation prefixes names with `{user}_` and leaves a name that already
-    /// starts so alone, so tenant `u`'s `mem` and `u_mem` both become
-    /// `u_mem`: an object `program` declares twice is an `isolation` error.
-    /// And the prefix is not prefix-free, so tenant `a`'s `b_cache` and
-    /// tenant `a_b`'s `cache` both become `a_b_cache` — and a device's object
-    /// store would hand both tenants the one object.  An object name of
-    /// `program` another resident tenant already declares is an `isolation`
-    /// error too.  The verifier holds every resident's objects to its own
-    /// namespace, so only a resident whose namespace holds one of the new
-    /// names can collide.
+    /// The frontend accepts a source that declares `mem` twice (two objects
+    /// named `mem`), and an expert program may do the same: an object
+    /// `program` declares twice is an `isolation` error.  Isolation prefixes
+    /// every name with `{user}_`, but the prefix is not prefix-free, so
+    /// tenant `a`'s `b_cache` and tenant `a_b`'s `cache` both become
+    /// `a_b_cache` — and a device's object store would hand both tenants the
+    /// one object.  An object name of `program` another resident tenant
+    /// already declares is an `isolation` error too.  The verifier holds
+    /// every resident's objects to its own namespace, so only a resident
+    /// whose namespace holds one of the new names can collide.
     fn check_object_names(&self, user: &str, program: &IrProgram, out: &mut DiagnosticSet) {
         let isolation_error = |message: String| {
             Diagnostic::new(Severity::Error, "isolation", user, &program.name, message)

@@ -41,9 +41,7 @@
 use crate::controller::{Controller, DeploymentPlan};
 use crate::error::ClickIncError;
 use crate::planner::Planner;
-use crate::policy::{
-    AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, PolicyChain,
-};
+use crate::policy::{AdmissionContext, AdmissionDecision, AdmissionPolicy, PolicyChain};
 use crate::request::ServiceRequest;
 use crate::sharding::sharding_mode_for;
 use clickinc_ir::Value;
@@ -123,8 +121,7 @@ enum Source<'a> {
 pub(crate) enum Gate<'a> {
     /// The service-wide chain.
     Service,
-    /// The service-wide chain, then request-scoped policies (a planner's
-    /// batch policies, the failover denylist).
+    /// The service-wide chain, then a planner's batch policies.
     ServiceAnd(&'a PolicyChain),
     /// No policy: only for putting a tenant back after a refused
     /// [`replace_tenant`](ClickIncService::replace_tenant) — it was admitted
@@ -287,26 +284,23 @@ impl Shared {
     }
 
     /// Re-place tenants a device failure displaced, against the current
-    /// topology: the service chain *plus* a [`DeviceDenylist`] of every
-    /// currently-down device gates each one.  Tenants that cannot be
-    /// re-placed are parked under the typed error the report carries.
+    /// topology, under the service chain: the solve's path enumeration
+    /// already skips every down device.  Tenants that cannot be re-placed
+    /// are parked under the typed error the report carries.
     fn replace_displaced(
         self: &Arc<Self>,
         state: &mut ServiceState,
         device: &str,
         displaced: Vec<DegradedTenant>,
     ) -> FailoverReport {
-        let denylist =
-            PolicyChain::new().with(DeviceDenylist::new(state.controller.down_devices()));
         let mut report = FailoverReport {
             device: device.to_string(),
             recovered: Vec::new(),
             degraded: Vec::new(),
         };
-        let gate = Gate::ServiceAnd(&denylist);
         for tenant in displaced {
             let user = tenant.request.user.clone();
-            match self.deploy(state, Source::Request(&tenant.request), gate) {
+            match self.deploy(state, Source::Request(&tenant.request), Gate::Service) {
                 Ok(_) => report.recovered.push(user),
                 Err(err) => {
                     report.degraded.push(ClickIncError::Degraded {
@@ -431,20 +425,9 @@ impl ClickIncService {
         topology: Topology,
         config: EngineConfig,
     ) -> Result<ClickIncService, ClickIncError> {
-        ClickIncService::with_controller(Controller::new(topology), config)
-    }
-
-    /// Wrap an already configured controller (e.g. one with the segment memo
-    /// off, [`Controller::set_solve_memo`]).
-    /// The controller must not have live deployments yet: the engine only
-    /// sees tenants committed through the service.
-    pub fn with_controller(
-        controller: Controller,
-        config: EngineConfig,
-    ) -> Result<ClickIncService, ClickIncError> {
         let engine = TrafficEngine::try_new(config)?;
         let state = ServiceState {
-            controller,
+            controller: Controller::new(topology),
             policy: PolicyChain::new(),
             initial_sharding: InitialSharding::default(),
             degraded: BTreeMap::new(),
@@ -682,8 +665,8 @@ impl ClickIncService {
     /// Fail a device: mark it down in both the topology (future placements
     /// route around it) and the serving engine (in-flight packets hitting it
     /// are lost and counted as fault losses), quiesce every tenant whose
-    /// placement occupied it, and re-place each one through the pipeline
-    /// with a [`DeviceDenylist`] seeded from the failed-device set.  Tenants
+    /// placement occupied it, and re-place each one through the pipeline,
+    /// whose path enumeration skips every down device.  Tenants
     /// that cannot be re-placed — placement is infeasible on the degraded
     /// topology, or an admission policy refuses the move — park in the typed
     /// [`ClickIncError::Degraded`] state: they hold no resources and serve
@@ -1113,6 +1096,20 @@ mod tests {
             service.remove("kvs0").map(|_| ()).unwrap_err(),
             ClickIncError::UnknownUser(_)
         ));
+        service.finish();
+    }
+
+    /// A tenant's constant arithmetic that overflows `i64` folds as the data
+    /// plane wraps it; a panic there would poison the service lock for every
+    /// later call.
+    #[test]
+    fn an_overflowing_constant_deploys_and_the_service_stays_usable() {
+        let service = service();
+        let source = "hdr.seq = sum(9223372036854775807, 1)\nforward()\n";
+        let request = ServiceRequest::new("wrap", source, &["pod0a"], "pod2b");
+        service.deploy(request).expect("deploys");
+        service.deploy(kvs_request("kvs0")).expect("the next call still works");
+        assert_eq!(service.active_users(), ["kvs0", "wrap"]);
         service.finish();
     }
 }

@@ -115,11 +115,6 @@ impl DeviceModel {
         self.stages
     }
 
-    /// Resource capacity of one stage.
-    pub fn stage_capacity(&self, _stage: usize) -> ResourceVector {
-        self.per_stage
-    }
-
     /// Total resource capacity over all stages.
     pub fn total_capacity(&self) -> ResourceVector {
         self.per_stage.scaled(self.stages as f64)

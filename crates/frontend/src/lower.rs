@@ -9,6 +9,7 @@
 
 use crate::error::FrontendError;
 use clickinc_ir::analysis::{constant_indices, ConstIndex};
+use clickinc_ir::eval::alu_int;
 use clickinc_ir::{
     AluOp, CmpOp, Guard, HashAlgo, Instruction, IrProgram, MatchKind, ObjectDecl, ObjectKind,
     OpCode, Operand, Predicate, SketchKind, Value, ValueType,
@@ -697,14 +698,11 @@ impl<'a> Lowerer<'a> {
     fn lower_binop(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Lowered, FrontendError> {
         let l = self.lower_expr(lhs)?;
         let r = self.lower_expr(rhs)?;
-        // constant folding
-        if let (Some(a), Some(b)) = (l.const_int(), r.const_int()) {
-            if !l.is_float() && !r.is_float() {
-                if let Some(folded) = fold_int(op, a, b) {
-                    return Ok(Lowered::Const(folded));
-                }
-            }
-        }
+        let float = l.is_float() || r.is_float();
+        let consts = match (l.const_int(), r.const_int()) {
+            (Some(a), Some(b)) if !float => Some((a, b)),
+            _ => None,
+        };
         let alu = match op {
             BinOp::Add => AluOp::Add,
             BinOp::Sub => AluOp::Sub,
@@ -717,12 +715,19 @@ impl<'a> Lowerer<'a> {
             BinOp::Shl => AluOp::Shl,
             BinOp::Shr => AluOp::Shr,
             BinOp::Pow => {
-                return Err(FrontendError::Unsupported(
-                    "`**` requires compile-time constant operands".into(),
-                ))
+                // the IR has no power operation: `**` folds in range or fails
+                let power = consts.and_then(|(a, b)| a.checked_pow(u32::try_from(b).ok()?));
+                return power.map(Lowered::Const).ok_or_else(|| {
+                    FrontendError::Unsupported(
+                        "`**` requires compile-time constant operands".into(),
+                    )
+                });
             }
         };
-        let float = l.is_float() || r.is_float();
+        // constant folding, in the arithmetic the data plane runs
+        if let Some((a, b)) = consts {
+            return Ok(Lowered::Const(alu_int(alu, a, b)));
+        }
         let dest = self.fresh_tmp();
         self.emit(OpCode::Alu {
             dest: dest.clone(),
@@ -738,7 +743,7 @@ impl<'a> Lowerer<'a> {
         let v = self.lower_expr(operand)?;
         if let Some(c) = v.const_int() {
             return Ok(Lowered::Const(match op {
-                UnaryOp::Neg => -c,
+                UnaryOp::Neg => alu_int(AluOp::Sub, 0, c),
                 UnaryOp::Invert => !c,
                 UnaryOp::Not => i64::from(c == 0),
             }));
@@ -1218,7 +1223,9 @@ impl<'a> Lowerer<'a> {
             BuiltinFn::Abs => match lowered.first() {
                 Some(v) => {
                     if let Some(c) = v.const_int() {
-                        return Ok(Lowered::Const(c.abs()));
+                        // `max(c, 0 - c)`, as the instructions below compute it
+                        let neg = alu_int(AluOp::Sub, 0, c);
+                        return Ok(Lowered::Const(alu_int(AluOp::Max, c, neg)));
                     }
                     let op = v.to_operand()?;
                     let neg = self.fresh_tmp();
@@ -1333,12 +1340,7 @@ impl<'a> Lowerer<'a> {
         let mut acc = items[0].clone();
         for item in &items[1..] {
             if let (Some(a), Some(b)) = (acc.const_int(), item.const_int()) {
-                let folded = match alu {
-                    AluOp::Min => a.min(b),
-                    AluOp::Max => a.max(b),
-                    _ => a + b,
-                };
-                acc = Lowered::Const(folded);
+                acc = Lowered::Const(alu_int(alu, a, b));
                 continue;
             }
             let dest = self.fresh_tmp();
@@ -1353,22 +1355,6 @@ impl<'a> Lowerer<'a> {
         }
         Ok(acc)
     }
-}
-
-fn fold_int(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.checked_add(b)?,
-        BinOp::Sub => a.checked_sub(b)?,
-        BinOp::Mul => a.checked_mul(b)?,
-        BinOp::Div | BinOp::FloorDiv => a.checked_div(b)?,
-        BinOp::Mod => a.checked_rem(b)?,
-        BinOp::Pow => a.checked_pow(u32::try_from(b).ok()?)?,
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => a.checked_shl(u32::try_from(b).ok()?)?,
-        BinOp::Shr => a.checked_shr(u32::try_from(b).ok()?)?,
-    })
 }
 
 #[cfg(test)]
@@ -1393,6 +1379,32 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(ir.validate().is_ok());
+    }
+
+    #[test]
+    fn constant_folding_wraps_like_the_data_plane() {
+        // each overflows `i64`: folded as the ALU runs it, never a panic
+        let sources = ["sum(9223372036854775807, 1)", "abs(-9223372036854775807 - 1)"];
+        for expr in sources.into_iter().chain(["-(-9223372036854775807 - 1)"]) {
+            let ir = compile(&format!("hdr.seq = {expr}\nforward()\n"));
+            match &ir.instructions[0].op {
+                OpCode::SetHeader { value, .. } => {
+                    assert_eq!(*value, Operand::int(i64::MIN), "{expr}")
+                }
+                other => panic!("{expr}: unexpected {other:?}"),
+            }
+        }
+        // `//` folds as the ALU's `Div`; `**` out of range still fails
+        let ir = compile("hdr.seq = (-7) // 2\nforward()\n");
+        assert!(
+            matches!(&ir.instructions[0].op, OpCode::SetHeader { value, .. } if *value == Operand::int(-3))
+        );
+        let err = Frontend::new().compile_source(
+            "test",
+            "hdr.seq = 2 ** 64\nforward()\n",
+            &CompileOptions::default(),
+        );
+        assert!(matches!(err, Err(FrontendError::Unsupported(_))), "{err:?}");
     }
 
     #[test]

@@ -81,10 +81,9 @@ pub fn place(
 /// object name with `{user}_` and guards every instruction on the tenant's
 /// numeric id; the bundle reads which instructions and objects share a name,
 /// never a name itself or the id.  So one program isolated under two tenants
-/// yields equal bundles — provided neither prefix was already on a name,
-/// which isolation leaves alone and which makes the renaming non-uniform —
-/// and a solve for one may use the other's ([`place_prepared`]).  The shape
-/// key and the per-kind demand are derived on first use.
+/// yields equal bundles, and a solve for one may use the other's
+/// ([`place_prepared`]).  The shape key and the per-kind demand are derived
+/// on first use.
 #[derive(Debug, PartialEq)]
 pub struct PlacementInputs {
     order: Vec<usize>,

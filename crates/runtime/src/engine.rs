@@ -293,11 +293,6 @@ impl TenantRoute {
 struct EngineState {
     /// Tenant → its one record.  Locked per inject *batch*, never per packet.
     tenants: BTreeMap<String, Arc<TenantRoute>>,
-    /// Injected device faults currently in effect (sparse: healthy devices
-    /// are absent).  The authoritative copy lives in the shard workers; this
-    /// mirror lets control loops ask which devices are down without a
-    /// shard round-trip.
-    device_health: BTreeMap<String, DeviceHealth>,
 }
 
 /// State shared by every [`EngineHandle`] clone.
@@ -674,27 +669,9 @@ impl EngineHandle {
     /// Rides the FIFO channels, so traffic injected before this call is
     /// processed under the old health, traffic after under the new.
     pub fn set_device_health(&self, device: &str, health: DeviceHealth) {
-        {
-            let mut state = self.state();
-            if health == DeviceHealth::Up {
-                state.device_health.remove(device);
-            } else {
-                state.device_health.insert(device.to_string(), health);
-            }
-        }
         for sender in &self.shared.senders {
             let _ = sender.send(ShardMsg::SetDeviceHealth { device: device.to_string(), health });
         }
-    }
-
-    /// Names of all devices currently taken fully down by a fault.
-    pub fn down_devices(&self) -> Vec<String> {
-        self.state()
-            .device_health
-            .iter()
-            .filter(|(_, h)| !h.is_serving())
-            .map(|(d, _)| d.clone())
-            .collect()
     }
 
     /// [`run_workload`](EngineHandle::run_workload) with a [`FaultInjector`]

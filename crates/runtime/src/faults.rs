@@ -45,13 +45,6 @@ pub enum DeviceHealth {
     },
 }
 
-impl DeviceHealth {
-    /// Whether traffic still reaches the device at all.
-    pub fn is_serving(&self) -> bool {
-        !matches!(self, DeviceHealth::Down)
-    }
-}
-
 impl fmt::Display for DeviceHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -298,8 +291,6 @@ mod tests {
             FaultKind::LinkDegraded { factor: 0.2 }.health(),
             DeviceHealth::Degraded { factor: 1.0 }
         );
-        assert!(DeviceHealth::Flaky { drop_prob: 0.3 }.is_serving());
-        assert!(!DeviceHealth::Down.is_serving());
         assert_eq!(DeviceHealth::Down.to_string(), "down");
     }
 }

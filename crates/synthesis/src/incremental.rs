@@ -12,11 +12,12 @@
 //!
 //! The images exist in two forms.  [`DeviceImages`] holds them eagerly: every
 //! merge copies the slice into the image ([`add_slices`]) and every removal
-//! rewrites it ([`remove_user_program_from`]).  [`ImageLogs`] holds, per
-//! device, an [`ImageLog`] of what was merged and struck — shared slices and
-//! tenant names, no IR copied — and replays it into the eager image, bit for
-//! bit, when the image is read.  The controller keeps the logs: nothing on its
-//! admission path reads an image.
+//! rewrites it ([`remove_user_program_from`]); they take any owner
+//! annotations.  [`ImageLogs`] holds, per device, an [`ImageLog`] of the
+//! one-owner slices merged onto it, each flagged once struck — shared, no IR
+//! copied — and replays it into the eager image, bit for bit, when the image
+//! is read.  The controller keeps the logs: nothing on its admission path
+//! reads an image.
 
 use crate::base::BaseProgram;
 use crate::merge::extend_image;
@@ -208,126 +209,87 @@ pub(crate) fn strike_image(image: &mut IrProgram, user: &str) -> bool {
 }
 
 /// One device's running image as the record of what reached it: the slices
-/// merged onto it, shared with the deployments that cut them, and the
-/// tenants struck from it.  [`materialize`](ImageLog::materialize) replays
-/// the record into the image [`add_slices`] and [`remove_user_program_from`]
-/// would hold, bit for bit — lazy-removal `NoOp`s and the headers of departed
-/// tenants included — so merging and striking copy no IR.
+/// merged onto it, shared with the deployments that cut them, each flagged
+/// once its tenant is struck.  [`materialize`](ImageLog::materialize)
+/// replays the record into the image [`add_slices`] and
+/// [`remove_user_program_from`] would hold, bit for bit — lazy-removal
+/// `NoOp`s and the headers of departed tenants included — so merging and
+/// striking copy no IR.
 ///
-/// Each merge also drops what its compaction would erase from the image: a
-/// slice every part of which belongs to tenants struck since it was merged.
-/// So the log holds the slices something still owns, plus the strikes since
-/// the last merge.
-///
-/// The replay runs a slice's strikes before the next slice is merged, which
-/// reaches the same image as long as no object name on the device is
-/// declared under two different owners: [`extend_image`] keeps the first
-/// declaration of a name, so the strike order would decide which one
-/// survives.  The controller refuses such a plan (an `isolation` error).
+/// Every slice has one owner, the tenant it is named after: each of its
+/// instructions is owned by that tenant alone, and so is each of its
+/// objects — what [`isolate_user_program`](crate::isolate_user_program)
+/// and the controller's `plan_isolated` stamp on every admitted program.
+/// A strike therefore erases whole slices, and a merge drops the slices
+/// struck since the last one, as its compaction drops their `NoOp`s.  So
+/// the log holds exactly the slices the last merge kept.
 #[derive(Debug, Default)]
 pub struct ImageLog {
-    /// The slices merged onto the device, in merge order.
-    merges: Vec<LoggedMerge>,
-    /// The tenants struck since the last merge, in strike order.
-    strikes: Vec<String>,
+    /// The slices merged onto the device, in merge order, each with whether
+    /// its tenant was struck since the last merge.
+    entries: Vec<(Arc<IrProgram>, bool)>,
     /// Every header a merge declared, in first-merge order: a slice dropped
-    /// from `merges` leaves its headers in the image.
+    /// from `entries` leaves its headers in the image.
     headers: Vec<HeaderFieldDecl>,
 }
 
-/// A slice on an [`ImageLog`], with the tenants struck from it before the
-/// log's last merge.
-#[derive(Debug)]
-struct LoggedMerge {
-    slice: Arc<IrProgram>,
-    /// Only tenants that own part of `slice`, each once, in strike order.
-    struck: Vec<String>,
-}
-
-impl LoggedMerge {
-    /// Whether a strike of `user` would reach this slice: the user owns part
-    /// of it and was not struck from it since it was merged.
-    fn held_by(&self, user: &str) -> bool {
-        !self.struck.iter().any(|s| s == user) && owned_by(&self.slice, user)
-    }
-
-    /// Whether the image keeps nothing of this slice once its strikes have
-    /// been compacted: every instruction lost every owner (a `NoOp` in the
-    /// slice itself never survives its own merge) and every object went with
-    /// its owner.  A slice with an operator-owned part is never erased.
-    fn erased(&self) -> bool {
-        let struck = |owner: &String| self.struck.contains(owner);
-        let slice = &self.slice;
-        slice.instructions.iter().all(|i| {
-            matches!(i.op, OpCode::NoOp) || (!i.owners.is_empty() && i.owners.iter().all(struck))
-        }) && slice.objects.iter().all(|o| o.owner.as_ref().is_some_and(struck))
-    }
-}
-
-/// Whether `user` owns an instruction or an object of `program`.
-fn owned_by(program: &IrProgram, user: &str) -> bool {
-    program.instructions.iter().any(|i| i.owners.iter().any(|o| o == user))
-        || program.objects.iter().any(|o| o.owner.as_deref() == Some(user))
-}
-
 impl ImageLog {
-    /// Record `slice` merged onto the device ([`extend_image`]).  The strikes
-    /// since the last merge are first folded into the slices they reach, and
-    /// the slices they left nothing of are dropped, as this merge's
-    /// compaction would drop their `NoOp`s.
+    /// Record `slice` merged onto the device ([`extend_image`]), after
+    /// dropping the slices struck since the last merge.
     pub fn merge(&mut self, slice: Arc<IrProgram>) {
-        for user in self.strikes.drain(..) {
-            for merge in self.merges.iter_mut().filter(|m| m.held_by(&user)) {
-                merge.struck.push(user.clone());
-            }
-        }
-        self.merges.retain(|m| m.struck.is_empty() || !m.erased());
+        debug_assert!(
+            slice.instructions.iter().all(|i| i.owners == [slice.name.as_str()])
+                && slice.objects.iter().all(|o| o.owner.as_ref() == Some(&slice.name)),
+            "slice `{}` is owned by its tenant alone",
+            slice.name
+        );
+        self.entries.retain(|(_, struck)| !struck);
         for hdr in &slice.headers {
             if !self.headers.iter().any(|h| h.name == hdr.name) {
                 self.headers.push(hdr.clone());
             }
         }
-        self.merges.push(LoggedMerge { slice, struck: Vec::new() });
+        self.entries.push((slice, false));
     }
 
-    /// Record `user` struck from the device.  Returns the other tenants still
-    /// owning part of the image, or `None` — recording nothing — if the image
-    /// held nothing of the user.
+    /// Record `user` struck from the device.  Returns the tenants of the
+    /// other slices still live, or `None` — recording nothing — if no live
+    /// slice was the user's.
     pub fn strike(&mut self, user: &str) -> Option<BTreeSet<String>> {
-        if self.strikes.iter().any(|s| s == user) || !self.merges.iter().any(|m| m.held_by(user)) {
-            return None;
-        }
-        self.strikes.push(user.to_string());
-        let live = |merge: &LoggedMerge, owner: &String| {
-            !merge.struck.contains(owner) && !self.strikes.contains(owner)
-        };
-        let mut owners = BTreeSet::new();
-        for merge in &self.merges {
-            let slice = &merge.slice;
-            let instr_owners = slice.instructions.iter().flat_map(|i| &i.owners);
-            for owner in instr_owners.chain(slice.objects.iter().filter_map(|o| o.owner.as_ref())) {
-                if !owners.contains(owner) && live(merge, owner) {
-                    owners.insert(owner.clone());
-                }
+        let mut held = false;
+        for (slice, struck) in &mut self.entries {
+            if !*struck && slice.name == user {
+                *struck = true;
+                held = true;
             }
         }
-        Some(owners)
+        if !held {
+            return None;
+        }
+        let mut others = BTreeSet::new();
+        // a tenant has a slice per assignment: copy its name at first sight
+        for (slice, _) in self.entries.iter().filter(|(_, struck)| !struck) {
+            if !others.contains(&slice.name) {
+                others.insert(slice.name.clone());
+            }
+        }
+        Some(others)
     }
 
-    /// Entries the log holds: merged slices plus strikes since the last merge.
+    /// The slices the log holds: those the last merge kept.
     pub fn len(&self) -> usize {
-        self.merges.len() + self.strikes.len()
+        self.entries.len()
     }
 
-    /// Whether the log holds no entry: nothing was merged onto the device.
+    /// Whether the log holds no slice: nothing was merged onto the device.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
-    /// The device's image: `base`'s image with the logged merges and strikes
-    /// replayed onto it.  Each slice's strikes run right after it: they
-    /// happened before the log's last merge, whose compaction erased the
-    /// `NoOp`s they left either way.
+    /// The device's image: `base`'s image with every logged slice merged in,
+    /// then the struck ones struck.  Each was struck after the last merge,
+    /// and a strike reaches only its own tenant's slices, so striking them
+    /// last reaches the same image.
     pub fn materialize(&self, base: &BaseProgram) -> IrProgram {
         let mut image = base.image();
         for hdr in &self.headers {
@@ -335,14 +297,11 @@ impl ImageLog {
                 image.headers.push(hdr.clone());
             }
         }
-        for merge in &self.merges {
-            extend_image(&mut image, &merge.slice, base.tail.len());
-            for user in &merge.struck {
-                strike_image(&mut image, user);
-            }
+        for (slice, _) in &self.entries {
+            extend_image(&mut image, slice, base.tail.len());
         }
-        for user in &self.strikes {
-            strike_image(&mut image, user);
+        for (slice, _) in self.entries.iter().filter(|(_, struck)| *struck) {
+            strike_image(&mut image, &slice.name);
         }
         image
     }

@@ -7,29 +7,17 @@
 
 use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
 
-/// The names [`isolate_user_program`] prefixes, with repeats: every declared
-/// object, and every temporary or object an instruction writes, reads or
-/// names.  Headers and metadata keep their names.
-pub fn renamed_names(program: &IrProgram) -> impl Iterator<Item = &str> {
-    let declared = program.objects.iter().map(|o| o.name.as_str());
-    let used = program.instructions.iter();
-    let used = used.flat_map(|i| i.read_vars().chain(i.dest()).chain(i.object()));
-    declared.chain(used)
-}
-
-/// Rewrite a user program so every object, temporary variable and owner
-/// annotation is prefixed with the user id, and every instruction is guarded by
-/// a match on the user's INC header id (`meta.inc_user == user_numeric_id`).
+/// Rewrite a user program so every object and temporary variable name is
+/// prefixed with `{user}_` — one that already starts so too, which keeps the
+/// renaming injective — every instruction and object is owned by the user
+/// alone, and every instruction is guarded by a match on the user's INC
+/// header id (`meta.inc_user == user_numeric_id`).
 ///
 /// Returns the isolated program; the original is not modified.
 pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i64) -> IrProgram {
     let prefix = format!("{user}_");
-    // temporaries and objects share the one prefix; an owned name is left alone
-    let rename = |name: &mut String| {
-        if !name.starts_with(&prefix) {
-            name.insert_str(0, &prefix);
-        }
-    };
+    // temporaries and objects share the one prefix, on every name
+    let rename = |name: &mut String| name.insert_str(0, &prefix);
 
     let mut out = IrProgram::new(user);
     out.headers = program.headers.clone();
@@ -81,6 +69,7 @@ mod tests {
     use clickinc_frontend::compile_source;
     use clickinc_ir::analysis::owned_by;
     use clickinc_lang::templates::{count_min_sketch, kvs_template, KvsParams};
+    use std::collections::BTreeSet;
 
     fn cms_ir(name: &str) -> IrProgram {
         let t = count_min_sketch(name, 3, 1024);
@@ -100,10 +89,8 @@ mod tests {
             assert!(owned_by(obj, "userA"));
         }
         // variables are disjoint too
-        let a_vars: std::collections::BTreeSet<_> =
-            a.instructions.iter().filter_map(|i| i.dest()).collect();
-        let b_vars: std::collections::BTreeSet<_> =
-            b.instructions.iter().filter_map(|i| i.dest()).collect();
+        let a_vars: BTreeSet<_> = a.instructions.iter().filter_map(|i| i.dest()).collect();
+        let b_vars: BTreeSet<_> = b.instructions.iter().filter_map(|i| i.dest()).collect();
         assert!(a_vars.is_disjoint(&b_vars));
     }
 
@@ -141,11 +128,24 @@ mod tests {
     }
 
     #[test]
-    fn renaming_is_idempotent() {
-        let once = isolate_user_program(&cms_ir("cms"), "u1", 1);
-        let twice = isolate_user_program(&once, "u1", 1);
-        let names_once: Vec<_> = once.objects.iter().map(|o| o.name.clone()).collect();
-        let names_twice: Vec<_> = twice.objects.iter().map(|o| o.name.clone()).collect();
-        assert_eq!(names_once, names_twice, "no double prefixing");
+    fn renaming_is_injective() {
+        // `mem` and `u_mem` already carry the prefix once: both still get it
+        let sketch = "Sketch(type=\"count-min\", rows=1, cols=64, w=32)";
+        let source = format!(
+            "mem = {sketch}\nu_mem = {sketch}\n\
+             a = count(mem, hdr.key, 1)\nb = count(u_mem, hdr.key, 1)\nforward()\n"
+        );
+        let ir = compile_source("u", &source).unwrap();
+        let isolated = isolate_user_program(&ir, "u", 1);
+        let names: Vec<_> = isolated.objects.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(names, ["u_mem", "u_u_mem"]);
+        let dests = |p: &IrProgram| {
+            p.instructions.iter().filter_map(|i| i.dest()).collect::<BTreeSet<_>>().len()
+        };
+        assert_eq!(dests(&isolated), dests(&ir), "distinct temporaries stay distinct");
+        // and isolating twice prefixes twice
+        let twice = isolate_user_program(&isolated, "u", 1);
+        let names: Vec<_> = twice.objects.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(names, ["u_u_mem", "u_u_u_mem"]);
     }
 }

@@ -25,9 +25,9 @@
 //!   no longer have any owner — they stay as `NoOp`s until the next merge
 //!   onto the device — without touching the other tenants (Table 6's
 //!   comparison against monolithic redeployment).  The controller keeps each
-//!   device's image as an [`incremental::ImageLog`] of shared slices and
-//!   strikes instead ([`ImageLogs`]), replayed into the same image when it is
-//!   read.
+//!   device's image as an [`incremental::ImageLog`] instead ([`ImageLogs`]):
+//!   the shared one-owner slices merged onto it, each flagged once its
+//!   tenant is struck, replayed into the same image when it is read.
 
 pub mod base;
 pub mod incremental;
@@ -39,5 +39,5 @@ pub use incremental::{
     add_slices, add_user_program, remove_user_program, remove_user_program_from, DeploymentDelta,
     ImageLogs,
 };
-pub use isolation::{isolate_user_program, renamed_names};
+pub use isolation::isolate_user_program;
 pub use merge::extend_image;

@@ -4,13 +4,11 @@
 //! `remove_user_program_from`).  After every operation the two report the
 //! same `DeploymentDelta`, the materialized images equal the eager ones as
 //! whole programs (lazy-removal `NoOp`s and header order included), and each
-//! log holds no more than the slices its last merge kept plus the strikes
-//! since.
+//! log holds exactly the slices its last merge kept.  Every slice is owned
+//! by its tenant alone, as every slice a deploy cuts is.
 
 use clickinc_frontend::compile_source;
-use clickinc_ir::{
-    DiagnosticSet, IrProgram, OpCode, Operand, Optimizer, ProgramBuilder, ValueType,
-};
+use clickinc_ir::{DiagnosticSet, IrProgram, Optimizer};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
@@ -23,8 +21,9 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-/// The tenants the slices below belong to, in strike-index order.
-const TENANTS: [&str; 4] = ["cms_a", "kvs_b", "agg_c", "hand_d"];
+/// The tenants the slices below belong to, in strike-index order, and one
+/// that never deploys.
+const TENANTS: [&str; 4] = ["cms_a", "kvs_b", "agg_c", "ghost_d"];
 
 /// `source` compiled, isolated and optimized as a deploy does (so the
 /// tenant guard is hoisted into the precondition), cut into two slices.
@@ -40,30 +39,6 @@ fn halves(user: &str, id: i64, source: &str) -> [IrProgram; 2] {
     ]
 }
 
-/// A program of the kind a pre-isolated request brings: an instruction with a
-/// second owner (`cms_a`), an operator-owned (ownerless) instruction and
-/// object, and a header no template declares.  Cut in two: the doubly owned
-/// instruction alone, so a strike of either owner leaves the slice partly
-/// owned, and the rest.
-fn hand_built() -> [IrProgram; 2] {
-    let mut b = ProgramBuilder::new("hand_d");
-    b.header("hand_hdr", ValueType::Bit(16));
-    b.array("hand_d_arr", 1, 64, 32);
-    b.array("shared_arr", 1, 64, 32);
-    b.assign("hand_d_x", Operand::hdr("hand_hdr"));
-    b.count(None, "shared_arr", vec![Operand::var("hand_d_x")], Operand::int(1));
-    b.assign("op_tag", Operand::int(7));
-    b.count(None, "hand_d_arr", vec![Operand::var("hand_d_x")], Operand::int(1));
-    let mut program = b.build().unwrap();
-    let owners: [&[&str]; 4] = [&["hand_d", "cms_a"], &["hand_d"], &[], &["hand_d"]];
-    for (instr, owners) in program.instructions.iter_mut().zip(owners) {
-        instr.owners = owners.iter().map(|o| o.to_string()).collect();
-    }
-    let owned = program.objects.iter_mut().find(|o| o.name == "hand_d_arr").unwrap();
-    owned.owner = Some("hand_d".into());
-    [program.slice(&[0]), program.slice(&[1, 2, 3])]
-}
-
 /// Every slice a merge may bring, shared as a deploy shares them.
 fn slices() -> &'static [Arc<IrProgram>] {
     static SLICES: OnceLock<Vec<Arc<IrProgram>>> = OnceLock::new();
@@ -75,30 +50,17 @@ fn slices() -> &'static [Arc<IrProgram>] {
         all.extend(halves("cms_a", 1, &cms.source));
         all.extend(halves("kvs_b", 2, &kvs.source));
         all.extend(halves("agg_c", 3, &agg.source));
-        all.extend(hand_built());
         all.into_iter().map(Arc::new).collect()
     })
 }
 
 /// The test's own account of one device: every slice ever merged onto it
-/// with the tenants struck since, how many of them the last merge kept, and
-/// the strikes since.
+/// with whether its tenant was struck since, and how many of them the last
+/// merge kept.
 #[derive(Default)]
 struct Shadow {
-    merged: Vec<(Arc<IrProgram>, BTreeSet<String>)>,
+    merged: Vec<(Arc<IrProgram>, bool)>,
     kept_by_last_merge: usize,
-    strikes_since_merge: usize,
-}
-
-/// Whether anything of `slice` survives its `struck` tenants' strikes: an
-/// instruction with an owner left (or none to begin with), or an object
-/// nobody struck owns.
-fn survives(slice: &IrProgram, struck: &BTreeSet<String>) -> bool {
-    let instr = slice.instructions.iter().any(|i| {
-        !matches!(i.op, OpCode::NoOp)
-            && (i.owners.is_empty() || i.owners.iter().any(|o| !struck.contains(o)))
-    });
-    instr || slice.objects.iter().any(|o| o.owner.as_ref().is_none_or(|o| !struck.contains(o)))
 }
 
 proptest! {
@@ -132,10 +94,9 @@ proptest! {
                 let got = logs.add_slices([(&members[..], slice)], &pod_of);
                 for member in &members {
                     let s = shadow.entry(*member).or_default();
-                    let kept = s.merged.iter().filter(|(m, struck)| survives(m, struck)).count();
-                    s.merged.push((Arc::clone(slice), BTreeSet::new()));
+                    let kept = s.merged.iter().filter(|(_, struck)| !struck).count();
+                    s.merged.push((Arc::clone(slice), false));
                     s.kept_by_last_merge = kept + 1;
-                    s.strikes_since_merge = 0;
                 }
                 (expected, got)
             } else {
@@ -143,10 +104,8 @@ proptest! {
                 let expected = remove_user_program_from(&mut eager, user, members.clone(), &pod_of);
                 let got = logs.remove_user_program_from(user, members.clone(), &pod_of);
                 for device in &expected.affected_devices {
-                    let s = shadow.get_mut(device).unwrap();
-                    s.strikes_since_merge += 1;
-                    for (_, struck) in &mut s.merged {
-                        struck.insert(user.to_string());
+                    for (slice, struck) in &mut shadow.get_mut(device).unwrap().merged {
+                        *struck |= slice.name == user;
                     }
                 }
                 (expected, got)
@@ -156,10 +115,8 @@ proptest! {
             prop_assert_eq!(&materialized.images, &eager.images, "step {}: images", step);
             for (device, s) in &shadow {
                 let held = logs.log(*device).unwrap().len();
-                prop_assert!(
-                    held <= s.kept_by_last_merge + s.strikes_since_merge,
-                    "step {}: device {:?} logs {} entries, {} kept + {} strikes",
-                    step, device, held, s.kept_by_last_merge, s.strikes_since_merge
+                prop_assert_eq!(
+                    held, s.kept_by_last_merge, "step {}: device {:?} log length", step, device
                 );
             }
         }
@@ -180,6 +137,6 @@ fn a_cycling_tenant_leaves_one_entry_per_resident_slice() {
         let delta = logs.remove_user_program_from("cms_a", [device], &pod_of);
         assert_eq!(delta.affected_programs, BTreeSet::from(["kvs_b".to_string()]));
     }
-    // kvs_b's slice, cms_a's last two, and the strike since
-    assert_eq!(logs.log(device).unwrap().len(), 4);
+    // kvs_b's slice and cms_a's last two, struck since
+    assert_eq!(logs.log(device).unwrap().len(), 3);
 }

@@ -23,9 +23,9 @@ struct inc_header {
 
 __declspec(emem shared) struct { uint64_t key; uint64_t value; uint8_t valid; } ipv4_lpm[1024];
 __declspec(imem shared) uint64_t port_counters[1][256];
-__declspec(imem shared) uint32_t agg_seq_t[1][256];
+__declspec(imem shared) uint32_t agg_agg_seq_t[1][256];
 __declspec(imem shared) uint8_t agg_bitmap_t[1][256];
-__declspec(imem shared) uint32_t agg_data_t[4][256];
+__declspec(imem shared) uint32_t agg_agg_data_t[4][256];
 __declspec(imem shared) uint8_t agg_valid_t[1][256];
 // hash `agg_hash_f` uses the NFP CRC accelerator
 __declspec(cls shared) uint32_t cms_mem[3][1024];
@@ -71,7 +71,7 @@ int pif_plugin_device_image(EXTRACTED_HEADERS_T *headers, MATCH_DATA_T *match) {
     if ((valid_eth == 0)) { return PIF_PLUGIN_RETURN_DROP; }
     if ((ttl_ok == 0)) { return PIF_PLUGIN_RETURN_DROP; }
     if ((meta.inc_user == 1)) { agg__t0 = crc_32(hdr.inc.seq); /* agg_hash_f */ }
-    if ((meta.inc_user == 1)) { agg__t1 = agg_seq_t[0][agg__t0]; }
+    if ((meta.inc_user == 1)) { agg__t1 = agg_agg_seq_t[0][agg__t0]; }
     if ((meta.inc_user == 1)) { agg__t2 = agg_valid_t[0][agg__t0]; }
     if ((meta.inc_user == 1)) { agg__t3 = agg_bitmap_t[0][agg__t0]; }
     if ((meta.inc_user == 1)) { agg__t4 = hdr.inc.op == 1; }
@@ -83,33 +83,33 @@ int pif_plugin_device_image(EXTRACTED_HEADERS_T *headers, MATCH_DATA_T *match) {
     if ((meta.inc_user == 1) && (agg__t4 == 0)) { agg__t8 = agg__t2 == 0; }
     if ((meta.inc_user == 1) && (agg__t4 == 0)) { agg__t9 = hdr.inc.overflow == 0; }
     if ((meta.inc_user == 1) && (agg__t4 == 0)) { agg__t10 = agg__t8 & agg__t9; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_seq_t[0][agg__t0] = hdr.inc.seq; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_agg_seq_t[0][agg__t0] = hdr.inc.seq; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_bitmap_t[0][agg__t0] = hdr.inc.bitmap; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_data_t[0][agg__t0] = hdr.inc.data_0; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_data_t[1][agg__t0] = hdr.inc.data_1; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_data_t[2][agg__t0] = hdr.inc.data_2; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_data_t[3][agg__t0] = hdr.inc.data_3; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_agg_data_t[0][agg__t0] = hdr.inc.data_0; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_agg_data_t[1][agg__t0] = hdr.inc.data_1; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_agg_data_t[2][agg__t0] = hdr.inc.data_2; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_agg_data_t[3][agg__t0] = hdr.inc.data_3; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { agg_valid_t[0][agg__t0] = 1; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 != 0)) { return PIF_PLUGIN_RETURN_DROP; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0)) { agg__t11 = agg__t1 == hdr.inc.seq; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0)) { agg__t12 = agg__t3 & hdr.inc.bitmap; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0)) { agg__t13 = agg__t12 == 0; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0)) { agg__t14 = agg__t11 & agg__t13; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t15 = agg_data_t[0][agg__t0]; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t15 = agg_agg_data_t[0][agg__t0]; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t16 = agg__t15 + hdr.inc.data_0; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_data_t[0][agg__t0] = agg__t16; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_agg_data_t[0][agg__t0] = agg__t16; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { hdr->data_0 = agg__t16; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t17 = agg_data_t[1][agg__t0]; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t17 = agg_agg_data_t[1][agg__t0]; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t18 = agg__t17 + hdr.inc.data_1; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_data_t[1][agg__t0] = agg__t18; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_agg_data_t[1][agg__t0] = agg__t18; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { hdr->data_1 = agg__t18; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t19 = agg_data_t[2][agg__t0]; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t19 = agg_agg_data_t[2][agg__t0]; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t20 = agg__t19 + hdr.inc.data_2; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_data_t[2][agg__t0] = agg__t20; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_agg_data_t[2][agg__t0] = agg__t20; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { hdr->data_2 = agg__t20; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t21 = agg_data_t[3][agg__t0]; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t21 = agg_agg_data_t[3][agg__t0]; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t22 = agg__t21 + hdr.inc.data_3; }
-    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_data_t[3][agg__t0] = agg__t22; }
+    if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg_agg_data_t[3][agg__t0] = agg__t22; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { hdr->data_3 = agg__t22; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t23 = agg__t3 | hdr.inc.bitmap; }
     if ((meta.inc_user == 1) && (agg__t4 == 0) && (agg__t10 == 0) && (agg__t14 != 0)) { agg__t24 = agg__t23 == 15; }

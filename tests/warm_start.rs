@@ -274,13 +274,15 @@ fn an_isolated_resident_lends_no_compiled_program() {
     assert_ne!(plan.dag(), &resident.dag);
 }
 
-/// A well-formed program over three arrays and a hash unit, in the style of
+/// A well-formed program over five arrays and a hash unit, in the style of
 /// `crates/ir/tests/slice.rs`: each seed byte appends one instruction, and
 /// every third one past the first is guarded on the temporary before it.
+/// Two arrays already carry a candidate tenant's prefix (`a_s0` beside
+/// `s0`, `zz_top_s1` beside `s1`), which isolation prefixes again.
 fn arb_program(seed: &[u8]) -> IrProgram {
     let mut b = ProgramBuilder::new("prop");
     b.header("x", ValueType::Bit(32));
-    for name in ["s0", "s1", "s2"] {
+    for name in ["s0", "s1", "s2", "a_s0", "zz_top_s1"] {
         b.array(name, 1, 64, 32);
     }
     b.hash_fn("h", HashAlgo::Crc16, Some(64));
@@ -288,12 +290,14 @@ fn arb_program(seed: &[u8]) -> IrProgram {
         let var = format!("v{i}");
         let index = vec![Operand::int(i64::from(*byte % 64))];
         let last = if i == 0 { Operand::hdr("x") } else { Operand::var(format!("v{}", i - 1)) };
-        match byte % 6 {
+        match byte % 8 {
             0 => b.alu(&var, AluOp::Add, last, Operand::int(i64::from(*byte))),
             1 => b.alu(&var, AluOp::Add, Operand::int(1), Operand::int(i64::from(*byte))),
             2 => b.get(&var, "s0", index),
             3 => b.count(Some(&var), "s1", index, Operand::int(1)),
             4 => b.hash(&var, "h", vec![last]),
+            5 => b.write("a_s0", index, vec![last]).assign(&var, Operand::hdr("x")),
+            6 => b.count(Some(&var), "zz_top_s1", index, Operand::int(1)),
             _ => b.write("s2", index, vec![last]).assign(&var, Operand::hdr("x")),
         };
     }
@@ -313,7 +317,8 @@ proptest! {
 
     /// What a same-source arrival borrows is name-invariant: one program
     /// isolated under two tenants and numeric ids, then optimized, has equal
-    /// block DAGs, step orders, cut costs, shape keys and allocator facts.
+    /// block DAGs, step orders, cut costs, shape keys and allocator facts —
+    /// also when some of its names already carry one tenant's prefix.
     #[test]
     fn the_lent_solve_inputs_are_name_invariant(
         seed in proptest::collection::vec(any::<u8>(), 1..24),
