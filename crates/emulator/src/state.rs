@@ -114,6 +114,18 @@ impl Cells {
         }
     }
 
+    /// `read` then `write` of one cell, addressed once: `f` maps the cell's
+    /// value to the one written back.
+    fn update(&mut self, row: u32, cell: u32, f: impl FnOnce(i64) -> i64) {
+        let at = self.index(row, cell);
+        let value = f(self.data.get(at).copied().unwrap_or(0));
+        if !self.data.is_empty() {
+            self.data[at] = value;
+        } else if value != 0 {
+            *self.cell_mut(row, cell) = value;
+        }
+    }
+
     /// `mine[i] += factor × other[i]` for every cell — the flow-partition
     /// merge (`factor` 1) and the replica-baseline deduction (`-copies`).
     /// Shapes that differ (which replicas of one declaration never do) and
@@ -260,6 +272,27 @@ impl ObjectStore {
             self.slots.get_mut(slot).and_then(Option::as_mut)
         {
             cells.write(row, index, value);
+        }
+    }
+
+    /// Read an array/sequence cell and write back `f` of its value, the
+    /// cell addressed once — what [`ObjectStore::array_read_slot`] then
+    /// [`ObjectStore::array_write_slot`] of one cell do.  A missing object
+    /// hands `f` a 0 and ignores what it returns.
+    pub fn array_update_slot(
+        &mut self,
+        slot: usize,
+        row: u32,
+        index: u32,
+        f: impl FnOnce(i64) -> i64,
+    ) {
+        match self.slots.get_mut(slot).and_then(Option::as_mut) {
+            Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) => {
+                cells.update(row, index, f)
+            }
+            _ => {
+                f(0);
+            }
         }
     }
 

@@ -25,9 +25,11 @@
 //! sibling run under the `Eq`/`Ne` complement of a block's predicate becomes
 //! the block's `otherwise` body, one test for both branches.
 //!
-//! The VM is bit-identical to the interpreter by construction: one IR
-//! instruction compiles to exactly one [`VmNode::Op`] (so executed-instruction
-//! telemetry matches), every operation evaluates through the same
+//! The VM is bit-identical to the interpreter by construction: every IR
+//! instruction compiles to one [`VmNode::Op`], except that a cell's
+//! read–ALU–write triple compiles to one fused [`VmOp::ArrayUpdate`] that
+//! counts as the three it replaces (so executed-instruction telemetry
+//! matches); every operation evaluates through the same
 //! [`clickinc_ir::eval`] reference semantics and the same [`ObjectStore`]
 //! cell arithmetic, and `RandInt` advances the same per-tenant splitmix
 //! stream.  The differential proptests in `tests/compiled_vs_interp.rs` hold
@@ -41,10 +43,12 @@
 //!
 //! Header fields are slots too.  A packet's header is a value vector laid out
 //! by a [`HeaderLayout`] its whole packet family shares, and the register
-//! file remembers, per layout, which slot each of the image's header ids
-//! lands in — so a header operand is a `Vec` index into the packet itself,
-//! the packet stays the single source of truth, and nothing is resolved per
-//! packet while the traffic keeps one shape.
+//! file binds every header id of the image to its slot in one pass whenever
+//! the packet's layout is not the one bound (a new packet family, or a
+//! header write that grew the packet a private layout) — so a header operand
+//! is a plain `Vec` index into the packet itself, the packet stays the
+//! single source of truth, and nothing is resolved per packet while the
+//! traffic keeps one shape.
 //!
 //! Operands are read where they live.  `Alu`, `Cmp` and block predicates hand
 //! [`clickinc_ir::eval`] two `&Value`s borrowed from the register file, the
@@ -55,13 +59,15 @@
 //! — copies one.
 //!
 //! Integers take the integer path.  Nearly every operand a served packet
-//! reads is a [`Value::Int`], so `Alu` (outside the float unit), `Cmp`, block
-//! and precondition predicates and every integer view test for two `Int`s
-//! inline and call [`eval::alu_int`] / [`CmpOp::eval_int`] directly — the
-//! very functions [`eval::alu`] and [`eval::compare`] apply to two `Int`s —
-//! and hand any other pair to `eval::alu` / `eval::compare`.  One definition
-//! still serves both tiers; the VM only skips re-dispatching on the operand
-//! kinds it has just matched.
+//! reads is a [`Value::Int`] or a [`Value::Bool`] a `Cmp` wrote, so `Alu`
+//! (outside the float unit), `Cmp`, block and precondition predicates and
+//! every integer view take those two kinds inline — a `Bool` as
+//! `i64::from(b)`, exactly what [`Value::as_int`] makes of it — and call
+//! [`eval::alu_int`] / [`CmpOp::eval_int`] directly, the very functions
+//! [`eval::alu`] and [`eval::compare`] apply to such a pair; any other pair
+//! goes to `eval::alu` / `eval::compare`.  One definition still serves both
+//! tiers; the VM only skips re-dispatching on the operand kinds it has just
+//! matched.
 
 use crate::packet::{HeaderLayout, Packet};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
@@ -99,7 +105,7 @@ pub enum VmOperand {
     /// A register (a lowered variable).
     Reg(u32),
     /// A packet header field, as a dense index into the image's header-name
-    /// table.  The register file maps it to the packet's slot once per
+    /// table.  The register file binds it to the packet's slot once per
     /// header layout, so a read is an index into the packet's slot vector;
     /// a field the layout does not carry reads `None`.
     Header(u32),
@@ -122,7 +128,7 @@ pub struct VmPred {
 /// Compiled row/cell addressing of an array or sequence access, mirroring the
 /// interpreter's index-arity decode (0 operands → cell 0, 1 → cell, 2+ →
 /// row and cell).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VmIndex {
     /// No index operands.
     None,
@@ -130,6 +136,18 @@ pub enum VmIndex {
     One(VmOperand),
     /// Two (or more) operands: row and cell.
     Two(VmOperand, VmOperand),
+}
+
+impl VmIndex {
+    /// Whether an index operand reads register `reg`.
+    fn reads(&self, reg: u32) -> bool {
+        let is = |o: &VmOperand| *o == VmOperand::Reg(reg);
+        match self {
+            VmIndex::None => false,
+            VmIndex::One(c) => is(c),
+            VmIndex::Two(r, c) => is(r) || is(c),
+        }
+    }
 }
 
 /// A compiled operation.  State ops are kind-specialized at compile time and
@@ -158,6 +176,20 @@ pub enum VmOp {
     SketchWrite { slot: usize, key: VmOperand, value: VmOperand },
     /// Array/sequence cell write.
     ArrayWrite { slot: usize, index: VmIndex, value: VmOperand },
+    /// One cell's read–ALU–write, fused: `read = slot[index]`, then
+    /// `dest = read op rhs`, then `slot[index] = dest`, with the cell
+    /// addressed once.  Counts as the three instructions it replaces.  The
+    /// lowering fuses only where `index` reads neither `read` nor `dest`, so
+    /// the write's index is the read's.
+    ArrayUpdate {
+        read: u32,
+        dest: u32,
+        slot: usize,
+        index: VmIndex,
+        op: AluOp,
+        rhs: VmOperand,
+        float: bool,
+    },
     /// Sketch count (the result is the new minimum estimate).
     SketchCount { dest: Option<u32>, slot: usize, key: VmOperand, delta: VmOperand },
     /// Array/sequence counter add (the result is the post-increment value).
@@ -191,9 +223,9 @@ pub enum VmOp {
     NoOp,
 }
 
-/// One node of a guard tree.  Exactly one IR instruction compiles to one
-/// `Op`, keeping the executed-instruction counters bit-identical across
-/// tiers.
+/// One node of a guard tree.  One IR instruction compiles to one `Op`, and
+/// a fused [`VmOp::ArrayUpdate`] stands for the three it replaces, keeping
+/// the executed-instruction counters bit-identical across tiers.
 #[derive(Debug, Clone)]
 pub enum VmNode {
     /// An operation whose guard the enclosing blocks have fully discharged.
@@ -301,8 +333,11 @@ impl CompiledImage {
         let indent = "  ".repeat(depth);
         for node in nodes {
             match node {
+                // a fused op prints as the instructions it replaces, one a line
                 VmNode::Op(op) => {
-                    let _ = writeln!(out, "{indent}{}", self.op_str(op));
+                    for line in self.op_str(op).lines() {
+                        let _ = writeln!(out, "{indent}{line}");
+                    }
                 }
                 VmNode::Block(blk) => {
                     let _ = writeln!(out, "{indent}if {}:", self.pred(&blk.guard));
@@ -316,10 +351,14 @@ impl CompiledImage {
         }
     }
 
+    fn reg(&self, r: u32) -> String {
+        format!("r{r}:{}", self.reg_names[r as usize])
+    }
+
     fn opnd(&self, o: &VmOperand) -> String {
         match o {
             VmOperand::Const(v) => format!("{v}"),
-            VmOperand::Reg(r) => format!("r{r}:{}", self.reg_names[*r as usize]),
+            VmOperand::Reg(r) => self.reg(*r),
             VmOperand::Header(h) => format!("hdr.{}", self.header_names[*h as usize]),
             VmOperand::MetaUser => "meta.inc_user".into(),
             VmOperand::MetaStep => "meta.step".into(),
@@ -362,17 +401,32 @@ impl CompiledImage {
         }
     }
 
+    fn alu_str(
+        &self,
+        dest: u32,
+        op: AluOp,
+        lhs: &VmOperand,
+        rhs: &VmOperand,
+        float: bool,
+    ) -> String {
+        let unit = if float { "f" } else { "" };
+        format!("r{dest} = {} {op:?}{unit} {}", self.opnd(lhs), self.opnd(rhs))
+    }
+
+    fn read_str(&self, dest: u32, slot: usize, index: &VmIndex) -> String {
+        format!("r{dest} = array_read {}{}", self.slot(slot), self.idx(index))
+    }
+
+    fn write_str(&self, slot: usize, index: &VmIndex, value: &str) -> String {
+        format!("array_write {}{} = {value}", self.slot(slot), self.idx(index))
+    }
+
     fn op_str(&self, op: &VmOp) -> String {
         match op {
             VmOp::Assign { dest, src } => {
                 format!("r{dest} = {}", self.opnd(src))
             }
-            VmOp::Alu { dest, op, lhs, rhs, float } => format!(
-                "r{dest} = {} {op:?}{} {}",
-                self.opnd(lhs),
-                if *float { "f" } else { "" },
-                self.opnd(rhs)
-            ),
+            VmOp::Alu { dest, op, lhs, rhs, float } => self.alu_str(*dest, *op, lhs, rhs, *float),
             VmOp::Cmp { dest, op, lhs, rhs } => {
                 format!("r{dest} = {} {op:?} {}", self.opnd(lhs), self.opnd(rhs))
             }
@@ -387,9 +441,7 @@ impl CompiledImage {
             VmOp::SketchEstimate { dest, slot, key } => {
                 format!("r{dest} = sketch_est {} ({})", self.slot(*slot), self.opnd(key))
             }
-            VmOp::ArrayRead { dest, slot, index } => {
-                format!("r{dest} = array_read {}{}", self.slot(*slot), self.idx(index))
-            }
+            VmOp::ArrayRead { dest, slot, index } => self.read_str(*dest, *slot, index),
             VmOp::TableWrite { slot, key, values } => {
                 format!(
                     "table_write {} ({}) = [{}]",
@@ -407,13 +459,14 @@ impl CompiledImage {
                 )
             }
             VmOp::ArrayWrite { slot, index, value } => {
-                format!(
-                    "array_write {}{} = {}",
-                    self.slot(*slot),
-                    self.idx(index),
-                    self.opnd(value)
-                )
+                self.write_str(*slot, index, &self.opnd(value))
             }
+            VmOp::ArrayUpdate { read, dest, slot, index, op, rhs, float } => format!(
+                "{}\n{}\n{}",
+                self.read_str(*read, *slot, index),
+                self.alu_str(*dest, *op, &VmOperand::Reg(*read), rhs, *float),
+                self.write_str(*slot, index, &self.reg(*dest))
+            ),
             VmOp::SketchCount { dest, slot, key, delta } => format!(
                 "{}sketch_count {} ({}) += {}",
                 dest.map_or(String::new(), |d| format!("r{d} = ")),
@@ -663,6 +716,8 @@ impl<'a> Lowerer<'a> {
     /// enclosing blocks shut, and then every level above it returns too.
     /// A block whose body ran to its end takes the run that follows under
     /// the complement of its predicate ([`is_else_of`]) as its `otherwise`.
+    /// Ops are pushed through [`push_fused`], so a cell's read–ALU–write
+    /// that stays in one body becomes one op.
     fn nodes(
         &mut self,
         instrs: &[Instruction],
@@ -685,7 +740,7 @@ impl<'a> Lowerer<'a> {
                         .iter()
                         .position(|p| writes_guard_operand(&op, p))
                         .unwrap_or(depth);
-                    body.push(VmNode::Op(op));
+                    push_fused(&mut body, op);
                     open
                 }
                 Some(next) => {
@@ -762,6 +817,40 @@ pub fn compile(
     CompiledImage { programs, reg_names: lw.reg_names, header_names: lw.header_names }
 }
 
+/// Push `next` onto `body`, fusing it with the two ops before it when the
+/// three are `d1 = s[i]`, `d2 = d1 op x`, `s[i] = d2` over one slot and one
+/// index that reads neither `d1` nor `d2` — then the write's index evaluates
+/// to the read's cell, and addressing it once changes nothing.  (Nothing
+/// between the three can move the cell: the read and the ALU write only
+/// `d1` and `d2`.)
+fn push_fused(body: &mut Vec<VmNode>, next: VmOp) {
+    let fuses = match (&next, &body[..]) {
+        (
+            VmOp::ArrayWrite { slot, index, value: VmOperand::Reg(sum) },
+            [.., VmNode::Op(VmOp::ArrayRead { dest: read, slot: s, index: i }), VmNode::Op(alu)],
+        ) => {
+            matches!(alu, VmOp::Alu { dest, lhs: VmOperand::Reg(lhs), .. }
+                if lhs == read && dest == sum)
+                && (slot, index) == (s, i)
+                && !index.reads(*read)
+                && !index.reads(*sum)
+        }
+        _ => false,
+    };
+    if !fuses {
+        body.push(VmNode::Op(next));
+        return;
+    }
+    let (
+        Some(VmNode::Op(VmOp::Alu { dest, op, rhs, float, .. })),
+        Some(VmNode::Op(VmOp::ArrayRead { dest: read, slot, index })),
+    ) = (body.pop(), body.pop())
+    else {
+        unreachable!("matched above")
+    };
+    body.push(VmNode::Op(VmOp::ArrayUpdate { read, dest, slot, index, op, rhs, float }));
+}
+
 /// Whether `other` is the `else` of `pred`: the same operand pair under the
 /// opposite one of `Eq`/`Ne`.
 fn is_else_of(pred: &Predicate, other: Option<&Predicate>) -> bool {
@@ -778,6 +867,7 @@ fn is_else_of(pred: &Predicate, other: Option<&Predicate>) -> bool {
 /// predicates, which read registers, headers and metadata only.)
 fn writes_guard_operand(op: &VmOp, pred: &VmPred) -> bool {
     let mut reg_w: Option<u32> = None;
+    let mut reg_w2: Option<u32> = None;
     let mut hdr_w: &[(u32, VmOperand)] = &[];
     let mut hdr_one: Option<u32> = None;
     match op {
@@ -792,12 +882,13 @@ fn writes_guard_operand(op: &VmOp, pred: &VmPred) -> bool {
         | VmOp::RandInt { dest, .. }
         | VmOp::Checksum { dest, .. } => reg_w = Some(*dest),
         VmOp::SketchCount { dest, .. } | VmOp::ArrayCount { dest, .. } => reg_w = *dest,
+        VmOp::ArrayUpdate { read, dest, .. } => (reg_w, reg_w2) = (Some(*read), Some(*dest)),
         VmOp::SetHeader { field, .. } => hdr_one = Some(*field),
         VmOp::Back { updates } => hdr_w = updates,
         _ => {}
     }
     let touches = |o: &VmOperand| match o {
-        VmOperand::Reg(r) => reg_w == Some(*r),
+        VmOperand::Reg(r) => reg_w == Some(*r) || reg_w2 == Some(*r),
         VmOperand::Header(h) => hdr_one == Some(*h) || hdr_w.iter().any(|(f, _)| f == h),
         _ => false,
     };
@@ -805,31 +896,28 @@ fn writes_guard_operand(op: &VmOp, pred: &VmPred) -> bool {
 }
 
 /// The plane-owned register file, generation-stamped so it never needs a
-/// per-packet reset, plus the per-layout header slot cache: where in the
-/// current packet's slot vector each header id of the image lives.
+/// per-packet reset, plus the header binding: where in the current packet's
+/// slot vector each header id of the image lives.
 #[derive(Debug, Clone, Default)]
 pub struct RegFile {
     regs: Vec<Value>,
     gen: Vec<u64>,
     cur: u64,
-    /// The header layout of the packet being executed.  Holding the `Arc`
-    /// keeps the layout alive, so pointer identity with the next packet's
-    /// layout means "same layout" and never a reused address.
+    /// The header layout `hdr_slot` is bound to.  Holding the `Arc` keeps
+    /// the layout alive, so pointer identity with a packet's layout means
+    /// "same layout" and never a reused address.
     layout: Option<Arc<HeaderLayout>>,
-    /// Bumped whenever `layout` changes; stamps `hdr_slot`.
-    layout_gen: u64,
     /// Image header id → slot in `layout` (`None`: the layout does not carry
-    /// the field), valid where `hdr_gen` equals `layout_gen` and resolved by
-    /// name on first use otherwise.
+    /// the field).
     hdr_slot: Vec<Option<usize>>,
-    hdr_gen: Vec<u64>,
     /// Reusable buffer for the evaluated key operands of table and hash ops.
     keys: Vec<Value>,
 }
 
 impl RegFile {
     /// Size the file for an image (called after every recompile; stamps
-    /// reset, so no stale value can leak across images).
+    /// reset, so no stale value can leak across images, and no layout is
+    /// bound).
     pub fn reset(&mut self, num_regs: usize, num_headers: usize) {
         self.regs.clear();
         self.regs.resize(num_regs, Value::None);
@@ -837,42 +925,32 @@ impl RegFile {
         self.gen.resize(num_regs, 0);
         self.hdr_slot.clear();
         self.hdr_slot.resize(num_headers, None);
-        self.hdr_gen.clear();
-        self.hdr_gen.resize(num_headers, 0);
         self.cur = 0;
         self.layout = None;
-        self.layout_gen = 0;
     }
 
-    fn begin_packet(&mut self, pkt: &Packet) {
+    fn begin_packet(&mut self, image: &CompiledImage, pkt: &Packet) {
         self.cur += 1;
-        self.sync_layout(pkt);
+        self.follow_layout(image, pkt);
     }
 
-    /// Follow the packet's header layout: a layout other than the one the
-    /// slot cache was resolved against invalidates the cache wholesale.
-    fn sync_layout(&mut self, pkt: &Packet) {
-        let layout = pkt.inc.layout();
-        if !self.layout.as_ref().is_some_and(|seen| Arc::ptr_eq(seen, layout)) {
-            self.layout = Some(Arc::clone(layout));
-            self.layout_gen += 1;
-        }
-    }
-
-    /// The packet slot of image header `h` under the current layout.
+    /// Bind the image's headers to the packet's layout unless they already
+    /// are.
     #[inline]
-    fn header_slot(&mut self, h: usize, image: &CompiledImage, pkt: &Packet) -> Option<usize> {
-        if self.hdr_gen[h] != self.layout_gen {
-            self.lookup_header_slot(h, &image.header_names[h], pkt);
+    fn follow_layout(&mut self, image: &CompiledImage, pkt: &Packet) {
+        let layout = pkt.inc.layout();
+        if !self.layout.as_ref().is_some_and(|bound| Arc::ptr_eq(bound, layout)) {
+            self.bind(image, layout);
         }
-        self.hdr_slot[h]
     }
 
-    /// First use of header `h` since the layout changed: resolve it by name.
+    /// Resolve every header id of the image to its slot in `layout`, by name.
     #[cold]
-    fn lookup_header_slot(&mut self, h: usize, name: &str, pkt: &Packet) {
-        self.hdr_slot[h] = pkt.inc.layout().slot_of(name);
-        self.hdr_gen[h] = self.layout_gen;
+    fn bind(&mut self, image: &CompiledImage, layout: &Arc<HeaderLayout>) {
+        for (slot, name) in self.hdr_slot.iter_mut().zip(&image.header_names) {
+            *slot = layout.slot_of(name);
+        }
+        self.layout = Some(Arc::clone(layout));
     }
 
     fn set(&mut self, reg: u32, value: Value) {
@@ -881,22 +959,11 @@ impl RegFile {
         self.gen[r] = self.cur;
     }
 
-    /// Resolve the packet slot of a header operand under the current layout —
-    /// the one part of a read that needs the file mutably, done first so
-    /// that [`RegFile::value`] can borrow.
-    #[inline]
-    fn resolve(&mut self, op: &VmOperand, image: &CompiledImage, pkt: &Packet) {
-        if let VmOperand::Header(field) = op {
-            self.header_slot(*field as usize, image, pkt);
-        }
-    }
-
-    /// Borrow a [resolved](RegFile::resolve) operand's value where it lives:
-    /// the op's own immediate, the register file or the packet's slot vector.
-    /// Metadata is not stored as a `Value` anywhere, so it goes through
-    /// `meta`, a temporary of the caller's.  A register no instruction wrote
-    /// for this packet, a header field the layout lacks and unknown metadata
-    /// read [`Value::None`].
+    /// Borrow an operand's value where it lives: the op's own immediate, the
+    /// register file or the packet's slot vector.  Metadata is not stored as
+    /// a `Value` anywhere, so it goes through `meta`, a temporary of the
+    /// caller's.  A register no instruction wrote for this packet, a header
+    /// field the layout lacks and unknown metadata read [`Value::None`].
     // inlined at every site on purpose: out of line, every read in the image
     // shares one operand-kind dispatch, which the branch predictor cannot
     // learn (measured: 718 → 558 ns per MLAgg packet)
@@ -946,44 +1013,37 @@ pub struct VmCtx<'a> {
 fn binary<R>(
     lhs: &VmOperand,
     rhs: &VmOperand,
-    ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
+    regs: &RegFile,
     pkt: &Packet,
     f: impl FnOnce(&Value, &Value) -> R,
 ) -> R {
-    ctx.regs.resolve(lhs, image, pkt);
-    ctx.regs.resolve(rhs, image, pkt);
     let (mut a, mut b) = (Value::None, Value::None);
-    f(ctx.regs.value(lhs, pkt, &mut a), ctx.regs.value(rhs, pkt, &mut b))
+    f(regs.value(lhs, pkt, &mut a), regs.value(rhs, pkt, &mut b))
 }
 
 /// Hand `f` the store and a sketch's key operand, borrowed in place.
 fn with_key<R>(
     key: &VmOperand,
     ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
     pkt: &Packet,
     f: impl FnOnce(&mut ObjectStore, &Value) -> R,
 ) -> R {
-    ctx.regs.resolve(key, image, pkt);
     f(ctx.store, ctx.regs.value(key, pkt, &mut Value::None))
 }
 
 /// The integer view of an operand read in place ([`Value::as_int`]); every
 /// call site applies its own default, as the interpreter's does.
 #[inline(always)] // as `RegFile::value`: most reads come through here
-fn int(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Option<i64> {
-    ctx.regs.resolve(op, image, pkt);
-    match ctx.regs.value(op, pkt, &mut Value::None) {
+fn int(op: &VmOperand, regs: &RegFile, pkt: &Packet) -> Option<i64> {
+    match regs.value(op, pkt, &mut Value::None) {
         Value::Int(x) => Some(*x),
         other => other.as_int(),
     }
 }
 
 /// A copy of an operand's value, for the ops that store one.
-fn cloned(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> Value {
-    ctx.regs.resolve(op, image, pkt);
-    ctx.regs.value(op, pkt, &mut Value::None).clone()
+fn cloned(op: &VmOperand, regs: &RegFile, pkt: &Packet) -> Value {
+    regs.value(op, pkt, &mut Value::None).clone()
 }
 
 /// Evaluate `ops` into the register file's reusable key buffer and hand the
@@ -991,82 +1051,79 @@ fn cloned(op: &VmOperand, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Pack
 fn with_keys<R>(
     ops: &[VmOperand],
     ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
     pkt: &Packet,
     f: impl FnOnce(&mut VmCtx<'_>, &[Value]) -> R,
 ) -> R {
     let mut keys = std::mem::take(&mut ctx.regs.keys);
-    keys.extend(ops.iter().map(|k| cloned(k, ctx, image, pkt)));
+    keys.extend(ops.iter().map(|k| cloned(k, ctx.regs, pkt)));
     let result = f(ctx, &keys);
     keys.clear();
     ctx.regs.keys = keys;
     result
 }
 
-/// [`eval::compare`], with the two-`Int` case (the common one: header fields,
-/// hashes and array cells are integers) tested inline and handed straight to [`CmpOp::eval_int`].
+/// The integer view of an `Int` or a `Bool`, the two kinds the inline paths
+/// take ([`Value::as_int`] maps a `Bool` to `i64::from(b)` too).
+#[inline(always)]
+fn int_or_bool(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(x) => Some(*x),
+        Value::Bool(b) => Some(i64::from(*b)),
+        _ => None,
+    }
+}
+
+/// [`eval::compare`], with a pair of `Int`s and `Bool`s (the common one:
+/// header fields, hashes and array cells are integers, and `Cmp` writes
+/// booleans) tested inline and handed straight to [`CmpOp::eval_int`].
 #[inline(always)]
 fn compare(a: &Value, op: CmpOp, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => op.eval_int(*x, *y),
+    match (int_or_bool(a), int_or_bool(b)) {
+        (Some(x), Some(y)) => op.eval_int(x, y),
         _ => eval::compare(a, op, b),
     }
 }
 
-/// [`eval::alu`], with the integer unit on two `Int`s tested inline and
-/// handed straight to [`eval::alu_int`].
+/// [`eval::alu`], with the integer unit on a pair of `Int`s and `Bool`s
+/// tested inline and handed straight to [`eval::alu_int`].
 #[inline(always)]
 fn alu(op: AluOp, a: &Value, b: &Value, float: bool) -> Value {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) if !float => Value::Int(eval::alu_int(op, *x, *y)),
+    match (int_or_bool(a), int_or_bool(b)) {
+        (Some(x), Some(y)) if !float => Value::Int(eval::alu_int(op, x, y)),
         _ => eval::alu(op, a, b, float),
     }
 }
 
-fn pred_holds(p: &VmPred, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &Packet) -> bool {
-    binary(&p.lhs, &p.rhs, ctx, image, pkt, |lhs, rhs| compare(lhs, p.op, rhs))
+fn pred_holds(p: &VmPred, regs: &RegFile, pkt: &Packet) -> bool {
+    binary(&p.lhs, &p.rhs, regs, pkt, |lhs, rhs| compare(lhs, p.op, rhs))
 }
 
 /// Row and cell of an array access from up to two index operands, each
 /// decoded from its integer view by `decode`.
 fn index_with(
     index: &VmIndex,
-    ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
+    regs: &RegFile,
     pkt: &Packet,
     decode: impl Fn(i64) -> u32,
 ) -> (u32, u32) {
-    let mut at = |op: &VmOperand| decode(int(op, ctx, image, pkt).unwrap_or(0));
+    let at = |op: &VmOperand| decode(int(op, regs, pkt).unwrap_or(0));
     match index {
         VmIndex::None => (0, 0),
         VmIndex::One(c) => (0, at(c)),
-        VmIndex::Two(r, c) => {
-            let row = at(r);
-            (row, at(c))
-        }
+        VmIndex::Two(r, c) => (at(r), at(c)),
     }
 }
 
 /// The interpreter's index-arity decode: row/cell from up to two operands,
 /// folding negatives through `unsigned_abs`.
-fn row_cell(
-    index: &VmIndex,
-    ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
-    pkt: &Packet,
-) -> (u32, u32) {
-    index_with(index, ctx, image, pkt, |i| i.unsigned_abs() as u32)
+fn row_cell(index: &VmIndex, regs: &RegFile, pkt: &Packet) -> (u32, u32) {
+    index_with(index, regs, pkt, |i| i.unsigned_abs() as u32)
 }
 
 /// The interpreter's *delete* decode, which truncates with an `as u32` cast
 /// instead of `unsigned_abs`.
-fn delete_cell(
-    index: &VmIndex,
-    ctx: &mut VmCtx<'_>,
-    image: &CompiledImage,
-    pkt: &Packet,
-) -> (u32, u32) {
-    index_with(index, ctx, image, pkt, |i| i as u32)
+fn delete_cell(index: &VmIndex, regs: &RegFile, pkt: &Packet) -> (u32, u32) {
+    index_with(index, regs, pkt, |i| i as u32)
 }
 
 /// Outcome accumulator threaded through one packet's execution.
@@ -1082,10 +1139,10 @@ pub struct VmRun {
 /// Run one packet through every compiled snippet of an image.
 pub fn exec(image: &CompiledImage, ctx: &mut VmCtx<'_>, pkt: &mut Packet) -> VmRun {
     use crate::interp::PacketAction;
-    ctx.regs.begin_packet(pkt);
+    ctx.regs.begin_packet(image, pkt);
     let mut run = VmRun { action: PacketAction::Forward, mirrored: Vec::new(), executed: 0 };
     for prog in &image.programs {
-        if !prog.precondition.iter().all(|p| pred_holds(p, ctx, image, pkt)) {
+        if !prog.precondition.iter().all(|p| pred_holds(p, ctx.regs, pkt)) {
             continue;
         }
         run_nodes(&prog.body, ctx, image, pkt, &mut run);
@@ -1110,11 +1167,8 @@ fn run_nodes(
                 step(op, ctx, image, pkt, run);
             }
             VmNode::Block(blk) => {
-                let taken = if pred_holds(&blk.guard, ctx, image, pkt) {
-                    &blk.body
-                } else {
-                    &blk.otherwise
-                };
+                let taken =
+                    if pred_holds(&blk.guard, ctx.regs, pkt) { &blk.body } else { &blk.otherwise };
                 run_nodes(taken, ctx, image, pkt, run);
             }
         }
@@ -1125,60 +1179,73 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
     use crate::interp::PacketAction;
     match op {
         VmOp::Assign { dest, src } => {
-            let v = cloned(src, ctx, image, pkt);
+            let v = cloned(src, ctx.regs, pkt);
             ctx.regs.set(*dest, v);
         }
         VmOp::Alu { dest, op, lhs, rhs, float } => {
-            let v = binary(lhs, rhs, ctx, image, pkt, |a, b| alu(*op, a, b, *float));
+            let v = binary(lhs, rhs, ctx.regs, pkt, |a, b| alu(*op, a, b, *float));
             ctx.regs.set(*dest, v);
         }
         VmOp::Cmp { dest, op, lhs, rhs } => {
-            let holds = binary(lhs, rhs, ctx, image, pkt, |a, b| compare(a, *op, b));
+            let holds = binary(lhs, rhs, ctx.regs, pkt, |a, b| compare(a, *op, b));
             ctx.regs.set(*dest, Value::Bool(holds));
         }
         VmOp::Hash { dest, seed, modulus, keys } => {
-            let h = with_keys(keys, ctx, image, pkt, |_, k| hash_with_seed(*seed, *modulus, k));
+            let h = with_keys(keys, ctx, pkt, |_, k| hash_with_seed(*seed, *modulus, k));
             ctx.regs.set(*dest, Value::Int(h));
         }
         VmOp::TableGet { dest, slot, key } => {
-            let v = with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_get_slot(*slot, k));
+            let v = with_keys(key, ctx, pkt, |ctx, k| ctx.store.table_get_slot(*slot, k));
             ctx.regs.set(*dest, v);
         }
         VmOp::SketchEstimate { dest, slot, key } => {
-            let est =
-                with_key(key, ctx, image, pkt, |store, k| store.sketch_estimate_slot(*slot, k));
+            let est = with_key(key, ctx, pkt, |store, k| store.sketch_estimate_slot(*slot, k));
             ctx.regs.set(*dest, Value::Int(est));
         }
         VmOp::ArrayRead { dest, slot, index } => {
-            let (row, cell) = row_cell(index, ctx, image, pkt);
+            let (row, cell) = row_cell(index, ctx.regs, pkt);
             let v = Value::Int(ctx.store.array_read_slot(*slot, row, cell));
             ctx.regs.set(*dest, v);
         }
         VmOp::TableWrite { slot, key, values } => {
             // the entry's values are stored, so they are a `Vec` of their own
-            let vals: Vec<Value> = values.iter().map(|v| cloned(v, ctx, image, pkt)).collect();
-            with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_write_slot(*slot, k, vals));
+            let vals: Vec<Value> = values.iter().map(|v| cloned(v, ctx.regs, pkt)).collect();
+            with_keys(key, ctx, pkt, |ctx, k| ctx.store.table_write_slot(*slot, k, vals));
         }
         VmOp::SketchWrite { slot, key, value } => {
-            let delta = int(value, ctx, image, pkt).unwrap_or(1);
-            with_key(key, ctx, image, pkt, |store, k| store.sketch_count_slot(*slot, k, delta));
+            let delta = int(value, ctx.regs, pkt).unwrap_or(1);
+            with_key(key, ctx, pkt, |store, k| store.sketch_count_slot(*slot, k, delta));
         }
         VmOp::ArrayWrite { slot, index, value } => {
-            let (row, cell) = row_cell(index, ctx, image, pkt);
-            let v = int(value, ctx, image, pkt).unwrap_or(0);
+            let (row, cell) = row_cell(index, ctx.regs, pkt);
+            let v = int(value, ctx.regs, pkt).unwrap_or(0);
             ctx.store.array_write_slot(*slot, row, cell, v);
         }
+        VmOp::ArrayUpdate { read, dest, slot, index, op, rhs, float } => {
+            // the read and the write this op fused in, besides the ALU
+            run.executed += 2;
+            let (row, cell) = row_cell(index, ctx.regs, pkt);
+            let regs = &mut *ctx.regs;
+            ctx.store.array_update_slot(*slot, row, cell, |old| {
+                // set first: `rhs` may read `read` too
+                regs.set(*read, Value::Int(old));
+                let mut meta = Value::None;
+                let v = alu(*op, &Value::Int(old), regs.value(rhs, pkt, &mut meta), *float);
+                let new = v.as_int().unwrap_or(0);
+                regs.set(*dest, v);
+                new
+            });
+        }
         VmOp::SketchCount { dest, slot, key, delta } => {
-            let d = int(delta, ctx, image, pkt).unwrap_or(1);
-            let result =
-                with_key(key, ctx, image, pkt, |store, k| store.sketch_count_slot(*slot, k, d));
+            let d = int(delta, ctx.regs, pkt).unwrap_or(1);
+            let result = with_key(key, ctx, pkt, |store, k| store.sketch_count_slot(*slot, k, d));
             if let Some(dest) = dest {
                 ctx.regs.set(*dest, Value::Int(result));
             }
         }
         VmOp::ArrayCount { dest, slot, index, delta } => {
-            let (row, cell) = row_cell(index, ctx, image, pkt);
-            let d = int(delta, ctx, image, pkt).unwrap_or(1);
+            let (row, cell) = row_cell(index, ctx.regs, pkt);
+            let d = int(delta, ctx.regs, pkt).unwrap_or(1);
             let result = ctx.store.array_add_slot(*slot, row, cell, d);
             if let Some(dest) = dest {
                 ctx.regs.set(*dest, Value::Int(result));
@@ -1186,10 +1253,10 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Clear { slot } => ctx.store.clear_slot(*slot),
         VmOp::TableDelete { slot, key } => {
-            with_keys(key, ctx, image, pkt, |ctx, k| ctx.store.table_remove_slot(*slot, k));
+            with_keys(key, ctx, pkt, |ctx, k| ctx.store.table_remove_slot(*slot, k));
         }
         VmOp::ArrayDelete { slot, index } => {
-            let (row, cell) = delete_cell(index, ctx, image, pkt);
+            let (row, cell) = delete_cell(index, ctx.regs, pkt);
             ctx.store.array_write_slot(*slot, row, cell, 0);
         }
         VmOp::Drop => run.action = PacketAction::Drop,
@@ -1200,8 +1267,8 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Back { updates } => {
             for (field, value) in updates {
-                let v = cloned(value, ctx, image, pkt);
-                set_header(*field, v, ctx, image, pkt);
+                let v = cloned(value, ctx.regs, pkt);
+                set_header(*field, v, ctx.regs, image, pkt);
             }
             // a packet already on its way back keeps heading to the sender
             if run.action != PacketAction::Back {
@@ -1211,25 +1278,25 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Mirror { updates } => {
             // updates apply to the copy only, by name — the live packet (and
-            // with it the slot cache's layout) is untouched
+            // with it the bound layout) is untouched
             let mut copy = pkt.clone();
             for (field, value) in updates {
-                let v = cloned(value, ctx, image, pkt);
+                let v = cloned(value, ctx.regs, pkt);
                 copy.inc.set(&image.header_names[*field as usize], v);
             }
             run.mirrored.push(copy);
         }
         VmOp::MirrorPlain => run.mirrored.push(pkt.clone()),
         VmOp::SetHeader { field, value } => {
-            let v = cloned(value, ctx, image, pkt);
-            set_header(*field, v, ctx, image, pkt);
+            let v = cloned(value, ctx.regs, pkt);
+            set_header(*field, v, ctx.regs, image, pkt);
         }
         VmOp::Crypto { dest, input } => {
-            let v = int(input, ctx, image, pkt).unwrap_or(0);
+            let v = int(input, ctx.regs, pkt).unwrap_or(0);
             ctx.regs.set(*dest, Value::Int(v ^ 0x5a5a_5a5a));
         }
         VmOp::RandInt { dest, bound } => {
-            let b = int(bound, ctx, image, pkt).unwrap_or(i64::MAX).max(1);
+            let b = int(bound, ctx.regs, pkt).unwrap_or(i64::MAX).max(1);
             // the same splitmix64 per-tenant stream the interpreter draws from
             let draw = ctx.rand_streams.entry(pkt.inc.user).or_insert(0);
             *draw += 1;
@@ -1240,7 +1307,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
             ctx.regs.set(*dest, Value::Int((z % b as u64) as i64));
         }
         VmOp::Checksum { dest, inputs } => {
-            let sum: i64 = inputs.iter().map(|i| int(i, ctx, image, pkt).unwrap_or(0)).sum();
+            let sum: i64 = inputs.iter().map(|i| int(i, ctx.regs, pkt).unwrap_or(0)).sum();
             ctx.regs.set(*dest, Value::Int(sum & 0xffff));
         }
         VmOp::NoOp => {}
@@ -1251,18 +1318,18 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
 fn set_header(
     field: u32,
     value: Value,
-    ctx: &mut VmCtx<'_>,
+    regs: &mut RegFile,
     image: &CompiledImage,
     pkt: &mut Packet,
 ) {
     let h = field as usize;
-    match ctx.regs.header_slot(h, image, pkt) {
+    match regs.hdr_slot[h] {
         Some(slot) => pkt.inc.set_slot(slot, value),
         None => {
             // the packet does not carry the field: a live value grows a
-            // layout private to this packet, which the slot cache follows
+            // layout private to this packet, which the headers are rebound to
             pkt.inc.set(&image.header_names[h], value);
-            ctx.regs.sync_layout(pkt);
+            regs.follow_layout(image, pkt);
         }
     }
 }
@@ -1305,9 +1372,11 @@ mod tests {
         assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
-    /// The slot cache is per layout, and layouts come and go: two packet
-    /// families, one-off packets with a layout of their own, and packets whose
-    /// layout grows mid-program all cross one plane, interleaved.
+    /// Header slots are bound per layout, and layouts come and go: two
+    /// packet families, one-off packets with a layout of their own, and
+    /// packets whose layout grows mid-program — once through a `set_header`
+    /// and once more through a `back` update, each followed by header reads —
+    /// all cross one plane, interleaved.
     #[test]
     fn interleaved_header_layouts_never_read_a_stale_slot() {
         use crate::packet::{GradientShape, KvsShape, Packet};
@@ -1320,6 +1389,16 @@ mod tests {
         b.set_header("tag", Operand::Header("seen".into()));
         b.set_header("op", Operand::Header("tag".into()));
         let tagger = b.build().unwrap();
+        // grows every layout twice with fields that sort first, so each
+        // growth moves every slot, and reads headers after each growth
+        let mut b = ProgramBuilder::new("grower");
+        b.set_header("aa_first", Operand::hdr("key"));
+        b.assign("k1", Operand::hdr("key"));
+        b.back(vec![("ab_second", Operand::hdr("aa_first"))]);
+        b.alu("k2", AluOp::Add, Operand::var("k1"), Operand::hdr("ab_second"));
+        b.alu("k3", AluOp::Add, Operand::var("k2"), Operand::hdr("key"));
+        b.set_header("aa_first", Operand::var("k3"));
+        let grower = b.build().unwrap();
 
         let requests = KvsShape::new("c", "s", 0);
         let gradients = GradientShape::new("w", "ps", 0, 4);
@@ -1340,6 +1419,7 @@ mod tests {
             let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
             plane.install(kvs.clone());
             plane.install(tagger.clone());
+            plane.install(grower.clone());
             plane.set_exec_mode(mode);
             plane.store_mut().table_write("cache", &[Value::Int(1)], vec![Value::Int(11)]);
             plane
@@ -1351,6 +1431,10 @@ mod tests {
             assert_eq!(a, b, "packet {i}");
             assert_eq!(a.inc.get("tag"), a.inc.get("key"), "packet {i} tagged with its own key");
             assert_eq!(a.inc.get("op"), a.inc.get("key"), "packet {i} read back what it wrote");
+            if let Value::Int(key) = a.inc.get("key") {
+                assert_eq!(a.inc.get("ab_second"), Value::Int(key), "packet {i} grew twice");
+                assert_eq!(a.inc.get("aa_first"), Value::Int(3 * key), "packet {i} read after");
+            }
         }
         let [compiled, interp] = &planes;
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
@@ -1518,6 +1602,167 @@ mod tests {
              \x20 if hdr.c Ne 1:\n\
              \x20   hdr.w = 1\n"
         );
+    }
+
+    /// The inline integer paths are `eval`'s: every `CmpOp` and `AluOp`, the
+    /// integer and the float unit, over every pair drawn from integer edge
+    /// values, both booleans, floats, bytes and `None`.
+    #[test]
+    fn the_inline_integer_paths_match_eval() {
+        use AluOp::*;
+        let values = [
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Int(63),
+            Value::Int(64),
+            Value::Int(0x1f03),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Float(2.75),
+            Value::Float(-3.5),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::None,
+        ];
+        let cmps = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let alus = [Add, Sub, Mul, Div, Mod, And, Or, Xor, Shl, Shr, Min, Max, Slice];
+        for a in &values {
+            for b in &values {
+                for op in cmps {
+                    assert_eq!(compare(a, op, b), eval::compare(a, op, b), "{a:?} {op:?} {b:?}");
+                }
+                for op in alus {
+                    for float in [false, true] {
+                        let (vm, reference) = (alu(op, a, b, float), eval::alu(op, a, b, float));
+                        assert_eq!(vm, reference, "{a:?} {op:?} {b:?} (float: {float})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every op of a guard tree, blocks' bodies and `else`s included.
+    fn ops_of(nodes: &[VmNode]) -> Vec<&VmOp> {
+        nodes
+            .iter()
+            .flat_map(|node| match node {
+                VmNode::Op(op) => vec![op],
+                VmNode::Block(blk) => {
+                    let mut ops = ops_of(&blk.body);
+                    ops.extend(ops_of(&blk.otherwise));
+                    ops
+                }
+            })
+            .collect()
+    }
+
+    /// How many ops of a compiled image `pick` selects.
+    fn count(image: &CompiledImage, pick: fn(&VmOp) -> bool) -> usize {
+        let ops = image.programs.iter().flat_map(|prog| ops_of(&prog.body));
+        ops.filter(|op| pick(op)).count()
+    }
+
+    fn fused(op: &VmOp) -> bool {
+        matches!(op, VmOp::ArrayUpdate { .. })
+    }
+
+    /// A read–ALU–write of one cell fuses, whatever the ALU's other operand;
+    /// a write to another cell, an index that names the read's or the sum's
+    /// register, an ALU that does not read the cell, and a triple a block
+    /// closes in the middle of stay three ops.
+    #[test]
+    fn a_cells_read_alu_write_fuses_into_one_op() {
+        let at = |i: i64| vec![Operand::int(0), Operand::int(i)];
+        let mut b = ProgramBuilder::new("p");
+        b.array("s", 1, 8, 32);
+        let triple = |b: &mut ProgramBuilder, index: Vec<Operand>, rhs: Operand, write_at| {
+            b.get("d1", "s", index);
+            b.alu("d2", AluOp::Add, Operand::var("d1"), rhs);
+            b.write("s", write_at, vec![Operand::var("d2")]);
+        };
+        // fused: the other operand a header, `None`, a `Bool`, the cell itself
+        triple(&mut b, at(1), Operand::hdr("x"), at(1));
+        triple(&mut b, at(2), Operand::Const(Value::None), at(2));
+        triple(&mut b, at(3), Operand::Const(Value::Bool(true)), at(3));
+        triple(&mut b, at(4), Operand::var("d1"), at(4));
+        // not fused: another cell, an index naming `d1` or `d2`
+        triple(&mut b, at(5), Operand::hdr("x"), at(6));
+        let by = |reg: &str| vec![Operand::int(0), Operand::var(reg)];
+        triple(&mut b, by("d1"), Operand::hdr("x"), by("d1"));
+        triple(&mut b, by("d2"), Operand::hdr("x"), by("d2"));
+        // not fused: the ALU reads another register
+        b.get("d1", "s", at(7));
+        b.alu("d2", AluOp::Add, Operand::var("d3"), Operand::var("d1"));
+        b.write("s", at(7), vec![Operand::var("d2")]);
+        // not fused: the block closes on the ALU's write of its operand
+        b.guarded(Predicate::new(Operand::var("d2"), CmpOp::Ne, Operand::int(0)), |b| {
+            triple(b, at(1), Operand::hdr("x"), at(1));
+        });
+        let prog = b.build().unwrap();
+        let mut planes = [ExecMode::Compiled, ExecMode::Interpreted].map(|mode| {
+            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+            plane.install(prog.clone());
+            plane.set_exec_mode(mode);
+            plane
+        });
+        assert_eq!(count(planes[0].compiled_image().unwrap(), fused), 4);
+        for x in [5, 0, -3] {
+            let mut fields = BTreeMap::new();
+            fields.insert("x".to_string(), Value::Int(x));
+            let (mut a, mut b) =
+                (Packet::new("c", "s", 0, fields.clone()), Packet::new("c", "s", 0, fields));
+            let [compiled, interp] = &mut planes;
+            assert_eq!(compiled.process(&mut a), interp.process(&mut b), "x = {x}");
+        }
+        let [compiled, interp] = &planes;
+        assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
+        assert_eq!(compiled.instructions_executed, interp.instructions_executed);
+    }
+
+    /// The image `mlagg_serve` measures — the 32-dimension MLAgg as the
+    /// controller places it — fuses every aggregator add: the eight of a
+    /// Core image and the twelve of an Agg or ToR slice, and nothing else
+    /// (the Core's plain reads and every slice's writes of a round's first
+    /// packet stay as they are).
+    #[test]
+    fn the_served_mlagg_images_fuse_every_aggregator_add() {
+        use clickinc::lang::templates::{mlagg_template, MlAggParams};
+        use clickinc::topology::Topology;
+        use clickinc::{Controller, ServiceRequest};
+        let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
+        let params =
+            MlAggParams { dims: 32, num_workers: 4, num_aggregators: 1024, is_float: false };
+        let request = ServiceRequest::builder("mlagg_srv")
+            .template(mlagg_template("mlagg_srv", params))
+            .from_("pod0b")
+            .from_("pod1b")
+            .to("pod2a")
+            .build()
+            .unwrap();
+        controller.deploy(request).unwrap();
+        let hops = controller.tenant_hops("mlagg_srv");
+        assert!(!hops.is_empty());
+        for hop in hops {
+            let mut plane = DevicePlane::new(&hop.device, hop.model.clone());
+            for snippet in &hop.snippets {
+                plane.install(Arc::clone(snippet));
+            }
+            let image = plane.compiled_image().unwrap();
+            let kind = hop.device.trim_end_matches(|c: char| c.is_ascii_digit());
+            let (adds, reads, writes) = match kind {
+                "Core" => (8, 3, 14),
+                "Agg" => (12, 0, 12),
+                "ToR" => (12, 0, 12),
+                other => panic!("unexpected device {other}"),
+            };
+            let read = |op: &VmOp| matches!(op, VmOp::ArrayRead { .. });
+            let write = |op: &VmOp| matches!(op, VmOp::ArrayWrite { .. });
+            assert_eq!(count(image, fused), adds, "{}", hop.device);
+            assert_eq!(count(image, read), reads, "{}", hop.device);
+            assert_eq!(count(image, write), writes, "{}", hop.device);
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! 5. **Operand kinds** — proptest: every kind of value a read can meet
 //!    (`Int`, `Bool`, `Float`, `Bytes`, `None`, a register nothing wrote, a
 //!    header the packet lacks, metadata) fed into every site that reads one,
-//!    each of which applies a default of its own.
+//!    each of which applies a default of its own — a cell's read–ALU–write,
+//!    which the VM fuses into one op, among them.
 //!
 //! The optimizer verifies nothing itself, so the suite holds it to its
 //! contract wherever it runs: on every template isolated as a tenant and on
@@ -458,6 +459,40 @@ impl OperandKindGen<'_> {
         (0..[2, 2, 1, 0, 3][self.draw(5) as usize]).map(|_| self.operand()).collect()
     }
 
+    /// A read–ALU–write of one cell: fusable into one VM op when the write
+    /// addresses the read's cell through an index that names neither the
+    /// read's nor the sum's register — and left three ops otherwise, when the
+    /// write's index is drawn anew, when the index names either register,
+    /// or when a block that tests the sum closes on the ALU's write.
+    fn cell_update(&mut self, b: &mut ProgramBuilder, read: &str, array: &str, op: AluOp) {
+        let sum = format!("v{}", self.draw(3));
+        let index = match self.draw(4) {
+            0 => {
+                let names = if self.draw(2) == 0 { read } else { &sum };
+                vec![self.operand(), Operand::var(names)]
+            }
+            _ => self.index(),
+        };
+        let rhs = self.operand();
+        let write_at = if self.draw(4) == 0 { self.index() } else { index.clone() };
+        let triple = |b: &mut ProgramBuilder, float: bool| {
+            b.get(read, array, index);
+            if float {
+                b.falu(&sum, op, Operand::var(read), rhs);
+            } else {
+                b.alu(&sum, op, Operand::var(read), rhs);
+            }
+            b.write(array, write_at, vec![Operand::var(&sum)]);
+        };
+        let float = self.draw(4) == 0;
+        if self.draw(4) == 0 {
+            let test = Predicate::new(Operand::var(&sum), CmpOp::Ne, self.operand());
+            b.guarded(test, |b| triple(b, float));
+        } else {
+            triple(b, float);
+        }
+    }
+
     fn statement(&mut self, b: &mut ProgramBuilder, nth: i64) {
         const ALU: [AluOp; 11] = [
             AluOp::Add,
@@ -475,7 +510,7 @@ impl OperandKindGen<'_> {
         const CMP: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let dest = format!("v{}", self.draw(3));
         let array = ["arr", "arr", "flat", "sq"][self.draw(4) as usize];
-        match self.draw(10) {
+        match self.draw(12) {
             0 => {
                 let (op, lhs, rhs) = (ALU[self.draw(11) as usize], self.operand(), self.operand());
                 match self.draw(4) {
@@ -517,6 +552,13 @@ impl OperandKindGen<'_> {
                 let (key, delta) = (self.operand(), self.operand());
                 b.count(Some(&dest), "cms", vec![key], delta);
             }
+            9 | 10 => {
+                // mostly ops that move a zero cell, so a misaddressed
+                // write shows in the store
+                let op = [AluOp::Add, AluOp::Sub, AluOp::Xor, ALU[self.draw(11) as usize]]
+                    [self.draw(4) as usize];
+                self.cell_update(b, &dest, array, op);
+            }
             _ => {
                 b.get(&dest, "cms", vec![self.operand()]);
             }
@@ -529,7 +571,8 @@ proptest! {
 
     /// Every operand kind through every reading site: `Alu`, `Cmp`, block
     /// predicates, array row/cell indices, `ArrayWrite` values, `ArrayCount`
-    /// and sketch deltas, `ArrayDelete` — each with its own default for a
+    /// and sketch deltas, `ArrayDelete`, and the index and ALU operand of a
+    /// cell's read–ALU–write, fused or not — each with its own default for a
     /// value that is not an integer, which both tiers must apply alike.
     #[test]
     fn every_operand_kind_reads_alike_at_every_site(
