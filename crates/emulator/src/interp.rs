@@ -615,6 +615,60 @@ mod tests {
         assert!(pkt.wire_bytes() < before, "deleted fields shrink the packet");
     }
 
+    /// Run `keys` through a program counting and reading a CMS and a Bloom
+    /// filter of `rows × cols`, on both tiers: the outcomes, the bounced
+    /// headers and the store digests must agree.  Returns the replies
+    /// (count, CMS estimate, Bloom membership) and the digest.
+    fn zero_dimension_sketch_run(rows: u32, cols: u32, keys: &[i64]) -> (Vec<[Value; 3]>, u64) {
+        let src = format!(
+            "mem = Sketch(type=\"count-min\", rows={rows}, cols={cols}, w=32)\n\
+             bf = Sketch(type=\"bloom-filter\", rows={rows}, cols={cols}, w=1)\n\
+             c = count(mem, hdr.key, 1)\n\
+             write(bf, hdr.key + 1, 1)\n\
+             e = get(mem, hdr.key)\n\
+             m = get(bf, hdr.key)\n\
+             back(hdr={{op: c, vals: e, key: m}})\n"
+        );
+        let mut compiled = plane_with("zero", &src);
+        let mut interp = compiled.clone();
+        interp.set_exec_mode(ExecMode::Interpreted);
+        let mut replies = Vec::new();
+        for &key in keys {
+            let (mut a, mut b) = (kvs_request("c", "s", 0, key), kvs_request("c", "s", 0, key));
+            let outcome = compiled.process(&mut a);
+            assert_eq!(outcome, interp.process(&mut b), "rows {rows} cols {cols} key {key}");
+            assert_eq!(outcome.action, PacketAction::Back);
+            assert_eq!(a, b);
+            replies.push(["op", "vals", "key"].map(|f| a.inc.get(f)));
+        }
+        assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
+        (replies, compiled.store().fingerprint())
+    }
+
+    #[test]
+    fn sketches_declared_with_zero_rows_or_columns_run_on_both_tiers() {
+        let keys = [4, 9, 4, 17, 4];
+        // no column: each row has one, as an array dimension declared 0 has,
+        // so every key counts in it and every key is a Bloom member
+        let (replies, _) = zero_dimension_sketch_run(3, 0, &keys);
+        for (seen, reply) in (1..).zip(&replies) {
+            assert_eq!(reply, &[Value::Int(seen), Value::Int(seen), Value::Int(1)]);
+        }
+        // no row: a count touches nothing and returns the empty minimum, an
+        // estimate reads 0 (the digests are pinned from before sketches
+        // shared the array layout), whatever the columns
+        for cols in [0, 16] {
+            let (replies, _) = zero_dimension_sketch_run(0, cols, &keys);
+            for reply in &replies {
+                assert_eq!(reply, &[Value::Int(i64::MAX), Value::Int(0), Value::Int(0)]);
+            }
+        }
+        let (_, digest) = zero_dimension_sketch_run(0, 16, &keys);
+        assert_eq!(digest, 0x763c_c10e_aa73_aa22);
+        let (_, digest) = zero_dimension_sketch_run(2, 16, &keys);
+        assert_eq!(digest, 0xf182_7c83_374b_e23a);
+    }
+
     #[test]
     fn process_batch_matches_sequential_processing() {
         let t = kvs_template("kvs", KvsParams { cache_depth: 128, ..Default::default() });

@@ -13,13 +13,23 @@
 //! is an index, not a tree probe.  The vector is *materialised lazily*, with
 //! one zeroed allocation on the first write (a 0 written over cells that all
 //! read 0 is not one) — a deploy that never serves allocates nothing, and the
-//! pages of a large array nobody touches stay unmapped.  An unmaterialised array reads 0 everywhere, exactly like a
-//! materialised one that was never written, and the two fingerprint alike:
-//! the digest hashes non-zero cells only, because a register holding 0 is the
-//! same state whether it was written 0 or never written.
+//! pages of a large array nobody touches stay unmapped.  An unmaterialised
+//! array reads 0 everywhere, exactly like a materialised one that was never
+//! written, and the two fingerprint alike: the digest hashes non-zero cells
+//! only, because a register holding 0 is the same state whether it was
+//! written 0 or never written.
+//!
+//! A `Sketch` (count-min or Bloom, `rows × cols` counters) shares that lazy
+//! layout: one row-major vector for all its rows, so an install allocates
+//! no counter block.  Its digest still hashes every counter, zeros
+//! included, row by row (an unmaterialised sketch reads all 0).  A `Table`
+//! is an exact-match map from the digest of its key fields to the entry,
+//! hashed by that digest itself ([`KeyDigest`]): a lookup is one probe, and
+//! the store digest walks the entries in key order.
 
 use clickinc_ir::{ObjectDecl, ObjectKind, SketchKind, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hash function used by sketches and hash objects: a small xorshift-based
 /// mixer seeded per row so the rows are independent.
@@ -49,6 +59,36 @@ fn table_key(key: &[Value]) -> u64 {
     key.iter().fold(0u64, |acc, v| mix(acc + 1, value_key(v)))
 }
 
+/// The hasher of a table's entries.  An entry's key is already a `mix`
+/// digest of its match fields ([`table_key`]), so it is its own hash: no
+/// second hashing, and no random state to make two runs differ.
+#[derive(Default)]
+struct KeyDigest(u64);
+
+impl Hasher for KeyDigest {
+    fn write(&mut self, bytes: &[u8]) {
+        // only `u64` keys reach this hasher; fold anything else in anyway
+        self.0 = bytes.iter().fold(self.0, |h, b| mix(h, u64::from(*b)));
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table's entries: key digest → the entry's values.
+type Entries = HashMap<u64, Vec<Value>, BuildHasherDefault<KeyDigest>>;
+
+/// The column a sketch row counts `key` in.  A sketch declared with 0
+/// columns has one, as an array dimension declared 0 does.
+fn sketch_column(row: u32, key: u64, cols: u32) -> u32 {
+    (mix(u64::from(row) + 1, key) % u64::from(cols.max(1))) as u32
+}
+
 /// The name-derived seed of a hash object, computable at compile time so the
 /// VM carries it as an immediate instead of re-deriving it per packet.
 pub fn hash_seed(name: &str) -> u64 {
@@ -68,11 +108,13 @@ pub fn hash_with_seed(seed: u64, modulus: Option<u32>, keys: &[Value]) -> i64 {
     }
 }
 
-/// The cells of an `Array` (`rows × size`) or a `Seq` (one row), row-major in
-/// one vector that is empty until the first write.
+/// The cells of an `Array` (`rows × size`), a `Seq` (one row) or a `Sketch`
+/// (`rows × cols` counters), row-major in one vector that is empty until the
+/// first write.
 #[derive(Debug, Clone)]
 struct Cells {
-    /// Declared rows and cells per row (a `Seq` declares one row).
+    /// Declared rows and cells per row (a `Seq` declares one row; a
+    /// `Sketch`'s cells are its columns).
     rows: u32,
     size: u32,
     /// Either empty (every cell reads 0) or `rows.max(1) × size.max(1)` long.
@@ -128,17 +170,22 @@ impl Cells {
 
     /// `mine[i] += factor × other[i]` for every cell — the flow-partition
     /// merge (`factor` 1) and the replica-baseline deduction (`-copies`).
-    /// Shapes that differ (which replicas of one declaration never do) and
-    /// an unmaterialised `other` leave `self` untouched.
     fn add_scaled(&mut self, other: &Cells, factor: i64) {
+        self.combine(other, |mine, theirs| mine + factor * theirs);
+    }
+
+    /// `mine[i] = f(mine[i], other[i])` for every cell.  Shapes that differ
+    /// (which replicas of one declaration never do) and an unmaterialised
+    /// `other` leave `self` untouched.
+    fn combine(&mut self, other: &Cells, f: impl Fn(i64, i64) -> i64) {
         if other.data.is_empty() || (self.rows, self.size) != (other.rows, other.size) {
             return;
         }
         if self.data.is_empty() {
-            self.data = other.data.iter().map(|v| factor * v).collect();
+            self.data = other.data.iter().map(|theirs| f(0, *theirs)).collect();
         } else {
             for (mine, theirs) in self.data.iter_mut().zip(&other.data) {
-                *mine += factor * theirs;
+                *mine = f(*mine, *theirs);
             }
         }
     }
@@ -159,8 +206,8 @@ impl Cells {
 enum ObjectState {
     Array(Cells),
     Seq(Cells),
-    Sketch { kind: SketchKind, rows: u32, cols: u32, counters: Vec<Vec<i64>> },
-    Table { entries: BTreeMap<u64, Vec<Value>> },
+    Sketch { kind: SketchKind, cells: Cells },
+    Table { entries: Entries },
     Hash { modulus: Option<u32> },
     Crypto,
 }
@@ -201,13 +248,10 @@ impl ObjectStore {
         let state = match &decl.kind {
             ObjectKind::Array { rows, size, .. } => ObjectState::Array(Cells::new(*rows, *size)),
             ObjectKind::Seq { size, .. } => ObjectState::Seq(Cells::new(1, *size)),
-            ObjectKind::Sketch { kind, rows, cols, .. } => ObjectState::Sketch {
-                kind: *kind,
-                rows: *rows,
-                cols: *cols,
-                counters: vec![vec![0; *cols as usize]; *rows as usize],
-            },
-            ObjectKind::Table { .. } => ObjectState::Table { entries: BTreeMap::new() },
+            ObjectKind::Sketch { kind, rows, cols, .. } => {
+                ObjectState::Sketch { kind: *kind, cells: Cells::new(*rows, *cols) }
+            }
+            ObjectKind::Table { .. } => ObjectState::Table { entries: Entries::default() },
             ObjectKind::Hash { modulus, .. } => ObjectState::Hash { modulus: *modulus },
             ObjectKind::Crypto { .. } => ObjectState::Crypto,
         };
@@ -331,26 +375,29 @@ impl ObjectStore {
         }
     }
 
-    /// [`ObjectStore::sketch_count`] by slot index.
+    /// [`ObjectStore::sketch_count`] by slot index.  A sketch with no row
+    /// counts nothing and returns the empty minimum, `i64::MAX`.
     pub fn sketch_count_slot(&mut self, slot: usize, key: &Value, delta: i64) -> i64 {
         let k = value_key(key);
-        if let Some(ObjectState::Sketch { kind, rows, cols, counters }) =
+        let Some(ObjectState::Sketch { kind, cells }) =
             self.slots.get_mut(slot).and_then(Option::as_mut)
-        {
-            let mut min = i64::MAX;
-            for row in 0..*rows {
-                let col = (mix(u64::from(row) + 1, k) % u64::from(*cols)) as usize;
-                let cell = &mut counters[row as usize][col];
-                match kind {
-                    SketchKind::CountMin => *cell += delta,
-                    SketchKind::Bloom => *cell = 1,
-                }
-                min = min.min(*cell);
-            }
-            min
-        } else {
-            0
+        else {
+            return 0;
+        };
+        let kind = *kind;
+        let mut min = i64::MAX;
+        for row in 0..cells.rows {
+            let col = sketch_column(row, k, cells.size);
+            cells.update(row, col, |count| {
+                let count = match kind {
+                    SketchKind::CountMin => count + delta,
+                    SketchKind::Bloom => 1,
+                };
+                min = min.min(count);
+                count
+            });
         }
+        min
     }
 
     /// Count-min estimate / Bloom membership for a key.
@@ -361,21 +408,18 @@ impl ObjectStore {
     /// [`ObjectStore::sketch_estimate`] by slot index.
     pub fn sketch_estimate_slot(&self, slot: usize, key: &Value) -> i64 {
         let k = value_key(key);
-        if let Some(ObjectState::Sketch { rows, cols, counters, .. }) =
-            self.slots.get(slot).and_then(Option::as_ref)
-        {
-            let mut min = i64::MAX;
-            for row in 0..*rows {
-                let col = (mix(u64::from(row) + 1, k) % u64::from(*cols)) as usize;
-                min = min.min(counters[row as usize][col]);
-            }
-            if min == i64::MAX {
-                0
-            } else {
-                min
-            }
-        } else {
+        let Some(ObjectState::Sketch { cells, .. }) = self.slots.get(slot).and_then(Option::as_ref)
+        else {
+            return 0;
+        };
+        let min = (0..cells.rows)
+            .map(|row| cells.read(row, sketch_column(row, k, cells.size)))
+            .min()
+            .unwrap_or(i64::MAX);
+        if min == i64::MAX {
             0
+        } else {
+            min
         }
     }
 
@@ -525,17 +569,11 @@ impl ObjectStore {
             let Some(mine) = self.state_mut(name) else { continue };
             match (mine, base) {
                 (ObjectState::Array(a), ObjectState::Array(b))
-                | (ObjectState::Seq(a), ObjectState::Seq(b)) => a.add_scaled(b, -copies),
-                (
-                    ObjectState::Sketch { kind: SketchKind::CountMin, counters: a, .. },
-                    ObjectState::Sketch { kind: SketchKind::CountMin, counters: b, .. },
-                ) => {
-                    for (row_a, row_b) in a.iter_mut().zip(b) {
-                        for (cell_a, cell_b) in row_a.iter_mut().zip(row_b) {
-                            *cell_a -= copies * cell_b;
-                        }
-                    }
-                }
+                | (ObjectState::Seq(a), ObjectState::Seq(b))
+                | (
+                    ObjectState::Sketch { kind: SketchKind::CountMin, cells: a },
+                    ObjectState::Sketch { kind: SketchKind::CountMin, cells: b },
+                ) => a.add_scaled(b, -copies),
                 _ => {}
             }
         }
@@ -547,8 +585,10 @@ impl ObjectStore {
     /// the name map's lexicographic order, so the digest is independent of
     /// slot layout.  `Array`/`Seq` cells are registers: a cell holding 0 is
     /// the same state whether it was written 0 or never written, so only
-    /// non-zero cells are hashed, in `(row, cell)` order.  Used by the runtime's shard-count invariance tests and
-    /// the interpreter/VM differential oracle.
+    /// non-zero cells are hashed, in `(row, cell)` order.  A sketch hashes
+    /// every counter, zeros included, row by row; a table its entries in
+    /// key-digest order.  Used by the runtime's shard-count invariance tests
+    /// and the interpreter/VM differential oracle.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         for (name, &slot) in &self.names {
@@ -573,23 +613,25 @@ impl ObjectStore {
                         h.write_u64(v as u64);
                     }
                 }
-                ObjectState::Sketch { kind, rows, cols, counters } => {
+                ObjectState::Sketch { kind, cells } => {
                     h.write_u64(3);
                     h.write_u64(match kind {
                         SketchKind::CountMin => 0,
                         SketchKind::Bloom => 1,
                     });
-                    h.write_u64(u64::from(*rows));
-                    h.write_u64(u64::from(*cols));
-                    for row in counters {
-                        for v in row {
-                            h.write_u64(*v as u64);
+                    h.write_u64(u64::from(cells.rows));
+                    h.write_u64(u64::from(cells.size));
+                    for row in 0..cells.rows {
+                        for col in 0..cells.size.max(1) {
+                            h.write_u64(cells.read(row, col) as u64);
                         }
                     }
                 }
                 ObjectState::Table { entries } => {
                     h.write_u64(4);
-                    for (k, values) in entries {
+                    let mut sorted: Vec<_> = entries.iter().collect();
+                    sorted.sort_unstable_by_key(|(k, _)| **k);
+                    for (k, values) in sorted {
                         h.write_u64(*k);
                         for v in values {
                             h.write_u64(value_key(v));
@@ -617,12 +659,9 @@ impl ObjectStore {
     pub fn clear_slot(&mut self, slot: usize) {
         if let Some(state) = self.slots.get_mut(slot).and_then(Option::as_mut) {
             match state {
-                ObjectState::Array(cells) | ObjectState::Seq(cells) => cells.data.fill(0),
-                ObjectState::Sketch { counters, .. } => {
-                    for row in counters {
-                        row.iter_mut().for_each(|c| *c = 0);
-                    }
-                }
+                ObjectState::Array(cells)
+                | ObjectState::Seq(cells)
+                | ObjectState::Sketch { cells, .. } => cells.data.fill(0),
                 ObjectState::Table { entries } => entries.clear(),
                 _ => {}
             }
@@ -638,17 +677,10 @@ fn merge_flow_partition(mine: &mut ObjectState, other: &ObjectState) {
     match (mine, other) {
         (ObjectState::Array(a), ObjectState::Array(b))
         | (ObjectState::Seq(a), ObjectState::Seq(b)) => a.add_scaled(b, 1),
-        (
-            ObjectState::Sketch { kind, counters: a, .. },
-            ObjectState::Sketch { counters: b, .. },
-        ) => {
-            for (row_a, row_b) in a.iter_mut().zip(b) {
-                for (cell_a, cell_b) in row_a.iter_mut().zip(row_b) {
-                    match kind {
-                        SketchKind::CountMin => *cell_a += cell_b,
-                        SketchKind::Bloom => *cell_a = (*cell_a).max(*cell_b),
-                    }
-                }
+        (ObjectState::Sketch { kind, cells: a }, ObjectState::Sketch { cells: b, .. }) => {
+            match kind {
+                SketchKind::CountMin => a.add_scaled(b, 1),
+                SketchKind::Bloom => a.combine(b, i64::max),
             }
         }
         (ObjectState::Table { entries: a }, ObjectState::Table { entries: b }) => {
@@ -717,8 +749,12 @@ mod tests {
     /// the first write on, and no heap block before).
     fn materialised(s: &ObjectStore, name: &str) -> bool {
         match s.state(name) {
-            Some(ObjectState::Array(cells) | ObjectState::Seq(cells)) => cells.data.capacity() > 0,
-            _ => panic!("{name} is not an array or sequence"),
+            Some(
+                ObjectState::Array(cells)
+                | ObjectState::Seq(cells)
+                | ObjectState::Sketch { cells, .. },
+            ) => cells.data.capacity() > 0,
+            _ => panic!("{name} is not an array, a sequence or a sketch"),
         }
     }
 
@@ -884,6 +920,108 @@ mod tests {
         assert_eq!(s.table_get("t", &key), Value::None);
     }
 
+    /// The digest `fingerprint` gives a store holding one table `t` with
+    /// these entries, hashed in key-digest order.
+    fn table_digest(entries: &BTreeMap<u64, Vec<Value>>) -> u64 {
+        let mut h = Fnv::new();
+        h.write_str("t");
+        h.write_u64(4);
+        for (k, values) in entries {
+            h.write_u64(*k);
+            for v in values {
+                h.write_u64(value_key(v));
+            }
+        }
+        h.finish()
+    }
+
+    /// Key `i` of a small pool: `Int` (`-1` among them, which collides with
+    /// `None` by design), `Bytes`, `Float`, `None` and two-value keys.
+    fn pool_key(i: u64) -> Vec<Value> {
+        match i % 6 {
+            0 => vec![Value::Int(i as i64 / 6 - 1)],
+            1 => vec![Value::Bytes(vec![i as u8, 1])],
+            2 => vec![Value::Float(i as f64 / 4.0)],
+            3 => vec![Value::None],
+            4 => vec![Value::Int(i as i64), Value::Bytes(vec![i as u8])],
+            _ => vec![Value::Int(i as i64), Value::Int(-(i as i64))],
+        }
+    }
+
+    proptest::proptest! {
+        /// The hashed table answers every lookup and digests exactly like
+        /// the `BTreeMap` keyed by the same key digest, through writes,
+        /// removals by slot and by name, clears and shard merges.
+        #[test]
+        fn the_hashed_table_behaves_like_a_sorted_map(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
+        ) {
+            let table = ObjectKind::Table {
+                match_kind: clickinc_ir::MatchKind::Exact,
+                key_width: 64,
+                value_width: 32,
+                depth: 64,
+                stateful: false,
+            };
+            let mut stores = [store_with("t", table.clone()), store_with("t", table)];
+            let mut models: [BTreeMap<u64, Vec<Value>>; 2] = Default::default();
+            for op in ops {
+                let side = (op >> 4) as usize & 1;
+                let key = pool_key((op >> 5) % 24);
+                let v = (op >> 10) as i64 % 1000;
+                let value = match v % 4 {
+                    0 => vec![Value::Int(v)],
+                    1 => vec![Value::Int(v), Value::Bool(v % 2 == 1)],
+                    2 => vec![Value::None],
+                    _ => vec![],
+                };
+                let slot = stores[side].slot_of("t").unwrap();
+                match op % 16 {
+                    0..=6 => {
+                        stores[side].table_write("t", &key, value.clone());
+                        models[side].insert(table_key(&key), value);
+                    }
+                    7..=9 => {
+                        stores[side].table_remove_slot(slot, &key);
+                        models[side].remove(&table_key(&key));
+                    }
+                    10 | 11 => {
+                        stores[side].delete("t", &key);
+                        models[side].remove(&table_key(&key));
+                    }
+                    12 => {
+                        stores[side].clear_slot(slot);
+                        models[side].clear();
+                    }
+                    _ => {
+                        let [into, from] = if side == 0 { [0, 1] } else { [1, 0] };
+                        let from_store = stores[from].clone();
+                        stores[into].merge_shard_from(&from_store, |_| true);
+                        for (k, v) in models[from].clone() {
+                            models[into].entry(k).or_insert(v);
+                        }
+                        // a first copy carries the table whole
+                        let mut copy = ObjectStore::new();
+                        copy.merge_shard_from(&stores[into], |_| false);
+                        proptest::prop_assert_eq!(copy.fingerprint(), table_digest(&models[into]));
+                    }
+                }
+                for (store, model) in stores.iter().zip(&models) {
+                    for i in 0..24 {
+                        let key = pool_key(i);
+                        let expected = model
+                            .get(&table_key(&key))
+                            .map(|v| v.first().cloned().unwrap_or(Value::None))
+                            .unwrap_or(Value::None);
+                        proptest::prop_assert_eq!(store.table_get("t", &key), expected.clone());
+                        proptest::prop_assert_eq!(store.table_get_slot(slot, &key), expected);
+                    }
+                    proptest::prop_assert_eq!(store.fingerprint(), table_digest(model));
+                }
+            }
+        }
+    }
+
     #[test]
     fn hash_is_deterministic_and_respects_modulus() {
         let s = store_with(
@@ -920,6 +1058,38 @@ mod tests {
         );
         bf.sketch_count("bf", &Value::Bytes(vec![1, 2, 3]), 1);
         assert!(bf.sketch_estimate("bf", &Value::Bytes(vec![1, 2, 3])) > 0);
+
+        // a sketch never written reads 0 for every key, and digests like one
+        // whose counts all went back to 0 and like one cleared
+        let cms = ObjectKind::Sketch { kind: SketchKind::CountMin, rows: 3, cols: 128, width: 32 };
+        let idle = store_with("cms", cms.clone());
+        for key in [Value::Int(7), Value::Bytes(vec![1]), Value::None] {
+            assert_eq!(idle.sketch_estimate("cms", &key), 0);
+        }
+        assert!(!materialised(&idle, "cms"));
+        let mut undone = store_with("cms", cms.clone());
+        assert_eq!(undone.sketch_count("cms", &Value::Int(7), 0), 0, "a 0 count adds nothing");
+        assert!(!materialised(&undone, "cms"), "a 0 count over zeros stores nothing");
+        assert_eq!(undone.sketch_count("cms", &Value::Int(7), 3), 3);
+        assert_eq!(undone.sketch_count("cms", &Value::Int(7), -3), 0);
+        assert_eq!(undone.fingerprint(), idle.fingerprint());
+        s.clear("cms");
+        assert_eq!(s.sketch_estimate("cms", &Value::Int(7)), 0);
+        assert_eq!(s.fingerprint(), idle.fingerprint());
+        // but a counter the sketch holds is in its digest, zeros around it
+        // included: the same count in another column digests differently
+        let mut one = store_with("cms", cms.clone());
+        one.sketch_count("cms", &Value::Int(7), 1);
+        let mut other = store_with("cms", cms);
+        other.sketch_count("cms", &Value::Int(8), 1);
+        assert_ne!(one.fingerprint(), idle.fingerprint());
+        assert_ne!(one.fingerprint(), other.fingerprint());
+        let idle_bf = store_with(
+            "bf",
+            ObjectKind::Sketch { kind: SketchKind::Bloom, rows: 2, cols: 256, width: 1 },
+        );
+        assert_eq!(idle_bf.sketch_estimate("bf", &Value::Bytes(vec![1, 2, 3])), 0);
+        assert_ne!(bf.fingerprint(), idle_bf.fingerprint());
     }
 
     #[test]
@@ -969,9 +1139,14 @@ mod tests {
             s.declare(&ObjectDecl::new("flow_cms", cms.clone()));
             s.declare(&ObjectDecl::new("flow_bf", bloom.clone()));
             s.declare(&ObjectDecl::new("flow_cache", table.clone()));
+            // counted on one shard only, each side once
+            s.declare(&ObjectDecl::new("flow_cms_late", cms.clone()));
+            s.declare(&ObjectDecl::new("flow_bf_late", bloom.clone()));
             // the control-plane replicated the same cache entry everywhere
             s.table_write("flow_cache", &[Value::Int(1)], vec![Value::Int(10)]);
         }
+        shard1.sketch_count("flow_cms_late", &Value::Int(3), 5);
+        shard0.sketch_count("flow_bf_late", &Value::Int(4), 1);
         shard0.declare(&ObjectDecl::new("solo_a", array.clone()));
         shard0.array_write("solo_a", 0, 0, 9);
         // disjoint flow partitions, plus one colliding counter cell
@@ -986,10 +1161,14 @@ mod tests {
         // the single shared store every packet would have hit unsharded
         let mut shared = ObjectStore::new();
         shared.declare(&ObjectDecl::new("flow_hits", array.clone()));
-        shared.declare(&ObjectDecl::new("flow_cms", cms));
-        shared.declare(&ObjectDecl::new("flow_bf", bloom));
+        shared.declare(&ObjectDecl::new("flow_cms", cms.clone()));
+        shared.declare(&ObjectDecl::new("flow_bf", bloom.clone()));
         shared.declare(&ObjectDecl::new("flow_cache", table));
+        shared.declare(&ObjectDecl::new("flow_cms_late", cms));
+        shared.declare(&ObjectDecl::new("flow_bf_late", bloom));
         shared.table_write("flow_cache", &[Value::Int(1)], vec![Value::Int(10)]);
+        shared.sketch_count("flow_cms_late", &Value::Int(3), 5);
+        shared.sketch_count("flow_bf_late", &Value::Int(4), 1);
         shared.declare(&ObjectDecl::new("solo_a", array));
         shared.array_write("solo_a", 0, 0, 9);
         shared.array_add("flow_hits", 0, 1, 5);
@@ -1002,6 +1181,15 @@ mod tests {
         merged.merge_shard_from(&shard0, is_flow);
         merged.merge_shard_from(&shard1, is_flow);
         assert_eq!(merged.fingerprint(), shared.fingerprint());
+        assert_eq!(merged.sketch_estimate("flow_cms_late", &Value::Int(3)), 5);
+        assert_eq!(merged.sketch_estimate("flow_bf_late", &Value::Int(4)), 1);
+        // merged the other way round, the unwritten side is the accumulator
+        let mut reversed = ObjectStore::new();
+        reversed.merge_shard_from(&shard1, is_flow);
+        assert!(!materialised(&reversed, "flow_bf_late"));
+        reversed.merge_shard_from(&shard0, is_flow);
+        assert!(materialised(&reversed, "flow_bf_late"));
+        assert_eq!(reversed.fingerprint(), shared.fingerprint());
     }
 
     #[test]
@@ -1017,6 +1205,9 @@ mod tests {
         baseline.declare(&ObjectDecl::new("t_hits", array.clone()));
         baseline.declare(&ObjectDecl::new("t_cms", cms.clone()));
         baseline.declare(&ObjectDecl::new("t_bf", bloom.clone()));
+        // never written before the reshard, then counted on one shard
+        baseline.declare(&ObjectDecl::new("t_cms_late", cms.clone()));
+        baseline.declare(&ObjectDecl::new("t_bf_late", bloom.clone()));
         baseline.array_add("t_hits", 0, 1, 5);
         baseline.sketch_count("t_cms", &Value::Int(1), 3);
         baseline.sketch_count("t_bf", &Value::Int(1), 1);
@@ -1030,6 +1221,8 @@ mod tests {
         shard0.sketch_count("t_cms", &Value::Int(1), 1);
         shard1.sketch_count("t_cms", &Value::Int(2), 6);
         shard1.sketch_count("t_bf", &Value::Int(2), 1);
+        shard1.sketch_count("t_cms_late", &Value::Int(4), 2);
+        shard0.sketch_count("t_bf_late", &Value::Int(5), 1);
 
         // the unsharded reference: baseline plus both shards' deltas once
         let mut shared = baseline.clone();
@@ -1038,6 +1231,8 @@ mod tests {
         shared.sketch_count("t_cms", &Value::Int(1), 1);
         shared.sketch_count("t_cms", &Value::Int(2), 6);
         shared.sketch_count("t_bf", &Value::Int(2), 1);
+        shared.sketch_count("t_cms_late", &Value::Int(4), 2);
+        shared.sketch_count("t_bf_late", &Value::Int(5), 1);
 
         let mut merged = ObjectStore::new();
         merged.merge_shard_from(&shard0, |_| true);
@@ -1049,6 +1244,113 @@ mod tests {
         // Bloom rows OR, so replication needs no deduction
         assert!(merged.sketch_estimate("t_bf", &Value::Int(1)) > 0);
         assert!(merged.sketch_estimate("t_bf", &Value::Int(2)) > 0);
+        assert_eq!(merged.sketch_estimate("t_cms_late", &Value::Int(4)), 2);
+        // deducting a written baseline from a sketch no shard wrote
+        let mut owed = ObjectStore::new();
+        owed.declare(&ObjectDecl::new("t_cms", cms));
+        owed.subtract_replica_baseline(&baseline, 2);
+        assert_eq!(owed.sketch_estimate("t_cms", &Value::Int(1)), -6);
+    }
+
+    /// A store holding every stateful kind: a 400-entry exact table over
+    /// one- and two-value keys of every value type, a written CMS, a Bloom
+    /// filter, a CMS never written, and an array.
+    fn pinned_store(salt: i64) -> ObjectStore {
+        let mut s = ObjectStore::new();
+        let table = ObjectKind::Table {
+            match_kind: clickinc_ir::MatchKind::Exact,
+            key_width: 64,
+            value_width: 32,
+            depth: 512,
+            stateful: false,
+        };
+        s.declare(&ObjectDecl::new("t_cache", table));
+        let cms = ObjectKind::Sketch { kind: SketchKind::CountMin, rows: 3, cols: 64, width: 32 };
+        s.declare(&ObjectDecl::new("t_cms", cms));
+        let bloom = ObjectKind::Sketch { kind: SketchKind::Bloom, rows: 2, cols: 128, width: 1 };
+        s.declare(&ObjectDecl::new("t_bf", bloom));
+        let idle = ObjectKind::Sketch { kind: SketchKind::CountMin, rows: 4, cols: 32, width: 32 };
+        s.declare(&ObjectDecl::new("t_idle", idle));
+        s.declare(&ObjectDecl::new("t_hits", ObjectKind::Array { rows: 2, size: 16, width: 32 }));
+        for i in 0..400i64 {
+            let key = match i % 5 {
+                0 => vec![Value::Int(i * 7919 - 1000 + salt)],
+                1 => vec![Value::Bytes(format!("key{}", i + salt).into_bytes())],
+                2 => vec![Value::Float(i as f64 * 0.5 + salt as f64)],
+                3 => vec![Value::Int(i + salt), Value::Bytes(vec![i as u8, 7])],
+                _ => vec![Value::Int(i - salt), Value::Int(-i)],
+            };
+            let value = match i % 3 {
+                0 => vec![Value::Int(i * 3 + salt)],
+                1 => vec![Value::Int(i), Value::Bool(i % 2 == 0)],
+                _ => vec![Value::None],
+            };
+            s.table_write("t_cache", &key, value);
+        }
+        s.table_write("t_cache", &[Value::None], vec![Value::Int(1)]);
+        for i in 0..200i64 {
+            s.sketch_count("t_cms", &Value::Int((i * 31 + salt) % 97), 1 + i % 4);
+        }
+        for i in 0..20i64 {
+            s.sketch_count("t_bf", &Value::Int(i * 13 + salt), 1);
+        }
+        for cell in 0..16 {
+            s.array_add("t_hits", cell % 2, cell, i64::from(cell) * 5 + salt);
+        }
+        s
+    }
+
+    /// Digests pinned from the store layout before tables were hashed and
+    /// sketches moved onto `Cells` (a `BTreeMap` table, one `Vec` per
+    /// sketch row): the layout is not part of the digest.
+    #[test]
+    fn fingerprints_match_the_digests_pinned_before_the_hashed_layout() {
+        let one = pinned_store(0);
+        let two = pinned_store(3);
+        let mut merged = ObjectStore::new();
+        merged.merge_shard_from(&one, |_| true);
+        merged.merge_shard_from(&two, |_| true);
+        let mut reconciled = merged.clone();
+        reconciled.subtract_replica_baseline(&one, 2);
+        let mut cleared = one.clone();
+        cleared.clear("t_cms");
+        cleared.clear("t_cache");
+        let digests = [
+            one.fingerprint(),
+            two.fingerprint(),
+            merged.fingerprint(),
+            reconciled.fingerprint(),
+            cleared.fingerprint(),
+        ];
+        assert_eq!(
+            digests,
+            [
+                0x6460_8978_7ffc_a7ce,
+                0x987e_7b97_5fe6_fe02,
+                0x53cd_f873_353c_c033,
+                0xf8cb_b70d_d667_e2e4,
+                0xb8cc_1fb8_39f9_1451,
+            ]
+        );
+    }
+
+    /// A KVS tenant's sketches hold no counter block until a packet counts
+    /// in them: the install allocates none.
+    #[test]
+    fn installing_the_kvs_template_materialises_no_sketch_before_its_first_packet() {
+        use crate::packet::kvs_request;
+        use crate::DevicePlane;
+        use clickinc_lang::templates::{kvs_template, KvsParams};
+        let t = kvs_template("kvs", KvsParams::default());
+        let mut plane = DevicePlane::new("SW0", clickinc_device::DeviceModel::tofino());
+        plane.install(clickinc_frontend::compile_source("kvs", &t.source).unwrap());
+        for name in ["cms", "bf", "hits"] {
+            assert!(!materialised(plane.store(), name), "{name} allocated at install");
+        }
+        // a miss counts in the CMS only; it stays under the Bloom threshold
+        plane.process(&mut kvs_request("c", "s", 0, 7));
+        assert!(materialised(plane.store(), "cms"));
+        assert!(!materialised(plane.store(), "bf") && !materialised(plane.store(), "hits"));
     }
 
     #[test]
