@@ -68,7 +68,13 @@ pub struct IncHeader {
 impl IncHeader {
     /// Read a field (removed / absent fields read as [`Value::None`]).
     pub fn get(&self, field: &str) -> Value {
-        self.layout.slot_of(field).map_or(Value::None, |slot| self.slots[slot].clone())
+        self.get_ref(field).clone()
+    }
+
+    /// Borrow a field, as [`get`](IncHeader::get) reads it, without copying
+    /// its value (a `Bytes` field's copy is an allocation).
+    pub fn get_ref(&self, field: &str) -> &Value {
+        self.layout.slot_of(field).map_or(&Value::None, |slot| &self.slots[slot])
     }
 
     /// Set a field.  Writing a field the layout does not carry grows a copy

@@ -44,7 +44,10 @@
 //! tenant's route is a list of ids — so moving a packet to its next hop
 //! compares and clones no string, and a burst borrows its tenant's route and
 //! counter block instead of handing every packet a reference-counted copy.
-//! The only buffer is the worker's own, reused from burst to burst.  A
+//! A burst arrives in the buffer its injector admitted — the caller's own
+//! when the whole burst was — and the worker moves the packets into its own
+//! buffer, reused from burst to burst, freeing the arrival buffer before the
+//! first packet runs.  A
 //! served burst's packets stay in it until the shard is idle — its channel
 //! empty — or the next burst arrives, so freeing them is never on a busy
 //! shard's critical path and at most one served burst is ever held.

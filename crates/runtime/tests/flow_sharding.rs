@@ -10,8 +10,10 @@
 //!    silently, and co-resident tenants are bit-for-bit undisturbed.
 //! 3. **Bounded ingress** — drop-tail sheds exactly the overrun of the
 //!    per-shard bound; backpressure spends credits instead and sheds only
-//!    when they run out.  Both are deterministic at the injection boundary
-//!    and observable in the per-tenant telemetry.
+//!    when they run out.  Both are deterministic at the injection boundary,
+//!    observable in the per-tenant telemetry, and the same for a `ByTenant`
+//!    tenant as for a `ByFlow` tenant on one shard (whose burst is admitted
+//!    unpartitioned).
 
 use clickinc_device::DeviceModel;
 use clickinc_frontend::compile_source;
@@ -376,76 +378,74 @@ fn flow_sharded_tenants_quiesce_on_every_shard_without_disturbing_residents() {
     );
 }
 
-#[test]
-fn droptail_sheds_exactly_the_overrun_at_the_injection_boundary() {
-    let engine = TrafficEngine::new(EngineConfig {
-        shards: 1,
-        queue_capacity: 10,
-        overload: OverloadPolicy::DropTail,
-    });
+/// One `inject` call of 100 packets for a pass-through tenant (no
+/// hops: packets complete at the server) registered in `mode` on a one-shard
+/// engine with a 10-deep queue.  Returns the call's (generated, admitted,
+/// shed) counts and the tenant's stats once the shard drained.
+///
+/// Then checks that both gauges admission reads — the shard's depth and the
+/// tenant's in-flight count, whose budget is the queue's depth — are back at
+/// 0: a second call of exactly 10 packets is admitted whole, without a wait.
+fn overrun(mode: ShardingMode, overload: OverloadPolicy) -> ((usize, usize, usize), TenantStats) {
+    let engine = TrafficEngine::new(EngineConfig { shards: 1, queue_capacity: 10, overload });
     let handle = engine.handle();
-    // pass-through tenant: no hops, packets complete at the server
-    handle.add_tenant("t", Vec::new());
+    handle.add_tenant_sharded("t", Vec::new(), mode);
     let mut wl = KvsWorkload::new(KvsWorkloadConfig {
         tenant: "t".to_string(),
         user_id: 1,
-        requests: 100,
+        requests: 110,
         ..Default::default()
     });
-    // one inject call of 100 packets against an empty 10-deep queue: the
-    // first 10 are admitted, the rest shed — deterministically
-    let report = handle.run_workload(&mut wl, usize::MAX, 100);
-    assert_eq!((report.generated, report.admitted, report.shed), (100, 10, 90));
+    let report = handle.run_workload(&mut wl, 100, 100);
     handle.flush();
-    let outcome = engine.finish();
-    let stats = outcome.telemetry.tenant("t").expect("served");
-    assert_eq!(stats.packets, 10, "only admitted packets count as injected");
-    assert_eq!(stats.completed, 10);
-    assert_eq!(stats.shed_packets, 90);
-    assert_eq!(stats.to_server, 10);
+    let stats = handle.telemetry().tenant("t").expect("served").clone();
+    let refill = handle.run_workload(&mut wl, 10, 10);
+    assert_eq!((refill.admitted, refill.shed), (10, 0), "the gauges drained back to 0");
+    handle.flush();
+    let after = engine.finish().telemetry.tenant("t").expect("served").clone();
+    assert_eq!(after.backpressure_waits, stats.backpressure_waits, "the refill never waited");
+    ((report.generated, report.admitted, report.shed), stats)
+}
+
+/// Both routes to one shard: a `ByTenant` tenant, and a `ByFlow` tenant on a
+/// one-shard engine, whose partition is the burst itself.
+fn one_shard_modes() -> [ShardingMode; 2] {
+    [ShardingMode::ByTenant, by_key()]
+}
+
+#[test]
+fn droptail_sheds_exactly_the_overrun_at_the_injection_boundary() {
+    let runs = one_shard_modes().map(|mode| overrun(mode, OverloadPolicy::DropTail));
+    for (counts, stats) in &runs {
+        // one inject call of 100 packets against an empty 10-deep queue: the
+        // first 10 are admitted, the rest shed — deterministically
+        assert_eq!(*counts, (100, 10, 90));
+        assert_eq!(stats.packets, 10, "only admitted packets count as injected");
+        assert_eq!(stats.completed, 10);
+        assert_eq!(stats.shed_packets, 90);
+        assert_eq!(stats.to_server, 10);
+        assert_eq!(stats.backpressure_waits, 0);
+    }
+    assert_eq!(runs[0].1, runs[1].1, "the two routes shed alike");
 }
 
 #[test]
 fn backpressure_spends_credits_then_sheds_the_rest() {
-    let engine = TrafficEngine::new(EngineConfig {
-        shards: 1,
-        queue_capacity: 10,
-        overload: OverloadPolicy::Backpressure { credits: 3 },
-    });
-    let handle = engine.handle();
-    handle.add_tenant("t", Vec::new());
-    let mut wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: "t".to_string(),
-        user_id: 1,
-        requests: 100,
-        ..Default::default()
-    });
-    // one inject call of 100 packets, 10 admitted per credit cycle (each
-    // wait drains the shard fully): 10 + 3×10 admitted, 60 shed
-    let report = handle.run_workload(&mut wl, usize::MAX, 100);
-    assert_eq!((report.generated, report.admitted, report.shed), (100, 40, 60));
-    handle.flush();
-    let outcome = engine.finish();
-    let stats = outcome.telemetry.tenant("t").expect("served");
-    assert_eq!(stats.packets, 40);
-    assert_eq!(stats.shed_packets, 60);
-    assert_eq!(stats.backpressure_waits, 3, "every credit was spent");
+    let runs =
+        one_shard_modes().map(|mode| overrun(mode, OverloadPolicy::Backpressure { credits: 3 }));
+    for (counts, stats) in &runs {
+        // one inject call of 100 packets, 10 admitted per credit cycle (each
+        // wait drains the shard fully): 10 + 3×10 admitted, 60 shed
+        assert_eq!(*counts, (100, 40, 60));
+        assert_eq!(stats.packets, 40);
+        assert_eq!(stats.shed_packets, 60);
+        assert_eq!(stats.backpressure_waits, 3, "every credit was spent");
+    }
+    assert_eq!(runs[0].1, runs[1].1, "the two routes shed alike");
     // a generous credit budget admits everything
-    let engine = TrafficEngine::new(EngineConfig {
-        shards: 1,
-        queue_capacity: 10,
-        overload: OverloadPolicy::Backpressure { credits: 16 },
-    });
-    let handle = engine.handle();
-    handle.add_tenant("t", Vec::new());
-    let mut wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: "t".to_string(),
-        user_id: 1,
-        requests: 100,
-        ..Default::default()
-    });
-    let report = handle.run_workload(&mut wl, usize::MAX, 100);
-    assert_eq!((report.admitted, report.shed), (100, 0));
-    handle.flush();
-    engine.finish();
+    for mode in one_shard_modes() {
+        let (counts, stats) = overrun(mode, OverloadPolicy::Backpressure { credits: 16 });
+        assert_eq!(counts, (100, 100, 0));
+        assert_eq!(stats.backpressure_waits, 9, "one wait per further 10 packets");
+    }
 }

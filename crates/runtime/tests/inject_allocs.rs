@@ -1,14 +1,19 @@
 //! Allocation pins of the packet path, on counts that repeat exactly.
 //!
-//! `EngineHandle::inject` shares the tenant's record instead of copying it:
-//! what the call allocates on the injecting thread is a small constant,
-//! whatever the size of the tenant's program.  Serving a burst — `inject`
-//! until `flush` returns, every thread counted — allocates per burst, not per
-//! packet: a packet is one heap block made by its generator, and neither the
-//! shard pump nor the VM adds to it.
+//! `EngineHandle::inject` shares the tenant's record instead of copying it,
+//! and a burst bound for one shard — a `ByTenant` tenant's, or a `ByFlow`
+//! tenant's on a one-shard engine — reaches the shard in the caller's own
+//! buffer: such an `inject` allocates nothing on the injecting thread, bar
+//! the channel's occasional block, whatever the size of the tenant's
+//! program.  A multi-shard flow partition allocates per shard, not per
+//! packet: it reads each flow key in place and sizes each shard's buffer
+//! before filling it.  Serving a burst — `inject` until `flush` returns,
+//! every thread counted — allocates per burst, not per packet: a packet is
+//! one heap block made by its generator, and neither the shard pump nor the
+//! VM adds to it.
 
 use clickinc_device::DeviceModel;
-use clickinc_emulator::packet::GradientShape;
+use clickinc_emulator::packet::{GradientShape, PacketShape};
 use clickinc_emulator::Packet;
 use clickinc_frontend::compile_source;
 use clickinc_ir::Value;
@@ -16,7 +21,7 @@ use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggPar
 use clickinc_runtime::workload::{
     KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig, Workload,
 };
-use clickinc_runtime::{EngineConfig, EngineHandle, TenantHop, TrafficEngine};
+use clickinc_runtime::{EngineConfig, EngineHandle, ShardingMode, TenantHop, TrafficEngine};
 use clickinc_synthesis::isolate_user_program;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,10 +97,11 @@ fn burst_of(workload: &mut dyn Workload, packets: usize) -> Vec<(u64, Packet)> {
 /// Allocations the calling thread makes inside one `inject` of a pre-built
 /// burst (the shard workers allocate on their own threads).
 fn allocs_in_inject(handle: &EngineHandle, tenant: &Arc<str>, jobs: Vec<(u64, Packet)>) -> u64 {
+    let packets = jobs.len();
     let before = ALLOCS.with(Cell::get);
     let outcome = handle.inject(tenant, jobs);
     let allocs = ALLOCS.with(Cell::get) - before;
-    assert_eq!((outcome.admitted, outcome.shed), (BURST, 0), "ample queues admit the burst");
+    assert_eq!((outcome.admitted, outcome.shed), (packets, 0), "ample queues admit the burst");
     allocs
 }
 
@@ -222,12 +228,18 @@ fn inject_cost_is_independent_of_program_size() {
     let handle = engine.handle();
     handle.add_tenant("kvs", kvs_hops);
     handle.add_tenant("mlagg", mlagg_hops);
-    let mut kvs_wl = KvsWorkload::new(KvsWorkloadConfig {
-        tenant: "kvs".to_string(),
-        user_id: 1,
-        requests: BURST * ROUNDS,
-        ..Default::default()
-    });
+    // on one shard a flow tenant's partition is the burst itself
+    let by_key = ShardingMode::ByFlow { key_fields: vec!["key".to_string()] };
+    handle.add_tenant_sharded("flow", one_hop("flow", 3, &kvs.source).0, by_key);
+    let kvs_workload = |tenant: &str, user_id| {
+        KvsWorkload::new(KvsWorkloadConfig {
+            tenant: tenant.to_string(),
+            user_id,
+            requests: BURST * ROUNDS,
+            ..Default::default()
+        })
+    };
+    let (mut kvs_wl, mut flow_wl) = (kvs_workload("kvs", 1), kvs_workload("flow", 3));
     let mut mlagg_wl = MlAggWorkload::new(MlAggWorkloadConfig {
         tenant: "mlagg".to_string(),
         user_id: 2,
@@ -236,25 +248,70 @@ fn inject_cost_is_independent_of_program_size() {
         dims: 32,
         ..Default::default()
     });
-    let (kvs_name, mlagg_name): (Arc<str>, Arc<str>) = ("kvs".into(), "mlagg".into());
+    let [kvs_name, mlagg_name, flow_name]: [Arc<str>; 3] =
+        ["kvs".into(), "mlagg".into(), "flow".into()];
 
-    let (mut kvs_allocs, mut mlagg_allocs) = (Vec::new(), Vec::new());
+    let (mut kvs_allocs, mut mlagg_allocs, mut flow_allocs) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..ROUNDS {
         let (kvs_jobs, mlagg_jobs) = (burst_of(&mut kvs_wl, BURST), burst_of(&mut mlagg_wl, BURST));
+        let flow_jobs = burst_of(&mut flow_wl, BURST);
         kvs_allocs.push(allocs_in_inject(&handle, &kvs_name, kvs_jobs));
         mlagg_allocs.push(allocs_in_inject(&handle, &mlagg_name, mlagg_jobs));
+        flow_allocs.push(allocs_in_inject(&handle, &flow_name, flow_jobs));
     }
     engine.finish();
 
     // the channel allocates a block of message slots every few dozen sends,
     // on whichever call crosses the boundary — the per-round minimum is the
-    // cost of the call itself
-    assert_eq!(
-        kvs_allocs.iter().min(),
-        mlagg_allocs.iter().min(),
-        "inject cost depends on the program: {kvs_allocs:?} vs {mlagg_allocs:?}"
-    );
-    // the admitted-jobs `Vec` and, at a boundary, the channel's next block
-    let worst = kvs_allocs.iter().chain(&mlagg_allocs).max().copied().unwrap_or(0);
-    assert!(worst <= 4, "inject allocates a small constant: {kvs_allocs:?} vs {mlagg_allocs:?}");
+    // cost of the call itself, and a whole admission forwards the caller's
+    // buffer, so that cost is nothing in either mode
+    let all = format!("{kvs_allocs:?} vs {mlagg_allocs:?} vs {flow_allocs:?}");
+    for allocs in [&kvs_allocs, &mlagg_allocs, &flow_allocs] {
+        assert_eq!(allocs.iter().min(), Some(&0), "a whole admission allocates: {all}");
+    }
+    // at a boundary, the channel's next block
+    let worst = kvs_allocs.iter().chain(&mlagg_allocs).chain(&flow_allocs).max().copied();
+    assert!(worst.unwrap_or(0) <= 1, "inject allocates beyond the channel's block: {all}");
+}
+
+#[test]
+fn a_multi_shard_flow_partition_allocates_per_shard_not_per_packet() {
+    let _alone = alone();
+    let engine = TrafficEngine::new(EngineConfig { shards: 2, ..Default::default() });
+    let handle = engine.handle();
+    // a pass-through tenant: what is measured is the partition on the
+    // injecting thread, not what the shards run
+    let by_key = ShardingMode::ByFlow { key_fields: vec!["key".to_string()] };
+    handle.add_tenant_sharded("wide", Vec::new(), by_key);
+    let tenant: Arc<str> = "wide".into();
+    let shape = PacketShape::new("client", "server", 1, [("key", Value::Bytes(Vec::new()))]);
+    let mut next_key = 0u64;
+    let mut burst = |packets: usize| -> Vec<(u64, Packet)> {
+        (0..packets)
+            .map(|_| {
+                next_key += 1;
+                let mut packet = shape.stamp();
+                packet.inc.set("key", Value::Bytes(next_key.to_be_bytes().to_vec()));
+                (next_key, packet)
+            })
+            .collect()
+    };
+    let mut least = |packets: usize| {
+        (0..ROUNDS)
+            .map(|_| {
+                let jobs = burst(packets);
+                allocs_in_inject(&handle, &tenant, jobs)
+            })
+            .min()
+            .expect("at least one round")
+    };
+    let (small, large) = (least(BURST), least(4 * BURST));
+    let stats = engine.finish().telemetry;
+
+    assert_eq!(small, large, "a burst four times the size allocates more to partition");
+    // the shard of each packet, each shard's share, the partition and a
+    // buffer per shard
+    assert!(large <= 5, "{large} allocations to partition {} packets", 4 * BURST);
+    let per_shard = &stats.tenant("wide").expect("served").per_shard_packets;
+    assert!(per_shard.iter().all(|&packets| packets > 0), "both shards served: {per_shard:?}");
 }
