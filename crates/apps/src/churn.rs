@@ -22,6 +22,8 @@
 //! Periodically, a freshly admitted KVS tenant also serves a burst of
 //! requests through the sharded engine — churn is measured *while traffic
 //! flows*, not against an idle control plane.
+//!
+//! [`ClickIncService::deploy_or_queue`]: clickinc::ClickIncService::deploy_or_queue
 
 use crate::house;
 use clickinc::{ClickIncError, MaxTenants, ServiceRequest};

@@ -24,6 +24,8 @@
 //! so its stats and its devices' store fingerprints must be bit-identical to
 //! a fault-free run — the blast-radius invariant the failover property tests
 //! assert over *generated* fault schedules.
+//!
+//! [`ClickIncService::fail_device`]: clickinc::ClickIncService::fail_device
 
 use crate::adaptive::PhaseStats;
 use crate::house::{self, physical_devices_of};

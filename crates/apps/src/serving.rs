@@ -9,6 +9,8 @@
 //! resource-floor policy, committed transactionally,
 //! mirrored onto the engine's shards, and loaded with the open-loop seeded
 //! workload generators — no manual hook wiring anywhere.
+//!
+//! [`ClickIncService`]: clickinc::ClickIncService
 
 use crate::house;
 use clickinc::{ClickIncError, ResourceFloor};
@@ -68,8 +70,8 @@ pub struct ServingReport {
 }
 
 /// Deploy the paper's KVS and sparse-MLAgg applications through the
-/// [`ClickIncService`] facade (one transactional batch) and serve both
-/// seeded open-loop workloads on the sharded engine.
+/// [`ClickIncService`](clickinc::ClickIncService) facade (one transactional
+/// batch) and serve both seeded open-loop workloads on the sharded engine.
 ///
 /// Returns per-tenant telemetry and the final store fingerprints; a fixed
 /// config produces bit-identical reports regardless of the shard count.

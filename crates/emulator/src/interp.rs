@@ -267,7 +267,7 @@ fn eval_operand(op: &Operand, env: &BTreeMap<String, Value>, pkt: &Packet) -> Va
         Operand::Var(name) => env.get(name).cloned().unwrap_or(Value::None),
         Operand::Header(field) => pkt.inc.get(field),
         Operand::Meta(field) => match field.as_str() {
-            "inc_user" => Value::Int(pkt.inc.user),
+            "inc_user" => Value::Int(pkt.inc.user()),
             "step" => Value::Int(pkt.inc.step),
             _ => Value::None,
         },
@@ -375,9 +375,10 @@ fn execute(
             // a splitmix64 stream seeded by the tenant id and advanced one
             // draw at a time: the sequence a tenant observes is independent
             // of co-resident traffic and of how planes are sharded
-            let draw = ctx.rand_streams.entry(pkt.inc.user).or_insert(0);
+            let user = pkt.inc.user();
+            let draw = ctx.rand_streams.entry(user).or_insert(0);
             *draw += 1;
-            let mut z = (pkt.inc.user as u64) ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut z = (user as u64) ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;
@@ -555,12 +556,12 @@ mod tests {
         assert_eq!(outcome.action, PacketAction::Back, "cache hit replies from the switch");
         assert_eq!(hit.inc.get("vals"), Value::Int(4242));
         assert_eq!(hit.inc.get("op"), Value::Int(2), "op rewritten to REPLY");
-        assert_eq!((&*hit.src, &*hit.dst), ("s", "c"), "the reply heads back to the client");
+        assert_eq!((hit.src(), hit.dst()), ("s", "c"), "the reply heads back to the client");
 
         let mut miss = kvs_request("c", "s", 0, 7);
         let outcome = plane.process(&mut miss);
         assert_eq!(outcome.action, PacketAction::Forward, "miss goes to the server");
-        assert_eq!((&*miss.src, &*miss.dst), ("c", "s"));
+        assert_eq!((miss.src(), miss.dst()), ("c", "s"));
         assert!(plane.store().sketch_estimate("cms", &Value::Int(7)) >= 1);
     }
 

@@ -1,39 +1,47 @@
 //! Packets and the ClickINC INC header.
 //!
-//! The INC layer fixes one header format per user program (paper §4.1), so
-//! the format is described once and shared: a [`HeaderLayout`] holds the
-//! sorted field names of one packet family behind an `Arc`, and each
-//! [`IncHeader`] carries only a slot vector of values laid out by it.  A
-//! [`PacketShape`] stamps every packet of a stream from one layout and one
-//! pair of endpoint `Arc`s, so a generated packet is one heap block (its
-//! slots), a clone copies the slots and bumps three reference counts, and a
-//! drop is one `free`.  By name, a header still behaves like the map it
-//! replaced: absent and [`Value::None`] fields read alike, and writing a
-//! field the layout does not carry gives that one header a private, grown
-//! copy of the layout.  The register VM resolves names to slots once per
-//! layout (see `vm::RegFile`); the interpreter goes by name.
+//! The INC layer fixes one header format per user program (paper §4.1), and
+//! a stream's packets differ only in their values, so everything else is
+//! described once and shared: a [`StreamRecord`] holds one stream's
+//! endpoints, INC user id and sorted field names behind an `Arc`, and each
+//! [`IncHeader`] carries that `Arc`, a slot vector of values laid out by it,
+//! its step number, its live-field count and which way along the stream it
+//! travels.  A [`PacketShape`] stamps every packet of a stream from one
+//! record, so a generated packet is one heap block (its slots), and a clone
+//! or a drop touches one reference count and allocates or frees that block.
+//! By name, a header still behaves like the map it replaced: absent and
+//! [`Value::None`] fields read alike, and writing a field the record does
+//! not carry gives that one header a private, grown copy of the record.  The
+//! register VM resolves names to slots once per record (see `vm::RegFile`);
+//! the interpreter goes by name.
 
 use clickinc_ir::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The application field names of one packet family, sorted and unique.  A
-/// field's position here is its slot in every [`IncHeader`] sharing the
-/// layout.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct HeaderLayout {
+/// What every packet of one stream shares: the endpoints, the INC user id
+/// and the application field names, sorted and unique.  A field's position
+/// in the names is its slot in every [`IncHeader`] sharing the record.
+#[derive(Debug, Default)]
+pub struct StreamRecord {
     /// In slot (= lexicographic) order.
     names: Vec<Box<str>>,
+    /// Source host name of the stream's forward direction.
+    src: Arc<str>,
+    /// Destination host name of the stream's forward direction.
+    dst: Arc<str>,
+    /// Numeric id of the owning user program.
+    user: i64,
 }
 
-impl HeaderLayout {
-    /// `Ok` with the slot of a field the layout carries, `Err` with the slot
+impl StreamRecord {
+    /// `Ok` with the slot of a field the record carries, `Err` with the slot
     /// the field would take.
     fn position(&self, field: &str) -> Result<usize, usize> {
         self.names.binary_search_by(|name| (**name).cmp(field))
     }
 
-    /// The slot of a field, if the layout carries it.
+    /// The slot of a field, if the record carries it.
     pub fn slot_of(&self, field: &str) -> Option<usize> {
         self.position(field).ok()
     }
@@ -45,27 +53,44 @@ impl HeaderLayout {
 /// fields — the slot vector is the only state a packet carries between
 /// devices.
 ///
-/// Headers compare by content: two layouts with equal names are the same
-/// layout, whichever `Arc` holds them.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Headers compare by content: user id, step, field names and values, the
+/// names alike whichever `Arc` holds them.
+#[derive(Debug, Clone, Default)]
 pub struct IncHeader {
-    /// Numeric id of the owning user program.
-    pub user: i64,
-    /// Current step number (advanced by devices as blocks execute).
+    /// Current step number.  Programs read it (`meta.step`); no device in the
+    /// emulator advances it, so it stays as the packet was built.
     pub step: i64,
-    /// Names of the application fields (e.g. `key`, `seq`, `data_0` …),
-    /// shared by every packet of the family.
-    layout: Arc<HeaderLayout>,
-    /// One value per layout name.  A field set to [`Value::None`] is treated
+    /// Endpoints, user id and field names, shared by every packet of the
+    /// stream.
+    record: Arc<StreamRecord>,
+    /// One value per record name.  A field set to [`Value::None`] is treated
     /// as removed from the wire format (the sparse-block deletion of Fig. 7)
     /// and does not count towards the packet size.
     slots: Vec<Value>,
     /// How many of `slots` are live (not [`Value::None`]), kept in step by
     /// every write so that the wire size is a field read, not a scan.
-    live: usize,
+    live: u32,
+    /// The packet heads from the record's `dst` to its `src` (flipped by
+    /// [`Packet::bounce`]).  The packet's, not the header's, but kept here,
+    /// in the padding behind `live`, so that a [`Packet`] is 48 bytes.
+    reversed: bool,
+}
+
+impl PartialEq for IncHeader {
+    fn eq(&self, other: &IncHeader) -> bool {
+        self.step == other.step
+            && self.user() == other.user()
+            && self.slots == other.slots
+            && (Arc::ptr_eq(&self.record, &other.record) || self.record.names == other.record.names)
+    }
 }
 
 impl IncHeader {
+    /// Numeric id of the owning user program.
+    pub fn user(&self) -> i64 {
+        self.record.user
+    }
+
     /// Read a field (removed / absent fields read as [`Value::None`]).
     pub fn get(&self, field: &str) -> Value {
         self.get_ref(field).clone()
@@ -74,20 +99,22 @@ impl IncHeader {
     /// Borrow a field, as [`get`](IncHeader::get) reads it, without copying
     /// its value (a `Bytes` field's copy is an allocation).
     pub fn get_ref(&self, field: &str) -> &Value {
-        self.layout.slot_of(field).map_or(&Value::None, |slot| &self.slots[slot])
+        self.record.slot_of(field).map_or(&Value::None, |slot| &self.slots[slot])
     }
 
-    /// Set a field.  Writing a field the layout does not carry grows a copy
-    /// of the layout private to this header; removing such a field is a
+    /// Set a field.  Writing a field the record does not carry grows a copy
+    /// of the record private to this header; removing such a field is a
     /// no-op, since it already reads as [`Value::None`].
     pub fn set(&mut self, field: &str, value: Value) {
-        match self.layout.position(field) {
+        match self.record.position(field) {
             Ok(slot) => self.set_slot(slot, value),
             Err(_) if value.is_none() => {}
             Err(at) => {
-                let mut names = self.layout.names.clone();
+                let StreamRecord { names, src, dst, user } = &*self.record;
+                let mut names = names.clone();
                 names.insert(at, field.into());
-                self.layout = Arc::new(HeaderLayout { names });
+                let (src, dst, user) = (Arc::clone(src), Arc::clone(dst), *user);
+                self.record = Arc::new(StreamRecord { names, src, dst, user });
                 self.slots.insert(at, value);
                 self.live += 1;
             }
@@ -96,46 +123,50 @@ impl IncHeader {
 
     /// Number of live (non-removed) application fields.
     pub fn live_fields(&self) -> usize {
-        self.live
+        self.live as usize
     }
 
-    /// Every field the layout carries with its value, in name order (removed
+    /// Every field the record carries with its value, in name order (removed
     /// fields included, as [`Value::None`]).
     pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.layout.names.iter().map(|name| &**name).zip(&self.slots)
+        self.record.names.iter().map(|name| &**name).zip(&self.slots)
     }
 
-    /// The layout shared with the rest of this header's packet family.
-    pub(crate) fn layout(&self) -> &Arc<HeaderLayout> {
-        &self.layout
+    /// The record shared with the rest of this header's stream.  A served
+    /// packet's release shows as a drop in the record's reference count.
+    pub fn record(&self) -> &Arc<StreamRecord> {
+        &self.record
     }
 
-    /// The value in `slot` of the layout.
+    /// The value in `slot` of the record.
     pub(crate) fn slot(&self, slot: usize) -> &Value {
         &self.slots[slot]
     }
 
-    /// Overwrite the value in `slot` of the layout.
+    /// Overwrite the value in `slot` of the record.
     pub(crate) fn set_slot(&mut self, slot: usize, value: Value) {
         let was_live = !self.slots[slot].is_none();
-        self.live = self.live + usize::from(!value.is_none()) - usize::from(was_live);
+        self.live = self.live + u32::from(!value.is_none()) - u32::from(was_live);
         self.slots[slot] = value;
     }
 }
 
-/// A packet travelling through the emulated network.
-#[derive(Debug, Clone, PartialEq)]
+/// A packet travelling through the emulated network: its INC header, whose
+/// stream record also names the endpoints.
+///
+/// Packets compare by content, endpoints in travel order included: a reply
+/// bounced on a `c → s` stream equals an `s → c` packet with the same
+/// header.
+#[derive(Debug, Clone)]
 pub struct Packet {
-    /// Source host name.
-    pub src: Arc<str>,
-    /// Destination host name.
-    pub dst: Arc<str>,
     /// The INC header.
     pub inc: IncHeader,
-    /// Base encapsulation bytes (Ethernet + IPv4 + UDP).
-    pub base_bytes: usize,
-    /// Bytes per live application field.
-    pub bytes_per_field: usize,
+}
+
+impl PartialEq for Packet {
+    fn eq(&self, other: &Packet) -> bool {
+        self.src() == other.src() && self.dst() == other.dst() && self.inc == other.inc
+    }
 }
 
 impl Packet {
@@ -143,15 +174,18 @@ impl Packet {
     /// 8 (INC header: user id, step number).
     pub const BASE_BYTES: usize = 14 + 20 + 8 + 8;
 
+    /// Bytes per live application field.
+    pub const BYTES_PER_FIELD: usize = 4;
+
     /// Create a packet for a user program with the given application fields
-    /// (and a layout of its own; streams stamp theirs from a [`PacketShape`]).
+    /// (and a record of its own; streams stamp theirs from a [`PacketShape`]).
     pub fn new(src: &str, dst: &str, user: i64, fields: BTreeMap<String, Value>) -> Packet {
         // a `BTreeMap` iterates in key order, which is slot order
         let (names, slots) = fields.into_iter().map(|(name, v)| (name.into_boxed_str(), v)).unzip();
         Packet::laid_out(src, dst, user, names, slots)
     }
 
-    /// A packet over a fresh layout of `names` (sorted, unique).
+    /// A packet over a fresh record of `names` (sorted, unique).
     fn laid_out(
         src: &str,
         dst: &str,
@@ -159,34 +193,52 @@ impl Packet {
         names: Vec<Box<str>>,
         slots: Vec<Value>,
     ) -> Packet {
+        let record = StreamRecord { names, src: src.into(), dst: dst.into(), user };
+        let live = slots.iter().filter(|v| !v.is_none()).count();
         Packet {
-            src: src.into(),
-            dst: dst.into(),
             inc: IncHeader {
-                user,
                 step: 0,
-                layout: Arc::new(HeaderLayout { names }),
-                live: slots.iter().filter(|v| !v.is_none()).count(),
+                record: Arc::new(record),
+                live: u32::try_from(live).expect("fewer than 2^32 fields"),
                 slots,
+                reversed: false,
             },
-            base_bytes: Packet::BASE_BYTES,
-            bytes_per_field: 4,
+        }
+    }
+
+    /// Source host name, in the direction the packet travels.
+    pub fn src(&self) -> &str {
+        let record = &self.inc.record;
+        if self.inc.reversed {
+            &record.dst
+        } else {
+            &record.src
+        }
+    }
+
+    /// Destination host name, in the direction the packet travels.
+    pub fn dst(&self) -> &str {
+        let record = &self.inc.record;
+        if self.inc.reversed {
+            &record.src
+        } else {
+            &record.dst
         }
     }
 
     /// Current wire size in bytes: encapsulation + live fields.
     pub fn wire_bytes(&self) -> usize {
-        self.base_bytes + self.inc.live_fields() * self.bytes_per_field
+        Packet::BASE_BYTES + self.inc.live_fields() * Packet::BYTES_PER_FIELD
     }
 
     /// Swap source and destination (the `back()` primitive).
     pub fn bounce(&mut self) {
-        std::mem::swap(&mut self.src, &mut self.dst);
+        self.inc.reversed = !self.inc.reversed;
     }
 }
 
-/// The part of a packet every packet of one stream shares — endpoints, user
-/// id, header layout and default field values — built once so that stamping
+/// The part of a packet every packet of one stream shares — its
+/// [`StreamRecord`] and default field values — built once so that stamping
 /// a packet allocates nothing but its slot vector.
 #[derive(Debug, Clone)]
 pub struct PacketShape {
@@ -220,7 +272,7 @@ impl PacketShape {
 
     /// The slot of a field the shape was built with.
     fn slot_of(&self, field: &str) -> usize {
-        self.template.inc.layout.slot_of(field).expect("the shape carries the field")
+        self.template.inc.record.slot_of(field).expect("the shape carries the field")
     }
 
     /// A packet with the given `(slot, value)` pairs written over the
@@ -325,7 +377,7 @@ mod tests {
         // deleting two sparse fields shrinks the packet
         p.inc.set("data_2", Value::None);
         p.inc.set("data_3", Value::None);
-        assert_eq!(p.wire_bytes(), before - 2 * p.bytes_per_field);
+        assert_eq!(p.wire_bytes(), before - 2 * Packet::BYTES_PER_FIELD);
         assert!(p.wire_bytes() >= Packet::BASE_BYTES);
         // stamping counts too: a request's `vals` defaults to removed, and a
         // stamp may fill it or remove a default
@@ -335,7 +387,7 @@ mod tests {
         let reply = requests.shape.stamp_with([(vals, Value::Int(7))]);
         assert_eq!(reply.inc.live_fields(), 3);
         let bare = requests.shape.stamp_with([(op, Value::None), (op, Value::None)]);
-        assert_eq!(bare.wire_bytes(), Packet::BASE_BYTES + bare.bytes_per_field);
+        assert_eq!(bare.wire_bytes(), Packet::BASE_BYTES + Packet::BYTES_PER_FIELD);
     }
 
     #[test]
@@ -353,9 +405,36 @@ mod tests {
     fn bounce_swaps_endpoints() {
         let mut p = kvs_request("client", "server", 2, 42);
         p.bounce();
-        assert_eq!(&*p.src, "server");
-        assert_eq!(&*p.dst, "client");
+        assert_eq!((p.src(), p.dst()), ("server", "client"));
         assert_eq!(p.inc.get("key"), Value::Int(42));
+        assert_eq!(p.inc.user(), 2);
+        p.bounce();
+        assert_eq!((p.src(), p.dst()), ("client", "server"));
+    }
+
+    /// Equality is by content across a bounce: the direction bit selects
+    /// which record endpoint is the source, and a packet compares by the
+    /// endpoints it travels between.
+    #[test]
+    fn a_bounced_packet_equals_a_packet_sent_the_other_way() {
+        let request = kvs_request("c", "s", 1, 9);
+        let mut reply = request.clone();
+        reply.bounce();
+        assert!(Arc::ptr_eq(reply.inc.record(), request.inc.record()));
+        assert_eq!(reply, kvs_request("s", "c", 1, 9));
+        assert_ne!(reply, request);
+        assert_ne!(reply, kvs_request("s", "c", 2, 9), "the user id is part of the header");
+        reply.bounce();
+        assert_eq!(reply, request);
+    }
+
+    /// A packet is its stream record's `Arc`, its slot vector, the step, the
+    /// live count and the direction bit: 48 bytes, 56 with the arrival time
+    /// a burst pairs it with — what the shard copies per packet.
+    #[test]
+    fn a_packet_is_one_record_reference_and_its_values() {
+        assert!(std::mem::size_of::<Packet>() <= 48, "{}", std::mem::size_of::<Packet>());
+        assert!(std::mem::size_of::<(u64, Packet)>() <= 56);
     }
 
     #[test]
@@ -374,8 +453,7 @@ mod tests {
         let values: Vec<i64> = (1..=12).collect();
         let shape = GradientShape::new("w", "ps", 4, 12);
         let (a, b) = (shape.packet(3, 1, &values), shape.packet(4, 2, &values[..5]));
-        assert!(Arc::ptr_eq(a.inc.layout(), b.inc.layout()));
-        assert!(Arc::ptr_eq(&a.src, &b.src) && Arc::ptr_eq(&a.dst, &b.dst));
+        assert!(Arc::ptr_eq(a.inc.record(), b.inc.record()));
         assert_eq!(a, gradient_packet("w", "ps", 4, 3, 1, 12, &values));
         assert_eq!(b, gradient_packet("w", "ps", 4, 4, 2, 12, &values[..5]));
         assert_eq!(a.inc.get("data_10"), Value::Int(11));
@@ -417,7 +495,7 @@ mod tests {
     }
 
     /// Field universe of the model test; the first three form the starting
-    /// layout, so writes hit both carried and absent fields.
+    /// record, so writes hit both carried and absent fields.
     const NAMES: [&str; 7] = ["key", "op", "vals", "data_10", "data_2", "a", "zz"];
 
     proptest! {
@@ -458,12 +536,12 @@ mod tests {
                 }
                 prop_assert_eq!(packets[0] == packets[1], models[0] == models[1]);
             }
-            // a header rebuilt by name from the model holds its own layout
+            // a header rebuilt by name from the model holds its own record
             // `Arc` and still compares equal
             for (packet, model) in packets.iter().zip(&models) {
                 let by_name = model.0.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
                 let rebuilt = Packet::new("c", "s", 1, by_name);
-                prop_assert!(!Arc::ptr_eq(rebuilt.inc.layout(), packet.inc.layout()));
+                prop_assert!(!Arc::ptr_eq(rebuilt.inc.record(), packet.inc.record()));
                 prop_assert_eq!(&rebuilt, packet);
             }
         }

@@ -9,7 +9,7 @@
 //! order, so the digest of a store is independent of its slot layout.
 //!
 //! `Array` and `Seq` objects are register arrays, and are stored as one: a
-//! single `Vec<i64>` indexed `row × size + cell` ([`Cells`]), so a cell access
+//! single `Vec<i64>` indexed `row × size + cell` (`Cells`), so a cell access
 //! is an index, not a tree probe.  The vector is *materialised lazily*, with
 //! one zeroed allocation on the first write (a 0 written over cells that all
 //! read 0 is not one) — a deploy that never serves allocates nothing, and the
@@ -24,7 +24,7 @@
 //! no counter block.  Its digest still hashes every counter, zeros
 //! included, row by row (an unmaterialised sketch reads all 0).  A `Table`
 //! is an exact-match map from the digest of its key fields to the entry,
-//! hashed by that digest itself ([`KeyDigest`]): a lookup is one probe, and
+//! hashed by that digest itself (`KeyDigest`): a lookup is one probe, and
 //! the store digest walks the entries in key order.
 
 use clickinc_ir::{ObjectDecl, ObjectKind, SketchKind, Value};

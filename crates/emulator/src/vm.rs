@@ -42,10 +42,10 @@
 //! interpreter's `env`) without any per-packet reset cost.
 //!
 //! Header fields are slots too.  A packet's header is a value vector laid out
-//! by a [`HeaderLayout`] its whole packet family shares, and the register
-//! file binds every header id of the image to its slot in one pass whenever
-//! the packet's layout is not the one bound (a new packet family, or a
-//! header write that grew the packet a private layout) — so a header operand
+//! by the [`StreamRecord`] its whole stream shares, and the register file
+//! binds every header id of the image to its slot in one pass whenever the
+//! packet's record is not the one bound (a new stream, or a header write
+//! that grew the packet a private record) — so a header operand
 //! is a plain `Vec` index into the packet itself, the packet stays the
 //! single source of truth, and nothing is resolved per packet while the
 //! traffic keeps one shape.
@@ -69,7 +69,7 @@
 //! tiers; the VM only skips re-dispatching on the operand kinds it has just
 //! matched.
 
-use crate::packet::{HeaderLayout, Packet};
+use crate::packet::{Packet, StreamRecord};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
 use clickinc_ir::{
     eval, AluOp, CmpOp, Instruction, IrProgram, ObjectKind, OpCode, Operand, Predicate, Value,
@@ -106,8 +106,8 @@ pub enum VmOperand {
     Reg(u32),
     /// A packet header field, as a dense index into the image's header-name
     /// table.  The register file binds it to the packet's slot once per
-    /// header layout, so a read is an index into the packet's slot vector;
-    /// a field the layout does not carry reads `None`.
+    /// stream record, so a read is an index into the packet's slot vector;
+    /// a field the record does not carry reads `None`.
     Header(u32),
     /// `meta.inc_user`.
     MetaUser,
@@ -291,7 +291,7 @@ pub struct CompiledImage {
     /// Register index → variable name (what [`CompiledImage::dump`] prints).
     reg_names: Vec<String>,
     /// Header index → field name (resolved to a packet slot once per
-    /// header layout).
+    /// stream record).
     header_names: Vec<String>,
 }
 
@@ -903,11 +903,11 @@ pub struct RegFile {
     regs: Vec<Value>,
     gen: Vec<u64>,
     cur: u64,
-    /// The header layout `hdr_slot` is bound to.  Holding the `Arc` keeps
-    /// the layout alive, so pointer identity with a packet's layout means
-    /// "same layout" and never a reused address.
-    layout: Option<Arc<HeaderLayout>>,
-    /// Image header id → slot in `layout` (`None`: the layout does not carry
+    /// The stream record `hdr_slot` is bound to.  Holding the `Arc` keeps
+    /// the record alive, so pointer identity with a packet's record means
+    /// "same record" and never a reused address.
+    record: Option<Arc<StreamRecord>>,
+    /// Image header id → slot in `record` (`None`: the record does not carry
     /// the field).
     hdr_slot: Vec<Option<usize>>,
     /// Reusable buffer for the evaluated key operands of table and hash ops.
@@ -916,7 +916,7 @@ pub struct RegFile {
 
 impl RegFile {
     /// Size the file for an image (called after every recompile; stamps
-    /// reset, so no stale value can leak across images, and no layout is
+    /// reset, so no stale value can leak across images, and no record is
     /// bound).
     pub fn reset(&mut self, num_regs: usize, num_headers: usize) {
         self.regs.clear();
@@ -926,31 +926,31 @@ impl RegFile {
         self.hdr_slot.clear();
         self.hdr_slot.resize(num_headers, None);
         self.cur = 0;
-        self.layout = None;
+        self.record = None;
     }
 
     fn begin_packet(&mut self, image: &CompiledImage, pkt: &Packet) {
         self.cur += 1;
-        self.follow_layout(image, pkt);
+        self.follow_record(image, pkt);
     }
 
-    /// Bind the image's headers to the packet's layout unless they already
+    /// Bind the image's headers to the packet's record unless they already
     /// are.
     #[inline]
-    fn follow_layout(&mut self, image: &CompiledImage, pkt: &Packet) {
-        let layout = pkt.inc.layout();
-        if !self.layout.as_ref().is_some_and(|bound| Arc::ptr_eq(bound, layout)) {
-            self.bind(image, layout);
+    fn follow_record(&mut self, image: &CompiledImage, pkt: &Packet) {
+        let record = pkt.inc.record();
+        if !self.record.as_ref().is_some_and(|bound| Arc::ptr_eq(bound, record)) {
+            self.bind(image, record);
         }
     }
 
-    /// Resolve every header id of the image to its slot in `layout`, by name.
+    /// Resolve every header id of the image to its slot in `record`, by name.
     #[cold]
-    fn bind(&mut self, image: &CompiledImage, layout: &Arc<HeaderLayout>) {
+    fn bind(&mut self, image: &CompiledImage, record: &Arc<StreamRecord>) {
         for (slot, name) in self.hdr_slot.iter_mut().zip(&image.header_names) {
-            *slot = layout.slot_of(name);
+            *slot = record.slot_of(name);
         }
-        self.layout = Some(Arc::clone(layout));
+        self.record = Some(Arc::clone(record));
     }
 
     fn set(&mut self, reg: u32, value: Value) {
@@ -963,7 +963,7 @@ impl RegFile {
     /// register file or the packet's slot vector.  Metadata is not stored as
     /// a `Value` anywhere, so it goes through `meta`, a temporary of the
     /// caller's.  A register no instruction wrote for this packet, a header
-    /// field the layout lacks and unknown metadata read [`Value::None`].
+    /// field the record lacks and unknown metadata read [`Value::None`].
     // inlined at every site on purpose: out of line, every read in the image
     // shares one operand-kind dispatch, which the branch predictor cannot
     // learn (measured: 718 → 558 ns per MLAgg packet)
@@ -984,7 +984,7 @@ impl RegFile {
                 None => &Value::None,
             },
             VmOperand::MetaUser => {
-                *meta = Value::Int(pkt.inc.user);
+                *meta = Value::Int(pkt.inc.user());
                 meta
             }
             VmOperand::MetaStep => {
@@ -1278,7 +1278,7 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         }
         VmOp::Mirror { updates } => {
             // updates apply to the copy only, by name — the live packet (and
-            // with it the bound layout) is untouched
+            // with it the bound record) is untouched
             let mut copy = pkt.clone();
             for (field, value) in updates {
                 let v = cloned(value, ctx.regs, pkt);
@@ -1298,9 +1298,10 @@ fn step(op: &VmOp, ctx: &mut VmCtx<'_>, image: &CompiledImage, pkt: &mut Packet,
         VmOp::RandInt { dest, bound } => {
             let b = int(bound, ctx.regs, pkt).unwrap_or(i64::MAX).max(1);
             // the same splitmix64 per-tenant stream the interpreter draws from
-            let draw = ctx.rand_streams.entry(pkt.inc.user).or_insert(0);
+            let user = pkt.inc.user();
+            let draw = ctx.rand_streams.entry(user).or_insert(0);
             *draw += 1;
-            let mut z = (pkt.inc.user as u64) ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut z = (user as u64) ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;
@@ -1327,9 +1328,9 @@ fn set_header(
         Some(slot) => pkt.inc.set_slot(slot, value),
         None => {
             // the packet does not carry the field: a live value grows a
-            // layout private to this packet, which the headers are rebound to
+            // record private to this packet, which the headers are rebound to
             pkt.inc.set(&image.header_names[h], value);
-            regs.follow_layout(image, pkt);
+            regs.follow_record(image, pkt);
         }
     }
 }
@@ -1366,15 +1367,15 @@ mod tests {
             assert_eq!(a, b, "packets diverge on key {key}");
             // a cache hit is answered by the switch: the reply travels back
             let endpoints = if oa.action == PacketAction::Back { ("s", "c") } else { ("c", "s") };
-            assert_eq!((&*a.src, &*a.dst), endpoints, "key {key} ended {:?}", oa.action);
+            assert_eq!((a.src(), a.dst()), endpoints, "key {key} ended {:?}", oa.action);
         }
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
         assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
-    /// Header slots are bound per layout, and layouts come and go: two
-    /// packet families, one-off packets with a layout of their own, and
-    /// packets whose layout grows mid-program — once through a `set_header`
+    /// Header slots are bound per stream record, and records come and go:
+    /// two streams, one-off packets with a record of their own, and packets
+    /// whose record grows mid-program — once through a `set_header`
     /// and once more through a `back` update, each followed by header reads —
     /// all cross one plane, interleaved.
     #[test]
@@ -1389,7 +1390,7 @@ mod tests {
         b.set_header("tag", Operand::Header("seen".into()));
         b.set_header("op", Operand::Header("tag".into()));
         let tagger = b.build().unwrap();
-        // grows every layout twice with fields that sort first, so each
+        // grows every record twice with fields that sort first, so each
         // growth moves every slot, and reads headers after each growth
         let mut b = ProgramBuilder::new("grower");
         b.set_header("aa_first", Operand::hdr("key"));
@@ -1406,9 +1407,9 @@ mod tests {
         for i in 0..6i64 {
             trace.push(requests.request(i % 3));
             trace.push(gradients.packet(i, 0, &[i, 2, 3, 4]));
-            // same names as a shaped request, but a layout `Arc` of its own
+            // same names as a shaped request, but a record `Arc` of its own
             trace.push(kvs_request("c", "s", 0, i % 3));
-            // already carries `seen`, so only `tag` grows its layout
+            // already carries `seen`, so only `tag` grows its record
             let mut fields = BTreeMap::new();
             fields.insert("key".to_string(), Value::Int(40 + i));
             fields.insert("seen".to_string(), Value::Int(-1));

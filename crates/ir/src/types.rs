@@ -52,10 +52,13 @@ impl fmt::Display for ValueType {
 /// A runtime value, used by the constant folder in the frontend and by the
 /// data-plane emulator when interpreting placed IR snippets.
 ///
-/// 32 bytes, set by the `Vec` in `Bytes`.  Boxing it (`Bytes(Box<Vec<u8>>)`,
-/// 16 bytes) was measured in PR 23: +4.5 % packets/s and −10 % RSS on
-/// `mlagg_serve`, but `kvs_serve` `setup_s` 6.3 → 9.0 ms (an allocator
-/// size-class effect, past the benchmark's 25 % bound) — left as it is.
+/// 24 bytes on the workspace toolchain: the `Vec` in `Bytes` sets the size,
+/// and the tag lives in its capacity's niche (a capacity never exceeds
+/// `isize::MAX`).  Boxing it (`Bytes(Box<Vec<u8>>)`, 16 bytes) was measured
+/// in PR 23, when the enum was taken to be 32 bytes: +4.5 % packets/s and
+/// −10 % RSS on `mlagg_serve`, but `kvs_serve` `setup_s` 6.3 → 9.0 ms (an
+/// allocator size-class effect, past the benchmark's 25 % bound) — left as
+/// it is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Signed integer (also used for bit vectors up to 64 bits).

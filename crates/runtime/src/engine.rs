@@ -180,8 +180,8 @@ fn flow_shard_of(tenant: &str, packet: &Packet, key_fields: &[String], shards: u
     let mut h = Fnv::new();
     h.write_str(tenant);
     if key_fields.is_empty() {
-        h.write_str(&packet.src);
-        h.write_str(&packet.dst);
+        h.write_str(packet.src());
+        h.write_str(packet.dst());
         for (name, value) in packet.inc.fields() {
             h.write_str(name);
             write_value(&mut h, value);
@@ -396,7 +396,7 @@ impl EngineHandle {
     ///
     /// 1. **Quiesce + extract** — every hosting shard serves the tenant's
     ///    queued traffic, uninstalls its snippets and ships back its
-    ///    exclusively-owned state ([`ShardMsg::RemoveTenant`] with a reply).
+    ///    exclusively-owned state (`ShardMsg::RemoveTenant` with a reply).
     /// 2. **Reconcile** — the per-shard partials merge additively
     ///    (`merge_shard_from`); if a previous reshard had replicated a
     ///    baseline onto every shard, `shards − 1` copies are deducted so the

@@ -40,17 +40,20 @@
 //!
 //! Device names stop at the message boundary.  A control message that names
 //! a device (`AddTenant`, `SetDeviceHealth`) interns it to a dense
-//! [`DeviceId`]; planes and health live in vectors indexed by it and a
+//! `DeviceId`; planes and health live in vectors indexed by it and a
 //! tenant's route is a list of ids — so moving a packet to its next hop
 //! compares and clones no string, and a burst borrows its tenant's route and
 //! counter block instead of handing every packet a reference-counted copy.
 //! A burst arrives in the buffer its injector admitted — the caller's own
 //! when the whole burst was — and the worker moves the packets into its own
 //! buffer, reused from burst to burst, freeing the arrival buffer before the
-//! first packet runs.  A
-//! served burst's packets stay in it until the shard is idle — its channel
-//! empty — or the next burst arrives, so freeing them is never on a busy
-//! shard's critical path and at most one served burst is ever held.
+//! first packet runs.  A served burst's packets stay in it until the shard
+//! finds its channel empty or the next burst arrives, so at most one served
+//! burst is ever held.  Releasing a packet is one reference-count decrement
+//! (its stream record) and one `free` (its slot vector).  That work is
+//! deferred, not avoided: on a host where the injecting thread and the shard
+//! share a CPU it still lands inside some burst's serving time, only no
+//! longer between a packet and the next.
 //!
 //! [`ShardingMode::ByTenant`]: crate::tenant::ShardingMode::ByTenant
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
@@ -194,13 +197,17 @@ pub(crate) struct ShardWorker {
     /// The packets run in place and outlive the loop: they are released when
     /// the receive loop finds the channel empty, just before it blocks, or
     /// when the next `inject` clears the buffer before appending — whichever
-    /// comes first.  A packet's slot vector (≈ 1.2 KB for an MLAgg gradient)
-    /// was allocated on the generating thread, so freeing it here is a
-    /// cross-arena free too large for the allocator's thread cache — freed
-    /// inside the loop it was ≈ 20 % of `mlagg_serve`'s time.  A busy shard
-    /// frees what it freed before, only at the next burst's start; an idle
-    /// one frees while it would otherwise wait; and the buffer never holds
-    /// more than one served burst.
+    /// comes first — and the buffer never holds more than one served burst.
+    /// A release is one reference-count decrement (the packet's stream
+    /// record) and one `free` (its slot vector, ≈ 1.2 KB for an MLAgg
+    /// gradient, allocated on the generating thread: a cross-arena free too
+    /// large for the allocator's thread cache — freed inside the loop it was
+    /// ≈ 20 % of `mlagg_serve`'s time).  Deferring it keeps it out of the
+    /// per-packet path, not out of the op: where the injecting thread and
+    /// the shard share one CPU, as in the benchmark's closed loop, the
+    /// idle-branch release runs while the injector waits on its `flush`,
+    /// and the `inject` release runs at the next burst's start — both
+    /// inside a timed op.
     burst: Vec<(u64, Packet)>,
     /// What the burst being served has done to its tenant's counters so far;
     /// published when the burst ends.
@@ -220,8 +227,8 @@ impl ShardWorker {
             tally: BurstTally::default(),
         };
         loop {
-            // a served burst is released only while the shard has nothing
-            // else to do, so freeing it is off every burst's critical path
+            // a served burst is released once the shard has nothing else
+            // queued, before it blocks, rather than between two packets
             let msg = match rx.try_recv() {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => {
@@ -390,7 +397,7 @@ impl ShardWorker {
                 true
             };
             if served {
-                tally.payload_bytes += packet.wire_bytes().saturating_sub(packet.base_bytes) as u64;
+                tally.payload_bytes += (packet.wire_bytes() - Packet::BASE_BYTES) as u64;
                 tally.complete(latency_ns, vtime_ns);
             } else {
                 // lost to an injected fault: counted as `fault_lost`, never
@@ -418,8 +425,8 @@ fn flaky_drops(device: &str, vtime_ns: u64, packet: &Packet, drop_prob: f64) -> 
     let mut h = Fnv::new();
     h.write_str(device);
     h.write_u64(vtime_ns);
-    h.write_str(&packet.src);
-    h.write_str(&packet.dst);
+    h.write_str(packet.src());
+    h.write_str(packet.dst());
     let unit = (h.finish() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     unit < drop_prob
 }
@@ -448,11 +455,13 @@ mod tests {
         TenantHop { device: device.to_string(), model: DeviceModel::tofino(), snippets: Vec::new() }
     }
 
-    /// `n` KVS requests from `src`, admitted against both gauges the way the
-    /// engine admits them.
+    /// `n` KVS requests of `stream`'s record (clones of it, keyed `0..n`),
+    /// admitted against both gauges the way the engine admits them.  The
+    /// record's reference count is `stream` itself plus every packet of the
+    /// burst not yet released.
     fn admitted_burst(
         n: u64,
-        src: &Arc<str>,
+        stream: &Packet,
         depth: &AtomicU64,
         counters: &TenantCounters,
     ) -> Vec<(u64, Packet)> {
@@ -460,11 +469,16 @@ mod tests {
         counters.in_flight.fetch_add(n, Ordering::Relaxed);
         (0..n)
             .map(|i| {
-                let mut packet = kvs_request("c", "s", 0, i as i64);
-                packet.src = Arc::clone(src);
+                let mut packet = stream.clone();
+                packet.inc.set("key", Value::Int(i as i64));
                 (i, packet)
             })
             .collect()
+    }
+
+    /// Packets of `stream`'s record still held anywhere but in `stream`.
+    fn held(stream: &Packet) -> usize {
+        Arc::strong_count(stream.inc.record()) - 1
     }
 
     /// Stop the worker and wait for it to exit.
@@ -522,18 +536,19 @@ mod tests {
             hops: vec![hop("sw0")],
             counters: Arc::clone(&counters),
         });
-        let srcs: Vec<Arc<str>> = (0..3).map(|n| Arc::from(format!("c{n}"))).collect();
-        for (n, src) in srcs.iter().enumerate() {
-            let jobs = admitted_burst(16, src, &depth, &counters);
+        let streams: Vec<Packet> =
+            (0..3).map(|n| kvs_request(&format!("c{n}"), "s", 0, 0)).collect();
+        for (n, stream) in streams.iter().enumerate() {
+            let jobs = admitted_burst(16, stream, &depth, &counters);
             send(ShardMsg::Inject { user: "t".into(), jobs });
             flush();
             if let Some(previous) = n.checked_sub(1) {
-                assert_eq!(Arc::strong_count(&srcs[previous]), 1, "burst {previous} is released");
+                assert_eq!(held(&streams[previous]), 0, "burst {previous} is released");
             }
         }
         // nothing follows the last burst, so the idle shard releases it
         let deadline = Instant::now() + Duration::from_secs(10);
-        while Arc::strong_count(&srcs[2]) > 1 {
+        while held(&streams[2]) > 0 {
             assert!(Instant::now() < deadline, "an idle shard keeps its served burst");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -547,7 +562,7 @@ mod tests {
     /// at zero.
     #[test]
     fn a_removal_or_stop_right_after_a_burst_finds_every_credit_returned() {
-        let src: Arc<str> = "c".into();
+        let stream = kvs_request("c", "s", 0, 0);
         for remove_first in [true, false] {
             let (tx, depth, worker) = spawn_worker();
             let send = |msg| tx.send(msg).expect("the worker is running");
@@ -557,7 +572,7 @@ mod tests {
                 hops: vec![hop("sw0")],
                 counters: Arc::clone(&counters),
             });
-            let jobs = admitted_burst(32, &src, &depth, &counters);
+            let jobs = admitted_burst(32, &stream, &depth, &counters);
             send(ShardMsg::Inject { user: "t".into(), jobs });
             if remove_first {
                 let (ack, extracted) = channel();
@@ -570,7 +585,7 @@ mod tests {
             assert_eq!(depth.load(Ordering::Relaxed), 0, "shard credits after the stop");
             assert_eq!(counters.in_flight.load(Ordering::Relaxed), 0, "tenant credits");
             assert_eq!(counters.to_server.load(Ordering::Relaxed), 32, "the burst was served");
-            assert_eq!(Arc::strong_count(&src), 1, "a stopped worker holds no packet");
+            assert_eq!(held(&stream), 0, "a stopped worker holds no packet");
         }
     }
 }

@@ -378,7 +378,8 @@ fn deleted_and_re_added_header_fields_are_priced_at_their_recount() {
     let programs = [prune.build().unwrap(), refill.build().unwrap()].map(Arc::new);
 
     let recount = |p: &Packet| {
-        p.base_bytes + p.inc.fields().filter(|(_, v)| !v.is_none()).count() * p.bytes_per_field
+        Packet::BASE_BYTES
+            + p.inc.fields().filter(|(_, v)| !v.is_none()).count() * Packet::BYTES_PER_FIELD
     };
     let stream: Vec<(u64, Packet)> = (0..40u64)
         .map(|i| (i * 100, gradient_packet("w", "ps", 0, i as i64, 0, 4, &[1, 2, 3, 4])))
