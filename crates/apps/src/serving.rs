@@ -5,10 +5,10 @@
 //! The single-threaded scenario loop in `clickinc-emulator` remains as the
 //! path-shape ablation (it is what sweeps the five Fig. 13 device chains);
 //! *this* module is the default serving path: programs are solved by the
-//! service's one admission pipeline, admitted under a batch-scoped provider
-//! resource-floor policy, committed transactionally,
-//! mirrored onto the engine's shards, and loaded with the open-loop seeded
-//! workload generators — no manual hook wiring anywhere.
+//! service's one admission pipeline, admitted under the provider's
+//! resource-floor policy installed on the service, committed
+//! transactionally, mirrored onto the engine's shards, and loaded with the
+//! open-loop seeded workload generators — no manual hook wiring anywhere.
 //!
 //! [`ClickIncService`]: clickinc::ClickIncService
 
@@ -80,13 +80,11 @@ pub fn serve_fig13_workloads(config: &ServingConfig) -> Result<ServingReport, Cl
     const KVS_KEYS: usize = 1000;
     let service = house::service(EngineConfig { shards: config.shards, ..Default::default() })?;
 
-    // both applications land (or neither does): one all-or-nothing batch
-    // through the planner, whose every commit passes the provider's
-    // resource-floor admission policy
-    let handles = service
-        .planner()
-        .with_policy(ResourceFloor { min_remaining_ratio: config.admission_floor })
-        .deploy_all(house::requests("kvs_srv", "mlagg_srv"))?;
+    // both applications land (or neither does): one all-or-nothing batch,
+    // whose every commit passes the provider's resource-floor admission
+    // policy
+    service.set_admission_policy(ResourceFloor { min_remaining_ratio: config.admission_floor });
+    let handles = service.deploy_all(house::requests("kvs_srv", "mlagg_srv"))?;
     let (kvs, mlagg) = (&handles[0], &handles[1]);
     house::warm_cache(kvs, config.cached_keys);
 

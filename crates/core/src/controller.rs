@@ -207,9 +207,8 @@ pub struct DeploymentPlan {
     epoch: u64,
     /// Physical device names the plan occupies (deduped, sorted) — the
     /// topology node names behind the EC labels of
-    /// [`devices`](DeploymentPlan::devices), so provider policy (a
-    /// [`DeviceDenylist`](crate::DeviceDenylist) of carved-out devices) can
-    /// veto plans by the same names the topology and a failure report.
+    /// [`devices`](DeploymentPlan::devices), by which a caller can check a
+    /// plan against a failure report.
     physical_devices: Vec<String>,
     /// Everything the static verifier pipeline reported while solving.  A
     /// plan only exists if the set carries no error-severity finding —

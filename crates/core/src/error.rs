@@ -79,8 +79,8 @@ pub enum ClickIncError {
     },
     /// An [`AdmissionPolicy`] refused to let the plan commit.  The plan was
     /// feasible — compilation and placement succeeded — but provider policy
-    /// (a resource floor, a tenant cap, a device denylist, …) vetoed it, and
-    /// nothing was booked or installed.
+    /// (a resource floor, a tenant cap, …) vetoed it, and nothing was booked
+    /// or installed.
     ///
     /// [`AdmissionPolicy`]: crate::AdmissionPolicy
     Rejected {

@@ -52,9 +52,9 @@
 //!
 //! Every way a tenant comes to serve traffic — `commit`, `deploy`,
 //! [`ClickIncService::deploy_or_queue`] and its retry drain, `deploy_all`,
-//! the [`Planner`], [`ClickIncService::replace_tenant`], the re-placements
-//! of [`ClickIncService::fail_device`] / [`ClickIncService::restore_device`]
-//! — drives the same two private stages under the service's one state lock:
+//! [`ClickIncService::replace_tenant`], the re-placements of
+//! [`ClickIncService::fail_device`] / [`ClickIncService::restore_device`] —
+//! drives the same two private stages under the service's one state lock:
 //!
 //! * **admit** checks the request, asks the [`AdmissionPolicy`] chain what
 //!   it can answer without a plan (a full house refuses before any solve),
@@ -76,8 +76,9 @@
 //! a cold one.  Quote-then-deploy is one solve because `commit` takes the
 //! plan `plan` returned.
 //!
-//! The [`Planner`]'s one job is batch-scoped policy: extra rules stacked on
-//! the service-wide chain for one customer's batch.
+//! The service holds one admission chain, installed with
+//! [`ClickIncService::set_admission_policy`] and consulted by every deploy
+//! path.
 //!
 //! ```
 //! use clickinc::{ClickIncService, MaxTenants, PolicyChain, ResourceFloor, ServiceRequest};
@@ -100,13 +101,8 @@
 //!             .unwrap()
 //!     })
 //!     .collect();
-//! // sequential solve → gate → commit per member, all-or-nothing, with a
-//! // stricter floor for this batch only
-//! let tenants = service
-//!     .planner()
-//!     .with_policy(ResourceFloor { min_remaining_ratio: 0.50 })
-//!     .deploy_all(requests)
-//!     .unwrap();
+//! // sequential solve → gate → commit per member, all-or-nothing
+//! let tenants = service.deploy_all(requests).unwrap();
 //! assert_eq!(tenants.len(), 2);
 //! service.finish();
 //! ```
@@ -141,7 +137,6 @@
 pub mod adaptive;
 mod controller;
 mod error;
-pub mod planner;
 pub mod policy;
 mod request;
 pub mod service;
@@ -153,10 +148,8 @@ pub use controller::{
     Controller, Deployment, DeploymentPlan, DevicePrograms, PlanSummary, PreparedSource,
 };
 pub use error::ClickIncError;
-pub use planner::Planner;
 pub use policy::{
-    AdmissionContext, AdmissionDecision, AdmissionPolicy, DeviceDenylist, MaxTenants, PolicyChain,
-    ResourceFloor,
+    AdmissionContext, AdmissionDecision, AdmissionPolicy, MaxTenants, PolicyChain, ResourceFloor,
 };
 pub use request::{RequestError, ServiceRequest, ServiceRequestBuilder};
 pub use service::{

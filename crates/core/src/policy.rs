@@ -3,26 +3,26 @@
 //! INC as a service means the provider — not the tenant — decides what runs
 //! on the shared data plane (paper §3.2; cf. NetRPC's shared-INC admission
 //! model).  Feasibility alone ("the program compiles and places") is not
-//! admission: a provider also enforces resource headroom for residents,
-//! tenant quotas, and device carve-outs.  This module is that layer.
+//! admission: a provider also enforces resource headroom for residents and
+//! tenant quotas.  This module is that layer.
 //!
 //! An [`AdmissionPolicy`] inspects an [`AdmissionContext`] — the controller
 //! facts at the would-be commit and, once it exists, the solved
 //! [`DeploymentPlan`] — and returns an [`AdmissionDecision`].  Policies
-//! compose with [`PolicyChain`] (first rejection wins).  The service asks
-//! the installed chain twice per request: once with `plan: None` *before*
-//! the solve, where a verdict that needs no plan ([`MaxTenants`]) refuses
-//! without compiling or placing anything, and once with the solved plan,
-//! where the policies that read it ([`ResourceFloor`], [`DeviceDenylist`])
-//! judge — each admits on `None`.  Both calls precede the first mutation,
-//! so a rejection leaves the ledger, the device images and the engine
-//! bit-identical to before the call and surfaces as
-//! [`ClickIncError::Rejected`].
+//! compose with [`PolicyChain`] (first rejection wins).  The service holds
+//! one chain, installed with [`ClickIncService::set_admission_policy`], and
+//! asks it twice per request: once with `plan: None` *before* the solve,
+//! where a verdict that needs no plan ([`MaxTenants`]) refuses without
+//! compiling or placing anything, and once with the solved plan, where the
+//! policy that reads it ([`ResourceFloor`]) judges — it admits on `None`.
+//! Both calls precede the first mutation, so a rejection leaves the ledger,
+//! the device images and the engine bit-identical to before the call and
+//! surfaces as [`ClickIncError::Rejected`].
 //!
 //! [`ClickIncError::Rejected`]: crate::ClickIncError::Rejected
+//! [`ClickIncService::set_admission_policy`]: crate::ClickIncService::set_admission_policy
 
 use crate::controller::DeploymentPlan;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// What a policy sees when a request asks to commit: the controller-wide
@@ -153,61 +153,6 @@ impl AdmissionPolicy for MaxTenants {
     }
 }
 
-/// Reject plans that touch carved-out devices (maintenance windows,
-/// devices reserved for provider infrastructure, failed devices awaiting
-/// repair, …).  Matches both the display names reported by
-/// [`DeploymentPlan::devices`] and the physical topology node names of
-/// [`DeploymentPlan::physical_devices`], so the failover path can seed a
-/// denylist directly with the failed-device set it reports.  Needs the
-/// plan, so it admits on the pre-solve call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceDenylist {
-    denied: BTreeSet<String>,
-}
-
-impl DeviceDenylist {
-    /// Deny the given device display names.
-    pub fn new<I, S>(devices: I) -> DeviceDenylist
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        DeviceDenylist { denied: devices.into_iter().map(Into::into).collect() }
-    }
-
-    /// The denied device names.
-    pub fn denied(&self) -> &BTreeSet<String> {
-        &self.denied
-    }
-}
-
-impl AdmissionPolicy for DeviceDenylist {
-    fn name(&self) -> &str {
-        "device_denylist"
-    }
-
-    fn evaluate(&self, ctx: &AdmissionContext<'_>) -> AdmissionDecision {
-        let Some(plan) = ctx.plan else { return AdmissionDecision::Admit };
-        let placed = plan.placement().assignments.iter().filter(|a| !a.is_empty());
-        let names = placed
-            .map(|a| a.device.as_str())
-            .chain(plan.physical_devices().iter().map(String::as_str));
-        // borrowed names: collecting no hit allocates nothing
-        let hit: BTreeSet<&str> = names.filter(|d| self.denied.contains(*d)).collect();
-        if hit.is_empty() {
-            AdmissionDecision::Admit
-        } else {
-            AdmissionDecision::reject(
-                self,
-                format!(
-                    "plan occupies denylisted device(s): {}",
-                    hit.into_iter().collect::<Vec<_>>().join(", ")
-                ),
-            )
-        }
-    }
-}
-
 /// An ordered conjunction of policies: every member must admit; the first
 /// rejection wins and its member's name (not "chain") is what the decision
 /// and the [`Rejected`](crate::ClickIncError::Rejected) error carry.  An
@@ -232,16 +177,6 @@ impl PolicyChain {
     /// Append a policy.
     pub fn push(&mut self, policy: impl AdmissionPolicy + 'static) {
         self.policies.push(Box::new(policy));
-    }
-
-    /// Number of member policies.
-    pub fn len(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// Whether the chain is empty (admits everything).
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
     }
 }
 
@@ -308,34 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn device_denylist_matches_plan_devices() {
-        let (_c, plan) = planned();
-        let free = DeviceDenylist::new(["not-a-device"]);
-        assert!(free.evaluate(&ctx_of(&plan, 0)).is_admit());
-        let first_device = plan.devices().first().cloned().expect("plan occupies devices");
-        let carved = DeviceDenylist::new([first_device.clone()]);
-        match carved.evaluate(&ctx_of(&plan, 0)) {
-            AdmissionDecision::Reject { policy, reason } => {
-                assert_eq!(policy, "device_denylist");
-                assert!(reason.contains(&first_device));
-            }
-            AdmissionDecision::Admit => panic!("the denylisted device must reject"),
-        }
-        // physical topology names match too — the failover path denies by
-        // the same names a device failure reports
-        let physical =
-            plan.physical_devices().first().cloned().expect("plan occupies physical devices");
-        let failed = DeviceDenylist::new([physical.clone()]);
-        match failed.evaluate(&ctx_of(&plan, 0)) {
-            AdmissionDecision::Reject { policy, reason } => {
-                assert_eq!(policy, "device_denylist");
-                assert!(reason.contains(&physical), "got: {reason}");
-            }
-            AdmissionDecision::Admit => panic!("the physical device name must reject"),
-        }
-    }
-
-    #[test]
     fn without_a_plan_only_the_tenant_cap_can_refuse() {
         // the cap reads the tenant count alone: it decides before the solve
         let cap = MaxTenants { max_tenants: 2 };
@@ -350,17 +257,12 @@ mod tests {
         // policies that need the plan admit on the pre-solve call, however
         // strict they are — they judge once the plan exists
         assert!(ResourceFloor { min_remaining_ratio: 2.0 }.evaluate(&plan_free(0)).is_admit());
-        let (_c, plan) = planned();
-        let every_device = DeviceDenylist::new(plan.devices());
-        assert!(!every_device.evaluate(&ctx_of(&plan, 0)).is_admit());
-        assert!(every_device.evaluate(&plan_free(0)).is_admit());
     }
 
     #[test]
     fn chains_pass_the_plan_free_context_through() {
         let chain = PolicyChain::new()
             .with(ResourceFloor { min_remaining_ratio: 2.0 })
-            .with(DeviceDenylist::new(["not-a-device"]))
             .with(MaxTenants { max_tenants: 3 });
         assert!(chain.evaluate(&plan_free(2)).is_admit());
         match chain.evaluate(&plan_free(3)) {

@@ -144,8 +144,9 @@ impl ServiceRequest {
     /// A stable digest of everything about this request that influences
     /// planning: the user, the program source, the traffic endpoints and the
     /// per-source weights.  Two requests that fingerprint equal are solved to
-    /// the same plan at the same controller epoch, which is exactly why the
-    /// planner keys its plan cache on `(fingerprint, epoch)`.
+    /// the same plan at the same controller epoch;
+    /// [`DeploymentPlan::fingerprint`](crate::DeploymentPlan::fingerprint)
+    /// folds it in.
     ///
     /// `priority` is deliberately excluded: it only orders *admission*, never
     /// the solved plan.

@@ -4,13 +4,14 @@
 //! [`ClickIncService`] owns both halves of the system — a [`Controller`]
 //! (where programs run) and a [`TrafficEngine`] (how traffic reaches them).
 //! Every way a tenant can come to serve traffic — [`commit`], [`deploy`],
-//! [`deploy_or_queue`] and the retry drain, [`deploy_all`], the [`Planner`],
+//! [`deploy_or_queue`] and the retry drain, [`deploy_all`],
 //! [`replace_tenant`], the re-placements inside [`fail_device`] and
 //! [`restore_device`] — is a thin driver of the same two private stages,
 //! run under the one service state lock:
 //!
-//! 1. **admit** — check the request's shape and user id, ask the admission
-//!    chain the questions that need no plan (a full house refuses here,
+//! 1. **admit** — check the request's shape and user id, ask the
+//!    service-wide admission chain (installed with [`set_admission_policy`])
+//!    the questions that need no plan (a full house refuses here,
 //!    without a solve), solve ([`Controller::plan`]), then ask the chain
 //!    again with the plan and [`Controller::commit`].  A caller that brings
 //!    an already-solved plan skips straight to the staleness check and the
@@ -34,13 +35,13 @@
 //! [`deploy`]: ClickIncService::deploy
 //! [`deploy_or_queue`]: ClickIncService::deploy_or_queue
 //! [`deploy_all`]: ClickIncService::deploy_all
+//! [`set_admission_policy`]: ClickIncService::set_admission_policy
 //! [`replace_tenant`]: ClickIncService::replace_tenant
 //! [`fail_device`]: ClickIncService::fail_device
 //! [`restore_device`]: ClickIncService::restore_device
 
 use crate::controller::{Controller, DeploymentPlan};
 use crate::error::ClickIncError;
-use crate::planner::Planner;
 use crate::policy::{AdmissionContext, AdmissionDecision, AdmissionPolicy, PolicyChain};
 use crate::request::ServiceRequest;
 use crate::sharding::sharding_mode_for;
@@ -114,15 +115,13 @@ enum Source<'a> {
     Plan(DeploymentPlan),
 }
 
-/// Which admission policies `admit` consults, before the solve and again
-/// with the plan.  Request checks, staleness and the controller's own
-/// commit checks apply under every gate.
-#[derive(Clone, Copy)]
-pub(crate) enum Gate<'a> {
+/// Whether `admit` consults the service-wide chain, before the solve and
+/// again with the plan.  Request checks, staleness and the controller's own
+/// commit checks apply under either gate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Gate {
     /// The service-wide chain.
     Service,
-    /// The service-wide chain, then a planner's batch policies.
-    ServiceAnd(&'a PolicyChain),
     /// No policy: only for putting a tenant back after a refused
     /// [`replace_tenant`](ClickIncService::replace_tenant) — it was admitted
     /// once already, and a failed advisory re-placement must not become an
@@ -160,7 +159,7 @@ impl ServiceState {
     /// [`ClickIncError::StalePlan`] (re-plan and retry — the re-solve may
     /// well be admissible), never as a policy verdict reached on stale
     /// numbers.
-    fn admit(&mut self, source: Source<'_>, gate: Gate<'_>) -> Result<Admitted, ClickIncError> {
+    fn admit(&mut self, source: Source<'_>, gate: Gate) -> Result<Admitted, ClickIncError> {
         let plan = match source {
             Source::Request(request) => {
                 self.controller.check_request(request)?;
@@ -183,27 +182,25 @@ impl ServiceState {
         Ok(Admitted { user: deployment.user.clone(), numeric_id: deployment.numeric_id })
     }
 
-    /// Consult the chains `gate` selects, before the solve (`plan: None`)
-    /// or after it; the first refusal is `user`'s
+    /// Consult the service-wide chain unless `gate` bypasses it, before the
+    /// solve (`plan: None`) or after it; a refusal is `user`'s
     /// [`ClickIncError::Rejected`].
     fn gate(
         &self,
-        gate: Gate<'_>,
+        gate: Gate,
         user: &str,
         plan: Option<&DeploymentPlan>,
     ) -> Result<(), ClickIncError> {
-        let chains = match gate {
-            Gate::Service => [Some(&self.policy), None],
-            Gate::ServiceAnd(extra) => [Some(&self.policy), Some(extra)],
-            Gate::Bypass => [None, None],
-        };
-        let ctx = AdmissionContext { plan, active_tenants: self.controller.tenant_count() };
-        let refusal =
-            chains.into_iter().flatten().map(|chain| chain.evaluate(&ctx)).find(|d| !d.is_admit());
-        if let Some(AdmissionDecision::Reject { policy, reason }) = refusal {
-            return Err(ClickIncError::Rejected { user: user.to_string(), policy, reason });
+        if gate == Gate::Bypass {
+            return Ok(());
         }
-        Ok(())
+        let ctx = AdmissionContext { plan, active_tenants: self.controller.tenant_count() };
+        match self.policy.evaluate(&ctx) {
+            AdmissionDecision::Admit => Ok(()),
+            AdmissionDecision::Reject { policy, reason } => {
+                Err(ClickIncError::Rejected { user: user.to_string(), policy, reason })
+            }
+        }
     }
 }
 
@@ -235,7 +232,7 @@ impl Shared {
         self: &Arc<Self>,
         state: &mut ServiceState,
         source: Source<'_>,
-        gate: Gate<'_>,
+        gate: Gate,
     ) -> Result<TenantHandle, ClickIncError> {
         let admitted = state.admit(source, gate)?;
         Ok(self.mirror(state, admitted))
@@ -445,26 +442,15 @@ impl ClickIncService {
         self.shared.lock().initial_sharding = initial;
     }
 
-    /// A deploy surface with batch-scoped admission policies stacked on the
-    /// service-wide chain — see [`Planner`].  Cheap to create; make one per
-    /// batch.
-    pub fn planner(&self) -> Planner<'_> {
-        Planner::new(self)
-    }
-
     /// Install the service-wide admission policy, replacing the previous
     /// one.  Every deploy path consults it before the first mutation (see
     /// the [module docs](self)); a refusal surfaces as
     /// [`ClickIncError::Rejected`] and changes nothing.  Install a
     /// [`PolicyChain`] to compose several rules; the default (empty chain)
-    /// admits everything.
+    /// admits everything, and installing `PolicyChain::new()` goes back to
+    /// it.
     pub fn set_admission_policy(&self, policy: impl AdmissionPolicy + 'static) {
         self.shared.lock().policy = PolicyChain::new().with(policy);
-    }
-
-    /// Remove the service-wide admission policy (back to admit-everything).
-    pub fn clear_admission_policy(&self) {
-        self.shared.lock().policy = PolicyChain::new();
     }
 
     /// Low-level access to the owned controller (the ablation escape hatch),
@@ -507,17 +493,7 @@ impl ClickIncService {
     /// commit between the phases cannot turn this call into a spurious
     /// [`ClickIncError::StalePlan`].
     pub fn deploy(&self, request: ServiceRequest) -> Result<TenantHandle, ClickIncError> {
-        self.deploy_gated(&request, Gate::Service)
-    }
-
-    /// [`deploy`](ClickIncService::deploy) under an explicit gate (the
-    /// [`Planner`]'s entry).
-    pub(crate) fn deploy_gated(
-        &self,
-        request: &ServiceRequest,
-        gate: Gate<'_>,
-    ) -> Result<TenantHandle, ClickIncError> {
-        self.shared.deploy(&mut self.shared.lock(), Source::Request(request), gate)
+        self.shared.deploy(&mut self.shared.lock(), Source::Request(&request), Gate::Service)
     }
 
     /// [`deploy`](ClickIncService::deploy), but an admission refusal parks
@@ -573,34 +549,24 @@ impl ClickIncService {
     }
 
     /// Deploy a batch of requests with **all-or-nothing** semantics: members
-    /// are admitted strictly in request order, each solved and gated against
-    /// the state its predecessors left behind (so a successful batch is
-    /// bit-identical to deploying the members one by one); if any member
-    /// fails to plan, is refused by the admission policy, or fails to
-    /// commit, every member this call already committed is removed again —
-    /// the ledger ratio, the active user set and what tenants own in every
-    /// device image return to their pre-call state bit-identical.  The engine only sees the
-    /// batch once all of it is committed, so it never sees any tenant of a
-    /// failed batch.  Use [`planner`](ClickIncService::planner) to add
-    /// batch-scoped admission policies.
+    /// are admitted strictly in request order, each solved against the state
+    /// its predecessors left behind (so a successful batch is bit-identical
+    /// to deploying the members one by one) and gated by the service-wide
+    /// chain at its own commit, which counts the members committed before
+    /// it as residents; if any member fails to plan, is refused by the
+    /// admission policy, or fails to commit, every member this call already
+    /// committed is removed again — the ledger ratio, the active user set
+    /// and what tenants own in every device image return to their pre-call
+    /// state bit-identical.  The engine only sees the batch once all of it is
+    /// committed, so it never sees any tenant of a failed batch.
     pub fn deploy_all(
         &self,
         requests: Vec<ServiceRequest>,
     ) -> Result<Vec<TenantHandle>, ClickIncError> {
-        self.deploy_all_gated(requests, Gate::Service)
-    }
-
-    /// [`deploy_all`](ClickIncService::deploy_all) under an explicit gate
-    /// (the [`Planner`]'s entry).
-    pub(crate) fn deploy_all_gated(
-        &self,
-        requests: Vec<ServiceRequest>,
-        gate: Gate<'_>,
-    ) -> Result<Vec<TenantHandle>, ClickIncError> {
         let mut state = self.shared.lock();
         let mut admitted: Vec<Admitted> = Vec::with_capacity(requests.len());
         for request in &requests {
-            match state.admit(Source::Request(request), gate) {
+            match state.admit(Source::Request(request), Gate::Service) {
                 Ok(member) => admitted.push(member),
                 Err(err) => {
                     // unwind in reverse commit order; removal releases exactly
@@ -926,7 +892,7 @@ mod tests {
         service.set_admission_policy(MaxTenants { max_tenants: 1 });
         service.deploy(kvs_request("t1")).expect("first tenant admitted");
         must_fail(service.deploy_or_queue(kvs_request("t2"))); // refused by the cap, queued
-        service.clear_admission_policy();
+        service.set_admission_policy(PolicyChain::new());
         // t2 arrives again through the direct path and is admitted — the
         // queued copy now fails for a *non-admission* reason (duplicate
         // user), so the drain drops it with its error instead of re-queueing
@@ -1072,7 +1038,7 @@ mod tests {
         assert!(!restore.fully_recovered());
         assert_eq!(service.degraded_tenants(), vec!["kvs0".to_string()]);
         // policy lifted: the next restore revives it
-        service.clear_admission_policy();
+        service.set_admission_policy(PolicyChain::new());
         let restore = service.restore_device(&device).expect("restores again");
         assert_eq!(restore.recovered, vec!["kvs0".to_string()]);
         assert!(service.degraded_tenants().is_empty());

@@ -147,11 +147,6 @@ impl DeviceModel {
         &self.supported
     }
 
-    /// Whether any program can be placed on this device at all.
-    pub fn is_programmable(&self) -> bool {
-        self.kind != DeviceKind::Server
-    }
-
     // ---- the concrete families ------------------------------------------------
 
     /// Intel Tofino: RMT pipeline.  Per Appendix E.1 Tofino cannot run integer
@@ -407,9 +402,7 @@ mod tests {
     #[test]
     fn server_is_not_programmable() {
         let s = DeviceModel::server();
-        assert!(!s.is_programmable());
         assert!(!s.supports(CapabilityClass::Bin));
-        assert!(DeviceModel::tofino().is_programmable());
     }
 
     #[test]

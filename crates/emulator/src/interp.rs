@@ -169,11 +169,6 @@ impl DevicePlane {
         !self.snippets.is_empty()
     }
 
-    /// Names of the installed snippets (one per install, in order).
-    pub fn installed_programs(&self) -> Vec<&str> {
-        self.snippets.iter().map(|s| s.name.as_str()).collect()
-    }
-
     /// Direct (control-plane) access to the object store, used to pre-populate
     /// tables such as the KVS cache.
     pub fn store_mut(&mut self) -> &mut ObjectStore {
@@ -743,7 +738,6 @@ mod tests {
         let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
         plane.install(compile_source("kvs", &kvs.source).unwrap());
         plane.install(compile_source("mon", &cms.source).unwrap());
-        assert_eq!(plane.installed_programs(), vec!["kvs", "mon"]);
         plane.store_mut().table_write("cache", &[Value::Int(4)], vec![Value::Int(44)]);
         let mut pkt = kvs_request("c", "s", 0, 9);
         plane.process(&mut pkt);
@@ -752,7 +746,6 @@ mod tests {
         assert!(plane.uninstall("nobody").is_none());
         let moved = plane.uninstall("kvs").expect("kvs was installed");
         assert!(plane.uninstall("kvs").is_none(), "second removal is a no-op");
-        assert_eq!(plane.installed_programs(), vec!["mon"]);
         assert!(!plane.store().contains("cache"), "kvs state left the plane");
         assert!(plane.store().contains("mem"), "other tenant's state survives");
         // the returned store carries the kvs objects with their contents

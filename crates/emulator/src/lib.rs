@@ -10,11 +10,12 @@
 //!   sketches, Bloom filters, rolling sequences) — [`state`] and [`interp`];
 //! * carries packets with the ClickINC INC header (user id, step number,
 //!   application fields) — [`packet`];
-//! * pushes application workloads (ML gradient aggregation with optional
-//!   sparsity, KVS request streams, SQL DISTINCT streams) along the device
-//!   paths of a deployment and reports goodput, in-network latency and
-//!   per-link byte counts — [`scenario`], fed by the seeded open-loop packet
-//!   generators in [`workload`] (which the traffic engine drives too).
+//! * generates seeded, open-loop application workloads (ML gradient
+//!   aggregation with optional sparsity, KVS request streams) — [`workload`],
+//!   which the traffic engine drives;
+//! * keeps one single-threaded loop, the Fig. 13 aggregation ablation: it
+//!   pushes gradient traffic along a path of device planes and reports
+//!   goodput, in-network latency and per-link byte counts — [`scenario`].
 //!
 //! The absolute numbers are those of a simulator, but the *mechanisms* that
 //! produce the paper's Fig. 13 shape — traffic reduction from in-network
@@ -31,10 +32,7 @@ pub mod zipf;
 
 pub use interp::{DevicePlane, ExecOutcome, PacketAction};
 pub use packet::{IncHeader, Packet};
-pub use scenario::{
-    kvs_backend_value, run_aggregation_scenario, run_kvs_scenario, AggregationReport, KvsConfig,
-    KvsReport, NetworkSetup,
-};
+pub use scenario::{kvs_backend_value, run_aggregation_scenario, AggregationReport, NetworkSetup};
 pub use state::{Fnv, ObjectStore};
 pub use vm::{CompiledImage, CompiledProgram, ExecMode};
 pub use zipf::ZipfSampler;

@@ -5,14 +5,12 @@
 //! hops, and measures (a) the aggregation *goodput* — how many bytes of useful
 //! gradient data are reduced per unit time, limited by the most congested link
 //! or the slowest processing element — and (b) the *in-network processing
-//! latency* accumulated over the INC devices on the path.  The KVS scenario
-//! measures cache hit ratio, server offload and average lookup latency for a
-//! skewed request stream.
+//! latency* accumulated over the INC devices on the path.  This aggregation
+//! ablation is the one scenario loop left; KVS experiments run on the
+//! served path (`clickinc::ClickIncService` over the sharded engine).
 
 use crate::interp::{DevicePlane, PacketAction};
-use crate::workload::{
-    KvsWorkload, KvsWorkloadConfig, MlAggWorkload, MlAggWorkloadConfig, Workload,
-};
+use crate::workload::{MlAggWorkload, MlAggWorkloadConfig, Workload};
 use clickinc_ir::Value;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -199,132 +197,12 @@ pub fn run_aggregation_scenario(
     }
 }
 
-/// Configuration of the KVS scenario: the request stream, and how the
-/// in-network cache is warmed before it starts.
-#[derive(Debug, Clone)]
-pub struct KvsConfig {
-    /// The request stream.  Its `user_id` follows the rule of
-    /// [`run_aggregation_scenario`]; `tenant` and `rate_pps` are not
-    /// consulted.
-    pub workload: KvsWorkloadConfig,
-    /// Number of hot keys pre-installed in the in-network cache.
-    pub cached_keys: usize,
-    /// Exact name of the cache table to pre-populate. `None` targets every
-    /// table named `cache` or `*_cache` on the path — fine for single-tenant
-    /// setups, but when tenants share a hop name the table explicitly
-    /// (isolation renames `cache` to `<user>_cache`) so another tenant's
-    /// state is never touched.
-    pub cache_table: Option<String>,
-}
-
-impl Default for KvsConfig {
-    fn default() -> Self {
-        KvsConfig { workload: KvsWorkloadConfig::default(), cached_keys: 64, cache_table: None }
-    }
-}
-
-/// Results of the KVS scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct KvsReport {
-    /// Fraction of requests answered by the in-network cache.
-    pub hit_ratio: f64,
-    /// Requests that reached the backend server.
-    pub server_requests: u64,
-    /// Mean lookup latency in nanoseconds.
-    pub mean_latency_ns: f64,
-    /// Every reply carried the correct value for its key.
-    pub replies_correct: bool,
-}
-
-/// The KVS backend's ground-truth value for a key.  Shared by the scenario
-/// loop, the engine-backed serving drivers and every cache pre-population
-/// helper, so "the reply carried the correct value" means the same thing on
-/// every serving path.
+/// The KVS backend's ground-truth value for a key.  Shared by the
+/// engine-backed serving drivers and every cache pre-population helper, so
+/// "the reply carried the correct value" means the same thing on every
+/// serving path.
 pub fn kvs_backend_value(key: i64) -> i64 {
     key * 1000 + 7
-}
-
-/// Run a skewed KVS request stream over the path.  The cache (if a device runs
-/// the KVS program) is pre-populated with the `cached_keys` hottest keys, and
-/// the backend server holds every key with value [`kvs_backend_value`].
-pub fn run_kvs_scenario(setup: &mut NetworkSetup, config: &KvsConfig) -> KvsReport {
-    let value_of = kvs_backend_value;
-    // Populate the in-network cache on whichever hop hosts the KVS table.
-    for hop in setup.hops.iter_mut() {
-        if !hop.has_program() {
-            continue;
-        }
-        let caches: Vec<String> = hop
-            .store()
-            .table_names()
-            .into_iter()
-            .filter(|n| match &config.cache_table {
-                Some(wanted) => n == wanted,
-                None => n == "cache" || n.ends_with("_cache"),
-            })
-            .collect();
-        for table in caches {
-            for key in 0..config.cached_keys as i64 {
-                hop.store_mut().table_write(
-                    &table,
-                    &[Value::Int(key)],
-                    vec![Value::Int(value_of(key))],
-                );
-            }
-        }
-    }
-
-    // Zipf-skewed GETs, deterministic for a fixed seed
-    let mut workload = KvsWorkload::new(config.workload.clone());
-    let requests = config.workload.requests;
-
-    let mut hits = 0u64;
-    let mut server_requests = 0u64;
-    let mut total_latency = 0.0;
-    let mut replies_correct = true;
-
-    while let Some(generated) = workload.next_packet() {
-        let mut pkt = generated.packet;
-        let key = pkt.inc.get("key").as_int().unwrap_or(0);
-        let mut latency = 0.0;
-        let mut answered_in_network = false;
-        for hop in setup.hops.iter_mut() {
-            if !hop.has_program() {
-                latency += hop.model.base_latency_ns;
-                continue;
-            }
-            let outcome = hop.process(&mut pkt);
-            latency += outcome.latency_ns;
-            match outcome.action {
-                PacketAction::Back => {
-                    answered_in_network = true;
-                    if pkt.inc.get("vals") != Value::Int(value_of(key)) {
-                        replies_correct = false;
-                    }
-                    break;
-                }
-                PacketAction::Drop => {
-                    answered_in_network = true;
-                    break;
-                }
-                PacketAction::Forward => {}
-            }
-        }
-        if answered_in_network {
-            hits += 1;
-        } else {
-            server_requests += 1;
-            latency += setup.host_per_packet_ns + 2.0 * 10_000.0; // server RTT
-        }
-        total_latency += latency;
-    }
-
-    KvsReport {
-        hit_ratio: hits as f64 / requests.max(1) as f64,
-        server_requests,
-        mean_latency_ns: total_latency / requests.max(1) as f64,
-        replies_correct,
-    }
 }
 
 #[cfg(test)]
@@ -332,9 +210,7 @@ mod tests {
     use super::*;
     use clickinc_device::DeviceModel;
     use clickinc_frontend::compile_source;
-    use clickinc_lang::templates::{
-        kvs_template, mlagg_sparse_user, mlagg_template, KvsParams, MlAggParams,
-    };
+    use clickinc_lang::templates::{mlagg_sparse_user, mlagg_template, MlAggParams};
 
     fn mlagg_plane(dims: u32, workers: u32) -> DevicePlane {
         let t = mlagg_template(
@@ -437,41 +313,5 @@ mod tests {
         assert!(combo.aggregation_correct);
         assert!(combo.goodput_gbps >= nic.goodput_gbps);
         assert!(combo.goodput_gbps >= switch.goodput_gbps * 0.95);
-    }
-
-    #[test]
-    fn kvs_scenario_is_deterministic_for_a_fixed_seed() {
-        let t = kvs_template("kvs", KvsParams { cache_depth: 1024, ..Default::default() });
-        let ir = compile_source("kvs", &t.source).unwrap();
-        let run = || {
-            let mut plane = DevicePlane::new("ToR0", DeviceModel::tofino());
-            plane.install(ir.clone());
-            let mut setup = NetworkSetup::new(vec![plane]);
-            run_kvs_scenario(&mut setup, &KvsConfig::default())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn kvs_scenario_hits_in_network_for_hot_keys() {
-        let t = kvs_template("kvs", KvsParams { cache_depth: 1024, ..Default::default() });
-        let ir = compile_source("kvs", &t.source).unwrap();
-        let mut plane = DevicePlane::new("ToR0", DeviceModel::tofino());
-        plane.install(ir);
-        let mut setup = NetworkSetup::new(vec![plane]);
-        let report = run_kvs_scenario(&mut setup, &KvsConfig::default());
-        assert!(report.replies_correct);
-        assert!(
-            report.hit_ratio > 0.3,
-            "skewed workload should hit the cache: {}",
-            report.hit_ratio
-        );
-        assert!(report.server_requests < 2000);
-
-        // without a cache everything reaches the server and latency rises
-        let mut bare = NetworkSetup::new(vec![DevicePlane::new("ToR0", DeviceModel::tofino())]);
-        let base = run_kvs_scenario(&mut bare, &KvsConfig::default());
-        assert_eq!(base.hit_ratio, 0.0);
-        assert!(base.mean_latency_ns > report.mean_latency_ns);
     }
 }

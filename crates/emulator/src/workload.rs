@@ -7,7 +7,7 @@
 //! loaded (and what makes goodput well-defined without wall clocks).  Every
 //! generator is seeded, so a fixed seed produces a byte-identical packet
 //! stream — the foundation of the runtime's shard-count invariance and
-//! zero-disruption tests, and of the [`crate::scenario`] loops' repeatable
+//! zero-disruption tests, and of the [`crate::scenario`] loop's repeatable
 //! reports.  Each generator builds its packet family's shape
 //! once and stamps every packet from it, so a stream shares one header
 //! layout and one pair of endpoint names.

@@ -2,10 +2,9 @@
 //!
 //! Key popularity follows `P(rank) ∝ 1/(rank+1)^skew`.  The cumulative
 //! distribution is computed once at construction, so drawing a sample is one
-//! uniform variate plus a binary search — O(log n) instead of the O(n) linear
-//! scan the scenario loop used to do per request.  Both the scenario driver
-//! and the runtime workload generators share this sampler, so their key
-//! streams are directly comparable for a fixed seed.
+//! uniform variate plus a binary search — O(log n) instead of an O(n) linear
+//! scan per request.  The KVS workload generator draws its keys from it, so
+//! a fixed seed gives the same key stream on every serving path.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;

@@ -62,11 +62,6 @@ impl Operand {
             _ => None,
         }
     }
-
-    /// Whether the operand is a compile-time constant.
-    pub fn is_const(&self) -> bool {
-        matches!(self, Operand::Const(_))
-    }
 }
 
 impl fmt::Display for Operand {
@@ -168,18 +163,6 @@ impl CmpOp {
             CmpOp::Le => a <= b,
             CmpOp::Gt => a > b,
             CmpOp::Ge => a >= b,
-        }
-    }
-
-    /// The comparison with swapped operands (`a op b  ==  b op.swap() a`).
-    pub fn swapped(&self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
         }
     }
 
@@ -856,8 +839,6 @@ pub(crate) mod tests {
         assert_eq!(Operand::int(3), Operand::Const(Value::Int(3)));
         assert_eq!(Operand::var("x").as_var(), Some("x"));
         assert_eq!(Operand::hdr("key").as_var(), None);
-        assert!(Operand::int(1).is_const());
-        assert!(!Operand::var("x").is_const());
         assert_eq!(Operand::hdr("key").to_string(), "hdr.key");
         assert_eq!(Operand::Meta("step".into()).to_string(), "meta.step");
     }
@@ -869,11 +850,9 @@ pub(crate) mod tests {
         assert!(CmpOp::Ge.eval_int(2, 2));
         assert_eq!(CmpOp::Lt.negated(), CmpOp::Ge);
         assert_eq!(CmpOp::Eq.negated(), CmpOp::Ne);
-        assert_eq!(CmpOp::Le.swapped(), CmpOp::Ge);
         // negation is an involution
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             assert_eq!(op.negated().negated(), op);
-            assert_eq!(op.swapped().swapped(), op);
         }
     }
 

@@ -8,7 +8,6 @@
 //! match kind, statefulness) and everything the emulator needs to instantiate the
 //! runtime state.
 
-use crate::types::ValueType;
 use std::fmt;
 
 /// Matching discipline of a table object (paper Table 8: `_emt`, `_tmt`, `_lpmt`,
@@ -188,18 +187,6 @@ impl ObjectKind {
         }
     }
 
-    /// The value type read out of the object.
-    pub fn element_type(&self) -> ValueType {
-        match self {
-            ObjectKind::Array { width, .. }
-            | ObjectKind::Seq { width, .. }
-            | ObjectKind::Sketch { width, .. } => ValueType::Bit(*width),
-            ObjectKind::Table { value_width, .. } => ValueType::Bit(*value_width),
-            ObjectKind::Hash { algo, .. } => ValueType::Bit(algo.output_bits()),
-            ObjectKind::Crypto { .. } => ValueType::Bit(128),
-        }
-    }
-
     /// Short human-readable kind name.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -291,14 +278,6 @@ mod tests {
         assert_eq!(HashAlgo::parse("sha256"), None);
         assert_eq!(HashAlgo::Crc16.output_bits(), 16);
         assert_eq!(HashAlgo::Crc8.output_bits(), 8);
-    }
-
-    #[test]
-    fn element_types() {
-        let sketch = ObjectKind::Sketch { kind: SketchKind::Bloom, rows: 3, cols: 1024, width: 1 };
-        assert_eq!(sketch.element_type(), ValueType::Bit(1));
-        let hash = ObjectKind::Hash { algo: HashAlgo::Crc32, modulus: Some(100) };
-        assert_eq!(hash.element_type(), ValueType::Bit(32));
     }
 
     #[test]

@@ -144,18 +144,6 @@ impl ResourceVector {
         self.values.iter().sum()
     }
 
-    /// Largest utilization fraction of `self` relative to `capacity`,
-    /// ignoring capacity dimensions that are zero.  Used for the normalized
-    /// resource term h_r of the placement objective.
-    pub fn max_utilization(&self, capacity: &ResourceVector) -> f64 {
-        self.values
-            .iter()
-            .zip(capacity.values.iter())
-            .filter(|(_, c)| **c > 0.0)
-            .map(|(d, c)| d / c)
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Mean utilization over the capacity dimensions that are non-zero.
     pub fn mean_utilization(&self, capacity: &ResourceVector) -> f64 {
         let mut n = 0usize;
@@ -308,9 +296,7 @@ mod tests {
         let use_ = ResourceVector::zero()
             .with(Resource::SramBlocks, 5.0)
             .with(Resource::StatefulAlus, 4.0);
-        assert!((use_.max_utilization(&cap) - 1.0).abs() < 1e-9);
         assert!((use_.mean_utilization(&cap) - 0.75).abs() < 1e-9);
-        assert_eq!(ResourceVector::zero().max_utilization(&cap), 0.0);
     }
 
     #[test]

@@ -111,17 +111,6 @@ impl Value {
     pub fn is_none(&self) -> bool {
         matches!(self, Value::None)
     }
-
-    /// Build a value of the requested type from an integer, masking to the
-    /// type's width for bit vectors.
-    pub fn from_int_as(ty: ValueType, v: i64) -> Value {
-        match ty {
-            ValueType::Bit(w) if w < 64 => Value::Int(v & ((1i64 << w) - 1)),
-            ValueType::Bit(_) | ValueType::Int => Value::Int(v),
-            ValueType::Float => Value::Float(v as f64),
-            ValueType::Bool => Value::Bool(v != 0),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -170,14 +159,6 @@ mod tests {
         assert!(!Value::None.is_truthy());
         assert!(Value::Bytes(vec![0]).is_truthy());
         assert!(!Value::Bytes(vec![]).is_truthy());
-    }
-
-    #[test]
-    fn from_int_masks_to_width() {
-        assert_eq!(Value::from_int_as(ValueType::Bit(8), 0x1ff), Value::Int(0xff));
-        assert_eq!(Value::from_int_as(ValueType::Bool, 2), Value::Bool(true));
-        assert_eq!(Value::from_int_as(ValueType::Float, 2), Value::Float(2.0));
-        assert_eq!(Value::from_int_as(ValueType::Bit(64), -1), Value::Int(-1));
     }
 
     #[test]

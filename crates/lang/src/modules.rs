@@ -102,19 +102,6 @@ impl PrimitiveKind {
             _ => return None,
         })
     }
-
-    /// Whether the primitive has packet-level side effects.
-    pub fn is_packet_primitive(&self) -> bool {
-        matches!(
-            self,
-            PrimitiveKind::Drop
-                | PrimitiveKind::Forward
-                | PrimitiveKind::Back
-                | PrimitiveKind::Mirror
-                | PrimitiveKind::Multicast
-                | PrimitiveKind::CopyTo
-        )
-    }
 }
 
 /// Python built-ins and ClickINC extensions supported in expressions
@@ -264,8 +251,6 @@ mod tests {
         assert_eq!(PrimitiveKind::from_name("del"), Some(PrimitiveKind::Del));
         assert_eq!(PrimitiveKind::from_name("copyto"), Some(PrimitiveKind::CopyTo));
         assert_eq!(PrimitiveKind::from_name("nonsense"), None);
-        assert!(PrimitiveKind::Drop.is_packet_primitive());
-        assert!(!PrimitiveKind::Get.is_packet_primitive());
     }
 
     #[test]

@@ -144,28 +144,6 @@ impl PlacementPlan {
         self.assignments.iter().map(Assignment::instruction_count).sum()
     }
 
-    /// Total resource demand summed over every physical device
-    /// (replicated snippets count once per replica).
-    pub fn total_demand(&self) -> ResourceVector {
-        let mut v = ResourceVector::zero();
-        for a in &self.assignments {
-            v += a.demand.scaled(a.members.len().max(1) as f64);
-        }
-        v
-    }
-
-    /// Normalized resource consumption relative to a single device's capacity —
-    /// the "Resource" rows of Table 3 use this unit (1.0 = one full device
-    /// worth of the per-program baseline).
-    pub fn normalized_resource(&self, baseline: &ResourceVector) -> f64 {
-        let total = self.total_demand();
-        if baseline.total() <= 0.0 {
-            0.0
-        } else {
-            total.total() / baseline.total()
-        }
-    }
-
     /// A deterministic digest of the *solution*: every assignment's device,
     /// member set, block/instruction lists, stage map and resource demand,
     /// plus the gain terms — and **not** the wall-clock solve time, so two
@@ -350,15 +328,5 @@ mod tests {
         let mut d = plan();
         d.gain += 0.5;
         assert_ne!(a.fingerprint(), d.fingerprint(), "so are the gain terms");
-    }
-
-    #[test]
-    fn normalized_resource_uses_baseline() {
-        let mut p = plan();
-        p.assignments[0].demand =
-            ResourceVector::zero().with(clickinc_ir::Resource::SramBlocks, 10.0);
-        let baseline = ResourceVector::zero().with(clickinc_ir::Resource::SramBlocks, 10.0);
-        assert!((p.normalized_resource(&baseline) - 1.0).abs() < 1e-9);
-        assert_eq!(p.normalized_resource(&ResourceVector::zero()), 0.0);
     }
 }

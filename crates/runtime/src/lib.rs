@@ -1,8 +1,9 @@
 //! # clickinc-runtime — serving INC programs under load
 //!
 //! The controller (`clickinc`) answers *where programs run*; this crate
-//! answers *how traffic reaches them at scale*.  It replaces the
-//! single-threaded scenario loop with a sharded traffic engine:
+//! answers *how traffic reaches them at scale*: a sharded traffic engine
+//! that every served experiment runs on (the emulator keeps one
+//! single-threaded loop, the Fig. 13 aggregation ablation):
 //!
 //! * **Sharded execution** — [`engine::TrafficEngine`] partitions traffic
 //!   across worker threads by a stable hash: of the tenant id
@@ -25,7 +26,8 @@
 //!   queue-depth high-water marks surface in the telemetry — overload is
 //!   modeled and observable, never an invisible unbounded buffer.
 //! * **Workload generation** — [`workload`] re-exports the emulator's
-//!   seeded, open-loop generators (the ones its scenario loops pull from):
+//!   seeded, open-loop generators (the aggregation ablation loop pulls from
+//!   them too):
 //!   a Zipf-skewed KVS stream, sparse gradient aggregation, and a mixed
 //!   multi-tenant profile.
 //! * **Telemetry** — [`telemetry`] keeps lock-free per-shard counters merged

@@ -1,72 +1,66 @@
-//! In-network key-value cache (NetCache-style): deploy the KVS template via
-//! the controller, run a skewed request stream against the emulated data plane,
-//! and report the cache hit ratio and latency benefit.
+//! In-network key-value cache (NetCache-style) on the served path: two KVS
+//! tenants deploy through the `ClickIncService` facade, one with its
+//! in-network cache warmed with the hottest keys and one left cold, and the
+//! same skewed request stream drives each through the sharded engine.  The
+//! tenants' telemetry reports the cache hit ratio, the server offload and
+//! the mean lookup latency.
 //!
 //! Run with: `cargo run --example kvs_cache`
 
-use clickinc::topology::Topology;
-use clickinc::{Controller, ServiceRequest};
-use clickinc_emulator::workload::KvsWorkloadConfig;
-use clickinc_emulator::{run_kvs_scenario, DevicePlane, KvsConfig, NetworkSetup};
-use clickinc_lang::templates::{kvs_template, KvsParams};
+use clickinc_apps::house;
+use clickinc_runtime::EngineConfig;
+
+/// Keys the Zipf stream draws from.
+const KEYS: usize = 2000;
+/// Requests each tenant serves.
+const REQUESTS: usize = 5000;
+/// Hot keys pre-installed in the warmed tenant's cache.
+const CACHED_KEYS: i64 = 128;
+/// Both tenants replay the same seeded stream.
+const SEED: u64 = 3;
 
 fn main() {
     println!("=== In-network KVS cache ===\n");
-    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    let template = kvs_template("kvs_0", KvsParams { cache_depth: 4096, ..Default::default() });
-    let request = ServiceRequest::from_template(template, &["pod0a", "pod1a"], "pod2b");
-    let deployment = controller.deploy(request).expect("KVS deploys").clone();
-    println!(
-        "KVS placed on: {:?} (solve time {:.2?})",
-        deployment.plan.devices_used(),
-        deployment.plan.solve_time
-    );
+    let service = house::service(EngineConfig { shards: 2, ..Default::default() })
+        .expect("engine config is valid");
+    // disjoint client pods, one shared server pod: each tenant's cache and
+    // traffic stay its own
+    let warm = service
+        .deploy(house::kvs_request("kvs_warm", ["pod0a", "pod1a"]))
+        .expect("the warmed KVS tenant deploys");
+    let cold = service
+        .deploy(house::kvs_request("kvs_cold", ["pod0b", "pod1b"]))
+        .expect("the cold KVS tenant deploys");
+    println!("kvs_warm placed on: {:?}", house::physical_devices_of(&service, "kvs_warm"));
+    println!("kvs_cold placed on: {:?}", house::physical_devices_of(&service, "kvs_cold"));
+    house::warm_cache(&warm, CACHED_KEYS);
 
-    // Build an emulation path containing one of the devices that hosts the
-    // cache, then compare against a path with no INC program.
-    let cached_plane = controller.tenant_hops("kvs_0")[0].plane();
-    let mut with_cache = NetworkSetup::new(vec![cached_plane]);
-    let mut without_cache =
-        NetworkSetup::new(vec![DevicePlane::new("ToR", clickinc::device::DeviceModel::tofino())]);
+    for tenant in [&warm, &cold] {
+        let mut stream = house::kvs_stream(tenant, KEYS, REQUESTS, 1_000_000.0, SEED);
+        tenant.run_workload(&mut stream, usize::MAX, 128);
+    }
+    service.flush();
+    let cached = warm.telemetry().expect("kvs_warm is registered");
+    let baseline = cold.telemetry().expect("kvs_cold is registered");
+    service.finish();
 
-    // Deployed programs only process traffic carrying their tenant id.
-    let user_id = controller.numeric_id_of("kvs_0").expect("kvs_0 is deployed");
-    let config = KvsConfig {
-        workload: KvsWorkloadConfig {
-            requests: 5000,
-            keys: 2000,
-            skew: 1.1,
-            seed: 3,
-            user_id,
-            ..Default::default()
-        },
-        cached_keys: 128,
-        cache_table: Some("kvs_0_cache".to_string()),
-    };
-    let cached = run_kvs_scenario(&mut with_cache, &config);
-    let baseline = run_kvs_scenario(&mut without_cache, &config);
-
-    println!("\n{:<22} {:>12} {:>12}", "", "with cache", "no cache");
+    println!("\n{:<22} {:>12} {:>12}", "", "warm cache", "cold cache");
     println!(
         "{:<22} {:>11.1}% {:>11.1}%",
         "cache hit ratio",
         cached.hit_ratio * 100.0,
         baseline.hit_ratio * 100.0
     );
-    println!(
-        "{:<22} {:>12} {:>12}",
-        "requests at server", cached.server_requests, baseline.server_requests
-    );
+    println!("{:<22} {:>12} {:>12}", "requests at server", cached.to_server, baseline.to_server);
     println!(
         "{:<22} {:>10.0}ns {:>10.0}ns",
-        "mean lookup latency", cached.mean_latency_ns, baseline.mean_latency_ns
+        "mean lookup latency", cached.latency_mean_ns, baseline.latency_mean_ns
     );
-    assert!(cached.replies_correct, "cache replies must carry the correct values");
     assert!(
         cached.hit_ratio > 0.3,
-        "the skewed workload should hit the deployed cache: {}",
+        "the skewed workload should hit the warmed cache: {}",
         cached.hit_ratio
     );
-    assert!(cached.mean_latency_ns < baseline.mean_latency_ns, "the cache must cut latency");
-    println!("\nAll in-network replies carried the correct value for their key.");
+    assert_eq!(baseline.hits, 0, "a cold cache answers nothing in-network");
+    assert!(cached.to_server < baseline.to_server, "the warmed cache must offload the server");
 }

@@ -29,7 +29,7 @@ use clickinc::lang::templates::{
 use clickinc::topology::Topology;
 use clickinc::{
     sharding_mode_for, ClickIncError, ClickIncService, Controller, InitialSharding, MaxTenants,
-    ResourceFloor, ServiceRequest, ShardingMode, TenantHandle, TenantHop,
+    PolicyChain, ResourceFloor, ServiceRequest, ShardingMode, TenantHandle, TenantHop,
 };
 use clickinc_apps::house;
 use clickinc_runtime::workload::KvsWorkload;
@@ -252,7 +252,7 @@ fn failed_deploy_all_rolls_back_already_committed_tenants() {
 }
 
 /// A mixed batch of 8 KVS/MLAgg requests with distinct users, sources and
-/// template parameters — the acceptance workload for planner equivalence.
+/// template parameters — the acceptance workload for batch equivalence.
 fn mixed_batch() -> Vec<ServiceRequest> {
     (0..8)
         .map(|i| {
@@ -342,14 +342,14 @@ fn resource_floor_rejects_the_marginal_tenant_and_admitted_tenants_keep_serving(
     let service =
         ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
             .expect("engine config is valid");
-    let planner = service.planner().with_policy(ResourceFloor { min_remaining_ratio: 0.99 });
+    service.set_admission_policy(ResourceFloor { min_remaining_ratio: 0.99 });
 
     // admit tenants one by one until the floor refuses the marginal one
     let mut admitted = Vec::new();
     let mut rejection = None;
     for i in 0..16 {
         let before = snapshot(&service);
-        match planner.deploy(kvs_request(&format!("floor{i}"))) {
+        match service.deploy(kvs_request(&format!("floor{i}"))) {
             Ok(handle) => admitted.push(handle),
             Err(err) => {
                 assert!(
@@ -382,6 +382,30 @@ fn resource_floor_rejects_the_marginal_tenant_and_admitted_tenants_keep_serving(
 }
 
 #[test]
+fn the_service_chain_gates_each_batch_member_at_its_own_commit() {
+    let service =
+        ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
+            .expect("engine config is valid");
+    service.deploy(kvs_request("resident")).expect("the resident deploys");
+    service.set_admission_policy(MaxTenants { max_tenants: 2 });
+    let before = snapshot(&service);
+
+    // `a` alone would fit under the cap; `b` is judged with `a` already
+    // counted as a resident, so the cap refuses it and the batch unwinds
+    let err = service.deploy_all(vec![kvs_request("a"), kvs_request("b")]).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ClickIncError::Rejected { user, policy, .. } if user == "b" && policy == "max_tenants"
+        ),
+        "got {err}"
+    );
+    assert_eq!(snapshot(&service), before, "the refused batch changes nothing");
+    assert_eq!(service.engine_handle().sharding_mode("a"), None, "the engine never saw `a`");
+    service.finish();
+}
+
+#[test]
 fn stale_plans_are_stale_plan_never_a_policy_verdict() {
     let service =
         ClickIncService::with_config(Topology::emulation_topology_all_tofino(), engine_config())
@@ -410,7 +434,7 @@ fn stale_plans_are_stale_plan_never_a_policy_verdict() {
     let fresh = service.plan(&kvs_request("victim")).expect("re-plans");
     let err = service.commit(fresh).map(|_| ()).unwrap_err();
     assert!(matches!(err, ClickIncError::Rejected { .. }), "got {err}");
-    service.clear_admission_policy();
+    service.set_admission_policy(PolicyChain::new());
     let tenant = service.deploy(kvs_request("victim")).expect("re-solve and commit");
     assert_eq!(tenant.user(), "victim");
     service.finish();
@@ -432,17 +456,6 @@ const FRONT_ENDS: &[(&str, FrontEnd)] = &[
     ("plan + commit", |s, u| s.commit(s.plan(&kvs_request(u))?).map(|h| vec![h])),
     ("deploy_or_queue", |s, u| s.deploy_or_queue(kvs_request(u)).map(|h| vec![h])),
     ("deploy_all", |s, u| s.deploy_all(vec![kvs_request(u)])),
-    ("planner.deploy", |s, u| {
-        s.planner()
-            .with_policy(ResourceFloor { min_remaining_ratio: 0.0 })
-            .deploy(kvs_request(u))
-            .map(|h| vec![h])
-    }),
-    ("planner.deploy_all", |s, u| {
-        s.planner()
-            .with_policy(ResourceFloor { min_remaining_ratio: 0.0 })
-            .deploy_all(vec![kvs_request(u)])
-    }),
 ];
 
 #[test]
@@ -503,7 +516,7 @@ fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
     refused(service.replace_tenant("t1").map(|h| vec![h]), "replace_tenant");
     assert_eq!(service.active_users(), vec!["t1".to_string()], "a refusal must not drop t1");
     pinned(&service, "t1", "replace_tenant's restore");
-    service.clear_admission_policy();
+    service.set_admission_policy(PolicyChain::new());
     let replaced = service.replace_tenant("t1").expect("re-places");
     assert_eq!(replaced.sharding_mode(), &ShardingMode::ByTenant);
     pinned(&service, "t1", "replace_tenant");
@@ -517,7 +530,7 @@ fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
     // restore → un-park: still refused, then admitted under the knob
     let report = service.restore_device(&device).expect("restores");
     assert!(report.recovered.is_empty(), "restore_device walked around the chain");
-    service.clear_admission_policy();
+    service.set_admission_policy(PolicyChain::new());
     let report = service.restore_device(&device).expect("restores again");
     assert_eq!(report.recovered, vec!["t1".to_string()]);
     pinned(&service, "t1", "restore_device");
@@ -599,7 +612,7 @@ fn plan_free_refusals_outrank_solve_errors_not_request_errors() {
 
     // once the plan-free gate lets it through, the drain solves the parked
     // request and drops it with the error waiting cannot fix
-    service.clear_admission_policy();
+    service.set_admission_policy(PolicyChain::new());
     let report = service.drain_retries();
     assert!(report.admitted.is_empty());
     assert_eq!(report.requeued, 0);
@@ -725,13 +738,9 @@ proptest! {
         .expect("engine config is valid");
         let requests: Vec<ServiceRequest> =
             ops.iter().enumerate().map(|(i, op)| request_from_op(*op, i)).collect();
+        service.set_admission_policy(ResourceFloor { min_remaining_ratio: 2.0 });
         let before = snapshot(&service);
-        let err = service
-            .planner()
-            .with_policy(ResourceFloor { min_remaining_ratio: 2.0 })
-            .deploy_all(requests)
-            .map(|_| ())
-            .unwrap_err();
+        let err = service.deploy_all(requests).map(|_| ()).unwrap_err();
         prop_assert!(
             matches!(&err, ClickIncError::Rejected { policy, .. } if policy == "resource_floor"),
             "got {}", err
