@@ -1,5 +1,5 @@
 //! Failure-recovery invariants, property-tested over *generated* fault
-//! schedules (ROADMAP item 4's failure-injection half, framed as
+//! schedules (ROADMAP item 5's failure-injection half, framed as
 //! machine-checked invariants rather than one-off scenarios):
 //!
 //! 1. **Blast radius** — after any seeded [`FaultPlan`] over the victim's

@@ -1,7 +1,7 @@
 //! Block DAG construction (paper §5.2, Algorithm 3).
 
 use crate::dag::{Block, BlockDag, BlockId};
-use clickinc_ir::{classify_instruction, state_key, CapabilityClass, DependencyKind, IrProgram};
+use clickinc_ir::{classify_instruction, state_key, CapabilityClass, IrProgram};
 use std::collections::BTreeSet;
 
 /// Configuration of the block construction.
@@ -55,37 +55,13 @@ pub fn build_block_dag(program: &IrProgram, config: &BlockConfig) -> BlockDag {
     for (g, instrs) in groups.into_iter().enumerate() {
         members[group_rank[g]] = instrs;
     }
-    // group-level edges (data edges only across groups; state edges are intra-group
-    // by construction of the SCCs, but keep any residual cross-group ones too)
-    let mut gedges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (a, b, kind) in &deps {
+    // group-level edges: state edges run both ways, so they never leave an
+    // SCC; every cross-group edge is a data edge and keeps its direction
+    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for (a, b, _) in &deps {
         let (ga, gb) = (group_rank[scc_of[*a]], group_rank[scc_of[*b]]);
         if ga != gb {
-            // a cross-group state edge would indicate a bug in SCC contraction;
-            // treat it as a data edge in the forward direction to stay acyclic.
-            let _ = kind;
-            if members[ga].first() < members[gb].first() {
-                gedges.insert((ga, gb));
-            } else {
-                gedges.insert((gb, ga));
-            }
-        }
-    }
-    // data edges keep their direction
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (a, b, kind) in &deps {
-        if *kind == DependencyKind::Data {
-            let (ga, gb) = (group_rank[scc_of[*a]], group_rank[scc_of[*b]]);
-            if ga != gb {
-                edges.insert((ga, gb));
-            }
-        }
-    }
-    // also include the normalized residual edges computed above
-    for e in gedges {
-        // only add if it does not contradict an existing data edge direction
-        if !edges.contains(&(e.1, e.0)) {
-            edges.insert(e);
+            edges.insert((ga, gb));
         }
     }
 

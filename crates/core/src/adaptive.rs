@@ -2,7 +2,9 @@
 //! loop ([`clickinc_runtime::adaptive`]) wired to the full control plane.
 //!
 //! The engine-level [`AdaptiveController`] only knows what it is told — which
-//! tenants exist and what sharding their state profiles admit.  This module
+//! tenants exist and what sharding their state profiles admit — and what
+//! each telemetry snapshot shows: every tenant's counters, live sharding mode
+//! and ingress budget, stamped under the engine's one lock.  This module
 //! closes the remaining gaps:
 //!
 //! * **Eligibility** comes from the same state-profile analysis
@@ -38,7 +40,6 @@
 use crate::service::ClickIncService;
 use crate::sharding::sharding_mode_for;
 use clickinc_runtime::adaptive::{AdaptiveController, AdaptivePolicy, AdaptiveTick};
-use clickinc_runtime::ShardingMode;
 
 /// What one [`AdaptiveRuntime::step`] observed and did, service-wide.
 #[derive(Debug)]
@@ -81,17 +82,15 @@ impl AdaptiveRuntime {
 
     /// Start adapting a deployed tenant.  Its *eligibility* — the most
     /// parallel sharding its state profile admits — is derived from the live
-    /// deployment's hops with the same analysis every deploy runs; its
-    /// *current* mode is read from the serving engine.  Unknown tenants are
-    /// ignored.
+    /// deployment's hops with the same analysis every deploy runs; the mode
+    /// it runs under is read from each step's telemetry snapshot.  Unknown
+    /// tenants are ignored.
     pub fn track(&mut self, service: &ClickIncService, user: &str) {
         let hops = service.controller().tenant_hops(user);
         if hops.is_empty() {
             return;
         }
-        let eligible = sharding_mode_for(&hops);
-        let current = service.engine_handle().sharding_mode(user).unwrap_or(ShardingMode::ByTenant);
-        self.controller.track(user, current, eligible);
+        self.controller.track(user, sharding_mode_for(&hops));
     }
 
     /// Stop adapting a tenant (e.g. after its removal).
@@ -106,25 +105,17 @@ impl AdaptiveRuntime {
     /// the verifier and admission chain gate each re-placement, and a
     /// refusal restores the original deployment.
     pub fn step(&mut self, service: &ClickIncService) -> AdaptiveOutcome {
-        let engine = service.engine_handle();
-        let tick = self.controller.step(&engine);
+        let tick = self.controller.step(&service.engine_handle());
         let mut replaced = Vec::new();
         let mut refused = Vec::new();
         for action in &tick.replans {
             let user = action.user().to_string();
+            // re-placed or, on a refusal, restored: either way a fresh
+            // deployment, whose mode the next snapshot reports
+            self.controller.note_replaced(&user);
             match service.replace_tenant(&user) {
-                Ok(handle) => {
-                    self.controller.note_replaced(&user, handle.sharding_mode().clone());
-                    replaced.push(user);
-                }
-                Err(err) => {
-                    // the original deployment was restored; keep tracking it
-                    // under whatever mode the engine now reports
-                    if let Some(mode) = engine.sharding_mode(&user) {
-                        self.controller.note_replaced(&user, mode);
-                    }
-                    refused.push((user, err));
-                }
+                Ok(_) => replaced.push(user),
+                Err(err) => refused.push((user, err)),
             }
         }
         AdaptiveOutcome { tick, replaced, refused }
@@ -139,7 +130,7 @@ mod tests {
     use clickinc_lang::templates::{kvs_template, KvsParams};
     use clickinc_runtime::adaptive::AdaptAction;
     use clickinc_runtime::workload::{KvsWorkload, KvsWorkloadConfig};
-    use clickinc_runtime::{EngineConfig, OverloadPolicy};
+    use clickinc_runtime::{EngineConfig, OverloadPolicy, ShardingMode};
     use clickinc_topology::Topology;
 
     fn service() -> ClickIncService {
@@ -178,7 +169,7 @@ mod tests {
         let service = service();
         service.set_initial_sharding(InitialSharding::Pinned);
         let tenant = service.deploy(kvs_request("kvs0")).expect("deploys");
-        assert_eq!(tenant.sharding_mode(), &ShardingMode::ByTenant, "pinned start");
+        assert_eq!(tenant.sharding_mode(), ShardingMode::ByTenant, "pinned start");
         let numeric_id = tenant.numeric_id();
 
         let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
@@ -202,6 +193,23 @@ mod tests {
         let stats = service.telemetry().tenant("kvs0").cloned().expect("tracked");
         assert!(stats.packets > 0, "counters survived the move");
         assert!(stats.sharding_mode.starts_with("by_flow"), "mode exported: {stats:?}");
+        service.finish();
+    }
+
+    #[test]
+    fn a_handle_reports_the_mode_the_loop_resharded_its_tenant_to() {
+        let service = service();
+        service.set_initial_sharding(InitialSharding::Pinned);
+        let tenant = service.deploy(kvs_request("kvs0")).expect("deploys");
+        assert_eq!(tenant.sharding_mode(), ShardingMode::ByTenant);
+        let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
+        adaptive.track(&service, "kvs0");
+        adaptive.step(&service);
+        saturate(&service, "kvs0", tenant.numeric_id(), 4096);
+        assert!(adaptive.step(&service).acted());
+        let live = service.engine_handle().sharding_mode("kvs0").expect("live");
+        assert_eq!(live, ShardingMode::ByFlow { key_fields: vec!["key".into()] });
+        assert_eq!(tenant.sharding_mode(), live, "the handle reports the live mode");
         service.finish();
     }
 
@@ -243,7 +251,7 @@ mod tests {
         });
         adaptive.track(&service, "kvs0");
         // overwrite the derived eligibility with a pinned one
-        adaptive.controller.track("kvs0", ShardingMode::ByTenant, ShardingMode::ByTenant);
+        adaptive.controller.track("kvs0", ShardingMode::ByTenant);
         adaptive.step(&service);
 
         // with an admit-everything policy the replan succeeds

@@ -244,12 +244,6 @@ impl ServiceRequestBuilder {
         self
     }
 
-    /// Replace the whole per-source weights vector at once.
-    pub fn weights(mut self, weights: Vec<f64>) -> Self {
-        self.traffic_weights = weights;
-        self
-    }
-
     /// Set the admission priority (higher wins; the default is 0).
     pub fn priority(mut self, priority: u8) -> Self {
         self.priority = priority;

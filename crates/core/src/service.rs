@@ -728,12 +728,14 @@ impl TenantHandle {
         &self.hops
     }
 
-    /// How the engine partitions this tenant's traffic, derived from the
-    /// deployed program's state profile
+    /// How the engine partitions this tenant's traffic now: the engine's
+    /// live mode, which an adaptive reshard may have changed since deploy.
+    /// The deploy chose it from the program's state profile
     /// ([`crate::sharding::sharding_mode_for`]): flow-sharded tenants spread
-    /// across every shard, `ByTenant` tenants pin to one.
-    pub fn sharding_mode(&self) -> &ShardingMode {
-        &self.mode
+    /// across every shard, `ByTenant` tenants pin to one.  Once the engine no
+    /// longer hosts the tenant, the mode it was deployed with.
+    pub fn sharding_mode(&self) -> ShardingMode {
+        self.shared.engine.sharding_mode(&self.user).unwrap_or_else(|| self.mode.clone())
     }
 
     /// Live telemetry snapshot for this tenant (cheap; exact after a flush).

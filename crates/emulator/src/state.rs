@@ -279,16 +279,6 @@ impl ObjectStore {
         }
     }
 
-    /// Names of all declared table objects (control-plane enumeration, e.g.
-    /// to pre-populate caches whose names were rewritten by isolation).
-    pub fn table_names(&self) -> Vec<String> {
-        self.names
-            .iter()
-            .filter(|(_, &slot)| matches!(self.slots[slot], Some(ObjectState::Table { .. })))
-            .map(|(name, _)| name.clone())
-            .collect()
-    }
-
     /// Read an array/sequence cell (missing cells read as 0).  Row and index
     /// wrap at the declared bounds, mirroring the hardware's address masking.
     pub fn array_read(&self, name: &str, row: u32, index: u32) -> i64 {

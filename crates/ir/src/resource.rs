@@ -139,7 +139,9 @@ impl ResourceVector {
         self.values.iter().all(|v| v.abs() < 1e-12)
     }
 
-    /// Sum of all dimensions (used only for coarse diagnostics).
+    /// Sum of all dimensions.  The placement DP's and the exhaustive
+    /// search's objectives divide a demand's total by the network's available
+    /// total to price its resource cost.
     pub fn total(&self) -> f64 {
         self.values.iter().sum()
     }

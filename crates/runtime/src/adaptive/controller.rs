@@ -2,21 +2,21 @@
 
 use crate::adaptive::actions::{AdaptAction, Saturation};
 use crate::adaptive::budget::fair_budgets;
-use crate::adaptive::policy::{AdaptivePolicy, EpochDelta};
+use crate::adaptive::policy::{AdaptivePolicy, EpochDelta, TenantDelta};
 use crate::engine::EngineHandle;
 use crate::telemetry::TelemetryReport;
 use crate::tenant::ShardingMode;
 use std::collections::BTreeMap;
 
-/// What the controller remembers about one tracked tenant.
+/// What the controller remembers about one tracked tenant: what the engine
+/// cannot tell it.  The tenant's live mode and budget are not here — each
+/// epoch reads them from the snapshot it decides on.
 #[derive(Debug, Clone)]
 struct Profile {
     /// The most parallel mode the tenant's state profile admits (derived by
     /// the service layer's `sharding_mode_for` analysis).  A `Reshard` never
     /// targets anything this does not allow.
     eligible: ShardingMode,
-    /// The mode the tenant currently runs under.
-    current: ShardingMode,
     /// Whether the loop (not the deployer) put the tenant into `ByFlow`, so
     /// idle reclamation only undoes the loop's own spreading.
     resharded_by_loop: bool,
@@ -73,16 +73,16 @@ impl AdaptiveController {
         &self.policy
     }
 
-    /// Track a tenant: its current mode and the most parallel mode its state
-    /// profile admits.  The loop only ever reshards within `eligible` — an
-    /// ineligible tenant (`eligible == ByTenant`) is never flow-sharded, no
-    /// matter how saturated it gets.
-    pub fn track(&mut self, user: &str, current: ShardingMode, eligible: ShardingMode) {
+    /// Track a tenant with the most parallel mode its state profile admits.
+    /// The loop only ever reshards within `eligible` — an ineligible tenant
+    /// (`eligible == ByTenant`) is never flow-sharded, no matter how
+    /// saturated it gets.  The mode it runs under now is read from each
+    /// epoch's snapshot.
+    pub fn track(&mut self, user: &str, eligible: ShardingMode) {
         self.profiles.insert(
             user.to_string(),
             Profile {
                 eligible,
-                current,
                 resharded_by_loop: false,
                 last_reshard_epoch: None,
                 saturated_epochs: 0,
@@ -96,17 +96,11 @@ impl AdaptiveController {
         self.profiles.remove(user);
     }
 
-    /// The mode the controller believes a tracked tenant currently runs
-    /// under.
-    pub fn current_mode(&self, user: &str) -> Option<&ShardingMode> {
-        self.profiles.get(user).map(|p| &p.current)
-    }
-
     /// Record that the service re-placed (or otherwise re-deployed) a
-    /// tenant: reset its saturation history and adopt the new mode.
-    pub fn note_replaced(&mut self, user: &str, current: ShardingMode) {
+    /// tenant: reset its saturation history.  Its new mode shows in the
+    /// next snapshot.
+    pub fn note_replaced(&mut self, user: &str) {
         if let Some(profile) = self.profiles.get_mut(user) {
-            profile.current = current;
             profile.resharded_by_loop = false;
             profile.saturated_epochs = 0;
             profile.idle_epochs = 0;
@@ -115,19 +109,18 @@ impl AdaptiveController {
 
     /// Close an epoch: compute deltas against the previous snapshot and
     /// decide on actions.  Pure — nothing is applied; the internal per-tenant
-    /// history (cooldowns, saturation streaks) *is* advanced, and `Reshard`
-    /// decisions update the profile's `current` mode optimistically (the
-    /// caller applies them or the engine rejects them as no-ops).
+    /// history (cooldowns, saturation streaks) *is* advanced.
     ///
-    /// `capacity` is the per-shard queue bound, `shards` the worker count and
-    /// `budgets` each tracked tenant's active ingress budget — all engine
-    /// facts [`step`](AdaptiveController::step) gathers automatically.
+    /// Each tenant's live sharding mode and ingress budget are read from
+    /// `report` (its `sharding_mode` label and `queue_budget`), which the
+    /// engine stamps under the same lock that guards its routes.  `capacity`
+    /// is the per-shard queue bound and `shards` the worker count — engine
+    /// facts [`step`](AdaptiveController::step) passes along.
     pub fn decide(
         &mut self,
         report: &TelemetryReport,
         capacity: u64,
         shards: usize,
-        budgets: &BTreeMap<String, u64>,
     ) -> Vec<AdaptAction> {
         self.epoch += 1;
         let Some(prev) = self.prev.replace(report.clone()) else {
@@ -140,6 +133,10 @@ impl AdaptiveController {
         let mut demand: BTreeMap<String, u64> = BTreeMap::new();
         for (user, profile) in self.profiles.iter_mut() {
             let d = delta.tenants.get(user).cloned().unwrap_or_default();
+            // a tenant the snapshot does not name runs nowhere yet
+            let by_flow = report
+                .tenant(user)
+                .is_some_and(|s| ShardingMode::is_by_flow_label(&s.sharding_mode));
             demand.insert(user.clone(), d.offered());
             // device-fault trigger: packets lost at a dead or flaky device
             // cannot be fixed by congestion levers (resharding spreads load,
@@ -147,15 +144,8 @@ impl AdaptiveController {
             // failed device), so escalate straight to a replan, bypassing
             // the volume gate, cooldowns and the escalation ladder
             if self.policy.fault_replan_lost > 0 && d.fault_lost >= self.policy.fault_replan_lost {
-                let why = Saturation {
-                    offered: d.offered(),
-                    shed: d.shed,
-                    backpressure_waits: d.backpressure_waits,
-                    queue_depth_hwm: d.queue_depth_hwm,
-                    queue_capacity: capacity,
-                    fault_lost: d.fault_lost,
-                };
-                actions.push(AdaptAction::Replan { user: user.clone(), why });
+                actions
+                    .push(AdaptAction::Replan { user: user.clone(), why: evidence(&d, capacity) });
                 profile.saturated_epochs = 0;
                 profile.idle_epochs = 0;
                 continue;
@@ -167,7 +157,7 @@ impl AdaptiveController {
                 if reclaim > 0
                     && profile.idle_epochs >= reclaim
                     && profile.resharded_by_loop
-                    && profile.current.is_by_flow()
+                    && by_flow
                 {
                     let why = Saturation { queue_capacity: capacity, ..Default::default() };
                     actions.push(AdaptAction::Reshard {
@@ -175,7 +165,6 @@ impl AdaptiveController {
                         to: ShardingMode::ByTenant,
                         why,
                     });
-                    profile.current = ShardingMode::ByTenant;
                     profile.resharded_by_loop = false;
                     profile.last_reshard_epoch = Some(self.epoch);
                     profile.idle_epochs = 0;
@@ -186,14 +175,7 @@ impl AdaptiveController {
             if d.offered() < self.policy.min_epoch_packets {
                 continue;
             }
-            let why = Saturation {
-                offered: d.offered(),
-                shed: d.shed,
-                backpressure_waits: d.backpressure_waits,
-                queue_depth_hwm: d.queue_depth_hwm,
-                queue_capacity: capacity,
-                fault_lost: d.fault_lost,
-            };
+            let why = evidence(&d, capacity);
             let saturated = why.congestion_ratio() > self.policy.congestion_saturation
                 || why.hwm_ratio() >= self.policy.hwm_saturation;
             if !saturated {
@@ -209,13 +191,12 @@ impl AdaptiveController {
                 continue;
             }
             // first lever: spread a flow-shardable tenant across every shard
-            if !profile.current.is_by_flow() && profile.eligible.is_by_flow() {
+            if !by_flow && profile.eligible.is_by_flow() {
                 actions.push(AdaptAction::Reshard {
                     user: user.clone(),
                     to: profile.eligible.clone(),
                     why,
                 });
-                profile.current = profile.eligible.clone();
                 profile.resharded_by_loop = true;
                 profile.last_reshard_epoch = Some(self.epoch);
                 profile.saturated_epochs = 0;
@@ -234,16 +215,9 @@ impl AdaptiveController {
             let total = capacity.saturating_mul(shards as u64);
             let fair = fair_budgets(total, self.policy.budget_floor, &demand);
             for (user, budget) in fair {
-                if budgets.get(&user).copied() != Some(budget) {
+                if report.tenant(&user).map(|s| s.queue_budget) != Some(budget) {
                     let d = delta.tenants.get(&user).cloned().unwrap_or_default();
-                    let why = Saturation {
-                        offered: d.offered(),
-                        shed: d.shed,
-                        backpressure_waits: d.backpressure_waits,
-                        queue_depth_hwm: d.queue_depth_hwm,
-                        queue_capacity: capacity,
-                        fault_lost: d.fault_lost,
-                    };
+                    let why = evidence(&d, capacity);
                     actions.push(AdaptAction::ResizeBudget { user, budget, why });
                 }
             }
@@ -257,14 +231,8 @@ impl AdaptiveController {
     pub fn step(&mut self, engine: &EngineHandle) -> AdaptiveTick {
         let report = engine.telemetry();
         let capacity = engine.queue_capacity() as u64;
-        let shards = engine.shards();
-        let budgets: BTreeMap<String, u64> = self
-            .profiles
-            .keys()
-            .filter_map(|user| engine.tenant_budget(user).map(|b| (user.clone(), b)))
-            .collect();
         let snapshot_seq = report.snapshot_seq;
-        let actions = self.decide(&report, capacity, shards, &budgets);
+        let actions = self.decide(&report, capacity, engine.shards());
         let mut applied = Vec::new();
         let mut replans = Vec::new();
         for action in &actions {
@@ -286,6 +254,19 @@ impl AdaptiveController {
     }
 }
 
+/// One tenant's epoch movement as the evidence behind an action, its
+/// high-water mark measured against the per-shard `capacity`.
+fn evidence(d: &TenantDelta, capacity: u64) -> Saturation {
+    Saturation {
+        offered: d.offered(),
+        shed: d.shed,
+        backpressure_waits: d.backpressure_waits,
+        queue_depth_hwm: d.queue_depth_hwm,
+        queue_capacity: capacity,
+        fault_lost: d.fault_lost,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,24 +284,33 @@ mod tests {
     struct Harness {
         registry: TelemetryRegistry,
         counters: BTreeMap<String, Arc<TenantCounters>>,
+        /// Each tenant's mode and budget, stamped on the registry's metadata
+        /// at registration and after every reshard or resize, as the engine
+        /// does.
+        meta: BTreeMap<String, (ShardingMode, u64)>,
         controller: AdaptiveController,
-        budgets: BTreeMap<String, u64>,
     }
 
     impl Harness {
         fn new(policy: AdaptivePolicy, tenants: &[(&str, ShardingMode, ShardingMode)]) -> Harness {
-            let registry = TelemetryRegistry::default();
+            let mut registry = TelemetryRegistry::default();
             let mut counters = BTreeMap::new();
+            let mut meta = BTreeMap::new();
             let mut controller = AdaptiveController::new(policy);
-            let mut budgets = BTreeMap::new();
             for (user, current, eligible) in tenants {
                 let block = Arc::new(TenantCounters::new(1));
                 registry.register(user, Arc::clone(&block));
+                registry.set_meta(user, current.label(), CAP * SHARDS as u64);
                 counters.insert(user.to_string(), block);
-                controller.track(user, current.clone(), eligible.clone());
-                budgets.insert(user.to_string(), CAP * SHARDS as u64);
+                meta.insert(user.to_string(), (current.clone(), CAP * SHARDS as u64));
+                controller.track(user, eligible.clone());
             }
-            Harness { registry, counters, controller, budgets }
+            Harness { registry, counters, meta, controller }
+        }
+
+        /// The mode the registry exports for a tenant.
+        fn mode(&mut self, user: &str) -> String {
+            self.registry.snapshot().tenants[user].sharding_mode.clone()
         }
 
         fn offer(&self, user: &str, admitted: u64, shed: u64) {
@@ -331,7 +321,17 @@ mod tests {
 
         fn tick(&mut self) -> Vec<AdaptAction> {
             let report = self.registry.snapshot();
-            self.controller.decide(&report, CAP, SHARDS, &self.budgets)
+            let actions = self.controller.decide(&report, CAP, SHARDS);
+            for action in &actions {
+                let Some((mode, budget)) = self.meta.get_mut(action.user()) else { continue };
+                match action {
+                    AdaptAction::Reshard { to, .. } => *mode = to.clone(),
+                    AdaptAction::ResizeBudget { budget: resized, .. } => *budget = *resized,
+                    AdaptAction::Replan { .. } => continue,
+                }
+                self.registry.set_meta(action.user(), mode.label(), *budget);
+            }
+            actions
         }
     }
 
@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(reshards.len(), 1, "exactly the hot tenant reshards: {actions:?}");
         assert_eq!(reshards[0].user(), "hot");
         assert!(matches!(reshards[0], AdaptAction::Reshard { to, .. } if to == &by_key()));
-        assert_eq!(h.controller.current_mode("hot"), Some(&by_key()));
+        assert_eq!(h.mode("hot"), by_key().label());
         // the fair-share pass also resized budgets away from the default
         assert!(
             actions
@@ -418,7 +418,7 @@ mod tests {
                 .any(|a| matches!(a, AdaptAction::Reshard { to: ShardingMode::ByTenant, .. })),
             "idle reclaim reshards back: {actions:?}"
         );
-        assert_eq!(h.controller.current_mode("hot"), Some(&ShardingMode::ByTenant));
+        assert_eq!(h.mode("hot"), ShardingMode::ByTenant.label());
     }
 
     #[test]
@@ -489,21 +489,30 @@ mod tests {
         );
         // and the inverse staleness: a tracked tenant missing from the delta
         // (snapshot raced its registration) takes the idle path, not a panic
-        h.controller.track("unregistered", ShardingMode::ByTenant, by_key());
+        h.controller.track("unregistered", by_key());
         let actions = h.tick();
         assert!(actions.iter().all(|a| a.user() != "unregistered"), "{actions:?}");
     }
 
     #[test]
     fn note_replaced_resets_history() {
-        let mut h =
-            Harness::new(AdaptivePolicy::default(), &[("t", ShardingMode::ByTenant, by_key())]);
+        // an ineligible tenant escalates after two saturated epochs; a
+        // re-placement between them restarts the streak
+        let policy = AdaptivePolicy { replan_epochs: 2, ..Default::default() };
+        let mut h = Harness::new(policy, &[("t", ShardingMode::ByTenant, ShardingMode::ByTenant)]);
+        let replans = |actions: &[AdaptAction]| {
+            actions.iter().filter(|a| matches!(a, AdaptAction::Replan { .. })).count()
+        };
         h.tick();
         h.offer("t", 100, 60);
-        h.tick();
-        h.controller.note_replaced("t", ShardingMode::ByTenant);
-        assert_eq!(h.controller.current_mode("t"), Some(&ShardingMode::ByTenant));
+        assert_eq!(replans(&h.tick()), 0);
+        h.controller.note_replaced("t");
+        h.offer("t", 100, 60);
+        assert_eq!(replans(&h.tick()), 0, "the streak restarted at the re-placement");
+        h.offer("t", 100, 60);
+        assert_eq!(replans(&h.tick()), 1);
         h.controller.forget("t");
-        assert_eq!(h.controller.current_mode("t"), None);
+        h.offer("t", 100, 60);
+        assert!(h.tick().is_empty(), "a forgotten tenant is not decided on");
     }
 }

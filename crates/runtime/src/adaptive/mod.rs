@@ -3,11 +3,14 @@
 //! Every knob the earlier layers expose — sharding mode, ingress budgets,
 //! placement — is fixed at deploy time, while the congestion telemetry
 //! (`shed_packets`, `backpressure_waits`, `queue_depth_hwm`) is write-only.
-//! This module closes the loop: an [`AdaptiveController`] periodically
-//! snapshots the [`TelemetryRegistry`](crate::telemetry::TelemetryRegistry),
-//! computes per-tenant deltas between consecutive snapshots (well-ordered by
-//! the snapshot sequence number and the virtual clock), and drives typed
-//! [`AdaptAction`]s:
+//! This module closes the loop: an [`AdaptiveController`] periodically takes
+//! a telemetry snapshot ([`EngineHandle::telemetry`](crate::EngineHandle::telemetry),
+//! stamped under the engine's one lock), computes per-tenant deltas between
+//! consecutive snapshots (well-ordered by the snapshot sequence number and
+//! the virtual clock), and drives typed [`AdaptAction`]s.  The snapshot is
+//! the controller's only view of a tenant's deployment: its live sharding
+//! mode and ingress budget are the snapshot's `sharding_mode` and
+//! `queue_budget`, and the controller stores neither.  The actions:
 //!
 //! * **Live reshard** ([`AdaptAction::Reshard`]) — a saturated tenant whose
 //!   state profile admits flow-sharding is moved `ByTenant → ByFlow` (and an

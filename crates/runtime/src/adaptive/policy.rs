@@ -140,7 +140,7 @@ mod tests {
     use std::sync::Arc;
 
     fn registry_with(tenant: &str) -> (TelemetryRegistry, Arc<TenantCounters>) {
-        let registry = TelemetryRegistry::default();
+        let mut registry = TelemetryRegistry::default();
         let counters = Arc::new(TenantCounters::new(1));
         registry.register(tenant, Arc::clone(&counters));
         (registry, counters)
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn deltas_subtract_counters_between_snapshots() {
-        let (registry, counters) = registry_with("t");
+        let (mut registry, counters) = registry_with("t");
         counters.packets.fetch_add(10, Ordering::Relaxed);
         counters.shed.fetch_add(2, Ordering::Relaxed);
         let first = registry.snapshot();
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn tenants_appearing_mid_run_contribute_their_full_counters() {
-        let registry = TelemetryRegistry::default();
+        let mut registry = TelemetryRegistry::default();
         let first = registry.snapshot();
         let counters = Arc::new(TenantCounters::new(1));
         counters.packets.fetch_add(7, Ordering::Relaxed);

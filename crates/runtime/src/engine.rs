@@ -28,13 +28,16 @@
 //! lives in one map behind the engine's one lock.  Removing the map entry
 //! therefore forgets the tenant completely: a later tenant reusing the name
 //! starts from nothing, and no second structure can disagree with the map.
+//! The telemetry registry sits behind the same lock, so a snapshot exports
+//! exactly the modes and budgets the routes carry.
 //! The shard workers always run the compiled register VM, the tier a deploy
 //! ships; the interpreter is the emulator's differential oracle, not an
 //! engine setting.
 
 use crate::faults::{DeviceHealth, FaultInjector};
+use crate::recover;
 use crate::shard::{FlushLatch, ShardFinal, ShardMsg, ShardWorker};
-use crate::telemetry::{recover, TelemetryRegistry, TelemetryReport, TenantCounters};
+use crate::telemetry::{TelemetryRegistry, TelemetryReport, TenantCounters};
 use crate::tenant::{ShardingMode, TenantHop};
 use crate::workload::Workload;
 use clickinc_emulator::{Fnv, ObjectStore, Packet};
@@ -293,12 +296,13 @@ impl TenantRoute {
 struct EngineState {
     /// Tenant → its one record.  Locked per inject *batch*, never per packet.
     tenants: BTreeMap<String, Arc<TenantRoute>>,
+    /// Every counter block any tenant ever registered, with mode and budget.
+    telemetry: TelemetryRegistry,
 }
 
 /// State shared by every [`EngineHandle`] clone.
 struct EngineShared {
     senders: Vec<Sender<ShardMsg>>,
-    registry: Arc<TelemetryRegistry>,
     /// Per-shard in-flight packet gauges (incremented at admission,
     /// decremented by the worker at terminal outcomes).
     depths: Vec<Arc<AtomicU64>>,
@@ -337,27 +341,29 @@ impl EngineHandle {
     /// of trusting the caller.
     pub fn add_tenant_sharded(&self, user: &str, hops: Vec<TenantHop>, mode: ShardingMode) {
         let budget = self.shared.queue_capacity.saturating_mul(self.shards()) as u64;
-        let route = self.install_route(user, hops, mode, budget);
-        self.state().tenants.insert(user.to_string(), Arc::new(route));
+        let mut state = self.state();
+        let route = self.install_route(&mut state, user, hops, mode, budget);
+        state.tenants.insert(user.to_string(), Arc::new(route));
     }
 
     /// The engine's one lock.  A holder that panicked does not cascade:
     /// every mutation of the state is a single map insert/remove published
     /// at the end of its protocol, so the data behind a poisoned guard is
-    /// consistent and is recovered like the telemetry registry's.
+    /// consistent and is recovered.
     fn state(&self) -> MutexGuard<'_, EngineState> {
         recover(&self.shared.state)
     }
 
     /// The single tenant-install path shared by [`add_tenant_sharded`] and
     /// the live-reshard path: register a counter block and install the
-    /// program on each hosting shard, and stamp the telemetry metadata.
-    /// Does *not* publish the record — callers insert it into the tenant
-    /// map under whatever locking discipline they need.
+    /// program on each hosting shard, and stamp the telemetry metadata, all
+    /// under the caller's guard.  Does *not* publish the record — the caller
+    /// inserts it into the tenant map at the end of its protocol.
     ///
     /// [`add_tenant_sharded`]: EngineHandle::add_tenant_sharded
     fn install_route(
         &self,
+        state: &mut EngineState,
         user: &str,
         hops: Vec<TenantHop>,
         mode: ShardingMode,
@@ -374,7 +380,7 @@ impl EngineHandle {
         };
         for shard in route.hosting(shards) {
             let block = Arc::new(TenantCounters::new(route.hops.len()));
-            self.shared.registry.register(user, Arc::clone(&block));
+            state.telemetry.register(user, Arc::clone(&block));
             let _ = self.shared.senders[shard].send(ShardMsg::AddTenant {
                 user: user.to_string(),
                 hops: route.hops.clone(),
@@ -382,7 +388,7 @@ impl EngineHandle {
             });
             route.counters.push(block);
         }
-        self.shared.registry.set_meta(user, route.mode.label(), budget);
+        state.telemetry.set_meta(user, route.mode.label(), budget);
         route
     }
 
@@ -421,7 +427,7 @@ impl EngineHandle {
     /// [`add_tenant_sharded`]: EngineHandle::add_tenant_sharded
     pub fn reshard_tenant(&self, user: &str, mode: ShardingMode) -> bool {
         let mut state = self.state();
-        let Some(old) = state.tenants.get(user) else { return false };
+        let Some(old) = state.tenants.get(user).cloned() else { return false };
         if old.mode == mode {
             return false;
         }
@@ -443,7 +449,7 @@ impl EngineHandle {
         }
         // 3. re-install under the new mode
         let budget = old.budget.load(Ordering::Relaxed);
-        let mut route = self.install_route(user, old.hops.clone(), mode, budget);
+        let mut route = self.install_route(&mut state, user, old.hops.clone(), mode, budget);
         // 4. seed the reconciled state onto the new hosting shard(s)
         for shard in route.hosting(shards) {
             for (device, store) in &merged {
@@ -463,16 +469,12 @@ impl EngineHandle {
     /// telemetry metadata is updated so snapshots export the new budget.
     /// Returns `false` for unknown tenants.
     pub fn set_tenant_budget(&self, user: &str, budget: u64) -> bool {
-        let state = self.state();
+        let state = &mut *self.state();
         let Some(route) = state.tenants.get(user) else { return false };
-        route.budget.store(budget.max(1), Ordering::Relaxed);
-        self.shared.registry.set_meta(user, route.mode.label(), budget.max(1));
+        let budget = budget.max(1);
+        route.budget.store(budget, Ordering::Relaxed);
+        state.telemetry.set_meta(user, route.mode.label(), budget);
         true
-    }
-
-    /// A tenant's current ingress credit budget, if registered.
-    pub fn tenant_budget(&self, user: &str) -> Option<u64> {
-        self.state().tenants.get(user).map(|r| r.budget.load(Ordering::Relaxed))
     }
 
     /// A tenant's active sharding mode, if registered.
@@ -791,10 +793,11 @@ impl EngineHandle {
         replies.into_iter().filter_map(|rx| rx.recv().ok()).collect()
     }
 
-    /// Merge the per-shard counters into a per-tenant telemetry report.
-    /// Cheap and safe to call while traffic flows; exact after a flush.
+    /// Merge the per-shard counters into a per-tenant telemetry report under
+    /// the engine's lock.  Cheap and safe to call while traffic flows; exact
+    /// after a flush.
     pub fn telemetry(&self) -> TelemetryReport {
-        self.shared.registry.snapshot()
+        self.state().telemetry.snapshot()
     }
 }
 
@@ -859,7 +862,6 @@ impl TrafficEngine {
             handle: EngineHandle {
                 shared: Arc::new(EngineShared {
                     senders,
-                    registry: Arc::new(TelemetryRegistry::default()),
                     depths,
                     queue_capacity: config.queue_capacity.max(1),
                     overload,
@@ -888,7 +890,7 @@ impl TrafficEngine {
         }
         // the live flow-sharded tenants' objects were partitioned across the
         // shards and merge additively; everything else is first-copy-wins
-        let state = self.handle.state();
+        let mut state = self.handle.state();
         let partitioned: BTreeSet<&str> = state
             .tenants
             .values()
@@ -916,7 +918,8 @@ impl TrafficEngine {
                 }
             }
         }
-        RunOutcome { telemetry: self.handle.telemetry(), stores }
+        // the guard is held: `EngineHandle::telemetry` would deadlock
+        RunOutcome { telemetry: state.telemetry.snapshot(), stores }
     }
 }
 

@@ -32,8 +32,8 @@
 //!   multi-tenant profile.
 //! * **Telemetry** — [`telemetry`] keeps lock-free per-shard counters merged
 //!   into per-tenant stats: goodput against the workload's virtual clock,
-//!   in-network hit ratio, p50/p99 latency from log₂ histograms, per-link
-//!   byte counts — all exportable as JSON.
+//!   in-network hit ratio, p50/p99 device processing time from log₂
+//!   histograms, per-link byte counts — all exportable as JSON.
 //! * **Live reconfiguration** — tenants are added and removed *while other
 //!   tenants' traffic flows*.  Control messages share the FIFO channel with
 //!   traffic, so a removal quiesces exactly the affected tenant's queued
@@ -41,6 +41,9 @@
 //!   one record per tenant (mode, hops, counters, budget, reshard baseline)
 //!   in one map behind one lock, so a removal forgets the tenant in one
 //!   step and a successor under the same name inherits nothing.  The
+//!   telemetry registry sits behind the same lock, and the adaptive loop
+//!   ([`adaptive`]) decides from its snapshots alone; the only other mutex
+//!   is a flush barrier's latch.  The
 //!   `clickinc` crate's `ClickIncService` facade owns both a controller and
 //!   an engine and mirrors every transactional deploy/remove onto the
 //!   shards automatically.
@@ -89,3 +92,10 @@ pub use workload::{
     GeneratedPacket, KvsWorkload, KvsWorkloadConfig, MixedWorkload, MlAggWorkload,
     MlAggWorkloadConfig, Workload,
 };
+
+/// Recover a guard even if a holder panicked: every mutation behind the
+/// runtime's two locks leaves the data consistent, so a panic must not
+/// cascade into every later caller.
+pub(crate) fn recover<T>(lock: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -59,7 +59,8 @@
 //! [`ShardingMode::ByFlow`]: crate::tenant::ShardingMode::ByFlow
 
 use crate::faults::DeviceHealth;
-use crate::telemetry::{recover, BurstTally, TenantCounters};
+use crate::recover;
+use crate::telemetry::{BurstTally, TenantCounters};
 use crate::tenant::TenantHop;
 use clickinc_emulator::{DevicePlane, Fnv, ObjectStore, Packet, PacketAction};
 use clickinc_ir::Value;

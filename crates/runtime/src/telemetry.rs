@@ -9,21 +9,23 @@
 //! control reads while a burst runs (`in_flight` and the shard depth, which
 //! do move per packet).  The visibility rule: a reader racing with traffic
 //! lags by at most the burst in progress, and everything a burst did is
-//! visible by the time the `flush` behind it is acknowledged.  The engine's
-//! snapshot path walks a small registry (one mutex acquisition per snapshot,
-//! never per packet) and merges the per-shard counters into immutable
-//! [`TenantStats`] values that derive `serde::Serialize` for JSON export.
+//! visible by the time the `flush` behind it is acknowledged.  A snapshot
+//! walks the registry under the engine's one lock (never per packet) and
+//! merges the per-shard counters into immutable [`TenantStats`] values that
+//! derive `serde::Serialize` for JSON export.
 //!
-//! Latency percentiles come from a 64-bucket log₂ histogram: deterministic,
-//! constant-size, and mergeable by addition.  Goodput is computed against the
-//! workload's *virtual* clock (open-loop arrival time + accumulated device
-//! latency), so identical workloads report identical goodput regardless of
-//! how many OS threads the engine happens to run on.
+//! "Latency" is device processing time only, with no link or server time:
+//! not an end-to-end latency.  Its percentiles come from a 64-bucket log₂
+//! histogram: deterministic, constant-size, and mergeable by addition.
+//! Goodput is computed against the workload's *virtual* clock (open-loop
+//! arrival time + accumulated device latency), so identical workloads report
+//! identical goodput regardless of how many OS threads the engine happens to
+//! run on.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Number of log₂ latency-histogram buckets (covers 1 ns … ~18 s).
 pub const HIST_BUCKETS: usize = 64;
@@ -48,7 +50,8 @@ pub struct TenantCounters {
     pub server_bytes: AtomicU64,
     /// Application payload bytes carried by completed packets.
     pub payload_bytes: AtomicU64,
-    /// Sum of per-packet end-to-end latency in nanoseconds.
+    /// Sum of per-packet device processing time in nanoseconds (the devices
+    /// the packet traversed; no link or server time).
     pub latency_sum_ns: AtomicU64,
     /// Virtual completion clock: max(arrival + latency) over completions.
     pub vtime_max_ns: AtomicU64,
@@ -110,7 +113,7 @@ impl TenantCounters {
         }
     }
 
-    /// Record a terminal outcome: end-to-end latency and virtual completion
+    /// Record a terminal outcome: device processing time and virtual arrival
     /// time.
     pub fn record_completion(&self, latency_ns: f64, vtime_ns: u64) {
         let mut one = BurstTally::default();
@@ -212,7 +215,7 @@ impl BurstTally {
         *self = BurstTally { link_bytes, ..BurstTally::default() };
     }
 
-    /// A terminal outcome: end-to-end latency and virtual arrival time.
+    /// A terminal outcome: device processing time and virtual arrival time.
     pub fn complete(&mut self, latency_ns: f64, vtime_ns: u64) {
         let lat = latency_ns.round().max(0.0) as u64;
         self.completed += 1;
@@ -279,7 +282,8 @@ pub struct TenantStats {
     pub server_bytes: u64,
     /// Payload bits per virtual nanosecond — Gbps against the workload clock.
     pub goodput_gbps: f64,
-    /// Mean end-to-end latency in nanoseconds.
+    /// Mean device processing time per completed packet in nanoseconds (no
+    /// link or server time: not an end-to-end latency).
     pub latency_mean_ns: f64,
     /// Median latency (log-bucket resolution).
     pub latency_p50_ns: u64,
@@ -304,7 +308,7 @@ pub struct TenantStats {
     pub per_shard_packets: Vec<u64>,
     /// The tenant's *active* [`ShardingMode`](crate::tenant::ShardingMode)
     /// label (`"by_tenant"`, `"by_flow"`, `"by_flow:<fields>"`) — so
-    /// operators can watch the adaptive runtime reshard.  Deployment
+    /// operators and the adaptive loop see the live mode.  Deployment
     /// configuration, not a traffic outcome; excluded from equality.
     pub sharding_mode: String,
     /// The tenant's active ingress credit budget (max in-flight packets
@@ -517,69 +521,58 @@ impl TelemetryReport {
     }
 }
 
-/// Per-tenant deployment metadata stamped onto snapshots: the active
-/// sharding-mode label and ingress credit budget.
-#[derive(Debug, Clone, Default)]
-struct TenantMeta {
+/// What the registry keeps of one tenant: its counter blocks in registration
+/// order, and the deployment metadata stamped onto its snapshots (the active
+/// sharding-mode label and ingress credit budget).
+#[derive(Debug, Default)]
+struct TenantEntry {
+    blocks: Vec<Arc<TenantCounters>>,
     sharding_mode: String,
     queue_budget: u64,
 }
 
-/// The engine-side registry mapping tenants to their per-shard counters.
-/// Locked only on tenant add/remove and snapshot — never on the packet path.
+/// The engine-side registry mapping tenants to their per-shard counters: a
+/// field of the engine's state behind its one lock, never touched on the
+/// packet path.  It keeps removed tenants' blocks, so a snapshot covers
+/// every tenant the engine has ever hosted.
 #[derive(Debug, Default)]
-pub struct TelemetryRegistry {
-    tenants: Mutex<BTreeMap<String, Vec<Arc<TenantCounters>>>>,
-    meta: Mutex<BTreeMap<String, TenantMeta>>,
-    /// Snapshot sequence; `snapshot` increments it, so two snapshots taken
-    /// by racing observers still get distinct, ordered sequence numbers.
-    seq: AtomicU64,
-}
-
-/// Recover a guard even if a holder panicked.  For locks whose every
-/// mutation is a single map insert/remove (no multi-step invariants to
-/// tear) — this registry's maps of `Arc`s and small metadata, and the
-/// engine's state — the inner data is always consistent, and a panicked
-/// holder must not cascade into every observer.
-pub(crate) fn recover<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+pub(crate) struct TelemetryRegistry {
+    tenants: BTreeMap<String, TenantEntry>,
+    /// Snapshot sequence; `snapshot` increments it.
+    seq: u64,
 }
 
 impl TelemetryRegistry {
     /// Register a (tenant, shard) counter block.
-    pub fn register(&self, tenant: &str, counters: Arc<TenantCounters>) {
-        recover(&self.tenants).entry(tenant.to_string()).or_default().push(counters);
+    pub(crate) fn register(&mut self, tenant: &str, counters: Arc<TenantCounters>) {
+        self.tenants.entry(tenant.to_string()).or_default().blocks.push(counters);
     }
 
     /// Record a tenant's active sharding mode and ingress budget, exported
     /// with every subsequent snapshot.
-    pub fn set_meta(&self, tenant: &str, sharding_mode: String, queue_budget: u64) {
-        recover(&self.meta).insert(tenant.to_string(), TenantMeta { sharding_mode, queue_budget });
+    pub(crate) fn set_meta(&mut self, tenant: &str, sharding_mode: String, queue_budget: u64) {
+        let entry = self.tenants.entry(tenant.to_string()).or_default();
+        entry.sharding_mode = sharding_mode;
+        entry.queue_budget = queue_budget;
     }
 
     /// Merge every tenant's counters into a report, stamped with the next
     /// snapshot sequence number and the virtual clock it observed.
-    pub fn snapshot(&self) -> TelemetryReport {
-        let tenants = recover(&self.tenants);
-        let meta = recover(&self.meta);
+    pub(crate) fn snapshot(&mut self) -> TelemetryReport {
+        self.seq += 1;
         let mut vtime_ns = 0u64;
-        let merged: BTreeMap<String, TenantStats> = tenants
+        let merged: BTreeMap<String, TenantStats> = self
+            .tenants
             .iter()
-            .map(|(name, parts)| {
-                vtime_ns = vtime_ns.max(TenantStats::vtime_max(parts));
-                let mut stats = TenantStats::merge(name, parts);
-                if let Some(m) = meta.get(name) {
-                    stats.sharding_mode = m.sharding_mode.clone();
-                    stats.queue_budget = m.queue_budget;
-                }
+            .map(|(name, entry)| {
+                vtime_ns = vtime_ns.max(TenantStats::vtime_max(&entry.blocks));
+                let mut stats = TenantStats::merge(name, &entry.blocks);
+                stats.sharding_mode.clone_from(&entry.sharding_mode);
+                stats.queue_budget = entry.queue_budget;
                 (name.clone(), stats)
             })
             .collect();
-        TelemetryReport {
-            snapshot_seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            vtime_ns,
-            tenants: merged,
-        }
+        TelemetryReport { snapshot_seq: self.seq, vtime_ns, tenants: merged }
     }
 }
 
@@ -691,7 +684,7 @@ mod tests {
 
     #[test]
     fn report_exports_json() {
-        let registry = TelemetryRegistry::default();
+        let mut registry = TelemetryRegistry::default();
         let counters = Arc::new(TenantCounters::new(1));
         counters.shed.fetch_add(3, Ordering::Relaxed);
         counters.backpressure_waits.fetch_add(2, Ordering::Relaxed);
@@ -751,32 +744,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_survives_a_panicked_lock_holder() {
-        let registry = Arc::new(TelemetryRegistry::default());
-        registry.register("alpha", Arc::new(TenantCounters::new(1)));
-        registry.set_meta("alpha", "by_tenant".to_string(), 64);
-        // poison both registry mutexes the way a panicking shard would
-        for _ in 0..2 {
-            let poisoner = Arc::clone(&registry);
-            let _ = std::thread::spawn(move || {
-                let _tenants = poisoner.tenants.lock().unwrap();
-                let _meta = poisoner.meta.lock().unwrap();
-                panic!("shard dies while holding the registry");
-            })
-            .join();
-        }
-        assert!(registry.tenants.lock().is_err(), "lock really is poisoned");
-        // the registry recovers the inner data instead of cascading
-        registry.register("beta", Arc::new(TenantCounters::new(1)));
-        registry.set_meta("beta", "by_flow".to_string(), 32);
-        let report = registry.snapshot();
-        assert!(report.tenant("alpha").is_some());
-        assert_eq!(report.tenant("beta").unwrap().sharding_mode, "by_flow");
-    }
-
-    #[test]
     fn snapshot_seq_is_monotone_and_ignored_by_equality() {
-        let registry = TelemetryRegistry::default();
+        let mut registry = TelemetryRegistry::default();
         registry.register("t", Arc::new(TenantCounters::new(1)));
         let first = registry.snapshot();
         let second = registry.snapshot();

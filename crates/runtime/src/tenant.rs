@@ -82,4 +82,9 @@ impl ShardingMode {
             ShardingMode::ByFlow { key_fields } => format!("by_flow:{}", key_fields.join("+")),
         }
     }
+
+    /// Whether a [`label`](ShardingMode::label) names a flow-sharded mode.
+    pub(crate) fn is_by_flow_label(label: &str) -> bool {
+        label.starts_with("by_flow")
+    }
 }

@@ -121,8 +121,9 @@ pub struct Topology {
     /// Sparse health overlay: only nodes that ever left `Up` appear here.
     health: BTreeMap<usize, NodeHealth>,
     /// Bumped on every effective health transition; two equal values bracket
-    /// a window in which every node's health was provably unchanged (the
-    /// planner's warm re-pin checks this instead of diffing the overlay).
+    /// a window in which every node's health was provably unchanged
+    /// (`Controller::fail_device`/`restore_device` compare it to tell whether
+    /// the call changed anything, instead of diffing the overlay).
     health_version: u64,
 }
 
@@ -233,7 +234,7 @@ impl Topology {
     /// Mark a node's health.  Path enumeration skips `Down` nodes, so a
     /// subsequent placement solve routes around them.  Bumps
     /// [`health_version`](Self::health_version) only on an effective
-    /// transition, so idempotent re-marks stay invisible to warm re-pins.
+    /// transition, so an idempotent re-mark reads as no change.
     pub fn set_node_health(&mut self, id: NodeId, health: NodeHealth) {
         let changed = match health {
             NodeHealth::Up => self.health.remove(&id.0).is_some(),

@@ -15,7 +15,9 @@
 //! Devices merged into one EC are physically interchangeable for placement
 //! (Appendix B.2 proves any non-random allocator assigns them identical
 //! snippets), so the placement DP only has to consider one representative per
-//! EC — this is what lets it scale to ~1,000 switches.
+//! EC.  That is meant to let it scale to ~1,000 switches, which is
+//! unverified: `fig14_scalability` times chains of at most 10 devices, and
+//! no test or bench plans on a fat-tree with k above 4 (ROADMAP item 17).
 
 use crate::graph::{NodeId, Tier, Topology};
 use crate::paths::enumerate_paths;

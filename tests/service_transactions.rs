@@ -486,7 +486,7 @@ fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
         let service = fresh();
         // the knob: a KVS tenant would flow-shard if the mode were derived
         let handles = front_end(&service, "t0").unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(handles[0].sharding_mode(), &ShardingMode::ByTenant, "{name}");
+        assert_eq!(handles[0].sharding_mode(), ShardingMode::ByTenant, "{name}");
         pinned(&service, "t0", name);
         // the chain: a full house refuses the next arrival, mutating nothing
         service.set_admission_policy(MaxTenants { max_tenants: 1 });
@@ -518,7 +518,7 @@ fn no_front_end_is_a_side_door_around_the_chain_or_the_sharding_knob() {
     pinned(&service, "t1", "replace_tenant's restore");
     service.set_admission_policy(PolicyChain::new());
     let replaced = service.replace_tenant("t1").expect("re-places");
-    assert_eq!(replaced.sharding_mode(), &ShardingMode::ByTenant);
+    assert_eq!(replaced.sharding_mode(), ShardingMode::ByTenant);
     pinned(&service, "t1", "replace_tenant");
 
     // fail → re-place: refused by the chain, the tenant parks
