@@ -180,10 +180,6 @@ fn serve(
     house::warm_cache(hot, config.cached_keys);
 
     let mut adaptive = AdaptiveRuntime::new(config.policy.clone());
-    if config.adapt {
-        adaptive.track(&service, "hot_kvs");
-        adaptive.track(&service, "bg_agg");
-    }
     let mut actions: Vec<String> = Vec::new();
     let mut step = |adaptive: &mut AdaptiveRuntime| {
         if !config.adapt {
@@ -192,7 +188,7 @@ fn serve(
         // exact telemetry at the epoch boundary: drain everything in flight
         service.flush();
         let outcome = adaptive.step(&service);
-        actions.extend(outcome.tick.actions.iter().map(|a| a.to_string()));
+        actions.extend(outcome.actions.iter().map(|a| a.to_string()));
     };
 
     let requests = WARM_REQUESTS + 2 * SURGE_REQUESTS;

@@ -5,7 +5,7 @@
 //!
 //! 1. **pre** — both tenants serve; a baseline admit ratio is recorded;
 //! 2. **fault window** — a seeded [`FaultPlan`] marks one of the victim's
-//!    devices [`DeviceDown`](clickinc_runtime::FaultKind::DeviceDown) on the
+//!    devices [`Down`](clickinc_runtime::DeviceHealth::Down) on the
 //!    workload's virtual clock, mid-injection: packets that reach the dead
 //!    device from that instant on are lost and surface as the victim's
 //!    `fault_lost_packets`;
@@ -31,7 +31,7 @@ use crate::adaptive::PhaseStats;
 use crate::house::{self, physical_devices_of};
 use clickinc::ClickIncError;
 use clickinc_runtime::{
-    EngineConfig, FaultInjector, FaultKind, FaultPlan, OverloadPolicy, TenantStats,
+    DeviceHealth, EngineConfig, FaultInjector, FaultPlan, OverloadPolicy, TenantStats,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -204,7 +204,7 @@ pub fn serve_failover_scenario(
     let fault_vtime_ns = (REQUESTS_PER_PHASE as f64 / config.rate_pps * 1e9 / 4.0) as u64;
     let mut faults = FaultPlan::new();
     if config.fail {
-        faults = faults.at(fault_vtime_ns, fault_device.clone(), FaultKind::DeviceDown);
+        faults = faults.at(fault_vtime_ns, fault_device.clone(), DeviceHealth::Down);
     }
     let faulted = run_victim(2, faults).expect("victim still deployed");
     run_bystander(bg_chunk);

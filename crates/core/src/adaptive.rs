@@ -1,15 +1,22 @@
 //! The service-level adaptive runtime: the telemetry-driven reconfiguration
-//! loop ([`clickinc_runtime::adaptive`]) wired to the full control plane.
+//! loop, run at service scope over the tenants the service serves.
 //!
-//! The engine-level [`AdaptiveController`] only knows what it is told — which
-//! tenants exist and what sharding their state profiles admit — and what
-//! each telemetry snapshot shows: every tenant's counters, live sharding mode
-//! and ingress budget, stamped under the engine's one lock.  This module
-//! closes the remaining gaps:
+//! The decision lives in [`clickinc_runtime::adaptive`]: an
+//! [`AdaptiveController`] turns a telemetry snapshot into typed actions.
+//! This module runs the loop around it — [`AdaptiveRuntime::step`] is the
+//! whole turn:
 //!
+//! * **Who is adapted** is read from the service itself, never kept in a
+//!   list of its own: every tenant the controller runs and the engine hosts,
+//!   named with its numeric id.  A removed tenant draws no action and no
+//!   fair-share slot; a re-placed one (adaptive or failover) carries a new
+//!   numeric id and starts a fresh history.
 //! * **Eligibility** comes from the same state-profile analysis
-//!   ([`crate::sharding::sharding_mode_for`]) that gates every deploy, so the
-//!   loop can never flow-shard a tenant the verifier classified as pinned;
+//!   ([`crate::sharding::sharding_mode_for`]) that gates every deploy, run
+//!   on the tenant's current hops, so the loop can never flow-shard a tenant
+//!   the verifier classified as pinned;
+//! * **Reshards and budget resizes** are applied on the engine alone — the
+//!   controller's ledger and images do not move;
 //! * **Replans** are routed through [`ClickIncService::replace_tenant`] —
 //!   the service's one admission pipeline — and a refused re-placement
 //!   restores the original deployment instead of dropping the tenant.
@@ -31,94 +38,123 @@
 //! service.deploy(request).unwrap();
 //! // …and the control loop spreads tenants only under observed saturation
 //! let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
-//! adaptive.track(&service, "kvs0");
 //! let outcome = adaptive.step(&service); // baseline epoch: observes, acts later
-//! assert!(outcome.tick.actions.is_empty());
+//! assert!(outcome.actions.is_empty());
 //! service.finish();
 //! ```
 
 use crate::service::ClickIncService;
 use crate::sharding::sharding_mode_for;
-use clickinc_runtime::adaptive::{AdaptiveController, AdaptivePolicy, AdaptiveTick};
+use crate::ClickIncError;
+use clickinc_runtime::adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy};
+use clickinc_runtime::ShardingMode;
+use std::collections::BTreeMap;
 
 /// What one [`AdaptiveRuntime::step`] observed and did, service-wide.
 #[derive(Debug)]
 pub struct AdaptiveOutcome {
-    /// The engine-level tick: every decided action plus the reshards and
-    /// budget resizes already applied.
-    pub tick: AdaptiveTick,
+    /// The loop epoch this step closed (1-based; the first step only
+    /// establishes the baseline snapshot and decides nothing).
+    pub epoch: u64,
+    /// Sequence number of the snapshot this step decided on.
+    pub snapshot_seq: u64,
+    /// Every action the policy decided on this epoch.
+    pub actions: Vec<AdaptAction>,
+    /// The reshards and budget resizes applied on the engine.
+    pub applied: Vec<AdaptAction>,
     /// Tenants successfully re-placed through the gated plan/commit chain.
     pub replaced: Vec<String>,
     /// Re-placements the chain refused (verification, placement or admission
     /// policy); the original deployment was restored in each case.
-    pub refused: Vec<(String, crate::ClickIncError)>,
+    pub refused: Vec<(String, ClickIncError)>,
 }
 
 impl AdaptiveOutcome {
     /// Whether the step changed anything — resharded, resized or re-placed.
     pub fn acted(&self) -> bool {
-        !self.tick.applied.is_empty() || !self.replaced.is_empty()
+        !self.applied.is_empty() || !self.replaced.is_empty()
     }
 }
 
-/// The adaptive runtime at service scope: owns an engine-level
-/// [`AdaptiveController`] and mediates between it and the
-/// [`ClickIncService`]'s controller.  See the [module docs](self).
+/// The adaptive runtime at service scope: owns the [`AdaptiveController`]
+/// that decides and applies what it decides to the [`ClickIncService`].
+/// See the [module docs](self).
 #[derive(Debug)]
 pub struct AdaptiveRuntime {
     controller: AdaptiveController,
 }
 
 impl AdaptiveRuntime {
-    /// A loop with the given thresholds, tracking no tenants yet.
+    /// A loop with the given thresholds and no history yet.
     pub fn new(policy: AdaptivePolicy) -> AdaptiveRuntime {
         AdaptiveRuntime { controller: AdaptiveController::new(policy) }
     }
 
-    /// The engine-level control loop (for inspection).
+    /// The decision half of the loop (for inspection).
     pub fn controller(&self) -> &AdaptiveController {
         &self.controller
     }
 
-    /// Start adapting a deployed tenant.  Its *eligibility* — the most
-    /// parallel sharding its state profile admits — is derived from the live
-    /// deployment's hops with the same analysis every deploy runs; the mode
-    /// it runs under is read from each step's telemetry snapshot.  Unknown
-    /// tenants are ignored.
-    pub fn track(&mut self, service: &ClickIncService, user: &str) {
-        let hops = service.controller().tenant_hops(user);
-        if hops.is_empty() {
-            return;
-        }
-        self.controller.track(user, sharding_mode_for(&hops));
-    }
-
-    /// Stop adapting a tenant (e.g. after its removal).
-    pub fn forget(&mut self, user: &str) {
-        self.controller.forget(user);
-    }
-
-    /// One control-loop turn: snapshot the engine's telemetry, decide and
-    /// apply engine-level actions (reshards and budget resizes happen on the
-    /// engine alone — the controller's ledger and images do not move), and
-    /// route every `Replan` through [`ClickIncService::replace_tenant`] —
-    /// the verifier and admission chain gate each re-placement, and a
-    /// refusal restores the original deployment.
+    /// One control-loop turn: name the tenants the service serves (numeric
+    /// id and eligibility each), snapshot the engine's telemetry, decide,
+    /// apply reshards and budget resizes on the engine, and route every
+    /// `Replan` through [`ClickIncService::replace_tenant`] — the verifier
+    /// and admission chain gate each re-placement, and a refusal restores
+    /// the original deployment.
     pub fn step(&mut self, service: &ClickIncService) -> AdaptiveOutcome {
-        let tick = self.controller.step(&service.engine_handle());
-        let mut replaced = Vec::new();
-        let mut refused = Vec::new();
-        for action in &tick.replans {
-            let user = action.user().to_string();
-            // re-placed or, on a refusal, restored: either way a fresh
-            // deployment, whose mode the next snapshot reports
-            self.controller.note_replaced(&user);
-            match service.replace_tenant(&user) {
-                Ok(_) => replaced.push(user),
-                Err(err) => refused.push((user, err)),
+        let engine = service.engine_handle();
+        let (served, report) = {
+            let controller = service.controller();
+            let served: BTreeMap<String, (i64, ShardingMode)> = controller
+                .active_users()
+                .into_iter()
+                .filter(|user| engine.sharding_mode(user).is_some())
+                .filter_map(|user| {
+                    let numeric_id = controller.numeric_id_of(user)?;
+                    let eligible = sharding_mode_for(&controller.tenant_hops(user));
+                    Some((user.to_string(), (numeric_id, eligible)))
+                })
+                .collect();
+            (served, engine.telemetry())
+        };
+        let capacity = engine.queue_capacity() as u64;
+        let actions = self.controller.decide(&report, &served, capacity, engine.shards());
+        // the engine-level actions first, then the re-placements: each
+        // replaces a deployment, so nothing decided this epoch lands on its
+        // successor
+        let mut applied = Vec::new();
+        let mut replans = Vec::new();
+        for action in &actions {
+            let done = match action {
+                AdaptAction::Reshard { user, to, .. } => engine.reshard_tenant(user, to.clone()),
+                AdaptAction::ResizeBudget { user, budget, .. } => {
+                    engine.set_tenant_budget(user, *budget)
+                }
+                AdaptAction::Replan { user, .. } => {
+                    replans.push(user.as_str());
+                    false
+                }
+            };
+            if done {
+                applied.push(action.clone());
             }
         }
-        AdaptiveOutcome { tick, replaced, refused }
+        let mut replaced = Vec::new();
+        let mut refused = Vec::new();
+        for user in replans {
+            match service.replace_tenant(user) {
+                Ok(_) => replaced.push(user.to_string()),
+                Err(err) => refused.push((user.to_string(), err)),
+            }
+        }
+        AdaptiveOutcome {
+            epoch: self.controller.epoch(),
+            snapshot_seq: report.snapshot_seq,
+            actions,
+            applied,
+            replaced,
+            refused,
+        }
     }
 }
 
@@ -142,9 +178,13 @@ mod tests {
     }
 
     fn kvs_request(user: &str) -> ServiceRequest {
+        kvs_request_from(user, "pod0a")
+    }
+
+    fn kvs_request_from(user: &str, source: &str) -> ServiceRequest {
         ServiceRequest::builder(user)
             .template(kvs_template(user, KvsParams { cache_depth: 1000, ..Default::default() }))
-            .from_("pod0a")
+            .from_(source)
             .to("pod2b")
             .build()
             .expect("valid request")
@@ -173,18 +213,17 @@ mod tests {
         let numeric_id = tenant.numeric_id();
 
         let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
-        adaptive.track(&service, "kvs0");
-        assert!(adaptive.step(&service).tick.actions.is_empty(), "baseline epoch");
+        assert!(adaptive.step(&service).actions.is_empty(), "baseline epoch");
 
         // a 4096-packet burst against a 64-deep single home shard sheds hard
         saturate(&service, "kvs0", numeric_id, 4096);
         let outcome = adaptive.step(&service);
-        assert!(outcome.acted(), "the loop reacted: {:?}", outcome.tick.actions);
-        let resharded = outcome.tick.applied.iter().any(|a| {
+        assert!(outcome.acted(), "the loop reacted: {:?}", outcome.actions);
+        let resharded = outcome.applied.iter().any(|a| {
             matches!(a, AdaptAction::Reshard { user, to, .. }
                 if user == "kvs0" && to.is_by_flow())
         });
-        assert!(resharded, "the KVS tenant spread across shards: {:?}", outcome.tick.applied);
+        assert!(resharded, "the KVS tenant spread across shards: {:?}", outcome.applied);
         assert!(
             service.engine_handle().sharding_mode("kvs0").expect("live").is_by_flow(),
             "the engine really moved"
@@ -203,7 +242,6 @@ mod tests {
         let tenant = service.deploy(kvs_request("kvs0")).expect("deploys");
         assert_eq!(tenant.sharding_mode(), ShardingMode::ByTenant);
         let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
-        adaptive.track(&service, "kvs0");
         adaptive.step(&service);
         saturate(&service, "kvs0", tenant.numeric_id(), 4096);
         assert!(adaptive.step(&service).acted());
@@ -220,7 +258,6 @@ mod tests {
         let numeric_id = tenant.numeric_id();
         let device = tenant.hops().first().expect("has hops").device.clone();
         let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
-        adaptive.track(&service, "kvs0");
         adaptive.step(&service); // baseline epoch
 
         // a dead device on the route loses packets: the fault telemetry must
@@ -230,7 +267,7 @@ mod tests {
         let stats = service.telemetry().tenant("kvs0").cloned().expect("tracked");
         assert!(stats.fault_lost_packets > 0, "losses recorded: {stats:?}");
         let outcome = adaptive.step(&service);
-        assert_eq!(outcome.replaced, vec!["kvs0".to_string()], "{:?}", outcome.tick.actions);
+        assert_eq!(outcome.replaced, vec!["kvs0".to_string()], "{:?}", outcome.actions);
         assert!(service.active_users().contains(&"kvs0".to_string()));
         service.engine_handle().set_device_health(&device, clickinc_runtime::DeviceHealth::Up);
         service.finish();
@@ -242,36 +279,72 @@ mod tests {
         service.set_initial_sharding(InitialSharding::Pinned);
         let tenant = service.deploy(kvs_request("kvs0")).expect("deploys");
         let numeric_id = tenant.numeric_id();
-        // an ineligible profile forces the loop straight to replans: claim
-        // the tenant only admits ByTenant by tracking it directly
+        // the reshard lever comes first: once the tenant is flow-sharded, the
+        // loop is out of engine-level levers and the next saturated epoch
+        // escalates straight to a replan
         let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy {
             replan_epochs: 1,
             cooldown_epochs: 0,
             ..Default::default()
         });
-        adaptive.track(&service, "kvs0");
-        // overwrite the derived eligibility with a pinned one
-        adaptive.controller.track("kvs0", ShardingMode::ByTenant);
         adaptive.step(&service);
+        let reshard_then_replan = |adaptive: &mut AdaptiveRuntime, numeric_id| {
+            saturate(&service, "kvs0", numeric_id, 4096);
+            let outcome = adaptive.step(&service);
+            assert!(
+                outcome.applied.iter().any(|a| matches!(a, AdaptAction::Reshard { .. })),
+                "{:?}",
+                outcome.actions
+            );
+            saturate(&service, "kvs0", numeric_id, 4096);
+            adaptive.step(&service)
+        };
 
         // with an admit-everything policy the replan succeeds
-        saturate(&service, "kvs0", numeric_id, 4096);
-        let outcome = adaptive.step(&service);
-        assert_eq!(outcome.replaced, vec!["kvs0".to_string()], "{:?}", outcome.tick.actions);
+        let outcome = reshard_then_replan(&mut adaptive, numeric_id);
+        assert_eq!(outcome.replaced, vec!["kvs0".to_string()], "{:?}", outcome.actions);
         assert!(service.active_users().contains(&"kvs0".to_string()));
         let new_id = service.controller().numeric_id_of("kvs0").expect("redeployed");
         assert_ne!(new_id, numeric_id, "a re-placement mints a fresh numeric id");
 
         // with a reject-everything policy the replan is refused and the
-        // deployment restored rather than dropped
+        // deployment restored rather than dropped; the re-placed tenant's
+        // history started afresh, so it reshards before it escalates again
         service.set_admission_policy(crate::policy::MaxTenants { max_tenants: 0 });
-        saturate(&service, "kvs0", new_id, 4096);
-        let outcome = adaptive.step(&service);
-        assert!(!outcome.refused.is_empty(), "the gate refused: {:?}", outcome.tick.actions);
+        let outcome = reshard_then_replan(&mut adaptive, new_id);
+        assert!(!outcome.refused.is_empty(), "the gate refused: {:?}", outcome.actions);
         assert!(
             service.active_users().contains(&"kvs0".to_string()),
             "a refused re-placement must not drop the tenant"
         );
+        service.finish();
+    }
+
+    #[test]
+    fn a_removed_tenant_draws_no_action_and_holds_no_fair_share() {
+        let service = service();
+        service.set_initial_sharding(InitialSharding::Pinned);
+        let kvs0 = service.deploy(kvs_request("kvs0")).expect("deploys");
+        service.deploy(kvs_request_from("kvs1", "pod0b")).expect("deploys");
+        let mut adaptive = AdaptiveRuntime::new(AdaptivePolicy::default());
+        adaptive.step(&service);
+        service.remove("kvs1").expect("removes");
+
+        saturate(&service, "kvs0", kvs0.numeric_id(), 4096);
+        let outcome = adaptive.step(&service);
+        assert!(!outcome.actions.is_empty(), "the saturated tenant is adapted");
+        assert!(
+            outcome.actions.iter().all(|a| a.user() == "kvs0"),
+            "only the served tenant is named: {:?}",
+            outcome.actions
+        );
+        assert!(
+            outcome.actions.iter().all(|a| !matches!(a, AdaptAction::ResizeBudget { .. })),
+            "the lone tenant's fair share is the whole pool: {:?}",
+            outcome.actions
+        );
+        let stats = service.telemetry().tenant("kvs0").cloned().expect("live");
+        assert_eq!(stats.queue_budget, 4 * 64, "no credits held back for the departed tenant");
         service.finish();
     }
 }

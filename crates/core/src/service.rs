@@ -254,10 +254,13 @@ impl Shared {
     /// [`ClickIncService::remove`] and [`TenantHandle::remove`]: un-park,
     /// quiesce, then hand the freed capacity to the retry queue — one
     /// critical section, so no arrival can slip between the departure and
-    /// the waiters it admits.
+    /// the waiters it admits.  A parked tenant holds nothing: un-parking it
+    /// is the whole removal, with nothing to quiesce and no capacity freed.
     fn remove(self: &Arc<Self>, user: &str) -> Result<DeploymentDelta, ClickIncError> {
         let mut state = self.lock();
-        state.degraded.remove(user);
+        if state.degraded.remove(user).is_some() && state.controller.deployment(user).is_none() {
+            return Ok(DeploymentDelta::default());
+        }
         let delta = self.quiesce(&mut state, user)?;
         self.drain_retries(&mut state);
         Ok(delta)
@@ -355,12 +358,17 @@ impl RetryQueue {
         self.entries.push(RetryEntry { seq, request });
     }
 
-    /// Remove and return every entry, highest priority first (FIFO within a
-    /// priority level).
+    /// Every entry in drain order: highest priority first, FIFO within a
+    /// priority level.
+    fn ordered(&mut self) -> &[RetryEntry] {
+        self.entries.sort_by_key(|e| (std::cmp::Reverse(e.request.priority), e.seq));
+        &self.entries
+    }
+
+    /// Remove and return every entry, in drain order.
     fn take_ordered(&mut self) -> Vec<RetryEntry> {
-        let mut entries = std::mem::take(&mut self.entries);
-        entries.sort_by_key(|e| (std::cmp::Reverse(e.request.priority), e.seq));
-        entries
+        self.ordered();
+        std::mem::take(&mut self.entries)
     }
 }
 
@@ -536,16 +544,7 @@ impl ClickIncService {
     /// Users waiting in the admission retry queue, in drain order (highest
     /// priority first).
     pub fn queued_users(&self) -> Vec<String> {
-        let mut entries: Vec<(u8, u64, String)> = self
-            .shared
-            .lock()
-            .retry
-            .entries
-            .iter()
-            .map(|e| (e.request.priority, e.seq, e.request.user.clone()))
-            .collect();
-        entries.sort_by_key(|(priority, seq, _)| (std::cmp::Reverse(*priority), *seq));
-        entries.into_iter().map(|(_, _, user)| user).collect()
+        self.shared.lock().retry.ordered().iter().map(|e| e.request.user.clone()).collect()
     }
 
     /// Deploy a batch of requests with **all-or-nothing** semantics: members
@@ -585,11 +584,12 @@ impl ClickIncService {
     /// Remove a tenant by user id: release its resources, strike it from the
     /// device images, quiesce and uninstall it on the engine — exactly what
     /// [`TenantHandle::remove`] does, for when the handle is out of reach.
-    /// A parked ([`ClickIncError::Degraded`]) tenant is un-parked too, so it
-    /// will not resurrect on the next restore.  A successful removal frees
-    /// capacity, so the admission retry queue is drained before the lock is
-    /// released: queued requests that now pass admission start serving
-    /// (callers that want their handles should call
+    /// A parked ([`ClickIncError::Degraded`]) tenant is un-parked, so it
+    /// will not resurrect on the next restore; it held nothing, so its
+    /// removal returns an empty [`DeploymentDelta`].  Removing a live
+    /// tenant frees capacity, so the admission retry queue is drained before
+    /// the lock is released: queued requests that now pass admission start
+    /// serving (callers that want their handles should call
     /// [`drain_retries`](ClickIncService::drain_retries) themselves).
     pub fn remove(&self, user: &str) -> Result<DeploymentDelta, ClickIncError> {
         self.shared.remove(user)
@@ -1045,6 +1045,29 @@ mod tests {
         assert_eq!(restore.recovered, vec!["kvs0".to_string()]);
         assert!(service.degraded_tenants().is_empty());
         assert!(service.active_users().contains(&"kvs0".to_string()));
+        service.finish();
+    }
+
+    #[test]
+    fn removing_a_parked_tenant_succeeds_and_it_stays_gone() {
+        let service = service();
+        service.deploy(kvs_request("kvs0")).expect("deploys");
+        let device = {
+            let c = service.controller();
+            let id = *c.devices_of("kvs0").first().expect("placed somewhere");
+            c.topology().node(id).name.clone()
+        };
+        service.set_admission_policy(crate::policy::MaxTenants { max_tenants: 0 });
+        service.fail_device(&device).expect("fails");
+        assert_eq!(service.degraded_tenants(), vec!["kvs0".to_string()]);
+        let delta = service.remove("kvs0").expect("a parked tenant removes");
+        assert_eq!(delta, DeploymentDelta::default(), "it held nothing");
+        assert!(service.degraded_tenants().is_empty());
+        // policy lifted: the restore has nobody to bring back
+        service.set_admission_policy(PolicyChain::new());
+        let restore = service.restore_device(&device).expect("restores");
+        assert!(restore.recovered.is_empty() && restore.fully_recovered());
+        assert!(service.active_users().is_empty());
         service.finish();
     }
 

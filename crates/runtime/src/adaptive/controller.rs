@@ -1,18 +1,21 @@
-//! The control loop: snapshot → delta → decide → apply.
+//! The control loop's decision: snapshot delta → actions.
 
 use crate::adaptive::actions::{AdaptAction, Saturation};
 use crate::adaptive::budget::fair_budgets;
 use crate::adaptive::policy::{AdaptivePolicy, EpochDelta, TenantDelta};
-use crate::engine::EngineHandle;
 use crate::telemetry::TelemetryReport;
 use crate::tenant::ShardingMode;
 use std::collections::BTreeMap;
 
-/// What the controller remembers about one tracked tenant: what the engine
-/// cannot tell it.  The tenant's live mode and budget are not here — each
-/// epoch reads them from the snapshot it decides on.
+/// What the controller remembers about one served deployment: what the
+/// engine cannot tell it.  The tenant's live mode and budget are not here —
+/// each epoch reads them from the snapshot it decides on.  A profile lives
+/// exactly as long as the deployment it describes: a new numeric id under
+/// the same name is a new deployment and starts from a fresh one.
 #[derive(Debug, Clone)]
 struct Profile {
+    /// The numeric id of the deployment this history belongs to.
+    numeric_id: i64,
     /// The most parallel mode the tenant's state profile admits (derived by
     /// the service layer's `sharding_mode_for` analysis).  A `Reshard` never
     /// targets anything this does not allow.
@@ -28,32 +31,17 @@ struct Profile {
     idle_epochs: u64,
 }
 
-/// What one control-loop step observed and did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveTick {
-    /// The loop epoch this tick closed (1-based; the first tick only
-    /// establishes the baseline snapshot and decides nothing).
-    pub epoch: u64,
-    /// Sequence number of the snapshot this tick observed.
-    pub snapshot_seq: u64,
-    /// Every action the policy decided on this epoch.
-    pub actions: Vec<AdaptAction>,
-    /// The subset applied directly on the engine (reshards, budget resizes).
-    pub applied: Vec<AdaptAction>,
-    /// `Replan` actions deferred to the service layer, which must route them
-    /// through plan/commit so the verifier and admission chain gate them.
-    pub replans: Vec<AdaptAction>,
-}
-
-/// The telemetry-driven reconfiguration loop.  Pure decision logic lives in
-/// [`decide`](AdaptiveController::decide); [`step`](AdaptiveController::step)
-/// wraps it with a snapshot and applies the engine-level actions.
+/// The telemetry-driven reconfiguration decision.  [`decide`] is pure apart
+/// from the per-deployment history it keeps (cooldowns, saturation and idle
+/// streaks); the service layer (`clickinc::AdaptiveRuntime::step`) takes the
+/// snapshot, names the tenants it serves, and applies what is decided.
 ///
 /// The controller deliberately does not own a thread or a timer: the caller
-/// (a serving loop, a bench harness, the service facade) invokes `step` at
-/// whatever cadence fits — between workload phases, on a wall-clock tick, or
-/// after every N injected batches.  That keeps every experiment
-/// deterministic and the loop trivially testable.
+/// decides at whatever cadence fits — between workload phases, on a
+/// wall-clock tick, or after every N injected batches.  That keeps every
+/// experiment deterministic and the loop trivially testable.
+///
+/// [`decide`]: AdaptiveController::decide
 #[derive(Debug)]
 pub struct AdaptiveController {
     policy: AdaptivePolicy,
@@ -63,7 +51,7 @@ pub struct AdaptiveController {
 }
 
 impl AdaptiveController {
-    /// A controller with the given thresholds, tracking no tenants yet.
+    /// A controller with the given thresholds and no history yet.
     pub fn new(policy: AdaptivePolicy) -> AdaptiveController {
         AdaptiveController { policy, profiles: BTreeMap::new(), prev: None, epoch: 0 }
     }
@@ -73,55 +61,44 @@ impl AdaptiveController {
         &self.policy
     }
 
-    /// Track a tenant with the most parallel mode its state profile admits.
-    /// The loop only ever reshards within `eligible` — an ineligible tenant
-    /// (`eligible == ByTenant`) is never flow-sharded, no matter how
-    /// saturated it gets.  The mode it runs under now is read from each
-    /// epoch's snapshot.
-    pub fn track(&mut self, user: &str, eligible: ShardingMode) {
-        self.profiles.insert(
-            user.to_string(),
-            Profile {
-                eligible,
+    /// The loop epoch the last [`decide`](AdaptiveController::decide) closed
+    /// (1-based; the first only establishes the baseline snapshot).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Close an epoch: compute deltas against the previous snapshot and
+    /// decide on actions.  Pure — nothing is applied; the per-deployment
+    /// history (cooldowns, saturation streaks) *is* advanced.
+    ///
+    /// `served` names every tenant being served now, with its numeric id and
+    /// the most parallel mode its state profile admits; the loop only ever
+    /// reshards within that mode.  It is the loop's whole tenant set: a
+    /// name missing from it loses its history and draws no action and no
+    /// fair-share slot, and a name whose numeric id changed (a re-placement)
+    /// starts from a fresh history.  Each tenant's live sharding mode and
+    /// ingress budget are read from `report` (its `sharding_mode` label and
+    /// `queue_budget`), which the engine stamps under the same lock that
+    /// guards its routes.  `capacity` is the per-shard queue bound and
+    /// `shards` the worker count.
+    pub fn decide(
+        &mut self,
+        report: &TelemetryReport,
+        served: &BTreeMap<String, (i64, ShardingMode)>,
+        capacity: u64,
+        shards: usize,
+    ) -> Vec<AdaptAction> {
+        self.profiles.retain(|user, p| served.get(user).is_some_and(|(id, _)| *id == p.numeric_id));
+        for (user, (numeric_id, eligible)) in served {
+            self.profiles.entry(user.clone()).or_insert_with(|| Profile {
+                numeric_id: *numeric_id,
+                eligible: eligible.clone(),
                 resharded_by_loop: false,
                 last_reshard_epoch: None,
                 saturated_epochs: 0,
                 idle_epochs: 0,
-            },
-        );
-    }
-
-    /// Stop tracking a tenant (removed from the engine).
-    pub fn forget(&mut self, user: &str) {
-        self.profiles.remove(user);
-    }
-
-    /// Record that the service re-placed (or otherwise re-deployed) a
-    /// tenant: reset its saturation history.  Its new mode shows in the
-    /// next snapshot.
-    pub fn note_replaced(&mut self, user: &str) {
-        if let Some(profile) = self.profiles.get_mut(user) {
-            profile.resharded_by_loop = false;
-            profile.saturated_epochs = 0;
-            profile.idle_epochs = 0;
+            });
         }
-    }
-
-    /// Close an epoch: compute deltas against the previous snapshot and
-    /// decide on actions.  Pure — nothing is applied; the internal per-tenant
-    /// history (cooldowns, saturation streaks) *is* advanced.
-    ///
-    /// Each tenant's live sharding mode and ingress budget are read from
-    /// `report` (its `sharding_mode` label and `queue_budget`), which the
-    /// engine stamps under the same lock that guards its routes.  `capacity`
-    /// is the per-shard queue bound and `shards` the worker count — engine
-    /// facts [`step`](AdaptiveController::step) passes along.
-    pub fn decide(
-        &mut self,
-        report: &TelemetryReport,
-        capacity: u64,
-        shards: usize,
-    ) -> Vec<AdaptAction> {
         self.epoch += 1;
         let Some(prev) = self.prev.replace(report.clone()) else {
             // first observation: baseline only
@@ -209,7 +186,7 @@ impl AdaptiveController {
                 profile.saturated_epochs = 0;
             }
         }
-        // second lever: rebalance every tracked tenant's ingress budget to
+        // second lever: rebalance every served tenant's ingress budget to
         // its weighted fair share of the aggregate capacity
         if rebalance {
             let total = capacity.saturating_mul(shards as u64);
@@ -223,34 +200,6 @@ impl AdaptiveController {
             }
         }
         actions
-    }
-
-    /// One full control-loop turn against a live engine: snapshot the
-    /// telemetry, decide, apply the engine-level actions (reshards and
-    /// budget resizes), and hand `Replan`s back for the service layer.
-    pub fn step(&mut self, engine: &EngineHandle) -> AdaptiveTick {
-        let report = engine.telemetry();
-        let capacity = engine.queue_capacity() as u64;
-        let snapshot_seq = report.snapshot_seq;
-        let actions = self.decide(&report, capacity, engine.shards());
-        let mut applied = Vec::new();
-        let mut replans = Vec::new();
-        for action in &actions {
-            match action {
-                AdaptAction::Reshard { user, to, .. } => {
-                    if engine.reshard_tenant(user, to.clone()) {
-                        applied.push(action.clone());
-                    }
-                }
-                AdaptAction::ResizeBudget { user, budget, .. } => {
-                    if engine.set_tenant_budget(user, *budget) {
-                        applied.push(action.clone());
-                    }
-                }
-                AdaptAction::Replan { .. } => replans.push(action.clone()),
-            }
-        }
-        AdaptiveTick { epoch: self.epoch, snapshot_seq, actions, applied, replans }
     }
 }
 
@@ -288,6 +237,8 @@ mod tests {
         /// at registration and after every reshard or resize, as the engine
         /// does.
         meta: BTreeMap<String, (ShardingMode, u64)>,
+        /// The served tenants, with their numeric ids and eligible modes.
+        served: BTreeMap<String, (i64, ShardingMode)>,
         controller: AdaptiveController,
     }
 
@@ -296,16 +247,17 @@ mod tests {
             let mut registry = TelemetryRegistry::default();
             let mut counters = BTreeMap::new();
             let mut meta = BTreeMap::new();
-            let mut controller = AdaptiveController::new(policy);
-            for (user, current, eligible) in tenants {
+            let mut served = BTreeMap::new();
+            for (numeric_id, (user, current, eligible)) in (1..).zip(tenants) {
                 let block = Arc::new(TenantCounters::new(1));
                 registry.register(user, Arc::clone(&block));
                 registry.set_meta(user, current.label(), CAP * SHARDS as u64);
                 counters.insert(user.to_string(), block);
                 meta.insert(user.to_string(), (current.clone(), CAP * SHARDS as u64));
-                controller.track(user, eligible.clone());
+                served.insert(user.to_string(), (numeric_id, eligible.clone()));
             }
-            Harness { registry, counters, meta, controller }
+            let controller = AdaptiveController::new(policy);
+            Harness { registry, counters, meta, served, controller }
         }
 
         /// The mode the registry exports for a tenant.
@@ -321,7 +273,7 @@ mod tests {
 
         fn tick(&mut self) -> Vec<AdaptAction> {
             let report = self.registry.snapshot();
-            let actions = self.controller.decide(&report, CAP, SHARDS);
+            let actions = self.controller.decide(&report, &self.served, CAP, SHARDS);
             for action in &actions {
                 let Some((mode, budget)) = self.meta.get_mut(action.user()) else { continue };
                 match action {
@@ -481,7 +433,7 @@ mod tests {
         h.offer("gone", 100, 90);
         h.counters["gone"].note_fault_loss(1_000);
         h.offer("stays", 1000, 0);
-        h.controller.forget("gone");
+        h.served.remove("gone");
         let actions = h.tick();
         assert!(
             actions.iter().all(|a| a.user() != "gone"),
@@ -489,15 +441,16 @@ mod tests {
         );
         // and the inverse staleness: a tracked tenant missing from the delta
         // (snapshot raced its registration) takes the idle path, not a panic
-        h.controller.track("unregistered", by_key());
+        h.served.insert("unregistered".into(), (99, by_key()));
         let actions = h.tick();
         assert!(actions.iter().all(|a| a.user() != "unregistered"), "{actions:?}");
     }
 
     #[test]
-    fn note_replaced_resets_history() {
+    fn a_new_numeric_id_restarts_the_saturation_streak() {
         // an ineligible tenant escalates after two saturated epochs; a
-        // re-placement between them restarts the streak
+        // re-placement (same name, new numeric id) between them restarts
+        // the streak
         let policy = AdaptivePolicy { replan_epochs: 2, ..Default::default() };
         let mut h = Harness::new(policy, &[("t", ShardingMode::ByTenant, ShardingMode::ByTenant)]);
         let replans = |actions: &[AdaptAction]| {
@@ -506,13 +459,13 @@ mod tests {
         h.tick();
         h.offer("t", 100, 60);
         assert_eq!(replans(&h.tick()), 0);
-        h.controller.note_replaced("t");
+        h.served.insert("t".into(), (2, ShardingMode::ByTenant));
         h.offer("t", 100, 60);
         assert_eq!(replans(&h.tick()), 0, "the streak restarted at the re-placement");
         h.offer("t", 100, 60);
         assert_eq!(replans(&h.tick()), 1);
-        h.controller.forget("t");
+        h.served.remove("t");
         h.offer("t", 100, 60);
-        assert!(h.tick().is_empty(), "a forgotten tenant is not decided on");
+        assert!(h.tick().is_empty(), "a tenant no longer served is not decided on");
     }
 }

@@ -1,16 +1,23 @@
-//! The adaptive runtime: a telemetry-driven reconfiguration control loop.
+//! The adaptive runtime's decision: a telemetry-driven reconfiguration
+//! policy.
 //!
 //! Every knob the earlier layers expose — sharding mode, ingress budgets,
 //! placement — is fixed at deploy time, while the congestion telemetry
 //! (`shed_packets`, `backpressure_waits`, `queue_depth_hwm`) is write-only.
-//! This module closes the loop: an [`AdaptiveController`] periodically takes
+//! This module holds the decision that closes the loop; the service layer
+//! (`clickinc::AdaptiveRuntime::step`) runs it.  Each turn the service takes
 //! a telemetry snapshot ([`EngineHandle::telemetry`](crate::EngineHandle::telemetry),
-//! stamped under the engine's one lock), computes per-tenant deltas between
+//! stamped under the engine's one lock), names the tenants it serves (numeric
+//! id and eligible mode each), and hands both to
+//! [`AdaptiveController::decide`], which computes per-tenant deltas between
 //! consecutive snapshots (well-ordered by the snapshot sequence number and
-//! the virtual clock), and drives typed [`AdaptAction`]s.  The snapshot is
+//! the virtual clock) and returns typed [`AdaptAction`]s.  The snapshot is
 //! the controller's only view of a tenant's deployment: its live sharding
 //! mode and ingress budget are the snapshot's `sharding_mode` and
-//! `queue_budget`, and the controller stores neither.  The actions:
+//! `queue_budget`, and the controller stores neither.  Its only memory is a
+//! per-deployment history (streaks, cooldowns), dropped when the tenant
+//! leaves the served set and restarted when a re-placement gives it a new
+//! numeric id.  The actions:
 //!
 //! * **Live reshard** ([`AdaptAction::Reshard`]) — a saturated tenant whose
 //!   state profile admits flow-sharding is moved `ByTenant → ByFlow` (and an
@@ -28,8 +35,9 @@
 //!   path so the verifier and admission chain gate the move.
 //!
 //! Safety invariants: the controller never emits a `Reshard` to a mode the
-//! tenant's registered *eligibility* (derived by the service layer's
-//! state-profile analysis) does not admit; every action is applied through
+//! tenant's *eligibility* (derived by the service layer's state-profile
+//! analysis) does not admit, and never an action for a tenant the service
+//! does not serve; every action is applied through
 //! the engine's quiescing reconfigure path; and per-tenant outcomes and
 //! store fingerprints are preserved bit-identically — adaptation may only
 //! change latency, goodput and shed counts, never results.
@@ -41,5 +49,5 @@ mod policy;
 
 pub use actions::{AdaptAction, Saturation};
 pub use budget::fair_budgets;
-pub use controller::{AdaptiveController, AdaptiveTick};
+pub use controller::AdaptiveController;
 pub use policy::{AdaptivePolicy, EpochDelta, TenantDelta};

@@ -742,7 +742,7 @@ impl EngineHandle {
                     }
                     self.flush();
                     for event in injector.due(generated.vtime_ns) {
-                        self.set_device_health(&event.device, event.kind.health());
+                        self.set_device_health(&event.device, event.health);
                     }
                 }
             }

@@ -34,13 +34,15 @@ pub enum DeviceHealth {
     /// not wall-clock randomness), serving the rest.
     Flaky {
         /// Probability in `[0, 1]` that a packet traversing the device is
-        /// lost to the fault.
+        /// lost to the fault (at or above 1 every packet is lost, at or
+        /// below 0 none).
         drop_prob: f64,
     },
     /// The device's egress link is degraded: per-packet device latency is
     /// scaled by `factor` (≥ 1.0), inflating tail latency without loss.
     Degraded {
-        /// Latency multiplication factor.
+        /// Latency multiplication factor; below 1.0 the device serves at
+        /// full speed.
         factor: f64,
     },
 }
@@ -56,58 +58,6 @@ impl fmt::Display for DeviceHealth {
     }
 }
 
-/// What happens to a device at a scheduled instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
-    /// The device dies; traffic through it is lost until restore.
-    DeviceDown,
-    /// The device starts dropping a fraction of its traffic.
-    DeviceFlaky {
-        /// Per-packet loss probability in `[0, 1]`.
-        drop_prob: f64,
-    },
-    /// The device's link degrades, scaling its per-packet latency.
-    LinkDegraded {
-        /// Latency multiplication factor (≥ 1.0).
-        factor: f64,
-    },
-    /// The device returns to full health.
-    DeviceRestored,
-}
-
-impl FaultKind {
-    /// The [`DeviceHealth`] the shards should apply for this event.
-    pub fn health(&self) -> DeviceHealth {
-        match *self {
-            FaultKind::DeviceDown => DeviceHealth::Down,
-            FaultKind::DeviceFlaky { drop_prob } => {
-                DeviceHealth::Flaky { drop_prob: drop_prob.clamp(0.0, 1.0) }
-            }
-            FaultKind::LinkDegraded { factor } => {
-                DeviceHealth::Degraded { factor: factor.max(1.0) }
-            }
-            FaultKind::DeviceRestored => DeviceHealth::Up,
-        }
-    }
-
-    /// Whether the event takes the device out of service entirely (the
-    /// controller must re-place tenants routed through it).
-    pub fn is_outage(&self) -> bool {
-        matches!(self, FaultKind::DeviceDown)
-    }
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::DeviceDown => write!(f, "down"),
-            FaultKind::DeviceFlaky { drop_prob } => write!(f, "flaky(p={drop_prob:.2})"),
-            FaultKind::LinkDegraded { factor } => write!(f, "link-degraded(x{factor:.2})"),
-            FaultKind::DeviceRestored => write!(f, "restored"),
-        }
-    }
-}
-
 /// One scheduled fault: *what* happens to *which* device *when* on the
 /// virtual clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,13 +67,14 @@ pub struct FaultEvent {
     /// Physical device name (e.g. `Agg0`), matching the topology and the
     /// shard planes.
     pub device: String,
-    /// What happens.
-    pub kind: FaultKind,
+    /// The health the device takes on: `Down` kills it (the controller
+    /// must re-place tenants routed through it), `Up` restores it.
+    pub health: DeviceHealth,
 }
 
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t+{}ns {} {}", self.at_vtime_ns, self.device, self.kind)
+        write!(f, "t+{}ns {} {}", self.at_vtime_ns, self.device, self.health)
     }
 }
 
@@ -141,8 +92,13 @@ impl FaultPlan {
 
     /// Append an event; the plan re-sorts by time (stable, so same-instant
     /// events keep insertion order).
-    pub fn at(mut self, at_vtime_ns: u64, device: impl Into<String>, kind: FaultKind) -> FaultPlan {
-        self.events.push(FaultEvent { at_vtime_ns, device: device.into(), kind });
+    pub fn at(
+        mut self,
+        at_vtime_ns: u64,
+        device: impl Into<String>,
+        health: DeviceHealth,
+    ) -> FaultPlan {
+        self.events.push(FaultEvent { at_vtime_ns, device: device.into(), health });
         self.events.sort_by_key(|e| e.at_vtime_ns);
         self
     }
@@ -160,16 +116,15 @@ impl FaultPlan {
         for _ in 0..faults {
             let device = devices[rng.gen_range(0..devices.len())].clone();
             let at = rng.gen_range(0..horizon_ns.max(1));
-            let kind = match rng.gen_range(0..3u32) {
-                0 => FaultKind::DeviceDown,
-                1 => FaultKind::DeviceFlaky { drop_prob: rng.gen_range(0.05..0.95) },
-                _ => FaultKind::LinkDegraded { factor: rng.gen_range(1.5..8.0) },
+            let health = match rng.gen_range(0..3u32) {
+                0 => DeviceHealth::Down,
+                1 => DeviceHealth::Flaky { drop_prob: rng.gen_range(0.05..0.95) },
+                _ => DeviceHealth::Degraded { factor: rng.gen_range(1.5..8.0) },
             };
-            let outage = kind.is_outage();
-            plan = plan.at(at, device.clone(), kind);
-            if outage && at + 1 < horizon_ns {
+            plan = plan.at(at, device.clone(), health);
+            if health == DeviceHealth::Down && at + 1 < horizon_ns {
                 let restore_at = rng.gen_range(at + 1..horizon_ns);
-                plan = plan.at(restore_at, device, FaultKind::DeviceRestored);
+                plan = plan.at(restore_at, device, DeviceHealth::Up);
             }
         }
         plan
@@ -187,8 +142,12 @@ impl FaultPlan {
 
     /// Every device the plan ever takes fully down.
     pub fn outage_devices(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.events.iter().filter(|e| e.kind.is_outage()).map(|e| e.device.clone()).collect();
+        let mut names: Vec<String> = self
+            .events
+            .iter()
+            .filter(|e| e.health == DeviceHealth::Down)
+            .map(|e| e.device.clone())
+            .collect();
         names.sort();
         names.dedup();
         names
@@ -234,9 +193,9 @@ mod tests {
     #[test]
     fn plan_sorts_by_time_and_builder_chains() {
         let plan = FaultPlan::new()
-            .at(500, "Agg1", FaultKind::DeviceRestored)
-            .at(100, "Agg1", FaultKind::DeviceDown)
-            .at(300, "ToR0", FaultKind::DeviceFlaky { drop_prob: 0.5 });
+            .at(500, "Agg1", DeviceHealth::Up)
+            .at(100, "Agg1", DeviceHealth::Down)
+            .at(300, "ToR0", DeviceHealth::Flaky { drop_prob: 0.5 });
         let times: Vec<u64> = plan.events().iter().map(|e| e.at_vtime_ns).collect();
         assert_eq!(times, vec![100, 300, 500]);
         assert_eq!(plan.outage_devices(), vec!["Agg1".to_string()]);
@@ -252,9 +211,9 @@ mod tests {
         let c = FaultPlan::random(18, &devices, 1_000_000, 4);
         assert_ne!(a, c, "a different seed yields a different schedule");
         // every kill inside the horizon is paired with a later restore
-        for event in a.events().iter().filter(|e| e.kind.is_outage()) {
+        for event in a.events().iter().filter(|e| e.health == DeviceHealth::Down) {
             assert!(a.events().iter().any(|r| r.device == event.device
-                && r.kind == FaultKind::DeviceRestored
+                && r.health == DeviceHealth::Up
                 && r.at_vtime_ns > event.at_vtime_ns));
         }
     }
@@ -262,9 +221,9 @@ mod tests {
     #[test]
     fn injector_delivers_each_event_once_in_order() {
         let plan = FaultPlan::new()
-            .at(100, "A", FaultKind::DeviceDown)
-            .at(200, "B", FaultKind::LinkDegraded { factor: 2.0 })
-            .at(200, "A", FaultKind::DeviceRestored);
+            .at(100, "A", DeviceHealth::Down)
+            .at(200, "B", DeviceHealth::Degraded { factor: 2.0 })
+            .at(200, "A", DeviceHealth::Up);
         let mut injector = FaultInjector::new(plan);
         assert!(injector.due(99).is_empty());
         let first = injector.due(150);
@@ -280,17 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_kinds_map_to_clamped_health() {
-        assert_eq!(FaultKind::DeviceDown.health(), DeviceHealth::Down);
-        assert_eq!(FaultKind::DeviceRestored.health(), DeviceHealth::Up);
-        assert_eq!(
-            FaultKind::DeviceFlaky { drop_prob: 1.7 }.health(),
-            DeviceHealth::Flaky { drop_prob: 1.0 }
-        );
-        assert_eq!(
-            FaultKind::LinkDegraded { factor: 0.2 }.health(),
-            DeviceHealth::Degraded { factor: 1.0 }
-        );
+    fn health_and_events_display() {
         assert_eq!(DeviceHealth::Down.to_string(), "down");
+        assert_eq!(DeviceHealth::Up.to_string(), "up");
+        assert_eq!(DeviceHealth::Flaky { drop_prob: 0.5 }.to_string(), "flaky(p=0.50)");
+        assert_eq!(DeviceHealth::Degraded { factor: 2.0 }.to_string(), "degraded(x2.00)");
+        let plan = FaultPlan::new().at(7, "Agg0", DeviceHealth::Down);
+        assert_eq!(plan.events()[0].to_string(), "t+7ns Agg0 down");
     }
 }

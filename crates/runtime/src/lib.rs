@@ -41,12 +41,14 @@
 //!   one record per tenant (mode, hops, counters, budget, reshard baseline)
 //!   in one map behind one lock, so a removal forgets the tenant in one
 //!   step and a successor under the same name inherits nothing.  The
-//!   telemetry registry sits behind the same lock, and the adaptive loop
-//!   ([`adaptive`]) decides from its snapshots alone; the only other mutex
-//!   is a flush barrier's latch.  The
-//!   `clickinc` crate's `ClickIncService` facade owns both a controller and
-//!   an engine and mirrors every transactional deploy/remove onto the
-//!   shards automatically.
+//!   telemetry registry sits behind the same lock; the only other mutex is
+//!   a flush barrier's latch.  The `clickinc` crate's `ClickIncService`
+//!   facade owns both a controller and an engine and mirrors every
+//!   transactional deploy/remove onto the shards automatically.
+//! * **Adaptive decision** — [`adaptive`] decides reshards, budget resizes
+//!   and re-placements from a telemetry snapshot and the set of tenants
+//!   the caller serves; the service layer (`clickinc::AdaptiveRuntime`)
+//!   runs the loop and applies what it decides.
 //! * **One execution tier** — shard workers run the compiled register VM,
 //!   the configuration a deploy ships.  The reference interpreter is the
 //!   emulator's differential oracle, selectable per `DevicePlane` only —
@@ -80,12 +82,12 @@ pub mod telemetry;
 pub mod tenant;
 pub use clickinc_emulator::workload;
 
-pub use adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy, AdaptiveTick};
+pub use adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy};
 pub use engine::{
     EngineConfig, EngineError, EngineHandle, InjectOutcome, OverloadPolicy, RunOutcome,
     TrafficEngine, WorkloadReport,
 };
-pub use faults::{DeviceHealth, FaultEvent, FaultInjector, FaultKind, FaultPlan};
+pub use faults::{DeviceHealth, FaultEvent, FaultInjector, FaultPlan};
 pub use telemetry::{TelemetryReport, TenantCounters, TenantStats};
 pub use tenant::{ShardingMode, TenantHop};
 pub use workload::{

@@ -519,6 +519,43 @@ mod tests {
         assert_eq!(finals.planes.keys().collect::<Vec<_>>(), ["sw0", "sw1"]);
     }
 
+    /// Out-of-range health values act clamped: a drop probability above 1
+    /// loses every packet, and a degradation factor below 1 serves at full
+    /// speed.
+    #[test]
+    fn out_of_range_health_values_act_clamped() {
+        let (tx, depth, worker) = spawn_worker();
+        let send = |msg| tx.send(msg).expect("the worker is running");
+        let flush = || {
+            let latch = FlushLatch::new();
+            send(ShardMsg::Flush(latch.token()));
+            latch.wait();
+        };
+        let counters = Arc::new(TenantCounters::new(1));
+        send(ShardMsg::AddTenant {
+            user: "t".into(),
+            hops: vec![hop("sw0")],
+            counters: Arc::clone(&counters),
+        });
+        let stream = kvs_request("c", "s", 0, 0);
+        let run = |health| {
+            send(ShardMsg::SetDeviceHealth { device: "sw0".into(), health });
+            let before = counters.latency_sum_ns.load(Ordering::Relaxed);
+            let jobs = admitted_burst(8, &stream, &depth, &counters);
+            send(ShardMsg::Inject { user: "t".into(), jobs });
+            flush();
+            counters.latency_sum_ns.load(Ordering::Relaxed) - before
+        };
+        run(DeviceHealth::Flaky { drop_prob: 1.7 });
+        assert_eq!(counters.fault_lost.load(Ordering::Relaxed), 8, "p > 1 loses every packet");
+        let degraded = run(DeviceHealth::Degraded { factor: 0.2 });
+        let up = run(DeviceHealth::Up);
+        assert!(up > 0, "the device charges latency");
+        assert_eq!(degraded, up, "a factor below 1 serves at full speed");
+        assert_eq!(counters.to_server.load(Ordering::Relaxed), 16);
+        stop(&tx, worker);
+    }
+
     /// A served burst is held at most until the next one is injected, and
     /// released anyway once the shard goes idle: the packets of burst N are
     /// gone by the time burst N + 1 is flushed, whatever the timing.
