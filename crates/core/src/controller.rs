@@ -56,9 +56,8 @@ use std::time::{Duration, Instant};
 pub struct PreparedSource {
     /// The frontend's output for the request source, before isolation
     /// (lowering reads the tenant name only for the program name, which
-    /// isolation overwrites).  `None` for a [`Controller::plan_isolated`]
-    /// solve, which compiled nothing and so lends nothing.
-    pub compiled: Option<IrProgram>,
+    /// isolation overwrites).
+    pub compiled: IrProgram,
     /// The block DAG of the isolated, optimized program, used for placement.
     pub dag: BlockDag,
     /// What placement derives from that program and `dag` before it looks at
@@ -68,7 +67,7 @@ pub struct PreparedSource {
 
 impl PreparedSource {
     /// Derive the record of `program`, the isolated, optimized program.
-    fn derive(compiled: Option<IrProgram>, program: &IrProgram, config: &BlockConfig) -> Self {
+    fn derive(compiled: IrProgram, program: &IrProgram, config: &BlockConfig) -> Self {
         let dag = build_block_dag(program, config);
         let inputs = PlacementInputs::new(program, &dag);
         // derive the lazy inputs from the program they describe, so that a
@@ -81,7 +80,7 @@ impl PreparedSource {
     /// Check that a lent record is what the borrower's own `program` derives.
     #[cfg(debug_assertions)]
     fn assert_lendable_to(&self, program: &IrProgram, config: &BlockConfig) {
-        let own = PreparedSource::derive(None, program, config);
+        let own = PreparedSource::derive(self.compiled.clone(), program, config);
         assert_eq!(own.dag, self.dag, "a lent block DAG is the borrower's own");
         assert_eq!(own.inputs, self.inputs, "lent placement inputs are the borrower's own");
     }
@@ -91,8 +90,8 @@ impl PreparedSource {
 enum Preparation {
     /// A resident's record for the same source text.
     Lent(Arc<PreparedSource>),
-    /// Derived by this solve, with the frontend's output if it compiled one.
-    Own(Option<IrProgram>),
+    /// Derived by this solve, with the frontend's output.
+    Own(IrProgram),
 }
 
 /// Everything produced by one successful deployment.
@@ -247,9 +246,9 @@ impl DeploymentPlan {
         &self.prepared
     }
 
-    /// The pre-isolation program the plan isolated, if it compiled one.
-    pub fn compiled(&self) -> Option<&IrProgram> {
-        self.prepared.compiled.as_ref()
+    /// The pre-isolation program the plan isolated.
+    pub fn compiled(&self) -> &IrProgram {
+        &self.prepared.compiled
     }
 
     /// The block DAG used for placement.
@@ -564,54 +563,20 @@ impl Controller {
         let started = Instant::now();
         self.check_request(request)?;
         let user = &request.user;
-        let lender = self.deployments.values().find_map(|d| {
-            let compiled = d.prepared.compiled.as_ref()?;
-            (d.request.source == request.source).then_some((&d.prepared, compiled))
-        });
+        let lender = self.deployments.values().find(|d| d.request.source == request.source);
         let (isolated, preparation) = match lender {
-            Some((prepared, compiled)) => {
-                let isolated = isolate_user_program(compiled, user, self.next_user_id);
-                (isolated, Preparation::Lent(Arc::clone(prepared)))
+            Some(d) => {
+                let isolated = isolate_user_program(&d.prepared.compiled, user, self.next_user_id);
+                (isolated, Preparation::Lent(Arc::clone(&d.prepared)))
             }
             None => {
                 let options = CompileOptions::default();
                 let compiled = self.frontend.compile_source(user, &request.source, &options)?;
                 let isolated = isolate_user_program(&compiled, user, self.next_user_id);
-                (isolated, Preparation::Own(Some(compiled)))
+                (isolated, Preparation::Own(compiled))
             }
         };
         self.solve_prepared(request, isolated, preparation, started)
-    }
-
-    /// Expert variant of [`plan`](Controller::plan): place an
-    /// **already-isolated** IR program, skipping compile and isolation
-    /// renaming (the request's `source` is ignored).  Only the owners are
-    /// set here, as isolation sets them: every instruction and object is the
-    /// request's tenant's alone, whatever the program carried, so no expert
-    /// code outlives its tenant's removal or leaves with another's.  Nothing
-    /// re-establishes the namespace discipline the normal path guarantees —
-    /// the static verifier pipeline is the only gate on this path, which is
-    /// exactly why it still runs: a program that reads or writes outside its
-    /// tenant's namespace is refused as [`ClickIncError::Verification`]
-    /// before a plan exists.
-    pub fn plan_isolated(
-        &self,
-        request: &ServiceRequest,
-        mut program: IrProgram,
-    ) -> Result<DeploymentPlan, ClickIncError> {
-        let started = Instant::now();
-        self.check_request(request)?;
-        let user = &request.user;
-        for instr in &mut program.instructions {
-            instr.owners = vec![user.clone()];
-        }
-        for object in &mut program.objects {
-            object.owner = Some(user.clone());
-        }
-        // slices are named after the program, and planes quiesce a tenant by
-        // that name
-        program.name = user.clone();
-        self.solve_prepared(request, program, Preparation::Own(None), started)
     }
 
     /// The checks every solve starts with: structural validity and a free
@@ -651,9 +616,9 @@ impl Controller {
         let numeric_id = self.next_user_id;
 
         // install-time optimization over the whole isolated program, before
-        // placement slices it: constant folding, dead-value elimination, and
-        // hoisting the per-instruction isolation guard into the program
-        // precondition (an O(1) skip for co-resident tenants' traffic).  The
+        // placement slices it: constant folding and dead-value elimination.
+        // The tenant match stays the precondition isolation wrote, so a
+        // co-resident tenant's packet skips the whole program in O(1).  The
         // optimizer verifies nothing: the verifier below sees exactly the
         // program that deploys.  Both execution tiers run the optimized IR,
         // keeping their telemetry bit-identical.
@@ -759,8 +724,8 @@ impl Controller {
 
     /// Object-name isolation the per-tenant `isolation` pass cannot see.
     /// The frontend accepts a source that declares `mem` twice (two objects
-    /// named `mem`), and an expert program may do the same: an object
-    /// `program` declares twice is an `isolation` error.  Isolation prefixes
+    /// named `mem`): an object `program` declares twice is an `isolation`
+    /// error.  Isolation prefixes
     /// every name with `{user}_`, but the prefix is not prefix-free, so
     /// tenant `a`'s `b_cache` and tenant `a_b`'s `cache` both become
     /// `a_b_cache` — and a device's object store would hand both tenants the

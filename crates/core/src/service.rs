@@ -143,8 +143,11 @@ impl ServiceState {
     /// reach by construction.
     ///
     /// Precedence, first to last:
-    /// 1. A malformed request or a duplicate user
-    ///    ([`Controller::check_request`]) — never a policy verdict, so
+    /// 1. A duplicate user — one parked in the degraded state, then a
+    ///    malformed request or a live duplicate
+    ///    ([`Controller::check_request`]).  A parked name is a
+    ///    [`ClickIncError::DuplicateUser`] as a live one is, so one name is
+    ///    never both live and parked.  None is a policy verdict, so
     ///    [`deploy_or_queue`](ClickIncService::deploy_or_queue) never parks
     ///    it.
     /// 2. A verdict that needs no plan ([`MaxTenants`](crate::MaxTenants)'s
@@ -154,12 +157,20 @@ impl ServiceState {
     /// 3. The solve's own errors.
     /// 4. A verdict on the solved plan.
     ///
-    /// A caller-solved plan skips 1–3 and is checked for staleness first: a
+    /// A caller-solved plan is refused if its user is parked, skips the rest
+    /// of 1–3 and is checked for staleness next: a
     /// plan priced against a dead ledger must surface as
     /// [`ClickIncError::StalePlan`] (re-plan and retry — the re-solve may
     /// well be admissible), never as a policy verdict reached on stale
     /// numbers.
     fn admit(&mut self, source: Source<'_>, gate: Gate) -> Result<Admitted, ClickIncError> {
+        let user = match &source {
+            Source::Request(request) => &request.user,
+            Source::Plan(plan) => plan.user(),
+        };
+        if self.degraded.contains_key(user) {
+            return Err(ClickIncError::DuplicateUser(user.to_string()));
+        }
         let plan = match source {
             Source::Request(request) => {
                 self.controller.check_request(request)?;
@@ -1068,6 +1079,42 @@ mod tests {
         let restore = service.restore_device(&device).expect("restores");
         assert!(restore.recovered.is_empty() && restore.fully_recovered());
         assert!(service.active_users().is_empty());
+        service.finish();
+    }
+
+    #[test]
+    fn a_parked_user_name_is_refused_until_its_tenant_is_restored() {
+        let service = service();
+        service.deploy(kvs_request("kvs0")).expect("deploys");
+        service.set_admission_policy(crate::policy::MaxTenants { max_tenants: 0 });
+        service.fail_device("ToR5").expect("fails");
+        assert_eq!(service.degraded_tenants(), vec!["kvs0".to_string()]);
+        service.set_admission_policy(PolicyChain::new());
+        let ratio = service.remaining_resource_ratio();
+        let fingerprints = service.controller().image_fingerprints();
+        // the same name, elsewhere: refused as a request and as a plan
+        let elsewhere = ServiceRequest::builder("kvs0")
+            .template(kvs_template("kvs0", KvsParams { cache_depth: 1000, ..Default::default() }))
+            .from_("pod0a")
+            .to("pod1b")
+            .build()
+            .expect("valid request");
+        let refused = |result: Result<TenantHandle, ClickIncError>| match result {
+            Err(ClickIncError::DuplicateUser(user)) => user == "kvs0",
+            _ => false,
+        };
+        assert!(refused(service.deploy(elsewhere.clone())));
+        let plan = service.plan(&elsewhere).expect("a dry run checks only live users");
+        assert!(refused(service.commit(plan)));
+        assert_eq!(service.remaining_resource_ratio(), ratio);
+        assert_eq!(service.controller().image_fingerprints(), fingerprints);
+        assert!(service.active_users().is_empty());
+        assert_eq!(service.degraded_tenants(), vec!["kvs0".to_string()]);
+        // the restore re-places the parked tenant, the one `kvs0`
+        let restore = service.restore_device("ToR5").expect("restores");
+        assert_eq!(restore.recovered, vec!["kvs0".to_string()]);
+        assert!(service.degraded_tenants().is_empty());
+        assert_eq!(service.active_users(), vec!["kvs0".to_string()]);
         service.finish();
     }
 

@@ -224,7 +224,7 @@ impl DevicePlane {
             rand_streams: &mut self.rand_streams,
         };
         for snippet in &self.snippets {
-            // the hoisted program-level guard (tenant isolation predicate)
+            // the program-level guard (the tenant match isolation writes)
             // gates the whole snippet once per packet
             if let Some(pre) = &snippet.precondition {
                 if !eval_guard(pre, &env, pkt) {

@@ -7,9 +7,9 @@
 //! interpreter performs per packet (is this a table? a sketch?) is burned
 //! into kind-specialized opcodes.  The per-packet loop is then a match over
 //! fixed-width ops with no string lookups, no `HashMap` probes for
-//! variables, and no per-instruction tenant guard — the isolation predicate
-//! the optimizer hoists into [`IrProgram::precondition`] gates each snippet
-//! once per packet.
+//! variables, and no per-instruction tenant guard — the tenant match
+//! isolation writes as [`IrProgram::precondition`] gates each snippet once
+//! per packet.
 //!
 //! The image has the structure the source had.  If-conversion flattens a
 //! nested `if`/`elif`/`else` into a straight-line stream in which every
@@ -258,8 +258,8 @@ pub struct VmBlock {
     otherwise: Vec<VmNode>,
 }
 
-/// One compiled snippet: the hoisted program precondition plus the guard
-/// tree covering the instruction stream in order.
+/// One compiled snippet: the program precondition plus the guard tree
+/// covering the instruction stream in order.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// Snippet name (the tenant program id).

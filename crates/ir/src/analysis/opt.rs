@@ -20,12 +20,12 @@
 //! 2. `dead-value-elim` — remove pure computations whose values nothing
 //!    observes (the *elimination* counterpart of the verifier's
 //!    `dead-snippet` detection), reporting exactly what was removed.
-//! 3. `guard-hoist` — lift guard predicates shared by *every* instruction
-//!    into the program-level [`IrProgram::precondition`], checked once per
-//!    packet instead of once per instruction.  On an isolated tenant program
-//!    this is the `meta.inc_user == id` predicate that
-//!    `synthesis::isolate_user_program` stamps onto every instruction, so a
-//!    co-resident tenant's packet skips the whole snippet in O(1).
+//!
+//! Neither pass touches the program-level [`IrProgram::precondition`].  On an
+//! isolated tenant program it holds the `meta.inc_user == id` match that
+//! `synthesis::isolate_user_program` writes, so the instructions carry only
+//! the guards their program wrote and `const-fold` sees its unguarded
+//! definitions.
 //!
 //! Transform passes report what they changed as [`Severity::Info`]
 //! diagnostics on the same [`DiagnosticSet`] machinery the verifier uses, so
@@ -37,9 +37,9 @@
 use crate::analysis::dataflow::{is_effectful, live_instructions};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticSet, Severity};
 use crate::eval;
-use crate::instr::{Guard, OpCode, Operand, Predicate};
+use crate::instr::{OpCode, Operand};
 use crate::program::IrProgram;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A transform pass: rewrites the program of the given tenant in place and
 /// reports what it changed, tagged with the pass name it is given.
@@ -47,18 +47,15 @@ type Transform = fn(&str, &str, &mut IrProgram, &mut DiagnosticSet);
 
 /// The transform pipeline, in run order: each pass's stable name, recorded on
 /// every change report, and the function that runs it.
-const TRANSFORMS: [(&str, Transform); 3] = [
-    ("const-fold", const_fold),
-    ("dead-value-elim", dead_value_elim),
-    ("guard-hoist", guard_hoist),
-];
+const TRANSFORMS: [(&str, Transform); 2] =
+    [("const-fold", const_fold), ("dead-value-elim", dead_value_elim)];
 
 /// Runs the transform pipeline.
 pub struct Optimizer;
 
 impl Optimizer {
     /// The transform pipeline (the only one there is): constant folding,
-    /// dead-value elimination, guard hoisting.
+    /// then dead-value elimination.
     pub fn with_default_passes() -> Optimizer {
         Optimizer
     }
@@ -219,78 +216,11 @@ fn dead_value_elim(pass: &str, tenant: &str, program: &mut IrProgram, out: &mut 
     ));
 }
 
-/// Guard hoisting: predicates present in *every* instruction's guard move
-/// into the program-level [`IrProgram::precondition`], evaluated once per
-/// packet.
-///
-/// Only predicates whose operands are constants, metadata, or header fields
-/// the program never writes are hoistable — those are invariant for the whole
-/// program execution, so checking them up front is equivalent to checking
-/// them at every instruction.  Variables are never hoistable (they do not
-/// exist before the first instruction runs).
-fn guard_hoist(pass: &str, tenant: &str, program: &mut IrProgram, out: &mut DiagnosticSet) {
-    if program.instructions.is_empty() {
-        return;
-    }
-    let written: BTreeSet<&str> =
-        program.instructions.iter().flat_map(|i| i.op.header_writes()).collect();
-    // candidates: hoistable predicates of the first guard, narrowed to
-    // those every other instruction's guard also carries
-    let Some(first) = &program.instructions[0].guard else { return };
-    let mut shared: Vec<Predicate> =
-        first.all.iter().filter(|p| hoistable(p, &written)).cloned().collect();
-    for instr in &program.instructions[1..] {
-        let Some(guard) = &instr.guard else { return };
-        shared.retain(|p| guard.all.contains(p));
-        if shared.is_empty() {
-            return;
-        }
-    }
-    // lift them out of every guard and into the precondition
-    for instr in &mut program.instructions {
-        if let Some(guard) = &mut instr.guard {
-            for p in &shared {
-                if let Some(pos) = guard.all.iter().position(|q| q == p) {
-                    guard.all.remove(pos);
-                }
-            }
-            if guard.all.is_empty() {
-                instr.guard = None;
-            }
-        }
-    }
-    let pre = program.precondition.get_or_insert_with(Guard::default);
-    pre.all.extend(shared.iter().cloned());
-    let preds: Vec<String> = shared.iter().map(|p| p.to_string()).collect();
-    out.push(info(
-        pass,
-        tenant,
-        &program.name,
-        format!(
-            "hoisted {} guard predicate(s) shared by all {} instruction(s) into the program \
-             precondition: {}",
-            shared.len(),
-            program.instructions.len(),
-            preds.join(" && ")
-        ),
-    ));
-}
-
-/// Whether a predicate reads only what stays fixed for a whole program
-/// execution: constants, metadata and header fields the program never writes.
-fn hoistable(p: &Predicate, written_headers: &BTreeSet<&str>) -> bool {
-    [&p.lhs, &p.rhs].iter().all(|op| match op {
-        Operand::Const(_) | Operand::Meta(_) => true,
-        Operand::Header(f) => !written_headers.contains(f.as_str()),
-        Operand::Var(_) => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::instr::{AluOp, CmpOp};
+    use crate::instr::{AluOp, CmpOp, Predicate};
     use crate::types::{Value, ValueType};
 
     fn optimize(program: &IrProgram) -> (IrProgram, DiagnosticSet) {
@@ -379,67 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_guard_predicates_hoist_into_the_precondition() {
-        let user = Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(7));
-        let mut b = ProgramBuilder::new("p");
-        b.header("op", ValueType::Bit(32));
-        b.array("acc", 1, 16, 32);
-        b.guarded(user.clone(), |b| {
-            b.count(None, "acc", vec![Operand::int(0)], Operand::int(1));
-        });
-        b.guarded(user.clone(), |b| {
-            b.guarded(Predicate::new(Operand::hdr("op"), CmpOp::Eq, Operand::int(1)), |b| {
-                b.count(None, "acc", vec![Operand::int(1)], Operand::int(1));
-            });
-        });
-        let p = b.build().unwrap();
-        let (opt, diags) = optimize(&p);
-        assert_eq!(opt.precondition, Some(Guard::single(user)));
-        assert!(opt.instructions[0].guard.is_none(), "fully hoisted guard drops");
-        assert_eq!(
-            opt.instructions[1].guard.as_ref().map(|g| g.all.len()),
-            Some(1),
-            "per-instruction remainder stays"
-        );
-        assert!(diags.iter().any(|d| d.pass == "guard-hoist"), "{diags}");
-        assert!(opt.validate().is_ok());
-    }
-
-    #[test]
-    fn unguarded_instruction_blocks_hoisting() {
-        let user = Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(7));
-        let mut b = ProgramBuilder::new("p");
-        b.array("acc", 1, 16, 32);
-        b.guarded(user, |b| {
-            b.count(None, "acc", vec![Operand::int(0)], Operand::int(1));
-        });
-        b.forward(); // unguarded: must keep running for every packet
-        let p = b.build().unwrap();
-        let (opt, _) = optimize(&p);
-        assert_eq!(opt.precondition, None);
-    }
-
-    #[test]
-    fn header_writes_block_hoisting_their_fields() {
-        let hdr = Predicate::new(Operand::hdr("op"), CmpOp::Eq, Operand::int(1));
-        let mut b = ProgramBuilder::new("p");
-        b.header("op", ValueType::Bit(32));
-        b.guarded(hdr.clone(), |b| {
-            b.set_header("op", Operand::int(2));
-        });
-        b.guarded(hdr, |b| {
-            b.drop_packet();
-        });
-        let p = b.build().unwrap();
-        let (opt, _) = optimize(&p);
-        assert_eq!(opt.precondition, None, "written header field is not invariant");
-    }
-
-    #[test]
     fn default_pipeline_order_is_stable() {
-        assert_eq!(
-            TRANSFORMS.map(|(name, _)| name),
-            ["const-fold", "dead-value-elim", "guard-hoist"]
-        );
+        assert_eq!(TRANSFORMS.map(|(name, _)| name), ["const-fold", "dead-value-elim"]);
     }
 }

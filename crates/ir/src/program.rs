@@ -41,10 +41,10 @@ pub struct IrProgram {
     /// The instruction stream.
     pub instructions: Vec<Instruction>,
     /// A program-level guard evaluated once per packet before any instruction:
-    /// when it fails, the whole program is skipped for that packet.  Produced
-    /// by the optimizer's guard-hoisting pass (e.g. the tenant-isolation
-    /// `meta.inc_user == id` predicate shared by every instruction); `None`
-    /// means the program runs unconditionally.  Predicates here may only read
+    /// when it fails, the whole program is skipped for that packet.  Tenant
+    /// isolation (`synthesis::isolate_user_program`) writes the tenant's
+    /// `meta.inc_user == id` match here, ahead of any precondition the
+    /// program had; `None` means the program runs unconditionally.  Predicates here may only read
     /// constants, metadata and header fields — never variables — so the guard
     /// is well-defined before the first instruction executes.
     pub precondition: Option<Guard>,
@@ -196,9 +196,9 @@ impl IrProgram {
     }
 
     /// The per-device slice of this program: the instructions at `instrs` (in
-    /// the given order, ids kept) plus the headers, the precondition — a
-    /// hoisted isolation guard must travel with every slice, or the slice
-    /// would run on co-resident tenants' packets — and exactly the objects
+    /// the given order, ids kept) plus the headers, the precondition — the
+    /// tenant match must travel with every slice, or the slice would run on
+    /// co-resident tenants' packets — and exactly the objects
     /// those instructions reference.  The workspace's only slicer.
     pub fn slice(&self, instrs: &[usize]) -> IrProgram {
         let instructions: Vec<Instruction> =

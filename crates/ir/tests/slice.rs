@@ -52,8 +52,8 @@ fn slice_carries_headers_precondition_and_only_the_referenced_objects() {
 }
 
 /// A well-formed program over three arrays, of which a run may use any
-/// subset, optionally carrying a hoisted tenant guard.
-fn arb_program(seed: &[u8], hoisted: bool) -> IrProgram {
+/// subset, optionally carrying a tenant-match precondition.
+fn arb_program(seed: &[u8], gated: bool) -> IrProgram {
     let mut b = ProgramBuilder::new("prop");
     b.header("x", ValueType::Bit(32));
     for name in ["s0", "s1", "s2"] {
@@ -71,7 +71,7 @@ fn arb_program(seed: &[u8], hoisted: bool) -> IrProgram {
     }
     b.forward();
     let mut program = b.build().expect("generated program is well-formed");
-    if hoisted {
+    if gated {
         program.precondition = Some(user_guard(3));
     }
     program
@@ -85,9 +85,9 @@ proptest! {
     #[test]
     fn the_full_slice_is_the_program(
         seed in proptest::collection::vec(any::<u8>(), 0..24),
-        hoisted in any::<bool>(),
+        gated in any::<bool>(),
     ) {
-        let program = arb_program(&seed, hoisted);
+        let program = arb_program(&seed, gated);
         let all: Vec<usize> = (0..program.len()).collect();
         let slice = program.slice(&all);
         prop_assert_eq!(&slice.name, &program.name);

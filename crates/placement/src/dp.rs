@@ -78,8 +78,8 @@ pub fn place(
 /// the memo's shape key and the stage allocator's [`SegFacts`].
 ///
 /// None of it depends on the tenant.  Isolation prefixes every temporary and
-/// object name with `{user}_` and guards every instruction on the tenant's
-/// numeric id; the bundle reads which instructions and objects share a name,
+/// object name with `{user}_` and gates the program on the tenant's numeric
+/// id; the bundle reads which instructions and objects share a name,
 /// never a name itself or the id.  So one program isolated under two tenants
 /// yields equal bundles, and a solve for one may use the other's
 /// ([`place_prepared`]).  The shape key and the per-kind demand are derived

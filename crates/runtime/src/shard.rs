@@ -11,7 +11,7 @@
 //! depth, decremented per packet) and the relaxed atomic telemetry counters,
 //! which a burst's tally is added to once, behind its last packet.  Tenant
 //! isolation renames every stateful object
-//! with the owner's prefix and guards every instruction with a user-id
+//! with the owner's prefix and gates the whole program on a user-id
 //! match, so partitioning state *by tenant* is semantically identical to the
 //! single shared store a real device would hold; partitioning *by flow* is
 //! identical for flow-keyed state because every packet that can touch a

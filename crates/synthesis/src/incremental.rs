@@ -219,7 +219,7 @@ pub(crate) fn strike_image(image: &mut IrProgram, user: &str) -> bool {
 /// Every slice has one owner, the tenant it is named after: each of its
 /// instructions is owned by that tenant alone, and so is each of its
 /// objects — what [`isolate_user_program`](crate::isolate_user_program)
-/// and the controller's `plan_isolated` stamp on every admitted program.
+/// stamps on every admitted program.
 /// A strike therefore erases whole slices, and a merge drops the slices
 /// struck since the last one, as its compaction drops their `NoOp`s.  So
 /// the log holds exactly the slices the last merge kept.

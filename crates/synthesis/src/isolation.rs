@@ -10,8 +10,10 @@ use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
 /// Rewrite a user program so every object and temporary variable name is
 /// prefixed with `{user}_` — one that already starts so too, which keeps the
 /// renaming injective — every instruction and object is owned by the user
-/// alone, and every instruction is guarded by a match on the user's INC
-/// header id (`meta.inc_user == user_numeric_id`).
+/// alone, and the whole program is gated by a match on the user's INC header
+/// id: `meta.inc_user == user_numeric_id` leads the program's
+/// [`precondition`](IrProgram::precondition), ahead of any precondition it
+/// already had.  Instruction guards are left as the program wrote them.
 ///
 /// Returns the isolated program; the original is not modified.
 pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i64) -> IrProgram {
@@ -21,6 +23,11 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
 
     let mut out = IrProgram::new(user);
     out.headers = program.headers.clone();
+    let user_match =
+        Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(user_numeric_id));
+    let mut precondition = program.precondition.clone().unwrap_or_default();
+    precondition.all.insert(0, user_match);
+    out.precondition = Some(precondition);
     out.objects = program
         .objects
         .iter()
@@ -31,9 +38,6 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
             o
         })
         .collect();
-
-    let user_match =
-        Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(user_numeric_id));
 
     out.instructions = program
         .instructions
@@ -51,11 +55,6 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
             if let Some(object) = instr.op.object_mut() {
                 rename(object);
             }
-            // prepend the user-ID match so only this user's traffic triggers the
-            // snippet
-            let mut guard = instr.guard.take().unwrap_or_default();
-            guard.all.insert(0, user_match.clone());
-            instr.guard = Some(guard);
             instr.owners = vec![user.to_string()];
             instr
         })
@@ -68,6 +67,7 @@ mod tests {
     use super::*;
     use clickinc_frontend::compile_source;
     use clickinc_ir::analysis::owned_by;
+    use clickinc_ir::{AluOp, DiagnosticSet, Guard, OpCode, Optimizer, ProgramBuilder, ValueType};
     use clickinc_lang::templates::{count_min_sketch, kvs_template, KvsParams};
     use std::collections::BTreeSet;
 
@@ -102,29 +102,67 @@ mod tests {
         assert!(isolated.owners().contains("kvs_0"));
     }
 
+    fn user_match(id: i64) -> Predicate {
+        Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(id))
+    }
+
+    /// `guard` with its temporaries renamed as isolating for `user` renames
+    /// them.
+    fn renamed(guard: &Option<Guard>, user: &str) -> Option<Guard> {
+        let mut guard = guard.clone();
+        for operand in guard.iter_mut().flat_map(Guard::operands_mut) {
+            if let Operand::Var(v) = operand {
+                v.insert_str(0, &format!("{user}_"));
+            }
+        }
+        guard
+    }
+
     #[test]
     fn every_instruction_gets_the_user_id_match() {
-        let isolated = isolate_user_program(&cms_ir("cms"), "u", 42);
-        for instr in &isolated.instructions {
-            let guard = instr.guard.as_ref().expect("every instruction guarded");
-            let first = &guard.all[0];
-            assert_eq!(first.lhs, Operand::Meta("inc_user".into()));
-            assert_eq!(first.rhs, Operand::int(42));
+        // the match is the precondition, which gates every instruction; the
+        // instructions keep the guards the program wrote
+        let ir = cms_ir("cms");
+        let isolated = isolate_user_program(&ir, "u", 42);
+        assert_eq!(isolated.precondition, Some(Guard::single(user_match(42))));
+        for (orig, new) in ir.instructions.iter().zip(&isolated.instructions) {
+            assert_eq!(new.guard, renamed(&orig.guard, "u"));
         }
     }
 
     #[test]
     fn existing_guards_are_preserved_after_the_user_match() {
         let t = kvs_template("kvs", KvsParams::default());
-        let ir = compile_source("kvs", &t.source).unwrap();
-        let guarded_before = ir.instructions.iter().filter(|i| i.guard.is_some()).count();
+        let mut ir = compile_source("kvs", &t.source).unwrap();
+        let own = Predicate::new(Operand::hdr("op"), CmpOp::Ne, Operand::int(0));
+        ir.precondition = Some(Guard::single(own.clone()));
         let isolated = isolate_user_program(&ir, "kvs_0", 3);
+        // the user match leads, the program's own precondition follows
+        assert_eq!(isolated.precondition.unwrap().all, [user_match(3), own]);
+        assert!(ir.instructions.iter().any(|i| i.guard.is_some()));
         for (orig, new) in ir.instructions.iter().zip(&isolated.instructions) {
-            let new_len = new.guard.as_ref().unwrap().all.len();
-            let orig_len = orig.guard.as_ref().map(|g| g.all.len()).unwrap_or(0);
-            assert_eq!(new_len, orig_len + 1);
+            assert_eq!(new.guard, renamed(&orig.guard, "kvs_0"));
         }
-        assert!(guarded_before > 0);
+    }
+
+    #[test]
+    fn a_deployed_program_folds_its_constants() {
+        // isolation leaves `x = 3` unguarded, so const-fold propagates it
+        let mut b = ProgramBuilder::new("p");
+        b.header("out", ValueType::Bit(32));
+        b.assign("x", Operand::int(3));
+        b.alu("y", AluOp::Add, Operand::var("x"), Operand::int(1));
+        b.set_header("out", Operand::var("y"));
+        b.forward();
+        let isolated = isolate_user_program(&b.build().unwrap(), "u", 5);
+        let mut diags = DiagnosticSet::new();
+        let optimized = Optimizer::with_default_passes().optimize("u", true, isolated, &mut diags);
+        let written = optimized.instructions.iter().find_map(|i| match &i.op {
+            OpCode::SetHeader { value, .. } => Some(value.clone()),
+            _ => None,
+        });
+        assert_eq!(written, Some(Operand::int(4)), "{}", optimized.dump());
+        assert!(diags.iter().any(|d| d.pass == "const-fold"), "{diags}");
     }
 
     #[test]

@@ -7,10 +7,10 @@ use clickinc_ir::{Guard, Instruction, IrProgram};
 /// The one merge step: splice `slice` into `image` ahead of the image's last
 /// `tail_len` instructions (the base tail: the forwarding decision still runs
 /// last), declaring no object or header twice and renumbering the ids.  The
-/// slice's `precondition` — the hoisted `meta.inc_user == id` guard — has no
-/// program to gate in a merged image, so it is conjoined back onto every
-/// inserted instruction (predicates a guard already carries are not
-/// repeated): the emitted code tests the tenant id where the emulator does.
+/// slice's `precondition` — the `meta.inc_user == id` match isolation
+/// writes — has no program to gate in a merged image, so it leads the guard
+/// of every inserted instruction: the emitted code tests the tenant id where
+/// the emulator does.
 /// The `NoOp`s earlier removals left behind are dropped on the way, so an
 /// image's size tracks its live tenants, not its age.
 pub fn extend_image(image: &mut IrProgram, slice: &IrProgram, tail_len: usize) {
@@ -31,13 +31,12 @@ pub fn extend_image(image: &mut IrProgram, slice: &IrProgram, tail_len: usize) {
     image.compact();
 }
 
-/// A copy of `instr` whose guard additionally requires `pre`.
+/// A copy of `instr` whose guard requires `pre` ahead of its own predicates.
 fn guarded_by(instr: &Instruction, pre: Option<&Guard>) -> Instruction {
     let mut instr = instr.clone();
     if let Some(pre) = pre {
-        let own = instr.guard.take().unwrap_or_default().all;
-        let mut all: Vec<_> = pre.all.iter().filter(|p| !own.contains(p)).cloned().collect();
-        all.extend(own);
+        let mut all = pre.all.clone();
+        all.extend(instr.guard.take().map(|g| g.all).unwrap_or_default());
         instr.guard = (!all.is_empty()).then_some(Guard { all });
     }
     instr

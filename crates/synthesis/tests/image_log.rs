@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 const TENANTS: [&str; 4] = ["cms_a", "kvs_b", "agg_c", "ghost_d"];
 
 /// `source` compiled, isolated and optimized as a deploy does (so the
-/// tenant guard is hoisted into the precondition), cut into two slices.
+/// tenant match is the precondition), cut into two slices.
 fn halves(user: &str, id: i64, source: &str) -> [IrProgram; 2] {
     let ir = compile_source(user, source).unwrap();
     let isolated = isolate_user_program(&ir, user, id);

@@ -1,7 +1,7 @@
 //! The one merge routine: an image is the base image with `extend_image`
-//! folded over the tenant slices, a hoisted isolation guard comes back onto
-//! every merged instruction, and the `NoOp`s of lazy removal do not outlive
-//! the next merge.
+//! folded over the tenant slices, the tenant match isolation writes as the
+//! precondition leads every merged instruction's guard, and the `NoOp`s of
+//! lazy removal do not outlive the next merge.
 
 use clickinc_frontend::compile_source;
 use clickinc_ir::{CmpOp, DiagnosticSet, Guard, IrProgram, OpCode, Operand, Optimizer, Predicate};
@@ -50,18 +50,20 @@ fn an_image_is_the_base_head_then_each_slice_in_order_then_the_tail() {
 fn a_hoisted_precondition_is_conjoined_back_onto_every_inserted_instruction() {
     let base = base_program();
     let isolated = user_ir("cms_0", 7);
-    let hoisted = Optimizer::with_default_passes().optimize(
+    assert_eq!(isolated.precondition, Some(tenant_guard(7)), "isolation writes the match");
+    // optimized as a deploy does: the optimizer keeps the precondition
+    let optimized = Optimizer::with_default_passes().optimize(
         "cms_0",
         true,
         &isolated,
         &mut DiagnosticSet::new(),
     );
-    assert_eq!(hoisted.precondition, Some(tenant_guard(7)), "the optimizer hoists the guard");
-    let image = merged(&base, &[&hoisted]);
+    assert_eq!(optimized.precondition, isolated.precondition);
+    let image = merged(&base, &[&optimized]);
     assert!(image.precondition.is_none(), "an image has no program-level guard");
     assert!(image.validate().is_ok(), "{}", image.dump());
     let user: Vec<_> = image.instructions.iter().filter(|i| !i.is_base()).collect();
-    assert_eq!(user.len(), hoisted.len());
+    assert_eq!(user.len(), optimized.len());
     for instr in user {
         let guard = instr.guard.as_ref().expect("every tenant instruction is guarded");
         assert_eq!(guard.all[0], tenant_guard(7).all[0], "tenant match leads the guard");
@@ -71,18 +73,6 @@ fn a_hoisted_precondition_is_conjoined_back_onto_every_inserted_instruction() {
         p.instructions.iter().filter(|i| i.is_base()).map(|i| i.guard.clone()).collect()
     };
     assert_eq!(base_guards(&image), base_guards(&base.image()));
-    // nothing hoisted (the optimizer fell back, or never ran): the guard
-    // each instruction still carries is not repeated, with or without a
-    // precondition naming it again
-    let unhoisted = merged(&base, &[&isolated]);
-    let mut both = isolated.clone();
-    both.precondition = Some(tenant_guard(7));
-    let deduped = merged(&base, &[&both]);
-    assert_eq!(deduped, unhoisted);
-    for instr in unhoisted.instructions.iter().filter(|i| !i.is_base()) {
-        let guard = instr.guard.as_ref().expect("isolation guards every instruction");
-        assert_eq!(guard.all.iter().filter(|p| **p == tenant_guard(7).all[0]).count(), 1);
-    }
 }
 
 #[test]

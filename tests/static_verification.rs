@@ -5,10 +5,10 @@
 //!    the classification infos the pipeline does emit are byte-stable.
 //! 2. **Per-pass trip fixtures** — six mutated programs, each constructed to
 //!    trip exactly one verifier pass exactly once.
-//! 3. **The service gate** — a deliberately isolation-violating program is
-//!    refused as `ClickIncError::Verification` before any ledger or image
-//!    mutation, and the diagnostics JSON export round-trips; so is a tenant
-//!    whose isolated object name another resident tenant already declares.
+//! 3. **The service gate** — a tenant whose isolated object name another
+//!    resident tenant already declares is refused as
+//!    `ClickIncError::Verification` before any ledger or image mutation, and
+//!    the diagnostics JSON export round-trips.
 //! 4. **Verification ⇒ runs clean** — proptest: any generated program the
 //!    pipeline passes executes on the emulator with every constant-indexed
 //!    count landing in exactly the addressed cell (no wrap-around aliasing),
@@ -77,18 +77,13 @@ fn fig13_template_programs_verify_clean_through_the_service() {
     }
     // golden snapshot of the classification infos: the per-pass counts are
     // byte-stable across runs, so any drift in the analyses diffs here.
-    // Every tenant gets its isolation guard hoisted into the program
-    // precondition, and cms's two dead values are *eliminated* (the
-    // dead-snippet warnings the seed carried are gone because the optimizer
-    // removes the instructions before the verifier re-runs).
+    // cms's two dead values are *eliminated* (the dead-snippet warnings the
+    // seed carried are gone because the optimizer removes the instructions
+    // before the verifier re-runs).
     let golden: BTreeMap<String, usize> = [
         ("cms/dead-value-elim", 1),
-        ("cms/guard-hoist", 1),
         ("dqacc/commutativity", 8),
-        ("dqacc/guard-hoist", 1),
-        ("kvs_srv/guard-hoist", 1),
         ("mlagg/commutativity", 70),
-        ("mlagg/guard-hoist", 1),
         ("mlagg/split-execution", 2),
     ]
     .into_iter()
@@ -98,8 +93,8 @@ fn fig13_template_programs_verify_clean_through_the_service() {
     // and one fully-rendered line stays byte-identical
     assert_eq!(
         rendered[0],
-        "info [guard-hoist] kvs_srv/kvs_srv: hoisted 1 guard predicate(s) shared by all 16 \
-         instruction(s) into the program precondition: meta.inc_user == 1"
+        "info [commutativity] mlagg/mlagg: instruction i8 performs a non-commutative \
+         `overwrite` mutation of mlagg_valid_t; the deployment cannot be flow-sharded"
     );
 }
 
@@ -226,52 +221,6 @@ fn commutativity_fixture_trips_the_commutativity_pass_once() {
 
 // ---- 3. the service gate --------------------------------------------------
 
-#[test]
-fn isolation_violating_program_is_rejected_before_any_mutation() {
-    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    let images_before = controller.image_fingerprints();
-    let ratio_before = controller.remaining_resource_ratio();
-
-    // a pre-isolated deploy that claims tenant `alice` but counts into an
-    // object outside her namespace — placeable, compilable, and exactly what
-    // the verifier exists to refuse
-    let mut b = ProgramBuilder::new("alice");
-    b.header("key", ValueType::Bit(32));
-    b.array("mallory_secret", 1, 64, 32);
-    b.count(None, "mallory_secret", vec![Operand::hdr("key")], Operand::int(1));
-    b.forward();
-    let evil = b.build().expect("fixture builds");
-
-    let err = controller
-        .plan_isolated(&request("alice", "forward()\n"), evil)
-        .expect_err("the verifier must refuse the deploy");
-    match err {
-        ClickIncError::Verification { user, diagnostics } => {
-            assert_eq!(user, "alice");
-            assert!(diagnostics.has_errors());
-            assert!(
-                diagnostics.at(Severity::Error).all(|d| d.pass == "isolation"),
-                "only the isolation pass should error here:\n{diagnostics}"
-            );
-            // the JSON export round-trips losslessly (the CI artifact format)
-            let back = DiagnosticSet::from_json(&diagnostics.to_json()).expect("parses");
-            assert_eq!(back, diagnostics);
-        }
-        other => panic!("expected ClickIncError::Verification, got {other:?}"),
-    }
-
-    // nothing was booked or installed
-    assert_eq!(controller.image_fingerprints(), images_before);
-    assert_eq!(controller.remaining_resource_ratio(), ratio_before);
-    assert!(controller.active_users().is_empty());
-
-    // the compile-and-isolate path renames the same program into the tenant's
-    // namespace, so the identical request deploys fine
-    let source = "ctr = Array(row=1, size=64, w=32)\ncount(ctr, hdr.key, 1)\nforward()\n";
-    controller.deploy(request("alice", source)).expect("the isolated path deploys");
-    assert_eq!(controller.active_users(), vec!["alice"]);
-}
-
 /// Isolation prefixes names with `{user}_`, which is not prefix-free: tenant
 /// `a`'s `b_cache` and tenant `a_b`'s `cache` both isolate to `a_b_cache`.
 /// Whichever deploys second is refused, in either order, before any mutation.
@@ -299,6 +248,9 @@ fn tenants_whose_isolated_names_collide_are_refused_in_either_order() {
                     errors[0].message,
                     format!("object `a_b_cache` is already declared by tenant `{first}`")
                 );
+                // the JSON export round-trips losslessly (the CI artifact format)
+                let back = DiagnosticSet::from_json(&diagnostics.to_json()).expect("parses");
+                assert_eq!(back, diagnostics);
             }
             Err(other) => panic!("expected ClickIncError::Verification, got {other:?}"),
             Ok(_) => panic!("`{second}` deployed onto `{first}`'s `a_b_cache`"),

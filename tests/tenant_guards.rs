@@ -1,23 +1,22 @@
 //! Emitted device code must mean what the emulator runs: the emulator gates
-//! a tenant's slice on the hoisted `meta.inc_user == id` precondition, so
+//! a tenant's slice on the `meta.inc_user == id` precondition isolation
+//! writes, so
 //! every tenant-owned instruction of every merged device image — and every
 //! statement the backends emit from it — must test that id too, or the
 //! emitted programs run tenant instructions on everyone's packets.  Nor may
 //! two tenants' names meet in emitted code: user ids are identifiers, so
 //! every table and register a device image declares is declared once.  Nor
-//! may isolation fold two of one tenant's object names into one, or an
-//! expert program's owner annotations reach past its tenant.
+//! may isolation fold two of one tenant's object names into one.
 
 use clickinc::backend::{generate, DeviceProgram};
 use clickinc::device::DeviceKind;
 use clickinc::emulator::packet::kvs_request as kvs_packet;
-use clickinc::frontend::compile_source;
 use clickinc::ir::{CmpOp, IrProgram, Operand, Predicate, Value};
 use clickinc::lang::templates::{
     count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
     MlAggParams,
 };
-use clickinc::synthesis::{base_program, extend_image, isolate_user_program, remove_user_program};
+use clickinc::synthesis::{base_program, extend_image, remove_user_program};
 use clickinc::topology::{NodeId, Topology};
 use clickinc::{
     ClickIncError, ClickIncService, Controller, MaxTenants, RequestError, ServiceRequest,
@@ -378,51 +377,4 @@ fn object_names_that_already_carry_the_prefix_deploy_apart() {
         }
     }
     assert_eq!(counted, BTreeMap::from([("u_mem", 3), ("u_u_mem", 3)]));
-}
-
-/// An expert program brings its own owner annotations: here one instruction
-/// owned by another tenant and one, with its object, owned by nobody.
-/// `plan_isolated` owns all of it to the deploying tenant, as isolation
-/// does: removing the other tenant leaves the expert's code whole, and
-/// removing the expert leaves the images as they were before it came.
-#[test]
-fn plan_isolated_owns_the_whole_program_to_its_tenant() {
-    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    controller.deploy(kvs_request("other")).expect("the other tenant deploys");
-    let before = controller.image_fingerprints();
-
-    let source = "ctr = Array(row=1, size=64, w=32)\nlog = Array(row=1, size=64, w=32)\n\
-                  count(ctr, hdr.key, 1)\ncount(log, hdr.key, 1)\nforward()\n";
-    let compiled = compile_source("expert", source).expect("compiles");
-    let mut program = isolate_user_program(&compiled, "expert", 2);
-    program.instructions[0].owners = vec!["other".into()];
-    program.instructions[1].owners.clear();
-    program.objects[1].owner = None;
-    let expert = ServiceRequest::new("expert", "forward()\n", &["pod0a"], "pod2b");
-    let deploy = |controller: &mut Controller| {
-        let planned = controller.plan_isolated(&expert, program.clone()).expect("plans");
-        controller.commit(planned).expect("commits");
-    };
-    deploy(&mut controller);
-    let expert_code = |controller: &Controller| {
-        let images = controller.images().images;
-        let instructions = images.values().flat_map(|image| &image.instructions);
-        instructions.filter(|i| i.owners == ["expert"]).count()
-    };
-    let whole = expert_code(&controller);
-    assert_eq!(whole, program.len(), "every instruction is the expert's");
-    controller.remove("expert").expect("deployed");
-    assert_eq!(controller.image_fingerprints(), before, "the expert leaves nothing behind");
-
-    deploy(&mut controller);
-    let devices = |user| controller.devices_of(user).into_iter().collect::<BTreeSet<NodeId>>();
-    assert!(!devices("expert").is_disjoint(&devices("other")), "the tenants share a device");
-    controller.remove("other").expect("deployed");
-    assert_eq!(expert_code(&controller), whole, "the other tenant takes none of the expert's code");
-    let objects = controller.images().images.into_values().flat_map(|image| image.objects);
-    let expert_objects: BTreeSet<_> =
-        objects.filter(|o| o.owner.as_deref() == Some("expert")).map(|o| o.name).collect();
-    assert_eq!(expert_objects, BTreeSet::from(["expert_ctr".into(), "expert_log".into()]));
-    controller.remove("expert").expect("deployed");
-    assert!(controller.image_fingerprints().is_empty());
 }

@@ -8,7 +8,6 @@
 //! what compiling and preparing its own source would.
 
 use clickinc::blockdag::{build_block_dag, BlockConfig};
-use clickinc::frontend::compile_source;
 use clickinc::ir::{
     AluOp, CmpOp, DiagnosticSet, Guard, HashAlgo, IrProgram, Operand, Optimizer, Predicate,
     ProgramBuilder, ValueType,
@@ -248,30 +247,6 @@ fn a_same_source_arrival_plans_and_installs_as_a_fresh_compile_would() {
         let carried = &reused.deployment("arrival").unwrap().prepared;
         assert!(Arc::ptr_eq(carried, &lent(&reused)));
     }
-}
-
-/// A `plan_isolated` resident compiled nothing, so it lends nothing — no
-/// compiled program and no solve inputs — even when its request names the
-/// arrival's source text but it runs another program.
-#[test]
-fn an_isolated_resident_lends_no_compiled_program() {
-    let mut controller = Controller::new(Topology::emulation_topology_all_tofino());
-    let expert = pooled_request("expert", 0);
-    let forward = compile_source("expert", "forward()\n").expect("compiles");
-    let planned = controller
-        .plan_isolated(&expert, isolate_user_program(&forward, "expert", 1))
-        .expect("plans");
-    assert!(planned.compiled().is_none());
-    controller.commit(planned).expect("commits");
-    let resident = Arc::clone(&controller.deployment("expert").unwrap().prepared);
-    assert!(resident.compiled.is_none());
-
-    let arrival = pooled_request("arrival", 0);
-    let plan = controller.plan(&arrival).expect("plans");
-    let own = compile_source("arrival", &arrival.source).expect("compiles");
-    assert_eq!(plan.compiled().unwrap().instructions, own.instructions);
-    assert!(!Arc::ptr_eq(plan.prepared(), &resident));
-    assert_ne!(plan.dag(), &resident.dag);
 }
 
 /// A well-formed program over five arrays and a hash unit, in the style of
