@@ -616,7 +616,8 @@ impl Controller {
         let numeric_id = self.next_user_id;
 
         // install-time optimization over the whole isolated program, before
-        // placement slices it: constant folding and dead-value elimination.
+        // placement slices it: dead-value elimination (constants folded in
+        // the frontend).
         // The tenant match stays the precondition isolation wrote, so a
         // co-resident tenant's packet skips the whole program in O(1).  The
         // optimizer verifies nothing: the verifier below sees exactly the

@@ -168,9 +168,7 @@ impl ServiceState {
             Source::Request(request) => &request.user,
             Source::Plan(plan) => plan.user(),
         };
-        if self.degraded.contains_key(user) {
-            return Err(ClickIncError::DuplicateUser(user.to_string()));
-        }
+        self.refuse_parked(user)?;
         let plan = match source {
             Source::Request(request) => {
                 self.controller.check_request(request)?;
@@ -191,6 +189,15 @@ impl ServiceState {
         self.gate(gate, plan.user(), Some(&plan))?;
         let deployment = self.controller.commit(plan)?;
         Ok(Admitted { user: deployment.user.clone(), numeric_id: deployment.numeric_id })
+    }
+
+    /// A user parked in the degraded state is a [`ClickIncError::DuplicateUser`]
+    /// as a live one is, so one name is never both live and parked.
+    fn refuse_parked(&self, user: &str) -> Result<(), ClickIncError> {
+        if self.degraded.contains_key(user) {
+            return Err(ClickIncError::DuplicateUser(user.to_string()));
+        }
+        Ok(())
     }
 
     /// Consult the service-wide chain unless `gate` bypasses it, before the
@@ -493,9 +500,13 @@ impl ClickIncService {
 
     /// Compile + place `request` as a pure dry-run.  The controller state is
     /// untouched: planning never changes the remaining resource ratio, the
-    /// active user set, or any device image.
+    /// active user set, or any device image.  A user parked in the degraded
+    /// state is refused as [`commit`](ClickIncService::commit) would refuse
+    /// its plan: [`ClickIncError::DuplicateUser`].
     pub fn plan(&self, request: &ServiceRequest) -> Result<DeploymentPlan, ClickIncError> {
-        self.shared.lock().controller.plan(request)
+        let state = self.shared.lock();
+        state.refuse_parked(&request.user)?;
+        state.controller.plan(request)
     }
 
     /// Commit an already-solved plan: admission gate, book resources,
@@ -1099,13 +1110,15 @@ mod tests {
             .to("pod1b")
             .build()
             .expect("valid request");
-        let refused = |result: Result<TenantHandle, ClickIncError>| match result {
+        let refused = |result: Result<(), ClickIncError>| match result {
             Err(ClickIncError::DuplicateUser(user)) => user == "kvs0",
             _ => false,
         };
-        assert!(refused(service.deploy(elsewhere.clone())));
-        let plan = service.plan(&elsewhere).expect("a dry run checks only live users");
-        assert!(refused(service.commit(plan)));
+        assert!(refused(service.deploy(elsewhere.clone()).map(drop)));
+        assert!(refused(service.plan(&elsewhere).map(drop)), "a dry run checks parked users");
+        let plan =
+            service.controller().plan(&elsewhere).expect("the controller sees no parked set");
+        assert!(refused(service.commit(plan).map(drop)));
         assert_eq!(service.remaining_resource_ratio(), ratio);
         assert_eq!(service.controller().image_fingerprints(), fingerprints);
         assert!(service.active_users().is_empty());
@@ -1148,6 +1161,20 @@ mod tests {
         service.deploy(request).expect("deploys");
         service.deploy(kvs_request("kvs0")).expect("the next call still works");
         assert_eq!(service.active_users(), ["kvs0", "wrap"]);
+        service.finish();
+    }
+
+    /// `pow()` out of `i64` range is a typed refusal: a panic there would
+    /// poison the service lock for every later call.
+    #[test]
+    fn an_overflowing_pow_is_refused_and_the_service_stays_usable() {
+        let service = service();
+        let source = "hdr.out = pow(3, 40)\nforward()\n";
+        let request = ServiceRequest::new("pow", source, &["pod0a"], "pod2b");
+        let err = service.deploy(request).map(drop).expect_err("3 ** 40 overflows i64");
+        assert!(matches!(err, ClickIncError::Compile(_)), "{err}");
+        service.deploy(kvs_request("kvs0")).expect("the next call still works");
+        assert_eq!(service.active_users(), ["kvs0"]);
         service.finish();
     }
 }

@@ -6,10 +6,18 @@
 //! materializes every branch condition into a boolean temporary, and emits
 //! φ-style guarded merge copies at branch joins so the resulting instruction
 //! stream is straight-line, predicated and in SSA form.
+//!
+//! Constants fold here, once, as the program lowers: every ALU and compare
+//! goes through [`Lowerer::alu`] or [`Lowerer::compare`], which fold an
+//! all-constant operation with the IR's reference semantics
+//! ([`clickinc_ir::eval`]) and emit anything else.  So the frontend never
+//! emits an ALU or compare instruction whose operands are both constants,
+//! and a constant branch condition lowers only the branch its guard would
+//! take; nothing downstream folds again.
 
 use crate::error::FrontendError;
 use clickinc_ir::analysis::{constant_indices, ConstIndex};
-use clickinc_ir::eval::alu_int;
+use clickinc_ir::eval;
 use clickinc_ir::{
     AluOp, CmpOp, Guard, HashAlgo, Instruction, IrProgram, MatchKind, ObjectDecl, ObjectKind,
     OpCode, Operand, Predicate, SketchKind, Value, ValueType,
@@ -154,6 +162,24 @@ impl Lowered {
     }
 }
 
+/// `a ** b` and `pow(a, b)`: the IR has no power operation, so both operands
+/// must be integer constants and the power folds here, refused where it has
+/// no `i64` value.
+fn power(a: &Lowered, b: &Lowered) -> Result<Lowered, FrontendError> {
+    let (&Lowered::Const(a), &Lowered::Const(b)) = (a, b) else {
+        return Err(FrontendError::Unsupported(
+            "`**` and `pow()` need compile-time integer constant operands".into(),
+        ));
+    };
+    if b < 0 {
+        return Err(FrontendError::Unsupported(format!("`{a} ** {b}` has a negative exponent")));
+    }
+    let power = u32::try_from(b).ok().and_then(|b| a.checked_pow(b));
+    power
+        .map(Lowered::Const)
+        .ok_or_else(|| FrontendError::Unsupported(format!("`{a} ** {b}` overflows i64")))
+}
+
 /// A template instantiated by the user program (e.g. `agg = MLAgg(...)`).
 #[derive(Debug, Clone)]
 struct TemplateInstance {
@@ -251,6 +277,47 @@ impl<'a> Lowerer<'a> {
             Instruction::guarded(id, op, Guard { all: guard })
         };
         self.instructions.push(instr);
+    }
+
+    /// `lhs op rhs` on the `float` or integer unit: emitted into a fresh
+    /// temporary, or folded when both operands are constants.  The fold is
+    /// the IR's reference semantics ([`eval::alu`]), so a folded value is the
+    /// one the data plane would compute, and the frontend never emits an
+    /// all-constant ALU instruction.
+    fn alu(
+        &mut self,
+        op: AluOp,
+        lhs: &Lowered,
+        rhs: &Lowered,
+        float: bool,
+    ) -> Result<Lowered, FrontendError> {
+        let (lhs, rhs) = (lhs.to_operand()?, rhs.to_operand()?);
+        if let (Operand::Const(a), Operand::Const(b)) = (&lhs, &rhs) {
+            return Ok(match eval::alu(op, a, b, float) {
+                Value::Float(v) => Lowered::ConstF(v),
+                v => Lowered::Const(v.as_int().unwrap_or(0)),
+            });
+        }
+        let dest = self.fresh_tmp();
+        self.emit(OpCode::Alu { dest: dest.clone(), op, lhs, rhs, float });
+        Ok(Lowered::Op(Operand::var(dest)))
+    }
+
+    /// `lhs op rhs` as a boolean: emitted like [`Lowerer::alu`], or folded by
+    /// [`eval::compare`] to `0` or `1` when both operands are constants.
+    fn compare(
+        &mut self,
+        op: CmpOp,
+        lhs: &Lowered,
+        rhs: &Lowered,
+    ) -> Result<Lowered, FrontendError> {
+        let (lhs, rhs) = (lhs.to_operand()?, rhs.to_operand()?);
+        if let (Operand::Const(a), Operand::Const(b)) = (&lhs, &rhs) {
+            return Ok(Lowered::Const(i64::from(eval::compare(a, op, b))));
+        }
+        let dest = self.fresh_tmp();
+        self.emit(OpCode::Cmp { dest: dest.clone(), op, lhs, rhs });
+        Ok(Lowered::Op(Operand::var(dest)))
     }
 
     fn header_field(&mut self, field: &str) -> Operand {
@@ -498,12 +565,12 @@ impl<'a> Lowerer<'a> {
         body: &[Stmt],
         orelse: &[Stmt],
     ) -> Result<(), FrontendError> {
-        let c = self.lower_expr(cond)?;
-        // Constant condition: lower only the taken branch.
-        if let Some(v) = c.const_int() {
-            return if v != 0 { self.lower_block(body) } else { self.lower_block(orelse) };
+        let c_op = self.lower_expr(cond)?.to_operand()?;
+        // Constant condition: lower only the branch the guard would take.
+        if let Operand::Const(v) = &c_op {
+            let taken = eval::compare(v, CmpOp::Ne, &Value::Int(0));
+            return if taken { self.lower_block(body) } else { self.lower_block(orelse) };
         }
-        let c_op = c.to_operand()?;
         let pred_true = Predicate::new(c_op.clone(), CmpOp::Ne, Operand::int(0));
         let pred_false = Predicate::new(c_op, CmpOp::Eq, Operand::int(0));
 
@@ -698,11 +765,6 @@ impl<'a> Lowerer<'a> {
     fn lower_binop(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Lowered, FrontendError> {
         let l = self.lower_expr(lhs)?;
         let r = self.lower_expr(rhs)?;
-        let float = l.is_float() || r.is_float();
-        let consts = match (l.const_int(), r.const_int()) {
-            (Some(a), Some(b)) if !float => Some((a, b)),
-            _ => None,
-        };
         let alu = match op {
             BinOp::Add => AluOp::Add,
             BinOp::Sub => AluOp::Sub,
@@ -714,64 +776,19 @@ impl<'a> Lowerer<'a> {
             BinOp::BitXor => AluOp::Xor,
             BinOp::Shl => AluOp::Shl,
             BinOp::Shr => AluOp::Shr,
-            BinOp::Pow => {
-                // the IR has no power operation: `**` folds in range or fails
-                let power = consts.and_then(|(a, b)| a.checked_pow(u32::try_from(b).ok()?));
-                return power.map(Lowered::Const).ok_or_else(|| {
-                    FrontendError::Unsupported(
-                        "`**` requires compile-time constant operands".into(),
-                    )
-                });
-            }
+            BinOp::Pow => return power(&l, &r),
         };
-        // constant folding, in the arithmetic the data plane runs
-        if let Some((a, b)) = consts {
-            return Ok(Lowered::Const(alu_int(alu, a, b)));
-        }
-        let dest = self.fresh_tmp();
-        self.emit(OpCode::Alu {
-            dest: dest.clone(),
-            op: alu,
-            lhs: l.to_operand()?,
-            rhs: r.to_operand()?,
-            float,
-        });
-        Ok(Lowered::Op(Operand::var(dest)))
+        let float = l.is_float() || r.is_float();
+        self.alu(alu, &l, &r, float)
     }
 
     fn lower_unary(&mut self, op: UnaryOp, operand: &Expr) -> Result<Lowered, FrontendError> {
         let v = self.lower_expr(operand)?;
-        if let Some(c) = v.const_int() {
-            return Ok(Lowered::Const(match op {
-                UnaryOp::Neg => alu_int(AluOp::Sub, 0, c),
-                UnaryOp::Invert => !c,
-                UnaryOp::Not => i64::from(c == 0),
-            }));
-        }
-        let dest = self.fresh_tmp();
         match op {
-            UnaryOp::Neg => self.emit(OpCode::Alu {
-                dest: dest.clone(),
-                op: AluOp::Sub,
-                lhs: Operand::int(0),
-                rhs: v.to_operand()?,
-                float: v.is_float(),
-            }),
-            UnaryOp::Invert => self.emit(OpCode::Alu {
-                dest: dest.clone(),
-                op: AluOp::Xor,
-                lhs: v.to_operand()?,
-                rhs: Operand::int(-1),
-                float: false,
-            }),
-            UnaryOp::Not => self.emit(OpCode::Cmp {
-                dest: dest.clone(),
-                op: CmpOp::Eq,
-                lhs: v.to_operand()?,
-                rhs: Operand::int(0),
-            }),
+            UnaryOp::Neg => self.alu(AluOp::Sub, &Lowered::Const(0), &v, v.is_float()),
+            UnaryOp::Invert => self.alu(AluOp::Xor, &v, &Lowered::Const(-1), false),
+            UnaryOp::Not => self.compare(CmpOp::Eq, &v, &Lowered::Const(0)),
         }
-        Ok(Lowered::Op(Operand::var(dest)))
     }
 
     fn lower_compare(
@@ -790,17 +807,7 @@ impl<'a> Lowerer<'a> {
             clickinc_lang::ast::CmpOp::Gt => CmpOp::Gt,
             clickinc_lang::ast::CmpOp::Ge => CmpOp::Ge,
         };
-        if let (Some(a), Some(b)) = (l.const_int(), r.const_int()) {
-            return Ok(Lowered::Const(i64::from(ir_op.eval_int(a, b))));
-        }
-        let dest = self.fresh_tmp();
-        self.emit(OpCode::Cmp {
-            dest: dest.clone(),
-            op: ir_op,
-            lhs: l.to_operand()?,
-            rhs: r.to_operand()?,
-        });
-        Ok(Lowered::Op(Operand::var(dest)))
+        self.compare(ir_op, &l, &r)
     }
 
     fn lower_boolchain(&mut self, op: BoolOp, values: &[Expr]) -> Result<Lowered, FrontendError> {
@@ -821,15 +828,7 @@ impl<'a> Lowerer<'a> {
                         };
                         Lowered::Const(folded)
                     } else {
-                        let dest = self.fresh_tmp();
-                        self.emit(OpCode::Alu {
-                            dest: dest.clone(),
-                            op: alu,
-                            lhs: prev.to_operand()?,
-                            rhs: v.to_operand()?,
-                            float: false,
-                        });
-                        Lowered::Op(Operand::var(dest))
+                        self.alu(alu, &prev, &v, false)?
                     }
                 }
             });
@@ -892,11 +891,9 @@ impl<'a> Lowerer<'a> {
                     reason: "expected exactly two arguments".into(),
                 });
             }
-            let l = self.lower_expr(&args[0])?.to_operand()?;
-            let r = self.lower_expr(&args[1])?.to_operand()?;
-            let dest = self.fresh_tmp();
-            self.emit(OpCode::Alu { dest: dest.clone(), op: alu, lhs: l, rhs: r, float: true });
-            return Ok(Lowered::Op(Operand::var(dest)));
+            let l = self.lower_expr(&args[0])?;
+            let r = self.lower_expr(&args[1])?;
+            return self.alu(alu, &l, &r, true);
         }
 
         if let Some(prim) = PrimitiveKind::from_name(&name) {
@@ -1222,29 +1219,9 @@ impl<'a> Lowerer<'a> {
             }
             BuiltinFn::Abs => match lowered.first() {
                 Some(v) => {
-                    if let Some(c) = v.const_int() {
-                        // `max(c, 0 - c)`, as the instructions below compute it
-                        let neg = alu_int(AluOp::Sub, 0, c);
-                        return Ok(Lowered::Const(alu_int(AluOp::Max, c, neg)));
-                    }
-                    let op = v.to_operand()?;
-                    let neg = self.fresh_tmp();
-                    self.emit(OpCode::Alu {
-                        dest: neg.clone(),
-                        op: AluOp::Sub,
-                        lhs: Operand::int(0),
-                        rhs: op.clone(),
-                        float: false,
-                    });
-                    let dest = self.fresh_tmp();
-                    self.emit(OpCode::Alu {
-                        dest: dest.clone(),
-                        op: AluOp::Max,
-                        lhs: op,
-                        rhs: Operand::var(neg),
-                        float: false,
-                    });
-                    Ok(Lowered::Op(Operand::var(dest)))
+                    // `max(v, 0 - v)`
+                    let neg = self.alu(AluOp::Sub, &Lowered::Const(0), v, false)?;
+                    self.alu(AluOp::Max, v, &neg, false)
                 }
                 None => Err(FrontendError::BadArguments {
                     callee: name.to_string(),
@@ -1258,16 +1235,13 @@ impl<'a> Lowerer<'a> {
                     reason: "len() requires a list".into(),
                 }),
             },
-            BuiltinFn::Pow => {
-                let a = lowered.first().and_then(Lowered::const_int);
-                let b = lowered.get(1).and_then(Lowered::const_int);
-                match (a, b) {
-                    (Some(a), Some(b)) if b >= 0 => Ok(Lowered::Const(a.pow(b.min(62) as u32))),
-                    _ => Err(FrontendError::Unsupported(
-                        "pow() requires compile-time constant arguments".into(),
-                    )),
-                }
-            }
+            BuiltinFn::Pow => match lowered.as_slice() {
+                [a, b] => power(a, b),
+                _ => Err(FrontendError::BadArguments {
+                    callee: name.to_string(),
+                    reason: "expected two arguments".into(),
+                }),
+            },
             BuiltinFn::Round | BuiltinFn::Ceil | BuiltinFn::Floor => match lowered.first() {
                 Some(Lowered::ConstF(v)) => Ok(Lowered::Const(match builtin {
                     BuiltinFn::Ceil => v.ceil() as i64,
@@ -1296,24 +1270,13 @@ impl<'a> Lowerer<'a> {
                 Ok(Lowered::Op(Operand::var(dest)))
             }
             BuiltinFn::Slice => {
-                let value = lowered
-                    .first()
-                    .ok_or_else(|| FrontendError::BadArguments {
-                        callee: name.to_string(),
-                        reason: "expected slice(value, hi, lo)".into(),
-                    })?
-                    .to_operand()?;
+                let value = lowered.first().ok_or_else(|| FrontendError::BadArguments {
+                    callee: name.to_string(),
+                    reason: "expected slice(value, hi, lo)".into(),
+                })?;
                 let hi = lowered.get(1).and_then(Lowered::const_int).unwrap_or(31);
                 let lo = lowered.get(2).and_then(Lowered::const_int).unwrap_or(0);
-                let dest = self.fresh_tmp();
-                self.emit(OpCode::Alu {
-                    dest: dest.clone(),
-                    op: AluOp::Slice,
-                    lhs: value,
-                    rhs: Operand::int((hi << 8) | lo),
-                    float: false,
-                });
-                Ok(Lowered::Op(Operand::var(dest)))
+                self.alu(AluOp::Slice, value, &Lowered::Const((hi << 8) | lo), false)
             }
             BuiltinFn::List => Ok(Lowered::List(lowered)),
             BuiltinFn::Dict => Err(FrontendError::Unsupported(
@@ -1339,19 +1302,7 @@ impl<'a> Lowerer<'a> {
         }
         let mut acc = items[0].clone();
         for item in &items[1..] {
-            if let (Some(a), Some(b)) = (acc.const_int(), item.const_int()) {
-                acc = Lowered::Const(alu_int(alu, a, b));
-                continue;
-            }
-            let dest = self.fresh_tmp();
-            self.emit(OpCode::Alu {
-                dest: dest.clone(),
-                op: alu,
-                lhs: acc.to_operand()?,
-                rhs: item.to_operand()?,
-                float: false,
-            });
-            acc = Lowered::Op(Operand::var(dest));
+            acc = self.alu(alu, &acc, item, false)?;
         }
         Ok(acc)
     }
@@ -1405,6 +1356,113 @@ mod tests {
             &CompileOptions::default(),
         );
         assert!(matches!(err, Err(FrontendError::Unsupported(_))), "{err:?}");
+    }
+
+    /// The one constant `hdr.out = {expr}` writes.
+    fn written(expr: &str) -> Operand {
+        let ir = compile(&format!("hdr.out = {expr}\nforward()\n"));
+        assert_eq!(ir.len(), 2, "{expr} folds: {}", ir.dump());
+        match &ir.instructions[0].op {
+            OpCode::SetHeader { value, .. } => value.clone(),
+            other => panic!("{expr}: unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn float_constants_fold_in_the_frontend() {
+        // a negated float literal folds as the subtraction it means
+        for expr in ["-1.5", "0 - 1.5"] {
+            assert_eq!(written(expr), Operand::Const(Value::Float(-1.5)), "{expr}");
+        }
+        for expr in ["1.5 * 2.0", "fadd(1, 2)"] {
+            assert_eq!(written(expr), Operand::Const(Value::Float(3.0)), "{expr}");
+        }
+    }
+
+    #[test]
+    fn powers_fold_checked_or_are_refused() {
+        assert_eq!(written("pow(2, 10)"), Operand::int(1024));
+        assert_eq!(written("2 ** 10"), Operand::int(1024));
+        let refusal = |expr: &str| {
+            let source = format!("hdr.out = {expr}\nforward()\n");
+            match Frontend::new().compile_source("test", &source, &CompileOptions::default()) {
+                Err(FrontendError::Unsupported(message)) => message,
+                other => panic!("{expr}: expected a refusal, got {other:?}"),
+            }
+        };
+        // out of `i64` range is refused, never clamped or wrapped
+        for expr in ["pow(3, 40)", "pow(2, 70)", "2 ** 70"] {
+            assert!(refusal(expr).contains("overflows i64"), "{expr}: {}", refusal(expr));
+        }
+        assert!(refusal("2 ** -1").contains("negative exponent"));
+        for expr in ["hdr.a ** 2", "pow(2.0, 3)"] {
+            let message = refusal(expr);
+            assert!(message.contains("compile-time integer constant"), "{expr}: {message}");
+        }
+    }
+
+    /// The provider-template grid: KVS depths × CMS rows, MLAgg dims ×
+    /// int/float × aggregators × workers, CMS rows × columns, DQAcc and the
+    /// sparse-MLAgg user program.
+    fn template_grid() -> Vec<String> {
+        let mut sources = Vec::new();
+        for cache_depth in [64, 1000, 1001, 1063, 2000] {
+            for cms_rows in [2, 3, 4] {
+                let p = KvsParams { cache_depth, cms_rows, ..Default::default() };
+                sources.push(kvs_template("kvs", p).source);
+            }
+        }
+        for dims in (4..=32).step_by(4) {
+            for is_float in [false, true] {
+                for num_aggregators in [256, 1024, 4096] {
+                    for num_workers in [2, 4, 8] {
+                        let p = MlAggParams { num_aggregators, num_workers, dims, is_float };
+                        sources.push(mlagg_template("mlagg", p).source);
+                    }
+                }
+            }
+        }
+        for rows in [2, 3, 4] {
+            for cols in [128, 512, 543, 1024] {
+                sources.push(count_min_sketch("cms", rows, cols).source);
+            }
+        }
+        sources.push(dqacc_template("dqacc", DqAccParams::default()).source);
+        sources.push(dqacc_template("dqacc", DqAccParams { depth: 32, ways: 4 }).source);
+        let sparse = MlAggParams { dims: 8, num_aggregators: 64, ..Default::default() };
+        sources.push(mlagg_sparse_user("sparse", sparse, 2, 4).source);
+        sources
+    }
+
+    #[test]
+    fn no_all_constant_computation_reaches_the_ir() {
+        let constants = [
+            "hdr.out = -1.5 * hdr.a\n",
+            "x = None\nhdr.out = x + 1\n",
+            "hdr.out = not None\n",
+            "hdr.out = abs(None) + ~1.5\n",
+            "hdr.out = max(None, 2.5, True) + sum(True, 2.5)\n",
+            "hdr.out = fadd(1, 2.5) + slice(300, 7, 4)\n",
+            "hdr.out = (None == None) + (1.5 < 2) + (None and 1)\n",
+            "if None:\n    drop()\n",
+            "if 0.5:\n    drop()\nelse:\n    hdr.out = True\n",
+            "if hdr.a == 1.5 or None:\n    hdr.out = -True\n",
+        ];
+        let grid = template_grid();
+        assert_eq!(grid.len(), 174);
+        let sources = grid.into_iter().chain(constants.map(|s| format!("{s}forward()\n")));
+        for source in sources {
+            let ir = compile(&source);
+            let constant = |op: &Operand| matches!(op, Operand::Const(_));
+            for instr in &ir.instructions {
+                if let OpCode::Alu { lhs, rhs, .. } | OpCode::Cmp { lhs, rhs, .. } = &instr.op {
+                    assert!(!(constant(lhs) && constant(rhs)), "{instr} in\n{source}");
+                }
+                for p in instr.guard.iter().flat_map(|g| &g.all) {
+                    assert!(!(constant(&p.lhs) && constant(&p.rhs)), "{instr} in\n{source}");
+                }
+            }
+        }
     }
 
     #[test]

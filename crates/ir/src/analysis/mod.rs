@@ -14,9 +14,10 @@
 //!   passes emitting structured [`diagnostics::Diagnostic`] values.  The
 //!   service runs it once per deploy, before the first mutation; it is the
 //!   deploy path's only verification.
-//! * [`opt`] — the transform tier on the same diagnostics machinery: a fixed
-//!   list of constant folding and dead-value elimination.  A pure transform:
-//!   it verifies nothing, and the deploy's verifier run sees its output.
+//! * [`opt`] — the transform tier on the same diagnostics machinery:
+//!   dead-value elimination (constants fold in the frontend).  A pure
+//!   transform: it verifies nothing, and the deploy's verifier run sees its
+//!   output.
 
 pub mod dataflow;
 pub mod diagnostics;

@@ -1,7 +1,7 @@
 //! Value-level evaluation of ALU operations and comparisons.
 //!
 //! These are the *reference semantics* of the IR: the emulator's interpreter,
-//! the register VM, and the optimizer's constant folder all call the same two
+//! the register VM, and the frontend's constant folder all call the same two
 //! functions, so a folded constant is bit-identical to what either execution
 //! backend would have computed at packet time.
 

@@ -9,9 +9,9 @@
 //! What an operation reads, defines and touches is enumerated here and only
 //! here: [`OpCode::operands`] / [`OpCode::operands_mut`] (one exhaustive match
 //! behind both), [`OpCode::dest`], [`OpCode::object`] and
-//! [`OpCode::header_writes`].  The dependency rule, the dataflow analyses, the
-//! optimizer's substitution and the isolation renaming all iterate these
-//! instead of matching on the variants themselves.
+//! [`OpCode::header_writes`].  The dependency rule, the dataflow analyses and
+//! the isolation renaming all iterate these instead of matching on the
+//! variants themselves.
 
 use crate::types::Value;
 use std::fmt;
@@ -469,7 +469,7 @@ impl OpCode {
     }
 
     /// Mutable form of [`OpCode::operands`]: the same operands in the same
-    /// order, for passes that substitute or rename them in place.
+    /// order, for passes that rename them in place.
     pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
         let (a, b, updates): (&mut [Operand], &mut [Operand], &mut [(String, Operand)]) =
             operand_runs!(self, std::slice::from_mut, mut);

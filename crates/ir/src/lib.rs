@@ -29,12 +29,12 @@
 //!   §5.2 step 1, whose sharing rule is [`state_key`]).
 //! * [`builder`] — an ergonomic builder used by the templates, tests and examples.
 //! * [`eval`] — the reference ALU/compare semantics shared by the emulator's
-//!   interpreter, the register VM and the optimizer's constant folder.
+//!   interpreter, the register VM and the frontend's constant folder.
 //! * [`analysis`] — dataflow (value-graph liveness and header reads,
 //!   borrowing their names from the program through the walk), the shared
 //!   forward taint lattice behind the runtime's sharding decision, the
 //!   verifier pass pipeline with structured diagnostics, and the optimizer's
-//!   transform pipeline.
+//!   dead-value elimination.
 
 pub mod analysis;
 pub mod builder;

@@ -61,10 +61,7 @@ fn verify(tenant: &str, isolated: bool, program: &IrProgram) -> DiagnosticSet {
 /// Optimize `raw` and hold the result to the optimizer's contract: it adds
 /// no error-severity verifier finding `raw` lacks.  The deploy path verifies
 /// only the optimized program, so a transform that broke this would turn a
-/// deployable program into a refused one.  One finding may legitimately
-/// appear: constant propagation can hand the `bounds` pass an index that was
-/// a register on `raw` (holding the same out-of-range value at runtime) — but
-/// only on a program that already had errors.
+/// deployable program into a refused one.
 fn optimize_checked(tenant: &str, isolated: bool, raw: &IrProgram) -> IrProgram {
     let mut changes = DiagnosticSet::new();
     let optimized = Optimizer::with_default_passes().optimize(tenant, isolated, raw, &mut changes);
@@ -75,10 +72,7 @@ fn optimize_checked(tenant: &str, isolated: bool, raw: &IrProgram) -> IrProgram 
     };
     let before = errors(raw);
     let after = errors(&optimized);
-    let added: Vec<_> = after
-        .difference(&before)
-        .filter(|(pass, _)| before.is_empty() || pass != "bounds")
-        .collect();
+    let added: Vec<_> = after.difference(&before).collect();
     assert!(
         added.is_empty(),
         "the optimizer added {added:?} to\n{}\noptimized:\n{}",
