@@ -11,10 +11,12 @@
 //!   named with its numeric id.  A removed tenant draws no action and no
 //!   fair-share slot; a re-placed one (adaptive or failover) carries a new
 //!   numeric id and starts a fresh history.
-//! * **Eligibility** comes from the same state-profile analysis
-//!   ([`crate::sharding::sharding_mode_for`]) that gates every deploy, run
-//!   on the tenant's current hops, so the loop can never flow-shard a tenant
-//!   the verifier classified as pinned;
+//! * **Eligibility** is the mode the tenant's program text was found
+//!   eligible for when the controller prepared it
+//!   ([`PreparedSource::sharding`](crate::controller::PreparedSource::sharding),
+//!   the state profile of the isolated, optimized program), the one every
+//!   deploy starts from, so the loop can never flow-shard a tenant the
+//!   verifier classified as pinned;
 //! * **Reshards and budget resizes** are applied on the engine alone — the
 //!   controller's ledger and images do not move;
 //! * **Replans** are routed through [`ClickIncService::replace_tenant`] —
@@ -44,7 +46,6 @@
 //! ```
 
 use crate::service::ClickIncService;
-use crate::sharding::sharding_mode_for;
 use crate::ClickIncError;
 use clickinc_runtime::adaptive::{AdaptAction, AdaptiveController, AdaptivePolicy};
 use clickinc_runtime::ShardingMode;
@@ -110,9 +111,9 @@ impl AdaptiveRuntime {
                 .into_iter()
                 .filter(|user| engine.sharding_mode(user).is_some())
                 .filter_map(|user| {
-                    let numeric_id = controller.numeric_id_of(user)?;
-                    let eligible = sharding_mode_for(&controller.tenant_hops(user));
-                    Some((user.to_string(), (numeric_id, eligible)))
+                    let deployment = controller.deployment(user)?;
+                    let eligible = deployment.prepared.sharding.clone();
+                    Some((user.to_string(), (deployment.numeric_id, eligible)))
                 })
                 .collect();
             (served, engine.telemetry())

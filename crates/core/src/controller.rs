@@ -21,6 +21,7 @@
 
 use crate::error::ClickIncError;
 use crate::request::ServiceRequest;
+use crate::sharding::sharding_mode_for;
 use clickinc_backend::DeviceProgram;
 use clickinc_blockdag::{build_block_dag, BlockConfig, BlockDag};
 use clickinc_device::DeviceKind;
@@ -34,7 +35,7 @@ use clickinc_placement::{
     place_prepared, Assignment, PlacementConfig, PlacementInputs, PlacementNetwork, PlacementPlan,
     ResourceLedger, SolveCache, SolveCacheStats, Weights,
 };
-use clickinc_runtime::TenantHop;
+use clickinc_runtime::{ShardingMode, TenantHop};
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::incremental::DeviceImages;
 use clickinc_synthesis::{
@@ -48,10 +49,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The half of a solve no tenant name reaches, kept once per program text:
-/// the frontend's output, the block DAG and the placement inputs.  A
-/// resident shares its record by `Arc` with every later arrival of the same
-/// source text ([`Controller::plan`]), which isolates `compiled` and places
-/// on `dag` and `inputs` instead of deriving its own.
+/// the frontend's output, the block DAG, the placement inputs and the
+/// sharding mode.  A resident shares its record by `Arc` with every later
+/// arrival of the same source text ([`Controller::plan`]), which isolates
+/// `compiled`, places on `dag` and `inputs` and is served in `sharding`
+/// instead of deriving its own.
 #[derive(Debug)]
 pub struct PreparedSource {
     /// The frontend's output for the request source, before isolation
@@ -63,6 +65,11 @@ pub struct PreparedSource {
     /// What placement derives from that program and `dag` before it looks at
     /// the network.
     pub inputs: PlacementInputs,
+    /// The sharding mode the program is eligible for
+    /// ([`sharding_mode_for`]), from the state profile of the isolated,
+    /// optimized program.  It names only header fields, which isolation
+    /// does not rename, so every tenant of the text is eligible for it.
+    pub sharding: ShardingMode,
 }
 
 impl PreparedSource {
@@ -74,7 +81,8 @@ impl PreparedSource {
         // borrower's check below compares against its lender's facts
         #[cfg(debug_assertions)]
         inputs.fill(program, &dag);
-        PreparedSource { compiled, dag, inputs }
+        let sharding = sharding_mode_for(program);
+        PreparedSource { compiled, dag, inputs, sharding }
     }
 
     /// Check that a lent record is what the borrower's own `program` derives.
@@ -83,6 +91,7 @@ impl PreparedSource {
         let own = PreparedSource::derive(self.compiled.clone(), program, config);
         assert_eq!(own.dag, self.dag, "a lent block DAG is the borrower's own");
         assert_eq!(own.inputs, self.inputs, "lent placement inputs are the borrower's own");
+        assert_eq!(own.sharding, self.sharding, "a lent sharding mode is the borrower's own");
     }
 }
 
@@ -109,9 +118,9 @@ pub struct Deployment {
     /// The isolated IR program.
     pub program: IrProgram,
     /// The name-free half of the solve: the compiled program, the block DAG
-    /// used for placement and the placement inputs.  Derived by this
-    /// deployment's solve or lent by a resident of the same source text, and
-    /// lent on to later arrivals of it.
+    /// used for placement, the placement inputs and the sharding mode.
+    /// Derived by this deployment's solve or lent by a resident of the same
+    /// source text, and lent on to later arrivals of it.
     pub prepared: Arc<PreparedSource>,
     /// The placement plan.
     pub plan: PlacementPlan,
@@ -673,14 +682,22 @@ impl Controller {
         for (assignment, snippet) in placed(&plan, &snippets) {
             for member in &assignment.members {
                 let node = self.topology.node(*member);
+                // a bypass accelerator extends the device's capabilities
+                // and storage, as placement counts them
                 let model = node.kind.model();
+                let mut supported = model.supported_classes().clone();
+                let mut storage_capacity_bits = model.storage_capacity_bits();
+                if let Some(bypass) = node.bypass.map(|kind| kind.model()) {
+                    supported.extend(bypass.supported_classes());
+                    storage_capacity_bits += bypass.storage_capacity_bits();
+                }
                 placements.push(PlacedSnippet {
                     device: node.name.clone(),
                     target: DeviceTarget {
                         device: node.name.clone(),
                         kind: node.kind.to_string(),
-                        supported: model.supported_classes().clone(),
-                        storage_capacity_bits: model.storage_capacity_bits(),
+                        supported,
+                        storage_capacity_bits,
                     },
                     program: Arc::clone(snippet),
                 });

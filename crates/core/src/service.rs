@@ -18,12 +18,12 @@
 //!    one gate on its plan.  Every fallible check precedes the first
 //!    mutation, so a refusal leaves the ledger, the device images and the
 //!    engine bit-identical; the stage never touches the engine at all.
-//! 2. **mirror** — derive the tenant's sharding mode (honouring
-//!    [`InitialSharding`]), register its hops with the engine — the data
-//!    plane, which installs the slices the plan carried past the verifier —
-//!    and build the [`TenantHandle`].  Infallible, and always under the same
-//!    lock as the admit it follows, so engine adds and removals arrive in
-//!    controller order.
+//! 2. **mirror** — read the sharding mode the tenant's program text is
+//!    eligible for (honouring [`InitialSharding`]), register its hops with
+//!    the engine — the data plane, which installs the slices the plan
+//!    carried past the verifier — and build the [`TenantHandle`].
+//!    Infallible, and always under the same lock as the admit it follows,
+//!    so engine adds and removals arrive in controller order.
 //!
 //! The state that pipeline reads and writes — controller, admission chain,
 //! [`InitialSharding`], parked (degraded) tenants, retry queue — lives
@@ -44,7 +44,6 @@ use crate::controller::{Controller, DeploymentPlan};
 use crate::error::ClickIncError;
 use crate::policy::{AdmissionContext, AdmissionDecision, AdmissionPolicy, PolicyChain};
 use crate::request::ServiceRequest;
-use crate::sharding::sharding_mode_for;
 use clickinc_ir::Value;
 use clickinc_runtime::workload::Workload;
 use clickinc_runtime::{
@@ -60,9 +59,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// How the mirror stage picks a freshly committed tenant's sharding mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitialSharding {
-    /// Derive the mode from the deployed program's state profile
-    /// ([`crate::sharding::sharding_mode_for`]): flow-shardable programs
-    /// spread across every shard immediately.  The default.
+    /// The mode the deployed program is eligible for, derived once per
+    /// program text from its state profile
+    /// ([`PreparedSource::sharding`](crate::controller::PreparedSource::sharding)):
+    /// flow-shardable programs spread across every shard immediately.  The
+    /// default.
     #[default]
     Derived,
     /// Start every tenant on one shard ([`ShardingMode::ByTenant`]) and let
@@ -227,17 +228,20 @@ impl Shared {
         self.state.lock().expect("a thread panicked while holding the service state lock")
     }
 
-    /// Pipeline stage 2: derive the sharding mode from the committed
-    /// deployment's state profile (stateless and flow-keyed-state programs
+    /// Pipeline stage 2: read the sharding mode the committed deployment's
+    /// program text is eligible for (stateless and flow-keyed-state programs
     /// spread across every engine shard, anything else pins to one; the
     /// [`InitialSharding`] knob overrides), register the tenant with the
     /// engine, and build its handle around the mode the engine was actually
-    /// given — derived once, so handle and engine cannot disagree.
+    /// given — chosen once, so handle and engine cannot disagree.
     fn mirror(self: &Arc<Self>, state: &ServiceState, admitted: Admitted) -> TenantHandle {
         let Admitted { user, numeric_id } = admitted;
         let hops = state.controller.tenant_hops(&user);
         let mode = match state.initial_sharding {
-            InitialSharding::Derived => sharding_mode_for(&hops),
+            InitialSharding::Derived => {
+                let deployment = state.controller.deployment(&user).expect("admitted, so deployed");
+                deployment.prepared.sharding.clone()
+            }
             InitialSharding::Pinned => ShardingMode::ByTenant,
         };
         self.engine.add_tenant_sharded(&user, hops.clone(), mode.clone());
@@ -752,10 +756,12 @@ impl TenantHandle {
 
     /// How the engine partitions this tenant's traffic now: the engine's
     /// live mode, which an adaptive reshard may have changed since deploy.
-    /// The deploy chose it from the program's state profile
-    /// ([`crate::sharding::sharding_mode_for`]): flow-sharded tenants spread
-    /// across every shard, `ByTenant` tenants pin to one.  Once the engine no
-    /// longer hosts the tenant, the mode it was deployed with.
+    /// The deploy chose the mode the program text is eligible for
+    /// ([`PreparedSource::sharding`](crate::controller::PreparedSource::sharding)),
+    /// unless [`InitialSharding::Pinned`] held it to one shard: flow-sharded
+    /// tenants spread across every shard, `ByTenant` tenants pin to one.
+    /// Once the engine no longer hosts the tenant, the mode it was deployed
+    /// with.
     pub fn sharding_mode(&self) -> ShardingMode {
         self.shared.engine.sharding_mode(&self.user).unwrap_or_else(|| self.mode.clone())
     }

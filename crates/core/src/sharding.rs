@@ -1,15 +1,15 @@
-//! State-profile analysis: choose a tenant's [`ShardingMode`] from its
-//! deployed IR.
+//! State-profile analysis: choose a program's [`ShardingMode`] from its
+//! IR.
 //!
 //! The runtime can spread a single tenant's flows across every engine shard
 //! ([`ShardingMode::ByFlow`]) — but only when that cannot tear the tenant's
 //! inter-packet state apart.  The answer comes from the shared taint engine
-//! in `clickinc_ir::analysis::taint`: [`state_profile`] walks the
-//! deployment's snippets tracking which packet header fields every value is
-//! derived from, records every stateful access's key fields, classifies
-//! every mutation as commutative or not, and notes the first reason (if any)
-//! the tenant must stay on one shard.  This module merely maps the engine's
-//! [`ShardingDecision`] onto the runtime's [`ShardingMode`]:
+//! in `clickinc_ir::analysis::taint`: [`state_profile`] walks the program
+//! tracking which packet header fields every value is derived from, records
+//! every stateful access's key fields, and notes the first reason (if any)
+//! the tenant must stay on one shard — every non-commutative mutation
+//! `mutation_kind` classifies among them.  This module merely maps the
+//! engine's [`ShardingDecision`] onto the runtime's [`ShardingMode`]:
 //!
 //! * [`ShardingDecision::Stateless`] — no inter-packet state at all: hash
 //!   the full flow identity ([`ShardingMode::ByFlow`] with empty key).
@@ -20,9 +20,15 @@
 //!   clears, `randint`, constant/tainted indices, or disjoint key sets:
 //!   fall back to [`ShardingMode::ByTenant`], which is always safe.
 //!
-//! The verifier's non-commutative-mutation pass consumes the *same*
-//! [`state_profile`], so the runtime's sharding decision and the verifier's
-//! classification can never disagree.
+//! The controller derives the mode once per program text, from the
+//! isolated, optimized program, and keeps it in the text's
+//! [`PreparedSource`](crate::controller::PreparedSource) — beside the block
+//! DAG, lent with it to every later deploy of the same text.  The mode names
+//! only header fields, which isolation does not rename.  The service's
+//! mirror stage and the adaptive loop read it from there; the verifier's
+//! `commutativity` pass classifies mutations with the same `mutation_kind`,
+//! so the runtime's sharding decision and the verifier's classification can
+//! never disagree.
 //!
 //! On the provider templates: the KVS cache program (read-only exact-match
 //! cache, hit counters, heavy-hitter CMS, Bloom marker — every access keyed
@@ -34,14 +40,12 @@
 
 use clickinc_ir::analysis::taint::{state_profile, ShardingDecision};
 use clickinc_ir::IrProgram;
-use clickinc_runtime::{ShardingMode, TenantHop};
+use clickinc_runtime::ShardingMode;
 
-/// Derive the sharding mode for a deployment's hop list; see the
-/// [module docs](self) for the analysis.
-pub fn sharding_mode_for(hops: &[TenantHop]) -> ShardingMode {
-    let snippets: Vec<&IrProgram> =
-        hops.iter().flat_map(|hop| &hop.snippets).map(AsRef::as_ref).collect();
-    match state_profile(&snippets).sharding_decision() {
+/// Derive the sharding mode of `program`, a whole (isolated) program; see
+/// the [module docs](self) for the analysis.
+pub fn sharding_mode_for(program: &IrProgram) -> ShardingMode {
+    match state_profile(&[program]).sharding_decision() {
         ShardingDecision::Stateless => ShardingMode::ByFlow { key_fields: Vec::new() },
         ShardingDecision::ByKey(key_fields) => ShardingMode::ByFlow { key_fields },
         ShardingDecision::Pinned(_) => ShardingMode::ByTenant,
@@ -51,24 +55,19 @@ pub fn sharding_mode_for(hops: &[TenantHop]) -> ShardingMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clickinc_device::DeviceModel;
     use clickinc_frontend::compile_source;
     use clickinc_lang::templates::{kvs_template, mlagg_template, KvsParams, MlAggParams};
     use clickinc_synthesis::isolate_user_program;
 
-    fn hops_for(source: &str, user: &str) -> Vec<TenantHop> {
+    fn mode_of(source: &str, user: &str) -> ShardingMode {
         let ir = compile_source(user, source).expect("compiles");
-        vec![TenantHop {
-            device: "tor0".to_string(),
-            model: DeviceModel::tofino(),
-            snippets: vec![isolate_user_program(&ir, user, 1).into()],
-        }]
+        sharding_mode_for(&isolate_user_program(&ir, user, 1))
     }
 
     #[test]
     fn kvs_flow_shards_on_the_request_key() {
         let t = kvs_template("kvs0", KvsParams::default());
-        let mode = sharding_mode_for(&hops_for(&t.source, "kvs0"));
+        let mode = mode_of(&t.source, "kvs0");
         assert_eq!(mode, ShardingMode::ByFlow { key_fields: vec!["key".to_string()] });
     }
 
@@ -81,7 +80,7 @@ mod tests {
             "agg0",
             MlAggParams { dims: 4, num_workers: 2, num_aggregators: 64, is_float: false },
         );
-        let mode = sharding_mode_for(&hops_for(&t.source, "agg0"));
+        let mode = mode_of(&t.source, "agg0");
         assert_eq!(mode, ShardingMode::ByTenant);
     }
 
@@ -92,37 +91,33 @@ mod tests {
         // flow-shards on `key`, MLAgg pins to one shard
         let kvs = kvs_template("kvs_srv", KvsParams { cache_depth: 2000, ..Default::default() });
         assert_eq!(
-            sharding_mode_for(&hops_for(&kvs.source, "kvs_srv")),
+            mode_of(&kvs.source, "kvs_srv"),
             ShardingMode::ByFlow { key_fields: vec!["key".to_string()] }
         );
         let mlagg = mlagg_template(
             "mlagg",
             MlAggParams { dims: 32, num_workers: 4, num_aggregators: 4096, is_float: false },
         );
-        assert_eq!(sharding_mode_for(&hops_for(&mlagg.source, "mlagg")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(&mlagg.source, "mlagg"), ShardingMode::ByTenant);
     }
 
     #[test]
     fn stateless_programs_flow_shard_on_the_full_flow_identity() {
-        let mode = sharding_mode_for(&hops_for("forward()\n", "fwd0"));
+        let mode = mode_of("forward()\n", "fwd0");
         assert_eq!(mode, ShardingMode::ByFlow { key_fields: Vec::new() });
     }
 
     #[test]
-    fn snippetless_hops_are_stateless() {
-        let hops = vec![TenantHop {
-            device: "tor0".into(),
-            model: DeviceModel::tofino(),
-            snippets: vec![],
-        }];
-        assert_eq!(sharding_mode_for(&hops), ShardingMode::ByFlow { key_fields: Vec::new() });
+    fn an_empty_program_is_stateless() {
+        let empty = IrProgram::new("empty");
+        assert_eq!(sharding_mode_for(&empty), ShardingMode::ByFlow { key_fields: Vec::new() });
     }
 
     #[test]
     fn global_counters_pin_a_tenant_to_one_shard() {
         // a constant-indexed counter is shared by every packet of the tenant
         let source = "ctr = Array(row=1, size=4, w=32)\ncount(ctr, 0, 1)\nforward()\n";
-        assert_eq!(sharding_mode_for(&hops_for(source, "ctr0")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(source, "ctr0"), ShardingMode::ByTenant);
     }
 
     #[test]
@@ -133,7 +128,7 @@ mod tests {
                       hdr.key = 0\n\
                       count(ctr, hdr.key, 1)\n\
                       forward()\n";
-        assert_eq!(sharding_mode_for(&hops_for(source, "rw0")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(source, "rw0"), ShardingMode::ByTenant);
     }
 
     #[test]
@@ -147,7 +142,7 @@ mod tests {
                       else:\n\
                       \x20   count(ctr, hdr.key, 1)\n\
                       forward()\n";
-        assert_eq!(sharding_mode_for(&hops_for(source, "bk0")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(source, "bk0"), ShardingMode::ByTenant);
     }
 
     #[test]
@@ -156,7 +151,7 @@ mod tests {
         let source = "reg = Array(row=1, size=64, w=32)\n\
                       write(reg, 0, hdr.key, hdr.seq)\n\
                       forward()\n";
-        assert_eq!(sharding_mode_for(&hops_for(source, "wr0")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(source, "wr0"), ShardingMode::ByTenant);
     }
 
     #[test]
@@ -168,6 +163,6 @@ mod tests {
                       count(a, hdr.key, 1)\n\
                       count(b, hdr.seq, 1)\n\
                       forward()\n";
-        assert_eq!(sharding_mode_for(&hops_for(source, "dj0")), ShardingMode::ByTenant);
+        assert_eq!(mode_of(source, "dj0"), ShardingMode::ByTenant);
     }
 }

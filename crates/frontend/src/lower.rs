@@ -25,7 +25,7 @@ use clickinc_ir::{
 use clickinc_lang::ast::{BinOp, BoolOp, Expr, Stmt, UnaryOp};
 use clickinc_lang::templates::{mlagg_template, MlAggParams};
 use clickinc_lang::{BuiltinFn, ModuleLibrary, ObjectCtor, PrimitiveKind, Program};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Options controlling compilation.
 #[derive(Debug, Clone)]
@@ -210,6 +210,9 @@ struct Lowerer<'a> {
     funcs: BTreeMap<String, (Vec<String>, Vec<Stmt>)>,
     ret_slots: Vec<String>,
     unrolled: usize,
+    /// Temporaries known to hold `0` or `1`: comparison and `and`/`or`
+    /// results.
+    booleans: BTreeSet<String>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -228,6 +231,7 @@ impl<'a> Lowerer<'a> {
             funcs: BTreeMap::new(),
             ret_slots: Vec::new(),
             unrolled: 0,
+            booleans: BTreeSet::new(),
         }
     }
 
@@ -317,7 +321,23 @@ impl<'a> Lowerer<'a> {
         }
         let dest = self.fresh_tmp();
         self.emit(OpCode::Cmp { dest: dest.clone(), op, lhs, rhs });
+        self.booleans.insert(dest.clone());
         Ok(Lowered::Op(Operand::var(dest)))
+    }
+
+    /// `value`'s truth as `0` or `1`: `value` itself when it is known to be
+    /// one of them, else `value != 0`.
+    fn truth(&mut self, value: Lowered) -> Result<Lowered, FrontendError> {
+        let boolean = match &value {
+            Lowered::Const(v) => *v == 0 || *v == 1,
+            Lowered::Op(Operand::Var(name)) => self.booleans.contains(name),
+            _ => false,
+        };
+        if boolean {
+            Ok(value)
+        } else {
+            self.compare(CmpOp::Ne, &value, &Lowered::Const(0))
+        }
     }
 
     fn header_field(&mut self, field: &str) -> Operand {
@@ -828,7 +848,14 @@ impl<'a> Lowerer<'a> {
                         };
                         Lowered::Const(folded)
                     } else {
-                        self.alu(alu, &prev, &v, false)?
+                        // logical, as the constant arm: a bitwise `And` of
+                        // `2` and `1` would be false
+                        let (prev, v) = (self.truth(prev)?, self.truth(v)?);
+                        let result = self.alu(alu, &prev, &v, false)?;
+                        if let Lowered::Op(Operand::Var(dest)) = &result {
+                            self.booleans.insert(dest.clone());
+                        }
+                        result
                     }
                 }
             });
@@ -1377,6 +1404,25 @@ mod tests {
         for expr in ["1.5 * 2.0", "fadd(1, 2)"] {
             assert_eq!(written(expr), Operand::Const(Value::Float(3.0)), "{expr}");
         }
+    }
+
+    #[test]
+    fn runtime_boolean_operators_are_logical() {
+        // an operand not known to be 0 or 1 is compared with 0 first
+        let ir = compile("hdr.out = 2 and hdr.a\nforward()\n");
+        assert!(
+            matches!(
+                &ir.instructions[0].op,
+                OpCode::Cmp { op: CmpOp::Ne, lhs: Operand::Header(a), rhs, .. }
+                    if a == "a" && *rhs == Operand::int(0)
+            ),
+            "{}",
+            ir.dump()
+        );
+        // comparisons and `and`/`or` results are already 0 or 1
+        let ir = compile("hdr.out = hdr.a == 1 and hdr.b < 2 or hdr.c > 3\nforward()\n");
+        let cmps = ir.instructions.iter().filter(|i| matches!(i.op, OpCode::Cmp { .. })).count();
+        assert_eq!(cmps, 3, "{}", ir.dump());
     }
 
     #[test]

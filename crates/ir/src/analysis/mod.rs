@@ -6,10 +6,12 @@
 //! * [`dataflow`] — value-graph liveness and header reads over the
 //!   straight-line (if-converted) instruction stream.
 //! * [`taint`] — the forward taint lattice tracking which header fields every
-//!   value derives from, plus [`taint::state_profile`]: the single analysis
-//!   behind both the runtime's flow-sharding decision
-//!   (`clickinc::sharding_mode_for`) and the verifier's mutation
-//!   classification.
+//!   value derives from, [`taint::state_profile`]: the walk behind the
+//!   runtime's flow-sharding decision (`clickinc::sharding_mode_for`, run
+//!   once per program text when the controller prepares it), and
+//!   [`taint::mutation_kind`]: the one per-instruction mutation
+//!   classification that walk pins on and the verifier's `commutativity`
+//!   pass reports.
 //! * [`passes`] — the [`passes::PassManager`]: a fixed list of verifier
 //!   passes emitting structured [`diagnostics::Diagnostic`] values.  The
 //!   service runs it once per deploy, before the first mutation; it is the
@@ -32,5 +34,6 @@ pub use passes::{
     constant_indices, owned_by, ConstIndex, DeviceTarget, PassContext, PassManager, PlacedSnippet,
 };
 pub use taint::{
-    state_profile, MutationKind, MutationRecord, PinReason, ShardingDecision, StateProfile, Taint,
+    mutation_kind, object_kinds, state_profile, MutationKind, ObjectKinds, PinReason,
+    ShardingDecision, StateProfile, Taint,
 };

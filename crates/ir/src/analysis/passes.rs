@@ -12,7 +12,7 @@
 
 use crate::analysis::dataflow::{header_reads, is_effectful, live_instructions};
 use crate::analysis::diagnostics::{Diagnostic, DiagnosticSet, Severity};
-use crate::analysis::taint::state_profile;
+use crate::analysis::taint::{mutation_kind, object_kinds};
 use crate::capability::CapabilityClass;
 use crate::instr::{Instruction, OpCode, Operand};
 use crate::object::ObjectKind;
@@ -342,27 +342,31 @@ fn dead_snippet(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
 }
 
 /// Non-commutative-mutation classification: surfaces (as info) every state
-/// mutation with no order-free merge, straight from the shared taint engine's
-/// [`state_profile`] — the same analysis the runtime uses to decide the
-/// tenant's sharding mode, so the verifier and the flow-sharder can never
+/// mutation with no order-free merge, classified by the shared taint
+/// engine's [`mutation_kind`] — the function whose non-commutative kinds pin
+/// a tenant's sharding mode, so the verifier and the flow-sharder can never
 /// disagree about which mutations pin a tenant.
 fn commutativity(pass: &str, ctx: &PassContext<'_>, out: &mut DiagnosticSet) {
-    let programs: Vec<&IrProgram> = ctx.programs.iter().collect();
-    let profile = state_profile(&programs);
-    for m in profile.non_commutative_mutations() {
-        let target = m.object.as_deref().unwrap_or("the tenant random stream");
-        out.push(diag(
-            Severity::Info,
-            pass,
-            ctx,
-            &m.snippet,
-            format!(
-                "instruction i{} performs a non-commutative `{}` mutation of {target}; the \
-                 deployment cannot be flow-sharded",
-                m.instr,
-                m.kind.name()
-            ),
-        ));
+    let kinds = object_kinds(ctx.programs);
+    for program in ctx.programs {
+        for instr in &program.instructions {
+            let Some(kind) = mutation_kind(instr, &kinds).filter(|k| !k.is_commutative()) else {
+                continue;
+            };
+            let target = instr.op.object().unwrap_or("the tenant random stream");
+            out.push(diag(
+                Severity::Info,
+                pass,
+                ctx,
+                &program.name,
+                format!(
+                    "instruction i{} performs a non-commutative `{}` mutation of {target}; the \
+                     deployment cannot be flow-sharded",
+                    instr.id.0,
+                    kind.name()
+                ),
+            ));
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Forward taint lattice over header-field provenance, shared by the runtime's
-//! flow-sharding decision and the verifier's mutation classification.
+//! Forward taint lattice over header-field provenance, behind the runtime's
+//! flow-sharding decision, and the per-instruction mutation classification
+//! the verifier shares with it.
 //!
 //! The lattice tracks, for every variable, which packet header fields its
 //! value is derived from: constants, header reads, ALU/compare/hash
@@ -8,13 +9,18 @@
 //! `inc_user`/`step`, variables imported from outside the analyzed snippets,
 //! reads of header fields the program itself rewrote — is [`Taint::Tainted`].
 //!
-//! [`state_profile`] walks a deployment's snippets once and produces a
-//! [`StateProfile`]: the per-access flow-key candidates, every state mutation
-//! classified as commutative or not, and the first reason (if any) the
-//! deployment is pinned to a single shard.  `clickinc::sharding_mode_for` and
-//! the verifier's non-commutative-mutation pass both consume this one
-//! analysis, so the runtime can never shard a tenant the verifier would call
-//! untearable (or vice versa).
+//! [`state_profile`] walks a program once and produces a [`StateProfile`]:
+//! the per-access flow-key candidates and the first reason (if any) the
+//! program is pinned to a single shard.  The controller walks each program
+//! text once, when it first prepares it (`clickinc::sharding_mode_for`,
+//! called by `PreparedSource::derive`), and lends the resulting sharding
+//! mode to every later deploy of the same text.
+//!
+//! [`mutation_kind`] classifies one instruction's state mutation.  The walk
+//! pins on exactly the non-commutative kinds it returns, and the verifier's
+//! `commutativity` pass reports those same kinds without walking, so the
+//! runtime can never shard a tenant the verifier would call untearable (or
+//! vice versa).
 
 use crate::instr::{Instruction, OpCode, Operand};
 use crate::object::{ObjectKind, SketchKind};
@@ -144,19 +150,70 @@ impl MutationKind {
             MutationKind::RandomDraw => "random-draw",
         }
     }
+
+    /// Why this mutation of `object` pins a deployment to one shard; `None`
+    /// for the commutative kinds.
+    fn pin_reason(self, object: &str) -> Option<PinReason> {
+        let object = || to_s(object);
+        match self {
+            MutationKind::Count | MutationKind::BloomSet => None,
+            MutationKind::Overwrite => Some(PinReason::Overwrite { object: object() }),
+            MutationKind::TableWrite => Some(PinReason::TableWrite { object: object() }),
+            MutationKind::Delete => Some(PinReason::Delete { object: object() }),
+            MutationKind::Clear => Some(PinReason::Clear { object: object() }),
+            MutationKind::RandomDraw => Some(PinReason::RandomDraw),
+        }
+    }
 }
 
-/// One classified state mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MutationRecord {
-    /// Name of the snippet (program) containing the mutation.
-    pub snippet: String,
-    /// Id of the mutating instruction within the snippet.
-    pub instr: u32,
-    /// The mutated object, if the mutation targets one (`randint` does not).
-    pub object: Option<String>,
-    /// What the mutation does.
-    pub kind: MutationKind,
+/// The declared objects of one or more programs, by name.
+pub type ObjectKinds<'a> = BTreeMap<&'a str, &'a ObjectKind>;
+
+/// The object declarations of `programs`, the first declaration of a name
+/// winning — so a slice may reference an object a co-located slice of the
+/// same program declares.
+pub fn object_kinds<'a>(programs: impl IntoIterator<Item = &'a IrProgram>) -> ObjectKinds<'a> {
+    let mut kinds = ObjectKinds::new();
+    for program in programs {
+        for object in &program.objects {
+            kinds.entry(object.name.as_str()).or_insert(&object.kind);
+        }
+    }
+    kinds
+}
+
+/// The state mutation `instruction` performs, given the `kinds` of the
+/// objects it may name, or `None` when it mutates no state.
+///
+/// Overwrites are only mergeable when they are idempotent: a Bloom set ORs
+/// exactly, and a counter increment sums exactly even when two flows collide
+/// on one cell.  Register/table overwrites have no order-free merge — two
+/// flows colliding on a hash-modulo slot from different shards would tear
+/// the cell.  Control-plane-only tables are written by the data plane in no
+/// template, and replicated writes could shadow them, so any data-plane
+/// write to one counts.  Deleting from a replicated or partitioned object
+/// resurrects or tears entries on merge, a clear is a whole-object effect
+/// (replicas would clear only their own partition), and per-tenant draw
+/// streams are order-dependent across the whole tenant, not per flow.
+pub fn mutation_kind(instruction: &Instruction, kinds: &ObjectKinds<'_>) -> Option<MutationKind> {
+    let stateful = |object: &str| kinds.get(object).is_some_and(|k| k.is_stateful());
+    match &instruction.op {
+        OpCode::CountState { object, .. } if stateful(object) => Some(MutationKind::Count),
+        OpCode::WriteState { object, .. } => match kinds.get(object.as_str()) {
+            Some(ObjectKind::Sketch { kind: SketchKind::Bloom, .. }) => {
+                Some(MutationKind::BloomSet)
+            }
+            Some(kind) if kind.is_stateful() => Some(MutationKind::Overwrite),
+            Some(ObjectKind::Table { .. }) => Some(MutationKind::TableWrite),
+            _ => None,
+        },
+        OpCode::DeleteState { object, .. } if kinds.contains_key(object.as_str()) => {
+            Some(MutationKind::Delete)
+        }
+        OpCode::ClearState { object } if stateful(object) => Some(MutationKind::Clear),
+        OpCode::RandInt { .. } => Some(MutationKind::RandomDraw),
+        _ => None,
+    }
 }
 
 /// How a deployment may be spread over engine shards.
@@ -171,15 +228,13 @@ pub enum ShardingDecision {
     Pinned(PinReason),
 }
 
-/// The result of the taint walk over a deployment's snippets.
+/// The result of the taint walk over a program.
 #[derive(Debug, Clone, Default)]
 pub struct StateProfile {
     /// Per stateful access, the header fields its index derives from.
     pub access_keys: Vec<BTreeSet<String>>,
-    /// The first reason (in walk order) the deployment was pinned, if any.
+    /// The first reason (in walk order) the program was pinned, if any.
     pub pinned: Option<PinReason>,
-    /// Every state mutation, classified.
-    pub mutations: Vec<MutationRecord>,
 }
 
 impl StateProfile {
@@ -203,22 +258,16 @@ impl StateProfile {
             ShardingDecision::ByKey(common.into_iter().collect())
         }
     }
-
-    /// The mutations with no order-free merge.
-    pub fn non_commutative_mutations(&self) -> impl Iterator<Item = &MutationRecord> {
-        self.mutations.iter().filter(|m| !m.kind.is_commutative())
-    }
 }
 
-struct Walker {
+struct Walker<'a> {
     vars: BTreeMap<String, Taint>,
     rewritten_headers: BTreeSet<String>,
-    kinds: BTreeMap<String, ObjectKind>,
+    kinds: ObjectKinds<'a>,
     profile: StateProfile,
-    snippet: String,
 }
 
-impl Walker {
+impl Walker<'_> {
     fn operand_taint(&self, operand: &Operand) -> Taint {
         match operand {
             Operand::Const(_) => Taint::Fields(BTreeSet::new()),
@@ -278,16 +327,8 @@ impl Walker {
         self.vars.insert(dest.to_string(), taint);
     }
 
-    fn mutation(&mut self, instr: &Instruction, object: Option<&str>, kind: MutationKind) {
-        self.profile.mutations.push(MutationRecord {
-            snippet: self.snippet.clone(),
-            instr: instr.id.0,
-            object: object.map(to_s),
-            kind,
-        });
-    }
-
     fn analyze(&mut self, instruction: &Instruction) {
+        let mutation = mutation_kind(instruction, &self.kinds);
         match &instruction.op {
             OpCode::Assign { dest, src } => {
                 let taint = self.operand_taint(src);
@@ -314,62 +355,16 @@ impl Walker {
                 self.assign(dest, taint);
             }
             OpCode::CountState { dest, object, index, .. } => {
-                // a counter increment: commutative, sums exactly across flow
-                // partitions even when two flows collide on one cell
                 let taint = self.record_access(object, index);
-                if self.is_stateful(object) {
-                    self.mutation(instruction, Some(object), MutationKind::Count);
-                }
                 if let Some(dest) = dest {
                     self.assign(dest, taint);
                 }
             }
-            OpCode::WriteState { object, index, .. } => {
-                // overwrites are only mergeable when they are idempotent: a
-                // Bloom set ORs exactly.  Register/table overwrites have no
-                // order-free merge — two flows colliding on a hash-modulo slot
-                // from different shards would tear the cell — so they pin the
-                // tenant to one shard.
-                match self.kinds.get(object).cloned() {
-                    Some(ObjectKind::Sketch { kind: SketchKind::Bloom, .. }) => {
-                        self.record_access(object, index);
-                        self.mutation(instruction, Some(object), MutationKind::BloomSet);
-                    }
-                    Some(kind) if kind.is_stateful() => {
-                        self.pin(PinReason::Overwrite { object: to_s(object) });
-                        self.mutation(instruction, Some(object), MutationKind::Overwrite);
-                    }
-                    // control-plane-only tables are written by the data plane
-                    // in no template, and replicated writes could shadow them:
-                    // treat any data-plane write as disqualifying
-                    Some(ObjectKind::Table { .. }) => {
-                        self.pin(PinReason::TableWrite { object: to_s(object) });
-                        self.mutation(instruction, Some(object), MutationKind::TableWrite);
-                    }
-                    _ => {}
-                }
-            }
-            OpCode::DeleteState { object, .. } => {
-                // deleting from a replicated/partitioned object resurrects or
-                // tears entries on merge
-                if self.kinds.contains_key(object.as_str()) {
-                    self.pin(PinReason::Delete { object: to_s(object) });
-                    self.mutation(instruction, Some(object), MutationKind::Delete);
-                }
-            }
-            OpCode::ClearState { object } => {
-                // a data-plane clear is a whole-object effect: replicas would
-                // clear only their own partition
-                if self.is_stateful(object) {
-                    self.pin(PinReason::Clear { object: to_s(object) });
-                    self.mutation(instruction, Some(object), MutationKind::Clear);
-                }
-            }
-            OpCode::RandInt { .. } => {
-                // per-tenant draw streams are order-dependent across the
-                // whole tenant, not per flow
-                self.pin(PinReason::RandomDraw);
-                self.mutation(instruction, None, MutationKind::RandomDraw);
+            // a Bloom set is keyed like a read; the other overwrites pin below
+            OpCode::WriteState { object, index, .. }
+                if mutation == Some(MutationKind::BloomSet) =>
+            {
+                self.record_access(object, index);
             }
             OpCode::SetHeader { field, .. } => {
                 self.rewritten_headers.insert(field.clone());
@@ -382,12 +377,20 @@ impl Walker {
                     self.rewritten_headers.insert(field.clone());
                 }
             }
-            OpCode::Drop
+            OpCode::WriteState { .. }
+            | OpCode::DeleteState { .. }
+            | OpCode::ClearState { .. }
+            | OpCode::RandInt { .. }
+            | OpCode::Drop
             | OpCode::Forward
             | OpCode::Mirror { .. }
             | OpCode::Multicast { .. }
             | OpCode::CopyTo { .. }
             | OpCode::NoOp => {}
+        }
+        let object = instruction.op.object().unwrap_or_default();
+        if let Some(reason) = mutation.and_then(|kind| kind.pin_reason(object)) {
+            self.pin(reason);
         }
     }
 }
@@ -396,25 +399,17 @@ fn to_s(s: &str) -> String {
     s.to_string()
 }
 
-/// Run the taint walk over a deployment's snippets (in deployment order) and
-/// return its [`StateProfile`].  Object declarations are collected across all
-/// snippets first, so a snippet may reference an object declared by a
-/// co-located slice of the same program.
+/// Run the taint walk over `snippets` (in order) and return their
+/// [`StateProfile`].  Object declarations are collected across all snippets
+/// first ([`object_kinds`]).
 pub fn state_profile(snippets: &[&IrProgram]) -> StateProfile {
     let mut walker = Walker {
         vars: BTreeMap::new(),
         rewritten_headers: BTreeSet::new(),
-        kinds: BTreeMap::new(),
+        kinds: object_kinds(snippets.iter().copied()),
         profile: StateProfile::default(),
-        snippet: String::new(),
     };
     for snippet in snippets {
-        for object in &snippet.objects {
-            walker.kinds.entry(object.name.clone()).or_insert_with(|| object.kind.clone());
-        }
-    }
-    for snippet in snippets {
-        walker.snippet = snippet.name.clone();
         for instruction in &snippet.instructions {
             walker.analyze(instruction);
         }
@@ -428,6 +423,12 @@ mod tests {
     use crate::builder::ProgramBuilder;
     use crate::object::{HashAlgo, SketchKind};
 
+    /// Every mutation of `p`, classified, in instruction order.
+    fn mutations(p: &IrProgram) -> Vec<MutationKind> {
+        let kinds = object_kinds([p]);
+        p.instructions.iter().filter_map(|i| mutation_kind(i, &kinds)).collect()
+    }
+
     #[test]
     fn keyed_counts_are_commutative_and_keyed() {
         let mut b = ProgramBuilder::new("kvs");
@@ -438,9 +439,8 @@ mod tests {
         let profile = state_profile(&[&p]);
         assert_eq!(profile.pinned, None);
         assert_eq!(profile.sharding_decision(), ShardingDecision::ByKey(vec!["key".to_string()]));
-        assert_eq!(profile.mutations.len(), 1);
-        assert!(profile.mutations[0].kind.is_commutative());
-        assert_eq!(profile.non_commutative_mutations().count(), 0);
+        assert_eq!(mutations(&p), [MutationKind::Count]);
+        assert!(MutationKind::Count.is_commutative());
     }
 
     #[test]
@@ -453,8 +453,8 @@ mod tests {
         let profile = state_profile(&[&p]);
         assert_eq!(profile.pinned, Some(PinReason::Overwrite { object: "reg".into() }));
         assert!(matches!(profile.sharding_decision(), ShardingDecision::Pinned(_)));
-        assert_eq!(profile.non_commutative_mutations().count(), 1);
-        assert_eq!(profile.mutations[0].kind, MutationKind::Overwrite);
+        assert_eq!(mutations(&p), [MutationKind::Overwrite]);
+        assert!(!MutationKind::Overwrite.is_commutative());
     }
 
     #[test]
@@ -463,11 +463,11 @@ mod tests {
         b.array("a", 1, 8, 32);
         b.array("b", 1, 8, 32);
         b.count(None, "a", vec![Operand::int(0)], Operand::int(1)); // pins: constant index
-        b.write("b", vec![Operand::hdr("k")], vec![Operand::int(1)]); // later overwrite still classified
+        b.write("b", vec![Operand::hdr("k")], vec![Operand::int(1)]); // a later pin is not kept
         let p = b.build().unwrap();
         let profile = state_profile(&[&p]);
         assert_eq!(profile.pinned, Some(PinReason::ConstantIndex { object: "a".into() }));
-        assert_eq!(profile.mutations.len(), 2, "mutations after the pin are still recorded");
+        assert_eq!(mutations(&p), [MutationKind::Count, MutationKind::Overwrite]);
     }
 
     #[test]

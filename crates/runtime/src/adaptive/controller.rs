@@ -17,8 +17,9 @@ struct Profile {
     /// The numeric id of the deployment this history belongs to.
     numeric_id: i64,
     /// The most parallel mode the tenant's state profile admits (derived by
-    /// the service layer's `sharding_mode_for` analysis).  A `Reshard` never
-    /// targets anything this does not allow.
+    /// the service layer once per program text, from the isolated, optimized
+    /// program, and kept in the controller's `PreparedSource`).  A `Reshard`
+    /// never targets anything this does not allow.
     eligible: ShardingMode,
     /// Whether the loop (not the deployer) put the tenant into `ByFlow`, so
     /// idle reclamation only undoes the loop's own spreading.

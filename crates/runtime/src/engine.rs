@@ -421,8 +421,9 @@ impl EngineHandle {
     /// reshard wait at the lock and then route under the new mode.  Like
     /// [`add_tenant_sharded`], this trusts the caller that `ByFlow` is sound
     /// for the program; the `clickinc` service layer derives eligibility
-    /// from its state-profile analysis (`sharding_mode_for`) and never
-    /// flow-shards an ineligible tenant.
+    /// once per program text, from the state profile of the isolated,
+    /// optimized program (`sharding_mode_for`, kept in the controller's
+    /// `PreparedSource`), and never flow-shards an ineligible tenant.
     ///
     /// [`add_tenant_sharded`]: EngineHandle::add_tenant_sharded
     pub fn reshard_tenant(&self, user: &str, mode: ShardingMode) -> bool {

@@ -24,6 +24,8 @@
 //!    header the packet lacks, metadata) fed into every site that reads one,
 //!    each of which applies a default of its own — a cell's read–ALU–write,
 //!    which the VM fuses into one op, among them.
+//! 6. **Python's truth** — `and`/`or`/`not` over {0, 1, 2, -1}, as
+//!    constants and as header values, give Python's truth on both tiers.
 //!
 //! The optimizer verifies nothing itself, so the suite holds it to its
 //! contract wherever it runs: on every template isolated as a tenant and on
@@ -316,6 +318,44 @@ fn the_served_mlagg_images_match_their_golden_snapshot() {
         dump.push_str(&plane.compiled_image().expect("a hop carries a program").dump());
     }
     assert_matches_golden("mlagg32_served", &dump);
+}
+
+/// `and`, `or` and `not` give Python's truth on both tiers, whether their
+/// operands are constants the frontend folds or header values the data
+/// plane reads: every pair of {0, 1, 2, -1}, each operand a constant or the
+/// header field it names.
+#[test]
+fn boolean_operators_give_pythons_truth_on_both_tiers() {
+    let values = [0i64, 1, 2, -1];
+    let mut cases: Vec<(String, bool, i64, i64)> = Vec::new();
+    for a in values {
+        for (lhs, rhs) in [("hdr.a", "hdr.b"), ("hdr.a", "B"), ("A", "hdr.b"), ("A", "B")] {
+            for b in values {
+                let (lhs, rhs) =
+                    (lhs.replace('A', &a.to_string()), rhs.replace('B', &b.to_string()));
+                cases.push((format!("{lhs} and {rhs}"), a != 0 && b != 0, a, b));
+                cases.push((format!("{lhs} or {rhs}"), a != 0 || b != 0, a, b));
+            }
+        }
+        for operand in ["hdr.a".to_string(), a.to_string()] {
+            cases.push((format!("not {operand}"), a == 0, a, 0));
+        }
+    }
+    for (expr, truth, a, b) in cases {
+        let program = compile_source("t", &format!("hdr.out = {expr}\nforward()\n")).unwrap();
+        let (mut compiled, mut interp) = plane_pair(&[program]);
+        for plane in [&mut compiled, &mut interp] {
+            let fields = BTreeMap::from([
+                ("a".to_string(), Value::Int(a)),
+                ("b".to_string(), Value::Int(b)),
+                ("out".to_string(), Value::Int(7)),
+            ]);
+            let mut packet = Packet::new("c", "s", 0, fields);
+            plane.process(&mut packet);
+            let out = packet.inc.get("out");
+            assert_eq!(out.as_int().map(|v| v != 0), Some(truth), "{expr} with a={a}, b={b}");
+        }
+    }
 }
 
 /// Decodes a vector of raw draws into a nested `if`/`elif`/`else` program in

@@ -22,9 +22,11 @@
 //!    house) is reached without a solve, and outranks every error only a
 //!    solve can find, but never a malformed request or a duplicate user.
 
+use clickinc::ir::analysis::state_profile;
+use clickinc::ir::{IrProgram, ShardingDecision};
 use clickinc::lang::templates::{
-    count_min_sketch, dqacc_template, kvs_template, mlagg_template, DqAccParams, KvsParams,
-    MlAggParams,
+    count_min_sketch, dqacc_template, kvs_template, mlagg_sparse_user, mlagg_template, DqAccParams,
+    KvsParams, MlAggParams,
 };
 use clickinc::topology::Topology;
 use clickinc::{
@@ -72,10 +74,11 @@ fn run_direct_controller_path() -> RunFingerprint {
     let deployment = controller.commit(planned).expect("deploys");
     let numeric_id = deployment.numeric_id;
     let snippets: Vec<_> = deployment.snippets.values().flatten().cloned().collect();
+    let mode = sharding_mode_for(&deployment.program);
 
     let handle = engine.handle();
     let hops = controller.tenant_hops("kvs0");
-    handle.add_tenant_sharded("kvs0", hops.clone(), sharding_mode_for(&hops));
+    handle.add_tenant_sharded("kvs0", hops.clone(), mode);
     for hop in hops {
         if hop.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == "kvs0_cache")) {
             for (key, value) in house::cache_lines(64) {
@@ -178,6 +181,63 @@ fn the_slices_the_verifier_saw_are_the_allocations_every_holder_shares() {
 /// rollback guarantees protect.  The telemetry export is stamped with a
 /// monotone `snapshot_seq` that advances on every observation (including
 /// this one), so the stamp line is normalized out before comparing.
+/// The per-hop walk the service ran before the sharding mode moved into the
+/// prepared source: one taint walk over every hop's slices in traffic order,
+/// a slice once per device that runs it.  Kept only as the reference the
+/// program-level mode is held to.
+fn per_hop_sharding_mode(hops: &[TenantHop]) -> ShardingMode {
+    let snippets: Vec<&IrProgram> =
+        hops.iter().flat_map(|hop| &hop.snippets).map(AsRef::as_ref).collect();
+    match state_profile(&snippets).sharding_decision() {
+        ShardingDecision::Stateless => ShardingMode::ByFlow { key_fields: Vec::new() },
+        ShardingDecision::ByKey(key_fields) => ShardingMode::ByFlow { key_fields },
+        ShardingDecision::Pinned(_) => ShardingMode::ByTenant,
+    }
+}
+
+/// The mode a deploy reads from its prepared source — derived once per
+/// program text from the isolated, optimized program, and lent to later
+/// deploys of the text — is the mode the per-hop walk over the deployed
+/// slices gives: every fig13 template and the sparse MLAgg program on both
+/// Fig. 11 topologies, float MLAgg on the mixed one (no Tofino runs float),
+/// from one, two and three source pods, each text deployed twice.
+#[test]
+fn the_program_level_sharding_mode_is_the_per_hop_mode() {
+    let mlagg = MlAggParams { dims: 32, num_workers: 4, num_aggregators: 4096, is_float: false };
+    let float = MlAggParams { dims: 16, num_workers: 4, num_aggregators: 512, is_float: true };
+    let templates = [
+        kvs_template("kvs_srv", KvsParams { cache_depth: 2000, ..Default::default() }),
+        mlagg_template("mlagg", mlagg),
+        dqacc_template("dqacc", DqAccParams::default()),
+        count_min_sketch("cms", 3, 512),
+        mlagg_sparse_user("sparse", MlAggParams::default(), 4, 6),
+        mlagg_template("fagg", float),
+    ];
+    let source_sets: [&[&str]; 3] = [&["pod0a"], &["pod0a", "pod1a"], &["pod0a", "pod1a", "pod0b"]];
+    let topologies = [
+        (Topology::emulation_topology_all_tofino(), &templates[..5]),
+        (Topology::emulation_topology(), &templates[..]),
+    ];
+    for (topology, templates) in topologies {
+        for sources in source_sets {
+            for template in templates {
+                let mut controller = Controller::new(topology.clone());
+                // the second tenant borrows the first's prepared source
+                for suffix in ["", "_2"] {
+                    let tenant = format!("{}{suffix}", template.name);
+                    let request = ServiceRequest::new(&tenant, &template.source, sources, "pod2a");
+                    controller.deploy(request).expect("the template deploys");
+                    let deployment = controller.deployment(&tenant).expect("deployed");
+                    let mode = &deployment.prepared.sharding;
+                    assert_eq!(*mode, sharding_mode_for(&deployment.program), "{tenant}");
+                    let per_hop = per_hop_sharding_mode(&controller.tenant_hops(&tenant));
+                    assert_eq!(*mode, per_hop, "{tenant} from {sources:?}");
+                }
+            }
+        }
+    }
+}
+
 fn snapshot(service: &ClickIncService) -> (u64, Vec<String>, BTreeMap<String, u64>, String) {
     let telemetry = service
         .telemetry()

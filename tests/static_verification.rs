@@ -270,6 +270,31 @@ fn tenants_whose_isolated_names_collide_are_refused_in_either_order() {
     assert_eq!(controller.active_users(), vec!["kvs", "kvs_srv"]);
 }
 
+/// The verifier judges a device as placement does: a bypass accelerator's
+/// capability classes and storage count as the device's own.  Float MLAgg
+/// places its float ALUs (class BCA) on the FPGA-bypassed Trident4
+/// aggregation switches of the mixed Fig. 11 topology, which the Trident4
+/// alone cannot run.
+#[test]
+fn plans_on_bypassed_devices_verify_as_placed() {
+    let params = MlAggParams { dims: 16, num_workers: 4, num_aggregators: 512, is_float: true };
+    let source = mlagg_template("fagg", params).source;
+    for sources in [&["pod0a"][..], &["pod0a", "pod0b"], &["pod2b"]] {
+        let mut controller = Controller::new(Topology::emulation_topology());
+        let request = ServiceRequest::new("fagg", &source, sources, "pod2a");
+        controller.deploy(request).expect("float MLAgg deploys");
+        let deployment = controller.deployment("fagg").expect("deployed");
+        let bypassed = deployment
+            .plan
+            .assignments
+            .iter()
+            .filter(|a| !a.is_empty())
+            .flat_map(|a| &a.members)
+            .any(|id| controller.topology().node(*id).bypass.is_some());
+        assert!(bypassed, "{sources:?}: the plan uses a bypassed device");
+    }
+}
+
 // ---- 4. verification ⇒ runs clean ----------------------------------------
 
 proptest! {
