@@ -102,7 +102,14 @@ pub struct FailoverServingReport {
     /// Whether the failover re-placed the victim immediately (vs parking it
     /// `Degraded` until the restore).
     pub recovered_immediately: bool,
-    /// Final telemetry of the victim (`victim_kvs`), fault metrics included.
+    /// The victim's (`victim_kvs`) telemetry at the failover, read before
+    /// [`ClickIncService::fail_device`] removes it — the fault window's
+    /// losses are counted here, since the re-placed victim's counters start
+    /// from zero.  The fault-free control reads it at the same point.
+    ///
+    /// [`ClickIncService::fail_device`]: clickinc::ClickIncService::fail_device
+    pub victim_at_failover: TenantStats,
+    /// Final telemetry of the victim's last deployment (after the restore).
     pub victim: TenantStats,
     /// Final telemetry of the co-resident background tenant (`bg_agg`).
     pub bystander: TenantStats,
@@ -208,6 +215,8 @@ pub fn serve_failover_scenario(
     }
     let faulted = run_victim(2, faults).expect("victim still deployed");
     run_bystander(bg_chunk);
+    let victim_at_failover =
+        service.telemetry().tenant("victim_kvs").cloned().expect("the victim served");
 
     // phase 3: controller failover — quiesce, re-place (or park Degraded)
     let mut failed_device = None;
@@ -242,6 +251,7 @@ pub fn serve_failover_scenario(
         post,
         failed_device,
         recovered_immediately,
+        victim_at_failover,
         victim: closed.kvs,
         bystander: closed.agg,
         victim_devices,
@@ -260,7 +270,8 @@ mod tests {
         let report = serve_failover_scenario(&FailoverServingConfig::default())
             .expect("failover scenario serves");
         let device = report.failed_device.clone().expect("a device failed");
-        assert!(report.victim.fault_lost_packets > 0, "the dead device lost packets");
+        assert!(report.victim_at_failover.fault_lost_packets > 0, "the dead device lost packets");
+        assert_eq!(report.victim.fault_lost_packets, 0, "the re-placed victim counts from zero");
         assert!(!report.victim_devices.is_empty(), "victim occupied devices");
         assert!(
             !physical_intersects(&report.bystander_devices, &device),
@@ -293,11 +304,13 @@ mod tests {
             clean.bystander_fingerprints(),
             "co-resident store fingerprints diverged under the fault"
         );
-        assert!(faulted.victim.fault_lost_packets > 0);
-        assert_eq!(clean.victim.fault_lost_packets, 0);
+        assert!(faulted.victim_at_failover.fault_lost_packets > 0);
+        assert_eq!(clean.victim_at_failover.fault_lost_packets, 0);
         // backpressure sheds nothing and the fault rides the virtual clock,
         // so both runs are pure functions of the config: pinned
-        assert_eq!(counters(&faulted.victim), [3072, 2304, 964, 0, 1340, 0, 768]);
+        assert_eq!(counters(&faulted.victim_at_failover), [2048, 1280, 964, 0, 316, 0, 768]);
+        assert_eq!(counters(&faulted.victim), [1024, 1024, 0, 0, 1024, 0, 0]);
+        assert_eq!(counters(&clean.victim_at_failover), [2048, 2048, 1546, 0, 502, 0, 0]);
         assert_eq!(counters(&clean.victim), [4096, 4096, 3096, 0, 1000, 0, 0]);
         assert_eq!(counters(&clean.bystander), [240, 240, 60, 180, 0, 0, 0]);
         assert_eq!(faulted.failed_device.as_deref(), Some("ToR5"));

@@ -151,6 +151,8 @@ fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
     let after = service.telemetry().tenant("victim_kvs").map(|t| t.completed).unwrap_or(0);
     assert!(after > before, "the recovered victim completes requests again");
 
+    // read before the removals below, which take a tenant out of the report
+    let bystander = service.telemetry().tenant("bg_agg").cloned().expect("bystander served");
     if remove_and_balance {
         service.remove("victim_kvs").expect("removes the victim");
         service.remove("bg_agg").expect("removes the bystander");
@@ -163,7 +165,7 @@ fn run(fault: Option<(u64, usize)>, remove_and_balance: bool) -> RunResult {
 
     let outcome = service.finish();
     RunResult {
-        bystander: outcome.telemetry.tenant("bg_agg").cloned().expect("bystander served"),
+        bystander,
         fingerprints: outcome.store_fingerprints(),
         victim_union,
         bystander_devices,

@@ -635,8 +635,10 @@ impl ClickIncService {
     /// refusal — the original deployment is put back through the same
     /// pipeline with the policy gate bypassed (it was already admitted once,
     /// and a failed advisory re-placement must not turn into an outage) and
-    /// the error is returned.  Telemetry counters survive the round-trip;
-    /// the tenant gets a fresh numeric id either way.
+    /// the error is returned.  Either way the tenant gets a fresh numeric id
+    /// and its telemetry starts from zero counters: the removal drops the
+    /// old deployment's entry, so read the tenant's stats first to keep
+    /// them.
     pub fn replace_tenant(&self, user: &str) -> Result<TenantHandle, ClickIncError> {
         let mut state = self.shared.lock();
         let request = state

@@ -6,6 +6,7 @@ use crate::vm::{self, CompiledImage, ExecMode, RegFile, VmCtx};
 use clickinc_device::DeviceModel;
 use clickinc_ir::eval::{alu, compare};
 use clickinc_ir::{Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -58,9 +59,13 @@ pub struct DevicePlane {
     /// so one tenant's random stream is independent of co-resident traffic —
     /// a requirement for the runtime's shard-count invariance.
     rand_streams: BTreeMap<i64, u64>,
-    /// The install-time-compiled form of `snippets` (see [`crate::vm`]);
-    /// rebuilt on every install/uninstall, `None` while nothing is installed.
+    /// The install-time-compiled form of `snippets` (see [`crate::vm`]): an
+    /// install appends the snippet's program, an uninstall drops the owner's
+    /// and compiles the rest whole only when dead registers or store
+    /// tombstones pile up; `None` while nothing is installed.
     compiled: Option<CompiledImage>,
+    /// How many times the image was compiled whole ([`DevicePlane::recompile`]).
+    whole_compiles: u64,
     /// The register file backing the compiled tier.
     regs: RegFile,
     /// Which execution tier [`DevicePlane::process`] runs.
@@ -88,6 +93,7 @@ impl DevicePlane {
             instructions_executed: 0,
             rand_streams: BTreeMap::new(),
             compiled: None,
+            whole_compiles: 0,
             regs: RegFile::default(),
             exec_mode: ExecMode::default(),
         }
@@ -110,30 +116,60 @@ impl DevicePlane {
         self.compiled.as_ref()
     }
 
-    /// Rebuild the compiled image from the installed snippets.  Object slots,
-    /// hash seeds/moduli and the kind dispatch are resolved here, once, so the
-    /// per-packet loop does no name lookups.
-    fn recompile(&mut self) {
+    /// Compile the image whole from the installed snippets, in install
+    /// order, as [`vm::compile`] does: what an uninstall falls back to (see
+    /// [`DevicePlane::uninstall`]), and the reference an incrementally built
+    /// image is held to.  Object slots, hash seeds/moduli and the kind
+    /// dispatch are resolved at compile time, once, so the per-packet loop
+    /// does no name lookups.  Since every program is lowered anew, the store
+    /// drops its tombstones first ([`ObjectStore::compact`]).
+    pub fn recompile(&mut self) {
+        self.whole_compiles += 1;
+        self.store.compact();
         if self.snippets.is_empty() {
             self.compiled = None;
-            self.regs.reset(0, 0);
+            self.regs.resize(0, 0);
             return;
         }
         let image = vm::compile(&self.snippets, &self.object_kinds, &self.store);
-        self.regs.reset(image.num_regs(), image.num_headers());
+        self.regs.resize(image.num_regs(), image.num_headers());
         self.compiled = Some(image);
     }
 
-    /// Install a program snippet (declares its objects).
+    /// How many times the image was compiled whole: by an uninstall that
+    /// left too many dead registers or tombstones, or emptied the plane, by a
+    /// declaration
+    /// that changed how a resident resolves an object, or on request.  An
+    /// install that only appends does not count.
+    pub fn whole_compiles(&self) -> u64 {
+        self.whole_compiles
+    }
+
+    /// Install a program snippet (declares its objects).  Only the snippet is
+    /// lowered: its program is appended to the compiled image, whose name
+    /// tables already hold every resident's registers and header fields.
+    /// (A snippet that declares an object a resident refers to without
+    /// declaring it changes how that resident resolves, so the image is then
+    /// compiled whole.)
     pub fn install(&mut self, snippet: impl Into<Arc<IrProgram>>) {
         let snippet = snippet.into();
+        let mut resolves_anew = false;
         for obj in &snippet.objects {
             self.store.declare(obj);
             // the first declaration of a name wins, matching install order
-            self.object_kinds.entry(obj.name.clone()).or_insert_with(|| obj.kind.clone());
+            if let Entry::Vacant(vacant) = self.object_kinds.entry(obj.name.clone()) {
+                vacant.insert(obj.kind.clone());
+                resolves_anew |= self.compiled.as_ref().is_some_and(|i| i.refers_to(&obj.name));
+            }
         }
-        self.snippets.push(snippet);
-        self.recompile();
+        self.snippets.push(Arc::clone(&snippet));
+        if resolves_anew {
+            self.recompile();
+            return;
+        }
+        let image = self.compiled.get_or_insert_with(CompiledImage::default);
+        image.append(&snippet, &self.object_kinds, &self.store);
+        self.regs.resize(image.num_regs(), image.num_headers());
     }
 
     /// Remove every snippet owned by `owner` (matched against the snippet's
@@ -143,24 +179,42 @@ impl DevicePlane {
     /// live reconfiguration: a removal drops the returned store, a live
     /// reshard re-seeds it wherever the new sharding mode hosts the tenant.
     ///
+    /// The compiled image drops the owner's programs and keeps its name
+    /// tables, and the store tombstones the removed objects' slots.  The
+    /// image is compiled whole ([`DevicePlane::recompile`]) only when the
+    /// registers the dropped programs introduced since the last whole compile
+    /// outnumber the live ones, or the tombstones the live objects — so the
+    /// register file and the store stay within twice their live size and an
+    /// uninstall costs the tenant, amortized — or when the plane empties, or
+    /// when a resident refers to a removed object it does not declare.
+    ///
     /// Returns `None` if `owner` had no snippet installed.
     pub fn uninstall(&mut self, owner: &str) -> Option<ObjectStore> {
-        let (removed, kept): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.snippets).into_iter().partition(|s| s.name == owner);
-        self.snippets = kept;
+        let removed: Vec<Arc<IrProgram>> =
+            self.snippets.iter().filter(|s| s.name == owner).cloned().collect();
         if removed.is_empty() {
             return None;
         }
+        self.snippets.retain(|s| s.name != owner);
+        let image = self.compiled.as_mut().expect("a plane with snippets has an image");
+        image.drop_programs(owner);
         let mut moved = ObjectStore::new();
+        let mut resolves_anew = false;
         for obj in removed.iter().flat_map(|s| s.objects.iter()) {
             let still_declared =
                 self.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == obj.name));
             if !still_declared {
                 self.store.remove_object(&obj.name, &mut moved);
                 self.object_kinds.remove(&obj.name);
+                resolves_anew |= image.refers_to(&obj.name);
             }
         }
-        self.recompile();
+        // `object_kinds` holds exactly the live objects
+        let dead_slots = self.store.dead_slots() > self.object_kinds.len();
+        let dead_regs = 2 * image.dead_regs() > image.num_regs();
+        if self.snippets.is_empty() || resolves_anew || dead_regs || dead_slots {
+            self.recompile();
+        }
         Some(moved)
     }
 
@@ -756,5 +810,54 @@ mod tests {
         let outcome = plane.process(&mut pkt);
         assert_eq!(outcome.action, PacketAction::Forward);
         assert!(plane.store().sketch_estimate("mem", &Value::Int(9)) >= 2);
+    }
+
+    /// A resident that reads an object it does not declare resolves it
+    /// against the rest of the plane: when another snippet declares it, and
+    /// when that snippet leaves, the image is compiled whole, and the VM reads
+    /// what the interpreter reads.
+    #[test]
+    fn an_object_declared_or_removed_by_a_co_resident_resolves_anew() {
+        use clickinc_ir::{MatchKind, Operand, ProgramBuilder};
+        let mut reader = ProgramBuilder::new("reader");
+        reader.get("v", "shared", vec![Operand::hdr("key")]);
+        reader.set_header("out", Operand::var("v"));
+        let mut owner = ProgramBuilder::new("owner");
+        owner.table("shared", MatchKind::Exact, 32, 32, 16, false).forward();
+        let (reader, owner) = (reader.build().unwrap(), owner.build().unwrap());
+
+        let mut planes = [ExecMode::Compiled, ExecMode::Interpreted].map(|mode| {
+            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+            plane.set_exec_mode(mode);
+            plane.install(reader.clone());
+            plane
+        });
+        let read = |planes: &mut [DevicePlane; 2]| {
+            planes.each_mut().map(|plane| {
+                let mut pkt = kvs_request("c", "s", 0, 3);
+                plane.process(&mut pkt);
+                pkt.inc.get("out")
+            })
+        };
+        let [compiled, interp] = read(&mut planes);
+        assert_eq!(compiled, interp, "undeclared");
+
+        for plane in &mut planes {
+            plane.install(owner.clone());
+            plane.store_mut().table_write("shared", &[Value::Int(3)], vec![Value::Int(33)]);
+        }
+        assert_eq!(planes[0].whole_compiles(), 1, "the declaration recompiled the reader");
+        assert_eq!(
+            read(&mut planes),
+            [Value::Int(33), Value::Int(33)],
+            "declared by a co-resident"
+        );
+
+        for plane in &mut planes {
+            plane.uninstall("owner").expect("installed");
+        }
+        assert_eq!(planes[0].whole_compiles(), 2, "the removal recompiled the reader");
+        let [compiled, interp] = read(&mut planes);
+        assert_eq!(compiled, interp, "removed again");
     }
 }

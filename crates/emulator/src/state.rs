@@ -3,10 +3,12 @@
 //! Objects live in dense *slots*: the store keeps a name → slot index map for
 //! control-plane access, and the per-packet paths (the register VM's compiled
 //! state ops) address slots directly — a bounds-checked vector index instead
-//! of a string-keyed map probe.  Slot indices are stable for the lifetime of
-//! an object: removal tombstones the slot, and every iteration-order-sensitive
-//! operation (merging, fingerprints) walks the name map in lexicographic
-//! order, so the digest of a store is independent of its slot layout.
+//! of a string-keyed map probe.  Slot indices are stable while compiled code
+//! holds them: removal tombstones the slot, and only [`ObjectStore::compact`]
+//! — called where every program addressing the store is compiled anew —
+//! moves slots.  Every iteration-order-sensitive operation (merging,
+//! fingerprints) walks the name map in lexicographic order, so the digest of
+//! a store is independent of its slot layout.
 //!
 //! `Array` and `Seq` objects are register arrays, and are stored as one: a
 //! single `Vec<i64>` indexed `row × size + cell` (`Cells`), so a cell access
@@ -486,6 +488,31 @@ impl ObjectStore {
             into.slots.push(Some(state));
         }
         true
+    }
+
+    /// Tombstoned slots: objects removed since the store was last compacted.
+    pub fn dead_slots(&self) -> usize {
+        self.slots.len() - self.names.len()
+    }
+
+    /// Drop the tombstones and renumber the surviving objects' slots densely,
+    /// in their slot order.  Invalidates every slot index handed out before:
+    /// only call it before compiling anew every program that addresses the
+    /// store.
+    pub fn compact(&mut self) {
+        if self.dead_slots() == 0 {
+            return;
+        }
+        let mut renumbered = Vec::with_capacity(self.slots.len());
+        let mut next = 0;
+        for slot in &self.slots {
+            renumbered.push(next);
+            next += usize::from(slot.is_some());
+        }
+        self.slots.retain(Option::is_some);
+        for slot in self.names.values_mut() {
+            *slot = renumbered[*slot];
+        }
     }
 
     /// Merge another *shard's* store into this one, distinguishing
@@ -1396,5 +1423,26 @@ mod tests {
         fresh.declare(&ObjectDecl::new("b", array));
         fresh.array_write("b", 0, 2, 11);
         assert_eq!(s.fingerprint(), fresh.fingerprint());
+    }
+
+    #[test]
+    fn compaction_drops_tombstones_and_keeps_contents() {
+        let array = ObjectKind::Array { rows: 1, size: 8, width: 32 };
+        let mut s = ObjectStore::new();
+        for name in ["a", "b", "c", "d"] {
+            s.declare(&ObjectDecl::new(name, array.clone()));
+            s.array_write(name, 0, 1, name.len() as i64 + 10);
+        }
+        s.array_write("d", 0, 3, 4);
+        let mut removed = ObjectStore::new();
+        s.remove_object("a", &mut removed);
+        s.remove_object("c", &mut removed);
+        let digest = s.fingerprint();
+        assert_eq!(s.dead_slots(), 2);
+        s.compact();
+        assert_eq!(s.dead_slots(), 0);
+        assert_eq!((s.slot_of("b"), s.slot_of("d")), (Some(0), Some(1)), "dense, in slot order");
+        assert_eq!(s.array_read_slot(1, 0, 3), 4, "contents move with their slot");
+        assert_eq!(s.fingerprint(), digest);
     }
 }

@@ -1,9 +1,13 @@
 //! The register VM: the compiled execution tier of the data plane.
 //!
-//! [`compile`] lowers a device plane's installed snippets into a
-//! [`CompiledImage`] at install time: every variable becomes a dense register
-//! index, every state object resolves to its [`ObjectStore`] slot, hash seeds
-//! and moduli become immediates, and the per-object kind dispatch the
+//! [`CompiledImage::append`] lowers one installed snippet into a
+//! [`CompiledProgram`] at install time, against the register and header
+//! name tables the image keeps for its lifetime, so an install costs the
+//! tenant and not the device; [`compile`] is the same append over a whole
+//! snippet list, from an empty image.  Lowering resolves everything once:
+//! every variable becomes a dense register index, every state object
+//! resolves to its [`ObjectStore`] slot, hash seeds and moduli become
+//! immediates, and the per-object kind dispatch the
 //! interpreter performs per packet (is this a table? a sketch?) is burned
 //! into kind-specialized opcodes.  The per-packet loop is then a match over
 //! fixed-width ops with no string lookups, no `HashMap` probes for
@@ -72,7 +76,8 @@
 use crate::packet::{Packet, StreamRecord};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
 use clickinc_ir::{
-    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectKind, OpCode, Operand, Predicate, Value,
+    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectDecl, ObjectKind, OpCode, Operand, Predicate,
+    Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -268,6 +273,12 @@ pub struct CompiledProgram {
     body: Vec<VmNode>,
     /// Operations in `body`, at every depth.
     ops: usize,
+    /// Registers this program's append introduced into the image's table.
+    new_regs: usize,
+    /// Objects the program reads or writes but does not declare: they
+    /// resolve against whatever the rest of the plane declares, so the image
+    /// is recompiled whole when one of them is declared or removed.
+    foreign: Vec<String>,
 }
 
 impl CompiledProgram {
@@ -285,17 +296,92 @@ impl CompiledProgram {
 /// The compiled form of every snippet installed on one device plane, sharing
 /// a single register namespace (the interpreter shares one `env` across all
 /// snippets of a packet, so variables of the same name must alias).
+///
+/// The register and header name tables live as long as the image: an
+/// [`append`](CompiledImage::append) lowers one snippet against them and
+/// adds only the names it introduces, so appending in install order builds
+/// exactly the tables a whole-list [`compile`] would.  Dropping a program
+/// keeps its names; they are counted dead until the image is compiled whole
+/// again.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledImage {
     programs: Vec<CompiledProgram>,
     /// Register index → variable name (what [`CompiledImage::dump`] prints).
     reg_names: Vec<String>,
+    /// Variable name → register index.
+    var_regs: BTreeMap<String, u32>,
     /// Header index → field name (resolved to a packet slot once per
     /// stream record).
     header_names: Vec<String>,
+    /// Header field name → header index.
+    header_ids: BTreeMap<String, u32>,
+    /// Registers introduced by programs dropped since the image was last
+    /// compiled whole.
+    dead_regs: usize,
 }
 
 impl CompiledImage {
+    /// Lower one snippet against the plane's object-kind index and store
+    /// slots, and append it: the snippet's variables and header fields that
+    /// the tables lack get the next indices, the residents are not touched.
+    /// Called at install time, never per packet.
+    pub fn append(
+        &mut self,
+        snippet: &IrProgram,
+        kinds: &BTreeMap<String, ObjectKind>,
+        store: &ObjectStore,
+    ) {
+        let regs_before = self.reg_names.len();
+        let mut lw = Lowerer {
+            kinds,
+            store,
+            image: self,
+            own: &snippet.objects,
+            foreign: Vec::new(),
+            path: Vec::new(),
+        };
+        let precondition = snippet
+            .precondition
+            .as_ref()
+            .map(|g| g.all.iter().map(|p| lw.pred(p)).collect())
+            .unwrap_or_default();
+        let (body, _) = lw.nodes(&snippet.instructions, &mut 0, &[]);
+        let foreign = lw.foreign;
+        self.programs.push(CompiledProgram {
+            name: snippet.name.clone(),
+            precondition,
+            body,
+            ops: snippet.instructions.len(),
+            new_regs: self.reg_names.len() - regs_before,
+            foreign,
+        });
+    }
+
+    /// Drop every program named `owner`, keeping the name tables (the
+    /// dropped programs' registers count as dead).
+    pub fn drop_programs(&mut self, owner: &str) {
+        let mut dead = 0;
+        self.programs.retain(|p| {
+            let drop = p.name == owner;
+            dead += if drop { p.new_regs } else { 0 };
+            !drop
+        });
+        self.dead_regs += dead;
+    }
+
+    /// Registers no resident program introduced: names dropped programs
+    /// left behind since the image was last compiled whole.
+    pub fn dead_regs(&self) -> usize {
+        self.dead_regs
+    }
+
+    /// Whether a resident program reads or writes `object` without
+    /// declaring it, so declaring or removing `object` changes how that
+    /// program resolves.
+    pub fn refers_to(&self, object: &str) -> bool {
+        self.programs.iter().any(|p| p.foreign.iter().any(|name| name == object))
+    }
+
     /// Number of registers the image needs.
     pub fn num_regs(&self) -> usize {
         self.reg_names.len()
@@ -509,10 +595,12 @@ impl CompiledImage {
 struct Lowerer<'a> {
     kinds: &'a BTreeMap<String, ObjectKind>,
     store: &'a ObjectStore,
-    reg_names: Vec<String>,
-    var_regs: BTreeMap<String, u32>,
-    header_names: Vec<String>,
-    header_ids: BTreeMap<String, u32>,
+    /// The image whose name tables the snippet is lowered against.
+    image: &'a mut CompiledImage,
+    /// The objects the snippet declares.
+    own: &'a [ObjectDecl],
+    /// The objects it refers to without declaring them.
+    foreign: Vec<String>,
     /// The predicates of the blocks open around the instruction being
     /// lowered, outermost first; a closing block takes its own back.
     path: Vec<VmPred>,
@@ -520,23 +608,42 @@ struct Lowerer<'a> {
 
 impl<'a> Lowerer<'a> {
     fn hdr(&mut self, field: &str) -> u32 {
-        if let Some(&h) = self.header_ids.get(field) {
+        let image = &mut *self.image;
+        if let Some(&h) = image.header_ids.get(field) {
             return h;
         }
-        let h = self.header_names.len() as u32;
-        self.header_names.push(field.to_string());
-        self.header_ids.insert(field.to_string(), h);
+        let h = image.header_names.len() as u32;
+        image.header_names.push(field.to_string());
+        image.header_ids.insert(field.to_string(), h);
         h
     }
 
     fn reg(&mut self, var: &str) -> u32 {
-        if let Some(&r) = self.var_regs.get(var) {
+        let image = &mut *self.image;
+        if let Some(&r) = image.var_regs.get(var) {
             return r;
         }
-        let r = self.reg_names.len() as u32;
-        self.reg_names.push(var.to_string());
-        self.var_regs.insert(var.to_string(), r);
+        let r = image.reg_names.len() as u32;
+        image.reg_names.push(var.to_string());
+        image.var_regs.insert(var.to_string(), r);
         r
+    }
+
+    /// Record that the snippet refers to `object`, if it does not declare it.
+    fn note(&mut self, object: &str) {
+        if !self.own.iter().any(|o| o.name == object) && !self.foreign.iter().any(|f| f == object) {
+            self.foreign.push(object.to_string());
+        }
+    }
+
+    fn kind(&mut self, object: &str) -> Option<&'a ObjectKind> {
+        self.note(object);
+        self.kinds.get(object)
+    }
+
+    fn modulus(&mut self, object: &str) -> Option<u32> {
+        self.note(object);
+        self.store.hash_modulus(object)
     }
 
     fn operand(&mut self, op: &Operand) -> VmOperand {
@@ -570,7 +677,8 @@ impl<'a> Lowerer<'a> {
         ops.first().map(|o| self.operand(o)).unwrap_or(VmOperand::Const(Value::None))
     }
 
-    fn slot(&self, object: &str) -> usize {
+    fn slot(&mut self, object: &str) -> usize {
+        self.note(object);
         self.store.slot_of(object).unwrap_or(NO_SLOT)
     }
 
@@ -595,10 +703,10 @@ impl<'a> Lowerer<'a> {
             OpCode::Hash { dest, object, keys } => VmOp::Hash {
                 dest: self.reg(dest),
                 seed: hash_seed(object),
-                modulus: self.store.hash_modulus(object),
+                modulus: self.modulus(object),
                 keys: self.operands(keys),
             },
-            OpCode::ReadState { dest, object, index } => match self.kinds.get(object.as_str()) {
+            OpCode::ReadState { dest, object, index } => match self.kind(object) {
                 Some(ObjectKind::Table { .. }) => VmOp::TableGet {
                     dest: self.reg(dest),
                     slot: self.slot(object),
@@ -612,7 +720,7 @@ impl<'a> Lowerer<'a> {
                 Some(ObjectKind::Hash { .. }) => VmOp::Hash {
                     dest: self.reg(dest),
                     seed: hash_seed(object),
-                    modulus: self.store.hash_modulus(object),
+                    modulus: self.modulus(object),
                     keys: self.operands(index),
                 },
                 _ => VmOp::ArrayRead {
@@ -621,7 +729,7 @@ impl<'a> Lowerer<'a> {
                     index: self.index(index),
                 },
             },
-            OpCode::WriteState { object, index, value } => match self.kinds.get(object.as_str()) {
+            OpCode::WriteState { object, index, value } => match self.kind(object) {
                 Some(ObjectKind::Table { .. }) => VmOp::TableWrite {
                     slot: self.slot(object),
                     key: self.operands(index),
@@ -640,7 +748,7 @@ impl<'a> Lowerer<'a> {
             },
             OpCode::CountState { dest, object, index, delta } => {
                 let dest = dest.as_ref().map(|d| self.reg(d));
-                match self.kinds.get(object.as_str()) {
+                match self.kind(object) {
                     Some(ObjectKind::Sketch { .. }) => VmOp::SketchCount {
                         dest,
                         slot: self.slot(object),
@@ -656,7 +764,7 @@ impl<'a> Lowerer<'a> {
                 }
             }
             OpCode::ClearState { object } => VmOp::Clear { slot: self.slot(object) },
-            OpCode::DeleteState { object, index } => match self.kinds.get(object.as_str()) {
+            OpCode::DeleteState { object, index } => match self.kind(object) {
                 Some(ObjectKind::Table { .. }) => {
                     VmOp::TableDelete { slot: self.slot(object), key: self.operands(index) }
                 }
@@ -782,39 +890,23 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Compile every installed snippet against the plane's object-kind index and
-/// store slots.  Called at install time (and re-called on uninstall), never
-/// per packet.
+/// Compile a whole snippet list, in order, into a fresh image: one
+/// [`CompiledImage::append`] per snippet.  A plane compiles whole only when
+/// an uninstall leaves more dead registers than live ones (or more store
+/// tombstones than live objects), or empties the plane, or when declaring or
+/// removing an object changes how a resident resolves it
+/// ([`CompiledImage::refers_to`]); the whole compile is also the reference
+/// the incrementally built image is held to.
 pub fn compile(
     snippets: &[Arc<IrProgram>],
     kinds: &BTreeMap<String, ObjectKind>,
     store: &ObjectStore,
 ) -> CompiledImage {
-    let mut lw = Lowerer {
-        kinds,
-        store,
-        reg_names: Vec::new(),
-        var_regs: BTreeMap::new(),
-        header_names: Vec::new(),
-        header_ids: BTreeMap::new(),
-        path: Vec::new(),
-    };
-    let mut programs = Vec::with_capacity(snippets.len());
+    let mut image = CompiledImage::default();
     for snippet in snippets {
-        let precondition = snippet
-            .precondition
-            .as_ref()
-            .map(|g| g.all.iter().map(|p| lw.pred(p)).collect())
-            .unwrap_or_default();
-        let (body, _) = lw.nodes(&snippet.instructions, &mut 0, &[]);
-        programs.push(CompiledProgram {
-            name: snippet.name.clone(),
-            precondition,
-            body,
-            ops: snippet.instructions.len(),
-        });
+        image.append(snippet, kinds, store);
     }
-    CompiledImage { programs, reg_names: lw.reg_names, header_names: lw.header_names }
+    image
 }
 
 /// Push `next` onto `body`, fusing it with the two ops before it when the
@@ -915,17 +1007,15 @@ pub struct RegFile {
 }
 
 impl RegFile {
-    /// Size the file for an image (called after every recompile; stamps
-    /// reset, so no stale value can leak across images, and no record is
-    /// bound).
-    pub fn reset(&mut self, num_regs: usize, num_headers: usize) {
-        self.regs.clear();
+    /// Size the file to an image's tables, after an append grew them or a
+    /// whole compile rebuilt them.  A kept register keeps its stamp, which is
+    /// older than the next packet's generation, so it reads `None` until
+    /// written and no value leaks across packets or images; the header
+    /// binding is dropped, so the next packet binds every header id anew.
+    pub fn resize(&mut self, num_regs: usize, num_headers: usize) {
         self.regs.resize(num_regs, Value::None);
-        self.gen.clear();
         self.gen.resize(num_regs, 0);
-        self.hdr_slot.clear();
         self.hdr_slot.resize(num_headers, None);
-        self.cur = 0;
         self.record = None;
     }
 

@@ -5,6 +5,7 @@ use crate::adaptive::budget::fair_budgets;
 use crate::adaptive::policy::{AdaptivePolicy, EpochDelta, TenantDelta};
 use crate::telemetry::TelemetryReport;
 use crate::tenant::ShardingMode;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// What the controller remembers about one served deployment: what the
@@ -77,10 +78,11 @@ impl AdaptiveController {
     /// reshards within that mode.  It is the loop's whole tenant set: a
     /// name missing from it loses its history and draws no action and no
     /// fair-share slot, and a name whose numeric id changed (a re-placement)
-    /// starts from a fresh history.  Each tenant's live sharding mode and
-    /// ingress budget are read from `report` (its `sharding_mode` label and
-    /// `queue_budget`), which the engine stamps under the same lock that
-    /// guards its routes.  `capacity` is the per-shard queue bound and
+    /// starts from a fresh history, its whole counters the epoch's delta
+    /// (the engine starts a redeployment's counters from zero).  Each
+    /// tenant's live sharding mode and ingress budget are read from `report`
+    /// (its `sharding_mode` label and `queue_budget`), which the engine
+    /// stamps under the same lock that guards its routes.  `capacity` is the per-shard queue bound and
     /// `shards` the worker count.
     pub fn decide(
         &mut self,
@@ -90,21 +92,30 @@ impl AdaptiveController {
         shards: usize,
     ) -> Vec<AdaptAction> {
         self.profiles.retain(|user, p| served.get(user).is_some_and(|(id, _)| *id == p.numeric_id));
+        let mut fresh = Vec::new();
         for (user, (numeric_id, eligible)) in served {
-            self.profiles.entry(user.clone()).or_insert_with(|| Profile {
-                numeric_id: *numeric_id,
-                eligible: eligible.clone(),
-                resharded_by_loop: false,
-                last_reshard_epoch: None,
-                saturated_epochs: 0,
-                idle_epochs: 0,
-            });
+            if let Entry::Vacant(vacant) = self.profiles.entry(user.clone()) {
+                fresh.push(user);
+                vacant.insert(Profile {
+                    numeric_id: *numeric_id,
+                    eligible: eligible.clone(),
+                    resharded_by_loop: false,
+                    last_reshard_epoch: None,
+                    saturated_epochs: 0,
+                    idle_epochs: 0,
+                });
+            }
         }
         self.epoch += 1;
-        let Some(prev) = self.prev.replace(report.clone()) else {
+        let Some(mut prev) = self.prev.replace(report.clone()) else {
             // first observation: baseline only
             return Vec::new();
         };
+        // a fresh history is a fresh deployment, whose counters the engine
+        // started from zero: all of them are this epoch's
+        for user in fresh {
+            prev.tenants.remove(user);
+        }
         let delta = EpochDelta::between(&prev, report);
         let mut actions = Vec::new();
         let mut rebalance = false;

@@ -28,8 +28,9 @@
 //! lives in one map behind the engine's one lock.  Removing the map entry
 //! therefore forgets the tenant completely: a later tenant reusing the name
 //! starts from nothing, and no second structure can disagree with the map.
-//! The telemetry registry sits behind the same lock, so a snapshot exports
-//! exactly the modes and budgets the routes carry.
+//! The telemetry registry sits behind the same lock and loses a tenant's
+//! entry with its route, so a snapshot exports exactly the live tenants,
+//! with the modes and budgets their routes carry.
 //! The shard workers always run the compiled register VM, the tier a deploy
 //! ships; the interpreter is the emulator's differential oracle, not an
 //! engine setting.
@@ -296,7 +297,7 @@ impl TenantRoute {
 struct EngineState {
     /// Tenant → its one record.  Locked per inject *batch*, never per packet.
     tenants: BTreeMap<String, Arc<TenantRoute>>,
-    /// Every counter block any tenant ever registered, with mode and budget.
+    /// Every live tenant's counter blocks, with mode and budget.
     telemetry: TelemetryRegistry,
 }
 
@@ -409,8 +410,8 @@ impl EngineHandle {
     ///    merged store equals the exact unsharded state.
     /// 3. **Re-install** — the same install path `add_tenant` uses puts the
     ///    program on the new mode's shard(s) with fresh counter blocks (the
-    ///    registry keeps the old blocks, so telemetry totals stay
-    ///    continuous).
+    ///    registry keeps the old blocks beside them, so telemetry totals
+    ///    stay continuous).
     /// 4. **Seed** — the merged state is sent to every new hosting shard.
     ///    For `ByFlow` that is a *full replica* per shard — flow-keyed reads
     ///    must see pre-reshard history — and the replica baseline is kept in
@@ -496,9 +497,15 @@ impl EngineHandle {
     /// Remove a tenant.  Every shard hosting it quiesces the tenant's queued
     /// traffic first (FIFO channel), then drops only its snippets and
     /// exclusively-owned tables; co-resident tenants keep flowing untouched.
-    /// A flow-sharded tenant is quiesced on every shard.
+    /// A flow-sharded tenant is quiesced on every shard.  The tenant's
+    /// telemetry goes with its route, under the same lock: later snapshots
+    /// do not list it, so a caller that wants its final counters reads them
+    /// before the removal, and a redeployment under the same name starts
+    /// from zero.
     pub fn remove_tenant(&self, user: &str) {
-        let Some(route) = self.state().tenants.remove(user) else { return };
+        let mut state = self.state();
+        let Some(route) = state.tenants.remove(user) else { return };
+        state.telemetry.remove(user);
         for shard in route.hosting(self.shards()) {
             let _ = self.shared.senders[shard]
                 .send(ShardMsg::RemoveTenant { user: user.to_string(), ack: None });

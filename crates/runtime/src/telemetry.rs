@@ -83,8 +83,9 @@ pub struct TenantCounters {
     /// observed fault window.
     pub fault_first_vtime_ns: AtomicU64,
     /// Virtual arrival time of the *first* completion this counter block
-    /// ever recorded (`u64::MAX` until one completes).  Blocks registered by
-    /// a post-fault re-placement use it to date the tenant's recovery.
+    /// ever recorded (`u64::MAX` until one completes).  Blocks registered
+    /// after a faulted one — a live reshard's — use it to date the tenant's
+    /// recovery.
     pub vtime_first_ns: AtomicU64,
 }
 
@@ -323,12 +324,13 @@ pub struct TenantStats {
     /// Virtual arrival time of the first packet lost to a fault (0 when the
     /// tenant never lost one).
     pub fault_vtime_ns: u64,
-    /// Virtual arrival time of the first packet served *after* the tenant
-    /// was re-placed past its fault window (0 until recovery).  Dated from
-    /// the counter blocks the re-placement registered.
+    /// Virtual arrival time of the first packet served by a counter block
+    /// registered after the tenant's last faulted one (0 until recovery).
+    /// Blocks of one deployment only: a live reshard registers new blocks
+    /// beside the old ones, a re-placement starts a new entry.
     pub recovery_vtime_ns: u64,
-    /// Virtual-clock time from first fault loss to first post-re-placement
-    /// service — 0 while unrecovered or never faulted.
+    /// Virtual-clock time from first fault loss to the first service by a
+    /// later block — 0 while unrecovered or never faulted.
     pub time_to_recovery_ns: u64,
 }
 
@@ -386,9 +388,9 @@ impl TenantStats {
             .min()
             .unwrap_or(u64::MAX);
         // recovery is dated from the counter blocks registered *after* the
-        // last block that observed a fault loss: a post-fault re-placement
-        // installs the tenant with fresh blocks, so their earliest served
-        // arrival is the moment the tenant was serving again
+        // last block that observed a fault loss: a live reshard installs the
+        // tenant with fresh blocks, so their earliest served arrival is the
+        // moment the tenant was serving again
         let recovery_vtime_raw = parts
             .iter()
             .rposition(|c| c.fault_lost.load(Ordering::Relaxed) > 0)
@@ -482,7 +484,7 @@ fn percentile(hist: &[u64; HIST_BUCKETS], total: u64, q: f64) -> u64 {
     bucket_value(HIST_BUCKETS - 1)
 }
 
-/// A merged snapshot of every tenant the engine has ever hosted.
+/// A merged snapshot of every tenant the engine serves.
 ///
 /// Each snapshot is stamped with a monotonically increasing
 /// [`snapshot_seq`](TelemetryReport::snapshot_seq) and the virtual clock it
@@ -495,9 +497,9 @@ pub struct TelemetryReport {
     /// Monotonically increasing snapshot sequence number (1-based, per
     /// registry).
     pub snapshot_seq: u64,
-    /// The largest virtual completion clock observed across all tenants, in
-    /// nanoseconds — the report's position on the workload's virtual
-    /// timeline.
+    /// The largest virtual completion clock observed across all tenants,
+    /// removed ones included, in nanoseconds — the report's position on the
+    /// workload's virtual timeline.
     pub vtime_ns: u64,
     /// Per-tenant statistics, keyed by tenant id.
     pub tenants: BTreeMap<String, TenantStats>,
@@ -510,7 +512,7 @@ impl PartialEq for TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// The stats of one tenant, if it ever carried traffic.
+    /// The stats of one tenant, if it is deployed on the engine.
     pub fn tenant(&self, name: &str) -> Option<&TenantStats> {
         self.tenants.get(name)
     }
@@ -533,19 +535,33 @@ struct TenantEntry {
 
 /// The engine-side registry mapping tenants to their per-shard counters: a
 /// field of the engine's state behind its one lock, never touched on the
-/// packet path.  It keeps removed tenants' blocks, so a snapshot covers
-/// every tenant the engine has ever hosted.
+/// packet path.  It holds the live tenants only: a removal drops the
+/// tenant's entry, so a snapshot costs the tenants served now, not every
+/// tenant the engine ever hosted, and a redeployment under a reused name
+/// starts from zero counters.  A reshard keeps the old blocks beside the new
+/// ones, so a live tenant's totals stay continuous.
 #[derive(Debug, Default)]
 pub(crate) struct TelemetryRegistry {
     tenants: BTreeMap<String, TenantEntry>,
     /// Snapshot sequence; `snapshot` increments it.
     seq: u64,
+    /// The latest virtual completion clock of the removed tenants, so a
+    /// report's clock never runs back when a tenant leaves.
+    retired_vtime_ns: u64,
 }
 
 impl TelemetryRegistry {
     /// Register a (tenant, shard) counter block.
     pub(crate) fn register(&mut self, tenant: &str, counters: Arc<TenantCounters>) {
         self.tenants.entry(tenant.to_string()).or_default().blocks.push(counters);
+    }
+
+    /// Drop a removed tenant's entry, keeping its virtual clock.
+    pub(crate) fn remove(&mut self, tenant: &str) {
+        if let Some(entry) = self.tenants.remove(tenant) {
+            let vtime_ns = TenantStats::vtime_max(&entry.blocks);
+            self.retired_vtime_ns = self.retired_vtime_ns.max(vtime_ns);
+        }
     }
 
     /// Record a tenant's active sharding mode and ingress budget, exported
@@ -560,7 +576,7 @@ impl TelemetryRegistry {
     /// snapshot sequence number and the virtual clock it observed.
     pub(crate) fn snapshot(&mut self) -> TelemetryReport {
         self.seq += 1;
-        let mut vtime_ns = 0u64;
+        let mut vtime_ns = self.retired_vtime_ns;
         let merged: BTreeMap<String, TenantStats> = self
             .tenants
             .iter()
@@ -751,6 +767,24 @@ mod tests {
         let second = registry.snapshot();
         assert_eq!(first.snapshot_seq + 1, second.snapshot_seq);
         assert_eq!(first, second, "identical counters compare equal across snapshots");
+    }
+
+    #[test]
+    fn a_removed_tenant_leaves_the_report_but_not_the_clock() {
+        let mut registry = TelemetryRegistry::default();
+        let (late, early) = (Arc::new(TenantCounters::new(1)), Arc::new(TenantCounters::new(1)));
+        late.record_completion(100.0, 9_000);
+        early.record_completion(100.0, 1_000);
+        registry.register("late", Arc::clone(&late));
+        registry.register("early", early);
+        let before = registry.snapshot();
+        registry.remove("late");
+        let after = registry.snapshot();
+        assert_eq!(after.tenants.keys().collect::<Vec<_>>(), ["early"]);
+        assert_eq!(after.vtime_ns, before.vtime_ns, "the virtual clock never runs back");
+        // a redeployment under the name starts from zero
+        registry.register("late", Arc::new(TenantCounters::new(1)));
+        assert_eq!(registry.snapshot().tenant("late").map(|s| s.packets), Some(0));
     }
 
     #[test]

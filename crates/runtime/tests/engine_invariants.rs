@@ -6,11 +6,15 @@
 //! 2. **Zero cross-tenant disruption** — adding and removing a tenant while
 //!    other tenants' traffic flows leaves those tenants' telemetry
 //!    *bit-for-bit* identical to a run where the reconfiguration never
-//!    happened.
+//!    happened.  Co-residents that arrive on a tenant's device, reshard
+//!    around it and leave — enough of them to make its plane compile whole —
+//!    leave its bounced headers and its state as they were when it ran alone.
 
 use clickinc_device::DeviceModel;
+use clickinc_emulator::{DevicePlane, ObjectStore, Packet};
 use clickinc_frontend::compile_source;
 use clickinc_ir::Value;
+use clickinc_ir::{CmpOp, IrProgram, MatchKind, Operand, Predicate, ProgramBuilder};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
@@ -18,23 +22,27 @@ use clickinc_runtime::workload::{
     KvsWorkload, KvsWorkloadConfig, MixedWorkload, MlAggWorkload, MlAggWorkloadConfig, Workload,
 };
 use clickinc_runtime::{
-    DeviceHealth, EngineConfig, EngineError, OverloadPolicy, TelemetryReport, TenantHop,
-    TrafficEngine,
+    DeviceHealth, EngineConfig, EngineError, EngineHandle, OverloadPolicy, ShardingMode,
+    TelemetryReport, TenantHop, TenantStats, TrafficEngine,
 };
 use clickinc_synthesis::isolate_user_program;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A KVS tenant on the shared ToR: isolated program (renamed tables, user-id
-/// guards) on device `tor0`.
-fn kvs_tenant(name: &str, id: i64) -> Vec<TenantHop> {
-    let t = kvs_template(name, KvsParams { cache_depth: 1024, ..Default::default() });
-    let ir = compile_source(name, &t.source).unwrap();
+/// `program`, isolated as tenant `name` (renamed objects and temporaries,
+/// the user-id precondition), on the shared ToR `tor0`.
+fn on_tor0(name: &str, id: i64, program: &IrProgram) -> Vec<TenantHop> {
     vec![TenantHop {
         device: "tor0".to_string(),
         model: DeviceModel::tofino(),
-        snippets: vec![isolate_user_program(&ir, name, id).into()],
+        snippets: vec![isolate_user_program(program, name, id).into()],
     }]
+}
+
+/// A KVS tenant on the shared ToR.
+fn kvs_tenant(name: &str, id: i64) -> Vec<TenantHop> {
+    let t = kvs_template(name, KvsParams { cache_depth: 1024, ..Default::default() });
+    on_tor0(name, id, &compile_source(name, &t.source).unwrap())
 }
 
 /// An MLAgg tenant whose path crosses the shared ToR (no snippet there) and
@@ -138,8 +146,9 @@ fn per_tenant_results_are_invariant_in_the_shard_count() {
 
 /// Drive alpha and beta in three phases; in the middle phase, optionally add
 /// a third tenant (co-resident on the same shared device), run its traffic,
-/// and remove it again.
-fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
+/// and remove it again.  Returns the final report and the third tenant's
+/// stats, read before its removal (a removed tenant leaves the report).
+fn run_phased(shards: usize, disrupt: bool) -> (TelemetryReport, Option<TenantStats>) {
     let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("alpha", kvs_tenant("alpha", 1));
@@ -185,6 +194,8 @@ fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
     handle.run_workload(&mut alpha, 600, 64);
     handle.run_workload(&mut beta, 600, 64);
 
+    handle.flush();
+    let gamma = handle.telemetry().tenant("gamma").cloned();
     if disrupt {
         handle.remove_tenant("gamma");
     }
@@ -192,7 +203,7 @@ fn run_phased(shards: usize, disrupt: bool) -> TelemetryReport {
     handle.run_workload(&mut alpha, usize::MAX, 64);
     handle.run_workload(&mut beta, usize::MAX, 64);
     handle.flush();
-    engine.finish().telemetry
+    (engine.finish().telemetry, gamma)
 }
 
 #[test]
@@ -235,11 +246,12 @@ fn degenerate_engine_configs_are_rejected_or_clamped() {
 #[test]
 fn live_add_and_remove_cause_zero_cross_tenant_disruption() {
     for shards in [1usize, 2, 4] {
-        let disrupted = run_phased(shards, true);
-        let quiet = run_phased(shards, false);
+        let (disrupted, gamma) = run_phased(shards, true);
+        let (quiet, _) = run_phased(shards, false);
 
         // the mid-run tenant really carried traffic and completed work…
-        let gamma = disrupted.tenant("gamma").expect("gamma ran");
+        let gamma = gamma.expect("gamma ran");
+        assert!(disrupted.tenant("gamma").is_none(), "a removed tenant leaves the report");
         assert_eq!(gamma.packets, 400);
         assert!(gamma.hits > 0, "aggregations completed in-network");
 
@@ -256,14 +268,149 @@ fn live_add_and_remove_cause_zero_cross_tenant_disruption() {
     }
 }
 
+/// Requests the co-residency oracle's subject serves.
+const SUBJECT_REQUESTS: usize = 1200;
+
+/// The co-residency oracle's subject: a cache on `tor0` that bounces its
+/// hits with the cached value and journals every value it bounces at the
+/// request's `seq`, so its store fingerprint carries every header it bounced.
+fn journaling_cache() -> Vec<TenantHop> {
+    let mut b = ProgramBuilder::new("subject");
+    b.table("cache", MatchKind::Exact, 32, 32, 1024, false);
+    b.array("journal", 1, SUBJECT_REQUESTS as u32, 32);
+    b.get("v", "cache", vec![Operand::hdr("key")]);
+    let hit = Predicate::new(Operand::var("v"), CmpOp::Ne, Operand::Const(Value::None));
+    b.guarded(hit, |b| {
+        b.write("journal", vec![Operand::hdr("seq")], vec![Operand::var("v")]);
+        b.back(vec![("vals", Operand::var("v"))]);
+    });
+    on_tor0("subject", 1, &b.build().unwrap())
+}
+
+/// Bring co-residents onto `tor0` and take them away again around the
+/// subject, step by step: they arrive, carry traffic, reshard between
+/// `ByTenant` and `ByFlow`, leave — the MLAgg, whose registers outnumber
+/// everything that stays, first — and one name comes back.
+fn crowd_step(handle: &EngineHandle, step: usize) {
+    let by_key = || ShardingMode::ByFlow { key_fields: vec!["key".to_string()] };
+    let serve = |name: &str, id, seed| {
+        handle.run_workload(&mut kvs_workload(name, id, 200, seed), usize::MAX, 64);
+    };
+    match step {
+        0 => {
+            handle.add_tenant("co_kvs", kvs_tenant("co_kvs", 2));
+            handle.add_tenant("co_agg", big_mlagg_on_tor0());
+            handle.add_tenant("co_cms", cms_on_tor0());
+            serve("co_kvs", 2, 21);
+        }
+        1 => {
+            handle.reshard_tenant("co_kvs", by_key());
+            serve("co_kvs", 2, 22);
+            handle.remove_tenant("co_agg");
+        }
+        2 => {
+            handle.reshard_tenant("co_kvs", ShardingMode::ByTenant);
+            handle.remove_tenant("co_cms");
+            handle.remove_tenant("co_kvs");
+            handle.add_tenant_sharded("co_kvs", kvs_tenant("co_kvs", 5), by_key());
+            serve("co_kvs", 5, 23);
+        }
+        _ => handle.remove_tenant("co_kvs"),
+    }
+}
+
+/// An MLAgg with a 32-dimension program on `tor0`: many registers.
+fn big_mlagg_on_tor0() -> Vec<TenantHop> {
+    let params = MlAggParams { dims: 32, num_workers: 4, num_aggregators: 256, is_float: false };
+    let t = mlagg_template("co_agg", params);
+    on_tor0("co_agg", 3, &compile_source("co_agg", &t.source).unwrap())
+}
+
+/// A count-min sketch on `tor0`.
+fn cms_on_tor0() -> Vec<TenantHop> {
+    let t = count_min_sketch("co_cms", 3, 128);
+    on_tor0("co_cms", 4, &compile_source("co_cms", &t.source).unwrap())
+}
+
+/// Serve the subject's stream — keys cycling over 96, the first 48 cached —
+/// in four phases, the crowd stepping between them when `crowded`.  Returns
+/// the subject's stats and the fingerprint of its own objects on `tor0`.
+fn serve_subject(shards: usize, crowded: bool) -> (TenantStats, u64) {
+    let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
+    let handle = engine.handle();
+    handle.add_tenant("subject", journaling_cache());
+    for key in 0..48 {
+        let (key, value) = (vec![Value::Int(key)], vec![Value::Int(key * 1000 + 7)]);
+        handle.populate_table("subject", "tor0", "subject_cache", key, value);
+    }
+    let subject: Arc<str> = "subject".into();
+    let stream: Vec<(u64, Packet)> = (0..SUBJECT_REQUESTS as i64)
+        .map(|seq| {
+            let fields = BTreeMap::from([
+                ("key".to_string(), Value::Int(seq * 7 % 96)),
+                ("seq".to_string(), Value::Int(seq)),
+            ]);
+            (seq as u64 * 100, Packet::new("c", "s", 1, fields))
+        })
+        .collect();
+    for (step, phase) in stream.chunks(SUBJECT_REQUESTS / 4).enumerate() {
+        for burst in phase.chunks(64) {
+            handle.inject(&subject, burst.to_vec());
+        }
+        if crowded {
+            crowd_step(&handle, step);
+        }
+    }
+    handle.flush();
+    let mut outcome = engine.finish();
+    let stats = outcome.telemetry.tenant("subject").cloned().expect("the subject served");
+    let tor0 = outcome.stores.get_mut("tor0").expect("tor0 hosts the subject");
+    let mut own = ObjectStore::new();
+    for object in ["subject_cache", "subject_journal"] {
+        assert!(tor0.remove_object(object, &mut own), "{object} is on tor0");
+    }
+    (stats, own.fingerprint())
+}
+
+#[test]
+fn co_residents_arriving_resharding_and_leaving_leave_a_tenant_as_served_alone() {
+    // on one shard, the subject's plane sees the crowd's first two steps
+    // as below, and the MLAgg's departure compiles it whole: its registers
+    // outnumber those of everything that stays
+    let mut plane = DevicePlane::new("tor0", DeviceModel::tofino());
+    let [subject, co_kvs, co_agg, co_cms] =
+        [journaling_cache(), kvs_tenant("co_kvs", 2), big_mlagg_on_tor0(), cms_on_tor0()]
+            .map(|hops| Arc::clone(&hops[0].snippets[0]));
+    for snippet in [subject, Arc::clone(&co_kvs), co_agg, co_cms] {
+        plane.install(snippet);
+    }
+    // the reshard of `co_kvs` extracts and re-installs it
+    plane.uninstall("co_kvs").expect("installed");
+    plane.install(co_kvs);
+    assert_eq!(plane.whole_compiles(), 0, "arrivals and the reshard append");
+    plane.uninstall("co_agg").expect("installed");
+    assert_eq!(plane.whole_compiles(), 1, "the MLAgg's departure compiles the plane whole");
+
+    for shards in [1usize, 2] {
+        let (alone, alone_state) = serve_subject(shards, false);
+        assert_eq!(alone.packets, SUBJECT_REQUESTS as u64);
+        assert!(alone.hits > 0 && alone.to_server > 0, "both paths served: {alone:?}");
+        let (crowded, crowded_state) = serve_subject(shards, true);
+        assert_eq!(crowded, alone, "the subject's stats at {shards} shard(s)");
+        assert_eq!(crowded_state, alone_state, "the subject's bounced values and cache");
+    }
+}
+
 /// Serve one seeded stream to a two-hop tenant — `delta` counts every key in
 /// a sketch on `tor0` and forwards, its cache on `agg0` bounces the hits and
 /// lets the misses through to the server — beside the one-hop `alpha`, whose
 /// cache sits on the shared `tor0`.  Each tenant's stream enters as bursts of
 /// `cut` packets: the first half while `tor0` is flaky, the second while
-/// `agg0` is degraded — and `delta` is re-placed between the two, so its
-/// second half lands in a counter block of its own and dates its recovery.
-fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>) {
+/// `agg0` is degraded — and `delta` is re-placed between the two.  Returns
+/// the final report, `delta`'s first deployment's stats, read before the
+/// removal (the re-placement counts the second half from zero), and the
+/// stores.
+fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, TenantStats, BTreeMap<String, u64>) {
     let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
     let cache = kvs_template("delta", KvsParams { cache_depth: 1024, ..Default::default() });
@@ -297,6 +444,7 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
         ("tor0", DeviceHealth::Flaky { drop_prob: 0.25 }),
         ("agg0", DeviceHealth::Degraded { factor: 3.0 }),
     ];
+    let mut first = None;
     for (phase, (device, health)) in faults.into_iter().enumerate() {
         handle.set_device_health(device, health);
         for (tenant, stream) in &streams {
@@ -307,6 +455,8 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
         }
         handle.set_device_health(device, DeviceHealth::Up);
         if phase == 0 {
+            handle.flush();
+            first = handle.telemetry().tenant("delta").cloned();
             handle.remove_tenant("delta");
             place_delta();
         }
@@ -314,7 +464,7 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
     handle.flush();
     let outcome = engine.finish();
     let fingerprints = outcome.store_fingerprints();
-    (outcome.telemetry, fingerprints)
+    (outcome.telemetry, first.expect("delta's first deployment served"), fingerprints)
 }
 
 /// A shard runs every packet to completion in stream order and publishes a
@@ -325,22 +475,27 @@ fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, BTreeMap<String, u64>
 /// the recovery off its start, link bytes — and stores, at any shard count.
 #[test]
 fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
-    let (whole, whole_stores) = run_cut(1, usize::MAX);
+    let (whole, whole_first, whole_stores) = run_cut(1, usize::MAX);
+    // the first deployment served the half with the flaky first hop
+    assert_eq!(whole_first.packets, 300);
+    assert!(whole_first.fault_lost_packets > 0, "the flaky first hop lost some");
+    assert!(whole_first.fault_vtime_ns > 0, "the fault window is dated");
+    assert_eq!(whole_first.hits + whole_first.to_server + whole_first.fault_lost_packets, 300);
+    // the re-placement counts the second half from zero
     let delta = whole.tenant("delta").expect("delta served");
-    assert_eq!(delta.packets, 600);
+    assert_eq!(delta.packets, 300);
     assert_eq!(delta.link_bytes.len(), 3, "two hops + server link");
-    assert!(delta.fault_lost_packets > 0, "the flaky first hop lost some");
+    assert_eq!((delta.fault_lost_packets, delta.fault_vtime_ns), (0, 0), "no fault of its own");
     assert!(delta.hits > 0, "the second hop bounces cached keys");
     assert!(delta.to_server > 0, "misses cross both hops");
-    assert_eq!(delta.hits + delta.to_server + delta.fault_lost_packets, 600);
+    assert_eq!(delta.hits + delta.to_server, 300);
     assert!(delta.link_bytes[2] < delta.link_bytes[1], "bounced packets never reach the server");
-    assert!(delta.fault_vtime_ns > 0 && delta.recovery_vtime_ns > delta.fault_vtime_ns);
-    assert_eq!(delta.time_to_recovery_ns, delta.recovery_vtime_ns - delta.fault_vtime_ns);
     assert!(whole.tenant("alpha").expect("alpha served").fault_lost_packets > 0);
 
     for shards in [1usize, 4] {
         for cut in [usize::MAX, 32, 7, 1] {
-            let (stats, stores) = run_cut(shards, cut);
+            let (stats, first, stores) = run_cut(shards, cut);
+            assert_eq!(first, whole_first, "delta's first deployment at {shards} shard(s), {cut}");
             for tenant in ["delta", "alpha"] {
                 // `TenantStats` equality covers every counter, `link_bytes`
                 // included, and skips only the wall-clock fields
@@ -363,8 +518,7 @@ fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
 #[test]
 fn deleted_and_re_added_header_fields_are_priced_at_their_recount() {
     use clickinc_emulator::packet::gradient_packet;
-    use clickinc_emulator::{DevicePlane, ExecMode, Packet};
-    use clickinc_ir::{Operand, ProgramBuilder};
+    use clickinc_emulator::ExecMode;
 
     let mut prune = ProgramBuilder::new("sparse");
     prune.set_header("data_1", Operand::Const(Value::None));

@@ -302,8 +302,10 @@ fn a_flow_sharded_hot_tenant_actually_uses_multiple_shards() {
 
 /// Drive a co-resident `ByTenant` tenant in phases; in the middle phase
 /// optionally add a flow-sharded tenant on the same device, run its traffic,
-/// and remove it again.
-fn run_phased(disrupt: bool) -> clickinc_runtime::TelemetryReport {
+/// and remove it again.  Returns the final report and the flow-sharded
+/// tenant's stats, read before its removal (a removed tenant leaves the
+/// report).
+fn run_phased(disrupt: bool) -> (clickinc_runtime::TelemetryReport, Option<TenantStats>) {
     let engine = TrafficEngine::new(EngineConfig { shards: 4, ..Default::default() });
     let handle = engine.handle();
     handle.add_tenant("resident", kvs_tenant("resident", 1, 2048));
@@ -320,6 +322,7 @@ fn run_phased(disrupt: bool) -> clickinc_runtime::TelemetryReport {
 
     handle.run_workload(&mut resident, 300, 64);
 
+    let mut burst_stats = None;
     if disrupt {
         handle.add_tenant_sharded("burst", kvs_tenant("burst", 2, 2048), by_key());
         populate_cache(&handle, "burst", 32);
@@ -334,6 +337,8 @@ fn run_phased(disrupt: bool) -> clickinc_runtime::TelemetryReport {
         });
         let report = handle.run_workload(&mut burst, usize::MAX, 64);
         assert_eq!(report.admitted, 400);
+        handle.flush();
+        burst_stats = handle.telemetry().tenant("burst").cloned();
         handle.remove_tenant("burst");
         // traffic injected after the removal is shed silently on every shard
         let mut late = KvsWorkload::new(KvsWorkloadConfig {
@@ -356,16 +361,17 @@ fn run_phased(disrupt: bool) -> clickinc_runtime::TelemetryReport {
         for store in outcome.stores.values() {
             assert!(!store.contains("burst_cache"), "burst state must quiesce on every shard");
         }
+        assert!(outcome.telemetry.tenant("burst").is_none(), "a removed tenant leaves the report");
     }
-    outcome.telemetry
+    (outcome.telemetry, burst_stats)
 }
 
 #[test]
 fn flow_sharded_tenants_quiesce_on_every_shard_without_disturbing_residents() {
-    let disrupted = run_phased(true);
-    let quiet = run_phased(false);
+    let (disrupted, burst) = run_phased(true);
+    let (quiet, _) = run_phased(false);
 
-    let burst = disrupted.tenant("burst").expect("burst ran");
+    let burst = burst.expect("burst ran");
     assert_eq!(burst.packets, 400, "pre-removal traffic was served");
     assert!(burst.hits > 0, "the flow-sharded tenant hit its cache");
     let utilized = burst.per_shard_packets.iter().filter(|&&p| p > 0).count();

@@ -48,9 +48,9 @@ fn main() {
     show("post", &faulted.post);
     println!(
         "  fault losses: {} packets | failover re-placed immediately: {}",
-        faulted.victim.fault_lost_packets, faulted.recovered_immediately
+        faulted.victim_at_failover.fault_lost_packets, faulted.recovered_immediately
     );
-    println!("  fault at vclock {} ns", faulted.victim.fault_vtime_ns);
+    println!("  fault at vclock {} ns", faulted.victim_at_failover.fault_vtime_ns);
     println!("  recovery ratio: {:.3}\n", faulted.recovery_ratio());
 
     println!("-- fault-free control (same traffic, no fault) --");
@@ -58,8 +58,8 @@ fn main() {
     show("post", &clean.post);
     println!("  recovery ratio: {:.3}\n", clean.recovery_ratio());
 
-    assert!(faulted.victim.fault_lost_packets > 0, "the dead device lost packets");
-    assert_eq!(clean.victim.fault_lost_packets, 0, "no losses without a fault");
+    assert!(faulted.victim_at_failover.fault_lost_packets > 0, "the dead device lost packets");
+    assert_eq!(clean.victim_at_failover.fault_lost_packets, 0, "no losses without a fault");
     assert!(
         faulted.recovery_ratio() >= 0.9,
         "post-restore service recovered: {:.3}",

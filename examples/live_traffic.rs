@@ -15,7 +15,7 @@ use clickinc::lang::templates::{mlagg_template, MlAggParams};
 use clickinc::{ServiceRequest, TenantHandle};
 use clickinc_apps::house;
 use clickinc_runtime::workload::{KvsWorkload, MlAggWorkload, MlAggWorkloadConfig};
-use clickinc_runtime::{EngineConfig, TelemetryReport};
+use clickinc_runtime::{EngineConfig, TelemetryReport, TenantStats};
 
 const SHARDS: usize = 4;
 const REQUESTS: usize = 3000;
@@ -26,8 +26,10 @@ fn kvs_stream(tenant: &TenantHandle, seed: u64) -> KvsWorkload {
 
 /// Three traffic phases for the resident tenants; in the middle phase a
 /// third tenant optionally arrives, aggregates 400 gradient packets
-/// in-network, and leaves — all through the service facade.
-fn run(reconfigure: bool) -> TelemetryReport {
+/// in-network, and leaves — all through the service facade.  Returns the
+/// final report and the third tenant's stats, read before it leaves (a
+/// removed tenant is no longer in the report).
+fn run(reconfigure: bool) -> (TelemetryReport, Option<TenantStats>) {
     let service = house::service(EngineConfig { shards: SHARDS, ..Default::default() })
         .expect("engine config is valid");
 
@@ -81,23 +83,27 @@ fn run(reconfigure: bool) -> TelemetryReport {
     residents[0].run_workload(&mut wl_a, REQUESTS / 3, 128);
     residents[1].run_workload(&mut wl_b, REQUESTS / 3, 128);
 
-    if let Some(tenant) = newcomer {
+    let transient = newcomer.map(|tenant| {
+        service.flush();
+        let stats = tenant.telemetry().expect("agg_c is deployed");
         tenant.remove().expect("agg_c leaves cleanly");
-    }
+        stats
+    });
 
     // phase 3: after the teardown
     residents[0].run_workload(&mut wl_a, usize::MAX, 128);
     residents[1].run_workload(&mut wl_b, usize::MAX, 128);
     service.flush();
-    service.finish().telemetry
+    (service.finish().telemetry, transient)
 }
 
 fn main() {
     println!("=== Live reconfiguration under traffic ({SHARDS} shards) ===\n");
-    let reconfigured = run(true);
-    let quiet = run(false);
+    let (reconfigured, agg) = run(true);
+    let (quiet, _) = run(false);
 
-    let agg = reconfigured.tenant("agg_c").expect("transient tenant served");
+    let agg = agg.expect("transient tenant served");
+    assert!(reconfigured.tenant("agg_c").is_none(), "a removed tenant leaves the report");
     println!(
         "transient tenant agg_c: {} packets, {} in-network aggregations, {} absorbed, \
          goodput {:.2} Gbps",
@@ -126,8 +132,9 @@ fn main() {
         assert!(with.hit_ratio > 0.3, "hot keys are answered in-network");
     }
 
-    println!("\nTelemetry JSON (agg_c excerpt):");
-    for line in reconfigured.to_json().lines().take(18) {
+    println!("\nTelemetry JSON (agg_c excerpt, read before it left):");
+    let json = serde_json::to_string_pretty(&agg).expect("telemetry serializes");
+    for line in json.lines().take(18) {
         println!("  {line}");
     }
     println!("  ...");

@@ -26,6 +26,13 @@
 //!    which the VM fuses into one op, among them.
 //! 6. **Python's truth** — `and`/`or`/`not` over {0, 1, 2, -1}, as
 //!    constants and as header values, give Python's truth on both tiers.
+//! 7. **Install/uninstall churn** — proptest: random install and uninstall
+//!    sequences of fig13 tenants (names reused, several tenants of one
+//!    template, removals that force whole compiles).  The incrementally built
+//!    image must run like the same residents compiled whole in install order
+//!    and like the interpreter, dump like the whole compile while no
+//!    uninstall has happened since the plane last compiled whole, and never
+//!    hold more than twice the registers the whole compile needs.
 //!
 //! The optimizer verifies nothing itself, so the suite holds it to its
 //! contract wherever it runs: on every template isolated as a tenant and on
@@ -40,7 +47,7 @@ use clickinc::synthesis::isolate_user_program;
 use clickinc::topology::Topology;
 use clickinc::{Controller, ServiceRequest};
 use clickinc_device::DeviceModel;
-use clickinc_emulator::packet::{gradient_packet, kvs_request};
+use clickinc_emulator::packet::{gradient_packet, kvs_request, GradientShape, KvsShape};
 use clickinc_emulator::{DevicePlane, ExecMode, Packet};
 use clickinc_frontend::compile_source;
 use clickinc_ir::{
@@ -49,6 +56,7 @@ use clickinc_ir::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 /// Run the verifier pipeline over one program with no placement slices.
 fn verify(tenant: &str, isolated: bool, program: &IrProgram) -> DiagnosticSet {
@@ -115,32 +123,25 @@ fn prepare(user: &str, numeric_id: i64, source: &str) -> IrProgram {
     optimize_checked(user, true, &isolate_user_program(&ir, user, numeric_id))
 }
 
+/// Fig. 13 provider template `kind` (0 KVS, 1 MLAgg, 2 CMS, 3 DQAcc) as
+/// `user`'s program, prepared as the controller deploys it.
+fn fig13_program(kind: usize, user: &str, numeric_id: i64) -> IrProgram {
+    let mlagg = MlAggParams { num_aggregators: 64, num_workers: 4, dims: 8, is_float: false };
+    let template = match kind {
+        0 => kvs_template(user, KvsParams { cache_depth: 64, ..Default::default() }),
+        1 => mlagg_template(user, mlagg),
+        2 => count_min_sketch(user, 3, 128),
+        _ => dqacc_template(user, DqAccParams { depth: 32, ways: 4 }),
+    };
+    prepare(user, numeric_id, &template.source)
+}
+
 /// The four fig13 provider templates with deploy-order numeric ids.
 fn fig13_programs() -> Vec<(&'static str, i64, IrProgram)> {
-    let mlagg = MlAggParams { num_aggregators: 64, num_workers: 4, dims: 8, is_float: false };
-    vec![
-        (
-            "kvs_srv",
-            1,
-            prepare(
-                "kvs_srv",
-                1,
-                &kvs_template("kvs_srv", KvsParams { cache_depth: 64, ..Default::default() })
-                    .source,
-            ),
-        ),
-        ("mlagg", 2, prepare("mlagg", 2, &mlagg_template("mlagg", mlagg).source)),
-        ("cms", 3, prepare("cms", 3, &count_min_sketch("cms", 3, 128).source)),
-        (
-            "dqacc",
-            4,
-            prepare(
-                "dqacc",
-                4,
-                &dqacc_template("dqacc", DqAccParams { depth: 32, ways: 4 }).source,
-            ),
-        ),
-    ]
+    (1..)
+        .zip(["kvs_srv", "mlagg", "cms", "dqacc"])
+        .map(|(id, name)| (name, id, fig13_program(id as usize - 1, name, id)))
+        .collect()
 }
 
 /// A plane per tier with the same programs installed.
@@ -596,6 +597,155 @@ impl OperandKindGen<'_> {
             _ => {
                 b.get(&dest, "cms", vec![self.operand()]);
             }
+        }
+    }
+}
+
+/// Names the churn oracle deploys under.  A removed name comes back, with
+/// any template, so two tenants of one template are often co-resident.
+const CHURN_NAMES: usize = 5;
+
+/// `pool[name][kind]`: fig13 template `kind` deployed as tenant `n<name>`
+/// with numeric id `name + 1`.
+fn churn_pool() -> &'static [Vec<Arc<IrProgram>>] {
+    static POOL: OnceLock<Vec<Vec<Arc<IrProgram>>>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..CHURN_NAMES)
+            .map(|name| {
+                let (user, id) = (format!("n{name}"), name as i64 + 1);
+                (0..4).map(|kind| Arc::new(fig13_program(kind, &user, id))).collect()
+            })
+            .collect()
+    })
+}
+
+/// The KVS and gradient streams of every churn tenant id.  Their packets
+/// share one stream record per shape for the whole run, so a plane keeps its
+/// header binding across steps and must drop it when an install adds header
+/// fields.
+fn churn_shapes() -> Vec<(KvsShape, GradientShape)> {
+    (1..=CHURN_NAMES as i64)
+        .map(|user| (KvsShape::new("c", "s", user), GradientShape::new("w", "ps", user, 8)))
+        .collect()
+}
+
+/// A packet of every fig13 kind for each churn tenant id, plus one from a
+/// tenant nobody installed; `round` moves the keys and the MLAgg sequence on.
+/// The trace starts and ends with a request of tenant 1's KVS stream, so the
+/// record a plane binds last in one step is the first one it meets in the
+/// next.
+fn churn_trace(shapes: &[(KvsShape, GradientShape)], round: i64) -> Vec<Packet> {
+    let mut trace = vec![shapes[0].0.request(round % 4)];
+    for (user, (requests, gradients)) in (1..).zip(shapes) {
+        trace.push(requests.request((user + round) % 4));
+        for worker in 0..4usize {
+            let values: Vec<i64> = (0..8).map(|d| round * 10 + d).collect();
+            trace.push(gradients.packet(round % 8, worker, &values));
+        }
+        for (field, value) in [("key", round % 3), ("value", 10 + round % 5)] {
+            let fields = BTreeMap::from([(field.to_string(), Value::Int(value))]);
+            trace.push(Packet::new("c", "s", user, fields));
+        }
+    }
+    trace.push(kvs_request("c", "s", 99, 7));
+    trace.push(shapes[0].0.request(round % 3));
+    trace
+}
+
+/// Run `trace` through `plane`, through a clone of it whose image is compiled
+/// whole from the same residents in install order, and through a clone on the
+/// interpreter: the three agree packet by packet and end with one store.
+fn assert_runs_like_a_whole_compile(plane: &mut DevicePlane, trace: Vec<Packet>) {
+    let mut whole = plane.clone();
+    whole.recompile();
+    let mut interp = plane.clone();
+    interp.set_exec_mode(ExecMode::Interpreted);
+    for (i, pkt) in trace.into_iter().enumerate() {
+        let (mut a, mut b, mut c) = (pkt.clone(), pkt.clone(), pkt);
+        let outcome = plane.process(&mut a);
+        assert_eq!(outcome, whole.process(&mut b), "outcome against the whole compile, packet {i}");
+        assert_eq!(outcome, interp.process(&mut c), "outcome against the interpreter, packet {i}");
+        assert_eq!(a, b, "packet {i} against the whole compile");
+        assert_eq!(a, c, "packet {i} against the interpreter");
+    }
+    let fingerprint = plane.store().fingerprint();
+    assert_eq!(fingerprint, whole.store().fingerprint(), "store against the whole compile");
+    assert_eq!(fingerprint, interp.store().fingerprint(), "store against the interpreter");
+    assert_eq!(plane.instructions_executed, interp.instructions_executed);
+}
+
+/// An uninstall compiles the image whole only once the registers dropped
+/// programs left behind outnumber the live ones, or when the plane empties.
+#[test]
+fn an_uninstall_compiles_whole_only_when_dead_registers_outnumber_live_ones() {
+    let (pool, shapes) = (churn_pool(), churn_shapes());
+    let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+    // a KVS, an MLAgg (the largest template) and a CMS
+    for (name, kind) in [(0, 0), (1, 1), (2, 2)] {
+        plane.install(Arc::clone(&pool[name][kind]));
+    }
+    assert_eq!(plane.whole_compiles(), 0, "installs append");
+    let regs = |plane: &DevicePlane| plane.compiled_image().map_or(0, |i| i.num_regs());
+    let all = regs(&plane);
+
+    plane.uninstall("n0").expect("the KVS is installed");
+    assert_eq!(plane.whole_compiles(), 0, "the KVS leaves fewer dead registers than live ones");
+    assert_eq!(regs(&plane), all, "its registers stay in the table");
+    assert_runs_like_a_whole_compile(&mut plane, churn_trace(&shapes, 0));
+
+    plane.uninstall("n1").expect("the MLAgg is installed");
+    assert_eq!(plane.whole_compiles(), 1, "the MLAgg's registers outnumber the CMS's");
+    let mut whole = plane.clone();
+    whole.recompile();
+    let dump = |plane: &DevicePlane| plane.compiled_image().map(|i| i.dump());
+    assert_eq!(dump(&plane), dump(&whole), "the image is the CMS's, compiled whole");
+    assert_runs_like_a_whole_compile(&mut plane, churn_trace(&shapes, 1));
+
+    plane.uninstall("n2").expect("the CMS is installed");
+    assert_eq!((plane.whole_compiles(), regs(&plane)), (2, 0), "the plane emptied");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each step draws a name and a template kind (`name * 4 + kind`), and
+    /// installs `pool[name][kind]`, or uninstalls `n<name>` if it
+    /// is resident; after every step the plane runs a mixed trace like its
+    /// residents compiled whole and like the interpreter (on the state every
+    /// earlier step left), dumps like the whole compile while no uninstall
+    /// has happened since the plane last compiled whole, and holds at most
+    /// twice the registers the whole compile needs.
+    #[test]
+    fn install_uninstall_churn_runs_like_a_whole_compile(
+        steps in proptest::collection::vec(0..CHURN_NAMES * 4, 1..40),
+    ) {
+        let (pool, shapes) = (churn_pool(), churn_shapes());
+        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+        let mut resident = [false; CHURN_NAMES];
+        // no uninstall since the image was last compiled whole
+        let mut whole_since = true;
+        for (round, &draw) in steps.iter().enumerate() {
+            let (name, kind) = (draw / 4, draw % 4);
+            let before = plane.whole_compiles();
+            if resident[name] {
+                plane.uninstall(&format!("n{name}")).expect("resident");
+                whole_since = false;
+            } else {
+                plane.install(Arc::clone(&pool[name][kind]));
+            }
+            resident[name] = !resident[name];
+            whole_since |= plane.whole_compiles() > before;
+
+            let mut whole = plane.clone();
+            whole.recompile();
+            let (image, reference) = (plane.compiled_image(), whole.compiled_image());
+            let regs = image.map_or(0, |i| i.num_regs());
+            let needed = reference.map_or(0, |i| i.num_regs());
+            prop_assert!(regs <= 2 * needed, "step {round}: {regs} registers, {needed} live");
+            if whole_since {
+                prop_assert_eq!(image.map(|i| i.dump()), reference.map(|i| i.dump()));
+            }
+            assert_runs_like_a_whole_compile(&mut plane, churn_trace(&shapes, round as i64));
         }
     }
 }
