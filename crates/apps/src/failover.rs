@@ -109,7 +109,8 @@ pub struct FailoverServingReport {
     ///
     /// [`ClickIncService::fail_device`]: clickinc::ClickIncService::fail_device
     pub victim_at_failover: TenantStats,
-    /// Final telemetry of the victim's last deployment (after the restore).
+    /// Final telemetry of the victim's last deployment (after the restore):
+    /// counted from the re-placement, dated from the fault the victim fled.
     pub victim: TenantStats,
     /// Final telemetry of the co-resident background tenant (`bg_agg`).
     pub bystander: TenantStats,
@@ -272,6 +273,10 @@ mod tests {
         let device = report.failed_device.clone().expect("a device failed");
         assert!(report.victim_at_failover.fault_lost_packets > 0, "the dead device lost packets");
         assert_eq!(report.victim.fault_lost_packets, 0, "the re-placed victim counts from zero");
+        assert_eq!(
+            report.victim.fault_vtime_ns, report.victim_at_failover.fault_vtime_ns,
+            "the re-placed victim carries the fault it fled"
+        );
         assert!(!report.victim_devices.is_empty(), "victim occupied devices");
         assert!(
             !physical_intersects(&report.bystander_devices, &device),

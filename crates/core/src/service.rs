@@ -637,8 +637,9 @@ impl ClickIncService {
     /// and a failed advisory re-placement must not turn into an outage) and
     /// the error is returned.  Either way the tenant gets a fresh numeric id
     /// and its telemetry starts from zero counters: the removal drops the
-    /// old deployment's entry, so read the tenant's stats first to keep
-    /// them.
+    /// old deployment's entry, so flush and read the tenant's stats first to
+    /// keep them.  (A fault the old deployment lost packets to and had not
+    /// recovered from carries over: the new one dates its recovery from it.)
     pub fn replace_tenant(&self, user: &str) -> Result<TenantHandle, ClickIncError> {
         let mut state = self.shared.lock();
         let request = state

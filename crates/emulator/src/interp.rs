@@ -64,8 +64,6 @@ pub struct DevicePlane {
     /// and compiles the rest whole only when dead registers or store
     /// tombstones pile up; `None` while nothing is installed.
     compiled: Option<CompiledImage>,
-    /// How many times the image was compiled whole ([`DevicePlane::recompile`]).
-    whole_compiles: u64,
     /// The register file backing the compiled tier.
     regs: RegFile,
     /// Which execution tier [`DevicePlane::process`] runs.
@@ -93,7 +91,6 @@ impl DevicePlane {
             instructions_executed: 0,
             rand_streams: BTreeMap::new(),
             compiled: None,
-            whole_compiles: 0,
             regs: RegFile::default(),
             exec_mode: ExecMode::default(),
         }
@@ -124,7 +121,6 @@ impl DevicePlane {
     /// does no name lookups.  Since every program is lowered anew, the store
     /// drops its tombstones first ([`ObjectStore::compact`]).
     pub fn recompile(&mut self) {
-        self.whole_compiles += 1;
         self.store.compact();
         if self.snippets.is_empty() {
             self.compiled = None;
@@ -134,15 +130,6 @@ impl DevicePlane {
         let image = vm::compile(&self.snippets, &self.object_kinds, &self.store);
         self.regs.resize(image.num_regs(), image.num_headers());
         self.compiled = Some(image);
-    }
-
-    /// How many times the image was compiled whole: by an uninstall that
-    /// left too many dead registers or tombstones, or emptied the plane, by a
-    /// declaration
-    /// that changed how a resident resolves an object, or on request.  An
-    /// install that only appends does not count.
-    pub fn whole_compiles(&self) -> u64 {
-        self.whole_compiles
     }
 
     /// Install a program snippet (declares its objects).  Only the snippet is
@@ -839,14 +826,19 @@ mod tests {
                 pkt.inc.get("out")
             })
         };
+        // the reader's lookup resolves to no slot while nobody declares it
+        let unresolved = |plane: &DevicePlane| {
+            plane.compiled_image().expect("the reader is installed").dump().contains("slot:?")
+        };
         let [compiled, interp] = read(&mut planes);
         assert_eq!(compiled, interp, "undeclared");
+        assert!(unresolved(&planes[0]), "undeclared");
 
         for plane in &mut planes {
             plane.install(owner.clone());
             plane.store_mut().table_write("shared", &[Value::Int(3)], vec![Value::Int(33)]);
         }
-        assert_eq!(planes[0].whole_compiles(), 1, "the declaration recompiled the reader");
+        assert!(!unresolved(&planes[0]), "the declaration resolved the reader anew");
         assert_eq!(
             read(&mut planes),
             [Value::Int(33), Value::Int(33)],
@@ -856,7 +848,7 @@ mod tests {
         for plane in &mut planes {
             plane.uninstall("owner").expect("installed");
         }
-        assert_eq!(planes[0].whole_compiles(), 2, "the removal recompiled the reader");
+        assert!(unresolved(&planes[0]), "the removal resolved the reader anew");
         let [compiled, interp] = read(&mut planes);
         assert_eq!(compiled, interp, "removed again");
     }

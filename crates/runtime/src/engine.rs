@@ -498,10 +498,16 @@ impl EngineHandle {
     /// traffic first (FIFO channel), then drops only its snippets and
     /// exclusively-owned tables; co-resident tenants keep flowing untouched.
     /// A flow-sharded tenant is quiesced on every shard.  The tenant's
-    /// telemetry goes with its route, under the same lock: later snapshots
-    /// do not list it, so a caller that wants its final counters reads them
-    /// before the removal, and a redeployment under the same name starts
-    /// from zero.
+    /// telemetry leaves with its route, under the same lock: later
+    /// snapshots do not list it, so a caller that wants its final counters
+    /// flushes and reads them before the removal, and a redeployment under
+    /// the same name starts from zero counters — but from the tenant's
+    /// fault, if it lost packets to one and left before it was served again
+    /// (see [`TenantStats::recovery_vtime_ns`]).  The call does not wait for
+    /// the quiesce: the registry retires the tenant's counters once its
+    /// shards have served its queued traffic.
+    ///
+    /// [`TenantStats::recovery_vtime_ns`]: crate::TenantStats::recovery_vtime_ns
     pub fn remove_tenant(&self, user: &str) {
         let mut state = self.state();
         let Some(route) = state.tenants.remove(user) else { return };

@@ -318,7 +318,9 @@ impl ShardWorker {
 
     /// Drop a tenant's snippets and hand back its exclusively-owned state
     /// per device, leaving co-resident tenants' tables untouched.  The FIFO
-    /// channel already quiesced this tenant's traffic.
+    /// channel already quiesced this tenant's traffic.  Letting go of the
+    /// tenant's counter block tells the telemetry registry that the block is
+    /// final.
     fn remove_tenant(&mut self, user: &str) -> BTreeMap<String, ObjectStore> {
         let mut extracted = BTreeMap::new();
         let Some(state) = self.tenants.remove(user) else { return extracted };

@@ -84,8 +84,8 @@ pub struct TenantCounters {
     pub fault_first_vtime_ns: AtomicU64,
     /// Virtual arrival time of the *first* completion this counter block
     /// ever recorded (`u64::MAX` until one completes).  Blocks registered
-    /// after a faulted one — a live reshard's — use it to date the tenant's
-    /// recovery.
+    /// after a faulted one — a live reshard's or a re-placement's — use it
+    /// to date the tenant's recovery.
     pub vtime_first_ns: AtomicU64,
 }
 
@@ -234,6 +234,34 @@ impl BurstTally {
     }
 }
 
+/// A tenant's fault window over its counter blocks: the virtual arrival
+/// time of its first fault loss and of its recovery, `u64::MAX` for either
+/// that has not happened.  Recovery is dated from the blocks registered
+/// *after* the last block that observed a fault loss — a live reshard
+/// installs the tenant with fresh blocks, so their earliest served arrival
+/// is the moment the tenant was serving again.  `fled_fault_ns` is the
+/// fault a previous deployment under the name left with its window open: it
+/// counts as a faulted block ahead of every block, so a re-placement's
+/// blocks date the recovery from it.
+fn fault_window(parts: &[Arc<TenantCounters>], fled_fault_ns: Option<u64>) -> (u64, u64) {
+    let fault = parts
+        .iter()
+        .map(|c| c.fault_first_vtime_ns.load(Ordering::Relaxed))
+        .chain(fled_fault_ns)
+        .min()
+        .unwrap_or(u64::MAX);
+    let serving_since = match parts.iter().rposition(|c| c.fault_lost.load(Ordering::Relaxed) > 0) {
+        Some(last_faulted) => Some(last_faulted + 1),
+        None => fled_fault_ns.map(|_| 0),
+    };
+    let recovery = serving_since
+        .and_then(|first| {
+            parts[first..].iter().map(|c| c.vtime_first_ns.load(Ordering::Relaxed)).min()
+        })
+        .unwrap_or(u64::MAX);
+    (fault, recovery)
+}
+
 /// Histogram bucket for a latency in nanoseconds.
 fn bucket_of(ns: u64) -> usize {
     (64 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1)
@@ -322,12 +350,14 @@ pub struct TenantStats {
     /// exactly zero).
     pub fault_lost_packets: u64,
     /// Virtual arrival time of the first packet lost to a fault (0 when the
-    /// tenant never lost one).
+    /// tenant never lost one).  A deployment whose predecessor under the
+    /// name was removed before it served again — a failover's re-placement —
+    /// carries the fault its predecessor fled.
     pub fault_vtime_ns: u64,
     /// Virtual arrival time of the first packet served by a counter block
-    /// registered after the tenant's last faulted one (0 until recovery).
-    /// Blocks of one deployment only: a live reshard registers new blocks
-    /// beside the old ones, a re-placement starts a new entry.
+    /// registered after the tenant's last faulted one (0 until recovery): a
+    /// live reshard's blocks, or a re-placement's, dating the recovery from
+    /// the fault its predecessor fled.
     pub recovery_vtime_ns: u64,
     /// Virtual-clock time from first fault loss to the first service by a
     /// later block — 0 while unrecovered or never faulted.
@@ -362,6 +392,18 @@ impl PartialEq for TenantStats {
 impl TenantStats {
     /// Merge one tenant's per-shard counters into a stats value.
     pub fn merge(tenant: &str, parts: &[Arc<TenantCounters>]) -> TenantStats {
+        TenantStats::merge_after(tenant, parts, None)
+    }
+
+    /// [`merge`](TenantStats::merge) for a deployment whose predecessor
+    /// under the same name left at `fled_fault_ns` with its fault window
+    /// open: the window is dated from that fault, and the deployment's
+    /// first served packet ends it.
+    fn merge_after(
+        tenant: &str,
+        parts: &[Arc<TenantCounters>],
+        fled_fault_ns: Option<u64>,
+    ) -> TenantStats {
         let sum = |f: &dyn Fn(&TenantCounters) -> &AtomicU64| -> u64 {
             parts.iter().map(|c| f(c).load(Ordering::Relaxed)).sum()
         };
@@ -382,26 +424,7 @@ impl TenantStats {
         let per_shard_packets: Vec<u64> =
             parts.iter().map(|c| c.packets.load(Ordering::Relaxed)).collect();
         let fault_lost_packets = sum(&|c| &c.fault_lost);
-        let fault_vtime_raw = parts
-            .iter()
-            .map(|c| c.fault_first_vtime_ns.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(u64::MAX);
-        // recovery is dated from the counter blocks registered *after* the
-        // last block that observed a fault loss: a live reshard installs the
-        // tenant with fresh blocks, so their earliest served arrival is the
-        // moment the tenant was serving again
-        let recovery_vtime_raw = parts
-            .iter()
-            .rposition(|c| c.fault_lost.load(Ordering::Relaxed) > 0)
-            .map(|last_faulted| {
-                parts[last_faulted + 1..]
-                    .iter()
-                    .map(|c| c.vtime_first_ns.load(Ordering::Relaxed))
-                    .min()
-                    .unwrap_or(u64::MAX)
-            })
-            .unwrap_or(u64::MAX);
+        let (fault_vtime_raw, recovery_vtime_raw) = fault_window(parts, fled_fault_ns);
         let fault_vtime_ns = if fault_vtime_raw == u64::MAX { 0 } else { fault_vtime_raw };
         let recovery_vtime_ns = if recovery_vtime_raw == u64::MAX { 0 } else { recovery_vtime_raw };
         let time_to_recovery_ns = if fault_vtime_raw == u64::MAX || recovery_vtime_raw == u64::MAX {
@@ -523,51 +546,115 @@ impl TelemetryReport {
     }
 }
 
-/// What the registry keeps of one tenant: its counter blocks in registration
-/// order, and the deployment metadata stamped onto its snapshots (the active
-/// sharding-mode label and ingress credit budget).
+/// What the registry keeps of one deployment: its counter blocks in
+/// registration order, the deployment metadata stamped onto its snapshots
+/// (the active sharding-mode label and ingress credit budget), and the fault
+/// window its predecessor under the name left open, if any.
 #[derive(Debug, Default)]
 struct TenantEntry {
     blocks: Vec<Arc<TenantCounters>>,
     sharding_mode: String,
     queue_budget: u64,
+    fled_fault_ns: Option<u64>,
+}
+
+impl TenantEntry {
+    fn stats(&self, tenant: &str) -> TenantStats {
+        let mut stats = TenantStats::merge_after(tenant, &self.blocks, self.fled_fault_ns);
+        stats.sharding_mode.clone_from(&self.sharding_mode);
+        stats.queue_budget = self.queue_budget;
+        stats
+    }
 }
 
 /// The engine-side registry mapping tenants to their per-shard counters: a
 /// field of the engine's state behind its one lock, never touched on the
-/// packet path.  It holds the live tenants only: a removal drops the
-/// tenant's entry, so a snapshot costs the tenants served now, not every
+/// packet path.  It lists the live tenants only: a removal takes the
+/// tenant's entry out, so a snapshot costs the tenants served now, not every
 /// tenant the engine ever hosted, and a redeployment under a reused name
 /// starts from zero counters.  A reshard keeps the old blocks beside the new
 /// ones, so a live tenant's totals stay continuous.
+///
+/// A removed entry drains before it retires: its shards may still be
+/// serving the tenant's queued traffic, which completes into its blocks.
+/// Each shard lets go of its block once it has served everything queued for
+/// the tenant, so an entry whose blocks no one else holds is final; every
+/// registry call that can see one retires it.
 #[derive(Debug, Default)]
 pub(crate) struct TelemetryRegistry {
     tenants: BTreeMap<String, TenantEntry>,
+    /// Removed tenants' entries whose blocks a shard still holds.
+    draining: Vec<(String, TenantEntry)>,
     /// Snapshot sequence; `snapshot` increments it.
     seq: u64,
-    /// The latest virtual completion clock of the removed tenants, so a
+    /// The latest virtual completion clock of the retired tenants, so a
     /// report's clock never runs back when a tenant leaves.
     retired_vtime_ns: u64,
+    /// Retired tenants that left with their fault window open (they lost
+    /// packets to a fault and were not served since): the first fault loss,
+    /// by name, until the next deployment under the name takes it over.  A
+    /// failover removes its victims and re-places them under their names,
+    /// so the re-placement dates its recovery from the fault it fled.
+    fled_faults: BTreeMap<String, u64>,
 }
 
 impl TelemetryRegistry {
     /// Register a (tenant, shard) counter block.
     pub(crate) fn register(&mut self, tenant: &str, counters: Arc<TenantCounters>) {
-        self.tenants.entry(tenant.to_string()).or_default().blocks.push(counters);
+        self.entry(tenant).blocks.push(counters);
     }
 
-    /// Drop a removed tenant's entry, keeping its virtual clock.
+    /// The tenant's live entry; a new one takes over the fault window a
+    /// retired tenant of the name left open.
+    fn entry(&mut self, tenant: &str) -> &mut TenantEntry {
+        let fled_faults = &mut self.fled_faults;
+        self.tenants.entry(tenant.to_string()).or_insert_with(|| TenantEntry {
+            fled_fault_ns: fled_faults.remove(tenant),
+            ..TenantEntry::default()
+        })
+    }
+
+    /// Take a removed tenant's entry out of the live set: later snapshots do
+    /// not list it, and a deployment under the name starts a new entry.  The
+    /// entry drains until its shards let go of its blocks.
     pub(crate) fn remove(&mut self, tenant: &str) {
         if let Some(entry) = self.tenants.remove(tenant) {
+            self.draining.push((tenant.to_string(), entry));
+        }
+        self.retire_drained();
+    }
+
+    /// Retire every removed entry whose blocks no shard holds any more —
+    /// its counters are final: fold its clock into the reports, and leave
+    /// its fault window to the name's next deployment if it left with the
+    /// window open.
+    fn retire_drained(&mut self) {
+        let drained = self.draining.extract_if(.., |(_, entry)| {
+            entry.blocks.iter().all(|block| Arc::strong_count(block) == 1)
+        });
+        for (tenant, entry) in drained {
             let vtime_ns = TenantStats::vtime_max(&entry.blocks);
             self.retired_vtime_ns = self.retired_vtime_ns.max(vtime_ns);
+            let (fault, recovery) = fault_window(&entry.blocks, entry.fled_fault_ns);
+            if fault == u64::MAX || recovery != u64::MAX {
+                continue;
+            }
+            match self.tenants.get_mut(&tenant) {
+                // the next deployment registered while this one drained
+                Some(next) => {
+                    next.fled_fault_ns = Some(next.fled_fault_ns.unwrap_or(fault).min(fault))
+                }
+                None => {
+                    self.fled_faults.insert(tenant, fault);
+                }
+            }
         }
     }
 
     /// Record a tenant's active sharding mode and ingress budget, exported
     /// with every subsequent snapshot.
     pub(crate) fn set_meta(&mut self, tenant: &str, sharding_mode: String, queue_budget: u64) {
-        let entry = self.tenants.entry(tenant.to_string()).or_default();
+        let entry = self.entry(tenant);
         entry.sharding_mode = sharding_mode;
         entry.queue_budget = queue_budget;
     }
@@ -575,17 +662,16 @@ impl TelemetryRegistry {
     /// Merge every tenant's counters into a report, stamped with the next
     /// snapshot sequence number and the virtual clock it observed.
     pub(crate) fn snapshot(&mut self) -> TelemetryReport {
+        self.retire_drained();
         self.seq += 1;
-        let mut vtime_ns = self.retired_vtime_ns;
+        let draining = self.draining.iter().map(|(_, entry)| TenantStats::vtime_max(&entry.blocks));
+        let mut vtime_ns = draining.fold(self.retired_vtime_ns, u64::max);
         let merged: BTreeMap<String, TenantStats> = self
             .tenants
             .iter()
             .map(|(name, entry)| {
                 vtime_ns = vtime_ns.max(TenantStats::vtime_max(&entry.blocks));
-                let mut stats = TenantStats::merge(name, &entry.blocks);
-                stats.sharding_mode.clone_from(&entry.sharding_mode);
-                stats.queue_budget = entry.queue_budget;
-                (name.clone(), stats)
+                (name.clone(), entry.stats(name))
             })
             .collect();
         TelemetryReport { snapshot_seq: self.seq, vtime_ns, tenants: merged }
@@ -772,6 +858,7 @@ mod tests {
     #[test]
     fn a_removed_tenant_leaves_the_report_but_not_the_clock() {
         let mut registry = TelemetryRegistry::default();
+        // the test holds `late`'s block as its shard would
         let (late, early) = (Arc::new(TenantCounters::new(1)), Arc::new(TenantCounters::new(1)));
         late.record_completion(100.0, 9_000);
         early.record_completion(100.0, 1_000);
@@ -782,9 +869,55 @@ mod tests {
         let after = registry.snapshot();
         assert_eq!(after.tenants.keys().collect::<Vec<_>>(), ["early"]);
         assert_eq!(after.vtime_ns, before.vtime_ns, "the virtual clock never runs back");
+        // the shard serves the tenant's queued traffic, then lets go
+        late.record_completion(100.0, 12_000);
+        assert_eq!(registry.snapshot().vtime_ns, 12_100, "a draining completion counts");
+        drop(late);
+        assert_eq!(registry.snapshot().vtime_ns, 12_100, "and stays once the entry retired");
+        assert!(registry.draining.is_empty(), "the released entry retired");
         // a redeployment under the name starts from zero
         registry.register("late", Arc::new(TenantCounters::new(1)));
         assert_eq!(registry.snapshot().tenant("late").map(|s| s.packets), Some(0));
+        assert!(registry.fled_faults.is_empty(), "no fault window was left open");
+    }
+
+    #[test]
+    fn a_re_placement_dates_its_recovery_from_the_fault_its_predecessor_fled() {
+        let faulted = || {
+            let block = Arc::new(TenantCounters::new(1));
+            block.record_completion(10.0, 100);
+            block.note_fault_loss(5_000);
+            block
+        };
+        // the re-placement registers while its predecessor drains, or after
+        for drained_first in [false, true] {
+            let mut registry = TelemetryRegistry::default();
+            // the test holds the faulted block as its shard would
+            let mut shard_hold = Some(faulted());
+            registry.register("victim", Arc::clone(shard_hold.as_ref().unwrap()));
+            registry.remove("victim");
+            if drained_first {
+                shard_hold = None;
+                registry.snapshot();
+                assert_eq!(registry.fled_faults.get("victim"), Some(&5_000), "the window it left");
+            }
+            let replaced = Arc::new(TenantCounters::new(1));
+            registry.register("victim", Arc::clone(&replaced));
+            drop(shard_hold);
+            // counted from zero, dated from the fault: parked, then serving
+            let parked = registry.snapshot().tenant("victim").cloned().expect("registered");
+            assert_eq!((parked.fault_lost_packets, parked.fault_vtime_ns), (0, 5_000));
+            assert_eq!(parked.time_to_recovery_ns, 0, "not serving yet");
+            replaced.record_completion(10.0, 9_000);
+            let served = registry.snapshot().tenant("victim").cloned().expect("registered");
+            assert_eq!((served.recovery_vtime_ns, served.time_to_recovery_ns), (9_000, 4_000));
+            assert!(registry.fled_faults.is_empty(), "the re-placement took the window over");
+            // a recovered deployment leaves no window behind
+            registry.remove("victim");
+            drop(replaced);
+            registry.register("victim", Arc::new(TenantCounters::new(1)));
+            assert_eq!(registry.snapshot().tenant("victim").map(|s| s.fault_vtime_ns), Some(0));
+        }
     }
 
     #[test]

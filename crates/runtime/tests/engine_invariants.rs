@@ -268,6 +268,33 @@ fn live_add_and_remove_cause_zero_cross_tenant_disruption() {
     }
 }
 
+/// A removal does not wait for the departing tenant's queued traffic, but
+/// its shards still serve it: the completions stay on the reports' virtual
+/// clock, which reads as if the caller had flushed before the removal.
+#[test]
+fn a_tenant_removed_with_traffic_in_flight_keeps_its_completions_on_the_clock() {
+    let by_key = ShardingMode::ByFlow { key_fields: vec!["key".to_string()] };
+    for mode in [ShardingMode::ByTenant, by_key] {
+        let serve = |flush_first: bool| {
+            let engine = TrafficEngine::new(EngineConfig { shards: 2, ..Default::default() });
+            let handle = engine.handle();
+            handle.add_tenant_sharded("burst", kvs_tenant("burst", 1), mode.clone());
+            handle.run_workload(&mut kvs_workload("burst", 1, 4096, 5), usize::MAX, 512);
+            if flush_first {
+                handle.flush();
+            }
+            handle.remove_tenant("burst");
+            handle.flush();
+            let report = handle.telemetry();
+            assert!(report.tenants.is_empty(), "a removed tenant leaves the report");
+            report.vtime_ns
+        };
+        let in_flight = serve(false);
+        assert!(in_flight > 0, "{mode:?}: the burst's completions set the clock");
+        assert_eq!(in_flight, serve(true), "{mode:?}: against a flush before the removal");
+    }
+}
+
 /// Requests the co-residency oracle's subject serves.
 const SUBJECT_REQUESTS: usize = 1200;
 
@@ -387,9 +414,11 @@ fn co_residents_arriving_resharding_and_leaving_leave_a_tenant_as_served_alone()
     // the reshard of `co_kvs` extracts and re-installs it
     plane.uninstall("co_kvs").expect("installed");
     plane.install(co_kvs);
-    assert_eq!(plane.whole_compiles(), 0, "arrivals and the reshard append");
+    let dead = |plane: &DevicePlane| plane.compiled_image().map_or(0, |i| i.dead_regs());
+    assert!(dead(&plane) > 0, "the reshard's re-install appends: no whole compile yet");
     plane.uninstall("co_agg").expect("installed");
-    assert_eq!(plane.whole_compiles(), 1, "the MLAgg's departure compiles the plane whole");
+    // a whole compile leaves no dead registers
+    assert_eq!(dead(&plane), 0, "the MLAgg's departure compiles the plane whole");
 
     for shards in [1usize, 2] {
         let (alone, alone_state) = serve_subject(shards, false);
@@ -408,8 +437,8 @@ fn co_residents_arriving_resharding_and_leaving_leave_a_tenant_as_served_alone()
 /// `cut` packets: the first half while `tor0` is flaky, the second while
 /// `agg0` is degraded — and `delta` is re-placed between the two.  Returns
 /// the final report, `delta`'s first deployment's stats, read before the
-/// removal (the re-placement counts the second half from zero), and the
-/// stores.
+/// removal (the re-placement counts the second half from zero and dates its
+/// recovery from the first half's fault), and the stores.
 fn run_cut(shards: usize, cut: usize) -> (TelemetryReport, TenantStats, BTreeMap<String, u64>) {
     let engine = TrafficEngine::new(EngineConfig { shards, ..Default::default() });
     let handle = engine.handle();
@@ -481,11 +510,16 @@ fn results_do_not_depend_on_how_a_stream_is_cut_into_injects() {
     assert!(whole_first.fault_lost_packets > 0, "the flaky first hop lost some");
     assert!(whole_first.fault_vtime_ns > 0, "the fault window is dated");
     assert_eq!(whole_first.hits + whole_first.to_server + whole_first.fault_lost_packets, 300);
-    // the re-placement counts the second half from zero
+    assert_eq!(whole_first.recovery_vtime_ns, 0, "removed before it served again");
+    // the re-placement counts the second half from zero, and dates its
+    // recovery from the fault its first deployment fled
     let delta = whole.tenant("delta").expect("delta served");
     assert_eq!(delta.packets, 300);
     assert_eq!(delta.link_bytes.len(), 3, "two hops + server link");
-    assert_eq!((delta.fault_lost_packets, delta.fault_vtime_ns), (0, 0), "no fault of its own");
+    assert_eq!(delta.fault_lost_packets, 0, "no fault loss of its own");
+    assert_eq!(delta.fault_vtime_ns, whole_first.fault_vtime_ns, "the fault it fled");
+    assert!(delta.recovery_vtime_ns > delta.fault_vtime_ns);
+    assert_eq!(delta.time_to_recovery_ns, delta.recovery_vtime_ns - delta.fault_vtime_ns);
     assert!(delta.hits > 0, "the second hop bounces cached keys");
     assert!(delta.to_server > 0, "misses cross both hops");
     assert_eq!(delta.hits + delta.to_server, 300);
