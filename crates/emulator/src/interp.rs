@@ -6,7 +6,6 @@ use crate::vm::{self, CompiledImage, ExecMode, RegFile, VmCtx};
 use clickinc_device::DeviceModel;
 use clickinc_ir::eval::{alu, compare};
 use clickinc_ir::{Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -46,15 +45,9 @@ pub struct DevicePlane {
     /// Installed program snippets, executed in installation order (shared
     /// with whoever installed them, not copied).
     snippets: Vec<Arc<IrProgram>>,
-    /// Stateful object storage shared by all snippets on this device.
+    /// Stateful object storage shared by all snippets on this device: the
+    /// plane's one object table.
     store: ObjectStore,
-    /// Object name → declared kind, maintained across install/uninstall so the
-    /// per-packet state dispatch is a map lookup, not a snippet scan.
-    object_kinds: BTreeMap<String, ObjectKind>,
-    /// Total packets processed.
-    pub packets_processed: u64,
-    /// Total instructions executed.
-    pub instructions_executed: u64,
     /// Per-tenant `RandInt` draw counters (user id → draws).  Keyed by tenant
     /// so one tenant's random stream is independent of co-resident traffic —
     /// a requirement for the runtime's shard-count invariance.
@@ -70,12 +63,21 @@ pub struct DevicePlane {
     exec_mode: ExecMode,
 }
 
-/// Execution context handed to the opcode interpreter: the mutable store, the
-/// object-kind index and the per-tenant random-draw counters (for `RandInt`).
+/// Execution context handed to the opcode interpreter: the mutable store,
+/// the snippet being run (whose own declarations give each object's kind, as
+/// they do to the VM's lowering) and the per-tenant random-draw counters
+/// (for `RandInt`).
 struct ExecCtx<'a> {
     store: &'a mut ObjectStore,
-    kinds: &'a BTreeMap<String, ObjectKind>,
+    snippet: &'a IrProgram,
     rand_streams: &'a mut BTreeMap<i64, u64>,
+}
+
+impl ExecCtx<'_> {
+    /// The kind the running snippet declares `object` with.
+    fn kind(&self, object: &str) -> &ObjectKind {
+        &self.snippet.object(object).expect("an installed snippet declares its objects").kind
+    }
 }
 
 impl DevicePlane {
@@ -86,9 +88,6 @@ impl DevicePlane {
             model,
             snippets: Vec::new(),
             store: ObjectStore::new(),
-            object_kinds: BTreeMap::new(),
-            packets_processed: 0,
-            instructions_executed: 0,
             rand_streams: BTreeMap::new(),
             compiled: None,
             regs: RegFile::default(),
@@ -127,36 +126,37 @@ impl DevicePlane {
             self.regs.resize(0, 0);
             return;
         }
-        let image = vm::compile(&self.snippets, &self.object_kinds, &self.store);
+        let image = vm::compile(&self.snippets, &self.store);
         self.regs.resize(image.num_regs(), image.num_headers());
         self.compiled = Some(image);
     }
 
     /// Install a program snippet (declares its objects).  Only the snippet is
-    /// lowered: its program is appended to the compiled image, whose name
-    /// tables already hold every resident's registers and header fields.
-    /// (A snippet that declares an object a resident refers to without
-    /// declaring it changes how that resident resolves, so the image is then
-    /// compiled whole.)
+    /// lowered, against its own declarations: its program is appended to the
+    /// compiled image, whose name tables already hold every resident's
+    /// registers and header fields.
+    ///
+    /// # Panics
+    ///
+    /// If an instruction of the snippet touches an object the snippet does
+    /// not declare.  Isolation and [`IrProgram::slice`] give every snippet a
+    /// deployment ships exactly the objects its instructions touch.
     pub fn install(&mut self, snippet: impl Into<Arc<IrProgram>>) {
         let snippet = snippet.into();
-        let mut resolves_anew = false;
+        for object in snippet.instructions.iter().filter_map(|i| i.object()) {
+            assert!(
+                snippet.object(object).is_some(),
+                "snippet `{}` touches object `{object}`, which it does not declare",
+                snippet.name
+            );
+        }
         for obj in &snippet.objects {
             self.store.declare(obj);
-            // the first declaration of a name wins, matching install order
-            if let Entry::Vacant(vacant) = self.object_kinds.entry(obj.name.clone()) {
-                vacant.insert(obj.kind.clone());
-                resolves_anew |= self.compiled.as_ref().is_some_and(|i| i.refers_to(&obj.name));
-            }
-        }
-        self.snippets.push(Arc::clone(&snippet));
-        if resolves_anew {
-            self.recompile();
-            return;
         }
         let image = self.compiled.get_or_insert_with(CompiledImage::default);
-        image.append(&snippet, &self.object_kinds, &self.store);
+        image.append(&snippet, &self.store);
         self.regs.resize(image.num_regs(), image.num_headers());
+        self.snippets.push(snippet);
     }
 
     /// Remove every snippet owned by `owner` (matched against the snippet's
@@ -170,10 +170,10 @@ impl DevicePlane {
     /// tables, and the store tombstones the removed objects' slots.  The
     /// image is compiled whole ([`DevicePlane::recompile`]) only when the
     /// registers the dropped programs introduced since the last whole compile
-    /// outnumber the live ones, or the tombstones the live objects — so the
-    /// register file and the store stay within twice their live size and an
-    /// uninstall costs the tenant, amortized — or when the plane empties, or
-    /// when a resident refers to a removed object it does not declare.
+    /// outnumber the live ones, or the store's tombstones its live objects —
+    /// so the register file and the store stay within twice their live size
+    /// and an uninstall costs the tenant, amortized — or when the plane
+    /// empties.
     ///
     /// Returns `None` if `owner` had no snippet installed.
     pub fn uninstall(&mut self, owner: &str) -> Option<ObjectStore> {
@@ -186,20 +186,14 @@ impl DevicePlane {
         let image = self.compiled.as_mut().expect("a plane with snippets has an image");
         image.drop_programs(owner);
         let mut moved = ObjectStore::new();
-        let mut resolves_anew = false;
         for obj in removed.iter().flat_map(|s| s.objects.iter()) {
-            let still_declared =
-                self.snippets.iter().any(|s| s.objects.iter().any(|o| o.name == obj.name));
-            if !still_declared {
+            if !self.snippets.iter().any(|s| s.object(&obj.name).is_some()) {
                 self.store.remove_object(&obj.name, &mut moved);
-                self.object_kinds.remove(&obj.name);
-                resolves_anew |= image.refers_to(&obj.name);
             }
         }
-        // `object_kinds` holds exactly the live objects
-        let dead_slots = self.store.dead_slots() > self.object_kinds.len();
+        let dead_slots = self.store.dead_slots() > self.store.live_objects();
         let dead_regs = 2 * image.dead_regs() > image.num_regs();
-        if self.snippets.is_empty() || resolves_anew || dead_regs || dead_slots {
+        if self.snippets.is_empty() || dead_regs || dead_slots {
             self.recompile();
         }
         Some(moved)
@@ -232,7 +226,6 @@ impl DevicePlane {
 
     /// The compiled tier: run the packet through the register VM.
     fn process_compiled(&mut self, pkt: &mut Packet) -> ExecOutcome {
-        self.packets_processed += 1;
         let (action, mirrored, executed) = match &self.compiled {
             Some(image) => {
                 let mut ctx = VmCtx {
@@ -245,7 +238,6 @@ impl DevicePlane {
             }
             None => (PacketAction::Forward, Vec::new(), 0),
         };
-        self.instructions_executed += executed as u64;
         let latency_ns =
             self.model.base_latency_ns + self.model.per_instr_latency_ns * executed as f64;
         ExecOutcome { action, mirrored, latency_ns, instructions_executed: executed }
@@ -253,17 +245,11 @@ impl DevicePlane {
 
     /// The reference tier: walk the IR directly.
     fn process_interp(&mut self, pkt: &mut Packet) -> ExecOutcome {
-        self.packets_processed += 1;
         let mut action = PacketAction::Forward;
         let mut mirrored = Vec::new();
         let mut executed = 0usize;
         let mut env: BTreeMap<String, Value> = BTreeMap::new();
 
-        let mut ctx = ExecCtx {
-            store: &mut self.store,
-            kinds: &self.object_kinds,
-            rand_streams: &mut self.rand_streams,
-        };
         for snippet in &self.snippets {
             // the program-level guard (the tenant match isolation writes)
             // gates the whole snippet once per packet
@@ -272,6 +258,8 @@ impl DevicePlane {
                     continue;
                 }
             }
+            let mut ctx =
+                ExecCtx { store: &mut self.store, snippet, rand_streams: &mut self.rand_streams };
             for instr in &snippet.instructions {
                 let guard_ok =
                     instr.guard.as_ref().map(|g| eval_guard(g, &env, pkt)).unwrap_or(true);
@@ -282,7 +270,6 @@ impl DevicePlane {
                 execute(&instr.op, &mut ctx, &mut env, pkt, &mut action, &mut mirrored);
             }
         }
-        self.instructions_executed += executed as u64;
         let latency_ns =
             self.model.base_latency_ns + self.model.per_instr_latency_ns * executed as f64;
         ExecOutcome { action, mirrored, latency_ns, instructions_executed: executed }
@@ -363,7 +350,7 @@ fn execute(
         OpCode::ClearState { object } => ctx.store.clear(object),
         OpCode::DeleteState { object, index } => {
             let keys: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
-            ctx.store.delete(object, &keys);
+            delete_state(ctx, object, &keys);
         }
         OpCode::Drop => *action = PacketAction::Drop,
         OpCode::Forward => {
@@ -437,12 +424,12 @@ fn read_state(
     pkt: &Packet,
 ) -> Value {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
-    match ctx.kinds.get(object) {
-        Some(ObjectKind::Table { .. }) => ctx.store.table_get(object, &idx),
-        Some(ObjectKind::Sketch { .. }) => {
+    match ctx.kind(object) {
+        ObjectKind::Table { .. } => ctx.store.table_get(object, &idx),
+        ObjectKind::Sketch { .. } => {
             Value::Int(ctx.store.sketch_estimate(object, idx.first().unwrap_or(&Value::None)))
         }
-        Some(ObjectKind::Hash { .. }) => Value::Int(ctx.store.hash(object, &idx)),
+        ObjectKind::Hash { .. } => Value::Int(ctx.store.hash(object, &idx)),
         _ => {
             let (row, cell) = row_and_cell(&idx);
             Value::Int(ctx.store.array_read(object, row, cell))
@@ -459,11 +446,11 @@ fn write_state(
     pkt: &Packet,
 ) {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
-    match ctx.kinds.get(object) {
-        Some(ObjectKind::Table { .. }) => {
+    match ctx.kind(object) {
+        ObjectKind::Table { .. } => {
             ctx.store.table_write(object, &idx, values);
         }
-        Some(ObjectKind::Sketch { .. }) => {
+        ObjectKind::Sketch { .. } => {
             let delta = values.first().and_then(Value::as_int).unwrap_or(1);
             ctx.store.sketch_count(object, idx.first().unwrap_or(&Value::None), delta);
         }
@@ -484,14 +471,30 @@ fn count_state(
     pkt: &Packet,
 ) -> i64 {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
-    match ctx.kinds.get(object) {
-        Some(ObjectKind::Sketch { .. }) => {
+    match ctx.kind(object) {
+        ObjectKind::Sketch { .. } => {
             ctx.store.sketch_count(object, idx.first().unwrap_or(&Value::None), delta)
         }
         _ => {
             let (row, cell) = row_and_cell(&idx);
             ctx.store.array_add(object, row, cell, delta)
         }
+    }
+}
+
+/// Delete a table entry or reset an array cell, by the declared kind as the
+/// VM's lowering does; the cell decode truncates with an `as u32` cast.
+fn delete_state(ctx: &mut ExecCtx<'_>, object: &str, keys: &[Value]) {
+    let slot = ctx.store.slot_of(object).expect("the store holds every declared object");
+    match ctx.kind(object) {
+        ObjectKind::Table { .. } => ctx.store.table_remove_slot(slot, keys),
+        ObjectKind::Array { .. } | ObjectKind::Seq { .. } => {
+            let at = |i: usize| keys.get(i).and_then(Value::as_int).unwrap_or(0) as u32;
+            let (row, cell) = if keys.len() >= 2 { (at(0), at(1)) } else { (0, at(0)) };
+            ctx.store.array_write_slot(slot, row, cell, 0);
+        }
+        // a hash or crypto object's delete is a no-op
+        _ => {}
     }
 }
 
@@ -558,7 +561,6 @@ mod tests {
                 "dimension {d} aggregated incorrectly"
             );
         }
-        assert!(plane.instructions_executed > 0);
     }
 
     #[test]
@@ -725,7 +727,6 @@ mod tests {
             .collect();
         let got = batched.process_batch(&mut pkts);
         assert_eq!(got, expected);
-        assert_eq!(batched.packets_processed, seq.packets_processed);
     }
 
     #[test]
@@ -799,57 +800,17 @@ mod tests {
         assert!(plane.store().sketch_estimate("mem", &Value::Int(9)) >= 2);
     }
 
-    /// A resident that reads an object it does not declare resolves it
-    /// against the rest of the plane: when another snippet declares it, and
-    /// when that snippet leaves, the image is compiled whole, and the VM reads
-    /// what the interpreter reads.
+    /// A snippet resolves against its own declarations, so one that reads
+    /// an object it does not declare is refused at install.
     #[test]
-    fn an_object_declared_or_removed_by_a_co_resident_resolves_anew() {
-        use clickinc_ir::{MatchKind, Operand, ProgramBuilder};
-        let mut reader = ProgramBuilder::new("reader");
-        reader.get("v", "shared", vec![Operand::hdr("key")]);
-        reader.set_header("out", Operand::var("v"));
-        let mut owner = ProgramBuilder::new("owner");
-        owner.table("shared", MatchKind::Exact, 32, 32, 16, false).forward();
-        let (reader, owner) = (reader.build().unwrap(), owner.build().unwrap());
-
-        let mut planes = [ExecMode::Compiled, ExecMode::Interpreted].map(|mode| {
-            let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
-            plane.set_exec_mode(mode);
-            plane.install(reader.clone());
-            plane
-        });
-        let read = |planes: &mut [DevicePlane; 2]| {
-            planes.each_mut().map(|plane| {
-                let mut pkt = kvs_request("c", "s", 0, 3);
-                plane.process(&mut pkt);
-                pkt.inc.get("out")
-            })
-        };
-        // the reader's lookup resolves to no slot while nobody declares it
-        let unresolved = |plane: &DevicePlane| {
-            plane.compiled_image().expect("the reader is installed").dump().contains("slot:?")
-        };
-        let [compiled, interp] = read(&mut planes);
-        assert_eq!(compiled, interp, "undeclared");
-        assert!(unresolved(&planes[0]), "undeclared");
-
-        for plane in &mut planes {
-            plane.install(owner.clone());
-            plane.store_mut().table_write("shared", &[Value::Int(3)], vec![Value::Int(33)]);
-        }
-        assert!(!unresolved(&planes[0]), "the declaration resolved the reader anew");
-        assert_eq!(
-            read(&mut planes),
-            [Value::Int(33), Value::Int(33)],
-            "declared by a co-resident"
-        );
-
-        for plane in &mut planes {
-            plane.uninstall("owner").expect("installed");
-        }
-        assert!(unresolved(&planes[0]), "the removal resolved the reader anew");
-        let [compiled, interp] = read(&mut planes);
-        assert_eq!(compiled, interp, "removed again");
+    #[should_panic(expected = "snippet `reader` touches object `shared`")]
+    fn installing_a_snippet_that_reads_an_undeclared_object_panics() {
+        use clickinc_ir::Instruction;
+        let mut reader = IrProgram::new("reader");
+        reader.instructions.push(Instruction::new(
+            0,
+            OpCode::ReadState { dest: "v".into(), object: "shared".into(), index: vec![] },
+        ));
+        DevicePlane::new("SW0", DeviceModel::tofino()).install(reader);
     }
 }

@@ -495,6 +495,11 @@ impl ObjectStore {
         self.slots.len() - self.names.len()
     }
 
+    /// The objects the store holds.
+    pub fn live_objects(&self) -> usize {
+        self.names.len()
+    }
+
     /// Drop the tombstones and renumber the surviving objects' slots densely,
     /// in their slot order.  Invalidates every slot index handed out before:
     /// only call it before compiling anew every program that addresses the

@@ -4,7 +4,10 @@
 //! [`CompiledProgram`] at install time, against the register and header
 //! name tables the image keeps for its lifetime, so an install costs the
 //! tenant and not the device; [`compile`] is the same append over a whole
-//! snippet list, from an empty image.  Lowering resolves everything once:
+//! snippet list, from an empty image.  A snippet declares every object it
+//! touches (`DevicePlane::install` holds it to that), so it lowers against
+//! its own declarations and nothing a co-resident installs or removes
+//! changes how it resolves.  Lowering resolves everything once:
 //! every variable becomes a dense register index, every state object
 //! resolves to its [`ObjectStore`] slot, hash seeds and moduli become
 //! immediates, and the per-object kind dispatch the
@@ -32,13 +35,14 @@
 //! The VM is bit-identical to the interpreter by construction: every IR
 //! instruction compiles to one [`VmNode::Op`], except that a cell's
 //! read–ALU–write triple compiles to one fused [`VmOp::ArrayUpdate`] that
-//! counts as the three it replaces (so executed-instruction telemetry
-//! matches); every operation evaluates through the same
+//! counts as the three it replaces (so the executed-instruction count of
+//! an outcome matches); both tiers dispatch on the kind the snippet itself
+//! declares an object with; every operation evaluates through the same
 //! [`clickinc_ir::eval`] reference semantics and the same [`ObjectStore`]
 //! cell arithmetic, and `RandInt` advances the same per-tenant splitmix
 //! stream.  The differential proptests in `tests/compiled_vs_interp.rs` hold
-//! the two paths to equal store fingerprints, outcomes and counters on every
-//! fig13 program.
+//! the two paths to equal store fingerprints and outcomes, executed-instruction
+//! counts included, on every fig13 program.
 //!
 //! Registers are *generation-stamped*: instead of clearing the register file
 //! per packet, each write records the current packet generation, and a read
@@ -76,8 +80,7 @@
 use crate::packet::{Packet, StreamRecord};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
 use clickinc_ir::{
-    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectDecl, ObjectKind, OpCode, Operand, Predicate,
-    Value,
+    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectKind, OpCode, Operand, Predicate, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -93,12 +96,6 @@ pub enum ExecMode {
     /// oracle, selectable per plane via `DevicePlane::set_exec_mode`.
     Interpreted,
 }
-
-/// Slot sentinel for objects that are referenced but not declared on this
-/// plane: every slot-indexed [`ObjectStore`] accessor treats an out-of-range
-/// slot as the missing object (reads 0 / `None`, writes are no-ops), exactly
-/// like the interpreter's name lookups.
-const NO_SLOT: usize = usize::MAX;
 
 /// A compiled operand: constants and metadata are immediates, variables are
 /// register indices, header fields are indices into the image's header-name
@@ -230,7 +227,7 @@ pub enum VmOp {
 
 /// One node of a guard tree.  One IR instruction compiles to one `Op`, and
 /// a fused [`VmOp::ArrayUpdate`] stands for the three it replaces, keeping
-/// the executed-instruction counters bit-identical across tiers.
+/// the executed-instruction counts bit-identical across tiers.
 #[derive(Debug, Clone)]
 pub enum VmNode {
     /// An operation whose guard the enclosing blocks have fully discharged.
@@ -275,10 +272,6 @@ pub struct CompiledProgram {
     ops: usize,
     /// Registers this program's append introduced into the image's table.
     new_regs: usize,
-    /// Objects the program reads or writes but does not declare: they
-    /// resolve against whatever the rest of the plane declares, so the image
-    /// is recompiled whole when one of them is declared or removed.
-    foreign: Vec<String>,
 }
 
 impl CompiledProgram {
@@ -321,39 +314,30 @@ pub struct CompiledImage {
 }
 
 impl CompiledImage {
-    /// Lower one snippet against the plane's object-kind index and store
-    /// slots, and append it: the snippet's variables and header fields that
-    /// the tables lack get the next indices, the residents are not touched.
-    /// Called at install time, never per packet.
-    pub fn append(
-        &mut self,
-        snippet: &IrProgram,
-        kinds: &BTreeMap<String, ObjectKind>,
-        store: &ObjectStore,
-    ) {
+    /// Lower one snippet against its own object declarations and the store
+    /// slots they were given, and append it: the snippet's variables and
+    /// header fields that the tables lack get the next indices, the
+    /// residents are not touched.  Called at install time, never per packet.
+    ///
+    /// # Panics
+    ///
+    /// If a state operation of the snippet names an object the snippet does
+    /// not declare, or one the store does not hold.
+    pub fn append(&mut self, snippet: &IrProgram, store: &ObjectStore) {
         let regs_before = self.reg_names.len();
-        let mut lw = Lowerer {
-            kinds,
-            store,
-            image: self,
-            own: &snippet.objects,
-            foreign: Vec::new(),
-            path: Vec::new(),
-        };
+        let mut lw = Lowerer { store, image: self, snippet, path: Vec::new() };
         let precondition = snippet
             .precondition
             .as_ref()
             .map(|g| g.all.iter().map(|p| lw.pred(p)).collect())
             .unwrap_or_default();
         let (body, _) = lw.nodes(&snippet.instructions, &mut 0, &[]);
-        let foreign = lw.foreign;
         self.programs.push(CompiledProgram {
             name: snippet.name.clone(),
             precondition,
             body,
             ops: snippet.instructions.len(),
             new_regs: self.reg_names.len() - regs_before,
-            foreign,
         });
     }
 
@@ -373,13 +357,6 @@ impl CompiledImage {
     /// left behind since the image was last compiled whole.
     pub fn dead_regs(&self) -> usize {
         self.dead_regs
-    }
-
-    /// Whether a resident program reads or writes `object` without
-    /// declaring it, so declaring or removing `object` changes how that
-    /// program resolves.
-    pub fn refers_to(&self, object: &str) -> bool {
-        self.programs.iter().any(|p| p.foreign.iter().any(|name| name == object))
     }
 
     /// Number of registers the image needs.
@@ -480,11 +457,7 @@ impl CompiledImage {
     }
 
     fn slot(&self, s: usize) -> String {
-        if s == usize::MAX {
-            "slot:?".into()
-        } else {
-            format!("slot:{s}")
-        }
+        format!("slot:{s}")
     }
 
     fn alu_str(
@@ -593,14 +566,11 @@ impl CompiledImage {
 }
 
 struct Lowerer<'a> {
-    kinds: &'a BTreeMap<String, ObjectKind>,
     store: &'a ObjectStore,
     /// The image whose name tables the snippet is lowered against.
     image: &'a mut CompiledImage,
-    /// The objects the snippet declares.
-    own: &'a [ObjectDecl],
-    /// The objects it refers to without declaring them.
-    foreign: Vec<String>,
+    /// The snippet being lowered, whose declarations give each object's kind.
+    snippet: &'a IrProgram,
     /// The predicates of the blocks open around the instruction being
     /// lowered, outermost first; a closing block takes its own back.
     path: Vec<VmPred>,
@@ -629,21 +599,9 @@ impl<'a> Lowerer<'a> {
         r
     }
 
-    /// Record that the snippet refers to `object`, if it does not declare it.
-    fn note(&mut self, object: &str) {
-        if !self.own.iter().any(|o| o.name == object) && !self.foreign.iter().any(|f| f == object) {
-            self.foreign.push(object.to_string());
-        }
-    }
-
-    fn kind(&mut self, object: &str) -> Option<&'a ObjectKind> {
-        self.note(object);
-        self.kinds.get(object)
-    }
-
-    fn modulus(&mut self, object: &str) -> Option<u32> {
-        self.note(object);
-        self.store.hash_modulus(object)
+    /// The kind the snippet declares `object` with.
+    fn kind(&self, object: &str) -> &'a ObjectKind {
+        &self.snippet.object(object).expect("a snippet declares every object it touches").kind
     }
 
     fn operand(&mut self, op: &Operand) -> VmOperand {
@@ -677,9 +635,8 @@ impl<'a> Lowerer<'a> {
         ops.first().map(|o| self.operand(o)).unwrap_or(VmOperand::Const(Value::None))
     }
 
-    fn slot(&mut self, object: &str) -> usize {
-        self.note(object);
-        self.store.slot_of(object).unwrap_or(NO_SLOT)
+    fn slot(&self, object: &str) -> usize {
+        self.store.slot_of(object).expect("the store holds every object a snippet declares")
     }
 
     fn op(&mut self, op: &OpCode) -> VmOp {
@@ -703,24 +660,24 @@ impl<'a> Lowerer<'a> {
             OpCode::Hash { dest, object, keys } => VmOp::Hash {
                 dest: self.reg(dest),
                 seed: hash_seed(object),
-                modulus: self.modulus(object),
+                modulus: self.store.hash_modulus(object),
                 keys: self.operands(keys),
             },
             OpCode::ReadState { dest, object, index } => match self.kind(object) {
-                Some(ObjectKind::Table { .. }) => VmOp::TableGet {
+                ObjectKind::Table { .. } => VmOp::TableGet {
                     dest: self.reg(dest),
                     slot: self.slot(object),
                     key: self.operands(index),
                 },
-                Some(ObjectKind::Sketch { .. }) => VmOp::SketchEstimate {
+                ObjectKind::Sketch { .. } => VmOp::SketchEstimate {
                     dest: self.reg(dest),
                     slot: self.slot(object),
                     key: self.first_or_none(index),
                 },
-                Some(ObjectKind::Hash { .. }) => VmOp::Hash {
+                ObjectKind::Hash { .. } => VmOp::Hash {
                     dest: self.reg(dest),
                     seed: hash_seed(object),
-                    modulus: self.modulus(object),
+                    modulus: self.store.hash_modulus(object),
                     keys: self.operands(index),
                 },
                 _ => VmOp::ArrayRead {
@@ -730,12 +687,12 @@ impl<'a> Lowerer<'a> {
                 },
             },
             OpCode::WriteState { object, index, value } => match self.kind(object) {
-                Some(ObjectKind::Table { .. }) => VmOp::TableWrite {
+                ObjectKind::Table { .. } => VmOp::TableWrite {
                     slot: self.slot(object),
                     key: self.operands(index),
                     values: self.operands(value),
                 },
-                Some(ObjectKind::Sketch { .. }) => VmOp::SketchWrite {
+                ObjectKind::Sketch { .. } => VmOp::SketchWrite {
                     slot: self.slot(object),
                     key: self.first_or_none(index),
                     value: self.first_or_none(value),
@@ -749,7 +706,7 @@ impl<'a> Lowerer<'a> {
             OpCode::CountState { dest, object, index, delta } => {
                 let dest = dest.as_ref().map(|d| self.reg(d));
                 match self.kind(object) {
-                    Some(ObjectKind::Sketch { .. }) => VmOp::SketchCount {
+                    ObjectKind::Sketch { .. } => VmOp::SketchCount {
                         dest,
                         slot: self.slot(object),
                         key: self.first_or_none(index),
@@ -765,14 +722,14 @@ impl<'a> Lowerer<'a> {
             }
             OpCode::ClearState { object } => VmOp::Clear { slot: self.slot(object) },
             OpCode::DeleteState { object, index } => match self.kind(object) {
-                Some(ObjectKind::Table { .. }) => {
+                ObjectKind::Table { .. } => {
                     VmOp::TableDelete { slot: self.slot(object), key: self.operands(index) }
                 }
-                Some(ObjectKind::Array { .. }) | Some(ObjectKind::Seq { .. }) => {
+                ObjectKind::Array { .. } | ObjectKind::Seq { .. } => {
                     VmOp::ArrayDelete { slot: self.slot(object), index: self.index(index) }
                 }
-                // hash/crypto/undeclared objects: the interpreter's delete is
-                // a no-op, but the instruction still executes
+                // hash/crypto objects: the interpreter's delete is a no-op,
+                // but the instruction still executes
                 _ => VmOp::NoOp,
             },
             OpCode::Drop => VmOp::Drop,
@@ -893,18 +850,12 @@ impl<'a> Lowerer<'a> {
 /// Compile a whole snippet list, in order, into a fresh image: one
 /// [`CompiledImage::append`] per snippet.  A plane compiles whole only when
 /// an uninstall leaves more dead registers than live ones (or more store
-/// tombstones than live objects), or empties the plane, or when declaring or
-/// removing an object changes how a resident resolves it
-/// ([`CompiledImage::refers_to`]); the whole compile is also the reference
-/// the incrementally built image is held to.
-pub fn compile(
-    snippets: &[Arc<IrProgram>],
-    kinds: &BTreeMap<String, ObjectKind>,
-    store: &ObjectStore,
-) -> CompiledImage {
+/// tombstones than live objects), or empties the plane; the whole compile is
+/// also the reference the incrementally built image is held to.
+pub fn compile(snippets: &[Arc<IrProgram>], store: &ObjectStore) -> CompiledImage {
     let mut image = CompiledImage::default();
     for snippet in snippets {
-        image.append(snippet, kinds, store);
+        image.append(snippet, store);
     }
     image
 }
@@ -1460,7 +1411,6 @@ mod tests {
             assert_eq!((a.src(), a.dst()), endpoints, "key {key} ended {:?}", oa.action);
         }
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
-        assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
     /// Header slots are bound per stream record, and records come and go:
@@ -1529,7 +1479,6 @@ mod tests {
         }
         let [compiled, interp] = &planes;
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
-        assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
     fn compiled_dump(prog: IrProgram) -> String {
@@ -1809,7 +1758,6 @@ mod tests {
         }
         let [compiled, interp] = &planes;
         assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
-        assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
     /// The image `mlagg_serve` measures — the 32-dimension MLAgg as the

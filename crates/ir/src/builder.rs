@@ -226,7 +226,8 @@ impl ProgramBuilder {
     ///
     /// Rejects programs that would only fail later (as emulator panics or
     /// nonsense placements): an empty instruction stream, duplicate object
-    /// declarations, and duplicate instruction ids.
+    /// declarations, an instruction whose object is not declared, and
+    /// duplicate instruction ids.
     pub fn build(self) -> Result<IrProgram, IrError> {
         if self.program.instructions.is_empty() {
             return Err(IrError::EmptyProgram);
@@ -238,7 +239,10 @@ impl ProgramBuilder {
             }
         }
         let mut ids = BTreeSet::new();
-        for instr in &self.program.instructions {
+        for (idx, instr) in self.program.instructions.iter().enumerate() {
+            if let Some(object) = instr.object().filter(|o| !objects.contains(o)) {
+                return Err(IrError::UnknownObject { object: object.to_string(), instr: idx });
+            }
             if !ids.insert(instr.id.0) {
                 return Err(IrError::DuplicateInstrId { id: instr.id.0 });
             }
@@ -368,6 +372,16 @@ mod tests {
         b.seq("a", 8, 16);
         b.forward();
         assert_eq!(b.build().unwrap_err(), IrError::DuplicateObject { object: "a".into() });
+    }
+
+    #[test]
+    fn an_undeclared_object_is_rejected_at_build_time() {
+        let mut b = ProgramBuilder::new("p");
+        b.array("a", 1, 4, 32);
+        b.get("v", "a", vec![Operand::int(0)]);
+        b.get("w", "b", vec![Operand::int(0)]);
+        let err = IrError::UnknownObject { object: "b".into(), instr: 1 };
+        assert_eq!(b.build().unwrap_err(), err);
     }
 
     #[test]

@@ -96,17 +96,6 @@ impl Value {
         }
     }
 
-    /// Truthiness used by guards: zero, `false`, empty bytes and `None` are false.
-    pub fn is_truthy(&self) -> bool {
-        match self {
-            Value::Int(v) => *v != 0,
-            Value::Float(v) => *v != 0.0,
-            Value::Bool(b) => *b,
-            Value::Bytes(b) => !b.is_empty(),
-            Value::None => false,
-        }
-    }
-
     /// Whether this is [`Value::None`].
     pub fn is_none(&self) -> bool {
         matches!(self, Value::None)
@@ -150,15 +139,6 @@ mod tests {
         assert_eq!(Value::None.as_int(), None);
         assert_eq!(Value::Int(3).as_float(), Some(3.0));
         assert_eq!(Value::Bytes(vec![1]).as_float(), None);
-    }
-
-    #[test]
-    fn truthiness() {
-        assert!(Value::Int(1).is_truthy());
-        assert!(!Value::Int(0).is_truthy());
-        assert!(!Value::None.is_truthy());
-        assert!(Value::Bytes(vec![0]).is_truthy());
-        assert!(!Value::Bytes(vec![]).is_truthy());
     }
 
     #[test]

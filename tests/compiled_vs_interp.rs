@@ -7,8 +7,8 @@
 //! 1. **fig13 programs** — all four provider templates (KVS, MLAgg, CMS,
 //!    DQAcc), isolated and optimized exactly as the controller deploys them,
 //!    co-resident on one device, run over representative traces through both
-//!    tiers: per-packet outcomes, rewritten packets, store fingerprints and
-//!    telemetry counters must be bit-identical.
+//!    tiers: per-packet outcomes (executed-instruction counts included),
+//!    rewritten packets and store fingerprints must be bit-identical.
 //! 2. **Golden compiled images** — the optimizer+compiler output for each
 //!    fig13 program, and for the MLAgg the benchmark serves as the controller
 //!    places it, is pinned in `tests/golden/<name>.vm`; any codegen drift
@@ -167,17 +167,12 @@ fn assert_tiers_agree(compiled: &mut DevicePlane, interp: &mut DevicePlane, trac
         let ob = interp.process(&mut b);
         assert_eq!(oa, ob, "outcome diverges at packet {i}");
         assert_eq!(a, b, "rewritten packet diverges at packet {i}");
-        assert_eq!(
-            compiled.instructions_executed, interp.instructions_executed,
-            "telemetry diverges at packet {i}"
-        );
     }
     assert_eq!(
         compiled.store().fingerprint(),
         interp.store().fingerprint(),
         "final stores diverge"
     );
-    assert_eq!(compiled.packets_processed, interp.packets_processed);
 }
 
 /// The gradient trace: four workers per round, duplicate contributions, plus
@@ -671,7 +666,6 @@ fn assert_runs_like_a_whole_compile(plane: &mut DevicePlane, trace: Vec<Packet>)
     let fingerprint = plane.store().fingerprint();
     assert_eq!(fingerprint, whole.store().fingerprint(), "store against the whole compile");
     assert_eq!(fingerprint, interp.store().fingerprint(), "store against the interpreter");
-    assert_eq!(plane.instructions_executed, interp.instructions_executed);
 }
 
 /// An uninstall compiles the image whole only once the registers dropped
@@ -874,7 +868,6 @@ proptest! {
             prop_assert_eq!(&a, &b_pkt, "packet diverges at packet {}", i);
         }
         prop_assert_eq!(compiled.store().fingerprint(), interp.store().fingerprint());
-        prop_assert_eq!(compiled.instructions_executed, interp.instructions_executed);
     }
 
     /// Nested branches whose bodies overwrite what enclosing guards read run
