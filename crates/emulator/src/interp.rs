@@ -139,8 +139,12 @@ impl DevicePlane {
     /// # Panics
     ///
     /// If an instruction of the snippet touches an object the snippet does
-    /// not declare.  Isolation and [`IrProgram::slice`] give every snippet a
-    /// deployment ships exactly the objects its instructions touch.
+    /// not declare, or the snippet declares an object the plane already
+    /// holds as another kind (array, sequence, sketch, table, hash or
+    /// crypto), so that the snippet's declaration is always the store's.
+    /// Isolation and [`IrProgram::slice`] give every snippet a deployment
+    /// ships exactly the objects its instructions touch, each named for its
+    /// tenant.
     pub fn install(&mut self, snippet: impl Into<Arc<IrProgram>>) {
         let snippet = snippet.into();
         for object in snippet.instructions.iter().filter_map(|i| i.object()) {
@@ -151,6 +155,12 @@ impl DevicePlane {
             );
         }
         for obj in &snippet.objects {
+            assert!(
+                self.store.agrees_with(obj),
+                "snippet `{}` declares object `{}` as another kind than the plane holds",
+                snippet.name,
+                obj.name
+            );
             self.store.declare(obj);
         }
         let image = self.compiled.get_or_insert_with(CompiledImage::default);
@@ -350,7 +360,7 @@ fn execute(
         OpCode::ClearState { object } => ctx.store.clear(object),
         OpCode::DeleteState { object, index } => {
             let keys: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
-            delete_state(ctx, object, &keys);
+            ctx.store.delete(object, &keys);
         }
         OpCode::Drop => *action = PacketAction::Drop,
         OpCode::Forward => {
@@ -479,22 +489,6 @@ fn count_state(
             let (row, cell) = row_and_cell(&idx);
             ctx.store.array_add(object, row, cell, delta)
         }
-    }
-}
-
-/// Delete a table entry or reset an array cell, by the declared kind as the
-/// VM's lowering does; the cell decode truncates with an `as u32` cast.
-fn delete_state(ctx: &mut ExecCtx<'_>, object: &str, keys: &[Value]) {
-    let slot = ctx.store.slot_of(object).expect("the store holds every declared object");
-    match ctx.kind(object) {
-        ObjectKind::Table { .. } => ctx.store.table_remove_slot(slot, keys),
-        ObjectKind::Array { .. } | ObjectKind::Seq { .. } => {
-            let at = |i: usize| keys.get(i).and_then(Value::as_int).unwrap_or(0) as u32;
-            let (row, cell) = if keys.len() >= 2 { (at(0), at(1)) } else { (0, at(0)) };
-            ctx.store.array_write_slot(slot, row, cell, 0);
-        }
-        // a hash or crypto object's delete is a no-op
-        _ => {}
     }
 }
 
@@ -812,5 +806,32 @@ mod tests {
             OpCode::ReadState { dest: "v".into(), object: "shared".into(), index: vec![] },
         ));
         DevicePlane::new("SW0", DeviceModel::tofino()).install(reader);
+    }
+
+    /// The store keeps a name's first declaration, so a snippet that
+    /// redeclares a resident's array as a table is refused at install rather
+    /// than left to miss on every state op.
+    #[test]
+    #[should_panic(expected = "snippet `tables` declares object `x` as another kind")]
+    fn installing_a_snippet_that_redeclares_an_object_as_another_kind_panics() {
+        use clickinc_ir::{MatchKind, ObjectDecl};
+        let mut plane = DevicePlane::new("SW0", DeviceModel::tofino());
+        let mut arrays = IrProgram::new("arrays");
+        arrays
+            .objects
+            .push(ObjectDecl::new("x", ObjectKind::Array { rows: 1, size: 4, width: 32 }));
+        plane.install(arrays);
+        let mut tables = IrProgram::new("tables");
+        tables.objects.push(ObjectDecl::new(
+            "x",
+            ObjectKind::Table {
+                match_kind: MatchKind::Exact,
+                key_width: 32,
+                value_width: 32,
+                depth: 4,
+                stateful: true,
+            },
+        ));
+        plane.install(tables);
     }
 }

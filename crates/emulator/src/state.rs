@@ -261,6 +261,22 @@ impl ObjectStore {
         self.slots.push(Some(state));
     }
 
+    /// Whether `decl` declares an object the store does not hold, or one it
+    /// holds as the same kind of state: what both execution tiers dispatch
+    /// a state op on.
+    pub fn agrees_with(&self, decl: &ObjectDecl) -> bool {
+        matches!(
+            (self.state(&decl.name), &decl.kind),
+            (None, _)
+                | (Some(ObjectState::Array(_)), ObjectKind::Array { .. })
+                | (Some(ObjectState::Seq(_)), ObjectKind::Seq { .. })
+                | (Some(ObjectState::Sketch { .. }), ObjectKind::Sketch { .. })
+                | (Some(ObjectState::Table { .. }), ObjectKind::Table { .. })
+                | (Some(ObjectState::Hash { .. }), ObjectKind::Hash { .. })
+                | (Some(ObjectState::Crypto), ObjectKind::Crypto { .. })
+        )
+    }
+
     /// Whether the object exists.
     pub fn contains(&self, name: &str) -> bool {
         self.names.contains_key(name)
