@@ -1,7 +1,7 @@
 //! P4-16 (TNA) backend for Tofino-class switches.
 
 use crate::emit::{declare_temporaries, Args, Compute, GuardExpr, Ident, Opnd, HDR};
-use clickinc_ir::{IrProgram, MatchKind, ObjectKind, OpCode};
+use clickinc_ir::{IrProgram, MatchKind, Name, ObjectKind, OpCode};
 use std::fmt::Write as _;
 
 /// Generate a P4-16 program for the merged device image.
@@ -135,7 +135,7 @@ pub fn generate(image: &IrProgram) -> String {
 }
 
 /// End the line with ` // @owner: a,b` when the instruction has owners.
-fn owner_note(out: &mut String, owners: &[String]) {
+fn owner_note(out: &mut String, owners: &[Name]) {
     for (i, owner) in owners.iter().enumerate() {
         out.push_str(if i == 0 { " // @owner: " } else { "," });
         out.push_str(owner);
@@ -145,7 +145,7 @@ fn owner_note(out: &mut String, owners: &[String]) {
 
 /// Write the statements of `op`, one a line, each indented by `indent` and
 /// ended by the owner note of `owners`.
-fn write_body(out: &mut String, op: &OpCode, indent: &str, owners: &[String]) {
+fn write_body(out: &mut String, op: &OpCode, indent: &str, owners: &[Name]) {
     macro_rules! line {
         ($($fmt:tt)*) => {{
             out.push_str(indent);

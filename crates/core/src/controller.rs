@@ -753,7 +753,7 @@ impl Controller {
     /// whose namespace holds one of the new names can collide.
     fn check_object_names(&self, user: &str, program: &IrProgram, out: &mut DiagnosticSet) {
         let isolation_error = |message: String| {
-            Diagnostic::new(Severity::Error, "isolation", user, &program.name, message)
+            Diagnostic::new(Severity::Error, "isolation", user, program.name.as_str(), message)
         };
         for (i, decl) in program.objects.iter().enumerate() {
             if program.objects[..i].iter().any(|o| o.name == decl.name) {

@@ -48,6 +48,111 @@ impl DeviceKind {
         }
     }
 
+    /// Stage count and per-stage capacity of this kind's model: the one
+    /// place each family's resource constants are written.
+    fn stage_capacity(self) -> (usize, ResourceVector) {
+        match self {
+            DeviceKind::Tofino => (
+                12,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 80.0),
+                    (Resource::TcamBlocks, 24.0),
+                    (Resource::StatefulAlus, 4.0),
+                    (Resource::StatelessAlus, 16.0),
+                    (Resource::HashUnits, 6.0),
+                    (Resource::TableSlots, 16.0),
+                    (Resource::GatewaySlots, 16.0),
+                    (Resource::PhvBits, 6144.0),
+                    (Resource::InstrSlots, 64.0),
+                ]),
+            ),
+            DeviceKind::Tofino2 => (
+                20,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 160.0),
+                    (Resource::TcamBlocks, 32.0),
+                    (Resource::StatefulAlus, 4.0),
+                    (Resource::StatelessAlus, 20.0),
+                    (Resource::HashUnits, 8.0),
+                    (Resource::TableSlots, 16.0),
+                    (Resource::GatewaySlots, 16.0),
+                    (Resource::PhvBits, 8192.0),
+                    (Resource::InstrSlots, 64.0),
+                ]),
+            ),
+            DeviceKind::Trident4 => (
+                10,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 60.0),
+                    (Resource::TcamBlocks, 16.0),
+                    (Resource::StatefulAlus, 3.0),
+                    (Resource::StatelessAlus, 12.0),
+                    (Resource::HashUnits, 4.0),
+                    (Resource::TableSlots, 12.0),
+                    (Resource::GatewaySlots, 12.0),
+                    (Resource::PhvBits, 4096.0),
+                    (Resource::InstrSlots, 48.0),
+                ]),
+            ),
+            DeviceKind::NfpSmartNic => (
+                1,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 512.0),
+                    (Resource::TcamBlocks, 8.0),
+                    (Resource::StatefulAlus, 64.0),
+                    (Resource::StatelessAlus, 256.0),
+                    (Resource::HashUnits, 32.0),
+                    (Resource::TableSlots, 64.0),
+                    (Resource::GatewaySlots, 256.0),
+                    (Resource::PhvBits, 16384.0),
+                    (Resource::InstrSlots, 8192.0),
+                ]),
+            ),
+            DeviceKind::FpgaSmartNic => (
+                24,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 64.0),
+                    (Resource::TcamBlocks, 8.0),
+                    (Resource::StatefulAlus, 32.0),
+                    (Resource::StatelessAlus, 64.0),
+                    (Resource::HashUnits, 16.0),
+                    (Resource::TableSlots, 32.0),
+                    (Resource::GatewaySlots, 64.0),
+                    (Resource::PhvBits, 16384.0),
+                    (Resource::InstrSlots, 2048.0),
+                    (Resource::Lut, 162_000.0),
+                    (Resource::Bram, 270.0),
+                    (Resource::Dsp, 350.0),
+                ]),
+            ),
+            DeviceKind::FpgaAccelerator => (
+                32,
+                ResourceVector::from_pairs(&[
+                    (Resource::SramBlocks, 256.0),
+                    (Resource::TcamBlocks, 16.0),
+                    (Resource::StatefulAlus, 64.0),
+                    (Resource::StatelessAlus, 128.0),
+                    (Resource::HashUnits, 32.0),
+                    (Resource::TableSlots, 64.0),
+                    (Resource::GatewaySlots, 128.0),
+                    (Resource::PhvBits, 32768.0),
+                    (Resource::InstrSlots, 4096.0),
+                    (Resource::Lut, 1_300_000.0),
+                    (Resource::Bram, 2016.0),
+                    (Resource::Dsp, 9024.0),
+                ]),
+            ),
+            DeviceKind::Server => (1, ResourceVector::zero()),
+        }
+    }
+
+    /// Total resource capacity of this kind's model over all stages, read
+    /// without building the [`DeviceModel`] (whose capability set allocates).
+    pub fn total_capacity(self) -> ResourceVector {
+        let (stages, per_stage) = self.stage_capacity();
+        per_stage.scaled(stages as f64)
+    }
+
     /// The device-specific target language emitted by the backend.
     pub fn target_language(&self) -> &'static str {
         match self {
@@ -153,21 +258,12 @@ impl DeviceModel {
     /// multiplication/division (BIC), floating point (BCA), direct-index tables
     /// (BDM), stateful match tables (BSEM/BSNEM) or crypto (BCF).
     pub fn tofino() -> DeviceModel {
+        let (stages, per_stage) = DeviceKind::Tofino.stage_capacity();
         DeviceModel {
             kind: DeviceKind::Tofino,
             arch: Architecture::Pipeline,
-            stages: 12,
-            per_stage: ResourceVector::from_pairs(&[
-                (Resource::SramBlocks, 80.0),
-                (Resource::TcamBlocks, 24.0),
-                (Resource::StatefulAlus, 4.0),
-                (Resource::StatelessAlus, 16.0),
-                (Resource::HashUnits, 6.0),
-                (Resource::TableSlots, 16.0),
-                (Resource::GatewaySlots, 16.0),
-                (Resource::PhvBits, 6144.0),
-                (Resource::InstrSlots, 64.0),
-            ]),
+            stages,
+            per_stage,
             supported: classes(&[
                 CapabilityClass::Bin,
                 CapabilityClass::Bso,
@@ -188,18 +284,7 @@ impl DeviceModel {
     pub fn tofino2() -> DeviceModel {
         let mut m = DeviceModel::tofino();
         m.kind = DeviceKind::Tofino2;
-        m.stages = 20;
-        m.per_stage = ResourceVector::from_pairs(&[
-            (Resource::SramBlocks, 160.0),
-            (Resource::TcamBlocks, 32.0),
-            (Resource::StatefulAlus, 4.0),
-            (Resource::StatelessAlus, 20.0),
-            (Resource::HashUnits, 8.0),
-            (Resource::TableSlots, 16.0),
-            (Resource::GatewaySlots, 16.0),
-            (Resource::PhvBits, 8192.0),
-            (Resource::InstrSlots, 64.0),
-        ]);
+        (m.stages, m.per_stage) = DeviceKind::Tofino2.stage_capacity();
         m.base_latency_ns = 450.0;
         m
     }
@@ -207,21 +292,12 @@ impl DeviceModel {
     /// Broadcom Trident4: pipeline ASIC; unlike Tofino it supports direct-index
     /// tables (BDM) but still no BIC/BCA/BSEM/BSNEM/BCF (Appendix E.2, Eq. 21).
     pub fn trident4() -> DeviceModel {
+        let (stages, per_stage) = DeviceKind::Trident4.stage_capacity();
         DeviceModel {
             kind: DeviceKind::Trident4,
             arch: Architecture::Pipeline,
-            stages: 10,
-            per_stage: ResourceVector::from_pairs(&[
-                (Resource::SramBlocks, 60.0),
-                (Resource::TcamBlocks, 16.0),
-                (Resource::StatefulAlus, 3.0),
-                (Resource::StatelessAlus, 12.0),
-                (Resource::HashUnits, 4.0),
-                (Resource::TableSlots, 12.0),
-                (Resource::GatewaySlots, 12.0),
-                (Resource::PhvBits, 4096.0),
-                (Resource::InstrSlots, 48.0),
-            ]),
+            stages,
+            per_stage,
             supported: classes(&[
                 CapabilityClass::Bin,
                 CapabilityClass::Bso,
@@ -243,21 +319,12 @@ impl DeviceModel {
     /// floating point (BCA) or the advanced packet functions (BAPF)
     /// (Appendix E.3, Eq. 31).
     pub fn nfp_smartnic() -> DeviceModel {
+        let (stages, per_stage) = DeviceKind::NfpSmartNic.stage_capacity();
         DeviceModel {
             kind: DeviceKind::NfpSmartNic,
             arch: Architecture::Rtc,
-            stages: 1,
-            per_stage: ResourceVector::from_pairs(&[
-                (Resource::SramBlocks, 512.0),
-                (Resource::TcamBlocks, 8.0),
-                (Resource::StatefulAlus, 64.0),
-                (Resource::StatelessAlus, 256.0),
-                (Resource::HashUnits, 32.0),
-                (Resource::TableSlots, 64.0),
-                (Resource::GatewaySlots, 256.0),
-                (Resource::PhvBits, 16384.0),
-                (Resource::InstrSlots, 8192.0),
-            ]),
+            stages,
+            per_stage,
             supported: classes(&[
                 CapabilityClass::Bin,
                 CapabilityClass::Bic,
@@ -280,24 +347,12 @@ impl DeviceModel {
     /// Xilinx FPGA smartNIC: hybrid pipeline, supports every class including
     /// floating point and AES.
     pub fn fpga_smartnic() -> DeviceModel {
+        let (stages, per_stage) = DeviceKind::FpgaSmartNic.stage_capacity();
         DeviceModel {
             kind: DeviceKind::FpgaSmartNic,
             arch: Architecture::Hybrid,
-            stages: 24,
-            per_stage: ResourceVector::from_pairs(&[
-                (Resource::SramBlocks, 64.0),
-                (Resource::TcamBlocks, 8.0),
-                (Resource::StatefulAlus, 32.0),
-                (Resource::StatelessAlus, 64.0),
-                (Resource::HashUnits, 16.0),
-                (Resource::TableSlots, 32.0),
-                (Resource::GatewaySlots, 64.0),
-                (Resource::PhvBits, 16384.0),
-                (Resource::InstrSlots, 2048.0),
-                (Resource::Lut, 162_000.0),
-                (Resource::Bram, 270.0),
-                (Resource::Dsp, 350.0),
-            ]),
+            stages,
+            per_stage,
             supported: CapabilityClass::ALL.iter().copied().collect(),
             line_rate_gbps: 100.0,
             base_latency_ns: 900.0,
@@ -310,32 +365,19 @@ impl DeviceModel {
     pub fn fpga_accelerator() -> DeviceModel {
         let mut m = DeviceModel::fpga_smartnic();
         m.kind = DeviceKind::FpgaAccelerator;
-        m.stages = 32;
-        m.per_stage = ResourceVector::from_pairs(&[
-            (Resource::SramBlocks, 256.0),
-            (Resource::TcamBlocks, 16.0),
-            (Resource::StatefulAlus, 64.0),
-            (Resource::StatelessAlus, 128.0),
-            (Resource::HashUnits, 32.0),
-            (Resource::TableSlots, 64.0),
-            (Resource::GatewaySlots, 128.0),
-            (Resource::PhvBits, 32768.0),
-            (Resource::InstrSlots, 4096.0),
-            (Resource::Lut, 1_300_000.0),
-            (Resource::Bram, 2016.0),
-            (Resource::Dsp, 9024.0),
-        ]);
+        (m.stages, m.per_stage) = DeviceKind::FpgaAccelerator.stage_capacity();
         m.base_latency_ns = 1100.0;
         m
     }
 
     /// A non-programmable server endpoint (DPDK software path).
     pub fn server() -> DeviceModel {
+        let (stages, per_stage) = DeviceKind::Server.stage_capacity();
         DeviceModel {
             kind: DeviceKind::Server,
             arch: Architecture::Rtc,
-            stages: 1,
-            per_stage: ResourceVector::zero(),
+            stages,
+            per_stage,
             supported: BTreeSet::new(),
             line_rate_gbps: 100.0,
             base_latency_ns: 20_000.0,
@@ -423,6 +465,7 @@ mod tests {
             let model = kind.model();
             assert_eq!(model.kind, kind);
             assert!(model.stages() >= 1);
+            assert_eq!(kind.total_capacity(), model.total_capacity(), "{kind}");
             assert!(!kind.target_language().is_empty());
         }
         assert_eq!(DeviceKind::Tofino.target_language(), "P4-16 (TNA)");

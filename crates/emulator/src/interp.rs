@@ -5,7 +5,7 @@ use crate::state::ObjectStore;
 use crate::vm::{self, CompiledImage, ExecMode, RegFile, VmCtx};
 use clickinc_device::DeviceModel;
 use clickinc_ir::eval::{alu, compare};
-use clickinc_ir::{Guard, IrProgram, ObjectKind, OpCode, Operand, Value};
+use clickinc_ir::{Guard, IrProgram, Name, ObjectKind, OpCode, Operand, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -258,7 +258,7 @@ impl DevicePlane {
         let mut action = PacketAction::Forward;
         let mut mirrored = Vec::new();
         let mut executed = 0usize;
-        let mut env: BTreeMap<String, Value> = BTreeMap::new();
+        let mut env: BTreeMap<Name, Value> = BTreeMap::new();
 
         for snippet in &self.snippets {
             // the program-level guard (the tenant match isolation writes)
@@ -294,7 +294,7 @@ impl DevicePlane {
     }
 }
 
-fn eval_operand(op: &Operand, env: &BTreeMap<String, Value>, pkt: &Packet) -> Value {
+fn eval_operand(op: &Operand, env: &BTreeMap<Name, Value>, pkt: &Packet) -> Value {
     match op {
         Operand::Const(v) => v.clone(),
         Operand::Var(name) => env.get(name).cloned().unwrap_or(Value::None),
@@ -307,7 +307,7 @@ fn eval_operand(op: &Operand, env: &BTreeMap<String, Value>, pkt: &Packet) -> Va
     }
 }
 
-fn eval_guard(guard: &Guard, env: &BTreeMap<String, Value>, pkt: &Packet) -> bool {
+fn eval_guard(guard: &Guard, env: &BTreeMap<Name, Value>, pkt: &Packet) -> bool {
     guard.all.iter().all(|p| {
         let lhs = eval_operand(&p.lhs, env, pkt);
         let rhs = eval_operand(&p.rhs, env, pkt);
@@ -318,7 +318,7 @@ fn eval_guard(guard: &Guard, env: &BTreeMap<String, Value>, pkt: &Packet) -> boo
 fn execute(
     op: &OpCode,
     ctx: &mut ExecCtx<'_>,
-    env: &mut BTreeMap<String, Value>,
+    env: &mut BTreeMap<Name, Value>,
     pkt: &mut Packet,
     action: &mut PacketAction,
     mirrored: &mut Vec<Packet>,
@@ -430,7 +430,7 @@ fn read_state(
     ctx: &ExecCtx<'_>,
     object: &str,
     index: &[Operand],
-    env: &BTreeMap<String, Value>,
+    env: &BTreeMap<Name, Value>,
     pkt: &Packet,
 ) -> Value {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
@@ -452,7 +452,7 @@ fn write_state(
     object: &str,
     index: &[Operand],
     values: Vec<Value>,
-    env: &BTreeMap<String, Value>,
+    env: &BTreeMap<Name, Value>,
     pkt: &Packet,
 ) {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
@@ -477,7 +477,7 @@ fn count_state(
     object: &str,
     index: &[Operand],
     delta: i64,
-    env: &BTreeMap<String, Value>,
+    env: &BTreeMap<Name, Value>,
     pkt: &Packet,
 ) -> i64 {
     let idx: Vec<Value> = index.iter().map(|i| eval_operand(i, env, pkt)).collect();
@@ -737,12 +737,15 @@ mod tests {
             let mut p = IrProgram::new(name);
             p.instructions.push(Instruction::guarded(
                 0,
-                OpCode::RandInt { dest: format!("{name}_r"), bound: Operand::int(1_000_000) },
+                OpCode::RandInt {
+                    dest: format!("{name}_r").into(),
+                    bound: Operand::int(1_000_000),
+                },
                 guard.clone(),
             ));
             p.instructions.push(Instruction::guarded(
                 1,
-                OpCode::SetHeader { field: "r".into(), value: Operand::Var(format!("{name}_r")) },
+                OpCode::SetHeader { field: "r".into(), value: Operand::var(format!("{name}_r")) },
                 guard,
             ));
             p

@@ -29,7 +29,7 @@
 //! hashed by that digest itself (`KeyDigest`): a lookup is one probe, and
 //! the store digest walks the entries in key order.
 
-use clickinc_ir::{ObjectDecl, ObjectKind, SketchKind, Value};
+use clickinc_ir::{Name, ObjectDecl, ObjectKind, SketchKind, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -218,7 +218,7 @@ enum ObjectState {
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     /// Object name → slot index (control-plane and iteration order).
-    names: BTreeMap<String, usize>,
+    names: BTreeMap<Name, usize>,
     /// Dense object storage; a removed object leaves a `None` tombstone so
     /// the surviving objects' slot indices stay valid.
     slots: Vec<Option<ObjectState>>,
@@ -244,7 +244,7 @@ impl ObjectStore {
     /// Declare (instantiate) an object.  Re-declaring an existing object keeps
     /// its current contents (idempotent deployment).
     pub fn declare(&mut self, decl: &ObjectDecl) {
-        if self.names.contains_key(&decl.name) {
+        if self.names.contains_key(decl.name.as_str()) {
             return;
         }
         let state = match &decl.kind {

@@ -80,7 +80,7 @@
 use crate::packet::{Packet, StreamRecord};
 use crate::state::{hash_seed, hash_with_seed, ObjectStore};
 use clickinc_ir::{
-    eval, AluOp, CmpOp, Instruction, IrProgram, ObjectKind, OpCode, Operand, Predicate, Value,
+    eval, AluOp, CmpOp, Instruction, IrProgram, Name, ObjectKind, OpCode, Operand, Predicate, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -265,7 +265,7 @@ pub struct VmBlock {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// Snippet name (the tenant program id).
-    pub name: String,
+    pub name: Name,
     precondition: Vec<VmPred>,
     body: Vec<VmNode>,
     /// Operations in `body`, at every depth.
@@ -300,14 +300,14 @@ impl CompiledProgram {
 pub struct CompiledImage {
     programs: Vec<CompiledProgram>,
     /// Register index → variable name (what [`CompiledImage::dump`] prints).
-    reg_names: Vec<String>,
+    reg_names: Vec<Name>,
     /// Variable name → register index.
-    var_regs: BTreeMap<String, u32>,
+    var_regs: BTreeMap<Name, u32>,
     /// Header index → field name (resolved to a packet slot once per
     /// stream record).
-    header_names: Vec<String>,
+    header_names: Vec<Name>,
     /// Header field name → header index.
-    header_ids: BTreeMap<String, u32>,
+    header_ids: BTreeMap<Name, u32>,
     /// Registers introduced by programs dropped since the image was last
     /// compiled whole.
     dead_regs: usize,
@@ -577,25 +577,26 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn hdr(&mut self, field: &str) -> u32 {
+    // a name new to the image's tables is shared with the snippet, not copied
+    fn hdr(&mut self, field: &Name) -> u32 {
         let image = &mut *self.image;
         if let Some(&h) = image.header_ids.get(field) {
             return h;
         }
         let h = image.header_names.len() as u32;
-        image.header_names.push(field.to_string());
-        image.header_ids.insert(field.to_string(), h);
+        image.header_names.push(field.clone());
+        image.header_ids.insert(field.clone(), h);
         h
     }
 
-    fn reg(&mut self, var: &str) -> u32 {
+    fn reg(&mut self, var: &Name) -> u32 {
         let image = &mut *self.image;
         if let Some(&r) = image.var_regs.get(var) {
             return r;
         }
         let r = image.reg_names.len() as u32;
-        image.reg_names.push(var.to_string());
-        image.var_regs.insert(var.to_string(), r);
+        image.reg_names.push(var.clone());
+        image.var_regs.insert(var.clone(), r);
         r
     }
 
@@ -753,7 +754,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn updates(&mut self, updates: &[(String, Operand)]) -> Vec<(u32, VmOperand)> {
+    fn updates(&mut self, updates: &[(Name, Operand)]) -> Vec<(u32, VmOperand)> {
         updates.iter().map(|(f, v)| (self.hdr(f), self.operand(v))).collect()
     }
 

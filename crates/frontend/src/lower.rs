@@ -19,7 +19,7 @@ use crate::error::FrontendError;
 use clickinc_ir::analysis::{constant_indices, ConstIndex};
 use clickinc_ir::eval;
 use clickinc_ir::{
-    AluOp, CmpOp, Guard, HashAlgo, Instruction, IrProgram, MatchKind, ObjectDecl, ObjectKind,
+    AluOp, CmpOp, Guard, HashAlgo, Instruction, IrProgram, MatchKind, Name, ObjectDecl, ObjectKind,
     OpCode, Operand, Predicate, SketchKind, Value, ValueType,
 };
 use clickinc_lang::ast::{BinOp, BoolOp, Expr, Stmt, UnaryOp};
@@ -128,7 +128,7 @@ enum Lowered {
     /// A compile-time list (e.g. `vals = list()` + `vals.append(...)`).
     List(Vec<Lowered>),
     /// A reference to a declared object.
-    Object(String),
+    Object(Name),
 }
 
 impl Lowered {
@@ -151,7 +151,7 @@ impl Lowered {
                 Err(FrontendError::Unsupported("a list cannot be used as a runtime value".into()))
             }
             Lowered::Object(name) => Err(FrontendError::BadObjectUse {
-                object: name.clone(),
+                object: name.to_string(),
                 reason: "objects cannot be used as scalar values".into(),
             }),
         }
@@ -201,7 +201,7 @@ struct Lowerer<'a> {
     library: &'a ModuleLibrary,
     opts: &'a CompileOptions,
     objects: Vec<ObjectDecl>,
-    headers: BTreeMap<String, u16>,
+    headers: BTreeMap<Name, u16>,
     instructions: Vec<Instruction>,
     next_instr: u32,
     next_tmp: u32,
@@ -212,7 +212,7 @@ struct Lowerer<'a> {
     unrolled: usize,
     /// Temporaries known to hold `0` or `1`: comparison and `and`/`or`
     /// results.
-    booleans: BTreeSet<String>,
+    booleans: BTreeSet<Name>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -249,16 +249,17 @@ impl<'a> Lowerer<'a> {
 
     // ---- helpers -------------------------------------------------------------
 
-    fn fresh_tmp(&mut self) -> String {
+    // each temporary's name is minted once, here, and shared by every use
+    fn fresh_tmp(&mut self) -> Name {
         let t = format!("$t{}", self.next_tmp);
         self.next_tmp += 1;
-        t
+        t.into()
     }
 
-    fn fresh_phi(&mut self, base: &str) -> String {
+    fn fresh_phi(&mut self, base: &str) -> Name {
         let t = format!("{base}.{}", self.next_tmp);
         self.next_tmp += 1;
-        t
+        t.into()
     }
 
     fn emit(&mut self, op: OpCode) {
@@ -341,10 +342,20 @@ impl<'a> Lowerer<'a> {
     }
 
     fn header_field(&mut self, field: &str) -> Operand {
+        Operand::Header(self.header_name(field))
+    }
+
+    /// Declare the header field `field` (at its configured width) on first
+    /// sight; every later use shares the declaration's name.
+    fn header_name(&mut self, field: &str) -> Name {
+        if let Some((name, _)) = self.headers.get_key_value(field) {
+            return name.clone();
+        }
         let bits =
             self.opts.header_widths.get(field).copied().unwrap_or(self.opts.default_field_bits);
-        self.headers.entry(field.to_string()).or_insert(bits);
-        Operand::hdr(field)
+        let name = Name::from(field);
+        self.headers.insert(name.clone(), bits);
+        name
     }
 
     fn lookup(&self, name: &str) -> Option<&EnvEntry> {
@@ -446,7 +457,7 @@ impl<'a> Lowerer<'a> {
                 Expr::Attribute { .. } | Expr::Index { .. } => {
                     if let Some(field) = self.header_target_field(target)? {
                         let op = lowered.to_operand()?;
-                        self.header_field(&field);
+                        let field = self.header_name(&field);
                         self.emit(OpCode::SetHeader { field, value: op });
                     } else {
                         return Err(FrontendError::Unsupported(
@@ -574,8 +585,9 @@ impl<'a> Lowerer<'a> {
             }
         };
         let _ = args; // positional constructor arguments are accepted but unused
+        let name = Name::from(name);
+        self.set_value(&name, Lowered::Object(name.clone()));
         self.objects.push(ObjectDecl::new(name, kind));
-        self.set_value(name, Lowered::Object(name.to_string()));
         Ok(())
     }
 
@@ -735,7 +747,7 @@ impl<'a> Lowerer<'a> {
             },
             Expr::Attribute { value, attr } => match value.as_ref() {
                 Expr::Name(n) if n == "hdr" => Ok(Lowered::Op(self.header_field(attr))),
-                Expr::Name(n) if n == "meta" => Ok(Lowered::Op(Operand::Meta(attr.clone()))),
+                Expr::Name(n) if n == "meta" => Ok(Lowered::Op(Operand::Meta(attr.into()))),
                 _ => Err(FrontendError::Unsupported(format!(
                     "attribute access on `{value:?}` is not supported"
                 ))),
@@ -1073,8 +1085,8 @@ impl<'a> Lowerer<'a> {
             }
             PrimitiveKind::CopyTo => {
                 let target = match args.first() {
-                    Some(Expr::Str(s)) => s.clone(),
-                    _ => "CPU".to_string(),
+                    Some(Expr::Str(s)) => s.into(),
+                    _ => "CPU".into(),
                 };
                 let values: Result<Vec<Operand>, _> = args
                     .iter()
@@ -1096,7 +1108,7 @@ impl<'a> Lowerer<'a> {
         &mut self,
         args: &[Expr],
         kwargs: &[(String, Expr)],
-    ) -> Result<Vec<(String, Operand)>, FrontendError> {
+    ) -> Result<Vec<(Name, Operand)>, FrontendError> {
         let mut dict_expr: Option<&Expr> = None;
         for (k, v) in kwargs {
             if k == "hdr" {
@@ -1124,8 +1136,7 @@ impl<'a> Lowerer<'a> {
                     }
                 };
                 let value = self.lower_expr(v)?.to_operand()?;
-                self.header_field(&field);
-                updates.push((field, value));
+                updates.push((self.header_name(&field), value));
             }
         }
         Ok(updates)
@@ -1140,7 +1151,7 @@ impl<'a> Lowerer<'a> {
         if prim == PrimitiveKind::Del {
             if let Some(first) = args.first() {
                 if let Some(field) = self.header_target_field(first)? {
-                    self.header_field(&field);
+                    let field = self.header_name(&field);
                     self.emit(OpCode::SetHeader { field, value: Operand::Const(Value::None) });
                     return Ok(Lowered::NoneVal);
                 }

@@ -78,7 +78,7 @@ fn dead_value_elim(tenant: &str, program: &mut IrProgram, out: &mut DiagnosticSe
         Severity::Info,
         "dead-value-elim",
         tenant,
-        &program.name,
+        program.name.as_str(),
         format!(
             "eliminated {} dead instruction(s) whose values nothing observes: {} — removed \
              from the installed program, not merely detected (the verifier's dead-snippet \

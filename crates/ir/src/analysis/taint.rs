@@ -23,6 +23,7 @@
 //! vice versa).
 
 use crate::instr::{Instruction, OpCode, Operand};
+use crate::name::Name;
 use crate::object::{ObjectKind, SketchKind};
 use crate::program::IrProgram;
 use std::collections::{BTreeMap, BTreeSet};
@@ -261,8 +262,8 @@ impl StateProfile {
 }
 
 struct Walker<'a> {
-    vars: BTreeMap<String, Taint>,
-    rewritten_headers: BTreeSet<String>,
+    vars: BTreeMap<Name, Taint>,
+    rewritten_headers: BTreeSet<Name>,
     kinds: ObjectKinds<'a>,
     profile: StateProfile,
 }
@@ -275,7 +276,7 @@ impl Walker<'_> {
                 if self.rewritten_headers.contains(field) {
                     Taint::Tainted
                 } else {
-                    Taint::Fields(BTreeSet::from([field.clone()]))
+                    Taint::Fields(BTreeSet::from([field.to_string()]))
                 }
             }
             // `meta.inc_user` is constant per tenant; `meta.step` advances
@@ -323,8 +324,8 @@ impl Walker<'_> {
         taint
     }
 
-    fn assign(&mut self, dest: &str, taint: Taint) {
-        self.vars.insert(dest.to_string(), taint);
+    fn assign(&mut self, dest: &Name, taint: Taint) {
+        self.vars.insert(dest.clone(), taint);
     }
 
     fn analyze(&mut self, instruction: &Instruction) {

@@ -7,6 +7,7 @@
 
 use crate::error::IrError;
 use crate::instr::{AluOp, CmpOp, Guard, Instruction, OpCode, Operand, Predicate};
+use crate::name::Name;
 use crate::object::{HashAlgo, MatchKind, ObjectDecl, ObjectKind, SketchKind};
 use crate::program::{HeaderFieldDecl, IrProgram};
 use crate::types::ValueType;
@@ -18,12 +19,12 @@ pub struct ProgramBuilder {
     program: IrProgram,
     next_id: u32,
     current_guard: Option<Guard>,
-    owner: Option<String>,
+    owner: Option<Name>,
 }
 
 impl ProgramBuilder {
     /// Start a new program.
-    pub fn new(name: impl Into<String>) -> ProgramBuilder {
+    pub fn new(name: impl Into<Name>) -> ProgramBuilder {
         ProgramBuilder {
             program: IrProgram::new(name),
             next_id: 0,
@@ -33,7 +34,7 @@ impl ProgramBuilder {
     }
 
     /// Mark every subsequently added instruction and object as owned by `user`.
-    pub fn owned_by(mut self, user: impl Into<String>) -> ProgramBuilder {
+    pub fn owned_by(mut self, user: impl Into<Name>) -> ProgramBuilder {
         self.owner = Some(user.into());
         self
     }
@@ -166,7 +167,7 @@ impl ProgramBuilder {
         delta: Operand,
     ) -> &mut Self {
         self.emit(OpCode::CountState {
-            dest: dest.map(str::to_string),
+            dest: dest.map(Name::from),
             object: object.into(),
             index,
             delta,
@@ -191,14 +192,14 @@ impl ProgramBuilder {
     /// `back(hdr={...})`.
     pub fn back(&mut self, updates: Vec<(&str, Operand)>) -> &mut Self {
         self.emit(OpCode::Back {
-            updates: updates.into_iter().map(|(f, v)| (f.to_string(), v)).collect(),
+            updates: updates.into_iter().map(|(f, v)| (f.into(), v)).collect(),
         })
     }
 
     /// `mirror(hdr={...})`.
     pub fn mirror(&mut self, updates: Vec<(&str, Operand)>) -> &mut Self {
         self.emit(OpCode::Mirror {
-            updates: updates.into_iter().map(|(f, v)| (f.to_string(), v)).collect(),
+            updates: updates.into_iter().map(|(f, v)| (f.into(), v)).collect(),
         })
     }
 
@@ -235,7 +236,7 @@ impl ProgramBuilder {
         let mut objects = BTreeSet::new();
         for decl in &self.program.objects {
             if !objects.insert(decl.name.as_str()) {
-                return Err(IrError::DuplicateObject { object: decl.name.clone() });
+                return Err(IrError::DuplicateObject { object: decl.name.to_string() });
             }
         }
         let mut ids = BTreeSet::new();

@@ -13,6 +13,7 @@
 //! the isolation renaming all iterate these instead of matching on the
 //! variants themselves.
 
+use crate::name::Name;
 use crate::types::Value;
 use std::fmt;
 
@@ -30,13 +31,13 @@ impl fmt::Display for InstrId {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     /// A (temporary) variable, in SSA form after the frontend.
-    Var(String),
+    Var(Name),
     /// A literal constant.
     Const(Value),
     /// A packet header field, e.g. `hdr.key`.
-    Header(String),
+    Header(Name),
     /// Per-packet metadata maintained by the INC layer (e.g. `meta.step`).
-    Meta(String),
+    Meta(Name),
 }
 
 impl Operand {
@@ -46,12 +47,12 @@ impl Operand {
     }
 
     /// Convenience constructor for variables.
-    pub fn var(name: impl Into<String>) -> Operand {
+    pub fn var(name: impl Into<Name>) -> Operand {
         Operand::Var(name.into())
     }
 
     /// Convenience constructor for header fields.
-    pub fn hdr(name: impl Into<String>) -> Operand {
+    pub fn hdr(name: impl Into<Name>) -> Operand {
         Operand::Header(name.into())
     }
 
@@ -283,14 +284,14 @@ pub enum OpCode {
     /// `dest = src` — plain move/copy.
     Assign {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Source operand.
         src: Operand,
     },
     /// `dest = lhs op rhs` — arithmetic / bit operation.
     Alu {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Operation.
         op: AluOp,
         /// Left operand.
@@ -303,7 +304,7 @@ pub enum OpCode {
     /// `dest = (lhs cmp rhs)` — comparison producing a boolean.
     Cmp {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Comparison operator.
         op: CmpOp,
         /// Left operand.
@@ -314,25 +315,25 @@ pub enum OpCode {
     /// `dest = hash(key...)` using a declared [`crate::ObjectKind::Hash`] object.
     Hash {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Name of the hash object.
-        object: String,
+        object: Name,
         /// Key operands.
         keys: Vec<Operand>,
     },
     /// `dest = get(object, index/key)` — read from an Array/Seq/Sketch/Table.
     ReadState {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Name of the object.
-        object: String,
+        object: Name,
         /// Index (arrays/seq/sketch row) or key (tables).
         index: Vec<Operand>,
     },
     /// `write(object, index/key, value)` — write into a stateful object.
     WriteState {
         /// Name of the object.
-        object: String,
+        object: Name,
         /// Index or key operands.
         index: Vec<Operand>,
         /// Value operands.
@@ -342,9 +343,9 @@ pub enum OpCode {
     /// primitive behind counters and Count-Min sketches.
     CountState {
         /// Destination variable receiving the post-increment value (optional).
-        dest: Option<String>,
+        dest: Option<Name>,
         /// Name of the object.
-        object: String,
+        object: Name,
         /// Index operands.
         index: Vec<Operand>,
         /// Increment.
@@ -353,12 +354,12 @@ pub enum OpCode {
     /// `clear(object)` — reset an object (control-plane assisted on ASICs).
     ClearState {
         /// Name of the object.
-        object: String,
+        object: Name,
     },
     /// `del(object, index)` — invalidate one entry of a stateful object.
     DeleteState {
         /// Name of the object.
-        object: String,
+        object: Name,
         /// Index operands.
         index: Vec<Operand>,
     },
@@ -370,12 +371,12 @@ pub enum OpCode {
     /// optionally rewriting header fields.
     Back {
         /// Header field rewrites applied before bouncing the packet.
-        updates: Vec<(String, Operand)>,
+        updates: Vec<(Name, Operand)>,
     },
     /// `mirror(hdr={...})` — clone the packet to the CPU / a mirror session.
     Mirror {
         /// Header field rewrites applied to the mirrored copy.
-        updates: Vec<(String, Operand)>,
+        updates: Vec<(Name, Operand)>,
     },
     /// `multicast(group)` — replicate the packet to a multicast group.
     Multicast {
@@ -385,23 +386,23 @@ pub enum OpCode {
     /// `copyto(target, value)` — copy data to an out-of-band target (e.g. `"CPU"`).
     CopyTo {
         /// Target name.
-        target: String,
+        target: Name,
         /// Values copied.
         values: Vec<Operand>,
     },
     /// `hdr.field = value` — header rewrite.
     SetHeader {
         /// Header field name.
-        field: String,
+        field: Name,
         /// New value.
         value: Operand,
     },
     /// `dest = encrypt/decrypt(object, input)` using a Crypto object.
     Crypto {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Name of the crypto object.
-        object: String,
+        object: Name,
         /// Input operand.
         input: Operand,
         /// True for encryption, false for decryption.
@@ -410,14 +411,14 @@ pub enum OpCode {
     /// `dest = randint(bound)` — random integer (class BAF, `_randint`).
     RandInt {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Exclusive upper bound.
         bound: Operand,
     },
     /// `dest = checksum(inputs...)` — csum16 computation.
     Checksum {
         /// Destination variable.
-        dest: String,
+        dest: Name,
         /// Inputs folded into the checksum.
         inputs: Vec<Operand>,
     },
@@ -463,7 +464,7 @@ impl OpCode {
     /// Every operand this operation reads, each exactly once, in field order.
     /// The guard is the instruction's: see [`Instruction::reads`].
     pub fn operands(&self) -> impl Iterator<Item = &Operand> {
-        let (a, b, updates): (&[Operand], &[Operand], &[(String, Operand)]) =
+        let (a, b, updates): (&[Operand], &[Operand], &[(Name, Operand)]) =
             operand_runs!(self, std::slice::from_ref);
         a.iter().chain(b).chain(updates.iter().map(|(_, value)| value))
     }
@@ -471,7 +472,7 @@ impl OpCode {
     /// Mutable form of [`OpCode::operands`]: the same operands in the same
     /// order, for passes that rename them in place.
     pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
-        let (a, b, updates): (&mut [Operand], &mut [Operand], &mut [(String, Operand)]) =
+        let (a, b, updates): (&mut [Operand], &mut [Operand], &mut [(Name, Operand)]) =
             operand_runs!(self, std::slice::from_mut, mut);
         a.iter_mut().chain(b).chain(updates.iter_mut().map(|(_, value)| value))
     }
@@ -493,7 +494,7 @@ impl OpCode {
     }
 
     /// Mutable form of [`OpCode::dest`].
-    pub fn dest_mut(&mut self) -> Option<&mut String> {
+    pub fn dest_mut(&mut self) -> Option<&mut Name> {
         match self {
             OpCode::Assign { dest, .. }
             | OpCode::Alu { dest, .. }
@@ -523,7 +524,7 @@ impl OpCode {
     }
 
     /// Mutable form of [`OpCode::object`].
-    pub fn object_mut(&mut self) -> Option<&mut String> {
+    pub fn object_mut(&mut self) -> Option<&mut Name> {
         match self {
             OpCode::Hash { object, .. }
             | OpCode::ReadState { object, .. }
@@ -539,12 +540,12 @@ impl OpCode {
     /// The header fields this operation writes: `hdr.field = v`, and the keys
     /// of a `back`/`mirror` update dictionary.
     pub fn header_writes(&self) -> impl Iterator<Item = &str> {
-        let (field, updates): (Option<&String>, &[(String, Operand)]) = match self {
+        let (field, updates): (Option<&Name>, &[(Name, Operand)]) = match self {
             OpCode::SetHeader { field, .. } => (Some(field), &[]),
             OpCode::Back { updates } | OpCode::Mirror { updates } => (None, updates),
             _ => (None, &[]),
         };
-        field.into_iter().chain(updates.iter().map(|(field, _)| field)).map(String::as_str)
+        field.into_iter().chain(updates.iter().map(|(field, _)| field)).map(Name::as_str)
     }
 
     /// Whether the operation has packet-level side effects (drop/forward/etc.).
@@ -600,7 +601,7 @@ pub struct Instruction {
     /// Owning user program annotations (paper §6, "annotation-based method").
     /// Empty for instructions belonging solely to the operator's base program.
     /// Shared instructions carry every owning user.
-    pub owners: Vec<String>,
+    pub owners: Vec<Name>,
 }
 
 impl Instruction {
@@ -616,7 +617,7 @@ impl Instruction {
     }
 
     /// Attach an owner annotation (builder style).
-    pub fn with_owner(mut self, owner: impl Into<String>) -> Instruction {
+    pub fn with_owner(mut self, owner: impl Into<Name>) -> Instruction {
         self.owners.push(owner.into());
         self
     }
@@ -677,7 +678,7 @@ pub(crate) mod tests {
     pub(crate) fn one_of_each_opcode() -> Vec<Instruction> {
         let (v, h) = (Operand::var, Operand::hdr);
         let m = |name: &str| Operand::Meta(name.into());
-        let d = || "d".to_string();
+        let d = || Name::from("d");
         let ops = vec![
             OpCode::Assign { dest: d(), src: v("a") },
             OpCode::Alu { dest: d(), op: AluOp::Add, lhs: v("a"), rhs: h("b"), float: false },
@@ -799,7 +800,7 @@ pub(crate) mod tests {
 
     #[test]
     fn renaming_through_the_mutable_walk_is_seen_by_the_shared_walk() {
-        let rename = |name: &mut String| name.insert_str(0, "t_");
+        let rename = |name: &mut Name| *name = format!("t_{name}").into();
         for original in one_of_each_opcode() {
             let mut instr = original.clone();
             for operand in instr.reads_mut() {

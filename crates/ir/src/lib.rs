@@ -9,6 +9,10 @@
 //! The main pieces are:
 //!
 //! * [`types`] — value types, widths and runtime values shared with the emulator.
+//! * [`name`] — [`Name`], the one type of every name in the IR (temporaries,
+//!   header and metadata fields, objects, owners, programs): an immutable
+//!   shared string that compares, orders, hashes and prints as its `str`, so
+//!   copying a program or a slice of it copies no string.
 //! * [`object`] — declarations of the stateful INC objects (Array, Table, Sketch,
 //!   Seq, Hash, Crypto) that instructions operate on (paper Fig. 5 "Object").
 //! * [`instr`] — the instruction set itself (paper Fig. 17) including guards
@@ -44,6 +48,7 @@ pub mod error;
 pub mod eval;
 pub mod fnv;
 pub mod instr;
+pub mod name;
 pub mod object;
 pub mod program;
 pub mod resource;
@@ -59,6 +64,7 @@ pub use deps::{dependency_edges, state_key, DependencyKind};
 pub use error::IrError;
 pub use fnv::Fnv;
 pub use instr::{AluOp, CmpOp, Guard, InstrId, Instruction, OpCode, Operand, Predicate};
+pub use name::Name;
 pub use object::{CryptoAlgo, HashAlgo, MatchKind, ObjectDecl, ObjectKind, SketchKind};
 pub use program::{HeaderFieldDecl, IrProgram};
 pub use resource::{Resource, ResourceVector};

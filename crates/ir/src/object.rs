@@ -8,6 +8,7 @@
 //! match kind, statefulness) and everything the emulator needs to instantiate the
 //! runtime state.
 
+use crate::name::Name;
 use std::fmt;
 
 /// Matching discipline of a table object (paper Table 8: `_emt`, `_tmt`, `_lpmt`,
@@ -205,22 +206,22 @@ impl ObjectKind {
 pub struct ObjectDecl {
     /// Program-unique object name (after synthesis, prefixed with the owning
     /// user's id for isolation, e.g. `kvs_0_mtb`).
-    pub name: String,
+    pub name: Name,
     /// Shape / configuration.
     pub kind: ObjectKind,
     /// Owning user program (None for the operator's base program).  Used by the
     /// annotation-based incremental compilation (paper §6).
-    pub owner: Option<String>,
+    pub owner: Option<Name>,
 }
 
 impl ObjectDecl {
     /// Create a declaration owned by no user (base program).
-    pub fn new(name: impl Into<String>, kind: ObjectKind) -> Self {
+    pub fn new(name: impl Into<Name>, kind: ObjectKind) -> Self {
         ObjectDecl { name: name.into(), kind, owner: None }
     }
 
     /// Create a declaration owned by a user program.
-    pub fn owned(name: impl Into<String>, kind: ObjectKind, owner: impl Into<String>) -> Self {
+    pub fn owned(name: impl Into<Name>, kind: ObjectKind, owner: impl Into<Name>) -> Self {
         ObjectDecl { name: name.into(), kind, owner: Some(owner.into()) }
     }
 }

@@ -4,6 +4,7 @@ use crate::capability::{classify_instruction, CapabilityClass};
 use crate::deps::{dependency_edges, DependencyKind};
 use crate::error::IrError;
 use crate::instr::{Guard, Instruction, OpCode, Operand};
+use crate::name::Name;
 use crate::object::ObjectDecl;
 use crate::types::ValueType;
 use std::collections::{BTreeMap, BTreeSet};
@@ -14,14 +15,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeaderFieldDecl {
     /// Field name (without the `hdr.` prefix).
-    pub name: String,
+    pub name: Name,
     /// Field type.
     pub ty: ValueType,
 }
 
 impl HeaderFieldDecl {
     /// Create a header field declaration.
-    pub fn new(name: impl Into<String>, ty: ValueType) -> Self {
+    pub fn new(name: impl Into<Name>, ty: ValueType) -> Self {
         HeaderFieldDecl { name: name.into(), ty }
     }
 }
@@ -33,7 +34,7 @@ impl HeaderFieldDecl {
 pub struct IrProgram {
     /// Program name (the user program id, e.g. `kvs_0`, or `base` for the
     /// operator's program).
-    pub name: String,
+    pub name: Name,
     /// Stateful / functional object declarations.
     pub objects: Vec<ObjectDecl>,
     /// Header fields parsed / written by the program.
@@ -52,8 +53,14 @@ pub struct IrProgram {
 
 impl IrProgram {
     /// Create an empty program with a name.
-    pub fn new(name: impl Into<String>) -> IrProgram {
-        IrProgram { name: name.into(), ..IrProgram::default() }
+    pub fn new(name: impl Into<Name>) -> IrProgram {
+        IrProgram {
+            name: name.into(),
+            objects: Vec::new(),
+            headers: Vec::new(),
+            instructions: Vec::new(),
+            precondition: None,
+        }
     }
 
     /// Look up an object declaration by name.
@@ -111,16 +118,9 @@ impl IrProgram {
     }
 
     /// All user ids that own at least one instruction or object.
-    pub fn owners(&self) -> BTreeSet<String> {
-        let mut set = BTreeSet::new();
-        // a tenant owns many instructions: copy its id only at first sight
+    pub fn owners(&self) -> BTreeSet<Name> {
         let owners = self.instructions.iter().flat_map(|i| &i.owners);
-        for o in owners.chain(self.objects.iter().filter_map(|o| o.owner.as_ref())) {
-            if !set.contains(o) {
-                set.insert(o.clone());
-            }
-        }
-        set
+        owners.chain(self.objects.iter().filter_map(|o| o.owner.as_ref())).cloned().collect()
     }
 
     /// Validate structural invariants:
@@ -138,7 +138,7 @@ impl IrProgram {
         let mut names = BTreeSet::new();
         for o in &self.objects {
             if !names.insert(o.name.as_str()) {
-                return Err(IrError::DuplicateObject { object: o.name.clone() });
+                return Err(IrError::DuplicateObject { object: o.name.to_string() });
             }
         }
         // the precondition runs before instruction 0, so no variable can
@@ -199,16 +199,17 @@ impl IrProgram {
     /// the given order, ids kept) plus the headers, the precondition — the
     /// tenant match must travel with every slice, or the slice would run on
     /// co-resident tenants' packets — and exactly the objects
-    /// those instructions reference.  The workspace's only slicer.
+    /// those instructions reference.  The workspace's only slicer.  Names
+    /// are shared with this program, so a slice allocates only its
+    /// containers.
     pub fn slice(&self, instrs: &[usize]) -> IrProgram {
         let instructions: Vec<Instruction> =
             instrs.iter().map(|&i| self.instructions[i].clone()).collect();
-        let objects = self
-            .objects
-            .iter()
-            .filter(|o| instructions.iter().any(|i| i.object() == Some(o.name.as_str())))
-            .cloned()
-            .collect();
+        let referenced =
+            |o: &&ObjectDecl| instructions.iter().any(|i| i.object() == Some(o.name.as_str()));
+        // counted first, so the declarations are allocated once
+        let mut objects = Vec::with_capacity(self.objects.iter().filter(referenced).count());
+        objects.extend(self.objects.iter().filter(referenced).cloned());
         IrProgram {
             name: self.name.clone(),
             objects,

@@ -94,7 +94,7 @@ proptest! {
         prop_assert_eq!(&slice.instructions, &program.instructions);
         prop_assert_eq!(&slice.headers, &program.headers);
         prop_assert_eq!(&slice.precondition, &program.precondition);
-        let declared: BTreeSet<String> = slice.objects.iter().map(|o| o.name.clone()).collect();
+        let declared: BTreeSet<String> = slice.objects.iter().map(|o| o.name.to_string()).collect();
         prop_assert_eq!(declared, referenced(&program, &all));
         prop_assert_eq!(slice.validate(), Ok(()));
     }
@@ -113,7 +113,7 @@ proptest! {
         for (got, &want) in slice.instructions.iter().zip(&instrs) {
             prop_assert_eq!(got, &program.instructions[want]);
         }
-        let declared: Vec<String> = slice.objects.iter().map(|o| o.name.clone()).collect();
+        let declared: Vec<String> = slice.objects.iter().map(|o| o.name.to_string()).collect();
         let unique: BTreeSet<String> = declared.iter().cloned().collect();
         prop_assert_eq!(unique.len(), declared.len());
         prop_assert_eq!(unique, referenced(&program, &instrs));

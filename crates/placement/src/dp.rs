@@ -401,7 +401,7 @@ pub fn place_prepared(
         / cap_norm;
 
     Ok(PlacementPlan {
-        program: program.name.clone(),
+        program: program.name.to_string(),
         assignments,
         gain,
         traffic_served: 1.0,

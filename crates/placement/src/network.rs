@@ -46,10 +46,8 @@ impl ResourceLedger {
             if !node.tier.is_network_device() || node.kind == DeviceKind::Server {
                 continue;
             }
-            let model = node.kind.model();
-            let cap = model.total_capacity();
-            let used = self.used(node.id);
-            total_util += used.mean_utilization(&cap).min(1.0);
+            let cap = node.kind.total_capacity();
+            total_util += self.used(node.id).mean_utilization(&cap).min(1.0);
             count += 1;
         }
         if count == 0 {

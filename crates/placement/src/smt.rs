@@ -145,7 +145,7 @@ pub fn place_smt(
     let gain = weights.traffic - weights.resource * resource_cost - weights.comm * comm_cost;
     Ok((
         PlacementPlan {
-            program: program.name.clone(),
+            program: program.name.to_string(),
             assignments,
             gain,
             traffic_served: 1.0,

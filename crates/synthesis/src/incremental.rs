@@ -21,7 +21,7 @@
 
 use crate::base::BaseProgram;
 use crate::merge::extend_image;
-use clickinc_ir::{HeaderFieldDecl, IrProgram, OpCode};
+use clickinc_ir::{HeaderFieldDecl, IrProgram, Name, OpCode};
 use clickinc_placement::PlacementPlan;
 use clickinc_topology::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,7 +40,7 @@ pub struct DeploymentDelta {
     /// Devices whose image changed.
     pub affected_devices: BTreeSet<NodeId>,
     /// Other users' programs co-resident on the affected devices.
-    pub affected_programs: BTreeSet<String>,
+    pub affected_programs: BTreeSet<Name>,
     /// Pods whose traffic crosses an affected device (a proxy for "affected
     /// traffic" in Table 6).
     pub affected_pods: BTreeSet<usize>,
@@ -255,7 +255,7 @@ impl ImageLog {
     /// Record `user` struck from the device.  Returns the tenants of the
     /// other slices still live, or `None` — recording nothing — if no live
     /// slice was the user's.
-    pub fn strike(&mut self, user: &str) -> Option<BTreeSet<String>> {
+    pub fn strike(&mut self, user: &str) -> Option<BTreeSet<Name>> {
         let mut held = false;
         for (slice, struck) in &mut self.entries {
             if !*struck && slice.name == user {
@@ -266,14 +266,8 @@ impl ImageLog {
         if !held {
             return None;
         }
-        let mut others = BTreeSet::new();
-        // a tenant has a slice per assignment: copy its name at first sight
-        for (slice, _) in self.entries.iter().filter(|(_, struck)| !struck) {
-            if !others.contains(&slice.name) {
-                others.insert(slice.name.clone());
-            }
-        }
-        Some(others)
+        let others = self.entries.iter().filter(|(_, struck)| !struck);
+        Some(others.map(|(slice, _)| slice.name.clone()).collect())
     }
 
     /// The slices the log holds: those the last merge kept.

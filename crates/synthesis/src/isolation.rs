@@ -4,8 +4,16 @@
 //! It renames variables in the user programs, so that after compilation their
 //! programs access isolated memory regions [...] Then it adds a user ID match to
 //! filter out the user's traffic for its own program."
+//!
+//! Names are [`Name`]s, shared rather than copied: the isolated program
+//! builds one prefixed name per distinct source name and shares it across
+//! every occurrence, keeps the source's header and metadata names, and has
+//! every instruction and object share the tenant's one owner name.  So
+//! isolation allocates the program's lists, two blocks per renamed name (the
+//! string and its shared form) and a small constant.
 
-use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
+use clickinc_ir::{CmpOp, Guard, IrProgram, Name, Operand, Predicate};
+use std::collections::HashMap;
 
 /// Rewrite a user program so every object and temporary variable name is
 /// prefixed with `{user}_` — one that already starts so too, which keeps the
@@ -17,16 +25,31 @@ use clickinc_ir::{CmpOp, IrProgram, Operand, Predicate};
 ///
 /// Returns the isolated program; the original is not modified.
 pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i64) -> IrProgram {
-    let prefix = format!("{user}_");
+    let owner = Name::from(user);
+    // a valid program's distinct temporaries are at most one per
+    // instruction, so the table is allocated once
+    let mut renamed: HashMap<Name, Name> =
+        HashMap::with_capacity(program.objects.len() + program.instructions.len());
     // temporaries and objects share the one prefix, on every name
-    let rename = |name: &mut String| name.insert_str(0, &prefix);
+    let mut rename = |name: &mut Name| {
+        let prefixed = renamed.entry(name.clone()).or_insert_with(|| {
+            let mut prefixed = String::with_capacity(user.len() + 1 + name.len());
+            prefixed.push_str(user);
+            prefixed.push('_');
+            prefixed.push_str(name);
+            Name::from(prefixed)
+        });
+        *name = prefixed.clone();
+    };
 
-    let mut out = IrProgram::new(user);
+    let mut out = IrProgram::new(owner.clone());
     out.headers = program.headers.clone();
     let user_match =
         Predicate::new(Operand::Meta("inc_user".into()), CmpOp::Eq, Operand::int(user_numeric_id));
-    let mut precondition = program.precondition.clone().unwrap_or_default();
-    precondition.all.insert(0, user_match);
+    let own = program.precondition.as_ref().map_or(&[][..], |g| &g.all[..]);
+    let mut precondition = Guard { all: Vec::with_capacity(1 + own.len()) };
+    precondition.all.push(user_match);
+    precondition.all.extend_from_slice(own);
     out.precondition = Some(precondition);
     out.objects = program
         .objects
@@ -34,7 +57,7 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
         .map(|o| {
             let mut o = o.clone();
             rename(&mut o.name);
-            o.owner = Some(user.to_string());
+            o.owner = Some(owner.clone());
             o
         })
         .collect();
@@ -55,7 +78,7 @@ pub fn isolate_user_program(program: &IrProgram, user: &str, user_numeric_id: i6
             if let Some(object) = instr.op.object_mut() {
                 rename(object);
             }
-            instr.owners = vec![user.to_string()];
+            instr.owners = vec![owner.clone()];
             instr
         })
         .collect();
@@ -112,7 +135,7 @@ mod tests {
         let mut guard = guard.clone();
         for operand in guard.iter_mut().flat_map(Guard::operands_mut) {
             if let Operand::Var(v) = operand {
-                v.insert_str(0, &format!("{user}_"));
+                *v = format!("{user}_{v}").into();
             }
         }
         guard

@@ -8,7 +8,7 @@
 //! by its tenant alone, as every slice a deploy cuts is.
 
 use clickinc_frontend::compile_source;
-use clickinc_ir::{DiagnosticSet, IrProgram, Optimizer};
+use clickinc_ir::{DiagnosticSet, IrProgram, Name, Optimizer};
 use clickinc_lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
 };
@@ -135,7 +135,7 @@ fn a_cycling_tenant_leaves_one_entry_per_resident_slice() {
     for _ in 0..20 {
         logs.add_slices([(&[device][..], &slices[0]), (&[device][..], &slices[1])], &pod_of);
         let delta = logs.remove_user_program_from("cms_a", [device], &pod_of);
-        assert_eq!(delta.affected_programs, BTreeSet::from(["kvs_b".to_string()]));
+        assert_eq!(delta.affected_programs, BTreeSet::from([Name::from("kvs_b")]));
     }
     // kvs_b's slice and cms_a's last two, struck since
     assert_eq!(logs.log(device).unwrap().len(), 3);

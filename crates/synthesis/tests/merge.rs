@@ -4,7 +4,9 @@
 //! lazy removal do not outlive the next merge.
 
 use clickinc_frontend::compile_source;
-use clickinc_ir::{CmpOp, DiagnosticSet, Guard, IrProgram, OpCode, Operand, Optimizer, Predicate};
+use clickinc_ir::{
+    CmpOp, DiagnosticSet, Guard, IrProgram, Name, OpCode, Operand, Optimizer, Predicate,
+};
 use clickinc_lang::templates::count_min_sketch;
 use clickinc_synthesis::base::BaseProgram;
 use clickinc_synthesis::{base_program, extend_image, isolate_user_program};
@@ -35,7 +37,7 @@ fn an_image_is_the_base_head_then_each_slice_in_order_then_the_tail() {
     assert_eq!(base.image().len(), base.len());
     let folded = merged(&base, &[&a, &b]);
     // head, then a, then b, then tail — ids consecutive
-    let owners: Vec<&[String]> = folded.instructions.iter().map(|i| &i.owners[..]).collect();
+    let owners: Vec<&[Name]> = folded.instructions.iter().map(|i| &i.owners[..]).collect();
     let (head, rest) = owners.split_at(base.head.len());
     let (users, tail) = rest.split_at(a.len() + b.len());
     assert!(head.iter().chain(tail).all(|o| o.is_empty()));

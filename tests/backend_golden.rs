@@ -7,7 +7,7 @@
 use clickinc::device::DeviceKind;
 use clickinc::ir::{
     AluOp, CmpOp, CryptoAlgo, Guard, HashAlgo, HeaderFieldDecl, Instruction, IrProgram, MatchKind,
-    ObjectDecl, ObjectKind, OpCode, Operand, Predicate, SketchKind, Value, ValueType,
+    Name, ObjectDecl, ObjectKind, OpCode, Operand, Predicate, SketchKind, Value, ValueType,
 };
 use clickinc::lang::templates::{
     count_min_sketch, kvs_template, mlagg_template, KvsParams, MlAggParams,
@@ -82,7 +82,7 @@ fn an_mlagg_and_cms_image_with_a_removed_tenant_emits_its_golden_code() {
     controller.remove("gone").expect("removes");
     let image = shared_image(&controller, "agg", "cms");
     assert!(image.instructions.iter().any(|i| i.op == OpCode::NoOp), "removal left NoOps");
-    assert_eq!(image.owners(), ["agg", "cms"].map(String::from).into());
+    assert_eq!(image.owners(), ["agg", "cms"].map(Name::from).into());
     assert_emits_golden("mlagg_cms_removed", &image);
 }
 
@@ -160,7 +160,7 @@ fn every_opcode_image() -> IrProgram {
         )
     }));
     ops.extend(cmps.iter().enumerate().map(|(i, op)| OpCode::Cmp {
-        dest: format!("c{i}"),
+        dest: format!("c{i}").into(),
         op: *op,
         lhs: m("step"),
         rhs: v("a1"),

@@ -326,7 +326,7 @@ fn a_tenant_reads_its_own_code_and_the_operator_each_devices_whole_code() {
     };
     for request in requests {
         let deployment = controller.deploy(request).expect("deploys");
-        let objects = deployment.program.objects.iter().map(|o| o.name.clone()).collect();
+        let objects = deployment.program.objects.iter().map(|o| o.name.to_string()).collect();
         names.insert(deployment.user.clone(), (deployment.numeric_id, objects));
     }
     let devices = |user| controller.devices_of(user).into_iter().collect::<BTreeSet<NodeId>>();
@@ -339,7 +339,7 @@ fn a_tenant_reads_its_own_code_and_the_operator_each_devices_whole_code() {
     // code for the first time only after both
     let late = kvs_request("kvs_d");
     let deployment = controller.deploy(late).expect("deploys");
-    let objects = deployment.program.objects.iter().map(|o| o.name.clone()).collect();
+    let objects = deployment.program.objects.iter().map(|o| o.name.to_string()).collect();
     names.insert(deployment.user.clone(), (deployment.numeric_id, objects));
     let delta = controller.remove("kvs_b").expect("deployed");
     assert!(delta.affected_programs.contains("kvs_a"));
@@ -362,7 +362,8 @@ fn object_names_that_already_carry_the_prefix_deploy_apart() {
     let deployment = controller
         .deploy(ServiceRequest::new("u", &source, &["pod0a"], "pod2b"))
         .expect("the two sketches deploy apart");
-    let objects: Vec<String> = deployment.program.objects.iter().map(|o| o.name.clone()).collect();
+    let objects: Vec<String> =
+        deployment.program.objects.iter().map(|o| o.name.to_string()).collect();
     assert_eq!(objects, ["u_mem", "u_u_mem"]);
     let id = deployment.numeric_id;
 
