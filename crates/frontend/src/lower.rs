@@ -1458,15 +1458,16 @@ mod tests {
         }
     }
 
-    /// The provider-template grid: KVS depths × CMS rows, MLAgg dims ×
-    /// int/float × aggregators × workers, CMS rows × columns, DQAcc and the
-    /// sparse-MLAgg user program.
-    fn template_grid() -> Vec<String> {
+    /// The provider-template grid, labelled: KVS depths × CMS rows, MLAgg
+    /// dims × int/float × aggregators × workers, CMS rows × columns, DQAcc
+    /// and the sparse-MLAgg user program.
+    fn template_grid() -> Vec<(String, String)> {
         let mut sources = Vec::new();
         for cache_depth in [64, 1000, 1001, 1063, 2000] {
             for cms_rows in [2, 3, 4] {
                 let p = KvsParams { cache_depth, cms_rows, ..Default::default() };
-                sources.push(kvs_template("kvs", p).source);
+                let label = format!("kvs depth={cache_depth} cms_rows={cms_rows}");
+                sources.push((label, kvs_template("kvs", p).source));
             }
         }
         for dims in (4..=32).step_by(4) {
@@ -1474,25 +1475,33 @@ mod tests {
                 for num_aggregators in [256, 1024, 4096] {
                     for num_workers in [2, 4, 8] {
                         let p = MlAggParams { num_aggregators, num_workers, dims, is_float };
-                        sources.push(mlagg_template("mlagg", p).source);
+                        let label = format!(
+                            "mlagg dims={dims} float={is_float} aggregators={num_aggregators} \
+                             workers={num_workers}"
+                        );
+                        sources.push((label, mlagg_template("mlagg", p).source));
                     }
                 }
             }
         }
         for rows in [2, 3, 4] {
             for cols in [128, 512, 543, 1024] {
-                sources.push(count_min_sketch("cms", rows, cols).source);
+                let label = format!("cms rows={rows} cols={cols}");
+                sources.push((label, count_min_sketch("cms", rows, cols).source));
             }
         }
-        sources.push(dqacc_template("dqacc", DqAccParams::default()).source);
-        sources.push(dqacc_template("dqacc", DqAccParams { depth: 32, ways: 4 }).source);
+        let dqacc = dqacc_template("dqacc", DqAccParams::default()).source;
+        sources.push(("dqacc default".to_string(), dqacc));
+        let dqacc = dqacc_template("dqacc", DqAccParams { depth: 32, ways: 4 }).source;
+        sources.push(("dqacc depth=32 ways=4".to_string(), dqacc));
         let sparse = MlAggParams { dims: 8, num_aggregators: 64, ..Default::default() };
-        sources.push(mlagg_sparse_user("sparse", sparse, 2, 4).source);
+        let source = mlagg_sparse_user("sparse", sparse, 2, 4).source;
+        sources.push(("sparse dims=8 aggregators=64".to_string(), source));
         sources
     }
 
-    #[test]
-    fn no_all_constant_computation_reaches_the_ir() {
+    /// Programs whose every computation is constant, labelled by their index.
+    fn constant_sources() -> Vec<(String, String)> {
         let constants = [
             "hdr.out = -1.5 * hdr.a\n",
             "x = None\nhdr.out = x + 1\n",
@@ -1505,10 +1514,50 @@ mod tests {
             "if 0.5:\n    drop()\nelse:\n    hdr.out = True\n",
             "if hdr.a == 1.5 or None:\n    hdr.out = -True\n",
         ];
+        (0..)
+            .zip(constants)
+            .map(|(i, s)| (format!("constant {i}"), format!("{s}forward()\n")))
+            .collect()
+    }
+
+    /// The frontend's output for every grid and constant program, pinned
+    /// byte for byte: one line per program with the FNV of its `dump()` and
+    /// of its `{:?}`.  Regenerate with `UPDATE_GOLDEN=1 cargo test -p
+    /// clickinc_frontend` and review the diff.
+    #[test]
+    fn grid_and_constant_programs_compile_to_their_golden_ir() {
+        let fnv = |text: &str| {
+            let mut h = clickinc_ir::Fnv::new();
+            h.write_str(text);
+            h.finish()
+        };
+        let mut lines = String::new();
+        for (label, source) in template_grid().into_iter().chain(constant_sources()) {
+            let ir = compile(&source);
+            let (dump, debug) = (fnv(&ir.dump()), fnv(&format!("{ir:?}")));
+            lines.push_str(&format!("{label}: dump {dump:016x} debug {debug:016x}\n"));
+        }
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/grid_ir.txt");
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("golden dir");
+            std::fs::write(&path, &lines).expect("write golden");
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden {} ({e}); run UPDATE_GOLDEN=1 cargo test", path.display())
+        });
+        for (got, want) in lines.lines().zip(want.lines()) {
+            assert_eq!(got, want, "frontend output drifted from {}", path.display());
+        }
+        assert_eq!(lines.lines().count(), want.lines().count(), "{}", path.display());
+    }
+
+    #[test]
+    fn no_all_constant_computation_reaches_the_ir() {
         let grid = template_grid();
         assert_eq!(grid.len(), 174);
-        let sources = grid.into_iter().chain(constants.map(|s| format!("{s}forward()\n")));
-        for source in sources {
+        for (_, source) in grid.into_iter().chain(constant_sources()) {
             let ir = compile(&source);
             let constant = |op: &Operand| matches!(op, Operand::Const(_));
             for instr in &ir.instructions {
