@@ -409,6 +409,8 @@ pub struct Controller {
     /// epoch are rejected at commit time.
     epoch: u64,
     frontend: Frontend,
+    /// The options every own compile runs with, built once.
+    compile_options: CompileOptions,
     block_config: BlockConfig,
     /// Cross-solve segment memo shared by every plan this controller runs:
     /// keys carry the exact bits of their inputs, so entries survive epoch
@@ -433,6 +435,7 @@ impl Controller {
             next_user_id: 1,
             epoch: 0,
             frontend: Frontend::new(),
+            compile_options: CompileOptions::default(),
             block_config: BlockConfig::default(),
             solve_cache: SolveCache::new(),
             use_solve_memo: true,
@@ -579,8 +582,8 @@ impl Controller {
                 (isolated, Preparation::Lent(Arc::clone(&d.prepared)))
             }
             None => {
-                let options = CompileOptions::default();
-                let compiled = self.frontend.compile_source(user, &request.source, &options)?;
+                let options = &self.compile_options;
+                let compiled = self.frontend.compile_source(user, &request.source, options)?;
                 let isolated = isolate_user_program(&compiled, user, self.next_user_id);
                 (isolated, Preparation::Own(compiled))
             }

@@ -12,12 +12,19 @@
 //! 3. **If-conversion** — branches become predicated (guarded) straight-line
 //!    code: each condition is materialized into a boolean temporary and the
 //!    branch bodies execute under a guard on that temporary, with φ-style merge
-//!    copies emitted at the join;
+//!    copies emitted at the join.  Both arms lower against one environment:
+//!    an arm's first write to a name records the name's prior entry in an
+//!    undo log, restored before the other arm runs, and the join visits only
+//!    the names either arm wrote, in sorted order;
 //! 4. **SSA / single-operand form** — every temporary gets a fresh version per
 //!    assignment so the IR has no write-after-read or write-after-write
 //!    dependencies, which the block-DAG construction relies on.
 //!
 //! The entry points are [`compile_source`] (text → IR) and [`compile_ast`].
+//! A compile allocates for the structure it builds and for each distinct
+//! name: source identifiers arrive from the parser as shared
+//! [`clickinc_ir::Name`]s and reach the IR unchanged, `def` bodies are
+//! borrowed from the program, and no branch copies the environment.
 
 mod error;
 mod lower;

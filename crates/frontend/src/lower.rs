@@ -8,12 +8,24 @@
 //! stream is straight-line, predicated and in SSA form.
 //!
 //! Constants fold here, once, as the program lowers: every ALU and compare
-//! goes through [`Lowerer::alu`] or [`Lowerer::compare`], which fold an
+//! goes through [`Builder::alu`] or [`Builder::compare`], which fold an
 //! all-constant operation with the IR's reference semantics
 //! ([`clickinc_ir::eval`]) and emit anything else.  So the frontend never
 //! emits an ALU or compare instruction whose operands are both constants,
 //! and a constant branch condition lowers only the branch its guard would
 //! take; nothing downstream folds again.
+//!
+//! If-conversion keeps one environment.  Both arms of an `if` lower against
+//! it in turn: an arm's first write to a name records the name's prior entry
+//! in an undo log, and when the arm ends each logged name gets its prior
+//! entry back while the log keeps the arm's own.  The join then visits only
+//! the names either arm wrote, in sorted order, and binds each to its merged
+//! value, emitting the guarded φ copies where the arms disagree.
+//!
+//! The walk over the AST ([`Lowerer`]) is split from the IR it builds
+//! ([`Builder`]): the `def`s in scope borrow the program that defines them,
+//! so a provider template, parsed during the lowering, is lowered by a
+//! walker of its own over the same builder, with its own `def` scope.
 
 use crate::error::FrontendError;
 use clickinc_ir::analysis::{constant_indices, ConstIndex};
@@ -80,9 +92,9 @@ impl Frontend {
         program: &Program,
         opts: &CompileOptions,
     ) -> Result<IrProgram, FrontendError> {
-        let mut lower = Lowerer::new(name, &self.library, opts);
-        lower.lower_block(&program.stmts)?;
-        let ir = lower.finish();
+        let mut ir = Builder::new(name, &self.library, opts);
+        Lowerer { ir: &mut ir, funcs: BTreeMap::new() }.lower_block(&program.stmts)?;
+        let ir = ir.finish();
         check_constant_indices(&ir)?;
         Ok(ir)
     }
@@ -120,7 +132,7 @@ enum Lowered {
     /// Compile-time float constant.
     ConstF(f64),
     /// Compile-time string (only meaningful inside constructor kwargs).
-    Str(String),
+    Str(Name),
     /// A runtime operand (variable or header field).
     Op(Operand),
     /// The `None` literal / a missing value.
@@ -183,8 +195,8 @@ fn power(a: &Lowered, b: &Lowered) -> Result<Lowered, FrontendError> {
 /// A template instantiated by the user program (e.g. `agg = MLAgg(...)`).
 #[derive(Debug, Clone)]
 struct TemplateInstance {
-    template: String,
-    kwargs: BTreeMap<String, i64>,
+    template: Name,
+    kwargs: BTreeMap<Name, i64>,
 }
 
 /// Environment entry.
@@ -194,10 +206,19 @@ enum EnvEntry {
     Template(TemplateInstance),
 }
 
-type Env = BTreeMap<String, EnvEntry>;
+type Env = BTreeMap<Name, EnvEntry>;
 
-struct Lowerer<'a> {
-    name: String,
+/// Names an `if` arm wrote, each with its entry before the arm while the
+/// arm runs, and with the arm's own entry once the arm is parked (`None`:
+/// unbound).
+type UndoLog = Vec<(Name, Option<EnvEntry>)>;
+
+/// A `def`'s parameters and body, borrowed from the program defining it.
+type Func<'l> = (&'l [Name], &'l [Stmt]);
+
+/// The IR under construction and the environment it is lowered against.
+struct Builder<'a> {
+    name: &'a str,
     library: &'a ModuleLibrary,
     opts: &'a CompileOptions,
     objects: Vec<ObjectDecl>,
@@ -207,18 +228,37 @@ struct Lowerer<'a> {
     next_tmp: u32,
     guard: Vec<Predicate>,
     env: Env,
-    funcs: BTreeMap<String, (Vec<String>, Vec<Stmt>)>,
-    ret_slots: Vec<String>,
+    ret_slots: Vec<Name>,
     unrolled: usize,
     /// Temporaries known to hold `0` or `1`: comparison and `and`/`or`
     /// results.
     booleans: BTreeSet<Name>,
+    /// Whether an `if` arm is being lowered, so that writes are logged.
+    in_arm: bool,
+    /// The innermost `if`'s undo log.
+    undo: UndoLog,
+    /// Where the running arm's entries start in `undo`.
+    arm_start: usize,
 }
 
-impl<'a> Lowerer<'a> {
-    fn new(name: &str, library: &'a ModuleLibrary, opts: &'a CompileOptions) -> Lowerer<'a> {
-        Lowerer {
-            name: name.to_string(),
+/// The walk over one program's statements: the builder, and the `def`s in
+/// scope.
+struct Lowerer<'l, 'a> {
+    ir: &'l mut Builder<'a>,
+    funcs: BTreeMap<Name, Func<'l>>,
+}
+
+/// The enclosing `if`'s logging state, set aside while an inner `if` runs.
+struct OuterArm {
+    in_arm: bool,
+    undo: UndoLog,
+    arm_start: usize,
+}
+
+impl<'a> Builder<'a> {
+    fn new(name: &'a str, library: &'a ModuleLibrary, opts: &'a CompileOptions) -> Builder<'a> {
+        Builder {
+            name,
             library,
             opts,
             objects: Vec::new(),
@@ -228,10 +268,12 @@ impl<'a> Lowerer<'a> {
             next_tmp: 0,
             guard: Vec::new(),
             env: Env::new(),
-            funcs: BTreeMap::new(),
             ret_slots: Vec::new(),
             unrolled: 0,
             booleans: BTreeSet::new(),
+            in_arm: false,
+            undo: UndoLog::new(),
+            arm_start: 0,
         }
     }
 
@@ -308,7 +350,7 @@ impl<'a> Lowerer<'a> {
         Ok(Lowered::Op(Operand::var(dest)))
     }
 
-    /// `lhs op rhs` as a boolean: emitted like [`Lowerer::alu`], or folded by
+    /// `lhs op rhs` as a boolean: emitted like [`Builder::alu`], or folded by
     /// [`eval::compare`] to `0` or `1` when both operands are constants.
     fn compare(
         &mut self,
@@ -341,59 +383,216 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn header_field(&mut self, field: &str) -> Operand {
-        Operand::Header(self.header_name(field))
-    }
-
     /// Declare the header field `field` (at its configured width) on first
     /// sight; every later use shares the declaration's name.
-    fn header_name(&mut self, field: &str) -> Name {
+    fn header_name(&mut self, field: &Name) -> Name {
         if let Some((name, _)) = self.headers.get_key_value(field) {
             return name.clone();
         }
-        let bits =
-            self.opts.header_widths.get(field).copied().unwrap_or(self.opts.default_field_bits);
-        let name = Name::from(field);
-        self.headers.insert(name.clone(), bits);
-        name
+        let bits = self
+            .opts
+            .header_widths
+            .get(field.as_str())
+            .copied()
+            .unwrap_or(self.opts.default_field_bits);
+        self.headers.insert(field.clone(), bits);
+        field.clone()
     }
 
-    fn lookup(&self, name: &str) -> Option<&EnvEntry> {
-        self.env.get(name)
-    }
-
-    fn set_value(&mut self, name: &str, value: Lowered) {
-        self.env.insert(name.to_string(), EnvEntry::Value(value));
+    /// The header field `field_index` of the header vector `field`.
+    fn header_element(&mut self, field: &str, index: i64) -> Name {
+        let element = format!("{field}_{index}");
+        match self.headers.get_key_value(element.as_str()) {
+            Some((name, _)) => name.clone(),
+            None => self.header_name(&Name::from(element)),
+        }
     }
 
     fn object_kind(&self, name: &str) -> Option<&ObjectKind> {
         self.objects.iter().find(|o| o.name == name).map(|o| &o.kind)
     }
 
-    // ---- statements ----------------------------------------------------------
+    // ---- the environment -------------------------------------------------------
 
-    fn lower_block(&mut self, stmts: &[Stmt]) -> Result<(), FrontendError> {
+    fn set_value(&mut self, name: &Name, value: Lowered) {
+        self.bind(name, Some(EnvEntry::Value(value)));
+    }
+
+    /// Bind `name` to `entry`, or unbind it when `entry` is `None`.
+    fn bind(&mut self, name: &Name, entry: Option<EnvEntry>) {
+        self.log_write(name);
+        match (self.env.get_mut(name), entry) {
+            (Some(slot), Some(entry)) => *slot = entry,
+            (None, Some(entry)) => {
+                self.env.insert(name.clone(), entry);
+            }
+            (_, None) => {
+                self.env.remove(name);
+            }
+        }
+    }
+
+    /// Inside an `if` arm, record `name`'s entry before the arm's first
+    /// write to it.
+    fn log_write(&mut self, name: &Name) {
+        if self.in_arm && !self.undo[self.arm_start..].iter().any(|(logged, _)| logged == name) {
+            self.undo.push((name.clone(), self.env.get(name).cloned()));
+        }
+    }
+
+    // ---- if-conversion ---------------------------------------------------------
+
+    /// Start logging the arms of a new `if`; the enclosing `if`'s state is
+    /// returned, to hand back to [`Builder::close_if`].
+    fn open_if(&mut self) -> OuterArm {
+        OuterArm {
+            in_arm: std::mem::replace(&mut self.in_arm, true),
+            undo: std::mem::take(&mut self.undo),
+            arm_start: std::mem::replace(&mut self.arm_start, 0),
+        }
+    }
+
+    /// End the running arm: every name it wrote gets its prior entry back,
+    /// and the log keeps the arm's own entry instead.  The next arm logs
+    /// after this one's entries; returns where this one's start.
+    fn park_arm(&mut self) -> usize {
+        for (name, logged) in &mut self.undo[self.arm_start..] {
+            let arm_entry = match (self.env.get_mut(name), logged.take()) {
+                (Some(slot), Some(prior)) => Some(std::mem::replace(slot, prior)),
+                (None, Some(prior)) => {
+                    self.env.insert(name.clone(), prior);
+                    None
+                }
+                (Some(_), None) => self.env.remove(name),
+                (None, None) => None,
+            };
+            *logged = arm_entry;
+        }
+        std::mem::replace(&mut self.arm_start, self.undo.len())
+    }
+
+    /// Restore the enclosing `if`'s logging state; returns this `if`'s log.
+    fn close_if(&mut self, outer: OuterArm) -> UndoLog {
+        self.in_arm = outer.in_arm;
+        self.arm_start = outer.arm_start;
+        std::mem::replace(&mut self.undo, outer.undo)
+    }
+
+    /// Join the parked arms of an `if` (`arms[..else_start]` the then-arm's,
+    /// the rest the else-arm's), with the environment back at its state
+    /// before the `if`: the names either arm wrote, in sorted order, are
+    /// bound to their merged values.
+    fn merge_branches(
+        &mut self,
+        mut arms: UndoLog,
+        else_start: usize,
+        pred_true: Predicate,
+        pred_false: Predicate,
+    ) -> Result<(), FrontendError> {
+        let (then_arm, else_arm) = arms.split_at_mut(else_start);
+        then_arm.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        else_arm.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let (mut then_arm, mut else_arm) =
+            (then_arm.iter_mut().peekable(), else_arm.iter_mut().peekable());
+        loop {
+            // the next name in order, with what each arm that wrote it left
+            let (name, t, e) = match (then_arm.peek(), else_arm.peek()) {
+                (None, None) => break,
+                (Some(t), Some(e)) if t.0 == e.0 => {
+                    let (t, e) =
+                        (then_arm.next().expect("peeked"), else_arm.next().expect("peeked"));
+                    (&t.0, Some(t.1.take()), Some(e.1.take()))
+                }
+                (Some(t), e) if e.is_none_or(|e| t.0 < e.0) => {
+                    let t = then_arm.next().expect("peeked");
+                    (&t.0, Some(t.1.take()), None)
+                }
+                _ => {
+                    let e = else_arm.next().expect("peeked");
+                    (&e.0, None, Some(e.1.take()))
+                }
+            };
+            // an arm that left the name alone leaves it at its prior entry
+            let base = self.env.get(name);
+            let existed_before = base.is_some();
+            let (t, e) = (t.unwrap_or_else(|| base.cloned()), e.unwrap_or_else(|| base.cloned()));
+            match (t, e) {
+                (Some(EnvEntry::Value(tv)), Some(EnvEntry::Value(ev))) => {
+                    if tv == ev {
+                        self.set_value(name, tv);
+                        continue;
+                    }
+                    // lists / objects / templates cannot be merged at runtime
+                    if matches!(tv, Lowered::List(_)) || matches!(ev, Lowered::List(_)) {
+                        return Err(FrontendError::Unsupported(format!(
+                            "list `{name}` modified differently in the two branches"
+                        )));
+                    }
+                    let phi = self.fresh_phi(name);
+                    let t_op = tv.to_operand()?;
+                    let e_op = ev.to_operand()?;
+                    let mut g_then = self.guard.clone();
+                    g_then.push(pred_true.clone());
+                    self.emit_with_guard(OpCode::Assign { dest: phi.clone(), src: t_op }, g_then);
+                    let mut g_else = self.guard.clone();
+                    g_else.push(pred_false.clone());
+                    self.emit_with_guard(OpCode::Assign { dest: phi.clone(), src: e_op }, g_else);
+                    self.set_value(name, Lowered::Op(Operand::var(phi)));
+                }
+                // declared in one branch only (e.g. objects or templates);
+                // keep it if it did not exist before, otherwise keep base.
+                (Some(entry), None) | (None, Some(entry)) if !existed_before => {
+                    self.bind(name, Some(entry));
+                }
+                (Some(EnvEntry::Template(t)), Some(EnvEntry::Template(_))) => {
+                    self.bind(name, Some(EnvEntry::Template(t)));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn fold_reduction(
+        &mut self,
+        name: &str,
+        alu: AluOp,
+        items: Vec<Lowered>,
+    ) -> Result<Lowered, FrontendError> {
+        if items.is_empty() {
+            return Err(FrontendError::BadArguments {
+                callee: name.to_string(),
+                reason: "reduction over an empty sequence".into(),
+            });
+        }
+        let mut acc = items[0].clone();
+        for item in &items[1..] {
+            acc = self.alu(alu, &acc, item, false)?;
+        }
+        Ok(acc)
+    }
+}
+
+impl<'l, 'a> Lowerer<'l, 'a> {
+    fn lower_block(&mut self, stmts: &'l [Stmt]) -> Result<(), FrontendError> {
         for stmt in stmts {
             self.lower_stmt(stmt)?;
         }
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), FrontendError> {
+    fn lower_stmt(&mut self, stmt: &'l Stmt) -> Result<(), FrontendError> {
         match stmt {
             Stmt::Import { .. } => Ok(()),
             Stmt::FuncDef { name, params, body } => {
-                self.funcs.insert(name.clone(), (params.clone(), body.clone()));
+                self.funcs.insert(name.clone(), (params, body));
                 Ok(())
             }
             Stmt::Assign { targets, value } => self.lower_assign(targets, value),
             Stmt::AugAssign { target, op, value } => {
-                let desugared = Expr::BinOp {
-                    op: *op,
-                    lhs: Box::new(target.clone()),
-                    rhs: Box::new(value.clone()),
-                };
-                self.lower_assign(std::slice::from_ref(target), &desugared)
+                // `target op= value` is `target = target op value`
+                let lowered = self.lower_binop(*op, target, value)?;
+                self.store(std::slice::from_ref(target), lowered)
             }
             Stmt::ExprStmt(e) => {
                 self.lower_expr(e)?;
@@ -402,14 +601,14 @@ impl<'a> Lowerer<'a> {
             Stmt::If { cond, body, orelse } => self.lower_if(cond, body, orelse),
             Stmt::For { var, iter, body } => self.lower_for(var, iter, body),
             Stmt::Return(value) => {
-                let slot = self.ret_slots.last().cloned().ok_or_else(|| {
+                let slot = self.ir.ret_slots.last().cloned().ok_or_else(|| {
                     FrontendError::Unsupported("`return` outside a function".into())
                 })?;
                 let lowered = match value {
                     Some(e) => self.lower_expr(e)?,
                     None => Lowered::NoneVal,
                 };
-                self.set_value(&slot, lowered);
+                self.ir.set_value(&slot, lowered);
                 Ok(())
             }
         }
@@ -422,9 +621,9 @@ impl<'a> Lowerer<'a> {
         if let Some((callee, args, kwargs)) = value.as_named_call() {
             if let Some(ctor) = ObjectCtor::from_name(callee) {
                 let target = Self::single_name_target(targets, callee)?;
-                return self.declare_object(&target, ctor, args, kwargs);
+                return self.declare_object(target, ctor, args, kwargs);
             }
-            if self.library.template_id(callee).is_some() {
+            if self.ir.library.template_id(callee).is_some() {
                 let target = Self::single_name_target(targets, callee)?;
                 let mut params = BTreeMap::new();
                 for (k, v) in kwargs {
@@ -432,33 +631,31 @@ impl<'a> Lowerer<'a> {
                         params.insert(k.clone(), c);
                     }
                 }
-                self.env.insert(
-                    target,
-                    EnvEntry::Template(TemplateInstance {
-                        template: callee.to_string(),
-                        kwargs: params,
-                    }),
-                );
+                let instance = TemplateInstance { template: callee.clone(), kwargs: params };
+                self.ir.bind(target, Some(EnvEntry::Template(instance)));
                 return Ok(());
             }
             if matches!(BuiltinFn::from_name(callee), Some(BuiltinFn::List)) {
                 let target = Self::single_name_target(targets, callee)?;
-                self.set_value(&target, Lowered::List(Vec::new()));
+                self.ir.set_value(target, Lowered::List(Vec::new()));
                 return Ok(());
             }
         }
-
         let lowered = self.lower_expr(value)?;
+        self.store(targets, lowered)
+    }
+
+    /// Assign `lowered` to each of `targets`.
+    fn store(&mut self, targets: &[Expr], lowered: Lowered) -> Result<(), FrontendError> {
         for target in targets {
             match target {
                 Expr::Name(name) => {
-                    self.set_value(name, lowered.clone());
+                    self.ir.set_value(name, lowered.clone());
                 }
                 Expr::Attribute { .. } | Expr::Index { .. } => {
                     if let Some(field) = self.header_target_field(target)? {
                         let op = lowered.to_operand()?;
-                        let field = self.header_name(&field);
-                        self.emit(OpCode::SetHeader { field, value: op });
+                        self.ir.emit(OpCode::SetHeader { field, value: op });
                     } else {
                         return Err(FrontendError::Unsupported(
                             "assignment target must be a name or a header field".into(),
@@ -475,9 +672,12 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn single_name_target(targets: &[Expr], callee: &str) -> Result<String, FrontendError> {
+    fn single_name_target<'e>(
+        targets: &'e [Expr],
+        callee: &str,
+    ) -> Result<&'e Name, FrontendError> {
         match targets {
-            [Expr::Name(n)] => Ok(n.clone()),
+            [Expr::Name(n)] => Ok(n),
             _ => Err(FrontendError::BadArguments {
                 callee: callee.to_string(),
                 reason: "constructor results must be assigned to a single name".into(),
@@ -487,10 +687,10 @@ impl<'a> Lowerer<'a> {
 
     /// Resolve an assignment target that denotes a header field
     /// (`hdr.x` or `hdr.x[const]`), returning its flattened field name.
-    fn header_target_field(&mut self, target: &Expr) -> Result<Option<String>, FrontendError> {
+    fn header_target_field(&mut self, target: &Expr) -> Result<Option<Name>, FrontendError> {
         match target {
             Expr::Attribute { value, attr } => match value.as_ref() {
-                Expr::Name(n) if n == "hdr" => Ok(Some(attr.clone())),
+                Expr::Name(n) if n == "hdr" => Ok(Some(self.ir.header_name(attr))),
                 _ => Ok(None),
             },
             Expr::Index { value, index } => {
@@ -501,7 +701,7 @@ impl<'a> Lowerer<'a> {
                                 "header vector indices must be compile-time constants".into(),
                             )
                         })?;
-                        return Ok(Some(format!("{attr}_{idx}")));
+                        return Ok(Some(self.ir.header_element(attr, idx)));
                     }
                 }
                 Ok(None)
@@ -512,19 +712,19 @@ impl<'a> Lowerer<'a> {
 
     fn declare_object(
         &mut self,
-        name: &str,
+        name: &Name,
         ctor: ObjectCtor,
         args: &[Expr],
-        kwargs: &[(String, Expr)],
+        kwargs: &[(Name, Expr)],
     ) -> Result<(), FrontendError> {
-        let mut kw: BTreeMap<String, Lowered> = BTreeMap::new();
+        let mut kw: BTreeMap<&str, Lowered> = BTreeMap::new();
         for (k, v) in kwargs {
-            kw.insert(k.clone(), self.lower_expr(v)?);
+            kw.insert(k, self.lower_expr(v)?);
         }
-        let int_kw = |kw: &BTreeMap<String, Lowered>, key: &str, default: i64| -> i64 {
+        let int_kw = |kw: &BTreeMap<&str, Lowered>, key: &str, default: i64| -> i64 {
             kw.get(key).and_then(Lowered::const_int).unwrap_or(default)
         };
-        let str_kw = |kw: &BTreeMap<String, Lowered>, key: &str| -> Option<String> {
+        let str_kw = |kw: &BTreeMap<&str, Lowered>, key: &str| -> Option<Name> {
             kw.get(key).and_then(|v| match v {
                 Lowered::Str(s) => Some(s.clone()),
                 _ => None,
@@ -585,17 +785,16 @@ impl<'a> Lowerer<'a> {
             }
         };
         let _ = args; // positional constructor arguments are accepted but unused
-        let name = Name::from(name);
-        self.set_value(&name, Lowered::Object(name.clone()));
-        self.objects.push(ObjectDecl::new(name, kind));
+        self.ir.set_value(name, Lowered::Object(name.clone()));
+        self.ir.objects.push(ObjectDecl::new(name.clone(), kind));
         Ok(())
     }
 
     fn lower_if(
         &mut self,
         cond: &Expr,
-        body: &[Stmt],
-        orelse: &[Stmt],
+        body: &'l [Stmt],
+        orelse: &'l [Stmt],
     ) -> Result<(), FrontendError> {
         let c_op = self.lower_expr(cond)?.to_operand()?;
         // Constant condition: lower only the branch the guard would take.
@@ -606,85 +805,30 @@ impl<'a> Lowerer<'a> {
         let pred_true = Predicate::new(c_op.clone(), CmpOp::Ne, Operand::int(0));
         let pred_false = Predicate::new(c_op, CmpOp::Eq, Operand::int(0));
 
-        let base_env = self.env.clone();
-
-        self.guard.push(pred_true.clone());
+        // both arms lower against the one environment, each undone in turn
+        let outer = self.ir.open_if();
+        self.ir.guard.push(pred_true.clone());
         self.lower_block(body)?;
-        self.guard.pop();
-        let then_env = std::mem::replace(&mut self.env, base_env.clone());
+        self.ir.guard.pop();
+        self.ir.park_arm();
 
-        self.guard.push(pred_false.clone());
+        self.ir.guard.push(pred_false.clone());
         self.lower_block(orelse)?;
-        self.guard.pop();
-        let else_env = std::mem::replace(&mut self.env, base_env.clone());
+        self.ir.guard.pop();
+        let else_start = self.ir.park_arm();
+        let arms = self.ir.close_if(outer);
 
-        self.merge_branches(&base_env, then_env, else_env, pred_true, pred_false)
+        self.ir.merge_branches(arms, else_start, pred_true, pred_false)
     }
 
-    fn merge_branches(
+    fn lower_for(
         &mut self,
-        base_env: &Env,
-        then_env: Env,
-        else_env: Env,
-        pred_true: Predicate,
-        pred_false: Predicate,
+        var: &Name,
+        iter: &Expr,
+        body: &'l [Stmt],
     ) -> Result<(), FrontendError> {
-        let mut names: Vec<String> = then_env.keys().chain(else_env.keys()).cloned().collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let base = base_env.get(&name);
-            let t = then_env.get(&name);
-            let e = else_env.get(&name);
-            match (t, e) {
-                (Some(EnvEntry::Value(tv)), Some(EnvEntry::Value(ev))) => {
-                    if tv == ev {
-                        self.env.insert(name, EnvEntry::Value(tv.clone()));
-                        continue;
-                    }
-                    // lists / objects / templates cannot be merged at runtime
-                    if matches!(tv, Lowered::List(_)) || matches!(ev, Lowered::List(_)) {
-                        return Err(FrontendError::Unsupported(format!(
-                            "list `{name}` modified differently in the two branches"
-                        )));
-                    }
-                    let existed_before = base.is_some();
-                    let changed_then = !matches!(base, Some(EnvEntry::Value(bv)) if bv == tv);
-                    let changed_else = !matches!(base, Some(EnvEntry::Value(bv)) if bv == ev);
-                    if !existed_before && (!changed_then || !changed_else) {
-                        // defined in only one branch and unknown otherwise: the
-                        // value is unusable after the join, so drop it.
-                        continue;
-                    }
-                    let phi = self.fresh_phi(&name);
-                    let t_op = tv.to_operand()?;
-                    let e_op = ev.to_operand()?;
-                    let mut g_then = self.guard.clone();
-                    g_then.push(pred_true.clone());
-                    self.emit_with_guard(OpCode::Assign { dest: phi.clone(), src: t_op }, g_then);
-                    let mut g_else = self.guard.clone();
-                    g_else.push(pred_false.clone());
-                    self.emit_with_guard(OpCode::Assign { dest: phi.clone(), src: e_op }, g_else);
-                    self.env.insert(name, EnvEntry::Value(Lowered::Op(Operand::var(phi))));
-                }
-                (Some(entry), None) | (None, Some(entry))
-                    // declared in one branch only (e.g. objects or templates);
-                    // keep it if it did not exist before, otherwise keep base.
-                    if base.is_none() => {
-                        self.env.insert(name, entry.clone());
-                    }
-                (Some(EnvEntry::Template(t)), Some(EnvEntry::Template(_))) => {
-                    self.env.insert(name, EnvEntry::Template(t.clone()));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn lower_for(&mut self, var: &str, iter: &Expr, body: &[Stmt]) -> Result<(), FrontendError> {
         let values: Vec<i64> = match iter.as_named_call() {
-            Some(("range", args, _)) => {
+            Some((name, args, _)) if name == "range" => {
                 let consts: Option<Vec<i64>> =
                     args.iter().map(|a| self.lower_expr(a).ok()?.const_int()).collect();
                 let consts =
@@ -715,15 +859,15 @@ impl<'a> Lowerer<'a> {
                 }
             }
         };
-        self.unrolled += values.len();
-        if self.unrolled > self.opts.max_unroll {
+        self.ir.unrolled += values.len();
+        if self.ir.unrolled > self.ir.opts.max_unroll {
             return Err(FrontendError::Unsupported(format!(
                 "loop unrolling exceeds the {} iteration budget",
-                self.opts.max_unroll
+                self.ir.opts.max_unroll
             )));
         }
         for v in values {
-            self.set_value(var, Lowered::Const(v));
+            self.ir.set_value(var, Lowered::Const(v));
             self.lower_block(body)?;
         }
         Ok(())
@@ -738,16 +882,18 @@ impl<'a> Lowerer<'a> {
             Expr::Str(s) => Ok(Lowered::Str(s.clone())),
             Expr::Bool(b) => Ok(Lowered::Const(i64::from(*b))),
             Expr::NoneLit => Ok(Lowered::NoneVal),
-            Expr::Name(name) => match self.lookup(name) {
+            Expr::Name(name) => match self.ir.env.get(name) {
                 Some(EnvEntry::Value(v)) => Ok(v.clone()),
                 Some(EnvEntry::Template(_)) => Err(FrontendError::Unsupported(format!(
                     "template instance `{name}` can only be called"
                 ))),
-                None => Err(FrontendError::UndefinedName(name.clone())),
+                None => Err(FrontendError::UndefinedName(name.to_string())),
             },
             Expr::Attribute { value, attr } => match value.as_ref() {
-                Expr::Name(n) if n == "hdr" => Ok(Lowered::Op(self.header_field(attr))),
-                Expr::Name(n) if n == "meta" => Ok(Lowered::Op(Operand::Meta(attr.into()))),
+                Expr::Name(n) if n == "hdr" => {
+                    Ok(Lowered::Op(Operand::Header(self.ir.header_name(attr))))
+                }
+                Expr::Name(n) if n == "meta" => Ok(Lowered::Op(Operand::Meta(attr.clone()))),
                 _ => Err(FrontendError::Unsupported(format!(
                     "attribute access on `{value:?}` is not supported"
                 ))),
@@ -778,7 +924,7 @@ impl<'a> Lowerer<'a> {
                         "header vector indices must be compile-time constants".into(),
                     )
                 })?;
-                return Ok(Lowered::Op(self.header_field(&format!("{attr}_{idx}"))));
+                return Ok(Lowered::Op(Operand::Header(self.ir.header_element(attr, idx))));
             }
         }
         // list[i] with constant i
@@ -811,15 +957,15 @@ impl<'a> Lowerer<'a> {
             BinOp::Pow => return power(&l, &r),
         };
         let float = l.is_float() || r.is_float();
-        self.alu(alu, &l, &r, float)
+        self.ir.alu(alu, &l, &r, float)
     }
 
     fn lower_unary(&mut self, op: UnaryOp, operand: &Expr) -> Result<Lowered, FrontendError> {
         let v = self.lower_expr(operand)?;
         match op {
-            UnaryOp::Neg => self.alu(AluOp::Sub, &Lowered::Const(0), &v, v.is_float()),
-            UnaryOp::Invert => self.alu(AluOp::Xor, &v, &Lowered::Const(-1), false),
-            UnaryOp::Not => self.compare(CmpOp::Eq, &v, &Lowered::Const(0)),
+            UnaryOp::Neg => self.ir.alu(AluOp::Sub, &Lowered::Const(0), &v, v.is_float()),
+            UnaryOp::Invert => self.ir.alu(AluOp::Xor, &v, &Lowered::Const(-1), false),
+            UnaryOp::Not => self.ir.compare(CmpOp::Eq, &v, &Lowered::Const(0)),
         }
     }
 
@@ -839,7 +985,7 @@ impl<'a> Lowerer<'a> {
             clickinc_lang::ast::CmpOp::Gt => CmpOp::Gt,
             clickinc_lang::ast::CmpOp::Ge => CmpOp::Ge,
         };
-        self.compare(ir_op, &l, &r)
+        self.ir.compare(ir_op, &l, &r)
     }
 
     fn lower_boolchain(&mut self, op: BoolOp, values: &[Expr]) -> Result<Lowered, FrontendError> {
@@ -862,10 +1008,10 @@ impl<'a> Lowerer<'a> {
                     } else {
                         // logical, as the constant arm: a bitwise `And` of
                         // `2` and `1` would be false
-                        let (prev, v) = (self.truth(prev)?, self.truth(v)?);
-                        let result = self.alu(alu, &prev, &v, false)?;
+                        let (prev, v) = (self.ir.truth(prev)?, self.ir.truth(v)?);
+                        let result = self.ir.alu(alu, &prev, &v, false)?;
                         if let Lowered::Op(Operand::Var(dest)) = &result {
-                            self.booleans.insert(dest.clone());
+                            self.ir.booleans.insert(dest.clone());
                         }
                         result
                     }
@@ -881,7 +1027,7 @@ impl<'a> Lowerer<'a> {
         &mut self,
         func: &Expr,
         args: &[Expr],
-        kwargs: &[(String, Expr)],
+        kwargs: &[(Name, Expr)],
     ) -> Result<Lowered, FrontendError> {
         // method-style calls: list.append(x)
         if let Expr::Attribute { value, attr } = func {
@@ -891,9 +1037,7 @@ impl<'a> Lowerer<'a> {
                 }
                 if attr == "read" || attr == "get" {
                     // obj.read(index) sugar for get(obj, index)
-                    let mut full = vec![Expr::Name(obj.clone())];
-                    full.extend_from_slice(args);
-                    return self.lower_primitive(PrimitiveKind::Get, &full, kwargs);
+                    return self.lower_state_primitive(PrimitiveKind::Get, Some(value), args);
                 }
             }
             return Err(FrontendError::Unsupported(format!(
@@ -902,18 +1046,19 @@ impl<'a> Lowerer<'a> {
         }
 
         let name = match func {
-            Expr::Name(n) => n.clone(),
+            Expr::Name(n) => n,
             _ => return Err(FrontendError::Unsupported("indirect calls are not supported".into())),
         };
 
         // template instance invocation, e.g. `agg(hdr)`
-        if let Some(EnvEntry::Template(inst)) = self.lookup(&name).cloned() {
-            return self.expand_template(&name, &inst);
+        if let Some(EnvEntry::Template(inst)) = self.ir.env.get(name) {
+            let inst = inst.clone();
+            return self.expand_template(name, &inst);
         }
 
         // user-defined function inlining
-        if let Some((params, body)) = self.funcs.get(&name).cloned() {
-            return self.inline_function(&name, &params, &body, args);
+        if let Some(&(params, body)) = self.funcs.get(name) {
+            return self.inline_function(name, params, body, args);
         }
 
         // float intrinsics used by templates targeting FPGA/NFP devices
@@ -926,25 +1071,25 @@ impl<'a> Lowerer<'a> {
         } {
             if args.len() != 2 {
                 return Err(FrontendError::BadArguments {
-                    callee: name,
+                    callee: name.to_string(),
                     reason: "expected exactly two arguments".into(),
                 });
             }
             let l = self.lower_expr(&args[0])?;
             let r = self.lower_expr(&args[1])?;
-            return self.alu(alu, &l, &r, true);
+            return self.ir.alu(alu, &l, &r, true);
         }
 
-        if let Some(prim) = PrimitiveKind::from_name(&name) {
+        if let Some(prim) = PrimitiveKind::from_name(name) {
             return self.lower_primitive(prim, args, kwargs);
         }
-        if let Some(builtin) = BuiltinFn::from_name(&name) {
-            return self.lower_builtin(builtin, &name, args);
+        if let Some(builtin) = BuiltinFn::from_name(name) {
+            return self.lower_builtin(builtin, name, args);
         }
-        Err(FrontendError::UnknownCall(name))
+        Err(FrontendError::UnknownCall(name.to_string()))
     }
 
-    fn lower_list_append(&mut self, list: &str, args: &[Expr]) -> Result<Lowered, FrontendError> {
+    fn lower_list_append(&mut self, list: &Name, args: &[Expr]) -> Result<Lowered, FrontendError> {
         let value = match args {
             [one] => self.lower_expr(one)?,
             _ => {
@@ -954,7 +1099,8 @@ impl<'a> Lowerer<'a> {
                 })
             }
         };
-        match self.env.get_mut(list) {
+        self.ir.log_write(list);
+        match self.ir.env.get_mut(list) {
             Some(EnvEntry::Value(Lowered::List(items))) => {
                 items.push(value);
                 Ok(Lowered::NoneVal)
@@ -1000,16 +1146,18 @@ impl<'a> Lowerer<'a> {
                 return Err(FrontendError::UnknownCall(format!("template `{other}`")));
             }
         };
+        // the template's statements borrow its parse, so they are walked in a
+        // scope of their own: the builder is shared, the `def`s are not
         let ast = clickinc_lang::parse(&source)?;
-        self.lower_block(&ast.stmts)?;
+        Lowerer { ir: &mut *self.ir, funcs: BTreeMap::new() }.lower_block(&ast.stmts)?;
         Ok(Lowered::NoneVal)
     }
 
     fn inline_function(
         &mut self,
         name: &str,
-        params: &[String],
-        body: &[Stmt],
+        params: &[Name],
+        body: &'l [Stmt],
         args: &[Expr],
     ) -> Result<Lowered, FrontendError> {
         if params.len() != args.len() {
@@ -1022,31 +1170,24 @@ impl<'a> Lowerer<'a> {
             args.iter().map(|a| self.lower_expr(a)).collect();
         let lowered_args = lowered_args?;
         // bind parameters in a child scope; restore shadowed names afterwards
-        let saved: Vec<(String, Option<EnvEntry>)> =
-            params.iter().map(|p| (p.clone(), self.env.get(p).cloned())).collect();
+        let saved: Vec<Option<EnvEntry>> =
+            params.iter().map(|p| self.ir.env.get(p).cloned()).collect();
         for (p, v) in params.iter().zip(lowered_args) {
-            self.set_value(p, v);
+            self.ir.set_value(p, v);
         }
-        let slot = format!("$ret{}", self.next_tmp);
-        self.next_tmp += 1;
-        self.ret_slots.push(slot.clone());
-        self.set_value(&slot, Lowered::NoneVal);
+        let slot = Name::from(format!("$ret{}", self.ir.next_tmp));
+        self.ir.next_tmp += 1;
+        self.ir.ret_slots.push(slot.clone());
+        self.ir.set_value(&slot, Lowered::NoneVal);
         self.lower_block(body)?;
-        self.ret_slots.pop();
-        let result = match self.lookup(&slot) {
+        self.ir.ret_slots.pop();
+        let result = match self.ir.env.get(&slot) {
             Some(EnvEntry::Value(v)) => v.clone(),
             _ => Lowered::NoneVal,
         };
-        self.env.remove(&slot);
-        for (p, old) in saved {
-            match old {
-                Some(entry) => {
-                    self.env.insert(p, entry);
-                }
-                None => {
-                    self.env.remove(&p);
-                }
-            }
+        self.ir.bind(&slot, None);
+        for (p, old) in params.iter().zip(saved) {
+            self.ir.bind(p, old);
         }
         Ok(result)
     }
@@ -1055,23 +1196,23 @@ impl<'a> Lowerer<'a> {
         &mut self,
         prim: PrimitiveKind,
         args: &[Expr],
-        kwargs: &[(String, Expr)],
+        kwargs: &[(Name, Expr)],
     ) -> Result<Lowered, FrontendError> {
         match prim {
             PrimitiveKind::Drop => {
-                self.emit(OpCode::Drop);
+                self.ir.emit(OpCode::Drop);
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::Forward => {
-                self.emit(OpCode::Forward);
+                self.ir.emit(OpCode::Forward);
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::Back | PrimitiveKind::Mirror => {
                 let updates = self.lower_header_updates(args, kwargs)?;
                 if prim == PrimitiveKind::Back {
-                    self.emit(OpCode::Back { updates });
+                    self.ir.emit(OpCode::Back { updates });
                 } else {
-                    self.emit(OpCode::Mirror { updates });
+                    self.ir.emit(OpCode::Mirror { updates });
                 }
                 Ok(Lowered::NoneVal)
             }
@@ -1080,12 +1221,12 @@ impl<'a> Lowerer<'a> {
                     Some(e) => self.lower_expr(e)?.to_operand()?,
                     None => Operand::int(0),
                 };
-                self.emit(OpCode::Multicast { group });
+                self.ir.emit(OpCode::Multicast { group });
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::CopyTo => {
                 let target = match args.first() {
-                    Some(Expr::Str(s)) => s.into(),
+                    Some(Expr::Str(s)) => s.clone(),
                     _ => "CPU".into(),
                 };
                 let values: Result<Vec<Operand>, _> = args
@@ -1093,21 +1234,24 @@ impl<'a> Lowerer<'a> {
                     .skip(1)
                     .map(|e| self.lower_expr(e).and_then(|l| l.to_operand()))
                     .collect();
-                self.emit(OpCode::CopyTo { target, values: values? });
+                self.ir.emit(OpCode::CopyTo { target, values: values? });
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::Get
             | PrimitiveKind::Write
             | PrimitiveKind::Count
             | PrimitiveKind::Clear
-            | PrimitiveKind::Del => self.lower_state_primitive(prim, args),
+            | PrimitiveKind::Del => {
+                let rest = args.get(1..).unwrap_or_default();
+                self.lower_state_primitive(prim, args.first(), rest)
+            }
         }
     }
 
     fn lower_header_updates(
         &mut self,
         args: &[Expr],
-        kwargs: &[(String, Expr)],
+        kwargs: &[(Name, Expr)],
     ) -> Result<Vec<(Name, Operand)>, FrontendError> {
         let mut dict_expr: Option<&Expr> = None;
         for (k, v) in kwargs {
@@ -1126,8 +1270,7 @@ impl<'a> Lowerer<'a> {
         if let Some(Expr::Dict(pairs)) = dict_expr {
             for (k, v) in pairs {
                 let field = match k {
-                    Expr::Name(n) => n.clone(),
-                    Expr::Str(s) => s.clone(),
+                    Expr::Name(field) | Expr::Str(field) => field,
                     other => {
                         return Err(FrontendError::BadArguments {
                             callee: "back/mirror".into(),
@@ -1136,28 +1279,29 @@ impl<'a> Lowerer<'a> {
                     }
                 };
                 let value = self.lower_expr(v)?.to_operand()?;
-                updates.push((self.header_name(&field), value));
+                updates.push((self.ir.header_name(field), value));
             }
         }
         Ok(updates)
     }
 
+    /// `prim(object, rest...)`.
     fn lower_state_primitive(
         &mut self,
         prim: PrimitiveKind,
-        args: &[Expr],
+        object: Option<&Expr>,
+        rest: &[Expr],
     ) -> Result<Lowered, FrontendError> {
         // `del(hdr.feat[i])` removes a header field (sparse-gradient use case)
         if prim == PrimitiveKind::Del {
-            if let Some(first) = args.first() {
+            if let Some(first) = object {
                 if let Some(field) = self.header_target_field(first)? {
-                    let field = self.header_name(&field);
-                    self.emit(OpCode::SetHeader { field, value: Operand::Const(Value::None) });
+                    self.ir.emit(OpCode::SetHeader { field, value: Operand::Const(Value::None) });
                     return Ok(Lowered::NoneVal);
                 }
             }
         }
-        let object = match args.first() {
+        let object = match object {
             Some(e) => match self.lower_expr(e)? {
                 Lowered::Object(name) => name,
                 other => {
@@ -1175,16 +1319,16 @@ impl<'a> Lowerer<'a> {
             }
         };
         let rest: Result<Vec<Operand>, _> =
-            args.iter().skip(1).map(|e| self.lower_expr(e).and_then(|l| l.to_operand())).collect();
-        let rest = rest?;
-        let is_hash = matches!(self.object_kind(&object), Some(ObjectKind::Hash { .. }));
+            rest.iter().map(|e| self.lower_expr(e).and_then(|l| l.to_operand())).collect();
+        let mut rest = rest?;
+        let is_hash = matches!(self.ir.object_kind(&object), Some(ObjectKind::Hash { .. }));
         match prim {
             PrimitiveKind::Get => {
-                let dest = self.fresh_tmp();
+                let dest = self.ir.fresh_tmp();
                 if is_hash {
-                    self.emit(OpCode::Hash { dest: dest.clone(), object, keys: rest });
+                    self.ir.emit(OpCode::Hash { dest: dest.clone(), object, keys: rest });
                 } else {
-                    self.emit(OpCode::ReadState { dest: dest.clone(), object, index: rest });
+                    self.ir.emit(OpCode::ReadState { dest: dest.clone(), object, index: rest });
                 }
                 Ok(Lowered::Op(Operand::var(dest)))
             }
@@ -1195,29 +1339,23 @@ impl<'a> Lowerer<'a> {
                         reason: "expected an index/key and a value".into(),
                     });
                 }
-                let (index, value) = rest.split_at(rest.len() - 1);
-                self.emit(OpCode::WriteState {
-                    object,
-                    index: index.to_vec(),
-                    value: value.to_vec(),
-                });
+                let value = rest.split_off(rest.len() - 1);
+                self.ir.emit(OpCode::WriteState { object, index: rest, value });
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::Count => {
-                let (index, delta) = match rest.split_last() {
-                    Some((delta, index)) => (index.to_vec(), delta.clone()),
-                    None => (Vec::new(), Operand::int(1)),
-                };
-                let dest = self.fresh_tmp();
-                self.emit(OpCode::CountState { dest: Some(dest.clone()), object, index, delta });
+                let delta = rest.pop().unwrap_or(Operand::int(1));
+                let dest = self.ir.fresh_tmp();
+                let index = rest;
+                self.ir.emit(OpCode::CountState { dest: Some(dest.clone()), object, index, delta });
                 Ok(Lowered::Op(Operand::var(dest)))
             }
             PrimitiveKind::Clear => {
-                self.emit(OpCode::ClearState { object });
+                self.ir.emit(OpCode::ClearState { object });
                 Ok(Lowered::NoneVal)
             }
             PrimitiveKind::Del => {
-                self.emit(OpCode::DeleteState { object, index: rest });
+                self.ir.emit(OpCode::DeleteState { object, index: rest });
                 Ok(Lowered::NoneVal)
             }
             _ => unreachable!("non-state primitive dispatched to lower_state_primitive"),
@@ -1233,16 +1371,13 @@ impl<'a> Lowerer<'a> {
         let lowered: Result<Vec<Lowered>, _> = args.iter().map(|a| self.lower_expr(a)).collect();
         let mut lowered = lowered?;
         // single list argument expands to its elements for reductions
-        if lowered.len() == 1 {
-            if let Lowered::List(items) = &lowered[0] {
-                if matches!(
-                    builtin,
-                    BuiltinFn::Min | BuiltinFn::Max | BuiltinFn::Sum | BuiltinFn::Len
-                ) {
-                    lowered = items.clone();
-                    if matches!(builtin, BuiltinFn::Len) {
-                        return Ok(Lowered::Const(lowered.len() as i64));
-                    }
+        let reduction =
+            matches!(builtin, BuiltinFn::Min | BuiltinFn::Max | BuiltinFn::Sum | BuiltinFn::Len);
+        if let [Lowered::List(items)] = lowered.as_mut_slice() {
+            if reduction {
+                lowered = std::mem::take(items);
+                if matches!(builtin, BuiltinFn::Len) {
+                    return Ok(Lowered::Const(lowered.len() as i64));
                 }
             }
         }
@@ -1253,13 +1388,13 @@ impl<'a> Lowerer<'a> {
                     BuiltinFn::Max => AluOp::Max,
                     _ => AluOp::Add,
                 };
-                self.fold_reduction(name, alu, lowered)
+                self.ir.fold_reduction(name, alu, lowered)
             }
             BuiltinFn::Abs => match lowered.first() {
                 Some(v) => {
                     // `max(v, 0 - v)`
-                    let neg = self.alu(AluOp::Sub, &Lowered::Const(0), v, false)?;
-                    self.alu(AluOp::Max, v, &neg, false)
+                    let neg = self.ir.alu(AluOp::Sub, &Lowered::Const(0), v, false)?;
+                    self.ir.alu(AluOp::Max, v, &neg, false)
                 }
                 None => Err(FrontendError::BadArguments {
                     callee: name.to_string(),
@@ -1303,8 +1438,8 @@ impl<'a> Lowerer<'a> {
                     Some(v) => v.to_operand()?,
                     None => Operand::int(i64::MAX),
                 };
-                let dest = self.fresh_tmp();
-                self.emit(OpCode::RandInt { dest: dest.clone(), bound });
+                let dest = self.ir.fresh_tmp();
+                self.ir.emit(OpCode::RandInt { dest: dest.clone(), bound });
                 Ok(Lowered::Op(Operand::var(dest)))
             }
             BuiltinFn::Slice => {
@@ -1314,7 +1449,7 @@ impl<'a> Lowerer<'a> {
                 })?;
                 let hi = lowered.get(1).and_then(Lowered::const_int).unwrap_or(31);
                 let lo = lowered.get(2).and_then(Lowered::const_int).unwrap_or(0);
-                self.alu(AluOp::Slice, value, &Lowered::Const((hi << 8) | lo), false)
+                self.ir.alu(AluOp::Slice, value, &Lowered::Const((hi << 8) | lo), false)
             }
             BuiltinFn::List => Ok(Lowered::List(lowered)),
             BuiltinFn::Dict => Err(FrontendError::Unsupported(
@@ -1324,25 +1459,6 @@ impl<'a> Lowerer<'a> {
                 "range() is only valid as a `for` loop iterator".into(),
             )),
         }
-    }
-
-    fn fold_reduction(
-        &mut self,
-        name: &str,
-        alu: AluOp,
-        items: Vec<Lowered>,
-    ) -> Result<Lowered, FrontendError> {
-        if items.is_empty() {
-            return Err(FrontendError::BadArguments {
-                callee: name.to_string(),
-                reason: "reduction over an empty sequence".into(),
-            });
-        }
-        let mut acc = items[0].clone();
-        for item in &items[1..] {
-            acc = self.alu(alu, &acc, item, false)?;
-        }
-        Ok(acc)
     }
 }
 
@@ -1455,6 +1571,36 @@ mod tests {
         for expr in ["hdr.a ** 2", "pow(2.0, 3)"] {
             let message = refusal(expr);
             assert!(message.contains("compile-time integer constant"), "{expr}: {message}");
+        }
+    }
+
+    #[test]
+    fn integer_literals_outside_i64_are_refused_not_read_as_zero() {
+        for (literal, text) in [
+            ("99999999999999999999", "99999999999999999999"),
+            ("0xFFFFFFFFFFFFFFFFFF", "0xFFFFFFFFFFFFFFFFFF"),
+            ("0x", "0x"),
+            ("-9223372036854775808", "9223372036854775808"),
+        ] {
+            let source = format!("hdr.out = {literal}\nforward()\n");
+            match Frontend::new().compile_source("test", &source, &CompileOptions::default()) {
+                Err(FrontendError::Lang(clickinc_lang::LangError::BadNumber {
+                    text: refused,
+                    ..
+                })) => assert_eq!(refused, text, "{literal}"),
+                other => panic!("{literal}: expected a refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(written("9223372036854775807"), Operand::int(i64::MAX));
+        assert_eq!(written("-9223372036854775807 - 1"), Operand::int(i64::MIN));
+    }
+
+    #[test]
+    fn crlf_line_endings_compile_to_the_same_ir() {
+        let lf = "if hdr.a == 1:\n    hdr.b = 1\n\n    hdr.c = 2\nforward()\n";
+        let sources = template_grid().into_iter().map(|(_, source)| source);
+        for source in sources.chain([lf.to_string()]) {
+            assert_eq!(compile(&source.replace('\n', "\r\n")), compile(&source), "{source}");
         }
     }
 

@@ -1,5 +1,11 @@
 //! Abstract syntax tree of the ClickINC language (paper Fig. 5 grammar).
+//!
+//! Every identifier (names, attributes, keyword-argument names, `def`
+//! parameters, loop variables, modules) and string literal is an IR
+//! [`Name`]: the parser mints one per distinct spelling and shares it at
+//! every occurrence, and the frontend hands it on into the IR unchanged.
 
+use clickinc_ir::Name;
 use std::fmt;
 
 /// Binary arithmetic / bit operators.
@@ -110,19 +116,19 @@ pub enum Expr {
     /// Float literal.
     Float(f64),
     /// String literal.
-    Str(String),
+    Str(Name),
     /// Boolean literal.
     Bool(bool),
     /// `None`.
     NoneLit,
     /// Bare identifier.
-    Name(String),
+    Name(Name),
     /// Attribute access, e.g. `hdr.key` or `agg_data_t.read`.
     Attribute {
         /// Object expression.
         value: Box<Expr>,
         /// Attribute name.
-        attr: String,
+        attr: Name,
     },
     /// Indexing, e.g. `hdr.feat[index]`.
     Index {
@@ -138,7 +144,7 @@ pub enum Expr {
         /// Positional arguments.
         args: Vec<Expr>,
         /// Keyword arguments.
-        kwargs: Vec<(String, Expr)>,
+        kwargs: Vec<(Name, Expr)>,
     },
     /// Binary arithmetic / bit operation.
     BinOp {
@@ -180,11 +186,11 @@ pub enum Expr {
 
 /// A plain named call destructured by [`Expr::as_named_call`]:
 /// `(name, positional args, keyword args)`.
-pub type NamedCall<'a> = (&'a str, &'a [Expr], &'a [(String, Expr)]);
+pub type NamedCall<'a> = (&'a Name, &'a [Expr], &'a [(Name, Expr)]);
 
 impl Expr {
     /// Convenience constructor for names.
-    pub fn name(s: impl Into<String>) -> Expr {
+    pub fn name(s: impl Into<Name>) -> Expr {
         Expr::Name(s.into())
     }
 
@@ -205,7 +211,7 @@ impl Expr {
     pub fn as_named_call(&self) -> Option<NamedCall<'_>> {
         match self {
             Expr::Call { func, args, kwargs } => match func.as_ref() {
-                Expr::Name(n) => Some((n.as_str(), args, kwargs)),
+                Expr::Name(n) => Some((n, args, kwargs)),
                 _ => None,
             },
             _ => None,
@@ -287,7 +293,7 @@ pub enum Stmt {
     /// `for var in iter: body`.
     For {
         /// Loop variable name.
-        var: String,
+        var: Name,
         /// Iterated expression (must be `range(...)` or a constant list for the
         /// frontend to unroll it).
         iter: Expr,
@@ -297,15 +303,15 @@ pub enum Stmt {
     /// `from module import *` / `import module`.
     Import {
         /// Module name.
-        module: String,
+        module: Name,
     },
     /// `def name(params): body` — user-defined helper functions, inlined by the
     /// frontend.
     FuncDef {
         /// Function name.
-        name: String,
+        name: Name,
         /// Parameter names.
-        params: Vec<String>,
+        params: Vec<Name>,
         /// Body statements.
         body: Vec<Stmt>,
     },
@@ -322,7 +328,7 @@ pub struct Program {
 
 impl Program {
     /// All user-defined functions, by name.
-    pub fn functions(&self) -> Vec<(&str, &[String], &[Stmt])> {
+    pub fn functions(&self) -> Vec<(&str, &[Name], &[Stmt])> {
         self.stmts
             .iter()
             .filter_map(|s| match s {

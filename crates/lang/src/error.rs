@@ -44,6 +44,21 @@ pub enum LangError {
         /// Where the string started.
         span: Span,
     },
+    /// A number literal with no value: an integer outside `i64`, a bare
+    /// `0x`, or a hexadecimal float.
+    BadNumber {
+        /// The literal as written.
+        text: String,
+        /// What is wrong with it.
+        reason: &'static str,
+        /// Where the literal starts.
+        span: Span,
+    },
+    /// A block nested deeper than the lexer's indentation stack holds.
+    TooDeeplyNested {
+        /// The line that opens the block one level too deep.
+        span: Span,
+    },
     /// The parser met an unexpected token.
     UnexpectedToken {
         /// What was found.
@@ -71,6 +86,12 @@ impl fmt::Display for LangError {
             LangError::BadIndentation { span } => write!(f, "inconsistent indentation at {span}"),
             LangError::UnterminatedString { span } => {
                 write!(f, "unterminated string literal starting at {span}")
+            }
+            LangError::BadNumber { text, reason, span } => {
+                write!(f, "number literal `{text}` at {span} {reason}")
+            }
+            LangError::TooDeeplyNested { span } => {
+                write!(f, "too many levels of indentation at {span}")
             }
             LangError::UnexpectedToken { found, expected, span } => {
                 write!(f, "expected {expected} but found `{found}` at {span}")

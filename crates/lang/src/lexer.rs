@@ -3,39 +3,80 @@
 //! The lexer converts raw source into a token stream with explicit `Newline`,
 //! `Indent` and `Dedent` tokens, following the same strategy CPython uses: a
 //! stack of indentation widths, one `Indent` pushed per deeper block, one
-//! `Dedent` per popped level.  Blank lines and comment-only lines produce no
-//! tokens.  Brackets suppress newlines so call arguments may span lines.
+//! `Dedent` per popped level.  Blank lines (whitespace only, before `\n` or
+//! `\r\n`) and comment-only lines produce no tokens.  Brackets suppress
+//! newlines so call arguments may span lines.
+//!
+//! Tokens borrow the source: an identifier or string literal is a slice of
+//! it, and a number is read from its bytes with checked arithmetic.  So the
+//! token vector, sized up front by a bound read off the bytes, is the
+//! lexer's one allocation, and the indentation stack is a fixed array as
+//! deep as CPython's.  An integer literal with no `i64` value (out of range, or a
+//! bare `0x`) is refused with [`LangError::BadNumber`], never read as `0`.
 
 use crate::error::{LangError, Span};
 use crate::token::{Token, TokenKind};
 
+/// The most blocks that may be open at once (CPython's limit).
+const MAX_INDENT: usize = 100;
+
 /// The ClickINC lexer.
-pub struct Lexer<'a> {
-    src: &'a [u8],
+pub struct Lexer<'src> {
+    text: &'src str,
+    src: &'src [u8],
     pos: usize,
     line: usize,
     col: usize,
-    indent_stack: Vec<usize>,
+    /// Widths of the open blocks, outermost first; the module level's `0`
+    /// is implicit.
+    indents: [usize; MAX_INDENT],
+    depth: usize,
     bracket_depth: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'src>>,
 }
 
-impl<'a> Lexer<'a> {
+/// An upper bound on the tokens `src` lexes to, so the token vector is
+/// allocated once.  Every token but the layout ones starts at a non-blank
+/// byte: at the start of a word (a run of letters, digits and `_`), inside a
+/// word only right after a number (`1abc`), or at any other byte.  Each
+/// line adds at most a `Newline` and an `Indent`, each `Indent` at most one
+/// `Dedent`, and the input one `Eof`.
+fn token_bound(src: &[u8]) -> usize {
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut bound = 4;
+    let mut prev = b' ';
+    for &b in src {
+        if b == b'\n' {
+            bound += 3;
+        } else if !word(b) {
+            bound += usize::from(!b.is_ascii_whitespace());
+        } else if !word(prev) {
+            bound += 1 + usize::from(b.is_ascii_digit());
+        }
+        prev = b;
+    }
+    bound
+}
+
+impl<'src> Lexer<'src> {
     /// Create a lexer over `source`.
-    pub fn new(source: &'a str) -> Lexer<'a> {
+    pub fn new(source: &'src str) -> Lexer<'src> {
         Lexer {
+            text: source,
             src: source.as_bytes(),
             pos: 0,
             line: 1,
             col: 1,
-            indent_stack: vec![0],
+            indents: [0; MAX_INDENT],
+            depth: 0,
             bracket_depth: 0,
             tokens: Vec::new(),
         }
     }
 
     /// Tokenize the whole input.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, LangError> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'src>>, LangError> {
+        self.tokens.reserve_exact(token_bound(self.src));
         loop {
             if self.at_line_start() && self.bracket_depth == 0 {
                 self.handle_indentation()?;
@@ -68,7 +109,7 @@ impl<'a> Lexer<'a> {
                     }
                 }
                 b'"' | b'\'' => self.lex_string(ch)?,
-                b'0'..=b'9' => self.lex_number(),
+                b'0'..=b'9' => self.lex_number()?,
                 b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_ident(),
                 _ => self.lex_operator()?,
             }
@@ -80,12 +121,17 @@ impl<'a> Lexer<'a> {
         ) {
             self.push(TokenKind::Newline);
         }
-        while self.indent_stack.len() > 1 {
-            self.indent_stack.pop();
+        while self.depth > 0 {
+            self.depth -= 1;
             self.push(TokenKind::Dedent);
         }
         self.push(TokenKind::Eof);
         Ok(self.tokens)
+    }
+
+    /// The width of the innermost open block.
+    fn indent(&self) -> usize {
+        self.depth.checked_sub(1).map_or(0, |top| self.indents[top])
     }
 
     fn at_line_start(&self) -> bool {
@@ -106,6 +152,10 @@ impl<'a> Lexer<'a> {
                 self.pos = p;
                 self.col += p - line_start;
                 return Ok(());
+            }
+            // a `\r\n` line ending is blank space up to its `\n`
+            if self.src[p] == b'\r' && self.src.get(p + 1) == Some(&b'\n') {
+                p += 1;
             }
             match self.src[p] {
                 b'\n' => {
@@ -130,16 +180,22 @@ impl<'a> Lexer<'a> {
                 _ => {
                     self.pos = p;
                     self.col = width + 1;
-                    let current = *self.indent_stack.last().expect("non-empty indent stack");
+                    let current = self.indent();
                     if width > current {
-                        self.indent_stack.push(width);
+                        if self.depth == MAX_INDENT {
+                            return Err(LangError::TooDeeplyNested {
+                                span: Span::new(self.line, 1),
+                            });
+                        }
+                        self.indents[self.depth] = width;
+                        self.depth += 1;
                         self.push(TokenKind::Indent);
                     } else if width < current {
-                        while *self.indent_stack.last().expect("non-empty") > width {
-                            self.indent_stack.pop();
+                        while self.indent() > width {
+                            self.depth -= 1;
                             self.push(TokenKind::Dedent);
                         }
-                        if *self.indent_stack.last().expect("non-empty") != width {
+                        if self.indent() != width {
                             return Err(LangError::BadIndentation {
                                 span: Span::new(self.line, 1),
                             });
@@ -168,7 +224,7 @@ impl<'a> Lexer<'a> {
         Span::new(self.line, self.col)
     }
 
-    fn push(&mut self, kind: TokenKind) {
+    fn push(&mut self, kind: TokenKind<'src>) {
         let span = self.span();
         self.tokens.push(Token::new(kind, span));
     }
@@ -183,13 +239,13 @@ impl<'a> Lexer<'a> {
         if self.pos >= self.src.len() || self.peek() != quote {
             return Err(LangError::UnterminatedString { span: start });
         }
-        let text = String::from_utf8_lossy(&self.src[begin..self.pos]).into_owned();
+        let text = &self.text[begin..self.pos];
         self.advance();
         self.tokens.push(Token::new(TokenKind::Str(text), start));
         Ok(())
     }
 
-    fn lex_number(&mut self) {
+    fn lex_number(&mut self) -> Result<(), LangError> {
         let start = self.span();
         let begin = self.pos;
         let mut is_float = false;
@@ -213,15 +269,15 @@ impl<'a> Lexer<'a> {
                 _ => break,
             }
         }
-        let text: String = String::from_utf8_lossy(&self.src[begin..self.pos]).replace('_', "");
-        let kind = if is_float {
-            TokenKind::Float(text.parse().unwrap_or(0.0))
-        } else if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            TokenKind::Int(i64::from_str_radix(hex, 16).unwrap_or(0))
-        } else {
-            TokenKind::Int(text.parse().unwrap_or(0))
-        };
+        let text = &self.text[begin..self.pos];
+        let kind = if is_float { float_value(text) } else { int_value(text) };
+        let kind = kind.map_err(|reason| LangError::BadNumber {
+            text: text.to_string(),
+            reason,
+            span: start,
+        })?;
         self.tokens.push(Token::new(kind, start));
+        Ok(())
     }
 
     fn lex_ident(&mut self) {
@@ -232,8 +288,8 @@ impl<'a> Lexer<'a> {
         {
             self.advance();
         }
-        let text = String::from_utf8_lossy(&self.src[begin..self.pos]).into_owned();
-        let kind = TokenKind::keyword(&text).unwrap_or(TokenKind::Ident(text));
+        let text = &self.text[begin..self.pos];
+        let kind = TokenKind::keyword(text).unwrap_or(TokenKind::Ident(text));
         self.tokens.push(Token::new(kind, start));
     }
 
@@ -292,11 +348,33 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// An integer literal's value: decimal, or hexadecimal after `0x`, with `_`
+/// separators skipped, accumulated with checked arithmetic.
+fn int_value(text: &str) -> Result<TokenKind<'static>, &'static str> {
+    let (digits, radix) = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (text, 10),
+    };
+    let mut value: Option<i64> = None;
+    for b in digits.bytes().filter(|&b| b != b'_') {
+        let digit = char::from(b).to_digit(radix).expect("the scanner keeps digits of the radix");
+        let shifted = value.unwrap_or(0).checked_mul(i64::from(radix));
+        value = Some(shifted.and_then(|v| v.checked_add(i64::from(digit))).ok_or("overflows i64")?);
+    }
+    value.map(TokenKind::Int).ok_or("has no digits")
+}
+
+/// A float literal's value, `_` separators skipped.
+fn float_value(text: &str) -> Result<TokenKind<'static>, &'static str> {
+    let value = if text.contains('_') { text.replace('_', "").parse() } else { text.parse() };
+    value.map(TokenKind::Float).map_err(|_| "is not a decimal float")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src).tokenize().unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -306,7 +384,7 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Assign,
                 TokenKind::Int(1),
                 TokenKind::Plus,
@@ -354,7 +432,7 @@ mod tests {
     #[test]
     fn strings_numbers_and_hex() {
         let k = kinds("f = Hash(type=\"crc_16\", key=hdr.key)\nn = 0xff\npi = 3.5\n");
-        assert!(k.contains(&TokenKind::Str("crc_16".into())));
+        assert!(k.contains(&TokenKind::Str("crc_16")));
         assert!(k.contains(&TokenKind::Int(255)));
         assert!(k.contains(&TokenKind::Float(3.5)));
         assert!(k.contains(&TokenKind::Dot));
@@ -395,6 +473,84 @@ mod tests {
         let k = kinds("x = 1");
         assert_eq!(k.last(), Some(&TokenKind::Eof));
         assert!(k.contains(&TokenKind::Newline));
+    }
+
+    #[test]
+    fn integer_literals_without_an_i64_value_are_refused() {
+        let cases = [
+            ("99999999999999999999", "overflows i64"),
+            ("0xFFFFFFFFFFFFFFFFFF", "overflows i64"),
+            ("0x8000_0000_0000_0000", "overflows i64"),
+            // `-9223372036854775808` is `-` applied to this literal
+            ("9223372036854775808", "overflows i64"),
+            ("0x", "has no digits"),
+            ("0X", "has no digits"),
+        ];
+        for (literal, why) in cases {
+            let err = Lexer::new(&format!("hdr.out = {literal}\n")).tokenize().unwrap_err();
+            let want = LangError::BadNumber {
+                text: literal.to_string(),
+                reason: why,
+                span: Span::new(1, 11),
+            };
+            assert_eq!(err, want, "{literal}");
+            assert_eq!(err.to_string(), format!("number literal `{literal}` at 1:11 {why}"));
+        }
+        assert!(matches!(
+            Lexer::new("x = 0x1.5\n").tokenize(),
+            Err(LangError::BadNumber { reason: "is not a decimal float", .. })
+        ));
+    }
+
+    #[test]
+    fn integer_literals_up_to_i64_max_are_read() {
+        for (literal, value) in [
+            ("9223372036854775807", i64::MAX),
+            ("0x7FFF_FFFF_FFFF_FFFF", i64::MAX),
+            ("0xff", 255),
+            ("1_000", 1000),
+            ("007", 7),
+            ("0", 0),
+        ] {
+            assert_eq!(kinds(literal)[0], TokenKind::Int(value), "{literal}");
+        }
+        assert_eq!(kinds("1_0.2_5")[0], TokenKind::Float(10.25));
+    }
+
+    #[test]
+    fn blank_crlf_lines_inside_a_block_are_blank() {
+        let lf = "if hdr.a == 1:\n    hdr.b = 1\n\n    hdr.c = 2\n  \nforward()\n";
+        let crlf = lf.replace('\n', "\r\n");
+        assert_eq!(kinds(&crlf), kinds(lf));
+        assert_eq!(kinds(&crlf).iter().filter(|t| **t == TokenKind::Dedent).count(), 1);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_indentation_stack_is_refused() {
+        let nested = |depth: usize| {
+            (0..depth).map(|d| format!("{}if x:\n", " ".repeat(d))).collect::<String>()
+                + &" ".repeat(depth)
+                + "drop()\n"
+        };
+        assert!(Lexer::new(&nested(MAX_INDENT)).tokenize().is_ok());
+        let err = Lexer::new(&nested(MAX_INDENT + 1)).tokenize().unwrap_err();
+        // line 1 opens no block, so line `MAX_INDENT + 2` opens one too many
+        assert_eq!(err, LangError::TooDeeplyNested { span: Span::new(MAX_INDENT + 2, 1) });
+    }
+
+    #[test]
+    fn the_token_bound_holds_where_tokens_are_densest() {
+        let sources = [
+            // a number splits its word, an `Indent` per line, `Dedent`s at the end
+            "x = 1abc + 0x1fg\n",
+            "if a:\n    if b:\n        c = \"s t r\"  # note\n",
+            "mem = Array(row=3,\n    size=65536)\nhdr.x = hdr.y[1] ** 2 // 3.5\n",
+            "",
+        ];
+        for source in sources {
+            let tokens = Lexer::new(source).tokenize().unwrap();
+            assert!(tokens.len() <= token_bound(source.as_bytes()), "{source:?}");
+        }
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //!
 //! This crate contains everything on the *source* side of the toolchain:
 //!
-//! * [`token`] / [`lexer`] — tokenizer with Python-style significant indentation;
-//! * [`ast`] — the abstract syntax tree matching the Fig. 5 grammar;
-//! * [`parser`] — recursive-descent parser producing the AST;
+//! * [`token`] / [`lexer`] — tokenizer with Python-style significant
+//!   indentation.  Tokens borrow the source text, so the token vector is the
+//!   lexer's one allocation; an integer literal with no `i64` value (out of
+//!   range, or a bare `0x`) is refused with [`LangError::BadNumber`], never
+//!   read as `0`, and a line holding only whitespace before `\r\n` is blank;
+//! * [`ast`] — the abstract syntax tree matching the Fig. 5 grammar, whose
+//!   identifiers are shared IR names ([`clickinc_ir::Name`]);
+//! * [`parser`] — recursive-descent parser producing the AST.  It reads the
+//!   tokens by reference, mints one name per distinct identifier and sizes
+//!   every AST list exactly, so a parse allocates for the tree it builds and
+//!   for each distinct name, never per token;
 //! * [`modules`] — the built-in module library (object constructors, primitives,
 //!   Python built-ins of Table 7) that the frontend links against;
 //! * [`templates`] — the provider-supplied templates: KVS (Fig. 15), MLAgg

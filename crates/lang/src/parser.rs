@@ -4,48 +4,85 @@
 //! syntax: indentation-delimited blocks, `if`/`elif`/`else`, `for ... in
 //! range(...)`, keyword arguments in calls, attribute access (`hdr.key`) and
 //! indexing (`hdr.feat[i]`).
+//!
+//! The parser reads the tokens by reference and allocates only for what it
+//! builds.  Each distinct identifier or string becomes one [`Name`], minted
+//! on its first occurrence through a per-parse table and shared by every
+//! later one.  A list being parsed (a block, call arguments, a literal)
+//! collects on a scratch stack and moves into a `Vec` of its exact length
+//! when it closes, so an AST list costs one allocation.
 
 use crate::ast::{BinOp, BoolOp, CmpOp, Expr, Program, Stmt, UnaryOp};
 use crate::error::{LangError, Span};
 use crate::token::{Token, TokenKind};
+use clickinc_ir::Name;
+use std::collections::HashMap;
 
 /// Parse a token stream (as produced by [`crate::Lexer`]) into a [`Program`].
-pub fn parse_program(tokens: &[Token]) -> Result<Program, LangError> {
-    let mut parser = Parser { tokens, pos: 0 };
+pub fn parse_program(tokens: &[Token<'_>]) -> Result<Program, LangError> {
+    let spellings =
+        tokens.iter().filter(|t| matches!(t.kind, TokenKind::Ident(_) | TokenKind::Str(_)));
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        names: HashMap::with_capacity(spellings.count()),
+        stmts: Vec::new(),
+        exprs: Vec::new(),
+        kwargs: Vec::new(),
+        pairs: Vec::new(),
+    };
     let stmts = parser.parse_block_until_eof()?;
     Ok(Program { stmts })
 }
 
 /// Positional and keyword arguments of a call, as parsed.
-type CallArgs = (Vec<Expr>, Vec<(String, Expr)>);
+type CallArgs = (Vec<Expr>, Vec<(Name, Expr)>);
 
-struct Parser<'a> {
-    tokens: &'a [Token],
+struct Parser<'t, 'src> {
+    tokens: &'t [Token<'src>],
     pos: usize,
+    /// The name minted for each spelling met so far.
+    names: HashMap<&'src str, Name>,
+    /// Scratch stacks: the open lists, innermost on top.
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
+    kwargs: Vec<(Name, Expr)>,
+    pairs: Vec<(Expr, Expr)>,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+/// The items pushed on `stack` since it stood at `start`, as an exactly
+/// sized `Vec`.
+fn close<T>(stack: &mut Vec<T>, start: usize) -> Vec<T> {
+    stack.drain(start..).collect()
+}
+
+impl<'t, 'src> Parser<'t, 'src> {
+    fn token(&self) -> &'t Token<'src> {
+        let tokens = self.tokens;
+        &tokens[self.pos.min(tokens.len() - 1)]
+    }
+
+    fn peek(&self) -> &'t TokenKind<'src> {
+        &self.token().kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.token().span
     }
 
-    fn advance(&mut self) -> &TokenKind {
-        let kind = &self.tokens[self.pos.min(self.tokens.len() - 1)].kind;
+    fn advance(&mut self) -> &'t TokenKind<'src> {
+        let kind = self.peek();
         if self.pos < self.tokens.len() {
             self.pos += 1;
         }
         kind
     }
 
-    fn check(&self, kind: &TokenKind) -> bool {
+    fn check(&self, kind: &TokenKind<'_>) -> bool {
         self.peek() == kind
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.check(kind) {
             self.advance();
             true
@@ -54,7 +91,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), LangError> {
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), LangError> {
         if self.eat(&kind) {
             Ok(())
         } else {
@@ -74,6 +111,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The shared name spelled `text`, minted on its first occurrence.
+    fn name(&mut self, text: &'src str) -> Name {
+        self.names.entry(text).or_insert_with(|| Name::from(text)).clone()
+    }
+
+    /// Consume an identifier and return its name; `what` names it in the
+    /// error when the next token is not one.
+    fn identifier(&mut self, what: &str) -> Result<Name, LangError> {
+        match *self.advance() {
+            TokenKind::Ident(text) => Ok(self.name(text)),
+            _ => Err(self.unexpected(what)),
+        }
+    }
+
     fn skip_newlines(&mut self) {
         while matches!(self.peek(), TokenKind::Newline) {
             self.advance();
@@ -81,13 +132,14 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_block_until_eof(&mut self) -> Result<Vec<Stmt>, LangError> {
-        let mut stmts = Vec::new();
+        let start = self.stmts.len();
         self.skip_newlines();
         while !matches!(self.peek(), TokenKind::Eof) {
-            stmts.push(self.parse_statement()?);
+            let stmt = self.parse_statement()?;
+            self.stmts.push(stmt);
             self.skip_newlines();
         }
-        Ok(stmts)
+        Ok(close(&mut self.stmts, start))
     }
 
     /// Parse an indented block: expects `Newline Indent stmt+ Dedent`.
@@ -95,18 +147,19 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::Newline, "a newline before an indented block")?;
         self.skip_newlines();
         self.expect(TokenKind::Indent, "an indented block")?;
-        let mut stmts = Vec::new();
+        let start = self.stmts.len();
         self.skip_newlines();
         while !matches!(self.peek(), TokenKind::Dedent | TokenKind::Eof) {
-            stmts.push(self.parse_statement()?);
+            let stmt = self.parse_statement()?;
+            self.stmts.push(stmt);
             self.skip_newlines();
         }
         self.expect(TokenKind::Dedent, "the end of an indented block")?;
-        Ok(stmts)
+        Ok(close(&mut self.stmts, start))
     }
 
     fn parse_statement(&mut self) -> Result<Stmt, LangError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::If => self.parse_if(),
             TokenKind::For => self.parse_for(),
             TokenKind::Def => self.parse_def(),
@@ -152,10 +205,7 @@ impl<'a> Parser<'a> {
 
     fn parse_for(&mut self) -> Result<Stmt, LangError> {
         self.advance(); // for
-        let var = match self.advance().clone() {
-            TokenKind::Ident(name) => name,
-            _ => return Err(self.unexpected("a loop variable name")),
-        };
+        let var = self.identifier("a loop variable name")?;
         self.expect(TokenKind::In, "`in`")?;
         let iter = self.parse_expr()?;
         self.expect(TokenKind::Colon, "`:` after the loop header")?;
@@ -165,17 +215,11 @@ impl<'a> Parser<'a> {
 
     fn parse_def(&mut self) -> Result<Stmt, LangError> {
         self.advance(); // def
-        let name = match self.advance().clone() {
-            TokenKind::Ident(name) => name,
-            _ => return Err(self.unexpected("a function name")),
-        };
+        let name = self.identifier("a function name")?;
         self.expect(TokenKind::LParen, "`(`")?;
         let mut params = Vec::new();
         while !self.check(&TokenKind::RParen) {
-            match self.advance().clone() {
-                TokenKind::Ident(p) => params.push(p),
-                _ => return Err(self.unexpected("a parameter name")),
-            }
+            params.push(self.identifier("a parameter name")?);
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
@@ -189,10 +233,7 @@ impl<'a> Parser<'a> {
     fn parse_import(&mut self) -> Result<Stmt, LangError> {
         // `from X import *` or `import X`
         if self.eat(&TokenKind::From) {
-            let module = match self.advance().clone() {
-                TokenKind::Ident(m) => m,
-                _ => return Err(self.unexpected("a module name")),
-            };
+            let module = self.identifier("a module name")?;
             self.expect(TokenKind::Import, "`import`")?;
             // consume the import list (identifiers, commas, or `*`)
             while !matches!(self.peek(), TokenKind::Newline | TokenKind::Eof) {
@@ -202,10 +243,7 @@ impl<'a> Parser<'a> {
             Ok(Stmt::Import { module })
         } else {
             self.advance(); // import
-            let module = match self.advance().clone() {
-                TokenKind::Ident(m) => m,
-                _ => return Err(self.unexpected("a module name")),
-            };
+            let module = self.identifier("a module name")?;
             self.end_simple_statement()?;
             Ok(Stmt::Import { module })
         }
@@ -213,23 +251,24 @@ impl<'a> Parser<'a> {
 
     fn parse_simple(&mut self) -> Result<Stmt, LangError> {
         let first = self.parse_expr()?;
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Assign => {
                 // possibly chained: a = b = expr
-                let mut targets = vec![first];
+                let start = self.exprs.len();
+                self.exprs.push(first);
                 let mut value;
                 loop {
                     self.advance(); // =
                     value = self.parse_expr()?;
                     if self.check(&TokenKind::Assign) {
-                        targets.push(value.clone());
+                        self.exprs.push(value);
                     } else {
                         break;
                     }
                 }
                 // handle `a, b = ...`? not in the grammar — keep single targets
                 self.end_simple_statement()?;
-                Ok(Stmt::Assign { targets, value })
+                Ok(Stmt::Assign { targets: close(&mut self.exprs, start), value })
             }
             TokenKind::Comma => {
                 // multiple assignment on one line: `delete = 0, overflow = 0`
@@ -267,26 +306,37 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_or(&mut self) -> Result<Expr, LangError> {
-        let mut values = vec![self.parse_and()?];
-        while self.eat(&TokenKind::Or) {
-            values.push(self.parse_and()?);
-        }
-        if values.len() == 1 {
-            Ok(values.pop().expect("one value"))
-        } else {
-            Ok(Expr::BoolChain { op: BoolOp::Or, values })
-        }
+        self.parse_chain(BoolOp::Or)
     }
 
     fn parse_and(&mut self) -> Result<Expr, LangError> {
-        let mut values = vec![self.parse_not()?];
-        while self.eat(&TokenKind::And) {
-            values.push(self.parse_not()?);
+        self.parse_chain(BoolOp::And)
+    }
+
+    /// An `or` chain of `and` chains, or an `and` chain of `not`s; a chain of
+    /// one is its operand.
+    fn parse_chain(&mut self, op: BoolOp) -> Result<Expr, LangError> {
+        let connective = match op {
+            BoolOp::Or => TokenKind::Or,
+            BoolOp::And => TokenKind::And,
+        };
+        let first = self.parse_chain_operand(op)?;
+        if !self.check(&connective) {
+            return Ok(first);
         }
-        if values.len() == 1 {
-            Ok(values.pop().expect("one value"))
-        } else {
-            Ok(Expr::BoolChain { op: BoolOp::And, values })
+        let start = self.exprs.len();
+        self.exprs.push(first);
+        while self.eat(&connective) {
+            let value = self.parse_chain_operand(op)?;
+            self.exprs.push(value);
+        }
+        Ok(Expr::BoolChain { op, values: close(&mut self.exprs, start) })
+    }
+
+    fn parse_chain_operand(&mut self, op: BoolOp) -> Result<Expr, LangError> {
+        match op {
+            BoolOp::Or => self.parse_and(),
+            BoolOp::And => self.parse_not(),
         }
     }
 
@@ -421,10 +471,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 TokenKind::Dot => {
                     self.advance();
-                    let attr = match self.advance().clone() {
-                        TokenKind::Ident(a) => a,
-                        _ => return Err(self.unexpected("an attribute name")),
-                    };
+                    let attr = self.identifier("an attribute name")?;
                     expr = Expr::Attribute { value: Box::new(expr), attr };
                 }
                 TokenKind::LBracket => {
@@ -445,69 +492,71 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_call_args(&mut self) -> Result<CallArgs, LangError> {
-        let mut args = Vec::new();
-        let mut kwargs = Vec::new();
+        let (args_start, kwargs_start) = (self.exprs.len(), self.kwargs.len());
         while !self.check(&TokenKind::RParen) {
             // keyword argument? ident '=' expr
-            if let TokenKind::Ident(name) = self.peek().clone() {
+            if let TokenKind::Ident(text) = *self.peek() {
                 if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Assign) {
                     self.advance();
                     self.advance();
+                    let name = self.name(text);
                     let value = self.parse_expr()?;
-                    kwargs.push((name, value));
+                    self.kwargs.push((name, value));
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
                     continue;
                 }
             }
-            args.push(self.parse_expr()?);
+            let arg = self.parse_expr()?;
+            self.exprs.push(arg);
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
         }
         self.expect(TokenKind::RParen, "`)`")?;
-        Ok((args, kwargs))
+        Ok((close(&mut self.exprs, args_start), close(&mut self.kwargs, kwargs_start)))
     }
 
     fn parse_atom(&mut self) -> Result<Expr, LangError> {
-        match self.advance().clone() {
+        match *self.advance() {
             TokenKind::Int(v) => Ok(Expr::Int(v)),
             TokenKind::Float(v) => Ok(Expr::Float(v)),
-            TokenKind::Str(s) => Ok(Expr::Str(s)),
+            TokenKind::Str(text) => Ok(Expr::Str(self.name(text))),
             TokenKind::True => Ok(Expr::Bool(true)),
             TokenKind::False => Ok(Expr::Bool(false)),
             TokenKind::None => Ok(Expr::NoneLit),
-            TokenKind::Ident(name) => Ok(Expr::Name(name)),
+            TokenKind::Ident(text) => Ok(Expr::Name(self.name(text))),
             TokenKind::LParen => {
                 let inner = self.parse_expr()?;
                 self.expect(TokenKind::RParen, "`)`")?;
                 Ok(inner)
             }
             TokenKind::LBracket => {
-                let mut items = Vec::new();
+                let start = self.exprs.len();
                 while !self.check(&TokenKind::RBracket) {
-                    items.push(self.parse_expr()?);
+                    let item = self.parse_expr()?;
+                    self.exprs.push(item);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
                 }
                 self.expect(TokenKind::RBracket, "`]`")?;
-                Ok(Expr::List(items))
+                Ok(Expr::List(close(&mut self.exprs, start)))
             }
             TokenKind::LBrace => {
-                let mut pairs = Vec::new();
+                let start = self.pairs.len();
                 while !self.check(&TokenKind::RBrace) {
                     let key = self.parse_expr()?;
                     self.expect(TokenKind::Colon, "`:` in a dict literal")?;
                     let value = self.parse_expr()?;
-                    pairs.push((key, value));
+                    self.pairs.push((key, value));
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
                 }
                 self.expect(TokenKind::RBrace, "`}`")?;
-                Ok(Expr::Dict(pairs))
+                Ok(Expr::Dict(close(&mut self.pairs, start)))
             }
             _ => {
                 self.pos = self.pos.saturating_sub(1);

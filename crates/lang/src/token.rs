@@ -1,19 +1,24 @@
 //! Tokens of the ClickINC language.
+//!
+//! A token borrows its text from the source it was lexed from: an identifier
+//! or string literal is a slice of that source, so a token costs no
+//! allocation of its own.
 
 use crate::error::Span;
 use std::fmt;
 
-/// Kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// Kind of a lexical token, borrowing identifiers and strings from the
+/// source text `'src`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
     /// Identifier (variable, function, module name).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
     /// String literal (without quotes).
-    Str(String),
+    Str(&'src str),
     /// Keyword `if`.
     If,
     /// Keyword `elif`.
@@ -116,9 +121,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Map an identifier to a keyword token if it is one.
-    pub fn keyword(ident: &str) -> Option<TokenKind> {
+    pub fn keyword(ident: &str) -> Option<TokenKind<'static>> {
         Some(match ident {
             "if" => TokenKind::If,
             "elif" => TokenKind::Elif,
@@ -208,22 +213,22 @@ impl TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Source position.
     pub span: Span,
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Create a token.
-    pub fn new(kind: TokenKind, span: Span) -> Token {
+    pub fn new(kind: TokenKind<'src>, span: Span) -> Token<'src> {
         Token { kind, span }
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.kind.describe())
     }
@@ -243,7 +248,7 @@ mod tests {
 
     #[test]
     fn describe_is_informative() {
-        assert_eq!(TokenKind::Ident("cache".into()).describe(), "identifier `cache`");
+        assert_eq!(TokenKind::Ident("cache").describe(), "identifier `cache`");
         assert_eq!(TokenKind::Shl.describe(), "`<<`");
         assert_eq!(TokenKind::Eof.describe(), "end of input");
         assert_eq!(TokenKind::Int(5).describe(), "integer `5`");
